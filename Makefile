@@ -1,10 +1,11 @@
 GO ?= go
 
-.PHONY: check build vet test race race-core bench-smoke recovery-torture mvcc-stress ingest-stress serve-stress vector-stress
+.PHONY: check build vet test race race-core bench-harness flake-sweep bench-smoke recovery-torture mvcc-stress ingest-stress serve-stress vector-stress
 
-# check is the full CI gate: static analysis, a clean build, and the
-# test suite under the race detector.
-check: vet build race race-core
+# check is the full CI gate: static analysis, a clean build, the test
+# suite under the race detector, and the benchmark harness (its own
+# module, so none of the above reaches it).
+check: vet build race race-core bench-harness
 
 build:
 	$(GO) build ./...
@@ -25,6 +26,21 @@ race-core:
 	$(GO) test -race ./internal/engine/... ./internal/exec/...
 	$(GO) test -race -count=4 -run 'TestParallelSortedFetchMatchesSerial|TestSummaryIndexScanPartitionedConcatenation' ./internal/engine/... ./internal/exec/...
 	$(GO) test -race -count=2 -run 'TestEpochReaderStress' ./internal/engine/
+
+# bench-harness compiles and smoke-tests benchmarks/ against this
+# checkout's exec/optimizer/engine surface. benchmarks/ is a separate
+# module (replace repro => ../), so the root vet/build/test never build
+# benchmarks/harness/target.go; this is the gate that does (< 10 s).
+bench-harness:
+	$(GO) -C benchmarks vet ./...
+	$(GO) -C benchmarks test ./...
+
+# flake-sweep reruns the packages whose tests coordinate goroutines by
+# hand — the MVCC clock and the executor's parallel operators — 20
+# times at 1, 2 and 8 scheduler threads: tier-1 must be green on any
+# core count, and a 2-core box is where ordering assumptions break.
+flake-sweep:
+	$(GO) test -count=20 -cpu 1,2,8 ./internal/mvcc ./internal/exec
 
 # bench-smoke regenerates one representative figure plus the parallel
 # speedup, buffer-pool, and group-commit grids at the reduced quick
@@ -69,13 +85,14 @@ serve-stress:
 	$(GO) test -race -count=2 -run 'TestIngestFlusherJoinedOnClose|TestIngestFlusherOpenCloseStress|TestMetricsSnapshotConsistency|TestPreparedConcurrentExecutions|TestPlanCacheStaleness' ./internal/engine/
 	$(GO) test -race -count=1 -run 'TestFig23Smoke' ./internal/bench/
 
-# vector-stress exercises the vectorized executor end to end under the
-# race detector: the batch/row differential corpus across batch sizes,
-# vectorized scans feeding the parallel Gather exchange from 4 query
-# goroutines, mid-batch cancellation latency, the per-row allocation
-# budget, and the Figure 24 smoke run with its enforced >= 3x speedup
-# floor on the headline scan.
+# vector-stress exercises the batch exchange end to end under the race
+# detector: the capacity-invariance differential (every operator ×
+# capacities 1/2/3/7/1024 × 1 and 4 workers) and its exec-level twin,
+# batches crossing the parallel Gather exchange from 4 query
+# goroutines, mid-batch cancellation latency, batch release on every
+# breaker failure path, the per-row allocation budget, and the Figure
+# 24 smoke run with its enforced speedup floor on the headline scan.
 vector-stress:
-	$(GO) test -race -count=1 -run 'TestVectorized|TestBatch|TestTransformBatch|TestMidBatchCancellationStopsWithinOneBatch' ./internal/engine/ ./internal/exec/
+	$(GO) test -race -count=1 -run 'TestVectorized|TestBatch|TestTransformBatch|TestCollectPreservesRowIdentity|TestOperatorsCapacityInvariant|TestMidBatchCancellationStopsWithinOneBatch|TestBreakersReleaseBatchesOnFailure' ./internal/engine/ ./internal/exec/
 	$(GO) test -race -count=1 -run 'TestVectorizedAllocBudget' .
 	$(GO) test -race -count=1 -run 'TestFig24Smoke' ./internal/bench/

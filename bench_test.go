@@ -421,8 +421,8 @@ func allocFixture(tb testing.TB) *engine.DB {
 const allocQuery = `SELECT id, sci_name FROM Birds b WHERE b.id > 0 WITHOUT SUMMARIES`
 
 // BenchmarkVectorizedScanAllocs reports the allocation profile of a
-// warm scan->filter->project query in row mode vs batch mode (compare
-// allocs/op between the two).
+// warm scan->filter->project query at batch capacity 1 vs 1024
+// (compare allocs/op between the two).
 func BenchmarkVectorizedScanAllocs(b *testing.B) {
 	db := allocFixture(b)
 	run := func(size int) func(*testing.B) {
@@ -436,17 +436,16 @@ func BenchmarkVectorizedScanAllocs(b *testing.B) {
 			}
 		}
 	}
-	b.Run("RowMode", run(1))
-	b.Run("Batch1024", run(1024))
+	b.Run("Capacity1", run(1))
+	b.Run("Capacity1024", run(1024))
 }
 
-// TestVectorizedAllocBudget is the regression guard on the batch-mode
+// TestVectorizedAllocBudget is the regression guard on the executor's
 // allocation discipline: slab-carved rows and pooled batch containers
-// must keep a warm vectorized scan under 1 allocation per output row,
-// and strictly cheaper than the row-at-a-time execution of the same
-// cached plan. A per-row allocation sneaking back into the batch path
-// (row boxing, per-row alias maps, unpooled containers) trips this
-// immediately.
+// must keep a warm scan at capacity 1024 under 1 allocation per output
+// row, and strictly cheaper than the same cached plan at capacity 1. A
+// per-row allocation sneaking into an operator (row boxing, per-row
+// alias maps, unpooled containers) trips this immediately.
 func TestVectorizedAllocBudget(t *testing.T) {
 	db := allocFixture(t)
 	measure := func(size int) (allocsPerRow float64) {
@@ -466,13 +465,13 @@ func TestVectorizedAllocBudget(t *testing.T) {
 		})
 		return allocs / float64(rows)
 	}
-	rowMode := measure(1)
+	single := measure(1)
 	batch := measure(1024)
 	if batch >= 1.0 {
-		t.Errorf("batch mode allocates %.2f/row, budget is < 1", batch)
+		t.Errorf("capacity 1024 allocates %.2f/row, budget is < 1", batch)
 	}
-	if batch >= rowMode {
-		t.Errorf("batch mode (%.2f allocs/row) not cheaper than row mode (%.2f)", batch, rowMode)
+	if batch >= single {
+		t.Errorf("capacity 1024 (%.2f allocs/row) not cheaper than capacity 1 (%.2f)", batch, single)
 	}
 }
 

@@ -54,7 +54,7 @@ func main() {
 	groupCommit := flag.Duration("group-commit", 0, "group-commit window, e.g. 500us (0 = fsync every commit; requires -wal)")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint after every N logged operations (0 = never; requires -wal)")
 	ingestFlush := flag.Int("ingest-flush", 0, "batch summary maintenance, flushing net deltas every N annotation ops (0 = eager per-annotation maintenance)")
-	batchSize := flag.Int("batch-size", 0, "vectorized execution batch capacity for scan-heavy pipelines (0 or 1 = row-at-a-time)")
+	batchSize := flag.Int("batch-size", 0, "row capacity of the batches operators exchange (0 or 1 = one row per exchange)")
 	flag.Parse()
 
 	var db *engine.DB

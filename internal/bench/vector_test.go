@@ -5,9 +5,9 @@ import (
 )
 
 // TestFig24Smoke runs the vectorization figure at the quick scale —
-// including its row-identity differential and the enforced >= 3x
-// speedup floor on the headline scan — so make vector-stress and CI
-// catch a vectorized-path regression without a full benchreport run.
+// including its row-identity differential and the enforced speedup
+// floor on the headline scan (vectorFloor) — so make vector-stress and
+// CI catch a batching regression without a full benchreport run.
 func TestFig24Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("vectorization benchmark smoke skipped in -short mode")

@@ -39,11 +39,11 @@ type Config struct {
 	// queries only; queries can override it per statement through their
 	// optimizer options.
 	MaxParallelWorkers int
-	// MaxBatchSize is the default row-batch capacity for vectorized
-	// pipeline segments (see optimizer.Options.MaxBatchSize). 0 or 1
-	// plans pure row-at-a-time queries, byte-identical to the
-	// pre-vectorized engine; queries can override it per statement
-	// through their optimizer options.
+	// MaxBatchSize is the default row capacity of the batches a
+	// statement's operators exchange (see
+	// optimizer.Options.MaxBatchSize). 0 or 1 is one row per exchange —
+	// tuple-at-a-time execution through the same operators; queries
+	// can override it per statement through their optimizer options.
 	MaxBatchSize int
 	// Faults installs a deterministic pager fault-injection policy on
 	// the database's I/O accountant (testing/chaos harnesses only).
@@ -139,7 +139,7 @@ type DB struct {
 	// queries whose options leave MaxParallelWorkers at 0.
 	maxParallel atomic.Int64
 
-	// maxBatch is the default vectorized-batch capacity applied to
+	// maxBatch is the default batch capacity applied to
 	// queries whose options leave MaxBatchSize at 0.
 	maxBatch atomic.Int64
 
@@ -297,12 +297,12 @@ func (db *DB) SetMaxParallelWorkers(n int) { db.maxParallel.Store(int64(n)) }
 // MaxParallelWorkers returns the current default parallelism cap.
 func (db *DB) MaxParallelWorkers() int { return int(db.maxParallel.Load()) }
 
-// SetMaxBatchSize changes the default vectorized-batch capacity (0 or
-// 1 = row-at-a-time plans). Safe to call while queries are running;
-// each query snapshots the size at planning time.
+// SetMaxBatchSize changes the default batch capacity (0 or 1 = one row
+// per exchange). Safe to call while queries are running; each query
+// snapshots the capacity when it starts executing.
 func (db *DB) SetMaxBatchSize(n int) { db.maxBatch.Store(int64(n)) }
 
-// MaxBatchSize returns the current default vectorized-batch capacity.
+// MaxBatchSize returns the current default batch capacity.
 func (db *DB) MaxBatchSize() int { return int(db.maxBatch.Load()) }
 
 // Accountant exposes the shared I/O accountant (benchmarks reset and

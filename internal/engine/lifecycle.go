@@ -157,7 +157,7 @@ func (db *DB) newQueryBudget(opts *optimizer.Options) *exec.Budget {
 // panics into *exec.OpError; this catches anything escaping that net
 // (e.g. faults injected outside an operator's guarded section) so one
 // poisoned query cannot take down the process or leave the DB locked.
-func executeGuarded(qc *exec.QueryCtx, it exec.Iterator, optimized plan.Node) (rows []*exec.Row, err error) {
+func executeGuarded(qc *exec.QueryCtx, it exec.Operator, optimized plan.Node) (rows []*exec.Row, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			cause, ok := r.(error)
@@ -167,8 +167,7 @@ func executeGuarded(qc *exec.QueryCtx, it exec.Iterator, optimized plan.Node) (r
 			err = &QueryError{Fragment: plan.Explain(optimized), Err: cause}
 		}
 	}()
-	exec.SetIterContext(it, qc)
-	rows, err = exec.Collect(it)
+	rows, err = exec.Collect(qc, it)
 	if err != nil {
 		return nil, wrapQueryError(err, optimized)
 	}

@@ -15,6 +15,12 @@ import (
 	"repro/internal/pager"
 )
 
+// isolateSpillDir points os.TempDir at a directory private to the test,
+// so the spill-file counts below never see the files of test binaries
+// running concurrently (go test runs packages in parallel, and they
+// share the system temp directory).
+func isolateSpillDir(t *testing.T) { t.Setenv("TMPDIR", t.TempDir()) }
+
 // leftoverSortRuns counts spill files in the temp directory.
 func leftoverSortRuns(t *testing.T) int {
 	t.Helper()
@@ -33,6 +39,7 @@ func TestQueryContextPreCancelled(t *testing.T) {
 	db, _ := testDB(t, 10)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	isolateSpillDir(t)
 	before := leftoverSortRuns(t)
 	_, err := db.QueryContext(ctx, slowJoinQuery, nil)
 	if !errors.Is(err, context.Canceled) {
@@ -56,6 +63,7 @@ func TestQueryContextCancelMidFlight(t *testing.T) {
 	// Slow every page read so the join cannot finish before the cancel.
 	db.Accountant().SetReadDelay(200 * time.Microsecond)
 	defer db.Accountant().SetReadDelay(0)
+	isolateSpillDir(t)
 	before := leftoverSortRuns(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -128,6 +136,7 @@ func TestBudgetHashJoinVsSortSpill(t *testing.T) {
 		t.Fatal("QueryError should carry the plan fragment")
 	}
 
+	isolateSpillDir(t)
 	before := leftoverSortRuns(t)
 	res, err := db.Query(slowJoinQuery,
 		&optimizer.Options{ForceJoin: "nl", ForceSort: "disk", SortRunLen: 16, Budget: tight})

@@ -214,7 +214,7 @@ func (db *DB) runSelectCached(ctx context.Context, ep *dbEpoch, sel *sql.SelectS
 	} else {
 		db.metrics.serialPlans.Add(1)
 	}
-	qc := exec.NewQueryCtx(ctx, db.newQueryBudget(opts))
+	qc := exec.NewQueryCtx(ctx, db.newQueryBudget(opts), optimizer.BatchCapacity(o))
 	rows, err := executeGuarded(qc, it, optimized)
 	if err != nil {
 		return nil, err

@@ -78,7 +78,7 @@ func (db *DB) runSelectResolved(ctx context.Context, ep *dbEpoch, sel *sql.Selec
 	} else {
 		db.metrics.serialPlans.Add(1)
 	}
-	qc := exec.NewQueryCtx(ctx, db.newQueryBudget(opts))
+	qc := exec.NewQueryCtx(ctx, db.newQueryBudget(opts), optimizer.BatchCapacity(o))
 	rows, err := executeGuarded(qc, it, optimized)
 	if err != nil {
 		return nil, resolver, err
@@ -130,7 +130,7 @@ func (db *DB) Explain(query string, opts *optimizer.Options) (string, error) {
 // effectiveOptions copies the caller's optimizer options (nil = all
 // defaults) and resolves engine-level defaults: a zero
 // MaxParallelWorkers inherits the DB-wide cap, and a zero MaxBatchSize
-// inherits the DB-wide vectorized-batch capacity.
+// inherits the DB-wide batch capacity.
 func (db *DB) effectiveOptions(opts *optimizer.Options) optimizer.Options {
 	var o optimizer.Options
 	if opts != nil {

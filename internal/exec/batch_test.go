@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/model"
@@ -44,12 +45,31 @@ func TestBatchSelectionAndTruncate(t *testing.T) {
 		b.Append(rows[0])
 	}()
 	b.Release()
-	// The pool must hand back a clean container, never retained rows.
-	b2 := GetBatch(8)
-	if b2.Len() != 0 || b2.sel != nil {
-		t.Fatalf("pooled batch not clean: len=%d sel=%v", b2.Len(), b2.sel)
+	// The pool must hand back a clean container, never retained rows —
+	// including the slots Truncate cut off.
+	assertPoolHoldsNoRows(t)
+}
+
+// assertPoolHoldsNoRows takes a handful of containers out of the batch
+// pool and fails if any slot of any of them still points at a row.
+func assertPoolHoldsNoRows(t *testing.T) {
+	t.Helper()
+	var taken []*Batch
+	for i := 0; i < 16; i++ {
+		b := GetBatch(1)
+		taken = append(taken, b)
+		if b.Len() != 0 || b.sel != nil {
+			t.Fatalf("pooled batch not clean: len=%d sel=%v", b.Len(), b.sel)
+		}
+		for slot, r := range b.rows[:cap(b.rows)] {
+			if r != nil {
+				t.Fatalf("pooled batch retains a row pointer in slot %d of %d", slot, cap(b.rows))
+			}
+		}
 	}
-	b2.Release()
+	for _, b := range taken {
+		b.Release()
+	}
 }
 
 func TestTransformBatchConsumesSelection(t *testing.T) {
@@ -60,7 +80,9 @@ func TestTransformBatchConsumesSelection(t *testing.T) {
 	}
 	sel := b.selStorage(3)
 	b.sel = append(sel, 1, 3, 4)
-	transformBatch(b, func(r *Row) *Row { return r })
+	if err := transformBatch(b, func(r *Row) (*Row, error) { return r, nil }); err != nil {
+		t.Fatal(err)
+	}
 	if b.sel != nil {
 		t.Fatal("transformBatch should consume the selection vector")
 	}
@@ -73,129 +95,214 @@ func TestTransformBatchConsumesSelection(t *testing.T) {
 		}
 	}
 	b.Release()
+	assertPoolHoldsNoRows(t)
 }
 
-// TestBatchRoundTripPreservesRows pins the adapter contract: rows
-// travelling SliceIter -> rowToBatch -> batchToRow come out as the very
-// same pointers in the same order, and releasing the in-flight
-// containers never invalidates rows already handed out.
-func TestBatchRoundTripPreservesRows(t *testing.T) {
+var testCapacities = []int{1, 2, 3, 7, 1024}
+
+// TestCollectPreservesRowIdentity pins the result-boundary contract at
+// every capacity: rows travelling through batches come out of Collect
+// as the very same pointers in the same order, and releasing the
+// containers they travelled in never invalidates them.
+func TestCollectPreservesRowIdentity(t *testing.T) {
 	schema, rows := intRows(10)
-	it := NewBatchToRow(NewRowToBatch(NewSliceIter(schema, rows), 3))
-	out, err := Collect(it)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(rows) {
-		t.Fatalf("round trip lost rows: %d of %d", len(out), len(rows))
-	}
-	for i := range out {
-		if out[i] != rows[i] {
-			t.Fatalf("row %d: adapter changed identity or order", i)
-		}
-	}
-}
-
-// TestVectorizedFilterProjectLimitMatchesRowMode drives the converted
-// streaming operators through their batch protocol and checks the
-// output against the row-at-a-time execution of the same tree.
-func TestVectorizedFilterProjectLimitMatchesRowMode(t *testing.T) {
-	out := model.NewSchema("", model.Column{Name: "v", Kind: model.KindInt})
-	build := func(batch int) Iterator {
-		schema, rows := intRows(100)
-		f := NewFilter(NewSliceIter(schema, rows), mustExpr(t, "v > 20"), nil)
-		f.BatchSize = batch
-		p := NewProject(f, []sql.Expr{mustExpr(t, "v")}, out, nil)
-		p.BatchSize = batch
-		l := NewLimit(p, 30)
-		l.BatchSize = batch
-		return NewBatchToRow(l)
-	}
-	want, err := Collect(build(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != 30 {
-		t.Fatalf("row-mode baseline: %d rows, want 30", len(want))
-	}
-	for _, batch := range []int{2, 3, 7, 1024} {
-		got, err := Collect(build(batch))
+	for _, c := range testCapacities {
+		out, err := Collect(NewQueryCtx(nil, nil, c), NewSliceIter(schema, rows))
 		if err != nil {
-			t.Fatalf("batch=%d: %v", batch, err)
+			t.Fatal(err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("batch=%d: %d rows, want %d", batch, len(got), len(want))
+		if len(out) != len(rows) {
+			t.Fatalf("capacity %d lost rows: %d of %d", c, len(out), len(rows))
 		}
-		for i := range got {
-			if got[i].Tuple.Values[0].Int != want[i].Tuple.Values[0].Int {
-				t.Fatalf("batch=%d row %d: got %d, want %d", batch, i,
-					got[i].Tuple.Values[0].Int, want[i].Tuple.Values[0].Int)
+		for i := range out {
+			if out[i] != rows[i] {
+				t.Fatalf("capacity %d row %d: batching changed identity or order", c, i)
 			}
 		}
 	}
 }
 
-// cancelAfterIter produces rows and fires cancel after k of them,
-// mid-batch. It deliberately ignores the query context itself, so the
-// only thing that can stop the pipeline is the batch-boundary poll.
-type cancelAfterIter struct {
-	schema *model.Schema
-	rows   []*Row
-	k      int
-	cancel context.CancelFunc
-	pos    int
+// TestOperatorsCapacityInvariant builds every operator that can run
+// over an in-memory source and requires the capacity-1 output, row for
+// row, at every other capacity — the exec-level half of the engine's
+// TestVectorizedDifferential, aimed at the batch-boundary edges of the
+// emitting side (partial last batches, probe state carried across
+// calls, LIMIT cutting a batch).
+func TestOperatorsCapacityInvariant(t *testing.T) {
+	out := model.NewSchema("", model.Column{Name: "v", Kind: model.KindInt})
+	key := []sql.Expr{mustExpr(t, "v / 10")}
+	trees := map[string]func() Operator{
+		"filter_project_limit": func() Operator {
+			schema, rows := intRows(100)
+			f := NewFilter(NewSliceIter(schema, rows), mustExpr(t, "v > 20"), nil)
+			return NewLimit(NewProject(f, []sql.Expr{mustExpr(t, "v")}, out, nil), 30)
+		},
+		"sort": func() Operator {
+			schema, rows := intRows(100)
+			return NewSort(NewSliceIter(schema, rows), []SortKey{{Expr: mustExpr(t, "v")}}, nil)
+		},
+		"external_sort": func() Operator {
+			schema, rows := intRows(100)
+			return NewExternalSort(NewSliceIter(schema, rows), []SortKey{{Expr: mustExpr(t, "v"), Desc: true}}, 8, nil)
+		},
+		"hash_join": func() Operator {
+			schema, rows := intRows(40)
+			return NewHashJoin(NewSliceIter(schema, rows), NewSliceIter(schema.Rename("u"), rows),
+				key[0], key[0], mustExpr(t, "t.v > u.v"), false, nil)
+		},
+		"nl_join": func() Operator {
+			schema, rows := intRows(25)
+			return NewNLJoin(NewSliceIter(schema, rows), NewSliceIter(schema.Rename("u"), rows),
+				mustExpr(t, "t.v + u.v > 20"), false, nil)
+		},
+		"group_by": func() Operator {
+			schema, rows := intRows(100)
+			return NewGroupBy(NewSliceIter(schema, rows), key,
+				[]AggSpec{{Func: "count", Star: true, Name: "n"}, {Func: "sum", Arg: mustExpr(t, "v"), Name: "s"}}, nil)
+		},
+		"distinct": func() Operator {
+			schema, rows := intRows(100)
+			return NewDistinct(NewProject(NewSliceIter(schema, rows), key, out, nil), nil)
+		},
+	}
+	for name, build := range trees {
+		want, err := Collect(NewQueryCtx(nil, nil, 1), build())
+		if err != nil {
+			t.Fatalf("%s capacity 1: %v", name, err)
+		}
+		if len(want) == 0 {
+			t.Fatalf("%s: empty reference", name)
+		}
+		for _, c := range testCapacities[1:] {
+			got, err := Collect(NewQueryCtx(nil, nil, c), build())
+			if err != nil {
+				t.Fatalf("%s capacity %d: %v", name, c, err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s capacity %d: %d rows, want %d", name, c, len(got), len(want))
+			}
+			for i := range got {
+				if rowKey(got[i]) != rowKey(want[i]) {
+					t.Fatalf("%s capacity %d row %d: got %s, want %s", name, c, i, rowKey(got[i]), rowKey(want[i]))
+				}
+			}
+		}
+	}
 }
 
-func (c *cancelAfterIter) Open() error { c.pos = 0; return nil }
-func (c *cancelAfterIter) Next() (*Row, error) {
-	if c.pos >= len(c.rows) {
-		return nil, nil
-	}
-	r := c.rows[c.pos]
-	c.pos++
-	if c.pos == c.k {
-		c.cancel()
-	}
-	return r, nil
+// cancelAfter passes its input's batches through and fires cancel while
+// handing out the batch that contains row k — mid-batch, from the
+// consumer's point of view. It never looks at the query context itself,
+// so only a producer's batch-boundary poll can stop the pipeline.
+type cancelAfter struct {
+	Operator
+	k, seen int
+	cancel  context.CancelFunc
 }
-func (c *cancelAfterIter) Close() error          { return nil }
-func (c *cancelAfterIter) Schema() *model.Schema { return c.schema }
+
+func (c *cancelAfter) SetContext(qc *QueryCtx) { SetIterContext(c.Operator, qc) }
+
+func (c *cancelAfter) NextBatch(qc *QueryCtx) (*Batch, error) {
+	b, err := c.Operator.NextBatch(qc)
+	if b != nil {
+		if c.seen < c.k && c.seen+b.Len() >= c.k {
+			c.cancel()
+		}
+		c.seen += b.Len()
+	}
+	return b, err
+}
 
 // TestMidBatchCancellationStopsWithinOneBatch is the regression test
-// for the batch-mode cancellation cadence: converted operators poll
-// once per batch, so a context cancelled mid-batch must abort the query
-// no later than the next batch boundary — the in-flight batch may
-// complete, but not one more.
+// for the cancellation cadence: producers poll once per batch (from
+// capacity 64 up), so a context cancelled mid-batch must abort the
+// query no later than the next batch boundary — the in-flight batch may
+// complete, but the source must not be asked for one more. It holds
+// wherever the batches go: a streaming filter, a join probe, a
+// pipeline breaker's input drain, and a Gather worker running ahead on
+// its own goroutine.
 func TestMidBatchCancellationStopsWithinOneBatch(t *testing.T) {
 	const total, cancelAt, batch = 500, 10, 64
-	schema, rows := intRows(total)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	src := &cancelAfterIter{schema: schema, rows: rows, k: cancelAt, cancel: cancel}
-	f := NewFilter(src, mustExpr(t, "v > 0"), nil)
-	f.BatchSize = batch
-	it := NewBatchToRow(f)
-	SetIterContext(it, NewQueryCtx(ctx, nil))
-
-	if err := it.Open(); err != nil {
-		t.Fatal(err)
+	one := []*Row{{Tuple: model.NewTuple(0, model.NewInt(1))}}
+	consumers := map[string]func(src Operator) Operator{
+		"filter": func(src Operator) Operator { return NewFilter(src, mustExpr(t, "v > 0"), nil) },
+		"join_probe": func(src Operator) Operator {
+			return NewHashJoin(src, NewSliceIter(src.Schema(), one), mustExpr(t, "v * 0 + 1"), mustExpr(t, "v"), nil, false, nil)
+		},
+		"groupby_input": func(src Operator) Operator {
+			return NewGroupBy(src, []sql.Expr{mustExpr(t, "v")}, []AggSpec{{Func: "count", Star: true, Name: "n"}}, nil)
+		},
+		"gather_worker": func(src Operator) Operator { return NewGather([]Operator{src}) },
 	}
-	defer it.Close()
-	delivered := 0
-	var err error
-	for {
-		var r *Row
-		r, err = it.Next()
-		if r == nil || err != nil {
-			break
+	for name, consumer := range consumers {
+		schema, rows := intRows(total)
+		ctx, cancel := context.WithCancel(context.Background())
+		src := &cancelAfter{Operator: NewSliceIter(schema, rows), k: cancelAt, cancel: cancel}
+		out, err := Collect(NewQueryCtx(ctx, nil, batch), consumer(src))
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: want context.Canceled, got %v (%d rows out)", name, err, len(out))
 		}
-		delivered++
+		if src.seen > batch {
+			t.Fatalf("%s: cancel at row %d leaked past one batch boundary: source handed out %d rows (batch=%d)",
+				name, cancelAt, src.seen, batch)
+		}
 	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v (delivered %d rows)", err, delivered)
+}
+
+// TestBreakersReleaseBatchesOnFailure runs every pipeline breaker into
+// a mid-input failure of each kind — an input error, a budget
+// violation, a cancellation — and requires that the batch pool ends up
+// holding no row pointers: every batch a breaker consumed was released
+// (which clears it) or dropped, never pooled dirty. The budget must be
+// fully returned by Close as well.
+func TestBreakersReleaseBatchesOnFailure(t *testing.T) {
+	key := mustExpr(t, "v")
+	breakers := map[string]func(in Operator) Operator{
+		"sort":          func(in Operator) Operator { return NewSort(in, []SortKey{{Expr: key}}, nil) },
+		"external_sort": func(in Operator) Operator { return NewExternalSort(in, []SortKey{{Expr: key}}, 8, nil) },
+		"hash_build": func(in Operator) Operator {
+			schema, rows := intRows(5)
+			return NewHashJoin(NewSliceIter(schema, rows), in, key, key, nil, false, nil)
+		},
+		"group_by": func(in Operator) Operator {
+			return NewGroupBy(in, []sql.Expr{key}, []AggSpec{{Func: "count", Star: true, Name: "n"}}, nil)
+		},
+		"distinct": func(in Operator) Operator { return NewDistinct(in, nil) },
 	}
-	if delivered > batch {
-		t.Fatalf("cancel at row %d leaked past one batch boundary: %d rows delivered (batch=%d)",
-			cancelAt, delivered, batch)
+	schema := model.NewSchema("t", model.Column{Name: "v", Kind: model.KindInt})
+	for name, breaker := range breakers {
+		for _, capacity := range []int{1, 7, 1024} {
+			// Input error after 100 rows.
+			_, err := Collect(NewQueryCtx(nil, nil, capacity), breaker(&errAfterIter{schema: schema, n: 100}))
+			if err == nil || !strings.Contains(err.Error(), "simulated input failure") {
+				t.Fatalf("%s capacity %d: want the input failure, got %v", name, capacity, err)
+			}
+			assertPoolHoldsNoRows(t)
+
+			// Budget: 10 buffered rows and no spill room against 100
+			// distinct input rows fails every breaker mid-input.
+			_, rows := intRows(100)
+			budget := NewBudget(10, 0, 1)
+			_, err = Collect(NewQueryCtx(nil, budget, capacity), breaker(NewSliceIter(schema, rows)))
+			if !errors.Is(err, ErrBudgetExceeded) {
+				t.Fatalf("%s capacity %d: want ErrBudgetExceeded, got %v", name, capacity, err)
+			}
+			if budget.BufferedRows() != 0 || budget.SpillBytes() != 0 {
+				t.Fatalf("%s capacity %d: budget not released: rows=%d spill=%d",
+					name, capacity, budget.BufferedRows(), budget.SpillBytes())
+			}
+			assertPoolHoldsNoRows(t)
+
+			// Cancellation while the breaker drains its input.
+			ctx, cancel := context.WithCancel(context.Background())
+			src := &cancelAfter{Operator: NewSliceIter(schema, rows), k: 10, cancel: cancel}
+			_, err = Collect(NewQueryCtx(ctx, nil, capacity), breaker(src))
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s capacity %d: want context.Canceled, got %v", name, capacity, err)
+			}
+			assertPoolHoldsNoRows(t)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"strings"
 
 	"repro/internal/model"
@@ -12,6 +13,11 @@ import (
 // been paid once per query instead of once per row.
 type boundExpr func(row *Row) (result, error)
 
+// boundValue is a bound expression narrowed to a relational value
+// (BindValue): what projections, sort/join/group keys and aggregate
+// arguments consume.
+type boundValue func(row *Row) (model.Value, error)
+
 // boundPred is the boolean specialization produced by BindPred: filters
 // only need SQL truth, and threading a bare bool through the conjunct
 // closures avoids materializing (and copying) a full result struct per
@@ -19,15 +25,16 @@ type boundExpr func(row *Row) (result, error)
 // filter.
 type boundPred func(row *Row) (bool, error)
 
-// Bind pre-compiles an expression against the evaluator's schema.
-// Column references resolve their ordinal once (the row interpreter
-// performs a name lookup per row), literals become constants, and the
+// Bind pre-compiles an expression against the evaluator's schema — the
+// only way expressions run; every operator binds its predicates, keys
+// and arguments once in Open. Column references resolve their ordinal,
+// literals become constants, $ references lower-case their qualifier,
+// summary methods and scalar functions resolve by name, and the
 // boolean / comparison / arithmetic structure is lowered to closures
-// sharing applyBinary and negValue with the interpreter, so the two
-// paths cannot drift semantically. Summary-method calls, $ references,
-// and scalar functions fall back to the tree interpreter per row.
-// Binding never fails: an unresolvable column yields a closure that
-// returns the error, matching the row path's per-row error.
+// over applyBinary and negValue. Binding never fails: whatever cannot
+// be resolved (an unknown column, function or method, a wrong arity)
+// yields a closure that returns the error per row, so a predicate that
+// short-circuits past it never reports it.
 func (ev *Evaluator) Bind(e sql.Expr) boundExpr {
 	switch n := e.(type) {
 	case *sql.Literal:
@@ -53,15 +60,22 @@ func (ev *Evaluator) Bind(e sql.Expr) boundExpr {
 			return valueResult(model.NewBool(!b)), nil
 		}
 
-	case *sql.Neg:
-		inner := ev.Bind(n.Expr)
-		expr := n.Expr
+	case *sql.DollarRef:
+		qualifier := strings.ToLower(n.Qualifier)
 		return func(row *Row) (result, error) {
-			r, err := inner(row)
-			if err != nil {
-				return result{}, err
-			}
-			v, err := resolveValue(expr, r)
+			return result{set: row.SetFor(qualifier), kind: 1}, nil
+		}
+
+	case *sql.MethodCall:
+		return ev.bindMethod(n)
+
+	case *sql.FuncCall:
+		return ev.bindFunc(n)
+
+	case *sql.Neg:
+		inner := ev.BindValue(n.Expr)
+		return func(row *Row) (result, error) {
+			v, err := inner(row)
 			if err != nil {
 				return result{}, err
 			}
@@ -80,23 +94,14 @@ func (ev *Evaluator) Bind(e sql.Expr) boundExpr {
 				return valueResult(model.NewBool(b)), nil
 			}
 		default:
-			lb, rb := ev.Bind(n.L), ev.Bind(n.R)
-			le, re := n.L, n.R
+			lb, rb := ev.BindValue(n.L), ev.BindValue(n.R)
 			op := n.Op
 			return func(row *Row) (result, error) {
-				lr, err := lb(row)
+				l, err := lb(row)
 				if err != nil {
 					return result{}, err
 				}
-				l, err := resolveValue(le, lr)
-				if err != nil {
-					return result{}, err
-				}
-				rr, err := rb(row)
-				if err != nil {
-					return result{}, err
-				}
-				r, err := resolveValue(re, rr)
+				r, err := rb(row)
 				if err != nil {
 					return result{}, err
 				}
@@ -105,21 +110,134 @@ func (ev *Evaluator) Bind(e sql.Expr) boundExpr {
 		}
 
 	default:
-		// DollarRef, MethodCall, FuncCall, and anything new: per-row
-		// tree interpretation (summary-set navigation is pointer
-		// chasing, not name resolution, so there is little to hoist).
-		return func(row *Row) (result, error) { return ev.eval(e, row) }
+		err := fmt.Errorf("exec: unsupported expression %T", e)
+		return func(*Row) (result, error) { return result{}, err }
+	}
+}
+
+// BindValue binds e and narrows its result to a relational value; a
+// summary-valued expression fails per row with resolveValue's error.
+func (ev *Evaluator) BindValue(e sql.Expr) boundValue {
+	if ref := ev.bindValueRef(e); ref != nil {
+		return func(row *Row) (model.Value, error) { return *ref(row), nil }
+	}
+	be := ev.Bind(e)
+	return func(row *Row) (model.Value, error) {
+		r, err := be(row)
+		if err != nil {
+			return model.Value{}, err
+		}
+		return resolveValue(e, r)
+	}
+}
+
+// bindValues binds a list of expressions as values.
+func (ev *Evaluator) bindValues(exprs []sql.Expr) []boundValue {
+	out := make([]boundValue, len(exprs))
+	for i, e := range exprs {
+		out[i] = ev.BindValue(e)
+	}
+	return out
+}
+
+// evalValues evaluates bound argument lists left to right.
+func evalValues(args []boundValue, row *Row) ([]model.Value, error) {
+	out := make([]model.Value, len(args))
+	for i, a := range args {
+		v, err := a(row)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
+// bindMethod lowers a Section 3.1 manipulation function: the receiver
+// and arguments are bound and the method is looked up by lower-cased
+// name once. What stays per row is what depends on the receiver's
+// runtime kind — a method chain over a missing summary object
+// propagates NULL before anything else is checked, then an unknown
+// function, then the arity, then the arguments.
+func (ev *Evaluator) bindMethod(m *sql.MethodCall) boundExpr {
+	recv := ev.Bind(m.Recv)
+	name := strings.ToLower(m.Name)
+	onSet, isSet := setMethods[name]
+	onObject, isObject := objectMethods[name]
+	args := ev.bindValues(m.Args)
+	return func(row *Row) (result, error) {
+		r, err := recv(row)
+		if err != nil {
+			return result{}, err
+		}
+		var fn summaryMethod
+		switch {
+		case r.kind == 3:
+			return r, nil
+		case r.kind == 1 && isSet:
+			fn = onSet
+		case r.kind == 1:
+			return result{}, fmt.Errorf("exec: unknown summary-set function %q", m.Name)
+		case r.kind == 2 && isObject:
+			fn = onObject
+		case r.kind == 2:
+			return result{}, fmt.Errorf("exec: unknown summary-object function %q", m.Name)
+		default:
+			return result{}, fmt.Errorf("exec: %s is not callable on a plain value", m.Name)
+		}
+		switch {
+		case fn.nargs == 0:
+			return fn.call(ev, r, nil), nil
+		case fn.nargs > 0 && len(args) != fn.nargs:
+			return result{}, fmt.Errorf("exec: %s expects %d arguments, got %d", m.Name, fn.nargs, len(args))
+		case len(args) == 0:
+			return result{}, fmt.Errorf("exec: %s needs at least one keyword", m.Name)
+		}
+		vals, err := evalValues(args, row)
+		if err != nil {
+			return result{}, err
+		}
+		if fn.nargs < 0 {
+			for _, v := range vals {
+				if v.Kind != model.KindText {
+					return result{}, fmt.Errorf("exec: %s keywords must be text", m.Name)
+				}
+			}
+		}
+		return fn.call(ev, r, vals), nil
+	}
+}
+
+// bindFunc lowers a non-aggregate function call; the function resolves
+// by name once, its arguments evaluate first per row (so an argument's
+// error wins over an unknown function's, as it always has).
+func (ev *Evaluator) bindFunc(f *sql.FuncCall) boundExpr {
+	if f.IsAggregate() {
+		err := fmt.Errorf("exec: aggregate %s outside GROUP BY context", f.Name)
+		return func(*Row) (result, error) { return result{}, err }
+	}
+	fn := scalarFuncs[strings.ToLower(f.Name)]
+	args := ev.bindValues(f.Args)
+	return func(row *Row) (result, error) {
+		vals, err := evalValues(args, row)
+		if err != nil {
+			return result{}, err
+		}
+		if fn == nil {
+			return result{}, fmt.Errorf("exec: unknown function %q", f.Name)
+		}
+		return fn(vals)
 	}
 }
 
 // BindPred pre-compiles an expression as a predicate: the closure
 // chain passes SQL truth (NULL is false) directly instead of boxing
-// every sub-result in a value struct. AND/OR keep the interpreter's
-// short-circuit order, NOT takes the complement of its operand's
+// every sub-result in a value struct. AND/OR short-circuit left to
+// right, NOT takes the complement of its operand's
 // truth, and comparisons between column references and literals lower
 // to direct compares against the pre-resolved ordinal and constant.
-// Everything else evaluates through Bind and takes Truth of the
-// result, so the two paths share one semantics.
+// Everything else evaluates through BindValue and takes Truth of the
+// result.
 func (ev *Evaluator) BindPred(e sql.Expr) boundPred {
 	switch n := e.(type) {
 	case *sql.Not:
@@ -160,8 +278,14 @@ func (ev *Evaluator) BindPred(e sql.Expr) boundPred {
 			}
 		}
 	}
-	be := ev.Bind(e)
-	return func(row *Row) (bool, error) { return boundBool(e, be, row) }
+	bv := ev.BindValue(e)
+	return func(row *Row) (bool, error) {
+		v, err := bv(row)
+		if err != nil {
+			return false, err
+		}
+		return v.Truth(), nil
+	}
 }
 
 // bindComparePred lowers a comparison whose operands are both column
@@ -237,20 +361,6 @@ func (ev *Evaluator) bindValueRef(e sql.Expr) func(*Row) *model.Value {
 		return func(row *Row) *model.Value { return &row.Tuple.Values[i] }
 	}
 	return nil
-}
-
-// boundBool mirrors EvalBool over a bound expression: resolve to a
-// value, then take SQL truth (NULL is false).
-func boundBool(e sql.Expr, be boundExpr, row *Row) (bool, error) {
-	r, err := be(row)
-	if err != nil {
-		return false, err
-	}
-	v, err := resolveValue(e, r)
-	if err != nil {
-		return false, err
-	}
-	return v.Truth(), nil
 }
 
 // FilterBatch evaluates a bound predicate over every live row of b and

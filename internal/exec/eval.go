@@ -8,9 +8,10 @@ import (
 	"repro/internal/sql"
 )
 
-// Evaluator evaluates sql.Expr trees against rows. It carries the
-// annotation lookup used by containsSingle/containsUnion raw-text search
-// and by cluster re-election.
+// Evaluator binds sql.Expr trees against a schema (bind.go) and holds
+// the semantics the bound closures share. It carries the annotation
+// lookup used by containsSingle/containsUnion raw-text search and by
+// cluster re-election.
 type Evaluator struct {
 	Schema *model.Schema
 	Lookup model.AnnotationLookup
@@ -29,20 +30,9 @@ type result struct {
 
 func valueResult(v model.Value) result { return result{val: v} }
 
-// Eval evaluates e against row, returning a relational value. Summary
-// sets/objects are not first-class SQL values: reaching the top with one
-// is an error.
-func (ev *Evaluator) Eval(e sql.Expr, row *Row) (model.Value, error) {
-	r, err := ev.eval(e, row)
-	if err != nil {
-		return model.Value{}, err
-	}
-	return resolveValue(e, r)
-}
-
-// resolveValue narrows an evaluator result to a relational value,
-// shared between the tree interpreter and bound expressions so both
-// report the identical error for summary-valued expressions.
+// resolveValue narrows an evaluator result to a relational value.
+// Summary sets/objects are not first-class SQL values: reaching the top
+// of an expression with one is an error.
 func resolveValue(e sql.Expr, r result) (model.Value, error) {
 	switch r.kind {
 	case 0:
@@ -55,104 +45,7 @@ func resolveValue(e sql.Expr, r result) (model.Value, error) {
 	}
 }
 
-// EvalBool evaluates a predicate; NULL and errors about missing summary
-// objects collapse to false, matching the permissive predicate semantics
-// end-users expect over partially annotated data.
-func (ev *Evaluator) EvalBool(e sql.Expr, row *Row) (bool, error) {
-	v, err := ev.Eval(e, row)
-	if err != nil {
-		return false, err
-	}
-	return v.Truth(), nil
-}
-
-func (ev *Evaluator) eval(e sql.Expr, row *Row) (result, error) {
-	switch n := e.(type) {
-	case *sql.Literal:
-		return valueResult(n.Value), nil
-
-	case *sql.ColumnRef:
-		i, err := ev.Schema.ColIndex(n.Qualifier, n.Name)
-		if err != nil {
-			return result{}, err
-		}
-		return valueResult(row.Tuple.Values[i]), nil
-
-	case *sql.DollarRef:
-		return result{set: row.SetFor(n.Qualifier), kind: 1}, nil
-
-	case *sql.MethodCall:
-		return ev.evalMethod(n, row)
-
-	case *sql.Not:
-		b, err := ev.EvalBool(n.Expr, row)
-		if err != nil {
-			return result{}, err
-		}
-		return valueResult(model.NewBool(!b)), nil
-
-	case *sql.Neg:
-		v, err := ev.Eval(n.Expr, row)
-		if err != nil {
-			return result{}, err
-		}
-		return negValue(v)
-
-	case *sql.Binary:
-		return ev.evalBinary(n, row)
-
-	case *sql.FuncCall:
-		return ev.evalScalarFunc(n, row)
-
-	default:
-		return result{}, fmt.Errorf("exec: unsupported expression %T", e)
-	}
-}
-
-func (ev *Evaluator) evalBinary(n *sql.Binary, row *Row) (result, error) {
-	switch n.Op {
-	case sql.OpAnd:
-		l, err := ev.EvalBool(n.L, row)
-		if err != nil {
-			return result{}, err
-		}
-		if !l {
-			return valueResult(model.NewBool(false)), nil
-		}
-		r, err := ev.EvalBool(n.R, row)
-		if err != nil {
-			return result{}, err
-		}
-		return valueResult(model.NewBool(r)), nil
-
-	case sql.OpOr:
-		l, err := ev.EvalBool(n.L, row)
-		if err != nil {
-			return result{}, err
-		}
-		if l {
-			return valueResult(model.NewBool(true)), nil
-		}
-		r, err := ev.EvalBool(n.R, row)
-		if err != nil {
-			return result{}, err
-		}
-		return valueResult(model.NewBool(r)), nil
-	}
-
-	l, err := ev.Eval(n.L, row)
-	if err != nil {
-		return result{}, err
-	}
-	r, err := ev.Eval(n.R, row)
-	if err != nil {
-		return result{}, err
-	}
-	return applyBinary(n.Op, l, r)
-}
-
-// negValue applies unary minus, shared between the interpreter and
-// bound expressions.
+// negValue applies unary minus.
 func negValue(v model.Value) (result, error) {
 	switch v.Kind {
 	case model.KindInt:
@@ -167,10 +60,8 @@ func negValue(v model.Value) (result, error) {
 }
 
 // applyBinary applies a non-boolean binary operator to two already
-// evaluated operands. One body shared between the tree interpreter and
-// bound expressions keeps the two paths semantically identical
-// (NULL-comparisons collapse to false, division by zero yields NULL,
-// text + text concatenates, LIKE is case-insensitive).
+// evaluated operands: NULL-comparisons collapse to false, division by
+// zero yields NULL, text + text concatenates, LIKE is case-insensitive.
 func applyBinary(op sql.BinaryOp, l, r model.Value) (result, error) {
 	if op.IsComparison() {
 		if l.IsNull() || r.IsNull() {
@@ -247,190 +138,127 @@ func applyBinary(op sql.BinaryOp, l, r model.Value) (result, error) {
 	return result{}, fmt.Errorf("exec: unsupported binary op %s", op)
 }
 
-// evalMethod dispatches the Section 3.1 manipulation functions.
-func (ev *Evaluator) evalMethod(m *sql.MethodCall, row *Row) (result, error) {
-	recv, err := ev.eval(m.Recv, row)
-	if err != nil {
-		return result{}, err
-	}
-	if recv.kind == 3 {
-		// Method chain over a missing summary object: NULL propagates.
-		return result{kind: 3}, nil
-	}
-	name := strings.ToLower(m.Name)
-
-	argValues := func(n int) ([]model.Value, error) {
-		if len(m.Args) != n {
-			return nil, fmt.Errorf("exec: %s expects %d arguments, got %d", m.Name, n, len(m.Args))
-		}
-		out := make([]model.Value, n)
-		for i, a := range m.Args {
-			v, err := ev.Eval(a, row)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-
-	switch recv.kind {
-	case 1: // summary set ($)
-		set := recv.set
-		switch name {
-		case "getsize":
-			return valueResult(model.NewInt(int64(set.Size()))), nil
-		case "getsummaryobject":
-			args, err := argValues(1)
-			if err != nil {
-				return result{}, err
-			}
-			var obj *model.SummaryObject
-			if args[0].Kind == model.KindText {
-				obj = set.Get(args[0].Text)
-			} else {
-				obj = set.At(int(args[0].AsInt()))
-			}
-			if obj == nil {
-				return result{kind: 3}, nil
-			}
-			return result{obj: obj, kind: 2}, nil
-		default:
-			return result{}, fmt.Errorf("exec: unknown summary-set function %q", m.Name)
-		}
-
-	case 2: // summary object
-		obj := recv.obj
-		switch name {
-		case "getsummarytype":
-			return valueResult(model.NewText(obj.GetSummaryType())), nil
-		case "getsummaryname":
-			return valueResult(model.NewText(obj.GetSummaryName())), nil
-		case "getsize":
-			return valueResult(model.NewInt(int64(obj.Size()))), nil
-		case "gettotalcount":
-			return valueResult(model.NewInt(int64(obj.TotalCount()))), nil
-		case "getlabelname":
-			args, err := argValues(1)
-			if err != nil {
-				return result{}, err
-			}
-			s, err := obj.GetLabelName(int(args[0].AsInt()))
-			if err != nil {
-				// Out-of-range / wrong-type access yields SQL NULL.
-				return valueResult(model.Null()), nil
-			}
-			return valueResult(model.NewText(s)), nil
-		case "getlabelvalue":
-			args, err := argValues(1)
-			if err != nil {
-				return result{}, err
-			}
-			var n int
-			if args[0].Kind == model.KindText {
-				n, err = obj.GetLabelValue(args[0].Text)
-			} else {
-				n, err = obj.GetLabelValueAt(int(args[0].AsInt()))
-			}
-			if err != nil {
-				// Unknown label: NULL (predicates collapse to false).
-				return valueResult(model.Null()), nil
-			}
-			return valueResult(model.NewInt(int64(n))), nil
-		case "getsnippet":
-			args, err := argValues(1)
-			if err != nil {
-				return result{}, err
-			}
-			s, err := obj.GetSnippet(int(args[0].AsInt()))
-			if err != nil {
-				// Out-of-range / wrong-type access yields SQL NULL.
-				return valueResult(model.Null()), nil
-			}
-			return valueResult(model.NewText(s)), nil
-		case "getrepresentative":
-			args, err := argValues(1)
-			if err != nil {
-				return result{}, err
-			}
-			s, err := obj.GetRepresentative(int(args[0].AsInt()))
-			if err != nil {
-				// Out-of-range / wrong-type access yields SQL NULL.
-				return valueResult(model.Null()), nil
-			}
-			return valueResult(model.NewText(s)), nil
-		case "getgroupsize":
-			args, err := argValues(1)
-			if err != nil {
-				return result{}, err
-			}
-			n, err := obj.GetGroupSize(int(args[0].AsInt()))
-			if err != nil {
-				// Out-of-range / wrong-type access yields SQL NULL.
-				return valueResult(model.Null()), nil
-			}
-			return valueResult(model.NewInt(int64(n))), nil
-		case "containssingle", "containsunion":
-			if len(m.Args) == 0 {
-				return result{}, fmt.Errorf("exec: %s needs at least one keyword", m.Name)
-			}
-			kws := make([]string, len(m.Args))
-			for i, a := range m.Args {
-				v, err := ev.Eval(a, row)
-				if err != nil {
-					return result{}, err
-				}
-				if v.Kind != model.KindText {
-					return result{}, fmt.Errorf("exec: %s keywords must be text", m.Name)
-				}
-				kws[i] = v.Text
-			}
-			var b bool
-			if name == "containssingle" {
-				b = obj.ContainsSingle(ev.Lookup, kws...)
-			} else {
-				b = obj.ContainsUnion(ev.Lookup, kws...)
-			}
-			return valueResult(model.NewBool(b)), nil
-		default:
-			return result{}, fmt.Errorf("exec: unknown summary-object function %q", m.Name)
-		}
-
-	default:
-		return result{}, fmt.Errorf("exec: %s is not callable on a plain value", m.Name)
-	}
+// summaryMethod is one Section 3.1 manipulation function. Bind resolves
+// the method by its lower-cased name once per query; call applies it to
+// an evaluated receiver and arguments. nargs is the exact argument
+// count; 0 means the arguments are not inspected and -1 means one or
+// more text keywords.
+type summaryMethod struct {
+	nargs int
+	call  func(ev *Evaluator, recv result, args []model.Value) result
 }
 
-// evalScalarFunc handles non-aggregate function calls.
-func (ev *Evaluator) evalScalarFunc(f *sql.FuncCall, row *Row) (result, error) {
-	if f.IsAggregate() {
-		return result{}, fmt.Errorf("exec: aggregate %s outside GROUP BY context", f.Name)
+func intResult(n int) result     { return valueResult(model.NewInt(int64(n))) }
+func textResult(s string) result { return valueResult(model.NewText(s)) }
+
+// intOrNull and textOrNull map an accessor's out-of-range, wrong-type or
+// unknown-label error to SQL NULL (predicates over it collapse to
+// false).
+func intOrNull(n int, err error) result {
+	if err != nil {
+		return valueResult(model.Null())
 	}
-	args := make([]model.Value, len(f.Args))
-	for i, a := range f.Args {
-		v, err := ev.Eval(a, row)
-		if err != nil {
-			return result{}, err
+	return intResult(n)
+}
+
+func textOrNull(s string, err error) result {
+	if err != nil {
+		return valueResult(model.Null())
+	}
+	return textResult(s)
+}
+
+func argInt(args []model.Value) int { return int(args[0].AsInt()) }
+
+func keywords(args []model.Value) []string {
+	kws := make([]string, len(args))
+	for i, a := range args {
+		kws[i] = a.Text
+	}
+	return kws
+}
+
+// setMethods are the functions callable on a summary set ($).
+var setMethods = map[string]summaryMethod{
+	"getsize": {0, func(_ *Evaluator, r result, _ []model.Value) result {
+		return intResult(r.set.Size())
+	}},
+	"getsummaryobject": {1, func(_ *Evaluator, r result, args []model.Value) result {
+		var obj *model.SummaryObject
+		if args[0].Kind == model.KindText {
+			obj = r.set.Get(args[0].Text)
+		} else {
+			obj = r.set.At(argInt(args))
 		}
-		args[i] = v
-	}
-	switch strings.ToLower(f.Name) {
-	case "lower":
+		if obj == nil {
+			return result{kind: 3}
+		}
+		return result{obj: obj, kind: 2}
+	}},
+}
+
+// objectMethods are the functions callable on one summary object.
+var objectMethods = map[string]summaryMethod{
+	"getsummarytype": {0, func(_ *Evaluator, r result, _ []model.Value) result {
+		return textResult(r.obj.GetSummaryType())
+	}},
+	"getsummaryname": {0, func(_ *Evaluator, r result, _ []model.Value) result {
+		return textResult(r.obj.GetSummaryName())
+	}},
+	"getsize": {0, func(_ *Evaluator, r result, _ []model.Value) result {
+		return intResult(r.obj.Size())
+	}},
+	"gettotalcount": {0, func(_ *Evaluator, r result, _ []model.Value) result {
+		return intResult(r.obj.TotalCount())
+	}},
+	"getlabelname": {1, func(_ *Evaluator, r result, args []model.Value) result {
+		return textOrNull(r.obj.GetLabelName(argInt(args)))
+	}},
+	"getlabelvalue": {1, func(_ *Evaluator, r result, args []model.Value) result {
+		if args[0].Kind == model.KindText {
+			return intOrNull(r.obj.GetLabelValue(args[0].Text))
+		}
+		return intOrNull(r.obj.GetLabelValueAt(argInt(args)))
+	}},
+	"getsnippet": {1, func(_ *Evaluator, r result, args []model.Value) result {
+		return textOrNull(r.obj.GetSnippet(argInt(args)))
+	}},
+	"getrepresentative": {1, func(_ *Evaluator, r result, args []model.Value) result {
+		return textOrNull(r.obj.GetRepresentative(argInt(args)))
+	}},
+	"getgroupsize": {1, func(_ *Evaluator, r result, args []model.Value) result {
+		return intOrNull(r.obj.GetGroupSize(argInt(args)))
+	}},
+	"containssingle": {-1, func(ev *Evaluator, r result, args []model.Value) result {
+		return valueResult(model.NewBool(r.obj.ContainsSingle(ev.Lookup, keywords(args)...)))
+	}},
+	"containsunion": {-1, func(ev *Evaluator, r result, args []model.Value) result {
+		return valueResult(model.NewBool(r.obj.ContainsUnion(ev.Lookup, keywords(args)...)))
+	}},
+}
+
+// scalarFuncs are the non-aggregate SQL functions, keyed by lower-cased
+// name.
+var scalarFuncs = map[string]func(args []model.Value) (result, error){
+	"lower": func(args []model.Value) (result, error) {
 		if len(args) != 1 {
 			return result{}, fmt.Errorf("exec: LOWER expects 1 argument")
 		}
-		return valueResult(model.NewText(strings.ToLower(args[0].String()))), nil
-	case "upper":
+		return textResult(strings.ToLower(args[0].String())), nil
+	},
+	"upper": func(args []model.Value) (result, error) {
 		if len(args) != 1 {
 			return result{}, fmt.Errorf("exec: UPPER expects 1 argument")
 		}
-		return valueResult(model.NewText(strings.ToUpper(args[0].String()))), nil
-	case "length":
+		return textResult(strings.ToUpper(args[0].String())), nil
+	},
+	"length": func(args []model.Value) (result, error) {
 		if len(args) != 1 {
 			return result{}, fmt.Errorf("exec: LENGTH expects 1 argument")
 		}
-		return valueResult(model.NewInt(int64(len(args[0].String())))), nil
-	case "abs":
+		return intResult(len(args[0].String())), nil
+	},
+	"abs": func(args []model.Value) (result, error) {
 		if len(args) != 1 || !args[0].IsNumeric() {
 			return result{}, fmt.Errorf("exec: ABS expects 1 numeric argument")
 		}
@@ -446,9 +274,7 @@ func (ev *Evaluator) evalScalarFunc(f *sql.FuncCall, row *Row) (result, error) {
 			x = -x
 		}
 		return valueResult(model.NewFloat(x)), nil
-	default:
-		return result{}, fmt.Errorf("exec: unknown function %q", f.Name)
-	}
+	},
 }
 
 // matchLike implements SQL LIKE with % (any run) and _ (any one char),

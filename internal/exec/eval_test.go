@@ -41,11 +41,22 @@ func evalExpr(t *testing.T, ev *Evaluator, row *Row, src string) model.Value {
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	v, err := ev.Eval(e, row)
+	v, err := ev.BindValue(e)(row)
 	if err != nil {
 		t.Fatalf("eval %q: %v", src, err)
 	}
 	return v
+}
+
+// evalErr binds and evaluates src, returning the per-row error.
+func evalErr(t *testing.T, ev *Evaluator, row *Row, src string) error {
+	t.Helper()
+	e, err := sql.ParseExpr(src)
+	if err != nil {
+		t.Fatalf("parse %q: %v", src, err)
+	}
+	_, err = ev.BindValue(e)(row)
+	return err
 }
 
 func TestEvalColumnsAndArithmetic(t *testing.T) {
@@ -97,13 +108,83 @@ func TestEvalComparisonsAndLogic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
-		got, err := ev.EvalBool(e, row)
+		got, err := ev.BindPred(e)(row)
 		if err != nil {
 			t.Fatalf("eval %q: %v", src, err)
 		}
 		if got != want {
 			t.Errorf("%q = %v, want %v", src, got, want)
 		}
+		// The value-returning binding of the same predicate agrees.
+		if v := evalExpr(t, ev, row, src); v.Truth() != want {
+			t.Errorf("BindValue(%q) = %v, want %v", src, v, want)
+		}
+	}
+}
+
+// TestBindShortCircuitOrder: AND/OR evaluate left to right and stop at
+// the deciding operand, so an error (here an unresolvable column) on
+// the right is never reported once the left decides — and always is
+// when the left does not.
+func TestBindShortCircuitOrder(t *testing.T) {
+	ev, row := evalRow()
+	decided := map[string]bool{
+		"a = 4 AND nosuchcol = 1":                false,
+		"a = 5 OR nosuchcol = 1":                 true,
+		"NOT (a = 5 OR nosuchcol = 1)":           false,
+		"(a = 4 AND nosuchcol = 1) OR name = ''": false,
+	}
+	for src, want := range decided {
+		e, err := sql.ParseExpr(src)
+		if err != nil {
+			t.Fatalf("parse %q: %v", src, err)
+		}
+		got, err := ev.BindPred(e)(row)
+		if err != nil || got != want {
+			t.Errorf("%q = %v, %v; want %v without error", src, got, err, want)
+		}
+	}
+	for _, src := range []string{"nosuchcol = 1 AND a = 4", "nosuchcol = 1 OR a = 5", "a = 5 AND nosuchcol = 1"} {
+		if err := evalErr(t, ev, row, src); err == nil || !strings.Contains(err.Error(), "nosuchcol") {
+			t.Errorf("%q: want the unresolved-column error, got %v", src, err)
+		}
+	}
+}
+
+// TestBindAliasRefsResolvePerSide: inside a join's pre-merge predicate
+// r.$ and s.$ resolve through Row.SetFor to their own side's summary
+// set, whatever the qualifier's case.
+func TestBindAliasRefsResolvePerSide(t *testing.T) {
+	ev, row := evalRow()
+	rSet := row.Tuple.Summaries
+	sSet := model.SummarySet{{InstanceID: "C1", Type: model.SummaryClassifier,
+		Reps: []model.Rep{{Label: "Disease", Count: 3}}}}
+	row.AliasSets = map[string]model.SummarySet{"r": rSet, "s": sSet}
+	cases := map[string]model.Value{
+		"r.$.getSize()": model.NewInt(2),
+		"S.$.getSize()": model.NewInt(1),
+		"r.$.getSummaryObject('C1').getLabelValue('Disease') - s.$.getSummaryObject('C1').getLabelValue('Disease')": model.NewInt(5),
+		"s.$.getSummaryObject('T1').getSnippet(0)": model.Null(), // only r carries T1
+	}
+	for src, want := range cases {
+		got := evalExpr(t, ev, row, src)
+		if !got.Equal(want) && !(got.IsNull() && want.IsNull()) {
+			t.Errorf("%q = %v, want %v", src, got, want)
+		}
+	}
+	// The same resolution inside an operator: a join residual over the
+	// combined row keeps only the pairs whose sides differ.
+	schema := model.NewSchema("r", model.Column{Name: "a", Kind: model.KindInt})
+	left := []*Row{{Tuple: &model.Tuple{OID: 1, Values: []model.Value{model.NewInt(1)}, Summaries: rSet}}}
+	right := []*Row{
+		{Tuple: &model.Tuple{OID: 2, Values: []model.Value{model.NewInt(1)}, Summaries: sSet}},
+		{Tuple: &model.Tuple{OID: 3, Values: []model.Value{model.NewInt(1)}, Summaries: rSet}},
+	}
+	j := NewNLJoin(NewSliceIter(schema, left), NewSliceIter(schema.Rename("s"), right),
+		mustExpr(t, "r.$.getSize() > s.$.getSize()"), false, nil)
+	out, err := Collect(nil, j)
+	if err != nil || len(out) != 1 {
+		t.Fatalf("join residual over r.$/s.$: %d rows, %v; want 1", len(out), err)
 	}
 }
 
@@ -145,32 +226,67 @@ func TestEvalSummaryFunctions(t *testing.T) {
 
 func TestEvalErrors(t *testing.T) {
 	ev, row := evalRow()
-	bad := []string{
-		"nosuchcol",
-		"$.getNoSuchFunc()",
-		"$.getSummaryObject('C1').getNoSuch()",
-		"a.getSize()",          // method on plain value
-		"name * 2",             // non-numeric arithmetic
-		"name LIKE 5",          // LIKE needs text
-		"$.getSummaryObject()", // arity
-		"LOWER(a, a)",          // arity
-		"NOSUCHFUNC(a)",        // unknown scalar
-		"$.getSummaryObject('T1').containsUnion()", // no keywords
-		"COUNT(*)", // aggregate outside GROUP BY
+	// Every failure keeps its exact text; binding itself never fails.
+	bad := map[string]string{
+		"nosuchcol":                            "nosuchcol",
+		"$.getNoSuchFunc()":                    `exec: unknown summary-set function "getNoSuchFunc"`,
+		"$.getSummaryObject('C1').getNoSuch()": `exec: unknown summary-object function "getNoSuch"`,
+		"a.getSize()":                          "exec: getSize is not callable on a plain value",
+		"name * 2":                             "exec: * requires numeric operands, got TEXT and INT",
+		"name LIKE 5":                          "exec: LIKE requires text operands",
+		"$.getSummaryObject()":                 "exec: getSummaryObject expects 1 arguments, got 0",
+		"$.getSummaryObject('C1').getLabelValue('Disease', 1)": "exec: getLabelValue expects 1 arguments, got 2",
+		"LOWER(a, a)":   "exec: LOWER expects 1 argument",
+		"NOSUCHFUNC(a)": `exec: unknown function "NOSUCHFUNC"`,
+		"$.getSummaryObject('T1').containsUnion()":  "exec: containsUnion needs at least one keyword",
+		"$.getSummaryObject('T1').containsUnion(5)": "exec: containsUnion keywords must be text",
+		"COUNT(*)": "exec: aggregate COUNT outside GROUP BY context",
+		// Summary sets/objects are not values.
+		"$":                        "exec: expression $ yields a summary set, not a value",
+		"$.getSummaryObject('C1')": "exec: expression $.getSummaryObject('C1') yields a summary object, not a value",
 	}
-	for _, src := range bad {
+	for src, want := range bad {
 		e, err := sql.ParseExpr(src)
 		if err != nil {
-			continue // some are parse errors, equally fine
+			t.Errorf("parse %q: %v", src, err)
+			continue
 		}
-		if _, err := ev.Eval(e, row); err == nil {
-			t.Errorf("Eval(%q) should fail", src)
+		if _, err := ev.BindValue(e)(row); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%q: error %v, want %q", src, err, want)
+		}
+		if _, err := ev.BindPred(e)(row); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("BindPred(%q): error %v, want %q", src, err, want)
 		}
 	}
-	// $ at the top level is not a value.
-	e, _ := sql.ParseExpr("$")
-	if _, err := ev.Eval(e, row); err == nil || !strings.Contains(err.Error(), "summary set") {
-		t.Errorf("bare $ error: %v", err)
+	// A method chain over a missing summary object is NULL before any
+	// other check: not an unknown function, not an arity error.
+	for _, src := range []string{
+		"$.getSummaryObject('Nope').getNoSuch()",
+		"$.getSummaryObject('Nope').getLabelValue()",
+		"$.getSummaryObject('Nope').getLabelValue('Disease').getSize()",
+	} {
+		if got := evalExpr(t, ev, row, src); !got.IsNull() {
+			t.Errorf("%q = %v, want NULL", src, got)
+		}
+	}
+}
+
+// TestUnresolvableColumnFailsPerRow: an unknown column is an error of
+// the row that evaluates it, not of Open — an operator over an empty
+// input, or behind a predicate that short-circuits, never reports it.
+func TestUnresolvableColumnFailsPerRow(t *testing.T) {
+	schema, rows := intRows(3)
+	f := NewFilter(NewSliceIter(schema, nil), mustExpr(t, "nosuchcol > 0"), nil)
+	if err := f.Open(); err != nil {
+		t.Fatalf("Open must not resolve eagerly: %v", err)
+	}
+	f.Close()
+	if out, err := Collect(nil, f); err != nil || len(out) != 0 {
+		t.Fatalf("empty input: %d rows, %v", len(out), err)
+	}
+	f = NewFilter(NewSliceIter(schema, rows), mustExpr(t, "nosuchcol > 0"), nil)
+	if _, err := Collect(nil, f); err == nil || !strings.Contains(err.Error(), "nosuchcol") {
+		t.Fatalf("first row must report the column: %v", err)
 	}
 }
 

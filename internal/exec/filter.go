@@ -15,28 +15,23 @@ import (
 // the distinction lives in the logical plan where the rewrite rules need
 // it.
 type PredicateFilter struct {
-	Input Iterator
+	Input Operator
 	Pred  sql.Expr
 	// Summary marks this node as the S operator (for EXPLAIN output).
 	Summary bool
 	Lookup  model.AnnotationLookup
-	// BatchSize > 1 means the compiler drives this filter through
-	// NextBatch; Next() is unaffected either way.
-	BatchSize int
 
-	ev    *Evaluator
-	bin   BatchOperator
 	bound boundPred
 	qc    *QueryCtx
 }
 
 // NewFilter builds a σ node.
-func NewFilter(in Iterator, pred sql.Expr, lookup model.AnnotationLookup) *PredicateFilter {
+func NewFilter(in Operator, pred sql.Expr, lookup model.AnnotationLookup) *PredicateFilter {
 	return &PredicateFilter{Input: in, Pred: pred, Lookup: lookup}
 }
 
 // NewSummarySelect builds an S node.
-func NewSummarySelect(in Iterator, pred sql.Expr, lookup model.AnnotationLookup) *PredicateFilter {
+func NewSummarySelect(in Operator, pred sql.Expr, lookup model.AnnotationLookup) *PredicateFilter {
 	return &PredicateFilter{Input: in, Pred: pred, Summary: true, Lookup: lookup}
 }
 
@@ -46,33 +41,11 @@ func (f *PredicateFilter) SetContext(qc *QueryCtx) {
 	SetIterContext(f.Input, qc)
 }
 
-// Open opens the input.
+// Open binds the predicate and opens the input.
 func (f *PredicateFilter) Open() (err error) {
 	defer recoverOp("Filter", &err)
-	f.ev = &Evaluator{Schema: f.Input.Schema(), Lookup: f.Lookup}
-	if f.BatchSize > 1 {
-		f.bin = ToBatch(f.Input, f.BatchSize)
-		f.bound = f.ev.BindPred(f.Pred)
-	}
+	f.bound = (&Evaluator{Schema: f.Input.Schema(), Lookup: f.Lookup}).BindPred(f.Pred)
 	return f.Input.Open()
-}
-
-// Next returns the next qualifying row.
-func (f *PredicateFilter) Next() (row *Row, err error) {
-	defer recoverOp("Filter", &err)
-	for {
-		row, err := f.Input.Next()
-		if err != nil || row == nil {
-			return nil, err
-		}
-		ok, err := f.ev.EvalBool(f.Pred, row)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return row, nil
-		}
-	}
 }
 
 // NextBatch filters input batches with the bound predicate, compacting
@@ -81,7 +54,7 @@ func (f *PredicateFilter) Next() (row *Row, err error) {
 func (f *PredicateFilter) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("Filter", &err)
 	for {
-		b, err := f.bin.NextBatch(qc)
+		b, err := f.Input.NextBatch(qc)
 		if err != nil || b == nil {
 			return nil, err
 		}
@@ -106,17 +79,13 @@ func (f *PredicateFilter) Schema() *model.Schema { return f.Input.Schema() }
 // passes, but only its summary objects satisfying the structural
 // predicate — instance-name or summary-type membership — are kept.
 type SummaryFilter struct {
-	Input Iterator
+	Input Operator
 	// Instances keeps objects whose InstanceID is listed (empty = any).
 	Instances []string
 	// Types keeps objects whose type is listed (empty = any).
 	Types []model.SummaryType
-	// BatchSize > 1 means the compiler drives this filter through
-	// NextBatch; Next() is unaffected either way.
-	BatchSize int
 
-	bin BatchOperator
-	qc  *QueryCtx
+	qc *QueryCtx
 }
 
 // SetContext installs the per-query lifecycle and forwards it below.
@@ -126,7 +95,7 @@ func (f *SummaryFilter) SetContext(qc *QueryCtx) {
 }
 
 // NewSummaryFilter builds an F node.
-func NewSummaryFilter(in Iterator, instances []string, types []model.SummaryType) *SummaryFilter {
+func NewSummaryFilter(in Operator, instances []string, types []model.SummaryType) *SummaryFilter {
 	return &SummaryFilter{Input: in, Instances: instances, Types: types}
 }
 
@@ -160,19 +129,14 @@ func (f *SummaryFilter) Keep(o *model.SummaryObject) bool {
 }
 
 // Open opens the input.
-func (f *SummaryFilter) Open() error {
-	if f.BatchSize > 1 {
-		f.bin = ToBatch(f.Input, f.BatchSize)
-	}
-	return f.Input.Open()
-}
+func (f *SummaryFilter) Open() error { return f.Input.Open() }
 
 // apply filters one row's summary set, returning the input row
 // unchanged when it carries no summaries.
-func (f *SummaryFilter) apply(row *Row) *Row {
+func (f *SummaryFilter) apply(row *Row) (*Row, error) {
 	set := row.Tuple.Summaries
 	if set == nil {
-		return row
+		return row, nil
 	}
 	kept := make(model.SummarySet, 0, len(set))
 	for _, o := range set {
@@ -188,29 +152,18 @@ func (f *SummaryFilter) apply(row *Row) *Row {
 			out.AliasSets[alias] = kept
 		}
 	}
-	return out
-}
-
-// Next filters the next row's summary set.
-func (f *SummaryFilter) Next() (res *Row, err error) {
-	defer recoverOp("SummaryFilter", &err)
-	row, err := f.Input.Next()
-	if err != nil || row == nil {
-		return nil, err
-	}
-	return f.apply(row), nil
+	return out, nil
 }
 
 // NextBatch filters each live row's summary set in place in the
 // consumed batch's container.
 func (f *SummaryFilter) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("SummaryFilter", &err)
-	b, err = f.bin.NextBatch(qc)
+	b, err = f.Input.NextBatch(qc)
 	if err != nil || b == nil {
 		return nil, err
 	}
-	transformBatch(b, f.apply)
-	return b, nil
+	return b, transformBatch(b, f.apply)
 }
 
 // Close closes the input.

@@ -24,13 +24,13 @@ type AggSpec struct {
 //
 // The operator has two modes. With Input set it drains one child on the
 // query goroutine. With Workers set (parallel partial aggregation) each
-// worker iterator — one partition of the scan — is drained by its own
+// worker operator — one partition of the scan — is drained by its own
 // goroutine into a private accumulator, and the partials are merged in
 // partition order, which reproduces the serial plan's group order and
 // per-group summary merge order exactly.
 type GroupBy struct {
-	Input   Iterator
-	Workers []Iterator
+	Input   Operator
+	Workers []Operator
 	Keys    []sql.Expr
 	Aggs    []AggSpec
 	Lookup  model.AnnotationLookup
@@ -96,14 +96,14 @@ func GroupBySchema(inSchema *model.Schema, keys []sql.Expr, aggs []AggSpec) *mod
 }
 
 // NewGroupBy builds the serial operator.
-func NewGroupBy(in Iterator, keys []sql.Expr, aggs []AggSpec, lookup model.AnnotationLookup) *GroupBy {
+func NewGroupBy(in Operator, keys []sql.Expr, aggs []AggSpec, lookup model.AnnotationLookup) *GroupBy {
 	return &GroupBy{Input: in, Keys: keys, Aggs: aggs, Lookup: lookup,
 		out: GroupBySchema(in.Schema(), keys, aggs)}
 }
 
 // NewParallelGroupBy builds the parallel partial-aggregation operator:
-// every worker iterator is one partition of the input.
-func NewParallelGroupBy(workers []Iterator, keys []sql.Expr, aggs []AggSpec, lookup model.AnnotationLookup) *GroupBy {
+// every worker operator is one partition of the input.
+func NewParallelGroupBy(workers []Operator, keys []sql.Expr, aggs []AggSpec, lookup model.AnnotationLookup) *GroupBy {
 	return &GroupBy{Workers: workers, Keys: keys, Aggs: aggs, Lookup: lookup,
 		out: GroupBySchema(workers[0].Schema(), keys, aggs)}
 }
@@ -114,10 +114,10 @@ func NewParallelGroupBy(workers []Iterator, keys []sql.Expr, aggs []AggSpec, loo
 // by one goroutine; parallel partials are combined with mergeFrom on
 // the coordinating goroutine afterwards.
 type groupAcc struct {
-	keys   []sql.Expr
+	keys   []boundValue
 	aggs   []AggSpec
+	args   []boundValue // per aggregate; nil for COUNT(*)
 	lookup model.AnnotationLookup
-	ev     *Evaluator
 	budget *Budget
 
 	byKey map[string]*groupState
@@ -128,11 +128,17 @@ type groupAcc struct {
 
 func newGroupAcc(schema *model.Schema, keys []sql.Expr, aggs []AggSpec,
 	lookup model.AnnotationLookup, budget *Budget) *groupAcc {
-	return &groupAcc{
-		keys: keys, aggs: aggs, lookup: lookup, budget: budget,
-		ev:    &Evaluator{Schema: schema, Lookup: lookup},
-		byKey: map[string]*groupState{},
+	ev := &Evaluator{Schema: schema, Lookup: lookup}
+	a := &groupAcc{
+		keys: ev.bindValues(keys), aggs: aggs, args: make([]boundValue, len(aggs)),
+		lookup: lookup, budget: budget, byKey: map[string]*groupState{},
 	}
+	for i, agg := range aggs {
+		if !agg.Star && agg.Arg != nil {
+			a.args[i] = ev.BindValue(agg.Arg)
+		}
+	}
+	return a
 }
 
 // add folds one input row into the accumulator. GroupBy is a pipeline
@@ -141,14 +147,12 @@ func newGroupAcc(schema *model.Schema, keys []sql.Expr, aggs []AggSpec,
 // limit is hit (high-cardinality groupings are the risk; per-group
 // aggregate state is constant-size).
 func (a *groupAcc) add(row *Row) error {
-	keyVals := make([]model.Value, len(a.keys))
+	keyVals, err := evalValues(a.keys, row)
+	if err != nil {
+		return err
+	}
 	var kb strings.Builder
-	for i, k := range a.keys {
-		v, err := a.ev.Eval(k, row)
-		if err != nil {
-			return err
-		}
-		keyVals[i] = v
+	for _, v := range keyVals {
 		kb.WriteString(v.SortKey())
 		kb.WriteByte(0)
 	}
@@ -184,11 +188,11 @@ func (a *groupAcc) add(row *Row) error {
 		gs.row.Tuple.Summaries = model.MergeSets(gs.row.Tuple.Summaries, row.Tuple.Summaries, a.lookup)
 	}
 	gs.count++
-	for ai, agg := range a.aggs {
-		if agg.Star || agg.Arg == nil {
+	for ai, arg := range a.args {
+		if arg == nil {
 			continue
 		}
-		v, err := a.ev.Eval(agg.Arg, row)
+		v, err := arg(row)
 		if err != nil {
 			return err
 		}
@@ -276,50 +280,65 @@ func (a *groupAcc) states() []*groupState {
 	return out
 }
 
-// Open builds the group states: serially from Input, or by draining the
-// Workers concurrently and merging their partials in partition order.
+// Open builds the group states: serially from Input, or — the parallel
+// partial/final aggregation path — by draining every worker partition
+// into a private groupAcc on its own goroutine and merging the partials
+// in partition order. The merge releases duplicate group charges, so
+// after Open the budget holds exactly one charge per distinct group
+// either way. Every accumulator's charges are booked before anything
+// else, so Close releases whatever was committed before an error.
 func (g *GroupBy) Open() (err error) {
 	defer recoverOp("GroupBy", &err)
+	budget := g.qc.Budget()
+	var accs []*groupAcc
 	if len(g.Workers) > 0 {
-		return g.openParallel()
+		for _, w := range g.Workers {
+			accs = append(accs, newGroupAcc(w.Schema(), g.Keys, g.Aggs, g.Lookup, budget))
+		}
+		err = runPartitions(g.qc, g.Workers, func(i int, row *Row) error { return accs[i].add(row) })
+	} else {
+		accs = []*groupAcc{newGroupAcc(g.Input.Schema(), g.Keys, g.Aggs, g.Lookup, budget)}
+		err = run(g.qc, g.Input, accs[0].add)
 	}
-	if err := g.Input.Open(); err != nil {
+	for _, acc := range accs {
+		g.chargedRows += acc.chargedRows
+		g.chargedBytes += acc.chargedBytes
+	}
+	if err != nil {
 		return err
 	}
-	defer g.Input.Close()
-
-	acc := newGroupAcc(g.Input.Schema(), g.Keys, g.Aggs, g.Lookup, g.qc.Budget())
-	// Keep the charge books on every exit path so Close releases
-	// whatever was committed before an error.
-	defer func() { g.chargedRows, g.chargedBytes = acc.chargedRows, acc.chargedBytes }()
-	for {
-		row, err := g.Input.Next()
-		if err != nil {
-			return err
-		}
-		if row == nil {
-			break
-		}
-		if err := acc.add(row); err != nil {
-			return err
-		}
+	merged := accs[0]
+	for _, acc := range accs[1:] {
+		merged.mergeFrom(acc)
 	}
-	g.groups = acc.states()
+	// mergeFrom released duplicate-group charges; resync the books.
+	g.chargedRows, g.chargedBytes = merged.chargedRows, merged.chargedBytes
+	g.groups = merged.states()
 	g.pos = 0
 	return nil
 }
 
-// Next emits the next group.
-func (g *GroupBy) Next() (res *Row, err error) {
+// NextBatch emits the next groups.
+func (g *GroupBy) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("GroupBy", &err)
-	if err := g.qc.tick(); err != nil {
+	size := qc.Capacity()
+	if err := qc.tick(size); err != nil {
 		return nil, err
 	}
-	if g.pos >= len(g.groups) {
-		return nil, nil
+	b = GetBatch(size)
+	for ; b.Len() < size && g.pos < len(g.groups); g.pos++ {
+		row, err := g.output(g.groups[g.pos])
+		if err != nil {
+			b.Release()
+			return nil, err
+		}
+		b.Append(row)
 	}
-	gs := g.groups[g.pos]
-	g.pos++
+	return nonEmpty(b), nil
+}
+
+// output renders one group's keys and finalized aggregates as a row.
+func (g *GroupBy) output(gs *groupState) (*Row, error) {
 	values := make([]model.Value, 0, len(gs.keyVals)+len(g.Aggs))
 	values = append(values, gs.keyVals...)
 	for ai, a := range g.Aggs {
@@ -350,9 +369,8 @@ func (g *GroupBy) Next() (res *Row, err error) {
 			return nil, fmt.Errorf("exec: unknown aggregate %q", a.Func)
 		}
 	}
-	out := &Row{Tuple: &model.Tuple{OID: gs.row.Tuple.OID, Values: values,
-		Summaries: gs.row.Tuple.Summaries}}
-	return out, nil
+	return &Row{Tuple: &model.Tuple{OID: gs.row.Tuple.OID, Values: values,
+		Summaries: gs.row.Tuple.Summaries}}, nil
 }
 
 // Close releases the group states and their budget charge (the input

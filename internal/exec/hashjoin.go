@@ -14,12 +14,12 @@ import (
 // Like the other joins it preserves the outer (left) input's order and
 // merges the joined tuples' summary sets without double counting.
 type HashJoin struct {
-	Left, Right Iterator
-	// Builds, when set, replaces Right with one build-side iterator per
+	Left, Right Operator
+	// Builds, when set, replaces Right with one build-side operator per
 	// partition: the hash table is built partition-parallel and merged
 	// in partition order, so the per-key row order (and therefore the
 	// join output) matches the serial build exactly.
-	Builds []Iterator
+	Builds []Operator
 	// LeftKey/RightKey are the equi-join key expressions, evaluated
 	// against their own side.
 	LeftKey, RightKey sql.Expr
@@ -29,16 +29,9 @@ type HashJoin struct {
 	Propagate bool
 	Lookup    model.AnnotationLookup
 
-	schema       *model.Schema
-	leftAliases  []string
-	rightAliases []string
-	table        map[string][]*Row
-	leftEv       *Evaluator
-	combinedEv   *Evaluator
-	cur          *Row
-	matches      []*Row
-	matchPos     int
-	qc           *QueryCtx
+	schema *model.Schema
+	probe  joinProbe
+	qc     *QueryCtx
 
 	chargedRows, chargedBytes int64
 }
@@ -54,7 +47,7 @@ func (j *HashJoin) SetContext(qc *QueryCtx) {
 }
 
 // NewHashJoin builds a hash join.
-func NewHashJoin(left, right Iterator, leftKey, rightKey sql.Expr,
+func NewHashJoin(left, right Operator, leftKey, rightKey sql.Expr,
 	residual sql.Expr, propagate bool, lookup model.AnnotationLookup) *HashJoin {
 	return &HashJoin{
 		Left: left, Right: right, LeftKey: leftKey, RightKey: rightKey,
@@ -64,8 +57,8 @@ func NewHashJoin(left, right Iterator, leftKey, rightKey sql.Expr,
 }
 
 // NewParallelHashJoin builds a hash join whose build side is one
-// iterator per partition, hashed concurrently.
-func NewParallelHashJoin(left Iterator, builds []Iterator, leftKey, rightKey sql.Expr,
+// operator per partition, hashed concurrently.
+func NewParallelHashJoin(left Operator, builds []Operator, leftKey, rightKey sql.Expr,
 	residual sql.Expr, propagate bool, lookup model.AnnotationLookup) *HashJoin {
 	return &HashJoin{
 		Left: left, Builds: builds, LeftKey: leftKey, RightKey: rightKey,
@@ -82,51 +75,84 @@ func (j *HashJoin) rightSchema() *model.Schema {
 	return j.Right.Schema()
 }
 
-// Open drains and hashes the build (right) side — partition-parallel
-// when Builds is set. The build side is what a hash join buffers, so
-// every retained row is charged against the query budget; unlike Sort
-// there is no graceful degradation — a build side over budget fails
-// fast with ErrBudgetExceeded, and the optimizer's sort/NL-based plans
-// are the fallback.
-func (j *HashJoin) Open() (err error) {
-	defer recoverOp("HashJoin", &err)
-	j.leftAliases = schemaAliases(j.Left.Schema())
-	j.rightAliases = schemaAliases(j.rightSchema())
-	j.leftEv = &Evaluator{Schema: j.Left.Schema(), Lookup: j.Lookup}
-	j.combinedEv = &Evaluator{Schema: j.schema, Lookup: j.Lookup}
-	if len(j.Builds) > 0 {
-		if err := j.openParallelBuild(); err != nil {
-			return err
-		}
-		j.cur = nil
-		return j.Left.Open()
-	}
-	rightEv := &Evaluator{Schema: j.Right.Schema(), Lookup: j.Lookup}
+// buildRun is one partition's share of the build side: its non-NULL-key
+// rows with their hash keys, in input order, and what they charged.
+type buildRun struct {
+	rows                      []*Row
+	keys                      []string
+	chargedRows, chargedBytes int64
+}
 
-	budget := j.qc.Budget()
-	rows, err := Collect(j.Right)
+// add hashes one build row into the run. The build side is what a hash
+// join buffers, so every retained row is charged against the query
+// budget; unlike Sort there is no graceful degradation — a build side
+// over budget fails fast with ErrBudgetExceeded, and the optimizer's
+// sort/NL-based plans are the fallback.
+func (r *buildRun) add(key boundValue, budget *Budget, row *Row) error {
+	k, err := key(row)
 	if err != nil {
 		return err
 	}
-	j.table = make(map[string][]*Row, len(rows))
-	for _, row := range rows {
-		key, err := rightEv.Eval(j.RightKey, row)
-		if err != nil {
-			return err
-		}
-		if key.IsNull() {
-			continue // NULL keys never join
-		}
-		rb := approxRowBytes(row)
-		if cerr := budget.ChargeBuffered("HashJoin", 1, rb); cerr != nil {
-			return cerr
-		}
-		j.chargedRows++
-		j.chargedBytes += rb
-		k := hashKey(key)
-		j.table[k] = append(j.table[k], row)
+	if k.IsNull() {
+		return nil // NULL keys never join
 	}
-	j.cur = nil
+	rb := approxRowBytes(row)
+	if cerr := budget.ChargeBuffered("HashJoin", 1, rb); cerr != nil {
+		return cerr
+	}
+	r.chargedRows++
+	r.chargedBytes += rb
+	r.rows = append(r.rows, row)
+	r.keys = append(r.keys, hashKey(k))
+	return nil
+}
+
+// Open drains and hashes the build (right) side — one run on the query
+// goroutine, or one run per Builds partition hashed concurrently — and
+// folds the runs into the hash table in partition order, so per-key row
+// order (and therefore the join output) is the same either way. Every
+// run's charges are booked before anything else, so Close releases them
+// all even on a failed open.
+func (j *HashJoin) Open() (err error) {
+	defer recoverOp("HashJoin", &err)
+	rightKey := (&Evaluator{Schema: j.rightSchema(), Lookup: j.Lookup}).BindValue(j.RightKey)
+	budget := j.qc.Budget()
+	runs := make([]buildRun, max(1, len(j.Builds)))
+	if len(j.Builds) > 0 {
+		err = runPartitions(j.qc, j.Builds, func(i int, row *Row) error { return runs[i].add(rightKey, budget, row) })
+	} else {
+		err = run(j.qc, j.Right, func(row *Row) error { return runs[0].add(rightKey, budget, row) })
+	}
+	for i := range runs {
+		j.chargedRows += runs[i].chargedRows
+		j.chargedBytes += runs[i].chargedBytes
+	}
+	if err != nil {
+		return err
+	}
+	table := make(map[string][]*Row)
+	for _, r := range runs {
+		for k, row := range r.rows {
+			table[r.keys[k]] = append(table[r.keys[k]], row)
+		}
+	}
+
+	leftKey := (&Evaluator{Schema: j.Left.Schema(), Lookup: j.Lookup}).BindValue(j.LeftKey)
+	j.probe = joinProbe{
+		left:        j.Left,
+		leftAliases: schemaAliases(j.Left.Schema()), rightAliases: schemaAliases(j.rightSchema()),
+		candidates: func(outer *Row) ([]*Row, error) {
+			key, err := leftKey(outer)
+			if err != nil || key.IsNull() {
+				return nil, err
+			}
+			return table[hashKey(key)], nil
+		},
+		propagate: j.Propagate, lookup: j.Lookup,
+	}
+	if j.Residual != nil {
+		j.probe.pred = (&Evaluator{Schema: j.schema, Lookup: j.Lookup}).BindPred(j.Residual)
+	}
 	return j.Left.Open()
 }
 
@@ -139,60 +165,17 @@ func hashKey(v model.Value) string {
 	return v.SortKey()
 }
 
-// Next returns the next joined row.
-func (j *HashJoin) Next() (res *Row, err error) {
+// NextBatch returns the next joined rows.
+func (j *HashJoin) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("HashJoin", &err)
-	for {
-		if j.cur == nil {
-			var err error
-			j.cur, err = j.Left.Next()
-			if err != nil {
-				return nil, err
-			}
-			if j.cur == nil {
-				return nil, nil
-			}
-			key, err := j.leftEv.Eval(j.LeftKey, j.cur)
-			if err != nil {
-				return nil, err
-			}
-			if key.IsNull() {
-				j.matches = nil
-			} else {
-				j.matches = j.table[hashKey(key)]
-			}
-			j.matchPos = 0
-		}
-		for j.matchPos < len(j.matches) {
-			if err := j.qc.tick(); err != nil {
-				return nil, err
-			}
-			right := j.matches[j.matchPos]
-			j.matchPos++
-			combined := joinRow(j.cur, right, j.leftAliases, j.rightAliases)
-			if j.Residual != nil {
-				ok, err := j.combinedEv.EvalBool(j.Residual, combined)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			if j.Propagate {
-				mergeJoinOutput(combined, j.cur, right, j.Lookup)
-			}
-			return combined, nil
-		}
-		j.cur = nil
-	}
+	return j.probe.nextBatch(qc)
 }
 
 // Close releases the hash table (and its budget charge) and closes the
 // outer input.
 func (j *HashJoin) Close() error {
-	j.table = nil
-	j.matches = nil
+	j.probe.release()
+	j.probe = joinProbe{}
 	j.qc.Budget().ReleaseBuffered(j.chargedRows, j.chargedBytes)
 	j.chargedRows, j.chargedBytes = 0, 0
 	return j.Left.Close()

@@ -11,12 +11,12 @@ import (
 
 func TestHashJoinAgreesWithNLJoin(t *testing.T) {
 	f := newOpsFixture(t, 9, 27)
-	nl, err := Collect(NewNLJoin(NewSeqScan(f.r, "r", true), NewSeqScan(f.s, "s", true),
+	nl, err := Collect(nil, NewNLJoin(NewSeqScan(f.r, "r", true), NewSeqScan(f.s, "s", true),
 		mustExpr(t, "r.a = s.x"), true, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hj, err := Collect(NewHashJoin(NewSeqScan(f.r, "r", true), NewSeqScan(f.s, "s", true),
+	hj, err := Collect(nil, NewHashJoin(NewSeqScan(f.r, "r", true), NewSeqScan(f.s, "s", true),
 		mustExpr(t, "r.a"), mustExpr(t, "s.x"), nil, true, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +40,7 @@ func TestHashJoinAgreesWithNLJoin(t *testing.T) {
 
 func TestHashJoinPreservesOuterOrder(t *testing.T) {
 	f := newOpsFixture(t, 6, 18)
-	rows, err := Collect(NewHashJoin(NewSeqScan(f.r, "r", false), NewSeqScan(f.s, "s", false),
+	rows, err := Collect(nil, NewHashJoin(NewSeqScan(f.r, "r", false), NewSeqScan(f.s, "s", false),
 		mustExpr(t, "r.a"), mustExpr(t, "s.x"), nil, false, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestHashJoinResidualAndNullKeys(t *testing.T) {
 	}
 	hj := NewHashJoin(NewSliceIter(schema, left), NewSliceIter(rschema, right),
 		mustExpr(t, "l.k"), mustExpr(t, "r.k2"), nil, false, nil)
-	rows, err := Collect(hj)
+	rows, err := Collect(nil, hj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestHashJoinResidualAndNullKeys(t *testing.T) {
 	// Residual filters matches.
 	hj2 := NewHashJoin(NewSliceIter(schema, left), NewSliceIter(rschema, right),
 		mustExpr(t, "l.k"), mustExpr(t, "r.k2"), mustExpr(t, "r.k2 + l.k = 2"), false, nil)
-	rows2, err := Collect(hj2)
+	rows2, err := Collect(nil, hj2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestHashJoinMatchesBruteForceProperty(t *testing.T) {
 				}
 			}
 		}
-		rows, err := Collect(NewHashJoin(NewSliceIter(ls, left), NewSliceIter(rs, right),
+		rows, err := Collect(nil, NewHashJoin(NewSliceIter(ls, left), NewSliceIter(rs, right),
 			mustExpr(t, "l.k"), mustExpr(t, "r.k2"), nil, false, nil))
 		if err != nil {
 			t.Fatal(err)

@@ -58,10 +58,6 @@ type SummaryIndexScan struct {
 	// concatenating the shares in partition order reproduces the serial
 	// sorted run exactly. Ignored (whole hit list) in ordered mode.
 	Part PartitionSpec
-	// BatchSize > 1 means the compiler drives this scan through
-	// NextBatch; Next() is unaffected either way. Batching preserves the
-	// fetch order of both modes (it only groups consecutive rows).
-	BatchSize int
 
 	schema *model.Schema
 	hits   []heap.RID
@@ -159,32 +155,6 @@ func (s *SummaryIndexScan) Open() (err error) {
 	return nil
 }
 
-// Next fetches the next qualifying data tuple.
-func (s *SummaryIndexScan) Next() (row *Row, err error) {
-	defer recoverOp("SummaryIndexScan", &err)
-	for {
-		if s.bufPos < len(s.buf) {
-			row := s.buf[s.bufPos]
-			s.buf[s.bufPos] = nil
-			s.bufPos++
-			return row, nil
-		}
-		if s.pos >= len(s.hits) {
-			return nil, nil
-		}
-		if err := s.qc.tick(); err != nil {
-			return nil, err
-		}
-		if s.SortedFetch && !s.ConventionalPointers {
-			s.fillRun()
-			continue
-		}
-		if row, ok := s.nextHit(); ok {
-			return row, nil
-		}
-	}
-}
-
 // nextHit dereferences hits[pos] in the per-RID modes (ordered fetch,
 // or any fetch with conventional pointers), advancing the cursor; ok is
 // false for a stale hit the caller should skip.
@@ -213,25 +183,21 @@ func (s *SummaryIndexScan) nextHit() (*Row, bool) {
 }
 
 // NextBatch fills a row vector from the hit list, draining page runs in
-// sorted mode and dereferencing hit by hit otherwise. Row order within
-// and across batches equals the row-at-a-time order exactly; only the
-// cancellation cadence changes (one poll per batch).
+// sorted mode and dereferencing hit by hit otherwise. Batching only
+// groups consecutive rows, so both modes keep their fetch order at
+// every capacity.
 func (s *SummaryIndexScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("SummaryIndexScan", &err)
-	if err := qc.check(); err != nil {
+	size := qc.Capacity()
+	if err := qc.tick(size); err != nil {
 		return nil, err
-	}
-	size := s.BatchSize
-	if size <= 1 {
-		size = DefaultBatchSize
 	}
 	b = GetBatch(size)
 	for b.Len() < size {
 		if s.bufPos < len(s.buf) {
-			row := s.buf[s.bufPos]
+			b.Append(s.buf[s.bufPos])
 			s.buf[s.bufPos] = nil
 			s.bufPos++
-			b.Append(row)
 			continue
 		}
 		if s.pos >= len(s.hits) {
@@ -245,11 +211,7 @@ func (s *SummaryIndexScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 			b.Append(row)
 		}
 	}
-	if b.Len() == 0 {
-		b.Release()
-		return nil, nil
-	}
-	return b, nil
+	return nonEmpty(b), nil
 }
 
 // fillRun dereferences the next page run of the sorted hit list with a
@@ -424,37 +386,36 @@ func (s *BaselineIndexScan) Open() (err error) {
 	return nil
 }
 
-// Next joins the next normalized hit back to the data table.
-func (s *BaselineIndexScan) Next() (row *Row, err error) {
+// NextBatch joins the next normalized hits back to the data table.
+func (s *BaselineIndexScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("BaselineIndexScan", &err)
-	for s.pos < len(s.oids) {
-		if err := s.qc.tick(); err != nil {
-			return nil, err
-		}
+	size := qc.Capacity()
+	if err := qc.tick(size); err != nil {
+		return nil, err
+	}
+	b = GetBatch(size)
+	for b.Len() < size && s.pos < len(s.oids) {
 		oid := s.oids[s.pos]
 		s.pos++
 		rid, ok := s.Table.DiskTupleLoc(oid) // extra OID-index join
 		if !ok {
 			continue
 		}
+		row, ok := fetchRow(s.Table, s.Alias, rid, s.Propagate && !s.ReconstructSummaries)
+		if !ok {
+			continue
+		}
 		if s.ReconstructSummaries {
-			row, ok := fetchRow(s.Table, s.Alias, rid, false)
-			if !ok {
-				continue
-			}
 			var set model.SummarySet
 			if obj, ok := s.Index.ReconstructObject(oid); ok {
 				set = model.SummarySet{obj}
 			}
 			row.Tuple.Summaries = set
 			row.AliasSets = aliasSet(s.Alias, set)
-			return row, nil
 		}
-		if row, ok := fetchRow(s.Table, s.Alias, rid, s.Propagate); ok {
-			return row, nil
-		}
+		b.Append(row)
 	}
-	return nil, nil
+	return nonEmpty(b), nil
 }
 
 // Close releases the hit list.
@@ -508,20 +469,22 @@ func (s *DataIndexScan) Open() (err error) {
 	return nil
 }
 
-// Next fetches the next matching tuple.
-func (s *DataIndexScan) Next() (row *Row, err error) {
+// NextBatch fetches the next matching tuples.
+func (s *DataIndexScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("DataIndexScan", &err)
-	for s.pos < len(s.hits) {
-		if err := s.qc.tick(); err != nil {
-			return nil, err
-		}
+	size := qc.Capacity()
+	if err := qc.tick(size); err != nil {
+		return nil, err
+	}
+	b = GetBatch(size)
+	for b.Len() < size && s.pos < len(s.hits) {
 		rid := s.hits[s.pos]
 		s.pos++
 		if row, ok := fetchRow(s.Table, s.Alias, rid, s.Propagate); ok {
-			return row, nil
+			b.Append(row)
 		}
 	}
-	return nil, nil
+	return nonEmpty(b), nil
 }
 
 // Close releases the hit list.

@@ -52,27 +52,115 @@ func schemaAliases(s *model.Schema) []string {
 	return out
 }
 
+// joinProbe is the probe phase the three join implementations share:
+// it walks the outer (left) input batch by batch, pairs each outer row
+// with its inner candidates in order, applies the pre-merge predicate,
+// merges the survivors' summary sets and fills output batches up to the
+// query capacity. Outer order is preserved (the property rules 5–6 rely
+// on), and the outer input is pulled lazily — never past what the
+// current output batch needs — so a LIMIT above the join stops the
+// scan below it at the outer row that filled the limit.
+type joinProbe struct {
+	left                      Operator
+	leftAliases, rightAliases []string
+	// candidates lists the inner rows to pair with one outer row: the
+	// hash bucket, the materialized inner, or an index probe's hits.
+	candidates func(outer *Row) ([]*Row, error)
+	// pred is the ON/residual predicate over the combined row, bound
+	// against the concatenated schema; nil accepts every pair.
+	pred      boundPred
+	propagate bool
+	lookup    model.AnnotationLookup
+
+	in      *Batch // outer batch being probed
+	inPos   int
+	cur     *Row   // outer row being paired
+	pending []*Row // cur's candidates not yet paired
+	done    bool   // outer input exhausted
+}
+
+// nextBatch returns the next batch of joined rows. The inner loop ticks
+// the query context per candidate pair: a large cross product must
+// remain cancellable between output rows, not only between batches.
+func (p *joinProbe) nextBatch(qc *QueryCtx) (*Batch, error) {
+	size := qc.Capacity()
+	out := GetBatch(size)
+	fail := func(err error) (*Batch, error) {
+		out.Release()
+		return nil, err
+	}
+	for {
+		for len(p.pending) > 0 {
+			if err := qc.tick(1); err != nil {
+				return fail(err)
+			}
+			right := p.pending[0]
+			p.pending = p.pending[1:]
+			combined := joinRow(p.cur, right, p.leftAliases, p.rightAliases)
+			if p.pred != nil {
+				ok, err := p.pred(combined)
+				if err != nil {
+					return fail(err)
+				}
+				if !ok {
+					continue
+				}
+			}
+			if p.propagate {
+				mergeJoinOutput(combined, p.cur, right, p.lookup)
+			}
+			out.Append(combined)
+			if out.Len() == size {
+				return out, nil
+			}
+		}
+		if p.done {
+			return nonEmpty(out), nil
+		}
+		if p.in == nil || p.inPos == p.in.Len() {
+			p.release()
+			in, err := p.left.NextBatch(qc)
+			if err != nil {
+				return fail(err)
+			}
+			if in == nil {
+				p.done = true
+				continue
+			}
+			p.in, p.inPos = in, 0
+		}
+		p.cur = p.in.Row(p.inPos)
+		p.inPos++
+		var err error
+		if p.pending, err = p.candidates(p.cur); err != nil {
+			return fail(err)
+		}
+	}
+}
+
+// release returns the in-flight outer batch to the pool (its rows live
+// on in the joined output).
+func (p *joinProbe) release() {
+	p.in.Release()
+	p.in, p.cur, p.pending = nil, nil, nil
+}
+
 // NLJoin is a block nested-loop join: the inner (right) input is
 // materialized once, then streamed per outer row. It preserves the outer
 // input's order — the property rules 5–6 rely on. It implements both the
 // data join ⋈ and, with a summary-based predicate, the summary join J;
 // both merge the joined tuples' summary objects.
 type NLJoin struct {
-	Left, Right Iterator
+	Left, Right Operator
 	On          sql.Expr
 	// Summary marks the logical J operator (for EXPLAIN).
 	Summary   bool
 	Propagate bool
 	Lookup    model.AnnotationLookup
 
-	schema       *model.Schema
-	leftAliases  []string
-	rightAliases []string
-	inner        []*Row
-	cur          *Row
-	innerPos     int
-	ev           *Evaluator
-	qc           *QueryCtx
+	schema *model.Schema
+	probe  joinProbe
+	qc     *QueryCtx
 }
 
 // SetContext installs the per-query lifecycle and forwards it to both
@@ -84,7 +172,7 @@ func (j *NLJoin) SetContext(qc *QueryCtx) {
 }
 
 // NewNLJoin builds a block nested-loop join.
-func NewNLJoin(left, right Iterator, on sql.Expr, propagate bool, lookup model.AnnotationLookup) *NLJoin {
+func NewNLJoin(left, right Operator, on sql.Expr, propagate bool, lookup model.AnnotationLookup) *NLJoin {
 	return &NLJoin{Left: left, Right: right, On: on, Propagate: propagate, Lookup: lookup,
 		schema: left.Schema().Concat(right.Schema())}
 }
@@ -92,64 +180,34 @@ func NewNLJoin(left, right Iterator, on sql.Expr, propagate bool, lookup model.A
 // Open materializes the inner input.
 func (j *NLJoin) Open() (err error) {
 	defer recoverOp("NLJoin", &err)
-	j.leftAliases = schemaAliases(j.Left.Schema())
-	j.rightAliases = schemaAliases(j.Right.Schema())
-	j.ev = &Evaluator{Schema: j.schema, Lookup: j.Lookup}
-	j.inner, err = Collect(j.Right)
+	inner, err := Collect(j.qc, j.Right)
 	if err != nil {
 		return err
 	}
-	j.cur = nil
-	j.innerPos = 0
+	j.probe = joinProbe{
+		left:        j.Left,
+		leftAliases: schemaAliases(j.Left.Schema()), rightAliases: schemaAliases(j.Right.Schema()),
+		candidates: func(*Row) ([]*Row, error) { return inner, nil },
+		propagate:  j.Propagate, lookup: j.Lookup,
+	}
+	if j.On != nil {
+		j.probe.pred = (&Evaluator{Schema: j.schema, Lookup: j.Lookup}).BindPred(j.On)
+	}
 	return j.Left.Open()
 }
 
-// Next returns the next joined row. The inner match loop ticks the
-// query context per candidate pair: a large cross product must remain
-// cancellable between output rows, not only between outer rows.
-func (j *NLJoin) Next() (res *Row, err error) {
+// NextBatch returns the next joined rows.
+func (j *NLJoin) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("NLJoin", &err)
-	for {
-		if j.cur == nil {
-			var err error
-			j.cur, err = j.Left.Next()
-			if err != nil {
-				return nil, err
-			}
-			if j.cur == nil {
-				return nil, nil
-			}
-			j.innerPos = 0
-		}
-		for j.innerPos < len(j.inner) {
-			if err := j.qc.tick(); err != nil {
-				return nil, err
-			}
-			right := j.inner[j.innerPos]
-			j.innerPos++
-			combined := joinRow(j.cur, right, j.leftAliases, j.rightAliases)
-			ok := true
-			if j.On != nil {
-				var err error
-				ok, err = j.ev.EvalBool(j.On, combined)
-				if err != nil {
-					return nil, err
-				}
-			}
-			if !ok {
-				continue
-			}
-			if j.Propagate {
-				mergeJoinOutput(combined, j.cur, right, j.Lookup)
-			}
-			return combined, nil
-		}
-		j.cur = nil
-	}
+	return j.probe.nextBatch(qc)
 }
 
-// Close closes the outer input (the inner was drained at Open).
-func (j *NLJoin) Close() error { j.inner = nil; return j.Left.Close() }
+// Close drops the materialized inner and closes the outer input.
+func (j *NLJoin) Close() error {
+	j.probe.release()
+	j.probe = joinProbe{}
+	return j.Left.Close()
+}
 
 // Schema returns the concatenated schema.
 func (j *NLJoin) Schema() *model.Schema { return j.schema }
@@ -158,7 +216,7 @@ func (j *NLJoin) Schema() *model.Schema { return j.schema }
 // column for each outer row — the "index-based join" implementation
 // choice of Section 5.2. It preserves outer order.
 type IndexJoin struct {
-	Left Iterator
+	Left Operator
 	// Inner side: a table with a data index on InnerColumn.
 	InnerTable *catalog.Table
 	InnerAlias string
@@ -174,16 +232,9 @@ type IndexJoin struct {
 	FetchSummaries bool
 	Lookup         model.AnnotationLookup
 
-	schema       *model.Schema
-	innerSchema  *model.Schema
-	leftAliases  []string
-	rightAliases []string
-	outerEv      *Evaluator
-	combinedEv   *Evaluator
-	cur          *Row
-	matches      []*Row
-	matchPos     int
-	qc           *QueryCtx
+	schema *model.Schema
+	probe  joinProbe
+	qc     *QueryCtx
 }
 
 // SetContext installs the per-query lifecycle and forwards it to the
@@ -195,84 +246,54 @@ func (j *IndexJoin) SetContext(qc *QueryCtx) {
 }
 
 // NewIndexJoin builds an index join.
-func NewIndexJoin(left Iterator, inner *catalog.Table, innerAlias, innerCol string,
+func NewIndexJoin(left Operator, inner *catalog.Table, innerAlias, innerCol string,
 	outerKey sql.Expr, residual sql.Expr, propagate bool, lookup model.AnnotationLookup) *IndexJoin {
 	if innerAlias == "" {
 		innerAlias = inner.Name
 	}
-	innerSchema := inner.Schema.Rename(innerAlias)
 	return &IndexJoin{
 		Left: left, InnerTable: inner, InnerAlias: innerAlias, InnerCol: innerCol,
 		OuterKey: outerKey, Residual: residual, Propagate: propagate,
 		FetchSummaries: propagate, Lookup: lookup,
-		schema:      left.Schema().Concat(innerSchema),
-		innerSchema: innerSchema,
+		schema: left.Schema().Concat(inner.Schema.Rename(innerAlias)),
 	}
 }
 
-// Open opens the outer input.
+// Open opens the outer input. Each outer row's candidates come from a
+// DataIndexScan probe of the inner table's column index, built per row
+// and run under the join's lifecycle.
 func (j *IndexJoin) Open() (err error) {
 	defer recoverOp("IndexJoin", &err)
-	j.leftAliases = schemaAliases(j.Left.Schema())
-	j.rightAliases = []string{strings.ToLower(j.InnerAlias)}
-	j.outerEv = &Evaluator{Schema: j.Left.Schema(), Lookup: j.Lookup}
-	j.combinedEv = &Evaluator{Schema: j.schema, Lookup: j.Lookup}
-	j.cur = nil
+	outerKey := (&Evaluator{Schema: j.Left.Schema(), Lookup: j.Lookup}).BindValue(j.OuterKey)
+	j.probe = joinProbe{
+		left:        j.Left,
+		leftAliases: schemaAliases(j.Left.Schema()), rightAliases: []string{strings.ToLower(j.InnerAlias)},
+		candidates: func(outer *Row) ([]*Row, error) {
+			key, err := outerKey(outer)
+			if err != nil {
+				return nil, err
+			}
+			return Collect(j.qc, NewDataIndexScan(j.InnerTable, j.InnerAlias, j.InnerCol, key, j.FetchSummaries))
+		},
+		propagate: j.Propagate, lookup: j.Lookup,
+	}
+	if j.Residual != nil {
+		j.probe.pred = (&Evaluator{Schema: j.schema, Lookup: j.Lookup}).BindPred(j.Residual)
+	}
 	return j.Left.Open()
 }
 
-// Next returns the next joined row.
-func (j *IndexJoin) Next() (res *Row, err error) {
+// NextBatch returns the next joined rows.
+func (j *IndexJoin) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("IndexJoin", &err)
-	for {
-		if j.cur == nil {
-			var err error
-			j.cur, err = j.Left.Next()
-			if err != nil {
-				return nil, err
-			}
-			if j.cur == nil {
-				return nil, nil
-			}
-			key, err := j.outerEv.Eval(j.OuterKey, j.cur)
-			if err != nil {
-				return nil, err
-			}
-			scan := NewDataIndexScan(j.InnerTable, j.InnerAlias, j.InnerCol, key, j.FetchSummaries)
-			SetIterContext(scan, j.qc)
-			j.matches, err = Collect(scan)
-			if err != nil {
-				return nil, err
-			}
-			j.matchPos = 0
-		}
-		for j.matchPos < len(j.matches) {
-			if err := j.qc.tick(); err != nil {
-				return nil, err
-			}
-			right := j.matches[j.matchPos]
-			j.matchPos++
-			combined := joinRow(j.cur, right, j.leftAliases, j.rightAliases)
-			if j.Residual != nil {
-				ok, err := j.combinedEv.EvalBool(j.Residual, combined)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			if j.Propagate {
-				mergeJoinOutput(combined, j.cur, right, j.Lookup)
-			}
-			return combined, nil
-		}
-		j.cur = nil
-	}
+	return j.probe.nextBatch(qc)
 }
 
 // Close closes the outer input.
-func (j *IndexJoin) Close() error { return j.Left.Close() }
+func (j *IndexJoin) Close() error {
+	j.probe.release()
+	return j.Left.Close()
+}
 
 // Schema returns the concatenated schema.
 func (j *IndexJoin) Schema() *model.Schema { return j.schema }

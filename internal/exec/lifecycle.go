@@ -11,7 +11,7 @@ import (
 )
 
 // This file is the query-lifecycle layer of the executor: per-query
-// cancellation (context threading through the Volcano protocol), the
+// cancellation (context threading through the operator protocol), the
 // resource governor the pipeline-breaking operators charge against,
 // and panic isolation at operator granularity.
 
@@ -19,27 +19,44 @@ import (
 // Context threading
 
 // QueryCtx carries one query's lifecycle state — the cancellation
-// context and the resource budget — shared by every operator of a
-// compiled plan tree. The poll counter and the cached cancellation
+// context, the resource budget and the batch capacity — shared by every
+// operator of a compiled plan tree. The poll counter and the cached cancellation
 // error are atomic, so a QueryCtx may be shared by the worker
 // goroutines of a parallel plan fragment (and any caller that moves an
-// iterator across goroutines is safe too). A nil *QueryCtx disables
-// both concerns; operators constructed directly (tests, internal
-// rescans) keep working without one.
+// operator across goroutines is safe too). A nil *QueryCtx disables
+// cancellation and budgeting and exchanges one row per batch; operators
+// constructed directly (tests, internal rescans) keep working without
+// one.
 type QueryCtx struct {
-	ctx    context.Context
-	budget *Budget
-	ticks  atomic.Uint64
-	done   atomic.Pointer[error] // first observed cancellation, cached
+	ctx      context.Context
+	budget   *Budget
+	capacity int
+	ticks    atomic.Uint64
+	done     atomic.Pointer[error] // first observed cancellation, cached
 }
 
 // NewQueryCtx builds the lifecycle state for one query. ctx may be nil
-// (treated as Background); budget may be nil (unlimited).
-func NewQueryCtx(ctx context.Context, budget *Budget) *QueryCtx {
+// (treated as Background); budget may be nil (unlimited). capacity is
+// the row capacity of every batch the query's operators exchange and
+// must already be clamped into [1, MaxBatchSize] — that happens once,
+// in optimizer.BatchCapacity; anything else is a caller bug.
+func NewQueryCtx(ctx context.Context, budget *Budget, capacity int) *QueryCtx {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &QueryCtx{ctx: ctx, budget: budget}
+	if capacity < 1 || capacity > MaxBatchSize {
+		panic(fmt.Sprintf("exec: batch capacity %d outside [1, %d]", capacity, MaxBatchSize))
+	}
+	return &QueryCtx{ctx: ctx, budget: budget, capacity: capacity}
+}
+
+// Capacity is the most rows any operator of this query puts in one
+// batch (1 for a nil receiver).
+func (q *QueryCtx) Capacity() int {
+	if q == nil {
+		return 1
+	}
+	return q.capacity
 }
 
 // Context returns the query's context (Background for nil receivers).
@@ -58,26 +75,30 @@ func (q *QueryCtx) Budget() *Budget {
 	return q.budget
 }
 
-// tickEvery is how many tick() calls pass between context polls:
+// tickEvery is how many rows of work pass between context polls:
 // polling the context takes a lock, which is too hot per row on
 // scan-heavy plans, and one poll per 64 rows still cancels a query
-// well within one operator batch (external-sort runs default to 1024
-// rows).
+// promptly.
 const tickEvery = 64
 
-// tick is the per-row cancellation check operators call from Next. The
-// first call always polls, so an already-cancelled query stops before
-// producing a single row. Safe for concurrent use: worker goroutines
-// of a parallel fragment share one counter, which only makes polling
-// slightly more frequent than 1/tickEvery per goroutine.
-func (q *QueryCtx) tick() error {
+// tick is the cancellation check operators call before doing about n
+// rows of work: producers pass the batch capacity once per batch, join
+// probes pass 1 per candidate pair. The context is polled on the first
+// call — so an already-cancelled query stops before producing a single
+// row — and then whenever the running total crosses a multiple of
+// tickEvery: every 64th row at capacity 1, every batch from capacity 64
+// up, which bounds cancellation latency to one batch. Safe for
+// concurrent use: worker goroutines of a parallel fragment share one
+// counter, which only makes polling slightly more frequent.
+func (q *QueryCtx) tick(n int) error {
 	if q == nil || q.ctx == nil {
 		return nil
 	}
 	if p := q.done.Load(); p != nil {
 		return *p
 	}
-	if q.ticks.Add(1)%tickEvery != 1 {
+	after := q.ticks.Add(uint64(n))
+	if before := after - uint64(n); before != 0 && before/tickEvery == after/tickEvery {
 		return nil
 	}
 	return q.poll()
@@ -110,7 +131,7 @@ func (q *QueryCtx) poll() error {
 // polls the given context, typically a cancellable child of the
 // parent's so a failing sibling can stop the whole fragment.
 func (q *QueryCtx) Child(ctx context.Context) *QueryCtx {
-	return NewQueryCtx(ctx, q.Budget())
+	return NewQueryCtx(ctx, q.Budget(), q.Capacity())
 }
 
 // ContextSetter is implemented by every physical operator: SetContext
@@ -119,9 +140,9 @@ type ContextSetter interface {
 	SetContext(*QueryCtx)
 }
 
-// SetIterContext installs qc on an iterator when it supports one
+// SetIterContext installs qc on an operator when it supports one
 // (no-op otherwise) — the recursive step operators use on children.
-func SetIterContext(it Iterator, qc *QueryCtx) {
+func SetIterContext(it Operator, qc *QueryCtx) {
 	if cs, ok := it.(ContextSetter); ok {
 		cs.SetContext(qc)
 	}
@@ -308,7 +329,7 @@ func (e *OpError) Error() string { return fmt.Sprintf("exec: %s: %v", e.Op, e.er
 
 func (e *OpError) Unwrap() error { return e.err }
 
-// recoverOp is deferred by every operator's Open/Next: it converts an
+// recoverOp is deferred by every operator's Open/NextBatch: it converts an
 // escaping panic into an *OpError assigned to *err. Injected pager
 // faults arrive here as *pager.FaultError panic values (the storage
 // layers have no error returns); any other panic value keeps its stack

@@ -23,6 +23,12 @@ func intRows(n int) (*model.Schema, []*Row) {
 	return schema, rows
 }
 
+// isolateSpillDir points os.TempDir at a directory private to the test,
+// so the spill-file counts below never see the files of test binaries
+// running concurrently (go test runs packages in parallel, and they
+// share the system temp directory).
+func isolateSpillDir(t *testing.T) { t.Setenv("TMPDIR", t.TempDir()) }
+
 // sortRunFiles counts leftover spill files in the temp directory.
 func sortRunFiles(t *testing.T) int {
 	t.Helper()
@@ -66,8 +72,7 @@ func TestCancellationStopsIteration(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: the first poll must observe it
 	it := NewSliceIter(schema, rows)
-	SetIterContext(it, NewQueryCtx(ctx, nil))
-	_, err := Collect(it)
+	_, err := Collect(NewQueryCtx(ctx, nil, 1), it)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -77,10 +82,10 @@ func TestCancellationMidSort(t *testing.T) {
 	schema, rows := intRows(200)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	isolateSpillDir(t)
 	before := sortRunFiles(t)
 	s := NewExternalSort(NewSliceIter(schema, rows), []SortKey{{Expr: mustExpr(t, "v")}}, 16, nil)
-	SetIterContext(s, NewQueryCtx(ctx, nil))
-	_, err := Collect(s)
+	_, err := Collect(NewQueryCtx(ctx, nil, 1), s)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -89,13 +94,15 @@ func TestCancellationMidSort(t *testing.T) {
 	}
 }
 
-// panicIter panics on Next to exercise operator panic isolation.
+// panicIter panics on NextBatch to exercise operator panic isolation.
 type panicIter struct {
 	schema *model.Schema
 }
 
-func (p *panicIter) Open() error             { return nil }
-func (p *panicIter) Next() (*Row, error)     { panic("storage corruption") }
+func (p *panicIter) Open() error { return nil }
+func (p *panicIter) NextBatch(*QueryCtx) (*Batch, error) {
+	panic("storage corruption")
+}
 func (p *panicIter) Close() error            { return nil }
 func (p *panicIter) Schema() *model.Schema   { return p.schema }
 func (p *panicIter) SetContext(qc *QueryCtx) {}
@@ -103,8 +110,7 @@ func (p *panicIter) SetContext(qc *QueryCtx) {}
 func TestOperatorPanicBecomesOpError(t *testing.T) {
 	schema := model.NewSchema("t", model.Column{Name: "v", Kind: model.KindInt})
 	f := NewFilter(&panicIter{schema: schema}, mustExpr(t, "v > 0"), nil)
-	SetIterContext(f, NewQueryCtx(context.Background(), nil))
-	_, err := Collect(f)
+	_, err := Collect(NewQueryCtx(context.Background(), nil, 1), f)
 	var oe *OpError
 	if !errors.As(err, &oe) {
 		t.Fatalf("want *OpError, got %T: %v", err, err)
@@ -119,12 +125,12 @@ func TestOperatorPanicBecomesOpError(t *testing.T) {
 
 func TestSortDegradesToSpillUnderBudget(t *testing.T) {
 	schema, rows := intRows(300)
+	isolateSpillDir(t)
 	before := sortRunFiles(t)
 	// Room for ~40 rows in memory, ample spill.
 	budget := NewBudget(40, 0, 1<<30)
 	s := NewSort(NewSliceIter(schema, rows), []SortKey{{Expr: mustExpr(t, "v")}}, nil)
-	SetIterContext(s, NewQueryCtx(context.Background(), budget))
-	out, err := Collect(s)
+	out, err := Collect(NewQueryCtx(context.Background(), budget, 1), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,13 +156,13 @@ func TestSortDegradesToSpillUnderBudget(t *testing.T) {
 
 func TestSortSpillBudgetIsHardLimit(t *testing.T) {
 	schema, rows := intRows(500)
+	isolateSpillDir(t)
 	before := sortRunFiles(t)
 	// Tiny memory budget forces spilling, and the spill allowance is too
 	// small for even one run: the temp-file budget is a hard limit.
 	budget := NewBudget(10, 0, 16)
 	s := NewSort(NewSliceIter(schema, rows), []SortKey{{Expr: mustExpr(t, "v")}}, nil)
-	SetIterContext(s, NewQueryCtx(context.Background(), budget))
-	_, err := Collect(s)
+	_, err := Collect(NewQueryCtx(context.Background(), budget, 1), s)
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("want ErrBudgetExceeded, got %v", err)
 	}
@@ -181,23 +187,26 @@ type errAfterIter struct {
 }
 
 func (e *errAfterIter) Open() error { e.pos = 0; return nil }
-func (e *errAfterIter) Next() (*Row, error) {
+func (e *errAfterIter) NextBatch(qc *QueryCtx) (*Batch, error) {
 	if e.pos >= e.n {
 		return nil, fmt.Errorf("simulated input failure after %d rows", e.n)
 	}
-	e.pos++
-	return &Row{Tuple: model.NewTuple(int64(e.pos), model.NewInt(int64(-e.pos)))}, nil
+	b := GetBatch(qc.Capacity())
+	for ; b.Len() < qc.Capacity() && e.pos < e.n; e.pos++ {
+		b.Append(&Row{Tuple: model.NewTuple(int64(e.pos+1), model.NewInt(int64(-e.pos-1)))})
+	}
+	return b, nil
 }
 func (e *errAfterIter) Close() error          { return nil }
 func (e *errAfterIter) Schema() *model.Schema { return e.schema }
 
 func TestSortMidOpenFailureRemovesRuns(t *testing.T) {
 	schema := model.NewSchema("t", model.Column{Name: "v", Kind: model.KindInt})
+	isolateSpillDir(t)
 	before := sortRunFiles(t)
 	s := NewExternalSort(&errAfterIter{schema: schema, n: 100}, // several 8-row runs, then error
 		[]SortKey{{Expr: mustExpr(t, "v")}}, 8, nil)
-	SetIterContext(s, NewQueryCtx(context.Background(), nil))
-	_, err := Collect(s)
+	_, err := Collect(NewQueryCtx(context.Background(), nil, 1), s)
 	if err == nil {
 		t.Fatal("want input failure, got nil")
 	}
@@ -212,8 +221,7 @@ func TestHashJoinFailsFastOverBudget(t *testing.T) {
 		NewSliceIter(schema, rows), NewSliceIter(schema, rows),
 		mustExpr(t, "v"), mustExpr(t, "v"), nil, false, nil)
 	budget := NewBudget(10, 0, 0) // build side is 100 rows
-	SetIterContext(j, NewQueryCtx(context.Background(), budget))
-	_, err := Collect(j)
+	_, err := Collect(NewQueryCtx(context.Background(), budget, 1), j)
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("want ErrBudgetExceeded, got %v", err)
 	}
@@ -229,15 +237,13 @@ func TestHashJoinFailsFastOverBudget(t *testing.T) {
 func TestDistinctAndGroupByRespectBudget(t *testing.T) {
 	schema, rows := intRows(100)
 	d := NewDistinct(NewSliceIter(schema, rows), nil)
-	SetIterContext(d, NewQueryCtx(context.Background(), NewBudget(10, 0, 0)))
-	if _, err := Collect(d); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := Collect(NewQueryCtx(context.Background(), NewBudget(10, 0, 0), 1), d); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("Distinct: want ErrBudgetExceeded, got %v", err)
 	}
 	g := NewGroupBy(NewSliceIter(schema, rows),
 		[]sql.Expr{mustExpr(t, "v")},
 		[]AggSpec{{Func: "count", Star: true, Name: "n"}}, nil)
-	SetIterContext(g, NewQueryCtx(context.Background(), NewBudget(10, 0, 0)))
-	if _, err := Collect(g); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := Collect(NewQueryCtx(context.Background(), NewBudget(10, 0, 0), 1), g); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("GroupBy: want ErrBudgetExceeded, got %v", err)
 	}
 }

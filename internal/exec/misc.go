@@ -8,19 +8,15 @@ import (
 
 // Limit passes through at most N rows.
 type Limit struct {
-	Input Iterator
+	Input Operator
 	N     int
-	// BatchSize > 1 means the compiler drives this node through
-	// NextBatch; Next() is unaffected either way.
-	BatchSize int
 
 	seen int
-	bin  BatchOperator
 	qc   *QueryCtx
 }
 
 // NewLimit builds a LIMIT node.
-func NewLimit(in Iterator, n int) *Limit { return &Limit{Input: in, N: n} }
+func NewLimit(in Operator, n int) *Limit { return &Limit{Input: in, N: n} }
 
 // SetContext installs the per-query lifecycle and forwards it below.
 func (l *Limit) SetContext(qc *QueryCtx) {
@@ -31,9 +27,6 @@ func (l *Limit) SetContext(qc *QueryCtx) {
 // Open opens the input.
 func (l *Limit) Open() error {
 	l.seen = 0
-	if l.BatchSize > 1 {
-		l.bin = ToBatch(l.Input, l.BatchSize)
-	}
 	return l.Input.Open()
 }
 
@@ -43,7 +36,7 @@ func (l *Limit) NextBatch(qc *QueryCtx) (*Batch, error) {
 	if l.seen >= l.N {
 		return nil, nil
 	}
-	b, err := l.bin.NextBatch(qc)
+	b, err := l.Input.NextBatch(qc)
 	if err != nil || b == nil {
 		return nil, err
 	}
@@ -52,19 +45,6 @@ func (l *Limit) NextBatch(qc *QueryCtx) (*Batch, error) {
 	}
 	l.seen += b.Len()
 	return b, nil
-}
-
-// Next returns the next row while under the limit.
-func (l *Limit) Next() (*Row, error) {
-	if l.seen >= l.N {
-		return nil, nil
-	}
-	row, err := l.Input.Next()
-	if err != nil || row == nil {
-		return nil, err
-	}
-	l.seen++
-	return row, nil
 }
 
 // Close closes the input.
@@ -77,7 +57,7 @@ func (l *Limit) Schema() *model.Schema { return l.Input.Schema() }
 // duplicate-elimination semantics, the summaries of collapsed duplicates
 // are merged so no annotation's contribution is lost or double-counted.
 type Distinct struct {
-	Input  Iterator
+	Input  Operator
 	Lookup model.AnnotationLookup
 
 	rows []*Row
@@ -88,7 +68,7 @@ type Distinct struct {
 }
 
 // NewDistinct builds the node.
-func NewDistinct(in Iterator, lookup model.AnnotationLookup) *Distinct {
+func NewDistinct(in Operator, lookup model.AnnotationLookup) *Distinct {
 	return &Distinct{Input: in, Lookup: lookup}
 }
 
@@ -104,21 +84,10 @@ func (d *Distinct) SetContext(qc *QueryCtx) {
 // buffer limit is hit.
 func (d *Distinct) Open() (err error) {
 	defer recoverOp("Distinct", &err)
-	if err := d.Input.Open(); err != nil {
-		return err
-	}
-	defer d.Input.Close()
 	budget := d.qc.Budget()
 	byKey := map[string]int{}
-	d.rows = nil
-	for {
-		row, err := d.Input.Next()
-		if err != nil {
-			return err
-		}
-		if row == nil {
-			break
-		}
+	d.rows, d.pos = nil, 0
+	return run(d.qc, d.Input, func(row *Row) error {
 		var kb strings.Builder
 		for _, v := range row.Tuple.Values {
 			kb.WriteString(v.SortKey())
@@ -130,7 +99,7 @@ func (d *Distinct) Open() (err error) {
 			merged := &Row{Tuple: prev.Tuple.ShallowWithValues(prev.Tuple.Values)}
 			merged.Tuple.Summaries = model.MergeSets(prev.Tuple.Summaries, row.Tuple.Summaries, d.Lookup)
 			d.rows[i] = merged
-			continue
+			return nil
 		}
 		rb := approxRowBytes(row)
 		if cerr := budget.ChargeBuffered("Distinct", 1, rb); cerr != nil {
@@ -140,22 +109,16 @@ func (d *Distinct) Open() (err error) {
 		d.chargedBytes += rb
 		byKey[key] = len(d.rows)
 		d.rows = append(d.rows, row)
-	}
-	d.pos = 0
-	return nil
+		return nil
+	})
 }
 
-// Next emits the next distinct row.
-func (d *Distinct) Next() (*Row, error) {
-	if err := d.qc.tick(); err != nil {
+// NextBatch emits the next distinct rows.
+func (d *Distinct) NextBatch(qc *QueryCtx) (*Batch, error) {
+	if err := qc.tick(qc.Capacity()); err != nil {
 		return nil, err
 	}
-	if d.pos >= len(d.rows) {
-		return nil, nil
-	}
-	r := d.rows[d.pos]
-	d.pos++
-	return r, nil
+	return nextRows(qc, d.rows, &d.pos), nil
 }
 
 // Close releases buffered rows and their budget charge.

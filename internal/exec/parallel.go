@@ -16,28 +16,30 @@ import (
 // merges worker results does so in partition order, so a parallel plan
 // produces byte-identical output to the serial plan it replaces.
 
-// gatherBufferRows is each worker's output channel capacity: enough to
-// keep workers busy while the coordinator drains earlier partitions,
-// small enough that a LIMIT above the Gather doesn't materialize the
-// table.
+// gatherBufferRows is about how many rows each worker may run ahead of
+// the coordinator: enough to keep workers busy while the coordinator
+// drains earlier partitions, small enough that a LIMIT above the Gather
+// doesn't materialize the table. The per-worker channel holds that many
+// rows' worth of batches at the query's capacity (at least one batch).
 const gatherBufferRows = 128
 
-// gatherMsg is one worker-to-coordinator message: a row, or a terminal
-// error. Workers signal completion by closing their channel.
+// gatherMsg is one worker-to-coordinator message: a batch, or a
+// terminal error. Workers signal completion by closing their channel.
 type gatherMsg struct {
-	row *Row
-	err error
+	batch *Batch
+	err   error
 }
 
-// Gather runs its worker iterators — each one partition of a parallel
-// plan fragment — on their own goroutines and emits their rows in
+// Gather runs its worker operators — each one partition of a parallel
+// plan fragment — on their own goroutines and emits their batches in
 // partition order: all of worker 0, then all of worker 1, and so on.
 // Because partitions are consecutive page ranges, that is exactly the
 // serial scan order, so replacing a pipeline with Gather(partitions)
-// changes performance, never results. Workers run ahead into bounded
-// buffers, so partition-ordered emission still overlaps their I/O.
+// changes performance, never results. Workers hand whole batches across
+// their channels and run ahead into bounded buffers, so
+// partition-ordered emission still overlaps their I/O.
 type Gather struct {
-	Workers []Iterator
+	Workers []Operator
 
 	schema *model.Schema
 	qc     *QueryCtx
@@ -49,8 +51,8 @@ type Gather struct {
 	failed error
 }
 
-// NewGather builds the exchange over one iterator per partition.
-func NewGather(workers []Iterator) *Gather {
+// NewGather builds the exchange over one operator per partition.
+func NewGather(workers []Operator) *Gather {
 	return &Gather{Workers: workers, schema: workers[0].Schema()}
 }
 
@@ -59,7 +61,7 @@ func NewGather(workers []Iterator) *Gather {
 // at Open, sharing the parent's budget.
 func (g *Gather) SetContext(qc *QueryCtx) { g.qc = qc }
 
-// Open spawns the worker pool. Each worker drives its iterator to
+// Open spawns the worker pool. Each worker drives its operator to
 // completion (or first error) on its own goroutine, under a child
 // context cancelled when the Gather closes or any sibling fails.
 func (g *Gather) Open() (err error) {
@@ -72,27 +74,30 @@ func (g *Gather) Open() (err error) {
 	g.chans = make([]chan gatherMsg, len(g.Workers))
 	g.cur = 0
 	g.failed = nil
+	depth := max(1, gatherBufferRows/g.qc.Capacity())
 	for i, w := range g.Workers {
-		out := make(chan gatherMsg, gatherBufferRows)
+		out := make(chan gatherMsg, depth)
 		g.chans[i] = out
-		SetIterContext(w, g.qc.Child(ctx))
+		wqc := g.qc.Child(ctx)
+		SetIterContext(w, wqc)
 		g.wg.Add(1)
-		go func(w Iterator, out chan gatherMsg) {
+		go func(w Operator, out chan gatherMsg) {
 			defer g.wg.Done()
-			driveWorker(ctx, w, out, cancel)
+			driveWorker(wqc, w, out, cancel)
 		}(w, out)
 	}
 	return nil
 }
 
-// driveWorker runs one worker iterator to completion, streaming rows
-// into out. The channel is closed on exit; a terminal error is sent
-// first (and cancels the siblings). Panics inside the worker's
+// driveWorker runs one worker operator to completion, streaming its
+// batches into out. The channel is closed on exit; a terminal error is
+// sent first (and cancels the siblings). Panics inside the worker's
 // operators are already converted to errors by their own recoverOp
 // guards; the outer guard here catches anything escaping the drive
 // loop itself so a worker can never crash the process.
-func driveWorker(ctx context.Context, w Iterator, out chan<- gatherMsg, cancel context.CancelFunc) {
+func driveWorker(qc *QueryCtx, w Operator, out chan<- gatherMsg, cancel context.CancelFunc) {
 	defer close(out)
+	ctx := qc.Context()
 	err := func() (err error) {
 		defer recoverOp("ParallelWorker", &err)
 		if err := w.Open(); err != nil {
@@ -101,16 +106,14 @@ func driveWorker(ctx context.Context, w Iterator, out chan<- gatherMsg, cancel c
 		}
 		defer w.Close()
 		for {
-			row, err := w.Next()
-			if err != nil {
+			b, err := w.NextBatch(qc)
+			if err != nil || b == nil {
 				return err
 			}
-			if row == nil {
-				return nil
-			}
 			select {
-			case out <- gatherMsg{row: row}:
+			case out <- gatherMsg{batch: b}:
 			case <-ctx.Done():
+				b.Release()
 				return ctx.Err()
 			}
 		}
@@ -120,16 +123,16 @@ func driveWorker(ctx context.Context, w Iterator, out chan<- gatherMsg, cancel c
 		select {
 		case out <- gatherMsg{err: err}:
 		default:
-			// Buffer full of unread rows: the coordinator is gone or
+			// Buffer full of unread batches: the coordinator is gone or
 			// failing anyway; the cancelled context carries the signal.
 		}
 	}
 }
 
-// Next emits the next row in partition order.
-func (g *Gather) Next() (row *Row, err error) {
+// NextBatch emits the next batch in partition order.
+func (g *Gather) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("Gather", &err)
-	if err := g.qc.tick(); err != nil {
+	if err := qc.tick(qc.Capacity()); err != nil {
 		return nil, err
 	}
 	if g.failed != nil {
@@ -149,15 +152,14 @@ func (g *Gather) Next() (row *Row, err error) {
 			g.failed = msg.err
 			for _, ch := range g.chans[g.cur:] {
 				for m := range ch {
-					if m.err != nil && isCancellation(g.failed) && !isCancellation(m.err) {
-						g.failed = m.err
-					}
+					m.batch.Release()
+					g.failed = firstError(g.failed, m.err)
 				}
 			}
 			g.cur = len(g.chans)
 			return nil, g.failed
 		}
-		return msg.row, nil
+		return msg.batch, nil
 	}
 	return nil, nil
 }
@@ -165,6 +167,16 @@ func (g *Gather) Next() (row *Row, err error) {
 // isCancellation reports whether err is (or wraps) a context error.
 func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// firstError picks which of two worker errors to report: the earlier
+// one, unless it is only the cancellation a failing sibling induced and
+// the later one is the substantive cause.
+func firstError(first, next error) error {
+	if first == nil || (next != nil && isCancellation(first) && !isCancellation(next)) {
+		return next
+	}
+	return first
 }
 
 // Close cancels the workers and waits for the pool to drain, so no
@@ -184,154 +196,38 @@ func (g *Gather) Close() error {
 // Schema returns the (shared) worker schema.
 func (g *Gather) Schema() *model.Schema { return g.schema }
 
-// openParallel drains every worker partition into a private groupAcc on
-// its own goroutine, then merges the partial aggregates in partition
-// order — the parallel partial/final aggregation path. The merge
-// releases duplicate group charges, so after Open the budget holds
-// exactly one charge per distinct group, as in the serial plan.
-func (g *GroupBy) openParallel() error {
-	ctx, cancel := context.WithCancel(g.qc.Context())
+// runPartitions is the parallel open path of the pipeline breakers
+// (GroupBy partial aggregation, HashJoin partitioned build): it runs
+// every partition operator to completion on its own goroutine under a
+// derived per-worker lifecycle, handing partition i's rows to sink(i,
+// row) on that goroutine — so sink must keep per-partition state — and
+// returns once all have exited. The first failure cancels the sibling
+// partitions; the error reported is the substantive one, not the
+// cancellation it induced.
+func runPartitions(qc *QueryCtx, parts []Operator, sink func(i int, row *Row) error) error {
+	ctx, cancel := context.WithCancel(qc.Context())
 	defer cancel()
-	accs := make([]*groupAcc, len(g.Workers))
-	errs := make([]error, len(g.Workers))
+	errs := make([]error, len(parts))
 	var wg sync.WaitGroup
-	for i, w := range g.Workers {
-		acc := newGroupAcc(w.Schema(), g.Keys, g.Aggs, g.Lookup, g.qc.Budget())
-		accs[i] = acc
-		SetIterContext(w, g.qc.Child(ctx))
+	for i, p := range parts {
+		wqc := qc.Child(ctx)
+		SetIterContext(p, wqc)
 		wg.Add(1)
-		go func(i int, w Iterator, acc *groupAcc) {
+		go func(i int, p Operator) {
 			defer wg.Done()
 			errs[i] = func() (err error) {
 				defer recoverOp("ParallelWorker", &err)
-				if err := w.Open(); err != nil {
-					w.Close()
-					return err
-				}
-				defer w.Close()
-				for {
-					row, err := w.Next()
-					if err != nil {
-						return err
-					}
-					if row == nil {
-						return nil
-					}
-					if err := acc.add(row); err != nil {
-						return err
-					}
-				}
+				return run(wqc, p, func(row *Row) error { return sink(i, row) })
 			}()
 			if errs[i] != nil {
 				cancel() // stop the sibling partitions early
 			}
-		}(i, w, acc)
+		}(i, p)
 	}
 	wg.Wait()
-
-	// Account every worker's committed charges before anything else, so
-	// Close releases them all even on a failed open.
-	var firstErr error
-	for i := range accs {
-		g.chargedRows += accs[i].chargedRows
-		g.chargedBytes += accs[i].chargedBytes
-		if errs[i] != nil && (firstErr == nil || (isCancellation(firstErr) && !isCancellation(errs[i]))) {
-			firstErr = errs[i]
-		}
+	var first error
+	for _, err := range errs {
+		first = firstError(first, err)
 	}
-	if firstErr != nil {
-		return firstErr
-	}
-	merged := accs[0]
-	for _, acc := range accs[1:] {
-		merged.mergeFrom(acc)
-	}
-	// mergeFrom released duplicate-group charges; resync the books.
-	g.chargedRows, g.chargedBytes = merged.chargedRows, merged.chargedBytes
-	g.groups = merged.states()
-	g.pos = 0
-	return nil
-}
-
-// openParallelBuild hashes the build side partition-parallel: each
-// build iterator is drained by its own goroutine into a private
-// (rows, keys) run, and the runs are folded into one hash table in
-// partition order — per-key row order therefore matches a serial
-// build of the same input.
-func (j *HashJoin) openParallelBuild() error {
-	ctx, cancel := context.WithCancel(j.qc.Context())
-	defer cancel()
-	type buildRun struct {
-		rows                      []*Row
-		keys                      []string
-		chargedRows, chargedBytes int64
-	}
-	runs := make([]buildRun, len(j.Builds))
-	errs := make([]error, len(j.Builds))
-	budget := j.qc.Budget()
-	var wg sync.WaitGroup
-	for i, b := range j.Builds {
-		SetIterContext(b, j.qc.Child(ctx))
-		wg.Add(1)
-		go func(i int, b Iterator) {
-			defer wg.Done()
-			ev := &Evaluator{Schema: b.Schema(), Lookup: j.Lookup}
-			run := &runs[i]
-			errs[i] = func() (err error) {
-				defer recoverOp("ParallelWorker", &err)
-				if err := b.Open(); err != nil {
-					b.Close()
-					return err
-				}
-				defer b.Close()
-				for {
-					row, err := b.Next()
-					if err != nil {
-						return err
-					}
-					if row == nil {
-						return nil
-					}
-					key, err := ev.Eval(j.RightKey, row)
-					if err != nil {
-						return err
-					}
-					if key.IsNull() {
-						continue // NULL keys never join
-					}
-					rb := approxRowBytes(row)
-					if cerr := budget.ChargeBuffered("HashJoin", 1, rb); cerr != nil {
-						return cerr
-					}
-					run.chargedRows++
-					run.chargedBytes += rb
-					run.rows = append(run.rows, row)
-					run.keys = append(run.keys, hashKey(key))
-				}
-			}()
-			if errs[i] != nil {
-				cancel() // stop the sibling partitions early
-			}
-		}(i, b)
-	}
-	wg.Wait()
-
-	var firstErr error
-	for i := range runs {
-		j.chargedRows += runs[i].chargedRows
-		j.chargedBytes += runs[i].chargedBytes
-		if errs[i] != nil && (firstErr == nil || (isCancellation(firstErr) && !isCancellation(errs[i]))) {
-			firstErr = errs[i]
-		}
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	j.table = make(map[string][]*Row)
-	for i := range runs {
-		for k, row := range runs[i].rows {
-			j.table[runs[i].keys[k]] = append(j.table[runs[i].keys[k]], row)
-		}
-	}
-	return nil
+	return first
 }

@@ -15,8 +15,8 @@ import (
 // partitionedScans builds one page-range-partitioned SeqScan per worker
 // over the fixture's R table, as the compiler would for a Gather
 // fragment of dop workers.
-func partitionedScans(f *opsFixture, dop int, propagate bool) []Iterator {
-	workers := make([]Iterator, dop)
+func partitionedScans(f *opsFixture, dop int, propagate bool) []Operator {
+	workers := make([]Operator, dop)
 	for i := range workers {
 		s := NewSeqScan(f.r, "r", propagate)
 		s.Part = PartitionSpec{Index: i, Of: dop}
@@ -30,12 +30,12 @@ func rowKey(r *Row) string { return r.Tuple.String() + " " + r.Tuple.Summaries.S
 
 func TestGatherMatchesSerialScan(t *testing.T) {
 	f := newOpsFixture(t, 40, 0) // PageCap 8 -> 5 pages
-	serial, err := Collect(NewSeqScan(f.r, "r", true))
+	serial, err := Collect(nil, NewSeqScan(f.r, "r", true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, dop := range []int{1, 2, 3, 5, 8} {
-		par, err := Collect(NewGather(partitionedScans(f, dop, true)))
+		par, err := Collect(nil, NewGather(partitionedScans(f, dop, true)))
 		if err != nil {
 			t.Fatalf("dop %d: %v", dop, err)
 		}
@@ -53,7 +53,7 @@ func TestGatherMatchesSerialScan(t *testing.T) {
 func TestGatherWithFilterPipeline(t *testing.T) {
 	f := newOpsFixture(t, 40, 0)
 	pred := "r.a > 10"
-	serial, err := Collect(NewFilter(NewSeqScan(f.r, "r", false), mustExpr(t, pred), nil))
+	serial, err := Collect(nil, NewFilter(NewSeqScan(f.r, "r", false), mustExpr(t, pred), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestGatherWithFilterPipeline(t *testing.T) {
 	for i, w := range workers {
 		workers[i] = NewFilter(w, mustExpr(t, pred), nil)
 	}
-	par, err := Collect(NewGather(workers))
+	par, err := Collect(nil, NewGather(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,12 +87,12 @@ func TestParallelGroupByMatchesSerial(t *testing.T) {
 			{Func: "avg", Arg: mustExpr(t, "r.a"), Name: "mean"},
 		}
 	}
-	serial, err := Collect(NewGroupBy(NewSeqScan(f.r, "r", true), keys(), aggs(), nil))
+	serial, err := Collect(nil, NewGroupBy(NewSeqScan(f.r, "r", true), keys(), aggs(), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, dop := range []int{2, 3, 5} {
-		par, err := Collect(NewParallelGroupBy(partitionedScans(f, dop, true), keys(), aggs(), nil))
+		par, err := Collect(nil, NewParallelGroupBy(partitionedScans(f, dop, true), keys(), aggs(), nil))
 		if err != nil {
 			t.Fatalf("dop %d: %v", dop, err)
 		}
@@ -111,19 +111,19 @@ func TestParallelGroupByMatchesSerial(t *testing.T) {
 
 func TestParallelHashJoinMatchesSerial(t *testing.T) {
 	f := newOpsFixture(t, 9, 40)
-	serial, err := Collect(NewHashJoin(NewSeqScan(f.r, "r", true), NewSeqScan(f.s, "s", true),
+	serial, err := Collect(nil, NewHashJoin(NewSeqScan(f.r, "r", true), NewSeqScan(f.s, "s", true),
 		mustExpr(t, "r.a"), mustExpr(t, "s.x"), nil, true, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, dop := range []int{2, 3, 5} {
-		builds := make([]Iterator, dop)
+		builds := make([]Operator, dop)
 		for i := range builds {
 			b := NewSeqScan(f.s, "s", true)
 			b.Part = PartitionSpec{Index: i, Of: dop}
 			builds[i] = b
 		}
-		par, err := Collect(NewParallelHashJoin(NewSeqScan(f.r, "r", true), builds,
+		par, err := Collect(nil, NewParallelHashJoin(NewSeqScan(f.r, "r", true), builds,
 			mustExpr(t, "r.a"), mustExpr(t, "s.x"), nil, true, nil))
 		if err != nil {
 			t.Fatalf("dop %d: %v", dop, err)
@@ -143,22 +143,26 @@ func TestParallelHashJoinMatchesSerial(t *testing.T) {
 
 // failingWorkerIter yields n rows from its child, then fails (or panics).
 type failingWorkerIter struct {
-	child Iterator
+	child Operator
 	n     int
 	panic bool
 	seen  int
 }
 
-func (e *failingWorkerIter) Open() error { e.seen = 0; return e.child.Open() }
-func (e *failingWorkerIter) Next() (*Row, error) {
+func (e *failingWorkerIter) Open() error             { e.seen = 0; return e.child.Open() }
+func (e *failingWorkerIter) SetContext(qc *QueryCtx) { SetIterContext(e.child, qc) }
+func (e *failingWorkerIter) NextBatch(qc *QueryCtx) (*Batch, error) {
 	if e.seen >= e.n {
 		if e.panic {
 			panic("worker exploded")
 		}
 		return nil, errors.New("worker failed")
 	}
-	e.seen++
-	return e.child.Next()
+	b, err := e.child.NextBatch(qc)
+	if b != nil {
+		e.seen += b.Len()
+	}
+	return b, err
 }
 func (e *failingWorkerIter) Close() error          { return e.child.Close() }
 func (e *failingWorkerIter) Schema() *model.Schema { return e.child.Schema() }
@@ -167,7 +171,7 @@ func TestGatherWorkerErrorPropagates(t *testing.T) {
 	f := newOpsFixture(t, 40, 0)
 	workers := partitionedScans(f, 3, false)
 	workers[2] = &failingWorkerIter{child: workers[2], n: 2}
-	_, err := Collect(NewGather(workers))
+	_, err := Collect(nil, NewGather(workers))
 	if err == nil || !strings.Contains(err.Error(), "worker failed") {
 		t.Fatalf("err = %v", err)
 	}
@@ -177,7 +181,7 @@ func TestGatherWorkerPanicIsolated(t *testing.T) {
 	f := newOpsFixture(t, 40, 0)
 	workers := partitionedScans(f, 3, false)
 	workers[0] = &failingWorkerIter{child: workers[0], n: 1, panic: true}
-	_, err := Collect(NewGather(workers))
+	_, err := Collect(nil, NewGather(workers))
 	var oe *OpError
 	if !errors.As(err, &oe) {
 		t.Fatalf("want *OpError, got %v", err)
@@ -194,8 +198,7 @@ func TestParallelGroupByWorkerErrorPropagates(t *testing.T) {
 	g := NewParallelGroupBy(workers, []sql.Expr{mustExpr(t, "r.a / 7")},
 		[]AggSpec{{Func: "count", Star: true, Name: "cnt"}}, nil)
 	budget := NewBudget(1000, 0, 0)
-	SetIterContext(g, NewQueryCtx(context.Background(), budget))
-	_, err := Collect(g)
+	_, err := Collect(NewQueryCtx(context.Background(), budget, 1), g)
 	if err == nil || !strings.Contains(err.Error(), "worker failed") {
 		t.Fatalf("err = %v", err)
 	}
@@ -208,7 +211,7 @@ func TestParallelGroupByWorkerErrorPropagates(t *testing.T) {
 
 func TestParallelBuildBudgetRelease(t *testing.T) {
 	f := newOpsFixture(t, 9, 40)
-	builds := make([]Iterator, 3)
+	builds := make([]Operator, 3)
 	for i := range builds {
 		b := NewSeqScan(f.s, "s", false)
 		b.Part = PartitionSpec{Index: i, Of: 3}
@@ -217,8 +220,7 @@ func TestParallelBuildBudgetRelease(t *testing.T) {
 	j := NewParallelHashJoin(NewSeqScan(f.r, "r", false), builds,
 		mustExpr(t, "r.a"), mustExpr(t, "s.x"), nil, false, nil)
 	budget := NewBudget(10, 0, 0) // build side is 40 rows
-	SetIterContext(j, NewQueryCtx(context.Background(), budget))
-	_, err := Collect(j)
+	_, err := Collect(NewQueryCtx(context.Background(), budget, 1), j)
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v", err)
 	}
@@ -231,18 +233,20 @@ func TestGatherCancellation(t *testing.T) {
 	f := newOpsFixture(t, 40, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	g := NewGather(partitionedScans(f, 3, false))
-	SetIterContext(g, NewQueryCtx(ctx, nil))
+	qc := NewQueryCtx(ctx, nil, 1)
+	SetIterContext(g, qc)
 	if err := g.Open(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Next(); err != nil {
+	if _, err := g.NextBatch(qc); err != nil {
 		t.Fatal(err)
 	}
 	cancel()
-	// The per-row tick polls every tickEvery rows; drive until it trips.
+	// At capacity 1 the tick polls every tickEvery rows; drive until it
+	// trips.
 	var err error
 	for i := 0; i < 10*tickEvery; i++ {
-		if _, err = g.Next(); err != nil {
+		if _, err = g.NextBatch(qc); err != nil {
 			break
 		}
 	}
@@ -318,7 +322,7 @@ func TestBudgetConcurrentHammer(t *testing.T) {
 // with -race.
 func TestQueryCtxConcurrentTicks(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	qc := NewQueryCtx(ctx, nil)
+	qc := NewQueryCtx(ctx, nil, 1)
 	var wg sync.WaitGroup
 	errCh := make(chan error, 8)
 	for w := 0; w < 8; w++ {
@@ -326,7 +330,7 @@ func TestQueryCtxConcurrentTicks(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; ; i++ {
-				if err := qc.tick(); err != nil {
+				if err := qc.tick(1); err != nil {
 					errCh <- err
 					return
 				}

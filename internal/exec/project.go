@@ -7,41 +7,38 @@ import (
 	"repro/internal/sql"
 )
 
+// projectSlabRows caps how many output rows Project carves from one
+// slab refill (three allocations per slab instead of three per row; see
+// the Operator ownership rule — carved storage is handed to the
+// consumer and never reused).
+const projectSlabRows = 256
+
 // Project evaluates projection expressions into a new row. Summary sets
 // pass through unchanged: per Theorems 1–2 of the original InsightNotes
 // paper, the elimination of projected-out annotations' effects happens
 // once, below all merges, in SummaryEffectProject — later projections
 // are pure column manipulation (the paper's Figure 3, step 4).
-// projectSlabRows is how many output rows the row-at-a-time path carves
-// from one slab refill (three allocations per 256 rows instead of three
-// per row; see the Iterator ownership rule — carved storage is handed
-// to the consumer and never reused).
-const projectSlabRows = 256
-
 type Project struct {
-	Input  Iterator
+	Input  Operator
 	Exprs  []sql.Expr
 	Out    *model.Schema
 	Lookup model.AnnotationLookup
-	// BatchSize > 1 means the compiler drives this projection through
-	// NextBatch; Next() is unaffected either way.
-	BatchSize int
 
-	ev     *Evaluator
-	bin    BatchOperator
-	bounds []boundExpr
+	bounds []boundValue
 	qc     *QueryCtx
 
-	// Row-mode output slab (amortized allocation; storage still escapes
-	// to the consumer, only the allocation is batched).
+	// Output slab (amortized allocation; storage still escapes to the
+	// consumer, only the allocation is batched). batchLeft counts the
+	// rows of the batch in flight that still need storage.
 	slabRows   []Row
 	slabTuples []model.Tuple
 	slabVals   []model.Value
 	slabPos    int
+	batchLeft  int
 }
 
 // NewProject builds a projection with a pre-computed output schema.
-func NewProject(in Iterator, exprs []sql.Expr, out *model.Schema, lookup model.AnnotationLookup) *Project {
+func NewProject(in Operator, exprs []sql.Expr, out *model.Schema, lookup model.AnnotationLookup) *Project {
 	return &Project{Input: in, Exprs: exprs, Out: out, Lookup: lookup}
 }
 
@@ -51,47 +48,41 @@ func (p *Project) SetContext(qc *QueryCtx) {
 	SetIterContext(p.Input, qc)
 }
 
-// Open opens the input.
+// Open binds the projection expressions and opens the input.
 func (p *Project) Open() (err error) {
 	defer recoverOp("Project", &err)
-	p.ev = &Evaluator{Schema: p.Input.Schema(), Lookup: p.Lookup}
+	p.bounds = (&Evaluator{Schema: p.Input.Schema(), Lookup: p.Lookup}).bindValues(p.Exprs)
 	p.slabRows, p.slabTuples, p.slabVals, p.slabPos = nil, nil, nil, 0
-	if p.BatchSize > 1 {
-		p.bin = ToBatch(p.Input, p.BatchSize)
-		p.bounds = make([]boundExpr, len(p.Exprs))
-		for i, e := range p.Exprs {
-			p.bounds[i] = p.ev.Bind(e)
-		}
-	}
 	return p.Input.Open()
 }
 
-// carve returns storage for one output row from the operator's slab,
-// refilling it in projectSlabRows blocks. Carved storage belongs to the
-// consumer and is never written again by this operator.
+// carve returns storage for one output row from the operator's slab. A
+// refill covers the rest of the batch in flight, or double the previous
+// slab up to projectSlabRows when that is more — so a five-row result
+// allocates five rows, a large batch allocates once, and a capacity-1
+// stream still amortizes to a few allocations per 256 rows. Carved
+// storage belongs to the consumer and is never written again by this
+// operator.
 func (p *Project) carve() (*Row, *model.Tuple, []model.Value) {
 	k := len(p.Exprs)
 	if p.slabPos >= len(p.slabRows) {
-		p.slabRows = make([]Row, projectSlabRows)
-		p.slabTuples = make([]model.Tuple, projectSlabRows)
-		p.slabVals = make([]model.Value, projectSlabRows*k)
+		n := max(p.batchLeft, min(2*len(p.slabRows), projectSlabRows))
+		p.slabRows = make([]Row, n)
+		p.slabTuples = make([]model.Tuple, n)
+		p.slabVals = make([]model.Value, n*k)
 		p.slabPos = 0
 	}
 	i := p.slabPos
 	p.slabPos++
+	p.batchLeft--
 	return &p.slabRows[i], &p.slabTuples[i], p.slabVals[i*k : (i+1)*k : (i+1)*k]
 }
 
-// Next projects the next row.
-func (p *Project) Next() (res *Row, err error) {
-	defer recoverOp("Project", &err)
-	row, err := p.Input.Next()
-	if err != nil || row == nil {
-		return nil, err
-	}
+// apply projects one row into storage carved from the slab.
+func (p *Project) apply(row *Row) (*Row, error) {
 	out, tup, values := p.carve()
-	for i, e := range p.Exprs {
-		v, err := p.ev.Eval(e, row)
+	for i, be := range p.bounds {
+		v, err := be(row)
 		if err != nil {
 			return nil, err
 		}
@@ -102,42 +93,18 @@ func (p *Project) Next() (res *Row, err error) {
 	return out, nil
 }
 
-// NextBatch projects a whole input batch with pre-bound expressions,
-// writing outputs into per-batch slabs and refilling the same container
+// NextBatch projects a whole input batch, refilling the same container
 // densely (consuming any selection vector).
 func (p *Project) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("Project", &err)
-	b, err = p.bin.NextBatch(qc)
+	b, err = p.Input.NextBatch(qc)
 	if err != nil || b == nil {
 		return nil, err
 	}
-	n := b.Len()
-	k := len(p.Exprs)
-	vals := make([]model.Value, n*k)
-	tuples := make([]model.Tuple, n)
-	rows := make([]Row, n)
-	for i := 0; i < n; i++ {
-		row := b.Row(i)
-		vs := vals[i*k : (i+1)*k : (i+1)*k]
-		for j, be := range p.bounds {
-			r, err := be(row)
-			if err != nil {
-				b.Release()
-				return nil, err
-			}
-			v, err := resolveValue(p.Exprs[j], r)
-			if err != nil {
-				b.Release()
-				return nil, err
-			}
-			vs[j] = v
-		}
-		tuples[i] = model.Tuple{OID: row.Tuple.OID, Values: vs, Summaries: row.Tuple.Summaries}
-		rows[i] = Row{Tuple: &tuples[i], AliasSets: row.AliasSets}
-	}
-	b.Reset()
-	for i := range rows {
-		b.Append(&rows[i])
+	p.batchLeft = b.Len()
+	if err := transformBatch(b, p.apply); err != nil {
+		b.Release()
+		return nil, err
 	}
 	return b, nil
 }
@@ -155,19 +122,15 @@ func (p *Project) Schema() *model.Schema { return p.Out }
 // decrement, snippets of dropped annotations disappear, and cluster
 // groups shrink with representative re-election.
 type SummaryEffectProject struct {
-	Input Iterator
+	Input Operator
 	// KeptColumns is the lower-cased set of this table's columns the
 	// query references anywhere (projection, predicates, joins, sort).
 	KeptColumns map[string]bool
 	// Annotations fetches a tuple's raw annotations.
 	Annotations func(tupleOID int64) []*model.Annotation
 	Lookup      model.AnnotationLookup
-	// BatchSize > 1 means the compiler drives this node through
-	// NextBatch; Next() is unaffected either way.
-	BatchSize int
 
-	bin BatchOperator
-	qc  *QueryCtx
+	qc *QueryCtx
 }
 
 // SetContext installs the per-query lifecycle and forwards it below.
@@ -178,7 +141,7 @@ func (p *SummaryEffectProject) SetContext(qc *QueryCtx) {
 
 // NewSummaryEffectProject builds the node. keptColumns are matched
 // case-insensitively.
-func NewSummaryEffectProject(in Iterator, keptColumns []string,
+func NewSummaryEffectProject(in Operator, keptColumns []string,
 	annotations func(int64) []*model.Annotation, lookup model.AnnotationLookup) *SummaryEffectProject {
 	kept := make(map[string]bool, len(keptColumns))
 	for _, c := range keptColumns {
@@ -189,19 +152,14 @@ func NewSummaryEffectProject(in Iterator, keptColumns []string,
 }
 
 // Open opens the input.
-func (p *SummaryEffectProject) Open() error {
-	if p.BatchSize > 1 {
-		p.bin = ToBatch(p.Input, p.BatchSize)
-	}
-	return p.Input.Open()
-}
+func (p *SummaryEffectProject) Open() error { return p.Input.Open() }
 
 // apply rewrites one row's summaries, returning the input row unchanged
 // when it carries none.
-func (p *SummaryEffectProject) apply(row *Row) *Row {
+func (p *SummaryEffectProject) apply(row *Row) (*Row, error) {
 	set := row.Tuple.Summaries
 	if set == nil {
-		return row
+		return row, nil
 	}
 	surviving := make(map[int64]bool)
 	for _, a := range p.Annotations(row.Tuple.OID) {
@@ -218,29 +176,18 @@ func (p *SummaryEffectProject) apply(row *Row) *Row {
 			out.AliasSets[alias] = projected
 		}
 	}
-	return out
-}
-
-// Next rewrites the next row's summaries.
-func (p *SummaryEffectProject) Next() (res *Row, err error) {
-	defer recoverOp("SummaryEffectProject", &err)
-	row, err := p.Input.Next()
-	if err != nil || row == nil {
-		return nil, err
-	}
-	return p.apply(row), nil
+	return out, nil
 }
 
 // NextBatch rewrites each live row's summaries in place in the consumed
 // batch's container.
 func (p *SummaryEffectProject) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("SummaryEffectProject", &err)
-	b, err = p.bin.NextBatch(qc)
+	b, err = p.Input.NextBatch(qc)
 	if err != nil || b == nil {
 		return nil, err
 	}
-	transformBatch(b, p.apply)
-	return b, nil
+	return b, transformBatch(b, p.apply)
 }
 
 // Close closes the input.

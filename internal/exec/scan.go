@@ -26,9 +26,6 @@ type SeqScan struct {
 	Alias     string
 	Propagate bool
 	Part      PartitionSpec
-	// BatchSize > 1 means the compiler drives this scan through
-	// NextBatch; Next() is unaffected either way.
-	BatchSize int
 
 	schema *model.Schema
 	cursor *heap.Cursor[[]model.Value]
@@ -64,50 +61,29 @@ func (s *SeqScan) Open() (err error) {
 	return nil
 }
 
-// Next returns the next tuple.
-func (s *SeqScan) Next() (row *Row, err error) {
-	defer recoverOp("SeqScan", &err)
-	if err := s.qc.tick(); err != nil {
-		return nil, err
-	}
-	_, oid, values, ok := s.cursor.Next()
-	if !ok {
-		return nil, nil
-	}
-	t := &model.Tuple{OID: oid, Values: values}
-	if s.Propagate {
-		t.Summaries = s.Table.GetSummaries(oid)
-	}
-	return &Row{Tuple: t, AliasSets: aliasSet(s.Alias, t.Summaries)}, nil
-}
-
 // NextBatch fills a row vector from the cursor. Row and Tuple storage
 // is carved from two per-batch slabs (two allocations per batch instead
 // of two per row), and the per-alias summary map is skipped entirely
 // for rows without summaries — SetFor falls back to Tuple.Summaries,
-// which is observationally identical. Cancellation is polled once per
-// batch; the deferred panic trap is likewise paid once per batch.
+// which is observationally identical. Cancellation is polled and the
+// deferred panic trap paid once per batch.
 func (s *SeqScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("SeqScan", &err)
-	if err := qc.check(); err != nil {
+	size := qc.Capacity()
+	if err := qc.tick(size); err != nil {
 		return nil, err
 	}
-	size := s.BatchSize
-	if size <= 1 {
-		size = DefaultBatchSize
-	}
-	b = GetBatch(size)
 	var rows []Row
 	var tuples []model.Tuple
-	n := 0
-	for n < size {
+	for n := 0; n < size; n++ {
 		_, oid, values, ok := s.cursor.Next()
 		if !ok {
 			break
 		}
-		if rows == nil {
-			// Lazily carve the slabs so the terminal empty batch costs
-			// nothing.
+		if b == nil {
+			// Lazily take the container and carve the slabs so the
+			// terminal empty call costs nothing.
+			b = GetBatch(size)
 			rows = make([]Row, size)
 			tuples = make([]model.Tuple, size)
 		}
@@ -120,11 +96,6 @@ func (s *SeqScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 			r.AliasSets = aliasSet(s.Alias, t.Summaries)
 		}
 		b.Append(r)
-		n++
-	}
-	if n == 0 {
-		b.Release()
-		return nil, nil
 	}
 	return b, nil
 }

@@ -25,7 +25,7 @@ type SortKey struct {
 // streams a k-way merge — the paper's memory/disk sort implementation
 // choices (Figure 14's Mem and Disk cases).
 type Sort struct {
-	Input  Iterator
+	Input  Operator
 	Keys   []SortKey
 	Mem    bool
 	RunLen int // rows per external run (default 1024)
@@ -58,12 +58,12 @@ func (s *Sort) SetContext(qc *QueryCtx) {
 func (s *Sort) Spilled() bool { return s.spilled }
 
 // NewSort builds an in-memory sort.
-func NewSort(in Iterator, keys []SortKey, lookup model.AnnotationLookup) *Sort {
+func NewSort(in Operator, keys []SortKey, lookup model.AnnotationLookup) *Sort {
 	return &Sort{Input: in, Keys: keys, Mem: true, Lookup: lookup}
 }
 
 // NewExternalSort builds a disk-based external merge sort.
-func NewExternalSort(in Iterator, keys []SortKey, runLen int, lookup model.AnnotationLookup) *Sort {
+func NewExternalSort(in Operator, keys []SortKey, runLen int, lookup model.AnnotationLookup) *Sort {
 	if runLen <= 0 {
 		runLen = 1024
 	}
@@ -75,18 +75,6 @@ func NewExternalSort(in Iterator, keys []SortKey, runLen int, lookup model.Annot
 type keyedRow struct {
 	Keys []model.Value
 	Row  *Row
-}
-
-func (s *Sort) computeKeys(ev *Evaluator, row *Row) ([]model.Value, error) {
-	keys := make([]model.Value, len(s.Keys))
-	for i, k := range s.Keys {
-		v, err := ev.Eval(k.Expr, row)
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = v
-	}
-	return keys, nil
 }
 
 // lessKeys orders two key vectors under the configured directions.
@@ -125,11 +113,11 @@ func (s *Sort) Open() (err error) {
 	if err := s.qc.check(); err != nil {
 		return err
 	}
-	ev := &Evaluator{Schema: s.Input.Schema(), Lookup: s.Lookup}
-	if err := s.Input.Open(); err != nil {
-		return err
+	keyExprs := make([]sql.Expr, len(s.Keys))
+	for i, k := range s.Keys {
+		keyExprs[i] = k.Expr
 	}
-	defer s.Input.Close()
+	boundKeys := (&Evaluator{Schema: s.Input.Schema(), Lookup: s.Lookup}).bindValues(keyExprs)
 
 	budget := s.qc.Budget()
 	mem := s.Mem
@@ -186,15 +174,8 @@ func (s *Sort) Open() (err error) {
 		return nil
 	}
 
-	for {
-		row, err := s.Input.Next()
-		if err != nil {
-			return err
-		}
-		if row == nil {
-			break
-		}
-		keys, err := s.computeKeys(ev, row)
+	err = run(s.qc, s.Input, func(row *Row) error {
+		keys, err := evalValues(boundKeys, row)
 		if err != nil {
 			return err
 		}
@@ -216,10 +197,12 @@ func (s *Sort) Open() (err error) {
 		buf = append(buf, keyedRow{Keys: keys, Row: row})
 		bufBytes += rb
 		if !mem && len(buf) >= runLen {
-			if err := flush(); err != nil {
-				return err
-			}
+			return flush()
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 
 	if mem && len(s.runs) == 0 {
@@ -248,30 +231,27 @@ func (s *Sort) Open() (err error) {
 	return nil
 }
 
-// Next returns the next row in order.
-func (s *Sort) Next() (*Row, error) {
-	if err := s.qc.tick(); err != nil {
+// NextBatch returns the next rows in order: a slice of the sorted
+// buffer, or up to a batch's worth popped off the k-way merge.
+func (s *Sort) NextBatch(qc *QueryCtx) (*Batch, error) {
+	size := qc.Capacity()
+	if err := qc.tick(size); err != nil {
 		return nil, err
 	}
 	if s.merger == nil {
-		if s.pos >= len(s.rows) {
-			return nil, nil
+		return nextRows(qc, s.rows, &s.pos), nil
+	}
+	b := GetBatch(size)
+	for b.Len() < size && s.merger.Len() > 0 {
+		top := s.merger.items[0]
+		b.Append(top.cur.Row)
+		if top.advance() {
+			heap.Fix(s.merger, 0)
+		} else {
+			heap.Pop(s.merger)
 		}
-		r := s.rows[s.pos]
-		s.pos++
-		return r, nil
 	}
-	if s.merger.Len() == 0 {
-		return nil, nil
-	}
-	top := s.merger.items[0]
-	row := top.cur.Row
-	if top.advance() {
-		heap.Fix(s.merger, 0)
-	} else {
-		heap.Pop(s.merger)
-	}
-	return row, nil
+	return nonEmpty(b), nil
 }
 
 // cleanup removes spilled run files and returns every outstanding

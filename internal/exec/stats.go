@@ -13,11 +13,11 @@ import (
 // per-operator stats recorder attached by wrapping each physical
 // operator in a statsIter. The non-ANALYZE path never allocates a
 // wrapper, so ordinary queries pay nothing; an ANALYZE run pays two
-// accountant snapshots (a handful of atomic loads) per Volcano call.
+// accountant snapshots (a handful of atomic loads) per operator call.
 
 // OpStats accumulates one operator's runtime metrics. All figures are
-// inclusive of the operator's children — the Volcano protocol means a
-// parent's Next() drives its subtree — mirroring how EXPLAIN ANALYZE
+// inclusive of the operator's children — a parent's NextBatch drives
+// its subtree — mirroring how EXPLAIN ANALYZE
 // reports actual time in mainstream engines. Exclusive ("self") numbers
 // are derived at render time by subtracting child totals.
 type OpStats struct {
@@ -26,9 +26,10 @@ type OpStats struct {
 
 	// Opens counts Open calls (rescans re-open; 1 for ordinary plans).
 	Opens int64
-	// NextCalls counts Next invocations, including the final EOS call.
+	// NextCalls counts NextBatch invocations, including the final EOS
+	// call (at capacity 1 that is one per row, plus one).
 	NextCalls int64
-	// Rows counts non-nil rows emitted.
+	// Rows counts the live rows of every batch emitted.
 	Rows int64
 
 	// OpenWall/NextWall/CloseWall are cumulative wall time inside each
@@ -84,7 +85,7 @@ func (s *OpStats) String() string {
 // during execution each recorder accumulates into private counters and
 // merges them into the shared per-key OpStats under mu at Close — so
 // the worker goroutines of a parallel fragment, which wrap the same
-// logical node once per partition, fold their rows and Next calls into
+// logical node once per partition, fold their rows and NextBatch calls into
 // one OpStats without racing.
 type StatsCollector struct {
 	// Acct is the I/O accountant sampled around operator calls; nil
@@ -103,7 +104,7 @@ func NewStatsCollector(acct *pager.Accountant) *StatsCollector {
 
 // Wrap instruments it under the given key, registering (and returning)
 // a recording wrapper. Wrapping the same key twice reuses its OpStats.
-func (c *StatsCollector) Wrap(key any, it Iterator) Iterator {
+func (c *StatsCollector) Wrap(key any, it Operator) Operator {
 	if c == nil {
 		return it
 	}
@@ -111,14 +112,14 @@ func (c *StatsCollector) Wrap(key any, it Iterator) Iterator {
 }
 
 // WrapWorker instruments one worker's copy of a parallel plan fragment.
-// Worker recorders count rows, Next calls, and wall time only: the
+// Worker recorders count rows, NextBatch calls, and wall time only: the
 // accountant and budget are engine-/query-wide, so per-call deltas
 // sampled by concurrent goroutines would attribute a neighbor worker's
 // traffic nondeterministically. I/O for a parallel fragment is instead
 // observed by the enclosing serial operator's window (the parallel
 // GroupBy/HashJoin build runs entirely inside its own Open). All
 // workers wrapping the same key merge into one OpStats at Close.
-func (c *StatsCollector) WrapWorker(key any, it Iterator) Iterator {
+func (c *StatsCollector) WrapWorker(key any, it Operator) Operator {
 	if c == nil {
 		return it
 	}
@@ -126,7 +127,7 @@ func (c *StatsCollector) WrapWorker(key any, it Iterator) Iterator {
 }
 
 // register finds or creates the shared OpStats for key.
-func (c *StatsCollector) register(key any, it Iterator) *OpStats {
+func (c *StatsCollector) register(key any, it Operator) *OpStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st, ok := c.stats[key]
@@ -176,7 +177,7 @@ type fetchReporter interface {
 // per-key OpStats under the collector's lock at Close, so recorders on
 // different goroutines (parallel workers) never write st concurrently.
 type statsIter struct {
-	child  Iterator
+	child  Operator
 	st     *OpStats
 	coll   *StatsCollector
 	acct   *pager.Accountant
@@ -196,7 +197,7 @@ func (w *statsIter) SetContext(qc *QueryCtx) {
 }
 
 // Unwrap exposes the wrapped operator (tests and OpName reach through).
-func (w *statsIter) Unwrap() Iterator { return w.child }
+func (w *statsIter) Unwrap() Operator { return w.child }
 
 // sample begins one measurement window.
 func (w *statsIter) sample() (time.Time, pager.Stats, [3]int64) {
@@ -257,31 +258,12 @@ func (w *statsIter) Open() error {
 	return err
 }
 
-func (w *statsIter) Next() (*Row, error) {
-	start, io0, b0 := w.sample()
-	row, err := w.child.Next()
-	w.acc.NextCalls++
-	if row != nil {
-		w.acc.Rows++
-	}
-	w.commit(&w.acc.NextWall, start, io0, b0)
-	return row, err
-}
-
-// NextBatch instruments the batch path: one measurement window per
-// batch (that amortization is much of the vectorized win). Rows counts
-// every live row, so EXPLAIN ANALYZE "rows" is identical to row mode;
-// "nexts" counts batch calls.
+// NextBatch records one measurement window per batch. Rows counts
+// every live row, so EXPLAIN ANALYZE "rows" does not depend on the
+// capacity; "nexts" counts batch calls.
 func (w *statsIter) NextBatch(qc *QueryCtx) (*Batch, error) {
-	bo, ok := w.child.(BatchOperator)
-	if !ok {
-		// Never reached for compiler-built plans (statsIter only exposes
-		// NextBatch when its child is batch-native); fail loudly for
-		// hand-built trees.
-		panic("exec: NextBatch through stats wrapper on a row-only operator")
-	}
 	start, io0, b0 := w.sample()
-	b, err := bo.NextBatch(qc)
+	b, err := w.child.NextBatch(qc)
 	w.acc.NextCalls++
 	if b != nil {
 		w.acc.Rows += int64(b.Len())
@@ -311,7 +293,7 @@ func (w *statsIter) Schema() *model.Schema { return w.child.Schema() }
 
 // OpName names a physical operator for display. Wrappers are unwrapped;
 // unknown types fall back to their Go type name.
-func OpName(it Iterator) string {
+func OpName(it Operator) string {
 	switch op := it.(type) {
 	case *statsIter:
 		return OpName(op.child)
@@ -361,10 +343,6 @@ func OpName(it Iterator) string {
 		return "Limit"
 	case *sliceIter:
 		return "Materialize"
-	case *batchToRow:
-		return OpName(op.input)
-	case *rowToBatch:
-		return OpName(op.input)
 	default:
 		return fmt.Sprintf("%T", it)
 	}

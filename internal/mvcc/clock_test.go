@@ -95,15 +95,16 @@ func TestClockWaitIdle(t *testing.T) {
 
 func TestClockConcurrentPins(t *testing.T) {
 	c := New()
-	c.Publish(0)
-	var wg sync.WaitGroup
+	c.Publish(0) // epoch 1 carries 0, so every epoch s carries s-1
+	var wg, started sync.WaitGroup
 	stop := make(chan struct{})
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
+		started.Add(1)
 		go func() {
 			defer wg.Done()
 			last := uint64(0)
-			for {
+			for first := true; ; first = false {
 				select {
 				case <-stop:
 					return
@@ -114,13 +115,19 @@ func TestClockConcurrentPins(t *testing.T) {
 					t.Errorf("pinned epoch went backwards: %d then %d", last, s)
 				}
 				last = s
-				if uint64(v.(int)) != s {
+				if uint64(v.(int)) != s-1 {
 					t.Errorf("epoch %d carries value %v", s, v)
 				}
 				c.Unpin(s)
+				if first {
+					started.Done()
+				}
 			}
 		}()
 	}
+	// Barrier: every reader has pinned at least once before the first
+	// publication, so the publish loop provably races live readers.
+	started.Wait()
 	for e := 1; e <= 1000; e++ {
 		c.Publish(e)
 	}

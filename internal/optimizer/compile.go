@@ -15,7 +15,7 @@ import (
 // predicate, sort key, or projection expression reads the $ variable.
 // An index-answered predicate needs no summaries at all (the Figure 13
 // no-propagation case), which is what makes backward pointers pay off.
-func Compile(n plan.Node, env *Env, opts Options) (exec.Iterator, error) {
+func Compile(n plan.Node, env *Env, opts Options) (exec.Operator, error) {
 	return compile(n, env, opts, env.Propagate)
 }
 
@@ -39,7 +39,7 @@ func usesDollar(exprs ...sql.Expr) bool {
 // the concurrency-safe worker recorders are used instead: all workers
 // of one fragment share the same logical nodes, so their rows and Next
 // calls merge into one OpStats per node.
-func compile(n plan.Node, env *Env, opts Options, need bool) (exec.Iterator, error) {
+func compile(n plan.Node, env *Env, opts Options, need bool) (exec.Operator, error) {
 	it, err := compileNode(n, env, opts, need)
 	if err != nil {
 		return it, err
@@ -51,13 +51,6 @@ func compile(n plan.Node, env *Env, opts Options, need bool) (exec.Iterator, err
 			it = opts.Collector.Wrap(n, it)
 		}
 	}
-	if planBatchSize(n) > 1 && !opts.batchParent {
-		// Top of a vectorized segment: cap it with the batch-to-row shim
-		// so everything above (sorts, joins, Gather workers, result
-		// collection) keeps speaking rows. The shim sits outside the
-		// stats recorder, so EXPLAIN ANALYZE observes the batch cadence.
-		it = exec.NewBatchToRow(it)
-	}
 	return it, nil
 }
 
@@ -66,8 +59,8 @@ func compile(n plan.Node, env *Env, opts Options, need bool) (exec.Iterator, err
 // hash build, where no exec.Gather exists) each worker's top iterator
 // is additionally recorded under the GatherNode itself, merging the
 // per-worker row counts the EXPLAIN ANALYZE goldens pin.
-func compileWorkers(g *plan.GatherNode, env *Env, opts Options, need bool, wrapTop bool) ([]exec.Iterator, error) {
-	workers := make([]exec.Iterator, g.DOP)
+func compileWorkers(g *plan.GatherNode, env *Env, opts Options, need bool, wrapTop bool) ([]exec.Operator, error) {
+	workers := make([]exec.Operator, g.DOP)
 	for i := range workers {
 		wopts := opts
 		wopts.inWorker = true
@@ -84,20 +77,11 @@ func compileWorkers(g *plan.GatherNode, env *Env, opts Options, need bool, wrapT
 	return workers, nil
 }
 
-// childBatchOpts threads the batchParent flag to a marked node's child:
-// a batched operator drives its (equally marked) child through
-// NextBatch, so the child must not be capped with its own shim.
-func childBatchOpts(opts Options, batch int) Options {
-	opts.batchParent = batch > 1
-	return opts
-}
-
-func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Iterator, error) {
+func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Operator, error) {
 	switch node := n.(type) {
 	case *plan.Scan:
 		s := exec.NewSeqScan(node.Table, node.Alias, need)
 		s.Part = opts.part
-		s.BatchSize = node.Batch
 		return s, nil
 
 	case *plan.GatherNode:
@@ -116,7 +100,6 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Iterator,
 		s.Descending = node.Descending
 		s.SortedFetch = node.FetchSorted
 		s.Part = opts.part
-		s.BatchSize = node.Batch
 		return s, nil
 
 	case *plan.BaselineIndexScanNode:
@@ -128,45 +111,35 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Iterator,
 	case *plan.SummaryProject:
 		if !need {
 			// Effect projection only transforms summaries; skip it when
-			// nothing above reads them. The batchParent flag passes
-			// through untouched: the marked child takes over as the
-			// segment member the parent drives.
+			// nothing above reads them.
 			return compile(node.Child, env, opts, false)
 		}
-		child, err := compile(node.Child, env, childBatchOpts(opts, node.Batch), true)
+		child, err := compile(node.Child, env, opts, true)
 		if err != nil {
 			return nil, err
 		}
-		p := exec.NewSummaryEffectProject(child, node.Kept, env.Annotations, env.Lookup)
-		p.BatchSize = node.Batch
-		return p, nil
+		return exec.NewSummaryEffectProject(child, node.Kept, env.Annotations, env.Lookup), nil
 
 	case *plan.Select:
-		child, err := compile(node.Child, env, childBatchOpts(opts, node.Batch), need || usesDollar(node.Pred))
+		child, err := compile(node.Child, env, opts, need || usesDollar(node.Pred))
 		if err != nil {
 			return nil, err
 		}
-		f := exec.NewFilter(child, node.Pred, env.Lookup)
-		f.BatchSize = node.Batch
-		return f, nil
+		return exec.NewFilter(child, node.Pred, env.Lookup), nil
 
 	case *plan.SummarySelect:
-		child, err := compile(node.Child, env, childBatchOpts(opts, node.Batch), true)
+		child, err := compile(node.Child, env, opts, true)
 		if err != nil {
 			return nil, err
 		}
-		f := exec.NewSummarySelect(child, node.Pred, env.Lookup)
-		f.BatchSize = node.Batch
-		return f, nil
+		return exec.NewSummarySelect(child, node.Pred, env.Lookup), nil
 
 	case *plan.SummaryFilterNode:
-		child, err := compile(node.Child, env, childBatchOpts(opts, node.Batch), need)
+		child, err := compile(node.Child, env, opts, need)
 		if err != nil {
 			return nil, err
 		}
-		f := exec.NewSummaryFilter(child, node.Instances, node.Types)
-		f.BatchSize = node.Batch
-		return f, nil
+		return exec.NewSummaryFilter(child, node.Instances, node.Types), nil
 
 	case *plan.Join:
 		childNeed := need || usesDollar(node.On, node.Residual)
@@ -273,13 +246,11 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Iterator,
 		return exec.NewGroupBy(child, node.Keys, node.Aggs, env.Lookup), nil
 
 	case *plan.ProjectNode:
-		child, err := compile(node.Child, env, childBatchOpts(opts, node.Batch), need || usesDollar(node.Exprs...))
+		child, err := compile(node.Child, env, opts, need || usesDollar(node.Exprs...))
 		if err != nil {
 			return nil, err
 		}
-		p := exec.NewProject(child, node.Exprs, node.Out, env.Lookup)
-		p.BatchSize = node.Batch
-		return p, nil
+		return exec.NewProject(child, node.Exprs, node.Out, env.Lookup), nil
 
 	case *plan.DistinctNode:
 		child, err := compile(node.Child, env, opts, need)
@@ -289,13 +260,11 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Iterator,
 		return exec.NewDistinct(child, env.Lookup), nil
 
 	case *plan.LimitNode:
-		child, err := compile(node.Child, env, childBatchOpts(opts, node.Batch), need)
+		child, err := compile(node.Child, env, opts, need)
 		if err != nil {
 			return nil, err
 		}
-		l := exec.NewLimit(child, node.N)
-		l.BatchSize = node.Batch
-		return l, nil
+		return exec.NewLimit(child, node.N), nil
 
 	default:
 		return nil, fmt.Errorf("optimizer: cannot compile %T", n)

@@ -60,12 +60,11 @@ type Options struct {
 	// the exact serial plans. The planned DOP is cost-based and never
 	// exceeds the table's page count, so small tables stay serial.
 	MaxParallelWorkers int
-	// MaxBatchSize caps the row-batch capacity of vectorized pipeline
-	// segments (scan → filter → project chains exchanging row vectors
-	// instead of single rows). 0 means the engine default; 1 (or a zero
-	// engine default) disables vectorization entirely — pure
-	// row-at-a-time plans, byte-identical to the pre-vectorized engine.
-	// Values above exec.MaxBatchSize are clamped.
+	// MaxBatchSize is the row capacity of the batches every operator of
+	// the statement exchanges. 0 means the engine default; 1 (or a zero
+	// engine default) is one row per exchange — tuple-at-a-time
+	// execution through the same operators. It does not shape the plan;
+	// BatchCapacity clamps it into [1, exec.MaxBatchSize].
 	MaxBatchSize int
 	// Budget is a per-query resource-limit template overriding the DB
 	// default: pipeline breakers (Sort, HashJoin, GroupBy, Distinct)
@@ -86,10 +85,6 @@ type Options struct {
 	// concurrency-safe worker recorders. Internal to the compiler.
 	part     exec.PartitionSpec
 	inWorker bool
-	// batchParent marks that the node being compiled has a batch-marked
-	// parent that will drive it through NextBatch, so the compiler must
-	// not cap it with a batch-to-row shim. Internal to the compiler.
-	batchParent bool
 }
 
 // Env supplies the optimizer and compiler with catalog context.
@@ -130,12 +125,11 @@ func Optimize(root plan.Node, r *plan.AliasResolver, env *Env, opts Options) pla
 	root = rw.eliminateSorts(root)
 	root = rw.applyForceFetch(root)
 	root = rw.parallelize(root)
-	root = rw.vectorize(root)
 	return root
 }
 
 // Plan builds, optimizes, and compiles in one call.
-func Plan(root plan.Node, r *plan.AliasResolver, env *Env, opts Options) (exec.Iterator, plan.Node, error) {
+func Plan(root plan.Node, r *plan.AliasResolver, env *Env, opts Options) (exec.Operator, plan.Node, error) {
 	optimized := Optimize(root, r, env, opts)
 	it, err := Compile(optimized, env, opts)
 	return it, optimized, err

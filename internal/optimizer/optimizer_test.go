@@ -146,7 +146,7 @@ func (f *optFixture) run(q string, opts Options) []string {
 	if err != nil {
 		f.t.Fatal(err)
 	}
-	rows, err := exec.Collect(it)
+	rows, err := exec.Collect(nil, it)
 	if err != nil {
 		f.t.Fatalf("%s: %v", q, err)
 	}
@@ -331,7 +331,7 @@ func TestOrderPreservedThroughJoin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := exec.Collect(it)
+		rows, err := exec.Collect(nil, it)
 		if err != nil {
 			t.Fatal(err)
 		}

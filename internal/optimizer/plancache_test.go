@@ -88,7 +88,6 @@ func TestOptionsFingerprint(t *testing.T) {
 		{ForceJoin: "index"},
 		{ForceFetch: "ordered"},
 		{MaxParallelWorkers: 4},
-		{MaxBatchSize: 1024},
 	}
 	seen := map[string]string{base.Fingerprint(): "zero"}
 	for i, v := range variants {
@@ -97,5 +96,10 @@ func TestOptionsFingerprint(t *testing.T) {
 			t.Fatalf("variant %d collides with %s", i, prev)
 		}
 		seen[fp] = fmt.Sprintf("variant %d", i)
+	}
+	// The batch capacity is applied at execution, not planning: one
+	// cached skeleton serves every MaxBatchSize.
+	if (Options{MaxBatchSize: 1024}).Fingerprint() != base.Fingerprint() {
+		t.Fatalf("MaxBatchSize must not split the plan cache")
 	}
 }

@@ -1,153 +1,14 @@
 package optimizer
 
-import (
-	"repro/internal/exec"
-	"repro/internal/plan"
-)
+import "repro/internal/exec"
 
-// This file is the optimizer's vectorization pass: it marks pipeline
-// segments — chains of streaming operators over a single scan leaf —
-// as batched, so the compiler lowers them to operators exchanging row
-// vectors (exec.Batch) instead of single rows and caps each segment
-// with a batch-to-row shim. The pass runs last, after parallelize, so
-// it sees the final plan shape and marks the worker fragments under a
-// GatherNode too (each worker pipeline batches independently). With
-// MaxBatchSize <= 1 it is the identity and plans compile exactly as
-// before — the property the serial-golden identity tests pin.
-
-// vectorize marks every vectorizable pipeline segment of the plan with
-// the configured batch size.
-func (rw *rewriter) vectorize(n plan.Node) plan.Node {
-	size := rw.opts.MaxBatchSize
-	if size <= 1 {
-		return n
-	}
-	if size > exec.MaxBatchSize {
-		size = exec.MaxBatchSize
-	}
-	vectorizeNode(n, size)
-	return n
-}
-
-// vectorizeNode marks maximal vectorizable chains and recurses through
-// everything else. A chain is marked from its top so one shim covers
-// the whole segment.
-func vectorizeNode(n plan.Node, size int) {
-	if vectorizable(n) {
-		markBatch(n, size)
-		return
-	}
-	switch node := n.(type) {
-	case *plan.GatherNode:
-		vectorizeNode(node.Child, size)
-	case *plan.GroupByNode:
-		vectorizeNode(node.Child, size)
-	case *plan.SortNode:
-		vectorizeNode(node.Child, size)
-	case *plan.DistinctNode:
-		vectorizeNode(node.Child, size)
-	case *plan.LimitNode:
-		vectorizeNode(node.Child, size)
-	case *plan.ProjectNode:
-		vectorizeNode(node.Child, size)
-	case *plan.Select:
-		vectorizeNode(node.Child, size)
-	case *plan.SummarySelect:
-		vectorizeNode(node.Child, size)
-	case *plan.SummaryFilterNode:
-		vectorizeNode(node.Child, size)
-	case *plan.SummaryProject:
-		vectorizeNode(node.Child, size)
-	case *plan.Join:
-		vectorizeNode(node.Left, size)
-		if !node.UseIndex {
-			// The inner side of an index join is probed, never iterated;
-			// a parallel-build right side batches inside its workers.
-			vectorizeNode(node.Right, size)
-		}
-	case *plan.SummaryJoin:
-		vectorizeNode(node.Left, size)
-		if !node.UseIndex {
-			vectorizeNode(node.Right, size)
-		}
-	}
-}
-
-// vectorizable reports whether the subtree is a chain of convertible
-// streaming operators over a convertible scan leaf. Both fetch modes of
-// the Summary-BTree scan qualify — batching groups consecutive rows
-// without reordering them, so ordered (sort-eliminating) scans keep
-// their interesting order.
-func vectorizable(n plan.Node) bool {
-	switch v := n.(type) {
-	case *plan.Scan:
-		return true
-	case *plan.SummaryIndexScanNode:
-		return true
-	case *plan.Select:
-		return vectorizable(v.Child)
-	case *plan.SummarySelect:
-		return vectorizable(v.Child)
-	case *plan.SummaryFilterNode:
-		return vectorizable(v.Child)
-	case *plan.SummaryProject:
-		return vectorizable(v.Child)
-	case *plan.ProjectNode:
-		return vectorizable(v.Child)
-	case *plan.LimitNode:
-		return vectorizable(v.Child)
-	}
-	return false
-}
-
-// markBatch stamps the batch size down a vectorizable chain.
-func markBatch(n plan.Node, size int) {
-	switch v := n.(type) {
-	case *plan.Scan:
-		v.Batch = size
-	case *plan.SummaryIndexScanNode:
-		v.Batch = size
-	case *plan.Select:
-		v.Batch = size
-		markBatch(v.Child, size)
-	case *plan.SummarySelect:
-		v.Batch = size
-		markBatch(v.Child, size)
-	case *plan.SummaryFilterNode:
-		v.Batch = size
-		markBatch(v.Child, size)
-	case *plan.SummaryProject:
-		v.Batch = size
-		markBatch(v.Child, size)
-	case *plan.ProjectNode:
-		v.Batch = size
-		markBatch(v.Child, size)
-	case *plan.LimitNode:
-		v.Batch = size
-		markBatch(v.Child, size)
-	}
-}
-
-// planBatchSize reports a node's batch mark (0 when unmarked); the
-// compiler uses it to place the segment-top shim.
-func planBatchSize(n plan.Node) int {
-	switch v := n.(type) {
-	case *plan.Scan:
-		return v.Batch
-	case *plan.SummaryIndexScanNode:
-		return v.Batch
-	case *plan.Select:
-		return v.Batch
-	case *plan.SummarySelect:
-		return v.Batch
-	case *plan.SummaryFilterNode:
-		return v.Batch
-	case *plan.SummaryProject:
-		return v.Batch
-	case *plan.ProjectNode:
-		return v.Batch
-	case *plan.LimitNode:
-		return v.Batch
-	}
-	return 0
+// BatchCapacity is all that is left of the vectorize pass: every
+// operator exchanges batches, so vectorizing a statement means choosing
+// the one row capacity its operators share. It clamps MaxBatchSize into
+// [1, exec.MaxBatchSize] — 0 (unset) and 1 both mean one row per
+// exchange — and is applied once per compiled statement, where the
+// engine hands the operator tree its exec.QueryCtx. Plans themselves
+// carry no capacity, so one cached plan skeleton serves every setting.
+func BatchCapacity(opts Options) int {
+	return min(max(opts.MaxBatchSize, 1), exec.MaxBatchSize)
 }

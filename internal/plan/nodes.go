@@ -24,32 +24,10 @@ type Node interface {
 	Describe() string
 }
 
-// batchSuffix renders the vectorization mark EXPLAIN shows on batched
-// leaf scans; empty in row mode so existing plans render unchanged.
-func batchSuffix(n int) string {
-	if n > 1 {
-		return fmt.Sprintf(" (batch=%d)", n)
-	}
-	return ""
-}
-
-// vecSuffix marks a streaming operator lowered into a batched pipeline
-// segment; empty in row mode.
-func vecSuffix(n int) string {
-	if n > 1 {
-		return " (vectorized)"
-	}
-	return ""
-}
-
 // Scan reads a base table.
 type Scan struct {
 	Table *catalog.Table
 	Alias string
-	// Batch > 1 marks the scan as the leaf of a vectorized pipeline
-	// segment exchanging row batches of that capacity (optimizer
-	// vectorize pass).
-	Batch int
 
 	schema *model.Schema
 }
@@ -70,7 +48,7 @@ func (s *Scan) Children() []Node { return nil }
 
 // Describe renders the node.
 func (s *Scan) Describe() string {
-	return fmt.Sprintf("SeqScan %s AS %s%s", s.Table.Name, s.Alias, batchSuffix(s.Batch))
+	return fmt.Sprintf("SeqScan %s AS %s", s.Table.Name, s.Alias)
 }
 
 // SummaryIndexScanNode is an access path replacing a Scan: a
@@ -94,9 +72,6 @@ type SummaryIndexScanNode struct {
 	// cost model prices the random-I/O penalty below the compensating
 	// Sort it would otherwise keep (see optimizer fetch-path decision).
 	FetchSorted bool
-	// Batch > 1 marks the scan as the leaf of a vectorized pipeline
-	// segment (both fetch modes batch; row order is unchanged).
-	Batch int
 
 	schema *model.Schema
 }
@@ -130,9 +105,8 @@ func (s *SummaryIndexScanNode) Describe() string {
 	if !s.FetchSorted {
 		fetch = " fetch=ordered"
 	}
-	return fmt.Sprintf("SummaryBTreeScan %s AS %s ON %s.%s %s %d%s%s%s",
-		s.Table.Name, s.Alias, s.Instance, s.Label, s.Op, s.Constant, ord, fetch,
-		batchSuffix(s.Batch))
+	return fmt.Sprintf("SummaryBTreeScan %s AS %s ON %s.%s %s %d%s%s",
+		s.Table.Name, s.Alias, s.Instance, s.Label, s.Op, s.Constant, ord, fetch)
 }
 
 // BaselineIndexScanNode is the baseline-scheme access path.
@@ -180,8 +154,6 @@ type SummaryProject struct {
 	Alias string
 	// Kept lists the referenced columns of this alias (lower-case).
 	Kept []string
-	// Batch > 1 marks membership in a vectorized pipeline segment.
-	Batch int
 }
 
 // Schema returns the child schema.
@@ -192,15 +164,13 @@ func (p *SummaryProject) Children() []Node { return []Node{p.Child} }
 
 // Describe renders the node.
 func (p *SummaryProject) Describe() string {
-	return fmt.Sprintf("SummaryProject %s keep(%s)%s", p.Alias, strings.Join(p.Kept, ","), vecSuffix(p.Batch))
+	return fmt.Sprintf("SummaryProject %s keep(%s)", p.Alias, strings.Join(p.Kept, ","))
 }
 
 // Select is the standard data-based selection σ.
 type Select struct {
 	Child Node
 	Pred  sql.Expr
-	// Batch > 1 marks membership in a vectorized pipeline segment.
-	Batch int
 }
 
 // Schema returns the child schema.
@@ -211,7 +181,7 @@ func (s *Select) Children() []Node { return []Node{s.Child} }
 
 // Describe renders the node.
 func (s *Select) Describe() string {
-	return fmt.Sprintf("Select σ[%s]%s", s.Pred, vecSuffix(s.Batch))
+	return fmt.Sprintf("Select σ[%s]", s.Pred)
 }
 
 // SummarySelect is the summary-based selection S of Section 3.2.
@@ -221,8 +191,6 @@ type SummarySelect struct {
 	// Instances are the summary instances the predicate references —
 	// the precondition data for rules 2 and 10.
 	Instances []string
-	// Batch > 1 marks membership in a vectorized pipeline segment.
-	Batch int
 }
 
 // Schema returns the child schema.
@@ -233,7 +201,7 @@ func (s *SummarySelect) Children() []Node { return []Node{s.Child} }
 
 // Describe renders the node.
 func (s *SummarySelect) Describe() string {
-	return fmt.Sprintf("SummarySelect S[%s]%s", s.Pred, vecSuffix(s.Batch))
+	return fmt.Sprintf("SummarySelect S[%s]", s.Pred)
 }
 
 // SummaryFilterNode is the F operator: tuples pass, summary objects are
@@ -242,8 +210,6 @@ type SummaryFilterNode struct {
 	Child     Node
 	Instances []string
 	Types     []model.SummaryType
-	// Batch > 1 marks membership in a vectorized pipeline segment.
-	Batch int
 }
 
 // Schema returns the child schema.
@@ -258,7 +224,7 @@ func (f *SummaryFilterNode) Describe() string {
 	for _, t := range f.Types {
 		parts = append(parts, "type:"+t.String())
 	}
-	return fmt.Sprintf("SummaryFilter F[%s]%s", strings.Join(parts, ","), vecSuffix(f.Batch))
+	return fmt.Sprintf("SummaryFilter F[%s]", strings.Join(parts, ","))
 }
 
 // Join is the standard data join ⋈ (with summary merge on output).
@@ -438,8 +404,6 @@ type ProjectNode struct {
 	Child Node
 	Exprs []sql.Expr
 	Out   *model.Schema
-	// Batch > 1 marks membership in a vectorized pipeline segment.
-	Batch int
 }
 
 // Schema returns the projection schema.
@@ -454,7 +418,7 @@ func (p *ProjectNode) Describe() string {
 	for i, e := range p.Exprs {
 		exprs[i] = e.String()
 	}
-	return fmt.Sprintf("Project π[%s]%s", strings.Join(exprs, ","), vecSuffix(p.Batch))
+	return fmt.Sprintf("Project π[%s]", strings.Join(exprs, ","))
 }
 
 // DistinctNode eliminates duplicate rows, merging collapsed duplicates'
@@ -476,8 +440,6 @@ func (d *DistinctNode) Describe() string { return "Distinct" }
 type LimitNode struct {
 	Child Node
 	N     int
-	// Batch > 1 marks membership in a vectorized pipeline segment.
-	Batch int
 }
 
 // Schema returns the child schema.
@@ -488,7 +450,7 @@ func (l *LimitNode) Children() []Node { return []Node{l.Child} }
 
 // Describe renders the node.
 func (l *LimitNode) Describe() string {
-	return fmt.Sprintf("Limit %d%s", l.N, vecSuffix(l.Batch))
+	return fmt.Sprintf("Limit %d", l.N)
 }
 
 // GatherNode is the exchange boundary of a parallel plan fragment: the
