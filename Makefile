@@ -91,7 +91,7 @@ serve-stress:
 # batches crossing the parallel Gather exchange from 4 query
 # goroutines, mid-batch cancellation latency, batch release on every
 # breaker failure path, the per-row allocation budget, and the Figure
-# 24 smoke run with its enforced speedup floor on the headline scan.
+# 24 smoke run with its two enforced bounds on the headline scan.
 vector-stress:
 	$(GO) test -race -count=1 -run 'TestVectorized|TestBatch|TestTransformBatch|TestCollectPreservesRowIdentity|TestOperatorsCapacityInvariant|TestMidBatchCancellationStopsWithinOneBatch|TestBreakersReleaseBatchesOnFailure' ./internal/engine/ ./internal/exec/
 	$(GO) test -race -count=1 -run 'TestVectorizedAllocBudget' .

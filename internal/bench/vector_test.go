@@ -5,9 +5,10 @@ import (
 )
 
 // TestFig24Smoke runs the vectorization figure at the quick scale —
-// including its row-identity differential and the enforced speedup
-// floor on the headline scan (vectorFloor) — so make vector-stress and
-// CI catch a batching regression without a full benchreport run.
+// including its row-identity differential and the two bounds enforced
+// on the headline scan (vectorFloor, vectorCeiling) — so make
+// vector-stress and CI catch a batching regression without a full
+// benchreport run.
 func TestFig24Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("vectorization benchmark smoke skipped in -short mode")

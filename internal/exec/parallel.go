@@ -23,13 +23,6 @@ import (
 // rows' worth of batches at the query's capacity (at least one batch).
 const gatherBufferRows = 128
 
-// gatherMsg is one worker-to-coordinator message: a batch, or a
-// terminal error. Workers signal completion by closing their channel.
-type gatherMsg struct {
-	batch *Batch
-	err   error
-}
-
 // Gather runs its worker operators — each one partition of a parallel
 // plan fragment — on their own goroutines and emits their batches in
 // partition order: all of worker 0, then all of worker 1, and so on.
@@ -46,7 +39,11 @@ type Gather struct {
 
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
-	chans  []chan gatherMsg
+	chans  []chan *Batch
+	// errs[i] is worker i's terminal error, written before its channel
+	// is closed and read only after the close is observed — so it cannot
+	// be lost to a full buffer.
+	errs   []error
 	cur    int
 	failed error
 }
@@ -71,60 +68,51 @@ func (g *Gather) Open() (err error) {
 	}
 	ctx, cancel := context.WithCancel(g.qc.Context())
 	g.cancel = cancel
-	g.chans = make([]chan gatherMsg, len(g.Workers))
+	g.chans = make([]chan *Batch, len(g.Workers))
+	g.errs = make([]error, len(g.Workers))
 	g.cur = 0
 	g.failed = nil
 	depth := max(1, gatherBufferRows/g.qc.Capacity())
 	for i, w := range g.Workers {
-		out := make(chan gatherMsg, depth)
+		out := make(chan *Batch, depth)
 		g.chans[i] = out
 		wqc := g.qc.Child(ctx)
 		SetIterContext(w, wqc)
 		g.wg.Add(1)
-		go func(w Operator, out chan gatherMsg) {
+		go func(i int, w Operator) {
 			defer g.wg.Done()
-			driveWorker(wqc, w, out, cancel)
-		}(w, out)
+			defer close(out)
+			if g.errs[i] = driveWorker(wqc, w, out); g.errs[i] != nil {
+				cancel() // stop the sibling workers early
+			}
+		}(i, w)
 	}
 	return nil
 }
 
 // driveWorker runs one worker operator to completion, streaming its
-// batches into out. The channel is closed on exit; a terminal error is
-// sent first (and cancels the siblings). Panics inside the worker's
-// operators are already converted to errors by their own recoverOp
-// guards; the outer guard here catches anything escaping the drive
+// batches into out, and returns its terminal error. Panics inside the
+// worker's operators are already converted to errors by their own
+// recoverOp guards; the guard here catches anything escaping the drive
 // loop itself so a worker can never crash the process.
-func driveWorker(qc *QueryCtx, w Operator, out chan<- gatherMsg, cancel context.CancelFunc) {
-	defer close(out)
+func driveWorker(qc *QueryCtx, w Operator, out chan<- *Batch) (err error) {
+	defer recoverOp("ParallelWorker", &err)
+	if err := w.Open(); err != nil {
+		w.Close()
+		return err
+	}
+	defer w.Close()
 	ctx := qc.Context()
-	err := func() (err error) {
-		defer recoverOp("ParallelWorker", &err)
-		if err := w.Open(); err != nil {
-			w.Close()
+	for {
+		b, err := w.NextBatch(qc)
+		if err != nil || b == nil {
 			return err
 		}
-		defer w.Close()
-		for {
-			b, err := w.NextBatch(qc)
-			if err != nil || b == nil {
-				return err
-			}
-			select {
-			case out <- gatherMsg{batch: b}:
-			case <-ctx.Done():
-				b.Release()
-				return ctx.Err()
-			}
-		}
-	}()
-	if err != nil {
-		cancel()
 		select {
-		case out <- gatherMsg{err: err}:
-		default:
-			// Buffer full of unread batches: the coordinator is gone or
-			// failing anyway; the cancelled context carries the signal.
+		case out <- b:
+		case <-ctx.Done():
+			b.Release()
+			return ctx.Err()
 		}
 	}
 }
@@ -139,27 +127,25 @@ func (g *Gather) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 		return nil, g.failed
 	}
 	for g.cur < len(g.chans) {
-		msg, ok := <-g.chans[g.cur]
-		if !ok {
+		if b, ok := <-g.chans[g.cur]; ok {
+			return b, nil
+		}
+		if g.errs[g.cur] == nil {
 			g.cur++
 			continue
 		}
-		if msg.err != nil {
-			// A failing worker cancels its siblings, so an earlier
-			// partition may report the induced context.Canceled rather
-			// than the root cause. Drain the rest (they exit promptly
-			// once cancelled) and prefer a substantive error.
-			g.failed = msg.err
-			for _, ch := range g.chans[g.cur:] {
-				for m := range ch {
-					m.batch.Release()
-					g.failed = firstError(g.failed, m.err)
-				}
+		// A failing worker cancels its siblings, so an earlier partition
+		// may report the induced context.Canceled rather than the root
+		// cause. Drain the rest (they exit promptly once cancelled) and
+		// prefer a substantive error.
+		for i := g.cur; i < len(g.chans); i++ {
+			for b := range g.chans[i] {
+				b.Release()
 			}
-			g.cur = len(g.chans)
-			return nil, g.failed
+			g.failed = firstError(g.failed, g.errs[i])
 		}
-		return msg.batch, nil
+		g.cur = len(g.chans)
+		return nil, g.failed
 	}
 	return nil, nil
 }

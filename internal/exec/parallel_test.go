@@ -177,6 +177,24 @@ func TestGatherWorkerErrorPropagates(t *testing.T) {
 	}
 }
 
+// TestGatherWorkerErrorSurvivesFullBuffer fails a worker while its
+// channel is full: at capacity 1024 the per-worker buffer is one batch,
+// which worker 1 fills before failing on its second call while the
+// coordinator is still on worker 0. The failure must reach the caller —
+// not a silently truncated result, and not the cancellation it induced
+// in worker 0 — whichever way the goroutines interleave.
+func TestGatherWorkerErrorSurvivesFullBuffer(t *testing.T) {
+	f := newOpsFixture(t, 40, 0)
+	for i := 0; i < 50; i++ {
+		workers := partitionedScans(f, 2, false)
+		workers[1] = &failingWorkerIter{child: workers[1], n: 1}
+		rows, err := Collect(NewQueryCtx(context.Background(), nil, 1024), NewGather(workers))
+		if err == nil || !strings.Contains(err.Error(), "worker failed") {
+			t.Fatalf("run %d: %d rows, err = %v, want the worker's failure", i, len(rows), err)
+		}
+	}
+}
+
 func TestGatherWorkerPanicIsolated(t *testing.T) {
 	f := newOpsFixture(t, 40, 0)
 	workers := partitionedScans(f, 3, false)
