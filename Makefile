@@ -23,7 +23,7 @@ race:
 # pool across parallel scan workers, with extra iterations on the
 # page-partitioned parallel index fetch and the lock-free epoch readers.
 race-core:
-	$(GO) test -race ./internal/engine/... ./internal/exec/...
+	$(GO) test -race ./internal/model/... ./internal/engine/... ./internal/exec/...
 	$(GO) test -race -count=4 -run 'TestParallelSortedFetchMatchesSerial|TestSummaryIndexScanPartitionedConcatenation' ./internal/engine/... ./internal/exec/...
 	$(GO) test -race -count=2 -run 'TestEpochReaderStress' ./internal/engine/
 
@@ -38,9 +38,15 @@ bench-harness:
 # flake-sweep reruns the packages whose tests coordinate goroutines by
 # hand — the MVCC clock and the executor's parallel operators — 20
 # times at 1, 2 and 8 scheduler threads: tier-1 must be green on any
-# core count, and a 2-core box is where ordering assumptions break.
+# core count, and a 2-core box is where ordering assumptions break. The
+# exec package carries the serial-vs-parallel GROUP BY and the DISTINCT
+# summary-merge differentials (TestParallelGroupByMatchesSerial,
+# TestDistinctMergesAllSummaryTypes); the model line reruns the property
+# tests they rest on — partial accumulators merged in order equal the
+# serial fold.
 flake-sweep:
 	$(GO) test -count=20 -cpu 1,2,8 ./internal/mvcc ./internal/exec
+	$(GO) test -count=20 -cpu 1,2,8 -run 'TestAccumulator|TestClusterRepresentativeIndependentOfGrouping' ./internal/model
 
 # bench-smoke regenerates one representative figure plus the parallel
 # speedup, buffer-pool, and group-commit grids at the reduced quick

@@ -475,6 +475,71 @@ func TestVectorizedAllocBudget(t *testing.T) {
 	}
 }
 
+// mergeFixture builds Birds alone, ten annotations a bird, for the
+// summary-merging GROUP BY: the family count is fixed, so a group's
+// membership — and the merge's work — grows with the table.
+func mergeFixture(tb testing.TB, birds int) *engine.DB {
+	tb.Helper()
+	ds, err := workload.Build(workload.Config{
+		Seed: 1, Birds: birds, AvgAnnotationsPerBird: 10, SkipSynonyms: true,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { ds.DB.Close() })
+	return ds.DB
+}
+
+const mergeQuery = `SELECT family, count(*) FROM Birds GROUP BY family`
+
+// BenchmarkGroupByMerge times the GROUP BY that propagates summaries —
+// every member's summary set is merged into its group's — at three
+// table sizes. Linear merge means ns/op grows with the birds, not with
+// their square (EXPERIMENTS.md, "Summary merge").
+func BenchmarkGroupByMerge(b *testing.B) {
+	for _, birds := range []int{500, 2000, 10000} {
+		b.Run(fmt.Sprint(birds), func(b *testing.B) {
+			db := mergeFixture(b, birds)
+			b.ResetTimer()
+			benchQuery(b, db, mergeQuery, nil)
+		})
+	}
+}
+
+// TestGroupByMergeLinear is the regression guard on the merge's
+// complexity: four times the birds in the same families may cost at most
+// five times the allocations (linear is four; the pairwise fold that
+// re-cloned the group's set per member measured seventeen).
+func TestGroupByMergeLinear(t *testing.T) {
+	measure := func(birds int) float64 {
+		db := mergeFixture(t, birds)
+		res, err := db.Query(mergeQuery, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var members int64
+		for _, row := range res.Rows {
+			if len(row.Tuple.Summaries) == 0 {
+				t.Fatalf("group %s carries no summaries", row.Tuple)
+			}
+			members += row.Tuple.Values[1].Int
+		}
+		if members != int64(birds) {
+			t.Fatalf("fixture drift: groups hold %d birds, want %d", members, birds)
+		}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := db.Query(mergeQuery, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := measure(250), measure(1000)
+	if large > 5*small {
+		t.Errorf("GROUP BY over 1000 birds allocates %.0f, over 250 birds %.0f: %.1fx for 4x the rows, want <= 5x",
+			large, small, large/small)
+	}
+}
+
 // BenchmarkReport_Quick regenerates the full figure set at the quick
 // scale once per iteration — an end-to-end harness benchmark (run with
 // -benchtime=1x; it is skipped in -short mode).

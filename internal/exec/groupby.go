@@ -55,7 +55,8 @@ func (g *GroupBy) SetContext(qc *QueryCtx) {
 
 type groupState struct {
 	keyVals []model.Value
-	row     *Row // first row (for key output), summaries merged in place
+	row     *Row                  // first row (for the output OID)
+	merged  *model.SetAccumulator // the members' summary sets, finished at output
 	count   int64
 	sums    []float64
 	isInt   []bool
@@ -168,6 +169,7 @@ func (a *groupAcc) add(row *Row) error {
 		gs = &groupState{
 			keyVals: keyVals,
 			row:     row,
+			merged:  model.NewSetAccumulator(a.lookup),
 			sums:    make([]float64, len(a.aggs)),
 			isInt:   make([]bool, len(a.aggs)),
 			counts:  make([]int64, len(a.aggs)),
@@ -180,13 +182,11 @@ func (a *groupAcc) add(row *Row) error {
 		}
 		a.byKey[key] = gs
 		a.order = append(a.order, key)
-	} else {
-		// Merge the new member's summaries into the group's (Q2
-		// semantics: an output tuple's annotations come from all its
-		// base tuples, without double counting).
-		gs.row = &Row{Tuple: gs.row.Tuple.ShallowWithValues(gs.row.Tuple.Values)}
-		gs.row.Tuple.Summaries = model.MergeSets(gs.row.Tuple.Summaries, row.Tuple.Summaries, a.lookup)
 	}
+	// Fold the member's summaries into the group's (Q2 semantics: an
+	// output tuple's annotations come from all its base tuples, without
+	// double counting).
+	gs.merged.Add(row.Tuple.Summaries)
 	gs.count++
 	for ai, arg := range a.args {
 		if arg == nil {
@@ -234,7 +234,7 @@ func (a *groupAcc) mergeFrom(o *groupAcc) {
 			a.order = append(a.order, key)
 			continue
 		}
-		mergeGroupState(gs, os, a.lookup)
+		mergeGroupState(gs, os)
 		a.budget.ReleaseBuffered(1, os.charge)
 		o.chargedRows--
 		o.chargedBytes -= os.charge
@@ -244,11 +244,12 @@ func (a *groupAcc) mergeFrom(o *groupAcc) {
 }
 
 // mergeGroupState combines two partial states of the same group; dst is
-// the earlier partition's partial, so its first row and summary merge
-// order win, as in the serial fold.
-func mergeGroupState(dst, src *groupState, lookup model.AnnotationLookup) {
-	dst.row = &Row{Tuple: dst.row.Tuple.ShallowWithValues(dst.row.Tuple.Values)}
-	dst.row.Tuple.Summaries = model.MergeSets(dst.row.Tuple.Summaries, src.row.Tuple.Summaries, lookup)
+// the earlier partition's partial, so its first row wins and src's
+// members follow dst's in the summary merge, as in the serial fold. The
+// accumulators merge unfinished: a finished set no longer says which
+// cluster groups arrived, which electing the serial representative needs.
+func mergeGroupState(dst, src *groupState) {
+	dst.merged.Merge(src.merged)
 	dst.count += src.count
 	for i := range dst.sums {
 		dst.sums[i] += src.sums[i]
@@ -370,7 +371,7 @@ func (g *GroupBy) output(gs *groupState) (*Row, error) {
 		}
 	}
 	return &Row{Tuple: &model.Tuple{OID: gs.row.Tuple.OID, Values: values,
-		Summaries: gs.row.Tuple.Summaries}}, nil
+		Summaries: gs.merged.Result()}}, nil
 }
 
 // Close releases the group states and their budget charge (the input

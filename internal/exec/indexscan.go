@@ -177,9 +177,9 @@ func (s *SummaryIndexScan) nextHit() (*Row, bool) {
 		if !ok {
 			return nil, false
 		}
-		return fetchRow(s.Table, s.Alias, dataRID, s.Propagate)
+		return fetchRow(s.Table, dataRID, s.Propagate)
 	}
-	return fetchRow(s.Table, s.Alias, rid, s.Propagate)
+	return fetchRow(s.Table, rid, s.Propagate)
 }
 
 // NextBatch fills a row vector from the hit list, draining page runs in
@@ -243,7 +243,7 @@ func (s *SummaryIndexScan) fillRun() {
 		if s.Propagate {
 			tu.Summaries = s.Table.GetSummaries(oid)
 		}
-		s.buf = append(s.buf, &Row{Tuple: tu, AliasSets: aliasSet(s.Alias, tu.Summaries)})
+		s.buf = append(s.buf, &Row{Tuple: tu})
 		return true
 	}))
 }
@@ -401,7 +401,7 @@ func (s *BaselineIndexScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 		if !ok {
 			continue
 		}
-		row, ok := fetchRow(s.Table, s.Alias, rid, s.Propagate && !s.ReconstructSummaries)
+		row, ok := fetchRow(s.Table, rid, s.Propagate && !s.ReconstructSummaries)
 		if !ok {
 			continue
 		}
@@ -411,7 +411,6 @@ func (s *BaselineIndexScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 				set = model.SummarySet{obj}
 			}
 			row.Tuple.Summaries = set
-			row.AliasSets = aliasSet(s.Alias, set)
 		}
 		b.Append(row)
 	}
@@ -480,7 +479,7 @@ func (s *DataIndexScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	for b.Len() < size && s.pos < len(s.hits) {
 		rid := s.hits[s.pos]
 		s.pos++
-		if row, ok := fetchRow(s.Table, s.Alias, rid, s.Propagate); ok {
+		if row, ok := fetchRow(s.Table, rid, s.Propagate); ok {
 			b.Append(row)
 		}
 	}

@@ -78,16 +78,18 @@ func (d *Distinct) SetContext(qc *QueryCtx) {
 	SetIterContext(d.Input, qc)
 }
 
-// Open drains the input, collapsing duplicates. Distinct is a
-// pipeline breaker: every retained row is charged against the query
-// budget, and the operator fails fast with ErrBudgetExceeded when the
-// buffer limit is hit.
+// Open drains the input, collapsing duplicates; a row that had some is
+// replaced at the end by one carrying the merge of all their summary
+// sets. Distinct is a pipeline breaker: every retained row is charged
+// against the query budget, and the operator fails fast with
+// ErrBudgetExceeded when the buffer limit is hit.
 func (d *Distinct) Open() (err error) {
 	defer recoverOp("Distinct", &err)
 	budget := d.qc.Budget()
 	byKey := map[string]int{}
+	merged := map[int]*model.SetAccumulator{} // by position in d.rows; rows with duplicates only
 	d.rows, d.pos = nil, 0
-	return run(d.qc, d.Input, func(row *Row) error {
+	err = run(d.qc, d.Input, func(row *Row) error {
 		var kb strings.Builder
 		for _, v := range row.Tuple.Values {
 			kb.WriteString(v.SortKey())
@@ -95,10 +97,13 @@ func (d *Distinct) Open() (err error) {
 		}
 		key := kb.String()
 		if i, ok := byKey[key]; ok {
-			prev := d.rows[i]
-			merged := &Row{Tuple: prev.Tuple.ShallowWithValues(prev.Tuple.Values)}
-			merged.Tuple.Summaries = model.MergeSets(prev.Tuple.Summaries, row.Tuple.Summaries, d.Lookup)
-			d.rows[i] = merged
+			acc := merged[i]
+			if acc == nil {
+				acc = model.NewSetAccumulator(d.Lookup)
+				acc.Add(d.rows[i].Tuple.Summaries)
+				merged[i] = acc
+			}
+			acc.Add(row.Tuple.Summaries)
 			return nil
 		}
 		rb := approxRowBytes(row)
@@ -111,6 +116,14 @@ func (d *Distinct) Open() (err error) {
 		d.rows = append(d.rows, row)
 		return nil
 	})
+	if err != nil {
+		return err
+	}
+	for i, acc := range merged {
+		first := d.rows[i].Tuple
+		d.rows[i] = &Row{Tuple: &model.Tuple{OID: first.OID, Values: first.Values, Summaries: acc.Result()}}
+	}
+	return nil
 }
 
 // NextBatch emits the next distinct rows.

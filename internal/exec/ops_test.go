@@ -3,9 +3,11 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/heap"
 	"repro/internal/model"
 	"repro/internal/sql"
 )
@@ -50,6 +52,82 @@ func newOpsFixture(t *testing.T, nR, nS int) *opsFixture {
 		s.Insert([]model.Value{model.NewInt(int64(j % nR)), model.NewText(fmt.Sprintf("z%02d", j))})
 	}
 	return &opsFixture{cat: cat, r: r, s: s}
+}
+
+// newMergeFixture builds R(a INT, b TEXT) with n rows whose summary
+// sets carry all three types, with annotation IDs shared across tuples
+// so that every merge rule has work to do under grouping:
+//
+//   - C1 (classifier): "Disease" elements are shared by runs of three
+//     consecutive rows, "Other" holds one annotation of the row's own.
+//   - T1 (snippet): consecutive row pairs summarize the same annotation
+//     (one of the two snippets must be dropped), plus a snippet with no
+//     source annotation (never dropped).
+//   - S1 (cluster): a chain group overlapping the next row's chain group
+//     in exactly one annotation, with sizes cycling 3, 2, 4 — the
+//     X/Y/Z shape on which pairwise re-election depends on how the rows
+//     are split — and every fifth one without a representative; plus a
+//     one-annotation group of the row's own that must propagate alone.
+func newMergeFixture(t *testing.T, n int) *opsFixture {
+	t.Helper()
+	cat := catalog.New(nil, 8)
+	r, err := cat.CreateTable("R", model.NewSchema("",
+		model.Column{Name: "a", Kind: model.KindInt},
+		model.Column{Name: "b", Kind: model.KindText}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chainFrom := int64(10000)
+	for i := 1; i <= n; i++ {
+		oid, _ := r.Insert([]model.Value{model.NewInt(int64(i)), model.NewText(fmt.Sprintf("b%02d", i))})
+		id := int64(i)
+		chain := seqIDs(chainFrom, []int{3, 2, 4}[i%3])
+		chainFrom = chain[len(chain)-1]
+		chainRep := model.Rep{Text: fmt.Sprintf("chain%d", i), RepAnnID: chain[0], Count: len(chain), Elements: chain}
+		if i%5 == 0 {
+			chainRep.RepAnnID = 0
+		}
+		r.PutSummaries(oid, model.SummarySet{
+			{InstanceID: "C1", TupleOID: oid, Type: model.SummaryClassifier, Reps: []model.Rep{
+				{Label: "Disease", Count: 2, Elements: []int64{3000 + id/3, 3500 + id/3}},
+				{Label: "Other", Count: 1, Elements: []int64{4000 + id}},
+			}},
+			{InstanceID: "T1", TupleOID: oid, Type: model.SummarySnippet, Reps: []model.Rep{
+				{Text: fmt.Sprintf("pair%d", i), RepAnnID: 2000 + id/2, Elements: []int64{2000 + id/2}},
+				{Text: fmt.Sprintf("loose%d", i)},
+			}},
+			{InstanceID: "S1", TupleOID: oid, Type: model.SummaryCluster, Reps: []model.Rep{
+				chainRep,
+				{Text: fmt.Sprintf("own%d", i), RepAnnID: 5000 + id, Count: 1, Elements: []int64{5000 + id}},
+			}},
+		})
+	}
+	return &opsFixture{cat: cat, r: r}
+}
+
+// fullKey renders a row's values and every field of its summary set —
+// SummarySet.String abbreviates texts and leaves element lists out.
+func fullKey(r *Row) string {
+	var b strings.Builder
+	b.WriteString(r.Tuple.String())
+	if r.Tuple.Summaries == nil {
+		b.WriteString(" <nil>")
+	}
+	for _, o := range r.Tuple.Summaries {
+		fmt.Fprintf(&b, "\n %d %s %d %v", o.ObjID, o.InstanceID, o.TupleOID, o.Type)
+		for _, rep := range o.Reps {
+			fmt.Fprintf(&b, "\n  %q %d %q %d %v", rep.Label, rep.Count, rep.Text, rep.RepAnnID, rep.Elements)
+		}
+	}
+	return b.String()
+}
+
+func fullKeys(rows []*Row) string {
+	keys := make([]string, len(rows))
+	for i, r := range rows {
+		keys[i] = fullKey(r)
+	}
+	return strings.Join(keys, "\n")
 }
 
 func seqIDs(from int64, n int) []int64 {
@@ -171,6 +249,97 @@ func TestProjectComputesExpressions(t *testing.T) {
 	}
 	if rows[1].Tuple.Summaries == nil {
 		t.Error("projection must pass summaries through")
+	}
+}
+
+// TestDollarFormsResolveAlike: scans emit rows without a per-alias
+// summary map, so a qualified, an unqualified and a differently-cased $
+// all read Tuple.Summaries — through a summary filter, a predicate
+// filter and a projection — while the rows of all three joins resolve
+// r.$ and s.$ to their own side before the merge and to the merged set
+// after it.
+func TestDollarFormsResolveAlike(t *testing.T) {
+	const nR, nS = 6, 36
+	f := newOpsFixture(t, nR, nS)
+	var sOIDs []int64
+	f.s.Scan(func(_ heap.RID, tu *model.Tuple) bool {
+		sOIDs = append(sOIDs, tu.OID)
+		return true
+	})
+	for k, oid := range sOIDs {
+		j := int64(k + 1)
+		f.s.PutSummaries(oid, model.SummarySet{{InstanceID: "C1", TupleOID: oid, Type: model.SummaryClassifier,
+			Reps: []model.Rep{
+				{Label: "Disease", Count: int(j % 5), Elements: seqIDs(800000+10*j, int(j%5))},
+				{Label: "Other", Count: 2, Elements: seqIDs(900000+2*j, 2)},
+			}}})
+	}
+	label := func(form, l string) string {
+		return form + ".getSummaryObject('C1').getLabelValue('" + l + "')"
+	}
+	values := func(rows []*Row) string {
+		parts := make([]string, len(rows))
+		for i, r := range rows {
+			parts[i] = r.Tuple.String()
+		}
+		return strings.Join(parts, "\n")
+	}
+
+	// scan -> F -> filter -> project: r.a with Disease >= 2 is 2, 3, 6.
+	out := model.NewSchema("", model.Column{Name: "a", Kind: model.KindInt}, model.Column{Name: "d", Kind: model.KindInt})
+	for _, form := range []string{"r.$", "$", "R.$"} {
+		pipe := NewProject(
+			NewFilter(
+				NewSummaryFilter(NewSeqScan(f.r, "r", true), []string{"C1"}, nil),
+				mustExpr(t, label(form, "Disease")+" >= 2"), nil),
+			[]sql.Expr{mustExpr(t, "r.a"), mustExpr(t, label(form, "Disease"))}, out, nil)
+		rows, err := Collect(nil, pipe)
+		if err != nil {
+			t.Fatalf("%s: %v", form, err)
+		}
+		if got, want := values(rows), "2|2\n3|3\n6|2"; got != want {
+			t.Errorf("%s through scan, filters and project:\n%s\nwant\n%s", form, got, want)
+		}
+	}
+
+	// Joins on r.a = s.x (x = j % nR) keeping r's Disease >= 2 and s's
+	// Disease = 1, each read from its own side's set.
+	var want []string
+	for i := 1; i <= nR; i++ {
+		for j := 1; j <= nS; j++ {
+			if j%nR == i && i%4 >= 2 && j%5 == 1 {
+				want = append(want, fmt.Sprintf("%d|z%02d|3|3|3", i, j))
+			}
+		}
+	}
+	residual := label("r.$", "Disease") + " >= 2 AND " + label("s.$", "Disease") + " = 1" +
+		" AND " + label("r.$", "Other") + " = 1 AND " + label("S.$", "Other") + " = 2"
+	if _, err := f.s.CreateDataIndex("x"); err != nil {
+		t.Fatal(err)
+	}
+	joins := map[string]Operator{
+		"nl": NewNLJoin(NewSeqScan(f.r, "r", true), NewSeqScan(f.s, "s", true),
+			mustExpr(t, "r.a = s.x AND "+residual), true, nil),
+		"hash": NewHashJoin(NewSeqScan(f.r, "r", true), NewSeqScan(f.s, "s", true),
+			mustExpr(t, "r.a"), mustExpr(t, "s.x"), mustExpr(t, residual), true, nil),
+		"index": NewIndexJoin(NewSeqScan(f.r, "r", true), f.s, "s", "x",
+			mustExpr(t, "r.a"), mustExpr(t, residual), true, nil),
+	}
+	joined := model.NewSchema("",
+		model.Column{Name: "a", Kind: model.KindInt}, model.Column{Name: "z", Kind: model.KindText},
+		model.Column{Name: "ro", Kind: model.KindInt}, model.Column{Name: "so", Kind: model.KindInt},
+		model.Column{Name: "o", Kind: model.KindInt})
+	for name, j := range joins {
+		// After the merge every form sees r's one and s's two Other
+		// annotations together.
+		rows, err := Collect(nil, NewProject(j, []sql.Expr{mustExpr(t, "r.a"), mustExpr(t, "s.z"),
+			mustExpr(t, label("r.$", "Other")), mustExpr(t, label("s.$", "Other")), mustExpr(t, label("$", "Other"))}, joined, nil))
+		if err != nil {
+			t.Fatalf("%s join: %v", name, err)
+		}
+		if got := values(rows); got != strings.Join(want, "\n") || len(want) != 2 {
+			t.Errorf("%s join:\n%s\nwant\n%s", name, got, strings.Join(want, "\n"))
+		}
 	}
 }
 
@@ -351,6 +520,50 @@ func TestLimitAndDistinct(t *testing.T) {
 	// All 10 tuples' Other elements merged (1 annotation each).
 	if got, _ := obj.GetLabelValue("Other"); got != 10 {
 		t.Errorf("merged Other = %d, want 10", got)
+	}
+}
+
+// TestDistinctMergesAllSummaryTypes collapses rows whose sets carry all
+// three summary types and share annotations: each surviving row must
+// hold exactly the fold of its duplicates' sets in scan order, at every
+// batch capacity.
+func TestDistinctMergesAllSummaryTypes(t *testing.T) {
+	f := newMergeFixture(t, 96)
+	scanned, err := Collect(nil, NewSeqScan(f.r, "r", true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []*Row // one per a/12, summaries folded by the accumulator directly
+	var accs []*model.SetAccumulator
+	for i, row := range scanned {
+		k := (i + 1) / 12
+		if k == len(want) {
+			want = append(want, &Row{Tuple: &model.Tuple{Values: []model.Value{model.NewInt(int64(k))}}})
+			accs = append(accs, model.NewSetAccumulator(nil))
+		}
+		accs[k].Add(row.Tuple.Summaries)
+	}
+	for k, acc := range accs {
+		want[k].Tuple.Summaries = acc.Result()
+	}
+	for _, capacity := range []int{1, 7, 1024} {
+		out := model.NewSchema("", model.Column{Name: "k", Kind: model.KindInt})
+		p := NewProject(NewSeqScan(f.r, "r", true), []sql.Expr{mustExpr(t, "r.a / 12")}, out, nil)
+		got, err := Collect(NewQueryCtx(nil, nil, capacity), NewDistinct(p, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fullKeys(got) != fullKeys(want) {
+			t.Fatalf("capacity %d:\ngot\n%s\nwant\n%s", capacity, fullKeys(got), fullKeys(want))
+		}
+	}
+	// Nine rows, all three types, and the chain groups of a key's twelve
+	// consecutive rows combined into one group next to twelve lone ones.
+	if len(want) != 9 || len(want[1].Tuple.Summaries) != 3 {
+		t.Fatalf("fixture drifted: %d rows\n%s", len(want), fullKey(want[1]))
+	}
+	if s1 := want[1].Tuple.Summaries.Get("S1"); len(s1.Reps) != 13 || s1.Reps[0].Count != 25 {
+		t.Errorf("S1 of key 1: %d groups, first of %d", len(s1.Reps), s1.Reps[0].Count)
 	}
 }
 

@@ -75,9 +75,15 @@ func TestGatherWithFilterPipeline(t *testing.T) {
 	}
 }
 
+// TestParallelGroupByMatchesSerial groups rows that carry all three
+// summary types and share annotations across tuples (newMergeFixture),
+// so partial accumulators of one group meet in the final merge with
+// snippets to drop and cluster chains that cross the partition cut. At
+// every worker count and batch capacity the groups, their order, every
+// aggregate and the complete summary sets must be the serial plan's.
 func TestParallelGroupByMatchesSerial(t *testing.T) {
-	f := newOpsFixture(t, 40, 0)
-	keys := func() []sql.Expr { return []sql.Expr{mustExpr(t, "r.a / 7")} }
+	f := newMergeFixture(t, 96) // PageCap 8 -> 12 pages, enough for 8 workers
+	keys := func() []sql.Expr { return []sql.Expr{mustExpr(t, "r.a / 12")} }
 	aggs := func() []AggSpec {
 		return []AggSpec{
 			{Func: "count", Star: true, Name: "cnt"},
@@ -91,19 +97,19 @@ func TestParallelGroupByMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dop := range []int{2, 3, 5} {
-		par, err := Collect(nil, NewParallelGroupBy(partitionedScans(f, dop, true), keys(), aggs(), nil))
-		if err != nil {
-			t.Fatalf("dop %d: %v", dop, err)
-		}
-		if len(par) != len(serial) {
-			t.Fatalf("dop %d: %d groups, serial %d", dop, len(par), len(serial))
-		}
-		// Group order, every aggregate, and the merged summaries must be
-		// identical to the serial plan — not just set-equal.
-		for i := range par {
-			if rowKey(par[i]) != rowKey(serial[i]) {
-				t.Fatalf("dop %d: group %d differs:\n%s\n%s", dop, i, rowKey(par[i]), rowKey(serial[i]))
+	want := fullKeys(serial)
+	if len(serial) != 9 || len(serial[1].Tuple.Summaries) != 3 {
+		t.Fatalf("fixture drifted: %d groups\n%s", len(serial), want)
+	}
+	for _, capacity := range []int{1, 1024} {
+		for _, dop := range []int{1, 2, 3, 8} {
+			par, err := Collect(NewQueryCtx(nil, nil, capacity),
+				NewParallelGroupBy(partitionedScans(f, dop, true), keys(), aggs(), nil))
+			if err != nil {
+				t.Fatalf("capacity %d dop %d: %v", capacity, dop, err)
+			}
+			if got := fullKeys(par); got != want {
+				t.Fatalf("capacity %d dop %d:\ngot\n%s\nserial\n%s", capacity, dop, got, want)
 			}
 		}
 	}

@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"strings"
-
 	"repro/internal/catalog"
 	"repro/internal/heap"
 	"repro/internal/model"
@@ -63,10 +61,9 @@ func (s *SeqScan) Open() (err error) {
 
 // NextBatch fills a row vector from the cursor. Row and Tuple storage
 // is carved from two per-batch slabs (two allocations per batch instead
-// of two per row), and the per-alias summary map is skipped entirely
-// for rows without summaries — SetFor falls back to Tuple.Summaries,
-// which is observationally identical. Cancellation is polled and the
-// deferred panic trap paid once per batch.
+// of two per row). A scan's rows carry no per-alias summary map: they
+// have one alias, and SetFor falls back to Tuple.Summaries. Cancellation
+// is polled and the deferred panic trap paid once per batch.
 func (s *SeqScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("SeqScan", &err)
 	size := qc.Capacity()
@@ -93,7 +90,6 @@ func (s *SeqScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 		r.Tuple = t
 		if s.Propagate {
 			t.Summaries = s.Table.GetSummaries(oid)
-			r.AliasSets = aliasSet(s.Alias, t.Summaries)
 		}
 		b.Append(r)
 	}
@@ -113,13 +109,9 @@ func (s *SeqScan) Close() error {
 // Schema returns the scan's output schema (table columns under alias).
 func (s *SeqScan) Schema() *model.Schema { return s.schema }
 
-func aliasSet(alias string, set model.SummarySet) map[string]model.SummarySet {
-	return map[string]model.SummarySet{strings.ToLower(alias): set}
-}
-
 // fetchRow loads a base tuple at a known heap location and wraps it as a
 // pipeline row; shared by the index scans.
-func fetchRow(t *catalog.Table, alias string, rid heap.RID, propagate bool) (*Row, bool) {
+func fetchRow(t *catalog.Table, rid heap.RID, propagate bool) (*Row, bool) {
 	tu, ok := t.GetAt(rid)
 	if !ok {
 		return nil, false
@@ -127,5 +119,5 @@ func fetchRow(t *catalog.Table, alias string, rid heap.RID, propagate bool) (*Ro
 	if propagate {
 		tu.Summaries = t.GetSummaries(tu.OID)
 	}
-	return &Row{Tuple: tu, AliasSets: aliasSet(alias, tu.Summaries)}, true
+	return &Row{Tuple: tu}, true
 }

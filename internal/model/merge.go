@@ -1,6 +1,6 @@
 package model
 
-import "sort"
+import "slices"
 
 // This file implements the merge semantics of summary objects under join,
 // grouping, and duplicate elimination (Section 2.2, Example 1). The merge
@@ -14,208 +14,344 @@ import "sort"
 // with no counterpart propagate unchanged (cloned, so the output never
 // aliases the inputs).
 func MergeSets(a, b SummarySet, lookup AnnotationLookup) SummarySet {
-	if a == nil && b == nil {
-		return nil
+	acc := NewSetAccumulator(lookup)
+	acc.Add(a)
+	acc.Add(b)
+	return acc.Result()
+}
+
+// SetAccumulator folds any number of summary sets into one, in time
+// linear in the elements added (plus one sort per output element list).
+// It is the only merge implementation: GROUP BY, DISTINCT and the
+// partial/final aggregation of parallel plans feed it member by member,
+// and MergeSets is its two-Add form. DESIGN.md §17 has the reasoning.
+//
+// Per (instance, type) object it keeps raw state that an Add only
+// appends to, and Result finishes:
+//
+//   - classifier: per label the bag of element IDs added; a count is the
+//     size of the sorted, de-duplicated bag.
+//   - snippet: the surviving snippets and the RepAnnIDs seen. A snippet
+//     is dropped when its RepAnnID was seen before the Add that carries
+//     it (never against its own set; a zero RepAnnID never matches).
+//   - cluster: every arriving group and a union-find over them. Groups
+//     sharing an element combine transitively; a combined group takes
+//     the representative of its largest arriving group (ties: earliest)
+//     — a rule of the arrival sequence alone, so any split of it into
+//     Merge'd partial accumulators elects the same one.
+//
+// Objects, labels and cluster components keep first-appearance order,
+// and the first object of an instance gives the result its identity
+// fields. Added sets are not mutated and must not change while the
+// accumulator is in use (its state points into them). A Result that
+// folded two or more sets shares no storage with them; the Result of
+// exactly one added set is that set itself.
+type SetAccumulator struct {
+	lookup AnnotationLookup
+	n      int        // sets added
+	sole   SummarySet // the set added when n == 1, not folded yet
+	nonNil bool       // some folded set was non-nil
+	objs   []objAcc
+}
+
+// objAcc is the raw state of one output object.
+type objAcc struct {
+	// obj carries the identity fields; a classifier's Reps are its label
+	// bags (Elements unsorted, duplicates allowed).
+	obj SummaryObject
+	// arrived lists a snippet object's survivors or a cluster object's
+	// groups in arrival order — pointers into the added sets, since the
+	// list of a large group is regrown many times and a Rep is 72 bytes.
+	arrived []*Rep
+	batches int                // Adds that reached this object
+	indexed int                // arrived[:indexed] are in seen, or in owner and parent
+	seen    map[int64]struct{} // snippet: RepAnnIDs of earlier Adds
+	owner   map[int64]int32    // cluster: element -> first group holding it
+	parent  []int32            // cluster: union-find over arrived
+}
+
+// NewSetAccumulator returns an empty accumulator. lookup (may be nil)
+// gives a combined cluster group's text when no arriving group names one.
+func NewSetAccumulator(lookup AnnotationLookup) *SetAccumulator {
+	return &SetAccumulator{lookup: lookup}
+}
+
+// Add folds one more set into the accumulator.
+func (a *SetAccumulator) Add(s SummarySet) {
+	if a.n == 0 {
+		a.n, a.sole = 1, s
+		return
 	}
-	out := make(SummarySet, 0, len(a)+len(b))
-	matched := make([]bool, len(b))
-	for _, oa := range a {
-		var partner *SummaryObject
-		for j, ob := range b {
-			if !matched[j] && oa.InstanceID == ob.InstanceID && oa.Type == ob.Type {
-				matched[j] = true
-				partner = ob
-				break
-			}
+	a.foldSole()
+	a.n++
+	a.fold(s)
+}
+
+// Merge folds in everything o has accumulated, as if o's sets had been
+// added to a one by one after a's own. o must not be used afterwards.
+func (a *SetAccumulator) Merge(o *SetAccumulator) {
+	if o.n <= 1 {
+		if o.n == 1 {
+			a.Add(o.sole)
 		}
-		if partner == nil {
-			out = append(out, oa.Clone())
+		return
+	}
+	a.foldSole()
+	a.n += o.n
+	a.nonNil = a.nonNil || o.nonNil
+	for _, c := range o.objs {
+		dst := a.match(&c.obj)
+		if dst == nil {
+			a.objs = append(a.objs, c)
 			continue
 		}
-		out = append(out, MergeObjects(oa, partner, lookup))
-	}
-	for j, ob := range b {
-		if !matched[j] {
-			out = append(out, ob.Clone())
+		reps := c.obj.Reps
+		if c.obj.Type != SummaryClassifier {
+			reps = make([]Rep, len(c.arrived))
+			for i, r := range c.arrived {
+				reps[i] = *r
+			}
 		}
+		dst.add(reps, c.batches)
+	}
+}
+
+// Result returns the merged set: nil iff every added set was nil.
+func (a *SetAccumulator) Result() SummarySet {
+	if a.n == 1 {
+		return a.sole
+	}
+	if !a.nonNil {
+		return nil
+	}
+	out := make(SummarySet, 0, len(a.objs))
+	for i := range a.objs {
+		c := &a.objs[i]
+		o := c.obj
+		switch o.Type {
+		case SummaryClassifier:
+			o.Reps = make([]Rep, len(c.obj.Reps))
+			for k, r := range c.obj.Reps {
+				ids := slices.Clone(r.Elements)
+				slices.Sort(ids)
+				ids = slices.Compact(ids)
+				o.Reps[k] = Rep{Label: r.Label, Count: len(ids), Elements: ids}
+			}
+		case SummaryCluster:
+			o.Reps = c.clusterReps(a.lookup)
+		default:
+			o.Reps = cloneReps(c.arrived)
+		}
+		out = append(out, &o)
 	}
 	return out
 }
 
-// MergeObjects combines two summary objects of the same instance and
-// type. The result carries a's identity fields.
-func MergeObjects(a, b *SummaryObject, lookup AnnotationLookup) *SummaryObject {
-	out := &SummaryObject{
-		ObjID:      a.ObjID,
-		InstanceID: a.InstanceID,
-		TupleOID:   a.TupleOID,
-		Type:       a.Type,
+func (a *SetAccumulator) foldSole() {
+	if a.n == 1 {
+		a.fold(a.sole)
+		a.sole = nil
 	}
-	switch a.Type {
+}
+
+func (a *SetAccumulator) fold(s SummarySet) {
+	a.nonNil = a.nonNil || s != nil
+	if a.objs == nil {
+		a.objs = make([]objAcc, 0, len(s))
+	}
+	for _, o := range s {
+		dst := a.match(o)
+		if dst == nil {
+			a.objs = append(a.objs, objAcc{obj: SummaryObject{
+				ObjID: o.ObjID, InstanceID: o.InstanceID, TupleOID: o.TupleOID, Type: o.Type}})
+			dst = &a.objs[len(a.objs)-1]
+		}
+		dst.add(o.Reps, 1)
+	}
+}
+
+// match returns the accumulated object of o's instance and type (a set
+// holds one object per instance), or nil.
+func (a *SetAccumulator) match(o *SummaryObject) *objAcc {
+	for i := range a.objs {
+		if c := &a.objs[i]; c.obj.InstanceID == o.InstanceID && c.obj.Type == o.Type {
+			return c
+		}
+	}
+	return nil
+}
+
+// add appends reps, which arrived in the given number of Adds.
+func (c *objAcc) add(reps []Rep, batches int) {
+	c.batches += batches
+	switch c.obj.Type {
 	case SummaryClassifier:
-		out.Reps = mergeClassifierReps(a.Reps, b.Reps)
-	case SummarySnippet:
-		out.Reps = mergeSnippetReps(a.Reps, b.Reps)
+		c.addLabels(reps)
 	case SummaryCluster:
-		out.Reps = mergeClusterReps(a.Reps, b.Reps, lookup)
+		c.addGroups(reps)
+	default:
+		c.addSnippets(reps)
 	}
-	return out
 }
 
-// mergeClassifierReps unions the element sets label by label. Labels
-// present on only one side propagate as-is; label order follows a's
-// order with b's extra labels appended, preserving the instance's
-// pre-defined label ordering.
-func mergeClassifierReps(a, b []Rep) []Rep {
-	out := make([]Rep, 0, len(a))
-	seen := make(map[string]bool, len(a))
-	for _, ra := range a {
-		seen[ra.Label] = true
-		union := ra.Elements
-		for _, rb := range b {
-			if rb.Label == ra.Label {
-				union = unionIDs(ra.Elements, rb.Elements)
-				break
-			}
+// addLabels appends each label's elements to that label's bag. Labels
+// keep first-appearance order, preserving the instance's pre-defined
+// label ordering. A label's first element list is aliased with its
+// capacity clipped, so the append of a second one copies both.
+func (c *objAcc) addLabels(reps []Rep) {
+	if c.obj.Reps == nil {
+		c.obj.Reps = make([]Rep, 0, len(reps))
+	}
+	for i, r := range reps {
+		// Objects of one instance list their labels in the same order,
+		// so position i is almost always the match.
+		at := i
+		if at >= len(c.obj.Reps) || c.obj.Reps[at].Label != r.Label {
+			at = slices.IndexFunc(c.obj.Reps, func(x Rep) bool { return x.Label == r.Label })
 		}
-		out = append(out, Rep{Label: ra.Label, Count: len(union), Elements: append([]int64(nil), union...)})
-	}
-	for _, rb := range b {
-		if !seen[rb.Label] {
-			out = append(out, Rep{Label: rb.Label, Count: len(rb.Elements), Elements: append([]int64(nil), rb.Elements...)})
-		}
-	}
-	return out
-}
-
-// mergeSnippetReps unions snippets, dropping duplicates that summarize
-// the same raw annotation (the shared-annotation case).
-func mergeSnippetReps(a, b []Rep) []Rep {
-	out := make([]Rep, 0, len(a)+len(b))
-	seen := make(map[int64]bool, len(a))
-	for _, r := range a {
-		seen[r.RepAnnID] = true
-		out = append(out, r.CloneRep())
-	}
-	for _, r := range b {
-		if r.RepAnnID != 0 && seen[r.RepAnnID] {
+		if at < 0 {
+			c.obj.Reps = append(c.obj.Reps, Rep{Label: r.Label, Elements: slices.Clip(r.Elements)})
 			continue
 		}
-		out = append(out, r.CloneRep())
+		c.obj.Reps[at].Elements = append(c.obj.Reps[at].Elements, r.Elements...)
 	}
-	return out
 }
 
-// mergeClusterReps combines overlapping groups from both sides —
-// groups sharing at least one contributing annotation — transitively,
-// while non-overlapping groups propagate separately (the paper's A1+B5
-// combine, A5 and B7 propagate example). A union-find over the groups,
-// driven by shared element IDs, computes the combined components.
-func mergeClusterReps(a, b []Rep, lookup AnnotationLookup) []Rep {
-	groups := make([]Rep, 0, len(a)+len(b))
-	groups = append(groups, a...)
-	groups = append(groups, b...)
-	if len(groups) == 0 {
-		return nil
-	}
-
-	parent := make([]int, len(groups))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
+// addSnippets appends the snippets whose source annotation was not seen
+// before this call (the shared-annotation case drops the rest). One
+// call's survivors enter c.seen at the start of the next, so an object
+// never added to again — any unmatched object of a join — builds no map.
+func (c *objAcc) addSnippets(reps []Rep) {
+	if len(c.arrived) > c.indexed {
+		if c.seen == nil {
+			c.seen = make(map[int64]struct{}, len(c.arrived))
 		}
-		return x
+		for _, r := range c.arrived[c.indexed:] {
+			c.seen[r.RepAnnID] = struct{}{}
+		}
+		c.indexed = len(c.arrived)
 	}
-	union := func(x, y int) {
-		rx, ry := find(x), find(y)
-		if rx != ry {
-			if rx > ry {
-				rx, ry = ry, rx
+	c.arrived = slices.Grow(c.arrived, len(reps))
+	for i := range reps {
+		r := &reps[i]
+		if _, dup := c.seen[r.RepAnnID]; dup && r.RepAnnID != 0 {
+			continue
+		}
+		c.arrived = append(c.arrived, r)
+	}
+}
+
+// addGroups records the arriving groups and unions each with every
+// earlier group it shares an annotation with (the paper's A1+B5 combine,
+// A5 and B7 propagate). An object's first groups are indexed only when
+// a second Add reaches it: an object without a partner propagates as is.
+func (c *objAcc) addGroups(reps []Rep) {
+	for i := range reps {
+		c.arrived = append(c.arrived, &reps[i])
+	}
+	if c.batches == 1 {
+		return
+	}
+	if c.owner == nil {
+		c.owner = make(map[int64]int32)
+	}
+	for gi := int32(c.indexed); int(gi) < len(c.arrived); gi++ {
+		c.parent = append(c.parent, gi)
+		for _, id := range c.arrived[gi].Elements {
+			prev, ok := c.owner[id]
+			if !ok {
+				c.owner[id] = gi
+				continue
 			}
-			parent[ry] = rx // keep the smallest index as root for determinism
+			// The earlier root stays the root, so every component is
+			// rooted at its earliest group.
+			if rx, ry := c.find(prev), c.find(gi); rx != ry {
+				c.parent[max(rx, ry)] = min(rx, ry)
+			}
 		}
 	}
+	c.indexed = len(c.arrived)
+}
 
-	owner := make(map[int64]int) // element ID -> first group index seen
+func (c *objAcc) find(x int32) int32 {
+	for c.parent[x] != x {
+		c.parent[x] = c.parent[c.parent[x]]
+		x = c.parent[x]
+	}
+	return x
+}
+
+// clusterReps finishes the cluster state: one rep per component, in the
+// order of each component's earliest group — a lone group as a copy, a
+// combined one with the sorted element union, its size and the elected
+// representative. Element lists are carved from one slab.
+func (c *objAcc) clusterReps(lookup AnnotationLookup) []Rep {
+	groups := c.arrived
+	if c.indexed == 0 {
+		return cloneReps(groups)
+	}
+	sizes := make([]int, len(groups)) // root group -> elements of its component's groups
+	total := 0
 	for gi, g := range groups {
-		for _, id := range g.Elements {
-			if prev, ok := owner[id]; ok {
-				union(prev, gi)
-			} else {
-				owner[id] = gi
-			}
-		}
+		sizes[c.find(int32(gi))] += len(g.Elements)
+		total += len(g.Elements)
 	}
-
-	merged := make(map[int][]int) // root -> member group indexes
-	var roots []int
-	for gi := range groups {
-		r := find(gi)
-		if _, ok := merged[r]; !ok {
-			roots = append(roots, r)
-		}
-		merged[r] = append(merged[r], gi)
-	}
-	sort.Ints(roots)
-
-	out := make([]Rep, 0, len(roots))
-	for _, r := range roots {
-		members := merged[r]
-		if len(members) == 1 {
-			out = append(out, groups[members[0]].CloneRep())
+	slab := make([]int64, 0, total)
+	slot := make([]int, len(groups))      // root group -> position in out
+	combined := make([]bool, len(groups)) // root group -> took in another group
+	out := make([]Rep, 0, len(groups))
+	for gi, g := range groups {
+		root := c.find(int32(gi))
+		if int(root) == gi { // the earliest group of its component: visited first
+			slot[gi] = len(out)
+			r := *g
+			r.Elements = append(slab[len(slab):len(slab):len(slab)+sizes[gi]], g.Elements...)
+			slab = slab[:len(slab)+sizes[gi]]
+			out = append(out, r)
 			continue
 		}
-		var elems []int64
-		for _, gi := range members {
-			elems = unionIDs(elems, groups[gi].Elements)
+		// Until the pass ends r.Count is the size of the component's
+		// largest arriving group and r.Elements their concatenation.
+		combined[root] = true
+		r := &out[slot[root]]
+		r.Elements = append(r.Elements, g.Elements...)
+		if g.Count > r.Count {
+			r.Count, r.RepAnnID, r.Text = g.Count, g.RepAnnID, g.Text
 		}
-		// The combined group keeps the representative of its largest
-		// constituent (ties: lowest group index), which the element union
-		// is guaranteed to contain.
-		best := members[0]
-		for _, gi := range members[1:] {
-			if groups[gi].Count > groups[best].Count {
-				best = gi
-			}
+	}
+	for root, ok := range combined {
+		if !ok {
+			continue
 		}
-		rep := Rep{
-			Count:    len(elems),
-			Elements: elems,
-			RepAnnID: groups[best].RepAnnID,
-			Text:     groups[best].Text,
-		}
-		if rep.RepAnnID == 0 && len(elems) > 0 {
-			rep.RepAnnID = elems[0]
+		r := &out[slot[root]]
+		slices.Sort(r.Elements)
+		r.Elements = slices.Clip(slices.Compact(r.Elements))
+		r.Count = len(r.Elements)
+		if r.RepAnnID == 0 && len(r.Elements) > 0 {
+			r.RepAnnID = r.Elements[0]
 			if lookup != nil {
-				if ann, ok := lookup(elems[0]); ok {
-					rep.Text = ann.Text
+				if ann, ok := lookup(r.Elements[0]); ok {
+					r.Text = ann.Text
 				}
 			}
 		}
-		out = append(out, rep)
 	}
 	return out
 }
 
-// unionIDs returns the sorted union of two sorted ID slices. Inputs may
-// be unsorted; the result is always sorted and duplicate-free.
-func unionIDs(a, b []int64) []int64 {
-	set := make(map[int64]bool, len(a)+len(b))
-	for _, id := range a {
-		set[id] = true
+// cloneReps copies reps, carving their element lists from one slab.
+func cloneReps(reps []*Rep) []Rep {
+	total := 0
+	for _, r := range reps {
+		total += len(r.Elements)
 	}
-	for _, id := range b {
-		set[id] = true
+	slab := make([]int64, 0, total)
+	out := make([]Rep, len(reps))
+	for i, r := range reps {
+		at := len(slab)
+		slab = append(slab, r.Elements...)
+		out[i] = *r
+		out[i].Elements = slab[at:len(slab):len(slab)]
 	}
-	out := make([]int64, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

@@ -6,6 +6,12 @@ import (
 	"testing"
 )
 
+// mergeObjects merges two objects of one instance through the production
+// path, as single-object sets.
+func mergeObjects(a, b *SummaryObject) *SummaryObject {
+	return MergeSets(SummarySet{a}, SummarySet{b}, nil)[0]
+}
+
 // makeClassifier builds a classifier object with explicit element IDs per
 // label.
 func makeClassifier(instance string, labels map[string][]int64, order []string) *SummaryObject {
@@ -36,7 +42,7 @@ func TestMergeClassifierNoDoubleCounting(t *testing.T) {
 	s := makeClassifier("ClassBird2", map[string][]int64{
 		"Provenance": ids(10, 16), "Comment": append(ids(105, 109), ids(300, 311)...), "Question": ids(400, 400),
 	}, order)
-	m := MergeObjects(r, s, nil)
+	m := mergeObjects(r, s)
 	if got, _ := m.GetLabelValue("Comment"); got != 22 {
 		t.Errorf("Comment = %d, want 22 (10 + 17 - 5 shared)", got)
 	}
@@ -51,7 +57,7 @@ func TestMergeClassifierNoDoubleCounting(t *testing.T) {
 func TestMergeClassifierDisjointLabelsAppend(t *testing.T) {
 	a := makeClassifier("C", map[string][]int64{"X": {1, 2}}, []string{"X"})
 	b := makeClassifier("C", map[string][]int64{"Y": {3}}, []string{"Y"})
-	m := MergeObjects(a, b, nil)
+	m := mergeObjects(a, b)
 	if m.Size() != 2 {
 		t.Fatalf("Size = %d", m.Size())
 	}
@@ -69,7 +75,7 @@ func TestMergeSnippetsDropSharedAnnotation(t *testing.T) {
 		{Text: "snip2", RepAnnID: 2, Elements: []int64{2}},
 		{Text: "snip3", RepAnnID: 3, Elements: []int64{3}},
 	}}
-	m := MergeObjects(a, b, nil)
+	m := mergeObjects(a, b)
 	if m.Size() != 3 {
 		t.Errorf("Size = %d, want 3 (shared annotation 2 not duplicated)", m.Size())
 	}
@@ -87,7 +93,7 @@ func TestMergeClusterOverlapAndPropagation(t *testing.T) {
 		{Text: "B5", RepAnnID: 8, Count: 4, Elements: []int64{2, 3, 8, 9}},
 		{Text: "B7", RepAnnID: 20, Count: 2, Elements: []int64{20, 21}},
 	}}
-	m := MergeObjects(a, b, nil)
+	m := mergeObjects(a, b)
 	if m.Size() != 3 {
 		t.Fatalf("Size = %d, want 3 groups", m.Size())
 	}
@@ -122,7 +128,7 @@ func TestMergeClusterTransitiveOverlap(t *testing.T) {
 	b := &SummaryObject{InstanceID: "S", Type: SummaryCluster, Reps: []Rep{
 		{Text: "g2", RepAnnID: 2, Count: 3, Elements: []int64{2, 8, 9}},
 	}}
-	m := MergeObjects(a, b, nil)
+	m := mergeObjects(a, b)
 	if m.Size() != 1 {
 		t.Fatalf("Size = %d, want 1 transitively combined group", m.Size())
 	}
@@ -191,7 +197,7 @@ func TestMergeClassifierCommutativeProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for iter := 0; iter < 300; iter++ {
 		a, b := randomClassifier(rng, "C"), randomClassifier(rng, "C")
-		ab, ba := MergeObjects(a, b, nil), MergeObjects(b, a, nil)
+		ab, ba := mergeObjects(a, b), mergeObjects(b, a)
 		if !ab.Equal(ba) {
 			t.Fatalf("iter %d: merge not commutative:\n%s\n%s", iter, ab, ba)
 		}
@@ -208,8 +214,8 @@ func TestMergeClassifierAssociativeProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for iter := 0; iter < 200; iter++ {
 		a, b, c := randomClassifier(rng, "C"), randomClassifier(rng, "C"), randomClassifier(rng, "C")
-		l := MergeObjects(MergeObjects(a, b, nil), c, nil)
-		r := MergeObjects(a, MergeObjects(b, c, nil), nil)
+		l := mergeObjects(mergeObjects(a, b), c)
+		r := mergeObjects(a, mergeObjects(b, c))
 		if !l.Equal(r) {
 			t.Fatalf("iter %d: merge not associative:\n%s\n%s", iter, l, r)
 		}
@@ -220,7 +226,7 @@ func TestMergeClassifierAssociativeProperty(t *testing.T) {
 // nothing (every element is shared).
 func TestMergeIdempotentProperty(t *testing.T) {
 	for _, o := range []*SummaryObject{classBird1(), snippetObj(), clusterObj()} {
-		m := MergeObjects(o, o, nil)
+		m := mergeObjects(o, o)
 		if m.TotalCount() != o.TotalCount() {
 			t.Errorf("%s: self-merge changed total %d -> %d", o.InstanceID, o.TotalCount(), m.TotalCount())
 		}
@@ -253,7 +259,7 @@ func TestMergeClusterPartitionProperty(t *testing.T) {
 	}
 	for iter := 0; iter < 300; iter++ {
 		a, b := randomCluster(), randomCluster()
-		m := MergeObjects(a, b, nil)
+		m := mergeObjects(a, b)
 		seen := map[int64]int{}
 		for _, r := range m.Reps {
 			if r.Count != len(r.Elements) {

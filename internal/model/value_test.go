@@ -1,6 +1,8 @@
 package model
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -136,6 +138,17 @@ func TestSQLLiteralQuotesText(t *testing.T) {
 	}
 	if got := NewInt(3).SQLLiteral(); got != "3" {
 		t.Errorf("SQLLiteral(3) = %q", got)
+	}
+}
+
+// The integer SortKey is written digit by digit; it must stay the bytes
+// of the fmt form it replaced, which stored index keys were built with.
+func TestSortKeyIntMatchesFmtForm(t *testing.T) {
+	for _, n := range []int64{math.MinInt64, -1, 0, 1, math.MaxInt64, -1234567890123, 42} {
+		want := fmt.Sprintf("i%020d", uint64(n)+1<<63)
+		if got := NewInt(n).SortKey(); got != want {
+			t.Errorf("SortKey(%d) = %q, want %q", n, got, want)
+		}
 	}
 }
 
