@@ -760,3 +760,57 @@ func TestExplainShapes(t *testing.T) {
 		t.Errorf("disabled plan wrong:\n%s", disabled)
 	}
 }
+
+// TestBaselineReconstructSurvivesJoin: a reconstructing baseline scan
+// hands the join classifier objects that are labels and counts with no
+// element lists. Synonyms carries no summaries, so each such object
+// reaches the join's merge without a partner and must leave it with its
+// counts, as it does from the single-table query.
+func TestBaselineReconstructSurvivesJoin(t *testing.T) {
+	db, _ := testDB(t, 30)
+	if err := db.CreateBaselineIndex("Birds", "ClassBird1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateTable("Synonyms", model.NewSchema("",
+		model.Column{Name: "bird_id", Kind: model.KindInt},
+		model.Column{Name: "synonym", Kind: model.KindText})); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 30; i++ {
+		if _, err := db.Insert("Synonyms", model.NewInt(int64(i)), model.NewText(fmt.Sprintf("Syn%03d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opts := &optimizer.Options{UseBaseline: true, BaselineReconstruct: true}
+	single, err := db.Query(`SELECT r.id FROM Birds r
+	      WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') = 4`, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int64]string{}
+	for _, r := range single.Rows {
+		want[r.Tuple.Values[0].Int] = r.Tuple.Summaries.Get("ClassBird1").String()
+	}
+	if len(want) == 0 || !strings.Contains(single.Rows[0].Tuple.Summaries.Get("ClassBird1").String(), "(Disease,4)") {
+		t.Fatalf("single-table baseline query: %d rows, first %v", len(want), single.Rows)
+	}
+	for _, force := range []string{"hash", "nl", "index"} {
+		opts := *opts
+		opts.ForceJoin = force
+		joined, err := db.Query(`SELECT r.id FROM Birds r, Synonyms s
+		      WHERE r.id = s.bird_id
+		        AND r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') = 4`, &opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(joined.Rows) != len(want) {
+			t.Fatalf("%s join: %d rows, want %d", force, len(joined.Rows), len(want))
+		}
+		for _, r := range joined.Rows {
+			id := r.Tuple.Values[0].Int
+			if got := r.Tuple.Summaries.Get("ClassBird1"); got == nil || got.String() != want[id] {
+				t.Errorf("%s join, bird %d: ClassBird1 = %v, want %s", force, id, got, want[id])
+			}
+		}
+	}
+}

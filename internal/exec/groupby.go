@@ -244,10 +244,9 @@ func (a *groupAcc) mergeFrom(o *groupAcc) {
 }
 
 // mergeGroupState combines two partial states of the same group; dst is
-// the earlier partition's partial, so its first row wins and src's
-// members follow dst's in the summary merge, as in the serial fold. The
-// accumulators merge unfinished: a finished set no longer says which
-// cluster groups arrived, which electing the serial representative needs.
+// the earlier partition's, so its first row wins and src's members follow
+// dst's in the summary merge, as in the serial fold. Accumulators merge, not
+// finished sets: electing a cluster representative needs the arriving groups.
 func mergeGroupState(dst, src *groupState) {
 	dst.merged.Merge(src.merged)
 	dst.count += src.count

@@ -78,16 +78,15 @@ func (d *Distinct) SetContext(qc *QueryCtx) {
 	SetIterContext(d.Input, qc)
 }
 
-// Open drains the input, collapsing duplicates; a row that had some is
-// replaced at the end by one carrying the merge of all their summary
-// sets. Distinct is a pipeline breaker: every retained row is charged
-// against the query budget, and the operator fails fast with
-// ErrBudgetExceeded when the buffer limit is hit.
+// Open drains the input, collapsing duplicates; a retained row leaves
+// with the merge of its own and its duplicates' summary sets. Distinct is
+// a pipeline breaker: every retained row is charged against the query
+// budget, and Open fails fast with ErrBudgetExceeded at the buffer limit.
 func (d *Distinct) Open() (err error) {
 	defer recoverOp("Distinct", &err)
 	budget := d.qc.Budget()
 	byKey := map[string]int{}
-	merged := map[int]*model.SetAccumulator{} // by position in d.rows; rows with duplicates only
+	var merged []*model.SetAccumulator // parallel to d.rows
 	d.rows, d.pos = nil, 0
 	err = run(d.qc, d.Input, func(row *Row) error {
 		var kb strings.Builder
@@ -96,34 +95,26 @@ func (d *Distinct) Open() (err error) {
 			kb.WriteByte(0)
 		}
 		key := kb.String()
-		if i, ok := byKey[key]; ok {
-			acc := merged[i]
-			if acc == nil {
-				acc = model.NewSetAccumulator(d.Lookup)
-				acc.Add(d.rows[i].Tuple.Summaries)
-				merged[i] = acc
+		i, ok := byKey[key]
+		if !ok {
+			rb := approxRowBytes(row)
+			if cerr := budget.ChargeBuffered("Distinct", 1, rb); cerr != nil {
+				return cerr
 			}
-			acc.Add(row.Tuple.Summaries)
-			return nil
+			d.chargedRows++
+			d.chargedBytes += rb
+			i, byKey[key] = len(d.rows), len(d.rows)
+			d.rows = append(d.rows, row)
+			merged = append(merged, model.NewSetAccumulator(d.Lookup))
 		}
-		rb := approxRowBytes(row)
-		if cerr := budget.ChargeBuffered("Distinct", 1, rb); cerr != nil {
-			return cerr
-		}
-		d.chargedRows++
-		d.chargedBytes += rb
-		byKey[key] = len(d.rows)
-		d.rows = append(d.rows, row)
+		merged[i].Add(row.Tuple.Summaries)
 		return nil
 	})
-	if err != nil {
-		return err
-	}
 	for i, acc := range merged {
-		first := d.rows[i].Tuple
-		d.rows[i] = &Row{Tuple: &model.Tuple{OID: first.OID, Values: first.Values, Summaries: acc.Result()}}
+		d.rows[i] = &Row{Tuple: d.rows[i].Tuple.ShallowWithValues(d.rows[i].Tuple.Values)}
+		d.rows[i].Tuple.Summaries = acc.Result()
 	}
-	return nil
+	return err
 }
 
 // NextBatch emits the next distinct rows.

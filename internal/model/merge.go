@@ -21,16 +21,19 @@ func MergeSets(a, b SummarySet, lookup AnnotationLookup) SummarySet {
 }
 
 // SetAccumulator folds any number of summary sets into one, in time
-// linear in the elements added (plus one sort per output element list).
-// It is the only merge implementation: GROUP BY, DISTINCT and the
+// linear in the elements added (plus the sorts that de-duplicate element
+// lists). It is the only merge implementation: GROUP BY, DISTINCT and the
 // partial/final aggregation of parallel plans feed it member by member,
 // and MergeSets is its two-Add form. DESIGN.md §17 has the reasoning.
 //
-// Per (instance, type) object it keeps raw state that an Add only
-// appends to, and Result finishes:
+// An object that one Add has reached is kept as it arrived: without a
+// partner it propagates unchanged (a baseline scan's counts-only
+// classifier keeps its counts). From the second Add on it is raw state
+// per (instance, type) that Result finishes:
 //
-//   - classifier: per label the bag of element IDs added; a count is the
-//     size of the sorted, de-duplicated bag.
+//   - classifier: per label the bag of element IDs added, de-duplicated
+//     each time it doubles; a count is the size of the sorted,
+//     de-duplicated bag.
 //   - snippet: the surviving snippets and the RepAnnIDs seen. A snippet
 //     is dropped when its RepAnnID was seen before the Add that carries
 //     it (never against its own set; a zero RepAnnID never matches).
@@ -43,9 +46,10 @@ func MergeSets(a, b SummarySet, lookup AnnotationLookup) SummarySet {
 // Objects, labels and cluster components keep first-appearance order,
 // and the first object of an instance gives the result its identity
 // fields. Added sets are not mutated and must not change while the
-// accumulator is in use (its state points into them). A Result that
-// folded two or more sets shares no storage with them; the Result of
-// exactly one added set is that set itself.
+// accumulator is in use: its state points into them, and while bags and
+// snippets stay near the size of the result, every arriving cluster
+// group is kept. A Result that folded two or more sets shares no storage
+// with them; the Result of exactly one added set is that set itself.
 type SetAccumulator struct {
 	lookup AnnotationLookup
 	n      int        // sets added
@@ -56,14 +60,18 @@ type SetAccumulator struct {
 
 // objAcc is the raw state of one output object.
 type objAcc struct {
-	// obj carries the identity fields; a classifier's Reps are its label
-	// bags (Elements unsorted, duplicates allowed).
-	obj SummaryObject
+	obj     SummaryObject // the identity fields; Reps unused
+	batches int           // Adds that reached this object
+	// first is the reps of the only Add so far, as they arrived; the
+	// second Add folds them into the state below and clears it.
+	first []Rep
+	// bags is a classifier's label bags: Elements unsorted, duplicates
+	// allowed; Count is the bag's length when last de-duplicated.
+	bags []Rep
 	// arrived lists a snippet object's survivors or a cluster object's
 	// groups in arrival order — pointers into the added sets, since the
 	// list of a large group is regrown many times and a Rep is 72 bytes.
 	arrived []*Rep
-	batches int                // Adds that reached this object
 	indexed int                // arrived[:indexed] are in seen, or in owner and parent
 	seen    map[int64]struct{} // snippet: RepAnnIDs of earlier Adds
 	owner   map[int64]int32    // cluster: element -> first group holding it
@@ -100,19 +108,13 @@ func (a *SetAccumulator) Merge(o *SetAccumulator) {
 	a.n += o.n
 	a.nonNil = a.nonNil || o.nonNil
 	for _, c := range o.objs {
-		dst := a.match(&c.obj)
-		if dst == nil {
-			a.objs = append(a.objs, c)
-			continue
-		}
-		reps := c.obj.Reps
-		if c.obj.Type != SummaryClassifier {
-			reps = make([]Rep, len(c.arrived))
-			for i, r := range c.arrived {
-				reps[i] = *r
+		reps := c.first
+		if c.batches > 1 {
+			if reps = c.bags; c.obj.Type != SummaryClassifier {
+				reps = derefReps(c.arrived)
 			}
 		}
-		dst.add(reps, c.batches)
+		a.slot(&c.obj).add(reps, c.batches)
 	}
 }
 
@@ -128,19 +130,21 @@ func (a *SetAccumulator) Result() SummarySet {
 	for i := range a.objs {
 		c := &a.objs[i]
 		o := c.obj
-		switch o.Type {
-		case SummaryClassifier:
-			o.Reps = make([]Rep, len(c.obj.Reps))
-			for k, r := range c.obj.Reps {
+		switch {
+		case c.batches == 1:
+			o.Reps = ownElements(slices.Clone(c.first))
+		case o.Type == SummaryClassifier:
+			o.Reps = make([]Rep, len(c.bags))
+			for k, r := range c.bags {
 				ids := slices.Clone(r.Elements)
 				slices.Sort(ids)
 				ids = slices.Compact(ids)
 				o.Reps[k] = Rep{Label: r.Label, Count: len(ids), Elements: ids}
 			}
-		case SummaryCluster:
+		case o.Type == SummaryCluster:
 			o.Reps = c.clusterReps(a.lookup)
 		default:
-			o.Reps = cloneReps(c.arrived)
+			o.Reps = ownElements(derefReps(c.arrived))
 		}
 		out = append(out, &o)
 	}
@@ -150,7 +154,6 @@ func (a *SetAccumulator) Result() SummarySet {
 func (a *SetAccumulator) foldSole() {
 	if a.n == 1 {
 		a.fold(a.sole)
-		a.sole = nil
 	}
 }
 
@@ -160,67 +163,77 @@ func (a *SetAccumulator) fold(s SummarySet) {
 		a.objs = make([]objAcc, 0, len(s))
 	}
 	for _, o := range s {
-		dst := a.match(o)
-		if dst == nil {
-			a.objs = append(a.objs, objAcc{obj: SummaryObject{
-				ObjID: o.ObjID, InstanceID: o.InstanceID, TupleOID: o.TupleOID, Type: o.Type}})
-			dst = &a.objs[len(a.objs)-1]
-		}
-		dst.add(o.Reps, 1)
+		a.slot(o).add(o.Reps, 1)
 	}
 }
 
-// match returns the accumulated object of o's instance and type (a set
-// holds one object per instance), or nil.
-func (a *SetAccumulator) match(o *SummaryObject) *objAcc {
+// slot returns the accumulated object of o's instance and type (a set
+// holds one object per instance), starting it with o's identity if new.
+func (a *SetAccumulator) slot(o *SummaryObject) *objAcc {
 	for i := range a.objs {
 		if c := &a.objs[i]; c.obj.InstanceID == o.InstanceID && c.obj.Type == o.Type {
 			return c
 		}
 	}
-	return nil
+	a.objs = append(a.objs, objAcc{obj: SummaryObject{
+		ObjID: o.ObjID, InstanceID: o.InstanceID, TupleOID: o.TupleOID, Type: o.Type}})
+	return &a.objs[len(a.objs)-1]
 }
 
-// add appends reps, which arrived in the given number of Adds.
+// add appends reps, which arrived in the given number of Adds; the
+// first Add's wait in c.first for a partner.
 func (c *objAcc) add(reps []Rep, batches int) {
-	c.batches += batches
-	switch c.obj.Type {
-	case SummaryClassifier:
-		c.addLabels(reps)
-	case SummaryCluster:
-		c.addGroups(reps)
-	default:
-		c.addSnippets(reps)
+	if c.batches += batches; c.batches == 1 {
+		c.first = reps
+		return
 	}
+	for _, reps := range [2][]Rep{c.first, reps} {
+		switch c.obj.Type {
+		case SummaryClassifier:
+			c.addLabels(reps)
+		case SummaryCluster:
+			c.addGroups(reps)
+		default:
+			c.addSnippets(reps)
+		}
+	}
+	c.first = nil
 }
 
 // addLabels appends each label's elements to that label's bag. Labels
 // keep first-appearance order, preserving the instance's pre-defined
 // label ordering. A label's first element list is aliased with its
-// capacity clipped, so the append of a second one copies both.
+// capacity clipped, so a bag that has grown owns its storage; one that
+// has doubled since it was last de-duplicated is sorted and compacted in
+// place — a bag stays within about twice its union, O(log n) an element.
 func (c *objAcc) addLabels(reps []Rep) {
-	if c.obj.Reps == nil {
-		c.obj.Reps = make([]Rep, 0, len(reps))
+	if c.bags == nil {
+		c.bags = make([]Rep, 0, len(reps))
 	}
 	for i, r := range reps {
 		// Objects of one instance list their labels in the same order,
 		// so position i is almost always the match.
 		at := i
-		if at >= len(c.obj.Reps) || c.obj.Reps[at].Label != r.Label {
-			at = slices.IndexFunc(c.obj.Reps, func(x Rep) bool { return x.Label == r.Label })
+		if at >= len(c.bags) || c.bags[at].Label != r.Label {
+			at = slices.IndexFunc(c.bags, func(x Rep) bool { return x.Label == r.Label })
 		}
 		if at < 0 {
-			c.obj.Reps = append(c.obj.Reps, Rep{Label: r.Label, Elements: slices.Clip(r.Elements)})
+			c.bags = append(c.bags, Rep{Label: r.Label, Count: len(r.Elements), Elements: slices.Clip(r.Elements)})
 			continue
 		}
-		c.obj.Reps[at].Elements = append(c.obj.Reps[at].Elements, r.Elements...)
+		bag := &c.bags[at]
+		bag.Elements = append(bag.Elements, r.Elements...)
+		if len(bag.Elements) > 2*bag.Count {
+			slices.Sort(bag.Elements)
+			bag.Elements = slices.Compact(bag.Elements)
+			bag.Count = len(bag.Elements)
+		}
 	}
 }
 
 // addSnippets appends the snippets whose source annotation was not seen
 // before this call (the shared-annotation case drops the rest). One
-// call's survivors enter c.seen at the start of the next, so an object
-// never added to again — any unmatched object of a join — builds no map.
+// call's survivors enter c.seen at the start of the next.
 func (c *objAcc) addSnippets(reps []Rep) {
 	if len(c.arrived) > c.indexed {
 		if c.seen == nil {
@@ -233,24 +246,18 @@ func (c *objAcc) addSnippets(reps []Rep) {
 	}
 	c.arrived = slices.Grow(c.arrived, len(reps))
 	for i := range reps {
-		r := &reps[i]
-		if _, dup := c.seen[r.RepAnnID]; dup && r.RepAnnID != 0 {
-			continue
+		if _, dup := c.seen[reps[i].RepAnnID]; !dup || reps[i].RepAnnID == 0 {
+			c.arrived = append(c.arrived, &reps[i])
 		}
-		c.arrived = append(c.arrived, r)
 	}
 }
 
 // addGroups records the arriving groups and unions each with every
 // earlier group it shares an annotation with (the paper's A1+B5 combine,
-// A5 and B7 propagate). An object's first groups are indexed only when
-// a second Add reaches it: an object without a partner propagates as is.
+// A5 and B7 propagate).
 func (c *objAcc) addGroups(reps []Rep) {
 	for i := range reps {
 		c.arrived = append(c.arrived, &reps[i])
-	}
-	if c.batches == 1 {
-		return
 	}
 	if c.owner == nil {
 		c.owner = make(map[int64]int32)
@@ -284,12 +291,9 @@ func (c *objAcc) find(x int32) int32 {
 // clusterReps finishes the cluster state: one rep per component, in the
 // order of each component's earliest group — a lone group as a copy, a
 // combined one with the sorted element union, its size and the elected
-// representative. Element lists are carved from one slab.
+// representative, element lists carved from one slab.
 func (c *objAcc) clusterReps(lookup AnnotationLookup) []Rep {
 	groups := c.arrived
-	if c.indexed == 0 {
-		return cloneReps(groups)
-	}
 	sizes := make([]int, len(groups)) // root group -> elements of its component's groups
 	total := 0
 	for gi, g := range groups {
@@ -339,19 +343,26 @@ func (c *objAcc) clusterReps(lookup AnnotationLookup) []Rep {
 	return out
 }
 
-// cloneReps copies reps, carving their element lists from one slab.
-func cloneReps(reps []*Rep) []Rep {
+func derefReps(reps []*Rep) []Rep {
+	out := make([]Rep, len(reps))
+	for i, r := range reps {
+		out[i] = *r
+	}
+	return out
+}
+
+// ownElements moves the element lists of reps, a copy the caller owns,
+// off the storage they share with the added sets and into one slab.
+func ownElements(reps []Rep) []Rep {
 	total := 0
 	for _, r := range reps {
 		total += len(r.Elements)
 	}
 	slab := make([]int64, 0, total)
-	out := make([]Rep, len(reps))
-	for i, r := range reps {
+	for i := range reps {
 		at := len(slab)
-		slab = append(slab, r.Elements...)
-		out[i] = *r
-		out[i].Elements = slab[at:len(slab):len(slab)]
+		slab = append(slab, reps[i].Elements...)
+		reps[i].Elements = slab[at:len(slab):len(slab)]
 	}
-	return out
+	return reps
 }

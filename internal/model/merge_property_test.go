@@ -13,7 +13,10 @@ import (
 // The generator keeps the invariants stored summary objects have — one
 // object per instance in a set, element lists sorted and duplicate-free
 // with Count == len(Elements), cluster groups of one object disjoint —
-// and otherwise aims for collisions: annotation IDs come from a small
+// except for the counts-only classifier a reconstructing baseline scan
+// produces (labels and counts, no element lists), which is usually in
+// one set of a case only and so mostly goes unmatched. Otherwise it
+// aims for collisions: annotation IDs come from a small
 // universe so sets share annotations, snippets repeat a RepAnnID inside
 // one set, RepAnnID 0 appears on snippets and cluster groups, label
 // subsets and object order vary, and sets are sometimes nil or empty.
@@ -83,6 +86,13 @@ func randomSet(rng *rand.Rand, tag string) SummarySet {
 			}
 			ids := someIDs(rng, rng.Intn(6), universe)
 			o.Reps = append(o.Reps, Rep{Label: l, Count: len(ids), Elements: ids})
+		}
+		set = append(set, o)
+	}
+	if rng.Intn(5) == 0 {
+		o := ident(&SummaryObject{InstanceID: "Counts", Type: SummaryClassifier})
+		for _, l := range []string{"L0", "L1"} {
+			o.Reps = append(o.Reps, Rep{Label: l, Count: 1 + rng.Intn(9), Text: tag + "-" + l})
 		}
 		set = append(set, o)
 	}

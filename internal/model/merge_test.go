@@ -161,6 +161,66 @@ func TestMergeSetsUnmatchedPropagate(t *testing.T) {
 	}
 }
 
+// TestMergeSetsUnmatchedCountsOnlyClassifier: a baseline scan rebuilds
+// classifier objects from its normalized table as labels and counts with
+// no element lists (index.Baseline.ReconstructObject). Such an object has
+// nothing to take a union of; without a partner it must come through a
+// merge as it went in, not recounted from its empty element lists.
+func TestMergeSetsUnmatchedCountsOnlyClassifier(t *testing.T) {
+	counts := &SummaryObject{ObjID: 7, InstanceID: "ClassBird1", TupleOID: 42, Type: SummaryClassifier,
+		Reps: []Rep{{Label: "Anatomy", Count: 2}, {Label: "Behavior", Count: 4, Text: "kept", RepAnnID: 9}}}
+	other := makeClassifier("ClassBird2", map[string][]int64{"Comment": {1, 2}}, []string{"Comment"})
+	for name, m := range map[string]SummarySet{
+		"nil partner":      MergeSets(SummarySet{counts}, nil, nil),
+		"nil first":        MergeSets(nil, SummarySet{counts}, nil),
+		"other instance":   MergeSets(SummarySet{counts}, SummarySet{other}, nil),
+		"three-set fold":   MergeSets(MergeSets(SummarySet{other}, SummarySet{counts}, nil), SummarySet{snippetObj()}, nil),
+		"partial and rest": mergedPartials(SummarySet{other}, SummarySet{counts}, SummarySet{other}),
+	} {
+		got := m.Get("ClassBird1")
+		if got == nil || dumpObject(got) != dumpObject(counts) {
+			t.Errorf("%s: got %v, want the object unchanged:\n%s", name, got, dumpObject(counts))
+		}
+		if got == counts {
+			t.Errorf("%s: the result aliases the input object", name)
+		}
+	}
+}
+
+// mergedPartials accumulates first on its own and rest on its own, then
+// merges the two accumulators, as parallel partial aggregation does.
+func mergedPartials(first SummarySet, rest ...SummarySet) SummarySet {
+	a := accumulate([]SummarySet{first})
+	a.Merge(accumulate(rest))
+	return a.Result()
+}
+
+// TestAccumulatorBagsStayNearTheUnion: annotations shared by many tuples
+// are the paper's core case, so a group whose members all carry the same
+// annotations must not hold one copy of their IDs per member until
+// Result. A label's bag is de-duplicated each time it doubles.
+func TestAccumulatorBagsStayNearTheUnion(t *testing.T) {
+	var ids []int64
+	for i := int64(1); i <= 500; i++ {
+		ids = append(ids, i)
+	}
+	acc := NewSetAccumulator(nil)
+	for member := 0; member < 2000; member++ {
+		acc.Add(SummarySet{makeClassifier("C", map[string][]int64{"X": ids}, []string{"X"})})
+		if n := len(acc.objs); n > 0 && len(acc.objs[0].bags) > 0 {
+			if held := len(acc.objs[0].bags[0].Elements); held > 3*len(ids) {
+				t.Fatalf("after %d members the bag holds %d IDs for a union of %d", member+1, held, len(ids))
+			}
+		}
+	}
+	if got, _ := acc.Result().Get("C").GetLabelValue("X"); got != 500 {
+		t.Errorf("X = %d, want 500", got)
+	}
+	if ids[0] != 1 || ids[499] != 500 {
+		t.Error("the accumulator reordered an input's element list")
+	}
+}
+
 func TestMergeSetsNilHandling(t *testing.T) {
 	if MergeSets(nil, nil, nil) != nil {
 		t.Error("nil+nil should be nil")

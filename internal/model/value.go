@@ -215,9 +215,8 @@ func (v Value) SortKey() string {
 	case KindNull:
 		return "\x00"
 	case KindInt:
-		// Offset into the non-negative range, then fixed-width decimal:
-		// the bytes of fmt's "i%020d", without fmt (this is paid per
-		// summary fetch and per row per grouping key).
+		// Offset into the non-negative range, then fixed-width decimal: the
+		// bytes of fmt's "i%020d" without fmt (paid per summary fetch and key).
 		var b [21]byte
 		b[0] = 'i'
 		u := uint64(v.Int) + 1<<63
