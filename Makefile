@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race race-core bench-harness flake-sweep bench-smoke recovery-torture mvcc-stress ingest-stress serve-stress vector-stress
+.PHONY: check build vet test race race-core bench-harness flake-sweep loc bench-smoke recovery-torture mvcc-stress ingest-stress serve-stress vector-stress
 
 # check is the full CI gate: static analysis, a clean build, the test
 # suite under the race detector, and the benchmark harness (its own
@@ -48,12 +48,22 @@ flake-sweep:
 	$(GO) test -count=20 -cpu 1,2,8 ./internal/mvcc ./internal/exec
 	$(GO) test -count=20 -cpu 1,2,8 -run 'TestAccumulator|TestClusterRepresentativeIndependentOfGrouping' ./internal/model
 
+# loc prints the non-test Go line count of every package (*_test.go
+# excluded; benchmarks/ is its own module and is excluded too), so a
+# "this PR deletes a path" claim is a number anyone can reproduce.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmarks/*' ! -path './.bench_build/*' -print0 \
+		| xargs -0 wc -l \
+		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1 } END { for (d in n) printf "%7d %s\n", n[d], d }' \
+		| sort -k2 \
+		| awk '{ print; t += $$1 } END { printf "%7d total\n", t }'
+
 # bench-smoke regenerates one representative figure plus the parallel
 # speedup, buffer-pool, and group-commit grids at the reduced quick
-# scale and writes a machine-readable BENCH_smoke.json snapshot (figures
-# + engine metrics) so perf regressions show up as diffs between runs.
+# scale, enforcing each figure's shape gate. The performance trajectory
+# is benchmarks/ (see BENCHMARK.json), not a snapshot of this run.
 bench-smoke:
-	$(GO) run ./cmd/benchreport -quick -fig 10,17,18,19,20,21,22,23,24 -json BENCH_smoke.json
+	$(GO) run ./cmd/benchreport -quick -fig 10,17,18,19,20,22,23,24
 
 # recovery-torture runs the WAL crash matrix: the mixed workload's log is
 # cut at every record boundary (and inside every record) and each prefix
@@ -70,14 +80,15 @@ recovery-torture:
 mvcc-stress:
 	$(GO) test -race -count=2 -run 'TestEpochReaderStress|TestCloseUnderLoad|TestRollbackThenCheckpoint' ./internal/engine/
 
-# ingest-stress hammers the batched net-delta ingest buffer under the
-# race detector: concurrent annotation writers against lock-free epoch
+# ingest-stress hammers the net-delta ingest buffer under the race
+# detector: concurrent annotation writers against lock-free epoch
 # readers (which force flush-on-demand through the dirty flag), the
 # interval flusher, and explicit flush/checkpoint calls, plus the
-# eager/batched differential and WAL-recovery identity suite.
+# per-op vs net-delta differential against the per-annotation oracle,
+# the every-gate visibility check and the WAL-recovery identity suite.
 ingest-stress:
 	$(GO) test -race -count=2 -run 'TestIngestConcurrentStress|TestIngestIntervalFlush' ./internal/engine/
-	$(GO) test -race -count=1 -run 'TestIngestEagerBatchedIdentity|TestIngestWALStreamAndRecovery|TestAttachDeleteReattachLifecycle' ./internal/engine/
+	$(GO) test -race -count=1 -run 'TestIngestPerOpNetDeltaIdentity|TestReadGateSeesBufferedAnnotation|TestIngestWALStreamAndRecovery|TestAttachDeleteReattachLifecycle' ./internal/engine/
 
 # serve-stress hammers the HTTP front-end under the race detector:
 # concurrent sessions with shared prepared statements, per-tenant

@@ -8,7 +8,6 @@
 //	benchreport -fig 10,17,18   # several figures
 //	benchreport -birds 1000 -grid 10,25,50,100,200
 //	benchreport -quick          # reduced grid for a fast smoke run
-//	benchreport -json out.json  # also write a machine-readable snapshot
 package main
 
 import (
@@ -24,14 +23,12 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "", "comma-separated figures to regenerate (2, 7..24); empty = all")
+	fig := flag.String("fig", "", "comma-separated figures to regenerate (2, 7..20, 22..24); empty = all")
 	birds := flag.Int("birds", 0, "Birds-table cardinality (default from scale)")
 	grid := flag.String("grid", "", "comma-separated annotations-per-bird grid, e.g. 10,25,50")
 	quick := flag.Bool("quick", false, "use the reduced quick scale")
 	seed := flag.Int64("seed", 1, "generator seed")
-	jsonPath := flag.String("json", "", "also write a JSON snapshot (figures + engine metrics) to this path")
 	flag.Parse()
-	runStart := time.Now()
 
 	scale := bench.DefaultScale()
 	if *quick {
@@ -90,14 +87,12 @@ func main() {
 		{[]int{18}, bench.Fig18BufferPool},
 		{[]int{19}, bench.Fig19FetchPath},
 		{[]int{20}, bench.Fig20GroupCommit},
-		{[]int{21}, bench.Fig21MVCCReaders},
 		{[]int{22}, bench.Fig22Ingest},
 		{[]int{23}, bench.Fig23ServerQPS},
 		{[]int{24}, bench.Fig24Vectorized},
 	}
 
 	ran := false
-	var tables []*bench.Table
 	for _, r := range runners {
 		match := len(want) == 0
 		for _, f := range r.figs {
@@ -116,29 +111,9 @@ func main() {
 		}
 		fmt.Print(tbl.String())
 		fmt.Printf("(regenerated in %v)\n\n", time.Since(start).Round(time.Millisecond))
-		tables = append(tables, tbl)
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "no such figure: %s (valid: 2, 7..24)\n", *fig)
+		fmt.Fprintf(os.Stderr, "no such figure: %s (valid: 2, 7..20, 22..24)\n", *fig)
 		os.Exit(2)
-	}
-	if *jsonPath != "" {
-		snap := &bench.Snapshot{
-			GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-			Scale:       scale,
-			Figures:     tables,
-			Engine:      h.EngineMetrics(),
-			ElapsedMS:   time.Since(runStart).Milliseconds(),
-		}
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			log.Fatalf("snapshot: %v", err)
-		}
-		if err := snap.Write(f); err != nil {
-			f.Close()
-			log.Fatalf("snapshot: %v", err)
-		}
-		f.Close()
-		fmt.Printf("snapshot written to %s\n", *jsonPath)
 	}
 }

@@ -18,12 +18,13 @@
 // window, and a restart with the same -wal DIR recovers the committed
 // state.
 //
-// With -ingest-flush N the engine batches summary maintenance: each
-// annotation is logged and stored immediately (durability unchanged)
-// but classifier/snippet/cluster updates and index re-keys are applied
-// as net deltas every N operations — or sooner, forced by any read.
-// Query results are identical to eager mode; \metrics gains an ingest:
-// line showing the amortization.
+// -ingest-flush N sets how many annotation operations the engine lets
+// accumulate before it maintains their summaries: each annotation is
+// logged and stored immediately (durability does not depend on N) and
+// classifier/snippet/cluster updates and index re-keys are applied as
+// net deltas every N operations — or sooner, forced by any read. Query
+// results do not depend on N; the ingest: line of \metrics shows the
+// amortization.
 //
 // Everything else is executed as a statement: SELECT (results and
 // propagated summaries are printed), EXPLAIN [ANALYZE] SELECT ...,
@@ -53,7 +54,7 @@ func main() {
 	walDir := flag.String("wal", "", "directory for the write-ahead log and checkpoints (empty = in-memory only)")
 	groupCommit := flag.Duration("group-commit", 0, "group-commit window, e.g. 500us (0 = fsync every commit; requires -wal)")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint after every N logged operations (0 = never; requires -wal)")
-	ingestFlush := flag.Int("ingest-flush", 0, "batch summary maintenance, flushing net deltas every N annotation ops (0 = eager per-annotation maintenance)")
+	ingestFlush := flag.Int("ingest-flush", 0, "flush summary maintenance as net deltas every N annotation ops (0 or 1 = after every op)")
 	batchSize := flag.Int("batch-size", 0, "row capacity of the batches operators exchange (0 or 1 = one row per exchange)")
 	flag.Parse()
 

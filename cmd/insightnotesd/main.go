@@ -46,7 +46,7 @@ func main() {
 	birds := flag.Int("birds", 0, "preload the synthetic bird workload with N birds (0 = start empty)")
 	anns := flag.Int("anns", 10, "average annotations per preloaded bird")
 	planCache := flag.Int("plan-cache", 256, "plan cache capacity in statements (0 = no caching)")
-	ingestFlush := flag.Int("ingest-flush", 0, "batch summary maintenance every N annotation ops (0 = eager)")
+	ingestFlush := flag.Int("ingest-flush", 0, "flush summary maintenance as net deltas every N annotation ops (0 or 1 = after every op)")
 	walDir := flag.String("wal", "", "directory for the write-ahead log (empty = in-memory)")
 	stmtTimeout := flag.Duration("statement-timeout", 0, "per-statement deadline (0 = none)")
 	sessionTimeout := flag.Duration("session-timeout", 5*time.Minute, "idle session expiry")

@@ -69,9 +69,10 @@ type Txn = engine.Txn
 
 // Load reconstructs a database from a snapshot written by DB.Save. The
 // snapshot is a logical dump (schemas, instances, trained models,
-// tuples, annotations, index declarations); loading replays it through
-// the normal engine paths, re-deriving summaries, statistics, and
-// indexes deterministically. Transient storage faults during replay
+// tuples, annotations, index declarations, identifier watermarks);
+// loading replays it through the engine's apply paths, re-deriving
+// summaries, statistics, and indexes deterministically under the OIDs
+// and annotation IDs the dump recorded. Transient storage faults during replay
 // are absorbed by bounded retry with backoff (engine.SnapshotRetry).
 func Load(r io.Reader) (*DB, error) { return engine.Load(r) }
 

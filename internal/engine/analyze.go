@@ -63,38 +63,28 @@ func (db *DB) ExplainAnalyzeContext(ctx context.Context, query string, opts *opt
 	if !ok {
 		return nil, fmt.Errorf("engine: EXPLAIN ANALYZE expects SELECT, got %T", stmt)
 	}
-	ctx, cancel := db.applyTimeout(ctx)
-	defer cancel()
-
 	var o optimizer.Options
 	if opts != nil {
 		o = *opts
 	}
 	o.Collector = exec.NewStatsCollector(db.acct)
 
+	ap := &AnalyzedPlan{}
 	start := time.Now()
-	db.flushIfDirty()
-	ep, s, err := db.pinEpoch()
+	err = db.read(ctx, true, func(ctx context.Context, ep *dbEpoch) (int, error) {
+		io0 := db.acct.Stats()
+		res, resolver, rerr := db.runSelect(ctx, ep, sel, "", &o)
+		ap.IO = db.acct.Stats().Sub(io0)
+		if rerr != nil {
+			return 0, rerr
+		}
+		ap.Result = res
+		ap.Root = optimizer.Annotate(res.Plan, resolver, ep.optimizerEnv(sel.Propagate), o)
+		return len(res.Rows), nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	io0 := db.acct.Stats()
-	res, resolver, err := db.runSelectResolved(ctx, ep, sel, &o)
-	io1 := db.acct.Stats()
-	var root *optimizer.AnalyzedNode
-	if err == nil {
-		root = optimizer.Annotate(res.Plan, resolver, ep.optimizerEnv(sel.Propagate), o)
-	}
-	db.clock.Unpin(s)
-	wall := time.Since(start)
-
-	rows := 0
-	if res != nil {
-		rows = len(res.Rows)
-	}
-	db.metrics.record(wall, rows, err)
-	if err != nil {
-		return nil, err
-	}
-	return &AnalyzedPlan{Result: res, Root: root, Wall: wall, IO: io1.Sub(io0)}, nil
+	ap.Wall = time.Since(start)
+	return ap, nil
 }

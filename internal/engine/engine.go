@@ -6,6 +6,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -57,9 +58,9 @@ type Config struct {
 	// WALDir, when non-empty, makes the database durable: every mutation
 	// is write-ahead logged to WALDir and commits are forced with group
 	// commit; engine.Open recovers the directory to its committed prefix.
-	// Empty (the default) keeps the engine fully ephemeral, byte-for-byte
-	// identical to its pre-WAL behavior. Use engine.Open, not New, to
-	// construct a durable database.
+	// Empty (the default) keeps the engine ephemeral: nothing is logged
+	// and Result.AsOfLSN is 0. Use engine.Open, not New, to construct a
+	// durable database.
 	WALDir string
 	// GroupCommitWindow is how long the commit flusher waits to batch
 	// concurrent commits into one fsync. 0 degrades to one fsync per
@@ -75,44 +76,37 @@ type Config struct {
 	// commit exists to amortize. Benchmarks only; 0 for real devices.
 	WALSyncDelay time.Duration
 
-	// LockCoupledReads makes Query/RunSelectContext take the shared lock
-	// around execution (the pre-MVCC behavior, where readers serialize
-	// against mutators) instead of pinning an epoch lock-free. Debug and
-	// benchmark baseline only; results are identical either way.
-	LockCoupledReads bool
-
-	// IngestFlushOps enables batched net-delta summary maintenance: when
-	// > 0, AddAnnotation/AttachAnnotation log and store the annotation as
-	// usual (durability is unchanged) but defer classifier/snippet/cluster
-	// maintenance and index re-keying into a per-tuple delta buffer that
-	// is flushed — net effects applied once, one epoch published — every
-	// IngestFlushOps buffered operations, on the flush interval, at txn
-	// commit, at checkpoint, on DB.FlushIngest, or before any read. 0 (the
-	// default) keeps the eager per-annotation path, byte-identical to the
-	// pre-batching engine.
+	// IngestFlushOps is the flush threshold of net-delta summary
+	// maintenance. AddAnnotation/AttachAnnotation log and store the
+	// annotation (durability does not depend on the threshold) and put its
+	// classifier/snippet/cluster maintenance and index re-keying into a
+	// per-tuple delta buffer that is flushed — net effects applied once,
+	// one epoch published — every IngestFlushOps buffered operations, on
+	// the flush interval, at txn commit, at checkpoint, on DB.FlushIngest,
+	// or before any read. 0 or 1 (the default) flushes after every
+	// operation: the same routine with a one-annotation delta.
 	IngestFlushOps int
 	// IngestFlushInterval bounds how long a buffered annotation can wait
 	// before a background flush publishes it (0 = no timer; flushes happen
-	// only on the threshold, reads, commits, and checkpoints). Ignored
-	// when IngestFlushOps is 0.
+	// only on the threshold, reads, commits, and checkpoints).
 	IngestFlushInterval time.Duration
 
-	// PlanCacheSize enables the statement-hash plan cache: up to that
-	// many optimized plan skeletons are kept, keyed by normalized
-	// statement text (plus the optimizer-options fingerprint) and
-	// validated against the catalog version, so repeated statements
-	// through Prepare/Stmt.ExecuteContext and QueryCachedContext skip
-	// parsing and optimization. Any DDL, index creation/drop, or
-	// explicit stats refresh invalidates every cached plan. 0 (the
-	// default) disables caching; the classic Query/Exec paths never
-	// consult the cache either way, so existing behavior is unchanged.
+	// PlanCacheSize sizes the statement-hash plan cache: up to that many
+	// optimized plan skeletons are kept, keyed by normalized statement
+	// text (plus the optimizer-options fingerprint) and validated against
+	// the catalog version, so repeated statements through
+	// Prepare/Stmt.ExecuteContext and QueryCachedContext skip parsing and
+	// optimization. Any DDL, index creation/drop, or explicit stats
+	// refresh invalidates every cached plan. 0 (the default) keeps no
+	// plans, so every statement misses. Query/RunSelect/Exec present no
+	// cache key and therefore plan cold at any size.
 	PlanCacheSize int
 }
 
 // DB is an InsightNotes+ database. Methods are safe for concurrent use:
-// queries (Query, Explain, ZoomIn, Exec with SELECT/ZOOM) take a shared
-// lock and may run in parallel; mutations (DDL, Insert, annotation
-// maintenance) are exclusive.
+// queries (Query, Explain, ZoomIn, Exec with SELECT/ZOOM) pin an epoch
+// and run in parallel without a lock (see read); mutations (DDL, Insert,
+// annotation maintenance) are exclusive.
 type DB struct {
 	mu   sync.RWMutex
 	cat  *catalog.Catalog
@@ -170,9 +164,8 @@ type DB struct {
 
 	// clock is the MVCC epoch clock queries pin snapshots on (see
 	// epoch.go); mutators publish the next epoch at the end of their
-	// exclusive hold. lockCoupledReads mirrors Config.LockCoupledReads.
-	clock            *mvcc.Clock
-	lockCoupledReads bool
+	// exclusive hold.
+	clock *mvcc.Clock
 	// closed (under mu) makes Close idempotent; closedA is its lock-free
 	// mirror the read path checks after pinning.
 	closed  bool
@@ -181,14 +174,15 @@ type DB struct {
 	// publication's LSN watermark (crash-test instrumentation).
 	publishHook func(lsn uint64)
 
-	// ingest is the net-delta maintenance buffer, nil in eager mode;
-	// ingestEvery mirrors Config.IngestFlushOps. Both are set before the
-	// DB is shared; the buffer itself is guarded by mu's exclusive lock.
-	ingest      *ingestBuffer
+	// ingest is the net-delta maintenance buffer, guarded by mu's
+	// exclusive lock; ingestEvery mirrors Config.IngestFlushOps and is set
+	// before the DB is shared.
+	ingest      ingestBuffer
 	ingestEvery int
 	// ingestDirty is the lock-free "published epoch is behind the buffer"
-	// flag read paths consult: set when an op is buffered, cleared by
-	// publishLocked once the buffer has drained into a published epoch.
+	// flag read paths consult: set when an exclusive hold ends with ops
+	// still buffered, cleared by publishLocked once the buffer has
+	// drained into a published epoch.
 	ingestDirty atomic.Bool
 	// ingestStop terminates the interval flusher goroutine, nil when no
 	// interval was configured; ingestDone is closed by the goroutine on
@@ -251,18 +245,15 @@ func newDB(cfg Config, acct *pager.Accountant) *DB {
 	clock := mvcc.New()
 	acct.SetClock(clock)
 	db := &DB{
-		cat:              catalog.New(acct, cfg.PageCap),
-		acct:             acct,
-		instances:        make(map[string]*catalog.SummaryInstance),
-		classifiers:      make(map[string]*bayes.Classifier),
-		summaryIdx:       make(map[string]map[string]*index.SummaryBTree),
-		baselineIdx:      make(map[string]map[string]*index.Baseline),
-		clock:            clock,
-		lockCoupledReads: cfg.LockCoupledReads,
-	}
-	if cfg.IngestFlushOps > 0 {
-		db.ingestEvery = cfg.IngestFlushOps
-		db.ingest = newIngestBuffer()
+		cat:         catalog.New(acct, cfg.PageCap),
+		acct:        acct,
+		instances:   make(map[string]*catalog.SummaryInstance),
+		classifiers: make(map[string]*bayes.Classifier),
+		summaryIdx:  make(map[string]map[string]*index.SummaryBTree),
+		baselineIdx: make(map[string]map[string]*index.Baseline),
+		clock:       clock,
+		ingest:      ingestBuffer{index: make(map[int64]int)},
+		ingestEvery: cfg.IngestFlushOps,
 	}
 	if cfg.PlanCacheSize > 0 {
 		db.planCache = optimizer.NewPlanCache(cfg.PlanCacheSize)
@@ -467,7 +458,7 @@ func (db *DB) deleteTupleOp(txid uint64, table string, oid int64) (uint64, error
 
 func (db *DB) applyDeleteTuple(t *catalog.Table, table string, oid int64, rid heap.RID) {
 	// Flush so the summary objects and counters unwound below reflect
-	// every buffered annotation, as they would under eager maintenance.
+	// every buffered annotation.
 	db.flushIngestLocked()
 	set := t.GetSummaries(oid)
 	for _, obj := range set {
@@ -512,26 +503,24 @@ func (db *DB) applyDeleteTuple(t *catalog.Table, table string, oid int64, rid he
 
 // Annotations returns the raw annotations attached to a tuple, as of
 // the current epoch (nil after Close).
-func (db *DB) Annotations(oid int64) []*model.Annotation {
-	db.flushIfDirty()
-	ep, s, err := db.pinEpoch()
-	if err != nil {
-		return nil
-	}
-	defer db.clock.Unpin(s)
-	return ep.cat.Anns.ForTuple(oid)
+func (db *DB) Annotations(oid int64) (anns []*model.Annotation) {
+	// The gate's only error here is ErrClosed, reported as the nil result.
+	_ = db.read(context.Background(), false, func(_ context.Context, ep *dbEpoch) (int, error) {
+		anns = ep.cat.Anns.ForTuple(oid)
+		return 0, nil
+	})
+	return anns
 }
 
 // AnnotationCount returns the total number of stored annotations, as of
 // the current epoch (0 after Close).
-func (db *DB) AnnotationCount() int {
-	db.flushIfDirty()
-	ep, s, err := db.pinEpoch()
-	if err != nil {
-		return 0
-	}
-	defer db.clock.Unpin(s)
-	return ep.cat.Anns.Len()
+func (db *DB) AnnotationCount() (n int) {
+	// The gate's only error here is ErrClosed, reported as the zero count.
+	_ = db.read(context.Background(), false, func(_ context.Context, ep *dbEpoch) (int, error) {
+		n = ep.cat.Anns.Len()
+		return 0, nil
+	})
+	return n
 }
 
 // SummaryIndex returns the Summary-BTree on (table, instance), or nil.
@@ -542,8 +531,8 @@ func (db *DB) SummaryIndex(table, instance string) *index.SummaryBTree {
 	return db.summaryIndex(table, instance)
 }
 
-// summaryIndex is the unlocked variant used inside query execution
-// (which already holds the shared lock).
+// summaryIndex is the unlocked variant for callers that already hold
+// db.mu (queries resolve indexes through their pinned epoch instead).
 func (db *DB) summaryIndex(table, instance string) *index.SummaryBTree {
 	return db.summaryIdx[strings.ToLower(table)][strings.ToLower(instance)]
 }

@@ -18,8 +18,10 @@ package engine
 // is the pinned epoch's watermark, exact by construction.
 
 import (
+	"context"
 	"errors"
 	"strings"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/index"
@@ -97,9 +99,36 @@ func (db *DB) publishLocked() {
 	// buffer is empty, read paths no longer need to force a flush. Cleared
 	// only here — after publication — so a reader that observes the flag
 	// low is guaranteed an epoch covering all previously buffered ops.
-	if db.ingest != nil && db.ingest.ops == 0 {
+	if db.ingest.ops == 0 {
 		db.ingestDirty.Store(false)
 	}
+}
+
+// read is the one gate every read passes. It layers the statement
+// timeout onto ctx, publishes buffered ingest (a pinned epoch cannot
+// see unpublished state, so read-your-writes needs the flush first),
+// pins the current epoch, runs fn against it and unpins. fn never takes
+// db.mu: mutators publish new epochs, readers block neither them nor
+// each other. A statement — a read that executes a SELECT, fn returning
+// its row count — is recorded in Metrics; EXPLAIN, ZOOM IN and the
+// annotation accessors are not.
+func (db *DB) read(ctx context.Context, statement bool, fn func(ctx context.Context, ep *dbEpoch) (rows int, err error)) error {
+	ctx, cancel := db.applyTimeout(ctx)
+	defer cancel()
+	start := time.Now()
+	db.flushIfDirty()
+	rows, err := func() (int, error) {
+		ep, pin, err := db.pinEpoch()
+		if err != nil {
+			return 0, err
+		}
+		defer db.clock.Unpin(pin)
+		return fn(ctx, ep)
+	}()
+	if statement {
+		db.metrics.record(time.Since(start), rows, err)
+	}
+	return err
 }
 
 // pinEpoch pins the current epoch for a read. The caller must Unpin the

@@ -15,7 +15,12 @@ import (
 //	Other
 func hierDB(t *testing.T) (*DB, int64) {
 	t.Helper()
-	db := New(Config{PageCap: 16})
+	return hierDBWithConfig(t, Config{PageCap: 16})
+}
+
+func hierDBWithConfig(t *testing.T, cfg Config) (*DB, int64) {
+	t.Helper()
+	db := New(cfg)
 	if _, err := db.CreateTable("T", model.NewSchema("",
 		model.Column{Name: "id", Kind: model.KindInt})); err != nil {
 		t.Fatal(err)

@@ -1,16 +1,14 @@
 package engine
 
-// Batched net-delta summary maintenance (Config.IngestFlushOps > 0).
+// Net-delta summary maintenance: the one ingest routine.
 //
 // Summary objects are incrementally maintained aggregates over
-// annotation streams (Section 4.1.2), but the eager path pays the full
-// maintenance cost — classify, re-key both index schemes, re-elect
-// snippets, fully re-cluster — on every single AddAnnotation, inside
-// the exclusive writer lock. In batched mode the hot path only logs the
-// operation (WAL durability is unchanged: one op record plus one commit
-// record per annotation, exactly the eager stream) and stores the raw
-// annotation; the summary maintenance is deferred into a per-tuple
-// delta and applied as a NET effect at flush time:
+// annotation streams (Section 4.1.2). AddAnnotation/AttachAnnotation log
+// the operation (one op record plus one commit record per annotation,
+// whatever the threshold) and store the raw annotation; the summary
+// maintenance — classify, re-key both index schemes, re-elect snippets,
+// re-cluster — goes into a per-tuple delta and is applied as a NET effect
+// at flush time:
 //
 //   - one classifier re-key per touched label instead of one per
 //     annotation (an index UpdateLabel collapses a count span old..new
@@ -22,19 +20,20 @@ package engine
 //   - one MVCC epoch publication per flush instead of one per op.
 //
 // Flush triggers: the IngestFlushOps threshold, the IngestFlushInterval
-// timer, DB.FlushIngest, transaction commit, checkpoint, and — because
-// pinned epochs cannot see unpublished state — every read path checks
-// the lock-free ingestDirty flag and flushes on demand before pinning.
-// Mutations that read or rewrite summaries (annotation/tuple deletes,
-// instance link/unlink, index builds) flush first inside their apply
-// functions, which covers the live path, Txn commit apply, and WAL
-// replay uniformly.
+// timer, DB.FlushIngest, transaction commit, checkpoint, the end of
+// snapshot load and WAL replay, and — because pinned epochs cannot see
+// unpublished state — every read checks the lock-free ingestDirty flag
+// and flushes on demand before pinning. Mutations that read or rewrite
+// summaries (annotation/tuple deletes, instance link/unlink, index
+// builds) flush first inside their apply functions, which covers the
+// live path, Txn commit apply, and WAL replay uniformly.
 //
-// Eager-mode identity: with IngestFlushOps == 0 (the default) none of
-// this machinery engages and the engine is byte-identical to the
-// pre-batching build. In batched mode the flushed state equals the
-// eager state for the same operation sequence because every per-type
-// maintenance step telescopes:
+// A threshold of 0 or 1 (the default) trips on every operation, so the
+// paper's per-annotation "Adding Annotation — Update" is this routine
+// with a one-annotation delta, not a second code path. The flushed state
+// does not depend on where the flushes fall — N one-annotation flushes
+// equal one N-annotation flush — because every per-type maintenance step
+// telescopes:
 //
 //   - classifier element sets are sorted ID sets, so inserting a batch
 //     one-by-one or at once yields the same set, and the index key for
@@ -44,10 +43,11 @@ package engine
 //   - cluster objects are rebuilt from the full stored annotation set,
 //     which only depends on the final store contents;
 //   - instance statistics brackets are exact inverses, so
-//     Forget(initial)+Observe(final) equals the eager per-op chain.
+//     Forget(initial)+Observe(final) equals the per-op chain.
 //
-// The differential tests in ingest_test.go verify this identity over a
-// mixed workload, including through WAL crash recovery.
+// The differential tests in ingest_test.go verify this over a mixed
+// workload at several thresholds against a per-annotation reference
+// fold (ingest_oracle_test.go), including through WAL crash recovery.
 
 import (
 	"strings"
@@ -56,52 +56,55 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/heap"
 	"repro/internal/model"
-	"repro/internal/wal"
 )
 
 // tupleDelta is the pending net delta for one tuple: the annotations
-// added or attached to it since the last flush, in arrival order.
+// added or attached to it since the last flush, in arrival order. The
+// tuple cannot move or vanish while its delta is pending (tuples are
+// never updated in place, and every delete path flushes first), so the
+// heap location found when the first annotation was applied is the one
+// the flush re-keys the indexes with.
 type tupleDelta struct {
-	table string
-	oid   int64
-	anns  []*model.Annotation
+	t    *catalog.Table
+	oid  int64
+	rid  heap.RID
+	anns []*model.Annotation
 }
 
 // ingestBuffer holds the deferred maintenance work. Guarded by db.mu's
-// exclusive lock; the deltas map is keyed by tuple OID alone because
-// OIDs are allocated from a catalog-wide counter and never collide
-// across tables.
+// exclusive lock. deltas is in first-touch order, for a deterministic
+// flush; index finds a tuple's delta by OID alone because OIDs are
+// allocated from a catalog-wide counter and never collide across tables.
+// A flush empties both in place, so steady-state buffering reuses their
+// storage (and each slot's anns) instead of allocating per operation.
 type ingestBuffer struct {
-	deltas map[int64]*tupleDelta
-	order  []*tupleDelta // first-touch order, for a deterministic flush
+	index  map[int64]int
+	deltas []tupleDelta
 	ops    int
 }
 
-func newIngestBuffer() *ingestBuffer {
-	return &ingestBuffer{deltas: make(map[int64]*tupleDelta)}
-}
-
-// bufferIngest defers one annotation's summary maintenance into the
-// net-delta buffer, returning false in eager mode (the caller then
-// absorbs immediately). The caller holds the exclusive lock and has
-// already stored the raw annotation and logged its record.
-func (db *DB) bufferIngest(t *catalog.Table, oid int64, ann *model.Annotation) bool {
-	b := db.ingest
-	if b == nil {
-		return false
+// bufferIngest puts one annotation's summary maintenance into the
+// net-delta buffer. The caller holds the exclusive lock, has already
+// stored the raw annotation and logged its record, and flushes or raises
+// ingestDirty before the lock drops (see runAuto).
+func (db *DB) bufferIngest(t *catalog.Table, oid int64, rid heap.RID, ann *model.Annotation) {
+	b := &db.ingest
+	i, ok := b.index[oid]
+	if !ok {
+		i = len(b.deltas)
+		b.index[oid] = i
+		if i < cap(b.deltas) {
+			b.deltas = b.deltas[:i+1] // a flushed slot: reuse its anns storage
+		} else {
+			b.deltas = append(b.deltas, tupleDelta{})
+		}
+		d := &b.deltas[i]
+		d.t, d.oid, d.rid, d.anns = t, oid, rid, d.anns[:0]
 	}
-	d := b.deltas[oid]
-	if d == nil {
-		d = &tupleDelta{table: t.Name, oid: oid}
-		b.deltas[oid] = d
-		b.order = append(b.order, d)
-	}
-	d.anns = append(d.anns, ann)
+	b.deltas[i].anns = append(b.deltas[i].anns, ann)
 	b.ops++
 	db.ingestBuffered.Add(1)
 	db.ingestPending.Add(1)
-	db.ingestDirty.Store(true)
-	return true
 }
 
 // flushIngestLocked drains the buffer, applying each touched tuple's
@@ -109,52 +112,35 @@ func (db *DB) bufferIngest(t *catalog.Table, oid int64, ann *model.Annotation) b
 // DB privately, e.g. during recovery replay) and is responsible for
 // publishing an epoch afterwards — publishLocked clears the dirty flag
 // once the empty buffer's state is visible to readers. Returns whether
-// any work was flushed. A no-op in eager mode.
+// any work was flushed.
 func (db *DB) flushIngestLocked() bool {
-	b := db.ingest
-	if b == nil || b.ops == 0 {
+	b := &db.ingest
+	if b.ops == 0 {
 		return false
 	}
-	order, ops := b.order, b.ops
-	b.deltas = make(map[int64]*tupleDelta)
-	b.order = nil
-	b.ops = 0
-	for _, d := range order {
-		t, err := db.cat.Table(d.table)
-		if err != nil {
-			continue
-		}
-		rid, ok := t.DiskTupleLoc(d.oid)
-		if !ok {
-			// The tuple vanished while its delta was pending. Delete paths
-			// flush first, so this only occurs under direct catalog
-			// surgery; dropping the delta matches what eager maintenance
-			// would have left after the same delete.
-			continue
-		}
-		db.absorbBatch(t, d.oid, rid, d.anns)
+	for i := range b.deltas {
+		d := &b.deltas[i]
+		db.absorbBatch(d.t, d.oid, d.rid, d.anns)
 	}
 	db.ingestFlushes.Add(1)
-	db.ingestFlushedOps.Add(int64(ops))
-	db.ingestFlushedTuples.Add(int64(len(order)))
+	db.ingestFlushedOps.Add(int64(b.ops))
+	db.ingestFlushedTuples.Add(int64(len(b.deltas)))
 	db.ingestPending.Store(0)
+	clear(b.index)
+	b.deltas = b.deltas[:0]
+	b.ops = 0
 	return true
 }
 
 // FlushIngest forces the buffered net deltas into the summary objects
-// and indexes and publishes the resulting epoch. A no-op in eager mode,
-// when nothing is buffered, or after Close.
+// and indexes and publishes the resulting epoch. A no-op when nothing
+// is buffered or after Close.
 func (db *DB) FlushIngest() {
-	if db.ingest == nil || !db.ingestDirty.Load() {
-		return
-	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
-		return
+	if !db.closed && db.flushIngestLocked() {
+		db.publishLocked()
 	}
-	db.flushIngestLocked()
-	db.publishLocked()
 }
 
 // flushIfDirty is the read-path gate: a lock-free flag check in the
@@ -170,7 +156,7 @@ func (db *DB) flushIfDirty() {
 // once the DB is fully constructed — for Open, only after recovery, so
 // the timer can never race the single-owner replay loop.
 func (db *DB) startIngestFlusher(interval time.Duration) {
-	if db.ingest == nil || interval <= 0 {
+	if interval <= 0 {
 		return
 	}
 	stop := make(chan struct{})
@@ -199,48 +185,9 @@ func (db *DB) startIngestFlusher(interval time.Duration) {
 	}()
 }
 
-// runAutoIngest is runAuto for the ingest hot path. In eager mode it is
-// runAuto. In batched mode the operation still logs its record and the
-// per-op commit record under the exclusive hold — the WAL stream is
-// identical to eager mode, so crash recovery sees the same committed
-// prefix — but epoch publication is skipped unless this op tripped the
-// flush threshold: readers pin published epochs, so unpublished raw
-// effects stay invisible and no per-op copy-on-write shells are built.
-// The commit is still forced durable outside the lock, unchanged.
-func (db *DB) runAutoIngest(fn func(txid uint64) (uint64, error)) error {
-	if db.ingest == nil {
-		return db.runAuto(fn)
-	}
-	db.mu.Lock()
-	db.nextTxID++
-	txid := db.nextTxID
-	opLSN, err := fn(txid)
-	var commitLSN uint64
-	var l *wal.Log
-	if opLSN != 0 {
-		var cerr error
-		commitLSN, cerr = db.logAppend(recCommit, txid, nil)
-		if err == nil {
-			err = cerr
-		}
-		l = db.wal
-	}
-	if db.ingest.ops >= db.ingestEvery {
-		db.flushIngestLocked()
-		db.publishLocked()
-	}
-	db.mu.Unlock()
-	if commitLSN != 0 && l != nil {
-		if cerr := l.Commit(commitLSN); cerr != nil && err == nil {
-			err = cerr
-		}
-		db.maybeCheckpoint()
-	}
-	return err
-}
-
-// absorbBatch folds a tuple's pending annotations into its summary
-// objects as one net application — the batched counterpart of absorb.
+// absorbBatch folds a tuple's pending annotations into every summary
+// instance of the tuple as one net application ("Adding Annotation —
+// Update" of Section 4.1.2 when anns holds one annotation).
 func (db *DB) absorbBatch(t *catalog.Table, oid int64, rid heap.RID, anns []*model.Annotation) {
 	set := t.GetSummaries(oid).Clone()
 	for _, si := range t.Instances {
@@ -276,30 +223,42 @@ func (db *DB) absorbBatch(t *catalog.Table, oid int64, rid heap.RID, anns []*mod
 func (db *DB) absorbBatchIntoClassifier(t *catalog.Table, si *catalog.SummaryInstance,
 	obj *model.SummaryObject, anns []*model.Annotation, rid heap.RID, created bool) {
 	clf := db.classifiers[strings.ToLower(si.Name)]
-	leaves := si.LeafLabels()
-	type span struct{ old, new int }
-	spans := make(map[string]*span)
-	var touched []string // first-touch order, for deterministic re-keying
+	// spans records each touched representative's pre-batch count, in
+	// first-touch order for deterministic re-keying.
+	type span struct{ rep, old int }
+	spans := make([]span, 0, 8)
+	add := func(l string, id int64) {
+		li := obj.RepIndexByLabel(l)
+		if li < 0 {
+			obj.Reps = append(obj.Reps, model.Rep{Label: l})
+			li = len(obj.Reps) - 1
+		}
+		touched := false
+		for _, sp := range spans {
+			touched = touched || sp.rep == li
+		}
+		if !touched {
+			spans = append(spans, span{li, obj.Reps[li].Count})
+		}
+		r := &obj.Reps[li]
+		r.Elements = insertSorted(r.Elements, id)
+		r.Count = len(r.Elements)
+	}
+	fallback := ""
+	if clf == nil {
+		leaves := si.LeafLabels()
+		fallback = leaves[len(leaves)-1] // default to the catch-all leaf
+	}
 	for _, ann := range anns {
-		label := leaves[len(leaves)-1] // default to the catch-all leaf
+		label := fallback
 		if clf != nil {
 			label = clf.Classify(ann.Text)
 		}
-		for _, l := range append([]string{label}, si.Ancestors(label)...) {
-			li := obj.RepIndexByLabel(l)
-			if li < 0 {
-				obj.Reps = append(obj.Reps, model.Rep{Label: l})
-				li = len(obj.Reps) - 1
-			}
-			sp := spans[l]
-			if sp == nil {
-				sp = &span{old: obj.Reps[li].Count}
-				spans[l] = sp
-				touched = append(touched, l)
-			}
-			obj.Reps[li].Elements = insertSorted(obj.Reps[li].Elements, ann.ID)
-			obj.Reps[li].Count = len(obj.Reps[li].Elements)
-			sp.new = obj.Reps[li].Count
+		// The leaf label plus every ancestor accumulates the annotation
+		// (hierarchical instances; flat ones have no ancestors).
+		add(label, ann.ID)
+		for _, l := range si.Ancestors(label) {
+			add(l, ann.ID)
 		}
 	}
 
@@ -314,16 +273,16 @@ func (db *DB) absorbBatchIntoClassifier(t *catalog.Table, si *catalog.SummaryIns
 		}
 		return
 	}
-	for _, l := range touched {
-		sp := spans[l]
-		if sp.new == sp.old {
+	for _, sp := range spans {
+		r := &obj.Reps[sp.rep]
+		if r.Count == sp.old {
 			continue
 		}
 		if sIdx != nil {
-			sIdx.UpdateLabel(l, sp.old, sp.new, rid)
+			sIdx.UpdateLabel(r.Label, sp.old, r.Count, rid)
 		}
 		if bIdx != nil {
-			bIdx.UpdateLabel(obj.TupleOID, l, sp.new)
+			bIdx.UpdateLabel(obj.TupleOID, r.Label, r.Count)
 		}
 	}
 }

@@ -135,42 +135,59 @@ func ingestWorkload(t *testing.T, cfg Config) *DB {
 	return db
 }
 
-// The core tentpole contract: batched net-delta maintenance converges to
-// exactly the state eager maintenance builds — summary objects, stats,
-// counters, both index schemes, and query results included.
-func TestIngestEagerBatchedIdentity(t *testing.T) {
-	eager := ingestWorkload(t, Config{PageCap: 16})
-	batched := ingestWorkload(t, Config{PageCap: 16, IngestFlushOps: 5})
-
-	if got, want := summaryState(t, batched), summaryState(t, eager); !reflect.DeepEqual(got, want) {
-		t.Errorf("batched summary state diverges from eager:\n got: %+v\nwant: %+v", got, want)
-	}
-	q := `SELECT name FROM Birds r
+// One routine, any threshold: flushing after every operation (threshold
+// 0 or 1, a one-annotation delta each time) and flushing net deltas of
+// several operations (5, 64) converge to exactly the same state —
+// summary objects, stats, counters, both index schemes, and query
+// results included — and every classifier object equals the
+// per-annotation reference fold of ingest_oracle_test.go.
+func TestIngestPerOpNetDeltaIdentity(t *testing.T) {
+	const q = `SELECT name FROM Birds r
 		WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') >= 2`
-	er, err := eager.Query(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	br, err := batched.Query(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if er.String() != br.String() {
-		t.Errorf("query results diverge:\neager:\n%s\nbatched:\n%s", er, br)
+	var want map[string]*tableSummaryState
+	var wantRows string
+	for _, every := range []int{0, 1, 5, 64} {
+		db := ingestWorkload(t, Config{PageCap: 16, IngestFlushOps: every})
+		checkClassifiersAgainstOracle(t, db)
+		got := summaryState(t, db)
+		res, err := db.Query(q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want, wantRows = got, res.String()
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("threshold %d: summary state diverges from threshold 0:\n got: %+v\nwant: %+v", every, got, want)
+		}
+		if res.String() != wantRows {
+			t.Errorf("threshold %d: query results diverge:\n%s\nthreshold 0:\n%s", every, res, wantRows)
+		}
+
+		// Every operation went through the buffer and was flushed; only a
+		// threshold above 1 amortizes flushes over operations.
+		im := db.Metrics().Ingest
+		if im == nil || im.BufferedOps == 0 || im.FlushedOps != im.BufferedOps || im.PendingOps != 0 {
+			t.Fatalf("threshold %d: flush accounting: %+v", every, im)
+		}
+		if perOp := every <= 1; perOp != (im.Flushes == im.FlushedOps) {
+			t.Errorf("threshold %d: %d flushes for %d ops", every, im.Flushes, im.FlushedOps)
+		}
 	}
 
-	// The batched run actually deferred and amortized work...
-	im := batched.Metrics().Ingest
-	if im == nil || im.BufferedOps == 0 || im.Flushes == 0 {
-		t.Fatalf("batched mode reported no ingest activity: %+v", im)
-	}
-	if im.FlushedOps != im.BufferedOps || im.PendingOps != 0 {
-		t.Errorf("flush accounting: %+v", im)
-	}
-	// ...while eager mode carries none of the machinery (its metrics
-	// output must stay byte-identical to the pre-batching build).
-	if eager.Metrics().Ingest != nil {
-		t.Error("eager mode must not report ingest metrics")
+	// Ancestor labels of a hierarchical instance, through the same routine.
+	for _, every := range []int{0, 64} {
+		db, oid := hierDBWithConfig(t, Config{PageCap: 16, IngestFlushOps: every})
+		for _, text := range []string{
+			"a bacterial infection with fever was confirmed",
+			"ticks and a worm parasite were found",
+			"photo uploaded of the bird",
+		} {
+			if _, err := db.AddAnnotation("T", oid, text, nil, "tester"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkClassifiersAgainstOracle(t, db)
 	}
 }
 
@@ -236,6 +253,100 @@ func TestIngestFlushTriggers(t *testing.T) {
 	mustAnnotate(t, db2, oids2[0], annText("Disease", 21))
 	if im := db2.Metrics().Ingest; im.PendingOps != 0 || im.Flushes != f0+1 {
 		t.Errorf("threshold flush: pending=%d flushes=%d, want 0 and %d", im.PendingOps, im.Flushes, f0+1)
+	}
+}
+
+// TestReadGateSeesBufferedAnnotation: an annotation still sitting in the
+// net-delta buffer must be flushed, published and visible through every
+// entry point behind the read gate — EXPLAIN and EXPLAIN ANALYZE
+// included — not only through the ones a query usually takes.
+func TestReadGateSeesBufferedAnnotation(t *testing.T) {
+	db, oids := testDBWithConfig(t, 3, Config{PageCap: 16, IngestFlushOps: 1 << 20, PlanCacheSize: 8})
+	db.FlushIngest()
+	const q = `SELECT id FROM Birds r WHERE r.id = 1`
+	// inSummary reports whether a SELECT's first row carries the annotation
+	// in its classifier summary.
+	inSummary := func(id int64) func(*Result, error) (bool, error) {
+		return func(res *Result, err error) (bool, error) {
+			if err != nil || len(res.Rows) != 1 {
+				return false, fmt.Errorf("rows=%v err=%v", res, err)
+			}
+			for _, r := range res.Rows[0].Tuple.Summaries.Get("ClassBird1").Reps {
+				if r.HasElement(id) {
+					return true, nil
+				}
+			}
+			return false, nil
+		}
+	}
+	for _, gate := range []struct {
+		name string
+		sees func(id int64) (bool, error)
+	}{
+		{"Query", func(id int64) (bool, error) { return inSummary(id)(db.Query(q, nil)) }},
+		{"Exec", func(id int64) (bool, error) { return inSummary(id)(db.Exec(q)) }},
+		{"Stmt.Execute", func(id int64) (bool, error) {
+			st, err := db.Prepare(`SELECT id FROM Birds r WHERE r.id = ?`)
+			if err != nil {
+				return false, err
+			}
+			return inSummary(id)(st.Execute([]model.Value{model.NewInt(1)}, nil))
+		}},
+		{"QueryCached", func(id int64) (bool, error) { return inSummary(id)(db.QueryCached(q, nil, nil)) }},
+		{"ExplainAnalyze", func(id int64) (bool, error) {
+			ap, err := db.ExplainAnalyze(q, nil)
+			if err != nil {
+				return false, err
+			}
+			return inSummary(id)(ap.Result, nil)
+		}},
+		{"Explain", func(int64) (bool, error) {
+			// A plan shows no annotation; the flush the gate forced is
+			// checked below, like everyone else's.
+			_, err := db.Explain(q, nil)
+			return true, err
+		}},
+		{"ZoomIn", func(id int64) (bool, error) {
+			zooms, err := db.ZoomIn("Birds", "ClassBird1", "", "id = 1")
+			if err != nil || len(zooms) != 1 {
+				return false, fmt.Errorf("zooms=%d err=%v", len(zooms), err)
+			}
+			for _, a := range zooms[0].Annotations {
+				if a.ID == id {
+					return true, nil
+				}
+			}
+			return false, nil
+		}},
+		{"Annotations", func(id int64) (bool, error) {
+			for _, a := range db.Annotations(oids[0]) {
+				if a.ID == id {
+					return true, nil
+				}
+			}
+			return false, nil
+		}},
+		{"AnnotationCount", func(int64) (bool, error) {
+			// The pinned epoch's count has caught up with the live store's.
+			return db.AnnotationCount() == db.cat.Anns.Len(), nil
+		}},
+	} {
+		ann := mustAnnotate(t, db, oids[0], annText("Disease", 30))
+		if im := db.Metrics().Ingest; im.PendingOps != 1 {
+			t.Fatalf("%s: pending before the read = %d, want 1", gate.name, im.PendingOps)
+		}
+		flushes := db.Metrics().Ingest.Flushes
+		ok, err := gate.sees(ann.ID)
+		if err != nil {
+			t.Fatalf("%s: %v", gate.name, err)
+		}
+		if !ok {
+			t.Errorf("%s does not see the buffered annotation %d", gate.name, ann.ID)
+		}
+		if im := db.Metrics().Ingest; im.PendingOps != 0 || im.Flushes != flushes+1 {
+			t.Errorf("%s: pending=%d flushes=%d after the read, want 0 and %d",
+				gate.name, im.PendingOps, im.Flushes, flushes+1)
+		}
 	}
 }
 
@@ -522,8 +633,8 @@ func TestIngestConcurrentStress(t *testing.T) {
 	}
 }
 
-// The attach/delete/re-attach lifecycle behaves identically in eager
-// mode, batched mode, and through batched WAL recovery.
+// The attach/delete/re-attach lifecycle behaves identically flushed per
+// operation, flushed as net deltas, and through WAL recovery.
 func TestAttachDeleteReattachLifecycle(t *testing.T) {
 	churn := func(db *DB, oids []int64) error {
 		ann, err := db.AddAnnotation("Birds", oids[0], annText("Disease", 80), []string{"name"}, "tester")

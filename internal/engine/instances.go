@@ -137,8 +137,8 @@ func (db *DB) LinkInstance(table, instance string, indexable bool) error {
 }
 
 func (db *DB) applyLinkInstance(table, instance string, indexable bool) error {
-	// Buffered annotations were added while this instance was not linked;
-	// eager mode would have absorbed them into the old instance set only.
+	// Buffered annotations were added while this instance was not linked:
+	// they belong in the old instance set only.
 	db.flushIngestLocked()
 	si, ok := db.instances[strings.ToLower(instance)]
 	if !ok {
@@ -168,7 +168,7 @@ func (db *DB) UnlinkInstance(table, instance string) error {
 
 func (db *DB) applyUnlinkInstance(table, instance string) error {
 	// Buffered annotations must reach the instance's summaries before it
-	// detaches, exactly as eager maintenance would have.
+	// detaches.
 	db.flushIngestLocked()
 	if err := db.cat.UnlinkInstance(table, instance); err != nil {
 		return err
@@ -348,7 +348,7 @@ func (db *DB) forEachStoredObject(t *catalog.Table, instance string,
 // Section 4.1.2.
 func (db *DB) AddAnnotation(table string, oid int64, text string, columns []string, author string) (*model.Annotation, error) {
 	var ann *model.Annotation
-	err := db.runAutoIngest(func(txid uint64) (uint64, error) {
+	err := db.runAuto(func(txid uint64) (uint64, error) {
 		var lsn uint64
 		var e error
 		ann, lsn, e = db.addAnnotationOp(txid, table, oid, text, columns, author)
@@ -379,9 +379,9 @@ func (db *DB) addAnnotationOp(txid uint64, table string, oid int64, text string,
 	return ann, lsn, err
 }
 
-// applyAddAnnotation stores and absorbs one annotation under forced
-// identifiers — shared by the live path, WAL replay, and checkpoint
-// reload.
+// applyAddAnnotation stores one annotation under forced identifiers and
+// buffers its summary maintenance — shared by the live path, WAL replay,
+// and snapshot load.
 func (db *DB) applyAddAnnotation(table string, oid, id, seq int64, text string, columns []string, author string) (*model.Annotation, error) {
 	t, err := db.cat.Table(table)
 	if err != nil {
@@ -395,10 +395,7 @@ func (db *DB) applyAddAnnotation(table string, oid, id, seq int64, text string, 
 	if len(columns) > 0 {
 		t.ColAttachedAnns++
 	}
-	if db.bufferIngest(t, oid, ann) {
-		return ann, nil
-	}
-	db.absorb(t, oid, rid, ann)
+	db.bufferIngest(t, oid, rid, ann)
 	return ann, nil
 }
 
@@ -407,7 +404,7 @@ func (db *DB) applyAddAnnotation(table string, oid, id, seq int64, text string, 
 // into that tuple's summaries. Because the annotation keeps its ID, a
 // later join of both tuples merges without double counting.
 func (db *DB) AttachAnnotation(table string, oid, annID int64) error {
-	return db.runAutoIngest(func(txid uint64) (uint64, error) {
+	return db.runAuto(func(txid uint64) (uint64, error) {
 		return db.attachAnnotationOp(txid, table, oid, annID)
 	})
 }
@@ -459,38 +456,8 @@ func (db *DB) applyAttachAnnotation(table string, oid, annID int64) error {
 	if len(ann.Columns) > 0 {
 		t.ColAttachedAnns++
 	}
-	if db.bufferIngest(t, oid, ann) {
-		return nil
-	}
-	db.absorb(t, oid, rid, ann)
+	db.bufferIngest(t, oid, rid, ann)
 	return nil
-}
-
-// absorb folds one annotation into every summary instance of a tuple.
-func (db *DB) absorb(t *catalog.Table, oid int64, rid heap.RID, ann *model.Annotation) {
-	set := t.GetSummaries(oid).Clone()
-	for _, si := range t.Instances {
-		obj := set.Get(si.Name)
-		created := false
-		if obj == nil {
-			obj = db.newEmptyObject(t, si, oid)
-			set = append(set, obj)
-			created = true
-		}
-		if !created {
-			t.ForgetSummary(obj)
-		}
-		switch si.Type {
-		case model.SummaryClassifier:
-			db.absorbIntoClassifier(t, si, obj, ann, rid, created)
-		case model.SummarySnippet:
-			db.absorbIntoSnippet(si, obj, ann)
-		case model.SummaryCluster:
-			db.rebuildCluster(si, obj, oid)
-		}
-		t.ObserveSummary(obj)
-	}
-	t.PutSummaries(oid, set)
 }
 
 func (db *DB) newEmptyObject(t *catalog.Table, si *catalog.SummaryInstance, oid int64) *model.SummaryObject {
@@ -501,59 +468,6 @@ func (db *DB) newEmptyObject(t *catalog.Table, si *catalog.SummaryInstance, oid 
 		}
 	}
 	return obj
-}
-
-// absorbIntoClassifier classifies the annotation and increments its
-// label, updating both index schemes incrementally: only the modified
-// label is re-keyed (delete + re-insert), as in "Adding Annotation —
-// Update". Statistics bracketing is done by the caller.
-func (db *DB) absorbIntoClassifier(t *catalog.Table, si *catalog.SummaryInstance,
-	obj *model.SummaryObject, ann *model.Annotation, rid heap.RID, created bool) {
-	clf := db.classifiers[strings.ToLower(si.Name)]
-	leaves := si.LeafLabels()
-	label := leaves[len(leaves)-1] // default to the catch-all leaf
-	if clf != nil {
-		label = clf.Classify(ann.Text)
-	}
-	// The leaf label plus every ancestor accumulates the annotation
-	// (hierarchical instances; flat ones have no ancestors).
-	touched := append([]string{label}, si.Ancestors(label)...)
-	type change struct {
-		label    string
-		old, new int
-	}
-	var changes []change
-	for _, l := range touched {
-		li := obj.RepIndexByLabel(l)
-		if li < 0 {
-			obj.Reps = append(obj.Reps, model.Rep{Label: l})
-			li = len(obj.Reps) - 1
-		}
-		old := obj.Reps[li].Count
-		obj.Reps[li].Elements = insertSorted(obj.Reps[li].Elements, ann.ID)
-		obj.Reps[li].Count = len(obj.Reps[li].Elements)
-		changes = append(changes, change{l, old, obj.Reps[li].Count})
-	}
-
-	sIdx := db.summaryIndex(t.Name, si.Name)
-	bIdx := db.baselineIndex(t.Name, si.Name)
-	if created {
-		if sIdx != nil {
-			sIdx.IndexObject(obj, rid)
-		}
-		if bIdx != nil {
-			bIdx.IndexObject(obj)
-		}
-		return
-	}
-	for _, ch := range changes {
-		if sIdx != nil {
-			sIdx.UpdateLabel(ch.label, ch.old, ch.new, rid)
-		}
-		if bIdx != nil {
-			bIdx.UpdateLabel(obj.TupleOID, ch.label, ch.new)
-		}
-	}
 }
 
 // absorbIntoSnippet adds a snippet representative. Large annotations are
@@ -627,8 +541,8 @@ func (db *DB) deleteAnnotationOp(txid uint64, table string, annID int64) (uint64
 }
 
 func (db *DB) applyDeleteAnnotation(table string, annID int64) error {
-	// Net-delta deletes operate on flushed summaries so the re-derive
-	// below sees exactly the state eager maintenance would have built.
+	// Deletes operate on flushed summaries: the re-derive below must see
+	// every annotation added before this one was deleted.
 	db.flushIngestLocked()
 	if _, err := db.cat.Table(table); err != nil {
 		return err

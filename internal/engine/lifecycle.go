@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/exec"
 	"repro/internal/optimizer"
@@ -39,7 +38,7 @@ func (e *QueryError) Unwrap() error { return e.Err }
 
 // QueryContext is Query with cancellation: the statement observes ctx
 // between row batches and aborts with context.Canceled /
-// context.DeadlineExceeded, releasing the shared lock and removing any
+// context.DeadlineExceeded, releasing its pinned epoch and removing any
 // spilled temp files. When ctx carries no deadline the DB's statement
 // timeout (if configured) is applied.
 func (db *DB) QueryContext(ctx context.Context, query string, opts *optimizer.Options) (*Result, error) {
@@ -55,41 +54,10 @@ func (db *DB) QueryContext(ctx context.Context, query string, opts *optimizer.Op
 }
 
 // RunSelectContext plans and executes an already-parsed SELECT under
-// ctx (see QueryContext for semantics). The read pins the current epoch
-// and runs without db.mu: mutators publish new epochs, readers never
-// block them (or each other).
+// ctx (see QueryContext for semantics). It presents no plan-cache key,
+// so the statement is built and optimized cold.
 func (db *DB) RunSelectContext(ctx context.Context, sel *sql.SelectStmt, opts *optimizer.Options) (*Result, error) {
-	ctx, cancel := db.applyTimeout(ctx)
-	defer cancel()
-	start := time.Now()
-	// Batched-ingest mode: publish any buffered net deltas before
-	// pinning (and before the optional RLock — flushing takes the
-	// exclusive lock), so the query sees fully maintained summaries.
-	db.flushIfDirty()
-	if db.lockCoupledReads {
-		// Benchmark baseline: emulate the pre-MVCC reader by taking the
-		// shared lock for the statement's duration, so readers queue
-		// behind mutators exactly as the lock-coupled engine did. Under
-		// the RLock the pinned epoch is necessarily the live state.
-		db.mu.RLock()
-	}
-	res, err := func() (*Result, error) {
-		ep, s, err := db.pinEpoch()
-		if err != nil {
-			return nil, err
-		}
-		defer db.clock.Unpin(s)
-		return db.runSelect(ctx, ep, sel, opts)
-	}()
-	if db.lockCoupledReads {
-		db.mu.RUnlock()
-	}
-	rows := 0
-	if res != nil {
-		rows = len(res.Rows)
-	}
-	db.metrics.record(time.Since(start), rows, err)
-	return res, err
+	return db.selectStatement(ctx, sel, "", opts)
 }
 
 // ExecContext is Exec with cancellation for the query-shaped statements

@@ -120,9 +120,9 @@ type Metrics struct {
 	// WAL is the durability telemetry; nil when the database runs
 	// without a write-ahead log, so WAL-off snapshots are unchanged.
 	WAL *WALMetrics `json:",omitempty"`
-	// Ingest is the batched net-delta maintenance telemetry; nil when
-	// the database runs eager maintenance (Config.IngestFlushOps == 0),
-	// so eager-mode snapshots are unchanged.
+	// Ingest is the net-delta maintenance telemetry (always set by
+	// DB.Metrics: every database buffers and flushes, at threshold 0 or 1
+	// once per operation).
 	Ingest *IngestMetrics `json:",omitempty"`
 	// PlanCache is the statement/plan cache telemetry; nil when
 	// Config.PlanCacheSize is 0, so cache-off snapshots are unchanged.
@@ -160,8 +160,8 @@ type WALMetrics struct {
 	Checkpoints int64
 }
 
-// IngestMetrics is the batched-ingest half of the telemetry: how many
-// annotation operations deferred their maintenance, and how the flushes
+// IngestMetrics is the ingest half of the telemetry: how many annotation
+// operations went through the net-delta buffer, and how the flushes
 // amortized them.
 type IngestMetrics struct {
 	// BufferedOps counts annotation adds/attaches whose summary
@@ -220,14 +220,12 @@ func (db *DB) Metrics() Metrics {
 		}
 		out.WAL = w
 	}
-	if db.ingest != nil {
-		out.Ingest = &IngestMetrics{
-			BufferedOps:   db.ingestBuffered.Load(),
-			Flushes:       db.ingestFlushes.Load(),
-			FlushedOps:    db.ingestFlushedOps.Load(),
-			FlushedTuples: db.ingestFlushedTuples.Load(),
-			PendingOps:    db.ingestPending.Load(),
-		}
+	out.Ingest = &IngestMetrics{
+		BufferedOps:   db.ingestBuffered.Load(),
+		Flushes:       db.ingestFlushes.Load(),
+		FlushedOps:    db.ingestFlushedOps.Load(),
+		FlushedTuples: db.ingestFlushedTuples.Load(),
+		PendingOps:    db.ingestPending.Load(),
 	}
 	if db.planCache != nil {
 		pc := db.planCache.Stats()
@@ -270,8 +268,6 @@ func (m Metrics) String() string {
 			m.WAL.GroupCommitBatchSize, m.WAL.DurableLSN, m.WAL.AppendedLSN,
 			m.WAL.RecoveryReplayedRecords, m.WAL.Checkpoints)
 	}
-	// The ingest line appears only in batched mode, so eager output is
-	// unchanged.
 	if m.Ingest != nil {
 		fmt.Fprintf(&b, "ingest: buffered=%d flushes=%d flushedops=%d flushedtuples=%d pending=%d\n",
 			m.Ingest.BufferedOps, m.Ingest.Flushes, m.Ingest.FlushedOps,

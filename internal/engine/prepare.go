@@ -1,18 +1,19 @@
-// Prepared statements and the plan-cached execution path.
+// Prepared statements: the entry points that present a plan-cache key.
 //
 // Prepare parses a SELECT once (with `?` placeholders); every
 // ExecuteContext binds parameters into a fresh statement copy and runs
-// through runSelectCached, which consults the optimizer.PlanCache
-// keyed by (normalized text, bound parameter literals, options
-// fingerprint) and validated against the catalog version. A hit skips
-// building and optimizing entirely: the cached skeleton is rebound to
-// the pinned epoch (plan.Rebind) and compiled. Binding parameter
-// values into the key gives PostgreSQL-style custom plans — the
-// optimizer's selectivity decisions see real constants, and each
-// distinct constant earns its own cache slot.
+// it through the one SELECT pipeline (runSelect) with the key
+// (normalized text, bound parameter literals), to which planSelect adds
+// the options fingerprint before consulting the optimizer.PlanCache,
+// validated against the catalog version. A hit skips building and
+// optimizing entirely: the cached skeleton is rebound to the pinned
+// epoch (plan.Rebind) and compiled. Binding parameter values into the
+// key gives PostgreSQL-style custom plans — the optimizer's selectivity
+// decisions see real constants, and each distinct constant earns its
+// own cache slot.
 //
-// The classic Query/RunSelect/Exec paths never touch any of this, so
-// the embedded API's behavior is unchanged.
+// Query/RunSelect/Exec run the same pipeline with no key, which plans
+// cold whatever the cache size.
 package engine
 
 import (
@@ -21,12 +22,9 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
-	"repro/internal/exec"
 	"repro/internal/model"
 	"repro/internal/optimizer"
-	"repro/internal/plan"
 	"repro/internal/sql"
 )
 
@@ -90,19 +88,13 @@ func (s *Stmt) Execute(params []model.Value, opts *optimizer.Options) (*Result, 
 }
 
 // ExecuteContext binds params into the prepared statement and runs it
-// through the plan-cached path. Parameter count must match the
-// placeholder count; values are spliced as literals, so type mismatches
-// surface as the same evaluation errors the literal query would raise.
+// with its plan-cache key. Parameter count must match the placeholder
+// count; values are spliced as literals, so type mismatches surface as
+// the same evaluation errors the literal query would raise.
 func (s *Stmt) ExecuteContext(ctx context.Context, params []model.Value, opts *optimizer.Options) (*Result, error) {
 	bound, err := sql.BindSelect(s.sel, params)
 	if err != nil {
 		return nil, err
-	}
-	db := s.db
-	if db.planCache == nil || db.lockCoupledReads {
-		// No cache (or the lock-coupled benchmark baseline): the classic
-		// path already does exactly the right thing for a bound statement.
-		return db.RunSelectContext(ctx, bound, opts)
 	}
 	key := s.text
 	if len(params) > 0 {
@@ -112,24 +104,7 @@ func (s *Stmt) ExecuteContext(ctx context.Context, params []model.Value, opts *o
 		}
 		key += "\x00" + strings.Join(lits, "\x01")
 	}
-	ctx, cancel := db.applyTimeout(ctx)
-	defer cancel()
-	start := time.Now()
-	db.flushIfDirty()
-	res, err := func() (*Result, error) {
-		ep, pin, err := db.pinEpoch()
-		if err != nil {
-			return nil, err
-		}
-		defer db.clock.Unpin(pin)
-		return db.runSelectCached(ctx, ep, bound, key, opts)
-	}()
-	rows := 0
-	if res != nil {
-		rows = len(res.Rows)
-	}
-	db.metrics.record(time.Since(start), rows, err)
-	return res, err
+	return s.db.selectStatement(ctx, bound, key, opts)
 }
 
 // QueryCached is QueryCachedContext with context.Background().
@@ -140,8 +115,8 @@ func (db *DB) QueryCached(query string, params []model.Value, opts *optimizer.Op
 // QueryCachedContext is the ad-hoc flavor of the prepared path: the
 // statement cache (keyed by normalized text) supplies the parsed
 // statement, so a repeated statement skips the parser as well as the
-// optimizer. With caching disabled it degrades to parse-and-plan per
-// call, same as QueryContext.
+// optimizer. With no cache it parses and plans per call, same as
+// QueryContext.
 func (db *DB) QueryCachedContext(ctx context.Context, query string, params []model.Value, opts *optimizer.Options) (*Result, error) {
 	st, err := db.cachedStmt(query)
 	if err != nil {
@@ -165,73 +140,6 @@ func (db *DB) cachedStmt(query string) (*Stmt, error) {
 	}
 	db.stmts.put(norm, st)
 	return st, nil
-}
-
-// runSelectCached is runSelectResolved with the plan cache in front of
-// the optimizer. The caller holds a pin on ep. EXPLAIN ANALYZE
-// executions (opts.Collector set) bypass the cache: their instrumented
-// plans are single-use by contract.
-func (db *DB) runSelectCached(ctx context.Context, ep *dbEpoch, sel *sql.SelectStmt, key string, opts *optimizer.Options) (res *Result, err error) {
-	defer recoverInto("Planner", &err)
-	o := db.effectiveOptions(opts)
-	if o.Collector != nil {
-		r, _, e := db.runSelectResolved(ctx, ep, sel, opts)
-		return r, e
-	}
-	fullKey := key + "\x00" + o.Fingerprint()
-	version := db.catalogVersion.Load()
-	env := ep.optimizerEnv(sel.Propagate)
-	var optimized plan.Node
-	cached := false
-	if skel, ok := db.planCache.Get(fullKey, version); ok {
-		// Rebind the skeleton's epoch-stamped table/index pointers to the
-		// pinned epoch; a rebind failure (index dropped in a racing epoch
-		// under an unchanged-looking key) falls back to a full re-plan.
-		if re, rerr := plan.Rebind(skel, plan.RebindEnv{
-			Table:         env.Cat.Table,
-			SummaryIndex:  env.SummaryIdx,
-			BaselineIndex: env.BaselineIdx,
-		}); rerr == nil {
-			optimized = re
-			cached = true
-		}
-	}
-	if optimized == nil {
-		builder := &plan.Builder{Cat: ep.cat}
-		root, resolver, berr := builder.Build(sel)
-		if berr != nil {
-			return nil, berr
-		}
-		optimized = optimizer.Optimize(root, resolver, env, o)
-		db.planCache.Put(fullKey, version, optimized)
-	}
-	it, cerr := optimizer.Compile(optimized, env, o)
-	if cerr != nil {
-		return nil, cerr
-	}
-	if plan.IsParallel(optimized) {
-		db.metrics.parallelPlans.Add(1)
-	} else {
-		db.metrics.serialPlans.Add(1)
-	}
-	qc := exec.NewQueryCtx(ctx, db.newQueryBudget(opts), optimizer.BatchCapacity(o))
-	rows, err := executeGuarded(qc, it, optimized)
-	if err != nil {
-		return nil, err
-	}
-	if !sel.Propagate {
-		for _, row := range rows {
-			row.Tuple.Summaries = nil
-			row.AliasSets = nil
-		}
-	}
-	schema := it.Schema()
-	cols := make([]string, schema.Len())
-	for i := range cols {
-		cols[i] = schema.Col(i).Name
-	}
-	return &Result{Columns: cols, Schema: schema, Rows: rows, Plan: optimized,
-		AsOfLSN: ep.lsn, CachedPlan: cached}, nil
 }
 
 // stmtCache is a bounded LRU of parsed prepared statements keyed by

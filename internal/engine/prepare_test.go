@@ -20,42 +20,6 @@ func cachedTestDB(t *testing.T, nBirds int) (*DB, []int64) {
 	return testDBWithConfig(t, nBirds, Config{PageCap: 16, PlanCacheSize: 64})
 }
 
-func TestPrepareExecuteMatchesQuery(t *testing.T) {
-	db, _ := cachedTestDB(t, 30)
-	const q = `SELECT id FROM Birds r
-	           WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') = ?`
-	st, err := db.Prepare(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.NumParams() != 1 {
-		t.Fatalf("NumParams = %d, want 1", st.NumParams())
-	}
-	for _, want := range []int64{1, 2, 3} {
-		lit := strings.Replace(q, "?", model.NewInt(want).SQLLiteral(), 1)
-		classic, err := db.Query(lit, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prepared, err := st.Execute([]model.Value{model.NewInt(want)}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(prepared.Rows) != len(classic.Rows) || len(classic.Rows) == 0 {
-			t.Fatalf("param %d: prepared %d rows vs classic %d", want, len(prepared.Rows), len(classic.Rows))
-		}
-		seen := map[int64]bool{}
-		for _, r := range classic.Rows {
-			seen[r.Tuple.Values[0].Int] = true
-		}
-		for _, r := range prepared.Rows {
-			if !seen[r.Tuple.Values[0].Int] {
-				t.Fatalf("param %d: prepared returned extra id %d", want, r.Tuple.Values[0].Int)
-			}
-		}
-	}
-}
-
 func TestPreparedPlanCacheHits(t *testing.T) {
 	db, _ := cachedTestDB(t, 20)
 	st, err := db.Prepare(`SELECT id FROM Birds r

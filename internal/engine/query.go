@@ -30,7 +30,7 @@ type Result struct {
 	// their effects. Zero when the database runs without a WAL.
 	AsOfLSN uint64
 	// CachedPlan reports that the plan came from the plan cache (always
-	// false on the classic Query/RunSelect paths, which bypass it).
+	// false through Query/RunSelect/Exec, which present no cache key).
 	CachedPlan bool
 }
 
@@ -47,29 +47,71 @@ func (db *DB) RunSelect(sel *sql.SelectStmt, opts *optimizer.Options) (*Result, 
 	return db.RunSelectContext(context.Background(), sel, opts)
 }
 
-// runSelect is the lock-free implementation (callers hold a pin on ep
-// and have already layered the statement timeout onto ctx). The
-// deferred recover is the planning-time backstop: cost estimation and
-// access-path probing may touch index pages, so injected storage
-// faults can surface before the executor's own guards are in place.
-func (db *DB) runSelect(ctx context.Context, ep *dbEpoch, sel *sql.SelectStmt, opts *optimizer.Options) (*Result, error) {
-	res, _, err := db.runSelectResolved(ctx, ep, sel, opts)
+// selectStatement runs one SELECT through the read gate as a counted
+// statement. key is the statement's plan-cache key, "" to plan cold.
+func (db *DB) selectStatement(ctx context.Context, sel *sql.SelectStmt, key string, opts *optimizer.Options) (res *Result, err error) {
+	err = db.read(ctx, true, func(ctx context.Context, ep *dbEpoch) (int, error) {
+		var rerr error
+		if res, _, rerr = db.runSelect(ctx, ep, sel, key, opts); rerr != nil {
+			return 0, rerr
+		}
+		return len(res.Rows), nil
+	})
 	return res, err
 }
 
-// runSelectResolved additionally returns the alias resolver so
-// ExplainAnalyze can re-annotate the optimized plan with cost-model
-// estimates after execution.
-func (db *DB) runSelectResolved(ctx context.Context, ep *dbEpoch, sel *sql.SelectStmt, opts *optimizer.Options) (res *Result, r *plan.AliasResolver, err error) {
+// planSelect yields the optimized plan for sel in a pinned epoch's
+// planner environment, with the plan cache in front of building and
+// optimizing. A hit skips both: the cached skeleton's epoch-stamped
+// table/index pointers are rebound to env's epoch. What misses without
+// being counted or stored: an empty key (Query/RunSelect/Exec/Explain,
+// which plan cold by contract), a Collector (EXPLAIN ANALYZE's
+// instrumented plans are single-use) and a database with no cache. The
+// alias resolver is nil on a hit.
+func (db *DB) planSelect(env *optimizer.Env, sel *sql.SelectStmt, key string, o optimizer.Options) (optimized plan.Node, resolver *plan.AliasResolver, cached bool, err error) {
+	cache := db.planCache
+	if key == "" || o.Collector != nil {
+		cache = nil
+	}
+	var version uint64
+	if cache != nil {
+		key += "\x00" + o.Fingerprint()
+		version = db.catalogVersion.Load()
+		if skel, ok := cache.Get(key, version); ok {
+			// A rebind failure (index dropped in a racing epoch under an
+			// unchanged-looking key) falls back to a full re-plan.
+			if re, rerr := optimizer.Rebind(skel, env); rerr == nil {
+				return re, nil, true, nil
+			}
+		}
+	}
+	builder := &plan.Builder{Cat: env.Cat}
+	root, resolver, err := builder.Build(sel)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	optimized = optimizer.Optimize(root, resolver, env, o)
+	cache.Put(key, version, optimized)
+	return optimized, resolver, false, nil
+}
+
+// runSelect is the one SELECT pipeline: effective options, plan (through
+// planSelect), compile, execute, shape the Result. The caller holds a
+// pin on ep and has layered the statement timeout onto ctx. It also
+// returns the alias resolver so ExplainAnalyze can re-annotate the
+// optimized plan with cost-model estimates after execution. The deferred
+// recover is the planning-time backstop: cost estimation and access-path
+// probing may touch index pages, so injected storage faults can surface
+// before the executor's own guards are in place.
+func (db *DB) runSelect(ctx context.Context, ep *dbEpoch, sel *sql.SelectStmt, key string, opts *optimizer.Options) (res *Result, resolver *plan.AliasResolver, err error) {
 	defer recoverInto("Planner", &err)
 	o := db.effectiveOptions(opts)
-	builder := &plan.Builder{Cat: ep.cat}
-	root, resolver, err := builder.Build(sel)
+	env := ep.optimizerEnv(sel.Propagate)
+	optimized, resolver, cached, err := db.planSelect(env, sel, key, o)
 	if err != nil {
 		return nil, nil, err
 	}
-	env := ep.optimizerEnv(sel.Propagate)
-	it, optimized, err := optimizer.Plan(root, resolver, env, o)
+	it, err := optimizer.Compile(optimized, env, o)
 	if err != nil {
 		return nil, resolver, err
 	}
@@ -97,8 +139,8 @@ func (db *DB) runSelectResolved(ctx context.Context, ep *dbEpoch, sel *sql.Selec
 	for i := range cols {
 		cols[i] = schema.Col(i).Name
 	}
-	out := &Result{Columns: cols, Schema: schema, Rows: rows, Plan: optimized, AsOfLSN: ep.lsn}
-	return out, resolver, nil
+	return &Result{Columns: cols, Schema: schema, Rows: rows, Plan: optimized,
+		AsOfLSN: ep.lsn, CachedPlan: cached}, resolver, nil
 }
 
 // Explain returns the optimized logical plan as text.
@@ -111,20 +153,15 @@ func (db *DB) Explain(query string, opts *optimizer.Options) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("engine: Explain expects SELECT")
 	}
-	o := db.effectiveOptions(opts)
-	db.flushIfDirty()
-	ep, s, err := db.pinEpoch()
-	if err != nil {
-		return "", err
-	}
-	defer db.clock.Unpin(s)
-	builder := &plan.Builder{Cat: ep.cat}
-	root, resolver, err := builder.Build(sel)
-	if err != nil {
-		return "", err
-	}
-	optimized := optimizer.Optimize(root, resolver, ep.optimizerEnv(sel.Propagate), o)
-	return plan.Explain(optimized), nil
+	var text string
+	err = db.read(context.Background(), false, func(_ context.Context, ep *dbEpoch) (int, error) {
+		optimized, _, _, perr := db.planSelect(ep.optimizerEnv(sel.Propagate), sel, "", db.effectiveOptions(opts))
+		if perr == nil {
+			text = plan.Explain(optimized)
+		}
+		return 0, perr
+	})
+	return text, err
 }
 
 // effectiveOptions copies the caller's optimizer options (nil = all

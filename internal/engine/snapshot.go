@@ -7,22 +7,21 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"repro/internal/catalog"
 	"repro/internal/heap"
 	"repro/internal/mining/bayes"
 	"repro/internal/model"
-	"repro/internal/pager"
 )
 
 // The snapshot format is a LOGICAL dump: schemas, instance definitions,
 // trained classifier models, tuples, raw annotations with their
-// attachments, and index declarations. Load replays it through the
-// normal engine paths — inserts, AddAnnotation, index creation — so
-// summaries, statistics, and indexes are re-derived exactly (every
-// mining component is deterministic given the replayed order). This
-// keeps the on-disk format independent of internal storage layouts.
+// attachments, index declarations, and the identifier watermarks. Load
+// and checkpoint recovery replay it through the same forced-ID apply
+// paths WAL replay uses, so summaries, statistics, and indexes are
+// re-derived exactly (every mining component is deterministic given the
+// replayed order) and every OID and annotation ID comes back as dumped.
+// This keeps the on-disk format independent of internal storage layouts.
 
 type snapshotInstance struct {
 	Def             catalog.SummaryInstance
@@ -51,15 +50,13 @@ type snapshotTable struct {
 
 type snapshotAnnotation struct {
 	Text     string
-	TupleOID int64 // primary attachment (old OID)
+	TupleOID int64 // primary attachment
 	Columns  []string
 	Author   string
 	Seq      int64
-	// Extra lists additional tuple attachments (old OIDs).
+	// Extra lists additional tuple attachments (OIDs).
 	Extra []int64
-	// ID is the annotation's original ID, used by the preserve-ID
-	// checkpoint replay path; the portable Load path reassigns IDs.
-	ID int64
+	ID    int64
 }
 
 type snapshot struct {
@@ -69,21 +66,20 @@ type snapshot struct {
 	Annotations []snapshotAnnotation // in Seq order
 	PageCap     int
 
-	// Durability extensions, consumed only by the checkpoint path (gob
-	// tolerates their absence when decoding pre-WAL dumps). A checkpoint
-	// must restore exact identifier assignment — including gaps left by
-	// uncommitted operations — so WAL records replayed on top line up
-	// with the run that logged them.
-	WalLSN     uint64 // log position the checkpoint captures
+	// Identifier watermarks. Loading restores exact identifier assignment
+	// — including gaps left by uncommitted operations — so WAL records
+	// replayed on top of a checkpoint line up with the run that logged
+	// them, and an OID or annotation ID a client holds stays valid across
+	// Save and Load.
+	WalLSN     uint64 // log position a checkpoint captures (0 in a Save)
 	NextOID    int64  // catalog OID watermark
 	NextAnnID  int64  // annotation ID watermark
 	NextAnnSeq int64  // annotation logical-timestamp watermark
 }
 
 // Save writes a logical snapshot of the database. The companion Load
-// reconstructs an equivalent database (same schemas, tuples, summaries,
-// statistics, and indexes; OIDs and annotation IDs are reassigned
-// deterministically).
+// reconstructs an equivalent database: same schemas, tuples, summaries,
+// statistics, and indexes, under the same OIDs and annotation IDs.
 //
 // The snapshot is assembled in memory under SnapshotRetry, so transient
 // storage faults during the table/annotation scans are retried with
@@ -129,7 +125,7 @@ func (db *DB) buildSnapshot() (*snapshot, error) {
 	}
 
 	// Tables.
-	primaryOwner := map[int64]bool{} // old OIDs present in the dump
+	primaryOwner := map[int64]bool{} // OIDs present in the dump
 	for _, name := range db.cat.TableNames() {
 		t, err := db.cat.Table(name)
 		if err != nil {
@@ -225,113 +221,36 @@ func LoadWithConfig(r io.Reader, cfg Config) (*DB, error) {
 		return nil, fmt.Errorf("engine: unsupported snapshot version %d", snap.Version)
 	}
 	cfg.PageCap = snap.PageCap
-	acct := &pager.Accountant{}
-	if cfg.Faults != nil {
-		acct.SetFaultPolicy(cfg.Faults)
-	}
+	acct := newAccountant(cfg)
 	var db *DB
 	err := withRetry(SnapshotRetry, func() error {
 		db = newDB(cfg, acct)
-		return db.replaySnapshot(&snap)
+		if err := db.loadSnapshot(&snap); err != nil {
+			return err
+		}
+		// The DB is not shared yet; one flush folds whatever net delta the
+		// load left buffered before the first epoch readers can pin.
+		db.flushIngestLocked()
+		db.publishLocked()
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	// Start the interval flusher only once replay has succeeded (retries
-	// rebuild the DB; a timer on a discarded attempt would leak). Before
-	// this call a snapshot-loaded database silently ignored
-	// IngestFlushInterval.
+	// rebuild the DB; a timer on a discarded attempt would leak).
 	db.startIngestFlusher(cfg.IngestFlushInterval)
 	return db, nil
 }
 
-// replaySnapshot rebuilds state through the normal engine paths.
-func (db *DB) replaySnapshot(snap *snapshot) error {
-	// Instances and classifier models.
-	for i := range snap.Instances {
-		def := snap.Instances[i].Def
-		if err := db.registerInstance(&def); err != nil {
-			return err
-		}
-		if st := snap.Instances[i].ClassifierState; st != nil {
-			db.classifiers[strings.ToLower(def.Name)] = bayes.FromState(st)
-		}
-	}
-
-	// Tables, tuples (recording old->new OIDs), and instance links.
-	oidMap := map[int64]int64{}
-	tableOf := map[int64]string{} // old OID -> table name
-	for _, st := range snap.Tables {
-		cols := make([]model.Column, len(st.Columns))
-		for i, c := range st.Columns {
-			cols[i] = model.Column{Name: c.Name, Kind: c.Kind}
-		}
-		if _, err := db.CreateTable(st.Name, model.NewSchema("", cols...)); err != nil {
-			return err
-		}
-		for _, inst := range st.Instances {
-			if err := db.LinkInstance(st.Name, inst, false); err != nil {
-				return err
-			}
-		}
-		for _, tu := range st.Tuples {
-			newOID, err := db.Insert(st.Name, tu.Values...)
-			if err != nil {
-				return err
-			}
-			oidMap[tu.OID] = newOID
-			tableOf[tu.OID] = st.Name
-		}
-	}
-
-	// Replay annotations in original Seq order: summarization re-derives
-	// every summary object and statistic.
-	for _, a := range snap.Annotations {
-		table := tableOf[a.TupleOID]
-		if table == "" {
-			continue
-		}
-		ann, err := db.AddAnnotation(table, oidMap[a.TupleOID], a.Text, a.Columns, a.Author)
-		if err != nil {
-			return err
-		}
-		for _, oldOID := range a.Extra {
-			if t2 := tableOf[oldOID]; t2 != "" {
-				if err := db.AttachAnnotation(t2, oidMap[oldOID], ann.ID); err != nil {
-					return err
-				}
-			}
-		}
-	}
-
-	// Indexes last (bulk creation over the replayed summaries).
-	for _, st := range snap.Tables {
-		for _, col := range st.DataIdx {
-			if err := db.CreateDataIndex(st.Name, col); err != nil {
-				return err
-			}
-		}
-		for _, inst := range st.SummaryIdx {
-			if err := db.CreateSummaryIndex(st.Name, inst); err != nil {
-				return err
-			}
-		}
-		for _, inst := range st.BaselineIdx {
-			if err := db.CreateBaselineIndex(st.Name, inst); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// replaySnapshotPreserveIDs rebuilds state from a checkpoint through the
-// forced-ID apply paths, so OIDs, annotation IDs, and logical timestamps
-// come back exactly as the logged run assigned them — WAL records
-// replayed on top then reference the same identifiers they were logged
-// against. The watermarks are restored last so gaps left by uncommitted
-// operations survive the round trip.
-func (db *DB) replaySnapshotPreserveIDs(snap *snapshot) error {
+// loadSnapshot rebuilds state from a dump through the forced-ID apply
+// paths, so OIDs, annotation IDs, and logical timestamps come back
+// exactly as the dumped run assigned them. The watermarks are restored
+// last so gaps left by uncommitted operations survive the round trip.
+// The caller owns the DB privately and flushes the ingest buffer and
+// publishes once it has replayed everything it means to (Open replays
+// the WAL on top first).
+func (db *DB) loadSnapshot(snap *snapshot) error {
 	for i := range snap.Instances {
 		if err := db.applyDefineInstance(&snap.Instances[i]); err != nil {
 			return err
@@ -361,6 +280,8 @@ func (db *DB) replaySnapshotPreserveIDs(snap *snapshot) error {
 		}
 	}
 
+	// Annotations in original Seq order: summarization re-derives every
+	// summary object and statistic.
 	for _, a := range snap.Annotations {
 		table := tableOf[a.TupleOID]
 		if table == "" {
@@ -378,6 +299,7 @@ func (db *DB) replaySnapshotPreserveIDs(snap *snapshot) error {
 		}
 	}
 
+	// Indexes last (bulk creation over the replayed summaries).
 	for _, st := range snap.Tables {
 		for _, col := range st.DataIdx {
 			if err := db.applyCreateDataIndex(st.Name, col); err != nil {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -48,45 +49,27 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Errorf("column-attached counters: %d vs %d", t1.ColAttachedAnns, t2.ColAttachedAnns)
 	}
 
-	// Per-tuple summary content matches (compare by the data id column,
-	// since OIDs are reassigned).
-	byID := func(d *DB) map[int64]model.SummarySet {
-		out := map[int64]model.SummarySet{}
-		tbl, _ := d.Table("Birds")
-		res, err := d.Query("SELECT id FROM Birds", nil)
-		if err != nil {
-			t.Fatal(err)
+	// OIDs, annotation IDs and logical timestamps survive the round trip:
+	// an OID a client holds still addresses its tuple, and every summary
+	// object comes back with the same zoom-in element IDs.
+	for _, oid := range oids {
+		if a, b := t1.GetSummaries(oid), t2.GetSummaries(oid); !reflect.DeepEqual(a, b) {
+			t.Fatalf("tuple %d: summaries differ after Load:\n%v\nvs\n%v", oid, a, b)
 		}
-		for _, row := range res.Rows {
-			out[row.Tuple.Values[0].Int] = tbl.GetSummaries(row.Tuple.OID)
+		if a, b := db.Annotations(oid), db2.Annotations(oid); !reflect.DeepEqual(a, b) {
+			t.Fatalf("tuple %d: annotations differ after Load", oid)
 		}
-		return out
 	}
-	a, b := byID(db), byID(db2)
-	for id, setA := range a {
-		setB := b[id]
-		if setA == nil && setB == nil {
-			continue
-		}
-		// Element IDs are reassigned on replay; compare counts per
-		// label and object sizes.
-		ca, cb := setA.Get("ClassBird1"), setB.Get("ClassBird1")
-		if (ca == nil) != (cb == nil) {
-			t.Fatalf("bird %d: classifier presence differs", id)
-		}
-		if ca != nil {
-			for i := range ca.Reps {
-				va := ca.Reps[i].Count
-				vb, _ := cb.GetLabelValue(ca.Reps[i].Label)
-				if va != vb {
-					t.Fatalf("bird %d label %s: %d vs %d", id, ca.Reps[i].Label, va, vb)
-				}
-			}
-		}
-		sa, sb := setA.Get("TextSummary1"), setB.Get("TextSummary1")
-		if (sa == nil) != (sb == nil) || (sa != nil && sa.Size() != sb.Size()) {
-			t.Fatalf("bird %d: snippet objects differ", id)
-		}
+	zoom, err := db2.ZoomIn("Birds", "ClassBird1", "Disease", "id = 2")
+	if err != nil || len(zoom) != 1 || zoom[0].TupleOID != oids[1] {
+		t.Fatalf("zoom on the restored DB: %+v, %v", zoom, err)
+	}
+	found := false
+	for _, a := range zoom[0].Annotations {
+		found = found || a.ID == shared.ID
+	}
+	if !found {
+		t.Errorf("annotation %d is not behind bird 2's Disease label after Load", shared.ID)
 	}
 
 	// Queries agree, and the restored index is used. (SELECT * keeps all
@@ -113,7 +96,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if db2.Classifier("ClassBird1") == nil {
 		t.Fatal("classifier model not restored")
 	}
+	// New identifiers continue past the dumped watermarks.
 	newOID, _ := db2.Insert("Birds", model.NewInt(999), model.NewText("New"), model.NewText("F"))
+	if want := db.cat.NextOID() + 1; newOID != want {
+		t.Errorf("first OID after Load = %d, want %d, one past the dumped watermark", newOID, want)
+	}
 	if _, err := db2.AddAnnotation("Birds", newOID, annText("Disease", 1), nil, "u"); err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/optimizer"
 	"repro/internal/plan"
 )
@@ -34,104 +35,169 @@ var vectorCorpus = []struct {
 	name, q   string
 	opts      optimizer.Options
 	op, parOp string
+	params    []model.Value // bound to the `?` placeholders of q, in order
 }{
-	{"scan_star", `SELECT * FROM Birds b`, optimizer.Options{}, "SeqScan", "Gather"},
-	{"scan_filter", `SELECT id, name FROM Birds b WHERE b.family = 'Corvidae'`, optimizer.Options{}, "Select", "Gather"},
-	{"scan_nosum", `SELECT id FROM Birds b WHERE b.id > 5 AND b.id <= 25 WITHOUT SUMMARIES`, optimizer.Options{}, "Select", ""},
+	{"scan_star", `SELECT * FROM Birds b`, optimizer.Options{}, "SeqScan", "Gather", nil},
+	{"scan_filter", `SELECT id, name FROM Birds b WHERE b.family = 'Corvidae'`, optimizer.Options{}, "Select", "Gather", nil},
+	{"scan_nosum", `SELECT id FROM Birds b WHERE b.id > 5 AND b.id <= 25 WITHOUT SUMMARIES`, optimizer.Options{}, "Select", "", nil},
 	{"index_sorted", `SELECT id, name FROM Birds r
 	  WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') = 2
-	  ORDER BY name`, optimizer.Options{}, "fetch=sorted", ""},
+	  ORDER BY name`, optimizer.Options{}, "fetch=sorted", "", nil},
 	{"index_ordered", `SELECT id, name FROM Birds r
 	  WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') >= 3`,
-		optimizer.Options{ForceFetch: "ordered"}, "fetch=ordered", ""},
+		optimizer.Options{ForceFetch: "ordered"}, "fetch=ordered", "", nil},
 	{"index_conventional", `SELECT id FROM Birds r
 	  WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') >= 3`,
-		optimizer.Options{ConventionalPointers: true}, "SummaryBTreeScan", ""},
+		optimizer.Options{ConventionalPointers: true}, "SummaryBTreeScan", "", nil},
 	{"index_baseline", `SELECT id, name FROM Birds r
 	  WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') = 4`,
-		optimizer.Options{UseBaseline: true}, "BaselineIndexScan", ""},
+		optimizer.Options{UseBaseline: true}, "BaselineIndexScan", "", nil},
 	{"group", `SELECT family, count(*), min(id), max(id) FROM Birds b GROUP BY family`,
-		optimizer.Options{}, "GroupBy", "(parallel workers="},
+		optimizer.Options{}, "GroupBy", "(parallel workers=", nil},
 	{"group_summary_pred", `SELECT family, count(*) FROM Birds b
 	  WHERE b.$.getSummaryObject('ClassBird1').getLabelValue('Anatomy') >= 1 GROUP BY family`,
-		optimizer.Options{NoSummaryIndex: true}, "GroupBy", "(parallel workers="},
+		optimizer.Options{NoSummaryIndex: true}, "GroupBy", "(parallel workers=", nil},
 	{"join_hash", `SELECT r.id, s.id FROM Birds r, Birds s
-	  WHERE r.family = s.family AND r.id < 5`, optimizer.Options{ForceJoin: "hash"}, "HashJoin", "parallel build"},
+	  WHERE r.family = s.family AND r.id < 5`, optimizer.Options{ForceJoin: "hash"}, "HashJoin", "parallel build", nil},
 	{"join_nl", `SELECT r.id, s.id FROM Birds r, Birds s
-	  WHERE r.family = s.family AND r.id < 5`, optimizer.Options{ForceJoin: "nl"}, "NLJoin", ""},
+	  WHERE r.family = s.family AND r.id < 5`, optimizer.Options{ForceJoin: "nl"}, "NLJoin", "", nil},
 	{"join_index", `SELECT r.id, s.name FROM Birds r, Birds s
-	  WHERE r.id = s.id AND r.family = 'Laridae'`, optimizer.Options{ForceJoin: "index"}, "IndexJoin(id)", ""},
+	  WHERE r.id = s.id AND r.family = 'Laridae'`, optimizer.Options{ForceJoin: "index"}, "IndexJoin(id)", "", nil},
 	{"join_summary", `SELECT r.id, s.id FROM Birds r, Birds s
 	  WHERE r.id = s.id AND r.id <= 20
 	  AND r.$.getSummaryObject('ClassBird1').getLabelValue('Disease')
 	    = s.$.getSummaryObject('ClassBird1').getLabelValue('Disease')`,
-		optimizer.Options{}, "J[", ""},
+		optimizer.Options{}, "J[", "", nil},
 	{"join_nosum", `SELECT r.id, s.id FROM Birds r, Birds s
 	  WHERE r.family = s.family AND r.id < 5 AND s.id > 90 WITHOUT SUMMARIES`,
-		optimizer.Options{}, "Join", ""},
-	{"order_limit", `SELECT name FROM Birds b ORDER BY name LIMIT 7`, optimizer.Options{}, "Sort", ""},
+		optimizer.Options{}, "Join", "", nil},
+	{"order_limit", `SELECT name FROM Birds b ORDER BY name LIMIT 7`, optimizer.Options{}, "Sort", "", nil},
 	{"order_disk", `SELECT id, name FROM Birds b ORDER BY family, name DESC`,
-		optimizer.Options{ForceSort: "disk", SortRunLen: 8}, "Sort", ""},
+		optimizer.Options{ForceSort: "disk", SortRunLen: 8}, "Sort", "", nil},
 	{"order_summary", `SELECT id FROM Birds r
 	  ORDER BY r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') DESC, id`,
-		optimizer.Options{NoSummaryIndex: true}, "SummarySort", ""},
-	{"distinct", `SELECT DISTINCT family FROM Birds b`, optimizer.Options{}, "Distinct", ""},
+		optimizer.Options{NoSummaryIndex: true}, "SummarySort", "", nil},
+	{"distinct", `SELECT DISTINCT family FROM Birds b`, optimizer.Options{}, "Distinct", "", nil},
+	{"index_param", `SELECT id FROM Birds r
+	  WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') = ?`,
+		optimizer.Options{}, "SummaryBTreeScan", "", []model.Value{model.NewInt(2)}},
 }
 
-// TestVectorizedDifferential is the capacity-invariance differential:
+// selectEntryPoints are the three ways a SELECT reaches the one
+// pipeline: Query splices the parameters in as literals and presents no
+// plan-cache key; a prepared statement and QueryCached bind them and
+// present one.
+var selectEntryPoints = []struct {
+	name  string
+	keyed bool
+	run   func(db *DB, q string, params []model.Value, opts *optimizer.Options) (*Result, error)
+}{
+	{"Query", false, func(db *DB, q string, params []model.Value, opts *optimizer.Options) (*Result, error) {
+		for _, p := range params {
+			q = strings.Replace(q, "?", p.SQLLiteral(), 1)
+		}
+		return db.Query(q, opts)
+	}},
+	{"Prepare+Execute", true, func(db *DB, q string, params []model.Value, opts *optimizer.Options) (*Result, error) {
+		st, err := db.Prepare(q)
+		if err != nil {
+			return nil, err
+		}
+		if st.NumParams() != len(params) {
+			return nil, fmt.Errorf("NumParams = %d, want %d", st.NumParams(), len(params))
+		}
+		return st.Execute(params, opts)
+	}},
+	{"QueryCached", true, func(db *DB, q string, params []model.Value, opts *optimizer.Options) (*Result, error) {
+		return db.QueryCached(q, params, opts)
+	}},
+}
+
+// TestVectorizedDifferential is the configuration-matrix differential:
 // every shape, under MaxParallelWorkers 1 and 4, must return
-// byte-identical ordered rows and summaries — and compile from the
-// byte-identical plan — at batch capacities 1, 2, 3, 7 and 1024. There
-// is one executor, so capacity 1 (one row per exchange) is the
-// reference, the odd small sizes exercise the batch-boundary edges in
-// every operator, and 1024 is the served configuration.
+// byte-identical ordered rows and summaries — and run the byte-identical
+// plan — in every cell of IngestFlushOps {0, 64} × PlanCacheSize
+// {0, 256} × entry point × batch capacity {1, 2, 3, 7, 1024}. There is
+// one executor, one SELECT pipeline and one ingest routine, so the first
+// cell (flush per operation, no cache, Query, one row per exchange) is
+// the reference; the odd small capacities exercise the batch-boundary
+// edges in every operator, and 64 / 256 / 1024 is the served
+// configuration. At threshold 64 each cell's database starts with a
+// buffered tail the first read must flush.
 func TestVectorizedDifferential(t *testing.T) {
-	db, _ := testDBWithConfig(t, 100, Config{PageCap: 4})
-	if err := db.CreateSummaryIndex("Birds", "ClassBird1"); err != nil {
-		t.Fatal(err)
+	type ref struct {
+		rows []string
+		plan string
 	}
-	if err := db.CreateBaselineIndex("Birds", "ClassBird1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.CreateDataIndex("Birds", "id"); err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range vectorCorpus {
-		for _, workers := range []int{1, 4} {
-			base := tc.opts
-			base.MaxParallelWorkers = workers
-			base.MaxBatchSize = 1
-			ref, err := db.Query(tc.q, &base)
-			if err != nil {
-				t.Fatalf("%s workers=%d capacity=1: %v", tc.name, workers, err)
-			}
-			want, wantPlan := resultStrings(ref), plan.Explain(ref.Plan)
-			if len(want) == 0 {
-				t.Fatalf("%s: empty result exercises nothing", tc.name)
-			}
-			if !strings.Contains(wantPlan, tc.op) || (workers > 1 && !strings.Contains(wantPlan, tc.parOp)) {
-				t.Fatalf("%s workers=%d: plan lacks %q/%q:\n%s", tc.name, workers, tc.op, tc.parOp, wantPlan)
-			}
-			for _, size := range []int{2, 3, 7, 1024} {
-				opts := base
-				opts.MaxBatchSize = size
-				res, err := db.Query(tc.q, &opts)
-				if err != nil {
-					t.Fatalf("%s workers=%d capacity=%d: %v", tc.name, workers, size, err)
-				}
-				if got := plan.Explain(res.Plan); got != wantPlan {
-					t.Fatalf("%s workers=%d: capacity %d changes the plan:\n%s\nvs\n%s",
-						tc.name, workers, size, got, wantPlan)
-				}
-				got := resultStrings(res)
-				if len(got) != len(want) {
-					t.Fatalf("%s workers=%d capacity=%d: %d rows, capacity 1 gave %d",
-						tc.name, workers, size, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%s workers=%d capacity=%d diverges at row %d:\n%s\nvs capacity 1\n%s",
-							tc.name, workers, size, i, got[i], want[i])
+	want := map[string]ref{}
+	for _, cfg := range []Config{
+		{PageCap: 4},
+		{PageCap: 4, PlanCacheSize: 256},
+		{PageCap: 4, IngestFlushOps: 64},
+		{PageCap: 4, IngestFlushOps: 64, PlanCacheSize: 256},
+	} {
+		db, oids := testDBWithConfig(t, 100, cfg)
+		if err := db.CreateSummaryIndex("Birds", "ClassBird1"); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CreateBaselineIndex("Birds", "ClassBird1"); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CreateDataIndex("Birds", "id"); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			mustAnnotate(t, db, oids[i], annText("Disease", 70+i))
+		}
+		if got := db.Metrics().Ingest.PendingOps; (got != 0) != (cfg.IngestFlushOps > 1) {
+			t.Fatalf("IngestFlushOps=%d: %d ops pending before the first read", cfg.IngestFlushOps, got)
+		}
+		planned := map[string]bool{} // shapes the plan cache holds
+		for _, tc := range vectorCorpus {
+			for _, workers := range []int{1, 4} {
+				for _, ep := range selectEntryPoints {
+					for _, size := range []int{1, 2, 3, 7, 1024} {
+						cell := fmt.Sprintf("%s workers=%d flush=%d cache=%d %s capacity=%d",
+							tc.name, workers, cfg.IngestFlushOps, cfg.PlanCacheSize, ep.name, size)
+						opts := tc.opts
+						opts.MaxParallelWorkers = workers
+						opts.MaxBatchSize = size
+						res, err := ep.run(db, tc.q, tc.params, &opts)
+						if err != nil {
+							t.Fatalf("%s: %v", cell, err)
+						}
+						// Capacity and entry point are not part of the cache key, so
+						// the first keyed execution of a shape misses and every later
+						// one hits; an execution without a key never does.
+						key := fmt.Sprintf("%s/%d", tc.name, workers)
+						if hit := ep.keyed && planned[key]; res.CachedPlan != hit {
+							t.Fatalf("%s: CachedPlan = %v, want %v", cell, res.CachedPlan, hit)
+						}
+						planned[key] = planned[key] || (ep.keyed && cfg.PlanCacheSize > 0)
+						got := ref{resultStrings(res), plan.Explain(res.Plan)}
+						w, ok := want[key]
+						if !ok {
+							if len(got.rows) == 0 {
+								t.Fatalf("%s: empty result exercises nothing", tc.name)
+							}
+							if !strings.Contains(got.plan, tc.op) || (workers > 1 && !strings.Contains(got.plan, tc.parOp)) {
+								t.Fatalf("%s workers=%d: plan lacks %q/%q:\n%s", tc.name, workers, tc.op, tc.parOp, got.plan)
+							}
+							want[key] = got
+							continue
+						}
+						if got.plan != w.plan {
+							t.Fatalf("%s changes the plan:\n%s\nvs\n%s", cell, got.plan, w.plan)
+						}
+						if len(got.rows) != len(w.rows) {
+							t.Fatalf("%s: %d rows, the reference cell gave %d", cell, len(got.rows), len(w.rows))
+						}
+						for i := range got.rows {
+							if got.rows[i] != w.rows[i] {
+								t.Fatalf("%s diverges at row %d:\n%s\nvs the reference cell\n%s",
+									cell, i, got.rows[i], w.rows[i])
+							}
+						}
 					}
 				}
 			}

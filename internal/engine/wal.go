@@ -163,14 +163,20 @@ func (db *DB) logAppend(t wal.Type, txid uint64, payload any) (uint64, error) {
 // recovered state byte-equivalent to the live state that the caller
 // observed alongside the returned error.
 //
-// The next epoch is published before the lock drops — unconditionally,
-// because fn may have applied partial effects even on error, and the
-// live-visibility contract says queries see exactly what the mutator
-// left behind.
+// The next epoch is published before the lock drops — even on error,
+// because fn may have applied partial effects, and the live-visibility
+// contract says queries see exactly what the mutator left behind. The
+// one exception is the ingest hot path: an operation that only added to
+// the net-delta buffer and left it under the flush threshold publishes
+// nothing. Readers pin published epochs, so its raw annotation stays
+// invisible and no per-op copy-on-write shells are built; the dirty
+// flag raised instead makes the next read force the flush (and the
+// publication) first. A threshold of 0 or 1 trips on every operation.
 func (db *DB) runAuto(fn func(txid uint64) (uint64, error)) error {
 	db.mu.Lock()
 	db.nextTxID++
 	txid := db.nextTxID
+	pending := db.ingest.ops
 	opLSN, err := fn(txid)
 	var commitLSN uint64
 	var l *wal.Log
@@ -182,7 +188,14 @@ func (db *DB) runAuto(fn func(txid uint64) (uint64, error)) error {
 		}
 		l = db.wal
 	}
-	db.publishLocked()
+	if db.ingest.ops > pending && db.ingest.ops < db.ingestEvery {
+		db.ingestDirty.Store(true)
+	} else {
+		if db.ingest.ops >= db.ingestEvery {
+			db.flushIngestLocked()
+		}
+		db.publishLocked()
+	}
 	db.mu.Unlock()
 	if commitLSN != 0 && l != nil {
 		if cerr := l.Commit(commitLSN); cerr != nil && err == nil {
@@ -245,7 +258,7 @@ func Open(cfg Config) (*DB, error) {
 			return nil
 		}
 		ckptLSN = snap.WalLSN
-		return db.replaySnapshotPreserveIDs(snap)
+		return db.loadSnapshot(snap)
 	})
 	if err != nil {
 		return nil, err
@@ -302,13 +315,11 @@ func Open(cfg Config) (*DB, error) {
 	// Publish the recovery epoch: readers admitted from here on see the
 	// replayed committed prefix with AsOfLSN at the recovered log
 	// position. The DB is not shared yet, but publishLocked's contract
-	// asks for the lock. In batched-ingest mode, replayed annotation
-	// records were buffered exactly as live ones are; one final flush
-	// folds the whole net delta before the epoch publishes, and the
-	// batch-vs-eager identity argument (see ingest.go) makes the
-	// recovered summaries equal to an eager replay's — flush-vs-replay
-	// determinism costs nothing because the WAL stream itself is
-	// identical in both modes.
+	// asks for the lock. Checkpointed and replayed annotations were
+	// buffered exactly as live ones are; one final flush folds the whole
+	// net delta before the epoch publishes. Where the flushes fall does
+	// not change the flushed state (see ingest.go), so the recovered
+	// summaries equal the crashed run's whatever its threshold was.
 	db.mu.Lock()
 	db.flushIngestLocked()
 	db.publishLocked()

@@ -35,18 +35,20 @@ func (db *DB) ZoomIn(table, instance, label, where string) ([]ZoomResult, error)
 	return db.zoomContext(context.Background(), stmt)
 }
 
-// zoomContext runs a ZOOM IN under ctx. The annotation fetches behind
-// each summary read the heap, so the loop is guarded against injected
-// pager faults and ticks ctx between tuples.
+// zoomContext runs a ZOOM IN under ctx, through the read gate.
 func (db *DB) zoomContext(ctx context.Context, stmt *sql.ZoomStmt) (zooms []ZoomResult, err error) {
-	ctx, cancel := db.applyTimeout(ctx)
-	defer cancel()
-	db.flushIfDirty()
-	ep, s, err := db.pinEpoch()
-	if err != nil {
-		return nil, err
-	}
-	defer db.clock.Unpin(s)
+	err = db.read(ctx, false, func(ctx context.Context, ep *dbEpoch) (int, error) {
+		var zerr error
+		zooms, zerr = db.zoomEpoch(ctx, ep, stmt)
+		return 0, zerr
+	})
+	return zooms, err
+}
+
+// zoomEpoch answers a ZOOM IN at a pinned epoch. The annotation fetches
+// behind each summary read the heap, so the loop is guarded against
+// injected pager faults and ticks ctx between tuples.
+func (db *DB) zoomEpoch(ctx context.Context, ep *dbEpoch, stmt *sql.ZoomStmt) (zooms []ZoomResult, err error) {
 	defer recoverInto("Zoom", &err)
 	t, err := ep.cat.Table(stmt.Table)
 	if err != nil {
@@ -62,7 +64,7 @@ func (db *DB) zoomContext(ctx context.Context, stmt *sql.ZoomStmt) (zooms []Zoom
 		Limit:     -1,
 		Propagate: true,
 	}
-	res, err := db.runSelect(ctx, ep, sel, nil)
+	res, _, err := db.runSelect(ctx, ep, sel, "", nil)
 	if err != nil {
 		return nil, err
 	}

@@ -127,10 +127,3 @@ func Optimize(root plan.Node, r *plan.AliasResolver, env *Env, opts Options) pla
 	root = rw.parallelize(root)
 	return root
 }
-
-// Plan builds, optimizes, and compiles in one call.
-func Plan(root plan.Node, r *plan.AliasResolver, env *Env, opts Options) (exec.Operator, plan.Node, error) {
-	optimized := Optimize(root, r, env, opts)
-	it, err := Compile(optimized, env, opts)
-	return it, optimized, err
-}

@@ -142,7 +142,7 @@ func (f *optFixture) run(q string, opts Options) []string {
 	}
 	env := *f.env
 	env.Propagate = stmt.(*sql.SelectStmt).Propagate
-	it, _, err := Plan(root, resolver, &env, opts)
+	it, err := Compile(Optimize(root, resolver, &env, opts), &env, opts)
 	if err != nil {
 		f.t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestOrderPreservedThroughJoin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		it, _, err := Plan(root, resolver, f.env, opts)
+		it, err := Compile(Optimize(root, resolver, f.env, opts), f.env, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -53,7 +53,12 @@ type Server struct {
 	admission *admission
 	mux       *http.ServeMux
 
-	closed   atomic.Bool
+	// drainMu orders admission against Close: ServeHTTP checks closed and
+	// joins inflight under its shared side, Close flips closed under the
+	// exclusive side, so no inflight.Add can run concurrently with the
+	// Wait that follows (a WaitGroup forbids an Add from zero racing Wait).
+	drainMu  sync.RWMutex
+	closed   bool
 	inflight sync.WaitGroup
 	requests atomic.Int64
 }
@@ -84,7 +89,11 @@ func New(cfg Config) (*Server, error) {
 // after Close returns, so every admitted statement ran against an open
 // engine.
 func (s *Server) Close() {
-	if s.closed.Swap(true) {
+	s.drainMu.Lock()
+	was := s.closed
+	s.closed = true
+	s.drainMu.Unlock()
+	if was {
 		return
 	}
 	s.inflight.Wait()
@@ -111,19 +120,15 @@ func (s *Server) routes() {
 // the drain, and convert handler panics into typed 500s instead of
 // hijacking the connection.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if s.closed.Load() {
+	s.drainMu.RLock()
+	if s.closed {
+		s.drainMu.RUnlock()
 		writeError(w, errorf(http.StatusServiceUnavailable, CodeDBClosed, "server shutting down"))
 		return
 	}
 	s.inflight.Add(1)
+	s.drainMu.RUnlock()
 	defer s.inflight.Done()
-	// Re-check under the WaitGroup: Close may have swapped the flag
-	// between the load above and the Add; draining still covers us, we
-	// just refuse the work.
-	if s.closed.Load() {
-		writeError(w, errorf(http.StatusServiceUnavailable, CodeDBClosed, "server shutting down"))
-		return
-	}
 	s.requests.Add(1)
 	defer func() {
 		if rec := recover(); rec != nil {
