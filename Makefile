@@ -20,10 +20,12 @@ race:
 	$(GO) test -race ./...
 
 # race-core focuses the race detector on the layers that share a buffer
-# pool across parallel scan workers, with extra iterations on the
-# page-partitioned parallel index fetch and the lock-free epoch readers.
+# pool across parallel scan workers and the page store under them
+# (snapshot readers against the copy-on-write writer, in pager, heap and
+# btree), with extra iterations on the page-partitioned parallel index
+# fetch and the lock-free epoch readers.
 race-core:
-	$(GO) test -race ./internal/model/... ./internal/engine/... ./internal/exec/...
+	$(GO) test -race ./internal/model/... ./internal/engine/... ./internal/exec/... ./internal/pager/... ./internal/heap/... ./internal/btree/...
 	$(GO) test -race -count=4 -run 'TestParallelSortedFetchMatchesSerial|TestSummaryIndexScanPartitionedConcatenation' ./internal/engine/... ./internal/exec/...
 	$(GO) test -race -count=2 -run 'TestEpochReaderStress' ./internal/engine/
 
@@ -43,9 +45,12 @@ bench-harness:
 # summary-merge differentials (TestParallelGroupByMatchesSerial,
 # TestDistinctMergesAllSummaryTypes); the model line reruns the property
 # tests they rest on — partial accumulators merged in order equal the
-# serial fold.
+# serial fold. The pager line reruns the versioned page store's tests,
+# whose readers race the writer through epoch publication, pruning and
+# deferred reclamation.
 flake-sweep:
 	$(GO) test -count=20 -cpu 1,2,8 ./internal/mvcc ./internal/exec
+	$(GO) test -count=20 -cpu 1,2,8 -run 'TestStore' ./internal/pager
 	$(GO) test -count=20 -cpu 1,2,8 -run 'TestAccumulator|TestClusterRepresentativeIndependentOfGrouping' ./internal/model
 
 # loc prints the non-test Go line count of every package (*_test.go

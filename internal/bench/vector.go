@@ -42,7 +42,7 @@ const vectorReps = 41
 // the capacity-1024 path fails it.
 const (
 	vectorFloor   = 1.5
-	vectorCeiling = 5.0
+	vectorCeiling = 10.0
 )
 
 // Fig24Vectorized measures batch-at-a-time execution (an extension

@@ -7,23 +7,15 @@
 //
 // Node accesses are charged to a pager.Accountant, one read per node
 // visited and one write per node modified, so logarithmic access-path
-// claims are testable. Nodes are addressed by id: without a buffer pool
-// they live in an in-memory node table, and with one attached to the
-// accountant they live in pool frames and round-trip through the pool's
-// backing store on eviction. Mutations pin the descent path (plus the
-// siblings a rebalance touches) for their duration; scans pin
-// hand-over-hand, one node at a time. Logical charges are identical in
-// both modes, at the same call sites.
-//
-// When the accountant carries an MVCC epoch clock, nodes are versioned
-// for snapshot reads: each node carries the epoch stamp of the mutation
-// that produced it, the (single) writer clones a node copy-on-write
-// before its first touch in a new epoch — pushing the superseded
-// version onto a per-node overlay chain — and AsOf returns a read-only
-// view frozen at a snapshot epoch that resolves every node to the
-// version visible there, without taking the writer's lock. Freed nodes
-// (merge victims, collapsed roots, released trees) are reclaimed via
-// the clock's retire mechanism only once no pinned epoch can still
+// claims are testable. Nodes are addressed by id and live in a
+// pager.Store, which decides where a node is kept (resident, or in
+// buffer-pool frames) and which version of it a reader sees. Mutations
+// pin the descent path (plus the siblings a rebalance touches) for their
+// duration; scans pin hand-over-hand, one node at a time. AsOf freezes
+// the tree's root and counts into a read-only view whose reads resolve
+// every node to the version visible at the view's epoch, without taking
+// the writer's lock. Freed nodes (merge victims, collapsed roots,
+// released trees) are reclaimed only once no pinned epoch can still
 // reach them; node ids are never reused.
 package btree
 
@@ -32,59 +24,31 @@ import (
 	"encoding/gob"
 	"fmt"
 	"sort"
-	"sync"
 
-	"repro/internal/mvcc"
 	"repro/internal/pager"
 )
 
 // DefaultOrder is the default maximum number of entries per node.
 const DefaultOrder = 64
 
-// Tree is a B+Tree. Not safe for concurrent mutation; with a clock
-// attached, any number of AsOf views may read concurrently with the
-// single mutator.
+// Tree is a B+Tree. Not safe for concurrent mutation; any number of AsOf
+// views may read concurrently with the single mutator.
 type Tree struct {
-	acct   *pager.Accountant
-	pool   *pager.BufferPool
-	space  int32
+	acct  *pager.Accountant
+	store *pager.Store[*node]
+	// snap is the epoch reads resolve nodes at: pager.Latest on the tree
+	// itself, the frozen epoch on an AsOf view (whose rootID/size/nodes
+	// are then copies of the writer's fields at that epoch).
+	snap   uint64
 	order  int // max entries per node
 	rootID int64
 	nextID int64
-	mem    map[int64]*node // node table when no pool and no clock
 	size   int
 	nodes  int
-
-	// clock/v enable MVCC node versioning; view/snap mark a read-only
-	// snapshot view produced by AsOf (rootID/size/nodes are then frozen
-	// copies of the writer's fields at the view's epoch).
-	clock *mvcc.Clock
-	v     *treeState
-	view  bool
-	snap  uint64
-}
-
-// treeState is the version store shared between a versioned tree and
-// its snapshot views: superseded node versions and — in unpooled mode —
-// the resident node table, which readers and deferred reclamations
-// access without the writer's lock and so must live behind a mutex.
-type treeState struct {
-	mu      sync.RWMutex
-	overlay map[int64][]nodeVer // superseded versions, newest last
-	mem     map[int64]*node     // unpooled resident nodes (nil when pooled)
-}
-
-// nodeVer is one superseded node version: n was the node's current
-// version for epochs in [n.stamp, until).
-type nodeVer struct {
-	until uint64
-	n     *node
 }
 
 // node ids start at 1; 0 means "none" (end of the leaf chain). stamp is
-// the epoch of the mutation that produced this version (zero when
-// unversioned); it is written before the node becomes reachable and
-// never rewritten.
+// the epoch of the mutation that produced this version.
 type node struct {
 	id       int64
 	leaf     bool
@@ -93,6 +57,19 @@ type node struct {
 	children []int64 // internal only; len == len(keys)+1
 	next     int64   // leaf chain
 	stamp    uint64
+}
+
+func (n *node) Stamp() uint64 { return n.stamp }
+
+// CloneAt deep-copies a node version for copy-on-write mutation.
+func (n *node) CloneAt(st uint64) *node {
+	return &node{
+		id: n.id, leaf: n.leaf,
+		keys:     append([]string(nil), n.keys...),
+		vals:     append([]int64(nil), n.vals...),
+		children: append([]int64(nil), n.children...),
+		next:     n.next, stamp: st,
+	}
 }
 
 // nodeWire is the gob form of a node for buffer-pool write-back.
@@ -143,36 +120,23 @@ func (nodeCodec) DecodePage(data []byte) (any, error) {
 }
 
 // New builds a tree of the given order (maximum entries per node); order
-// < 4 is raised to 4. If acct has a buffer pool attached, the tree
-// registers its own node space with it; if acct carries an MVCC clock,
-// nodes are versioned for snapshot reads.
+// < 4 is raised to 4. Its nodes are stored under acct's epoch clock and
+// in its buffer pool when it has one.
 func New(acct *pager.Accountant, order int) *Tree {
 	if order < 4 {
 		order = 4
 	}
-	t := &Tree{acct: acct, order: order, nextID: 1}
-	if c := acct.Clock(); c != nil {
-		t.clock = c
-		t.v = &treeState{overlay: make(map[int64][]nodeVer)}
+	t := &Tree{
+		acct:   acct,
+		store:  pager.NewStore[*node](acct, nodeCodec{}),
+		snap:   pager.Latest,
+		order:  order,
+		nextID: 1,
+		nodes:  1,
 	}
-	if pool := acct.Pool(); pool != nil {
-		t.pool = pool
-		t.space = pool.NewSpace(nodeCodec{})
-	} else if t.v != nil {
-		t.v.mem = make(map[int64]*node)
-	} else {
-		t.mem = make(map[int64]*node)
-	}
-	root := &node{leaf: true}
-	t.attach(root)
-	t.rootID = root.id
-	if t.pool != nil {
-		t.pool.Unpin(t.space, root.id, true)
-	}
-	t.nodes = 1
-	if t.v != nil {
-		t.clock.AddPruner(t.pruneVersions)
-	}
+	s := t.store.Pins()
+	t.rootID = t.alloc(&s, true).id
+	s.Release()
 	return t
 }
 
@@ -188,136 +152,13 @@ func NewLike(t *Tree) *Tree { return New(t.acct, t.order) }
 // any lock, for as long as the caller holds a clock pin on snap.
 func (t *Tree) AsOf(snap uint64) *Tree {
 	g := *t
-	g.view = true
 	g.snap = snap
 	return &g
 }
 
-// Release drops the tree's nodes from the buffer pool (no-op without a
-// pool). The tree must not be used afterwards. With a clock attached
-// the reclamation is deferred until no pinned epoch can still resolve
-// the tree's nodes through a snapshot view.
-func (t *Tree) Release() {
-	if t.v != nil {
-		pool, space, v := t.pool, t.space, t.v
-		t.clock.Retire(func() {
-			if pool != nil {
-				pool.DropSpace(space)
-			}
-			v.mu.Lock()
-			v.mem = nil
-			v.overlay = make(map[int64][]nodeVer)
-			v.mu.Unlock()
-		})
-		return
-	}
-	if t.pool != nil {
-		t.pool.DropSpace(t.space)
-	}
-	t.mem = nil
-}
-
-// stampNew returns the epoch stamp for a node the writer creates now.
-func (t *Tree) stampNew() uint64 {
-	if t.v != nil {
-		return t.clock.Stamp()
-	}
-	return 0
-}
-
-// memNode reads id's current version from the in-memory table (unpooled
-// mode). Versioned tables are shared with concurrent readers and
-// deferred reclamations, so access goes through the version-store lock.
-func (t *Tree) memNode(id int64) *node {
-	if t.v != nil {
-		t.v.mu.RLock()
-		n := t.v.mem[id]
-		t.v.mu.RUnlock()
-		return n
-	}
-	return t.mem[id]
-}
-
-// attach assigns n a fresh id and materializes it — pinned (and dirty)
-// in pooled mode, resident in the node table otherwise.
-func (t *Tree) attach(n *node) {
-	n.id = t.nextID
-	t.nextID++
-	n.stamp = t.stampNew()
-	if t.pool != nil {
-		t.pool.NewPage(t.space, n.id, n)
-	} else if t.v != nil {
-		t.v.mu.Lock()
-		t.v.mem[n.id] = n
-		t.v.mu.Unlock()
-	} else {
-		t.mem[n.id] = n
-	}
-}
-
-// pruneVersions discards node versions no pinned epoch can still
-// resolve. Registered with the clock at construction.
-func (t *Tree) pruneVersions(min uint64) {
-	t.v.mu.Lock()
-	for id, vs := range t.v.overlay {
-		i := 0
-		for i < len(vs) && vs[i].until <= min {
-			i++
-		}
-		if i == len(vs) {
-			delete(t.v.overlay, id)
-		} else if i > 0 {
-			t.v.overlay[id] = vs[i:]
-		}
-	}
-	t.v.mu.Unlock()
-}
-
-// cloneNode deep-copies a node version for copy-on-write mutation.
-func cloneNode(n *node, st uint64) *node {
-	return &node{
-		id: n.id, leaf: n.leaf,
-		keys:     append([]string(nil), n.keys...),
-		vals:     append([]int64(nil), n.vals...),
-		children: append([]int64(nil), n.children...),
-		next:     n.next, stamp: st,
-	}
-}
-
-// overlayNode finds the newest superseded version of id visible at the
-// view's snapshot.
-func (t *Tree) overlayNode(id int64) *node {
-	t.v.mu.RLock()
-	defer t.v.mu.RUnlock()
-	vs := t.v.overlay[id]
-	for i := len(vs) - 1; i >= 0; i-- {
-		if vs[i].n.stamp <= t.snap {
-			return vs[i].n
-		}
-	}
-	return nil
-}
-
-// readNode resolves id's version visible at the view's snapshot. The
-// current version comes back pinned in pooled mode (pinned=true; the
-// caller must unpin); superseded versions are immutable and unpinned.
-func (t *Tree) readNode(id int64) (*node, bool) {
-	if t.pool != nil {
-		n := t.pool.Get(t.space, id).(*node)
-		if n.stamp <= t.snap {
-			return n, true
-		}
-		t.pool.Unpin(t.space, id, false)
-	} else {
-		t.v.mu.RLock()
-		n := t.v.mem[id]
-		t.v.mu.RUnlock()
-		if n != nil && n.stamp <= t.snap {
-			return n, false
-		}
-	}
-	return t.overlayNode(id), false
-}
+// Release frees the tree's nodes once no pinned epoch can still resolve
+// them through a snapshot view. The tree must not be used afterwards.
+func (t *Tree) Release() { t.store.Release() }
 
 // Len returns the number of stored entries.
 func (t *Tree) Len() int { return t.size }
@@ -329,73 +170,14 @@ func (t *Tree) Order() int { return t.order }
 func (t *Tree) Nodes() int { return t.nodes }
 
 // peek returns id's node for read-only inspection without holding a pin:
-// in pooled mode the frame is unpinned immediately, and the returned
-// object stays valid (if the frame is later evicted the object is merely
-// a stale immutable copy, which read-only single-threaded callers
-// tolerate). On a view, the snapshot-resolved version is returned.
+// the returned object stays valid after the pin is gone (if its frame is
+// later evicted the object is merely a stale immutable copy, which
+// read-only single-threaded callers tolerate).
 func (t *Tree) peek(id int64) *node {
-	if t.view {
-		n, pinned := t.readNode(id)
-		if pinned {
-			t.pool.Unpin(t.space, id, false)
-		}
-		if n == nil {
-			n = &node{leaf: true}
-		}
-		return n
-	}
-	if t.pool == nil {
-		return t.memNode(id)
-	}
-	n := t.pool.Get(t.space, id).(*node)
-	t.pool.Unpin(t.space, id, false)
+	r := t.store.Reader(t.snap)
+	n := r.Page(id)
+	r.Release()
 	return n
-}
-
-// pinTrack pins id, releases the previously tracked pin, and records id
-// in *cur so a deferred cleanup can release whatever is held when a scan
-// unwinds (including via an injected-fault panic).
-func (t *Tree) pinTrack(cur *int64, id int64) *node {
-	if t.pool == nil {
-		return t.memNode(id)
-	}
-	n := t.pool.Get(t.space, id).(*node)
-	if *cur != 0 {
-		t.pool.Unpin(t.space, *cur, false)
-	}
-	*cur = id
-	return n
-}
-
-// readTrack is pinTrack for all read paths: on a view it resolves the
-// snapshot version (pinning it hand-over-hand only when the current
-// version serves the snapshot, so the seed pin discipline — and its
-// eviction pattern — is preserved for single-threaded runs); otherwise
-// it is exactly pinTrack.
-func (t *Tree) readTrack(cur *int64, id int64) *node {
-	if !t.view {
-		return t.pinTrack(cur, id)
-	}
-	n, pinned := t.readNode(id)
-	if t.pool != nil && *cur != 0 {
-		t.pool.Unpin(t.space, *cur, false)
-	}
-	if pinned {
-		*cur = id
-	} else {
-		*cur = 0
-	}
-	if n == nil {
-		n = &node{leaf: true} // defensive: no version at snapshot
-	}
-	return n
-}
-
-func (t *Tree) unTrack(cur *int64) {
-	if t.pool != nil && *cur != 0 {
-		t.pool.Unpin(t.space, *cur, false)
-	}
-	*cur = 0
 }
 
 // Height returns the tree height (1 for a lone leaf).
@@ -410,149 +192,18 @@ func (t *Tree) Height() int {
 
 func (t *Tree) minEntries() int { return t.order / 2 }
 
-// --- pin scope ------------------------------------------------------------
-
-// pinScope tracks the frames a mutation has pinned so they are released
-// exactly once when the operation finishes — including when it unwinds
-// through a write-back fault panic. Without a pool it only routes node
-// loads to the in-memory table. A mutation pins its descent path plus
+// pins is the set of nodes a mutation holds pinned: its descent path plus
 // the siblings a rebalance touches, so the frame budget a tree needs is
 // about twice its height; pager.MinPoolFrames covers default-order trees.
-//
-// On a versioned tree, get is also the copy-on-write point: a node
-// whose current version belongs to an earlier epoch is cloned before it
-// is handed to the mutation, with the superseded version pushed onto
-// the overlay for snapshot readers.
-type pinScope struct {
-	t     *Tree
-	ids   []int64
-	dirty []bool
-}
+type pins = pager.Pins[*node]
 
-func (t *Tree) scope() *pinScope { return &pinScope{t: t} }
-
-// get pins id and returns its node, cloned copy-on-write if snapshot
-// readers may still resolve the current version; the pin is held until
-// put, drop, or release.
-func (s *pinScope) get(id int64) *node {
-	t := s.t
-	if t.pool == nil {
-		n := t.memNode(id)
-		if t.v != nil {
-			if st := t.clock.Stamp(); n.stamp != st {
-				cl := cloneNode(n, st)
-				t.v.mu.Lock()
-				t.v.overlay[id] = append(t.v.overlay[id], nodeVer{until: st, n: n})
-				t.v.mem[id] = cl
-				t.v.mu.Unlock()
-				return cl
-			}
-		}
-		return n
-	}
-	n := t.pool.Get(t.space, id).(*node)
-	s.ids = append(s.ids, id)
-	s.dirty = append(s.dirty, false)
-	if t.v != nil {
-		if st := t.clock.Stamp(); n.stamp != st {
-			cl := cloneNode(n, st)
-			// Publish the superseded version before swapping the frame
-			// value, so a reader that sees the clone finds the old version
-			// already on the overlay.
-			t.v.mu.Lock()
-			t.v.overlay[id] = append(t.v.overlay[id], nodeVer{until: st, n: n})
-			t.v.mu.Unlock()
-			t.pool.SetValue(t.space, id, cl)
-			return cl
-		}
-	}
+// alloc creates a node under a fresh id, pinned in the mutation's pin set
+// and dirty.
+func (t *Tree) alloc(s *pins, leaf bool) *node {
+	n := &node{id: t.nextID, leaf: leaf, stamp: t.store.Stamp()}
+	t.nextID++
+	s.New(n.id, n)
 	return n
-}
-
-// alloc creates a node in the scope, pinned and dirty.
-func (s *pinScope) alloc(leaf bool) *node {
-	n := &node{leaf: leaf}
-	s.t.attach(n)
-	if s.t.pool != nil {
-		s.ids = append(s.ids, n.id)
-		s.dirty = append(s.dirty, true)
-	}
-	return n
-}
-
-// markDirty flags id's most recent pin so its frame is marked dirty on
-// release.
-func (s *pinScope) markDirty(id int64) {
-	for i := len(s.ids) - 1; i >= 0; i-- {
-		if s.ids[i] == id {
-			s.dirty[i] = true
-			return
-		}
-	}
-}
-
-// put releases id's most recent pin early (failed probes, untouched
-// siblings) so pins don't accumulate past the frame budget.
-func (s *pinScope) put(id int64) {
-	for i := len(s.ids) - 1; i >= 0; i-- {
-		if s.ids[i] == id {
-			if s.t.pool != nil {
-				s.t.pool.Unpin(s.t.space, id, s.dirty[i])
-			}
-			s.ids[i] = 0
-			return
-		}
-	}
-}
-
-// drop releases every pin the scope holds on id and deletes the node
-// (merge victims, collapsed roots). On a versioned tree the physical
-// reclamation is deferred through the clock: a reader pinned at an
-// earlier epoch may still resolve the node's resident current version,
-// and no epoch at or after the in-progress one references the id (ids
-// are never reused), so dropping once the minimum pinned epoch reaches
-// the mutation's stamp is exact.
-func (s *pinScope) drop(id int64) {
-	t := s.t
-	if t.pool == nil {
-		if t.v != nil {
-			v := t.v
-			t.clock.Retire(func() {
-				v.mu.Lock()
-				delete(v.mem, id)
-				v.mu.Unlock()
-			})
-			return
-		}
-		delete(t.mem, id)
-		return
-	}
-	for i := range s.ids {
-		if s.ids[i] == id {
-			s.t.pool.Unpin(s.t.space, id, false)
-			s.ids[i] = 0
-		}
-	}
-	if t.v != nil {
-		pool, space := t.pool, t.space
-		t.clock.Retire(func() { pool.Drop(space, id) })
-		return
-	}
-	t.pool.Drop(t.space, id)
-}
-
-// release unpins everything the scope still holds.
-func (s *pinScope) release() {
-	if s.t.pool == nil {
-		return
-	}
-	for i, id := range s.ids {
-		if id != 0 {
-			s.t.pool.Unpin(s.t.space, id, s.dirty[i])
-		}
-	}
-	s.ids = s.ids[:0]
-	s.dirty = s.dirty[:0]
 }
 
 // --- search ---------------------------------------------------------------
@@ -569,10 +220,10 @@ func upperBound(n *node, key string) int {
 
 // descendLower walks from the root to the leaf that may contain key,
 // using lower-bound routing (leftmost occurrence for duplicates); each
-// visited node is one page read. Pins hand-over-hand through *cur; the
+// visited node is one page read. Pins hand-over-hand through r; the
 // returned leaf is left pinned for the caller.
-func (t *Tree) descendLower(cur *int64, key string) *node {
-	n := t.readTrack(cur, t.rootID)
+func (t *Tree) descendLower(r *pager.Reader[*node], key string) *node {
+	n := r.Page(t.rootID)
 	t.acct.ReadNode(1)
 	for !n.leaf {
 		// Separator keys[i] is the minimum key of children[i+1]: route to
@@ -582,7 +233,7 @@ func (t *Tree) descendLower(cur *int64, key string) *node {
 		// keys[i] == key means children[i+1] starts at key; the leftmost
 		// duplicate may still live at the end of children[i]'s subtree, so
 		// descend into children[i].
-		n = t.readTrack(cur, n.children[lowerBound(n, key)])
+		n = r.Page(n.children[lowerBound(n, key)])
 		t.acct.ReadNode(1)
 	}
 	return n
@@ -612,9 +263,9 @@ func (t *Tree) Contains(key string) bool {
 // stopping early when fn returns false. An empty `to` of "\xff..." is not
 // required: use ScanFrom for open-ended scans.
 func (t *Tree) ScanRange(from, to string, fn func(key string, val int64) bool) {
-	var cur int64
-	defer t.unTrack(&cur)
-	n := t.descendLower(&cur, from)
+	r := t.store.Reader(t.snap)
+	defer r.Release()
+	n := t.descendLower(&r, from)
 	for {
 		i := lowerBound(n, from)
 		for ; i < len(n.keys); i++ {
@@ -628,7 +279,7 @@ func (t *Tree) ScanRange(from, to string, fn func(key string, val int64) bool) {
 		if n.next == 0 {
 			return
 		}
-		n = t.readTrack(&cur, n.next)
+		n = r.Page(n.next)
 		t.acct.ReadNode(1)
 		from = "" // subsequent leaves start at position 0
 	}
@@ -636,9 +287,9 @@ func (t *Tree) ScanRange(from, to string, fn func(key string, val int64) bool) {
 
 // ScanFrom visits every entry with key >= from in key order.
 func (t *Tree) ScanFrom(from string, fn func(key string, val int64) bool) {
-	var cur int64
-	defer t.unTrack(&cur)
-	n := t.descendLower(&cur, from)
+	r := t.store.Reader(t.snap)
+	defer r.Release()
+	n := t.descendLower(&r, from)
 	for {
 		i := lowerBound(n, from)
 		for ; i < len(n.keys); i++ {
@@ -649,7 +300,7 @@ func (t *Tree) ScanFrom(from string, fn func(key string, val int64) bool) {
 		if n.next == 0 {
 			return
 		}
-		n = t.readTrack(&cur, n.next)
+		n = r.Page(n.next)
 		t.acct.ReadNode(1)
 		from = ""
 	}
@@ -663,11 +314,11 @@ func (t *Tree) ScanAll(fn func(key string, val int64) bool) { t.ScanFrom("", fn)
 // Insert adds (key, val). Duplicate keys are allowed; duplicate
 // (key, val) pairs are stored as distinct entries.
 func (t *Tree) Insert(key string, val int64) {
-	s := t.scope()
-	defer s.release()
-	sep, rightID := t.insert(s, t.rootID, key, val)
+	s := t.store.Pins()
+	defer s.Release()
+	sep, rightID := t.insert(&s, t.rootID, key, val)
 	if rightID != 0 {
-		newRoot := s.alloc(false)
+		newRoot := t.alloc(&s, false)
 		newRoot.keys = []string{sep}
 		newRoot.children = []int64{t.rootID, rightID}
 		t.rootID = newRoot.id
@@ -680,8 +331,8 @@ func (t *Tree) Insert(key string, val int64) {
 // insert descends into id's node; on child split it absorbs the new
 // separator. Returns a (separator, right sibling id) pair when the node
 // itself splits, with rightID 0 meaning no split.
-func (t *Tree) insert(s *pinScope, id int64, key string, val int64) (string, int64) {
-	n := s.get(id)
+func (t *Tree) insert(s *pins, id int64, key string, val int64) (string, int64) {
+	n := s.Writable(id)
 	t.acct.ReadNode(1)
 	if n.leaf {
 		i := upperBound(n, key)
@@ -691,7 +342,7 @@ func (t *Tree) insert(s *pinScope, id int64, key string, val int64) (string, int
 		n.vals = append(n.vals, 0)
 		copy(n.vals[i+1:], n.vals[i:])
 		n.vals[i] = val
-		s.markDirty(id)
+		s.MarkDirty(id)
 		t.acct.WriteNode(1)
 		if len(n.keys) > t.order {
 			return t.splitLeaf(s, n)
@@ -709,7 +360,7 @@ func (t *Tree) insert(s *pinScope, id int64, key string, val int64) (string, int
 	n.children = append(n.children, 0)
 	copy(n.children[ci+2:], n.children[ci+1:])
 	n.children[ci+1] = rightID
-	s.markDirty(id)
+	s.MarkDirty(id)
 	t.acct.WriteNode(1)
 	if len(n.keys) > t.order {
 		return t.splitInternal(s, n)
@@ -717,30 +368,30 @@ func (t *Tree) insert(s *pinScope, id int64, key string, val int64) (string, int
 	return "", 0
 }
 
-func (t *Tree) splitLeaf(s *pinScope, n *node) (string, int64) {
+func (t *Tree) splitLeaf(s *pins, n *node) (string, int64) {
 	mid := len(n.keys) / 2
-	right := s.alloc(true)
+	right := t.alloc(s, true)
 	right.keys = append([]string(nil), n.keys[mid:]...)
 	right.vals = append([]int64(nil), n.vals[mid:]...)
 	right.next = n.next
 	n.keys = n.keys[:mid:mid]
 	n.vals = n.vals[:mid:mid]
 	n.next = right.id
-	s.markDirty(n.id)
+	s.MarkDirty(n.id)
 	t.nodes++
 	t.acct.WriteNode(2)
 	return right.keys[0], right.id
 }
 
-func (t *Tree) splitInternal(s *pinScope, n *node) (string, int64) {
+func (t *Tree) splitInternal(s *pins, n *node) (string, int64) {
 	mid := len(n.keys) / 2
 	sep := n.keys[mid]
-	right := s.alloc(false)
+	right := t.alloc(s, false)
 	right.keys = append([]string(nil), n.keys[mid+1:]...)
 	right.children = append([]int64(nil), n.children[mid+1:]...)
 	n.keys = n.keys[:mid:mid]
 	n.children = n.children[: mid+1 : mid+1]
-	s.markDirty(n.id)
+	s.MarkDirty(n.id)
 	t.nodes++
 	t.acct.WriteNode(2)
 	return sep, right.id
@@ -751,10 +402,10 @@ func (t *Tree) splitInternal(s *pinScope, n *node) (string, int64) {
 // Delete removes one entry matching (key, val), returning whether an
 // entry was removed. With duplicates, the leftmost match is removed.
 func (t *Tree) Delete(key string, val int64) bool {
-	s := t.scope()
-	defer s.release()
-	root := s.get(t.rootID)
-	if !t.deleteFrom(s, root, key, val) {
+	s := t.store.Pins()
+	defer s.Release()
+	root := s.Writable(t.rootID)
+	if !t.deleteFrom(&s, root, key, val) {
 		return false
 	}
 	t.size--
@@ -762,7 +413,7 @@ func (t *Tree) Delete(key string, val int64) bool {
 	if !root.leaf && len(root.keys) == 0 {
 		oldID := root.id
 		t.rootID = root.children[0]
-		s.drop(oldID)
+		s.Drop(oldID)
 		t.nodes--
 	}
 	return true
@@ -770,15 +421,15 @@ func (t *Tree) Delete(key string, val int64) bool {
 
 // deleteFrom removes (key, val) from the subtree under n and rebalances
 // its children; it reports whether a removal happened. The caller
-// handles n's own underflow. n must be pinned by the caller's scope.
-func (t *Tree) deleteFrom(s *pinScope, n *node, key string, val int64) bool {
+// handles n's own underflow. n must be pinned in s.
+func (t *Tree) deleteFrom(s *pins, n *node, key string, val int64) bool {
 	t.acct.ReadNode(1)
 	if n.leaf {
 		for i := lowerBound(n, key); i < len(n.keys) && n.keys[i] == key; i++ {
 			if n.vals[i] == val {
 				n.keys = append(n.keys[:i], n.keys[i+1:]...)
 				n.vals = append(n.vals[:i], n.vals[i+1:]...)
-				s.markDirty(n.id)
+				s.MarkDirty(n.id)
 				t.acct.WriteNode(1)
 				return true
 			}
@@ -791,12 +442,12 @@ func (t *Tree) deleteFrom(s *pinScope, n *node, key string, val int64) bool {
 	ci := lowerBound(n, key)
 	for {
 		childID := n.children[ci]
-		child := s.get(childID)
+		child := s.Writable(childID)
 		if t.deleteFrom(s, child, key, val) {
 			t.fixChild(s, n, ci)
 			return true
 		}
-		s.put(childID) // failed probe: release before trying the next child
+		s.Put(childID) // failed probe: release before trying the next child
 		if ci >= len(n.keys) || n.keys[ci] != key {
 			return false
 		}
@@ -807,18 +458,18 @@ func (t *Tree) deleteFrom(s *pinScope, n *node, key string, val int64) bool {
 // fixChild rebalances n.children[ci] if it underflowed, by borrowing
 // from a sibling or merging with one. Sibling inspection is logically
 // free: only the three nodes a borrow rewrites are charged.
-func (t *Tree) fixChild(s *pinScope, n *node, ci int) {
+func (t *Tree) fixChild(s *pins, n *node, ci int) {
 	childID := n.children[ci]
-	child := s.get(childID)
+	child := s.Writable(childID)
 	min := t.minEntries()
 	if len(child.keys) >= min {
-		s.put(childID)
+		s.Put(childID)
 		return
 	}
 	// Try borrowing from the left sibling.
 	if ci > 0 {
 		leftID := n.children[ci-1]
-		left := s.get(leftID)
+		left := s.Writable(leftID)
 		if len(left.keys) > min {
 			if child.leaf {
 				lk, lv := left.keys[len(left.keys)-1], left.vals[len(left.vals)-1]
@@ -835,18 +486,18 @@ func (t *Tree) fixChild(s *pinScope, n *node, ci int) {
 				child.children = append([]int64{left.children[len(left.children)-1]}, child.children...)
 				left.children = left.children[:len(left.children)-1]
 			}
-			s.markDirty(leftID)
-			s.markDirty(childID)
-			s.markDirty(n.id)
+			s.MarkDirty(leftID)
+			s.MarkDirty(childID)
+			s.MarkDirty(n.id)
 			t.acct.WriteNode(3)
 			return
 		}
-		s.put(leftID)
+		s.Put(leftID)
 	}
 	// Try borrowing from the right sibling.
 	if ci < len(n.children)-1 {
 		rightID := n.children[ci+1]
-		right := s.get(rightID)
+		right := s.Writable(rightID)
 		if len(right.keys) > min {
 			if child.leaf {
 				rk, rv := right.keys[0], right.vals[0]
@@ -862,13 +513,13 @@ func (t *Tree) fixChild(s *pinScope, n *node, ci int) {
 				child.children = append(child.children, right.children[0])
 				right.children = right.children[1:]
 			}
-			s.markDirty(rightID)
-			s.markDirty(childID)
-			s.markDirty(n.id)
+			s.MarkDirty(rightID)
+			s.MarkDirty(childID)
+			s.MarkDirty(n.id)
 			t.acct.WriteNode(3)
 			return
 		}
-		s.put(rightID)
+		s.Put(rightID)
 	}
 	// Merge with a sibling.
 	if ci > 0 {
@@ -880,9 +531,9 @@ func (t *Tree) fixChild(s *pinScope, n *node, ci int) {
 
 // mergeChildren merges n.children[i+1] into n.children[i] and removes
 // separator n.keys[i].
-func (t *Tree) mergeChildren(s *pinScope, n *node, i int) {
+func (t *Tree) mergeChildren(s *pins, n *node, i int) {
 	leftID, rightID := n.children[i], n.children[i+1]
-	left, right := s.get(leftID), s.get(rightID)
+	left, right := s.Writable(leftID), s.Writable(rightID)
 	if left.leaf {
 		left.keys = append(left.keys, right.keys...)
 		left.vals = append(left.vals, right.vals...)
@@ -894,9 +545,9 @@ func (t *Tree) mergeChildren(s *pinScope, n *node, i int) {
 	}
 	n.keys = append(n.keys[:i], n.keys[i+1:]...)
 	n.children = append(n.children[:i+1], n.children[i+2:]...)
-	s.markDirty(leftID)
-	s.markDirty(n.id)
-	s.drop(rightID)
+	s.MarkDirty(leftID)
+	s.MarkDirty(n.id)
+	s.Drop(rightID)
 	t.nodes--
 	t.acct.WriteNode(2)
 }

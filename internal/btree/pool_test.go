@@ -97,10 +97,116 @@ func TestPooledTreeMatchesUnpooled(t *testing.T) {
 		t.Fatalf("residency exceeded budget: %+v", st)
 	}
 
-	// Release must hand every frame back: a fresh tree can then fill the
+	// Release must hand every frame back — once the epoch that released
+	// the tree is published, not before: a fresh tree can then fill the
 	// pool without tripping over leaked pins.
 	pooled.Release()
+	if st := pool.Stats(); st.Resident == 0 {
+		t.Fatal("Release reclaimed frames before its epoch was published")
+	}
+	poolAcct.Clock().Publish(nil)
 	if st := pool.Stats(); st.Resident != 0 {
 		t.Fatalf("Release left %d frames resident", st.Resident)
 	}
+}
+
+// TestViewUnaffectedByLaterMutations is the mutate-while-view-open
+// differential: views taken at successive epochs are checked against a
+// copy of the tree's entries made when each was taken, after the writer
+// has gone on splitting, merging and collapsing the tree through several
+// more epochs — with the nodes resident and behind a pool too small for
+// them.
+func TestViewUnaffectedByLaterMutations(t *testing.T) {
+	type entry struct {
+		k string
+		v int64
+	}
+	collect := func(tr *Tree) []entry {
+		var out []entry
+		tr.ScanAll(func(k string, v int64) bool {
+			out = append(out, entry{k, v})
+			return true
+		})
+		return out
+	}
+	type frozen struct {
+		view   *Tree
+		pin    uint64
+		want   []entry
+		height int
+	}
+	run := func(t *testing.T, acct *pager.Accountant) {
+		clock := acct.Clock()
+		base := clock.Pruners()
+		tr := New(acct, 4)
+		rng := rand.New(rand.NewSource(11))
+		var live []entry
+		var views []frozen
+		for step := 0; step < 4000; step++ {
+			// Grow for 1000 steps, shrink for 1000: the tree gains and loses
+			// levels while views of both shapes stay open.
+			if len(live) == 0 || rng.Intn(10) < 3+4*(1-step/1000%2) {
+				e := entry{fmt.Sprintf("k%03d", rng.Intn(300)), int64(step)}
+				tr.Insert(e.k, e.v)
+				live = append(live, e)
+			} else {
+				i := rng.Intn(len(live))
+				if !tr.Delete(live[i].k, live[i].v) {
+					t.Fatalf("step %d: Delete(%+v) found nothing", step, live[i])
+				}
+				live = append(live[:i], live[i+1:]...)
+			}
+			if step%50 != 49 {
+				continue
+			}
+			// End of an epoch: every tenth one keeps a view open.
+			view := tr.AsOf(clock.Stamp())
+			clock.Publish(nil)
+			if step%500 == 499 {
+				_, pin := clock.Pin()
+				views = append(views, frozen{view: view, pin: pin, want: collect(tr), height: tr.Height()})
+			}
+		}
+		for _, fz := range views {
+			v := fz.view
+			if err := v.Validate(); err != nil {
+				t.Fatalf("epoch %d: view invalid: %v", fz.pin, err)
+			}
+			if v.Len() != len(fz.want) || v.Height() != fz.height {
+				t.Fatalf("epoch %d: view shape len %d height %d, want %d/%d",
+					fz.pin, v.Len(), v.Height(), len(fz.want), fz.height)
+			}
+			got := collect(v)
+			if len(got) != len(fz.want) {
+				t.Fatalf("epoch %d: view scans %d entries, want %d", fz.pin, len(got), len(fz.want))
+			}
+			perKey := map[string]int{}
+			for i, w := range fz.want {
+				if got[i] != w {
+					t.Fatalf("epoch %d entry %d: %+v, want %+v", fz.pin, i, got[i], w)
+				}
+				perKey[w.k]++
+			}
+			for k, n := range perKey {
+				if hits := v.SearchEq(k); len(hits) != n {
+					t.Fatalf("epoch %d SearchEq(%q): %d hits, want %d", fz.pin, k, len(hits), n)
+				}
+			}
+		}
+		tr.Release()
+		clock.Publish(nil)
+		for _, fz := range views {
+			clock.Unpin(fz.pin)
+		}
+		if clock.Pruners() != base {
+			t.Fatalf("released tree still on the clock: %d pruners, want %d", clock.Pruners(), base)
+		}
+	}
+	t.Run("resident", func(t *testing.T) { run(t, &pager.Accountant{}) })
+	t.Run("pooled", func(t *testing.T) {
+		acct := &pager.Accountant{}
+		pool := pager.NewBufferPool(acct, pager.MinPoolFrames)
+		defer pool.Close()
+		run(t, acct)
+	})
 }

@@ -173,10 +173,21 @@ func (db *DB) applyUnlinkInstance(table, instance string) error {
 	if err := db.cat.UnlinkInstance(table, instance); err != nil {
 		return err
 	}
-	delete(db.summaryIdx[strings.ToLower(table)], strings.ToLower(instance))
-	delete(db.baselineIdx[strings.ToLower(table)], strings.ToLower(instance))
+	forgetIndex(db.summaryIdx, table, instance)
+	forgetIndex(db.baselineIdx, table, instance)
 	db.bumpCatalogVersion()
 	return nil
+}
+
+// forgetIndex removes the index on (table, instance) from m, if there is
+// one, and releases its storage: a structure that is only unlinked stays
+// registered with the epoch clock (and in the buffer pool) forever.
+func forgetIndex[X interface{ Release() }](m map[string]map[string]X, table, instance string) {
+	tkey, ikey := strings.ToLower(table), strings.ToLower(instance)
+	if x, ok := m[tkey][ikey]; ok {
+		x.Release()
+		delete(m[tkey], ikey)
+	}
 }
 
 // CreateSummaryIndex builds a Summary-BTree over an instance's objects,
@@ -230,8 +241,10 @@ func (db *DB) createSummaryIndex(table, instance string) error {
 	if err := db.forEachStoredObject(t, si.Name, func(obj *model.SummaryObject, rid heap.RID) error {
 		return idx.IndexObject(obj, rid)
 	}); err != nil {
+		idx.Release()
 		return err
 	}
+	forgetIndex(db.summaryIdx, table, instance) // a rebuild replaces the old index
 	tkey := strings.ToLower(table)
 	if db.summaryIdx[tkey] == nil {
 		db.summaryIdx[tkey] = map[string]*index.SummaryBTree{}
@@ -272,8 +285,10 @@ func (db *DB) createBaselineIndex(table, instance string) error {
 	if err := db.forEachStoredObject(t, si.Name, func(obj *model.SummaryObject, rid heap.RID) error {
 		return idx.IndexObject(obj)
 	}); err != nil {
+		idx.Release()
 		return err
 	}
+	forgetIndex(db.baselineIdx, table, instance) // a rebuild replaces the old index
 	tkey := strings.ToLower(table)
 	if db.baselineIdx[tkey] == nil {
 		db.baselineIdx[tkey] = map[string]*index.Baseline{}
@@ -299,7 +314,7 @@ func (db *DB) DropSummaryIndex(table, instance string) {
 }
 
 func (db *DB) applyDropSummaryIndex(table, instance string) {
-	delete(db.summaryIdx[strings.ToLower(table)], strings.ToLower(instance))
+	forgetIndex(db.summaryIdx, table, instance)
 	db.bumpCatalogVersion()
 }
 
@@ -317,7 +332,7 @@ func (db *DB) DropBaselineIndex(table, instance string) {
 }
 
 func (db *DB) applyDropBaselineIndex(table, instance string) {
-	delete(db.baselineIdx[strings.ToLower(table)], strings.ToLower(instance))
+	forgetIndex(db.baselineIdx, table, instance)
 	db.bumpCatalogVersion()
 }
 

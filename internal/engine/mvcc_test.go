@@ -291,3 +291,33 @@ func TestRollbackThenCheckpoint(t *testing.T) {
 		t.Errorf("rolled-back annotation survived recovery: count=%d", n)
 	}
 }
+
+// TestDroppedIndexesLeaveTheClock: an index that is dropped, replaced by
+// a rebuild, or unlinked with its instance releases its storage, so its
+// stores' pruners come off the epoch clock (and its frames out of the
+// pool) once no reader can reach it, instead of being re-run on every
+// epoch for the life of the database.
+func TestDroppedIndexesLeaveTheClock(t *testing.T) {
+	db, _ := testDBWithConfig(t, 30, Config{PageCap: 8, BufferPoolPages: 64})
+	base := db.clock.Pruners()
+	frames := db.BufferPool().Stats().Resident
+	for i := 0; i < 3; i++ {
+		if err := db.CreateSummaryIndex("Birds", "ClassBird1"); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CreateBaselineIndex("Birds", "ClassBird1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := db.clock.Pruners(); got != base+4 { // one tree + a heap and two trees
+		t.Fatalf("rebuilt indexes left %d pruners on the clock, want %d", got, base+4)
+	}
+	db.DropSummaryIndex("Birds", "ClassBird1")
+	db.DropBaselineIndex("Birds", "ClassBird1")
+	if got := db.clock.Pruners(); got != base {
+		t.Fatalf("dropped indexes left %d pruners on the clock, want %d", got, base)
+	}
+	if got := db.BufferPool().Stats().Resident; got > frames {
+		t.Fatalf("dropped indexes left frames resident: %d, was %d", got, frames)
+	}
+}

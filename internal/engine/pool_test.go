@@ -22,8 +22,9 @@ var poolTestQueries = []string{
 }
 
 // TestPoolOnOffIdentity builds the same dataset with and without a
-// buffer pool and asserts every query returns identical rows with
-// identical LOGICAL I/O — the pool may only change physical traffic.
+// buffer pool and asserts every query charges identical LOGICAL I/O —
+// the pool may only change physical traffic. (That the rows and summary
+// sets agree is TestVectorizedDifferential's pool cell.)
 // The rendering gates follow: pool-off EXPLAIN ANALYZE must not mention
 // buffers or cache, pool-on must.
 func TestPoolOnOffIdentity(t *testing.T) {
@@ -41,21 +42,11 @@ func TestPoolOnOffIdentity(t *testing.T) {
 	for _, q := range poolTestQueries {
 		pb := plain.Accountant().Stats()
 		qb := pooled.Accountant().Stats()
-		r1, err := plain.Query(q, nil)
-		if err != nil {
+		if _, err := plain.Query(q, nil); err != nil {
 			t.Fatalf("plain %s: %v", q, err)
 		}
-		r2, err := pooled.Query(q, nil)
-		if err != nil {
+		if _, err := pooled.Query(q, nil); err != nil {
 			t.Fatalf("pooled %s: %v", q, err)
-		}
-		if len(r1.Rows) != len(r2.Rows) {
-			t.Fatalf("%s: %d vs %d rows", q, len(r1.Rows), len(r2.Rows))
-		}
-		for i := range r1.Rows {
-			if r1.Rows[i].Tuple.String() != r2.Rows[i].Tuple.String() {
-				t.Fatalf("%s row %d: %s vs %s", q, i, r1.Rows[i].Tuple, r2.Rows[i].Tuple)
-			}
 		}
 		pd := plain.Accountant().Stats().Sub(pb)
 		qd := pooled.Accountant().Stats().Sub(qb)

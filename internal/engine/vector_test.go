@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/optimizer"
+	"repro/internal/pager"
 	"repro/internal/plan"
 )
 
@@ -117,24 +118,25 @@ var selectEntryPoints = []struct {
 // every shape, under MaxParallelWorkers 1 and 4, must return
 // byte-identical ordered rows and summaries — and run the byte-identical
 // plan — in every cell of IngestFlushOps {0, 64} × PlanCacheSize
-// {0, 256} × entry point × batch capacity {1, 2, 3, 7, 1024}. There is
-// one executor, one SELECT pipeline and one ingest routine, so the first
-// cell (flush per operation, no cache, Query, one row per exchange) is
-// the reference; the odd small capacities exercise the batch-boundary
-// edges in every operator, and 64 / 256 / 1024 is the served
-// configuration. At threshold 64 each cell's database starts with a
-// buffered tail the first read must flush.
+// {0, 256} × entry point × batch capacity {1, 2, 3, 7, 1024}, and the
+// same rows and summaries again with every page behind a buffer pool of
+// pager.MinPoolFrames frames (the optimizer prices a pool, so plans are
+// compared within one pool setting). There is one executor, one SELECT
+// pipeline, one ingest routine and one page store, so the first cell
+// (resident pages, flush per operation, no cache, Query, one row per
+// exchange) is the reference; the odd small capacities exercise the
+// batch-boundary edges in every operator, and 64 / 256 / 1024 is the
+// served configuration. At threshold 64 each cell's database starts with
+// a buffered tail the first read must flush.
 func TestVectorizedDifferential(t *testing.T) {
-	type ref struct {
-		rows []string
-		plan string
-	}
-	want := map[string]ref{}
+	wantRows := map[string][]string{} // per shape × workers
+	wantPlan := map[string]string{}   // per shape × workers × pool setting
 	for _, cfg := range []Config{
 		{PageCap: 4},
 		{PageCap: 4, PlanCacheSize: 256},
 		{PageCap: 4, IngestFlushOps: 64},
 		{PageCap: 4, IngestFlushOps: 64, PlanCacheSize: 256},
+		{PageCap: 4, BufferPoolPages: pager.MinPoolFrames},
 	} {
 		db, oids := testDBWithConfig(t, 100, cfg)
 		if err := db.CreateSummaryIndex("Birds", "ClassBird1"); err != nil {
@@ -157,8 +159,8 @@ func TestVectorizedDifferential(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				for _, ep := range selectEntryPoints {
 					for _, size := range []int{1, 2, 3, 7, 1024} {
-						cell := fmt.Sprintf("%s workers=%d flush=%d cache=%d %s capacity=%d",
-							tc.name, workers, cfg.IngestFlushOps, cfg.PlanCacheSize, ep.name, size)
+						cell := fmt.Sprintf("%s workers=%d flush=%d cache=%d pool=%d %s capacity=%d",
+							tc.name, workers, cfg.IngestFlushOps, cfg.PlanCacheSize, cfg.BufferPoolPages, ep.name, size)
 						opts := tc.opts
 						opts.MaxParallelWorkers = workers
 						opts.MaxBatchSize = size
@@ -174,28 +176,33 @@ func TestVectorizedDifferential(t *testing.T) {
 							t.Fatalf("%s: CachedPlan = %v, want %v", cell, res.CachedPlan, hit)
 						}
 						planned[key] = planned[key] || (ep.keyed && cfg.PlanCacheSize > 0)
-						got := ref{resultStrings(res), plan.Explain(res.Plan)}
-						w, ok := want[key]
+
+						gotPlan := plan.Explain(res.Plan)
+						planKey := fmt.Sprintf("%s/pool=%d", key, cfg.BufferPoolPages)
+						if w, ok := wantPlan[planKey]; !ok {
+							if !strings.Contains(gotPlan, tc.op) || (workers > 1 && !strings.Contains(gotPlan, tc.parOp)) {
+								t.Fatalf("%s: plan lacks %q/%q:\n%s", cell, tc.op, tc.parOp, gotPlan)
+							}
+							wantPlan[planKey] = gotPlan
+						} else if gotPlan != w {
+							t.Fatalf("%s changes the plan:\n%s\nvs\n%s", cell, gotPlan, w)
+						}
+
+						got := resultStrings(res)
+						w, ok := wantRows[key]
 						if !ok {
-							if len(got.rows) == 0 {
+							if len(got) == 0 {
 								t.Fatalf("%s: empty result exercises nothing", tc.name)
 							}
-							if !strings.Contains(got.plan, tc.op) || (workers > 1 && !strings.Contains(got.plan, tc.parOp)) {
-								t.Fatalf("%s workers=%d: plan lacks %q/%q:\n%s", tc.name, workers, tc.op, tc.parOp, got.plan)
-							}
-							want[key] = got
+							wantRows[key] = got
 							continue
 						}
-						if got.plan != w.plan {
-							t.Fatalf("%s changes the plan:\n%s\nvs\n%s", cell, got.plan, w.plan)
+						if len(got) != len(w) {
+							t.Fatalf("%s: %d rows, the reference cell gave %d", cell, len(got), len(w))
 						}
-						if len(got.rows) != len(w.rows) {
-							t.Fatalf("%s: %d rows, the reference cell gave %d", cell, len(got.rows), len(w.rows))
-						}
-						for i := range got.rows {
-							if got.rows[i] != w.rows[i] {
-								t.Fatalf("%s diverges at row %d:\n%s\nvs the reference cell\n%s",
-									cell, i, got.rows[i], w.rows[i])
+						for i := range got {
+							if got[i] != w[i] {
+								t.Fatalf("%s diverges at row %d:\n%s\nvs the reference cell\n%s", cell, i, got[i], w[i])
 							}
 						}
 					}

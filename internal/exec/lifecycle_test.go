@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/pager"
 	"repro/internal/sql"
 )
 
@@ -94,14 +95,16 @@ func TestCancellationMidSort(t *testing.T) {
 	}
 }
 
-// panicIter panics on NextBatch to exercise operator panic isolation.
+// panicIter panics with val on NextBatch to exercise operator panic
+// isolation.
 type panicIter struct {
 	schema *model.Schema
+	val    any
 }
 
 func (p *panicIter) Open() error { return nil }
 func (p *panicIter) NextBatch(*QueryCtx) (*Batch, error) {
-	panic("storage corruption")
+	panic(p.val)
 }
 func (p *panicIter) Close() error            { return nil }
 func (p *panicIter) Schema() *model.Schema   { return p.schema }
@@ -109,7 +112,7 @@ func (p *panicIter) SetContext(qc *QueryCtx) {}
 
 func TestOperatorPanicBecomesOpError(t *testing.T) {
 	schema := model.NewSchema("t", model.Column{Name: "v", Kind: model.KindInt})
-	f := NewFilter(&panicIter{schema: schema}, mustExpr(t, "v > 0"), nil)
+	f := NewFilter(&panicIter{schema: schema, val: "storage corruption"}, mustExpr(t, "v > 0"), nil)
 	_, err := Collect(NewQueryCtx(context.Background(), nil, 1), f)
 	var oe *OpError
 	if !errors.As(err, &oe) {
@@ -120,6 +123,15 @@ func TestOperatorPanicBecomesOpError(t *testing.T) {
 	}
 	if len(oe.Stack) == 0 {
 		t.Fatal("OpError should carry the panic stack")
+	}
+
+	// A broken storage invariant arrives as a typed panic and must stay
+	// typed through the wrapper.
+	f = NewFilter(&panicIter{schema: schema, val: &pager.MissingVersionError{Page: 3, Snap: 9}}, mustExpr(t, "v > 0"), nil)
+	_, err = Collect(NewQueryCtx(context.Background(), nil, 1), f)
+	var mv *pager.MissingVersionError
+	if !errors.As(err, &oe) || !errors.As(err, &mv) || mv.Page != 3 {
+		t.Fatalf("want *OpError wrapping *pager.MissingVersionError, got %T: %v", err, err)
 	}
 }
 

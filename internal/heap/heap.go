@@ -4,35 +4,22 @@
 // (page, slot); page accesses are charged to a pager.Accountant so that
 // access-path costs are observable.
 //
-// When the accountant has a buffer pool attached, pages live in pool
-// frames instead of the file struct: every access pins the frame for the
-// duration of the touch (cursors keep their current page pinned between
-// Next calls and release it on advance or Close), mutations mark the
-// frame dirty, and evicted pages round-trip through the pool's backing
-// store. Without a pool the file keeps its pages resident directly and
-// behaves exactly as before — only logical I/O is charged either way, at
-// the same call sites, so access-path counts are identical in both modes.
-//
-// When the accountant additionally carries an MVCC epoch clock, the file
-// versions its pages for snapshot reads: every page carries the epoch
-// stamp of the mutation that produced it, the writer clones a page
-// copy-on-write before the first mutation of a new epoch (pushing the
-// previous version onto a per-page overlay chain), and AsOf returns a
-// read-only view that resolves each page to the version visible at its
-// snapshot epoch — without taking the writer's lock. Version chains and
-// the page-count metadata chain are pruned as the clock's minimum pinned
-// epoch advances. Without a clock, behavior is byte-identical to the
-// unversioned file.
+// Pages live in a pager.Store, which decides where a page is kept
+// (resident, or in buffer-pool frames) and which version of it a reader
+// sees. Every access pins its page for the duration of the touch
+// (cursors keep their current page pinned between Next calls and release
+// it on advance or Close) and mutations unpin dirty. Only logical I/O is
+// charged here, at the same call sites wherever the pages live. AsOf
+// freezes the file's shape into a read-only view whose reads resolve
+// every page to the version visible at the view's epoch, without taking
+// the writer's lock.
 package heap
 
 import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
-	"repro/internal/mvcc"
 	"repro/internal/pager"
 )
 
@@ -63,13 +50,17 @@ type record[T any] struct {
 }
 
 // page is one slotted page. stamp is the epoch of the mutation that
-// produced this version of the page (zero when unversioned); it is
-// written before the page becomes reachable and never rewritten — a
-// mutation in a later epoch clones the page instead.
+// produced this version of the page.
 type page[T any] struct {
 	slots []record[T]
 	nLive int
 	stamp uint64
+}
+
+func (p *page[T]) Stamp() uint64 { return p.stamp }
+
+func (p *page[T]) CloneAt(st uint64) *page[T] {
+	return &page[T]{slots: append([]record[T](nil), p.slots...), nLive: p.nLive, stamp: st}
 }
 
 // pageWire is the serialized form of a page. Only live slots carry a
@@ -142,65 +133,27 @@ func (pageCodec[T]) DecodePage(data []byte) (any, error) {
 	return p, nil
 }
 
-// pageVer is one superseded page version: p was the page's current
-// version for epochs in [p.stamp, until).
-type pageVer[T any] struct {
-	until uint64
-	p     *page[T]
-}
-
-// fileMeta is the file's per-epoch shape: the page count and live-record
-// count as of the mutation stamped stamp. The chain (prev) lets a
-// snapshot view recover the bounds it must scan within; it is pruned as
-// the minimum pinned epoch advances. Nodes are immutable except for the
-// atomic prev link, which pruning cuts.
-type fileMeta struct {
-	stamp    uint64
-	numPages int
-	nLive    int
-	prev     atomic.Pointer[fileMeta]
-}
-
-// verState is the version store shared between a writer file and all of
-// its snapshot views: superseded page versions, the resident pages of an
-// unpooled file (readers access them without the writer's lock, so they
-// live behind verState's mutex rather than in the File), and the
-// metadata chain.
-type verState[T any] struct {
-	mu      sync.RWMutex
-	overlay map[int32][]pageVer[T] // superseded versions, newest last
-	pages   []*page[T]             // unpooled resident pages (nil when pooled)
-	meta    atomic.Pointer[fileMeta]
-}
-
 // File is a heap file of records of type T. Records are identified
 // logically by OID (assigned by the caller) and physically by RID. The
 // zero File is not usable; construct with NewFile. File is not safe for
-// concurrent mutation; with a clock attached, any number of AsOf views
-// may read concurrently with the (single) mutator.
+// concurrent mutation; any number of AsOf views may read concurrently
+// with the (single) mutator.
 type File[T any] struct {
 	acct    *pager.Accountant
 	pageCap int
+	store   *pager.Store[*page[T]]
 
-	// pool/space route page access through buffer-pool frames when the
-	// accountant has a pool attached; used tracks each page's slot count
-	// so capacity checks never need to pin a frame. Without a pool,
-	// pages holds the file's pages resident and used is unused (when a
-	// clock is attached, resident pages move into v.pages instead so
-	// lock-free readers can reach them safely).
-	pool  *pager.BufferPool
-	space int32
+	// snap is the epoch reads resolve pages at: pager.Latest on the file
+	// itself, the frozen epoch on an AsOf view.
+	snap uint64
+
+	// used tracks each page's slot count so capacity checks never touch
+	// a page; its length is the page count. A view keeps the slice header
+	// it was taken with — its frozen page count — and never reads the
+	// elements: it bounds slots by the resolved version's own length.
 	used  []int32
-	pages []*page[T]
-
-	// clock/v enable MVCC page versioning; view/snap mark a read-only
-	// snapshot view produced by AsOf.
-	clock *mvcc.Clock
-	v     *verState[T]
-	view  bool
-	snap  uint64
-
 	nLive int
+
 	// freePages lists pages with spare capacity: a page is re-offered
 	// after a delete trims tombstoned slots from its tail, and popped
 	// once it fills back up. freeSet dedups offers.
@@ -209,390 +162,115 @@ type File[T any] struct {
 }
 
 // NewFile builds a heap file whose pages hold pageCap records each
-// (the paper's "disk page size in records" parameter B). If acct has a
-// buffer pool attached, the file registers its own page space with it;
-// if acct carries an MVCC clock, the file versions its pages for
-// snapshot reads and registers a version pruner with the clock.
+// (the paper's "disk page size in records" parameter B), stored under
+// acct's epoch clock and in its buffer pool when it has one.
 func NewFile[T any](acct *pager.Accountant, pageCap int) *File[T] {
 	if pageCap <= 0 {
 		pageCap = 64
 	}
-	f := &File[T]{acct: acct, pageCap: pageCap}
-	if pool := acct.Pool(); pool != nil {
-		f.pool = pool
-		f.space = pool.NewSpace(pageCodec[T]{})
+	return &File[T]{
+		acct:    acct,
+		pageCap: pageCap,
+		store:   pager.NewStore[*page[T]](acct, pageCodec[T]{}),
+		snap:    pager.Latest,
 	}
-	if c := acct.Clock(); c != nil {
-		f.clock = c
-		f.v = &verState[T]{overlay: make(map[int32][]pageVer[T])}
-		f.v.meta.Store(&fileMeta{stamp: c.Stamp()})
-		c.AddPruner(f.pruneVersions)
-	}
-	return f
 }
 
-func (f *File[T]) pooled() bool    { return f.pool != nil }
-func (f *File[T]) versioned() bool { return f.v != nil }
-
-// AsOf returns a read-only view of the file frozen at epoch snap. The
-// view shares the file's version store and resolves every page to the
-// version visible at snap; it takes no lock against the writer. The
-// file must have been built against an accountant with a clock, and the
-// caller must hold a clock pin on snap for the view's lifetime.
+// AsOf returns a read-only view of the file frozen at epoch snap. It
+// must be taken while the file's current state IS the state at snap (the
+// engine takes views at epoch publication, under the writer lock); the
+// view then keeps that page and record count and resolves every page to
+// the version visible at snap, without any lock against later mutations,
+// for as long as the caller holds a clock pin on snap.
 func (f *File[T]) AsOf(snap uint64) *File[T] {
 	g := *f
-	g.view = true
 	g.snap = snap
 	return &g
-}
-
-// pin returns pid's page, pinned in its frame; callers must unpin.
-func (f *File[T]) pin(pid int32) *page[T] {
-	return f.pool.Get(f.space, int64(pid)).(*page[T])
-}
-
-func (f *File[T]) unpin(pid int32, dirty bool) {
-	f.pool.Unpin(f.space, int64(pid), dirty)
-}
-
-// stampNew returns the epoch stamp for a page the writer creates now.
-func (f *File[T]) stampNew() uint64 {
-	if f.versioned() {
-		return f.clock.Stamp()
-	}
-	return 0
-}
-
-func (f *File[T]) numPages() int {
-	if f.pooled() {
-		return len(f.used)
-	}
-	if f.versioned() {
-		f.v.mu.RLock()
-		n := len(f.v.pages)
-		f.v.mu.RUnlock()
-		return n
-	}
-	return len(f.pages)
-}
-
-// pageBound returns the exclusive page-number bound for reads: the
-// view's frozen page count, or the live count for the writer.
-func (f *File[T]) pageBound() int {
-	if f.view {
-		return f.viewMeta().numPages
-	}
-	return f.numPages()
-}
-
-// slotsOn returns pid's slot count without touching the page itself
-// (pooled mode) — writer-side only; views bound slots by the resolved
-// version's own length.
-func (f *File[T]) slotsOn(pid int32) int {
-	if f.pooled() {
-		return int(f.used[pid])
-	}
-	return len(f.residentPage(pid).slots)
-}
-
-// residentPage returns pid's current page in unpooled mode.
-func (f *File[T]) residentPage(pid int32) *page[T] {
-	if f.versioned() {
-		f.v.mu.RLock()
-		p := f.v.pages[pid]
-		f.v.mu.RUnlock()
-		return p
-	}
-	return f.pages[pid]
-}
-
-// setMeta publishes the writer's current page/record counts into the
-// metadata chain at the in-progress epoch's stamp; consecutive updates
-// within one epoch replace the head in place.
-func (f *File[T]) setMeta() {
-	if !f.versioned() {
-		return
-	}
-	st := f.clock.Stamp()
-	head := f.v.meta.Load()
-	m := &fileMeta{stamp: st, numPages: f.numPages(), nLive: f.nLive}
-	if head != nil {
-		if head.stamp == st {
-			m.prev.Store(head.prev.Load())
-		} else {
-			m.prev.Store(head)
-		}
-	}
-	f.v.meta.Store(m)
-}
-
-// viewMeta resolves the metadata visible at the view's snapshot.
-func (f *File[T]) viewMeta() *fileMeta {
-	for m := f.v.meta.Load(); m != nil; m = m.prev.Load() {
-		if m.stamp <= f.snap {
-			return m
-		}
-	}
-	return &fileMeta{} // before the file's first epoch: empty
-}
-
-// writable returns pid's current page ready for in-place mutation,
-// cloning it copy-on-write first when its current version belongs to an
-// earlier epoch that snapshot readers may still resolve. In pooled mode
-// the returned page is pinned; the caller unpins when done.
-func (f *File[T]) writable(pid int32) *page[T] {
-	if f.pooled() {
-		p := f.pin(pid)
-		if f.versioned() {
-			if st := f.clock.Stamp(); p.stamp != st {
-				cl := f.clonePage(p, st)
-				// Publish the superseded version before swapping the frame
-				// value, so a reader that sees the clone finds the old
-				// version already on the overlay.
-				f.v.mu.Lock()
-				f.v.overlay[pid] = append(f.v.overlay[pid], pageVer[T]{until: st, p: p})
-				f.v.mu.Unlock()
-				f.pool.SetValue(f.space, int64(pid), cl)
-				return cl
-			}
-		}
-		return p
-	}
-	if f.versioned() {
-		p := f.residentPage(pid)
-		if st := f.clock.Stamp(); p.stamp != st {
-			cl := f.clonePage(p, st)
-			f.v.mu.Lock()
-			f.v.overlay[pid] = append(f.v.overlay[pid], pageVer[T]{until: st, p: p})
-			f.v.pages[pid] = cl
-			f.v.mu.Unlock()
-			return cl
-		}
-		return p
-	}
-	return f.pages[pid]
-}
-
-func (f *File[T]) clonePage(p *page[T], st uint64) *page[T] {
-	return &page[T]{slots: append([]record[T](nil), p.slots...), nLive: p.nLive, stamp: st}
-}
-
-// viewPage resolves pid's version visible at the view's snapshot. The
-// current version comes back pinned in pooled mode (pinned=true; the
-// caller must unpin); superseded versions are immutable plain objects
-// and need no pin. Returns nil for a page with no version at the
-// snapshot (defensive; viewMeta bounds should exclude it).
-func (f *File[T]) viewPage(pid int32) (p *page[T], pinned bool) {
-	if f.pooled() {
-		p = f.pin(pid)
-		if p.stamp <= f.snap {
-			return p, true
-		}
-		f.unpin(pid, false)
-	} else {
-		f.v.mu.RLock()
-		p = f.v.pages[pid]
-		f.v.mu.RUnlock()
-		if p.stamp <= f.snap {
-			return p, false
-		}
-	}
-	return f.overlayPage(pid), false
-}
-
-// overlayPage finds the newest superseded version of pid visible at the
-// view's snapshot.
-func (f *File[T]) overlayPage(pid int32) *page[T] {
-	f.v.mu.RLock()
-	defer f.v.mu.RUnlock()
-	vs := f.v.overlay[pid]
-	for i := len(vs) - 1; i >= 0; i-- {
-		if vs[i].p.stamp <= f.snap {
-			return vs[i].p
-		}
-	}
-	return nil
-}
-
-// fetchPage returns pid's page for reading — the snapshot-resolved
-// version on a view, the current version otherwise. pinned reports
-// whether the caller must unpin it.
-func (f *File[T]) fetchPage(pid int32) (p *page[T], pinned bool) {
-	if f.view {
-		return f.viewPage(pid)
-	}
-	if f.pooled() {
-		return f.pin(pid), true
-	}
-	return f.residentPage(pid), false
-}
-
-// pruneVersions discards page versions and metadata no pinned epoch can
-// still resolve (every version with until <= min, every meta node older
-// than the newest one at or below min). Registered with the clock;
-// min only advances, but invocations may arrive out of order — removal
-// by threshold is monotone-safe either way.
-func (f *File[T]) pruneVersions(min uint64) {
-	for m := f.v.meta.Load(); m != nil; m = m.prev.Load() {
-		if m.stamp <= min {
-			m.prev.Store(nil)
-			break
-		}
-	}
-	f.v.mu.Lock()
-	for pid, vs := range f.v.overlay {
-		i := 0
-		for i < len(vs) && vs[i].until <= min {
-			i++
-		}
-		if i == len(vs) {
-			delete(f.v.overlay, pid)
-		} else if i > 0 {
-			f.v.overlay[pid] = vs[i:]
-		}
-	}
-	f.v.mu.Unlock()
 }
 
 // Insert appends a record and returns its RID. The page written is
 // charged as one page write.
 func (f *File[T]) Insert(oid int64, val T) RID {
 	pid, fresh := f.pageWithSpace()
-	rec := record[T]{oid: oid, val: val, live: true}
-	var slot int32
-	if f.pooled() {
-		var p *page[T]
-		if fresh {
-			p = &page[T]{stamp: f.stampNew()}
-			f.pool.NewPage(f.space, int64(pid), p)
-		} else {
-			p = f.writable(pid)
-		}
-		p.slots = append(p.slots, rec)
-		p.nLive++
-		slot = int32(len(p.slots) - 1)
-		f.used[pid] = int32(len(p.slots))
-		f.unpin(pid, true)
+	var p *page[T]
+	if fresh {
+		p = &page[T]{stamp: f.store.Stamp()}
+		f.store.New(int64(pid), p)
 	} else {
-		p := f.writable(pid)
-		p.slots = append(p.slots, rec)
-		p.nLive++
-		slot = int32(len(p.slots) - 1)
+		p = f.store.Writable(int64(pid))
 	}
+	p.slots = append(p.slots, record[T]{oid: oid, val: val, live: true})
+	p.nLive++
+	n := int32(len(p.slots))
+	f.used[pid] = n
+	f.store.Unpin(int64(pid), true)
 	f.nLive++
 	f.acct.Write(1)
-	f.setMeta()
-	return RID{Page: pid, Slot: slot}
+	return RID{Page: pid, Slot: n - 1}
 }
 
 // pageWithSpace picks the page the next insert lands on: a re-offered
 // page with spare capacity, then the last page, then a fresh page
-// (fresh=true means the caller must materialize it).
+// (fresh=true means the caller must create it).
 func (f *File[T]) pageWithSpace() (pid int32, fresh bool) {
 	for len(f.freePages) > 0 {
 		pid := f.freePages[len(f.freePages)-1]
-		if f.slotsOn(pid) < f.pageCap {
+		if int(f.used[pid]) < f.pageCap {
 			return pid, false
 		}
 		f.freePages = f.freePages[:len(f.freePages)-1]
 		delete(f.freeSet, pid)
 	}
-	if n := f.numPages(); n > 0 && f.slotsOn(int32(n-1)) < f.pageCap {
+	if n := len(f.used); n > 0 && int(f.used[n-1]) < f.pageCap {
 		return int32(n - 1), false
 	}
-	if f.pooled() {
-		f.used = append(f.used, 0)
-		return int32(len(f.used) - 1), true
-	}
-	if f.versioned() {
-		np := &page[T]{stamp: f.stampNew()}
-		f.v.mu.Lock()
-		f.v.pages = append(f.v.pages, np)
-		n := len(f.v.pages)
-		f.v.mu.Unlock()
-		return int32(n - 1), false
-	}
-	f.pages = append(f.pages, &page[T]{})
-	return int32(len(f.pages) - 1), false
+	f.used = append(f.used, 0)
+	return int32(len(f.used) - 1), true
 }
 
-// Get reads the record at rid, charging one page read.
+// Get reads the record at rid, charging one page read. A RID outside
+// the file or past its page's last slot is charged nothing.
 func (f *File[T]) Get(rid RID) (oid int64, val T, ok bool) {
-	var zero T
-	if f.view {
-		return f.getView(rid)
+	if rid.Page < 0 || int(rid.Page) >= len(f.used) || rid.Slot < 0 {
+		return
 	}
-	if rid.Page < 0 || int(rid.Page) >= f.numPages() {
-		return 0, zero, false
+	r := f.store.Reader(f.snap)
+	p := r.Page(int64(rid.Page))
+	if int(rid.Slot) < len(p.slots) {
+		f.acct.Read(1) // can fail only on resident pages, which hold no pin
+		if rec := &p.slots[rid.Slot]; rec.live {
+			oid, val, ok = rec.oid, rec.val, true
+		}
 	}
-	if rid.Slot < 0 || int(rid.Slot) >= f.slotsOn(rid.Page) {
-		return 0, zero, false
-	}
-	f.acct.Read(1)
-	var rec record[T]
-	if f.pooled() {
-		p := f.pin(rid.Page)
-		rec = p.slots[rid.Slot]
-		f.unpin(rid.Page, false)
-	} else {
-		rec = f.residentPage(rid.Page).slots[rid.Slot]
-	}
-	if !rec.live {
-		return 0, zero, false
-	}
-	return rec.oid, rec.val, true
+	r.Release()
+	return
 }
 
-// getView is Get against a snapshot view: page bounds come from the
-// frozen metadata and the slot bound from the resolved version itself.
-// (A slot-out-of-range probe touches the pool's hit/miss counters here
-// where the writer path's capacity table avoids it — invalid-RID probes
-// are not on any measured path.)
-func (f *File[T]) getView(rid RID) (oid int64, val T, ok bool) {
-	var zero T
-	if rid.Page < 0 || int(rid.Page) >= f.viewMeta().numPages {
-		return 0, zero, false
+// writableSlot returns rid's page pinned for mutation when rid addresses
+// a live record; otherwise nothing is pinned and ok is false.
+func (f *File[T]) writableSlot(rid RID) (p *page[T], ok bool) {
+	if rid.Page < 0 || int(rid.Page) >= len(f.used) || rid.Slot < 0 || rid.Slot >= f.used[rid.Page] {
+		return nil, false
 	}
-	p, pinned := f.viewPage(rid.Page)
-	if p == nil || rid.Slot < 0 || int(rid.Slot) >= len(p.slots) {
-		if pinned {
-			f.unpin(rid.Page, false)
-		}
-		return 0, zero, false
+	p = f.store.Writable(int64(rid.Page))
+	if !p.slots[rid.Slot].live {
+		f.store.Unpin(int64(rid.Page), false)
+		return nil, false
 	}
-	f.acct.Read(1)
-	rec := p.slots[rid.Slot]
-	if pinned {
-		f.unpin(rid.Page, false)
-	}
-	if !rec.live {
-		return 0, zero, false
-	}
-	return rec.oid, rec.val, true
+	return p, true
 }
 
 // Update replaces the record at rid in place, charging one page read and
 // one page write.
 func (f *File[T]) Update(rid RID, val T) bool {
-	if rid.Page < 0 || int(rid.Page) >= f.numPages() {
-		return false
-	}
-	if rid.Slot < 0 || int(rid.Slot) >= f.slotsOn(rid.Page) {
-		return false
-	}
-	p := f.writable(rid.Page)
-	if !p.slots[rid.Slot].live {
-		if f.pooled() {
-			f.unpin(rid.Page, false)
-		}
+	p, ok := f.writableSlot(rid)
+	if !ok {
 		return false
 	}
 	f.acct.Read(1)
 	f.acct.Write(1)
 	p.slots[rid.Slot].val = val
-	if f.pooled() {
-		f.unpin(rid.Page, true)
-	}
+	f.store.Unpin(int64(rid.Page), true)
 	return true
 }
 
@@ -602,28 +280,16 @@ func (f *File[T]) Update(rid RID, val T) bool {
 // the free list when it has spare capacity — under insert/delete churn
 // the file's page count stays bounded instead of growing monotonically.
 func (f *File[T]) Delete(rid RID) bool {
-	if rid.Page < 0 || int(rid.Page) >= f.numPages() {
-		return false
-	}
-	if rid.Slot < 0 || int(rid.Slot) >= f.slotsOn(rid.Page) {
-		return false
-	}
-	p := f.writable(rid.Page)
-	if !p.slots[rid.Slot].live {
-		if f.pooled() {
-			f.unpin(rid.Page, false)
-		}
+	p, ok := f.writableSlot(rid)
+	if !ok {
 		return false
 	}
 	f.acct.Read(1)
 	f.acct.Write(1)
 	f.tombstone(p, rid.Slot)
-	if f.pooled() {
-		f.used[rid.Page] = int32(len(p.slots))
-		f.unpin(rid.Page, true)
-	}
+	f.used[rid.Page] = int32(len(p.slots))
+	f.store.Unpin(int64(rid.Page), true)
 	f.offerFree(rid.Page)
-	f.setMeta()
 	return true
 }
 
@@ -646,7 +312,7 @@ func (f *File[T]) tombstone(p *page[T], slot int32) {
 // offerFree re-offers pid to the insert path when it has spare capacity
 // and is not already on the free list.
 func (f *File[T]) offerFree(pid int32) {
-	if f.slotsOn(pid) >= f.pageCap || f.freeSet[pid] {
+	if int(f.used[pid]) >= f.pageCap || f.freeSet[pid] {
 		return
 	}
 	if f.freeSet == nil {
@@ -657,36 +323,22 @@ func (f *File[T]) offerFree(pid int32) {
 }
 
 // Scan iterates all live records in physical order, charging one page
-// read per visited page. Iteration stops early when fn returns false.
+// read per visited page, each page pinned while its slots are visited.
+// Iteration stops early when fn returns false.
 func (f *File[T]) Scan(fn func(rid RID, oid int64, val T) bool) {
-	bound := f.pageBound()
-	for pi := 0; pi < bound; pi++ {
+	r := f.store.Reader(f.snap)
+	defer r.Release()
+	for pi := range f.used {
 		f.acct.Read(1)
-		if !f.scanPage(int32(pi), fn) {
-			return
+		p := r.Page(int64(pi))
+		for si := range p.slots {
+			rec := &p.slots[si]
+			if rec.live && !fn(RID{Page: int32(pi), Slot: int32(si)}, rec.oid, rec.val) {
+				return
+			}
 		}
+		r.Release()
 	}
-}
-
-// scanPage visits pid's live slots with the page pinned for the duration.
-func (f *File[T]) scanPage(pid int32, fn func(RID, int64, T) bool) bool {
-	p, pinned := f.fetchPage(pid)
-	if pinned {
-		defer f.unpin(pid, false)
-	}
-	if p == nil {
-		return true
-	}
-	for si := range p.slots {
-		rec := &p.slots[si]
-		if !rec.live {
-			continue
-		}
-		if !fn(RID{Page: pid, Slot: int32(si)}, rec.oid, rec.val) {
-			return false
-		}
-	}
-	return true
 }
 
 // FetchMany visits the records at the given RIDs, grouping consecutive
@@ -700,101 +352,72 @@ func (f *File[T]) scanPage(pid int32, fn func(RID, int64, T) bool) bool {
 // page reads charged (= pages pinned) is returned.
 func (f *File[T]) FetchMany(rids []RID, fn func(rid RID, oid int64, val T) bool) int {
 	reads := 0
-	bound := f.pageBound()
+	r := f.store.Reader(f.snap)
+	defer r.Release()
 	for i := 0; i < len(rids); {
 		pid := rids[i].Page
 		j := i
 		for j < len(rids) && rids[j].Page == pid {
 			j++
 		}
-		if pid < 0 || int(pid) >= bound {
+		if pid < 0 || int(pid) >= len(f.used) {
 			i = j
 			continue
 		}
 		f.acct.Read(1)
 		reads++
-		p, pinned := f.fetchPage(pid)
-		stop := false
-		if p != nil {
-			for _, rid := range rids[i:j] {
-				if rid.Slot < 0 || int(rid.Slot) >= len(p.slots) {
-					continue
-				}
-				rec := &p.slots[rid.Slot]
-				if !rec.live {
-					continue
-				}
-				if !fn(rid, rec.oid, rec.val) {
-					stop = true
-					break
-				}
+		p := r.Page(int64(pid))
+		for _, rid := range rids[i:j] {
+			if rid.Slot < 0 || int(rid.Slot) >= len(p.slots) {
+				continue
+			}
+			rec := &p.slots[rid.Slot]
+			if rec.live && !fn(rid, rec.oid, rec.val) {
+				return reads
 			}
 		}
-		if pinned {
-			f.unpin(pid, false)
-		}
-		if stop {
-			break
-		}
+		r.Release()
 		i = j
 	}
 	return reads
 }
 
-// Prefetch hints the buffer pool to warm the given pages ahead of a
-// page-ordered fetch. No logical reads are charged (the fetch itself
-// charges them on arrival); without a pool every page is already
-// resident and this is a no-op.
+// Prefetch hints that the given pages are about to be fetched in page
+// order. No logical reads are charged (the fetch itself charges them on
+// arrival).
 func (f *File[T]) Prefetch(pids []int32) {
-	if !f.pooled() {
-		return
-	}
-	bound := f.pageBound()
-	pages := make([]int64, 0, len(pids))
+	var buf [8]int64 // a hint names a handful of pages; keeps them off the heap
+	pages := buf[:0]
 	for _, pid := range pids {
-		if pid >= 0 && int(pid) < bound {
+		if pid >= 0 && int(pid) < len(f.used) {
 			pages = append(pages, int64(pid))
 		}
 	}
-	f.pool.Prefetch(f.space, pages)
+	f.store.Prefetch(pages)
 }
 
-// Release drops the file's pages from the buffer pool (no-op without a
-// pool). The file must not be used afterwards. With a clock attached
-// the drop is deferred until no pinned epoch can still resolve the
-// file's pages through a snapshot view.
-func (f *File[T]) Release() {
-	if !f.pooled() {
-		return
-	}
-	if f.versioned() {
-		pool, space := f.pool, f.space
-		f.clock.Retire(func() { pool.DropSpace(space) })
-		return
-	}
-	f.pool.DropSpace(f.space)
-}
+// Release frees the file's pages once no pinned epoch can still resolve
+// them through a snapshot view. The file must not be used afterwards.
+func (f *File[T]) Release() { f.store.Release() }
 
 // Cursor is a pull-style iterator over a file's live records, charging
 // one page read per visited page. Mutating the file invalidates open
 // cursors (snapshot views from AsOf are immune: their cursors resolve
 // page versions frozen at the view's epoch). Reads are pure, so any
 // number of cursors may run concurrently as long as the file is not
-// mutated — with a buffer pool each cursor pins its current page
-// independently, so callers must Close cursors they abandon before
-// exhaustion.
+// mutated — each cursor pins its current page independently, so callers
+// must Close cursors they abandon before exhaustion.
 type Cursor[T any] struct {
-	f        *File[T]
-	page     int
-	end      int // exclusive page bound
-	slot     int
-	readPage bool
-	cur      *page[T] // current page, pinned while pinned=true
-	pinned   bool
+	f    *File[T]
+	r    pager.Reader[*page[T]]
+	page int
+	end  int // exclusive page bound
+	slot int
+	cur  *page[T] // page being visited, pinned by r; nil until it is read
 }
 
 // Cursor returns a cursor positioned before the first record.
-func (f *File[T]) Cursor() *Cursor[T] { return &Cursor[T]{f: f, end: f.pageBound()} }
+func (f *File[T]) Cursor() *Cursor[T] { return f.RangeCursor(0, len(f.used)) }
 
 // RangeCursor returns a cursor over the half-open page range
 // [startPage, endPage), clamped to the file. Consecutive ranges
@@ -805,77 +428,47 @@ func (f *File[T]) RangeCursor(startPage, endPage int) *Cursor[T] {
 	if startPage < 0 {
 		startPage = 0
 	}
-	if bound := f.pageBound(); endPage > bound {
-		endPage = bound
+	if endPage > len(f.used) {
+		endPage = len(f.used)
 	}
-	return &Cursor[T]{f: f, page: startPage, end: endPage}
+	return &Cursor[T]{f: f, r: f.store.Reader(f.snap), page: startPage, end: endPage}
 }
 
 // Next advances to the next live record, returning ok=false at the end.
 func (c *Cursor[T]) Next() (rid RID, oid int64, val T, ok bool) {
-	var zero T
 	for c.page < c.end {
-		if !c.readPage {
+		if c.cur == nil {
 			c.f.acct.Read(1)
-			c.readPage = true
+			c.cur = c.r.Page(int64(c.page))
 		}
-		p := c.curPage()
-		for p != nil && c.slot < len(p.slots) {
-			rec := &p.slots[c.slot]
-			s := c.slot
+		for c.slot < len(c.cur.slots) {
+			rec := &c.cur.slots[c.slot]
 			c.slot++
 			if rec.live {
-				return RID{Page: int32(c.page), Slot: int32(s)}, rec.oid, rec.val, true
+				return RID{Page: int32(c.page), Slot: int32(c.slot - 1)}, rec.oid, rec.val, true
 			}
 		}
-		c.releasePage()
+		c.Close()
 		c.page++
 		c.slot = 0
-		c.readPage = false
 	}
+	var zero T
 	return RID{}, 0, zero, false
-}
-
-func (c *Cursor[T]) curPage() *page[T] {
-	if c.f.view {
-		if c.cur == nil && !c.pinned {
-			c.cur, c.pinned = c.f.viewPage(int32(c.page))
-		}
-		return c.cur
-	}
-	if !c.f.pooled() {
-		return c.f.residentPage(int32(c.page))
-	}
-	if !c.pinned {
-		c.cur = c.f.pin(int32(c.page))
-		c.pinned = true
-	}
-	return c.cur
-}
-
-func (c *Cursor[T]) releasePage() {
-	if c.pinned {
-		c.f.unpin(int32(c.page), false)
-		c.pinned = false
-	}
-	c.cur = nil
 }
 
 // Close releases the cursor's pinned page, if any. It is safe to call
 // repeatedly and on exhausted cursors; exhausted cursors release their
 // last page automatically.
-func (c *Cursor[T]) Close() { c.releasePage() }
-
-// Len returns the number of live records.
-func (f *File[T]) Len() int {
-	if f.view {
-		return f.viewMeta().nLive
-	}
-	return f.nLive
+func (c *Cursor[T]) Close() {
+	c.r.Release()
+	c.cur = nil
 }
 
+// Len returns the number of live records.
+func (f *File[T]) Len() int { return f.nLive }
+
 // Pages returns the number of allocated pages.
-func (f *File[T]) Pages() int { return f.pageBound() }
+func (f *File[T]) Pages() int { return len(f.used) }
 
 // PageCap returns the per-page record capacity (B).
 func (f *File[T]) PageCap() int { return f.pageCap }

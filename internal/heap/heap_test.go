@@ -483,3 +483,112 @@ func TestHeapPrefetchWarmsPool(t *testing.T) {
 		t.Errorf("fetched %d rows, want 12", got)
 	}
 }
+
+// TestViewUnaffectedByLaterMutations is the mutate-while-view-open
+// differential: views taken at successive epochs are checked against a
+// copy of the file's contents made when each was taken, after the writer
+// has gone on inserting, updating and deleting through several more
+// epochs — with the pages resident and behind a pool too small for them.
+func TestViewUnaffectedByLaterMutations(t *testing.T) {
+	type rec struct {
+		rid RID
+		oid int64
+		v   string
+	}
+	collect := func(f *File[string]) []rec {
+		var out []rec
+		f.Scan(func(rid RID, oid int64, v string) bool {
+			out = append(out, rec{rid, oid, v})
+			return true
+		})
+		return out
+	}
+	type frozen struct {
+		view  *File[string]
+		pin   uint64
+		want  []rec
+		pages int
+	}
+	run := func(t *testing.T, acct *pager.Accountant) {
+		clock := acct.Clock()
+		base := clock.Pruners()
+		f := NewFile[string](acct, 5)
+		rng := rand.New(rand.NewSource(7))
+		var rids []RID
+		var views []frozen
+		for step := 0; step < 3000; step++ {
+			switch {
+			case len(rids) == 0 || rng.Intn(10) < 5:
+				rids = append(rids, f.Insert(int64(step), fmt.Sprintf("v%d", step)))
+			case rng.Intn(10) < 6:
+				f.Update(rids[rng.Intn(len(rids))], fmt.Sprintf("u%d", step))
+			default:
+				i := rng.Intn(len(rids))
+				f.Delete(rids[i])
+				rids = append(rids[:i], rids[i+1:]...)
+			}
+			if step%50 != 49 {
+				continue
+			}
+			// End of an epoch: every tenth one keeps a view open.
+			view := f.AsOf(clock.Stamp())
+			clock.Publish(nil)
+			if step%500 == 499 {
+				_, pin := clock.Pin()
+				views = append(views, frozen{view: view, pin: pin, want: collect(f), pages: f.Pages()})
+			}
+		}
+		for _, fz := range views {
+			v := fz.view
+			if v.Len() != len(fz.want) || v.Pages() != fz.pages {
+				t.Fatalf("epoch %d: view shape %d records/%d pages, want %d/%d",
+					fz.pin, v.Len(), v.Pages(), len(fz.want), fz.pages)
+			}
+			got := collect(v)
+			if len(got) != len(fz.want) {
+				t.Fatalf("epoch %d: view scans %d records, want %d", fz.pin, len(got), len(fz.want))
+			}
+			var viaCursor, viaFetch []rec
+			cur := v.Cursor()
+			for {
+				rid, oid, val, ok := cur.Next()
+				if !ok {
+					break
+				}
+				viaCursor = append(viaCursor, rec{rid, oid, val})
+			}
+			fetch := make([]RID, len(fz.want))
+			for i, w := range fz.want {
+				fetch[i] = w.rid
+			}
+			v.FetchMany(fetch, func(rid RID, oid int64, val string) bool {
+				viaFetch = append(viaFetch, rec{rid, oid, val})
+				return true
+			})
+			for i, w := range fz.want {
+				if got[i] != w || viaCursor[i] != w || viaFetch[i] != w {
+					t.Fatalf("epoch %d record %d: scan %+v cursor %+v fetch %+v, want %+v",
+						fz.pin, i, got[i], viaCursor[i], viaFetch[i], w)
+				}
+				if oid, val, ok := v.Get(w.rid); !ok || oid != w.oid || val != w.v {
+					t.Fatalf("epoch %d Get(%v) = %d %q %v, want %+v", fz.pin, w.rid, oid, val, ok, w)
+				}
+			}
+		}
+		f.Release()
+		clock.Publish(nil)
+		for _, fz := range views {
+			clock.Unpin(fz.pin)
+		}
+		if clock.Pruners() != base {
+			t.Fatalf("released file still on the clock: %d pruners, want %d", clock.Pruners(), base)
+		}
+	}
+	t.Run("resident", func(t *testing.T) { run(t, &pager.Accountant{}) })
+	t.Run("pooled", func(t *testing.T) {
+		acct := &pager.Accountant{}
+		pool := pager.NewBufferPool(acct, pager.MinPoolFrames)
+		defer pool.Close()
+		run(t, acct)
+	})
+}

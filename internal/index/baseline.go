@@ -57,6 +57,14 @@ func (b *Baseline) AsOf(snap uint64) *Baseline {
 	}
 }
 
+// Release frees the scheme's storage once no pinned epoch can still read
+// it through a view. The index must not be used afterwards.
+func (b *Baseline) Release() {
+	b.norm.Release()
+	b.derived.Release()
+	b.byOID.Release()
+}
+
 func oidKey(oid int64) string { return model.NewInt(oid).SortKey() }
 
 // IndexObject normalizes and indexes a classifier object: one NormRow

@@ -111,6 +111,10 @@ func (x *SummaryBTree) AsOf(snap uint64) *SummaryBTree {
 	}
 }
 
+// Release frees the index's storage once no pinned epoch can still read
+// it through a view. The index must not be used afterwards.
+func (x *SummaryBTree) Release() { x.tree.Release() }
+
 // Width returns the current extended-count width.
 func (x *SummaryBTree) Width() int { return x.width }
 

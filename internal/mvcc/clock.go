@@ -39,14 +39,18 @@ type Clock struct {
 	lastMin uint64
 
 	// pruners are version-chain trimmers, invoked (outside mu) whenever
-	// the minimum active epoch advances.
-	pruners []func(min uint64)
+	// the minimum active epoch advances. Entries below len are never
+	// edited in place (cancel copies), so a snapshot taken under mu stays
+	// valid outside it.
+	pruners []*pruner
 
 	// retired holds deferred reclamations: fn runs once, when the
 	// minimum active epoch reaches epoch. Appended in nondecreasing
 	// epoch order (epochs come from the monotone cur).
 	retired []retiredFn
 }
+
+type pruner struct{ fn func(min uint64) }
 
 type retiredFn struct {
 	epoch uint64
@@ -123,11 +127,31 @@ func (c *Clock) Retire(fn func()) {
 
 // AddPruner registers a version-chain trimmer, called with the new
 // minimum active epoch (outside the clock's lock) whenever it advances.
-// Pruners must tolerate concurrent invocations in any order of min.
-func (c *Clock) AddPruner(fn func(min uint64)) {
+// Pruners must tolerate concurrent invocations in any order of min. The
+// returned cancel removes the registration; an advance already under way
+// may still call fn once after cancel returns.
+func (c *Clock) AddPruner(fn func(min uint64)) (cancel func()) {
+	p := &pruner{fn: fn}
 	c.mu.Lock()
-	c.pruners = append(c.pruners, fn)
+	c.pruners = append(c.pruners, p)
 	c.mu.Unlock()
+	return func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		for i, q := range c.pruners {
+			if q == p {
+				c.pruners = append(c.pruners[:i:i], c.pruners[i+1:]...)
+				return
+			}
+		}
+	}
+}
+
+// Pruners returns the number of registered pruners.
+func (c *Clock) Pruners() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.pruners)
 }
 
 // WaitIdle blocks until no epoch is pinned. Used by teardown to drain
@@ -143,7 +167,7 @@ func (c *Clock) WaitIdle() {
 // advanceLocked recomputes the minimum active epoch; if it advanced it
 // pops the now-due retirements and snapshots the pruners, for the
 // caller to run after releasing mu. The caller holds mu.
-func (c *Clock) advanceLocked() ([]retiredFn, []func(min uint64), uint64) {
+func (c *Clock) advanceLocked() ([]retiredFn, []*pruner, uint64) {
 	min := c.cur.Load()
 	for s := range c.pins {
 		if s < min {
@@ -168,11 +192,11 @@ func (c *Clock) advanceLocked() ([]retiredFn, []func(min uint64), uint64) {
 }
 
 // runReclaims runs due retirements and pruners outside the clock lock.
-func runReclaims(fns []retiredFn, pruners []func(min uint64), min uint64) {
+func runReclaims(fns []retiredFn, pruners []*pruner, min uint64) {
 	for _, r := range fns {
 		r.fn()
 	}
 	for _, p := range pruners {
-		p(min)
+		p.fn(min)
 	}
 }

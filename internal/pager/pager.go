@@ -153,26 +153,29 @@ type Accountant struct {
 	// consults on the write path (see PageLogger).
 	logger atomic.Pointer[pageLoggerRef]
 
-	// clock, when non-nil, is the MVCC epoch clock the storage layers
-	// (heap files, B-Trees) pick up at creation to version their pages
-	// for snapshot reads. The accountant only carries the reference —
-	// attaching it here reaches every storage object without threading a
-	// parameter through each constructor.
+	// clock is the MVCC epoch clock every Store created against this
+	// accountant versions its pages with. The accountant only carries the
+	// reference — attaching it here reaches every storage object without
+	// threading a parameter through each constructor.
 	clock atomic.Pointer[mvcc.Clock]
 }
 
-// SetClock attaches (or, with nil, detaches) the MVCC epoch clock that
-// storage layers created against this accountant will version their
-// pages with. Attach it before creating the catalog so every heap file
-// and B-Tree participates.
+// SetClock installs the epoch clock that stores created against this
+// accountant from now on version their pages with. Install it before
+// creating the catalog so every heap file and B-Tree shares it.
 func (a *Accountant) SetClock(c *mvcc.Clock) { a.clock.Store(c) }
 
-// Clock returns the attached epoch clock, or nil when storage runs
-// unversioned (the pre-MVCC single-version behavior).
+// Clock returns the accountant's epoch clock, creating one on first use
+// when none was installed: storage is always versioned. A nil accountant
+// has nowhere to keep a clock, so each call returns a private one.
 func (a *Accountant) Clock() *mvcc.Clock {
 	if a == nil {
-		return nil
+		return mvcc.New()
 	}
+	if c := a.clock.Load(); c != nil {
+		return c
+	}
+	a.clock.CompareAndSwap(nil, mvcc.New())
 	return a.clock.Load()
 }
 
