@@ -72,10 +72,13 @@ bench-smoke:
 
 # recovery-torture runs the WAL crash matrix: the mixed workload's log is
 # cut at every record boundary (and inside every record) and each prefix
-# is recovered and compared against a committed-prefix oracle, plus the
-# concurrent group-commit stress under the race detector.
+# is recovered and compared against a committed-prefix oracle; the
+# mutation-pipeline suite (the same workload by auto-commit, transaction,
+# log recovery and Save/Load must agree; nothing is applied after Close;
+# a rejected call logs nothing); plus the concurrent group-commit stress
+# under the race detector.
 recovery-torture:
-	$(GO) test -count=1 -run 'TestRecoveryTortureEveryBoundary|TestReopenDurability|TestCheckpointBoundsRecovery' ./internal/engine/
+	$(GO) test -count=1 -run 'TestRecoveryTortureEveryBoundary|TestReopenDurability|TestCheckpointBoundsRecovery|TestMutationRoutesEquivalent|TestMutationsAfterCloseRefused|TestRejectedCallsWriteNoLogRecords' ./internal/engine/
 	$(GO) test -race -count=2 -run 'TestWALGroupCommitRaceStress|TestReadersNotBlockedByCommitWait' ./internal/engine/
 
 # mvcc-stress hammers the copy-on-write epoch machinery under the race

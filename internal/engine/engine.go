@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/exec"
-	"repro/internal/heap"
 	"repro/internal/index"
 	"repro/internal/mining/bayes"
 	"repro/internal/model"
@@ -166,8 +165,9 @@ type DB struct {
 	// epoch.go); mutators publish the next epoch at the end of their
 	// exclusive hold.
 	clock *mvcc.Clock
-	// closed (under mu) makes Close idempotent; closedA is its lock-free
-	// mirror the read path checks after pinning.
+	// closed (under mu) makes Close idempotent and turns mutations away
+	// (Txn.enter); closedA is its lock-free mirror the read path checks
+	// after pinning.
 	closed  bool
 	closedA atomic.Bool
 	// publishHook, when set before the DB is shared, observes every epoch
@@ -306,10 +306,10 @@ func (db *DB) BufferPool() *pager.BufferPool { return db.acct.Pool() }
 
 // Close releases resources held outside the Go heap — the write-ahead
 // log (flushed durable first) and the buffer pool's backing store.
-// In-flight reads are drained first: new reads are turned away with
-// ErrClosed, and Close blocks until every pinned epoch is released, so
-// no query can touch the pool or backing store mid-teardown. Idempotent;
-// the DB must not be used afterwards.
+// In-flight reads are drained first: new reads and mutations are turned
+// away with ErrClosed, and Close blocks until every pinned epoch is
+// released, so no query can touch the pool or backing store
+// mid-teardown. Idempotent.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	if db.closed {
@@ -348,81 +348,117 @@ func (db *DB) Close() error {
 // Catalog exposes the metadata root (read-mostly; mutate through DB).
 func (db *DB) Catalog() *catalog.Catalog { return db.cat }
 
+// ddl runs one DDL statement as an auto-committed transaction: check
+// validates it against the live state under the exclusive lock, and
+// only a statement that passes is recorded (and so logged and applied).
+func (db *DB) ddl(op mutation, check func() error) error {
+	return db.auto(func(tx *Txn) error {
+		if check != nil {
+			if err := check(); err != nil {
+				return err
+			}
+		}
+		tx.ops = append(tx.ops, op)
+		return nil
+	})
+}
+
 // CreateTable registers a relation.
 func (db *DB) CreateTable(name string, schema *model.Schema) (*catalog.Table, error) {
-	var t *catalog.Table
-	err := db.runAuto(func(txid uint64) (uint64, error) {
-		cols := make([]snapshotColumnDef, schema.Len())
-		for i := range cols {
-			c := schema.Col(i)
-			cols[i] = snapshotColumnDef{Name: c.Name, Kind: c.Kind}
+	cols := make([]snapshotColumnDef, schema.Len())
+	for i := range cols {
+		cols[i] = snapshotColumnDef(schema.Col(i))
+	}
+	err := db.ddl(&pCreateTable{Name: name, Columns: cols}, func() error {
+		if _, err := db.cat.Table(name); err == nil {
+			return fmt.Errorf("catalog: table %q already exists", name)
 		}
-		lsn, err := db.logAppend(recCreateTable, txid, pCreateTable{Name: name, Columns: cols})
-		if err != nil {
-			return 0, err
-		}
-		var terr error
-		t, terr = db.cat.CreateTable(name, schema)
-		if terr == nil {
-			db.bumpCatalogVersion()
-		}
-		return lsn, terr
+		return nil
 	})
-	return t, err
+	if err != nil {
+		return nil, err
+	}
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.cat.Table(name)
+}
+
+func (p *pCreateTable) apply(db *DB) error {
+	cols := make([]model.Column, len(p.Columns))
+	for i, c := range p.Columns {
+		cols[i] = model.Column(c)
+	}
+	if _, err := db.cat.CreateTable(p.Name, model.NewSchema("", cols...)); err != nil {
+		return err
+	}
+	db.bumpCatalogVersion()
+	return nil
 }
 
 // Table resolves a relation.
 func (db *DB) Table(name string) (*catalog.Table, error) { return db.cat.Table(name) }
 
 // Insert adds a tuple, returning its OID.
-func (db *DB) Insert(table string, values ...model.Value) (int64, error) {
-	var oid int64
-	err := db.runAuto(func(txid uint64) (uint64, error) {
-		var lsn uint64
-		var e error
-		oid, lsn, e = db.insertOp(txid, table, values)
-		return lsn, e
+func (db *DB) Insert(table string, values ...model.Value) (oid int64, err error) {
+	err = db.auto(func(tx *Txn) error {
+		oid, err = tx.insert(table, values)
+		return err
 	})
 	return oid, err
 }
 
-// insertOp validates, logs, and applies one tuple insert. The caller
-// holds the exclusive lock; the logged record carries the OID the
-// insert will assign so replay forces it.
-func (db *DB) insertOp(txid uint64, table string, values []model.Value) (int64, uint64, error) {
-	t, err := db.cat.Table(table)
+// Insert adds a tuple within the transaction, reserving and returning
+// the OID it will occupy after Commit.
+func (tx *Txn) Insert(table string, values ...model.Value) (oid int64, err error) {
+	err = tx.step(func() error {
+		oid, err = tx.insert(table, values)
+		return err
+	})
+	return oid, err
+}
+
+// insert validates one tuple insert and records it under the OID it
+// reserves, so apply (and replay) force that OID.
+func (tx *Txn) insert(table string, values []model.Value) (int64, error) {
+	t, err := tx.db.cat.Table(table)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
+	}
+	if len(values) != t.Schema.Len() {
+		return 0, fmt.Errorf("catalog: %s expects %d values, got %d", t.Name, t.Schema.Len(), len(values))
 	}
 	oid := t.PeekOID()
-	lsn, err := db.logAppend(recInsertTuple, txid, pInsertTuple{Table: table, OID: oid, Values: values})
-	if err != nil {
-		return 0, 0, err
+	tx.db.cat.SetNextOID(oid) // consume: interleaved writers must not reuse it
+	if !tx.auto {
+		tx.newOIDs[oid] = t
 	}
-	got, err := t.InsertWithOID(oid, values)
-	return got, lsn, err
+	tx.ops = append(tx.ops, &pInsertTuple{Table: table, OID: oid, Values: values})
+	return oid, nil
+}
+
+func (p *pInsertTuple) apply(db *DB) error {
+	t, err := db.cat.Table(p.Table)
+	if err != nil {
+		return err
+	}
+	_, err = t.InsertWithOID(p.OID, p.Values)
+	return err
 }
 
 // CreateDataIndex builds a standard B-Tree over a data column.
 func (db *DB) CreateDataIndex(table, column string) error {
-	return db.runAuto(func(txid uint64) (uint64, error) {
-		if _, err := db.cat.Table(table); err != nil {
-			return 0, err
-		}
-		lsn, err := db.logAppend(recCreateDataIndex, txid, pCreateDataIndex{Table: table, Column: column})
-		if err != nil {
-			return 0, err
-		}
-		return lsn, db.applyCreateDataIndex(table, column)
+	return db.ddl(&pCreateDataIndex{Table: table, Column: column}, func() error {
+		_, err := db.cat.Table(table)
+		return err
 	})
 }
 
-func (db *DB) applyCreateDataIndex(table, column string) error {
-	t, err := db.cat.Table(table)
+func (p *pCreateDataIndex) apply(db *DB) error {
+	t, err := db.cat.Table(p.Table)
 	if err != nil {
 		return err
 	}
-	if _, err = t.CreateDataIndex(column); err != nil {
+	if _, err = t.CreateDataIndex(p.Column); err != nil {
 		return err
 	}
 	db.bumpCatalogVersion()
@@ -432,31 +468,31 @@ func (db *DB) applyCreateDataIndex(table, column string) error {
 // DeleteTuple removes a tuple, its summary objects, its index entries,
 // and its raw annotations.
 func (db *DB) DeleteTuple(table string, oid int64) error {
-	return db.runAuto(func(txid uint64) (uint64, error) {
-		return db.deleteTupleOp(txid, table, oid)
-	})
+	return db.auto(func(tx *Txn) error { return tx.deleteTuple(table, oid) })
 }
 
-// deleteTupleOp validates, logs, and applies one tuple deletion. The
-// caller holds the exclusive lock.
-func (db *DB) deleteTupleOp(txid uint64, table string, oid int64) (uint64, error) {
-	t, err := db.cat.Table(table)
-	if err != nil {
-		return 0, err
-	}
-	rid, ok := t.DiskTupleLoc(oid)
-	if !ok {
-		return 0, fmt.Errorf("engine: %s has no tuple %d", table, oid)
-	}
-	lsn, err := db.logAppend(recDeleteTuple, txid, pDeleteTuple{Table: table, OID: oid})
-	if err != nil {
-		return 0, err
-	}
-	db.applyDeleteTuple(t, table, oid, rid)
-	return lsn, nil
+// DeleteTuple removes a tuple within the transaction.
+func (tx *Txn) DeleteTuple(table string, oid int64) error {
+	return tx.step(func() error { return tx.deleteTuple(table, oid) })
 }
 
-func (db *DB) applyDeleteTuple(t *catalog.Table, table string, oid int64, rid heap.RID) {
+func (tx *Txn) deleteTuple(table string, oid int64) error {
+	if _, err := tx.visibleTuple(table, oid); err != nil {
+		return err
+	}
+	if !tx.auto {
+		tx.delOIDs[oid] = true
+	}
+	tx.ops = append(tx.ops, &pDeleteTuple{Table: table, OID: oid})
+	return nil
+}
+
+func (p *pDeleteTuple) apply(db *DB) error {
+	table, oid := p.Table, p.OID
+	t, rid, err := db.tupleLoc(table, oid)
+	if err != nil {
+		return err
+	}
 	// Flush so the summary objects and counters unwound below reflect
 	// every buffered annotation.
 	db.flushIngestLocked()
@@ -499,6 +535,7 @@ func (db *DB) applyDeleteTuple(t *catalog.Table, table string, oid int64, rid he
 		}
 	}
 	t.Delete(oid)
+	return nil
 }
 
 // Annotations returns the raw annotations attached to a tuple, as of

@@ -28,7 +28,7 @@ import (
 	"repro/internal/mining/bayes"
 )
 
-// ErrClosed reports a read attempted after Close.
+// ErrClosed reports a read or a mutation attempted after Close.
 var ErrClosed = errors.New("engine: database is closed")
 
 // dbEpoch is one immutable published snapshot of the engine's queryable

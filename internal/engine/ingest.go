@@ -25,8 +25,8 @@ package engine
 // unpublished state — every read checks the lock-free ingestDirty flag
 // and flushes on demand before pinning. Mutations that read or rewrite
 // summaries (annotation/tuple deletes, instance link/unlink, index
-// builds) flush first inside their apply functions, which covers the
-// live path, Txn commit apply, and WAL replay uniformly.
+// builds) flush first inside their apply methods, which every route to
+// the state ends in (commit, WAL replay, snapshot load).
 //
 // A threshold of 0 or 1 (the default) trips on every operation, so the
 // paper's per-annotation "Adding Annotation — Update" is this routine
@@ -86,7 +86,7 @@ type ingestBuffer struct {
 // bufferIngest puts one annotation's summary maintenance into the
 // net-delta buffer. The caller holds the exclusive lock, has already
 // stored the raw annotation and logged its record, and flushes or raises
-// ingestDirty before the lock drops (see runAuto).
+// ingestDirty before the lock drops (see Txn.finish).
 func (db *DB) bufferIngest(t *catalog.Table, oid int64, rid heap.RID, ann *model.Annotation) {
 	b := &db.ingest
 	i, ok := b.index[oid]

@@ -74,49 +74,36 @@ func (db *DB) DefineCluster(name string, maxGroups int) error {
 // record carries the finished model state and replay reconstructs the
 // identical classifier without the training corpus.
 func (db *DB) defineInstance(si *catalog.SummaryInstance, clf *bayes.Classifier) error {
-	return db.runAuto(func(txid uint64) (uint64, error) {
-		if err := si.Validate(); err != nil {
-			return 0, err
-		}
-		if _, dup := db.instances[strings.ToLower(si.Name)]; dup {
-			return 0, fmt.Errorf("engine: summary instance %q already defined", si.Name)
-		}
-		entry := snapshotInstance{Def: *si}
-		if clf != nil {
-			entry.ClassifierState = clf.State()
-		}
-		lsn, err := db.logAppend(recDefineInstance, txid, pDefineInstance{Inst: entry})
-		if err != nil {
-			return 0, err
-		}
-		return lsn, db.applyDefineInstance(&entry)
-	})
+	entry := snapshotInstance{Def: *si}
+	if clf != nil {
+		entry.ClassifierState = clf.State()
+	}
+	return db.ddl(&pDefineInstance{Inst: entry}, func() error { return db.checkNewInstance(si) })
 }
 
-// applyDefineInstance installs a defined instance (and its trained
-// classifier model, if any) — shared by the live path, WAL replay, and
-// checkpoint reload.
-func (db *DB) applyDefineInstance(entry *snapshotInstance) error {
-	def := entry.Def
-	if err := db.registerInstance(&def); err != nil {
+func (db *DB) checkNewInstance(si *catalog.SummaryInstance) error {
+	if err := si.Validate(); err != nil {
 		return err
 	}
-	if entry.ClassifierState != nil {
-		db.classifiers[strings.ToLower(def.Name)] = bayes.FromState(entry.ClassifierState)
+	if _, dup := db.instances[strings.ToLower(si.Name)]; dup {
+		return fmt.Errorf("engine: summary instance %q already defined", si.Name)
 	}
 	return nil
 }
 
-func (db *DB) registerInstance(si *catalog.SummaryInstance) error {
-	if err := si.Validate(); err != nil {
+// apply installs a defined instance and its trained classifier model,
+// if any.
+func (p *pDefineInstance) apply(db *DB) error {
+	def := p.Inst.Def
+	if err := db.checkNewInstance(&def); err != nil {
 		return err
 	}
-	key := strings.ToLower(si.Name)
-	if _, dup := db.instances[key]; dup {
-		return fmt.Errorf("engine: summary instance %q already defined", si.Name)
-	}
-	db.instances[key] = si
+	key := strings.ToLower(def.Name)
+	db.instances[key] = &def
 	db.bumpCatalogVersion()
+	if p.Inst.ClassifierState != nil {
+		db.classifiers[key] = bayes.FromState(p.Inst.ClassifierState)
+	}
 	return nil
 }
 
@@ -124,32 +111,29 @@ func (db *DB) registerInstance(si *catalog.SummaryInstance) error {
 // building its Summary-BTree — the engine half of
 // "ALTER TABLE t ADD [INDEXABLE] inst".
 func (db *DB) LinkInstance(table, instance string, indexable bool) error {
-	return db.runAuto(func(txid uint64) (uint64, error) {
+	return db.ddl(&pLinkInstance{Table: table, Instance: instance, Indexable: indexable}, func() error {
 		if _, ok := db.instances[strings.ToLower(instance)]; !ok {
-			return 0, fmt.Errorf("engine: unknown summary instance %q", instance)
+			return fmt.Errorf("engine: unknown summary instance %q", instance)
 		}
-		lsn, err := db.logAppend(recLinkInstance, txid, pLinkInstance{Table: table, Instance: instance, Indexable: indexable})
-		if err != nil {
-			return 0, err
-		}
-		return lsn, db.applyLinkInstance(table, instance, indexable)
+		_, err := db.cat.Table(table)
+		return err
 	})
 }
 
-func (db *DB) applyLinkInstance(table, instance string, indexable bool) error {
+func (p *pLinkInstance) apply(db *DB) error {
 	// Buffered annotations were added while this instance was not linked:
 	// they belong in the old instance set only.
 	db.flushIngestLocked()
-	si, ok := db.instances[strings.ToLower(instance)]
+	si, ok := db.instances[strings.ToLower(p.Instance)]
 	if !ok {
-		return fmt.Errorf("engine: unknown summary instance %q", instance)
+		return fmt.Errorf("engine: unknown summary instance %q", p.Instance)
 	}
-	if err := db.cat.LinkInstance(table, si); err != nil {
+	if err := db.cat.LinkInstance(p.Table, si); err != nil {
 		return err
 	}
 	db.bumpCatalogVersion()
-	if indexable {
-		return db.createSummaryIndex(table, instance)
+	if p.Indexable {
+		return (&pCreateSummaryIndex{Table: p.Table, Instance: p.Instance}).apply(db)
 	}
 	return nil
 }
@@ -157,24 +141,18 @@ func (db *DB) applyLinkInstance(table, instance string, indexable bool) error {
 // UnlinkInstance detaches an instance and drops its indexes —
 // "ALTER TABLE t DROP inst".
 func (db *DB) UnlinkInstance(table, instance string) error {
-	return db.runAuto(func(txid uint64) (uint64, error) {
-		lsn, err := db.logAppend(recUnlinkInstance, txid, pInstanceRef{Table: table, Instance: instance})
-		if err != nil {
-			return 0, err
-		}
-		return lsn, db.applyUnlinkInstance(table, instance)
-	})
+	return db.ddl(&pUnlinkInstance{Table: table, Instance: instance}, nil)
 }
 
-func (db *DB) applyUnlinkInstance(table, instance string) error {
+func (p *pUnlinkInstance) apply(db *DB) error {
 	// Buffered annotations must reach the instance's summaries before it
 	// detaches.
 	db.flushIngestLocked()
-	if err := db.cat.UnlinkInstance(table, instance); err != nil {
+	if err := db.cat.UnlinkInstance(p.Table, p.Instance); err != nil {
 		return err
 	}
-	forgetIndex(db.summaryIdx, table, instance)
-	forgetIndex(db.baselineIdx, table, instance)
+	forgetIndex(db.summaryIdx, p.Table, p.Instance)
+	forgetIndex(db.baselineIdx, p.Table, p.Instance)
 	db.bumpCatalogVersion()
 	return nil
 }
@@ -190,33 +168,40 @@ func forgetIndex[X interface{ Release() }](m map[string]map[string]X, table, ins
 	}
 }
 
+// indexableInstance resolves (table, instance) to a linked classifier
+// instance, the only kind either index scheme covers.
+func (db *DB) indexableInstance(table, instance string) (*catalog.Table, *catalog.SummaryInstance, error) {
+	t, err := db.cat.Table(table)
+	if err != nil {
+		return nil, nil, err
+	}
+	si := t.Instance(instance)
+	if si == nil {
+		return nil, nil, fmt.Errorf("engine: table %q has no instance %q", table, instance)
+	}
+	if si.Type != model.SummaryClassifier {
+		return nil, nil, fmt.Errorf("engine: only Classifier instances are indexable, %q is %s", instance, si.Type)
+	}
+	return t, si, nil
+}
+
 // CreateSummaryIndex builds a Summary-BTree over an instance's objects,
 // bulk-loading from the existing summary storage (the Figure 8 bulk
 // mode). Classifier instances only.
 func (db *DB) CreateSummaryIndex(table, instance string) error {
-	return db.runAuto(func(txid uint64) (uint64, error) {
-		lsn, err := db.logAppend(recCreateSummaryIndex, txid, pInstanceRef{Table: table, Instance: instance})
-		if err != nil {
-			return 0, err
-		}
-		return lsn, db.createSummaryIndex(table, instance)
+	return db.ddl(&pCreateSummaryIndex{Table: table, Instance: instance}, func() error {
+		_, _, err := db.indexableInstance(table, instance)
+		return err
 	})
 }
 
-func (db *DB) createSummaryIndex(table, instance string) error {
+func (p *pCreateSummaryIndex) apply(db *DB) error {
 	// Bulk-load reads the stored summary objects; fold the buffered
 	// ingest tail in first so the new index starts complete.
 	db.flushIngestLocked()
-	t, err := db.cat.Table(table)
+	t, si, err := db.indexableInstance(p.Table, p.Instance)
 	if err != nil {
 		return err
-	}
-	si := t.Instance(instance)
-	if si == nil {
-		return fmt.Errorf("engine: table %q has no instance %q", table, instance)
-	}
-	if si.Type != model.SummaryClassifier {
-		return fmt.Errorf("engine: only Classifier instances are indexable, %q is %s", instance, si.Type)
 	}
 	// Flip Indexable copy-on-write: published epochs hold the old
 	// *SummaryInstance in their copied Instances slices, so mutating it
@@ -244,12 +229,12 @@ func (db *DB) createSummaryIndex(table, instance string) error {
 		idx.Release()
 		return err
 	}
-	forgetIndex(db.summaryIdx, table, instance) // a rebuild replaces the old index
-	tkey := strings.ToLower(table)
+	forgetIndex(db.summaryIdx, p.Table, p.Instance) // a rebuild replaces the old index
+	tkey := strings.ToLower(p.Table)
 	if db.summaryIdx[tkey] == nil {
 		db.summaryIdx[tkey] = map[string]*index.SummaryBTree{}
 	}
-	db.summaryIdx[tkey][strings.ToLower(instance)] = idx
+	db.summaryIdx[tkey][strings.ToLower(p.Instance)] = idx
 	// A new access path exists: cached plans that chose a sequential
 	// scan for this instance's predicates are stale from here on.
 	db.bumpCatalogVersion()
@@ -259,27 +244,17 @@ func (db *DB) createSummaryIndex(table, instance string) error {
 // CreateBaselineIndex builds the baseline scheme (normalized side table
 // + derived-column B-Tree) over an instance's objects.
 func (db *DB) CreateBaselineIndex(table, instance string) error {
-	return db.runAuto(func(txid uint64) (uint64, error) {
-		lsn, err := db.logAppend(recCreateBaselineIndex, txid, pInstanceRef{Table: table, Instance: instance})
-		if err != nil {
-			return 0, err
-		}
-		return lsn, db.createBaselineIndex(table, instance)
+	return db.ddl(&pCreateBaselineIndex{Table: table, Instance: instance}, func() error {
+		_, _, err := db.indexableInstance(table, instance)
+		return err
 	})
 }
 
-func (db *DB) createBaselineIndex(table, instance string) error {
+func (p *pCreateBaselineIndex) apply(db *DB) error {
 	db.flushIngestLocked()
-	t, err := db.cat.Table(table)
+	t, si, err := db.indexableInstance(p.Table, p.Instance)
 	if err != nil {
 		return err
-	}
-	si := t.Instance(instance)
-	if si == nil {
-		return fmt.Errorf("engine: table %q has no instance %q", table, instance)
-	}
-	if si.Type != model.SummaryClassifier {
-		return fmt.Errorf("engine: only Classifier instances are indexable, %q is %s", instance, si.Type)
 	}
 	idx := index.NewBaseline(db.acct, t.Data.PageCap(), si.Name)
 	if err := db.forEachStoredObject(t, si.Name, func(obj *model.SummaryObject, rid heap.RID) error {
@@ -288,12 +263,12 @@ func (db *DB) createBaselineIndex(table, instance string) error {
 		idx.Release()
 		return err
 	}
-	forgetIndex(db.baselineIdx, table, instance) // a rebuild replaces the old index
-	tkey := strings.ToLower(table)
+	forgetIndex(db.baselineIdx, p.Table, p.Instance) // a rebuild replaces the old index
+	tkey := strings.ToLower(p.Table)
 	if db.baselineIdx[tkey] == nil {
 		db.baselineIdx[tkey] = map[string]*index.Baseline{}
 	}
-	db.baselineIdx[tkey][strings.ToLower(instance)] = idx
+	db.baselineIdx[tkey][strings.ToLower(p.Instance)] = idx
 	db.bumpCatalogVersion()
 	return nil
 }
@@ -303,37 +278,25 @@ func (db *DB) createBaselineIndex(table, instance string) error {
 // historical void signature; the log's sticky error resurfaces on the
 // next logged operation.)
 func (db *DB) DropSummaryIndex(table, instance string) {
-	db.runAuto(func(txid uint64) (uint64, error) {
-		lsn, err := db.logAppend(recDropSummaryIndex, txid, pInstanceRef{Table: table, Instance: instance})
-		if err != nil {
-			return 0, err
-		}
-		db.applyDropSummaryIndex(table, instance)
-		return lsn, nil
-	})
+	_ = db.ddl(&pDropSummaryIndex{Table: table, Instance: instance}, nil)
 }
 
-func (db *DB) applyDropSummaryIndex(table, instance string) {
-	forgetIndex(db.summaryIdx, table, instance)
+func (p *pDropSummaryIndex) apply(db *DB) error {
+	forgetIndex(db.summaryIdx, p.Table, p.Instance)
 	db.bumpCatalogVersion()
+	return nil
 }
 
 // DropBaselineIndex removes the baseline index on (table, instance).
 // Like DropSummaryIndex, WAL errors resurface on the next operation.
 func (db *DB) DropBaselineIndex(table, instance string) {
-	db.runAuto(func(txid uint64) (uint64, error) {
-		lsn, err := db.logAppend(recDropBaselineIndex, txid, pInstanceRef{Table: table, Instance: instance})
-		if err != nil {
-			return 0, err
-		}
-		db.applyDropBaselineIndex(table, instance)
-		return lsn, nil
-	})
+	_ = db.ddl(&pDropBaselineIndex{Table: table, Instance: instance}, nil)
 }
 
-func (db *DB) applyDropBaselineIndex(table, instance string) {
-	forgetIndex(db.baselineIdx, table, instance)
+func (p *pDropBaselineIndex) apply(db *DB) error {
+	forgetIndex(db.baselineIdx, p.Table, p.Instance)
 	db.bumpCatalogVersion()
+	return nil
 }
 
 func (db *DB) forEachStoredObject(t *catalog.Table, instance string,
@@ -361,57 +324,57 @@ func (db *DB) forEachStoredObject(t *catalog.Table, instance string,
 // specific columns) and incrementally maintains every linked summary
 // instance, the statistics, and the indexes — the maintenance paths of
 // Section 4.1.2.
-func (db *DB) AddAnnotation(table string, oid int64, text string, columns []string, author string) (*model.Annotation, error) {
-	var ann *model.Annotation
-	err := db.runAuto(func(txid uint64) (uint64, error) {
-		var lsn uint64
-		var e error
-		ann, lsn, e = db.addAnnotationOp(txid, table, oid, text, columns, author)
-		return lsn, e
+func (db *DB) AddAnnotation(table string, oid int64, text string, columns []string, author string) (ann *model.Annotation, err error) {
+	err = db.auto(func(tx *Txn) error {
+		ann, err = tx.addAnnotation(table, oid, text, columns, author)
+		return err
 	})
 	return ann, err
 }
 
-// addAnnotationOp validates, logs (with the ID and timestamp the add
-// will assign), and applies one annotation. The caller holds the
-// exclusive lock.
-func (db *DB) addAnnotationOp(txid uint64, table string, oid int64, text string, columns []string, author string) (*model.Annotation, uint64, error) {
-	t, err := db.cat.Table(table)
-	if err != nil {
-		return nil, 0, err
-	}
-	if _, ok := t.DiskTupleLoc(oid); !ok {
-		return nil, 0, fmt.Errorf("engine: %s has no tuple %d", table, oid)
-	}
-	id, seq := db.cat.Anns.PeekID(), db.cat.Anns.PeekSeq()
-	lsn, err := db.logAppend(recAddAnnotation, txid, pAddAnnotation{
-		Table: table, OID: oid, ID: id, Seq: seq, Text: text, Columns: columns, Author: author,
+// AddAnnotation attaches a raw annotation within the transaction. The
+// returned annotation carries the reserved ID and timestamp; the stored
+// copy materializes at Commit.
+func (tx *Txn) AddAnnotation(table string, oid int64, text string, columns []string, author string) (ann *model.Annotation, err error) {
+	err = tx.step(func() error {
+		ann, err = tx.addAnnotation(table, oid, text, columns, author)
+		return err
 	})
-	if err != nil {
-		return nil, 0, err
-	}
-	ann, err := db.applyAddAnnotation(table, oid, id, seq, text, columns, author)
-	return ann, lsn, err
+	return ann, err
 }
 
-// applyAddAnnotation stores one annotation under forced identifiers and
-// buffers its summary maintenance — shared by the live path, WAL replay,
-// and snapshot load.
-func (db *DB) applyAddAnnotation(table string, oid, id, seq int64, text string, columns []string, author string) (*model.Annotation, error) {
-	t, err := db.cat.Table(table)
-	if err != nil {
+// addAnnotation validates one annotation and records it under the ID
+// and timestamp it reserves. The returned annotation is the caller's
+// copy of what apply will store.
+func (tx *Txn) addAnnotation(table string, oid int64, text string, columns []string, author string) (*model.Annotation, error) {
+	if _, err := tx.visibleTuple(table, oid); err != nil {
 		return nil, err
 	}
-	rid, ok := t.DiskTupleLoc(oid)
-	if !ok {
-		return nil, fmt.Errorf("engine: %s has no tuple %d", table, oid)
+	anns := tx.db.cat.Anns
+	id, seq := anns.PeekID(), anns.PeekSeq()
+	anns.SetCounters(id, seq) // consume: interleaved writers must not reuse them
+	if !tx.auto {
+		tx.newAnns[id] = true
 	}
-	ann := db.cat.Anns.AddWithID(id, seq, oid, text, columns, author)
-	if len(columns) > 0 {
+	tx.ops = append(tx.ops, &pAddAnnotation{
+		Table: table, OID: oid, ID: id, Seq: seq, Text: text, Columns: columns, Author: author,
+	})
+	return &model.Annotation{ID: id, Text: text, TupleOID: oid, Columns: columns, Author: author, Seq: seq}, nil
+}
+
+// apply stores one annotation under its forced identifiers and buffers
+// its summary maintenance.
+func (p *pAddAnnotation) apply(db *DB) error {
+	t, rid, err := db.tupleLoc(p.Table, p.OID)
+	if err != nil {
+		return err
+	}
+	ann := db.cat.Anns.AddWithID(p.ID, p.Seq, p.OID, p.Text, p.Columns, p.Author)
+	if len(p.Columns) > 0 {
 		t.ColAttachedAnns++
 	}
-	db.bufferIngest(t, oid, rid, ann)
-	return ann, nil
+	db.bufferIngest(t, p.OID, rid, ann)
+	return nil
 }
 
 // AttachAnnotation attaches an existing annotation to an additional
@@ -419,59 +382,50 @@ func (db *DB) applyAddAnnotation(table string, oid, id, seq int64, text string, 
 // into that tuple's summaries. Because the annotation keeps its ID, a
 // later join of both tuples merges without double counting.
 func (db *DB) AttachAnnotation(table string, oid, annID int64) error {
-	return db.runAuto(func(txid uint64) (uint64, error) {
-		return db.attachAnnotationOp(txid, table, oid, annID)
-	})
+	return db.auto(func(tx *Txn) error { return tx.attachAnnotation(table, oid, annID) })
 }
 
-// attachAnnotationOp validates, logs, and applies one extra attachment.
-// The caller holds the exclusive lock.
-func (db *DB) attachAnnotationOp(txid uint64, table string, oid, annID int64) (uint64, error) {
-	t, err := db.cat.Table(table)
-	if err != nil {
-		return 0, err
+// AttachAnnotation attaches an existing annotation to another tuple
+// within the transaction.
+func (tx *Txn) AttachAnnotation(table string, oid, annID int64) error {
+	return tx.step(func() error { return tx.attachAnnotation(table, oid, annID) })
+}
+
+func (tx *Txn) attachAnnotation(table string, oid, annID int64) error {
+	if _, err := tx.visibleTuple(table, oid); err != nil {
+		return err
 	}
-	if _, ok := t.DiskTupleLoc(oid); !ok {
-		return 0, fmt.Errorf("engine: %s has no tuple %d", table, oid)
+	if err := tx.visibleAnn(annID); err != nil {
+		return err
 	}
-	if _, ok := db.cat.Anns.Get(annID); !ok {
-		return 0, fmt.Errorf("engine: no annotation %d", annID)
-	}
-	if db.cat.Anns.IsAttached(annID, oid) {
+	if tx.db.cat.Anns.IsAttached(annID, oid) {
 		// Attaching is idempotent: the annotation already targets this
 		// tuple (as primary or via an earlier attach), so re-attaching
-		// must not double count it — nothing is logged or absorbed.
-		return 0, nil
+		// must not double count it — nothing is recorded.
+		return nil
 	}
-	lsn, err := db.logAppend(recAttachAnnotation, txid, pAttachAnnotation{Table: table, OID: oid, AnnID: annID})
-	if err != nil {
-		return 0, err
-	}
-	return lsn, db.applyAttachAnnotation(table, oid, annID)
+	tx.ops = append(tx.ops, &pAttachAnnotation{Table: table, OID: oid, AnnID: annID})
+	return nil
 }
 
-func (db *DB) applyAttachAnnotation(table string, oid, annID int64) error {
-	t, err := db.cat.Table(table)
+func (p *pAttachAnnotation) apply(db *DB) error {
+	t, rid, err := db.tupleLoc(p.Table, p.OID)
 	if err != nil {
 		return err
 	}
-	rid, ok := t.DiskTupleLoc(oid)
+	ann, ok := db.cat.Anns.Get(p.AnnID)
 	if !ok {
-		return fmt.Errorf("engine: %s has no tuple %d", table, oid)
+		return fmt.Errorf("engine: no annotation %d", p.AnnID)
 	}
-	ann, ok := db.cat.Anns.Get(annID)
-	if !ok {
-		return fmt.Errorf("engine: no annotation %d", annID)
-	}
-	if !db.cat.Anns.AttachTo(annID, oid) {
-		// Already attached — replaying a historical duplicate attach
-		// record (or a racing re-attach) is a no-op, never a double count.
+	if !db.cat.Anns.AttachTo(p.AnnID, p.OID) {
+		// Already attached — a transaction attaching twice, or a replayed
+		// historical duplicate record, is a no-op, never a double count.
 		return nil
 	}
 	if len(ann.Columns) > 0 {
 		t.ColAttachedAnns++
 	}
-	db.bufferIngest(t, oid, rid, ann)
+	db.bufferIngest(t, p.OID, rid, ann)
 	return nil
 }
 
@@ -534,34 +488,36 @@ func (db *DB) rebuildCluster(si *catalog.SummaryInstance, obj *model.SummaryObje
 // DeleteAnnotation removes a raw annotation and re-derives the affected
 // summary objects ("Deleting Annotation" of Section 4.1.2).
 func (db *DB) DeleteAnnotation(table string, annID int64) error {
-	return db.runAuto(func(txid uint64) (uint64, error) {
-		return db.deleteAnnotationOp(txid, table, annID)
-	})
+	return db.auto(func(tx *Txn) error { return tx.deleteAnnotation(table, annID) })
 }
 
-// deleteAnnotationOp validates, logs, and applies one annotation delete.
-// The caller holds the exclusive lock.
-func (db *DB) deleteAnnotationOp(txid uint64, table string, annID int64) (uint64, error) {
-	if _, err := db.cat.Table(table); err != nil {
-		return 0, err
-	}
-	if _, ok := db.cat.Anns.Get(annID); !ok {
-		return 0, fmt.Errorf("engine: no annotation %d", annID)
-	}
-	lsn, err := db.logAppend(recDeleteAnnotation, txid, pDeleteAnnotation{Table: table, AnnID: annID})
-	if err != nil {
-		return 0, err
-	}
-	return lsn, db.applyDeleteAnnotation(table, annID)
+// DeleteAnnotation removes an annotation within the transaction.
+func (tx *Txn) DeleteAnnotation(table string, annID int64) error {
+	return tx.step(func() error { return tx.deleteAnnotation(table, annID) })
 }
 
-func (db *DB) applyDeleteAnnotation(table string, annID int64) error {
+func (tx *Txn) deleteAnnotation(table string, annID int64) error {
+	if _, err := tx.db.cat.Table(table); err != nil {
+		return err
+	}
+	if err := tx.visibleAnn(annID); err != nil {
+		return err
+	}
+	if !tx.auto {
+		tx.delAnns[annID] = true
+	}
+	tx.ops = append(tx.ops, &pDeleteAnnotation{Table: table, AnnID: annID})
+	return nil
+}
+
+func (p *pDeleteAnnotation) apply(db *DB) error {
 	// Deletes operate on flushed summaries: the re-derive below must see
 	// every annotation added before this one was deleted.
 	db.flushIngestLocked()
-	if _, err := db.cat.Table(table); err != nil {
+	if _, err := db.cat.Table(p.Table); err != nil {
 		return err
 	}
+	annID := p.AnnID
 	ann, ok := db.cat.Anns.Get(annID)
 	if !ok {
 		return fmt.Errorf("engine: no annotation %d", annID)
@@ -585,6 +541,19 @@ func (db *DB) applyDeleteAnnotation(table string, annID int64) error {
 		db.shedAnnotation(t, oid, rid, annID)
 	}
 	return nil
+}
+
+// tupleLoc resolves a live tuple of table to its heap location.
+func (db *DB) tupleLoc(table string, oid int64) (*catalog.Table, heap.RID, error) {
+	t, err := db.cat.Table(table)
+	if err != nil {
+		return nil, heap.RID{}, err
+	}
+	rid, ok := t.DiskTupleLoc(oid)
+	if !ok {
+		return nil, heap.RID{}, fmt.Errorf("engine: %s has no tuple %d", table, oid)
+	}
+	return t, rid, nil
 }
 
 // tableForOID resolves a tuple OID to its owning table and heap location.

@@ -28,10 +28,10 @@ import (
 	"repro/internal/sql"
 )
 
-// bumpCatalogVersion invalidates every cached plan; called from each
-// catalog-shape mutation (table DDL, instance registration/links,
-// index creation and drops) on its shared apply path, so live calls,
-// transaction commits, and WAL replay all advance the version.
+// bumpCatalogVersion invalidates every cached plan; called from the
+// apply method of each catalog-shape mutation (table DDL, instance
+// registration/links, index creation and drops), so commits, WAL
+// replay and snapshot load all advance the version.
 func (db *DB) bumpCatalogVersion() { db.catalogVersion.Add(1) }
 
 // CatalogVersion returns the current catalog version (plan-cache

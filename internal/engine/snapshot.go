@@ -17,11 +17,12 @@ import (
 // The snapshot format is a LOGICAL dump: schemas, instance definitions,
 // trained classifier models, tuples, raw annotations with their
 // attachments, index declarations, and the identifier watermarks. Load
-// and checkpoint recovery replay it through the same forced-ID apply
-// paths WAL replay uses, so summaries, statistics, and indexes are
-// re-derived exactly (every mining component is deterministic given the
-// replayed order) and every OID and annotation ID comes back as dumped.
-// This keeps the on-disk format independent of internal storage layouts.
+// and checkpoint recovery turn it back into the mutations of wal.go —
+// the same typed records, applied by the same methods, as a commit or a
+// WAL replay — so summaries, statistics, and indexes are re-derived
+// exactly (every mining component is deterministic given the replayed
+// order) and every OID and annotation ID comes back as dumped. This
+// keeps the on-disk format independent of internal storage layouts.
 
 type snapshotInstance struct {
 	Def             catalog.SummaryInstance
@@ -243,81 +244,64 @@ func LoadWithConfig(r io.Reader, cfg Config) (*DB, error) {
 	return db, nil
 }
 
-// loadSnapshot rebuilds state from a dump through the forced-ID apply
-// paths, so OIDs, annotation IDs, and logical timestamps come back
-// exactly as the dumped run assigned them. The watermarks are restored
-// last so gaps left by uncommitted operations survive the round trip.
-// The caller owns the DB privately and flushes the ingest buffer and
+// loadSnapshot rebuilds state from a dump by applying it as the
+// mutations that would have produced it: instances; per table its
+// schema, links and tuples; annotations in their original Seq order
+// (summarization re-derives every summary object and statistic), each
+// followed by its extra attachments; indexes last, as bulk builds over
+// the replayed summaries. The watermarks are restored after that, so
+// gaps left by uncommitted operations survive the round trip. The
+// caller owns the DB privately and flushes the ingest buffer and
 // publishes once it has replayed everything it means to (Open replays
 // the WAL on top first).
 func (db *DB) loadSnapshot(snap *snapshot) error {
-	for i := range snap.Instances {
-		if err := db.applyDefineInstance(&snap.Instances[i]); err != nil {
-			return err
+	var err error
+	apply := func(op mutation) {
+		if err == nil {
+			err = op.apply(db)
 		}
 	}
-
+	for _, inst := range snap.Instances {
+		apply(&pDefineInstance{Inst: inst})
+	}
 	tableOf := map[int64]string{} // OID -> table name
 	for _, st := range snap.Tables {
-		cols := make([]model.Column, len(st.Columns))
-		for i, c := range st.Columns {
-			cols[i] = model.Column{Name: c.Name, Kind: c.Kind}
-		}
-		t, err := db.cat.CreateTable(st.Name, model.NewSchema("", cols...))
-		if err != nil {
-			return err
-		}
+		apply(&pCreateTable{Name: st.Name, Columns: st.Columns})
 		for _, inst := range st.Instances {
-			if err := db.applyLinkInstance(st.Name, inst, false); err != nil {
-				return err
-			}
+			apply(&pLinkInstance{Table: st.Name, Instance: inst})
 		}
 		for _, tu := range st.Tuples {
-			if _, err := t.InsertWithOID(tu.OID, tu.Values); err != nil {
-				return err
-			}
+			apply(&pInsertTuple{Table: st.Name, OID: tu.OID, Values: tu.Values})
 			tableOf[tu.OID] = st.Name
 		}
 	}
-
-	// Annotations in original Seq order: summarization re-derives every
-	// summary object and statistic.
 	for _, a := range snap.Annotations {
 		table := tableOf[a.TupleOID]
 		if table == "" {
 			continue
 		}
-		if _, err := db.applyAddAnnotation(table, a.TupleOID, a.ID, a.Seq, a.Text, a.Columns, a.Author); err != nil {
-			return err
-		}
+		apply(&pAddAnnotation{Table: table, OID: a.TupleOID, ID: a.ID, Seq: a.Seq,
+			Text: a.Text, Columns: a.Columns, Author: a.Author})
 		for _, oid := range a.Extra {
 			if t2 := tableOf[oid]; t2 != "" {
-				if err := db.applyAttachAnnotation(t2, oid, a.ID); err != nil {
-					return err
-				}
+				apply(&pAttachAnnotation{Table: t2, OID: oid, AnnID: a.ID})
 			}
 		}
 	}
-
-	// Indexes last (bulk creation over the replayed summaries).
 	for _, st := range snap.Tables {
 		for _, col := range st.DataIdx {
-			if err := db.applyCreateDataIndex(st.Name, col); err != nil {
-				return err
-			}
+			apply(&pCreateDataIndex{Table: st.Name, Column: col})
 		}
 		for _, inst := range st.SummaryIdx {
-			if err := db.createSummaryIndex(st.Name, inst); err != nil {
-				return err
-			}
+			apply(&pCreateSummaryIndex{Table: st.Name, Instance: inst})
 		}
 		for _, inst := range st.BaselineIdx {
-			if err := db.createBaselineIndex(st.Name, inst); err != nil {
-				return err
-			}
+			apply(&pCreateBaselineIndex{Table: st.Name, Instance: inst})
 		}
 	}
-
+	if err != nil {
+		return err
+	}
 	db.cat.SetNextOID(snap.NextOID)
 	db.cat.Anns.SetCounters(snap.NextAnnID, snap.NextAnnSeq)
 	return nil

@@ -1,42 +1,50 @@
 package engine
 
-// Write-ahead logging and crash recovery. The engine logs LOGICAL
-// records — one per mutating API call, carrying the operation's inputs
-// plus any identifiers the call would assign (OIDs, annotation IDs,
-// logical timestamps) — and recovery replays the committed prefix
-// through the same deterministic apply paths the live engine uses. The
-// protocol is redo-only ARIES-lite:
+// Write-ahead logging, crash recovery, and the one mutation pipeline.
+// The engine logs LOGICAL records — one per mutating API call, carrying
+// the operation's inputs plus any identifiers the call assigned (OIDs,
+// annotation IDs, logical timestamps) — and the record's payload type IS
+// the mutation: it names its record type and knows how to apply itself
+// to a database (the mutation interface below). There is one way a
+// mutation reaches the state, whoever feeds it:
 //
-//   - Append before apply: while holding the exclusive lock, a mutator
-//     first appends its record (capturing peeked IDs), then applies it.
-//     The buffer pool stamps pages dirtied under that lock with the
-//     log's appended LSN and forces the log through a page's LSN before
-//     its image reaches the backing store (pager.PageLogger).
-//   - Group commit: every auto-committed operation appends a commit
-//     record under the same lock hold, then waits — outside the lock,
-//     so readers drain during the fsync — for the log to become durable
+//   - A live call takes the exclusive lock (Txn.enter refuses with
+//     ErrClosed after Close), validates against the live state plus the
+//     transaction's pending effects, reserves the identifiers it will
+//     assign, and records the typed payload in the transaction's buffer.
+//     Nothing is logged or applied yet, so a rejected call leaves no
+//     trace in the log.
+//   - Commit (Txn.finish) appends every buffered record followed by the
+//     commit record, applies the batch, and publishes the next epoch —
+//     all under one exclusive hold, so a checkpoint can never capture a
+//     transaction's effects without also covering its commit record.
+//     Append before apply: the buffer pool stamps pages dirtied under
+//     that hold with the log's appended LSN and forces the log through a
+//     page's LSN before its image reaches the backing store
+//     (pager.PageLogger). An auto-committed DB method is the same step
+//     run as a one-operation transaction under a single hold.
+//   - Group commit: the committer then waits — outside the lock, so
+//     readers drain during the fsync — for the log to become durable
 //     through its commit LSN. A dedicated flusher batches all commits
 //     that arrive within Config.GroupCommitWindow into one fsync.
-//   - Recovery: Open loads the last checkpoint (exact IDs preserved),
-//     scans the log — truncating a torn tail to the longest valid
-//     prefix — determines the committed transaction set from the commit
-//     records found, and replays committed records with LSN beyond the
-//     checkpoint in order. Records of uncommitted transactions are
-//     skipped; the forced-ID apply paths reproduce the gaps those
-//     transactions left in the ID sequences.
+//   - Recovery: Open loads the last checkpoint (the dump re-emitted as
+//     mutations, exact IDs preserved), scans the log — truncating a torn
+//     tail to the longest valid prefix — determines the committed
+//     transaction set from the commit records found, and decodes and
+//     applies committed records with LSN beyond the checkpoint in order.
+//     Records of uncommitted transactions are skipped; the forced-ID
+//     apply bodies reproduce the gaps those transactions left in the ID
+//     sequences.
 //   - Checkpoints: a quiesced snapshot (no active transactions, log
 //     forced through the capture LSN, written to a temp file, fsynced,
 //     renamed) bounds recovery time; the log is compacted once the
 //     checkpoint is durable.
 //
-// Rollback does not undo — it discards: a transaction's operations are
-// BUFFERED (validated and their identifiers reserved immediately, but
-// neither logged nor applied) until Commit appends the whole batch plus
-// the commit record and applies it under one exclusive hold. Rollback
-// just drops the buffer: the live state never contains uncommitted
-// effects, nothing reaches the log, and checkpoints stay available
-// after any number of rollbacks. Reserved OIDs and annotation IDs stay
-// consumed, leaving the same ID gaps an aborted logged run would.
+// Rollback does not undo — it discards the buffer: the live state never
+// contains uncommitted effects, nothing reaches the log, and checkpoints
+// stay available after any number of rollbacks. Reserved OIDs and
+// annotation IDs stay consumed, leaving the same ID gaps an aborted
+// logged run would.
 
 import (
 	"bytes"
@@ -45,7 +53,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"repro/internal/catalog"
 	"repro/internal/model"
@@ -78,8 +85,21 @@ const (
 	recDeleteAnnotation
 )
 
+// mutation is one logical change to the database. apply is
+// deterministic given the state it runs against and is the only way
+// state changes: commit, WAL replay and snapshot load all end in it, so
+// it tolerates whatever a replay can present (a missing table, an
+// attachment that already exists) by returning an error or doing
+// nothing, never by panicking.
+type mutation interface {
+	recType() wal.Type
+	apply(db *DB) error
+}
+
 // Record payloads, gob-encoded. Identifier fields (OID, ID, Seq) are
-// the values the original call assigned, so replay forces them.
+// the values the original call assigned, so apply forces them. Each
+// type's apply sits with the API call that records it (engine.go,
+// instances.go).
 type (
 	pCreateTable struct {
 		Name    string
@@ -104,10 +124,19 @@ type (
 		Table, Instance string
 		Indexable       bool
 	}
-	pInstanceRef struct { // unlink, create/drop summary & baseline index
+	// pInstanceRef is the wire shape the five (table, instance) records
+	// share. gob writes the encoded type's name into every record, so
+	// they are logged as pInstanceRef (see Txn.log) and the bytes of
+	// those records stay what they have always been.
+	pInstanceRef struct {
 		Table, Instance string
 	}
-	pAddAnnotation struct {
+	pUnlinkInstance      pInstanceRef
+	pCreateSummaryIndex  pInstanceRef
+	pCreateBaselineIndex pInstanceRef
+	pDropSummaryIndex    pInstanceRef
+	pDropBaselineIndex   pInstanceRef
+	pAddAnnotation       struct {
 		Table   string
 		OID     int64
 		ID, Seq int64
@@ -125,86 +154,48 @@ type (
 	}
 )
 
+func (*pCreateTable) recType() wal.Type         { return recCreateTable }
+func (*pInsertTuple) recType() wal.Type         { return recInsertTuple }
+func (*pDeleteTuple) recType() wal.Type         { return recDeleteTuple }
+func (*pCreateDataIndex) recType() wal.Type     { return recCreateDataIndex }
+func (*pDefineInstance) recType() wal.Type      { return recDefineInstance }
+func (*pLinkInstance) recType() wal.Type        { return recLinkInstance }
+func (*pUnlinkInstance) recType() wal.Type      { return recUnlinkInstance }
+func (*pCreateSummaryIndex) recType() wal.Type  { return recCreateSummaryIndex }
+func (*pCreateBaselineIndex) recType() wal.Type { return recCreateBaselineIndex }
+func (*pDropSummaryIndex) recType() wal.Type    { return recDropSummaryIndex }
+func (*pDropBaselineIndex) recType() wal.Type   { return recDropBaselineIndex }
+func (*pAddAnnotation) recType() wal.Type       { return recAddAnnotation }
+func (*pAttachAnnotation) recType() wal.Type    { return recAttachAnnotation }
+func (*pDeleteAnnotation) recType() wal.Type    { return recDeleteAnnotation }
+
+func (p *pUnlinkInstance) wire() any      { return (*pInstanceRef)(p) }
+func (p *pCreateSummaryIndex) wire() any  { return (*pInstanceRef)(p) }
+func (p *pCreateBaselineIndex) wire() any { return (*pInstanceRef)(p) }
+func (p *pDropSummaryIndex) wire() any    { return (*pInstanceRef)(p) }
+func (p *pDropBaselineIndex) wire() any   { return (*pInstanceRef)(p) }
+
+// newMutation maps a record type to an empty payload for replay to
+// decode into.
+var newMutation = map[wal.Type]func() mutation{
+	recCreateTable:         func() mutation { return new(pCreateTable) },
+	recInsertTuple:         func() mutation { return new(pInsertTuple) },
+	recDeleteTuple:         func() mutation { return new(pDeleteTuple) },
+	recCreateDataIndex:     func() mutation { return new(pCreateDataIndex) },
+	recDefineInstance:      func() mutation { return new(pDefineInstance) },
+	recLinkInstance:        func() mutation { return new(pLinkInstance) },
+	recUnlinkInstance:      func() mutation { return new(pUnlinkInstance) },
+	recCreateSummaryIndex:  func() mutation { return new(pCreateSummaryIndex) },
+	recCreateBaselineIndex: func() mutation { return new(pCreateBaselineIndex) },
+	recDropSummaryIndex:    func() mutation { return new(pDropSummaryIndex) },
+	recDropBaselineIndex:   func() mutation { return new(pDropBaselineIndex) },
+	recAddAnnotation:       func() mutation { return new(pAddAnnotation) },
+	recAttachAnnotation:    func() mutation { return new(pAttachAnnotation) },
+	recDeleteAnnotation:    func() mutation { return new(pDeleteAnnotation) },
+}
+
 // ErrTxnDone reports an operation on a committed or rolled-back Txn.
 var ErrTxnDone = errors.New("engine: transaction already finished")
-
-// logAppend encodes payload and appends one record; with no WAL
-// attached it is a no-op returning LSN 0. The caller holds the
-// exclusive lock (all appends happen under it, so the log is frozen
-// whenever the shared lock is held — checkpoints rely on this). An
-// encode failure is a programming bug (payload types are closed) and
-// panics; an append failure is an I/O error the mutator must surface.
-func (db *DB) logAppend(t wal.Type, txid uint64, payload any) (uint64, error) {
-	if db.wal == nil {
-		return 0, nil
-	}
-	var buf bytes.Buffer
-	if payload != nil {
-		if err := gob.NewEncoder(&buf).Encode(payload); err != nil {
-			panic(fmt.Errorf("engine: encoding wal payload %T: %w", payload, err))
-		}
-	}
-	return db.wal.Append(t, txid, buf.Bytes())
-}
-
-// runAuto executes one mutation as its own transaction. fn runs under
-// the exclusive lock with a fresh transaction ID: it appends its
-// operation record and applies it, returning the record's LSN (0 if
-// nothing was logged — WAL off or validation failed before the
-// append). If a record was appended, the commit record follows under
-// the SAME lock hold — a checkpoint can therefore never capture
-// effects of an auto-transaction without also covering its commit
-// record — and the commit is forced durable after the lock is
-// released, so concurrent readers drain while the fsync runs.
-//
-// When fn appended its record but failed during apply, the commit
-// record is still written: replay reproduces the identical
-// deterministic outcome (including partial application), keeping
-// recovered state byte-equivalent to the live state that the caller
-// observed alongside the returned error.
-//
-// The next epoch is published before the lock drops — even on error,
-// because fn may have applied partial effects, and the live-visibility
-// contract says queries see exactly what the mutator left behind. The
-// one exception is the ingest hot path: an operation that only added to
-// the net-delta buffer and left it under the flush threshold publishes
-// nothing. Readers pin published epochs, so its raw annotation stays
-// invisible and no per-op copy-on-write shells are built; the dirty
-// flag raised instead makes the next read force the flush (and the
-// publication) first. A threshold of 0 or 1 trips on every operation.
-func (db *DB) runAuto(fn func(txid uint64) (uint64, error)) error {
-	db.mu.Lock()
-	db.nextTxID++
-	txid := db.nextTxID
-	pending := db.ingest.ops
-	opLSN, err := fn(txid)
-	var commitLSN uint64
-	var l *wal.Log
-	if opLSN != 0 {
-		var cerr error
-		commitLSN, cerr = db.logAppend(recCommit, txid, nil)
-		if err == nil {
-			err = cerr
-		}
-		l = db.wal
-	}
-	if db.ingest.ops > pending && db.ingest.ops < db.ingestEvery {
-		db.ingestDirty.Store(true)
-	} else {
-		if db.ingest.ops >= db.ingestEvery {
-			db.flushIngestLocked()
-		}
-		db.publishLocked()
-	}
-	db.mu.Unlock()
-	if commitLSN != 0 && l != nil {
-		if cerr := l.Commit(commitLSN); cerr != nil && err == nil {
-			err = cerr
-		}
-		db.maybeCheckpoint()
-	}
-	return err
-}
 
 // walLog returns the attached log under the shared lock (nil when
 // durability is off).
@@ -328,115 +319,22 @@ func Open(cfg Config) (*DB, error) {
 	return db, nil
 }
 
-// replayRecord redoes one committed record through the engine's
-// deterministic apply paths. Apply-level errors are swallowed: the
-// original call hit the same deterministic error (or deterministic
-// partial application) when the record was logged, so replay reproduces
-// that exact outcome. Only decode failures — corruption that passed the
-// CRC, or version skew — are returned.
+// replayRecord redoes one committed record: look the payload type up,
+// decode, apply. Apply errors are swallowed: the original call hit the
+// same deterministic error (or deterministic partial application) when
+// the record was logged, so replay reproduces that exact outcome. Only
+// decode failures — corruption that passed the CRC, or version skew —
+// are returned.
 func (db *DB) replayRecord(rec wal.Record) error {
-	dec := func(v any) error {
-		return gob.NewDecoder(bytes.NewReader(rec.Payload)).Decode(v)
-	}
-	switch rec.Type {
-	case recCreateTable:
-		var p pCreateTable
-		if err := dec(&p); err != nil {
-			return err
-		}
-		cols := make([]model.Column, len(p.Columns))
-		for i, c := range p.Columns {
-			cols[i] = model.Column{Name: c.Name, Kind: c.Kind}
-		}
-		db.cat.CreateTable(p.Name, model.NewSchema("", cols...))
-		db.bumpCatalogVersion()
-	case recInsertTuple:
-		var p pInsertTuple
-		if err := dec(&p); err != nil {
-			return err
-		}
-		if t, err := db.cat.Table(p.Table); err == nil {
-			t.InsertWithOID(p.OID, p.Values)
-		}
-	case recDeleteTuple:
-		var p pDeleteTuple
-		if err := dec(&p); err != nil {
-			return err
-		}
-		if t, err := db.cat.Table(p.Table); err == nil {
-			if rid, ok := t.DiskTupleLoc(p.OID); ok {
-				db.applyDeleteTuple(t, p.Table, p.OID, rid)
-			}
-		}
-	case recCreateDataIndex:
-		var p pCreateDataIndex
-		if err := dec(&p); err != nil {
-			return err
-		}
-		db.applyCreateDataIndex(p.Table, p.Column)
-	case recDefineInstance:
-		var p pDefineInstance
-		if err := dec(&p); err != nil {
-			return err
-		}
-		db.applyDefineInstance(&p.Inst)
-	case recLinkInstance:
-		var p pLinkInstance
-		if err := dec(&p); err != nil {
-			return err
-		}
-		db.applyLinkInstance(p.Table, p.Instance, p.Indexable)
-	case recUnlinkInstance:
-		var p pInstanceRef
-		if err := dec(&p); err != nil {
-			return err
-		}
-		db.applyUnlinkInstance(p.Table, p.Instance)
-	case recCreateSummaryIndex:
-		var p pInstanceRef
-		if err := dec(&p); err != nil {
-			return err
-		}
-		db.createSummaryIndex(p.Table, p.Instance)
-	case recCreateBaselineIndex:
-		var p pInstanceRef
-		if err := dec(&p); err != nil {
-			return err
-		}
-		db.createBaselineIndex(p.Table, p.Instance)
-	case recDropSummaryIndex:
-		var p pInstanceRef
-		if err := dec(&p); err != nil {
-			return err
-		}
-		db.applyDropSummaryIndex(p.Table, p.Instance)
-	case recDropBaselineIndex:
-		var p pInstanceRef
-		if err := dec(&p); err != nil {
-			return err
-		}
-		db.applyDropBaselineIndex(p.Table, p.Instance)
-	case recAddAnnotation:
-		var p pAddAnnotation
-		if err := dec(&p); err != nil {
-			return err
-		}
-		db.applyAddAnnotation(p.Table, p.OID, p.ID, p.Seq, p.Text, p.Columns, p.Author)
-	case recAttachAnnotation:
-		var p pAttachAnnotation
-		if err := dec(&p); err != nil {
-			return err
-		}
-		db.applyAttachAnnotation(p.Table, p.OID, p.AnnID)
-	case recDeleteAnnotation:
-		var p pDeleteAnnotation
-		if err := dec(&p); err != nil {
-			return err
-		}
-		db.applyDeleteAnnotation(p.Table, p.AnnID)
-	default:
+	mk, ok := newMutation[rec.Type]
+	if !ok {
 		return fmt.Errorf("unknown record type %d", rec.Type)
 	}
+	op := mk()
+	if err := gob.NewDecoder(bytes.NewReader(rec.Payload)).Decode(op); err != nil {
+		return err
+	}
+	_ = op.apply(db)
 	return nil
 }
 
@@ -452,25 +350,21 @@ func (db *DB) replayRecord(rec wal.Record) error {
 type Txn struct {
 	db   *DB
 	id   uint64
-	ops  []txnOp
+	ops  []mutation
 	done bool
-	// Pending-visibility maps: later operations of this transaction must
-	// see its earlier buffered effects, which the live state does not
-	// contain until Commit applies them.
-	newOIDs map[string]map[int64]bool   // tx-inserted tuples, per lowercase table
-	delOIDs map[string]map[int64]bool   // tx-deleted tuples, per lowercase table
-	newAnns map[int64]*model.Annotation // tx-added annotations, by reserved ID
-	delAnns map[int64]bool              // tx-deleted annotation IDs
-}
-
-// txnOp is one buffered operation: the WAL record Commit will append
-// and the deterministic apply closure that redoes it. The closures are
-// the same replay-tolerant paths recovery uses, so apply-level errors
-// are swallowed exactly as replayRecord swallows them.
-type txnOp struct {
-	rt    wal.Type
-	pay   any
-	apply func(db *DB)
+	// auto marks the one-operation transaction behind an auto-committing
+	// DB method: it commits under the hold that recorded its operation,
+	// so it tracks no pending effects, and a commit that leaves the
+	// ingest buffer under its threshold publishes nothing (see finish).
+	auto bool
+	// Pending effects: later operations of this transaction must see its
+	// earlier buffered ones, which the live state does not contain until
+	// Commit applies them. OIDs are catalog-wide unique, so the sets are
+	// keyed by ID alone; an inserted tuple remembers its table.
+	newOIDs map[int64]*catalog.Table // tx-inserted tuples
+	delOIDs map[int64]bool           // tx-deleted tuples
+	newAnns map[int64]bool           // tx-added annotations, by reserved ID
+	delAnns map[int64]bool           // tx-deleted annotations
 }
 
 // Begin starts a transaction. While any transaction is open,
@@ -484,231 +378,169 @@ func (db *DB) Begin() *Txn {
 	return &Txn{
 		db:      db,
 		id:      db.nextTxID,
-		newOIDs: make(map[string]map[int64]bool),
-		delOIDs: make(map[string]map[int64]bool),
-		newAnns: make(map[int64]*model.Annotation),
+		newOIDs: make(map[int64]*catalog.Table),
+		delOIDs: make(map[int64]bool),
+		newAnns: make(map[int64]bool),
 		delAnns: make(map[int64]bool),
 	}
 }
 
-// run executes one validate-and-buffer step under the exclusive lock
-// with this transaction's ID.
-func (tx *Txn) run(fn func() error) error {
+// auto runs step — one operation's validate-and-record — as a
+// one-operation transaction that commits under the same exclusive hold:
+// what every auto-committing DB method is.
+func (db *DB) auto(step func(tx *Txn) error) error {
+	tx := &Txn{db: db, auto: true}
+	if err := tx.enter(); err != nil {
+		return err
+	}
+	db.nextTxID++
+	tx.id = db.nextTxID
+	return tx.finish(step(tx))
+}
+
+// step runs one validate-and-record step of an explicit transaction.
+func (tx *Txn) step(fn func() error) error {
+	if err := tx.enter(); err != nil {
+		return err
+	}
+	defer tx.db.mu.Unlock()
+	return fn()
+}
+
+// enter takes the exclusive lock for one step of the transaction — the
+// single entry of the mutation pipeline, and so the one place a
+// mutation of a closed database is refused: Close has detached the log
+// and torn down the pool, so applying anything would ack a write that
+// is gone on reopen.
+func (tx *Txn) enter() error {
 	if tx.done {
 		return ErrTxnDone
 	}
 	tx.db.mu.Lock()
-	err := fn()
-	tx.db.mu.Unlock()
-	return err
-}
-
-// tupleVisible reports whether the transaction can see a tuple: live in
-// the table or buffered by an earlier Insert, and not buffered-deleted.
-func (tx *Txn) tupleVisible(t *catalog.Table, table string, oid int64) bool {
-	key := strings.ToLower(table)
-	if tx.delOIDs[key][oid] {
-		return false
+	if tx.db.closed {
+		tx.db.mu.Unlock()
+		return ErrClosed
 	}
-	if _, ok := t.DiskTupleLoc(oid); ok {
-		return true
-	}
-	return tx.newOIDs[key][oid]
+	return nil
 }
 
-// annVisible reports whether the transaction can see an annotation.
-func (tx *Txn) annVisible(annID int64) bool {
-	if tx.delAnns[annID] {
-		return false
-	}
-	if _, ok := tx.db.cat.Anns.Get(annID); ok {
-		return true
-	}
-	return tx.newAnns[annID] != nil
-}
-
-// Insert adds a tuple within the transaction, reserving and returning
-// the OID it will occupy after Commit.
-func (tx *Txn) Insert(table string, values ...model.Value) (int64, error) {
-	var oid int64
-	err := tx.run(func() error {
-		db := tx.db
-		t, err := db.cat.Table(table)
-		if err != nil {
-			return err
-		}
-		if len(values) != t.Schema.Len() {
-			return fmt.Errorf("catalog: %s expects %d values, got %d", t.Name, t.Schema.Len(), len(values))
-		}
-		oid = t.PeekOID()
-		db.cat.SetNextOID(oid) // consume: interleaved writers must not reuse it
-		key := strings.ToLower(table)
-		if tx.newOIDs[key] == nil {
-			tx.newOIDs[key] = make(map[int64]bool)
-		}
-		tx.newOIDs[key][oid] = true
-		p := pInsertTuple{Table: table, OID: oid, Values: values}
-		tx.ops = append(tx.ops, txnOp{rt: recInsertTuple, pay: p, apply: func(db *DB) {
-			if t, err := db.cat.Table(p.Table); err == nil {
-				t.InsertWithOID(p.OID, p.Values)
-			}
-		}})
-		return nil
-	})
-	return oid, err
-}
-
-// AddAnnotation attaches a raw annotation within the transaction. The
-// returned annotation carries the reserved ID and timestamp; the stored
-// copy materializes at Commit.
-func (tx *Txn) AddAnnotation(table string, oid int64, text string, columns []string, author string) (*model.Annotation, error) {
-	var ann *model.Annotation
-	err := tx.run(func() error {
-		db := tx.db
-		t, err := db.cat.Table(table)
-		if err != nil {
-			return err
-		}
-		if !tx.tupleVisible(t, table, oid) {
-			return fmt.Errorf("engine: %s has no tuple %d", table, oid)
-		}
-		id, seq := db.cat.Anns.PeekID(), db.cat.Anns.PeekSeq()
-		db.cat.Anns.SetCounters(id, seq) // consume the reserved identifiers
-		ann = &model.Annotation{ID: id, Text: text, TupleOID: oid, Columns: columns, Author: author, Seq: seq}
-		tx.newAnns[id] = ann
-		p := pAddAnnotation{
-			Table: table, OID: oid, ID: id, Seq: seq, Text: text, Columns: columns, Author: author,
-		}
-		tx.ops = append(tx.ops, txnOp{rt: recAddAnnotation, pay: p, apply: func(db *DB) {
-			db.applyAddAnnotation(p.Table, p.OID, p.ID, p.Seq, p.Text, p.Columns, p.Author)
-		}})
-		return nil
-	})
-	return ann, err
-}
-
-// AttachAnnotation attaches an existing annotation to another tuple
-// within the transaction.
-func (tx *Txn) AttachAnnotation(table string, oid, annID int64) error {
-	return tx.run(func() error {
-		db := tx.db
-		t, err := db.cat.Table(table)
-		if err != nil {
-			return err
-		}
-		if !tx.tupleVisible(t, table, oid) {
-			return fmt.Errorf("engine: %s has no tuple %d", table, oid)
-		}
-		if !tx.annVisible(annID) {
-			return fmt.Errorf("engine: no annotation %d", annID)
-		}
-		p := pAttachAnnotation{Table: table, OID: oid, AnnID: annID}
-		tx.ops = append(tx.ops, txnOp{rt: recAttachAnnotation, pay: p, apply: func(db *DB) {
-			db.applyAttachAnnotation(p.Table, p.OID, p.AnnID)
-		}})
-		return nil
-	})
-}
-
-// DeleteAnnotation removes an annotation within the transaction.
-func (tx *Txn) DeleteAnnotation(table string, annID int64) error {
-	return tx.run(func() error {
-		db := tx.db
-		if _, err := db.cat.Table(table); err != nil {
-			return err
-		}
-		if !tx.annVisible(annID) {
-			return fmt.Errorf("engine: no annotation %d", annID)
-		}
-		tx.delAnns[annID] = true
-		p := pDeleteAnnotation{Table: table, AnnID: annID}
-		tx.ops = append(tx.ops, txnOp{rt: recDeleteAnnotation, pay: p, apply: func(db *DB) {
-			db.applyDeleteAnnotation(p.Table, p.AnnID)
-		}})
-		return nil
-	})
-}
-
-// DeleteTuple removes a tuple within the transaction.
-func (tx *Txn) DeleteTuple(table string, oid int64) error {
-	return tx.run(func() error {
-		db := tx.db
-		t, err := db.cat.Table(table)
-		if err != nil {
-			return err
-		}
-		if !tx.tupleVisible(t, table, oid) {
-			return fmt.Errorf("engine: %s has no tuple %d", table, oid)
-		}
-		key := strings.ToLower(table)
-		if tx.delOIDs[key] == nil {
-			tx.delOIDs[key] = make(map[int64]bool)
-		}
-		tx.delOIDs[key][oid] = true
-		p := pDeleteTuple{Table: table, OID: oid}
-		tx.ops = append(tx.ops, txnOp{rt: recDeleteTuple, pay: p, apply: func(db *DB) {
-			if t, err := db.cat.Table(p.Table); err == nil {
-				if rid, ok := t.DiskTupleLoc(p.OID); ok {
-					db.applyDeleteTuple(t, p.Table, p.OID, rid)
+// finish ends the exclusive hold enter began. A nil err commits the
+// buffered operations (a non-nil one is an auto-commit whose step was
+// rejected, and only drops the lock): every record and then the commit
+// record is appended, the batch is applied, and the next epoch is
+// published, all before the lock drops; the wait for the commit record
+// to become durable happens after, so concurrent readers and writers
+// proceed while the fsync runs.
+//
+// If an append fails the transaction aborts cleanly — nothing is
+// applied or published, and with no commit record in the log recovery
+// discards whatever records made it in. Once the commit record is
+// appended every operation is applied, even past one whose apply fails:
+// replay reproduces the identical deterministic outcome, keeping
+// recovered state equal to the live state the caller observed alongside
+// the returned (first) apply error.
+//
+// An explicit Commit is an ingest flush trigger, so the epoch it
+// publishes carries fully maintained summaries. An auto-commit flushes
+// only at the threshold (0 or 1 trips on every operation), and one that
+// merely added to the net-delta buffer publishes nothing: readers pin
+// published epochs, so its raw annotation stays invisible and no per-op
+// copy-on-write shells are built; the dirty flag raised instead makes
+// the next read force the flush (and the publication) first.
+func (tx *Txn) finish(err error) error {
+	db := tx.db
+	var commitLSN uint64
+	if err == nil && len(tx.ops) > 0 {
+		if commitLSN, err = tx.log(); err == nil {
+			pending := db.ingest.ops
+			for _, op := range tx.ops {
+				if aerr := op.apply(db); aerr != nil && err == nil {
+					err = aerr
 				}
 			}
-		}})
-		return nil
-	})
-}
-
-// Commit makes the transaction real: under one exclusive hold it
-// appends every buffered record followed by the commit record, applies
-// the batch through the deterministic redo paths, and publishes the
-// next epoch. If any append fails the transaction aborts cleanly —
-// nothing is applied or published, and with no commit record in the log
-// recovery discards whatever records made it in. After a nil return the
-// whole transaction is visible to new readers and survives any crash
-// once the commit is forced durable under the group-commit policy.
-func (tx *Txn) Commit() error {
-	if tx.done {
-		return ErrTxnDone
-	}
-	db := tx.db
-	db.mu.Lock()
-	tx.done = true
-	db.activeTxns--
-	var commitLSN uint64
-	var err error
-	var l *wal.Log
-	if len(tx.ops) > 0 {
-		for _, op := range tx.ops {
-			if _, err = db.logAppend(op.rt, tx.id, op.pay); err != nil {
-				break
+			if !tx.auto || db.ingest.ops >= db.ingestEvery {
+				db.flushIngestLocked()
+			}
+			if db.ingest.ops > pending {
+				db.ingestDirty.Store(true)
+			} else {
+				db.publishLocked()
 			}
 		}
-		if err == nil {
-			commitLSN, err = db.logAppend(recCommit, tx.id, nil)
-		}
-		if err == nil {
-			for _, op := range tx.ops {
-				op.apply(db)
-			}
-			// Commit is a flush trigger: the transaction's own annotation
-			// adds (and any older autocommitted tail) buffered their
-			// maintenance; fold the net delta so the epoch published for
-			// this commit carries fully maintained summaries.
-			db.flushIngestLocked()
-			db.publishLocked()
-			l = db.wal
-		}
 	}
+	l := db.wal
 	db.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if commitLSN != 0 && l != nil {
-		if err := l.Commit(commitLSN); err != nil {
-			return err
+	if commitLSN != 0 {
+		if cerr := l.Commit(commitLSN); cerr != nil && err == nil {
+			err = cerr
 		}
 		db.maybeCheckpoint()
 	}
+	return err
+}
+
+// log appends the transaction's records and its commit record,
+// returning the commit LSN; with no WAL attached it is a no-op
+// returning 0. The caller holds the exclusive lock (all appends happen
+// under it, so the log is frozen whenever the shared lock is held —
+// checkpoints rely on this). An encode failure is a programming bug
+// (payload types are closed) and panics; an append failure is an I/O
+// error the committer must surface.
+func (tx *Txn) log() (uint64, error) {
+	l := tx.db.wal
+	if l == nil {
+		return 0, nil
+	}
+	var buf bytes.Buffer
+	for _, op := range tx.ops {
+		var payload any = op
+		if w, ok := op.(interface{ wire() any }); ok {
+			payload = w.wire()
+		}
+		buf.Reset()
+		if err := gob.NewEncoder(&buf).Encode(payload); err != nil {
+			panic(fmt.Errorf("engine: encoding wal payload %T: %w", payload, err))
+		}
+		if _, err := l.Append(op.recType(), tx.id, buf.Bytes()); err != nil {
+			return 0, err
+		}
+	}
+	return l.Append(recCommit, tx.id, nil)
+}
+
+// visibleTuple resolves table and checks that the transaction can see
+// oid in it — live in the table or buffered by an earlier Insert, and
+// not buffered-deleted.
+func (tx *Txn) visibleTuple(table string, oid int64) (*catalog.Table, error) {
+	t, err := tx.db.cat.Table(table)
+	if err != nil {
+		return nil, err
+	}
+	if _, live := t.DiskTupleLoc(oid); tx.delOIDs[oid] || !live && tx.newOIDs[oid] != t {
+		return nil, fmt.Errorf("engine: %s has no tuple %d", table, oid)
+	}
+	return t, nil
+}
+
+// visibleAnn checks that the transaction can see an annotation.
+func (tx *Txn) visibleAnn(annID int64) error {
+	if _, live := tx.db.cat.Anns.Get(annID); tx.delAnns[annID] || !live && !tx.newAnns[annID] {
+		return fmt.Errorf("engine: no annotation %d", annID)
+	}
 	return nil
+}
+
+// Commit makes the transaction real (see finish). After a nil return
+// the whole transaction is visible to new readers and survives any
+// crash once the commit is forced durable under the group-commit
+// policy.
+func (tx *Txn) Commit() error {
+	if err := tx.enter(); err != nil {
+		return err
+	}
+	tx.done = true
+	tx.db.activeTxns--
+	return tx.finish(nil)
 }
 
 // Rollback abandons the transaction by discarding its buffer. Nothing

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,117 +13,185 @@ import (
 	"repro/internal/wal"
 )
 
-// tortureWorkload drives a deterministic mixed mutation sequence through
-// the public API: DDL, inserts, annotations (auto-commit and explicit
+// mutator is the DML surface *DB (auto-commit) and *Txn (buffered until
+// Commit) share.
+type mutator interface {
+	Insert(table string, values ...model.Value) (int64, error)
+	AddAnnotation(table string, oid int64, text string, columns []string, author string) (*model.Annotation, error)
+	AttachAnnotation(table string, oid, annID int64) error
+	DeleteAnnotation(table string, annID int64) error
+	DeleteTuple(table string, oid int64) error
+}
+
+// tortureIDs collects the identifiers earlier steps were assigned, in
+// call order, so later steps can address them.
+type tortureIDs struct{ oids, anns []int64 }
+
+// tortureStep is one call of the torture workload: DDL, which has no
+// transactional form and runs against the DB, or DML against a mutator.
+// txn says how the workload as issued runs a DML step: 0 as an
+// auto-commit, 'c' inside its committed transaction, 'r' inside its
+// rolled-back one.
+type tortureStep struct {
+	ddl func(db *DB) error
+	dml func(m mutator, ids *tortureIDs) error
+	txn byte
+}
+
+func insertBird(i int, family string, txn byte) tortureStep {
+	return tortureStep{txn: txn, dml: func(m mutator, ids *tortureIDs) error {
+		oid, err := m.Insert("Birds",
+			model.NewInt(int64(i)), model.NewText(fmt.Sprintf("Bird%03d", i)), model.NewText(family))
+		ids.oids = append(ids.oids, oid)
+		return err
+	}}
+}
+
+// annotateBird annotates the tuple the workload's oid-th insert made.
+func annotateBird(oid int, label string, i int, columns []string, author string, txn byte) tortureStep {
+	return tortureStep{txn: txn, dml: func(m mutator, ids *tortureIDs) error {
+		ann, err := m.AddAnnotation("Birds", ids.oids[oid], annText(label, i), columns, author)
+		if err == nil {
+			ids.anns = append(ids.anns, ann.ID)
+		}
+		return err
+	}}
+}
+
+func attach(table string, oid, ann int, txn byte) tortureStep {
+	return tortureStep{txn: txn, dml: func(m mutator, ids *tortureIDs) error {
+		return m.AttachAnnotation(table, ids.oids[oid], ids.anns[ann])
+	}}
+}
+
+// tortureSteps is a deterministic mixed mutation sequence through the
+// public API: DDL, inserts, annotations (auto-commit and explicit
 // transactions), a rolled-back transaction, deletes, index builds and
-// drops, and a second table with a cross-table attachment. It is the
-// logged history the boundary-kill matrix replays prefixes of.
+// drops, and a second table with a cross-table attachment.
+func tortureSteps() []tortureStep {
+	ddl := func(f func(db *DB) error) tortureStep { return tortureStep{ddl: f} }
+	steps := []tortureStep{
+		ddl(func(db *DB) error {
+			_, err := db.CreateTable("Birds", model.NewSchema("",
+				model.Column{Name: "id", Kind: model.KindInt},
+				model.Column{Name: "name", Kind: model.KindText},
+				model.Column{Name: "family", Kind: model.KindText},
+			))
+			return err
+		}),
+		ddl(func(db *DB) error {
+			return db.DefineClassifier("ClassBird1",
+				[]string{"Disease", "Anatomy", "Behavior", "Other"}, birdTraining)
+		}),
+		ddl(func(db *DB) error { return db.DefineSnippet("TextSummary1", 200, 80) }),
+		ddl(func(db *DB) error { return db.LinkInstance("Birds", "ClassBird1", true) }),
+		ddl(func(db *DB) error { return db.LinkInstance("Birds", "TextSummary1", false) }),
+	}
+	for i := 1; i <= 5; i++ { // oids[0..4], anns[0..4]
+		steps = append(steps, insertBird(i, "Anatidae", 0), annotateBird(i-1, "Disease", i, nil, "tester", 0))
+	}
+	return append(steps,
+		ddl(func(db *DB) error { return db.CreateSummaryIndex("Birds", "ClassBird1") }),
+		ddl(func(db *DB) error { return db.CreateDataIndex("Birds", "id") }),
+
+		// Explicit transaction, committed: its records become durable as
+		// one unit when the commit record is forced.
+		insertBird(6, "Corvidae", 'c'),                  // oids[5]
+		annotateBird(5, "Anatomy", 6, nil, "txer", 'c'), // anns[5]
+		attach("Birds", 0, 5, 'c'),
+
+		// Explicit transaction, rolled back: its operations were buffered
+		// and never reach the log or the live state — only the IDs it
+		// reserved stay consumed (the later adds log past the gap).
+		insertBird(7, "Laridae", 'r'),                    // oids[6]
+		annotateBird(1, "Behavior", 7, nil, "txer", 'r'), // anns[6]
+
+		annotateBird(2, "Other", 8, []string{"name"}, "tester", 0), // anns[7]
+		tortureStep{dml: func(m mutator, ids *tortureIDs) error { return m.DeleteAnnotation("Birds", ids.anns[3]) }},
+		tortureStep{dml: func(m mutator, ids *tortureIDs) error { return m.DeleteTuple("Birds", ids.oids[4]) }},
+		ddl(func(db *DB) error { return db.CreateBaselineIndex("Birds", "ClassBird1") }),
+		ddl(func(db *DB) error { db.DropSummaryIndex("Birds", "ClassBird1"); return nil }),
+		ddl(func(db *DB) error { return db.UnlinkInstance("Birds", "TextSummary1") }),
+
+		// Second table plus a cross-table attachment of an existing
+		// annotation.
+		ddl(func(db *DB) error {
+			_, err := db.CreateTable("Spots", model.NewSchema("", model.Column{Name: "place", Kind: model.KindText}))
+			return err
+		}),
+		tortureStep{dml: func(m mutator, ids *tortureIDs) error { // oids[7]
+			oid, err := m.Insert("Spots", model.NewText("lakeshore"))
+			ids.oids = append(ids.oids, oid)
+			return err
+		}},
+		attach("Spots", 7, 0, 0),
+	)
+}
+
+// Routes a step list can be issued by. As issued, each DML step runs the
+// way its txn mark says. The other two exist for the route-equivalence
+// test: every DML step an auto-commit, or every maximal run of DML steps
+// between two DDL statements inside one transaction. The rolled-back
+// steps stay a rolled-back transaction on every route — the ID gaps they
+// leave are part of the state.
+const (
+	routeAsIssued = iota
+	routeAuto
+	routeTxn
+)
+
+// runTorture issues steps against db by the given route.
+func runTorture(t *testing.T, db *DB, steps []tortureStep, route int) {
+	t.Helper()
+	var ids tortureIDs
+	var tx *Txn
+	var open byte // txn mark of the open transaction, 0 when none is
+	end := func() {
+		if open == 'c' {
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		} else if open == 'r' {
+			tx.Rollback()
+		}
+		open = 0
+	}
+	for i, st := range steps {
+		if st.ddl != nil {
+			end()
+			if err := st.ddl(db); err != nil {
+				t.Fatalf("step %d: %v", i, err)
+			}
+			continue
+		}
+		want := st.txn
+		if route == routeAuto && want == 'c' {
+			want = 0
+		} else if route == routeTxn && want == 0 {
+			want = 'c'
+		}
+		if want != open {
+			end()
+			if open = want; open != 0 {
+				tx = db.Begin()
+			}
+		}
+		var m mutator = db
+		if open != 0 {
+			m = tx
+		}
+		if err := st.dml(m, &ids); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	end()
+}
+
+// tortureWorkload is the logged history the boundary-kill matrix replays
+// prefixes of.
 func tortureWorkload(t *testing.T, db *DB) {
 	t.Helper()
-	schema := model.NewSchema("",
-		model.Column{Name: "id", Kind: model.KindInt},
-		model.Column{Name: "name", Kind: model.KindText},
-		model.Column{Name: "family", Kind: model.KindText},
-	)
-	if _, err := db.CreateTable("Birds", schema); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.DefineClassifier("ClassBird1",
-		[]string{"Disease", "Anatomy", "Behavior", "Other"}, birdTraining); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.DefineSnippet("TextSummary1", 200, 80); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.LinkInstance("Birds", "ClassBird1", true); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.LinkInstance("Birds", "TextSummary1", false); err != nil {
-		t.Fatal(err)
-	}
-	var oids []int64
-	var annIDs []int64
-	for i := 1; i <= 5; i++ {
-		oid, err := db.Insert("Birds",
-			model.NewInt(int64(i)), model.NewText(fmt.Sprintf("Bird%03d", i)), model.NewText("Anatidae"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		oids = append(oids, oid)
-		ann, err := db.AddAnnotation("Birds", oid, annText("Disease", i), nil, "tester")
-		if err != nil {
-			t.Fatal(err)
-		}
-		annIDs = append(annIDs, ann.ID)
-	}
-	if err := db.CreateSummaryIndex("Birds", "ClassBird1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.CreateDataIndex("Birds", "id"); err != nil {
-		t.Fatal(err)
-	}
-
-	// Explicit transaction, committed: its records become durable as one
-	// unit when the commit record is forced.
-	tx := db.Begin()
-	oid6, err := tx.Insert("Birds",
-		model.NewInt(6), model.NewText("Bird006"), model.NewText("Corvidae"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	txAnn, err := tx.AddAnnotation("Birds", oid6, annText("Anatomy", 6), nil, "txer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.AttachAnnotation("Birds", oids[0], txAnn.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Explicit transaction, rolled back: its operations were buffered and
-	// never reach the log or the live state — only the IDs it reserved
-	// stay consumed (the later adds log past the gap).
-	rb := db.Begin()
-	if _, err := rb.Insert("Birds",
-		model.NewInt(7), model.NewText("Bird007"), model.NewText("Laridae")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rb.AddAnnotation("Birds", oids[1], annText("Behavior", 7), nil, "txer"); err != nil {
-		t.Fatal(err)
-	}
-	rb.Rollback()
-
-	if _, err := db.AddAnnotation("Birds", oids[2], annText("Other", 8), []string{"name"}, "tester"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.DeleteAnnotation("Birds", annIDs[3]); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.DeleteTuple("Birds", oids[4]); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.CreateBaselineIndex("Birds", "ClassBird1"); err != nil {
-		t.Fatal(err)
-	}
-	db.DropSummaryIndex("Birds", "ClassBird1")
-	if err := db.UnlinkInstance("Birds", "TextSummary1"); err != nil {
-		t.Fatal(err)
-	}
-
-	// Second table plus a cross-table attachment of an existing annotation.
-	spots := model.NewSchema("", model.Column{Name: "place", Kind: model.KindText})
-	if _, err := db.CreateTable("Spots", spots); err != nil {
-		t.Fatal(err)
-	}
-	spotOID, err := db.Insert("Spots", model.NewText("lakeshore"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.AttachAnnotation("Spots", spotOID, annIDs[0]); err != nil {
-		t.Fatal(err)
-	}
+	runTorture(t, db, tortureSteps(), routeAsIssued)
 }
 
 // logicalState captures a DB's complete logical content for differential
@@ -530,26 +597,6 @@ func TestReadersNotBlockedByCommitWait(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestWALOffUnchanged pins the compatibility contract: without a WALDir
-// the DB reports no WAL metrics and renders the exact same metrics
-// report as before durability existed.
-func TestWALOffUnchanged(t *testing.T) {
-	db := New(Config{PageCap: 16})
-	if m := db.Metrics(); m.WAL != nil {
-		t.Fatalf("WAL metrics present without a WAL: %+v", m.WAL)
-	}
-	if s := db.Metrics().String(); strings.Contains(s, "wal:") {
-		t.Errorf("metrics report mentions wal without a WAL:\n%s", s)
-	}
-	res, err := Open(Config{PageCap: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.walLog() != nil {
-		t.Errorf("Open without WALDir attached a log")
 	}
 }
 

@@ -539,14 +539,21 @@ func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusCreated, map[string]any{"annotation_id": ann.ID})
 		return
 	}
+	// The batch is one transaction: all of it or none, one commit wait.
+	tx := s.db.Begin()
+	defer tx.Rollback() // a no-op once committed
 	ids := make([]int64, len(req.Items))
 	for i, item := range req.Items {
-		ann, err := s.db.AddAnnotation(req.Table, item.OID, item.Text, req.Columns, req.Author)
+		ann, err := tx.AddAnnotation(req.Table, item.OID, item.Text, req.Columns, req.Author)
 		if err != nil {
 			writeError(w, errorf(http.StatusBadRequest, CodeInvalidRequest, "item %d: %v", i, err))
 			return
 		}
 		ids[i] = ann.ID
+	}
+	if err := tx.Commit(); err != nil {
+		writeError(w, err)
+		return
 	}
 	writeJSON(w, http.StatusCreated, map[string]any{"annotation_ids": ids})
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/model"
 	"repro/internal/workload"
 )
 
@@ -171,6 +172,58 @@ func TestAdHocQueryAnnotateAndMetrics(t *testing.T) {
 	}
 	if def["admitted"].(float64) < 4 {
 		t.Fatalf("default tenant admitted = %v, want >= 4", def["admitted"])
+	}
+}
+
+// TestAnnotationBatchIsOneTransaction: the items form commits as a unit
+// — a rejected item leaves nothing of the batch behind, and an accepted
+// batch waits for one WAL commit, not one per item.
+func TestAnnotationBatchIsOneTransaction(t *testing.T) {
+	db, err := engine.Open(engine.Config{WALDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateTable("Birds", model.NewSchema("", model.Column{Name: "id", Kind: model.KindInt})); err != nil {
+		t.Fatal(err)
+	}
+	var items []map[string]any
+	for i := 0; i < 8; i++ {
+		oid, err := db.Insert("Birds", model.NewInt(int64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		items = append(items, map[string]any{"oid": oid, "text": fmt.Sprintf("note %d", i)})
+	}
+	srv, err := New(Config{DB: db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer func() {
+		ts.Close()
+		srv.Close()
+		db.Close()
+	}()
+
+	bad := append(append([]map[string]any{}, items[:2]...), map[string]any{"oid": 1 << 40, "text": "orphan"})
+	status, body := call(t, "POST", ts.URL+"/v1/annotations", map[string]any{"table": "Birds", "items": bad})
+	if status != http.StatusBadRequest || errCode(t, body) != CodeInvalidRequest {
+		t.Fatalf("batch with a missing OID: %d %v", status, body)
+	}
+	if n := db.AnnotationCount(); n != 0 {
+		t.Fatalf("rejected batch left %d annotations behind", n)
+	}
+
+	commits := db.Metrics().WAL.Commits
+	status, body = call(t, "POST", ts.URL+"/v1/annotations", map[string]any{"table": "Birds", "items": items})
+	if status != http.StatusCreated || len(body["annotation_ids"].([]any)) != 8 {
+		t.Fatalf("batch of 8: %d %v", status, body)
+	}
+	if got := db.Metrics().WAL.Commits - commits; got != 1 {
+		t.Errorf("batch of 8 waited for %d WAL commits, want 1", got)
+	}
+	if n := db.AnnotationCount(); n != 8 {
+		t.Errorf("AnnotationCount = %d after a batch of 8", n)
 	}
 }
 
