@@ -1,11 +1,16 @@
 GO ?= go
 
-.PHONY: check build vet test race race-core bench-harness flake-sweep loc bench-smoke recovery-torture mvcc-stress ingest-stress serve-stress vector-stress
+.PHONY: check fmt build vet test race race-core bench-harness flake-sweep loc bench-smoke recovery-torture mvcc-stress ingest-stress serve-stress vector-stress
 
-# check is the full CI gate: static analysis, a clean build, the test
-# suite under the race detector, and the benchmark harness (its own
-# module, so none of the above reaches it).
-check: vet build race race-core bench-harness
+# check is the full CI gate: formatting, static analysis, a clean build,
+# the test suite under the race detector, and the benchmark harness (its
+# own module, so none of the above reaches it).
+check: fmt vet build race race-core bench-harness
+
+# fmt fails when any Go file in the tree (benchmarks/ included) is not
+# gofmt-clean, naming the files.
+fmt:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 build:
 	$(GO) build ./...

@@ -78,8 +78,12 @@ func (db *DB) planSelect(env *optimizer.Env, sel *sql.SelectStmt, key string, o 
 		key += "\x00" + o.Fingerprint()
 		version = db.catalogVersion.Load()
 		if skel, ok := cache.Get(key, version); ok {
-			// A rebind failure (index dropped in a racing epoch under an
-			// unchanged-looking key) falls back to a full re-plan.
+			// Rebind fails only when a leaf's table or index does not
+			// resolve by name in env's epoch: a DROP raced this
+			// statement, which pinned the epoch without the object but
+			// read the version from before the bump. Re-plan against
+			// what exists. (Inner nodes cannot fail, and a leaf kind
+			// Rebind does not know fails plan's node-table test.)
 			if re, rerr := optimizer.Rebind(skel, env); rerr == nil {
 				return re, nil, true, nil
 			}

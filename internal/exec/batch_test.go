@@ -3,9 +3,11 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/index"
 	"repro/internal/model"
 	"repro/internal/sql"
 )
@@ -200,8 +202,6 @@ type cancelAfter struct {
 	cancel  context.CancelFunc
 }
 
-func (c *cancelAfter) SetContext(qc *QueryCtx) { SetIterContext(c.Operator, qc) }
-
 func (c *cancelAfter) NextBatch(qc *QueryCtx) (*Batch, error) {
 	b, err := c.Operator.NextBatch(qc)
 	if b != nil {
@@ -250,59 +250,120 @@ func TestMidBatchCancellationStopsWithinOneBatch(t *testing.T) {
 	}
 }
 
-// TestBreakersReleaseBatchesOnFailure runs every pipeline breaker into
-// a mid-input failure of each kind — an input error, a budget
-// violation, a cancellation — and requires that the batch pool ends up
-// holding no row pointers: every batch a breaker consumed was released
-// (which clears it) or dropped, never pooled dirty. The budget must be
-// fully returned by Close as well.
+// assertBudgetReturned requires that nothing is outstanding against b:
+// every reservation gave back at Close exactly what it had charged.
+func assertBudgetReturned(t *testing.T, what string, b *Budget) {
+	t.Helper()
+	if rows, bytes, spill := b.bufRows.Load(), b.bufBytes.Load(), b.spillBytes.Load(); rows != 0 || bytes != 0 || spill != 0 {
+		t.Fatalf("%s: budget not returned: rows=%d bytes=%d spill=%d", what, rows, bytes, spill)
+	}
+}
+
+// TestBreakersReleaseBatchesOnFailure runs every operator that charges
+// the budget — the pipeline breakers in their serial and partitioned
+// forms, and the Summary-BTree scan's hit list — to a clean finish and
+// into a failure of each kind: an input error, a budget violation or a
+// cancellation while Open drains the input, and a cancellation
+// mid-stream once Open has succeeded. After Close nothing may be
+// outstanding against the budget, and the batch pool must hold no row
+// pointers: every batch a breaker consumed was released (which clears
+// it) or dropped, never pooled dirty.
 func TestBreakersReleaseBatchesOnFailure(t *testing.T) {
 	key := mustExpr(t, "v")
+	count := []AggSpec{{Func: "count", Star: true, Name: "n"}}
+	schema, hundred := intRows(100)
+	probe := func() Operator { return NewSliceIter(schema, hundred) }
+	// few is the second partition of the partitioned forms; its keys
+	// repeat the first partition's, so merging partials releases charges.
+	few := func() Operator { return NewSliceIter(schema, hundred[:5]) }
+	f, sIdx, _ := indexedFixture(t, 400)
+	indexScan := func(part PartitionSpec) func(Operator) Operator {
+		return func(Operator) Operator { // a leaf: the hit list is what it buffers
+			s := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 0, false)
+			s.SortedFetch, s.Part = true, part
+			return s
+		}
+	}
 	breakers := map[string]func(in Operator) Operator{
 		"sort":          func(in Operator) Operator { return NewSort(in, []SortKey{{Expr: key}}, nil) },
 		"external_sort": func(in Operator) Operator { return NewExternalSort(in, []SortKey{{Expr: key}}, 8, nil) },
 		"hash_build": func(in Operator) Operator {
-			schema, rows := intRows(5)
-			return NewHashJoin(NewSliceIter(schema, rows), in, key, key, nil, false, nil)
+			return NewHashJoin(probe(), in, key, key, nil, false, nil)
 		},
-		"group_by": func(in Operator) Operator {
-			return NewGroupBy(in, []sql.Expr{key}, []AggSpec{{Func: "count", Star: true, Name: "n"}}, nil)
+		"partitioned_hash_build": func(in Operator) Operator {
+			return NewParallelHashJoin(probe(), []Operator{in, few()}, key, key, nil, false, nil)
 		},
-		"distinct": func(in Operator) Operator { return NewDistinct(in, nil) },
+		"group_by": func(in Operator) Operator { return NewGroupBy(in, []sql.Expr{key}, count, nil) },
+		"parallel_group_by": func(in Operator) Operator {
+			return NewParallelGroupBy([]Operator{in, few()}, []sql.Expr{key}, count, nil)
+		},
+		"distinct":               func(in Operator) Operator { return NewDistinct(in, nil) },
+		"index_scan_sorted":      indexScan(PartitionSpec{}),
+		"index_scan_partitioned": indexScan(PartitionSpec{Index: 1, Of: 2}),
 	}
-	schema := model.NewSchema("t", model.Column{Name: "v", Kind: model.KindInt})
 	for name, breaker := range breakers {
 		for _, capacity := range []int{1, 7, 1024} {
-			// Input error after 100 rows.
-			_, err := Collect(NewQueryCtx(nil, nil, capacity), breaker(&errAfterIter{schema: schema, n: 100}))
-			if err == nil || !strings.Contains(err.Error(), "simulated input failure") {
-				t.Fatalf("%s capacity %d: want the input failure, got %v", name, capacity, err)
+			what := fmt.Sprintf("%s capacity %d", name, capacity)
+			check := func(budget *Budget) {
+				t.Helper()
+				assertBudgetReturned(t, what, budget)
+				assertPoolHoldsNoRows(t)
 			}
-			assertPoolHoldsNoRows(t)
+
+			// A clean run charges something and returns all of it.
+			budget := NewBudget(0, 0, 0)
+			if _, err := Collect(NewQueryCtx(nil, budget, capacity), breaker(NewSliceIter(schema, hundred))); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if rows, _, _ := budget.ChargeTotals(); rows == 0 {
+				t.Fatalf("%s: charged nothing", what)
+			}
+			check(budget)
 
 			// Budget: 10 buffered rows and no spill room against 100
-			// distinct input rows fails every breaker mid-input.
-			_, rows := intRows(100)
-			budget := NewBudget(10, 0, 1)
-			_, err = Collect(NewQueryCtx(nil, budget, capacity), breaker(NewSliceIter(schema, rows)))
+			// distinct input rows (400 hits) fails every Open midway.
+			budget = NewBudget(10, 0, 1)
+			_, err := Collect(NewQueryCtx(nil, budget, capacity), breaker(NewSliceIter(schema, hundred)))
 			if !errors.Is(err, ErrBudgetExceeded) {
-				t.Fatalf("%s capacity %d: want ErrBudgetExceeded, got %v", name, capacity, err)
+				t.Fatalf("%s: want ErrBudgetExceeded, got %v", what, err)
 			}
-			if budget.BufferedRows() != 0 || budget.SpillBytes() != 0 {
-				t.Fatalf("%s capacity %d: budget not released: rows=%d spill=%d",
-					name, capacity, budget.BufferedRows(), budget.SpillBytes())
+			check(budget)
+
+			// Cancellation mid-stream: Open succeeded and holds its
+			// charges when the consumer cancels on an early output batch
+			// (an output that fits one batch is over before that).
+			budget = NewBudget(0, 0, 0)
+			ctx, cancel := context.WithCancel(context.Background())
+			out := &cancelAfter{Operator: breaker(NewSliceIter(schema, hundred)), k: 10, cancel: cancel}
+			_, err = Collect(NewQueryCtx(ctx, budget, capacity), out)
+			cancel()
+			if capacity < len(hundred) && !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: want context.Canceled mid-stream, got %v", what, err)
 			}
-			assertPoolHoldsNoRows(t)
+			check(budget)
+
+			if strings.HasPrefix(name, "index_scan") {
+				continue // no input to fail
+			}
+
+			// Input error after 100 rows.
+			budget = NewBudget(0, 0, 0)
+			_, err = Collect(NewQueryCtx(nil, budget, capacity), breaker(&errAfterIter{schema: schema, n: 100}))
+			if err == nil || !strings.Contains(err.Error(), "simulated input failure") {
+				t.Fatalf("%s: want the input failure, got %v", what, err)
+			}
+			check(budget)
 
 			// Cancellation while the breaker drains its input.
-			ctx, cancel := context.WithCancel(context.Background())
-			src := &cancelAfter{Operator: NewSliceIter(schema, rows), k: 10, cancel: cancel}
-			_, err = Collect(NewQueryCtx(ctx, nil, capacity), breaker(src))
+			budget = NewBudget(0, 0, 0)
+			ctx, cancel = context.WithCancel(context.Background())
+			src := &cancelAfter{Operator: NewSliceIter(schema, hundred), k: 10, cancel: cancel}
+			_, err = Collect(NewQueryCtx(ctx, budget, capacity), breaker(src))
 			cancel()
 			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("%s capacity %d: want context.Canceled, got %v", name, capacity, err)
+				t.Fatalf("%s: want context.Canceled, got %v", what, err)
 			}
-			assertPoolHoldsNoRows(t)
+			check(budget)
 		}
 	}
 }

@@ -277,7 +277,7 @@ func TestEvalErrors(t *testing.T) {
 func TestUnresolvableColumnFailsPerRow(t *testing.T) {
 	schema, rows := intRows(3)
 	f := NewFilter(NewSliceIter(schema, nil), mustExpr(t, "nosuchcol > 0"), nil)
-	if err := f.Open(); err != nil {
+	if err := f.Open(nil); err != nil {
 		t.Fatalf("Open must not resolve eagerly: %v", err)
 	}
 	f.Close()

@@ -22,7 +22,6 @@ type PredicateFilter struct {
 	Lookup  model.AnnotationLookup
 
 	bound boundPred
-	qc    *QueryCtx
 }
 
 // NewFilter builds a σ node.
@@ -35,17 +34,11 @@ func NewSummarySelect(in Operator, pred sql.Expr, lookup model.AnnotationLookup)
 	return &PredicateFilter{Input: in, Pred: pred, Summary: true, Lookup: lookup}
 }
 
-// SetContext installs the per-query lifecycle and forwards it below.
-func (f *PredicateFilter) SetContext(qc *QueryCtx) {
-	f.qc = qc
-	SetIterContext(f.Input, qc)
-}
-
 // Open binds the predicate and opens the input.
-func (f *PredicateFilter) Open() (err error) {
+func (f *PredicateFilter) Open(qc *QueryCtx) (err error) {
 	defer recoverOp("Filter", &err)
 	f.bound = (&Evaluator{Schema: f.Input.Schema(), Lookup: f.Lookup}).BindPred(f.Pred)
-	return f.Input.Open()
+	return f.Input.Open(qc)
 }
 
 // NextBatch filters input batches with the bound predicate, compacting
@@ -84,14 +77,6 @@ type SummaryFilter struct {
 	Instances []string
 	// Types keeps objects whose type is listed (empty = any).
 	Types []model.SummaryType
-
-	qc *QueryCtx
-}
-
-// SetContext installs the per-query lifecycle and forwards it below.
-func (f *SummaryFilter) SetContext(qc *QueryCtx) {
-	f.qc = qc
-	SetIterContext(f.Input, qc)
 }
 
 // NewSummaryFilter builds an F node.
@@ -129,7 +114,7 @@ func (f *SummaryFilter) Keep(o *model.SummaryObject) bool {
 }
 
 // Open opens the input.
-func (f *SummaryFilter) Open() error { return f.Input.Open() }
+func (f *SummaryFilter) Open(qc *QueryCtx) error { return f.Input.Open(qc) }
 
 // apply filters one row's summary set, returning the input row
 // unchanged when it carries no summaries.

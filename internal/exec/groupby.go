@@ -38,19 +38,7 @@ type GroupBy struct {
 	out    *model.Schema
 	groups []*groupState
 	pos    int
-	qc     *QueryCtx
-
-	chargedRows, chargedBytes int64
-}
-
-// SetContext installs the per-query lifecycle and forwards it below.
-// Workers are not forwarded: each gets a derived per-worker context at
-// Open.
-func (g *GroupBy) SetContext(qc *QueryCtx) {
-	g.qc = qc
-	if g.Input != nil {
-		SetIterContext(g.Input, qc)
-	}
+	res    reservation // one charge per retained group
 }
 
 type groupState struct {
@@ -119,21 +107,20 @@ type groupAcc struct {
 	aggs   []AggSpec
 	args   []boundValue // per aggregate; nil for COUNT(*)
 	lookup model.AnnotationLookup
-	budget *Budget
+	res    reservation
 
 	byKey map[string]*groupState
 	order []string
-
-	chargedRows, chargedBytes int64
 }
 
-func newGroupAcc(schema *model.Schema, keys []sql.Expr, aggs []AggSpec,
-	lookup model.AnnotationLookup, budget *Budget) *groupAcc {
+func newGroupAcc(qc *QueryCtx, schema *model.Schema, keys []sql.Expr, aggs []AggSpec,
+	lookup model.AnnotationLookup) *groupAcc {
 	ev := &Evaluator{Schema: schema, Lookup: lookup}
 	a := &groupAcc{
 		keys: ev.bindValues(keys), aggs: aggs, args: make([]boundValue, len(aggs)),
-		lookup: lookup, budget: budget, byKey: map[string]*groupState{},
+		lookup: lookup, byKey: map[string]*groupState{},
 	}
+	a.res.bind(qc, "GroupBy")
 	for i, agg := range aggs {
 		if !agg.Star && agg.Arg != nil {
 			a.args[i] = ev.BindValue(agg.Arg)
@@ -161,11 +148,9 @@ func (a *groupAcc) add(row *Row) error {
 	gs, ok := a.byKey[key]
 	if !ok {
 		rb := approxRowBytes(row) + int64(len(a.aggs))*64
-		if cerr := a.budget.ChargeBuffered("GroupBy", 1, rb); cerr != nil {
+		if cerr := a.res.charge(1, rb); cerr != nil {
 			return cerr
 		}
-		a.chargedRows++
-		a.chargedBytes += rb
 		gs = &groupState{
 			keyVals: keyVals,
 			row:     row,
@@ -235,12 +220,9 @@ func (a *groupAcc) mergeFrom(o *groupAcc) {
 			continue
 		}
 		mergeGroupState(gs, os)
-		a.budget.ReleaseBuffered(1, os.charge)
-		o.chargedRows--
-		o.chargedBytes -= os.charge
+		o.res.release(1, os.charge)
 	}
-	a.chargedRows += o.chargedRows
-	a.chargedBytes += o.chargedBytes
+	a.res.absorb(&o.res)
 }
 
 // mergeGroupState combines two partial states of the same group; dst is
@@ -285,24 +267,25 @@ func (a *groupAcc) states() []*groupState {
 // into a private groupAcc on its own goroutine and merging the partials
 // in partition order. The merge releases duplicate group charges, so
 // after Open the budget holds exactly one charge per distinct group
-// either way. Every accumulator's charges are booked before anything
-// else, so Close releases whatever was committed before an error.
-func (g *GroupBy) Open() (err error) {
+// either way. The operator absorbs every accumulator's charges on every
+// way out, so Close releases whatever was committed before an error.
+func (g *GroupBy) Open(qc *QueryCtx) (err error) {
 	defer recoverOp("GroupBy", &err)
-	budget := g.qc.Budget()
+	g.res.bind(qc, "GroupBy")
 	var accs []*groupAcc
+	defer func() {
+		for _, acc := range accs {
+			g.res.absorb(&acc.res)
+		}
+	}()
 	if len(g.Workers) > 0 {
 		for _, w := range g.Workers {
-			accs = append(accs, newGroupAcc(w.Schema(), g.Keys, g.Aggs, g.Lookup, budget))
+			accs = append(accs, newGroupAcc(qc, w.Schema(), g.Keys, g.Aggs, g.Lookup))
 		}
-		err = runPartitions(g.qc, g.Workers, func(i int, row *Row) error { return accs[i].add(row) })
+		err = runPartitions(qc, g.Workers, func(i int, row *Row) error { return accs[i].add(row) })
 	} else {
-		accs = []*groupAcc{newGroupAcc(g.Input.Schema(), g.Keys, g.Aggs, g.Lookup, budget)}
-		err = run(g.qc, g.Input, accs[0].add)
-	}
-	for _, acc := range accs {
-		g.chargedRows += acc.chargedRows
-		g.chargedBytes += acc.chargedBytes
+		accs = []*groupAcc{newGroupAcc(qc, g.Input.Schema(), g.Keys, g.Aggs, g.Lookup)}
+		err = run(qc, g.Input, accs[0].add)
 	}
 	if err != nil {
 		return err
@@ -311,8 +294,6 @@ func (g *GroupBy) Open() (err error) {
 	for _, acc := range accs[1:] {
 		merged.mergeFrom(acc)
 	}
-	// mergeFrom released duplicate-group charges; resync the books.
-	g.chargedRows, g.chargedBytes = merged.chargedRows, merged.chargedBytes
 	g.groups = merged.states()
 	g.pos = 0
 	return nil
@@ -377,8 +358,7 @@ func (g *GroupBy) output(gs *groupState) (*Row, error) {
 // was closed at Open).
 func (g *GroupBy) Close() error {
 	g.groups = nil
-	g.qc.Budget().ReleaseBuffered(g.chargedRows, g.chargedBytes)
-	g.chargedRows, g.chargedBytes = 0, 0
+	g.res.releaseAll()
 	return nil
 }
 

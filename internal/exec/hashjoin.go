@@ -31,19 +31,7 @@ type HashJoin struct {
 
 	schema *model.Schema
 	probe  joinProbe
-	qc     *QueryCtx
-
-	chargedRows, chargedBytes int64
-}
-
-// SetContext installs the per-query lifecycle and forwards it to the
-// inputs (parallel build partitions get derived contexts at Open).
-func (j *HashJoin) SetContext(qc *QueryCtx) {
-	j.qc = qc
-	SetIterContext(j.Left, qc)
-	if j.Right != nil {
-		SetIterContext(j.Right, qc)
-	}
+	res    reservation // the hash table's budget charge
 }
 
 // NewHashJoin builds a hash join.
@@ -78,9 +66,9 @@ func (j *HashJoin) rightSchema() *model.Schema {
 // buildRun is one partition's share of the build side: its non-NULL-key
 // rows with their hash keys, in input order, and what they charged.
 type buildRun struct {
-	rows                      []*Row
-	keys                      []string
-	chargedRows, chargedBytes int64
+	rows []*Row
+	keys []string
+	res  reservation
 }
 
 // add hashes one build row into the run. The build side is what a hash
@@ -88,7 +76,7 @@ type buildRun struct {
 // budget; unlike Sort there is no graceful degradation — a build side
 // over budget fails fast with ErrBudgetExceeded, and the optimizer's
 // sort/NL-based plans are the fallback.
-func (r *buildRun) add(key boundValue, budget *Budget, row *Row) error {
+func (r *buildRun) add(key boundValue, row *Row) error {
 	k, err := key(row)
 	if err != nil {
 		return err
@@ -96,12 +84,9 @@ func (r *buildRun) add(key boundValue, budget *Budget, row *Row) error {
 	if k.IsNull() {
 		return nil // NULL keys never join
 	}
-	rb := approxRowBytes(row)
-	if cerr := budget.ChargeBuffered("HashJoin", 1, rb); cerr != nil {
+	if cerr := r.res.charge(1, approxRowBytes(row)); cerr != nil {
 		return cerr
 	}
-	r.chargedRows++
-	r.chargedBytes += rb
 	r.rows = append(r.rows, row)
 	r.keys = append(r.keys, hashKey(k))
 	return nil
@@ -110,22 +95,26 @@ func (r *buildRun) add(key boundValue, budget *Budget, row *Row) error {
 // Open drains and hashes the build (right) side — one run on the query
 // goroutine, or one run per Builds partition hashed concurrently — and
 // folds the runs into the hash table in partition order, so per-key row
-// order (and therefore the join output) is the same either way. Every
-// run's charges are booked before anything else, so Close releases them
-// all even on a failed open.
-func (j *HashJoin) Open() (err error) {
+// order (and therefore the join output) is the same either way. The
+// join absorbs every run's charges on every way out, so Close releases
+// them all even after a failed open.
+func (j *HashJoin) Open(qc *QueryCtx) (err error) {
 	defer recoverOp("HashJoin", &err)
 	rightKey := (&Evaluator{Schema: j.rightSchema(), Lookup: j.Lookup}).BindValue(j.RightKey)
-	budget := j.qc.Budget()
+	j.res.bind(qc, "HashJoin")
 	runs := make([]buildRun, max(1, len(j.Builds)))
-	if len(j.Builds) > 0 {
-		err = runPartitions(j.qc, j.Builds, func(i int, row *Row) error { return runs[i].add(rightKey, budget, row) })
-	} else {
-		err = run(j.qc, j.Right, func(row *Row) error { return runs[0].add(rightKey, budget, row) })
-	}
 	for i := range runs {
-		j.chargedRows += runs[i].chargedRows
-		j.chargedBytes += runs[i].chargedBytes
+		runs[i].res.bind(qc, "HashJoin")
+	}
+	defer func() {
+		for i := range runs {
+			j.res.absorb(&runs[i].res)
+		}
+	}()
+	if len(j.Builds) > 0 {
+		err = runPartitions(qc, j.Builds, func(i int, row *Row) error { return runs[i].add(rightKey, row) })
+	} else {
+		err = run(qc, j.Right, func(row *Row) error { return runs[0].add(rightKey, row) })
 	}
 	if err != nil {
 		return err
@@ -141,7 +130,7 @@ func (j *HashJoin) Open() (err error) {
 	j.probe = joinProbe{
 		left:        j.Left,
 		leftAliases: schemaAliases(j.Left.Schema()), rightAliases: schemaAliases(j.rightSchema()),
-		candidates: func(outer *Row) ([]*Row, error) {
+		candidates: func(_ *QueryCtx, outer *Row) ([]*Row, error) {
 			key, err := leftKey(outer)
 			if err != nil || key.IsNull() {
 				return nil, err
@@ -153,7 +142,7 @@ func (j *HashJoin) Open() (err error) {
 	if j.Residual != nil {
 		j.probe.pred = (&Evaluator{Schema: j.schema, Lookup: j.Lookup}).BindPred(j.Residual)
 	}
-	return j.Left.Open()
+	return j.Left.Open(qc)
 }
 
 // hashKey canonicalizes a join key value: INT and FLOAT with the same
@@ -176,8 +165,7 @@ func (j *HashJoin) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 func (j *HashJoin) Close() error {
 	j.probe.release()
 	j.probe = joinProbe{}
-	j.qc.Budget().ReleaseBuffered(j.chargedRows, j.chargedBytes)
-	j.chargedRows, j.chargedBytes = 0, 0
+	j.res.releaseAll()
 	return j.Left.Close()
 }
 

@@ -62,15 +62,14 @@ type SummaryIndexScan struct {
 	schema *model.Schema
 	hits   []heap.RID
 	pos    int
-	qc     *QueryCtx
 
 	// buf holds the rows of the current page run in sorted mode.
 	buf    []*Row
 	bufPos int
 
-	// chargedRows/chargedBytes track the hit list's outstanding budget
-	// charges, returned on Close (or on a failed Open).
-	chargedRows, chargedBytes int64
+	// res holds the hit list's budget charge, returned on Close (or on
+	// a failed Open).
+	res reservation
 
 	// pagesPinned counts data-heap page pins made by the fetch stage:
 	// one per page run in batched mode, one per hit in per-RID modes.
@@ -92,9 +91,6 @@ func NewSummaryIndexScan(t *catalog.Table, alias string, idx *index.SummaryBTree
 		schema: t.Schema.Rename(alias)}
 }
 
-// SetContext installs the per-query lifecycle.
-func (s *SummaryIndexScan) SetContext(qc *QueryCtx) { s.qc = qc }
-
 // Open probes the index and materializes the hit list (the paper's
 // implementation collects qualifying pointers from the leaf chain).
 // The probe polls cancellation and charges the query budget for the
@@ -102,28 +98,25 @@ func (s *SummaryIndexScan) SetContext(qc *QueryCtx) { s.qc = qc }
 // degrades with a typed *BudgetError or stops on cancel mid-scan. In
 // sorted mode the list is then rearranged into page order and, under a
 // parallel partition, trimmed to this worker's page-range share.
-func (s *SummaryIndexScan) Open() (err error) {
+func (s *SummaryIndexScan) Open(qc *QueryCtx) (err error) {
 	defer recoverOp("SummaryIndexScan", &err)
-	if err := s.qc.check(); err != nil {
+	if err := qc.check(); err != nil {
 		return err
 	}
-	s.releaseHits() // rescan safety: return any prior charges first
-	budget := s.qc.Budget()
+	s.res.bind(qc, "SummaryIndexScan")
 	charged := 0
 	hits, err := s.Index.SearchWithCheck(s.Label, s.Op, s.Constant, func(collected int) error {
-		if err := s.qc.check(); err != nil {
+		if err := qc.check(); err != nil {
 			return err
 		}
 		delta := int64(collected - charged)
 		if delta <= 0 {
 			return nil
 		}
-		if cerr := budget.ChargeBuffered("SummaryIndexScan", delta, delta*hitRIDBytes); cerr != nil {
+		if cerr := s.res.charge(delta, delta*hitRIDBytes); cerr != nil {
 			return cerr
 		}
 		charged = collected
-		s.chargedRows += delta
-		s.chargedBytes += delta * hitRIDBytes
 		return nil
 	})
 	if err != nil {
@@ -137,9 +130,7 @@ func (s *SummaryIndexScan) Open() (err error) {
 			kept := partitionHits(s.hits, s.Part)
 			// A worker keeps charges only for its retained share.
 			if drop := int64(len(s.hits) - len(kept)); drop > 0 {
-				budget.ReleaseBuffered(drop, drop*hitRIDBytes)
-				s.chargedRows -= drop
-				s.chargedBytes -= drop * hitRIDBytes
+				s.res.release(drop, drop*hitRIDBytes)
 			}
 			s.hits = kept
 		}
@@ -251,10 +242,7 @@ func (s *SummaryIndexScan) fillRun() {
 // releaseHits returns the hit list's outstanding budget charges and
 // drops the list.
 func (s *SummaryIndexScan) releaseHits() {
-	if s.chargedRows > 0 || s.chargedBytes > 0 {
-		s.qc.Budget().ReleaseBuffered(s.chargedRows, s.chargedBytes)
-	}
-	s.chargedRows, s.chargedBytes = 0, 0
+	s.res.releaseAll()
 	s.hits = nil
 	s.buf = nil
 	s.bufPos = 0
@@ -358,7 +346,6 @@ type BaselineIndexScan struct {
 	schema *model.Schema
 	oids   []int64
 	pos    int
-	qc     *QueryCtx
 }
 
 // NewBaselineIndexScan builds the scan.
@@ -372,13 +359,10 @@ func NewBaselineIndexScan(t *catalog.Table, alias string, idx *index.Baseline,
 		schema: t.Schema.Rename(alias)}
 }
 
-// SetContext installs the per-query lifecycle.
-func (s *BaselineIndexScan) SetContext(qc *QueryCtx) { s.qc = qc }
-
 // Open probes the derived index.
-func (s *BaselineIndexScan) Open() (err error) {
+func (s *BaselineIndexScan) Open(qc *QueryCtx) (err error) {
 	defer recoverOp("BaselineIndexScan", &err)
-	if err := s.qc.check(); err != nil {
+	if err := qc.check(); err != nil {
 		return err
 	}
 	s.oids = s.Index.Search(s.Label, s.Op, s.Constant)
@@ -435,7 +419,6 @@ type DataIndexScan struct {
 	schema *model.Schema
 	hits   []heap.RID
 	pos    int
-	qc     *QueryCtx
 }
 
 // NewDataIndexScan builds the scan; the column must have a data index.
@@ -447,13 +430,10 @@ func NewDataIndexScan(t *catalog.Table, alias, column string, key model.Value, p
 		Propagate: propagate, schema: t.Schema.Rename(alias)}
 }
 
-// SetContext installs the per-query lifecycle.
-func (s *DataIndexScan) SetContext(qc *QueryCtx) { s.qc = qc }
-
 // Open probes the column index.
-func (s *DataIndexScan) Open() (err error) {
+func (s *DataIndexScan) Open(qc *QueryCtx) (err error) {
 	defer recoverOp("DataIndexScan", &err)
-	if err := s.qc.check(); err != nil {
+	if err := qc.check(); err != nil {
 		return err
 	}
 	s.hits = nil

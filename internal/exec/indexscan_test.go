@@ -344,14 +344,23 @@ func TestSummaryIndexScanBudget(t *testing.T) {
 	}
 }
 
-// TestSummaryIndexScanCancelled checks the probe's cancellation check:
-// an already-cancelled query fails Open before materializing anything.
-func TestSummaryIndexScanCancelled(t *testing.T) {
-	f, sIdx, _ := indexedFixture(t, 16)
+// TestLeavesOpenCancelled: every leaf polls the context it is handed at
+// Open, so an already-cancelled query fails there — before probing or
+// materializing anything — with the bare context error.
+func TestLeavesOpenCancelled(t *testing.T) {
+	f, sIdx, bIdx := indexedFixture(t, 16)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	scan := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 0, true)
-	if _, err := Collect(NewQueryCtx(ctx, nil, 1), scan); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	for _, leaf := range []Operator{
+		NewSeqScan(f.r, "r", true),
+		NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 0, true),
+		NewBaselineIndexScan(f.r, "r", bIdx, "Disease", index.OpGe, 0, true),
+		NewDataIndexScan(f.r, "r", "a", model.NewInt(1), true),
+		NewSliceIter(f.r.Schema, nil),
+	} {
+		if err := leaf.Open(NewQueryCtx(ctx, nil, 1)); err != context.Canceled {
+			t.Errorf("%s: Open = %v, want the bare context.Canceled", OpName(leaf), err)
+		}
+		leaf.Close()
 	}
 }

@@ -4,7 +4,12 @@ import "repro/internal/model"
 
 // Operator is the one physical-operator protocol: Open, a stream of
 // NextBatch calls each returning a row batch of at most qc.Capacity()
-// rows (a nil batch is end-of-stream), and Close. Capacity 1 is
+// rows (a nil batch is end-of-stream), and Close. The query's lifecycle
+// — cancellation, budget, batch capacity — reaches an operator only as
+// the argument of Open and NextBatch; a parent passes its children what
+// it was handed (Gather and the partitioned breakers pass each worker a
+// derived context instead), and no operator keeps it. Close takes none:
+// what Open charged sits in the operator's reservation. Capacity 1 is
 // tuple-at-a-time Volcano through the same code; larger capacities
 // amortize the per-call overhead (interface dispatch, recoverOp defers,
 // cancellation polls) over the batch.
@@ -18,7 +23,7 @@ import "repro/internal/model"
 // input's rows; joins point into both sides), so a consumer that wants
 // to mutate a row must copy it first (Row.Clone).
 type Operator interface {
-	Open() error
+	Open(qc *QueryCtx) error
 	NextBatch(qc *QueryCtx) (*Batch, error)
 	Close() error
 	Schema() *model.Schema
@@ -49,7 +54,7 @@ func drain(qc *QueryCtx, op Operator, fn func(*Row) error) error {
 // acquired (spilled sort runs, budget charges) are released on every
 // path.
 func run(qc *QueryCtx, op Operator, fn func(*Row) error) error {
-	if err := op.Open(); err != nil {
+	if err := op.Open(qc); err != nil {
 		op.Close()
 		return err
 	}
@@ -58,10 +63,9 @@ func run(qc *QueryCtx, op Operator, fn func(*Row) error) error {
 }
 
 // Collect is the result boundary — the one place rows leave batches for
-// the caller: it installs qc on the operator tree, runs it to
-// completion and returns the rows in order.
+// the caller: it runs the operator tree to completion under qc and
+// returns the rows in order.
 func Collect(qc *QueryCtx, op Operator) ([]*Row, error) {
-	SetIterContext(op, qc)
 	var out []*Row
 	if err := run(qc, op, func(r *Row) error { out = append(out, r); return nil }); err != nil {
 		return nil, err
@@ -93,7 +97,6 @@ type sliceIter struct {
 	schema *model.Schema
 	rows   []*Row
 	pos    int
-	qc     *QueryCtx
 }
 
 // NewSliceIter builds an operator over pre-materialized rows.
@@ -101,10 +104,7 @@ func NewSliceIter(schema *model.Schema, rows []*Row) Operator {
 	return &sliceIter{schema: schema, rows: rows}
 }
 
-// SetContext installs the per-query lifecycle.
-func (s *sliceIter) SetContext(qc *QueryCtx) { s.qc = qc }
-
-func (s *sliceIter) Open() error { s.pos = 0; return s.qc.check() }
+func (s *sliceIter) Open(qc *QueryCtx) error { s.pos = 0; return qc.check() }
 
 func (s *sliceIter) NextBatch(qc *QueryCtx) (*Batch, error) {
 	if err := qc.tick(qc.Capacity()); err != nil {

@@ -65,7 +65,7 @@ type joinProbe struct {
 	leftAliases, rightAliases []string
 	// candidates lists the inner rows to pair with one outer row: the
 	// hash bucket, the materialized inner, or an index probe's hits.
-	candidates func(outer *Row) ([]*Row, error)
+	candidates func(qc *QueryCtx, outer *Row) ([]*Row, error)
 	// pred is the ON/residual predicate over the combined row, bound
 	// against the concatenated schema; nil accepts every pair.
 	pred      boundPred
@@ -132,7 +132,7 @@ func (p *joinProbe) nextBatch(qc *QueryCtx) (*Batch, error) {
 		p.cur = p.in.Row(p.inPos)
 		p.inPos++
 		var err error
-		if p.pending, err = p.candidates(p.cur); err != nil {
+		if p.pending, err = p.candidates(qc, p.cur); err != nil {
 			return fail(err)
 		}
 	}
@@ -160,15 +160,6 @@ type NLJoin struct {
 
 	schema *model.Schema
 	probe  joinProbe
-	qc     *QueryCtx
-}
-
-// SetContext installs the per-query lifecycle and forwards it to both
-// inputs.
-func (j *NLJoin) SetContext(qc *QueryCtx) {
-	j.qc = qc
-	SetIterContext(j.Left, qc)
-	SetIterContext(j.Right, qc)
 }
 
 // NewNLJoin builds a block nested-loop join.
@@ -178,22 +169,22 @@ func NewNLJoin(left, right Operator, on sql.Expr, propagate bool, lookup model.A
 }
 
 // Open materializes the inner input.
-func (j *NLJoin) Open() (err error) {
+func (j *NLJoin) Open(qc *QueryCtx) (err error) {
 	defer recoverOp("NLJoin", &err)
-	inner, err := Collect(j.qc, j.Right)
+	inner, err := Collect(qc, j.Right)
 	if err != nil {
 		return err
 	}
 	j.probe = joinProbe{
 		left:        j.Left,
 		leftAliases: schemaAliases(j.Left.Schema()), rightAliases: schemaAliases(j.Right.Schema()),
-		candidates: func(*Row) ([]*Row, error) { return inner, nil },
+		candidates: func(*QueryCtx, *Row) ([]*Row, error) { return inner, nil },
 		propagate:  j.Propagate, lookup: j.Lookup,
 	}
 	if j.On != nil {
 		j.probe.pred = (&Evaluator{Schema: j.schema, Lookup: j.Lookup}).BindPred(j.On)
 	}
-	return j.Left.Open()
+	return j.Left.Open(qc)
 }
 
 // NextBatch returns the next joined rows.
@@ -234,15 +225,6 @@ type IndexJoin struct {
 
 	schema *model.Schema
 	probe  joinProbe
-	qc     *QueryCtx
-}
-
-// SetContext installs the per-query lifecycle and forwards it to the
-// outer input (inner index probes are built per outer row and receive
-// it at creation).
-func (j *IndexJoin) SetContext(qc *QueryCtx) {
-	j.qc = qc
-	SetIterContext(j.Left, qc)
 }
 
 // NewIndexJoin builds an index join.
@@ -261,26 +243,26 @@ func NewIndexJoin(left Operator, inner *catalog.Table, innerAlias, innerCol stri
 
 // Open opens the outer input. Each outer row's candidates come from a
 // DataIndexScan probe of the inner table's column index, built per row
-// and run under the join's lifecycle.
-func (j *IndexJoin) Open() (err error) {
+// and run under the context of the NextBatch call that needs it.
+func (j *IndexJoin) Open(qc *QueryCtx) (err error) {
 	defer recoverOp("IndexJoin", &err)
 	outerKey := (&Evaluator{Schema: j.Left.Schema(), Lookup: j.Lookup}).BindValue(j.OuterKey)
 	j.probe = joinProbe{
 		left:        j.Left,
 		leftAliases: schemaAliases(j.Left.Schema()), rightAliases: []string{strings.ToLower(j.InnerAlias)},
-		candidates: func(outer *Row) ([]*Row, error) {
+		candidates: func(qc *QueryCtx, outer *Row) ([]*Row, error) {
 			key, err := outerKey(outer)
 			if err != nil {
 				return nil, err
 			}
-			return Collect(j.qc, NewDataIndexScan(j.InnerTable, j.InnerAlias, j.InnerCol, key, j.FetchSummaries))
+			return Collect(qc, NewDataIndexScan(j.InnerTable, j.InnerAlias, j.InnerCol, key, j.FetchSummaries))
 		},
 		propagate: j.Propagate, lookup: j.Lookup,
 	}
 	if j.Residual != nil {
 		j.probe.pred = (&Evaluator{Schema: j.schema, Lookup: j.Lookup}).BindPred(j.Residual)
 	}
-	return j.Left.Open()
+	return j.Left.Open(qc)
 }
 
 // NextBatch returns the next joined rows.

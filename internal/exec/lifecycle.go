@@ -134,20 +134,6 @@ func (q *QueryCtx) Child(ctx context.Context) *QueryCtx {
 	return NewQueryCtx(ctx, q.Budget(), q.Capacity())
 }
 
-// ContextSetter is implemented by every physical operator: SetContext
-// installs the per-query lifecycle on the operator and its children.
-type ContextSetter interface {
-	SetContext(*QueryCtx)
-}
-
-// SetIterContext installs qc on an operator when it supports one
-// (no-op otherwise) — the recursive step operators use on children.
-func SetIterContext(it Operator, qc *QueryCtx) {
-	if cs, ok := it.(ContextSetter); ok {
-		cs.SetContext(qc)
-	}
-}
-
 // ---------------------------------------------------------------------
 // Resource governor
 
@@ -265,6 +251,73 @@ func (b *Budget) ReleaseSpill(bytes int64) {
 		return
 	}
 	b.spillBytes.Add(-bytes)
+}
+
+// reservation is one operator's outstanding charges against the query
+// budget — the only ledger of what Close must give back. An operator
+// binds it at Open, charges and partially releases through it, may
+// absorb the reservations its partition workers charged on their own
+// goroutines, and releases the rest at Close. The zero value charges
+// nothing and releases nothing, so Close before (or without) Open is
+// safe; like its operator, a reservation is used by one goroutine at a
+// time.
+type reservation struct {
+	budget *Budget
+	op     string // names the operator in a *BudgetError
+
+	chargedRows, chargedBytes, chargedSpill int64
+}
+
+// bind points the reservation at qc's budget on behalf of operator op,
+// first returning whatever an earlier Open left outstanding (rescans).
+func (r *reservation) bind(qc *QueryCtx, op string) {
+	r.releaseAll()
+	r.budget, r.op = qc.Budget(), op
+}
+
+// charge books rows/bytes of in-memory buffering, or returns the
+// *BudgetError and books nothing.
+func (r *reservation) charge(rows, bytes int64) error {
+	if err := r.budget.ChargeBuffered(r.op, rows, bytes); err != nil {
+		return err
+	}
+	r.chargedRows += rows
+	r.chargedBytes += bytes
+	return nil
+}
+
+// chargeSpill books temp-file bytes the same way.
+func (r *reservation) chargeSpill(bytes int64) error {
+	if err := r.budget.ChargeSpill(r.op, bytes); err != nil {
+		return err
+	}
+	r.chargedSpill += bytes
+	return nil
+}
+
+// release returns part of the buffered charge early: rows a sort
+// spilled, hits outside a partition's share, a duplicate group.
+func (r *reservation) release(rows, bytes int64) {
+	r.budget.ReleaseBuffered(rows, bytes)
+	r.chargedRows -= rows
+	r.chargedBytes -= bytes
+}
+
+// absorb takes over o's outstanding charges (same budget), leaving o
+// empty: the coordinator adopts what a partition worker charged.
+func (r *reservation) absorb(o *reservation) {
+	r.chargedRows += o.chargedRows
+	r.chargedBytes += o.chargedBytes
+	r.chargedSpill += o.chargedSpill
+	o.chargedRows, o.chargedBytes, o.chargedSpill = 0, 0, 0
+}
+
+// releaseAll returns everything outstanding; calling it again is a
+// no-op.
+func (r *reservation) releaseAll() {
+	r.budget.ReleaseBuffered(r.chargedRows, r.chargedBytes)
+	r.budget.ReleaseSpill(r.chargedSpill)
+	r.chargedRows, r.chargedBytes, r.chargedSpill = 0, 0, 0
 }
 
 // ChargeTotals reports the monotonic charge counters: rows and bytes

@@ -102,13 +102,12 @@ type panicIter struct {
 	val    any
 }
 
-func (p *panicIter) Open() error { return nil }
+func (p *panicIter) Open(*QueryCtx) error { return nil }
 func (p *panicIter) NextBatch(*QueryCtx) (*Batch, error) {
 	panic(p.val)
 }
-func (p *panicIter) Close() error            { return nil }
-func (p *panicIter) Schema() *model.Schema   { return p.schema }
-func (p *panicIter) SetContext(qc *QueryCtx) {}
+func (p *panicIter) Close() error          { return nil }
+func (p *panicIter) Schema() *model.Schema { return p.schema }
 
 func TestOperatorPanicBecomesOpError(t *testing.T) {
 	schema := model.NewSchema("t", model.Column{Name: "v", Kind: model.KindInt})
@@ -198,7 +197,7 @@ type errAfterIter struct {
 	n, pos int
 }
 
-func (e *errAfterIter) Open() error { e.pos = 0; return nil }
+func (e *errAfterIter) Open(*QueryCtx) error { e.pos = 0; return nil }
 func (e *errAfterIter) NextBatch(qc *QueryCtx) (*Batch, error) {
 	if e.pos >= e.n {
 		return nil, fmt.Errorf("simulated input failure after %d rows", e.n)
@@ -248,14 +247,18 @@ func TestHashJoinFailsFastOverBudget(t *testing.T) {
 
 func TestDistinctAndGroupByRespectBudget(t *testing.T) {
 	schema, rows := intRows(100)
-	d := NewDistinct(NewSliceIter(schema, rows), nil)
-	if _, err := Collect(NewQueryCtx(context.Background(), NewBudget(10, 0, 0), 1), d); !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("Distinct: want ErrBudgetExceeded, got %v", err)
-	}
-	g := NewGroupBy(NewSliceIter(schema, rows),
-		[]sql.Expr{mustExpr(t, "v")},
-		[]AggSpec{{Func: "count", Star: true, Name: "n"}}, nil)
-	if _, err := Collect(NewQueryCtx(context.Background(), NewBudget(10, 0, 0), 1), g); !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("GroupBy: want ErrBudgetExceeded, got %v", err)
+	for op, breaker := range map[string]Operator{
+		"Distinct": NewDistinct(NewSliceIter(schema, rows), nil),
+		"GroupBy": NewGroupBy(NewSliceIter(schema, rows),
+			[]sql.Expr{mustExpr(t, "v")},
+			[]AggSpec{{Func: "count", Star: true, Name: "n"}}, nil),
+	} {
+		budget := NewBudget(10, 0, 0)
+		_, err := Collect(NewQueryCtx(context.Background(), budget, 1), breaker)
+		var be *BudgetError
+		if !errors.As(err, &be) || be.Op != op || be.Need != 11 {
+			t.Fatalf("%s: want its own *BudgetError at the 11th row, got %v", op, err)
+		}
+		assertBudgetReturned(t, op, budget)
 	}
 }

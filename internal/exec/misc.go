@@ -12,22 +12,15 @@ type Limit struct {
 	N     int
 
 	seen int
-	qc   *QueryCtx
 }
 
 // NewLimit builds a LIMIT node.
 func NewLimit(in Operator, n int) *Limit { return &Limit{Input: in, N: n} }
 
-// SetContext installs the per-query lifecycle and forwards it below.
-func (l *Limit) SetContext(qc *QueryCtx) {
-	l.qc = qc
-	SetIterContext(l.Input, qc)
-}
-
 // Open opens the input.
-func (l *Limit) Open() error {
+func (l *Limit) Open(qc *QueryCtx) error {
 	l.seen = 0
-	return l.Input.Open()
+	return l.Input.Open(qc)
 }
 
 // NextBatch passes batches through, truncating the one that crosses the
@@ -62,9 +55,7 @@ type Distinct struct {
 
 	rows []*Row
 	pos  int
-	qc   *QueryCtx
-
-	chargedRows, chargedBytes int64
+	res  reservation // one charge per retained row
 }
 
 // NewDistinct builds the node.
@@ -72,23 +63,17 @@ func NewDistinct(in Operator, lookup model.AnnotationLookup) *Distinct {
 	return &Distinct{Input: in, Lookup: lookup}
 }
 
-// SetContext installs the per-query lifecycle and forwards it below.
-func (d *Distinct) SetContext(qc *QueryCtx) {
-	d.qc = qc
-	SetIterContext(d.Input, qc)
-}
-
 // Open drains the input, collapsing duplicates; a retained row leaves
 // with the merge of its own and its duplicates' summary sets. Distinct is
 // a pipeline breaker: every retained row is charged against the query
 // budget, and Open fails fast with ErrBudgetExceeded at the buffer limit.
-func (d *Distinct) Open() (err error) {
+func (d *Distinct) Open(qc *QueryCtx) (err error) {
 	defer recoverOp("Distinct", &err)
-	budget := d.qc.Budget()
+	d.res.bind(qc, "Distinct")
 	byKey := map[string]int{}
 	var merged []*model.SetAccumulator // parallel to d.rows
 	d.rows, d.pos = nil, 0
-	err = run(d.qc, d.Input, func(row *Row) error {
+	err = run(qc, d.Input, func(row *Row) error {
 		var kb strings.Builder
 		for _, v := range row.Tuple.Values {
 			kb.WriteString(v.SortKey())
@@ -97,12 +82,9 @@ func (d *Distinct) Open() (err error) {
 		key := kb.String()
 		i, ok := byKey[key]
 		if !ok {
-			rb := approxRowBytes(row)
-			if cerr := budget.ChargeBuffered("Distinct", 1, rb); cerr != nil {
+			if cerr := d.res.charge(1, approxRowBytes(row)); cerr != nil {
 				return cerr
 			}
-			d.chargedRows++
-			d.chargedBytes += rb
 			i, byKey[key] = len(d.rows), len(d.rows)
 			d.rows = append(d.rows, row)
 			merged = append(merged, model.NewSetAccumulator(d.Lookup))
@@ -128,8 +110,7 @@ func (d *Distinct) NextBatch(qc *QueryCtx) (*Batch, error) {
 // Close releases buffered rows and their budget charge.
 func (d *Distinct) Close() error {
 	d.rows = nil
-	d.qc.Budget().ReleaseBuffered(d.chargedRows, d.chargedBytes)
-	d.chargedRows, d.chargedBytes = 0, 0
+	d.res.releaseAll()
 	return nil
 }
 

@@ -35,7 +35,6 @@ type Gather struct {
 	Workers []Operator
 
 	schema *model.Schema
-	qc     *QueryCtx
 
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -53,31 +52,26 @@ func NewGather(workers []Operator) *Gather {
 	return &Gather{Workers: workers, schema: workers[0].Schema()}
 }
 
-// SetContext installs the per-query lifecycle. Workers are not
-// forwarded the parent context: each gets a derived per-worker QueryCtx
-// at Open, sharing the parent's budget.
-func (g *Gather) SetContext(qc *QueryCtx) { g.qc = qc }
-
 // Open spawns the worker pool. Each worker drives its operator to
-// completion (or first error) on its own goroutine, under a child
-// context cancelled when the Gather closes or any sibling fails.
-func (g *Gather) Open() (err error) {
+// completion (or first error) on its own goroutine, under a derived
+// context — the parent's budget and capacity, a child cancellation
+// scope — cancelled when the Gather closes or any sibling fails.
+func (g *Gather) Open(qc *QueryCtx) (err error) {
 	defer recoverOp("Gather", &err)
-	if err := g.qc.check(); err != nil {
+	if err := qc.check(); err != nil {
 		return err
 	}
-	ctx, cancel := context.WithCancel(g.qc.Context())
+	ctx, cancel := context.WithCancel(qc.Context())
 	g.cancel = cancel
 	g.chans = make([]chan *Batch, len(g.Workers))
 	g.errs = make([]error, len(g.Workers))
 	g.cur = 0
 	g.failed = nil
-	depth := max(1, gatherBufferRows/g.qc.Capacity())
+	depth := max(1, gatherBufferRows/qc.Capacity())
 	for i, w := range g.Workers {
 		out := make(chan *Batch, depth)
 		g.chans[i] = out
-		wqc := g.qc.Child(ctx)
-		SetIterContext(w, wqc)
+		wqc := qc.Child(ctx)
 		g.wg.Add(1)
 		go func(i int, w Operator) {
 			defer g.wg.Done()
@@ -97,7 +91,7 @@ func (g *Gather) Open() (err error) {
 // loop itself so a worker can never crash the process.
 func driveWorker(qc *QueryCtx, w Operator, out chan<- *Batch) (err error) {
 	defer recoverOp("ParallelWorker", &err)
-	if err := w.Open(); err != nil {
+	if err := w.Open(qc); err != nil {
 		w.Close()
 		return err
 	}
@@ -197,7 +191,6 @@ func runPartitions(qc *QueryCtx, parts []Operator, sink func(i int, row *Row) er
 	var wg sync.WaitGroup
 	for i, p := range parts {
 		wqc := qc.Child(ctx)
-		SetIterContext(p, wqc)
 		wg.Add(1)
 		go func(i int, p Operator) {
 			defer wg.Done()

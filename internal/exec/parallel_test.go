@@ -155,8 +155,7 @@ type failingWorkerIter struct {
 	seen  int
 }
 
-func (e *failingWorkerIter) Open() error             { e.seen = 0; return e.child.Open() }
-func (e *failingWorkerIter) SetContext(qc *QueryCtx) { SetIterContext(e.child, qc) }
+func (e *failingWorkerIter) Open(qc *QueryCtx) error { e.seen = 0; return e.child.Open(qc) }
 func (e *failingWorkerIter) NextBatch(qc *QueryCtx) (*Batch, error) {
 	if e.seen >= e.n {
 		if e.panic {
@@ -258,8 +257,7 @@ func TestGatherCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	g := NewGather(partitionedScans(f, 3, false))
 	qc := NewQueryCtx(ctx, nil, 1)
-	SetIterContext(g, qc)
-	if err := g.Open(); err != nil {
+	if err := g.Open(qc); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := g.NextBatch(qc); err != nil {

@@ -25,7 +25,6 @@ type Project struct {
 	Lookup model.AnnotationLookup
 
 	bounds []boundValue
-	qc     *QueryCtx
 
 	// Output slab (amortized allocation; storage still escapes to the
 	// consumer, only the allocation is batched). batchLeft counts the
@@ -42,18 +41,12 @@ func NewProject(in Operator, exprs []sql.Expr, out *model.Schema, lookup model.A
 	return &Project{Input: in, Exprs: exprs, Out: out, Lookup: lookup}
 }
 
-// SetContext installs the per-query lifecycle and forwards it below.
-func (p *Project) SetContext(qc *QueryCtx) {
-	p.qc = qc
-	SetIterContext(p.Input, qc)
-}
-
 // Open binds the projection expressions and opens the input.
-func (p *Project) Open() (err error) {
+func (p *Project) Open(qc *QueryCtx) (err error) {
 	defer recoverOp("Project", &err)
 	p.bounds = (&Evaluator{Schema: p.Input.Schema(), Lookup: p.Lookup}).bindValues(p.Exprs)
 	p.slabRows, p.slabTuples, p.slabVals, p.slabPos = nil, nil, nil, 0
-	return p.Input.Open()
+	return p.Input.Open(qc)
 }
 
 // carve returns storage for one output row from the operator's slab. A
@@ -129,14 +122,6 @@ type SummaryEffectProject struct {
 	// Annotations fetches a tuple's raw annotations.
 	Annotations func(tupleOID int64) []*model.Annotation
 	Lookup      model.AnnotationLookup
-
-	qc *QueryCtx
-}
-
-// SetContext installs the per-query lifecycle and forwards it below.
-func (p *SummaryEffectProject) SetContext(qc *QueryCtx) {
-	p.qc = qc
-	SetIterContext(p.Input, qc)
 }
 
 // NewSummaryEffectProject builds the node. keptColumns are matched
@@ -152,7 +137,7 @@ func NewSummaryEffectProject(in Operator, keptColumns []string,
 }
 
 // Open opens the input.
-func (p *SummaryEffectProject) Open() error { return p.Input.Open() }
+func (p *SummaryEffectProject) Open(qc *QueryCtx) error { return p.Input.Open(qc) }
 
 // apply rewrites one row's summaries, returning the input row unchanged
 // when it carries none.

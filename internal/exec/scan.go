@@ -27,7 +27,6 @@ type SeqScan struct {
 
 	schema *model.Schema
 	cursor *heap.Cursor[[]model.Value]
-	qc     *QueryCtx
 }
 
 // NewSeqScan builds a sequential scan.
@@ -39,13 +38,10 @@ func NewSeqScan(t *catalog.Table, alias string, propagate bool) *SeqScan {
 		schema: t.Schema.Rename(alias)}
 }
 
-// SetContext installs the per-query lifecycle.
-func (s *SeqScan) SetContext(qc *QueryCtx) { s.qc = qc }
-
 // Open positions the scan at the first tuple of its partition.
-func (s *SeqScan) Open() (err error) {
+func (s *SeqScan) Open(qc *QueryCtx) (err error) {
 	defer recoverOp("SeqScan", &err)
-	if err := s.qc.check(); err != nil {
+	if err := qc.check(); err != nil {
 		return err
 	}
 	if s.Part.Of > 1 {

@@ -38,19 +38,12 @@ type Sort struct {
 	merger *runHeap
 	files  []*os.File
 
-	qc *QueryCtx
 	// spilled records that an in-memory sort degraded to external under
 	// budget pressure (observable by tests and EXPLAIN ANALYZE-style
 	// tooling).
 	spilled bool
-	// Committed budget charges, released on spill (buffered) or Close.
-	chargedRows, chargedBytes, chargedSpill int64
-}
-
-// SetContext installs the per-query lifecycle and forwards it below.
-func (s *Sort) SetContext(qc *QueryCtx) {
-	s.qc = qc
-	SetIterContext(s.Input, qc)
+	// res holds the buffered rows' and spilled runs' budget charges.
+	res reservation
 }
 
 // Spilled reports whether an in-memory sort degraded to external runs
@@ -102,7 +95,7 @@ func (s *Sort) lessKeys(a, b []model.Value) bool {
 // Cleanup is exhaustive — every early return and panic path (a
 // mid-Open flush failure in particular) removes already-spilled run
 // files and returns budget charges.
-func (s *Sort) Open() (err error) {
+func (s *Sort) Open(qc *QueryCtx) (err error) {
 	defer recoverOp("Sort", &err)
 	opened := false
 	defer func() {
@@ -110,16 +103,16 @@ func (s *Sort) Open() (err error) {
 			s.cleanup()
 		}
 	}()
-	if err := s.qc.check(); err != nil {
+	if err := qc.check(); err != nil {
 		return err
 	}
+	s.res.bind(qc, "Sort")
 	keyExprs := make([]sql.Expr, len(s.Keys))
 	for i, k := range s.Keys {
 		keyExprs[i] = k.Expr
 	}
 	boundKeys := (&Evaluator{Schema: s.Input.Schema(), Lookup: s.Lookup}).bindValues(keyExprs)
 
-	budget := s.qc.Budget()
 	mem := s.Mem
 	runLen := s.RunLen
 	if runLen <= 0 {
@@ -155,11 +148,10 @@ func (s *Sort) Open() (err error) {
 			discard()
 			return err
 		}
-		if cerr := budget.ChargeSpill("Sort", info.Size()); cerr != nil {
+		if cerr := s.res.chargeSpill(info.Size()); cerr != nil {
 			discard()
 			return cerr
 		}
-		s.chargedSpill += info.Size()
 		if _, err := f.Seek(0, io.SeekStart); err != nil {
 			discard()
 			return err
@@ -167,20 +159,18 @@ func (s *Sort) Open() (err error) {
 		s.files = append(s.files, f)
 		s.runs = append(s.runs, &runReader{dec: gob.NewDecoder(f)})
 		// The flushed rows no longer live in memory: return their charge.
-		budget.ReleaseBuffered(int64(len(buf)), bufBytes)
-		s.chargedRows -= int64(len(buf))
-		s.chargedBytes -= bufBytes
+		s.res.release(int64(len(buf)), bufBytes)
 		buf, bufBytes = buf[:0], 0
 		return nil
 	}
 
-	err = run(s.qc, s.Input, func(row *Row) error {
+	err = run(qc, s.Input, func(row *Row) error {
 		keys, err := evalValues(boundKeys, row)
 		if err != nil {
 			return err
 		}
 		rb := approxRowBytes(row)
-		if cerr := budget.ChargeBuffered("Sort", 1, rb); cerr != nil {
+		if cerr := s.res.charge(1, rb); cerr != nil {
 			// Buffer pressure: spill the buffer as a sorted run and
 			// continue externally instead of failing.
 			if err := flush(); err != nil {
@@ -188,12 +178,10 @@ func (s *Sort) Open() (err error) {
 			}
 			mem = false
 			s.spilled = true
-			if cerr := budget.ChargeBuffered("Sort", 1, rb); cerr != nil {
+			if cerr := s.res.charge(1, rb); cerr != nil {
 				return cerr // a single row exceeds the budget
 			}
 		}
-		s.chargedRows++
-		s.chargedBytes += rb
 		buf = append(buf, keyedRow{Keys: keys, Row: row})
 		bufBytes += rb
 		if !mem && len(buf) >= runLen {
@@ -267,11 +255,7 @@ func (s *Sort) cleanup() {
 		os.Remove(name)
 	}
 	s.files = nil
-	if b := s.qc.Budget(); b != nil {
-		b.ReleaseBuffered(s.chargedRows, s.chargedBytes)
-		b.ReleaseSpill(s.chargedSpill)
-	}
-	s.chargedRows, s.chargedBytes, s.chargedSpill = 0, 0, 0
+	s.res.releaseAll()
 }
 
 // Close removes any spilled run files and returns budget charges.

@@ -181,42 +181,33 @@ type statsIter struct {
 	st     *OpStats
 	coll   *StatsCollector
 	acct   *pager.Accountant
-	budget *Budget
 	worker bool // rows/time only; skip I/O and budget attribution
 
 	acc OpStats // private accumulator, flushed at Close
 }
 
-// SetContext grabs the query budget for charge attribution and forwards
-// the lifecycle to the wrapped operator.
-func (w *statsIter) SetContext(qc *QueryCtx) {
-	if !w.worker {
-		w.budget = qc.Budget()
-	}
-	SetIterContext(w.child, qc)
-}
-
 // Unwrap exposes the wrapped operator (tests and OpName reach through).
 func (w *statsIter) Unwrap() Operator { return w.child }
 
-// sample begins one measurement window.
-func (w *statsIter) sample() (time.Time, pager.Stats, [3]int64) {
+// sample begins one measurement window; budget is the query's (nil at
+// Close, which charges nothing).
+func (w *statsIter) sample(budget *Budget) (time.Time, pager.Stats, [3]int64) {
 	var totals [3]int64
 	if w.worker {
 		return time.Now(), pager.Stats{}, totals
 	}
-	totals[0], totals[1], totals[2] = w.budget.ChargeTotals()
+	totals[0], totals[1], totals[2] = budget.ChargeTotals()
 	return time.Now(), w.acct.Stats(), totals
 }
 
 // commit closes a measurement window into the accumulator.
-func (w *statsIter) commit(wall *time.Duration, start time.Time, io0 pager.Stats, b0 [3]int64) {
+func (w *statsIter) commit(budget *Budget, wall *time.Duration, start time.Time, io0 pager.Stats, b0 [3]int64) {
 	*wall += time.Since(start)
 	if w.worker {
 		return
 	}
 	w.acc.IO = w.acc.IO.Add(w.acct.Stats().Sub(io0))
-	r, b, sp := w.budget.ChargeTotals()
+	r, b, sp := budget.ChargeTotals()
 	w.acc.BufferedRows += r - b0[0]
 	w.acc.BufferedBytes += b - b0[1]
 	w.acc.SpillBytes += sp - b0[2]
@@ -250,11 +241,11 @@ func (s *OpStats) merge(o *OpStats) {
 	s.DistinctPages += o.DistinctPages
 }
 
-func (w *statsIter) Open() error {
-	start, io0, b0 := w.sample()
-	err := w.child.Open()
+func (w *statsIter) Open(qc *QueryCtx) error {
+	start, io0, b0 := w.sample(qc.Budget())
+	err := w.child.Open(qc)
 	w.acc.Opens++
-	w.commit(&w.acc.OpenWall, start, io0, b0)
+	w.commit(qc.Budget(), &w.acc.OpenWall, start, io0, b0)
 	return err
 }
 
@@ -262,20 +253,20 @@ func (w *statsIter) Open() error {
 // every live row, so EXPLAIN ANALYZE "rows" does not depend on the
 // capacity; "nexts" counts batch calls.
 func (w *statsIter) NextBatch(qc *QueryCtx) (*Batch, error) {
-	start, io0, b0 := w.sample()
+	start, io0, b0 := w.sample(qc.Budget())
 	b, err := w.child.NextBatch(qc)
 	w.acc.NextCalls++
 	if b != nil {
 		w.acc.Rows += int64(b.Len())
 	}
-	w.commit(&w.acc.NextWall, start, io0, b0)
+	w.commit(qc.Budget(), &w.acc.NextWall, start, io0, b0)
 	return b, err
 }
 
 func (w *statsIter) Close() error {
-	start, io0, b0 := w.sample()
+	start, io0, b0 := w.sample(nil)
 	err := w.child.Close()
-	w.commit(&w.acc.CloseWall, start, io0, b0)
+	w.commit(nil, &w.acc.CloseWall, start, io0, b0)
 	// Sample fetch-stage counters the operator kept across Close. Worker
 	// recorders sample too: the counters are per operator instance, so
 	// shares from parallel partitions sum cleanly in merge.

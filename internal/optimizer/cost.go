@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/catalog"
-	"repro/internal/exec"
 	"repro/internal/index"
 	"repro/internal/plan"
 	"repro/internal/sql"
@@ -337,5 +336,3 @@ func EstimateNode(n plan.Node, r *plan.AliasResolver, env *Env, opts Options) Es
 	rw := &rewriter{env: env, opts: opts, resolver: r}
 	return rw.estimate(n)
 }
-
-var _ = exec.SortKey{} // keep exec imported for the compile half

@@ -98,11 +98,10 @@ func (rw *rewriter) applyForceFetch(n plan.Node) plan.Node {
 	if rw.opts.ForceFetch == "" {
 		return n
 	}
-	replaceChildren(n, func(c plan.Node) plan.Node { return rw.applyForceFetch(c) })
 	if s, ok := n.(*plan.SummaryIndexScanNode); ok && !s.Ordered {
 		s.FetchSorted = rw.opts.ForceFetch == FetchSorted
 	}
-	return n
+	return plan.MapChildren(n, rw.applyForceFetch)
 }
 
 // fetchDistinctPages bounds the useful parallelism of a sorted index

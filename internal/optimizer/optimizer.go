@@ -87,6 +87,16 @@ type Options struct {
 	inWorker bool
 }
 
+// BatchCapacity is the one row capacity a statement's operators share:
+// MaxBatchSize clamped into [1, exec.MaxBatchSize], so 0 (unset) and 1
+// both mean one row per exchange. The engine applies it once per
+// statement, building the exec.QueryCtx it hands the root operator's
+// Open. Plans themselves carry no capacity, so one cached plan skeleton
+// serves every setting.
+func BatchCapacity(opts Options) int {
+	return min(max(opts.MaxBatchSize, 1), exec.MaxBatchSize)
+}
+
 // Env supplies the optimizer and compiler with catalog context.
 type Env struct {
 	Cat *catalog.Catalog

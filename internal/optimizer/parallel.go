@@ -76,42 +76,31 @@ func (rw *rewriter) parallelizeNode(n plan.Node) plan.Node {
 	case *plan.SummaryJoin:
 		node.Left = rw.parallelizeNode(node.Left)
 
-	case *plan.SortNode:
-		node.Child = rw.parallelizeNode(node.Child)
-	case *plan.ProjectNode:
-		node.Child = rw.parallelizeNode(node.Child)
-	case *plan.DistinctNode:
-		node.Child = rw.parallelizeNode(node.Child)
-	case *plan.LimitNode:
-		node.Child = rw.parallelizeNode(node.Child)
-	case *plan.Select:
-		node.Child = rw.parallelizeNode(node.Child)
-	case *plan.SummarySelect:
-		node.Child = rw.parallelizeNode(node.Child)
-	case *plan.SummaryFilterNode:
-		node.Child = rw.parallelizeNode(node.Child)
-	case *plan.SummaryProject:
-		node.Child = rw.parallelizeNode(node.Child)
+	default:
+		return plan.MapChildren(n, rw.parallelizeNode)
 	}
 	return n
+}
+
+// pipelineLeaf returns the node at the bottom of a chain of streaming
+// operators: σ, S, F and the per-tuple summary-effect projection.
+func pipelineLeaf(n plan.Node) plan.Node {
+	for {
+		if p, ok := n.(*plan.SummaryProject); ok {
+			n = p.Child
+		} else if child, ok := plan.StreamingChild(n); ok {
+			n = child
+		} else {
+			return n
+		}
+	}
 }
 
 // pipelineScan returns the base-table scan at the bottom of a chain of
 // streaming operators, or nil when the subtree has any other shape.
 func pipelineScan(n plan.Node) *plan.Scan {
-	switch v := n.(type) {
-	case *plan.Scan:
-		return v
-	case *plan.Select:
-		return pipelineScan(v.Child)
-	case *plan.SummarySelect:
-		return pipelineScan(v.Child)
-	case *plan.SummaryFilterNode:
-		return pipelineScan(v.Child)
-	case *plan.SummaryProject:
-		return pipelineScan(v.Child)
-	}
-	return nil
+	scan, _ := pipelineLeaf(n).(*plan.Scan)
+	return scan
 }
 
 // pipelineIndexScan returns the sorted-fetch Summary-BTree scan at the
@@ -119,20 +108,8 @@ func pipelineScan(n plan.Node) *plan.Scan {
 // (including ordered scans, whose count order partitioning would
 // destroy).
 func pipelineIndexScan(n plan.Node) *plan.SummaryIndexScanNode {
-	switch v := n.(type) {
-	case *plan.SummaryIndexScanNode:
-		if v.FetchSorted && !v.Ordered {
-			return v
-		}
-		return nil
-	case *plan.Select:
-		return pipelineIndexScan(v.Child)
-	case *plan.SummarySelect:
-		return pipelineIndexScan(v.Child)
-	case *plan.SummaryFilterNode:
-		return pipelineIndexScan(v.Child)
-	case *plan.SummaryProject:
-		return pipelineIndexScan(v.Child)
+	if leaf, ok := pipelineLeaf(n).(*plan.SummaryIndexScanNode); ok && leaf.FetchSorted && !leaf.Ordered {
+		return leaf
 	}
 	return nil
 }

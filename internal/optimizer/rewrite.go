@@ -32,34 +32,8 @@ func (rw *rewriter) pushdown(n plan.Node) plan.Node {
 	case *plan.SummaryFilterNode:
 		node.Child = rw.pushdown(node.Child)
 		return rw.pushFilter(node)
-	case *plan.SummaryProject:
-		node.Child = rw.pushdown(node.Child)
-		return node
-	case *plan.Join:
-		node.Left = rw.pushdown(node.Left)
-		node.Right = rw.pushdown(node.Right)
-		return node
-	case *plan.SummaryJoin:
-		node.Left = rw.pushdown(node.Left)
-		node.Right = rw.pushdown(node.Right)
-		return node
-	case *plan.SortNode:
-		node.Child = rw.pushdown(node.Child)
-		return node
-	case *plan.GroupByNode:
-		node.Child = rw.pushdown(node.Child)
-		return node
-	case *plan.ProjectNode:
-		node.Child = rw.pushdown(node.Child)
-		return node
-	case *plan.DistinctNode:
-		node.Child = rw.pushdown(node.Child)
-		return node
-	case *plan.LimitNode:
-		node.Child = rw.pushdown(node.Child)
-		return node
 	default:
-		return n
+		return plan.MapChildren(n, rw.pushdown)
 	}
 }
 
@@ -98,52 +72,22 @@ func (rw *rewriter) placeConjuncts(child plan.Node, conjuncts []sql.Expr, summar
 //     the join would otherwise merge those objects and change the
 //     predicate's input.
 func (rw *rewriter) tryPush(n plan.Node, c sql.Expr, summary bool) (plan.Node, bool) {
-	info := plan.Analyze(c, rw.resolver)
-	switch node := n.(type) {
-	case *plan.Join:
-		if side, ok := rw.sideFor(info, node.Left, node.Right, summary); ok {
-			if side == 0 {
-				node.Left = rw.attach(node.Left, c, summary)
-			} else {
-				node.Right = rw.attach(node.Right, c, summary)
-			}
-			return node, true
+	switch n.(type) {
+	case *plan.Join, *plan.SummaryJoin:
+		sides := n.Children()
+		side, ok := rw.sideFor(plan.Analyze(c, rw.resolver), sides[0], sides[1], summary)
+		if !ok {
+			return n, false
 		}
-		return n, false
-	case *plan.SummaryJoin:
-		if side, ok := rw.sideFor(info, node.Left, node.Right, summary); ok {
-			if side == 0 {
-				node.Left = rw.attach(node.Left, c, summary)
-			} else {
-				node.Right = rw.attach(node.Right, c, summary)
-			}
-			return node, true
-		}
-		return n, false
-	case *plan.Select:
-		child, ok := rw.tryPush(node.Child, c, summary)
-		if ok {
-			node.Child = child
-			return node, true
-		}
-		return n, false
-	case *plan.SummarySelect:
-		child, ok := rw.tryPush(node.Child, c, summary)
-		if ok {
-			node.Child = child
-			return node, true
-		}
-		return n, false
-	case *plan.SummaryFilterNode:
-		child, ok := rw.tryPush(node.Child, c, summary)
-		if ok {
-			node.Child = child
-			return node, true
-		}
-		return n, false
-	default:
-		return n, false
+		sides[side] = rw.attach(sides[side], c, summary)
+		return n.WithChildren(sides), true
 	}
+	if child, ok := plan.StreamingChild(n); ok {
+		if pushed, ok := rw.tryPush(child, c, summary); ok {
+			return n.WithChildren([]plan.Node{pushed}), true
+		}
+	}
+	return n, false
 }
 
 // attach recursively pushes c into n, stacking it directly above the
@@ -235,21 +179,18 @@ func tablesIn(n plan.Node) []*catalog.Table {
 func (rw *rewriter) pushFilter(f *plan.SummaryFilterNode) plan.Node {
 	switch j := f.Child.(type) {
 	case *plan.Join:
-		j.Left = rw.pushFilter(&plan.SummaryFilterNode{Child: j.Left, Instances: f.Instances, Types: f.Types})
-		j.Right = rw.pushFilter(&plan.SummaryFilterNode{Child: j.Right, Instances: f.Instances, Types: f.Types})
-		return j
 	case *plan.SummaryJoin:
 		// F must not drop objects the J predicate needs: only push when
 		// the filter keeps every instance the join references.
 		if !keepsInstances(f, j.Instances) {
 			return f
 		}
-		j.Left = rw.pushFilter(&plan.SummaryFilterNode{Child: j.Left, Instances: f.Instances, Types: f.Types})
-		j.Right = rw.pushFilter(&plan.SummaryFilterNode{Child: j.Right, Instances: f.Instances, Types: f.Types})
-		return j
 	default:
 		return f
 	}
+	return plan.MapChildren(f.Child, func(side plan.Node) plan.Node {
+		return rw.pushFilter(&plan.SummaryFilterNode{Child: side, Instances: f.Instances, Types: f.Types})
+	})
 }
 
 func keepsInstances(f *plan.SummaryFilterNode, needed []string) bool {
@@ -281,8 +222,7 @@ func (rw *rewriter) chooseAccessPaths(n plan.Node) plan.Node {
 		node.Child = rw.chooseAccessPaths(node.Child)
 		return rw.trySummaryIndex(node)
 	default:
-		replaceChildren(n, func(c plan.Node) plan.Node { return rw.chooseAccessPaths(c) })
-		return n
+		return plan.MapChildren(n, rw.chooseAccessPaths)
 	}
 }
 
@@ -409,7 +349,7 @@ func leafScan(n plan.Node) (*plan.Scan, bool) {
 // predicate can probe the data equi-conjunct's index and evaluate its
 // summary predicates as pre-merge residuals.
 func (rw *rewriter) chooseJoinImpl(n plan.Node) plan.Node {
-	replaceChildren(n, func(c plan.Node) plan.Node { return rw.chooseJoinImpl(c) })
+	n = plan.MapChildren(n, rw.chooseJoinImpl)
 	if rw.opts.ForceJoin == "nl" {
 		return n
 	}
@@ -530,7 +470,7 @@ func qualifierOf(c *sql.ColumnRef, r *plan.AliasResolver) string {
 // touch S. Executing the data join first exposes its index access path
 // and shrinks the summary join's input.
 func (rw *rewriter) reorderSummaryJoins(n plan.Node) plan.Node {
-	replaceChildren(n, func(c plan.Node) plan.Node { return rw.reorderSummaryJoins(c) })
+	n = plan.MapChildren(n, rw.reorderSummaryJoins)
 	j, ok := n.(*plan.Join)
 	if !ok || j.On == nil {
 		return n
@@ -613,7 +553,7 @@ func (rw *rewriter) dataJoinHasIndex(on sql.Expr, a, b plan.Node) bool {
 // eliminateSorts removes a summary-based sort when a Summary-BTree can
 // deliver the interesting order and the subtree preserves it.
 func (rw *rewriter) eliminateSorts(n plan.Node) plan.Node {
-	replaceChildren(n, func(c plan.Node) plan.Node { return rw.eliminateSorts(c) })
+	n = plan.MapChildren(n, rw.eliminateSorts)
 	s, ok := n.(*plan.SortNode)
 	if !ok || len(s.Keys) != 1 || !s.SummaryBased || rw.opts.NoSummaryIndex || rw.opts.UseBaseline {
 		return n
@@ -636,54 +576,29 @@ func (rw *rewriter) eliminateSorts(n plan.Node) plan.Node {
 // provided no relation on the inner side defines the instance (else the
 // merge would reshuffle counts).
 func (rw *rewriter) establishOrder(n plan.Node, alias, instance, label string, desc bool) (plan.Node, bool) {
+	// under rewrites n's first input, the one whose order n preserves.
+	under := func() (plan.Node, bool) {
+		kids := n.Children()
+		first, ok := rw.establishOrder(kids[0], alias, instance, label, desc)
+		if !ok {
+			return n, false
+		}
+		kids[0] = first
+		return n.WithChildren(kids), true
+	}
 	switch node := n.(type) {
-	case *plan.Select:
-		child, ok := rw.establishOrder(node.Child, alias, instance, label, desc)
-		if ok {
-			node.Child = child
-		}
-		return node, ok
-	case *plan.SummarySelect:
-		child, ok := rw.establishOrder(node.Child, alias, instance, label, desc)
-		if ok {
-			node.Child = child
-		}
-		return node, ok
-	case *plan.SummaryFilterNode:
-		child, ok := rw.establishOrder(node.Child, alias, instance, label, desc)
-		if ok {
-			node.Child = child
-		}
-		return node, ok
 	case *plan.SummaryProject:
 		// A non-identity effect projection may change the counts the
 		// sort key reads; the stored-object order no longer applies.
 		if scan, identity := leafScan(node); scan == nil || !identity {
 			return node, false
 		}
-		child, ok := rw.establishOrder(node.Child, alias, instance, label, desc)
-		if ok {
-			node.Child = child
+		return under()
+	case *plan.Join, *plan.SummaryJoin:
+		if rw.instancesOnSide([]string{instance}, n.Children()[1]) {
+			return n, false
 		}
-		return node, ok
-	case *plan.Join:
-		if rw.instancesOnSide([]string{instance}, node.Right) {
-			return node, false
-		}
-		left, ok := rw.establishOrder(node.Left, alias, instance, label, desc)
-		if ok {
-			node.Left = left
-		}
-		return node, ok
-	case *plan.SummaryJoin:
-		if rw.instancesOnSide([]string{instance}, node.Right) {
-			return node, false
-		}
-		left, ok := rw.establishOrder(node.Left, alias, instance, label, desc)
-		if ok {
-			node.Left = left
-		}
-		return node, ok
+		return under()
 	case *plan.SummaryIndexScanNode:
 		if (alias == "" || strings.EqualFold(node.Alias, alias)) &&
 			strings.EqualFold(node.Instance, instance) && strings.EqualFold(node.Label, label) {
@@ -723,37 +638,10 @@ func (rw *rewriter) establishOrder(n plan.Node, alias, instance, label string, d
 		leaf.Descending = desc
 		return leaf, true
 	default:
+		if _, ok := plan.StreamingChild(n); ok {
+			return under()
+		}
 		return n, false
-	}
-}
-
-// replaceChildren rewrites each child of n in place via fn.
-func replaceChildren(n plan.Node, fn func(plan.Node) plan.Node) {
-	switch node := n.(type) {
-	case *plan.Select:
-		node.Child = fn(node.Child)
-	case *plan.SummarySelect:
-		node.Child = fn(node.Child)
-	case *plan.SummaryFilterNode:
-		node.Child = fn(node.Child)
-	case *plan.SummaryProject:
-		node.Child = fn(node.Child)
-	case *plan.SortNode:
-		node.Child = fn(node.Child)
-	case *plan.GroupByNode:
-		node.Child = fn(node.Child)
-	case *plan.ProjectNode:
-		node.Child = fn(node.Child)
-	case *plan.DistinctNode:
-		node.Child = fn(node.Child)
-	case *plan.LimitNode:
-		node.Child = fn(node.Child)
-	case *plan.Join:
-		node.Left = fn(node.Left)
-		node.Right = fn(node.Right)
-	case *plan.SummaryJoin:
-		node.Left = fn(node.Left)
-		node.Right = fn(node.Right)
 	}
 }
 

@@ -20,8 +20,45 @@ import (
 type Node interface {
 	Schema() *model.Schema
 	Children() []Node
+	// WithChildren returns a shallow copy of the node over the given
+	// children — as many, in the same order, as Children returns — and
+	// leaves the receiver untouched. It is the one way a plan pass
+	// replaces a node's inputs (see MapChildren, Rebind).
+	WithChildren(children []Node) Node
 	// Describe renders the node (without children) for EXPLAIN output.
 	Describe() string
+}
+
+// MapChildren returns n over fn applied to each of its children — a
+// copy, never n modified; a leaf is returned as it is.
+func MapChildren(n Node, fn func(Node) Node) Node {
+	kids := n.Children()
+	if len(kids) == 0 {
+		return n
+	}
+	for i, c := range kids {
+		kids[i] = fn(c)
+	}
+	return n.WithChildren(kids)
+}
+
+// StreamingChild returns the input of a streaming, row-preserving unary
+// node: σ, S, F and an eliminated sort emit a subsequence of their
+// input's rows in the input's order, one at a time, so a rule that
+// holds for the input's row stream holds for theirs. ok is false for
+// every other node.
+func StreamingChild(n Node) (child Node, ok bool) {
+	switch v := n.(type) {
+	case *Select:
+		return v.Child, true
+	case *SummarySelect:
+		return v.Child, true
+	case *SummaryFilterNode:
+		return v.Child, true
+	case *SortNode:
+		return v.Child, v.Eliminated
+	}
+	return nil, false
 }
 
 // Scan reads a base table.
@@ -45,6 +82,12 @@ func (s *Scan) Schema() *model.Schema { return s.schema }
 
 // Children returns no children.
 func (s *Scan) Children() []Node { return nil }
+
+// WithChildren returns a copy (a leaf has no children to replace).
+func (s *Scan) WithChildren([]Node) Node {
+	cp := *s
+	return &cp
+}
 
 // Describe renders the node.
 func (s *Scan) Describe() string {
@@ -95,6 +138,12 @@ func (s *SummaryIndexScanNode) Schema() *model.Schema { return s.schema }
 // Children returns no children.
 func (s *SummaryIndexScanNode) Children() []Node { return nil }
 
+// WithChildren returns a copy (a leaf has no children to replace).
+func (s *SummaryIndexScanNode) WithChildren([]Node) Node {
+	cp := *s
+	return &cp
+}
+
 // Describe renders the node.
 func (s *SummaryIndexScanNode) Describe() string {
 	ord := ""
@@ -141,6 +190,12 @@ func (s *BaselineIndexScanNode) Schema() *model.Schema { return s.schema }
 // Children returns no children.
 func (s *BaselineIndexScanNode) Children() []Node { return nil }
 
+// WithChildren returns a copy (a leaf has no children to replace).
+func (s *BaselineIndexScanNode) WithChildren([]Node) Node {
+	cp := *s
+	return &cp
+}
+
 // Describe renders the node.
 func (s *BaselineIndexScanNode) Describe() string {
 	return fmt.Sprintf("BaselineIndexScan %s AS %s ON %s.%s %s %d",
@@ -162,6 +217,13 @@ func (p *SummaryProject) Schema() *model.Schema { return p.Child.Schema() }
 // Children returns the child.
 func (p *SummaryProject) Children() []Node { return []Node{p.Child} }
 
+// WithChildren returns a copy over the given child.
+func (p *SummaryProject) WithChildren(c []Node) Node {
+	cp := *p
+	cp.Child = c[0]
+	return &cp
+}
+
 // Describe renders the node.
 func (p *SummaryProject) Describe() string {
 	return fmt.Sprintf("SummaryProject %s keep(%s)", p.Alias, strings.Join(p.Kept, ","))
@@ -178,6 +240,13 @@ func (s *Select) Schema() *model.Schema { return s.Child.Schema() }
 
 // Children returns the child.
 func (s *Select) Children() []Node { return []Node{s.Child} }
+
+// WithChildren returns a copy over the given child.
+func (s *Select) WithChildren(c []Node) Node {
+	cp := *s
+	cp.Child = c[0]
+	return &cp
+}
 
 // Describe renders the node.
 func (s *Select) Describe() string {
@@ -199,6 +268,13 @@ func (s *SummarySelect) Schema() *model.Schema { return s.Child.Schema() }
 // Children returns the child.
 func (s *SummarySelect) Children() []Node { return []Node{s.Child} }
 
+// WithChildren returns a copy over the given child.
+func (s *SummarySelect) WithChildren(c []Node) Node {
+	cp := *s
+	cp.Child = c[0]
+	return &cp
+}
+
 // Describe renders the node.
 func (s *SummarySelect) Describe() string {
 	return fmt.Sprintf("SummarySelect S[%s]", s.Pred)
@@ -217,6 +293,13 @@ func (f *SummaryFilterNode) Schema() *model.Schema { return f.Child.Schema() }
 
 // Children returns the child.
 func (f *SummaryFilterNode) Children() []Node { return []Node{f.Child} }
+
+// WithChildren returns a copy over the given child.
+func (f *SummaryFilterNode) WithChildren(c []Node) Node {
+	cp := *f
+	cp.Child = c[0]
+	return &cp
+}
 
 // Describe renders the node.
 func (f *SummaryFilterNode) Describe() string {
@@ -263,6 +346,13 @@ func (j *Join) Schema() *model.Schema { return j.schema }
 
 // Children returns both inputs.
 func (j *Join) Children() []Node { return []Node{j.Left, j.Right} }
+
+// WithChildren returns a copy over the given inputs.
+func (j *Join) WithChildren(c []Node) Node {
+	cp := *j
+	cp.Left, cp.Right = c[0], c[1]
+	return &cp
+}
 
 // Describe renders the node.
 func (j *Join) Describe() string {
@@ -313,6 +403,13 @@ func (j *SummaryJoin) Schema() *model.Schema { return j.schema }
 // Children returns both inputs.
 func (j *SummaryJoin) Children() []Node { return []Node{j.Left, j.Right} }
 
+// WithChildren returns a copy over the given inputs.
+func (j *SummaryJoin) WithChildren(c []Node) Node {
+	cp := *j
+	cp.Left, cp.Right = c[0], c[1]
+	return &cp
+}
+
 // Describe renders the node.
 func (j *SummaryJoin) Describe() string {
 	kind := "SummaryJoin"
@@ -341,6 +438,13 @@ func (s *SortNode) Schema() *model.Schema { return s.Child.Schema() }
 
 // Children returns the child.
 func (s *SortNode) Children() []Node { return []Node{s.Child} }
+
+// WithChildren returns a copy over the given child.
+func (s *SortNode) WithChildren(c []Node) Node {
+	cp := *s
+	cp.Child = c[0]
+	return &cp
+}
 
 // Describe renders the node.
 func (s *SortNode) Describe() string {
@@ -386,6 +490,13 @@ func (g *GroupByNode) Schema() *model.Schema { return g.schema }
 // Children returns the child.
 func (g *GroupByNode) Children() []Node { return []Node{g.Child} }
 
+// WithChildren returns a copy over the given child.
+func (g *GroupByNode) WithChildren(c []Node) Node {
+	cp := *g
+	cp.Child = c[0]
+	return &cp
+}
+
 // Describe renders the node.
 func (g *GroupByNode) Describe() string {
 	keys := make([]string, len(g.Keys))
@@ -412,6 +523,13 @@ func (p *ProjectNode) Schema() *model.Schema { return p.Out }
 // Children returns the child.
 func (p *ProjectNode) Children() []Node { return []Node{p.Child} }
 
+// WithChildren returns a copy over the given child.
+func (p *ProjectNode) WithChildren(c []Node) Node {
+	cp := *p
+	cp.Child = c[0]
+	return &cp
+}
+
 // Describe renders the node.
 func (p *ProjectNode) Describe() string {
 	exprs := make([]string, len(p.Exprs))
@@ -433,6 +551,13 @@ func (d *DistinctNode) Schema() *model.Schema { return d.Child.Schema() }
 // Children returns the child.
 func (d *DistinctNode) Children() []Node { return []Node{d.Child} }
 
+// WithChildren returns a copy over the given child.
+func (d *DistinctNode) WithChildren(c []Node) Node {
+	cp := *d
+	cp.Child = c[0]
+	return &cp
+}
+
 // Describe renders the node.
 func (d *DistinctNode) Describe() string { return "Distinct" }
 
@@ -447,6 +572,13 @@ func (l *LimitNode) Schema() *model.Schema { return l.Child.Schema() }
 
 // Children returns the child.
 func (l *LimitNode) Children() []Node { return []Node{l.Child} }
+
+// WithChildren returns a copy over the given child.
+func (l *LimitNode) WithChildren(c []Node) Node {
+	cp := *l
+	cp.Child = c[0]
+	return &cp
+}
 
 // Describe renders the node.
 func (l *LimitNode) Describe() string {
@@ -473,6 +605,13 @@ func (g *GatherNode) Schema() *model.Schema { return g.Child.Schema() }
 
 // Children returns the child.
 func (g *GatherNode) Children() []Node { return []Node{g.Child} }
+
+// WithChildren returns a copy over the given child.
+func (g *GatherNode) WithChildren(c []Node) Node {
+	cp := *g
+	cp.Child = c[0]
+	return &cp
+}
 
 // Describe renders the node.
 func (g *GatherNode) Describe() string {

@@ -1,10 +1,16 @@
 package plan
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"unicode"
 
 	"repro/internal/catalog"
+	"repro/internal/exec"
 	"repro/internal/index"
 	"repro/internal/model"
 	"repro/internal/sql"
@@ -277,32 +283,194 @@ func TestKeptColumnsDriveSummaryProject(t *testing.T) {
 	birds.ColAttachedAnns = 0
 }
 
-func TestNodeDescribeCoverage(t *testing.T) {
-	cat, _ := planFixture(t)
-	birds, _ := cat.Table("Birds")
+// nodeTable holds at least one instance of every node kind (and of
+// every Describe variant of the kinds that have several), over the
+// fixture's Birds table and the given indexes.
+func nodeTable(t *testing.T, cat *catalog.Catalog, sidx *index.SummaryBTree, bidx *index.Baseline) []Node {
+	t.Helper()
+	birds, err := cat.Table("Birds")
+	if err != nil {
+		t.Fatal(err)
+	}
 	scan := NewScan(birds, "r")
-	sidx := NewSummaryIndexScanNode(birds, "", nil, "C1", "D", index.OpGe, 0)
-	sidx.Ordered = true
-	bidx := NewBaselineIndexScanNode(birds, "", nil, "C1", "D", index.OpEq, 3)
+	ordered := NewSummaryIndexScanNode(birds, "", sidx, "C1", "D", index.OpGe, 0)
+	ordered.Ordered, ordered.FetchSorted = true, false
 	e, _ := sql.ParseExpr("r.id = 1")
-	nodes := []Node{
-		scan, sidx, bidx,
+	key := []exec.SortKey{{Expr: e}}
+	indexJoin := NewJoin(scan, NewScan(birds, "r4"), e)
+	indexJoin.UseIndex, indexJoin.IndexColumn = true, "id"
+	hashJoin := NewJoin(scan, NewScan(birds, "r5"), e)
+	hashJoin.UseHash, hashJoin.HashLeft, hashJoin.HashRight, hashJoin.BuildDOP = true, e, e, 2
+	summaryIndexJoin := NewSummaryJoin(scan, NewScan(birds, "r6"), e, []string{"C1"})
+	summaryIndexJoin.UseIndex, summaryIndexJoin.IndexColumn = true, "id"
+	return []Node{
+		scan, ordered,
+		NewSummaryIndexScanNode(birds, "", sidx, "C1", "D", index.OpGe, 0),
+		NewBaselineIndexScanNode(birds, "", bidx, "C1", "D", index.OpEq, 3),
 		&SummaryProject{Child: scan, Alias: "r", Kept: []string{"id"}},
 		&Select{Child: scan, Pred: e},
 		&SummarySelect{Child: scan, Pred: e},
 		&SummaryFilterNode{Child: scan, Instances: []string{"C1"}, Types: []model.SummaryType{model.SummaryClassifier}},
-		NewJoin(scan, NewScan(birds, "r2"), e),
-		NewSummaryJoin(scan, NewScan(birds, "r3"), e, []string{"C1"}),
-		&SortNode{Child: scan, Keys: nil},
-		&GroupByNode{Child: scan},
-		&ProjectNode{Child: scan, Out: scan.Schema()},
+		NewJoin(scan, NewScan(birds, "r2"), nil), indexJoin, hashJoin,
+		NewSummaryJoin(scan, NewScan(birds, "r3"), e, []string{"C1"}), summaryIndexJoin,
+		&SortNode{Child: scan, Keys: key},
+		&SortNode{Child: ordered, Keys: key, SummaryBased: true, Disk: true, Eliminated: true},
+		&GroupByNode{Child: scan, Keys: []sql.Expr{e}, DOP: 2},
+		&ProjectNode{Child: scan, Exprs: []sql.Expr{e}, Out: scan.Schema()},
+		&DistinctNode{Child: scan},
 		&LimitNode{Child: scan, N: 1},
+		&GatherNode{Child: scan, DOP: 2, Partial: true},
 	}
-	for _, n := range nodes {
+}
+
+// describeWord is the operator name a Describe line (or an EXPLAIN
+// golden line) starts with.
+func describeWord(line string) string {
+	line = strings.TrimLeft(line, " ")
+	end := strings.IndexFunc(line, func(r rune) bool { return !unicode.IsLetter(r) })
+	if end < 0 {
+		return line
+	}
+	return line[:end]
+}
+
+// TestNodeTableCoversGoldenPlans: every operator that appears in an
+// optimized plan of the engine's golden corpus is in nodeTable, so a new
+// node kind cannot reach a plan without joining the table the
+// WithChildren and Rebind tests run over.
+func TestNodeTableCoversGoldenPlans(t *testing.T) {
+	cat, _ := planFixture(t)
+	known := map[string]bool{"Execution": true} // EXPLAIN ANALYZE footer
+	for _, n := range nodeTable(t, cat, nil, nil) {
 		if n.Describe() == "" {
 			t.Errorf("%T: empty Describe", n)
 		}
+		known[describeWord(n.Describe())] = true
 	}
+	files, err := filepath.Glob("../engine/testdata/*.golden")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no golden plans found: %v", err)
+	}
+	for _, f := range files {
+		text, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(text)), "\n") {
+			if w := describeWord(line); !known[w] {
+				t.Errorf("%s: operator %q is not in nodeTable", f, w)
+			}
+		}
+	}
+}
+
+// TestWithChildrenAgreesWithChildren: for every node kind, WithChildren
+// returns a new node of the same kind whose Children are the ones
+// given, in order, that renders the same, and leaves the receiver as it
+// was.
+func TestWithChildrenAgreesWithChildren(t *testing.T) {
+	cat, _ := planFixture(t)
+	birds, _ := cat.Table("Birds")
+	for _, n := range nodeTable(t, cat, nil, nil) {
+		before := n.Children()
+		repl := make([]Node, len(before))
+		for i := range repl {
+			repl[i] = NewScan(birds, "x")
+		}
+		m := n.WithChildren(repl)
+		if m == n || reflect.TypeOf(m) != reflect.TypeOf(n) {
+			t.Errorf("%T: WithChildren returned %T (same node: %v)", n, m, m == n)
+			continue
+		}
+		if got := m.Children(); !slices.Equal(got, repl) {
+			t.Errorf("%T: copy has children %v, want %v", n, got, repl)
+		}
+		if got := n.Children(); !slices.Equal(got, before) {
+			t.Errorf("%T: WithChildren changed the receiver's children", n)
+		}
+		if m.Describe() != n.Describe() {
+			t.Errorf("%T: copy renders %q, want %q", n, m.Describe(), n.Describe())
+		}
+		got := MapChildren(n, func(c Node) Node { return c })
+		if len(before) == 0 && got != n {
+			t.Errorf("%T: MapChildren must return a leaf as it is", n)
+		}
+		if len(before) > 0 && (got == n || !slices.Equal(got.Children(), before)) {
+			t.Errorf("%T: MapChildren(identity) = %v", n, Explain(got))
+		}
+	}
+}
+
+// TestRebindEveryNodeKind rebinds every node kind into a second catalog
+// epoch: the output renders identically, shares no node with the input,
+// and its leaves point at the new epoch's table and indexes.
+func TestRebindEveryNodeKind(t *testing.T) {
+	oldCat, _ := planFixture(t)
+	newCat, _ := planFixture(t)
+	oldS, oldB := index.NewSummaryBTree(nil, "C1"), index.NewBaseline(nil, 8, "C1")
+	newS, newB := index.NewSummaryBTree(nil, "C1"), index.NewBaseline(nil, 8, "C1")
+	env := RebindEnv{
+		Table:         newCat.Table,
+		SummaryIndex:  func(table, instance string) *index.SummaryBTree { return newS },
+		BaselineIndex: func(table, instance string) *index.Baseline { return newB },
+	}
+	newBirds, _ := newCat.Table("Birds")
+	nodesOf := func(root Node) map[Node]bool {
+		seen := map[Node]bool{}
+		var walk func(Node)
+		walk = func(n Node) {
+			seen[n] = true
+			for _, c := range n.Children() {
+				walk(c)
+			}
+		}
+		walk(root)
+		return seen
+	}
+	for _, n := range nodeTable(t, oldCat, oldS, oldB) {
+		re, err := Rebind(n, env)
+		if err != nil {
+			t.Errorf("%T: %v", n, err)
+			continue
+		}
+		if Explain(re) != Explain(n) {
+			t.Errorf("%T: rebound plan renders\n%s\nwant\n%s", n, Explain(re), Explain(n))
+		}
+		old := nodesOf(n)
+		for m := range nodesOf(re) {
+			if old[m] {
+				t.Errorf("%T: rebound tree shares %T with its input", n, m)
+			}
+			switch leaf := m.(type) {
+			case *Scan:
+				if leaf.Table != newBirds {
+					t.Errorf("%T: scan still points at the old epoch's table", n)
+				}
+			case *SummaryIndexScanNode:
+				if leaf.Table != newBirds || leaf.Index != newS {
+					t.Errorf("%T: summary-index scan still points at the old epoch", n)
+				}
+			case *BaselineIndexScanNode:
+				if leaf.Table != newBirds || leaf.Index != newB {
+					t.Errorf("%T: baseline scan still points at the old epoch", n)
+				}
+			default:
+				if len(m.Children()) == 0 {
+					t.Errorf("%T: leaf kind %T is not checked here", n, m)
+				}
+			}
+		}
+	}
+	env.SummaryIndex = func(table, instance string) *index.SummaryBTree { return nil }
+	if _, err := Rebind(NewSummaryIndexScanNode(newBirds, "", oldS, "C1", "D", index.OpGe, 0), env); err == nil {
+		t.Error("a dropped index must fail the rebind")
+	}
+}
+
+func TestJoinDescribeVariants(t *testing.T) {
+	cat, _ := planFixture(t)
+	birds, _ := cat.Table("Birds")
+	scan := NewScan(birds, "r")
 	j := NewJoin(scan, NewScan(birds, "r4"), nil)
 	if !strings.Contains(j.Describe(), "true") {
 		t.Errorf("nil-pred join describe: %s", j.Describe())

@@ -23,10 +23,12 @@ type RebindEnv struct {
 // catalog shape is unchanged — the plan cache guarantees that by keying
 // entries on the catalog version — so schemas and structural fields are
 // carried over as-is and only the storage pointers are refreshed. The
-// input tree is never modified: every node on the output tree is a
-// fresh shallow copy, so one cached skeleton can be rebound by any
-// number of concurrent executions. Shared expression trees are
-// read-only to the planner and executor and are reused directly.
+// input tree is never modified: a leaf is copied and re-pointed here,
+// every other node is WithChildren over its rebound children — so the
+// output shares no node with the input and one cached skeleton can be
+// rebound by any number of concurrent executions. Shared expression
+// trees are read-only to the planner and executor and are reused
+// directly.
 //
 // A resolution failure (table or index gone despite a matching catalog
 // version) returns an error; callers fall back to a full re-plan.
@@ -80,123 +82,19 @@ func Rebind(n Node, env RebindEnv) (Node, error) {
 		cp.Index = idx
 		return &cp, nil
 
-	case *SummaryProject:
-		child, err := Rebind(v.Child, env)
-		if err != nil {
-			return nil, err
-		}
-		cp := *v
-		cp.Child = child
-		return &cp, nil
-
-	case *Select:
-		child, err := Rebind(v.Child, env)
-		if err != nil {
-			return nil, err
-		}
-		cp := *v
-		cp.Child = child
-		return &cp, nil
-
-	case *SummarySelect:
-		child, err := Rebind(v.Child, env)
-		if err != nil {
-			return nil, err
-		}
-		cp := *v
-		cp.Child = child
-		return &cp, nil
-
-	case *SummaryFilterNode:
-		child, err := Rebind(v.Child, env)
-		if err != nil {
-			return nil, err
-		}
-		cp := *v
-		cp.Child = child
-		return &cp, nil
-
-	case *Join:
-		left, err := Rebind(v.Left, env)
-		if err != nil {
-			return nil, err
-		}
-		right, err := Rebind(v.Right, env)
-		if err != nil {
-			return nil, err
-		}
-		cp := *v
-		cp.Left, cp.Right = left, right
-		return &cp, nil
-
-	case *SummaryJoin:
-		left, err := Rebind(v.Left, env)
-		if err != nil {
-			return nil, err
-		}
-		right, err := Rebind(v.Right, env)
-		if err != nil {
-			return nil, err
-		}
-		cp := *v
-		cp.Left, cp.Right = left, right
-		return &cp, nil
-
-	case *SortNode:
-		child, err := Rebind(v.Child, env)
-		if err != nil {
-			return nil, err
-		}
-		cp := *v
-		cp.Child = child
-		return &cp, nil
-
-	case *GroupByNode:
-		child, err := Rebind(v.Child, env)
-		if err != nil {
-			return nil, err
-		}
-		cp := *v
-		cp.Child = child
-		return &cp, nil
-
-	case *ProjectNode:
-		child, err := Rebind(v.Child, env)
-		if err != nil {
-			return nil, err
-		}
-		cp := *v
-		cp.Child = child
-		return &cp, nil
-
-	case *DistinctNode:
-		child, err := Rebind(v.Child, env)
-		if err != nil {
-			return nil, err
-		}
-		cp := *v
-		cp.Child = child
-		return &cp, nil
-
-	case *LimitNode:
-		child, err := Rebind(v.Child, env)
-		if err != nil {
-			return nil, err
-		}
-		cp := *v
-		cp.Child = child
-		return &cp, nil
-
-	case *GatherNode:
-		child, err := Rebind(v.Child, env)
-		if err != nil {
-			return nil, err
-		}
-		cp := *v
-		cp.Child = child
-		return &cp, nil
-
-	default:
-		return nil, fmt.Errorf("plan: rebind: unknown node type %T", n)
 	}
+	kids := n.Children()
+	if len(kids) == 0 {
+		// A leaf holds epoch-stamped pointers; copying one this switch
+		// does not know would keep a stale snapshot alive.
+		return nil, fmt.Errorf("plan: rebind: unknown leaf %T", n)
+	}
+	for i, c := range kids {
+		re, err := Rebind(c, env)
+		if err != nil {
+			return nil, err
+		}
+		kids[i] = re
+	}
+	return n.WithChildren(kids), nil
 }

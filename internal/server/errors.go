@@ -73,9 +73,15 @@ func writeError(w http.ResponseWriter, err error) {
 	_ = json.NewEncoder(w).Encode(map[string]*apiError{"error": ae})
 }
 
-// writeJSON renders a success payload.
+// writeJSON renders a success payload, marshaling before the status
+// line so a payload encoding/json refuses is a typed 500, not an empty 200.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		writeError(w, errorf(http.StatusInternalServerError, CodeInternal, "encoding response: %v", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n')) // a failed write means the client is gone
 }

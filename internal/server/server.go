@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -139,13 +140,16 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodeBody decodes a JSON request body into dst with json.Number
-// preserved (so integer parameters stay integers). Malformed JSON is a
-// typed invalid_request, never a 500.
+// preserved (so integer parameters stay integers). Malformed JSON, or
+// anything but whitespace after the value, is a typed invalid_request.
 func decodeBody(r *http.Request, dst any) error {
 	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
 	dec.UseNumber()
 	if err := dec.Decode(dst); err != nil {
 		return errorf(http.StatusBadRequest, CodeInvalidRequest, "decoding request body: %v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errorf(http.StatusBadRequest, CodeInvalidRequest, "request body has data after the JSON value")
 	}
 	return nil
 }
@@ -187,12 +191,16 @@ func paramValues(in []any) ([]model.Value, error) {
 	return out, nil
 }
 
-// jsonValue maps an engine value back onto JSON.
+// jsonValue maps an engine value back onto JSON; a float JSON cannot
+// carry (an overflow to ±Inf, NaN) is null, like a division by zero.
 func jsonValue(v model.Value) any {
 	switch v.Kind {
 	case model.KindInt:
 		return v.Int
 	case model.KindFloat:
+		if math.IsInf(v.Float, 0) || math.IsNaN(v.Float) {
+			return nil
+		}
 		return v.Float
 	case model.KindText:
 		return v.Text

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -244,6 +245,21 @@ func TestMalformedRequestsAreTypedErrors(t *testing.T) {
 		t.Fatalf("malformed JSON: %d %v", resp.StatusCode, out)
 	}
 
+	// A well-formed value followed by anything but whitespace.
+	resp, err = http.Post(ts.URL+"/v1/query", "application/json",
+		strings.NewReader(`{"sql":"SELECT id FROM Birds"} trailing garbage`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out = nil
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatalf("trailing bytes produced a non-JSON response: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || errCode(t, out) != CodeInvalidRequest {
+		t.Fatalf("trailing bytes: %d %v", resp.StatusCode, out)
+	}
+
 	// Malformed SQL, ad-hoc and prepared.
 	if status, body := call(t, "POST", ts.URL+"/v1/query",
 		map[string]any{"sql": "SELEC id FRM Birds"}); status != http.StatusBadRequest || errCode(t, body) != CodeParseError {
@@ -285,6 +301,32 @@ func TestMalformedRequestsAreTypedErrors(t *testing.T) {
 		map[string]any{"stmt_id": stmtID, "params": []any{"not-a-number"}})
 	if status != http.StatusBadRequest || errCode(t, body) != CodeQueryFailed {
 		t.Fatalf("type mismatch: %d %v", status, body)
+	}
+}
+
+// TestUnencodableValuesNeverAnswerEmpty200: a float that overflowed to
+// +Inf is rendered as JSON null, and a payload encoding/json refuses is
+// a typed internal 500 — the status line is not written before the body
+// is known to encode.
+func TestUnencodableValuesNeverAnswerEmpty200(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{})
+	status, body := call(t, "POST", ts.URL+"/v1/query", map[string]any{
+		"sql": "SELECT weight_g * ? * ? FROM Birds LIMIT 1", "params": []any{1e308, 1e308}})
+	if status != http.StatusOK {
+		t.Fatalf("overflowing product: %d %v", status, body)
+	}
+	if rows := body["rows"].([]any); len(rows) != 1 || rows[0].([]any)[0] != nil {
+		t.Fatalf("overflowing product must render as null: %v", body["rows"])
+	}
+
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]any{"v": math.Inf(1)})
+	var out map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatalf("unencodable payload: status %d, body %q: %v", rec.Code, rec.Body, err)
+	}
+	if rec.Code != http.StatusInternalServerError || errCode(t, out) != CodeInternal {
+		t.Fatalf("unencodable payload: %d %v", rec.Code, out)
 	}
 }
 
