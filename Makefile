@@ -27,10 +27,11 @@ race:
 # race-core focuses the race detector on the layers that share a buffer
 # pool across parallel scan workers and the page store under them
 # (snapshot readers against the copy-on-write writer, in pager, heap and
-# btree), with extra iterations on the page-partitioned parallel index
-# fetch and the lock-free epoch readers.
+# btree) and the log's leader/follower sync routine (wal), with extra
+# iterations on the page-partitioned parallel index fetch and the
+# lock-free epoch readers.
 race-core:
-	$(GO) test -race ./internal/model/... ./internal/engine/... ./internal/exec/... ./internal/pager/... ./internal/heap/... ./internal/btree/...
+	$(GO) test -race ./internal/model/... ./internal/engine/... ./internal/exec/... ./internal/pager/... ./internal/heap/... ./internal/btree/... ./internal/wal/...
 	$(GO) test -race -count=4 -run 'TestParallelSortedFetchMatchesSerial|TestSummaryIndexScanPartitionedConcatenation' ./internal/engine/... ./internal/exec/...
 	$(GO) test -race -count=2 -run 'TestEpochReaderStress' ./internal/engine/
 
@@ -52,11 +53,14 @@ bench-harness:
 # tests they rest on — partial accumulators merged in order equal the
 # serial fold. The pager line reruns the versioned page store's tests,
 # whose readers race the writer through epoch publication, pruning and
-# deferred reclamation.
+# deferred reclamation. The wal line reruns the log's tests, which hold
+# an fsync in flight and queue committers, a Flush, Compact or Close
+# behind it by hand.
 flake-sweep:
 	$(GO) test -count=20 -cpu 1,2,8 ./internal/mvcc ./internal/exec
 	$(GO) test -count=20 -cpu 1,2,8 -run 'TestStore' ./internal/pager
 	$(GO) test -count=20 -cpu 1,2,8 -run 'TestAccumulator|TestClusterRepresentativeIndependentOfGrouping' ./internal/model
+	$(GO) test -count=20 -cpu 1,2,8 ./internal/wal
 
 # loc prints the non-test Go line count of every package (*_test.go
 # excluded; benchmarks/ is its own module and is excluded too), so a
@@ -69,11 +73,12 @@ loc:
 		| awk '{ print; t += $$1 } END { printf "%7d total\n", t }'
 
 # bench-smoke regenerates one representative figure plus the parallel
-# speedup, buffer-pool, and group-commit grids at the reduced quick
-# scale, enforcing each figure's shape gate. The performance trajectory
-# is benchmarks/ (see BENCHMARK.json), not a snapshot of this run.
+# speedup, buffer-pool, fetch-path, ingest, server and batch-capacity
+# figures at the reduced quick scale, enforcing each figure's shape
+# gate. The performance trajectory is benchmarks/ (see
+# BENCHMARK.json), not a snapshot of this run.
 bench-smoke:
-	$(GO) run ./cmd/benchreport -quick -fig 10,17,18,19,20,22,23,24
+	$(GO) run ./cmd/benchreport -quick -fig 10,17,18,19,22,23,24
 
 # recovery-torture runs the WAL crash matrix: the mixed workload's log is
 # cut at every record boundary (and inside every record) and each prefix
@@ -81,7 +86,8 @@ bench-smoke:
 # mutation-pipeline suite (the same workload by auto-commit, transaction,
 # log recovery and Save/Load must agree; nothing is applied after Close;
 # a rejected call logs nothing); plus the concurrent group-commit stress
-# under the race detector.
+# and the readers-beside-a-parked-committer check under the race
+# detector.
 recovery-torture:
 	$(GO) test -count=1 -run 'TestRecoveryTortureEveryBoundary|TestReopenDurability|TestCheckpointBoundsRecovery|TestMutationRoutesEquivalent|TestMutationsAfterCloseRefused|TestRejectedCallsWriteNoLogRecords' ./internal/engine/
 	$(GO) test -race -count=2 -run 'TestWALGroupCommitRaceStress|TestReadersNotBlockedByCommitWait' ./internal/engine/

@@ -23,7 +23,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "", "comma-separated figures to regenerate (2, 7..20, 22..24); empty = all")
+	fig := flag.String("fig", "", "comma-separated figures to regenerate (2, 7..19, 22..24); empty = all")
 	birds := flag.Int("birds", 0, "Birds-table cardinality (default from scale)")
 	grid := flag.String("grid", "", "comma-separated annotations-per-bird grid, e.g. 10,25,50")
 	quick := flag.Bool("quick", false, "use the reduced quick scale")
@@ -86,7 +86,6 @@ func main() {
 		{[]int{17}, bench.Fig17Parallel},
 		{[]int{18}, bench.Fig18BufferPool},
 		{[]int{19}, bench.Fig19FetchPath},
-		{[]int{20}, bench.Fig20GroupCommit},
 		{[]int{22}, bench.Fig22Ingest},
 		{[]int{23}, bench.Fig23ServerQPS},
 		{[]int{24}, bench.Fig24Vectorized},
@@ -113,7 +112,7 @@ func main() {
 		fmt.Printf("(regenerated in %v)\n\n", time.Since(start).Round(time.Millisecond))
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "no such figure: %s (valid: 2, 7..20, 22..24)\n", *fig)
+		fmt.Fprintf(os.Stderr, "no such figure: %s (valid: 2, 7..19, 22..24)\n", *fig)
 		os.Exit(2)
 	}
 }

@@ -14,9 +14,9 @@
 //	\quit               exit
 //
 // With -wal DIR the shell opens a durable database: every mutation is
-// logged before it applies, commits are forced under the -group-commit
-// window, and a restart with the same -wal DIR recovers the committed
-// state.
+// logged before it applies, every commit is forced durable (commits
+// arriving during an fsync share the next one), and a restart with the
+// same -wal DIR recovers the committed state.
 //
 // -ingest-flush N sets how many annotation operations the engine lets
 // accumulate before it maintains their summaries: each annotation is
@@ -52,7 +52,6 @@ func main() {
 	anns := flag.Int("anns", 10, "average annotations per bird")
 	poolPages := flag.Int("pool", 0, "buffer pool size in frames (0 = unbounded resident pages)")
 	walDir := flag.String("wal", "", "directory for the write-ahead log and checkpoints (empty = in-memory only)")
-	groupCommit := flag.Duration("group-commit", 0, "group-commit window, e.g. 500us (0 = fsync every commit; requires -wal)")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint after every N logged operations (0 = never; requires -wal)")
 	ingestFlush := flag.Int("ingest-flush", 0, "flush summary maintenance as net deltas every N annotation ops (0 or 1 = after every op)")
 	batchSize := flag.Int("batch-size", 0, "row capacity of the batches operators exchange (0 or 1 = one row per exchange)")
@@ -63,12 +62,11 @@ func main() {
 		if *walDir != "" {
 			var err error
 			db, err = engine.Open(engine.Config{
-				WALDir:            *walDir,
-				GroupCommitWindow: *groupCommit,
-				CheckpointEveryN:  *checkpointEvery,
-				BufferPoolPages:   *poolPages,
-				IngestFlushOps:    *ingestFlush,
-				MaxBatchSize:      *batchSize,
+				WALDir:           *walDir,
+				CheckpointEveryN: *checkpointEvery,
+				BufferPoolPages:  *poolPages,
+				IngestFlushOps:   *ingestFlush,
+				MaxBatchSize:     *batchSize,
 			})
 			if err != nil {
 				return err

@@ -91,7 +91,7 @@ func main() {
 	}
 
 	// Drain order: stop the listener, drain in-flight handlers, then
-	// close the engine (joins the ingest flusher, flushes the WAL).
+	// close the engine (joins the ingest flush loop, flushes the WAL).
 	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/optimizer"
+	"repro/internal/pager"
 	"repro/internal/workload"
 )
 
@@ -14,7 +15,8 @@ import (
 // nothing to parallelize.
 const parallelPageCap = 8
 
-// parallelReadDelay models rotating-disk page latency on the accountant.
+// parallelReadDelay models rotating-disk page latency on the accountant
+// (installed as the fault policy's per-page Latency, injecting no faults).
 // In-memory page access is too fast for worker fan-out to beat goroutine
 // startup; with an I/O-bound scan the speedup approaches the DOP, which
 // is the regime the exchange operator exists for.
@@ -56,8 +58,8 @@ func Fig17Parallel(h *Harness) (*Table, error) {
 		{"parallel aggregation", `SELECT family, count(*), max(id) FROM Birds b GROUP BY family`},
 	}
 
-	db.Accountant().SetReadDelay(parallelReadDelay)
-	defer db.Accountant().SetReadDelay(0)
+	db.Accountant().SetFaultPolicy(&pager.FaultPolicy{Latency: parallelReadDelay})
+	defer db.Accountant().SetFaultPolicy(nil)
 	for _, q := range queries {
 		var serialTime, last time.Duration
 		var serialRows int

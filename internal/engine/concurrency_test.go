@@ -172,8 +172,9 @@ func TestConcurrentCancellationAndFaults(t *testing.T) {
 		}(w)
 	}
 
-	// Fault toggler: install and lift deterministic read-fault policies
-	// while queries run (DML stays quiet during the fault phase).
+	// Fault toggler: alternate deterministic read-fault policies with
+	// latency-only ones while queries run (DML stays quiet during the
+	// fault phase).
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -181,11 +182,10 @@ func TestConcurrentCancellationAndFaults(t *testing.T) {
 		for i := 0; i < 60; i++ {
 			db.Accountant().SetFaultPolicy(&pager.FaultPolicy{EveryKthRead: 11 + i%7})
 			time.Sleep(500 * time.Microsecond)
-			db.Accountant().SetFaultPolicy(nil)
+			db.Accountant().SetFaultPolicy(&pager.FaultPolicy{Latency: time.Duration(i%3) * 50 * time.Microsecond})
 			time.Sleep(300 * time.Microsecond)
-			db.Accountant().SetReadDelay(time.Duration(i%3) * 50 * time.Microsecond)
 		}
-		db.Accountant().SetReadDelay(0)
+		db.Accountant().SetFaultPolicy(nil)
 	}()
 
 	wg.Wait()

@@ -61,19 +61,12 @@ type Config struct {
 	// and Result.AsOfLSN is 0. Use engine.Open, not New, to construct a
 	// durable database.
 	WALDir string
-	// GroupCommitWindow is how long the commit flusher waits to batch
-	// concurrent commits into one fsync. 0 degrades to one fsync per
-	// commit (the strict baseline).
+	// Deprecated: ignored — leader/follower commit needs no window; kept only because benchmarks/harness/target.go sets it.
 	GroupCommitWindow time.Duration
 	// CheckpointEveryN checkpoints the database after every N committed
 	// operations, bounding log length and recovery time (0 = only
 	// explicit Checkpoint calls).
 	CheckpointEveryN int
-	// WALSyncDelay adds a modeled device latency to every log fsync,
-	// mirroring the pager's SetReadDelay: on a RAM-backed filesystem a
-	// real fsync is nearly free, which would hide exactly the cost group
-	// commit exists to amortize. Benchmarks only; 0 for real devices.
-	WALSyncDelay time.Duration
 
 	// IngestFlushOps is the flush threshold of net-delta summary
 	// maintenance. AddAnnotation/AttachAnnotation log and store the
@@ -173,6 +166,10 @@ type DB struct {
 	// publishHook, when set before the DB is shared, observes every epoch
 	// publication's LSN watermark (crash-test instrumentation).
 	publishHook func(lsn uint64)
+	// commitHook, when set before the DB is shared, runs in every
+	// durable commit after the exclusive lock is released and before the
+	// commit waits on the log (test instrumentation).
+	commitHook func(lsn uint64)
 
 	// ingest is the net-delta maintenance buffer, guarded by mu's
 	// exclusive lock; ingestEvery mirrors Config.IngestFlushOps and is set
@@ -184,7 +181,7 @@ type DB struct {
 	// still buffered, cleared by publishLocked once the buffer has
 	// drained into a published epoch.
 	ingestDirty atomic.Bool
-	// ingestStop terminates the interval flusher goroutine, nil when no
+	// ingestStop terminates the interval flush loop goroutine, nil when no
 	// interval was configured; ingestDone is closed by the goroutine on
 	// exit so Close can join it (no flush may fire after Close returns).
 	ingestStop chan struct{}
@@ -326,7 +323,7 @@ func (db *DB) Close() error {
 	}
 	db.mu.Unlock()
 	db.closedA.Store(true)
-	// Join the interval flusher before tearing anything down: once Close
+	// Join the interval flush loop before tearing anything down: once Close
 	// returns, no background flush may fire (or even be mid-flight). The
 	// goroutine never blocks on Close — a flush it already started sees
 	// db.closed under mu and returns without touching WAL or pool state.

@@ -152,7 +152,7 @@ func (db *DB) flushIfDirty() {
 	}
 }
 
-// startIngestFlusher launches the interval flusher goroutine. Called
+// startIngestFlusher launches the interval flush loop goroutine. Called
 // once the DB is fully constructed — for Open, only after recovery, so
 // the timer can never race the single-owner replay loop.
 func (db *DB) startIngestFlusher(interval time.Duration) {

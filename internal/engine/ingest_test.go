@@ -350,7 +350,7 @@ func TestReadGateSeesBufferedAnnotation(t *testing.T) {
 	}
 }
 
-// The interval flusher drains an idle buffer without any read or further
+// The interval flush loop drains an idle buffer without any read or further
 // write.
 func TestIngestIntervalFlush(t *testing.T) {
 	db, oids := testDBWithConfig(t, 1, Config{
@@ -362,7 +362,7 @@ func TestIngestIntervalFlush(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for db.Metrics().Ingest.PendingOps != 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("interval flusher never drained the buffer")
+			t.Fatal("interval flush loop never drained the buffer")
 		}
 		time.Sleep(time.Millisecond)
 	}

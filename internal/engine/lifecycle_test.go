@@ -61,8 +61,8 @@ func TestQueryContextPreCancelled(t *testing.T) {
 func TestQueryContextCancelMidFlight(t *testing.T) {
 	db, _ := testDB(t, 25)
 	// Slow every page read so the join cannot finish before the cancel.
-	db.Accountant().SetReadDelay(200 * time.Microsecond)
-	defer db.Accountant().SetReadDelay(0)
+	db.Accountant().SetFaultPolicy(&pager.FaultPolicy{Latency: 200 * time.Microsecond})
+	defer db.Accountant().SetFaultPolicy(nil)
 	isolateSpillDir(t)
 	before := leftoverSortRuns(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -86,8 +86,8 @@ func TestQueryContextCancelMidFlight(t *testing.T) {
 
 func TestQueryContextDeadline(t *testing.T) {
 	db, _ := testDB(t, 25)
-	db.Accountant().SetReadDelay(200 * time.Microsecond)
-	defer db.Accountant().SetReadDelay(0)
+	db.Accountant().SetFaultPolicy(&pager.FaultPolicy{Latency: 200 * time.Microsecond})
+	defer db.Accountant().SetFaultPolicy(nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Millisecond)
 	defer cancel()
 	_, err := db.QueryContext(ctx, slowJoinQuery, nil)
@@ -98,8 +98,8 @@ func TestQueryContextDeadline(t *testing.T) {
 
 func TestStatementTimeout(t *testing.T) {
 	db, _ := testDB(t, 25)
-	db.Accountant().SetReadDelay(200 * time.Microsecond)
-	defer db.Accountant().SetReadDelay(0)
+	db.Accountant().SetFaultPolicy(&pager.FaultPolicy{Latency: 200 * time.Microsecond})
+	defer db.Accountant().SetFaultPolicy(nil)
 	db.SetStatementTimeout(3 * time.Millisecond)
 	defer db.SetStatementTimeout(0)
 	// Plain Query (no caller context) must still observe the timeout.
@@ -110,7 +110,7 @@ func TestStatementTimeout(t *testing.T) {
 	// An explicit caller deadline wins over the default.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	db.Accountant().SetReadDelay(0)
+	db.Accountant().SetFaultPolicy(nil)
 	if _, err := db.QueryContext(ctx, `SELECT id FROM Birds LIMIT 1`, nil); err != nil {
 		t.Fatalf("query under long explicit deadline failed: %v", err)
 	}

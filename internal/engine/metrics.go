@@ -143,9 +143,9 @@ type WALMetrics struct {
 	Fsyncs int64
 	// Commits counts durable commit waits served.
 	Commits int64
-	// GroupCommitBatches counts flusher wakeups that synced at least one
-	// commit; GroupCommitBatchSize is Commits per batch (1.0 means no
-	// amortization).
+	// GroupCommitBatches counts fsyncs that made at least one waiting
+	// commit durable; GroupCommitBatchSize is the commits so released per
+	// batch (1.0 means no amortization).
 	GroupCommitBatches   int64
 	GroupCommitBatchSize float64
 	// AppendedLSN/DurableLSN are the log's current write and sync

@@ -184,16 +184,16 @@ func TestIngestFlusherJoinedOnClose(t *testing.T) {
 		IngestFlushInterval: time.Millisecond,
 	})
 	if db.ingestDone == nil {
-		t.Fatal("New with IngestFlushInterval did not start the flusher")
+		t.Fatal("New with IngestFlushInterval did not start the flush loop")
 	}
 	mustAnnotate(t, db, oids[0], annText("Disease", 99))
 	db.Close()
 	select {
 	case <-db.ingestDone:
 	default:
-		t.Fatal("Close returned without joining the ingest flusher goroutine")
+		t.Fatal("Close returned without joining the ingest flush loop goroutine")
 	}
-	// Close is idempotent with the flusher already torn down.
+	// Close is idempotent with the flush loop already torn down.
 	db.Close()
 }
 
@@ -213,7 +213,7 @@ func TestLoadStartsIngestFlusher(t *testing.T) {
 		t.Fatal(err)
 	}
 	if db.ingestDone == nil {
-		t.Fatal("LoadWithConfig did not start the interval flusher")
+		t.Fatal("LoadWithConfig did not start the interval flush loop")
 	}
 	oid, err := db.Insert("Birds",
 		model.NewInt(1000), model.NewText("Late"), model.NewText("Anatidae"))
@@ -225,7 +225,7 @@ func TestLoadStartsIngestFlusher(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for db.ingestDirty.Load() {
 		if time.Now().After(deadline) {
-			t.Fatal("interval flusher never drained the buffer")
+			t.Fatal("interval flush loop never drained the buffer")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -233,7 +233,7 @@ func TestLoadStartsIngestFlusher(t *testing.T) {
 	select {
 	case <-db.ingestDone:
 	default:
-		t.Fatal("Close returned without joining the Load-started flusher")
+		t.Fatal("Close returned without joining the Load-started flush loop")
 	}
 }
 
@@ -254,7 +254,7 @@ func TestIngestFlusherOpenCloseStress(t *testing.T) {
 		select {
 		case <-db.ingestDone:
 		default:
-			t.Fatalf("iteration %d: flusher not joined", i)
+			t.Fatalf("iteration %d: flush loop not joined", i)
 		}
 	}
 }

@@ -238,7 +238,7 @@ func LoadWithConfig(r io.Reader, cfg Config) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Start the interval flusher only once replay has succeeded (retries
+	// Start the interval flush loop only once replay has succeeded (retries
 	// rebuild the DB; a timer on a discarded attempt would leak).
 	db.startIngestFlusher(cfg.IngestFlushInterval)
 	return db, nil

@@ -25,8 +25,8 @@ package engine
 //     run as a one-operation transaction under a single hold.
 //   - Group commit: the committer then waits — outside the lock, so
 //     readers drain during the fsync — for the log to become durable
-//     through its commit LSN. A dedicated flusher batches all commits
-//     that arrive within Config.GroupCommitWindow into one fsync.
+//     through its commit LSN. Commits that arrive while an fsync is in
+//     flight share the next one (wal.Log's leader/follower sync).
 //   - Recovery: Open loads the last checkpoint (the dump re-emitted as
 //     mutations, exact IDs preserved), scans the log — truncating a torn
 //     tail to the longest valid prefix — determines the committed
@@ -287,11 +287,7 @@ func Open(cfg Config) (*DB, error) {
 	if ckptLSN > next {
 		next = ckptLSN
 	}
-	l, err := wal.Open(logPath, wal.Options{
-		GroupCommitWindow: cfg.GroupCommitWindow,
-		SyncDelay:         cfg.WALSyncDelay,
-		NextLSN:           next + 1,
-	})
+	l, err := wal.Open(logPath, wal.Options{NextLSN: next + 1})
 	if err != nil {
 		return nil, err
 	}
@@ -471,6 +467,9 @@ func (tx *Txn) finish(err error) error {
 	l := db.wal
 	db.mu.Unlock()
 	if commitLSN != 0 {
+		if db.commitHook != nil {
+			db.commitHook(commitLSN)
+		}
 		if cerr := l.Commit(commitLSN); cerr != nil && err == nil {
 			err = cerr
 		}
@@ -532,8 +531,7 @@ func (tx *Txn) visibleAnn(annID int64) error {
 
 // Commit makes the transaction real (see finish). After a nil return
 // the whole transaction is visible to new readers and survives any
-// crash once the commit is forced durable under the group-commit
-// policy.
+// crash once the commit is forced durable.
 func (tx *Txn) Commit() error {
 	if err := tx.enter(); err != nil {
 		return err

@@ -460,11 +460,11 @@ func TestCheckpointBoundsRecovery(t *testing.T) {
 
 // TestWALGroupCommitRaceStress hammers a durable database with 16
 // concurrent committers (mixed auto-commit and explicit transactions)
-// and concurrent readers under a group-commit window, then recovers and
-// checks the log reproduced the exact final state. Run with -race.
+// sharing fsyncs, and concurrent readers, then recovers and checks the
+// log reproduced the exact final state. Run with -race.
 func TestWALGroupCommitRaceStress(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(Config{WALDir: dir, PageCap: 16, GroupCommitWindow: 200 * time.Microsecond})
+	db, err := Open(Config{WALDir: dir, PageCap: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,8 +530,8 @@ func TestWALGroupCommitRaceStress(t *testing.T) {
 	if m == nil {
 		t.Fatal("no WAL metrics")
 	}
-	if m.Fsyncs >= m.Commits && m.Commits > workers {
-		t.Logf("group commit produced no amortization: fsyncs=%d commits=%d", m.Fsyncs, m.Commits)
+	if m.DurableLSN != m.AppendedLSN {
+		t.Fatalf("durable %d != appended %d after every commit returned", m.DurableLSN, m.AppendedLSN)
 	}
 	want := logicalState(t, db)
 	if err := db.Close(); err != nil {
@@ -558,18 +558,13 @@ func TestWALGroupCommitRaceStress(t *testing.T) {
 	}
 }
 
-// TestReadersNotBlockedByCommitWait verifies the group-commit wait
-// happens outside the database lock: while a committer sits in its
-// durability wait, a query must proceed and report the exact LSN horizon
-// it observed.
+// TestReadersNotBlockedByCommitWait verifies the commit wait happens
+// outside the database lock: while a committer is parked between
+// releasing the lock and waiting on the log, a query must proceed, see
+// the committed insert, and report the exact LSN horizon it observed.
 func TestReadersNotBlockedByCommitWait(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(Config{
-		WALDir:            dir,
-		PageCap:           16,
-		GroupCommitWindow: 150 * time.Millisecond,
-		WALSyncDelay:      20 * time.Millisecond,
-	})
+	db, err := Open(Config{WALDir: dir, PageCap: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,23 +573,36 @@ func TestReadersNotBlockedByCommitWait(t *testing.T) {
 	if _, err := db.CreateTable("Birds", schema); err != nil {
 		t.Fatal(err)
 	}
+	parked := make(chan uint64)
+	release := make(chan struct{})
+	db.commitHook = func(lsn uint64) {
+		parked <- lsn
+		<-release
+	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := db.Insert("Birds", model.NewText("blocked-on-fsync"))
+		_, err := db.Insert("Birds", model.NewText("parked-before-commit-wait"))
 		done <- err
 	}()
-	time.Sleep(10 * time.Millisecond) // let the insert append and enter its wait
-	start := time.Now()
-	res, err := db.Query("SELECT name FROM Birds WITHOUT SUMMARIES", nil)
-	if err != nil {
-		t.Fatal(err)
+	lsn := <-parked
+	queried := make(chan error, 1)
+	go func() {
+		res, err := db.Query("SELECT name FROM Birds WITHOUT SUMMARIES", nil)
+		if err == nil && (len(res.Rows) != 1 || res.AsOfLSN != lsn) {
+			err = fmt.Errorf("query saw %d rows at AsOfLSN %d, want 1 row at the commit LSN %d",
+				len(res.Rows), res.AsOfLSN, lsn)
+		}
+		queried <- err
+	}()
+	select {
+	case err := <-queried:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("query blocked behind a parked committer")
 	}
-	if d := time.Since(start); d > 100*time.Millisecond {
-		t.Errorf("query blocked behind a commit wait: took %v", d)
-	}
-	if res.AsOfLSN == 0 {
-		t.Errorf("durable query reported AsOfLSN=0")
-	}
+	close(release)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}

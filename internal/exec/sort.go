@@ -211,7 +211,9 @@ func (s *Sort) Open(qc *QueryCtx) (err error) {
 	// Prime the k-way merge.
 	s.merger = &runHeap{less: s.lessKeys}
 	for _, r := range s.runs {
-		if r.advance() {
+		if ok, err := r.advance(); err != nil {
+			return err
+		} else if ok {
 			heap.Push(s.merger, r)
 		}
 	}
@@ -233,7 +235,12 @@ func (s *Sort) NextBatch(qc *QueryCtx) (*Batch, error) {
 	for b.Len() < size && s.merger.Len() > 0 {
 		top := s.merger.items[0]
 		b.Append(top.cur.Row)
-		if top.advance() {
+		ok, err := top.advance()
+		if err != nil {
+			b.Release()
+			return nil, err
+		}
+		if ok {
 			heap.Fix(s.merger, 0)
 		} else {
 			heap.Pop(s.merger)
@@ -273,10 +280,17 @@ type runReader struct {
 	cur keyedRow
 }
 
-func (r *runReader) advance() bool {
+// advance decodes the run's next row, reporting false at io.EOF; a torn,
+// corrupt or unreadable run fails the sort instead of ending early.
+func (r *runReader) advance() (bool, error) {
 	r.cur = keyedRow{}
-	err := r.dec.Decode(&r.cur)
-	return err == nil
+	switch err := r.dec.Decode(&r.cur); {
+	case err == io.EOF:
+		return false, nil
+	case err != nil:
+		return false, fmt.Errorf("exec: reading sort run: %w", err)
+	}
+	return true, nil
 }
 
 // runHeap is a min-heap of runs keyed by their current row.

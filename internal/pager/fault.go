@@ -36,8 +36,10 @@ type FaultPolicy struct {
 	WriteProb float64
 	Seed      int64
 
-	// Latency is slept on every accounted operation while the policy is
-	// installed (injected device latency, on top of SetReadDelay).
+	// Latency is slept on every accounted page operation while the
+	// policy is installed — the modeled device latency: per logical page
+	// without a buffer pool, per physical transfer (a miss or a
+	// write-back) with one, so a cache hit pays nothing.
 	Latency time.Duration
 }
 

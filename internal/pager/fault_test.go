@@ -105,11 +105,11 @@ func TestFaultErrorIsTyped(t *testing.T) {
 	}
 }
 
-// TestSetReadDelayConcurrent exercises SetReadDelay (and
-// SetFaultPolicy) racing live readers; run with -race. The Accountant
-// documents all its methods as safe for concurrent use because the
-// delay and policy are atomics.
-func TestSetReadDelayConcurrent(t *testing.T) {
+// TestSetFaultPolicyConcurrent installs and clears latency policies
+// while readers and writers are in flight; run with -race. The
+// Accountant documents all its methods as safe for concurrent use
+// because the policy is an atomic pointer.
+func TestSetFaultPolicyConcurrent(t *testing.T) {
 	a := &Accountant{}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -130,13 +130,12 @@ func TestSetReadDelayConcurrent(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 200; i++ {
-		a.SetReadDelay(time.Duration(i%3) * time.Microsecond)
+		a.SetFaultPolicy(&FaultPolicy{Latency: time.Duration(i%3) * time.Microsecond})
 		if i%10 == 0 {
-			a.SetFaultPolicy(&FaultPolicy{Latency: time.Microsecond})
 			a.SetFaultPolicy(nil)
 		}
 	}
 	close(stop)
 	wg.Wait()
-	a.SetReadDelay(0)
+	a.SetFaultPolicy(nil)
 }

@@ -3,14 +3,13 @@
 // access paths — how many pages a plan touches — so every heap page and
 // index node access is charged to an Accountant. Tests assert access-path
 // properties against these counters instead of wall-clock time, and the
-// benchmark harness can attach a synthetic per-page read delay to model
-// the paper's disk-resident setting.
+// benchmark harness can install a fault policy's per-page latency to
+// model the paper's disk-resident setting.
 package pager
 
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/mvcc"
 )
@@ -111,10 +110,9 @@ func (s Stats) CacheString() string {
 }
 
 // Accountant tracks page I/O. The zero value is ready to use. All
-// methods are safe for concurrent use: the counters, the read delay,
-// and the fault policy are read and written atomically, so
-// SetReadDelay and SetFaultPolicy may be called while readers are
-// in flight.
+// methods are safe for concurrent use: the counters and the fault
+// policy are read and written atomically, so SetFaultPolicy may be
+// called while readers are in flight.
 type Accountant struct {
 	reads  atomic.Int64
 	writes atomic.Int64
@@ -134,12 +132,9 @@ type Accountant struct {
 	evictions   atomic.Int64
 	prefetched  atomic.Int64
 
-	// readDelay, when non-zero, is slept per page read to simulate a
-	// disk-resident database. Nanoseconds.
-	readDelay atomic.Int64
-
 	// fault, when non-nil, injects failures and latency into every
-	// accounted operation (see FaultPolicy).
+	// accounted operation (see FaultPolicy): the one model of a slow or
+	// failing device.
 	fault atomic.Pointer[faultInjector]
 
 	// pool, when non-nil, is the buffer pool serving this accountant's
@@ -231,7 +226,7 @@ func (a *Accountant) Pool() *BufferPool {
 // Read charges n page reads. With a fault policy installed, a faulted
 // read panics with a *FaultError (see FaultError for why this layer
 // panics instead of returning an error). Charging is interleaved per
-// page — charge, delay, fault — so after a mid-batch fault the counters
+// page — charge, latency, fault — so after a mid-batch fault the counters
 // reflect only the pages actually reached.
 func (a *Accountant) Read(n int) { a.readPages(n, false) }
 
@@ -252,16 +247,12 @@ func (a *Accountant) readPages(n int, node bool) {
 		a.reads.Add(int64(n))
 		return
 	}
-	d := time.Duration(a.readDelay.Load())
 	fi := a.fault.Load()
 	for i := 0; i < n; i++ {
 		if node {
 			a.nodeReads.Add(1)
 		}
 		a.reads.Add(1)
-		if d > 0 {
-			time.Sleep(d)
-		}
 		if fi != nil {
 			fi.onOp("read")
 		}
@@ -299,13 +290,10 @@ func (a *Accountant) writePages(n int, node bool) {
 }
 
 // physRead charges one backing-store page read: the buffer pool calls it
-// on every cache miss, and it is where the modeled read latency and any
-// read-fault policy apply in pooled mode.
+// on every cache miss, and it is where the fault policy's latency and
+// read faults apply in pooled mode.
 func (a *Accountant) physRead() {
 	a.physReads.Add(1)
-	if d := a.readDelay.Load(); d > 0 {
-		time.Sleep(time.Duration(d))
-	}
 	if fi := a.fault.Load(); fi != nil {
 		fi.onOp("read")
 	}
@@ -318,13 +306,6 @@ func (a *Accountant) physWrite() {
 	if fi := a.fault.Load(); fi != nil {
 		fi.onOp("write")
 	}
-}
-
-// SetReadDelay configures the simulated per-page read latency. The
-// delay is stored atomically, so it is safe to adjust while queries
-// are reading.
-func (a *Accountant) SetReadDelay(d time.Duration) {
-	a.readDelay.Store(int64(d))
 }
 
 // Stats snapshots the counters.

@@ -42,19 +42,34 @@ func TestNilAccountantIsNoop(t *testing.T) {
 	}
 }
 
+// TestReadDelay pins where the one latency model, FaultPolicy.Latency,
+// is paid: per logical page read without a buffer pool, and with one
+// only on a physical read (a miss), never on the logical charge.
 func TestReadDelay(t *testing.T) {
+	const d = 2 * time.Millisecond
 	var a Accountant
-	a.SetReadDelay(2 * time.Millisecond)
+	a.SetFaultPolicy(&FaultPolicy{Latency: d})
 	start := time.Now()
 	a.Read(3)
-	if el := time.Since(start); el < 5*time.Millisecond {
-		t.Errorf("delay not applied: %v", el)
+	if el := time.Since(start); el < 3*d {
+		t.Errorf("unpooled: 3 reads took %v, want >= %v", el, 3*d)
 	}
-	a.SetReadDelay(0)
+
+	acct, pool, space := newTestPool(t, MinPoolFrames)
+	pool.NewPage(space, 1, &testPage{Vals: []int64{1}})
+	pool.Unpin(space, 1, true)
+	pool.EvictAll()
+	acct.SetFaultPolicy(&FaultPolicy{Latency: d})
 	start = time.Now()
-	a.Read(100)
+	pool.Get(space, 1)
+	pool.Unpin(space, 1, false)
+	if el := time.Since(start); el < d {
+		t.Errorf("pooled miss took %v, want >= %v", el, d)
+	}
+	start = time.Now()
+	acct.Read(100)
 	if el := time.Since(start); el > 50*time.Millisecond {
-		t.Errorf("delay not cleared: %v", el)
+		t.Errorf("pooled logical reads slept: 100 took %v", el)
 	}
 }
 

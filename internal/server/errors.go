@@ -65,6 +65,16 @@ func classify(err error) *apiError {
 	}
 }
 
+// annotateError reports a rejected annotation as the client's fault
+// (400 invalid_request) unless the database is closed, which classify
+// answers 503 db_closed as for every other handler.
+func annotateError(err error, format string, args ...any) error {
+	if errors.Is(err, engine.ErrClosed) {
+		return err
+	}
+	return errorf(http.StatusBadRequest, CodeInvalidRequest, format, args...)
+}
+
 // writeError renders an apiError (or classifies a bare error first).
 func writeError(w http.ResponseWriter, err error) {
 	ae := classify(err)

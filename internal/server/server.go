@@ -541,7 +541,7 @@ func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 	if single {
 		ann, err := s.db.AddAnnotation(req.Table, req.OID, req.Text, req.Columns, req.Author)
 		if err != nil {
-			writeError(w, errorf(http.StatusBadRequest, CodeInvalidRequest, "%v", err))
+			writeError(w, annotateError(err, "%v", err))
 			return
 		}
 		writeJSON(w, http.StatusCreated, map[string]any{"annotation_id": ann.ID})
@@ -554,7 +554,7 @@ func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 	for i, item := range req.Items {
 		ann, err := tx.AddAnnotation(req.Table, item.OID, item.Text, req.Columns, req.Author)
 		if err != nil {
-			writeError(w, errorf(http.StatusBadRequest, CodeInvalidRequest, "item %d: %v", i, err))
+			writeError(w, annotateError(err, "item %d: %v", i, err))
 			return
 		}
 		ids[i] = ann.ID

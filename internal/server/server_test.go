@@ -229,7 +229,7 @@ func TestAnnotationBatchIsOneTransaction(t *testing.T) {
 }
 
 func TestMalformedRequestsAreTypedErrors(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{})
+	_, ts, db := newTestServer(t, Config{})
 
 	// Malformed JSON body.
 	resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader("{not json"))
@@ -301,6 +301,24 @@ func TestMalformedRequestsAreTypedErrors(t *testing.T) {
 		map[string]any{"stmt_id": stmtID, "params": []any{"not-a-number"}})
 	if status != http.StatusBadRequest || errCode(t, body) != CodeQueryFailed {
 		t.Fatalf("type mismatch: %d %v", status, body)
+	}
+
+	// An annotation naming a missing tuple is the client's fault; the
+	// same request against a closed database is shutdown, not a bad
+	// request, on both the single and the batch path.
+	single := map[string]any{"table": "Birds", "oid": 1, "text": "after close"}
+	batch := map[string]any{"table": "Birds", "items": []any{map[string]any{"oid": 1, "text": "after close"}}}
+	if status, body := call(t, "POST", ts.URL+"/v1/annotations",
+		map[string]any{"table": "Birds", "oid": 1 << 40, "text": "orphan"}); status != http.StatusBadRequest || errCode(t, body) != CodeInvalidRequest {
+		t.Fatalf("annotate a missing tuple: %d %v", status, body)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, req := range map[string]any{"single": single, "batch": batch} {
+		if status, body := call(t, "POST", ts.URL+"/v1/annotations", req); status != http.StatusServiceUnavailable || errCode(t, body) != CodeDBClosed {
+			t.Fatalf("%s annotate after db.Close: %d %v", name, status, body)
+		}
 	}
 }
 

@@ -14,12 +14,12 @@
 //     LSN monotonicity, and truncates the first torn or corrupt frame
 //     and everything after it, leaving the longest valid prefix.
 //
-// Group commit: with a non-zero window, committers do not fsync
-// themselves; they register with a dedicated flusher goroutine that
-// sleeps the window, issues ONE fsync for everything appended so far,
-// and releases every committer the sync covered. With a zero window
-// each commit forces its own fsync (the classic one-fsync-per-commit
-// baseline the Figure 20 benchmark compares against).
+// Group commit is leader/follower: one routine, syncThrough, makes the
+// log durable for every caller (Commit, Flush, Compact, Close). A caller
+// whose LSN is not yet durable takes the sync lock; the first to get it
+// leads, fsyncing everything appended so far, and everyone who queued
+// behind that fsync finds itself covered on re-check or leads the next
+// one. Batching comes from the fsync in flight; nobody sleeps.
 package wal
 
 import (
@@ -77,13 +77,13 @@ func encodeFrame(rec Record) []byte {
 type Metrics struct {
 	// Appends counts records appended.
 	Appends int64
-	// Fsyncs counts fsyncs issued (group commit, direct flushes, and
-	// close-time finalization).
+	// Fsyncs counts fsyncs issued (by commits, flushes, compaction and
+	// close alike).
 	Fsyncs int64
 	// Commits counts Commit calls.
 	Commits int64
-	// Batches counts group-commit fsyncs that released at least one
-	// waiting committer; BatchCommits totals the committers released, so
+	// Batches counts fsyncs that made at least one waiting committer
+	// durable; BatchCommits totals the committers so released, so
 	// BatchCommits/Batches is the average group size.
 	Batches      int64
 	BatchCommits int64
@@ -94,15 +94,8 @@ type Metrics struct {
 
 // Options configures Open.
 type Options struct {
-	// GroupCommitWindow is how long the flusher goroutine accumulates
-	// committers before issuing one shared fsync. 0 disables grouping:
-	// every Commit issues its own fsync.
+	// Deprecated: ignored — leader/follower commit needs no window; kept only because benchmarks/harness/target.go sets it.
 	GroupCommitWindow time.Duration
-	// SyncDelay is slept inside every fsync to model device sync latency
-	// (the write-side analogue of pager.Accountant.SetReadDelay; on
-	// tmpfs-backed test and bench environments a real fsync is nearly
-	// free, which would hide the cost group commit amortizes).
-	SyncDelay time.Duration
 	// NextLSN is the first LSN Append will assign; recovery passes
 	// lastLSN+1 to continue the sequence. 0 means 1.
 	NextLSN uint64
@@ -111,28 +104,24 @@ type Options struct {
 // Log is an open write-ahead log. All methods are safe for concurrent
 // use.
 type Log struct {
-	f         *os.File
-	window    time.Duration
-	syncDelay time.Duration
+	f *os.File
+	// fsync is the one call that makes the file durable; tests substitute
+	// a fake to hold an fsync in flight or fail it.
+	fsync func(*os.File) error
 
-	// mu guards the append/durability state; cond signals durableLSN
-	// advances (and error/close) to waiting committers.
+	// syncMu is held for the whole of every fsync (and by Compact and
+	// Close around theirs): waiting on it is how followers queue behind
+	// the fsync in flight. Lock order: syncMu before mu.
+	syncMu sync.Mutex
+
+	// mu guards the append/durability state.
 	mu          sync.Mutex
-	cond        *sync.Cond
 	nextLSN     uint64
 	appendedLSN uint64
 	durableLSN  uint64
-	waiting     []uint64 // LSNs of committers blocked in Commit
+	waiting     []uint64 // LSNs of committers not yet durable
 	err         error    // sticky: an append or sync failure poisons the log
 	closed      bool
-
-	// syncMu serializes fsyncs (the flusher, direct Flush calls, and
-	// zero-window commits). Lock order where both are held: syncMu
-	// before mu.
-	syncMu sync.Mutex
-
-	flushCh     chan struct{}
-	flusherDone chan struct{}
 
 	// appendedA/durableA mirror the LSN watermarks for lock-free reads
 	// (the buffer pool stamps page LSNs on every dirty unpin).
@@ -165,25 +154,20 @@ func Open(path string, opts Options) (*Log, error) {
 	}
 	l := &Log{
 		f:           f,
-		window:      opts.GroupCommitWindow,
-		syncDelay:   opts.SyncDelay,
+		fsync:       (*os.File).Sync,
 		nextLSN:     next,
 		appendedLSN: next - 1,
 		durableLSN:  next - 1,
-		flushCh:     make(chan struct{}, 1),
-		flusherDone: make(chan struct{}),
 	}
-	l.cond = sync.NewCond(&l.mu)
 	l.appendedA.Store(next - 1)
 	l.durableA.Store(next - 1)
-	go l.flusher()
 	return l, nil
 }
 
 // Append frames and writes one record, assigning and returning its LSN.
 // The record is in the OS page cache after Append returns, but not
 // necessarily durable — callers needing durability follow with Commit
-// (group commit) or Flush (immediate).
+// or Flush.
 func (l *Log) Append(t Type, txid uint64, payload []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -198,9 +182,7 @@ func (l *Log) Append(t Type, txid uint64, payload []byte) (uint64, error) {
 		// A partial frame may have reached the file; the sticky error
 		// keeps every later append and commit failing loudly, and the
 		// torn tail is truncated at the next recovery.
-		l.err = fmt.Errorf("wal: append: %w", err)
-		l.cond.Broadcast()
-		return 0, l.err
+		return 0, l.poison(fmt.Errorf("wal: append: %w", err))
 	}
 	l.nextLSN++
 	l.appendedLSN = lsn
@@ -216,170 +198,98 @@ func (l *Log) AppendedLSN() uint64 { return l.appendedA.Load() }
 // DurableLSN returns the highest LSN known durable.
 func (l *Log) DurableLSN() uint64 { return l.durableA.Load() }
 
-// Commit blocks until lsn is durable. With a group-commit window it
-// registers with the flusher and shares its fsync with every concurrent
-// committer; with a zero window it issues its own fsync. lsn 0 is a
-// no-op (the engine's WAL-off paths pass 0).
+// Commit blocks until lsn is durable, sharing an fsync with every
+// committer that queued behind the same one. lsn 0 is a no-op (the
+// engine's WAL-off paths pass 0).
 func (l *Log) Commit(lsn uint64) error {
 	if lsn == 0 {
 		return nil
 	}
 	l.commits.Add(1)
-	if l.window <= 0 {
-		return l.flushStrict()
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.durableLSN >= lsn {
+	if l.durableA.Load() >= lsn {
 		return nil
 	}
-	if l.err != nil {
-		return l.err
+	// Register so the fsync that covers this commit counts it (the
+	// group-commit batch-size metric).
+	l.mu.Lock()
+	if l.durableLSN < lsn && l.err == nil {
+		l.waiting = append(l.waiting, lsn)
 	}
-	if l.closed {
-		return ErrClosed
-	}
-	// Register once; finishSync removes the entry when a sync covers it
-	// (the removal count is the group-commit batch-size metric).
-	l.waiting = append(l.waiting, lsn)
-	for l.durableLSN < lsn {
-		if l.err != nil {
-			return l.err
-		}
-		if l.closed {
-			return ErrClosed
-		}
-		select {
-		case l.flushCh <- struct{}{}:
-		default:
-		}
-		l.cond.Wait()
-	}
-	return nil
+	l.mu.Unlock()
+	return l.syncThrough(lsn)
 }
 
-// Flush forces everything appended so far to durable storage if lsn is
-// not yet durable — the buffer pool calls this before writing back a
-// dirty page (WAL rule: log first). Unlike Commit it never waits on the
-// group-commit window.
-func (l *Log) Flush(lsn uint64) error {
+// Flush forces the log durable through lsn — the buffer pool calls this
+// before writing back a dirty page (WAL rule: log first), and
+// checkpoints before capturing.
+func (l *Log) Flush(lsn uint64) error { return l.syncThrough(lsn) }
+
+// syncThrough returns once every record through lsn is durable. A
+// caller whose LSN is already durable returns at once; otherwise it
+// queues on syncMu, re-checks (the fsync it queued behind may have
+// covered it), and leads the next fsync itself.
+func (l *Log) syncThrough(lsn uint64) error {
 	if l.durableA.Load() >= lsn {
-		l.mu.Lock()
-		err := l.err
-		l.mu.Unlock()
-		return err
+		return nil
 	}
 	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		l.syncMu.Unlock()
+	durable, err, closed := l.durableLSN >= lsn, l.err, l.closed
+	l.mu.Unlock()
+	switch {
+	case durable:
+		return nil
+	case err != nil:
+		return err
+	case closed:
 		return ErrClosed
 	}
-	if l.err != nil || l.durableLSN >= lsn {
-		err := l.err
-		l.mu.Unlock()
-		l.syncMu.Unlock()
-		return err
-	}
-	target := l.appendedLSN
-	l.mu.Unlock()
-	err := l.doSync()
-	l.syncMu.Unlock()
-	return l.finishSync(target, err)
+	return l.syncAppended()
 }
 
-// flushStrict is the zero-window commit path: one fsync per commit,
-// serialized, with no batching — deliberately the single-fsync baseline.
-func (l *Log) flushStrict() error {
-	l.syncMu.Lock()
+// poison records a sticky failure (the first one wins) and drops the
+// registered committers: each returns the error when it re-checks. The
+// caller holds mu.
+func (l *Log) poison(err error) error {
+	if l.err == nil {
+		l.err = err
+	}
+	l.waiting = l.waiting[:0]
+	return l.err
+}
+
+// syncAppended fsyncs everything appended so far and publishes it: the
+// log's only fsync and only advance of the durable watermark. It counts
+// the committers the fsync released as one batch. A failure is sticky
+// (see poison). The caller holds syncMu and not mu.
+func (l *Log) syncAppended() error {
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		l.syncMu.Unlock()
-		return ErrClosed
-	}
-	if l.err != nil {
-		err := l.err
-		l.mu.Unlock()
-		l.syncMu.Unlock()
-		return err
-	}
 	target := l.appendedLSN
 	l.mu.Unlock()
-	err := l.doSync()
-	l.syncMu.Unlock()
-	return l.finishSync(target, err)
-}
-
-// doSync issues one fsync (plus the modeled device latency). The caller
-// holds syncMu and NOT mu.
-func (l *Log) doSync() error {
-	if l.syncDelay > 0 {
-		time.Sleep(l.syncDelay)
-	}
 	l.fsyncs.Add(1)
-	return l.f.Sync()
-}
-
-// finishSync publishes a completed fsync: advance the durable
-// watermark to target, account the released committers as one batch,
-// and wake everyone.
-func (l *Log) finishSync(target uint64, syncErr error) error {
+	err := l.fsync(l.f)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if syncErr != nil {
-		if l.err == nil {
-			l.err = fmt.Errorf("wal: fsync: %w", syncErr)
-		}
-		l.waiting = l.waiting[:0]
-		l.cond.Broadcast()
-		return l.err
+	if err != nil {
+		return l.poison(fmt.Errorf("wal: fsync: %w", err))
 	}
 	if target > l.durableLSN {
 		l.durableLSN = target
 		l.durableA.Store(target)
 	}
-	released := 0
 	kept := l.waiting[:0]
 	for _, w := range l.waiting {
-		if w <= l.durableLSN {
-			released++
-		} else {
+		if w > l.durableLSN {
 			kept = append(kept, w)
 		}
 	}
-	l.waiting = kept
-	if released > 0 {
+	if released := len(l.waiting) - len(kept); released > 0 {
 		l.batches.Add(1)
 		l.batchCommits.Add(int64(released))
 	}
-	l.cond.Broadcast()
-	return l.err
-}
-
-// flusher is the group-commit goroutine: on each wakeup it sleeps the
-// window (letting committers accumulate), then issues one fsync
-// covering everything appended. Signals arriving during the sync are
-// buffered in flushCh, so no commit is ever stranded.
-func (l *Log) flusher() {
-	defer close(l.flusherDone)
-	for range l.flushCh {
-		if l.window > 0 {
-			time.Sleep(l.window)
-		}
-		l.mu.Lock()
-		target := l.appendedLSN
-		needed := l.durableLSN < target && l.err == nil && !l.closed
-		l.mu.Unlock()
-		if !needed {
-			continue
-		}
-		l.syncMu.Lock()
-		err := l.doSync()
-		l.syncMu.Unlock()
-		l.finishSync(target, err)
-	}
+	l.waiting = kept
+	return nil
 }
 
 // Compact truncates the log to empty, valid only when upTo equals the
@@ -388,93 +298,53 @@ func (l *Log) flusher() {
 // since upTo or the log is unusable; the caller simply compacts at the
 // next checkpoint. LSNs continue from where they were (they are
 // sequence numbers, not offsets), so recovery ordering is unaffected.
+// The truncation is made durable by the same fsync as a commit, which
+// releases any committer still waiting.
 func (l *Log) Compact(upTo uint64) (bool, error) {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.closed || l.err != nil || l.appendedLSN != upTo {
-		return false, l.err
+		err := l.err
+		l.mu.Unlock()
+		return false, err
 	}
-	if err := l.f.Truncate(0); err != nil {
-		l.err = fmt.Errorf("wal: compact: %w", err)
-		l.cond.Broadcast()
-		return false, l.err
+	err := l.f.Truncate(0)
+	if err == nil {
+		_, err = l.f.Seek(0, io.SeekStart)
 	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		l.err = fmt.Errorf("wal: compact: %w", err)
-		l.cond.Broadcast()
-		return false, l.err
+	if err != nil {
+		err = l.poison(fmt.Errorf("wal: compact: %w", err))
 	}
-	if l.syncDelay > 0 {
-		time.Sleep(l.syncDelay)
+	l.mu.Unlock()
+	if err == nil {
+		err = l.syncAppended()
 	}
-	l.fsyncs.Add(1)
-	if err := l.f.Sync(); err != nil {
-		l.err = fmt.Errorf("wal: compact: %w", err)
-		l.cond.Broadcast()
-		return false, l.err
-	}
-	// Every appended record is superseded by the checkpoint, so the
-	// durable watermark catches up and any waiting committer is released.
-	if l.appendedLSN > l.durableLSN {
-		l.durableLSN = l.appendedLSN
-		l.durableA.Store(l.durableLSN)
-	}
-	released := 0
-	for _, w := range l.waiting {
-		if w <= l.durableLSN {
-			released++
-		}
-	}
-	if released > 0 {
-		l.batches.Add(1)
-		l.batchCommits.Add(int64(released))
-	}
-	l.waiting = l.waiting[:0]
-	l.cond.Broadcast()
-	return true, nil
+	return err == nil, err
 }
 
-// Close finalizes the log: stops the flusher, issues a last fsync so a
-// cleanly closed log is fully durable, releases any waiting committers,
-// and closes the file.
+// Close finalizes the log: it waits out any fsync in flight, issues a
+// last one so a cleanly closed log is fully durable, and closes the
+// file. Committers still queued then find their records durable.
 func (l *Log) Close() error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return nil
 	}
 	l.closed = true
-	l.cond.Broadcast()
+	pending := l.err == nil && l.durableLSN < l.appendedLSN
 	l.mu.Unlock()
-	close(l.flushCh)
-	<-l.flusherDone
-	l.syncMu.Lock()
-	var syncErr error
-	l.mu.Lock()
-	target := l.appendedLSN
-	if l.err == nil && l.durableLSN < target {
-		l.mu.Unlock()
-		syncErr = l.doSync()
-		l.mu.Lock()
-		if syncErr == nil && target > l.durableLSN {
-			l.durableLSN = target
-			l.durableA.Store(target)
-		}
+	var err error
+	if pending {
+		err = l.syncAppended()
 	}
-	l.waiting = l.waiting[:0]
-	l.cond.Broadcast()
-	l.mu.Unlock()
-	l.syncMu.Unlock()
-	cerr := l.f.Close()
-	if syncErr != nil {
-		return fmt.Errorf("wal: close: %w", syncErr)
+	if cerr := l.f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("wal: close: %w", cerr)
 	}
-	if cerr != nil {
-		return fmt.Errorf("wal: close: %w", cerr)
-	}
-	return nil
+	return err
 }
 
 // Metrics snapshots the counters.

@@ -2,10 +2,14 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -158,49 +162,98 @@ func TestCorruptionStopsScan(t *testing.T) {
 	}
 }
 
-// Concurrent committers under a group-commit window share fsyncs: far
-// fewer syncs than commits, with a batch metric reflecting the sharing.
-func TestGroupCommitBatches(t *testing.T) {
-	path := logPath(t)
-	l, err := Open(path, Options{GroupCommitWindow: 2 * time.Millisecond, SyncDelay: 500 * time.Microsecond})
+// gatedSync replaces a log's fsync with one that counts calls and, while
+// armed, holds each call until the test releases it: started receives on
+// entry, and the call returns whatever is sent on release.
+type gatedSync struct {
+	started chan struct{}
+	release chan error
+	armed   atomic.Bool
+	calls   atomic.Int64
+}
+
+func gate(l *Log) *gatedSync {
+	g := &gatedSync{started: make(chan struct{}), release: make(chan error)}
+	l.fsync = func(*os.File) error {
+		g.calls.Add(1)
+		if !g.armed.Load() {
+			return nil
+		}
+		g.started <- struct{}{}
+		return <-g.release
+	}
+	return g
+}
+
+// waitQueued waits until n committers are registered as not yet durable.
+func waitQueued(t *testing.T, l *Log, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		l.mu.Lock()
+		got := len(l.waiting)
+		l.mu.Unlock()
+		if got == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d committers queued, want %d", got, n)
+		}
+		runtime.Gosched()
+	}
+}
+
+// appendCommit appends one record and starts its Commit, returning the
+// channel the Commit's result arrives on.
+func appendCommit(t *testing.T, l *Log) <-chan error {
+	t.Helper()
+	lsn, err := l.Append(1, 0, []byte("op"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const committers = 8
-	const perCommitter = 5
-	var wg sync.WaitGroup
-	errCh := make(chan error, committers)
-	for g := 0; g < committers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perCommitter; i++ {
-				lsn, err := l.Append(1, 0, []byte("op"))
-				if err != nil {
-					errCh <- err
-					return
-				}
-				if err := l.Commit(lsn); err != nil {
-					errCh <- err
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
+	done := make(chan error, 1)
+	go func() { done <- l.Commit(lsn) }()
+	return done
+}
+
+// Leader/follower: while one fsync is in flight, committers and a Flush
+// queue behind it; once it completes, exactly one more fsync covers all
+// of them, counted as one batch.
+func TestGroupCommitBatches(t *testing.T) {
+	l, err := Open(logPath(t), Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
+	g := gate(l)
+	g.armed.Store(true)
+	leader := appendCommit(t, l)
+	<-g.started // the leader's fsync is in flight, covering only its record
+	const followers = 8
+	var queued []<-chan error
+	for i := 0; i < followers; i++ {
+		queued = append(queued, appendCommit(t, l))
+	}
+	flushLSN, err := l.Append(2, 0, []byte("page"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flushed := make(chan error, 1)
+	go func() { flushed <- l.Flush(flushLSN) }()
+	waitQueued(t, l, followers+1)
+	g.armed.Store(false)
+	g.release <- nil
+	for _, done := range append(queued, leader, flushed) {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
 	m := l.Metrics()
-	if m.Commits != committers*perCommitter {
-		t.Fatalf("commits = %d, want %d", m.Commits, committers*perCommitter)
+	if g.calls.Load() != 2 || m.Fsyncs != 2 {
+		t.Fatalf("fsyncs: %d calls, %d counted; want the leader's and one more", g.calls.Load(), m.Fsyncs)
 	}
-	if m.Fsyncs >= m.Commits {
-		t.Fatalf("group commit did not batch: %d fsyncs for %d commits", m.Fsyncs, m.Commits)
-	}
-	if m.Batches == 0 || m.BatchCommits < m.Batches {
-		t.Fatalf("batch accounting: batches=%d batchCommits=%d", m.Batches, m.BatchCommits)
+	if m.Commits != followers+1 || m.Batches != 2 || m.BatchCommits != followers+1 {
+		t.Fatalf("commits=%d batches=%d batchCommits=%d, want %d/2/%d",
+			m.Commits, m.Batches, m.BatchCommits, followers+1, followers+1)
 	}
 	if m.DurableLSN != m.AppendedLSN {
 		t.Fatalf("durable %d != appended %d after all commits", m.DurableLSN, m.AppendedLSN)
@@ -210,27 +263,149 @@ func TestGroupCommitBatches(t *testing.T) {
 	}
 }
 
-// Window 0 is the single-fsync-per-commit baseline: every commit pays
-// its own sync.
-func TestZeroWindowCommitsFsyncEach(t *testing.T) {
+// A lone Commit issues its own fsync at once: there is no window to
+// wait out, so sequential commits cost one fsync each.
+func TestLoneCommitFsyncsAtOnce(t *testing.T) {
+	l, err := Open(logPath(t), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := gate(l)
+	const n = 10
+	for i := 0; i < n; i++ {
+		g.armed.Store(true)
+		done := appendCommit(t, l)
+		<-g.started
+		g.armed.Store(false)
+		g.release <- nil
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := l.Metrics()
+	if m.Fsyncs != n || m.Batches != n || m.BatchCommits != n {
+		t.Fatalf("%d sequential commits: fsyncs=%d batches=%d batchCommits=%d", n, m.Fsyncs, m.Batches, m.BatchCommits)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A failed fsync poisons the log and releases every queued caller with
+// the error; later appends fail with it too.
+func TestFsyncErrorReleasesQueued(t *testing.T) {
+	l, err := Open(logPath(t), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := gate(l)
+	g.armed.Store(true)
+	leader := appendCommit(t, l)
+	<-g.started
+	var queued []<-chan error
+	for i := 0; i < 4; i++ {
+		queued = append(queued, appendCommit(t, l))
+	}
+	waitQueued(t, l, 5)
+	g.release <- errors.New("device gone")
+	for _, done := range append(queued, leader) {
+		if err := <-done; err == nil || !strings.Contains(err.Error(), "device gone") {
+			t.Fatalf("queued committer got %v, want the fsync error", err)
+		}
+	}
+	if _, err := l.Append(1, 0, []byte("after")); err == nil {
+		t.Fatal("append succeeded on a poisoned log")
+	}
+	if m := l.Metrics(); m.Fsyncs != 1 || m.Batches != 0 {
+		t.Fatalf("fsyncs=%d batches=%d after one failed fsync", m.Fsyncs, m.Batches)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Close waits for the fsync in flight, then makes the rest of the log
+// durable; the committer that led the in-flight fsync succeeds.
+func TestCloseWaitsForInflightFsync(t *testing.T) {
 	path := logPath(t)
 	l, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 10
-	for i := 0; i < n; i++ {
-		lsn, err := l.Append(1, 0, []byte("op"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Commit(lsn); err != nil {
+	g := gate(l)
+	g.armed.Store(true)
+	leader := appendCommit(t, l)
+	<-g.started
+	for i := 0; i < 3; i++ {
+		if _, err := l.Append(1, 0, []byte("tail")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	m := l.Metrics()
-	if m.Fsyncs < n {
-		t.Fatalf("strict commits: %d fsyncs for %d commits", m.Fsyncs, n)
+	closed := make(chan error, 1)
+	go func() { closed <- l.Close() }()
+	runtime.Gosched()
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) with an fsync in flight", err)
+	default:
+	}
+	g.armed.Store(false)
+	g.release <- nil
+	if err := <-leader; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if m := l.Metrics(); m.Fsyncs != 2 || m.DurableLSN != 4 || m.AppendedLSN != 4 {
+		t.Fatalf("after Close: fsyncs=%d durable=%d appended=%d, want 2/4/4", m.Fsyncs, m.DurableLSN, m.AppendedLSN)
+	}
+	if res, err := Recover(path); err != nil || res.Torn || len(res.Records) != 4 {
+		t.Fatalf("recovered %v records (err %v), want 4 clean", len(res.Records), err)
+	}
+}
+
+// Compact behind an in-flight fsync releases the committers queued with
+// it, as one batch, whichever of them reaches the sync lock first.
+func TestCompactReleasesQueuedCommitters(t *testing.T) {
+	path := logPath(t)
+	l, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := gate(l)
+	g.armed.Store(true)
+	leader := appendCommit(t, l)
+	<-g.started
+	var queued []<-chan error
+	for i := 0; i < 3; i++ {
+		queued = append(queued, appendCommit(t, l))
+	}
+	waitQueued(t, l, 4)
+	type result struct {
+		ok  bool
+		err error
+	}
+	compacted := make(chan result, 1)
+	go func() {
+		ok, err := l.Compact(4)
+		compacted <- result{ok, err}
+	}()
+	g.armed.Store(false)
+	g.release <- nil
+	for _, done := range append(queued, leader) {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r := <-compacted; !r.ok || r.err != nil {
+		t.Fatalf("compact: ok=%v err=%v", r.ok, r.err)
+	}
+	if m := l.Metrics(); m.Batches != 2 || m.BatchCommits != 4 || m.DurableLSN != 4 {
+		t.Fatalf("batches=%d batchCommits=%d durable=%d, want 2/4/4", m.Batches, m.BatchCommits, m.DurableLSN)
+	}
+	if fi, _ := os.Stat(path); fi.Size() != 0 {
+		t.Fatalf("log not truncated: %d bytes", fi.Size())
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -281,10 +456,10 @@ func TestCompact(t *testing.T) {
 }
 
 // Concurrent appends, commits, flushes, and watermark reads under the
-// race detector.
+// race detector, on the real fsync.
 func TestWALConcurrentAppendCommit(t *testing.T) {
 	path := logPath(t)
-	l, err := Open(path, Options{GroupCommitWindow: time.Millisecond, SyncDelay: 100 * time.Microsecond})
+	l, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,6 +503,10 @@ func TestWALConcurrentAppendCommit(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)
+	}
+	// Every commit is counted, and one released by an fsync only once.
+	if m := l.Metrics(); m.Commits != 40 || m.BatchCommits > m.Commits || m.Batches > m.Fsyncs || m.DurableLSN != m.AppendedLSN {
+		t.Fatalf("metrics after 40 commits and 40 flushes: %+v", m)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
