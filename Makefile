@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt build vet test race race-core bench-harness flake-sweep loc bench-smoke recovery-torture mvcc-stress ingest-stress serve-stress vector-stress
+.PHONY: check fmt build vet test race race-core bench-harness flake-sweep loc bench-smoke recovery-torture mvcc-stress ingest-stress serve-stress vector-stress fuzz-smoke
 
 # check is the full CI gate: formatting, static analysis, a clean build,
 # the test suite under the race detector, and the benchmark harness (its
@@ -132,3 +132,14 @@ vector-stress:
 	$(GO) test -race -count=1 -run 'TestVectorized|TestBatch|TestTransformBatch|TestCollectPreservesRowIdentity|TestOperatorsCapacityInvariant|TestMidBatchCancellationStopsWithinOneBatch|TestBreakersReleaseBatchesOnFailure' ./internal/engine/ ./internal/exec/
 	$(GO) test -race -count=1 -run 'TestVectorizedAllocBudget' .
 	$(GO) test -race -count=1 -run 'TestFig24Smoke' ./internal/bench/
+
+# fuzz-smoke fuzzes each decoder of stored bytes for 30 s, starting from
+# the seed corpora under its package's testdata/fuzz: the cell decoders
+# (rows, summary sets, annotations), the heap page image with its slot
+# directory, and the B-Tree node image. Arbitrary bytes must yield a
+# typed error, never a panic, and whatever decodes must re-encode
+# byte-identically.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzCellDecode$$' -fuzztime 30s ./internal/model
+	$(GO) test -run '^$$' -fuzz '^FuzzHeapPageImage$$' -fuzztime 30s ./internal/heap
+	$(GO) test -run '^$$' -fuzz '^FuzzNodeImage$$' -fuzztime 30s ./internal/btree

@@ -20,11 +20,11 @@
 package btree
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"sort"
 
+	"repro/internal/cell"
 	"repro/internal/pager"
 )
 
@@ -72,51 +72,42 @@ func (n *node) CloneAt(st uint64) *node {
 	}
 }
 
-// nodeWire is the gob form of a node for buffer-pool write-back.
-type nodeWire struct {
-	ID       int64
-	Leaf     bool
-	Keys     []string
-	Vals     []int64
-	Children []int64
-	Next     int64
-	Stamp    uint64
-}
-
+// nodeCodec is a tree's pager.PageCodec. A node image is the node's
+// stamp, id, leaf flag, leaf-chain link and key count, its keys, then one
+// payload per key (leaf) or one child per key plus one (internal), in the
+// cell encoding (package cell). Decoding is strict and copies the keys out
+// of the image.
 type nodeCodec struct{}
 
-func (nodeCodec) EncodePage(v any) ([]byte, error) {
+func (nodeCodec) AppendPage(dst []byte, v any) ([]byte, error) {
 	n := v.(*node)
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(nodeWire{
-		ID: n.id, Leaf: n.leaf, Keys: n.keys, Vals: n.vals,
-		Children: n.children, Next: n.next, Stamp: n.stamp,
-	})
-	if err != nil {
-		return nil, err
+	dst = binary.AppendUvarint(dst, n.stamp)
+	dst = binary.AppendVarint(dst, n.id)
+	dst = cell.AppendBool(dst, n.leaf)
+	dst = binary.AppendVarint(dst, n.next)
+	dst = cell.AppendStrings(dst, n.keys)
+	ptrs := n.children
+	if n.leaf {
+		ptrs = n.vals
 	}
-	return buf.Bytes(), nil
+	for _, p := range ptrs {
+		dst = binary.AppendVarint(dst, p)
+	}
+	return dst, nil
 }
 
-func (nodeCodec) DecodePage(data []byte) (any, error) {
-	var w nodeWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
+func (nodeCodec) DecodePage(data []byte, _ int32, _ int64) (any, error) {
+	r := cell.NewReader(data)
+	n := &node{stamp: r.Uvarint(), id: r.Varint(), leaf: r.Bool(), next: r.Varint(), keys: r.Texts()}
+	if n.leaf {
+		n.vals = r.Varints(len(n.keys))
+	} else {
+		n.children = r.Varints(len(n.keys) + 1)
+	}
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	// Structural validation: a torn or bit-flipped node image that still
-	// gob-decodes must fail here as an integrity error, not corrupt the
-	// tree's invariants silently.
-	if w.Leaf {
-		if len(w.Vals) != len(w.Keys) {
-			return nil, fmt.Errorf("btree: corrupt leaf image %d: %d keys but %d values", w.ID, len(w.Keys), len(w.Vals))
-		}
-	} else if len(w.Children) != len(w.Keys)+1 {
-		return nil, fmt.Errorf("btree: corrupt internal-node image %d: %d keys but %d children", w.ID, len(w.Keys), len(w.Children))
-	}
-	return &node{
-		id: w.ID, leaf: w.Leaf, keys: w.Keys, vals: w.Vals,
-		children: w.Children, next: w.Next, stamp: w.Stamp,
-	}, nil
+	return n, nil
 }
 
 // New builds a tree of the given order (maximum entries per node); order

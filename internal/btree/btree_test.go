@@ -1,12 +1,15 @@
 package btree
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
+	"repro/internal/cell"
 	"repro/internal/pager"
 )
 
@@ -289,4 +292,21 @@ func TestInsertionCostLogarithmic(t *testing.T) {
 	if cost > int64(3*tr.Height()+4) {
 		t.Errorf("insert touched %d pages (height %d)", cost, tr.Height())
 	}
+}
+
+// FuzzNodeImage feeds arbitrary bytes to the node decoder: it returns a
+// *cell.Error or a node that re-encodes to exactly the input.
+func FuzzNodeImage(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n, err := nodeCodec{}.DecodePage(data, 2, 5)
+		if err != nil {
+			if ce := (*cell.Error)(nil); !errors.As(err, &ce) {
+				t.Fatalf("untyped error %T: %v", err, err)
+			}
+			return
+		}
+		if img, _ := (nodeCodec{}).AppendPage(nil, n); !bytes.Equal(img, data) {
+			t.Fatalf("node re-encodes differently:\n got %x\nwant %x", img, data)
+		}
+	})
 }

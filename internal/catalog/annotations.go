@@ -30,7 +30,7 @@ type AnnotationStore struct {
 // NewAnnotationStore builds an empty store charged to acct.
 func NewAnnotationStore(acct *pager.Accountant, pageCap int) *AnnotationStore {
 	return &AnnotationStore{
-		file:     heap.NewFile[*model.Annotation](acct, pageCap),
+		file:     heap.NewFile(acct, pageCap, model.AnnotationCodec),
 		byID:     btree.New(acct, btree.DefaultOrder),
 		byTuple:  btree.New(acct, btree.DefaultOrder),
 		attached: make(map[int64][]int64),

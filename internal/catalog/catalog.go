@@ -81,9 +81,9 @@ func (c *Catalog) CreateTable(name string, schema *model.Schema) (*Table, error)
 	t := &Table{
 		Name:           name,
 		Schema:         schema,
-		Data:           heap.NewFile[[]model.Value](c.acct, c.pageCap),
+		Data:           heap.NewFile(c.acct, c.pageCap, model.RowCodec),
 		oidIndex:       btree.New(c.acct, btree.DefaultOrder),
-		SummaryStorage: heap.NewFile[model.SummarySet](c.acct, c.pageCap),
+		SummaryStorage: heap.NewFile(c.acct, c.pageCap, model.SummarySetCodec),
 		sumIndex:       btree.New(c.acct, btree.DefaultOrder),
 		InstStats:      make(map[string]*InstanceStats),
 		ColStats:       make([]*ColumnStats, schema.Len()),

@@ -9,6 +9,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/catalog"
+	"repro/internal/cell"
+	"repro/internal/heap"
 	"repro/internal/model"
 	"repro/internal/pager"
 	"repro/internal/sql"
@@ -265,6 +268,59 @@ func TestSortTornRunFailsQuery(t *testing.T) {
 		}
 		n += b.Len()
 		b.Release()
+	}
+}
+
+// TestCorruptCellIsTyped: a page image whose checksum is valid but one of
+// whose cells is malformed fails the query that reads it with
+// *pager.CorruptPageError naming the page's space and number — not an
+// index panic, not a wrong or missing row.
+func TestCorruptCellIsTyped(t *testing.T) {
+	acct := &pager.Accountant{}
+	pool := pager.NewBufferPool(acct, pager.MinPoolFrames)
+	defer pool.Close()
+	cat := catalog.New(acct, 8)
+	r, err := cat.CreateTable("R", model.NewSchema("", model.Column{Name: "v", Kind: model.KindInt}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The table's rows go through a codec that writes the row (-1) as a
+	// value of an unknown kind; the pool checksums the image it is given.
+	r.Data = heap.NewFile(acct, 8, cell.Codec[[]model.Value]{
+		Append: func(dst []byte, row []model.Value) []byte {
+			if row[0].Int == -1 {
+				return append(dst, 1, 0xEE)
+			}
+			return model.AppendRow(dst, row)
+		},
+		Decode: model.DecodeRow,
+	})
+	space := int32(pool.Stats().Spaces - 1)
+	var badOID int64
+	for i := 0; i < 40; i++ {
+		v := int64(i)
+		if i == 21 {
+			v = -1
+		}
+		oid, err := r.Insert([]model.Value{model.NewInt(v)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v == -1 {
+			badOID = oid
+		}
+	}
+	bad, _ := r.DiskTupleLoc(badOID)
+	pool.EvictAll()
+	for _, capacity := range []int{1, 1024} {
+		rows, err := Collect(NewQueryCtx(context.Background(), nil, capacity), NewSeqScan(r, "r", false))
+		var cpe *pager.CorruptPageError
+		if !errors.As(err, &cpe) {
+			t.Fatalf("capacity %d: %d rows, error %v; want *pager.CorruptPageError", capacity, len(rows), err)
+		}
+		if cpe.Space != space || cpe.Page != int64(bad.Page) {
+			t.Fatalf("capacity %d: error names page %d in space %d, want %d in %d", capacity, cpe.Page, cpe.Space, bad.Page, space)
+		}
 	}
 }
 

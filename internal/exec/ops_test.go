@@ -453,7 +453,7 @@ func TestSortInMemoryAndExternalAgree(t *testing.T) {
 			t.Fatalf("tiebreak not asc at %d", i)
 		}
 	}
-	// External sort with summaries round-trips them through gob.
+	// External sort with summaries round-trips them through its run files.
 	if ext[0].Tuple.Summaries.Get("C1") == nil {
 		t.Error("summaries lost through external sort")
 	}

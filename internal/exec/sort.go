@@ -1,13 +1,15 @@
 package exec
 
 import (
+	"bufio"
 	"container/heap"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
 	"sort"
 
+	"repro/internal/cell"
 	"repro/internal/model"
 	"repro/internal/sql"
 )
@@ -70,6 +72,35 @@ type keyedRow struct {
 	Row  *Row
 }
 
+// appendKeyedRow appends k's run record in the cell encoding: the sort
+// keys, the tuple's OID, values and summaries, then the alias sets.
+func appendKeyedRow(dst []byte, k *keyedRow) []byte {
+	t := k.Row.Tuple
+	dst = model.AppendRow(dst, k.Keys)
+	dst = binary.AppendVarint(dst, t.OID)
+	dst = model.AppendRow(dst, t.Values)
+	dst = model.AppendSummarySet(dst, t.Summaries)
+	dst = binary.AppendUvarint(dst, uint64(len(k.Row.AliasSets)))
+	for alias, set := range k.Row.AliasSets {
+		dst = model.AppendSummarySet(cell.AppendString(dst, alias), set)
+	}
+	return dst
+}
+
+// readKeyedRow reads a record written by appendKeyedRow.
+func readKeyedRow(r *cell.Reader) keyedRow {
+	k := keyedRow{Keys: model.ReadRow(r), Row: &Row{Tuple: &model.Tuple{OID: r.Varint()}}}
+	k.Row.Tuple.Values, k.Row.Tuple.Summaries = model.ReadRow(r), model.ReadSummarySet(r)
+	if n := r.Len(); n > 0 {
+		k.Row.AliasSets = make(map[string]model.SummarySet, n)
+		for ; n > 0; n-- {
+			alias := r.Text()
+			k.Row.AliasSets[alias] = model.ReadSummarySet(r)
+		}
+	}
+	return k
+}
+
 // lessKeys orders two key vectors under the configured directions.
 func (s *Sort) lessKeys(a, b []model.Value) bool {
 	for i := range s.Keys {
@@ -123,12 +154,13 @@ func (s *Sort) Open(qc *QueryCtx) (err error) {
 	// current run on the external path. bufBytes mirrors its charge.
 	var buf []keyedRow
 	var bufBytes int64
+	var rec, lenBuf []byte // a run record's encoding and its length prefix
 	flush := func() error {
 		if len(buf) == 0 {
 			return nil
 		}
 		sort.SliceStable(buf, func(i, j int) bool { return s.lessKeys(buf[i].Keys, buf[j].Keys) })
-		f, err := os.CreateTemp("", "insightnotes-sortrun-*.gob")
+		f, err := os.CreateTemp("", "insightnotes-sortrun-*")
 		if err != nil {
 			return err
 		}
@@ -136,12 +168,17 @@ func (s *Sort) Open(qc *QueryCtx) (err error) {
 			f.Close()
 			os.Remove(f.Name())
 		}
-		enc := gob.NewEncoder(f)
+		// A run is a sequence of records, each its length then its cell.
+		// The writer keeps its first error, which Flush reports.
+		w := bufio.NewWriter(f)
 		for i := range buf {
-			if err := enc.Encode(&buf[i]); err != nil {
-				discard()
-				return fmt.Errorf("exec: encoding sort run: %w", err)
-			}
+			rec = appendKeyedRow(rec[:0], &buf[i])
+			_, _ = w.Write(binary.AppendUvarint(lenBuf[:0], uint64(len(rec))))
+			_, _ = w.Write(rec)
+		}
+		if err := w.Flush(); err != nil {
+			discard()
+			return fmt.Errorf("exec: writing sort run: %w", err)
 		}
 		info, err := f.Stat()
 		if err != nil {
@@ -157,7 +194,7 @@ func (s *Sort) Open(qc *QueryCtx) (err error) {
 			return err
 		}
 		s.files = append(s.files, f)
-		s.runs = append(s.runs, &runReader{dec: gob.NewDecoder(f)})
+		s.runs = append(s.runs, &runReader{r: bufio.NewReader(f)})
 		// The flushed rows no longer live in memory: return their charge.
 		s.res.release(int64(len(buf)), bufBytes)
 		buf, bufBytes = buf[:0], 0
@@ -276,18 +313,33 @@ func (s *Sort) Schema() *model.Schema { return s.Input.Schema() }
 
 // runReader streams one spilled run.
 type runReader struct {
-	dec *gob.Decoder
+	r   *bufio.Reader
+	rec []byte
 	cur keyedRow
 }
 
-// advance decodes the run's next row, reporting false at io.EOF; a torn,
-// corrupt or unreadable run fails the sort instead of ending early.
+// advance decodes the run's next row, reporting false only at an end of
+// file that falls on a record boundary; a torn, corrupt or unreadable
+// run fails the sort instead of ending early.
 func (r *runReader) advance() (bool, error) {
 	r.cur = keyedRow{}
-	switch err := r.dec.Decode(&r.cur); {
-	case err == io.EOF:
+	n, err := binary.ReadUvarint(r.r)
+	if err == io.EOF {
 		return false, nil
-	case err != nil:
+	}
+	if err == nil && n > 1<<31 {
+		err = fmt.Errorf("record length %d out of range", n)
+	}
+	if err == nil {
+		r.rec = append(r.rec[:0], make([]byte, n)...)
+		if _, err = io.ReadFull(r.r, r.rec); err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+	}
+	if err == nil {
+		r.cur, err = cell.Decode(r.rec, readKeyedRow)
+	}
+	if err != nil {
 		return false, fmt.Errorf("exec: reading sort run: %w", err)
 	}
 	return true, nil

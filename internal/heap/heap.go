@@ -16,10 +16,10 @@
 package heap
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 
+	"repro/internal/cell"
 	"repro/internal/pager"
 )
 
@@ -50,85 +50,129 @@ type record[T any] struct {
 }
 
 // page is one slotted page. stamp is the epoch of the mutation that
-// produced this version of the page.
+// produced this version of the page. A page read back from a buffer pool
+// is raw: it keeps its image instead of slots and decodes a cell only when
+// a reader touches it; the writer decodes it whole before mutating it.
+// Resident pages are never raw.
 type page[T any] struct {
 	slots []record[T]
 	nLive int
 	stamp uint64
+
+	raw   []byte                  // the image (see pageCodec), while raw
+	dec   func([]byte) (T, error) // the file's cell decoder, while raw
+	space int32                   // where the image was read from
+	id    int64
 }
 
 func (p *page[T]) Stamp() uint64 { return p.stamp }
 
+// CloneAt copies the page for copy-on-write; a raw page decodes into the
+// clone and itself stays raw.
 func (p *page[T]) CloneAt(st uint64) *page[T] {
-	return &page[T]{slots: append([]record[T](nil), p.slots...), nLive: p.nLive, stamp: st}
+	return &page[T]{slots: p.copySlots(), nLive: p.nLive, stamp: st}
 }
 
-// pageWire is the serialized form of a page. Only live slots carry a
-// value: gob cannot encode nil pointers, and tombstoned slots of pointer
-// payload types hold exactly that, so dead slots are reconstructed as
-// zero values from the liveness bitmap on decode.
-type pageWire[T any] struct {
-	OIDs  []int64
-	Live  []bool
-	Vals  []T // live slots only, in slot order
-	Stamp uint64
+// copySlots returns a fresh copy of the slots, decoding every cell of a
+// raw page.
+func (p *page[T]) copySlots() []record[T] {
+	if p.raw == nil {
+		return append([]record[T](nil), p.slots...)
+	}
+	slots := make([]record[T], p.count())
+	for i := range slots {
+		slots[i].oid, slots[i].val, slots[i].live = p.cell(i)
+	}
+	return slots
 }
 
-// pageCodec serializes heap pages for buffer-pool write-back.
-type pageCodec[T any] struct{}
+// count returns the page's slot count.
+func (p *page[T]) count() int {
+	if p.raw != nil {
+		return int(binary.LittleEndian.Uint32(p.raw[8:]))
+	}
+	return len(p.slots)
+}
 
-func (pageCodec[T]) EncodePage(v any) ([]byte, error) {
+// cell returns slot i, decoding a raw page's cell from its image. A cell
+// that does not decode panics with *pager.CorruptPageError.
+func (p *page[T]) cell(i int) (oid int64, val T, live bool) {
+	if p.raw == nil {
+		r := &p.slots[i]
+		return r.oid, r.val, r.live
+	}
+	e := pageHeader + i*dirEntry
+	oid, end := int64(binary.LittleEndian.Uint64(p.raw[e:])), binary.LittleEndian.Uint32(p.raw[e+8:])
+	if end&1 == 0 {
+		return oid, val, false
+	}
+	start, base := uint32(0), pageHeader+p.count()*dirEntry
+	if i > 0 {
+		start = binary.LittleEndian.Uint32(p.raw[e-4:]) >> 1
+	}
+	val, err := p.dec(p.raw[base+int(start) : base+int(end>>1)])
+	if err != nil {
+		panic(&pager.CorruptPageError{Space: p.space, Page: p.id, Reason: fmt.Sprintf("slot %d: %v", i, err)})
+	}
+	return oid, val, true
+}
+
+// A page image is a header — the stamp (8 bytes) and the slot count (4)
+// — then a directory of one entry per slot — the OID (8) and a word (4)
+// holding the end of the slot's cell within the cell area shifted left
+// once above a liveness bit — then the cells, contiguous in slot order.
+// A dead slot has OID 0 and an empty cell. All integers little-endian.
+const pageHeader, dirEntry = 12, 12
+
+// pageCodec is a file's pager.PageCodec. A decoded page is raw: decoding
+// checks the header and that the directory lays every cell inside the
+// image (a malformed image is a *cell.Error), and leaves the cells to the
+// readers that touch them.
+type pageCodec[T any] struct{ cells cell.Codec[T] }
+
+func (c pageCodec[T]) AppendPage(dst []byte, v any) ([]byte, error) {
 	p := v.(*page[T])
-	w := pageWire[T]{
-		OIDs:  make([]int64, len(p.slots)),
-		Live:  make([]bool, len(p.slots)),
-		Stamp: p.stamp,
+	if p.raw != nil {
+		return append(dst, p.raw...), nil
 	}
-	for i := range p.slots {
-		w.OIDs[i] = p.slots[i].oid
-		w.Live[i] = p.slots[i].live
-		if p.slots[i].live {
-			w.Vals = append(w.Vals, p.slots[i].val)
+	dst = binary.LittleEndian.AppendUint64(dst, p.stamp)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(p.slots)))
+	dir := len(dst)
+	dst = append(dst, make([]byte, dirEntry*len(p.slots))...)
+	base := len(dst)
+	for i, rec := range p.slots {
+		word := uint32(0)
+		if rec.live {
+			dst, word = c.cells.Append(dst, rec.val), 1
 		}
+		binary.LittleEndian.PutUint64(dst[dir+i*dirEntry:], uint64(rec.oid))
+		binary.LittleEndian.PutUint32(dst[dir+i*dirEntry+8:], word|uint32(len(dst)-base)<<1)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return dst, nil
 }
 
-func (pageCodec[T]) DecodePage(data []byte) (any, error) {
-	var w pageWire[T]
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return nil, err
+func (c pageCodec[T]) DecodePage(data []byte, space int32, id int64) (any, error) {
+	if len(data) < pageHeader {
+		return nil, &cell.Error{Reason: "image shorter than its header"}
 	}
-	// Structural validation: a torn or bit-flipped page image that still
-	// gob-decodes must not be installed silently — the inconsistency
-	// would otherwise surface later as a wrong answer instead of an
-	// integrity error here.
-	if len(w.Live) != len(w.OIDs) {
-		return nil, fmt.Errorf("heap: corrupt page image: %d oids but %d liveness flags", len(w.OIDs), len(w.Live))
+	p := &page[T]{stamp: binary.LittleEndian.Uint64(data), raw: data, dec: c.cells.Decode, space: space, id: id}
+	base, end := pageHeader+p.count()*dirEntry, 0
+	if base > len(data) {
+		return nil, &cell.Error{Off: 8, Reason: "slot directory overruns the image"}
 	}
-	live := 0
-	for _, l := range w.Live {
-		if l {
-			live++
+	for e := pageHeader; e < base; e += dirEntry {
+		w := binary.LittleEndian.Uint32(data[e+8:])
+		next := int(w >> 1)
+		if next < end || base+next > len(data) {
+			return nil, &cell.Error{Off: e + 8, Reason: "cell extent outside the image"}
 		}
-	}
-	if live != len(w.Vals) {
-		return nil, fmt.Errorf("heap: corrupt page image: %d live slots but %d values", live, len(w.Vals))
-	}
-	p := &page[T]{slots: make([]record[T], len(w.OIDs)), stamp: w.Stamp}
-	vi := 0
-	for i := range w.OIDs {
-		p.slots[i].oid = w.OIDs[i]
-		if w.Live[i] {
-			p.slots[i].live = true
-			p.slots[i].val = w.Vals[vi]
-			vi++
-			p.nLive++
+		if w&1 == 0 && (next != end || binary.LittleEndian.Uint64(data[e:]) != 0) {
+			return nil, &cell.Error{Off: e, Reason: "dead slot with a cell or an OID"}
 		}
+		end, p.nLive = next, p.nLive+int(w&1)
+	}
+	if base+end != len(data) {
+		return nil, &cell.Error{Off: base + end, Reason: "bytes after the last cell"}
 	}
 	return p, nil
 }
@@ -163,15 +207,16 @@ type File[T any] struct {
 
 // NewFile builds a heap file whose pages hold pageCap records each
 // (the paper's "disk page size in records" parameter B), stored under
-// acct's epoch clock and in its buffer pool when it has one.
-func NewFile[T any](acct *pager.Accountant, pageCap int) *File[T] {
+// acct's epoch clock and in its buffer pool when it has one, where codec
+// turns its records into cells.
+func NewFile[T any](acct *pager.Accountant, pageCap int, codec cell.Codec[T]) *File[T] {
 	if pageCap <= 0 {
 		pageCap = 64
 	}
 	return &File[T]{
 		acct:    acct,
 		pageCap: pageCap,
-		store:   pager.NewStore[*page[T]](acct, pageCodec[T]{}),
+		store:   pager.NewStore[*page[T]](acct, pageCodec[T]{codec}),
 		snap:    pager.Latest,
 	}
 }
@@ -197,7 +242,7 @@ func (f *File[T]) Insert(oid int64, val T) RID {
 		p = &page[T]{stamp: f.store.Stamp()}
 		f.store.New(int64(pid), p)
 	} else {
-		p = f.store.Writable(int64(pid))
+		p = f.writable(pid)
 	}
 	p.slots = append(p.slots, record[T]{oid: oid, val: val, live: true})
 	p.nLive++
@@ -235,15 +280,25 @@ func (f *File[T]) Get(rid RID) (oid int64, val T, ok bool) {
 		return
 	}
 	r := f.store.Reader(f.snap)
+	defer r.Release()
 	p := r.Page(int64(rid.Page))
-	if int(rid.Slot) < len(p.slots) {
-		f.acct.Read(1) // can fail only on resident pages, which hold no pin
-		if rec := &p.slots[rid.Slot]; rec.live {
-			oid, val, ok = rec.oid, rec.val, true
-		}
+	if int(rid.Slot) < p.count() {
+		f.acct.Read(1)
+		oid, val, ok = p.cell(int(rid.Slot))
 	}
-	r.Release()
 	return
+}
+
+// writable returns page pid pinned for mutation, decoded. A raw page the
+// in-progress epoch produced is decoded in place: no reader resolves a
+// version newer than its snapshot, so none can be reading its cells. An
+// older raw page was cloned, decoded, by the store.
+func (f *File[T]) writable(pid int32) *page[T] {
+	p := f.store.Writable(int64(pid))
+	if p.raw != nil {
+		p.slots, p.raw = p.copySlots(), nil
+	}
+	return p
 }
 
 // writableSlot returns rid's page pinned for mutation when rid addresses
@@ -252,7 +307,7 @@ func (f *File[T]) writableSlot(rid RID) (p *page[T], ok bool) {
 	if rid.Page < 0 || int(rid.Page) >= len(f.used) || rid.Slot < 0 || rid.Slot >= f.used[rid.Page] {
 		return nil, false
 	}
-	p = f.store.Writable(int64(rid.Page))
+	p = f.writable(rid.Page)
 	if !p.slots[rid.Slot].live {
 		f.store.Unpin(int64(rid.Page), false)
 		return nil, false
@@ -331,9 +386,8 @@ func (f *File[T]) Scan(fn func(rid RID, oid int64, val T) bool) {
 	for pi := range f.used {
 		f.acct.Read(1)
 		p := r.Page(int64(pi))
-		for si := range p.slots {
-			rec := &p.slots[si]
-			if rec.live && !fn(RID{Page: int32(pi), Slot: int32(si)}, rec.oid, rec.val) {
+		for si := 0; si < p.count(); si++ {
+			if oid, val, live := p.cell(si); live && !fn(RID{Page: int32(pi), Slot: int32(si)}, oid, val) {
 				return
 			}
 		}
@@ -368,11 +422,10 @@ func (f *File[T]) FetchMany(rids []RID, fn func(rid RID, oid int64, val T) bool)
 		reads++
 		p := r.Page(int64(pid))
 		for _, rid := range rids[i:j] {
-			if rid.Slot < 0 || int(rid.Slot) >= len(p.slots) {
+			if rid.Slot < 0 || int(rid.Slot) >= p.count() {
 				continue
 			}
-			rec := &p.slots[rid.Slot]
-			if rec.live && !fn(rid, rec.oid, rec.val) {
+			if oid, val, live := p.cell(int(rid.Slot)); live && !fn(rid, oid, val) {
 				return reads
 			}
 		}
@@ -441,11 +494,10 @@ func (c *Cursor[T]) Next() (rid RID, oid int64, val T, ok bool) {
 			c.f.acct.Read(1)
 			c.cur = c.r.Page(int64(c.page))
 		}
-		for c.slot < len(c.cur.slots) {
-			rec := &c.cur.slots[c.slot]
+		for c.slot < c.cur.count() {
 			c.slot++
-			if rec.live {
-				return RID{Page: int32(c.page), Slot: int32(c.slot - 1)}, rec.oid, rec.val, true
+			if oid, val, live := c.cur.cell(c.slot - 1); live {
+				return RID{Page: int32(c.page), Slot: int32(c.slot - 1)}, oid, val, true
 			}
 		}
 		c.Close()

@@ -1,12 +1,30 @@
 package heap
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/cell"
 	"repro/internal/pager"
+)
+
+// intCodec and stringCodec carry the tests' payloads through the same
+// cell path the engine's records take behind a pool: raw pages, cells
+// decoded on touch, recycled images.
+var (
+	intCodec = cell.Codec[int]{
+		Append: func(dst []byte, v int) []byte { return binary.AppendVarint(dst, int64(v)) },
+		Decode: func(b []byte) (int, error) {
+			return cell.Decode(b, func(r *cell.Reader) int { return int(r.Varint()) })
+		},
+	}
+	stringCodec = cell.Codec[string]{
+		Append: cell.AppendString,
+		Decode: func(b []byte) (string, error) { return cell.Decode(b, (*cell.Reader).Text) },
+	}
 )
 
 func TestRIDEncodeRoundTrip(t *testing.T) {
@@ -24,7 +42,7 @@ func TestRIDEncodeRoundTrip(t *testing.T) {
 
 func TestInsertGetUpdateDelete(t *testing.T) {
 	var acct pager.Accountant
-	f := NewFile[string](&acct, 4)
+	f := NewFile(&acct, 4, stringCodec)
 	rid := f.Insert(100, "hello")
 	if oid, v, ok := f.Get(rid); !ok || oid != 100 || v != "hello" {
 		t.Fatalf("Get = %d %q %v", oid, v, ok)
@@ -50,7 +68,7 @@ func TestInsertGetUpdateDelete(t *testing.T) {
 }
 
 func TestOutOfRangeAccess(t *testing.T) {
-	f := NewFile[int](nil, 4)
+	f := NewFile(nil, 4, intCodec)
 	if _, _, ok := f.Get(RID{Page: 5, Slot: 0}); ok {
 		t.Error("Get beyond pages should fail")
 	}
@@ -68,7 +86,7 @@ func TestOutOfRangeAccess(t *testing.T) {
 
 func TestPagingAndScan(t *testing.T) {
 	var acct pager.Accountant
-	f := NewFile[int](&acct, 10)
+	f := NewFile(&acct, 10, intCodec)
 	for i := 0; i < 95; i++ {
 		f.Insert(int64(i), i*i)
 	}
@@ -101,7 +119,7 @@ func TestPagingAndScan(t *testing.T) {
 
 func TestIOAccounting(t *testing.T) {
 	var acct pager.Accountant
-	f := NewFile[int](&acct, 8)
+	f := NewFile(&acct, 8, intCodec)
 	base := acct.Stats()
 	rid := f.Insert(1, 10)
 	if d := acct.Stats().Sub(base); d.PageWrites != 1 || d.PageReads != 0 {
@@ -120,7 +138,7 @@ func TestIOAccounting(t *testing.T) {
 }
 
 func TestDefaultPageCap(t *testing.T) {
-	f := NewFile[int](nil, 0)
+	f := NewFile(nil, 0, intCodec)
 	if f.PageCap() != 64 {
 		t.Errorf("default PageCap = %d", f.PageCap())
 	}
@@ -131,7 +149,7 @@ func TestDefaultPageCap(t *testing.T) {
 
 func TestCursorIteratesLiveRecords(t *testing.T) {
 	var acct pager.Accountant
-	f := NewFile[int](&acct, 4)
+	f := NewFile(&acct, 4, intCodec)
 	var rids []RID
 	for i := 0; i < 18; i++ {
 		rids = append(rids, f.Insert(int64(i), i*10))
@@ -170,7 +188,7 @@ func TestCursorIteratesLiveRecords(t *testing.T) {
 		t.Error("cursor resurrected")
 	}
 	// Cursor on an empty file.
-	empty := NewFile[int](nil, 4)
+	empty := NewFile(nil, 4, intCodec)
 	if _, _, _, ok := empty.Cursor().Next(); ok {
 		t.Error("empty cursor returned a record")
 	}
@@ -181,7 +199,7 @@ func TestCursorIteratesLiveRecords(t *testing.T) {
 func TestFileMatchesReferenceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	var acct pager.Accountant
-	f := NewFile[int](&acct, 7)
+	f := NewFile(&acct, 7, intCodec)
 	ref := map[int64]int{}  // oid -> value
 	rids := map[int64]RID{} // oid -> rid
 	nextOID := int64(1)
@@ -243,7 +261,7 @@ func TestFileMatchesReferenceModel(t *testing.T) {
 // insert/delete cycle leaked its pages and the file grew monotonically.
 func TestPagesBoundedUnderChurn(t *testing.T) {
 	var acct pager.Accountant
-	f := NewFile[int](&acct, 8)
+	f := NewFile(&acct, 8, intCodec)
 	const perCycle = 100
 	for cycle := 0; cycle < 50; cycle++ {
 		var rids []RID
@@ -293,12 +311,12 @@ func TestPagesBoundedUnderChurn(t *testing.T) {
 // side.
 func TestPooledFileMatchesUnpooled(t *testing.T) {
 	var plainAcct pager.Accountant
-	plain := NewFile[string](&plainAcct, 5)
+	plain := NewFile(&plainAcct, 5, stringCodec)
 
 	var poolAcct pager.Accountant
 	pool := pager.NewBufferPool(&poolAcct, pager.MinPoolFrames)
 	defer pool.Close()
-	pooled := NewFile[string](&poolAcct, 5)
+	pooled := NewFile(&poolAcct, 5, stringCodec)
 
 	rng := rand.New(rand.NewSource(99))
 	var rids []RID
@@ -375,7 +393,7 @@ func TestCursorCloseUnpinsMidPage(t *testing.T) {
 	var acct pager.Accountant
 	pool := pager.NewBufferPool(&acct, pager.MinPoolFrames)
 	defer pool.Close()
-	f := NewFile[int](&acct, 4)
+	f := NewFile(&acct, 4, intCodec)
 	for i := 0; i < 4*4; i++ {
 		f.Insert(int64(i), i)
 	}
@@ -400,7 +418,7 @@ func TestCursorCloseUnpinsMidPage(t *testing.T) {
 // are skipped silently, and the returned count is the pages pinned.
 func TestFetchManyGroupsByPage(t *testing.T) {
 	var acct pager.Accountant
-	f := NewFile[int](&acct, 4)
+	f := NewFile(&acct, 4, intCodec)
 	var rids []RID
 	for i := 0; i < 20; i++ {
 		rids = append(rids, f.Insert(int64(i), i*10))
@@ -453,14 +471,14 @@ func TestFetchManyGroupsByPage(t *testing.T) {
 // cache instead of the backing store. Without a pool Prefetch is a
 // no-op.
 func TestHeapPrefetchWarmsPool(t *testing.T) {
-	plain := NewFile[int](nil, 4)
+	plain := NewFile(nil, 4, intCodec)
 	plain.Insert(1, 1)
 	plain.Prefetch([]int32{0, 5}) // must not panic or allocate frames
 
 	var acct pager.Accountant
 	pool := pager.NewBufferPool(&acct, pager.MinPoolFrames)
 	defer pool.Close()
-	f := NewFile[int](&acct, 4)
+	f := NewFile(&acct, 4, intCodec)
 	var rids []RID
 	for i := 0; i < 4*4; i++ {
 		rids = append(rids, f.Insert(int64(i), i))
@@ -512,7 +530,7 @@ func TestViewUnaffectedByLaterMutations(t *testing.T) {
 	run := func(t *testing.T, acct *pager.Accountant) {
 		clock := acct.Clock()
 		base := clock.Pruners()
-		f := NewFile[string](acct, 5)
+		f := NewFile(acct, 5, stringCodec)
 		rng := rand.New(rand.NewSource(7))
 		var rids []RID
 		var views []frozen

@@ -1,10 +1,12 @@
 package index
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
 	"repro/internal/btree"
+	"repro/internal/cell"
 	"repro/internal/heap"
 	"repro/internal/model"
 	"repro/internal/pager"
@@ -18,6 +20,22 @@ type NormRow struct {
 	Label    string
 	Count    int
 	Derived  string
+}
+
+// normRowCodec stores a NormRow as its tuple, label, count and derived
+// key (package cell).
+var normRowCodec = cell.Codec[NormRow]{
+	Append: func(dst []byte, row NormRow) []byte {
+		dst = binary.AppendVarint(dst, row.TupleOID)
+		dst = cell.AppendString(dst, row.Label)
+		dst = binary.AppendVarint(dst, int64(row.Count))
+		return cell.AppendString(dst, row.Derived)
+	},
+	Decode: func(b []byte) (NormRow, error) {
+		return cell.Decode(b, func(r *cell.Reader) NormRow {
+			return NormRow{TupleOID: r.Varint(), Label: r.Text(), Count: int(r.Varint()), Derived: r.Text()}
+		})
+	},
 }
 
 // Baseline implements the straightforward indexing strategy of Section
@@ -38,7 +56,7 @@ type Baseline struct {
 func NewBaseline(acct *pager.Accountant, pageCap int, instance string) *Baseline {
 	return &Baseline{
 		Instance: instance,
-		norm:     heap.NewFile[NormRow](acct, pageCap),
+		norm:     heap.NewFile(acct, pageCap, normRowCodec),
 		derived:  btree.New(acct, btree.DefaultOrder),
 		byOID:    btree.New(acct, btree.DefaultOrder),
 		width:    DefaultWidth,

@@ -58,8 +58,8 @@ func KindFromName(name string) (Kind, error) {
 }
 
 // Value is a dynamically typed relational value. The zero Value is NULL.
-// Values are immutable; all fields are exported so that values round-trip
-// through encoding/gob (used by the external sort operator).
+// Values are immutable; only the field of its Kind is meaningful (and only
+// that field is stored, see appendValue).
 type Value struct {
 	Kind  Kind
 	Int   int64

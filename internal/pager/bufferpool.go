@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"os"
 	"sync"
 )
@@ -18,11 +19,16 @@ const MinPoolFrames = 16
 // PageCodec serializes one space's in-memory page representation for
 // write-back to the backing store. The storage layers (heap files,
 // B-Trees) provide an implementation when they register a space.
-// EncodePage must not mutate the page; DecodePage must return a fresh
-// object (the pool installs it directly into a frame).
+// AppendPage appends the page's image to dst and must not mutate the
+// page. DecodePage returns a fresh object for the image of page in space
+// (the pool installs it directly into a frame; an error becomes a
+// *CorruptPageError). It may keep data until the page's frame is
+// released — a miss reads into a recycled image buffer, which goes back
+// to the pool then — so nothing a storage layer hands to its callers may
+// alias data.
 type PageCodec interface {
-	EncodePage(v any) ([]byte, error)
-	DecodePage(data []byte) (any, error)
+	AppendPage(dst []byte, v any) ([]byte, error)
+	DecodePage(data []byte, space int32, page int64) (any, error)
 }
 
 // pageKey addresses one page: the registered space it belongs to (one
@@ -32,13 +38,15 @@ type pageKey struct {
 	page  int64
 }
 
-// frame is one buffer slot: the cached page object plus the pin count,
-// dirty bit, the clock algorithm's reference bit, and the page-LSN —
-// the WAL watermark the page's latest mutation is covered by, which
-// eviction must make durable before writing the page back.
+// frame is one buffer slot: the cached page object, the image buffer it
+// was decoded from (if any), the pin count, dirty bit, the clock
+// algorithm's reference bit, and the page-LSN — the WAL watermark the
+// page's latest mutation is covered by, which eviction must make durable
+// before writing the page back.
 type frame struct {
 	key   pageKey
 	val   any
+	img   []byte
 	pins  int
 	dirty bool
 	ref   bool
@@ -47,10 +55,11 @@ type frame struct {
 }
 
 // CorruptPageError reports a page image in the backing store that
-// failed its integrity check on read — a torn write (partial page
-// image) or bit rot that gob decoding might otherwise absorb silently.
-// Like *FaultError it surfaces by panic from the storage layers and is
-// recovered into an ordinary error at the executor boundary.
+// failed an integrity check on read — a torn write (partial page image)
+// or bit rot, caught by the image's checksum, by its codec's structural
+// check, or when a reader decodes one of its cells. Like *FaultError it
+// surfaces by panic from the storage layers and is recovered into an
+// ordinary error at the executor boundary.
 type CorruptPageError struct {
 	Space  int32
 	Page   int64
@@ -64,19 +73,16 @@ func (e *CorruptPageError) Error() string {
 // Page images are framed [crc u32][len u32][payload] in the backing
 // store: the CRC (Castagnoli) covers the payload and the length echoes
 // it, so a torn (short) write or a flipped bit is detected on read
-// instead of being handed to the gob decoder, which can misparse a
-// truncated stream without erroring.
+// before the codec sees the payload.
 const pageImageHeader = 8
 
 var pageImageCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// framePageImage prepends the integrity header to an encoded page.
-func framePageImage(data []byte) []byte {
-	buf := make([]byte, pageImageHeader+len(data))
-	binary.LittleEndian.PutUint32(buf[0:4], crc32.Checksum(data, pageImageCRC))
-	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(data)))
-	copy(buf[pageImageHeader:], data)
-	return buf
+// sealPageImage fills in the integrity header reserved at the front of
+// buf, whose payload follows it.
+func sealPageImage(buf []byte) {
+	binary.LittleEndian.PutUint32(buf[0:4], crc32.Checksum(buf[pageImageHeader:], pageImageCRC))
+	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(buf)-pageImageHeader))
 }
 
 // unframePageImage verifies and strips the integrity header.
@@ -94,7 +100,7 @@ func unframePageImage(buf []byte, k pageKey) ([]byte, error) {
 	return payload, nil
 }
 
-// span is a page's extent in the backing file. Gob pages vary in size,
+// span is a page's extent in the backing file. Page images vary in size,
 // so spans record both the live length and the allocated capacity; a
 // rewrite that still fits stays in place, a grown page is relocated and
 // its old extent recycled.
@@ -121,15 +127,17 @@ type BufferPoolStats struct {
 // eviction and a temp-file backing store. Storage layers register a
 // space per storage object, then access pages through Get/Unpin with a
 // pin discipline: a pinned frame is never evicted, an unpinned frame may
-// be written back (gob-serialized, one physical write) and its frame
-// reused. A later access misses, pays one physical read plus
-// deserialization, and reinstalls the page — so cold and warm runs are
+// be written back (encoded by its space's codec, one physical write) and
+// its frame reused. A later access misses, pays one physical read plus
+// decoding, and reinstalls the page — so cold and warm runs are
 // genuinely different, which the split logical/physical counters in
-// Stats expose.
+// Stats expose. A miss reads into an image buffer from a free list of
+// power-of-two size classes and the buffer goes back when its frame is
+// released, so a steady stream of misses allocates no images.
 //
 // Fault composition: physical transfers are charged to the accountant,
-// where the FaultPolicy and the modeled read delay now apply (logical
-// charges are bookkeeping only in pooled mode). A write-back fault
+// where the FaultPolicy applies (logical charges are bookkeeping only in
+// pooled mode). A write-back fault
 // panics with *FaultError before any pool state changes, so the victim
 // stays resident and dirty and the pool remains consistent; the caller
 // side recovers the panic at the usual operator boundaries.
@@ -149,6 +157,9 @@ type BufferPool struct {
 	spans     map[pageKey]span
 	freeSpans []span
 	fileEnd   int64
+
+	images  [maxImageClass + 1][][]byte // free image buffers by size class
+	scratch []byte                      // the write-back image, reused
 
 	resident    int
 	maxResident int
@@ -173,11 +184,12 @@ func NewBufferPool(acct *Accountant, frames int) *BufferPool {
 	// nothing ever needs its name again.
 	os.Remove(f.Name())
 	p := &BufferPool{
-		acct:   acct,
-		frames: make([]frame, frames),
-		table:  make(map[pageKey]int),
-		file:   f,
-		spans:  make(map[pageKey]span),
+		acct:    acct,
+		frames:  make([]frame, frames),
+		table:   make(map[pageKey]int),
+		file:    f,
+		spans:   make(map[pageKey]span),
+		scratch: make([]byte, pageImageHeader),
 	}
 	if old := acct.pool.Swap(p); old != nil {
 		old.Close()
@@ -219,7 +231,7 @@ func (p *BufferPool) NewPage(space int32, page int64, v any) {
 		panic(fmt.Errorf("pager: NewPage of resident page %d in space %d", page, space))
 	}
 	i := p.freeFrame()
-	p.install(i, k, v, true)
+	p.install(i, k, v, nil, true)
 }
 
 // Get returns the page, pinned. A resident page is a cache hit and costs
@@ -243,19 +255,18 @@ func (p *BufferPool) Get(space int32, page int64) any {
 	if !ok {
 		panic(fmt.Errorf("pager: read of unknown page %d in space %d", page, space))
 	}
-	i := p.freeFrame()
-	p.acct.physRead() // may panic *FaultError before any state changes
-	v := p.readSpan(k, sp)
-	p.install(i, k, v, false)
-	return v
+	return p.load(p.freeFrame(), k, sp)
 }
 
-// readSpan reads and decodes one page image, verifying its integrity
-// frame. Torn or corrupt images panic *CorruptPageError; decode errors
-// on a checksum-valid image indicate a codec bug and panic generically.
-// The caller holds p.mu and has charged the physical read.
-func (p *BufferPool) readSpan(k pageKey, sp span) any {
-	buf := make([]byte, sp.len)
+// load charges one physical read (which may panic *FaultError before any
+// state changes), reads k's image into a recycled buffer, decodes it and
+// installs the page, clean and pinned once, in the free frame i together
+// with the buffer, which the page may alias. Torn or corrupt images and
+// images the codec rejects panic *CorruptPageError. The caller holds
+// p.mu.
+func (p *BufferPool) load(i int, k pageKey, sp span) any {
+	p.acct.phys("read")
+	buf := p.image(sp.len)
 	if _, err := p.file.ReadAt(buf, sp.off); err != nil {
 		panic(fmt.Errorf("pager: backing store read: %w", err))
 	}
@@ -263,18 +274,46 @@ func (p *BufferPool) readSpan(k pageKey, sp span) any {
 	if err != nil {
 		panic(err)
 	}
-	v, err := p.codecs[k.space].DecodePage(payload)
+	v, err := p.codecs[k.space].DecodePage(payload, k.space, k.page)
 	if err != nil {
-		panic(fmt.Errorf("pager: page decode: %w", err))
+		panic(&CorruptPageError{Space: k.space, Page: k.page, Reason: err.Error()})
 	}
+	p.install(i, k, v, buf, false)
 	return v
 }
 
-// install claims frame i for k, pinned once. A freshly created page is
-// dirty (it exists nowhere else); a page read back from the backing
-// store is clean until a caller unpins it dirty. The caller holds p.mu.
-func (p *BufferPool) install(i int, k pageKey, v any, dirty bool) {
-	p.frames[i] = frame{key: k, val: v, pins: 1, dirty: dirty, ref: true, valid: true}
+// maxImageClass bounds the recycled image buffers at 1 MiB; a larger
+// image is allocated for its read and left to the collector.
+const maxImageClass = 20
+
+// image returns an n-byte buffer, recycled from n's power-of-two size
+// class when one is free. The caller holds p.mu.
+func (p *BufferPool) image(n int) []byte {
+	c := bits.Len(uint(n - 1))
+	if c > maxImageClass {
+		return make([]byte, n)
+	}
+	if free := p.images[c]; len(free) > 0 {
+		p.images[c] = free[:len(free)-1]
+		return free[len(free)-1][:n]
+	}
+	return make([]byte, n, 1<<c)
+}
+
+// recycle returns an image buffer to its size class; each class keeps at
+// most one buffer per frame. The caller holds p.mu.
+func (p *BufferPool) recycle(buf []byte) {
+	if c := bits.Len(uint(cap(buf) - 1)); cap(buf) == 1<<c && c <= maxImageClass && len(p.images[c]) < len(p.frames) {
+		p.images[c] = append(p.images[c], buf)
+	}
+}
+
+// install claims frame i for k, pinned once, holding the image buffer v
+// was decoded from. A freshly created page is dirty (it exists nowhere
+// else); a page read back from the backing store is clean until a caller
+// unpins it dirty. The caller holds p.mu.
+func (p *BufferPool) install(i int, k pageKey, v any, img []byte, dirty bool) {
+	p.frames[i] = frame{key: k, val: v, img: img, pins: 1, dirty: dirty, ref: true, valid: true}
 	if dirty {
 		p.stampLSN(&p.frames[i])
 	}
@@ -303,7 +342,9 @@ func (p *BufferPool) stampLSN(f *frame) {
 // write path uses it to swap in a copy-on-write clone of a page whose
 // previous version snapshot readers still hold: the caller pins the
 // page, clones it, publishes the old object into its version chain, and
-// installs the clone here before unpinning dirty. The page must be
+// installs the clone here before unpinning dirty. The old object may
+// alias the frame's image buffer and outlives the frame, so the frame
+// gives the buffer up to it instead of recycling it. The page must be
 // resident (the caller's pin guarantees it).
 func (p *BufferPool) SetValue(space int32, page int64, v any) {
 	p.mu.Lock()
@@ -312,7 +353,7 @@ func (p *BufferPool) SetValue(space int32, page int64, v any) {
 	if !ok {
 		panic(fmt.Errorf("pager: SetValue of non-resident page %d in space %d", page, space))
 	}
-	p.frames[i].val = v
+	p.frames[i].val, p.frames[i].img = v, nil
 }
 
 // Unpin releases one pin. dirty records that the caller mutated the
@@ -413,11 +454,9 @@ func (p *BufferPool) Prefetch(space int32, pages []int64) int {
 		if i < 0 {
 			break
 		}
-		p.acct.physRead() // may panic *FaultError before any state changes
+		p.load(i, k, sp)
 		p.acct.prefetched.Add(1)
-		v := p.readSpan(k, sp)
-		p.install(i, k, v, false)
-		p.frames[p.table[k]].pins = 0 // installed warm, not claimed
+		p.frames[i].pins = 0 // installed warm, not claimed
 		installed++
 	}
 	return installed
@@ -484,9 +523,10 @@ func (p *BufferPool) tryFreeFrame() int {
 // evict writes frame i back if dirty and releases it. The write-back is
 // ordered so that an injected fault leaves the pool consistent: force
 // the WAL through the page-LSN (the write-ahead rule — may block on an
-// fsync, may fail), encode (pure), charge the physical write (may panic
-// — nothing has changed yet, the victim stays resident and dirty), then
-// update the backing store and release the frame. The caller holds p.mu.
+// fsync, may fail), encode into the scratch image (pure), charge the
+// physical write (may panic — nothing has changed yet, the victim stays
+// resident and dirty), then update the backing store and release the
+// frame. The caller holds p.mu.
 func (p *BufferPool) evict(i int) {
 	f := &p.frames[i]
 	if f.dirty {
@@ -495,32 +535,36 @@ func (p *BufferPool) evict(i int) {
 				panic(fmt.Errorf("pager: wal flush before write-back of page %d in space %d: %w", f.key.page, f.key.space, err))
 			}
 		}
-		data, err := p.codecs[f.key.space].EncodePage(f.val)
+		img, err := p.codecs[f.key.space].AppendPage(p.scratch[:pageImageHeader], f.val)
 		if err != nil {
 			panic(fmt.Errorf("pager: page encode: %w", err))
 		}
-		p.acct.physWrite() // may panic *FaultError before any state changes
-		p.writeSpan(f.key, data)
+		p.scratch = img
+		sealPageImage(img)
+		p.acct.phys("write") // may panic *FaultError before any state changes
+		p.writeSpan(f.key, img)
 	}
 	p.acct.evictions.Add(1)
 	p.release(i)
 }
 
-// release clears frame i without write-back; the caller holds p.mu.
+// release clears frame i without write-back and recycles its image
+// buffer; the caller holds p.mu.
 func (p *BufferPool) release(i int) {
+	if img := p.frames[i].img; img != nil {
+		p.recycle(img)
+	}
 	delete(p.table, p.frames[i].key)
 	p.frames[i] = frame{}
 	p.resident--
 }
 
-// writeSpan stores a page image wrapped in its integrity frame, reusing
-// the existing extent when it still fits, else a recycled extent, else
-// fresh space at the file end. A short write — the torn-page case a
-// real device can produce — is surfaced immediately rather than left
-// for the read side, which would still catch it by checksum. The caller
-// holds p.mu.
-func (p *BufferPool) writeSpan(k pageKey, data []byte) {
-	framed := framePageImage(data)
+// writeSpan stores a sealed page image, reusing the existing extent when
+// it still fits, else a recycled extent, else fresh space at the file
+// end. A short write — the torn-page case a real device can produce — is
+// surfaced immediately rather than left for the read side, which would
+// still catch it by checksum. The caller holds p.mu.
+func (p *BufferPool) writeSpan(k pageKey, framed []byte) {
 	sp, ok := p.spans[k]
 	if ok && sp.cap >= len(framed) {
 		sp.len = len(framed)

@@ -1,8 +1,7 @@
 package pager
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"testing"
 )
@@ -13,20 +12,34 @@ type testPage struct {
 	Vals []int64
 }
 
+// testCodec encodes a testPage as its value count, then each value, in
+// varints.
 type testCodec struct{}
 
-func (testCodec) EncodePage(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v.(*testPage)); err != nil {
-		return nil, err
+func (testCodec) AppendPage(dst []byte, v any) ([]byte, error) {
+	vals := v.(*testPage).Vals
+	dst = binary.AppendUvarint(dst, uint64(len(vals)))
+	for _, x := range vals {
+		dst = binary.AppendVarint(dst, x)
 	}
-	return buf.Bytes(), nil
+	return dst, nil
 }
 
-func (testCodec) DecodePage(data []byte) (any, error) {
-	p := &testPage{}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(p); err != nil {
-		return nil, err
+func (testCodec) DecodePage(data []byte, _ int32, _ int64) (any, error) {
+	n, k := binary.Uvarint(data)
+	if k <= 0 || n > uint64(len(data)) {
+		return nil, errors.New("malformed value count")
+	}
+	p := &testPage{Vals: make([]int64, n)}
+	for i := range p.Vals {
+		x, m := binary.Varint(data[k:])
+		if m <= 0 {
+			return nil, errors.New("malformed value")
+		}
+		p.Vals[i], k = x, k+m
+	}
+	if k != len(data) {
+		return nil, errors.New("trailing bytes")
 	}
 	return p, nil
 }
@@ -313,5 +326,60 @@ func TestBufferPoolPrefetch(t *testing.T) {
 	pool.Drop(space, int64(n+1)) // no-op guard; page n+1 does not exist
 	if got := pool.Prefetch(space, []int64{int64(n + 1)}); got != 0 {
 		t.Fatalf("prefetch of span-less page installed %d, want 0", got)
+	}
+}
+
+// rawPage is a page that keeps the image it was decoded from, as a heap
+// page read back from the pool does.
+type rawPage struct{ img []byte }
+
+type rawCodec struct{}
+
+func (rawCodec) AppendPage(dst []byte, v any) ([]byte, error) {
+	return append(dst, v.(*rawPage).img...), nil
+}
+
+func (rawCodec) DecodePage(data []byte, _ int32, _ int64) (any, error) {
+	return &rawPage{img: data}, nil
+}
+
+// TestSetValueKeepsReplacedImage: SetValue hands the frame's image buffer
+// to the replaced page, which moves to a version chain and outlives the
+// frame — so evicting the frame must not recycle the buffer, and a page
+// read into a recycled buffer later must not show through the replaced
+// page. The buffers of frames that never gave theirs up are recycled.
+func TestSetValueKeepsReplacedImage(t *testing.T) {
+	_, pool, _ := newTestPool(t, MinPoolFrames)
+	space := pool.NewSpace(rawCodec{})
+	page := func(id int64, text string) {
+		pool.NewPage(space, id, &rawPage{img: []byte(text)})
+		pool.Unpin(space, id, true)
+	}
+	page(0, "page zero, version one")
+	pool.EvictAll()
+	old := pool.Get(space, 0).(*rawPage) // aliases the frame's buffer
+	pool.SetValue(space, 0, &rawPage{img: []byte("page zero, version two")})
+	pool.Unpin(space, 0, true)
+	pool.EvictAll() // page 0's frame is released with nothing to recycle
+
+	page(1, "page one, the only one.")
+	pool.EvictAll()
+	pool.Get(space, 1) // reads into a fresh buffer of the same size class
+	pool.Unpin(space, 1, false)
+	if got := string(old.img); got != "page zero, version one" {
+		t.Fatalf("replaced page reads %q after its frame's buffer was reused", got)
+	}
+	if got := pool.Get(space, 0).(*rawPage); string(got.img) != "page zero, version two" {
+		t.Fatalf("page 0 reads back %q", got.img)
+	}
+	pool.Unpin(space, 0, false)
+
+	pool.EvictAll()
+	recycled := 0
+	for _, free := range pool.images {
+		recycled += len(free)
+	}
+	if recycled != 2 {
+		t.Fatalf("%d image buffers recycled after evicting pages 0 and 1 read back clean, want 2", recycled)
 	}
 }

@@ -43,36 +43,25 @@ type Stats struct {
 }
 
 // Sub returns s - o, for measuring a single operation's cost.
-func (s Stats) Sub(o Stats) Stats {
-	return Stats{
-		PageReads:  s.PageReads - o.PageReads,
-		PageWrites: s.PageWrites - o.PageWrites,
-		NodeReads:  s.NodeReads - o.NodeReads,
-		NodeWrites: s.NodeWrites - o.NodeWrites,
-
-		PhysReads:   s.PhysReads - o.PhysReads,
-		PhysWrites:  s.PhysWrites - o.PhysWrites,
-		CacheHits:   s.CacheHits - o.CacheHits,
-		CacheMisses: s.CacheMisses - o.CacheMisses,
-		Evictions:   s.Evictions - o.Evictions,
-		Prefetched:  s.Prefetched - o.Prefetched,
-	}
-}
+func (s Stats) Sub(o Stats) Stats { return s.plus(o, -1) }
 
 // Add returns s + o, for accumulating per-operation deltas.
-func (s Stats) Add(o Stats) Stats {
-	return Stats{
-		PageReads:  s.PageReads + o.PageReads,
-		PageWrites: s.PageWrites + o.PageWrites,
-		NodeReads:  s.NodeReads + o.NodeReads,
-		NodeWrites: s.NodeWrites + o.NodeWrites,
+func (s Stats) Add(o Stats) Stats { return s.plus(o, 1) }
 
-		PhysReads:   s.PhysReads + o.PhysReads,
-		PhysWrites:  s.PhysWrites + o.PhysWrites,
-		CacheHits:   s.CacheHits + o.CacheHits,
-		CacheMisses: s.CacheMisses + o.CacheMisses,
-		Evictions:   s.Evictions + o.Evictions,
-		Prefetched:  s.Prefetched + o.Prefetched,
+// plus returns s + k·o.
+func (s Stats) plus(o Stats, k int64) Stats {
+	return Stats{
+		PageReads:  s.PageReads + k*o.PageReads,
+		PageWrites: s.PageWrites + k*o.PageWrites,
+		NodeReads:  s.NodeReads + k*o.NodeReads,
+		NodeWrites: s.NodeWrites + k*o.NodeWrites,
+
+		PhysReads:   s.PhysReads + k*o.PhysReads,
+		PhysWrites:  s.PhysWrites + k*o.PhysWrites,
+		CacheHits:   s.CacheHits + k*o.CacheHits,
+		CacheMisses: s.CacheMisses + k*o.CacheMisses,
+		Evictions:   s.Evictions + k*o.Evictions,
+		Prefetched:  s.Prefetched + k*o.Prefetched,
 	}
 }
 
@@ -228,83 +217,56 @@ func (a *Accountant) Pool() *BufferPool {
 // panics instead of returning an error). Charging is interleaved per
 // page — charge, latency, fault — so after a mid-batch fault the counters
 // reflect only the pages actually reached.
-func (a *Accountant) Read(n int) { a.readPages(n, false) }
+func (a *Accountant) Read(n int) { a.charge(n, false, false) }
 
 // ReadNode charges n B-Tree node reads: an ordinary page read that is
 // additionally attributed to index traffic in Stats.
-func (a *Accountant) ReadNode(n int) { a.readPages(n, true) }
-
-func (a *Accountant) readPages(n int, node bool) {
-	if a == nil {
-		return
-	}
-	if a.pool.Load() != nil {
-		// Pooled: logical bookkeeping only; latency and faults are paid
-		// by physical transfers on cache misses.
-		if node {
-			a.nodeReads.Add(int64(n))
-		}
-		a.reads.Add(int64(n))
-		return
-	}
-	fi := a.fault.Load()
-	for i := 0; i < n; i++ {
-		if node {
-			a.nodeReads.Add(1)
-		}
-		a.reads.Add(1)
-		if fi != nil {
-			fi.onOp("read")
-		}
-	}
-}
+func (a *Accountant) ReadNode(n int) { a.charge(n, false, true) }
 
 // Write charges n page writes, subject to the installed fault policy
 // like Read (charge and fault interleaved per page).
-func (a *Accountant) Write(n int) { a.writePages(n, false) }
+func (a *Accountant) Write(n int) { a.charge(n, true, false) }
 
 // WriteNode charges n B-Tree node writes (see ReadNode).
-func (a *Accountant) WriteNode(n int) { a.writePages(n, true) }
+func (a *Accountant) WriteNode(n int) { a.charge(n, true, true) }
 
-func (a *Accountant) writePages(n int, node bool) {
+// charge adds n logical page reads or writes. Pooled, that is bookkeeping
+// only: latency and faults are paid by physical transfers on cache misses.
+func (a *Accountant) charge(n int, write, node bool) {
 	if a == nil {
 		return
 	}
-	if a.pool.Load() != nil {
-		if node {
-			a.nodeWrites.Add(int64(n))
+	total, nodes, op := &a.reads, &a.nodeReads, "read"
+	if write {
+		total, nodes, op = &a.writes, &a.nodeWrites, "write"
+	}
+	if fi := a.fault.Load(); fi != nil && a.pool.Load() == nil {
+		for ; n > 0; n-- {
+			if node {
+				nodes.Add(1)
+			}
+			total.Add(1)
+			fi.onOp(op)
 		}
-		a.writes.Add(int64(n))
 		return
 	}
-	fi := a.fault.Load()
-	for i := 0; i < n; i++ {
-		if node {
-			a.nodeWrites.Add(1)
-		}
-		a.writes.Add(1)
-		if fi != nil {
-			fi.onOp("write")
-		}
+	if node {
+		nodes.Add(int64(n))
 	}
+	total.Add(int64(n))
 }
 
-// physRead charges one backing-store page read: the buffer pool calls it
-// on every cache miss, and it is where the fault policy's latency and
-// read faults apply in pooled mode.
-func (a *Accountant) physRead() {
-	a.physReads.Add(1)
-	if fi := a.fault.Load(); fi != nil {
-		fi.onOp("read")
+// phys charges one backing-store transfer of kind op: a read on every
+// cache miss, a write on every dirty write-back. In pooled mode this is
+// where the fault policy's latency and faults apply.
+func (a *Accountant) phys(op string) {
+	if op == "read" {
+		a.physReads.Add(1)
+	} else {
+		a.physWrites.Add(1)
 	}
-}
-
-// physWrite charges one backing-store page write (dirty-page write-back
-// during eviction), where write-fault policies apply in pooled mode.
-func (a *Accountant) physWrite() {
-	a.physWrites.Add(1)
 	if fi := a.fault.Load(); fi != nil {
-		fi.onOp("write")
+		fi.onOp(op)
 	}
 }
 
@@ -328,7 +290,7 @@ func (a *Accountant) Stats() Stats {
 	}
 }
 
-// Reset zeroes the counters (the read delay is preserved).
+// Reset zeroes the counters; the fault policy, pool and log stay attached.
 func (a *Accountant) Reset() {
 	if a == nil {
 		return

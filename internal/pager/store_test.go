@@ -1,8 +1,8 @@
 package pager
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"sync"
 	"testing"
 )
@@ -20,15 +20,18 @@ func (p *verPage) CloneAt(st uint64) *verPage { return &verPage{Val: p.Val, St: 
 
 type verCodec struct{}
 
-func (verCodec) EncodePage(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(v.(*verPage))
-	return buf.Bytes(), err
+func (verCodec) AppendPage(dst []byte, v any) ([]byte, error) {
+	p := v.(*verPage)
+	return binary.AppendVarint(binary.AppendUvarint(dst, p.St), int64(p.Val)), nil
 }
 
-func (verCodec) DecodePage(data []byte) (any, error) {
-	p := &verPage{}
-	return p, gob.NewDecoder(bytes.NewReader(data)).Decode(p)
+func (verCodec) DecodePage(data []byte, _ int32, _ int64) (any, error) {
+	st, n := binary.Uvarint(data)
+	val, m := binary.Varint(data[max(n, 0):])
+	if n <= 0 || m <= 0 || n+m != len(data) {
+		return nil, errors.New("malformed verPage image")
+	}
+	return &verPage{Val: int(val), St: st}, nil
 }
 
 // eachPlacement runs fn against a store whose pages stay resident and

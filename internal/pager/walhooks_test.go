@@ -159,7 +159,7 @@ func TestCorruptPageImageDetected(t *testing.T) {
 }
 
 // A torn (short) image — the header promising more payload than the
-// span holds — is likewise detected rather than gob-decoded.
+// span holds — is likewise detected rather than handed to the codec.
 func TestTornPageImageDetected(t *testing.T) {
 	_, pool, space := newTestPool(t, MinPoolFrames)
 	pool.NewPage(space, 0, &testPage{Vals: []int64{1, 2, 3}})
