@@ -1,16 +1,23 @@
 GO ?= go
 
-.PHONY: check fmt build vet test race race-core bench-harness flake-sweep loc bench-smoke recovery-torture mvcc-stress ingest-stress serve-stress vector-stress fuzz-smoke
+.PHONY: check fmt nogob build vet test race race-core bench-harness flake-sweep loc bench-smoke recovery-torture mvcc-stress ingest-stress serve-stress vector-stress fuzz-smoke
 
-# check is the full CI gate: formatting, static analysis, a clean build,
-# the test suite under the race detector, and the benchmark harness (its
-# own module, so none of the above reaches it).
-check: fmt vet build race race-core bench-harness
+# check is the full CI gate: formatting, one encoding, static analysis,
+# a clean build, the test suite under the race detector, and the
+# benchmark harness (its own module, so none of the above reaches it).
+check: fmt nogob vet build race race-core bench-harness
 
 # fmt fails when any Go file in the tree (benchmarks/ included) is not
 # gofmt-clean, naming the files.
 fmt:
 	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
+
+# nogob fails when a package of this module imports encoding/gob outside
+# its tests, naming it: everything the engine stores, spills, logs and
+# snapshots is in the one cell encoding (internal/cell). benchmarks/ is
+# its own module and not listed.
+nogob:
+	@! $(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' ./... | grep -w 'encoding/gob'
 
 build:
 	$(GO) build ./...
@@ -136,10 +143,12 @@ vector-stress:
 # fuzz-smoke fuzzes each decoder of stored bytes for 30 s, starting from
 # the seed corpora under its package's testdata/fuzz: the cell decoders
 # (rows, summary sets, annotations), the heap page image with its slot
-# directory, and the B-Tree node image. Arbitrary bytes must yield a
-# typed error, never a panic, and whatever decodes must re-encode
-# byte-identically.
+# directory, the B-Tree node image, the log record decoder and the
+# snapshot loader. Arbitrary bytes must yield a typed error, never a
+# panic, and whatever decodes must re-encode byte-identically.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCellDecode$$' -fuzztime 30s ./internal/model
 	$(GO) test -run '^$$' -fuzz '^FuzzHeapPageImage$$' -fuzztime 30s ./internal/heap
 	$(GO) test -run '^$$' -fuzz '^FuzzNodeImage$$' -fuzztime 30s ./internal/btree
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 30s ./internal/engine
+	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 30s ./internal/engine

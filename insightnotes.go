@@ -68,12 +68,15 @@ func OpenDurable(cfg Config) (*DB, error) { return engine.Open(cfg) }
 type Txn = engine.Txn
 
 // Load reconstructs a database from a snapshot written by DB.Save. The
-// snapshot is a logical dump (schemas, instances, trained models,
-// tuples, annotations, index declarations, identifier watermarks);
-// loading replays it through the engine's apply paths, re-deriving
-// summaries, statistics, and indexes deterministically under the OIDs
-// and annotation IDs the dump recorded. Transient storage faults during replay
-// are absorbed by bounded retry with backoff (engine.SnapshotRetry).
+// snapshot is the stream of mutations that re-creates the database
+// (instances with their trained models, schemas, tuples, annotations,
+// index builds, identifier watermarks) in the write-ahead log's record
+// format; loading replays it through the engine's apply paths,
+// re-deriving summaries, statistics, and indexes deterministically
+// under the OIDs and annotation IDs the snapshot recorded. A torn or
+// truncated snapshot is refused whole. Transient storage faults during
+// replay are absorbed by bounded retry with backoff
+// (engine.SnapshotRetry).
 func Load(r io.Reader) (*DB, error) { return engine.Load(r) }
 
 // LoadWithConfig is Load with an explicit configuration (statement

@@ -59,6 +59,9 @@ func (c *Catalog) AsOf(snap uint64) *Catalog {
 	return cp
 }
 
+// PageCap returns the records-per-page parameter of every heap file.
+func (c *Catalog) PageCap() int { return c.pageCap }
+
 // NextOID returns the catalog-wide OID counter (the last OID assigned),
 // so a checkpoint can persist it and recovery can restore exact ID
 // assignment across restarts.

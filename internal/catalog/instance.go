@@ -1,8 +1,11 @@
 package catalog
 
 import (
+	"encoding/binary"
 	"fmt"
+	"sort"
 
+	"repro/internal/cell"
 	"repro/internal/model"
 )
 
@@ -39,6 +42,43 @@ type SummaryInstance struct {
 
 	// Indexable marks the instance for Summary-BTree indexing.
 	Indexable bool
+}
+
+// AppendInstance appends si in the cell encoding, its label hierarchy in
+// child order.
+func AppendInstance(dst []byte, si *SummaryInstance) []byte {
+	dst = cell.AppendStrings(append(cell.AppendString(dst, si.Name), byte(si.Type)), si.Labels)
+	children := make([]string, 0, len(si.Parents))
+	for c := range si.Parents {
+		children = append(children, c)
+	}
+	sort.Strings(children)
+	dst = binary.AppendUvarint(dst, uint64(len(children)))
+	for _, c := range children {
+		dst = cell.AppendString(cell.AppendString(dst, c), si.Parents[c])
+	}
+	for _, n := range []int{si.SnippetMinChars, si.SnippetMaxChars, si.ClusterMaxGroups} {
+		dst = binary.AppendVarint(dst, int64(n))
+	}
+	return cell.AppendBool(dst, si.Indexable)
+}
+
+// ReadInstance reads an instance written by AppendInstance; a hierarchy
+// out of child order is malformed.
+func ReadInstance(r *cell.Reader) SummaryInstance {
+	si := SummaryInstance{Name: r.Text(), Type: model.SummaryType(r.Byte()), Labels: r.Texts()}
+	for i, n, prev := 0, r.Len(), ""; i < n; i++ {
+		c, p := r.Text(), r.Text()
+		if i == 0 {
+			si.Parents = make(map[string]string, n)
+		} else if c <= prev {
+			r.Fail("label hierarchy out of child order")
+		}
+		prev, si.Parents[c] = c, p
+	}
+	si.SnippetMinChars, si.SnippetMaxChars, si.ClusterMaxGroups = int(r.Varint()), int(r.Varint()), int(r.Varint())
+	si.Indexable = r.Bool()
+	return si
 }
 
 // Validate checks the instance definition for internal consistency.

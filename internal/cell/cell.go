@@ -1,6 +1,7 @@
 // Package cell is the engine's one binary encoding for the records it
-// stores and spills: heap cells (rows, summary sets, annotations,
-// normalized index rows), B-Tree node images and external-sort runs. It
+// stores, spills and persists: heap cells (rows, summary sets,
+// annotations, normalized index rows), B-Tree node images, external-sort
+// runs, and the payloads of log records and snapshots. It
 // is encoding/binary varints and length-prefixed strings, with no
 // reflection: each type's Append/Read pair lives beside the type.
 //

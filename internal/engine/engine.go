@@ -8,6 +8,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -141,6 +142,9 @@ type DB struct {
 	// committed operations since the last checkpoint.
 	checkpointEvery int
 	walOps          atomic.Int64
+	// fsync makes a snapshot file or its directory durable; tests
+	// substitute a fake to fail it.
+	fsync func(*os.File) error
 	// ckptMu serializes checkpoint attempts.
 	ckptMu sync.Mutex
 	// nextTxID and activeTxns are guarded by mu: transaction IDs are
@@ -251,6 +255,10 @@ func newDB(cfg Config, acct *pager.Accountant) *DB {
 		clock:       clock,
 		ingest:      ingestBuffer{index: make(map[int64]int)},
 		ingestEvery: cfg.IngestFlushOps,
+		walDir:      cfg.WALDir,
+		fsync:       (*os.File).Sync,
+
+		checkpointEvery: cfg.CheckpointEveryN,
 	}
 	if cfg.PlanCacheSize > 0 {
 		db.planCache = optimizer.NewPlanCache(cfg.PlanCacheSize)
@@ -362,10 +370,7 @@ func (db *DB) ddl(op mutation, check func() error) error {
 
 // CreateTable registers a relation.
 func (db *DB) CreateTable(name string, schema *model.Schema) (*catalog.Table, error) {
-	cols := make([]snapshotColumnDef, schema.Len())
-	for i := range cols {
-		cols[i] = snapshotColumnDef(schema.Col(i))
-	}
+	cols := append([]model.Column(nil), schema.Columns...) // the table's own copy
 	err := db.ddl(&pCreateTable{Name: name, Columns: cols}, func() error {
 		if _, err := db.cat.Table(name); err == nil {
 			return fmt.Errorf("catalog: table %q already exists", name)
@@ -381,11 +386,7 @@ func (db *DB) CreateTable(name string, schema *model.Schema) (*catalog.Table, er
 }
 
 func (p *pCreateTable) apply(db *DB) error {
-	cols := make([]model.Column, len(p.Columns))
-	for i, c := range p.Columns {
-		cols[i] = model.Column(c)
-	}
-	if _, err := db.cat.CreateTable(p.Name, model.NewSchema("", cols...)); err != nil {
+	if _, err := db.cat.CreateTable(p.Name, model.NewSchema("", p.Columns...)); err != nil {
 		return err
 	}
 	db.bumpCatalogVersion()

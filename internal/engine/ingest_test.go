@@ -478,10 +478,7 @@ func TestIngestWALStreamAndRecovery(t *testing.T) {
 			t.Fatalf("record %d differs: eager type=%d tx=%d lsn=%d, batched type=%d tx=%d lsn=%d",
 				i, e.Type, e.TxID, e.LSN, b.Type, b.TxID, b.LSN)
 		}
-		// DefineInstance payloads gob-encode the classifier's training
-		// maps, whose encoding order is nondeterministic — two eager runs
-		// differ the same way. Every other payload must be byte-equal.
-		if e.Type != recDefineInstance && !bytes.Equal(e.Payload, b.Payload) {
+		if !bytes.Equal(e.Payload, b.Payload) {
 			t.Fatalf("record %d (type %d) payload differs between eager and batched runs", i, e.Type)
 		}
 	}

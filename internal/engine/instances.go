@@ -74,11 +74,7 @@ func (db *DB) DefineCluster(name string, maxGroups int) error {
 // record carries the finished model state and replay reconstructs the
 // identical classifier without the training corpus.
 func (db *DB) defineInstance(si *catalog.SummaryInstance, clf *bayes.Classifier) error {
-	entry := snapshotInstance{Def: *si}
-	if clf != nil {
-		entry.ClassifierState = clf.State()
-	}
-	return db.ddl(&pDefineInstance{Inst: entry}, func() error { return db.checkNewInstance(si) })
+	return db.ddl(&pDefineInstance{Inst: *si, Clf: clf}, func() error { return db.checkNewInstance(si) })
 }
 
 func (db *DB) checkNewInstance(si *catalog.SummaryInstance) error {
@@ -94,15 +90,15 @@ func (db *DB) checkNewInstance(si *catalog.SummaryInstance) error {
 // apply installs a defined instance and its trained classifier model,
 // if any.
 func (p *pDefineInstance) apply(db *DB) error {
-	def := p.Inst.Def
+	def := p.Inst
 	if err := db.checkNewInstance(&def); err != nil {
 		return err
 	}
 	key := strings.ToLower(def.Name)
 	db.instances[key] = &def
 	db.bumpCatalogVersion()
-	if p.Inst.ClassifierState != nil {
-		db.classifiers[key] = bayes.FromState(p.Inst.ClassifierState)
+	if p.Clf != nil {
+		db.classifiers[key] = p.Clf
 	}
 	return nil
 }
@@ -133,7 +129,7 @@ func (p *pLinkInstance) apply(db *DB) error {
 	}
 	db.bumpCatalogVersion()
 	if p.Indexable {
-		return (&pCreateSummaryIndex{Table: p.Table, Instance: p.Instance}).apply(db)
+		return (&pCreateSummaryIndex{instanceRef{p.Table, p.Instance}}).apply(db)
 	}
 	return nil
 }
@@ -141,7 +137,7 @@ func (p *pLinkInstance) apply(db *DB) error {
 // UnlinkInstance detaches an instance and drops its indexes —
 // "ALTER TABLE t DROP inst".
 func (db *DB) UnlinkInstance(table, instance string) error {
-	return db.ddl(&pUnlinkInstance{Table: table, Instance: instance}, nil)
+	return db.ddl(&pUnlinkInstance{instanceRef{table, instance}}, nil)
 }
 
 func (p *pUnlinkInstance) apply(db *DB) error {
@@ -189,7 +185,7 @@ func (db *DB) indexableInstance(table, instance string) (*catalog.Table, *catalo
 // bulk-loading from the existing summary storage (the Figure 8 bulk
 // mode). Classifier instances only.
 func (db *DB) CreateSummaryIndex(table, instance string) error {
-	return db.ddl(&pCreateSummaryIndex{Table: table, Instance: instance}, func() error {
+	return db.ddl(&pCreateSummaryIndex{instanceRef{table, instance}}, func() error {
 		_, _, err := db.indexableInstance(table, instance)
 		return err
 	})
@@ -244,7 +240,7 @@ func (p *pCreateSummaryIndex) apply(db *DB) error {
 // CreateBaselineIndex builds the baseline scheme (normalized side table
 // + derived-column B-Tree) over an instance's objects.
 func (db *DB) CreateBaselineIndex(table, instance string) error {
-	return db.ddl(&pCreateBaselineIndex{Table: table, Instance: instance}, func() error {
+	return db.ddl(&pCreateBaselineIndex{instanceRef{table, instance}}, func() error {
 		_, _, err := db.indexableInstance(table, instance)
 		return err
 	})
@@ -278,7 +274,7 @@ func (p *pCreateBaselineIndex) apply(db *DB) error {
 // historical void signature; the log's sticky error resurfaces on the
 // next logged operation.)
 func (db *DB) DropSummaryIndex(table, instance string) {
-	_ = db.ddl(&pDropSummaryIndex{Table: table, Instance: instance}, nil)
+	_ = db.ddl(&pDropSummaryIndex{instanceRef{table, instance}}, nil)
 }
 
 func (p *pDropSummaryIndex) apply(db *DB) error {
@@ -290,7 +286,7 @@ func (p *pDropSummaryIndex) apply(db *DB) error {
 // DropBaselineIndex removes the baseline index on (table, instance).
 // Like DropSummaryIndex, WAL errors resurface on the next operation.
 func (db *DB) DropBaselineIndex(table, instance string) {
-	_ = db.ddl(&pDropBaselineIndex{Table: table, Instance: instance}, nil)
+	_ = db.ddl(&pDropBaselineIndex{instanceRef{table, instance}}, nil)
 }
 
 func (p *pDropBaselineIndex) apply(db *DB) error {
@@ -356,24 +352,25 @@ func (tx *Txn) addAnnotation(table string, oid int64, text string, columns []str
 	if !tx.auto {
 		tx.newAnns[id] = true
 	}
-	tx.ops = append(tx.ops, &pAddAnnotation{
-		Table: table, OID: oid, ID: id, Seq: seq, Text: text, Columns: columns, Author: author,
-	})
-	return &model.Annotation{ID: id, Text: text, TupleOID: oid, Columns: columns, Author: author, Seq: seq}, nil
+	op := &pAddAnnotation{Table: table, Annotation: model.Annotation{
+		ID: id, Text: text, TupleOID: oid, Columns: columns, Author: author, Seq: seq}}
+	tx.ops = append(tx.ops, op)
+	ann := op.Annotation
+	return &ann, nil
 }
 
 // apply stores one annotation under its forced identifiers and buffers
 // its summary maintenance.
 func (p *pAddAnnotation) apply(db *DB) error {
-	t, rid, err := db.tupleLoc(p.Table, p.OID)
+	t, rid, err := db.tupleLoc(p.Table, p.TupleOID)
 	if err != nil {
 		return err
 	}
-	ann := db.cat.Anns.AddWithID(p.ID, p.Seq, p.OID, p.Text, p.Columns, p.Author)
+	ann := db.cat.Anns.AddWithID(p.ID, p.Seq, p.TupleOID, p.Text, p.Columns, p.Author)
 	if len(p.Columns) > 0 {
 		t.ColAttachedAnns++
 	}
-	db.bufferIngest(t, p.OID, rid, ann)
+	db.bufferIngest(t, p.TupleOID, rid, ann)
 	return nil
 }
 

@@ -97,7 +97,23 @@ func TestMutationsAfterCloseRefused(t *testing.T) {
 	}
 	tortureWorkload(t, db)
 	want := logicalState(t, db)
-	oid, ann := want.Tables[0].Tuples[0].OID, want.Annotations[0].ID
+	// The first Birds tuple, the first Spots tuple and the first
+	// annotation of the dump.
+	var oid, spot, ann int64
+	for _, op := range want {
+		switch op := op.(type) {
+		case *pInsertTuple:
+			if op.Table == "Birds" && oid == 0 {
+				oid = op.OID
+			} else if op.Table == "Spots" && spot == 0 {
+				spot = op.OID
+			}
+		case *pAddAnnotation:
+			if ann == 0 {
+				ann = op.ID
+			}
+		}
+	}
 	before := db.Begin()
 	if _, err := before.Insert("Spots", model.NewText("pending")); err != nil {
 		t.Fatal(err)
@@ -121,7 +137,7 @@ func TestMutationsAfterCloseRefused(t *testing.T) {
 		"CreateSummaryIndex":              func() error { return db.CreateSummaryIndex("Birds", "ClassBird1") },
 		"CreateBaselineIndex":             func() error { return db.CreateBaselineIndex("Birds", "ClassBird1") },
 		"AddAnnotation":                   func() error { _, err := db.AddAnnotation("Birds", oid, "late", nil, "x"); return err },
-		"AttachAnnotation":                func() error { return db.AttachAnnotation("Spots", want.Tables[1].Tuples[0].OID, ann+1) },
+		"AttachAnnotation":                func() error { return db.AttachAnnotation("Spots", spot, ann+1) },
 		"DeleteAnnotation":                func() error { return db.DeleteAnnotation("Birds", ann) },
 		"Txn.Insert":                      func() error { _, err := after.Insert("Spots", model.NewText("late")); return err },
 		"Txn.AddAnnotation":               func() error { _, err := after.AddAnnotation("Birds", oid, "late", nil, "x"); return err },

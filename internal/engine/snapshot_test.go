@@ -2,11 +2,15 @@ package engine
 
 import (
 	"bytes"
+	"encoding/gob"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/wal"
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -140,5 +144,112 @@ func TestSnapshotMultiTupleAttachmentSurvives(t *testing.T) {
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("not a snapshot"))); err == nil {
 		t.Error("garbage input should fail")
+	}
+}
+
+// A Save output is a stream of log frames closed by the end record, and
+// Load refuses every proper prefix of it — cut on a record boundary, one
+// byte into a record's header, or half-way through a record — instead
+// of returning a database holding part of a snapshot.
+func TestLoadRefusesTruncatedSnapshot(t *testing.T) {
+	db, oids := testDB(t, 6)
+	if err := db.AttachAnnotation("Birds", oids[2], mustAnnotate(t, db, oids[1], annText("Disease", 7)).ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateSummaryIndex("Birds", "ClassBird1"); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	res, err := wal.Scan(bytes.NewReader(data))
+	if err != nil || res.Torn || res.End != int64(len(data)) {
+		t.Fatalf("Save output does not scan as whole frames: torn=%v end=%d len=%d err=%v", res.Torn, res.End, len(data), err)
+	}
+	if last := res.Records[len(res.Records)-1]; last.Type != recSnapshotEnd {
+		t.Fatalf("last record has type %d, want the end record", last.Type)
+	}
+	for i, off := range res.Offsets {
+		end := res.End
+		if i+1 < len(res.Offsets) {
+			end = res.Offsets[i+1]
+		}
+		for _, cut := range []int64{off, off + 1, off + (end-off)/2} {
+			if db2, err := Load(bytes.NewReader(data[:cut])); err == nil {
+				db2.Close()
+				t.Fatalf("a snapshot cut at byte %d of %d (record %d of %d) loaded", cut, len(data), i+1, len(res.Records))
+			}
+		}
+	}
+	db2, err := Load(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("the whole snapshot: %v", err)
+	}
+	db2.Close()
+}
+
+// A checkpoint file Open cannot read whole — the gob dump that preceded
+// the current format, or garbage — fails Open with an error that names
+// the checkpoint, before the log is touched: not even its torn tail is
+// truncated. No migration is attempted.
+func TestOpenRefusesForeignCheckpoint(t *testing.T) {
+	var gobDump bytes.Buffer
+	type snapshotTuple struct {
+		OID    int64
+		Values []model.Value
+	}
+	type snapshotTable struct {
+		Name   string
+		Tuples []snapshotTuple
+	}
+	if err := gob.NewEncoder(&gobDump).Encode(struct {
+		Version int
+		Tables  []snapshotTable
+		PageCap int
+	}{1, []snapshotTable{{"Birds", []snapshotTuple{{1, []model.Value{model.NewInt(1)}}}}}, 16}); err != nil {
+		t.Fatal(err)
+	}
+	for name, ckpt := range map[string][]byte{
+		"gob dump":  gobDump.Bytes(),
+		"garbage":   []byte("not a checkpoint at all, just some bytes"),
+		"empty":     nil,
+		"only a tx": wal.AppendFrame(nil, wal.Record{LSN: 1, Type: recCommit}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			db, err := Open(Config{WALDir: dir, PageCap: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tortureWorkload(t, db)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			logPath := filepath.Join(dir, walFile)
+			f, err := os.OpenFile(logPath, os.O_APPEND|os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Write([]byte("a torn tail recovery would cut")) // would be truncated by wal.Recover
+			f.Close()
+			logBytes, err := os.ReadFile(logPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, checkpointFile), ckpt, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if db, err := Open(Config{WALDir: dir, PageCap: 16}); err == nil {
+				db.Close()
+				t.Fatal("Open accepted the checkpoint")
+			} else if !strings.Contains(err.Error(), checkpointFile) {
+				t.Errorf("error does not name the checkpoint: %v", err)
+			}
+			if after, err := os.ReadFile(logPath); err != nil || !bytes.Equal(after, logBytes) {
+				t.Errorf("a refused Open changed the log (%d bytes before, %d after, err %v)", len(logBytes), len(after), err)
+			}
+		})
 	}
 }

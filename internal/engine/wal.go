@@ -4,9 +4,12 @@ package engine
 // The engine logs LOGICAL records — one per mutating API call, carrying
 // the operation's inputs plus any identifiers the call assigned (OIDs,
 // annotation IDs, logical timestamps) — and the record's payload type IS
-// the mutation: it names its record type and knows how to apply itself
-// to a database (the mutation interface below). There is one way a
-// mutation reaches the state, whoever feeds it:
+// the mutation: it names its record type, encodes itself in the cell
+// encoding and knows how to apply itself to a database (the mutation
+// interface below). A snapshot is a stream of the same records in the
+// log's frame (snapshot.go), so there is one record format on disk and
+// one decoder, decodeRecord. There is one way a mutation reaches the
+// state, whoever feeds it:
 //
 //   - A live call takes the exclusive lock (Txn.enter refuses with
 //     ErrClosed after Close), validates against the live state plus the
@@ -27,8 +30,8 @@ package engine
 //     readers drain during the fsync — for the log to become durable
 //     through its commit LSN. Commits that arrive while an fsync is in
 //     flight share the next one (wal.Log's leader/follower sync).
-//   - Recovery: Open loads the last checkpoint (the dump re-emitted as
-//     mutations, exact IDs preserved), scans the log — truncating a torn
+//   - Recovery: Open loads the last checkpoint (its records applied
+//     like any others, exact IDs preserved), scans the log — truncating a torn
 //     tail to the longest valid prefix — determines the committed
 //     transaction set from the commit records found, and decodes and
 //     applies committed records with LSN beyond the checkpoint in order.
@@ -47,14 +50,15 @@ package engine
 // logged run would.
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"repro/internal/catalog"
+	"repro/internal/cell"
+	"repro/internal/mining/bayes"
 	"repro/internal/model"
 	"repro/internal/wal"
 )
@@ -83,6 +87,7 @@ const (
 	recAddAnnotation
 	recAttachAnnotation
 	recDeleteAnnotation
+	recSnapshotEnd // closes a snapshot stream (snapshot.go); never in the log
 )
 
 // mutation is one logical change to the database. apply is
@@ -90,20 +95,24 @@ const (
 // state changes: commit, WAL replay and snapshot load all end in it, so
 // it tolerates whatever a replay can present (a missing table, an
 // attachment that already exists) by returning an error or doing
-// nothing, never by panicking.
+// nothing, never by panicking. appendTo and readFrom are the payload's
+// cell encoding (package cell); readFrom accepts only what appendTo
+// writes.
 type mutation interface {
 	recType() wal.Type
+	appendTo(dst []byte) []byte
+	readFrom(r *cell.Reader)
 	apply(db *DB) error
 }
 
-// Record payloads, gob-encoded. Identifier fields (OID, ID, Seq) are
-// the values the original call assigned, so apply forces them. Each
-// type's apply sits with the API call that records it (engine.go,
-// instances.go).
+// Record payloads. Identifier fields (OID, ID, Seq) are the values the
+// original call assigned, so apply forces them. Each type's encoding
+// follows it here; its apply sits with the API call that records it
+// (engine.go, instances.go; pSnapshotEnd's in snapshot.go).
 type (
 	pCreateTable struct {
 		Name    string
-		Columns []snapshotColumnDef
+		Columns []model.Column
 	}
 	pInsertTuple struct {
 		Table  string
@@ -118,31 +127,23 @@ type (
 		Table, Column string
 	}
 	pDefineInstance struct {
-		Inst snapshotInstance
+		Inst catalog.SummaryInstance
+		Clf  *bayes.Classifier // the trained model of a classifier instance
 	}
 	pLinkInstance struct {
 		Table, Instance string
 		Indexable       bool
 	}
-	// pInstanceRef is the wire shape the five (table, instance) records
-	// share. gob writes the encoded type's name into every record, so
-	// they are logged as pInstanceRef (see Txn.log) and the bytes of
-	// those records stay what they have always been.
-	pInstanceRef struct {
-		Table, Instance string
-	}
-	pUnlinkInstance      pInstanceRef
-	pCreateSummaryIndex  pInstanceRef
-	pCreateBaselineIndex pInstanceRef
-	pDropSummaryIndex    pInstanceRef
-	pDropBaselineIndex   pInstanceRef
+	// instanceRef is the payload of the five (table, instance) records.
+	instanceRef          struct{ Table, Instance string }
+	pUnlinkInstance      struct{ instanceRef }
+	pCreateSummaryIndex  struct{ instanceRef }
+	pCreateBaselineIndex struct{ instanceRef }
+	pDropSummaryIndex    struct{ instanceRef }
+	pDropBaselineIndex   struct{ instanceRef }
 	pAddAnnotation       struct {
-		Table   string
-		OID     int64
-		ID, Seq int64
-		Text    string
-		Columns []string
-		Author  string
+		Table string
+		model.Annotation
 	}
 	pAttachAnnotation struct {
 		Table      string
@@ -153,6 +154,93 @@ type (
 		AnnID int64
 	}
 )
+
+func (p *pCreateTable) appendTo(b []byte) []byte {
+	b = binary.AppendUvarint(cell.AppendString(b, p.Name), uint64(len(p.Columns)))
+	for _, c := range p.Columns {
+		b = append(cell.AppendString(b, c.Name), byte(c.Kind))
+	}
+	return b
+}
+
+func (p *pCreateTable) readFrom(r *cell.Reader) {
+	p.Name = r.Text()
+	if n := r.Len(); n > 0 {
+		p.Columns = make([]model.Column, n)
+	}
+	for i := range p.Columns {
+		p.Columns[i] = model.Column{Name: r.Text(), Kind: model.Kind(r.Byte())}
+	}
+}
+
+func (p *pInsertTuple) appendTo(b []byte) []byte {
+	return model.AppendRow(binary.AppendVarint(cell.AppendString(b, p.Table), p.OID), p.Values)
+}
+
+func (p *pInsertTuple) readFrom(r *cell.Reader) {
+	p.Table, p.OID, p.Values = r.Text(), r.Varint(), model.ReadRow(r)
+}
+
+func (p *pDeleteTuple) appendTo(b []byte) []byte {
+	return binary.AppendVarint(cell.AppendString(b, p.Table), p.OID)
+}
+
+func (p *pDeleteTuple) readFrom(r *cell.Reader) { p.Table, p.OID = r.Text(), r.Varint() }
+
+func (p *pCreateDataIndex) appendTo(b []byte) []byte {
+	return cell.AppendString(cell.AppendString(b, p.Table), p.Column)
+}
+
+func (p *pCreateDataIndex) readFrom(r *cell.Reader) { p.Table, p.Column = r.Text(), r.Text() }
+
+func (p *pDefineInstance) appendTo(b []byte) []byte {
+	if b = cell.AppendBool(catalog.AppendInstance(b, &p.Inst), p.Clf != nil); p.Clf != nil {
+		b = p.Clf.Append(b)
+	}
+	return b
+}
+
+func (p *pDefineInstance) readFrom(r *cell.Reader) {
+	if p.Inst = catalog.ReadInstance(r); r.Bool() {
+		p.Clf = bayes.Read(r)
+	}
+}
+
+func (p *pLinkInstance) appendTo(b []byte) []byte {
+	return cell.AppendBool(cell.AppendString(cell.AppendString(b, p.Table), p.Instance), p.Indexable)
+}
+
+func (p *pLinkInstance) readFrom(r *cell.Reader) {
+	p.Table, p.Instance, p.Indexable = r.Text(), r.Text(), r.Bool()
+}
+
+func (p *instanceRef) appendTo(b []byte) []byte {
+	return cell.AppendString(cell.AppendString(b, p.Table), p.Instance)
+}
+
+func (p *instanceRef) readFrom(r *cell.Reader) { p.Table, p.Instance = r.Text(), r.Text() }
+
+func (p *pAddAnnotation) appendTo(b []byte) []byte {
+	return model.AppendAnnotation(cell.AppendString(b, p.Table), &p.Annotation)
+}
+
+func (p *pAddAnnotation) readFrom(r *cell.Reader) {
+	p.Table, p.Annotation = r.Text(), *model.ReadAnnotation(r)
+}
+
+func (p *pAttachAnnotation) appendTo(b []byte) []byte {
+	return binary.AppendVarint(binary.AppendVarint(cell.AppendString(b, p.Table), p.OID), p.AnnID)
+}
+
+func (p *pAttachAnnotation) readFrom(r *cell.Reader) {
+	p.Table, p.OID, p.AnnID = r.Text(), r.Varint(), r.Varint()
+}
+
+func (p *pDeleteAnnotation) appendTo(b []byte) []byte {
+	return binary.AppendVarint(cell.AppendString(b, p.Table), p.AnnID)
+}
+
+func (p *pDeleteAnnotation) readFrom(r *cell.Reader) { p.Table, p.AnnID = r.Text(), r.Varint() }
 
 func (*pCreateTable) recType() wal.Type         { return recCreateTable }
 func (*pInsertTuple) recType() wal.Type         { return recInsertTuple }
@@ -168,12 +256,7 @@ func (*pDropBaselineIndex) recType() wal.Type   { return recDropBaselineIndex }
 func (*pAddAnnotation) recType() wal.Type       { return recAddAnnotation }
 func (*pAttachAnnotation) recType() wal.Type    { return recAttachAnnotation }
 func (*pDeleteAnnotation) recType() wal.Type    { return recDeleteAnnotation }
-
-func (p *pUnlinkInstance) wire() any      { return (*pInstanceRef)(p) }
-func (p *pCreateSummaryIndex) wire() any  { return (*pInstanceRef)(p) }
-func (p *pCreateBaselineIndex) wire() any { return (*pInstanceRef)(p) }
-func (p *pDropSummaryIndex) wire() any    { return (*pInstanceRef)(p) }
-func (p *pDropBaselineIndex) wire() any   { return (*pInstanceRef)(p) }
+func (*pSnapshotEnd) recType() wal.Type         { return recSnapshotEnd }
 
 // newMutation maps a record type to an empty payload for replay to
 // decode into.
@@ -192,6 +275,24 @@ var newMutation = map[wal.Type]func() mutation{
 	recAddAnnotation:       func() mutation { return new(pAddAnnotation) },
 	recAttachAnnotation:    func() mutation { return new(pAttachAnnotation) },
 	recDeleteAnnotation:    func() mutation { return new(pDeleteAnnotation) },
+	recSnapshotEnd:         func() mutation { return new(pSnapshotEnd) },
+}
+
+// decodeRecord turns a log or snapshot record back into its mutation:
+// the one decoder Load, checkpoint recovery and WAL replay share. An
+// unknown type or a payload its reader refuses is an error, never a
+// panic.
+func decodeRecord(rec wal.Record) (mutation, error) {
+	mk, ok := newMutation[rec.Type]
+	if !ok {
+		return nil, fmt.Errorf("unknown record type %d", rec.Type)
+	}
+	op, r := mk(), cell.NewReader(rec.Payload)
+	op.readFrom(&r)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("decoding a record of type %d: %w", rec.Type, err)
+	}
+	return op, nil
 }
 
 // ErrTxnDone reports an operation on a committed or rolled-back Txn.
@@ -218,41 +319,23 @@ func Open(cfg Config) (*DB, error) {
 	if err := os.MkdirAll(cfg.WALDir, 0o755); err != nil {
 		return nil, fmt.Errorf("engine: wal dir: %w", err)
 	}
-	acct := newAccountant(cfg)
-
-	// Checkpoint, if any.
-	var snap *snapshot
+	// Checkpoint, if any — read and checked whole before the log is
+	// touched, so a checkpoint Open refuses leaves the log as it was.
+	var ckpt []mutation
+	var ckptLSN uint64
 	ckptPath := filepath.Join(cfg.WALDir, checkpointFile)
 	if f, err := os.Open(ckptPath); err == nil {
-		var s snapshot
-		derr := gob.NewDecoder(f).Decode(&s)
+		var end *pSnapshotEnd
+		ckpt, end, err = readSnapshot(f)
 		f.Close()
-		if derr != nil {
-			return nil, fmt.Errorf("engine: decoding checkpoint: %w", derr)
+		if err != nil {
+			return nil, fmt.Errorf("engine: checkpoint %s: %w", ckptPath, err)
 		}
-		if s.Version != 1 {
-			return nil, fmt.Errorf("engine: unsupported checkpoint version %d", s.Version)
+		if ckptLSN = end.CheckpointLSN; cfg.PageCap == 0 {
+			cfg.PageCap = int(end.PageCap)
 		}
-		if cfg.PageCap == 0 {
-			cfg.PageCap = s.PageCap
-		}
-		snap = &s
 	} else if !os.IsNotExist(err) {
 		return nil, fmt.Errorf("engine: opening checkpoint: %w", err)
-	}
-
-	var db *DB
-	var ckptLSN uint64
-	err := withRetry(SnapshotRetry, func() error {
-		db = newDB(cfg, acct)
-		if snap == nil {
-			return nil
-		}
-		ckptLSN = snap.WalLSN
-		return db.loadSnapshot(snap)
-	})
-	if err != nil {
-		return nil, err
 	}
 
 	// Log scan: truncate any torn tail, then find the committed set by
@@ -266,71 +349,86 @@ func Open(cfg Config) (*DB, error) {
 	committed := make(map[uint64]bool)
 	var maxTx uint64
 	for _, rec := range res.Records {
-		if rec.TxID > maxTx {
-			maxTx = rec.TxID
-		}
+		maxTx = max(maxTx, rec.TxID)
 		if rec.Type == recCommit {
 			committed[rec.TxID] = true
 		}
 	}
+	var redo []wal.Record
 	for _, rec := range res.Records {
-		if rec.LSN <= ckptLSN || rec.Type == recCommit || !committed[rec.TxID] {
-			continue
+		if rec.LSN > ckptLSN && rec.Type != recCommit && committed[rec.TxID] {
+			redo = append(redo, rec)
 		}
-		if err := db.replayRecord(rec); err != nil {
-			return nil, fmt.Errorf("engine: wal replay of lsn %d: %w", rec.LSN, err)
-		}
-		db.recoveryReplayed++
 	}
-
-	next := res.LastLSN()
-	if ckptLSN > next {
-		next = ckptLSN
-	}
-	l, err := wal.Open(logPath, wal.Options{NextLSN: next + 1})
+	l, err := wal.Open(logPath, wal.Options{NextLSN: max(res.LastLSN(), ckptLSN) + 1})
 	if err != nil {
 		return nil, err
 	}
-	// Publish the log before any concurrent use; transaction IDs resume
-	// past every ID seen in the scanned log so replayed and new
-	// transactions never collide.
-	db.wal = l
-	db.walDir = cfg.WALDir
-	db.checkpointEvery = cfg.CheckpointEveryN
+	db, err := restore(cfg, ckpt, l, redo)
+	if err != nil {
+		l.Close()
+		return nil, err
+	}
+	// Transaction IDs resume past every ID seen in the scanned log so
+	// replayed and new transactions never collide.
 	db.nextTxID = maxTx
-	acct.SetPageLogger(l)
-	// Publish the recovery epoch: readers admitted from here on see the
-	// replayed committed prefix with AsOfLSN at the recovered log
-	// position. The DB is not shared yet, but publishLocked's contract
-	// asks for the lock. Checkpointed and replayed annotations were
-	// buffered exactly as live ones are; one final flush folds the whole
-	// net delta before the epoch publishes. Where the flushes fall does
-	// not change the flushed state (see ingest.go), so the recovered
-	// summaries equal the crashed run's whatever its threshold was.
-	db.mu.Lock()
-	db.flushIngestLocked()
-	db.publishLocked()
-	db.mu.Unlock()
 	db.startIngestFlusher(cfg.IngestFlushInterval)
 	return db, nil
 }
 
-// replayRecord redoes one committed record: look the payload type up,
-// decode, apply. Apply errors are swallowed: the original call hit the
-// same deterministic error (or deterministic partial application) when
-// the record was logged, so replay reproduces that exact outcome. Only
-// decode failures — corruption that passed the CRC, or version skew —
-// are returned.
-func (db *DB) replayRecord(rec wal.Record) error {
-	mk, ok := newMutation[rec.Type]
-	if !ok {
-		return fmt.Errorf("unknown record type %d", rec.Type)
+// restore builds a database no one else can see yet: a snapshot's
+// mutations (decoded by readSnapshot; a snapshot holds only what
+// succeeded, so an apply error is fatal), then the committed log records
+// after it, then — with the log attached, if there is one — one flush
+// and the first epoch, at the recovered log position. Checkpointed and
+// replayed annotations were buffered exactly as live ones are; where the
+// flushes fall does not change the flushed state (see ingest.go), so the
+// recovered summaries equal the crashed run's whatever its threshold
+// was. A transient storage fault discards the half-built database and
+// starts over under SnapshotRetry; every attempt shares one pager
+// accountant, so fault-injection state (FailFirstWrites windows in
+// particular) progresses across attempts instead of re-arming each try.
+func restore(cfg Config, snap []mutation, l *wal.Log, redo []wal.Record) (*DB, error) {
+	acct := newAccountant(cfg)
+	var db *DB
+	err := withRetry(SnapshotRetry, func() error {
+		db = newDB(cfg, acct)
+		for _, op := range snap {
+			if err := op.apply(db); err != nil {
+				return fmt.Errorf("engine: applying snapshot: %w", err)
+			}
+		}
+		if err := db.replay(redo); err != nil {
+			return err
+		}
+		db.recoveryReplayed = int64(len(redo))
+		if l != nil {
+			db.wal = l
+			acct.SetPageLogger(l)
+		}
+		db.flushIngestLocked()
+		db.publishLocked()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	op := mk()
-	if err := gob.NewDecoder(bytes.NewReader(rec.Payload)).Decode(op); err != nil {
-		return err
+	return db, nil
+}
+
+// replay redoes committed log records in order: decode, apply. Apply
+// errors are swallowed: the original call hit the same deterministic
+// error (or deterministic partial application) when the record was
+// logged, so replay reproduces that exact outcome. Only decode failures
+// — corruption that passed the CRC, or version skew — are returned.
+func (db *DB) replay(recs []wal.Record) error {
+	for _, rec := range recs {
+		op, err := decodeRecord(rec)
+		if err != nil {
+			return fmt.Errorf("engine: wal replay of lsn %d: %w", rec.LSN, err)
+		}
+		_ = op.apply(db)
 	}
-	_ = op.apply(db)
 	return nil
 }
 
@@ -482,25 +580,17 @@ func (tx *Txn) finish(err error) error {
 // returning the commit LSN; with no WAL attached it is a no-op
 // returning 0. The caller holds the exclusive lock (all appends happen
 // under it, so the log is frozen whenever the shared lock is held —
-// checkpoints rely on this). An encode failure is a programming bug
-// (payload types are closed) and panics; an append failure is an I/O
-// error the committer must surface.
+// checkpoints rely on this). An append failure is an I/O error the
+// committer must surface.
 func (tx *Txn) log() (uint64, error) {
 	l := tx.db.wal
 	if l == nil {
 		return 0, nil
 	}
-	var buf bytes.Buffer
+	var buf []byte
 	for _, op := range tx.ops {
-		var payload any = op
-		if w, ok := op.(interface{ wire() any }); ok {
-			payload = w.wire()
-		}
-		buf.Reset()
-		if err := gob.NewEncoder(&buf).Encode(payload); err != nil {
-			panic(fmt.Errorf("engine: encoding wal payload %T: %w", payload, err))
-		}
-		if _, err := l.Append(op.recType(), tx.id, buf.Bytes()); err != nil {
+		buf = op.appendTo(buf[:0])
+		if _, err := l.Append(op.recType(), tx.id, buf); err != nil {
 			return 0, err
 		}
 	}
@@ -592,8 +682,9 @@ func (db *DB) maybeCheckpoint() {
 // Rollback never poisons the live state, so rolled-back transactions
 // do not block checkpoints. The snapshot is taken under the shared
 // lock (mutators and therefore log appends are frozen; queries run on
-// pinned epochs and are unaffected), forced to disk via temp file +
-// fsync + rename, and only then is the log truncated.
+// pinned epochs and are unaffected), streamed to disk via temp file +
+// fsync + rename + directory fsync, and only then is the log truncated;
+// a failure at any of those steps is returned and leaves the log whole.
 func (db *DB) Checkpoint() (bool, error) {
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
@@ -615,17 +706,7 @@ func (db *DB) Checkpoint() (bool, error) {
 	if err := db.wal.Flush(snapLSN); err != nil {
 		return false, err
 	}
-	var snap *snapshot
-	err := withRetry(SnapshotRetry, func() error {
-		var berr error
-		snap, berr = db.buildSnapshot()
-		return berr
-	})
-	if err != nil {
-		return false, err
-	}
-	snap.WalLSN = snapLSN
-	if err := writeSnapshotAtomic(filepath.Join(db.walDir, checkpointFile), snap); err != nil {
+	if err := db.dumpFile(filepath.Join(db.walDir, checkpointFile), snapLSN); err != nil {
 		return false, err
 	}
 	if _, err := db.wal.Compact(snapLSN); err != nil {

@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -194,15 +197,33 @@ func tortureWorkload(t *testing.T, db *DB) {
 	runTorture(t, db, tortureSteps(), routeAsIssued)
 }
 
+// dumpOps is a database's complete logical content: the mutations its
+// snapshot stream replays, decoded back from the bytes Save wrote.
+type dumpOps []mutation
+
+// String renders each mutation's fields (the default %v of a slice of
+// pointers prints addresses).
+func (ops dumpOps) String() string {
+	var b strings.Builder
+	for _, op := range ops {
+		fmt.Fprintf(&b, "\n  %T%+v", op, reflect.ValueOf(op).Elem().Interface())
+	}
+	return b.String()
+}
+
 // logicalState captures a DB's complete logical content for differential
-// comparison (single-threaded tests; no lock needed).
-func logicalState(t *testing.T, db *DB) *snapshot {
+// comparison: Save, then read the stream back (single-threaded tests).
+func logicalState(t *testing.T, db *DB) dumpOps {
 	t.Helper()
-	snap, err := db.buildSnapshot()
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	ops, _, err := readSnapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return snap
+	return ops
 }
 
 // oracleCommittedPrefix builds the ground-truth state for a log prefix:
@@ -218,13 +239,14 @@ func oracleCommittedPrefix(t *testing.T, recs []wal.Record) *DB {
 			committed[r.TxID] = true
 		}
 	}
+	var redo []wal.Record
 	for _, r := range recs {
-		if r.Type == recCommit || !committed[r.TxID] {
-			continue
+		if r.Type != recCommit && committed[r.TxID] {
+			redo = append(redo, r)
 		}
-		if err := odb.replayRecord(r); err != nil {
-			t.Fatalf("oracle replay of lsn %d: %v", r.LSN, err)
-		}
+	}
+	if err := odb.replay(redo); err != nil {
+		t.Fatalf("oracle replay: %v", err)
 	}
 	return odb
 }
@@ -351,7 +373,7 @@ func TestReopenDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var want *snapshot
+	var want dumpOps
 	for round := 1; round <= 2; round++ {
 		rdb, err := Open(Config{WALDir: dir, PageCap: 16})
 		if err != nil {
@@ -360,19 +382,20 @@ func TestReopenDurability(t *testing.T) {
 		got := logicalState(t, rdb)
 		if want == nil {
 			want = got
-			if n := len(got.Tables); n != 2 {
-				t.Fatalf("reopen %d: %d tables, want 2", round, n)
-			}
-			// The rolled-back insert (Bird007) must not have survived.
-			for _, st := range got.Tables {
-				if st.Name != "Birds" {
-					continue
-				}
-				for _, tu := range st.Tuples {
-					if tu.Values[1].Text == "Bird007" {
+			tables := 0
+			for _, op := range got {
+				switch op := op.(type) {
+				case *pCreateTable:
+					tables++
+				case *pInsertTuple:
+					// The rolled-back insert (Bird007) must not have survived.
+					if op.Table == "Birds" && op.Values[1].Text == "Bird007" {
 						t.Errorf("rolled-back tuple survived recovery")
 					}
 				}
+			}
+			if tables != 2 {
+				t.Fatalf("reopen %d: %d tables, want 2", round, tables)
 			}
 		} else if !reflect.DeepEqual(got, want) {
 			t.Errorf("reopen %d: state changed across a no-op restart", round)
@@ -455,6 +478,56 @@ func TestCheckpointBoundsRecovery(t *testing.T) {
 	// the replay debt to zero for the next open.
 	if ok, err := rdb.Checkpoint(); err != nil || !ok {
 		t.Fatalf("explicit checkpoint after recovery: ok=%v err=%v", ok, err)
+	}
+}
+
+// A checkpoint whose directory fsync fails is a failed checkpoint: the
+// renamed file's name may not survive a crash, so Checkpoint returns the
+// error and leaves the log uncompacted, and a reopen — whichever
+// checkpoint it finds — recovers every committed operation.
+func TestCheckpointDirSyncFailureKeepsLog(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Config{WALDir: dir, PageCap: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tortureWorkload(t, db)
+	if ok, err := db.Checkpoint(); !ok || err != nil {
+		t.Fatalf("first checkpoint: ok=%v err=%v", ok, err)
+	}
+	runTorture(t, db, []tortureStep{insertBird(11, "Ardeidae", 0), annotateBird(0, "Behavior", 11, nil, "tester", 0)}, routeAuto)
+	want := logicalState(t, db)
+	logPath := filepath.Join(dir, walFile)
+	before, err := wal.Recover(logPath)
+	if err != nil || len(before.Records) == 0 {
+		t.Fatalf("log before the failing checkpoint: %d records, err %v", len(before.Records), err)
+	}
+	injected := errors.New("injected directory fsync failure")
+	db.fsync = func(f *os.File) error {
+		if fi, err := f.Stat(); err == nil && fi.IsDir() {
+			return injected
+		}
+		return f.Sync()
+	}
+	if ok, err := db.Checkpoint(); ok || !errors.Is(err, injected) {
+		t.Fatalf("checkpoint with a failing directory fsync: ok=%v err=%v, want the injected error", ok, err)
+	}
+	db.fsync = (*os.File).Sync
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := wal.Recover(logPath)
+	if err != nil || len(after.Records) != len(before.Records) {
+		t.Fatalf("the failed checkpoint compacted the log: %d records before, %d after (err %v)",
+			len(before.Records), len(after.Records), err)
+	}
+	rdb, err := Open(Config{WALDir: dir, PageCap: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rdb.Close()
+	if got := logicalState(t, rdb); !reflect.DeepEqual(got, want) {
+		t.Errorf("reopen after a failed checkpoint lost committed work\n got: %v\nwant: %v", got, want)
 	}
 }
 

@@ -1,14 +1,19 @@
 // Package bayes implements the multinomial Naive Bayes text classifier
 // with Laplace smoothing (Manning, Raghavan & Schütze, IIR ch. 13 — the
 // paper's reference [10]) used by Classifier-type summary instances to
-// assign each raw annotation to a class label.
+// assign each raw annotation to a class label. A trained model persists
+// in the engine's cell encoding (Append/Read): an instance definition
+// in the log or a snapshot carries it, so replay never needs the
+// training corpus.
 package bayes
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
 
+	"repro/internal/cell"
 	"repro/internal/textutil"
 )
 
@@ -146,66 +151,49 @@ func (c *Classifier) TopTerms(label string, n int) []string {
 	return terms
 }
 
-// State is the classifier's serializable form (all learned statistics);
-// it round-trips through encoding/gob for database snapshots.
-type State struct {
-	Labels     []string
-	DocCount   map[string]int
-	TermCount  map[string]map[string]int
-	TotalTerms map[string]int
-	Vocab      []string
-	TotalDocs  int
+// Append appends the trained model in the cell encoding: the labels in
+// order, then per label its document count and its term counts in term
+// order. The totals and the vocabulary follow from those, so Read
+// derives them.
+func (c *Classifier) Append(dst []byte) []byte {
+	dst = cell.AppendStrings(dst, c.labels)
+	for _, l := range c.labels {
+		counts := c.termCount[l]
+		terms := make([]string, 0, len(counts))
+		for t := range counts {
+			terms = append(terms, t)
+		}
+		sort.Strings(terms)
+		dst = binary.AppendUvarint(binary.AppendUvarint(dst, uint64(c.docCount[l])), uint64(len(terms)))
+		for _, t := range terms {
+			dst = binary.AppendUvarint(cell.AppendString(dst, t), uint64(counts[t]))
+		}
+	}
+	return dst
 }
 
-// State exports the trained model.
-func (c *Classifier) State() *State {
-	s := &State{
-		Labels:     append([]string(nil), c.labels...),
-		DocCount:   map[string]int{},
-		TermCount:  map[string]map[string]int{},
-		TotalTerms: map[string]int{},
-		TotalDocs:  c.totalDocs,
+// Read reads a model written by Append. It accepts only what Append
+// writes — distinct labels, terms in increasing order, counts above
+// zero — so whatever it reads re-encodes byte for byte.
+func Read(r *cell.Reader) *Classifier {
+	c := New(r.Texts()...)
+	if len(c.termCount) != len(c.labels) {
+		r.Fail("duplicate label")
 	}
-	for l, n := range c.docCount {
-		s.DocCount[l] = n
-	}
-	for l, terms := range c.termCount {
-		tc := map[string]int{}
-		for t, n := range terms {
-			tc[t] = n
+	for _, l := range c.labels {
+		if n := int(r.Uvarint()); n != 0 {
+			c.docCount[l] = n
+			c.totalDocs += n
 		}
-		s.TermCount[l] = tc
-	}
-	for l, n := range c.totalTerms {
-		s.TotalTerms[l] = n
-	}
-	for t := range c.vocab {
-		s.Vocab = append(s.Vocab, t)
-	}
-	sort.Strings(s.Vocab)
-	return s
-}
-
-// FromState reconstructs a classifier from an exported State.
-func FromState(s *State) *Classifier {
-	c := New(s.Labels...)
-	c.totalDocs = s.TotalDocs
-	for l, n := range s.DocCount {
-		c.docCount[l] = n
-	}
-	for l, terms := range s.TermCount {
-		if c.termCount[l] == nil {
-			c.termCount[l] = map[string]int{}
+		for i, k, prev := 0, r.Len(), ""; i < k; i++ {
+			t, n := r.Text(), int(r.Uvarint())
+			if (i > 0 && t <= prev) || n == 0 {
+				r.Fail("terms out of order or counted zero times")
+			}
+			prev, c.termCount[l][t] = t, n
+			c.totalTerms[l] += n
+			c.vocab[t] = true
 		}
-		for t, n := range terms {
-			c.termCount[l][t] = n
-		}
-	}
-	for l, n := range s.TotalTerms {
-		c.totalTerms[l] = n
-	}
-	for _, t := range s.Vocab {
-		c.vocab[t] = true
 	}
 	return c
 }

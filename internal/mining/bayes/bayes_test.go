@@ -1,9 +1,13 @@
 package bayes
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/cell"
 )
 
 // trainBirdClassifier builds the four-label classifier used throughout
@@ -137,9 +141,22 @@ func TestTopTermsAndVocabulary(t *testing.T) {
 	}
 }
 
+// The trained state round-trips through the cell encoding: Read rebuilds
+// a model equal field for field (derived totals and vocabulary
+// included), and the bytes are a pure function of the model.
 func TestStateRoundTrip(t *testing.T) {
 	c := trainBirdClassifier(t)
-	restored := FromState(c.State())
+	enc := c.Append(nil)
+	restored, err := cell.Decode(enc, Read)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(restored, c) {
+		t.Fatal("decoded model differs from the trained one")
+	}
+	if again := restored.Append(nil); !bytes.Equal(again, enc) {
+		t.Fatal("re-encoding the decoded model changed its bytes")
+	}
 	if restored.TrainedDocs() != c.TrainedDocs() ||
 		restored.VocabularySize() != c.VocabularySize() {
 		t.Fatalf("restored model shape differs: %d/%d docs, %d/%d vocab",
@@ -172,6 +189,35 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 	if restored.TrainedDocs() != c.TrainedDocs()+1 {
 		t.Error("restored model not trainable")
+	}
+}
+
+// Read refuses what Append never writes, so no two inputs decode to one
+// model: a repeated label, terms out of order or repeated, a zero count.
+func TestReadRefusesNonCanonical(t *testing.T) {
+	model := func(labels []string, terms ...string) []byte {
+		b := cell.AppendStrings(nil, labels)
+		for range labels {
+			b = append(b, 1, byte(len(terms)/2))
+			for i := 0; i < len(terms); i += 2 {
+				b = append(cell.AppendString(b, terms[i]), terms[i+1][0]-'0')
+			}
+		}
+		return b
+	}
+	if _, err := cell.Decode(model([]string{"A", "B"}, "ant", "2", "bee", "1"), Read); err != nil {
+		t.Fatalf("canonical model refused: %v", err)
+	}
+	for name, b := range map[string][]byte{
+		"duplicate label":    model([]string{"A", "A"}, "ant", "2"),
+		"terms out of order": model([]string{"A"}, "bee", "1", "ant", "2"),
+		"repeated term":      model([]string{"A"}, "ant", "1", "ant", "2"),
+		"zero count":         model([]string{"A"}, "ant", "0"),
+		"trailing bytes":     append(model([]string{"A"}, "ant", "1"), 0),
+	} {
+		if _, err := cell.Decode(b, Read); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
 	}
 }
 

@@ -8,7 +8,8 @@ import (
 
 // This file is the model's half of the cell encoding (package cell): how
 // a value, a row, a summary set and an annotation are laid out when a
-// heap page or a sort run stores them. Empty slices decode as nil.
+// heap page, a sort run or a log record stores them. Empty slices decode
+// as nil.
 
 // The cell codecs of the heap files the catalog keeps.
 var (
@@ -152,9 +153,10 @@ func AppendAnnotation(dst []byte, a *Annotation) []byte {
 	return binary.AppendVarint(dst, a.Seq)
 }
 
-// DecodeAnnotation decodes a cell written by AppendAnnotation.
-func DecodeAnnotation(b []byte) (*Annotation, error) {
-	return cell.Decode(b, func(r *cell.Reader) *Annotation {
-		return &Annotation{ID: r.Varint(), Text: r.Text(), TupleOID: r.Varint(), Columns: r.Texts(), Author: r.Text(), Seq: r.Varint()}
-	})
+// ReadAnnotation reads an annotation written by AppendAnnotation.
+func ReadAnnotation(r *cell.Reader) *Annotation {
+	return &Annotation{ID: r.Varint(), Text: r.Text(), TupleOID: r.Varint(), Columns: r.Texts(), Author: r.Text(), Seq: r.Varint()}
 }
+
+// DecodeAnnotation decodes a cell holding exactly one annotation.
+func DecodeAnnotation(b []byte) (*Annotation, error) { return cell.Decode(b, ReadAnnotation) }

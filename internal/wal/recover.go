@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 )
 
 // ScanResult is the outcome of scanning a log file: the longest valid
@@ -61,8 +62,8 @@ func Scan(r io.Reader) (*ScanResult, error) {
 			res.Torn = true
 			return res, nil
 		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
+		payload, err := readPayload(br, int(n))
+		if err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
 				res.Torn = true
 				return res, nil
@@ -90,6 +91,22 @@ func Scan(r io.Reader) (*ScanResult, error) {
 		res.Offsets = append(res.Offsets, off)
 		off += int64(headerSize) + int64(n)
 		res.End = off
+	}
+}
+
+// readPayload reads an n-byte payload into a buffer that grows with the
+// bytes that arrive (at most doubling, from 64 KiB), so the length a
+// torn or corrupt header declares costs at most about twice the input,
+// not the declared size.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, 64<<10))
+	for read := 0; ; {
+		m, err := io.ReadFull(r, buf[read:])
+		if read += m; err != nil || read == n {
+			return buf[:read], err
+		}
+		more := min(n-read, read)
+		buf = slices.Grow(buf, more)[:read+more]
 	}
 }
 

@@ -3,7 +3,9 @@
 // durability and torn-tail recovery.
 //
 // Records are logical redo records (the engine encodes its mutations;
-// this package only frames and persists them). The protocol is
+// this package only frames and persists them). The frame is the one
+// record format on disk: the engine's snapshots are streams of the same
+// frames (AppendFrame) and read back through Scan. The protocol is
 // redo-only ARIES-lite:
 //
 //   - every mutation appends a record BEFORE the in-memory effect may
@@ -62,15 +64,18 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // ErrClosed is returned by operations on a closed log.
 var ErrClosed = errors.New("wal: log closed")
 
-func encodeFrame(rec Record) []byte {
-	buf := make([]byte, headerSize+len(rec.Payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(rec.Payload)))
-	binary.LittleEndian.PutUint64(buf[8:16], rec.LSN)
-	binary.LittleEndian.PutUint64(buf[16:24], rec.TxID)
-	buf[24] = byte(rec.Type)
-	copy(buf[headerSize:], rec.Payload)
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(buf[8:], castagnoli))
-	return buf
+// AppendFrame appends rec's frame to dst. It is the one record format on
+// disk: the log's appends and the engine's snapshot streams both write
+// it, and Scan reads either back.
+func AppendFrame(dst []byte, rec Record) []byte {
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rec.Payload)))
+	dst = append(dst, 0, 0, 0, 0) // the CRC, once the bytes it covers are in
+	dst = binary.LittleEndian.AppendUint64(dst, rec.LSN)
+	dst = binary.LittleEndian.AppendUint64(dst, rec.TxID)
+	dst = append(append(dst, byte(rec.Type)), rec.Payload...)
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(dst[start+8:], castagnoli))
+	return dst
 }
 
 // Metrics is a snapshot of the log's durability counters.
@@ -178,7 +183,7 @@ func (l *Log) Append(t Type, txid uint64, payload []byte) (uint64, error) {
 		return 0, l.err
 	}
 	lsn := l.nextLSN
-	if _, err := l.f.Write(encodeFrame(Record{LSN: lsn, TxID: txid, Type: t, Payload: payload})); err != nil {
+	if _, err := l.f.Write(AppendFrame(nil, Record{LSN: lsn, TxID: txid, Type: t, Payload: payload})); err != nil {
 		// A partial frame may have reached the file; the sticky error
 		// keeps every later append and commit failing loudly, and the
 		// torn tail is truncated at the next recovery.

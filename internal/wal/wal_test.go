@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -159,6 +160,37 @@ func TestCorruptionStopsScan(t *testing.T) {
 	}
 	if !res.Torn || len(res.Records) != 2 {
 		t.Fatalf("torn=%v records=%d, want torn with 2 records", res.Torn, len(res.Records))
+	}
+}
+
+// A frame header alone, declaring the largest payload a header may, is a
+// torn tail — and scanning it allocates in step with the 25 bytes that
+// are there, not the 256 MiB the header claims.
+func TestScanLoneHeaderAllocatesLittle(t *testing.T) {
+	hdr := AppendFrame(nil, Record{LSN: 1, Type: 1})
+	binary.LittleEndian.PutUint32(hdr, maxPayload)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Scan(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if err != nil || !res.Torn || len(res.Records) != 0 {
+		t.Fatalf("lone header: torn=%v records=%d err=%v, want a torn empty scan", res.Torn, len(res.Records), err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("scanning a %d-byte input allocated %d bytes", len(hdr), alloc)
+	}
+}
+
+// Payloads larger than the first read chunk come back whole.
+func TestScanLargePayload(t *testing.T) {
+	payload := bytes.Repeat([]byte("0123456789abcdef"), 50_000) // 800,000 bytes
+	data := AppendFrame(AppendFrame(nil, Record{LSN: 1, Type: 1, Payload: payload}), Record{LSN: 2, Type: 2})
+	res, err := Scan(bytes.NewReader(data))
+	if err != nil || res.Torn || len(res.Records) != 2 || !bytes.Equal(res.Records[0].Payload, payload) {
+		t.Fatalf("scan of a large payload: torn=%v records=%d err=%v", res.Torn, len(res.Records), err)
+	}
+	if res, _ := Scan(bytes.NewReader(data[:len(data)/2])); !res.Torn || len(res.Records) != 0 {
+		t.Fatalf("a large payload cut short: torn=%v records=%d", res.Torn, len(res.Records))
 	}
 }
 
