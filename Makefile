@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: check fmt nogob build vet test race race-core bench-harness flake-sweep loc bench-smoke recovery-torture mvcc-stress ingest-stress serve-stress vector-stress fuzz-smoke
+.PHONY: check fmt nogob runlists build vet test race race-core bench-harness flake-sweep loc bench-smoke recovery-torture mvcc-stress ingest-stress serve-stress vector-stress fuzz-smoke
 
-# check is the full CI gate: formatting, one encoding, static analysis,
-# a clean build, the test suite under the race detector, and the
-# benchmark harness (its own module, so none of the above reaches it).
-check: fmt nogob vet build race race-core bench-harness
+# check is the full CI gate: formatting, one encoding, every -run filter
+# naming real tests, static analysis, a clean build, the test suite
+# under the race detector, and the benchmark harness (its own module, so
+# none of the above reaches it).
+check: fmt nogob runlists vet build race race-core bench-harness
 
 # fmt fails when any Go file in the tree (benchmarks/ included) is not
 # gofmt-clean, naming the files.
@@ -18,6 +19,13 @@ fmt:
 # its own module and not listed.
 nogob:
 	@! $(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' ./... | grep -w 'encoding/gob'
+
+# runlists fails when an alternative of any -run filter in this Makefile
+# or in .github/workflows/ci.yml matches no test of the packages its
+# command names (go test -list), so a renamed or deleted test cannot
+# silently turn a stress leg into a no-op.
+runlists:
+	@GO=$(GO) bash scripts/runlists.sh
 
 build:
 	$(GO) build ./...
@@ -108,24 +116,24 @@ mvcc-stress:
 
 # ingest-stress hammers the net-delta ingest buffer under the race
 # detector: concurrent annotation writers against lock-free epoch
-# readers (which force flush-on-demand through the dirty flag), the
-# interval flusher, and explicit flush/checkpoint calls, plus the
+# readers (which force flush-on-demand through the dirty flag) and
+# explicit flush/checkpoint calls, plus the
 # per-op vs net-delta differential against the per-annotation oracle,
 # the every-gate visibility check and the WAL-recovery identity suite.
 ingest-stress:
-	$(GO) test -race -count=2 -run 'TestIngestConcurrentStress|TestIngestIntervalFlush' ./internal/engine/
+	$(GO) test -race -count=2 -run 'TestIngestConcurrentStress' ./internal/engine/
 	$(GO) test -race -count=1 -run 'TestIngestPerOpNetDeltaIdentity|TestReadGateSeesBufferedAnnotation|TestIngestWALStreamAndRecovery|TestAttachDeleteReattachLifecycle' ./internal/engine/
 
 # serve-stress hammers the HTTP front-end under the race detector:
 # concurrent sessions with shared prepared statements, per-tenant
 # admission shedding over real connections, graceful-drain vs in-flight
-# requests, plus the engine-side lifecycle suite (ingest-flusher join on
-# Close, Metrics consistency vs 8 query goroutines, plan-cache
-# staleness across DDL), and a 64-connection mixed read/ingest run of
-# the Figure 23 server benchmark.
+# requests, plus the engine-side lifecycle suite (Metrics consistency vs
+# 8 query goroutines, shared prepared statements, plan-cache staleness
+# across DDL), and a small mixed read/ingest run of the Figure 23
+# server benchmark.
 serve-stress:
 	$(GO) test -race -count=2 ./internal/server/
-	$(GO) test -race -count=2 -run 'TestIngestFlusherJoinedOnClose|TestIngestFlusherOpenCloseStress|TestMetricsSnapshotConsistency|TestPreparedConcurrentExecutions|TestPlanCacheStaleness' ./internal/engine/
+	$(GO) test -race -count=2 -run 'TestMetricsSnapshotConsistency|TestPreparedConcurrentExecutions|TestPlanCacheStaleness' ./internal/engine/
 	$(GO) test -race -count=1 -run 'TestFig23Smoke' ./internal/bench/
 
 # vector-stress exercises the batch exchange end to end under the race

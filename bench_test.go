@@ -402,15 +402,13 @@ func BenchmarkAblation_DemandDrivenPropagation(b *testing.B) {
 }
 
 // allocFixture builds the warm single-table dataset for the
-// vectorization allocation measurements: a plan cache so QueryCached
-// skips parse/optimize, and no synonyms or long annotations so the
-// scan-heavy query is the entire cost.
+// vectorization allocation measurements: no synonyms or long
+// annotations, so the scan-heavy query is the entire cost.
 func allocFixture(tb testing.TB) *engine.DB {
 	tb.Helper()
 	ds, err := workload.Build(workload.Config{
 		Seed: 1, Birds: 1000, AvgAnnotationsPerBird: 2,
 		SkipSynonyms: true, LongAnnotationFraction: -1,
-		PlanCacheSize: 8,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -421,16 +419,20 @@ func allocFixture(tb testing.TB) *engine.DB {
 const allocQuery = `SELECT id, sci_name FROM Birds b WHERE b.id > 0 WITHOUT SUMMARIES`
 
 // BenchmarkVectorizedScanAllocs reports the allocation profile of a
-// warm scan->filter->project query at batch capacity 1 vs 1024
+// warm prepared scan->filter->project query at batch capacity 1 vs 1024
 // (compare allocs/op between the two).
 func BenchmarkVectorizedScanAllocs(b *testing.B) {
 	db := allocFixture(b)
+	st, err := db.Prepare(allocQuery)
+	if err != nil {
+		b.Fatal(err)
+	}
 	run := func(size int) func(*testing.B) {
 		opts := &optimizer.Options{MaxBatchSize: size}
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := db.QueryCached(allocQuery, nil, opts); err != nil {
+				if _, err := st.Execute(nil, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -443,14 +445,19 @@ func BenchmarkVectorizedScanAllocs(b *testing.B) {
 // TestVectorizedAllocBudget is the regression guard on the executor's
 // allocation discipline: slab-carved rows and pooled batch containers
 // must keep a warm scan at capacity 1024 under 1 allocation per output
-// row, and strictly cheaper than the same cached plan at capacity 1. A
-// per-row allocation sneaking into an operator (row boxing, per-row
-// alias maps, unpooled containers) trips this immediately.
+// row, and strictly cheaper than the same cached plan at capacity 1,
+// both measured through Prepare + Execute. A per-row allocation
+// sneaking into an operator (row boxing, per-row alias maps, unpooled
+// containers) trips this immediately.
 func TestVectorizedAllocBudget(t *testing.T) {
 	db := allocFixture(t)
+	st, err := db.Prepare(allocQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
 	measure := func(size int) (allocsPerRow float64) {
 		opts := &optimizer.Options{MaxBatchSize: size}
-		res, err := db.QueryCached(allocQuery, nil, opts)
+		res, err := st.Execute(nil, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -459,7 +466,7 @@ func TestVectorizedAllocBudget(t *testing.T) {
 			t.Fatalf("fixture drift: %d rows, want 1000", rows)
 		}
 		allocs := testing.AllocsPerRun(5, func() {
-			if _, err := db.QueryCached(allocQuery, nil, opts); err != nil {
+			if _, err := st.Execute(nil, opts); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -58,16 +58,12 @@ func main() {
 	flag.Parse()
 
 	var db *engine.DB
+	cfg := engine.Config{BufferPoolPages: *poolPages, IngestFlushOps: *ingestFlush, MaxBatchSize: *batchSize}
 	load := func(nBirds, avg int) error {
 		if *walDir != "" {
+			cfg.WALDir, cfg.CheckpointEveryN = *walDir, *checkpointEvery
 			var err error
-			db, err = engine.Open(engine.Config{
-				WALDir:           *walDir,
-				CheckpointEveryN: *checkpointEvery,
-				BufferPoolPages:  *poolPages,
-				IngestFlushOps:   *ingestFlush,
-				MaxBatchSize:     *batchSize,
-			})
+			db, err = engine.Open(cfg)
 			if err != nil {
 				return err
 			}
@@ -80,16 +76,11 @@ func main() {
 			return nil
 		}
 		if nBirds == 0 {
-			db = engine.New(engine.Config{BufferPoolPages: *poolPages, IngestFlushOps: *ingestFlush,
-				MaxBatchSize: *batchSize})
+			db = engine.New(cfg)
 			fmt.Println("started with an empty database")
 			return nil
 		}
-		ds, err := workload.Build(workload.Config{
-			Seed: 1, Birds: nBirds, AvgAnnotationsPerBird: avg,
-			BufferPoolPages: *poolPages, IngestFlushOps: *ingestFlush,
-			MaxBatchSize: *batchSize,
-		})
+		ds, err := workload.Build(workload.Config{Seed: 1, Birds: nBirds, AvgAnnotationsPerBird: avg, Engine: cfg})
 		if err != nil {
 			return err
 		}

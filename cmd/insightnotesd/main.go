@@ -1,7 +1,8 @@
 // Command insightnotesd serves an InsightNotes+ database over HTTP/JSON:
 // connection sessions with prepared statements (PREPARE/EXECUTE with `?`
-// placeholders over the engine's statement-hash plan cache), ad-hoc
-// queries, annotation ingest, and per-tenant admission control.
+// placeholders over the engine's statement-hash plan cache, which is
+// always on), ad-hoc queries (prepared and executed once, so they share
+// that cache), annotation ingest, and per-tenant admission control.
 //
 // Endpoints (all JSON):
 //
@@ -23,7 +24,9 @@
 //
 // With -birds N the server preloads the synthetic ornithological
 // workload (same generator as the shell and benchmarks); with -wal DIR
-// it opens a durable database instead.
+// it opens a durable database instead. Either way the engine runs the
+// configuration the benchmark ledger measures: batches of 1024 rows and
+// up to min(NumCPU, 4) parallel workers per query.
 package main
 
 import (
@@ -34,6 +37,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"time"
 
 	"repro/internal/engine"
@@ -45,7 +49,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8642", "listen address")
 	birds := flag.Int("birds", 0, "preload the synthetic bird workload with N birds (0 = start empty)")
 	anns := flag.Int("anns", 10, "average annotations per preloaded bird")
-	planCache := flag.Int("plan-cache", 256, "plan cache capacity in statements (0 = no caching)")
+	planCache := flag.Int("plan-cache", 256, "plan cache capacity in statements (0 = 256)")
 	ingestFlush := flag.Int("ingest-flush", 0, "flush summary maintenance as net deltas every N annotation ops (0 or 1 = after every op)")
 	walDir := flag.String("wal", "", "directory for the write-ahead log (empty = in-memory)")
 	stmtTimeout := flag.Duration("statement-timeout", 0, "per-statement deadline (0 = none)")
@@ -91,7 +95,7 @@ func main() {
 	}
 
 	// Drain order: stop the listener, drain in-flight handlers, then
-	// close the engine (joins the ingest flush loop, flushes the WAL).
+	// close the engine (flushes the WAL).
 	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -102,35 +106,33 @@ func main() {
 }
 
 func openDB(birds, anns, planCache, ingestFlush int, walDir string, stmtTimeout time.Duration) (*engine.DB, error) {
-	if birds > 0 {
-		if walDir != "" {
-			return nil, fmt.Errorf("-birds preload and -wal are mutually exclusive")
-		}
-		ds, err := workload.Build(workload.Config{
-			Birds:                 birds,
-			AvgAnnotationsPerBird: anns,
-			SkipSynonyms:          true,
-			IngestFlushOps:        ingestFlush,
-			PlanCacheSize:         planCache,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if stmtTimeout > 0 {
-			ds.DB.SetStatementTimeout(stmtTimeout)
-		}
-		fmt.Printf("preloaded %d birds (~%d annotations each)\n", birds, anns)
-		return ds.DB, nil
-	}
 	cfg := engine.Config{
-		PageCap:          64,
-		PlanCacheSize:    planCache,
-		IngestFlushOps:   ingestFlush,
-		StatementTimeout: stmtTimeout,
-		WALDir:           walDir,
+		PageCap:            64,
+		PlanCacheSize:      planCache,
+		IngestFlushOps:     ingestFlush,
+		MaxBatchSize:       1024,
+		MaxParallelWorkers: min(runtime.NumCPU(), 4),
+		StatementTimeout:   stmtTimeout,
+		WALDir:             walDir,
 	}
 	if walDir != "" {
+		if birds > 0 {
+			return nil, fmt.Errorf("-birds preload and -wal are mutually exclusive")
+		}
 		return engine.Open(cfg)
 	}
-	return engine.New(cfg), nil
+	if birds == 0 {
+		return engine.New(cfg), nil
+	}
+	ds, err := workload.Build(workload.Config{
+		Birds:                 birds,
+		AvgAnnotationsPerBird: anns,
+		SkipSynonyms:          true,
+		Engine:                cfg,
+	})
+	if err != nil {
+		return nil, err
+	}
+	fmt.Printf("preloaded %d birds (~%d annotations each)\n", birds, anns)
+	return ds.DB, nil
 }

@@ -38,8 +38,8 @@ import (
 
 // DB is an InsightNotes+ database instance. See the engine methods:
 // CreateTable, Insert, AddAnnotation, DefineClassifier / DefineSnippet /
-// DefineCluster, Query, Exec (SELECT / ALTER TABLE / ZOOM IN), Prepare /
-// QueryCached (plan-cached execution), Explain, ExplainAnalyze, Metrics,
+// DefineCluster, Query, Exec (SELECT / ALTER TABLE / ZOOM IN), Prepare
+// (plan-cached execution), Explain, ExplainAnalyze, Metrics,
 // PlanCacheStats, and ZoomIn.
 type DB = engine.DB
 
@@ -107,7 +107,8 @@ func NewBudget(maxBufferedRows, maxBufferedBytes, maxSpillBytes int64) *Budget {
 // Stmt is a prepared statement from DB.Prepare: a parameterized SELECT
 // (`?` placeholders) parsed once and re-executed with fresh parameters
 // via Execute / ExecuteContext. Executions go through the engine's
-// statement-hash plan cache (Config.PlanCacheSize), so repeated
+// statement-hash plan cache, which is always on (Config.PlanCacheSize is
+// its capacity; 0 means 256), so repeated
 // executions with recurring parameter values skip parsing, plan
 // construction, and optimization; cached plans are invalidated
 // automatically when DDL, index creation, or a statistics refresh bumps

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/optimizer"
 	"repro/internal/pager"
 	"repro/internal/plan"
@@ -50,8 +51,7 @@ func Fig19FetchPath(h *Harness) (*Table, error) {
 			Seed:                  h.Scale.Seed,
 			Birds:                 fetchBirds,
 			AvgAnnotationsPerBird: avg,
-			PageCap:               fetchPageCap,
-			BufferPoolPages:       frames,
+			Engine:                engine.Config{PageCap: fetchPageCap, BufferPoolPages: frames},
 			SkipSynonyms:          true,
 		})
 		if err != nil {

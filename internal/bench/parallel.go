@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/optimizer"
 	"repro/internal/pager"
 	"repro/internal/workload"
@@ -33,7 +34,7 @@ func Fig17Parallel(h *Harness) (*Table, error) {
 		Seed:                  h.Scale.Seed,
 		Birds:                 h.Scale.Birds,
 		AvgAnnotationsPerBird: avg,
-		PageCap:               parallelPageCap,
+		Engine:                engine.Config{PageCap: parallelPageCap},
 		SkipSynonyms:          true,
 	})
 	if err != nil {

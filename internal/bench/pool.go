@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"repro/internal/engine"
 	"repro/internal/optimizer"
 	"repro/internal/pager"
 	"repro/internal/workload"
@@ -30,8 +31,7 @@ func Fig18BufferPool(h *Harness) (*Table, error) {
 			Seed:                  h.Scale.Seed,
 			Birds:                 h.Scale.Birds,
 			AvgAnnotationsPerBird: avg,
-			PageCap:               parallelPageCap,
-			BufferPoolPages:       frames,
+			Engine:                engine.Config{PageCap: parallelPageCap, BufferPoolPages: frames},
 			SkipSynonyms:          true,
 		})
 		if err != nil {

@@ -12,8 +12,7 @@ import (
 // SummaryInstance is the catalog entry for one summary instance linked
 // to a relation (Section 2.1): a customization of one of the three
 // summarization families. Instances are created by DB admins and drive
-// the summarization pipeline; the Indexable flag — set by
-// "ALTER TABLE t ADD INDEXABLE inst" — requests a Summary-BTree.
+// the summarization pipeline.
 type SummaryInstance struct {
 	Name string
 	Type model.SummaryType
@@ -39,9 +38,6 @@ type SummaryInstance struct {
 
 	// ClusterMaxGroups bounds the micro-cluster count (cluster only).
 	ClusterMaxGroups int
-
-	// Indexable marks the instance for Summary-BTree indexing.
-	Indexable bool
 }
 
 // AppendInstance appends si in the cell encoding, its label hierarchy in
@@ -60,7 +56,7 @@ func AppendInstance(dst []byte, si *SummaryInstance) []byte {
 	for _, n := range []int{si.SnippetMinChars, si.SnippetMaxChars, si.ClusterMaxGroups} {
 		dst = binary.AppendVarint(dst, int64(n))
 	}
-	return cell.AppendBool(dst, si.Indexable)
+	return dst
 }
 
 // ReadInstance reads an instance written by AppendInstance; a hierarchy
@@ -77,7 +73,6 @@ func ReadInstance(r *cell.Reader) SummaryInstance {
 		prev, si.Parents[c] = c, p
 	}
 	si.SnippetMinChars, si.SnippetMaxChars, si.ClusterMaxGroups = int(r.Varint()), int(r.Varint()), int(r.Varint())
-	si.Indexable = r.Bool()
 	return si
 }
 

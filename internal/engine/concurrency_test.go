@@ -217,11 +217,11 @@ func TestConcurrentCancellationAndFaults(t *testing.T) {
 // parallel result is compared row-for-row against its serial plan.
 // Run with -race.
 func TestConcurrentParallelQueriesAndWrites(t *testing.T) {
-	db, oids := testDB(t, 48) // 3 data pages at PageCap 16 -> DOP 3 plans
+	// 3 data pages at PageCap 16 -> DOP 3 plans
+	db, oids := testDBWithConfig(t, 48, Config{PageCap: 16, MaxParallelWorkers: 4})
 	if err := db.CreateSummaryIndex("Birds", "ClassBird1"); err != nil {
 		t.Fatal(err)
 	}
-	db.SetMaxParallelWorkers(4)
 
 	queries := []string{
 		`SELECT family, count(*), min(id), max(id) FROM Birds b GROUP BY family`,

@@ -74,27 +74,26 @@ type Config struct {
 	// annotation (durability does not depend on the threshold) and put its
 	// classifier/snippet/cluster maintenance and index re-keying into a
 	// per-tuple delta buffer that is flushed — net effects applied once,
-	// one epoch published — every IngestFlushOps buffered operations, on
-	// the flush interval, at txn commit, at checkpoint, on DB.FlushIngest,
-	// or before any read. 0 or 1 (the default) flushes after every
-	// operation: the same routine with a one-annotation delta.
+	// one epoch published — every IngestFlushOps buffered operations, at
+	// txn commit, at checkpoint, on DB.FlushIngest, or before any read. 0
+	// or 1 (the default) flushes after every operation: the same routine
+	// with a one-annotation delta.
 	IngestFlushOps int
-	// IngestFlushInterval bounds how long a buffered annotation can wait
-	// before a background flush publishes it (0 = no timer; flushes happen
-	// only on the threshold, reads, commits, and checkpoints).
-	IngestFlushInterval time.Duration
 
-	// PlanCacheSize sizes the statement-hash plan cache: up to that many
-	// optimized plan skeletons are kept, keyed by normalized statement
-	// text (plus the optimizer-options fingerprint) and validated against
-	// the catalog version, so repeated statements through
-	// Prepare/Stmt.ExecuteContext and QueryCachedContext skip parsing and
+	// PlanCacheSize is the capacity of the statement-hash plan cache: up
+	// to that many optimized plan skeletons are kept, keyed by normalized
+	// statement text, bound parameter literals and the optimizer-options
+	// fingerprint, and validated against the catalog version, so a
+	// prepared statement's repeated executions skip parsing and
 	// optimization. Any DDL, index creation/drop, or explicit stats
-	// refresh invalidates every cached plan. 0 (the default) keeps no
-	// plans, so every statement misses. Query/RunSelect/Exec present no
-	// cache key and therefore plan cold at any size.
+	// refresh invalidates every cached plan. 0 (the default) means 256.
+	// Query/RunSelect/Exec present no cache key and therefore plan cold.
 	PlanCacheSize int
 }
+
+// defaultPlanCacheSize is the plan cache capacity a zero
+// Config.PlanCacheSize means.
+const defaultPlanCacheSize = 256
 
 // DB is an InsightNotes+ database. Methods are safe for concurrent use:
 // queries (Query, Explain, ZoomIn, Exec with SELECT/ZOOM) pin an epoch
@@ -122,13 +121,10 @@ type DB struct {
 	stmtTimeout   atomic.Int64
 	defaultBudget atomic.Pointer[exec.Budget]
 
-	// maxParallel is the default intra-query parallelism cap applied to
-	// queries whose options leave MaxParallelWorkers at 0.
-	maxParallel atomic.Int64
-
-	// maxBatch is the default batch capacity applied to
-	// queries whose options leave MaxBatchSize at 0.
-	maxBatch atomic.Int64
+	// maxParallel and maxBatch are Config.MaxParallelWorkers and
+	// Config.MaxBatchSize, applied to queries whose options leave those
+	// fields at 0.
+	maxParallel, maxBatch int
 
 	// metrics is the always-on query telemetry (see Metrics).
 	metrics metricCounters
@@ -185,11 +181,6 @@ type DB struct {
 	// still buffered, cleared by publishLocked once the buffer has
 	// drained into a published epoch.
 	ingestDirty atomic.Bool
-	// ingestStop terminates the interval flush loop goroutine, nil when no
-	// interval was configured; ingestDone is closed by the goroutine on
-	// exit so Close can join it (no flush may fire after Close returns).
-	ingestStop chan struct{}
-	ingestDone chan struct{}
 	// ingest telemetry (see IngestMetrics).
 	ingestBuffered, ingestFlushes   atomic.Int64
 	ingestFlushedOps, ingestPending atomic.Int64
@@ -200,11 +191,8 @@ type DB struct {
 	// explicit statistics refreshes. The plan cache keys every entry on
 	// it, so one bump invalidates all cached plans (see prepare.go).
 	catalogVersion atomic.Uint64
-	// planCache holds optimized plan skeletons; stmts caches parsed
-	// prepared statements by normalized text. Both nil when
-	// Config.PlanCacheSize is 0.
+	// planCache holds optimized plan skeletons (see prepare.go).
 	planCache *optimizer.PlanCache
-	stmts     *stmtCache
 }
 
 // New creates an empty, ephemeral database. Durable databases
@@ -215,9 +203,7 @@ func New(cfg Config) *DB {
 	if cfg.WALDir != "" {
 		panic("engine: Config.WALDir is set; use engine.Open for a durable database")
 	}
-	db := newDB(cfg, newAccountant(cfg))
-	db.startIngestFlusher(cfg.IngestFlushInterval)
-	return db
+	return newDB(cfg, newAccountant(cfg))
 }
 
 // newAccountant builds the shared I/O accountant with the configured
@@ -257,17 +243,17 @@ func newDB(cfg Config, acct *pager.Accountant) *DB {
 		ingestEvery: cfg.IngestFlushOps,
 		walDir:      cfg.WALDir,
 		fsync:       (*os.File).Sync,
+		maxParallel: cfg.MaxParallelWorkers,
+		maxBatch:    cfg.MaxBatchSize,
 
 		checkpointEvery: cfg.CheckpointEveryN,
 	}
-	if cfg.PlanCacheSize > 0 {
-		db.planCache = optimizer.NewPlanCache(cfg.PlanCacheSize)
-		db.stmts = newStmtCache(cfg.PlanCacheSize)
+	if cfg.PlanCacheSize <= 0 {
+		cfg.PlanCacheSize = defaultPlanCacheSize
 	}
+	db.planCache = optimizer.NewPlanCache(cfg.PlanCacheSize)
 	db.stmtTimeout.Store(int64(cfg.StatementTimeout))
 	db.defaultBudget.Store(cfg.Budget)
-	db.maxParallel.Store(int64(cfg.MaxParallelWorkers))
-	db.maxBatch.Store(int64(cfg.MaxBatchSize))
 	db.publishLocked() // initial empty epoch; the DB is not shared yet
 	return db
 }
@@ -284,22 +270,6 @@ func (db *DB) StatementTimeout() time.Duration { return time.Duration(db.stmtTim
 // (nil = unlimited). Safe to call while queries are running; each query
 // snapshots the template at start.
 func (db *DB) SetDefaultBudget(b *exec.Budget) { db.defaultBudget.Store(b) }
-
-// SetMaxParallelWorkers changes the default intra-query parallelism cap
-// (0 or 1 = serial planning). Safe to call while queries are running;
-// each query snapshots the cap at planning time.
-func (db *DB) SetMaxParallelWorkers(n int) { db.maxParallel.Store(int64(n)) }
-
-// MaxParallelWorkers returns the current default parallelism cap.
-func (db *DB) MaxParallelWorkers() int { return int(db.maxParallel.Load()) }
-
-// SetMaxBatchSize changes the default batch capacity (0 or 1 = one row
-// per exchange). Safe to call while queries are running; each query
-// snapshots the capacity when it starts executing.
-func (db *DB) SetMaxBatchSize(n int) { db.maxBatch.Store(int64(n)) }
-
-// MaxBatchSize returns the current default batch capacity.
-func (db *DB) MaxBatchSize() int { return int(db.maxBatch.Load()) }
 
 // Accountant exposes the shared I/O accountant (benchmarks reset and
 // read it around measured operations).
@@ -324,20 +294,8 @@ func (db *DB) Close() error {
 	db.closed = true
 	l := db.wal
 	db.wal = nil
-	done := db.ingestDone
-	if db.ingestStop != nil {
-		close(db.ingestStop)
-		db.ingestStop = nil
-	}
 	db.mu.Unlock()
 	db.closedA.Store(true)
-	// Join the interval flush loop before tearing anything down: once Close
-	// returns, no background flush may fire (or even be mid-flight). The
-	// goroutine never blocks on Close — a flush it already started sees
-	// db.closed under mu and returns without touching WAL or pool state.
-	if done != nil {
-		<-done
-	}
 	db.clock.WaitIdle()
 	var err error
 	if l != nil {

@@ -49,20 +49,35 @@ func TestFuzzSeedsCurrent(t *testing.T) {
 	if os.Getenv("UPDATE_FUZZ_SEEDS") != "" {
 		writeFuzzSeeds(t, dir)
 	}
-	seed, err := os.ReadFile(filepath.Join(dir, "FuzzLoad", "save"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	quoted := strings.TrimSuffix(strings.TrimPrefix(string(seed), "go test fuzz v1\n[]byte("), ")\n")
-	data, err := strconv.Unquote(quoted)
-	if err != nil {
-		t.Fatalf("FuzzLoad seed: %v", err)
-	}
-	db, err := Load(bytes.NewReader([]byte(data)))
+	db, err := Load(bytes.NewReader(readSeedBytes(t, filepath.Join(dir, "FuzzLoad", "save"))))
 	if err != nil {
 		t.Fatalf("the FuzzLoad seed no longer loads (regenerate with UPDATE_FUZZ_SEEDS=1): %v", err)
 	}
 	db.Close()
+}
+
+// TestLoadRefusesVersion2Snapshot: testdata/snapshot-v2.save is a whole
+// Save of the version-2 format, whose instance records carry one more
+// byte. It is refused, not migrated and not loaded as a prefix.
+func TestLoadRefusesVersion2Snapshot(t *testing.T) {
+	if db, err := Load(bytes.NewReader(readSeedBytes(t, filepath.Join("testdata", "snapshot-v2.save")))); err == nil {
+		db.Close()
+		t.Fatal("a version-2 snapshot loaded")
+	}
+}
+
+// readSeedBytes reads a one-[]byte file in the fuzz corpus encoding.
+func readSeedBytes(t *testing.T, path string) []byte {
+	t.Helper()
+	seed, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(string(seed), "go test fuzz v1\n[]byte("), ")\n"))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return []byte(data)
 }
 
 func writeFuzzSeeds(t *testing.T, dir string) {

@@ -19,9 +19,9 @@ package engine
 //   - one statistics Forget/Observe bracket per object instead of N,
 //   - one MVCC epoch publication per flush instead of one per op.
 //
-// Flush triggers: the IngestFlushOps threshold, the IngestFlushInterval
-// timer, DB.FlushIngest, transaction commit, checkpoint, the end of
-// snapshot load and WAL replay, and — because pinned epochs cannot see
+// Flush triggers — there is no timer: the IngestFlushOps threshold,
+// DB.FlushIngest, transaction commit, checkpoint, the end of snapshot
+// load and WAL replay, and — because pinned epochs cannot see
 // unpublished state — every read checks the lock-free ingestDirty flag
 // and flushes on demand before pinning. Mutations that read or rewrite
 // summaries (annotation/tuple deletes, instance link/unlink, index
@@ -51,7 +51,6 @@ package engine
 
 import (
 	"strings"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/heap"
@@ -150,39 +149,6 @@ func (db *DB) flushIfDirty() {
 	if db.ingestDirty.Load() {
 		db.FlushIngest()
 	}
-}
-
-// startIngestFlusher launches the interval flush loop goroutine. Called
-// once the DB is fully constructed — for Open, only after recovery, so
-// the timer can never race the single-owner replay loop.
-func (db *DB) startIngestFlusher(interval time.Duration) {
-	if interval <= 0 {
-		return
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	db.ingestStop = stop
-	db.ingestDone = done
-	go func() {
-		defer close(done)
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				// Prefer stop when both are ready: Close joins on done, so a
-				// tick racing the stop signal must not start another flush.
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				db.flushIfDirty()
-			}
-		}
-	}()
 }
 
 // absorbBatch folds a tuple's pending annotations into every summary

@@ -261,7 +261,7 @@ func TestIngestFlushTriggers(t *testing.T) {
 // entry point behind the read gate — EXPLAIN and EXPLAIN ANALYZE
 // included — not only through the ones a query usually takes.
 func TestReadGateSeesBufferedAnnotation(t *testing.T) {
-	db, oids := testDBWithConfig(t, 3, Config{PageCap: 16, IngestFlushOps: 1 << 20, PlanCacheSize: 8})
+	db, oids := testDBWithConfig(t, 3, Config{PageCap: 16, IngestFlushOps: 1 << 20})
 	db.FlushIngest()
 	const q = `SELECT id FROM Birds r WHERE r.id = 1`
 	// inSummary reports whether a SELECT's first row carries the annotation
@@ -292,7 +292,6 @@ func TestReadGateSeesBufferedAnnotation(t *testing.T) {
 			}
 			return inSummary(id)(st.Execute([]model.Value{model.NewInt(1)}, nil))
 		}},
-		{"QueryCached", func(id int64) (bool, error) { return inSummary(id)(db.QueryCached(q, nil, nil)) }},
 		{"ExplainAnalyze", func(id int64) (bool, error) {
 			ap, err := db.ExplainAnalyze(q, nil)
 			if err != nil {
@@ -347,27 +346,6 @@ func TestReadGateSeesBufferedAnnotation(t *testing.T) {
 			t.Errorf("%s: pending=%d flushes=%d after the read, want 0 and %d",
 				gate.name, im.PendingOps, im.Flushes, flushes+1)
 		}
-	}
-}
-
-// The interval flush loop drains an idle buffer without any read or further
-// write.
-func TestIngestIntervalFlush(t *testing.T) {
-	db, oids := testDBWithConfig(t, 1, Config{
-		PageCap: 16, IngestFlushOps: 1 << 30, IngestFlushInterval: 5 * time.Millisecond,
-	})
-	t.Cleanup(func() { db.Close() })
-	db.FlushIngest()
-	mustAnnotate(t, db, oids[0], annText("Disease", 1))
-	deadline := time.Now().Add(10 * time.Second)
-	for db.Metrics().Ingest.PendingOps != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("interval flush loop never drained the buffer")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if got := diseaseCount(t, db, oids[0]); got != 2 {
-		t.Errorf("disease after interval flush = %d, want 2", got)
 	}
 }
 
@@ -521,7 +499,7 @@ func TestIngestConcurrentStress(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(Config{
 		WALDir: dir, PageCap: 16,
-		IngestFlushOps: 8, IngestFlushInterval: 2 * time.Millisecond,
+		IngestFlushOps: 8,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -199,25 +199,6 @@ func (p *pCreateSummaryIndex) apply(db *DB) error {
 	if err != nil {
 		return err
 	}
-	// Flip Indexable copy-on-write: published epochs hold the old
-	// *SummaryInstance in their copied Instances slices, so mutating it
-	// in place would race with pinned readers. The same pointer may be
-	// linked into several tables — swap it everywhere it appears.
-	cp := *si
-	cp.Indexable = true
-	if old, ok := db.instances[strings.ToLower(si.Name)]; ok && old == si {
-		db.instances[strings.ToLower(si.Name)] = &cp
-	}
-	for _, tn := range db.cat.TableNames() {
-		if tt, err := db.cat.Table(tn); err == nil {
-			for i, x := range tt.Instances {
-				if x == si {
-					tt.Instances[i] = &cp
-				}
-			}
-		}
-	}
-	si = &cp
 	idx := index.NewSummaryBTree(db.acct, si.Name)
 	if err := db.forEachStoredObject(t, si.Name, func(obj *model.SummaryObject, rid heap.RID) error {
 		return idx.IndexObject(obj, rid)

@@ -124,8 +124,7 @@ type Metrics struct {
 	// DB.Metrics: every database buffers and flushes, at threshold 0 or 1
 	// once per operation).
 	Ingest *IngestMetrics `json:",omitempty"`
-	// PlanCache is the statement/plan cache telemetry; nil when
-	// Config.PlanCacheSize is 0, so cache-off snapshots are unchanged.
+	// PlanCache is the plan cache telemetry (always set by DB.Metrics).
 	PlanCache *optimizer.PlanCacheStats `json:",omitempty"`
 	// CatalogVersion counts catalog-shape changes (DDL, index
 	// creation/drops, stats refreshes); plan-cache entries are valid
@@ -227,11 +226,9 @@ func (db *DB) Metrics() Metrics {
 		FlushedTuples: db.ingestFlushedTuples.Load(),
 		PendingOps:    db.ingestPending.Load(),
 	}
-	if db.planCache != nil {
-		pc := db.planCache.Stats()
-		out.PlanCache = &pc
-		out.CatalogVersion = db.catalogVersion.Load()
-	}
+	pc := db.planCache.Stats()
+	out.PlanCache = &pc
+	out.CatalogVersion = db.catalogVersion.Load()
 	return out
 }
 
@@ -273,8 +270,6 @@ func (m Metrics) String() string {
 			m.Ingest.BufferedOps, m.Ingest.Flushes, m.Ingest.FlushedOps,
 			m.Ingest.FlushedTuples, m.Ingest.PendingOps)
 	}
-	// The plancache line appears only when caching is enabled, so
-	// cache-off output is unchanged.
 	if m.PlanCache != nil {
 		fmt.Fprintf(&b, "plancache: hits=%d misses=%d hitrate=%.1f%% invalidations=%d evictions=%d size=%d/%d catalogversion=%d\n",
 			m.PlanCache.Hits, m.PlanCache.Misses, 100*m.PlanCache.HitRate(),

@@ -12,16 +12,15 @@
 // decisions see real constants, and each distinct constant earns its
 // own cache slot.
 //
-// Query/RunSelect/Exec run the same pipeline with no key, which plans
-// cold whatever the cache size.
+// This is the one keyed path: two Prepares of the same normalized text
+// share their plans. Query/RunSelect/Exec run the same pipeline with no
+// key, which plans cold.
 package engine
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/model"
 	"repro/internal/optimizer"
@@ -46,8 +45,7 @@ func (db *DB) CatalogVersion() uint64 { return db.catalogVersion.Load() }
 // current statistics.
 func (db *DB) RefreshStatistics() { db.bumpCatalogVersion() }
 
-// PlanCacheStats snapshots the plan cache telemetry (zero value when
-// caching is disabled).
+// PlanCacheStats snapshots the plan cache telemetry.
 func (db *DB) PlanCacheStats() optimizer.PlanCacheStats { return db.planCache.Stats() }
 
 // Stmt is a prepared SELECT: parsed once, executable many times with
@@ -105,88 +103,4 @@ func (s *Stmt) ExecuteContext(ctx context.Context, params []model.Value, opts *o
 		key += "\x00" + strings.Join(lits, "\x01")
 	}
 	return s.db.selectStatement(ctx, bound, key, opts)
-}
-
-// QueryCached is QueryCachedContext with context.Background().
-func (db *DB) QueryCached(query string, params []model.Value, opts *optimizer.Options) (*Result, error) {
-	return db.QueryCachedContext(context.Background(), query, params, opts)
-}
-
-// QueryCachedContext is the ad-hoc flavor of the prepared path: the
-// statement cache (keyed by normalized text) supplies the parsed
-// statement, so a repeated statement skips the parser as well as the
-// optimizer. With no cache it parses and plans per call, same as
-// QueryContext.
-func (db *DB) QueryCachedContext(ctx context.Context, query string, params []model.Value, opts *optimizer.Options) (*Result, error) {
-	st, err := db.cachedStmt(query)
-	if err != nil {
-		return nil, err
-	}
-	return st.ExecuteContext(ctx, params, opts)
-}
-
-// cachedStmt resolves a parsed statement through the statement cache.
-func (db *DB) cachedStmt(query string) (*Stmt, error) {
-	if db.stmts == nil {
-		return db.Prepare(query)
-	}
-	norm := sql.Normalize(query)
-	if st := db.stmts.get(norm); st != nil {
-		return st, nil
-	}
-	st, err := db.Prepare(query)
-	if err != nil {
-		return nil, err
-	}
-	db.stmts.put(norm, st)
-	return st, nil
-}
-
-// stmtCache is a bounded LRU of parsed prepared statements keyed by
-// normalized text. Entries are immutable (*Stmt is read-only after
-// Prepare), so concurrent executions share them freely.
-type stmtCache struct {
-	mu      sync.Mutex
-	cap     int
-	lru     *list.List
-	entries map[string]*list.Element
-}
-
-type stmtEntry struct {
-	key string
-	st  *Stmt
-}
-
-func newStmtCache(capacity int) *stmtCache {
-	if capacity <= 0 {
-		return nil
-	}
-	return &stmtCache{cap: capacity, lru: list.New(), entries: make(map[string]*list.Element, capacity)}
-}
-
-func (c *stmtCache) get(key string) *Stmt {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil
-	}
-	c.lru.MoveToFront(el)
-	return el.Value.(*stmtEntry).st
-}
-
-func (c *stmtCache) put(key string, st *Stmt) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*stmtEntry).st = st
-		c.lru.MoveToFront(el)
-		return
-	}
-	for c.lru.Len() >= c.cap {
-		back := c.lru.Back()
-		c.lru.Remove(back)
-		delete(c.entries, back.Value.(*stmtEntry).key)
-	}
-	c.entries[key] = c.lru.PushFront(&stmtEntry{key: key, st: st})
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -9,19 +8,37 @@ import (
 	"time"
 
 	"repro/internal/model"
-	"repro/internal/optimizer"
 	"repro/internal/plan"
 )
 
-// cachedTestDB is testDB with the plan cache enabled; the embedded API
-// tests elsewhere run with PlanCacheSize 0 and never see any of this.
-func cachedTestDB(t *testing.T, nBirds int) (*DB, []int64) {
-	t.Helper()
-	return testDBWithConfig(t, nBirds, Config{PageCap: 16, PlanCacheSize: 64})
+// TestPlanCacheAlwaysOn: a database built from a zero Config caches
+// plans — there is no cache-off mode — at the served capacity of 256.
+func TestPlanCacheAlwaysOn(t *testing.T) {
+	db := New(Config{})
+	if _, err := db.CreateTable("T", model.NewSchema("", model.Column{Name: "id", Kind: model.KindInt})); err != nil {
+		t.Fatal(err)
+	}
+	st, err := db.Prepare(`SELECT id FROM T WHERE id = ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := []model.Value{model.NewInt(1)}
+	for i, want := range []bool{false, true} {
+		res, err := st.Execute(params, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CachedPlan != want {
+			t.Fatalf("execution %d: CachedPlan = %v, want %v", i+1, res.CachedPlan, want)
+		}
+	}
+	if pc := db.Metrics().PlanCache; pc == nil || pc.Capacity != 256 {
+		t.Fatalf("Metrics().PlanCache = %+v, want capacity 256", pc)
+	}
 }
 
 func TestPreparedPlanCacheHits(t *testing.T) {
-	db, _ := cachedTestDB(t, 20)
+	db, _ := testDB(t, 20)
 	st, err := db.Prepare(`SELECT id FROM Birds r
 	                       WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') = ?`)
 	if err != nil {
@@ -50,25 +67,47 @@ func TestPreparedPlanCacheHits(t *testing.T) {
 	if third.CachedPlan {
 		t.Fatal("different constant unexpectedly hit the cache")
 	}
+	// Text that normalizes equal is the same statement: a second Prepare
+	// of it, spaced and cased differently, shares the first one's plan.
+	again, err := db.Prepare(`select  id  from Birds r
+	                          where r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') =  ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fourth, err := again.Execute(params, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fourth.CachedPlan || len(fourth.Rows) != len(first.Rows) {
+		t.Fatalf("normalized repeat: cached=%v rows=%d, want a hit with %d rows",
+			fourth.CachedPlan, len(fourth.Rows), len(first.Rows))
+	}
 	stats := db.PlanCacheStats()
-	if stats.Hits != 1 || stats.Misses != 2 {
-		t.Fatalf("stats hits=%d misses=%d, want 1/2", stats.Hits, stats.Misses)
+	if stats.Hits != 2 || stats.Misses != 2 {
+		t.Fatalf("stats hits=%d misses=%d, want 2/2", stats.Hits, stats.Misses)
 	}
 }
 
+// TestQueryCachedReusesParsedStatement: the keyed statement path that
+// POST /v1/query runs (Prepare + Execute) treats text equal modulo case
+// and whitespace as one statement sharing one plan.
 func TestQueryCachedReusesParsedStatement(t *testing.T) {
-	db, _ := cachedTestDB(t, 15)
-	const q = `SELECT id FROM Birds WHERE family = ?`
+	db, _ := testDB(t, 15)
 	p := []model.Value{model.NewText("Corvidae")}
-	first, err := db.QueryCached(q, p, nil)
-	if err != nil {
-		t.Fatal(err)
+	run := func(q string) *Result {
+		t.Helper()
+		st, err := db.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := st.Execute(p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	// Same text modulo case/whitespace shares the statement and the plan.
-	second, err := db.QueryCached("select  id  from Birds where family = ?", p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := run(`SELECT id FROM Birds WHERE family = ?`)
+	second := run("select  id  from Birds where family = ?")
 	if len(first.Rows) == 0 || len(first.Rows) != len(second.Rows) {
 		t.Fatalf("rows %d vs %d", len(first.Rows), len(second.Rows))
 	}
@@ -78,7 +117,7 @@ func TestQueryCachedReusesParsedStatement(t *testing.T) {
 }
 
 func TestPrepareRejectsNonSelectAndArity(t *testing.T) {
-	db, _ := cachedTestDB(t, 5)
+	db, _ := testDB(t, 5)
 	if _, err := db.Prepare("ALTER TABLE Birds ADD ClassBird1"); err == nil {
 		t.Fatal("Prepare accepted DDL")
 	}
@@ -104,7 +143,7 @@ func TestPrepareRejectsNonSelectAndArity(t *testing.T) {
 // execution must re-plan onto the index rather than replay the stale
 // skeleton.
 func TestPlanCacheStalenessOnIndexCreation(t *testing.T) {
-	db, _ := cachedTestDB(t, 40)
+	db, _ := testDB(t, 40)
 	st, err := db.Prepare(`SELECT id FROM Birds r
 	                       WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') = ?`)
 	if err != nil {
@@ -147,7 +186,7 @@ func TestPlanCacheStalenessOnIndexCreation(t *testing.T) {
 // TestPlanCacheStalenessOnStatsRefresh covers the DDL-free half of the
 // trap: RefreshStatistics must also invalidate cached plans.
 func TestPlanCacheStalenessOnStatsRefresh(t *testing.T) {
-	db, _ := cachedTestDB(t, 10)
+	db, _ := testDB(t, 10)
 	st, err := db.Prepare(`SELECT id FROM Birds WHERE id = ?`)
 	if err != nil {
 		t.Fatal(err)
@@ -173,99 +212,18 @@ func TestPlanCacheStalenessOnStatsRefresh(t *testing.T) {
 	}
 }
 
-// TestIngestFlusherJoinedOnClose is the lifecycle regression from the
-// issue: Close must join the IngestFlushInterval ticker goroutine, not
-// merely signal it. Before the done-channel join the goroutine could
-// still be inside flushIfDirty when Close returned.
-func TestIngestFlusherJoinedOnClose(t *testing.T) {
-	db, oids := testDBWithConfig(t, 8, Config{
-		PageCap:             16,
-		IngestFlushOps:      1000, // interval, not threshold, drives flushes
-		IngestFlushInterval: time.Millisecond,
-	})
-	if db.ingestDone == nil {
-		t.Fatal("New with IngestFlushInterval did not start the flush loop")
-	}
-	mustAnnotate(t, db, oids[0], annText("Disease", 99))
-	db.Close()
-	select {
-	case <-db.ingestDone:
-	default:
-		t.Fatal("Close returned without joining the ingest flush loop goroutine")
-	}
-	// Close is idempotent with the flush loop already torn down.
-	db.Close()
-}
-
-// TestLoadStartsIngestFlusher: a snapshot-loaded DB silently ignored
-// IngestFlushInterval before the LoadWithConfig fix.
-func TestLoadStartsIngestFlusher(t *testing.T) {
-	src, _ := testDB(t, 6)
-	var buf bytes.Buffer
-	if err := src.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	db, err := LoadWithConfig(&buf, Config{
-		IngestFlushOps:      1000,
-		IngestFlushInterval: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.ingestDone == nil {
-		t.Fatal("LoadWithConfig did not start the interval flush loop")
-	}
-	oid, err := db.Insert("Birds",
-		model.NewInt(1000), model.NewText("Late"), model.NewText("Anatidae"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustAnnotate(t, db, oid, annText("Disease", 0))
-	// The timer alone must drain the buffer — no read or explicit flush.
-	deadline := time.Now().Add(5 * time.Second)
-	for db.ingestDirty.Load() {
-		if time.Now().After(deadline) {
-			t.Fatal("interval flush loop never drained the buffer")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	db.Close()
-	select {
-	case <-db.ingestDone:
-	default:
-		t.Fatal("Close returned without joining the Load-started flush loop")
-	}
-}
-
-// TestIngestFlusherOpenCloseStress opens and closes interval-flushing
-// databases in a tight loop while annotating; under -race this flushes
-// out any flush racing the teardown.
-func TestIngestFlusherOpenCloseStress(t *testing.T) {
-	for i := 0; i < 20; i++ {
-		db, oids := testDBWithConfig(t, 4, Config{
-			PageCap:             16,
-			IngestFlushOps:      1000,
-			IngestFlushInterval: 100 * time.Microsecond,
-		})
-		for j := 0; j < 5; j++ {
-			mustAnnotate(t, db, oids[j%len(oids)], annText("Behavior", j))
-		}
-		db.Close()
-		select {
-		case <-db.ingestDone:
-		default:
-			t.Fatalf("iteration %d: flush loop not joined", i)
-		}
-	}
-}
-
 // TestMetricsSnapshotConsistency is the torn-snapshot regression:
 // Metrics taken while 8 goroutines record concurrently must satisfy
 // sum(LatencyCounts) == Queries on every snapshot (previously a reader
 // could observe a statement's histogram bucket without its query count,
 // or vice versa).
 func TestMetricsSnapshotConsistency(t *testing.T) {
-	db, _ := cachedTestDB(t, 12)
+	db, _ := testDB(t, 12)
+	st, err := db.Prepare(`SELECT id FROM Birds r
+	                       WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') = ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -274,10 +232,7 @@ func TestMetricsSnapshotConsistency(t *testing.T) {
 			defer wg.Done()
 			params := []model.Value{model.NewInt(int64(g%3 + 1))}
 			for !stop.Load() {
-				if _, err := db.QueryCached(
-					`SELECT id FROM Birds r
-					 WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') = ?`,
-					params, nil); err != nil {
+				if _, err := st.Execute(params, nil); err != nil {
 					t.Error(err)
 					return
 				}
@@ -321,7 +276,7 @@ func TestMetricsSnapshotConsistency(t *testing.T) {
 // TestPreparedConcurrentExecutions: one Stmt shared by many goroutines
 // with distinct params; results must match the classic path throughout.
 func TestPreparedConcurrentExecutions(t *testing.T) {
-	db, _ := cachedTestDB(t, 25)
+	db, _ := testDB(t, 25)
 	st, err := db.Prepare(`SELECT id FROM Birds r
 	                       WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') = ?`)
 	if err != nil {
@@ -355,32 +310,4 @@ func TestPreparedConcurrentExecutions(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-// TestPlanCacheDisabledPathsUnchanged: with PlanCacheSize 0 the
-// prepared API still works (through the classic path) and the metrics
-// carry no plan-cache section — cache-off snapshots are unchanged.
-func TestPlanCacheDisabledPathsUnchanged(t *testing.T) {
-	db, _ := testDB(t, 10)
-	st, err := db.Prepare(`SELECT id FROM Birds WHERE id = ?`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := st.Execute([]model.Value{model.NewInt(4)}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CachedPlan {
-		t.Fatal("CachedPlan set with caching disabled")
-	}
-	if len(res.Rows) != 1 {
-		t.Fatalf("rows = %d, want 1", len(res.Rows))
-	}
-	if m := db.Metrics(); m.PlanCache != nil {
-		t.Fatal("cache-off Metrics grew a PlanCache section")
-	}
-	var zero optimizer.PlanCacheStats
-	if db.PlanCacheStats() != zero {
-		t.Fatal("PlanCacheStats not zero with caching disabled")
-	}
 }

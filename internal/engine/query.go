@@ -65,19 +65,16 @@ func (db *DB) selectStatement(ctx context.Context, sel *sql.SelectStmt, key stri
 // optimizing. A hit skips both: the cached skeleton's epoch-stamped
 // table/index pointers are rebound to env's epoch. What misses without
 // being counted or stored: an empty key (Query/RunSelect/Exec/Explain,
-// which plan cold by contract), a Collector (EXPLAIN ANALYZE's
-// instrumented plans are single-use) and a database with no cache. The
-// alias resolver is nil on a hit.
+// which plan cold by contract) and a Collector (EXPLAIN ANALYZE's
+// instrumented plans are single-use). The alias resolver is nil on a
+// hit.
 func (db *DB) planSelect(env *optimizer.Env, sel *sql.SelectStmt, key string, o optimizer.Options) (optimized plan.Node, resolver *plan.AliasResolver, cached bool, err error) {
-	cache := db.planCache
-	if key == "" || o.Collector != nil {
-		cache = nil
-	}
+	keyed := key != "" && o.Collector == nil
 	var version uint64
-	if cache != nil {
+	if keyed {
 		key += "\x00" + o.Fingerprint()
 		version = db.catalogVersion.Load()
-		if skel, ok := cache.Get(key, version); ok {
+		if skel, ok := db.planCache.Get(key, version); ok {
 			// Rebind fails only when a leaf's table or index does not
 			// resolve by name in env's epoch: a DROP raced this
 			// statement, which pinned the epoch without the object but
@@ -95,7 +92,9 @@ func (db *DB) planSelect(env *optimizer.Env, sel *sql.SelectStmt, key string, o 
 		return nil, nil, false, err
 	}
 	optimized = optimizer.Optimize(root, resolver, env, o)
-	cache.Put(key, version, optimized)
+	if keyed {
+		db.planCache.Put(key, version, optimized)
+	}
 	return optimized, resolver, false, nil
 }
 
@@ -178,10 +177,10 @@ func (db *DB) effectiveOptions(opts *optimizer.Options) optimizer.Options {
 		o = *opts
 	}
 	if o.MaxParallelWorkers == 0 {
-		o.MaxParallelWorkers = db.MaxParallelWorkers()
+		o.MaxParallelWorkers = db.maxParallel
 	}
 	if o.MaxBatchSize == 0 {
-		o.MaxBatchSize = db.MaxBatchSize()
+		o.MaxBatchSize = db.maxBatch
 	}
 	return o
 }

@@ -32,8 +32,10 @@ import (
 // prefix.
 
 // snapshotVersion is the stream format pSnapshotEnd carries. Version 1
-// was a gob dump; it has no end record, so it is refused, not migrated.
-const snapshotVersion = 2
+// was a gob dump; it has no end record. Version 2 wrote an instance
+// record with one more byte (a write-only index flag). Neither is
+// migrated: both are refused.
+const snapshotVersion = 3
 
 // pSnapshotEnd closes a snapshot stream. Its apply restores the
 // identifier watermarks — gaps left by uncommitted operations included —
@@ -263,12 +265,5 @@ func LoadWithConfig(r io.Reader, cfg Config) (*DB, error) {
 		return nil, fmt.Errorf("engine: loading snapshot: %w", err)
 	}
 	cfg.PageCap = int(end.PageCap)
-	db, err := restore(cfg, ops, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	// Start the interval flush loop only once replay has succeeded (retries
-	// rebuild the DB; a timer on a discarded attempt would leak).
-	db.startIngestFlusher(cfg.IngestFlushInterval)
-	return db, nil
+	return restore(cfg, ops, nil, nil)
 }

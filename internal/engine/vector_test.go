@@ -84,10 +84,9 @@ var vectorCorpus = []struct {
 		optimizer.Options{}, "SummaryBTreeScan", "", []model.Value{model.NewInt(2)}},
 }
 
-// selectEntryPoints are the three ways a SELECT reaches the one
+// selectEntryPoints are the two ways a SELECT reaches the one
 // pipeline: Query splices the parameters in as literals and presents no
-// plan-cache key; a prepared statement and QueryCached bind them and
-// present one.
+// plan-cache key; a prepared statement binds them and presents one.
 var selectEntryPoints = []struct {
 	name  string
 	keyed bool
@@ -109,33 +108,28 @@ var selectEntryPoints = []struct {
 		}
 		return st.Execute(params, opts)
 	}},
-	{"QueryCached", true, func(db *DB, q string, params []model.Value, opts *optimizer.Options) (*Result, error) {
-		return db.QueryCached(q, params, opts)
-	}},
 }
 
 // TestVectorizedDifferential is the configuration-matrix differential:
 // every shape, under MaxParallelWorkers 1 and 4, must return
 // byte-identical ordered rows and summaries — and run the byte-identical
-// plan — in every cell of IngestFlushOps {0, 64} × PlanCacheSize
-// {0, 256} × entry point × batch capacity {1, 2, 3, 7, 1024}, and the
-// same rows and summaries again with every page behind a buffer pool of
-// pager.MinPoolFrames frames (the optimizer prices a pool, so plans are
-// compared within one pool setting). There is one executor, one SELECT
-// pipeline, one ingest routine and one page store, so the first cell
-// (resident pages, flush per operation, no cache, Query, one row per
-// exchange) is the reference; the odd small capacities exercise the
-// batch-boundary edges in every operator, and 64 / 256 / 1024 is the
-// served configuration. At threshold 64 each cell's database starts with
-// a buffered tail the first read must flush.
+// plan — in every cell of IngestFlushOps {0, 64} × entry point × batch
+// capacity {1, 2, 3, 7, 1024}, and the same rows and summaries again
+// with every page behind a buffer pool of pager.MinPoolFrames frames
+// (the optimizer prices a pool, so plans are compared within one pool
+// setting). There is one executor, one SELECT pipeline, one ingest
+// routine, one page store and one plan cache, so the first cell
+// (resident pages, flush per operation, Query, one row per exchange) is
+// the reference; the odd small capacities exercise the batch-boundary
+// edges in every operator, and 64 / 1024 is the served configuration.
+// At threshold 64 each cell's database starts with a buffered tail the
+// first read must flush.
 func TestVectorizedDifferential(t *testing.T) {
 	wantRows := map[string][]string{} // per shape × workers
 	wantPlan := map[string]string{}   // per shape × workers × pool setting
 	for _, cfg := range []Config{
 		{PageCap: 4},
-		{PageCap: 4, PlanCacheSize: 256},
 		{PageCap: 4, IngestFlushOps: 64},
-		{PageCap: 4, IngestFlushOps: 64, PlanCacheSize: 256},
 		{PageCap: 4, BufferPoolPages: pager.MinPoolFrames},
 	} {
 		db, oids := testDBWithConfig(t, 100, cfg)
@@ -159,8 +153,8 @@ func TestVectorizedDifferential(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				for _, ep := range selectEntryPoints {
 					for _, size := range []int{1, 2, 3, 7, 1024} {
-						cell := fmt.Sprintf("%s workers=%d flush=%d cache=%d pool=%d %s capacity=%d",
-							tc.name, workers, cfg.IngestFlushOps, cfg.PlanCacheSize, cfg.BufferPoolPages, ep.name, size)
+						cell := fmt.Sprintf("%s workers=%d flush=%d pool=%d %s capacity=%d",
+							tc.name, workers, cfg.IngestFlushOps, cfg.BufferPoolPages, ep.name, size)
 						opts := tc.opts
 						opts.MaxParallelWorkers = workers
 						opts.MaxBatchSize = size
@@ -175,7 +169,7 @@ func TestVectorizedDifferential(t *testing.T) {
 						if hit := ep.keyed && planned[key]; res.CachedPlan != hit {
 							t.Fatalf("%s: CachedPlan = %v, want %v", cell, res.CachedPlan, hit)
 						}
-						planned[key] = planned[key] || (ep.keyed && cfg.PlanCacheSize > 0)
+						planned[key] = planned[key] || ep.keyed
 
 						gotPlan := plan.Explain(res.Plan)
 						planKey := fmt.Sprintf("%s/pool=%d", key, cfg.BufferPoolPages)

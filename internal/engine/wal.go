@@ -372,7 +372,6 @@ func Open(cfg Config) (*DB, error) {
 	// Transaction IDs resume past every ID seen in the scanned log so
 	// replayed and new transactions never collide.
 	db.nextTxID = maxTx
-	db.startIngestFlusher(cfg.IngestFlushInterval)
 	return db, nil
 }
 

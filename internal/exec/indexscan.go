@@ -406,68 +406,3 @@ func (s *BaselineIndexScan) Close() error { s.oids = nil; return nil }
 
 // Schema returns the output schema.
 func (s *BaselineIndexScan) Schema() *model.Schema { return s.schema }
-
-// DataIndexScan probes a standard B-Tree over a data column for equality
-// matches — the access path index-based data joins use.
-type DataIndexScan struct {
-	Table     *catalog.Table
-	Alias     string
-	Column    string
-	Key       model.Value
-	Propagate bool
-
-	schema *model.Schema
-	hits   []heap.RID
-	pos    int
-}
-
-// NewDataIndexScan builds the scan; the column must have a data index.
-func NewDataIndexScan(t *catalog.Table, alias, column string, key model.Value, propagate bool) *DataIndexScan {
-	if alias == "" {
-		alias = t.Name
-	}
-	return &DataIndexScan{Table: t, Alias: alias, Column: column, Key: key,
-		Propagate: propagate, schema: t.Schema.Rename(alias)}
-}
-
-// Open probes the column index.
-func (s *DataIndexScan) Open(qc *QueryCtx) (err error) {
-	defer recoverOp("DataIndexScan", &err)
-	if err := qc.check(); err != nil {
-		return err
-	}
-	s.hits = nil
-	s.pos = 0
-	idx := s.Table.DataIndex(s.Column)
-	if idx == nil {
-		return nil
-	}
-	for _, enc := range idx.SearchEq(s.Key.SortKey()) {
-		s.hits = append(s.hits, heap.DecodeRID(enc))
-	}
-	return nil
-}
-
-// NextBatch fetches the next matching tuples.
-func (s *DataIndexScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
-	defer recoverOp("DataIndexScan", &err)
-	size := qc.Capacity()
-	if err := qc.tick(size); err != nil {
-		return nil, err
-	}
-	b = GetBatch(size)
-	for b.Len() < size && s.pos < len(s.hits) {
-		rid := s.hits[s.pos]
-		s.pos++
-		if row, ok := fetchRow(s.Table, rid, s.Propagate); ok {
-			b.Append(row)
-		}
-	}
-	return nonEmpty(b), nil
-}
-
-// Close releases the hit list.
-func (s *DataIndexScan) Close() error { s.hits = nil; return nil }
-
-// Schema returns the output schema.
-func (s *DataIndexScan) Schema() *model.Schema { return s.schema }

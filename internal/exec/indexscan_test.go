@@ -129,11 +129,15 @@ func TestBaselineIndexScanAndReconstruct(t *testing.T) {
 	}
 }
 
-func TestDataIndexScanMissingIndex(t *testing.T) {
-	f := newOpsFixture(t, 4, 0)
-	// No index on column a: scan yields nothing rather than erroring.
-	scan := NewDataIndexScan(f.r, "r", "a", model.NewInt(1), false)
-	rows, err := Collect(nil, scan)
+// TestIndexJoinMissingIndex: an inner column without a data index
+// probes to no partners rather than failing; once the index exists, each
+// outer row meets its equal inner rows.
+func TestIndexJoinMissingIndex(t *testing.T) {
+	f := newOpsFixture(t, 4, 8)
+	join := func() ([]*Row, error) {
+		return Collect(nil, NewIndexJoin(NewSeqScan(f.s, "s", false), f.r, "r", "a", mustExpr(t, "s.x"), nil, true, nil))
+	}
+	rows, err := join()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,12 +147,16 @@ func TestDataIndexScanMissingIndex(t *testing.T) {
 	if _, err := f.r.CreateDataIndex("a"); err != nil {
 		t.Fatal(err)
 	}
-	rows, err = Collect(nil, NewDataIndexScan(f.r, "r", "a", model.NewInt(3), true))
-	if err != nil {
+	if rows, err = join(); err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || rows[0].Tuple.Values[0].Int != 3 {
-		t.Errorf("indexed lookup: %d rows", len(rows))
+	if len(rows) != 6 { // s.x runs 1,2,3,0 twice; r.a is 1..4
+		t.Fatalf("indexed join: %d rows, want 6", len(rows))
+	}
+	for _, r := range rows {
+		if v := r.Tuple.Values; v[0].Int != v[2].Int || len(r.Tuple.Summaries) == 0 {
+			t.Fatalf("joined row %v: keys differ or the inner summaries are missing", v)
+		}
 	}
 }
 
@@ -355,7 +363,6 @@ func TestLeavesOpenCancelled(t *testing.T) {
 		NewSeqScan(f.r, "r", true),
 		NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 0, true),
 		NewBaselineIndexScan(f.r, "r", bIdx, "Disease", index.OpGe, 0, true),
-		NewDataIndexScan(f.r, "r", "a", model.NewInt(1), true),
 		NewSliceIter(f.r.Schema, nil),
 	} {
 		if err := leaf.Open(NewQueryCtx(ctx, nil, 1)); err != context.Canceled {

@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"repro/internal/catalog"
+	"repro/internal/heap"
 	"repro/internal/model"
 	"repro/internal/sql"
 )
@@ -241,21 +242,34 @@ func NewIndexJoin(left Operator, inner *catalog.Table, innerAlias, innerCol stri
 	}
 }
 
-// Open opens the outer input. Each outer row's candidates come from a
-// DataIndexScan probe of the inner table's column index, built per row
-// and run under the context of the NextBatch call that needs it.
+// Open opens the outer input. Each outer row's candidates are the
+// equality hits of the inner table's column index (none when the column
+// has no index), fetched in index order; a probe ticks the context of
+// the NextBatch call that needs it, so a join whose outer rows find few
+// partners still polls cancellation once per outer batch.
 func (j *IndexJoin) Open(qc *QueryCtx) (err error) {
 	defer recoverOp("IndexJoin", &err)
 	outerKey := (&Evaluator{Schema: j.Left.Schema(), Lookup: j.Lookup}).BindValue(j.OuterKey)
+	idx := j.InnerTable.DataIndex(j.InnerCol)
+	var hits []*Row // reused: the probe has consumed the last call's slice
 	j.probe = joinProbe{
 		left:        j.Left,
 		leftAliases: schemaAliases(j.Left.Schema()), rightAliases: []string{strings.ToLower(j.InnerAlias)},
 		candidates: func(qc *QueryCtx, outer *Row) ([]*Row, error) {
-			key, err := outerKey(outer)
-			if err != nil {
+			if err := qc.tick(1); err != nil {
 				return nil, err
 			}
-			return Collect(qc, NewDataIndexScan(j.InnerTable, j.InnerAlias, j.InnerCol, key, j.FetchSummaries))
+			key, err := outerKey(outer)
+			if err != nil || idx == nil {
+				return nil, err
+			}
+			hits = hits[:0]
+			for _, enc := range idx.SearchEq(key.SortKey()) {
+				if row, ok := fetchRow(j.InnerTable, heap.DecodeRID(enc), j.FetchSummaries); ok {
+					hits = append(hits, row)
+				}
+			}
+			return hits, nil
 		},
 		propagate: j.Propagate, lookup: j.Lookup,
 	}

@@ -294,8 +294,6 @@ func OpName(it Operator) string {
 		return "SummaryIndexScan"
 	case *BaselineIndexScan:
 		return "BaselineIndexScan"
-	case *DataIndexScan:
-		return "DataIndexScan"
 	case *PredicateFilter:
 		if op.Summary {
 			return "SummarySelect"

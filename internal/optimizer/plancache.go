@@ -52,13 +52,10 @@ func (s PlanCacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// NewPlanCache builds a cache holding at most capacity plans;
-// capacity <= 0 returns nil (caching disabled — a nil *PlanCache is
-// safe to call and never hits).
+// NewPlanCache builds a cache holding at most capacity plans (at least
+// one).
 func NewPlanCache(capacity int) *PlanCache {
-	if capacity <= 0 {
-		return nil
-	}
+	capacity = max(capacity, 1)
 	return &PlanCache{
 		cap:     capacity,
 		lru:     list.New(),
@@ -70,9 +67,6 @@ func NewPlanCache(capacity int) *PlanCache {
 // the same catalog version. A version mismatch removes the entry and
 // counts as an invalidation (and a miss).
 func (c *PlanCache) Get(key string, version uint64) (plan.Node, bool) {
-	if c == nil {
-		return nil, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -96,7 +90,7 @@ func (c *PlanCache) Get(key string, version uint64) (plan.Node, bool) {
 // Put stores an optimized plan under key at the given catalog version,
 // evicting the least recently used entry when full.
 func (c *PlanCache) Put(key string, version uint64, root plan.Node) {
-	if c == nil || root == nil {
+	if root == nil {
 		return
 	}
 	c.mu.Lock()
@@ -119,9 +113,6 @@ func (c *PlanCache) Put(key string, version uint64, root plan.Node) {
 
 // Stats snapshots the cache counters.
 func (c *PlanCache) Stats() PlanCacheStats {
-	if c == nil {
-		return PlanCacheStats{}
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return PlanCacheStats{

@@ -61,17 +61,17 @@ func TestPlanCacheVersionInvalidation(t *testing.T) {
 	}
 }
 
-func TestPlanCacheNilSafe(t *testing.T) {
-	var c *PlanCache
-	if _, ok := c.Get("x", 1); ok {
-		t.Fatalf("nil cache hit")
-	}
+// TestPlanCacheCapacityAtLeastOne: there is no disabled cache — a
+// capacity below one still builds a cache that holds one plan.
+func TestPlanCacheCapacityAtLeastOne(t *testing.T) {
+	c := NewPlanCache(0)
 	c.Put("x", 1, &stubNode{})
-	if s := c.Stats(); s != (PlanCacheStats{}) {
-		t.Fatalf("nil cache stats = %+v", s)
+	if _, ok := c.Get("x", 1); !ok {
+		t.Fatal("a capacity-0 cache did not keep its one plan")
 	}
-	if NewPlanCache(0) != nil {
-		t.Fatalf("NewPlanCache(0) should disable caching")
+	c.Put("y", 1, &stubNode{})
+	if s := c.Stats(); s.Capacity != 1 || s.Size != 1 || s.Evictions != 1 {
+		t.Fatalf("stats = %+v, want capacity 1, size 1, one eviction", s)
 	}
 }
 

@@ -30,9 +30,7 @@ import (
 
 // Config assembles a Server.
 type Config struct {
-	// DB is the engine instance to serve; required. Enable
-	// engine.Config.PlanCacheSize to give prepared statements a plan
-	// cache — the server works either way.
+	// DB is the engine instance to serve; required.
 	DB *engine.DB
 	// SessionTimeout expires idle sessions; default 5 minutes.
 	SessionTimeout time.Duration
@@ -432,8 +430,9 @@ func (s *Server) handleCloseStmt(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleQuery is the ad-hoc SELECT path: no session required, the
-// statement cache keyed by normalized text supplies the parsed form,
-// and the plan cache works exactly as for prepared statements.
+// statement is prepared and executed once. The plan cache keys on the
+// normalized text and the bound literals, so a repeated statement hits
+// exactly as a prepared one does.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Tenant string `json:"tenant"`
@@ -458,7 +457,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer done()
-	res, err := s.db.QueryCachedContext(ctx, req.SQL, params, tenantOptions(tc))
+	st, err := s.db.Prepare(req.SQL)
+	if err != nil {
+		writeError(w, classifySQL(err))
+		return
+	}
+	res, err := st.ExecuteContext(ctx, params, tenantOptions(tc))
 	if err != nil {
 		writeError(w, classifySQL(err))
 		return

@@ -19,15 +19,14 @@ import (
 	"repro/internal/workload"
 )
 
-// newTestServer builds a small bird workload with the plan cache on and
-// serves it via httptest.
+// newTestServer builds a small bird workload and serves it via
+// httptest.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *engine.DB) {
 	t.Helper()
 	ds, err := workload.Build(workload.Config{
 		Birds:                 20,
 		AvgAnnotationsPerBird: 4,
 		SkipSynonyms:          true,
-		PlanCacheSize:         64,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -32,23 +32,8 @@ type Config struct {
 	// with 1–2 behavior notes (they carry the TextSummary1 instance),
 	// enabling two-sided summary-join predicates (Figure 15).
 	AnnotateSynonymsFraction float64
-	// PageCap is the engine's records-per-page parameter.
-	PageCap int
-	// BufferPoolPages caps resident storage to a buffer pool of that
-	// many frames (0 = no pool, all pages resident).
-	BufferPoolPages int
-	// IngestFlushOps passes through engine.Config.IngestFlushOps: when
-	// > 0 the built database runs batched net-delta summary maintenance
-	// with that flush threshold (0 = eager per-annotation maintenance).
-	IngestFlushOps int
-	// PlanCacheSize passes through engine.Config.PlanCacheSize: when > 0
-	// the built database caches optimized plans for the prepared /
-	// QueryCached paths (0 = no cache, classic behavior everywhere).
-	PlanCacheSize int
-	// MaxBatchSize passes through engine.Config.MaxBatchSize: when > 1
-	// the built database plans vectorized pipeline segments by default
-	// (0 or 1 = row-at-a-time planning).
-	MaxBatchSize int
+	// Engine configures the built database; a zero PageCap becomes 64.
+	Engine engine.Config
 	// SkipSynonyms omits the Synonyms table for single-table workloads.
 	SkipSynonyms bool
 }
@@ -70,8 +55,8 @@ func (c Config) WithDefaults() Config {
 	if c.LongAnnotationFraction == 0 {
 		c.LongAnnotationFraction = 0.03
 	}
-	if c.PageCap <= 0 {
-		c.PageCap = 64
+	if c.Engine.PageCap <= 0 {
+		c.Engine.PageCap = 64
 	}
 	return c
 }
@@ -172,9 +157,7 @@ func SynonymsSchema() *model.Schema {
 // experiments), tuples, synonyms, and annotations.
 func Build(cfg Config) (*Dataset, error) {
 	cfg = cfg.WithDefaults()
-	db := engine.New(engine.Config{PageCap: cfg.PageCap, BufferPoolPages: cfg.BufferPoolPages,
-		IngestFlushOps: cfg.IngestFlushOps, PlanCacheSize: cfg.PlanCacheSize,
-		MaxBatchSize: cfg.MaxBatchSize})
+	db := engine.New(cfg.Engine)
 	ds := &Dataset{DB: db, Cfg: cfg}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
