@@ -68,12 +68,15 @@ bench-harness:
 # tests they rest on — partial accumulators merged in order equal the
 # serial fold. The pager line reruns the versioned page store's tests,
 # whose readers race the writer through epoch publication, pruning and
-# deferred reclamation. The wal line reruns the log's tests, which hold
-# an fsync in flight and queue committers, a Flush, Compact or Close
-# behind it by hand.
+# deferred reclamation. The heap/btree line reruns their pooled tests:
+# pins live in the stores' slots and the pool evicts under the store's
+# lock, so readers, the writer's copy-on-write and eviction meet there.
+# The wal line reruns the log's tests, which hold an fsync in flight and
+# queue committers, a Flush, Compact or Close behind it by hand.
 flake-sweep:
 	$(GO) test -count=20 -cpu 1,2,8 ./internal/mvcc ./internal/exec
 	$(GO) test -count=20 -cpu 1,2,8 -run 'TestStore' ./internal/pager
+	$(GO) test -count=20 -cpu 1,2,8 -run 'TestPooled|TestRawPageReadersVersusClone|TestViewUnaffectedByLaterMutations' ./internal/heap ./internal/btree
 	$(GO) test -count=20 -cpu 1,2,8 -run 'TestAccumulator|TestClusterRepresentativeIndependentOfGrouping' ./internal/model
 	$(GO) test -count=20 -cpu 1,2,8 ./internal/wal
 

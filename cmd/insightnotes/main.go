@@ -50,7 +50,7 @@ import (
 func main() {
 	birds := flag.Int("birds", 100, "preloaded bird count (0 = start empty)")
 	anns := flag.Int("anns", 10, "average annotations per bird")
-	poolPages := flag.Int("pool", 0, "buffer pool size in frames (0 = unbounded resident pages)")
+	poolPages := flag.Int("pool", 0, "buffer pool budget in frames (0 = no budget: every page stays resident)")
 	walDir := flag.String("wal", "", "directory for the write-ahead log and checkpoints (empty = in-memory only)")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint after every N logged operations (0 = never; requires -wal)")
 	ingestFlush := flag.Int("ingest-flush", 0, "flush summary maintenance as net deltas every N annotation ops (0 or 1 = after every op)")

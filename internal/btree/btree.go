@@ -8,13 +8,13 @@
 // Node accesses are charged to a pager.Accountant, one read per node
 // visited and one write per node modified, so logarithmic access-path
 // claims are testable. Nodes are addressed by id and live in a
-// pager.Store, which decides where a node is kept (resident, or in
-// buffer-pool frames) and which version of it a reader sees. Mutations
-// pin the descent path (plus the siblings a rebalance touches) for their
-// duration; scans pin hand-over-hand, one node at a time. AsOf freezes
-// the tree's root and counts into a read-only view whose reads resolve
-// every node to the version visible at the view's epoch, without taking
-// the writer's lock. Freed nodes (merge victims, collapsed roots,
+// pager.Store, which decides where a node is kept (in memory, or
+// evicted to its buffer pool's backing store) and which version of it a
+// reader sees. Mutations pin the descent path (plus the siblings a
+// rebalance touches) for their duration; scans pin hand-over-hand, one
+// node at a time. AsOf freezes the tree's root and counts into a
+// read-only view whose reads resolve every node to the version visible
+// at the view's epoch, without taking the writer's lock. Freed nodes (merge victims, collapsed roots,
 // released trees) are reclaimed only once no pinned epoch can still
 // reach them; node ids are never reused.
 package btree
@@ -112,7 +112,7 @@ func (nodeCodec) DecodePage(data []byte, _ int32, _ int64) (any, error) {
 
 // New builds a tree of the given order (maximum entries per node); order
 // < 4 is raised to 4. Its nodes are stored under acct's epoch clock and
-// in its buffer pool when it has one.
+// in its buffer pool.
 func New(acct *pager.Accountant, order int) *Tree {
 	if order < 4 {
 		order = 4

@@ -49,10 +49,11 @@ type Config struct {
 	// Faults installs a deterministic pager fault-injection policy on
 	// the database's I/O accountant (testing/chaos harnesses only).
 	Faults *pager.FaultPolicy
-	// BufferPoolPages bounds resident storage to that many buffer-pool
-	// frames, evicting cold pages to a backing store (values below
-	// pager.MinPoolFrames are raised to it). 0 disables the pool: every
-	// page stays resident and the engine behaves exactly as without one.
+	// BufferPoolPages is the buffer pool's frame budget: resident
+	// storage is bounded to that many pages, and cold pages are evicted
+	// to a backing store (values below pager.MinPoolFrames are raised to
+	// it). 0 means no budget: every page stays resident, nothing is
+	// evicted, no cache traffic is counted and BufferPool returns nil.
 	BufferPoolPages int
 
 	// WALDir, when non-empty, makes the database durable: every mutation
@@ -221,12 +222,10 @@ func newAccountant(cfg Config) *pager.Accountant {
 // (keeping fault-injection counters, e.g. FailFirstWrites, monotonic
 // across attempts).
 func newDB(cfg Config, acct *pager.Accountant) *DB {
-	if cfg.BufferPoolPages > 0 {
-		// Attach (or replace, when a snapshot retry rebuilds the DB on the
-		// same accountant) the buffer pool before any storage exists, so
-		// every heap file and index registers its pages with it.
-		pager.NewBufferPool(acct, cfg.BufferPoolPages)
-	}
+	// Attach (or replace, when a snapshot retry rebuilds the DB on the
+	// same accountant) the buffer pool before any storage exists, so
+	// every heap file and index registers its pages with it.
+	pager.NewBufferPool(acct, cfg.BufferPoolPages)
 	// The clock must be on the accountant before any storage exists, so
 	// every heap file and index self-attaches and versions its pages.
 	clock := mvcc.New()
@@ -276,7 +275,7 @@ func (db *DB) SetDefaultBudget(b *exec.Budget) { db.defaultBudget.Store(b) }
 func (db *DB) Accountant() *pager.Accountant { return db.acct }
 
 // BufferPool returns the database's buffer pool, or nil when
-// Config.BufferPoolPages was 0 (all pages resident).
+// Config.BufferPoolPages was 0 (no budget: all pages resident).
 func (db *DB) BufferPool() *pager.BufferPool { return db.acct.Pool() }
 
 // Close releases resources held outside the Go heap — the write-ahead

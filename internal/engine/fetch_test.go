@@ -121,9 +121,9 @@ func TestFetchDecisionCostBased(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pooled.BufferPool().Frames() >= tbl.Data.Pages() {
+	if pooled.BufferPool().Stats().Frames >= tbl.Data.Pages() {
 		t.Fatalf("fixture too small: %d frames hold all %d pages",
-			pooled.BufferPool().Frames(), tbl.Data.Pages())
+			pooled.BufferPool().Stats().Frames, tbl.Data.Pages())
 	}
 	out, err = pooled.Explain(q, nil)
 	if err != nil {

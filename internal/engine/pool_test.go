@@ -258,3 +258,21 @@ func TestParallelScanSharedPool(t *testing.T) {
 		t.Fatalf("P6 violated after shared-pool stress: %v", err)
 	}
 }
+
+// TestDroppedIndexReleasesItsSpace: an index build registers a space per
+// store with the pool and a drop releases them, so building and dropping
+// a summary index 100 times leaves the pool's live space count where it
+// started.
+func TestDroppedIndexReleasesItsSpace(t *testing.T) {
+	db, _ := testDBWithConfig(t, 30, Config{PageCap: 8, BufferPoolPages: 64})
+	start := db.BufferPool().Stats().Spaces
+	for i := 0; i < 100; i++ {
+		if err := db.CreateSummaryIndex("Birds", "ClassBird1"); err != nil {
+			t.Fatal(err)
+		}
+		db.DropSummaryIndex("Birds", "ClassBird1")
+	}
+	if got := db.BufferPool().Stats().Spaces; got != start {
+		t.Fatalf("%d live spaces after 100 index builds and drops, want %d", got, start)
+	}
+}

@@ -4,9 +4,9 @@
 // (page, slot); page accesses are charged to a pager.Accountant so that
 // access-path costs are observable.
 //
-// Pages live in a pager.Store, which decides where a page is kept
-// (resident, or in buffer-pool frames) and which version of it a reader
-// sees. Every access pins its page for the duration of the touch
+// Pages live in a pager.Store, which decides where a page is kept (in
+// memory, or evicted to its buffer pool's backing store) and which
+// version of it a reader sees. Every access pins its page for the duration of the touch
 // (cursors keep their current page pinned between Next calls and release
 // it on advance or Close) and mutations unpin dirty. Only logical I/O is
 // charged here, at the same call sites wherever the pages live. AsOf
@@ -53,7 +53,7 @@ type record[T any] struct {
 // produced this version of the page. A page read back from a buffer pool
 // is raw: it keeps its image instead of slots and decodes a cell only when
 // a reader touches it; the writer decodes it whole before mutating it.
-// Resident pages are never raw.
+// A page that never left memory is never raw.
 type page[T any] struct {
 	slots []record[T]
 	nLive int
@@ -207,7 +207,7 @@ type File[T any] struct {
 
 // NewFile builds a heap file whose pages hold pageCap records each
 // (the paper's "disk page size in records" parameter B), stored under
-// acct's epoch clock and in its buffer pool when it has one, where codec
+// acct's epoch clock and in its buffer pool, where codec
 // turns its records into cells.
 func NewFile[T any](acct *pager.Accountant, pageCap int, codec cell.Codec[T]) *File[T] {
 	if pageCap <= 0 {

@@ -468,8 +468,8 @@ func TestFetchManyGroupsByPage(t *testing.T) {
 
 // TestHeapPrefetchWarmsPool checks the pool hand-off: prefetched pages
 // are installed unpinned and the demand fetch that follows hits the
-// cache instead of the backing store. Without a pool Prefetch is a
-// no-op.
+// cache instead of the backing store. Without a budget nothing is ever
+// evicted, so Prefetch is a no-op.
 func TestHeapPrefetchWarmsPool(t *testing.T) {
 	plain := NewFile(nil, 4, intCodec)
 	plain.Insert(1, 1)

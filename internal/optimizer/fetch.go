@@ -39,10 +39,10 @@ func distinctPagesTouched(k, p float64) float64 {
 }
 
 // poolFrames returns the frame budget of the buffer pool serving t's
-// data heap, or 0 when there is no pool (every page stays resident).
+// data heap, or 0 when it has none (every page stays resident).
 func poolFrames(t *catalog.Table) int {
 	if pool := t.Data.Accountant().Pool(); pool != nil {
-		return pool.Frames()
+		return pool.Stats().Frames
 	}
 	return 0
 }

@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"os"
 	"sync"
+	"sync/atomic"
 )
 
 // MinPoolFrames is the smallest frame budget a pool accepts; lower
@@ -21,11 +22,10 @@ const MinPoolFrames = 16
 // B-Trees) provide an implementation when they register a space.
 // AppendPage appends the page's image to dst and must not mutate the
 // page. DecodePage returns a fresh object for the image of page in space
-// (the pool installs it directly into a frame; an error becomes a
-// *CorruptPageError). It may keep data until the page's frame is
-// released — a miss reads into a recycled image buffer, which goes back
-// to the pool then — so nothing a storage layer hands to its callers may
-// alias data.
+// (the pool installs it directly into its store's slot; an error becomes
+// a *CorruptPageError). It may keep data until the page leaves memory —
+// a miss reads into a recycled image buffer, which goes back to the pool
+// then — so nothing a storage layer hands to its callers may alias data.
 type PageCodec interface {
 	AppendPage(dst []byte, v any) ([]byte, error)
 	DecodePage(data []byte, space int32, page int64) (any, error)
@@ -38,20 +38,35 @@ type pageKey struct {
 	page  int64
 }
 
-// frame is one buffer slot: the cached page object, the image buffer it
-// was decoded from (if any), the pin count, dirty bit, the clock
-// algorithm's reference bit, and the page-LSN — the WAL watermark the
-// page's latest mutation is covered by, which eviction must make durable
-// before writing the page back.
+// frame is the placement state of one page in memory, kept in its
+// store's slot: the pin count, the clock algorithm's reference bit, the
+// dirty bit and the page-LSN — the WAL watermark the page's latest
+// mutation is covered by, which eviction must make durable before
+// writing the page back. at is 1 + the frame's position on its pool's
+// clock ring, 0 while it is on none (guarded by the pool's mutex).
 type frame struct {
-	key   pageKey
-	val   any
-	img   []byte
-	pins  int
-	dirty bool
-	ref   bool
-	valid bool
-	lsn   uint64
+	pins  atomic.Int32
+	at    int32
+	ref   atomic.Bool
+	dirty atomic.Bool
+	lsn   atomic.Uint64
+}
+
+// space is one registered storage object as its pool sees it: its codec,
+// and its store's evict, which takes page id out of its slot unless the
+// slot is pinned and returns the page it held.
+type space struct {
+	codec PageCodec
+	evict func(id int64) (any, bool)
+}
+
+// handle is one clock-ring position: the page in it, its frame (nil when
+// free), and the image buffer it was read into with the page decoded.
+type handle struct {
+	key     pageKey
+	f       *frame
+	img     []byte
+	decoded any
 }
 
 // CorruptPageError reports a page image in the backing store that
@@ -119,41 +134,43 @@ type BufferPoolStats struct {
 	// MaxResident is the high-water mark of Resident — never exceeds
 	// Frames, which is the bounded-memory guarantee the pool exists for.
 	MaxResident int
-	// Spaces is the number of registered page spaces.
+	// Spaces is the number of storage objects registered and not released.
 	Spaces int
 }
 
-// BufferPool is a fixed-frame page cache with clock (second-chance)
-// eviction and a temp-file backing store. Storage layers register a
-// space per storage object, then access pages through Get/Unpin with a
-// pin discipline: a pinned frame is never evicted, an unpinned frame may
-// be written back (encoded by its space's codec, one physical write) and
-// its frame reused. A later access misses, pays one physical read plus
-// decoding, and reinstalls the page — so cold and warm runs are
-// genuinely different, which the split logical/physical counters in
-// Stats expose. A miss reads into an image buffer from a free list of
-// power-of-two size classes and the buffer goes back when its frame is
-// released, so a steady stream of misses allocates no images.
+// BufferPool places every page of the storage objects built against its
+// accountant. The pages themselves live in their store's slots (see
+// Store); the pool owns the frame budget, a clock (second-chance) ring
+// of the resident pages, a temp-file backing store of page images, and
+// the image buffers misses read into. With budget 0 the pool never
+// evicts, counts no cache traffic and never creates its file. With a
+// budget, a page entering memory takes a free ring position, evicting an
+// unpinned victim when there is none (written back first if dirty); a
+// later access misses, pays one physical read plus decoding, and
+// reinstalls the page — so cold and warm runs are genuinely different,
+// which the split logical/physical counters in Stats expose. Misses read
+// into buffers from free lists of power-of-two size classes, and a
+// buffer goes back when its page leaves memory.
 //
 // Fault composition: physical transfers are charged to the accountant,
-// where the FaultPolicy applies (logical charges are bookkeeping only in
-// pooled mode). A write-back fault
-// panics with *FaultError before any pool state changes, so the victim
-// stays resident and dirty and the pool remains consistent; the caller
+// where the FaultPolicy applies (logical charges are bookkeeping only
+// under a budget). A write-back fault panics with *FaultError before any
+// state changes, so the victim stays resident and dirty; the caller
 // side recovers the panic at the usual operator boundaries.
 //
-// All methods are safe for concurrent use; the pool is shared by
-// parallel scan workers, each pinning its own pages.
+// All methods are safe for concurrent use. A hit never takes the pool's
+// mutex; misses, page creation, eviction and reclamation do.
 type BufferPool struct {
-	acct *Accountant
+	acct   *Accountant
+	budget int
 
 	mu     sync.Mutex
-	frames []frame
-	table  map[pageKey]int
+	ring   []handle
 	hand   int
-	codecs []PageCodec
+	spaces map[int32]space
+	nextID int32
 
-	file      *os.File
+	file      *os.File // created on the first write-back
 	spans     map[pageKey]span
 	freeSpans []span
 	fileEnd   int64
@@ -163,109 +180,103 @@ type BufferPool struct {
 
 	resident    int
 	maxResident int
-	closed      bool
 }
 
-// NewBufferPool builds a pool with the given frame budget (raised to
-// MinPoolFrames) and attaches it to acct, detaching and closing any pool
-// previously attached there. The backing store is an unlinked temp file
-// released on Close or process exit. Creation failure panics: it means
-// the environment has no writable temp directory, which no caller can
-// meaningfully handle.
+// NewBufferPool builds a pool with the given frame budget — 0 for none,
+// values below MinPoolFrames raised to it — and attaches it to acct,
+// detaching and closing any pool previously attached there. Storage
+// built against acct afterwards lives in the new pool.
 func NewBufferPool(acct *Accountant, frames int) *BufferPool {
-	if frames < MinPoolFrames {
-		frames = MinPoolFrames
-	}
-	f, err := os.CreateTemp("", "pager-pool-*.pages")
-	if err != nil {
-		panic(fmt.Errorf("pager: buffer pool backing store: %w", err))
-	}
-	// Unlink immediately: the file lives until the descriptor closes, and
-	// nothing ever needs its name again.
-	os.Remove(f.Name())
-	p := &BufferPool{
-		acct:    acct,
-		frames:  make([]frame, frames),
-		table:   make(map[pageKey]int),
-		file:    f,
-		spans:   make(map[pageKey]span),
-		scratch: make([]byte, pageImageHeader),
-	}
+	p := newPool(acct, frames)
 	if old := acct.pool.Swap(p); old != nil {
 		old.Close()
 	}
 	return p
 }
 
+func newPool(acct *Accountant, frames int) *BufferPool {
+	if frames > 0 && frames < MinPoolFrames {
+		frames = MinPoolFrames
+	}
+	return &BufferPool{
+		acct:    acct,
+		budget:  frames,
+		ring:    make([]handle, frames),
+		spaces:  make(map[int32]space),
+		spans:   make(map[pageKey]span),
+		scratch: make([]byte, pageImageHeader),
+	}
+}
+
 // Close detaches the pool from its accountant and releases the backing
-// store. Cached pages are discarded, not written back — the pool caches
+// store. Evicted pages are discarded, not read back — the pool holds
 // in-process objects, so close is only meaningful at teardown.
 func (p *BufferPool) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
+	p.acct.pool.CompareAndSwap(p, nil)
+	f := p.file
+	if p.file = nil; f == nil {
 		return nil
 	}
-	p.closed = true
-	p.acct.pool.CompareAndSwap(p, nil)
-	return p.file.Close()
+	return f.Close()
 }
 
-// NewSpace registers a storage object's page namespace with its codec
-// and returns the space id.
-func (p *BufferPool) NewSpace(c PageCodec) int32 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.codecs = append(p.codecs, c)
-	return int32(len(p.codecs) - 1)
-}
-
-// NewPage installs a freshly created page, pinned and dirty (it exists
-// nowhere else yet). No physical transfer is charged: page birth is a
-// logical write, charged by the storage layer as before.
-func (p *BufferPool) NewPage(space int32, page int64, v any) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	k := pageKey{space, page}
-	if _, ok := p.table[k]; ok {
-		panic(fmt.Errorf("pager: NewPage of resident page %d in space %d", page, space))
-	}
-	i := p.freeFrame()
-	p.install(i, k, v, nil, true)
-}
-
-// Get returns the page, pinned. A resident page is a cache hit and costs
-// nothing; a miss evicts a victim if needed (one physical write if
-// dirty), then pays one physical read plus deserialization. The caller
-// must Unpin when done with the page object and must not retain the
-// object across the Unpin if it intends to mutate it later.
-func (p *BufferPool) Get(space int32, page int64) any {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	k := pageKey{space, page}
-	if i, ok := p.table[k]; ok {
-		f := &p.frames[i]
-		f.pins++
-		f.ref = true
+// hit counts a page access served from memory, under a budget.
+func (p *BufferPool) hit() {
+	if p.budget > 0 {
 		p.acct.cacheHits.Add(1)
-		return f.val
 	}
-	p.acct.cacheMisses.Add(1)
-	sp, ok := p.spans[k]
-	if !ok {
-		panic(fmt.Errorf("pager: read of unknown page %d in space %d", page, space))
-	}
-	return p.load(p.freeFrame(), k, sp)
 }
 
-// load charges one physical read (which may panic *FaultError before any
-// state changes), reads k's image into a recycled buffer, decodes it and
-// installs the page, clean and pinned once, in the free frame i together
-// with the buffer, which the page may alias. Torn or corrupt images and
-// images the codec rejects panic *CorruptPageError. The caller holds
-// p.mu.
-func (p *BufferPool) load(i int, k pageKey, sp span) any {
+// unpin releases one pin on f. dirty records that the caller (the
+// writer) mutated the page, so eviction must write it back, and stamps
+// the page with the WAL's current appended LSN: the engine appends a
+// record before applying its mutation, so at the moment a page is
+// dirtied the log already holds every record whose effects the page can
+// contain — the appended watermark is a (conservative) page-LSN.
+func (p *BufferPool) unpin(f *frame, dirty bool) {
+	if dirty {
+		if lg := p.acct.PageLogger(); lg != nil {
+			if v := lg.AppendedLSN(); v > f.lsn.Load() {
+				f.lsn.Store(v)
+			}
+		}
+		f.dirty.Store(true)
+	}
+	if !f.ref.Load() {
+		f.ref.Store(true)
+	}
+	if f.pins.Add(-1) < 0 {
+		panic(fmt.Errorf("pager: unpin of an unpinned page"))
+	}
+}
+
+// enter puts page k, whose frame f is about to hold it, on the clock ring
+// at the free position i (from room; -1 without a budget) together with
+// the image buffer it was read into and the page decoded from it, if any.
+// The caller holds p.mu.
+func (p *BufferPool) enter(i int, k pageKey, f *frame, img []byte, decoded any) {
+	f.ref.Store(true)
+	if i < 0 {
+		return
+	}
+	p.ring[i] = handle{key: k, f: f, img: img, decoded: decoded}
+	f.at = int32(i) + 1
+	p.resident++
+	p.maxResident = max(p.maxResident, p.resident)
+}
+
+// read charges one physical read of page k (which may panic *FaultError
+// before any state changes), reads its image into a recycled buffer,
+// decodes it and enters f on the ring at the free position i with the
+// buffer, which the page may alias. The caller holds p.mu and installs
+// the returned page in f's slot. Torn or corrupt images — or none, a
+// broken invariant — and images the codec rejects panic
+// *CorruptPageError.
+func (p *BufferPool) read(i int, k pageKey, f *frame) any {
 	p.acct.phys("read")
+	sp := p.spans[k]
 	buf := p.image(sp.len)
 	if _, err := p.file.ReadAt(buf, sp.off); err != nil {
 		panic(fmt.Errorf("pager: backing store read: %w", err))
@@ -274,11 +285,11 @@ func (p *BufferPool) load(i int, k pageKey, sp span) any {
 	if err != nil {
 		panic(err)
 	}
-	v, err := p.codecs[k.space].DecodePage(payload, k.space, k.page)
+	v, err := p.spaces[k.space].codec.DecodePage(payload, k.space, k.page)
 	if err != nil {
 		panic(&CorruptPageError{Space: k.space, Page: k.page, Reason: err.Error()})
 	}
-	p.install(i, k, v, buf, false)
+	p.enter(i, k, f, buf, v)
 	return v
 }
 
@@ -303,172 +314,54 @@ func (p *BufferPool) image(n int) []byte {
 // recycle returns an image buffer to its size class; each class keeps at
 // most one buffer per frame. The caller holds p.mu.
 func (p *BufferPool) recycle(buf []byte) {
-	if c := bits.Len(uint(cap(buf) - 1)); cap(buf) == 1<<c && c <= maxImageClass && len(p.images[c]) < len(p.frames) {
+	if c := bits.Len(uint(cap(buf) - 1)); cap(buf) == 1<<c && c <= maxImageClass && len(p.images[c]) < p.budget {
 		p.images[c] = append(p.images[c], buf)
 	}
 }
 
-// install claims frame i for k, pinned once, holding the image buffer v
-// was decoded from. A freshly created page is dirty (it exists nowhere
-// else); a page read back from the backing store is clean until a caller
-// unpins it dirty. The caller holds p.mu.
-func (p *BufferPool) install(i int, k pageKey, v any, img []byte, dirty bool) {
-	p.frames[i] = frame{key: k, val: v, img: img, pins: 1, dirty: dirty, ref: true, valid: true}
-	if dirty {
-		p.stampLSN(&p.frames[i])
-	}
-	p.table[k] = i
-	p.resident++
-	if p.resident > p.maxResident {
-		p.maxResident = p.resident
-	}
-}
-
-// stampLSN records on a dirtied frame the WAL's current appended LSN.
-// The engine appends a record before applying its mutation, so at the
-// moment a page is dirtied the log already holds every record whose
-// effects the page can contain — the appended watermark is therefore a
-// (conservative) upper bound usable as the page-LSN. The caller holds
-// p.mu.
-func (p *BufferPool) stampLSN(f *frame) {
-	if lg := p.acct.PageLogger(); lg != nil {
-		if v := lg.AppendedLSN(); v > f.lsn {
-			f.lsn = v
+// leave takes f off the clock ring once its page v has left its slot,
+// recycling the image buffer the page was read into unless v is not that
+// page: a copy-on-write replaced it, and the replaced version, which may
+// alias the buffer, lives on. The caller holds p.mu.
+func (p *BufferPool) leave(f *frame, v any) {
+	if f.at > 0 {
+		if h := p.ring[f.at-1]; h.decoded == v {
+			p.recycle(h.img)
 		}
+		p.ring[f.at-1] = handle{}
+		f.at = 0
+		p.resident--
 	}
 }
 
-// SetValue replaces the cached object of a resident page. The MVCC
-// write path uses it to swap in a copy-on-write clone of a page whose
-// previous version snapshot readers still hold: the caller pins the
-// page, clones it, publishes the old object into its version chain, and
-// installs the clone here before unpinning dirty. The old object may
-// alias the frame's image buffer and outlives the frame, so the frame
-// gives the buffer up to it instead of recycling it. The page must be
-// resident (the caller's pin guarantees it).
-func (p *BufferPool) SetValue(space int32, page int64, v any) {
+// dropSpace discards every page of a released storage object and forgets
+// its codec. Nothing may pin its pages.
+func (p *BufferPool) dropSpace(id int32) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	i, ok := p.table[pageKey{space, page}]
-	if !ok {
-		panic(fmt.Errorf("pager: SetValue of non-resident page %d in space %d", page, space))
-	}
-	p.frames[i].val, p.frames[i].img = v, nil
-}
-
-// Unpin releases one pin. dirty records that the caller mutated the
-// page, so eviction must write it back.
-func (p *BufferPool) Unpin(space int32, page int64, dirty bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	i, ok := p.table[pageKey{space, page}]
-	if !ok {
-		panic(fmt.Errorf("pager: unpin of non-resident page %d in space %d", page, space))
-	}
-	f := &p.frames[i]
-	if f.pins <= 0 {
-		panic(fmt.Errorf("pager: unpin of unpinned page %d in space %d", page, space))
-	}
-	f.pins--
-	if dirty {
-		f.dirty = true
-		p.stampLSN(f)
-	}
-	f.ref = true
-}
-
-// Drop discards a page that will never be read again (a freed B-Tree
-// node): its frame is released without write-back and its backing extent
-// recycled. The page must be unpinned.
-func (p *BufferPool) Drop(space int32, page int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	k := pageKey{space, page}
-	if i, ok := p.table[k]; ok {
-		f := &p.frames[i]
-		if f.pins > 0 {
-			panic(fmt.Errorf("pager: drop of pinned page %d in space %d", page, space))
-		}
-		p.release(i)
-	}
-	p.freeSpan(k)
-}
-
-// DropSpace discards every page of a space (a storage object being
-// thrown away, e.g. an index rebuilt at a wider key format). All of the
-// space's pages must be unpinned.
-func (p *BufferPool) DropSpace(space int32) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i := range p.frames {
-		f := &p.frames[i]
-		if f.valid && f.key.space == space {
-			if f.pins > 0 {
-				panic(fmt.Errorf("pager: drop of pinned page %d in space %d", f.key.page, space))
-			}
-			p.release(i)
+	for _, h := range p.ring {
+		if h.f != nil && h.key.space == id {
+			p.leave(h.f, nil)
 		}
 	}
 	for k := range p.spans {
-		if k.space == space {
+		if k.space == id {
 			p.freeSpan(k)
 		}
 	}
+	delete(p.spaces, id)
 }
 
-// EvictAll evicts every unpinned frame (writing back dirty ones) — the
+// EvictAll evicts every unpinned page (writing back dirty ones) — the
 // benchmark harness's "drop caches" switch for measuring cold runs.
 func (p *BufferPool) EvictAll() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for i := range p.frames {
-		if p.frames[i].valid && p.frames[i].pins == 0 {
+	for i := range p.ring {
+		if p.ring[i].f != nil {
 			p.evict(i)
 		}
 	}
-}
-
-// Prefetch reads the given pages of a space into unpinned frames ahead
-// of demand, in order, and returns how many it installed. It is a pure
-// hint with best-effort semantics: resident pages, pages with no backing
-// extent (never evicted, or never written), and pages beyond the free
-// frame supply are skipped — the last by stopping early rather than
-// evicting clock victims, so a prefetch never forces out pages a caller
-// still wants. Each installed page is charged as one physical read plus
-// a Prefetched tick (no cache miss: the demand Get that follows is a
-// hit), keeping PhysReads an honest count of backing-store transfers.
-func (p *BufferPool) Prefetch(space int32, pages []int64) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	installed := 0
-	for _, page := range pages {
-		k := pageKey{space, page}
-		if _, ok := p.table[k]; ok {
-			continue
-		}
-		sp, ok := p.spans[k]
-		if !ok {
-			continue
-		}
-		i := p.tryFreeFrame()
-		if i < 0 {
-			break
-		}
-		p.load(i, k, sp)
-		p.acct.prefetched.Add(1)
-		p.frames[i].pins = 0 // installed warm, not claimed
-		installed++
-	}
-	return installed
-}
-
-// Frames returns the configured frame budget, which the optimizer's
-// fetch-path decision compares against the distinct pages an index scan
-// will touch.
-func (p *BufferPool) Frames() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.frames)
 }
 
 // Stats snapshots frame occupancy.
@@ -476,95 +369,101 @@ func (p *BufferPool) Stats() BufferPoolStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return BufferPoolStats{
-		Frames:      len(p.frames),
+		Frames:      p.budget,
 		Resident:    p.resident,
 		MaxResident: p.maxResident,
-		Spaces:      len(p.codecs),
+		Spaces:      len(p.spaces),
 	}
 }
 
-// freeFrame returns the index of an empty frame, evicting a victim by
-// the clock (second-chance) policy if none is free. Two full sweeps
-// finding only pinned frames means the budget is exhausted — a panic the
-// executor surfaces as a query error, since no progress is possible
-// without unpinning. The caller holds p.mu.
-func (p *BufferPool) freeFrame() int {
-	if i := p.tryFreeFrame(); i >= 0 {
-		return i
+// room returns a free ring position for a page entering memory, evicting
+// a victim by the clock policy if none is free, or -1 without a budget.
+// Two full sweeps finding only pinned pages means the budget is
+// exhausted — a panic the executor surfaces as a query error, since no
+// progress is possible without unpinning. The caller holds p.mu.
+func (p *BufferPool) room() int {
+	i := p.tryRoom()
+	if i < 0 && p.budget > 0 {
+		panic(fmt.Errorf("pager: buffer pool exhausted: all %d frames pinned", p.budget))
 	}
-	panic(fmt.Errorf("pager: buffer pool exhausted: all %d frames pinned", len(p.frames)))
+	return i
 }
 
-// tryFreeFrame is freeFrame's non-panicking core: sweep the frames, skip
-// pinned ones, give referenced ones a second chance by clearing their
-// bit, evict the first unreferenced unpinned frame. Returns -1 when
-// every frame is pinned. The caller holds p.mu.
-func (p *BufferPool) tryFreeFrame() int {
-	for sweep := 0; sweep <= 2*len(p.frames); sweep++ {
+// tryRoom is room's non-panicking core: sweep the ring, skip pinned
+// pages, give referenced ones a second chance by clearing their bit,
+// evict the first unreferenced unpinned page. It never takes a pinned
+// page, and returns -1 when every page stays pinned or there is no
+// budget. The caller holds p.mu.
+func (p *BufferPool) tryRoom() int {
+	for sweep := 0; len(p.ring) > 0 && sweep <= 2*len(p.ring); sweep++ {
 		i := p.hand
-		p.hand = (p.hand + 1) % len(p.frames)
-		f := &p.frames[i]
-		if !f.valid {
+		p.hand = (p.hand + 1) % len(p.ring)
+		f := p.ring[i].f
+		switch {
+		case f == nil:
+			return i
+		case f.pins.Load() > 0:
+		case f.ref.Load():
+			f.ref.Store(false)
+		case p.evict(i):
 			return i
 		}
-		if f.pins > 0 {
-			continue
-		}
-		if f.ref {
-			f.ref = false
-			continue
-		}
-		p.evict(i)
-		return i
 	}
 	return -1
 }
 
-// evict writes frame i back if dirty and releases it. The write-back is
-// ordered so that an injected fault leaves the pool consistent: force
-// the WAL through the page-LSN (the write-ahead rule — may block on an
-// fsync, may fail), encode into the scratch image (pure), charge the
-// physical write (may panic — nothing has changed yet, the victim stays
-// resident and dirty), then update the backing store and release the
-// frame. The caller holds p.mu.
-func (p *BufferPool) evict(i int) {
-	f := &p.frames[i]
-	if f.dirty {
-		if lg := p.acct.PageLogger(); lg != nil && f.lsn > 0 {
-			if err := lg.Flush(f.lsn); err != nil {
-				panic(fmt.Errorf("pager: wal flush before write-back of page %d in space %d: %w", f.key.page, f.key.space, err))
-			}
-		}
-		img, err := p.codecs[f.key.space].AppendPage(p.scratch[:pageImageHeader], f.val)
-		if err != nil {
-			panic(fmt.Errorf("pager: page encode: %w", err))
-		}
-		p.scratch = img
-		sealPageImage(img)
-		p.acct.phys("write") // may panic *FaultError before any state changes
-		p.writeSpan(f.key, img)
+// evict takes the page at ring position i out of memory unless a reader
+// pinned it since the caller looked. The caller holds p.mu.
+func (p *BufferPool) evict(i int) bool {
+	h := p.ring[i]
+	v, ok := p.spaces[h.key.space].evict(h.key.page)
+	if !ok {
+		return false
 	}
 	p.acct.evictions.Add(1)
-	p.release(i)
+	p.leave(h.f, v)
+	return true
 }
 
-// release clears frame i without write-back and recycles its image
-// buffer; the caller holds p.mu.
-func (p *BufferPool) release(i int) {
-	if img := p.frames[i].img; img != nil {
-		p.recycle(img)
+// writeBack stores dirty page k, v, whose page-LSN is lsn, in an order
+// that leaves everything consistent when it fails: force the WAL through
+// the page-LSN (the write-ahead rule — may block on an fsync, may fail),
+// encode into the scratch image (pure), charge the physical write (may
+// panic — nothing has changed yet), then update the backing store. The
+// caller holds p.mu and the page's store lock.
+func (p *BufferPool) writeBack(k pageKey, v any, lsn uint64) {
+	if lg := p.acct.PageLogger(); lg != nil && lsn > 0 {
+		if err := lg.Flush(lsn); err != nil {
+			panic(fmt.Errorf("pager: wal flush before write-back of page %d in space %d: %w", k.page, k.space, err))
+		}
 	}
-	delete(p.table, p.frames[i].key)
-	p.frames[i] = frame{}
-	p.resident--
+	buf, err := p.spaces[k.space].codec.AppendPage(p.scratch[:pageImageHeader], v)
+	if err != nil {
+		panic(fmt.Errorf("pager: page encode: %w", err))
+	}
+	p.scratch = buf
+	sealPageImage(buf)
+	p.acct.phys("write") // may panic *FaultError before any state changes
+	p.writeSpan(k, buf)
 }
 
 // writeSpan stores a sealed page image, reusing the existing extent when
 // it still fits, else a recycled extent, else fresh space at the file
 // end. A short write — the torn-page case a real device can produce — is
 // surfaced immediately rather than left for the read side, which would
-// still catch it by checksum. The caller holds p.mu.
+// still catch it by checksum. The first write-back creates the backing
+// file: an unlinked temp file, released on Close or process exit;
+// failing to create one panics, since it means the environment has no
+// writable temp directory. The caller holds p.mu.
 func (p *BufferPool) writeSpan(k pageKey, framed []byte) {
+	if p.file == nil {
+		f, err := os.CreateTemp("", "pager-pool-*.pages")
+		if err != nil {
+			panic(fmt.Errorf("pager: buffer pool backing store: %w", err))
+		}
+		os.Remove(f.Name()) // nothing ever needs the name again
+		p.file = f
+	}
 	sp, ok := p.spans[k]
 	if ok && sp.cap >= len(framed) {
 		sp.len = len(framed)

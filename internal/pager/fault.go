@@ -38,7 +38,7 @@ type FaultPolicy struct {
 
 	// Latency is slept on every accounted page operation while the
 	// policy is installed — the modeled device latency: per logical page
-	// without a buffer pool, per physical transfer (a miss or a
+	// without a frame budget, per physical transfer (a miss or a
 	// write-back) with one, so a cache hit pays nothing.
 	Latency time.Duration
 }

@@ -23,8 +23,8 @@ import (
 // count page accesses the storage layers requested, whether or not the
 // page was cached. The remaining fields are PHYSICAL: they count buffer
 // pool traffic (cache hits and misses, backing-store transfers, and
-// evictions) and stay zero when no pool is attached, so pool-off runs
-// render identically to the pre-pool engine.
+// evictions) and stay zero when the pool has no frame budget, so such
+// runs render identically to the pre-pool engine.
 type Stats struct {
 	PageReads  int64
 	PageWrites int64
@@ -37,7 +37,7 @@ type Stats struct {
 	CacheMisses int64 `json:",omitempty"`
 	Evictions   int64 `json:",omitempty"`
 
-	// Prefetched counts pages read ahead of demand by BufferPool.Prefetch
+	// Prefetched counts pages read ahead of demand by Store.Prefetch
 	// (each is also a PhysRead; a later Get for the page is a CacheHit).
 	Prefetched int64 `json:",omitempty"`
 }
@@ -72,8 +72,9 @@ func (s Stats) Total() int64 { return s.PageReads + s.PageWrites }
 func (s Stats) NodeAccesses() int64 { return s.NodeReads + s.NodeWrites }
 
 // CacheAccesses returns the buffer-pool traffic total — zero exactly
-// when no pool was involved, which callers use to gate cache rendering
-// so pool-off output is byte-identical to the pre-pool engine.
+// when no frame budget was involved, which callers use to gate cache
+// rendering so output without one is byte-identical to the pre-pool
+// engine.
 func (s Stats) CacheAccesses() int64 {
 	return s.CacheHits + s.CacheMisses + s.PhysReads + s.PhysWrites + s.Evictions + s.Prefetched
 }
@@ -113,7 +114,7 @@ type Accountant struct {
 
 	// physReads/physWrites count backing-store transfers, and
 	// cacheHits/cacheMisses/evictions count buffer-pool events. All are
-	// charged by the attached BufferPool and stay zero without one.
+	// charged by the attached BufferPool and stay zero without a budget.
 	physReads   atomic.Int64
 	physWrites  atomic.Int64
 	cacheHits   atomic.Int64
@@ -126,8 +127,9 @@ type Accountant struct {
 	// failing device.
 	fault atomic.Pointer[faultInjector]
 
-	// pool, when non-nil, is the buffer pool serving this accountant's
-	// storage layers. With a pool attached, Read/Write/ReadNode/WriteNode
+	// pool is the buffer pool placing this accountant's storage,
+	// attached on first use without a budget unless NewBufferPool
+	// attached one first. With a budget, Read/Write/ReadNode/WriteNode
 	// become logical-only bookkeeping — the modeled latency and fault
 	// injection move to the pool's physical transfers, so a cache hit
 	// pays nothing.
@@ -203,12 +205,27 @@ func (a *Accountant) PageLogger() PageLogger {
 	return ref.l
 }
 
-// Pool returns the attached buffer pool, or nil when page accesses are
-// unbuffered (every page stays resident, only logical I/O is charged).
+// Pool returns the attached buffer pool when it has a frame budget, or
+// nil when pages have none (every page stays resident and only logical
+// I/O is charged).
 func (a *Accountant) Pool() *BufferPool {
-	if a == nil {
-		return nil
+	if p := a.frames(); p.budget > 0 {
+		return p
 	}
+	return nil
+}
+
+// frames returns the pool that places the pages of storage built against
+// a, attaching one without a budget on first use. A nil accountant has
+// nowhere to keep a pool, so each call returns a private one.
+func (a *Accountant) frames() *BufferPool {
+	if a == nil {
+		return newPool(nil, 0)
+	}
+	if p := a.pool.Load(); p != nil {
+		return p
+	}
+	a.pool.CompareAndSwap(nil, newPool(a, 0))
 	return a.pool.Load()
 }
 
@@ -230,8 +247,9 @@ func (a *Accountant) Write(n int) { a.charge(n, true, false) }
 // WriteNode charges n B-Tree node writes (see ReadNode).
 func (a *Accountant) WriteNode(n int) { a.charge(n, true, true) }
 
-// charge adds n logical page reads or writes. Pooled, that is bookkeeping
-// only: latency and faults are paid by physical transfers on cache misses.
+// charge adds n logical page reads or writes. Under a frame budget (the
+// one placement-dependent rule) that is bookkeeping only: latency and
+// faults are paid by physical transfers on cache misses.
 func (a *Accountant) charge(n int, write, node bool) {
 	if a == nil {
 		return
@@ -240,7 +258,7 @@ func (a *Accountant) charge(n int, write, node bool) {
 	if write {
 		total, nodes, op = &a.writes, &a.nodeWrites, "write"
 	}
-	if fi := a.fault.Load(); fi != nil && a.pool.Load() == nil {
+	if fi := a.fault.Load(); fi != nil && a.Pool() == nil {
 		for ; n > 0; n-- {
 			if node {
 				nodes.Add(1)
@@ -257,7 +275,7 @@ func (a *Accountant) charge(n int, write, node bool) {
 }
 
 // phys charges one backing-store transfer of kind op: a read on every
-// cache miss, a write on every dirty write-back. In pooled mode this is
+// cache miss, a write on every dirty write-back. Under a budget this is
 // where the fault policy's latency and faults apply.
 func (a *Accountant) phys(op string) {
 	if op == "read" {

@@ -55,14 +55,12 @@ func TestReadDelay(t *testing.T) {
 		t.Errorf("unpooled: 3 reads took %v, want >= %v", el, 3*d)
 	}
 
-	acct, pool, space := newTestPool(t, MinPoolFrames)
-	pool.NewPage(space, 1, &testPage{Vals: []int64{1}})
-	pool.Unpin(space, 1, true)
+	acct, pool, s := newTestPool(t, MinPoolFrames)
+	create(s, 1, 1)
 	pool.EvictAll()
 	acct.SetFaultPolicy(&FaultPolicy{Latency: d})
 	start = time.Now()
-	pool.Get(space, 1)
-	pool.Unpin(space, 1, false)
+	get(s, 1)
 	if el := time.Since(start); el < d {
 		t.Errorf("pooled miss took %v, want >= %v", el, d)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 )
 
 // verPage is the page type the store tests keep: one value plus the
@@ -34,9 +35,10 @@ func (verCodec) DecodePage(data []byte, _ int32, _ int64) (any, error) {
 	return &verPage{Val: int(val), St: st}, nil
 }
 
-// eachPlacement runs fn against a store whose pages stay resident and
-// against one behind a buffer pool at the minimum frame budget: every
-// versioning guarantee must hold wherever the pages live.
+// eachPlacement runs fn against a store in a pool with no budget, whose
+// pages all stay resident (cell "resident"), and against one in a pool
+// of the minimum 16 frames (cell "pooled"): every versioning guarantee
+// must hold whatever the budget.
 func eachPlacement(t *testing.T, fn func(t *testing.T, acct *Accountant, s *Store[*verPage])) {
 	t.Run("resident", func(t *testing.T) {
 		acct := &Accountant{}
@@ -164,11 +166,9 @@ func TestStoreMissingVersionPanics(t *testing.T) {
 		acct.Clock().Publish(nil) // epoch 1
 		put(s, 0, 1)              // born in epoch 2
 		mustPanicMissing(t, "page born after the snapshot", func() { valAt(s, 0, 1) })
+		mustPanicMissing(t, "unknown page", func() { valAt(s, 7, Latest) })
+		mustPanicMissing(t, "write of an unknown page", func() { s.Writable(7) })
 	})
-	// A resident store also knows an id it never held (a pool reports that
-	// itself, as a read of an unknown page).
-	s := NewStore[*verPage](nil, verCodec{})
-	mustPanicMissing(t, "unknown page", func() { valAt(s, 7, Latest) })
 }
 
 func TestStoreDropAndReleaseWaitForPins(t *testing.T) {
@@ -202,12 +202,11 @@ func TestStoreDropAndReleaseWaitForPins(t *testing.T) {
 		if clock.Pruners() != base {
 			t.Fatalf("released store still on the clock: %d pruners, want %d", clock.Pruners(), base)
 		}
-		if pool := acct.Pool(); pool != nil {
-			if st := pool.Stats(); st.Resident != 0 {
-				t.Fatalf("release left %d frames resident", st.Resident)
-			}
-		} else if s.pages != nil {
-			t.Fatalf("release left %d resident pages", len(s.pages))
+		if st := s.pool.Stats(); st.Resident != 0 || st.Spaces != 0 {
+			t.Fatalf("release left the pool holding %+v", st)
+		}
+		if n := len(*s.dir.Load()); n != 0 {
+			t.Fatalf("release left %d slot chunks", n)
 		}
 	})
 }
@@ -257,13 +256,38 @@ func TestStoreReleaseUnregistersPruner(t *testing.T) {
 	}
 }
 
+// TestStoreHitTakesNoPoolLock: reading a resident page takes neither the
+// pool's mutex nor the store's lock, at any budget — while both are
+// held, a hit still returns.
+func TestStoreHitTakesNoPoolLock(t *testing.T) {
+	eachPlacement(t, func(t *testing.T, acct *Accountant, s *Store[*verPage]) {
+		put(s, 0, 7)
+		s.pool.mu.Lock()
+		defer s.pool.mu.Unlock()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		got := make(chan int, 1)
+		go func() { got <- valAt(s, 0, Latest) }()
+		select {
+		case v := <-got:
+			if v != 7 {
+				t.Fatalf("hit read %d, want 7", v)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a hit on a resident page waited for the pool's mutex")
+		}
+	})
+}
+
 // TestStoreReadersVersusWriter races snapshot readers against the
 // writer: every epoch rewrites every page to the epoch's number, so a
 // reader pinned at epoch e must find e on every page no matter how far
-// the writer has moved on.
+// the writer has moved on. Under a budget the pages outnumber the frames
+// four to one, so the readers also race continuous eviction and the
+// writer's copy-on-write.
 func TestStoreReadersVersusWriter(t *testing.T) {
 	eachPlacement(t, func(t *testing.T, acct *Accountant, s *Store[*verPage]) {
-		const pages, epochs, readers = 2 * MinPoolFrames, 50, 4
+		const pages, epochs, readers = 4 * MinPoolFrames, 50, 4
 		clock := acct.Clock()
 		for id := int64(0); id < pages; id++ {
 			put(s, id, 1)

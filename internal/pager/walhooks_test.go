@@ -44,22 +44,20 @@ func (s *stubLogger) flushes() []uint64 {
 // and eviction forces the log through that LSN before the page image
 // reaches the backing store — the write-ahead rule.
 func TestEvictionFlushesWALThroughPageLSN(t *testing.T) {
-	acct, pool, space := newTestPool(t, MinPoolFrames)
+	acct, pool, s := newTestPool(t, MinPoolFrames)
 	lg := &stubLogger{}
 	acct.SetPageLogger(lg)
 	defer acct.SetPageLogger(nil)
 
 	lg.setAppended(7)
-	pool.NewPage(space, 0, &testPage{Vals: []int64{1}})
-	pool.Unpin(space, 0, true) // page-LSN stamped 7
+	create(s, 0, 1) // page-LSN stamped 7
 	lg.setAppended(9)
-	pool.Get(space, 0)
-	pool.Unpin(space, 0, true) // re-dirtied: stamped up to 9
+	s.Writable(0)
+	s.Unpin(0, true) // re-dirtied: stamped up to 9
 
 	// Fill the pool so page 0 is evicted.
-	for i := 1; i < 3*MinPoolFrames; i++ {
-		pool.NewPage(space, int64(i), &testPage{})
-		pool.Unpin(space, int64(i), false)
+	for i := int64(1); i < 3*MinPoolFrames; i++ {
+		create(s, i)
 	}
 	var sawNine bool
 	for _, lsn := range lg.flushes() {
@@ -78,8 +76,7 @@ func TestEvictionFlushesWALThroughPageLSN(t *testing.T) {
 	// its LSN-9 image is already durable on the backing store.
 	pool.EvictAll() // drain every remaining dirty frame first
 	before := len(lg.flushes())
-	pool.Get(space, 0)
-	pool.Unpin(space, 0, false)
+	get(s, 0)
 	pool.EvictAll()
 	if n := len(lg.flushes()) - before; n != 0 {
 		t.Fatalf("clean page re-eviction demanded %d redundant flushes", n)
@@ -89,14 +86,13 @@ func TestEvictionFlushesWALThroughPageLSN(t *testing.T) {
 // A failing WAL flush aborts the eviction by panic before the page
 // image is written back, like an injected write fault.
 func TestEvictionWALFlushFailurePanics(t *testing.T) {
-	acct, pool, space := newTestPool(t, MinPoolFrames)
+	acct, pool, s := newTestPool(t, MinPoolFrames)
 	lg := &stubLogger{err: errors.New("log device gone")}
 	acct.SetPageLogger(lg)
 	defer acct.SetPageLogger(nil)
 
 	lg.setAppended(3)
-	pool.NewPage(space, 0, &testPage{Vals: []int64{1}})
-	pool.Unpin(space, 0, true)
+	create(s, 0, 1)
 	defer func() {
 		if r := recover(); r == nil {
 			t.Fatal("expected panic when WAL flush fails during eviction")
@@ -111,29 +107,25 @@ func TestEvictionWALFlushFailurePanics(t *testing.T) {
 // Without a logger attached the write path is unchanged — no stamping,
 // no flush calls, pure pre-WAL behavior.
 func TestNoLoggerMeansNoFlushes(t *testing.T) {
-	_, pool, space := newTestPool(t, MinPoolFrames)
-	pool.NewPage(space, 0, &testPage{Vals: []int64{1}})
-	pool.Unpin(space, 0, true)
+	_, pool, s := newTestPool(t, MinPoolFrames)
+	create(s, 0, 1)
 	pool.EvictAll()
-	p := pool.Get(space, 0).(*testPage)
-	if p.Vals[0] != 1 {
+	if p := get(s, 0); p.Vals[0] != 1 {
 		t.Fatalf("round trip without logger corrupted page: %+v", p)
 	}
-	pool.Unpin(space, 0, false)
 }
 
 // A corrupted backing-store image is detected by checksum on the next
 // read and surfaces as *CorruptPageError, not as silently misdecoded
 // page contents.
 func TestCorruptPageImageDetected(t *testing.T) {
-	_, pool, space := newTestPool(t, MinPoolFrames)
-	pool.NewPage(space, 0, &testPage{Vals: []int64{1, 2, 3}})
-	pool.Unpin(space, 0, true)
+	_, pool, s := newTestPool(t, MinPoolFrames)
+	create(s, 0, 1, 2, 3)
 	pool.EvictAll()
 
 	// Flip one payload byte of the evicted image in the backing file.
 	pool.mu.Lock()
-	sp, ok := pool.spans[pageKey{space, 0}]
+	sp, ok := pool.spans[pageKey{s.space, 0}]
 	pool.mu.Unlock()
 	if !ok {
 		t.Fatal("evicted page has no backing extent")
@@ -151,25 +143,24 @@ func TestCorruptPageImageDetected(t *testing.T) {
 		if !ok {
 			t.Fatalf("panic value %T, want *CorruptPageError", r)
 		}
-		if cpe.Space != space || cpe.Page != 0 {
-			t.Fatalf("error names page %d in space %d, want 0 in %d", cpe.Page, cpe.Space, space)
+		if cpe.Space != s.space || cpe.Page != 0 {
+			t.Fatalf("error names page %d in space %d, want 0 in %d", cpe.Page, cpe.Space, s.space)
 		}
 	}()
-	pool.Get(space, 0)
+	get(s, 0)
 }
 
 // A torn (short) image — the header promising more payload than the
 // span holds — is likewise detected rather than handed to the codec.
 func TestTornPageImageDetected(t *testing.T) {
-	_, pool, space := newTestPool(t, MinPoolFrames)
-	pool.NewPage(space, 0, &testPage{Vals: []int64{1, 2, 3}})
-	pool.Unpin(space, 0, true)
+	_, pool, s := newTestPool(t, MinPoolFrames)
+	create(s, 0, 1, 2, 3)
 	pool.EvictAll()
 
 	// Shorten the span in place, simulating a torn write that persisted
 	// only a prefix of the image.
 	pool.mu.Lock()
-	k := pageKey{space, 0}
+	k := pageKey{s.space, 0}
 	sp := pool.spans[k]
 	sp.len = pageImageHeader + 3
 	pool.spans[k] = sp
@@ -180,5 +171,5 @@ func TestTornPageImageDetected(t *testing.T) {
 			t.Fatal("expected *CorruptPageError panic reading a torn image")
 		}
 	}()
-	pool.Get(space, 0)
+	get(s, 0)
 }
