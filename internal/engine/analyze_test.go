@@ -2,11 +2,13 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/exec"
 	"repro/internal/optimizer"
+	"repro/internal/plan"
 )
 
 // The acceptance scenario: EXPLAIN ANALYZE on a summary-predicate query
@@ -174,6 +176,71 @@ func TestMetricsCounters(t *testing.T) {
 	for _, want := range []string{"queries=", "latency:", "io:"} {
 		if !strings.Contains(m.String(), want) {
 			t.Errorf("Metrics.String missing %q:\n%s", want, m.String())
+		}
+	}
+}
+
+// TestSummariesAttachedAfterDataFilter checks that a propagating leaf
+// fetches a summary set only for the rows its data-only selection keeps,
+// for a SeqScan and for a Summary-BTree probe, serial and parallel, one
+// row and 1024 rows per batch. A fetch is an OID-index probe plus one
+// R_SummaryStorage page read, so against the same serial plan run
+// WITHOUT SUMMARIES, EXPLAIN ANALYZE's heap page reads (page reads that
+// are not B-Tree node reads: data pages, which every cell reads alike,
+// and storage pages) must grow by exactly the rows out, where fetching
+// at the leaf grows them by the rows the leaf read. Node reads are left
+// out because a parallel index scan repeats its probe in every worker.
+func TestSummariesAttachedAfterDataFilter(t *testing.T) {
+	db, _ := testDBWithConfig(t, 400, Config{PageCap: 16})
+	if err := db.CreateSummaryIndex("Birds", "ClassBird1"); err != nil {
+		t.Fatal(err)
+	}
+	heapReads := func(ap *AnalyzedPlan) int64 { return ap.IO.PageReads - ap.IO.NodeReads }
+	for _, tc := range []struct {
+		name, q, leaf, parOp string
+		rowsIn               int64
+	}{
+		{"seqscan", `SELECT id, name FROM Birds b WHERE b.id > 396`, "SeqScan", "Gather", 400},
+		{"index", `SELECT id, name FROM Birds r
+		  WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') = 2 AND r.id <= 20
+		  ORDER BY name LIMIT 5`, "SummaryBTreeScan", "Gather", 80},
+	} {
+		serial := &optimizer.Options{MaxParallelWorkers: 1}
+		without, err := db.ExplainAnalyze(tc.q+" WITHOUT SUMMARIES", serial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		withPlan, err := db.Explain(tc.q, serial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := plan.Explain(without.Result.Plan); p != withPlan || !strings.Contains(p, tc.leaf) || !strings.Contains(p, "Select σ") {
+			t.Fatalf("%s: want one plan with a data σ over a %s:\n%s\nvs WITHOUT SUMMARIES\n%s", tc.name, tc.leaf, withPlan, p)
+		}
+		for _, workers := range []int{1, 4} {
+			for _, capacity := range []int{1, 1024} {
+				cell := fmt.Sprintf("%s workers=%d capacity=%d", tc.name, workers, capacity)
+				with, err := db.ExplainAnalyze(tc.q, &optimizer.Options{MaxParallelWorkers: workers, MaxBatchSize: capacity})
+				if err != nil {
+					t.Fatalf("%s: %v", cell, err)
+				}
+				if p := plan.Explain(with.Result.Plan); workers > 1 && !strings.Contains(p, tc.parOp) {
+					t.Fatalf("%s: plan lacks %q:\n%s", cell, tc.parOp, p)
+				}
+				out := int64(len(with.Result.Rows))
+				if out == 0 || out*10 > tc.rowsIn || int64(len(without.Result.Rows)) != out {
+					t.Fatalf("%s: %d rows out (%d without summaries) of %d read", cell, out, len(without.Result.Rows), tc.rowsIn)
+				}
+				for _, row := range with.Result.Rows {
+					if row.Tuple.Summaries.Get("ClassBird1") == nil {
+						t.Fatalf("%s: row %s carries no summaries", cell, row.Tuple)
+					}
+				}
+				if fetched := heapReads(with) - heapReads(without); fetched != out {
+					t.Errorf("%s: %d summary-storage page reads, want one per row out (%d), not per row read (%d)",
+						cell, fetched, out, tc.rowsIn)
+				}
+			}
 		}
 	}
 }

@@ -26,7 +26,8 @@ func resultStrings(res *Result) []string {
 
 // vectorCorpus is the capacity-invariance corpus: one shape per
 // operator of the executor — heap scans, both index fetch modes, both
-// pointer schemes, the baseline index, filters, projections, summary
+// pointer schemes, a data filter between an index probe and the
+// summary selection above it, the baseline index, filters, projections, summary
 // propagation on and off, every join implementation, serial and
 // parallel aggregation with summary merge, duplicate elimination, and
 // both sorts. op names the operator the optimized plan must contain, so
@@ -50,6 +51,10 @@ var vectorCorpus = []struct {
 	{"index_conventional", `SELECT id FROM Birds r
 	  WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') >= 3`,
 		optimizer.Options{ConventionalPointers: true}, "SummaryBTreeScan", "", nil},
+	{"index_data_filter", `SELECT id, name FROM Birds r
+	  WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') >= 3 AND r.family <> 'Corvidae'
+	  AND r.$.getSummaryObject('ClassBird1').getLabelValue('Anatomy') >= 1`,
+		optimizer.Options{}, "SummaryBTreeScan", "Gather", nil}, // S over σ over the probe: summaries attach above σ
 	{"index_baseline", `SELECT id, name FROM Birds r
 	  WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') = 4`,
 		optimizer.Options{UseBaseline: true}, "BaselineIndexScan", "", nil},

@@ -279,7 +279,7 @@ func TestBreakersReleaseBatchesOnFailure(t *testing.T) {
 	f, sIdx, _ := indexedFixture(t, 400)
 	indexScan := func(part PartitionSpec) func(Operator) Operator {
 		return func(Operator) Operator { // a leaf: the hit list is what it buffers
-			s := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 0, false)
+			s := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 0)
 			s.SortedFetch, s.Part = true, part
 			return s
 		}

@@ -11,12 +11,12 @@ import (
 
 func TestHashJoinAgreesWithNLJoin(t *testing.T) {
 	f := newOpsFixture(t, 9, 27)
-	nl, err := Collect(nil, NewNLJoin(NewSeqScan(f.r, "r", true), NewSeqScan(f.s, "s", true),
+	nl, err := Collect(nil, NewNLJoin(summaryScan(f.r, "r"), summaryScan(f.s, "s"),
 		mustExpr(t, "r.a = s.x"), true, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hj, err := Collect(nil, NewHashJoin(NewSeqScan(f.r, "r", true), NewSeqScan(f.s, "s", true),
+	hj, err := Collect(nil, NewHashJoin(summaryScan(f.r, "r"), summaryScan(f.s, "s"),
 		mustExpr(t, "r.a"), mustExpr(t, "s.x"), nil, true, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +40,7 @@ func TestHashJoinAgreesWithNLJoin(t *testing.T) {
 
 func TestHashJoinPreservesOuterOrder(t *testing.T) {
 	f := newOpsFixture(t, 6, 18)
-	rows, err := Collect(nil, NewHashJoin(NewSeqScan(f.r, "r", false), NewSeqScan(f.s, "s", false),
+	rows, err := Collect(nil, NewHashJoin(NewSeqScan(f.r, "r"), NewSeqScan(f.s, "s"),
 		mustExpr(t, "r.a"), mustExpr(t, "s.x"), nil, false, nil))
 	if err != nil {
 		t.Fatal(err)

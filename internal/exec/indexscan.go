@@ -42,8 +42,6 @@ type SummaryIndexScan struct {
 	Op       index.CmpOp
 	Constant int
 
-	// Propagate attaches the full summary set of each hit.
-	Propagate bool
 	// ConventionalPointers simulates leaf pointers into
 	// R_SummaryStorage instead of backward pointers into the data heap.
 	ConventionalPointers bool
@@ -82,13 +80,12 @@ type SummaryIndexScan struct {
 
 // NewSummaryIndexScan builds the scan.
 func NewSummaryIndexScan(t *catalog.Table, alias string, idx *index.SummaryBTree,
-	label string, op index.CmpOp, constant int, propagate bool) *SummaryIndexScan {
+	label string, op index.CmpOp, constant int) *SummaryIndexScan {
 	if alias == "" {
 		alias = t.Name
 	}
 	return &SummaryIndexScan{Table: t, Alias: alias, Index: idx,
-		Label: label, Op: op, Constant: constant, Propagate: propagate,
-		schema: t.Schema.Rename(alias)}
+		Label: label, Op: op, Constant: constant, schema: t.Schema.Rename(alias)}
 }
 
 // Open probes the index and materializes the hit list (the paper's
@@ -168,9 +165,9 @@ func (s *SummaryIndexScan) nextHit() (*Row, bool) {
 		if !ok {
 			return nil, false
 		}
-		return fetchRow(s.Table, dataRID, s.Propagate)
+		return fetchRow(s.Table, dataRID)
 	}
-	return fetchRow(s.Table, rid, s.Propagate)
+	return fetchRow(s.Table, rid)
 }
 
 // NextBatch fills a row vector from the hit list, draining page runs in
@@ -230,11 +227,7 @@ func (s *SummaryIndexScan) fillRun() {
 	run := s.hits[s.pos:j]
 	s.pos = j
 	s.pagesPinned += int64(s.Table.Data.FetchMany(run, func(rid heap.RID, oid int64, values []model.Value) bool {
-		tu := &model.Tuple{OID: oid, Values: values}
-		if s.Propagate {
-			tu.Summaries = s.Table.GetSummaries(oid)
-		}
-		s.buf = append(s.buf, &Row{Tuple: tu})
+		s.buf = append(s.buf, &Row{Tuple: &model.Tuple{OID: oid, Values: values}})
 		return true
 	}))
 }
@@ -328,9 +321,10 @@ func (s *SummaryIndexScan) FetchStats() FetchStats {
 // BaselineIndexScan answers the same predicate through the baseline
 // scheme: probe the derived-column B-Tree, read the normalized rows for
 // tuple OIDs, then join back to the data table via its OID index. With
-// ReconstructSummaries the propagated summary objects are additionally
-// re-assembled from the normalized primitives (the Figure 12 path)
-// instead of read from the de-normalized storage.
+// ReconstructSummaries each row's summary object is re-assembled from
+// the normalized primitives (the Figure 12 path); otherwise the scan
+// fetches no summaries and an AttachSummaries above it reads them from
+// the de-normalized storage.
 type BaselineIndexScan struct {
 	Table *catalog.Table
 	Alias string
@@ -340,7 +334,6 @@ type BaselineIndexScan struct {
 	Op       index.CmpOp
 	Constant int
 
-	Propagate            bool
 	ReconstructSummaries bool
 
 	schema *model.Schema
@@ -350,13 +343,12 @@ type BaselineIndexScan struct {
 
 // NewBaselineIndexScan builds the scan.
 func NewBaselineIndexScan(t *catalog.Table, alias string, idx *index.Baseline,
-	label string, op index.CmpOp, constant int, propagate bool) *BaselineIndexScan {
+	label string, op index.CmpOp, constant int) *BaselineIndexScan {
 	if alias == "" {
 		alias = t.Name
 	}
 	return &BaselineIndexScan{Table: t, Alias: alias, Index: idx,
-		Label: label, Op: op, Constant: constant, Propagate: propagate,
-		schema: t.Schema.Rename(alias)}
+		Label: label, Op: op, Constant: constant, schema: t.Schema.Rename(alias)}
 }
 
 // Open probes the derived index.
@@ -385,7 +377,7 @@ func (s *BaselineIndexScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 		if !ok {
 			continue
 		}
-		row, ok := fetchRow(s.Table, rid, s.Propagate && !s.ReconstructSummaries)
+		row, ok := fetchRow(s.Table, rid)
 		if !ok {
 			continue
 		}

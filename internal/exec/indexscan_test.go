@@ -34,8 +34,8 @@ func indexedFixture(t *testing.T, n int) (*opsFixture, *index.SummaryBTree, *ind
 func TestSummaryIndexScanBackwardAndConventional(t *testing.T) {
 	f, sIdx, _ := indexedFixture(t, 16)
 	// Disease = 2 matches i%4 == 2.
-	scan := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpEq, 2, true)
-	rows, err := Collect(nil, scan)
+	scan := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpEq, 2)
+	rows, err := Collect(nil, NewAttachSummaries(scan, f.r))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,9 +55,9 @@ func TestSummaryIndexScanBackwardAndConventional(t *testing.T) {
 	}
 
 	// Conventional pointers return the same rows, paying extra reads.
-	conv := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpEq, 2, true)
+	conv := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpEq, 2)
 	conv.ConventionalPointers = true
-	convRows, err := Collect(nil, conv)
+	convRows, err := Collect(nil, NewAttachSummaries(conv, f.r))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,20 +65,20 @@ func TestSummaryIndexScanBackwardAndConventional(t *testing.T) {
 		t.Fatalf("conventional rows = %d, want %d", len(convRows), len(rows))
 	}
 
-	// No propagation: summary sets absent.
-	bare := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpEq, 2, false)
+	// Without the attach the scan fetches no summary sets.
+	bare := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpEq, 2)
 	bareRows, err := Collect(nil, bare)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(bareRows) != 4 || bareRows[0].Tuple.Summaries != nil {
-		t.Error("no-propagation scan attached summaries")
+		t.Error("a bare index scan attached summaries")
 	}
 
 	// Descending reverses the count order.
-	desc := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 0, true)
+	desc := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 0)
 	desc.Descending = true
-	descRows, err := Collect(nil, desc)
+	descRows, err := Collect(nil, NewAttachSummaries(desc, f.r))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +94,8 @@ func TestSummaryIndexScanBackwardAndConventional(t *testing.T) {
 
 func TestBaselineIndexScanAndReconstruct(t *testing.T) {
 	f, _, bIdx := indexedFixture(t, 16)
-	scan := NewBaselineIndexScan(f.r, "r", bIdx, "Disease", index.OpGe, 3, true)
-	rows, err := Collect(nil, scan)
+	scan := NewBaselineIndexScan(f.r, "r", bIdx, "Disease", index.OpGe, 3)
+	rows, err := Collect(nil, NewAttachSummaries(scan, f.r))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestBaselineIndexScanAndReconstruct(t *testing.T) {
 
 	// Reconstruction path: summaries rebuilt from normalized rows carry
 	// counts (but there is only the classifier object).
-	rec := NewBaselineIndexScan(f.r, "r", bIdx, "Disease", index.OpGe, 3, true)
+	rec := NewBaselineIndexScan(f.r, "r", bIdx, "Disease", index.OpGe, 3)
 	rec.ReconstructSummaries = true
 	recRows, err := Collect(nil, rec)
 	if err != nil {
@@ -135,7 +135,7 @@ func TestBaselineIndexScanAndReconstruct(t *testing.T) {
 func TestIndexJoinMissingIndex(t *testing.T) {
 	f := newOpsFixture(t, 4, 8)
 	join := func() ([]*Row, error) {
-		return Collect(nil, NewIndexJoin(NewSeqScan(f.s, "s", false), f.r, "r", "a", mustExpr(t, "s.x"), nil, true, nil))
+		return Collect(nil, NewIndexJoin(NewSeqScan(f.s, "s"), f.r, "r", "a", mustExpr(t, "s.x"), nil, true, nil))
 	}
 	rows, err := join()
 	if err != nil {
@@ -168,17 +168,17 @@ func TestIndexJoinMissingIndex(t *testing.T) {
 func TestSummaryIndexScanFetchModesAgree(t *testing.T) {
 	f, sIdx, _ := indexedFixture(t, 32)
 	for _, conv := range []bool{false, true} {
-		ordered := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 1, true)
+		ordered := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 1)
 		ordered.ConventionalPointers = conv
-		sorted := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 1, true)
+		sorted := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 1)
 		sorted.ConventionalPointers = conv
 		sorted.SortedFetch = true
 
-		oRows, err := Collect(nil, ordered)
+		oRows, err := Collect(nil, NewAttachSummaries(ordered, f.r))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sRows, err := Collect(nil, sorted)
+		sRows, err := Collect(nil, NewAttachSummaries(sorted, f.r))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +222,7 @@ func TestSummaryIndexScanFetchModesAgree(t *testing.T) {
 // path once per hit.
 func TestSummaryIndexScanFetchStats(t *testing.T) {
 	f, sIdx, _ := indexedFixture(t, 32)
-	sorted := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 1, false)
+	sorted := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 1)
 	sorted.SortedFetch = true
 	rows, err := Collect(nil, sorted)
 	if err != nil {
@@ -235,7 +235,7 @@ func TestSummaryIndexScanFetchStats(t *testing.T) {
 	if fs.PagesPinned != fs.DistinctPages {
 		t.Errorf("sorted fetch pinned %d pages for %d distinct", fs.PagesPinned, fs.DistinctPages)
 	}
-	ordered := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 1, false)
+	ordered := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 1)
 	if _, err := Collect(nil, ordered); err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestPartitionHitsProperties(t *testing.T) {
 // serial sorted run, row for row.
 func TestSummaryIndexScanPartitionedConcatenation(t *testing.T) {
 	f, sIdx, _ := indexedFixture(t, 48)
-	serial := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 1, true)
+	serial := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 1)
 	serial.SortedFetch = true
 	want, err := Collect(nil, serial)
 	if err != nil {
@@ -299,7 +299,7 @@ func TestSummaryIndexScanPartitionedConcatenation(t *testing.T) {
 	const of = 3
 	var got []*Row
 	for idx := 0; idx < of; idx++ {
-		part := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 1, true)
+		part := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 1)
 		part.SortedFetch = true
 		part.Part = PartitionSpec{Index: idx, Of: of}
 		rows, err := Collect(nil, part)
@@ -325,7 +325,7 @@ func TestSummaryIndexScanPartitionedConcatenation(t *testing.T) {
 func TestSummaryIndexScanBudget(t *testing.T) {
 	f, sIdx, _ := indexedFixture(t, 16)
 	tight := NewBudget(2, 0, 0) // Disease >= 0 collects all 16 hits
-	scan := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 0, false)
+	scan := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 0)
 	_, err := Collect(NewQueryCtx(nil, tight, 1), scan)
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want budget exceeded", err)
@@ -339,7 +339,7 @@ func TestSummaryIndexScanBudget(t *testing.T) {
 	}
 
 	roomy := NewBudget(100, 0, 0)
-	ok := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 0, false)
+	ok := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 0)
 	rows, err := Collect(NewQueryCtx(nil, roomy, 1), ok)
 	if err != nil {
 		t.Fatal(err)
@@ -360,9 +360,9 @@ func TestLeavesOpenCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, leaf := range []Operator{
-		NewSeqScan(f.r, "r", true),
-		NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 0, true),
-		NewBaselineIndexScan(f.r, "r", bIdx, "Disease", index.OpGe, 0, true),
+		summaryScan(f.r, "r"),
+		NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 0),
+		NewBaselineIndexScan(f.r, "r", bIdx, "Disease", index.OpGe, 0),
 		NewSliceIter(f.r.Schema, nil),
 	} {
 		if err := leaf.Open(NewQueryCtx(ctx, nil, 1)); err != context.Canceled {

@@ -265,9 +265,14 @@ func (j *IndexJoin) Open(qc *QueryCtx) (err error) {
 			}
 			hits = hits[:0]
 			for _, enc := range idx.SearchEq(key.SortKey()) {
-				if row, ok := fetchRow(j.InnerTable, heap.DecodeRID(enc), j.FetchSummaries); ok {
-					hits = append(hits, row)
+				row, ok := fetchRow(j.InnerTable, heap.DecodeRID(enc))
+				if !ok {
+					continue
 				}
+				if j.FetchSummaries {
+					row.Tuple.Summaries = j.InnerTable.GetSummaries(row.Tuple.OID)
+				}
+				hits = append(hits, row)
 			}
 			return hits, nil
 		},

@@ -313,7 +313,7 @@ func TestCorruptCellIsTyped(t *testing.T) {
 	bad, _ := r.DiskTupleLoc(badOID)
 	pool.EvictAll()
 	for _, capacity := range []int{1, 1024} {
-		rows, err := Collect(NewQueryCtx(context.Background(), nil, capacity), NewSeqScan(r, "r", false))
+		rows, err := Collect(NewQueryCtx(context.Background(), nil, capacity), NewSeqScan(r, "r"))
 		var cpe *pager.CorruptPageError
 		if !errors.As(err, &cpe) {
 			t.Fatalf("capacity %d: %d rows, error %v; want *pager.CorruptPageError", capacity, len(rows), err)

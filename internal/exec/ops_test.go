@@ -147,9 +147,15 @@ func mustExpr(t *testing.T, src string) sql.Expr {
 	return e
 }
 
+// summaryScan is a SeqScan under the summary attach, as the compiler
+// builds it when an operator above needs the sets.
+func summaryScan(t *catalog.Table, alias string) *AttachSummaries {
+	return NewAttachSummaries(NewSeqScan(t, alias), t)
+}
+
 func TestSeqScanWithAndWithoutSummaries(t *testing.T) {
 	f := newOpsFixture(t, 10, 5)
-	rows, err := Collect(nil, NewSeqScan(f.r, "r", true))
+	rows, err := Collect(nil, summaryScan(f.r, "r"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,18 +168,18 @@ func TestSeqScanWithAndWithoutSummaries(t *testing.T) {
 	if rows[0].SetFor("r") == nil {
 		t.Error("alias set missing")
 	}
-	bare, err := Collect(nil, NewSeqScan(f.r, "r", false))
+	bare, err := Collect(nil, NewSeqScan(f.r, "r"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bare[0].Tuple.Summaries != nil {
-		t.Error("summaries attached despite propagate=false")
+		t.Error("a bare scan attached summaries")
 	}
 }
 
 func TestPredicateFilterOverDataAndSummaries(t *testing.T) {
 	f := newOpsFixture(t, 12, 0)
-	scan := NewSeqScan(f.r, "r", true)
+	scan := summaryScan(f.r, "r")
 	filt := NewFilter(scan, mustExpr(t, "r.a > 8"), nil)
 	rows, err := Collect(nil, filt)
 	if err != nil {
@@ -182,7 +188,7 @@ func TestPredicateFilterOverDataAndSummaries(t *testing.T) {
 	if len(rows) != 4 {
 		t.Errorf("data filter rows = %d", len(rows))
 	}
-	ssel := NewSummarySelect(NewSeqScan(f.r, "r", true),
+	ssel := NewSummarySelect(summaryScan(f.r, "r"),
 		mustExpr(t, "r.$.getSummaryObject('C1').getLabelValue('Disease') = 2"), nil)
 	rows, err = Collect(nil, ssel)
 	if err != nil {
@@ -204,7 +210,7 @@ func TestPredicateFilterOverDataAndSummaries(t *testing.T) {
 
 func TestSummaryFilterKeepsMatchingObjects(t *testing.T) {
 	f := newOpsFixture(t, 3, 0)
-	sf := NewSummaryFilter(NewSeqScan(f.r, "r", true), []string{"C1"}, nil)
+	sf := NewSummaryFilter(summaryScan(f.r, "r"), []string{"C1"}, nil)
 	rows, err := Collect(nil, sf)
 	if err != nil {
 		t.Fatal(err)
@@ -216,13 +222,13 @@ func TestSummaryFilterKeepsMatchingObjects(t *testing.T) {
 		t.Error("matching object dropped")
 	}
 	// Filter by type that matches nothing: tuples remain, sets empty.
-	sf2 := NewSummaryFilter(NewSeqScan(f.r, "r", true), nil, []model.SummaryType{model.SummarySnippet})
+	sf2 := NewSummaryFilter(summaryScan(f.r, "r"), nil, []model.SummaryType{model.SummarySnippet})
 	rows2, _ := Collect(nil, sf2)
 	if len(rows2) != 3 || len(rows2[0].Tuple.Summaries) != 0 {
 		t.Errorf("type filter: %d rows, %d objects", len(rows2), len(rows2[0].Tuple.Summaries))
 	}
 	// Instance+type combined.
-	sf3 := NewSummaryFilter(NewSeqScan(f.r, "r", true),
+	sf3 := NewSummaryFilter(summaryScan(f.r, "r"),
 		[]string{"C1"}, []model.SummaryType{model.SummaryClassifier})
 	rows3, _ := Collect(nil, sf3)
 	if len(rows3[0].Tuple.Summaries) != 1 {
@@ -235,7 +241,7 @@ func TestProjectComputesExpressions(t *testing.T) {
 	out := model.NewSchema("",
 		model.Column{Name: "doubled", Kind: model.KindInt},
 		model.Column{Name: "d", Kind: model.KindInt})
-	p := NewProject(NewSeqScan(f.r, "r", true),
+	p := NewProject(summaryScan(f.r, "r"),
 		[]sql.Expr{
 			mustExpr(t, "r.a * 2"),
 			mustExpr(t, "r.$.getSummaryObject('C1').getLabelValue('Disease')"),
@@ -290,7 +296,7 @@ func TestDollarFormsResolveAlike(t *testing.T) {
 	for _, form := range []string{"r.$", "$", "R.$"} {
 		pipe := NewProject(
 			NewFilter(
-				NewSummaryFilter(NewSeqScan(f.r, "r", true), []string{"C1"}, nil),
+				NewSummaryFilter(summaryScan(f.r, "r"), []string{"C1"}, nil),
 				mustExpr(t, label(form, "Disease")+" >= 2"), nil),
 			[]sql.Expr{mustExpr(t, "r.a"), mustExpr(t, label(form, "Disease"))}, out, nil)
 		rows, err := Collect(nil, pipe)
@@ -318,11 +324,11 @@ func TestDollarFormsResolveAlike(t *testing.T) {
 		t.Fatal(err)
 	}
 	joins := map[string]Operator{
-		"nl": NewNLJoin(NewSeqScan(f.r, "r", true), NewSeqScan(f.s, "s", true),
+		"nl": NewNLJoin(summaryScan(f.r, "r"), summaryScan(f.s, "s"),
 			mustExpr(t, "r.a = s.x AND "+residual), true, nil),
-		"hash": NewHashJoin(NewSeqScan(f.r, "r", true), NewSeqScan(f.s, "s", true),
+		"hash": NewHashJoin(summaryScan(f.r, "r"), summaryScan(f.s, "s"),
 			mustExpr(t, "r.a"), mustExpr(t, "s.x"), mustExpr(t, residual), true, nil),
-		"index": NewIndexJoin(NewSeqScan(f.r, "r", true), f.s, "s", "x",
+		"index": NewIndexJoin(summaryScan(f.r, "r"), f.s, "s", "x",
 			mustExpr(t, "r.a"), mustExpr(t, residual), true, nil),
 	}
 	joined := model.NewSchema("",
@@ -345,7 +351,7 @@ func TestDollarFormsResolveAlike(t *testing.T) {
 
 func TestNLJoinMergesAndPreservesOuterOrder(t *testing.T) {
 	f := newOpsFixture(t, 6, 12)
-	j := NewNLJoin(NewSeqScan(f.r, "r", true), NewSeqScan(f.s, "s", true),
+	j := NewNLJoin(summaryScan(f.r, "r"), summaryScan(f.s, "s"),
 		mustExpr(t, "r.a = s.x"), true, nil)
 	rows, err := Collect(nil, j)
 	if err != nil {
@@ -375,12 +381,12 @@ func TestIndexJoinAgreesWithNLJoin(t *testing.T) {
 	if _, err := f.s.CreateDataIndex("x"); err != nil {
 		t.Fatal(err)
 	}
-	nl, err := Collect(nil, NewNLJoin(NewSeqScan(f.r, "r", true), NewSeqScan(f.s, "s", true),
+	nl, err := Collect(nil, NewNLJoin(summaryScan(f.r, "r"), summaryScan(f.s, "s"),
 		mustExpr(t, "r.a = s.x"), true, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ij, err := Collect(nil, NewIndexJoin(NewSeqScan(f.r, "r", true), f.s, "s", "x",
+	ij, err := Collect(nil, NewIndexJoin(summaryScan(f.r, "r"), f.s, "s", "x",
 		mustExpr(t, "r.a"), nil, true, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -408,7 +414,7 @@ func TestIndexJoinResidualPredicate(t *testing.T) {
 	if _, err := f.s.CreateDataIndex("x"); err != nil {
 		t.Fatal(err)
 	}
-	ij, err := Collect(nil, NewIndexJoin(NewSeqScan(f.r, "r", true), f.s, "s", "x",
+	ij, err := Collect(nil, NewIndexJoin(summaryScan(f.r, "r"), f.s, "s", "x",
 		mustExpr(t, "r.a"), mustExpr(t, "s.z = 'z09'"), true, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -424,11 +430,11 @@ func TestSortInMemoryAndExternalAgree(t *testing.T) {
 		{Expr: mustExpr(t, "r.$.getSummaryObject('C1').getLabelValue('Disease')"), Desc: true},
 		{Expr: mustExpr(t, "r.a")},
 	}
-	mem, err := Collect(nil, NewSort(NewSeqScan(f.r, "r", true), keys, nil))
+	mem, err := Collect(nil, NewSort(summaryScan(f.r, "r"), keys, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, err := Collect(nil, NewExternalSort(NewSeqScan(f.r, "r", true), keys, 7, nil))
+	ext, err := Collect(nil, NewExternalSort(summaryScan(f.r, "r"), keys, 7, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +475,7 @@ func TestGroupByAggregates(t *testing.T) {
 		{Func: "avg", Arg: mustExpr(t, "r.a"), Name: "mean"},
 	}
 	// Group by a % 2 parity via an expression key.
-	g := NewGroupBy(NewSeqScan(f.r, "r", true),
+	g := NewGroupBy(summaryScan(f.r, "r"),
 		[]sql.Expr{mustExpr(t, "r.a / 7")}, aggs, nil)
 	rows, err := Collect(nil, g)
 	if err != nil {
@@ -495,7 +501,7 @@ func TestGroupByAggregates(t *testing.T) {
 
 func TestLimitAndDistinct(t *testing.T) {
 	f := newOpsFixture(t, 10, 0)
-	rows, err := Collect(nil, NewLimit(NewSeqScan(f.r, "r", false), 3))
+	rows, err := Collect(nil, NewLimit(NewSeqScan(f.r, "r"), 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +511,7 @@ func TestLimitAndDistinct(t *testing.T) {
 	// Distinct over a constant projection collapses everything, merging
 	// summaries.
 	out := model.NewSchema("", model.Column{Name: "k", Kind: model.KindInt})
-	p := NewProject(NewSeqScan(f.r, "r", true), []sql.Expr{mustExpr(t, "1")}, out, nil)
+	p := NewProject(summaryScan(f.r, "r"), []sql.Expr{mustExpr(t, "1")}, out, nil)
 	d, err := Collect(nil, NewDistinct(p, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -529,7 +535,7 @@ func TestLimitAndDistinct(t *testing.T) {
 // batch capacity.
 func TestDistinctMergesAllSummaryTypes(t *testing.T) {
 	f := newMergeFixture(t, 96)
-	scanned, err := Collect(nil, NewSeqScan(f.r, "r", true))
+	scanned, err := Collect(nil, summaryScan(f.r, "r"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,7 +554,7 @@ func TestDistinctMergesAllSummaryTypes(t *testing.T) {
 	}
 	for _, capacity := range []int{1, 7, 1024} {
 		out := model.NewSchema("", model.Column{Name: "k", Kind: model.KindInt})
-		p := NewProject(NewSeqScan(f.r, "r", true), []sql.Expr{mustExpr(t, "r.a / 12")}, out, nil)
+		p := NewProject(summaryScan(f.r, "r"), []sql.Expr{mustExpr(t, "r.a / 12")}, out, nil)
 		got, err := Collect(NewQueryCtx(nil, nil, capacity), NewDistinct(p, nil))
 		if err != nil {
 			t.Fatal(err)
@@ -571,7 +577,7 @@ func TestSummaryEffectProjectEliminates(t *testing.T) {
 	f := newOpsFixture(t, 1, 0)
 	// The fixture's annotations are row-level; add one column-level
 	// annotation on b and rebuild the summary to include it.
-	rows, _ := Collect(nil, NewSeqScan(f.r, "r", true))
+	rows, _ := Collect(nil, summaryScan(f.r, "r"))
 	oid := rows[0].Tuple.OID
 	colAnn := f.cat.Anns.Add(oid, "column note", []string{"b"}, "u")
 	set := f.r.GetSummaries(oid).Clone()
@@ -582,7 +588,7 @@ func TestSummaryEffectProjectEliminates(t *testing.T) {
 	f.r.PutSummaries(oid, set)
 
 	// Keep only column a: the b-attached annotation's effect vanishes.
-	sp := NewSummaryEffectProject(NewSeqScan(f.r, "r", true), []string{"a"},
+	sp := NewSummaryEffectProject(summaryScan(f.r, "r"), []string{"a"},
 		f.cat.Anns.ForTuple, f.cat.Anns.Lookup())
 	got, err := Collect(nil, sp)
 	if err != nil {
@@ -593,7 +599,7 @@ func TestSummaryEffectProjectEliminates(t *testing.T) {
 		t.Errorf("projected Other = %d, want 1", v)
 	}
 	// Keeping b retains it.
-	sp2 := NewSummaryEffectProject(NewSeqScan(f.r, "r", true), []string{"a", "b"},
+	sp2 := NewSummaryEffectProject(summaryScan(f.r, "r"), []string{"a", "b"},
 		f.cat.Anns.ForTuple, f.cat.Anns.Lookup())
 	got2, _ := Collect(nil, sp2)
 	if v, _ := got2[0].Tuple.Summaries.Get("C1").GetLabelValue("Other"); v != 2 {

@@ -18,9 +18,12 @@ import (
 func partitionedScans(f *opsFixture, dop int, propagate bool) []Operator {
 	workers := make([]Operator, dop)
 	for i := range workers {
-		s := NewSeqScan(f.r, "r", propagate)
+		s := NewSeqScan(f.r, "r")
 		s.Part = PartitionSpec{Index: i, Of: dop}
 		workers[i] = s
+		if propagate {
+			workers[i] = NewAttachSummaries(s, f.r)
+		}
 	}
 	return workers
 }
@@ -30,7 +33,7 @@ func rowKey(r *Row) string { return r.Tuple.String() + " " + r.Tuple.Summaries.S
 
 func TestGatherMatchesSerialScan(t *testing.T) {
 	f := newOpsFixture(t, 40, 0) // PageCap 8 -> 5 pages
-	serial, err := Collect(nil, NewSeqScan(f.r, "r", true))
+	serial, err := Collect(nil, summaryScan(f.r, "r"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +56,7 @@ func TestGatherMatchesSerialScan(t *testing.T) {
 func TestGatherWithFilterPipeline(t *testing.T) {
 	f := newOpsFixture(t, 40, 0)
 	pred := "r.a > 10"
-	serial, err := Collect(nil, NewFilter(NewSeqScan(f.r, "r", false), mustExpr(t, pred), nil))
+	serial, err := Collect(nil, NewFilter(NewSeqScan(f.r, "r"), mustExpr(t, pred), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +96,7 @@ func TestParallelGroupByMatchesSerial(t *testing.T) {
 			{Func: "avg", Arg: mustExpr(t, "r.a"), Name: "mean"},
 		}
 	}
-	serial, err := Collect(nil, NewGroupBy(NewSeqScan(f.r, "r", true), keys(), aggs(), nil))
+	serial, err := Collect(nil, NewGroupBy(summaryScan(f.r, "r"), keys(), aggs(), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +120,7 @@ func TestParallelGroupByMatchesSerial(t *testing.T) {
 
 func TestParallelHashJoinMatchesSerial(t *testing.T) {
 	f := newOpsFixture(t, 9, 40)
-	serial, err := Collect(nil, NewHashJoin(NewSeqScan(f.r, "r", true), NewSeqScan(f.s, "s", true),
+	serial, err := Collect(nil, NewHashJoin(summaryScan(f.r, "r"), summaryScan(f.s, "s"),
 		mustExpr(t, "r.a"), mustExpr(t, "s.x"), nil, true, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -125,11 +128,11 @@ func TestParallelHashJoinMatchesSerial(t *testing.T) {
 	for _, dop := range []int{2, 3, 5} {
 		builds := make([]Operator, dop)
 		for i := range builds {
-			b := NewSeqScan(f.s, "s", true)
+			b := NewSeqScan(f.s, "s")
 			b.Part = PartitionSpec{Index: i, Of: dop}
-			builds[i] = b
+			builds[i] = NewAttachSummaries(b, f.s)
 		}
-		par, err := Collect(nil, NewParallelHashJoin(NewSeqScan(f.r, "r", true), builds,
+		par, err := Collect(nil, NewParallelHashJoin(summaryScan(f.r, "r"), builds,
 			mustExpr(t, "r.a"), mustExpr(t, "s.x"), nil, true, nil))
 		if err != nil {
 			t.Fatalf("dop %d: %v", dop, err)
@@ -236,11 +239,11 @@ func TestParallelBuildBudgetRelease(t *testing.T) {
 	f := newOpsFixture(t, 9, 40)
 	builds := make([]Operator, 3)
 	for i := range builds {
-		b := NewSeqScan(f.s, "s", false)
+		b := NewSeqScan(f.s, "s")
 		b.Part = PartitionSpec{Index: i, Of: 3}
 		builds[i] = b
 	}
-	j := NewParallelHashJoin(NewSeqScan(f.r, "r", false), builds,
+	j := NewParallelHashJoin(NewSeqScan(f.r, "r"), builds,
 		mustExpr(t, "r.a"), mustExpr(t, "s.x"), nil, false, nil)
 	budget := NewBudget(10, 0, 0) // build side is 40 rows
 	_, err := Collect(NewQueryCtx(context.Background(), budget, 1), j)

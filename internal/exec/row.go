@@ -1,7 +1,8 @@
 // Package exec implements the physical operators of the extended query
 // engine, all exchanging row batches through one protocol (Operator):
 // scans (sequential, Summary-BTree, baseline, and data-index), the
-// standard operators with summary-aware semantics (selection,
+// summary attach that reads their tuples' summary sets, the standard
+// operators with summary-aware semantics (selection,
 // projection, joins with summary merge, grouping, sort), and the new
 // summary-based physical operators of Section 3.2 — filter (F),
 // selection (S), join (J), and sort (O).

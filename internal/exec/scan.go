@@ -14,28 +14,26 @@ type PartitionSpec struct {
 	Of    int
 }
 
-// SeqScan reads a table in physical order, optionally attaching each
-// tuple's summary set from R_SummaryStorage (summary propagation).
+// SeqScan reads a table in physical order. It fetches no summary sets:
+// an AttachSummaries above it does, when something needs them.
 // With a PartitionSpec set it reads only its page-range share, so Of
 // scans with Index 0..Of-1 together cover the table exactly once, in
 // partition order equal to the serial scan order.
 type SeqScan struct {
-	Table     *catalog.Table
-	Alias     string
-	Propagate bool
-	Part      PartitionSpec
+	Table *catalog.Table
+	Alias string
+	Part  PartitionSpec
 
 	schema *model.Schema
 	cursor *heap.Cursor[[]model.Value]
 }
 
 // NewSeqScan builds a sequential scan.
-func NewSeqScan(t *catalog.Table, alias string, propagate bool) *SeqScan {
+func NewSeqScan(t *catalog.Table, alias string) *SeqScan {
 	if alias == "" {
 		alias = t.Name
 	}
-	return &SeqScan{Table: t, Alias: alias, Propagate: propagate,
-		schema: t.Schema.Rename(alias)}
+	return &SeqScan{Table: t, Alias: alias, schema: t.Schema.Rename(alias)}
 }
 
 // Open positions the scan at the first tuple of its partition.
@@ -84,9 +82,6 @@ func (s *SeqScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 		t.OID, t.Values = oid, values
 		r := &rows[n]
 		r.Tuple = t
-		if s.Propagate {
-			t.Summaries = s.Table.GetSummaries(oid)
-		}
 		b.Append(r)
 	}
 	return b, nil
@@ -106,14 +101,58 @@ func (s *SeqScan) Close() error {
 func (s *SeqScan) Schema() *model.Schema { return s.schema }
 
 // fetchRow loads a base tuple at a known heap location and wraps it as a
-// pipeline row; shared by the index scans.
-func fetchRow(t *catalog.Table, rid heap.RID, propagate bool) (*Row, bool) {
+// pipeline row; shared by the index scans and the index join.
+func fetchRow(t *catalog.Table, rid heap.RID) (*Row, bool) {
 	tu, ok := t.GetAt(rid)
 	if !ok {
 		return nil, false
 	}
-	if propagate {
-		tu.Summaries = t.GetSummaries(tu.OID)
-	}
 	return &Row{Tuple: tu}, true
+}
+
+// AttachSummaries sets each live row's summary set from its table's
+// R_SummaryStorage: the one place a scan path fetches summaries. The
+// compiler puts it above the data-only selections on its leaf, so a row
+// those selections drop never pays for its set. The leaf's tuples are
+// fresh per statement, so the set is attached in place.
+type AttachSummaries struct {
+	Input Operator
+	Table *catalog.Table
+}
+
+// NewAttachSummaries builds the attach over a single-table input.
+func NewAttachSummaries(in Operator, t *catalog.Table) *AttachSummaries {
+	return &AttachSummaries{Input: in, Table: t}
+}
+
+// Open opens the input.
+func (a *AttachSummaries) Open(qc *QueryCtx) error { return a.Input.Open(qc) }
+
+// NextBatch attaches the summary sets of the input batch's live rows.
+func (a *AttachSummaries) NextBatch(qc *QueryCtx) (b *Batch, err error) {
+	defer recoverOp("AttachSummaries", &err)
+	b, err = a.Input.NextBatch(qc)
+	if err != nil || b == nil {
+		return nil, err
+	}
+	for i, n := 0, b.Len(); i < n; i++ {
+		t := b.Row(i).Tuple
+		t.Summaries = a.Table.GetSummaries(t.OID)
+	}
+	return b, nil
+}
+
+// Close closes the input.
+func (a *AttachSummaries) Close() error { return a.Input.Close() }
+
+// Schema returns the input schema.
+func (a *AttachSummaries) Schema() *model.Schema { return a.Input.Schema() }
+
+// FetchStats forwards an index scan's fetch-stage counters, so the scan
+// keeps its EXPLAIN ANALYZE fetch figures under the attach.
+func (a *AttachSummaries) FetchStats() FetchStats {
+	if fr, ok := a.Input.(fetchReporter); ok {
+		return fr.FetchStats()
+	}
+	return FetchStats{}
 }

@@ -288,6 +288,9 @@ func OpName(it Operator) string {
 	switch op := it.(type) {
 	case *statsIter:
 		return OpName(op.child)
+	case *AttachSummaries:
+		// The attach is part of the operator it sits on top of.
+		return OpName(op.Input)
 	case *SeqScan:
 		return "SeqScan"
 	case *SummaryIndexScan:

@@ -3,7 +3,9 @@ package model
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // SummaryType enumerates the three summarization families supported by
@@ -157,34 +159,72 @@ func (o *SummaryObject) RepIndexByLabel(label string) int {
 }
 
 // String renders a deterministic, paper-figure-like form, e.g.
-// "ClassBird1[(Behavior,33),(Disease,8)]".
+// "ClassBird1[(Behavior,33),(Disease,8)]": a classifier rep as
+// (label,count), a cluster rep as (quoted text,count), a snippet rep as
+// (quoted text), texts quoted as strconv.Quote does. The form is built
+// by appending into one buffer sized for it up front.
 func (o *SummaryObject) String() string {
-	var b strings.Builder
-	b.WriteString(o.InstanceID)
-	b.WriteByte('[')
+	size := len(o.InstanceID) + 2
+	for _, r := range o.Reps {
+		size += len(r.Label) + min(len(r.Text), 20) + 28
+	}
+	b := make([]byte, 0, size)
+	b = append(b, o.InstanceID...)
+	b = append(b, '[')
 	for i, r := range o.Reps {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
 		switch o.Type {
 		case SummaryClassifier:
-			fmt.Fprintf(&b, "(%s,%d)", r.Label, r.Count)
+			b = append(b, '(')
+			b = append(b, r.Label...)
+			b = append(b, ',')
+			b = strconv.AppendInt(b, int64(r.Count), 10)
+			b = append(b, ')')
 		case SummaryCluster:
-			text := r.Text
-			if len(text) > 20 {
-				text = text[:17] + "..."
-			}
-			fmt.Fprintf(&b, "(%q,%d)", text, r.Count)
+			b = append(b, '(')
+			b = appendRepText(b, r.Text)
+			b = append(b, ',')
+			b = strconv.AppendInt(b, int64(r.Count), 10)
+			b = append(b, ')')
 		case SummarySnippet:
-			text := r.Text
-			if len(text) > 20 {
-				text = text[:17] + "..."
-			}
-			fmt.Fprintf(&b, "(%q)", text)
+			b = append(b, '(')
+			b = appendRepText(b, r.Text)
+			b = append(b, ')')
 		}
 	}
-	b.WriteByte(']')
-	return b.String()
+	b = append(b, ']')
+	return string(b)
+}
+
+// appendRepText appends a representative text quoted, shortened to its
+// first 17 bytes and "..." when it is longer than 20 bytes. Quoting is
+// rune by rune, so quoting the kept prefix and splicing the dots in
+// before the closing quote equals quoting prefix+"...".
+func appendRepText(b []byte, text string) []byte {
+	if len(text) <= 20 {
+		return strconv.AppendQuote(b, text)
+	}
+	b = strconv.AppendQuote(b, text[:repCut(text)])
+	return append(b[:len(b)-1], `..."`...)
+}
+
+// repCut is where a long representative text is cut: byte 17, or the
+// first byte of a valid multi-byte character that would straddle it, so
+// a cut never leaves half a character to render as \x escapes.
+func repCut(text string) int {
+	const cut = 17
+	for i := cut - 1; i > cut-utf8.UTFMax; i-- {
+		if !utf8.RuneStart(text[i]) {
+			continue
+		}
+		if r, size := utf8.DecodeRuneInString(text[i:]); (r != utf8.RuneError || size > 1) && i+size > cut {
+			return i
+		}
+		break
+	}
+	return cut
 }
 
 // Equal reports whether two summary objects carry the same logical

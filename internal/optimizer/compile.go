@@ -3,20 +3,61 @@ package optimizer
 import (
 	"fmt"
 
+	"repro/internal/catalog"
 	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/sql"
 )
 
 // Compile lowers a (possibly optimized) logical plan to physical
-// operators. Summary propagation is demand-driven: a scan attaches a
-// tuple's summary set only when some operator above it needs summaries —
+// operators. Summary propagation is demand-driven: a tuple's summary set
+// is fetched only when some operator above its leaf needs summaries —
 // either because the query propagates them to the output or because a
 // predicate, sort key, or projection expression reads the $ variable.
-// An index-answered predicate needs no summaries at all (the Figure 13
-// no-propagation case), which is what makes backward pointers pay off.
+// Scans never fetch sets themselves: an exec.AttachSummaries does,
+// placed above the stack of data-only selections on the leaf, so only
+// the rows those selections keep pay for a set (a data-only σ commutes
+// with attaching the set). An index-answered predicate needs no
+// summaries at all (the Figure 13 no-propagation case), which is what
+// makes backward pointers pay off.
 func Compile(n plan.Node, env *Env, opts Options) (exec.Operator, error) {
 	return compile(n, env, opts, env.Propagate)
+}
+
+// attach wraps a single-table leaf in the summary fetch when something
+// above needs summaries.
+func attach(leaf exec.Operator, t *catalog.Table, need bool) exec.Operator {
+	if !need {
+		return leaf
+	}
+	return exec.NewAttachSummaries(leaf, t)
+}
+
+// filteredLeafTable returns the table of the single-table leaf under a
+// stack of data-only selections rooted at n, or nil when n is anything
+// else. A baseline scan that reconstructs its summaries supplies them
+// itself and is not such a leaf.
+func filteredLeafTable(n plan.Node) *catalog.Table {
+	for {
+		switch node := n.(type) {
+		case *plan.Select:
+			if usesDollar(node.Pred) {
+				return nil
+			}
+			n = node.Child
+		case *plan.Scan:
+			return node.Table
+		case *plan.SummaryIndexScanNode:
+			return node.Table
+		case *plan.BaselineIndexScanNode:
+			if node.Reconstruct {
+				return nil
+			}
+			return node.Table
+		default:
+			return nil
+		}
+	}
 }
 
 func usesDollar(exprs ...sql.Expr) bool {
@@ -80,9 +121,9 @@ func compileWorkers(g *plan.GatherNode, env *Env, opts Options, need bool, wrapT
 func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Operator, error) {
 	switch node := n.(type) {
 	case *plan.Scan:
-		s := exec.NewSeqScan(node.Table, node.Alias, need)
+		s := exec.NewSeqScan(node.Table, node.Alias)
 		s.Part = opts.part
-		return s, nil
+		return attach(s, node.Table, need), nil
 
 	case *plan.GatherNode:
 		workers, err := compileWorkers(node, env, opts, need, false)
@@ -95,18 +136,18 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Operator,
 		// The index answers its own predicate from itemized keys; the
 		// summary set is fetched only when needed above.
 		s := exec.NewSummaryIndexScan(node.Table, node.Alias, node.Index,
-			node.Label, node.Op, node.Constant, need)
+			node.Label, node.Op, node.Constant)
 		s.ConventionalPointers = opts.ConventionalPointers
 		s.Descending = node.Descending
 		s.SortedFetch = node.FetchSorted
 		s.Part = opts.part
-		return s, nil
+		return attach(s, node.Table, need), nil
 
 	case *plan.BaselineIndexScanNode:
 		s := exec.NewBaselineIndexScan(node.Table, node.Alias, node.Index,
-			node.Label, node.Op, node.Constant, need)
+			node.Label, node.Op, node.Constant)
 		s.ReconstructSummaries = node.Reconstruct
-		return s, nil
+		return attach(s, node.Table, need && !node.Reconstruct), nil
 
 	case *plan.SummaryProject:
 		if !need {
@@ -121,6 +162,15 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Operator,
 		return exec.NewSummaryEffectProject(child, node.Kept, env.Annotations, env.Lookup), nil
 
 	case *plan.Select:
+		if t := filteredLeafTable(node); need && t != nil {
+			// The topmost data-only σ over a leaf: fetch the sets of the
+			// rows it keeps, above it, and none below.
+			child, err := compile(node.Child, env, opts, false)
+			if err != nil {
+				return nil, err
+			}
+			return exec.NewAttachSummaries(exec.NewFilter(child, node.Pred, env.Lookup), t), nil
+		}
 		child, err := compile(node.Child, env, opts, need || usesDollar(node.Pred))
 		if err != nil {
 			return nil, err

@@ -175,8 +175,8 @@ type BufferPool struct {
 	freeSpans []span
 	fileEnd   int64
 
-	images  [maxImageClass + 1][][]byte // free image buffers by size class
-	scratch []byte                      // the write-back image, reused
+	images  [imageClasses][][]byte // free image buffers by size class
+	scratch []byte                 // the write-back image, reused
 
 	resident    int
 	maxResident int
@@ -293,28 +293,52 @@ func (p *BufferPool) read(i int, k pageKey, f *frame) any {
 	return v
 }
 
-// maxImageClass bounds the recycled image buffers at 1 MiB; a larger
+// maxImageShift bounds the recycled image buffers at 1 MiB; a larger
 // image is allocated for its read and left to the collector.
-const maxImageClass = 20
+const maxImageShift = 20
 
-// image returns an n-byte buffer, recycled from n's power-of-two size
-// class when one is free. The caller holds p.mu.
+// imageClasses counts the size classes sizeClass hands out up to
+// 1 << maxImageShift.
+const imageClasses = (maxImageShift-4)*4 + 5
+
+// sizeClass returns the size class of an n-byte image and the capacity
+// of that class's buffers: the smallest 2^e·(1 + k/4), k in 1..4, that
+// holds n (8 bytes at least). Four classes per power of two keep a
+// buffer at most a quarter larger than its image. The budget counts
+// frames, not bytes, so a class's waste is paid once per frame its pages
+// hold: in whole powers of two a 140 KB summary-storage page would take
+// 256 KB.
+func sizeClass(n int) (class, size int) {
+	if n <= 8 {
+		return 0, 8
+	}
+	e := bits.Len(uint(n-1)) - 1 // 2^e < n <= 2^(e+1)
+	step := 1 << (e - 2)
+	k := (n - 1<<e + step - 1) / step
+	return (e-3)*4 + k, 1<<e + k*step
+}
+
+// image returns an n-byte buffer, recycled from n's size class when one
+// is free. The caller holds p.mu.
 func (p *BufferPool) image(n int) []byte {
-	c := bits.Len(uint(n - 1))
-	if c > maxImageClass {
+	if n > 1<<maxImageShift {
 		return make([]byte, n)
 	}
+	c, size := sizeClass(n)
 	if free := p.images[c]; len(free) > 0 {
 		p.images[c] = free[:len(free)-1]
 		return free[len(free)-1][:n]
 	}
-	return make([]byte, n, 1<<c)
+	return make([]byte, n, size)
 }
 
 // recycle returns an image buffer to its size class; each class keeps at
 // most one buffer per frame. The caller holds p.mu.
 func (p *BufferPool) recycle(buf []byte) {
-	if c := bits.Len(uint(cap(buf) - 1)); cap(buf) == 1<<c && c <= maxImageClass && len(p.images[c]) < p.budget {
+	if cap(buf) > 1<<maxImageShift {
+		return
+	}
+	if c, size := sizeClass(cap(buf)); size == cap(buf) && len(p.images[c]) < p.budget {
 		p.images[c] = append(p.images[c], buf)
 	}
 }

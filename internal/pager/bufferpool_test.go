@@ -419,3 +419,28 @@ func TestCopyOnWriteKeepsReplacedImage(t *testing.T) {
 		t.Fatalf("%d image buffers recycled after evicting pages 0 and 1 read back clean, want 2", recycled)
 	}
 }
+
+// TestImageSizeClasses: every image length up to the recycling bound
+// maps to a class whose buffers hold it with at most a quarter to spare
+// (8 bytes at least), classes grow with the length one at a time, and a
+// class's own capacity maps back to it — what recycle relies on to file
+// a buffer under the class image took it from.
+func TestImageSizeClasses(t *testing.T) {
+	prev, prevSize := 0, 8
+	for n := 1; n <= 1<<maxImageShift; n++ {
+		c, size := sizeClass(n)
+		if size < n || size > max(8, n+(n+3)/4) {
+			t.Fatalf("sizeClass(%d) = class %d of %d bytes", n, c, size)
+		}
+		if c != prev && (c != prev+1 || size <= prevSize) || c == prev && size != prevSize || c >= imageClasses {
+			t.Fatalf("sizeClass(%d) = %d/%d after %d/%d", n, c, size, prev, prevSize)
+		}
+		if c2, s2 := sizeClass(size); c2 != c || s2 != size {
+			t.Fatalf("capacity %d of class %d maps to class %d/%d", size, c, c2, s2)
+		}
+		prev, prevSize = c, size
+	}
+	if prev != imageClasses-1 {
+		t.Fatalf("%d classes used, imageClasses = %d", prev+1, imageClasses)
+	}
+}

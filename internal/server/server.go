@@ -230,8 +230,6 @@ func toPayload(res *engine.Result) *resultPayload {
 	if p.Columns == nil {
 		p.Columns = []string{}
 	}
-	anySummaries := false
-	summaries := make([]string, len(res.Rows))
 	for i, row := range res.Rows {
 		vals := make([]any, len(row.Tuple.Values))
 		for j, v := range row.Tuple.Values {
@@ -239,12 +237,11 @@ func toPayload(res *engine.Result) *resultPayload {
 		}
 		p.Rows[i] = vals
 		if set := row.Tuple.Summaries; len(set) > 0 {
-			summaries[i] = set.String()
-			anySummaries = true
+			if p.Summaries == nil {
+				p.Summaries = make([]string, len(res.Rows))
+			}
+			p.Summaries[i] = set.String()
 		}
-	}
-	if anySummaries {
-		p.Summaries = summaries
 	}
 	return p
 }
