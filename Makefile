@@ -122,10 +122,12 @@ mvcc-stress:
 # readers (which force flush-on-demand through the dirty flag) and
 # explicit flush/checkpoint calls, plus the
 # per-op vs net-delta differential against the per-annotation oracle,
-# the every-gate visibility check and the WAL-recovery identity suite.
+# the every-gate visibility check, the WAL-recovery identity suite, the
+# maintained-versus-rebuilt index and statistics oracle, and the
+# unlink-strips-the-instance check.
 ingest-stress:
 	$(GO) test -race -count=2 -run 'TestIngestConcurrentStress' ./internal/engine/
-	$(GO) test -race -count=1 -run 'TestIngestPerOpNetDeltaIdentity|TestReadGateSeesBufferedAnnotation|TestIngestWALStreamAndRecovery|TestAttachDeleteReattachLifecycle' ./internal/engine/
+	$(GO) test -race -count=1 -run 'TestIngestPerOpNetDeltaIdentity|TestReadGateSeesBufferedAnnotation|TestIngestWALStreamAndRecovery|TestAttachDeleteReattachLifecycle|TestMaintainedSummaryStateEqualsRebuild|TestUnlinkDropsInstanceSummaries' ./internal/engine/
 
 # serve-stress hammers the HTTP front-end under the race detector:
 # concurrent sessions with shared prepared statements, per-tenant

@@ -149,7 +149,9 @@ func BenchmarkFig08_BulkCreation(b *testing.B) {
 	f := sharedFixture(b)
 	b.Run("SummaryBTree", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			f.db.DropSummaryIndex("Birds", "ClassBird1")
+			if err := f.db.DropSummaryIndex("Birds", "ClassBird1"); err != nil {
+				b.Fatal(err)
+			}
 			if err := f.db.CreateSummaryIndex("Birds", "ClassBird1"); err != nil {
 				b.Fatal(err)
 			}
@@ -157,7 +159,9 @@ func BenchmarkFig08_BulkCreation(b *testing.B) {
 	})
 	b.Run("Baseline", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			f.db.DropBaselineIndex("Birds", "ClassBird1")
+			if err := f.db.DropBaselineIndex("Birds", "ClassBird1"); err != nil {
+				b.Fatal(err)
+			}
 			if err := f.db.CreateBaselineIndex("Birds", "ClassBird1"); err != nil {
 				b.Fatal(err)
 			}

@@ -96,7 +96,7 @@ type Options = optimizer.Options
 // sort-spill bytes against it. Sort degrades gracefully (spills
 // earlier); hash-based operators fail fast with ErrBudgetExceeded.
 // Install one per query via Options.Budget or database-wide via
-// Config.Budget / DB.SetDefaultBudget.
+// Config.Budget.
 type Budget = exec.Budget
 
 // NewBudget builds a budget; zero fields are unlimited.

@@ -270,7 +270,9 @@ func Fig09Incremental(h *Harness) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ds.DB.DropSummaryIndex("Birds", "ClassBird1")
+		if err := ds.DB.DropSummaryIndex("Birds", "ClassBird1"); err != nil {
+			return nil, err
+		}
 		if err := ds.DB.CreateBaselineIndex("Birds", "ClassBird1"); err != nil {
 			return nil, err
 		}

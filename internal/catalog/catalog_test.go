@@ -44,7 +44,7 @@ func TestCreateAndResolveTables(t *testing.T) {
 	}
 }
 
-func TestInsertGetUpdateDeleteTuples(t *testing.T) {
+func TestInsertGetDeleteTuples(t *testing.T) {
 	_, tbl := testCatalog(t)
 	oid, err := tbl.Insert([]model.Value{model.NewText("Swan Goose"), model.NewText("Anatidae")})
 	if err != nil {
@@ -63,15 +63,6 @@ func TestInsertGetUpdateDeleteTuples(t *testing.T) {
 	}
 	if tu2, ok := tbl.GetAt(rid); !ok || tu2.OID != oid {
 		t.Error("GetAt via heap location failed")
-	}
-	if err := tbl.Update(oid, []model.Value{model.NewText("Swan"), model.NewText("Anatidae")}); err != nil {
-		t.Fatalf("Update: %v", err)
-	}
-	if tu, _ := tbl.Get(oid); tu.Values[0].Text != "Swan" {
-		t.Error("Update not visible")
-	}
-	if err := tbl.Update(999, nil); err == nil {
-		t.Error("update of missing OID should fail")
 	}
 	if !tbl.Delete(oid) || tbl.Delete(oid) {
 		t.Error("Delete semantics")
@@ -103,16 +94,25 @@ func TestSummaryStorageLifecycle(t *testing.T) {
 		InstanceID: "C1", TupleOID: oid, Type: model.SummaryClassifier,
 		Reps: []model.Rep{{Label: "Disease", Count: 1, Elements: []int64{1}}},
 	}}
-	if created := tbl.PutSummaries(oid, set); !created {
-		t.Error("first Put should create")
-	}
-	if created := tbl.PutSummaries(oid, set); created {
-		t.Error("second Put should update")
+	rid, _ := tbl.DiskTupleLoc(oid)
+	tbl.PutSummaries(oid, rid, nil, set)
+	tbl.PutSummaries(oid, rid, set, set.Clone())
+	if tbl.SummaryStorage.Len() != 1 {
+		t.Errorf("%d summary storage rows after two Puts, want 1", tbl.SummaryStorage.Len())
 	}
 	got := tbl.GetSummaries(oid)
 	if got == nil || got.Get("C1") == nil {
 		t.Fatal("GetSummaries failed")
 	}
+	// An object no representative of which holds an annotation is
+	// dropped, and a set left empty takes its row with it.
+	emptied := got.Clone()
+	emptied[0].Reps[0] = model.Rep{Label: "Disease"}
+	tbl.PutSummaries(oid, rid, got, emptied)
+	if tbl.GetSummaries(oid) != nil || tbl.SummaryStorage.Len() != 0 {
+		t.Errorf("emptied object kept: %v", tbl.GetSummaries(oid))
+	}
+	tbl.PutSummaries(oid, rid, nil, set)
 	tbl.Delete(oid)
 	if tbl.GetSummaries(oid) != nil {
 		t.Error("summaries must vanish with the tuple")
@@ -126,13 +126,25 @@ func TestInstanceLinking(t *testing.T) {
 	c, tbl := testCatalog(t)
 	si := &SummaryInstance{Name: "ClassBird1", Type: model.SummaryClassifier,
 		Labels: []string{"Disease", "Anatomy", "Behavior", "Other"}}
-	if err := c.LinkInstance("Birds", si); err != nil {
+	if err := c.LinkInstance("Birds", si.Name); err == nil {
+		t.Error("link of an undefined instance should fail")
+	}
+	if err := c.DefineInstance(si, nil); err != nil {
+		t.Fatalf("DefineInstance: %v", err)
+	}
+	if err := c.DefineInstance(&SummaryInstance{Name: "classbird1", Type: model.SummaryCluster}, nil); err == nil {
+		t.Error("duplicate definition should fail")
+	}
+	if c.Instance("CLASSBIRD1") != si {
+		t.Error("Instance case-insensitivity")
+	}
+	if err := c.LinkInstance("Birds", si.Name); err != nil {
 		t.Fatalf("LinkInstance: %v", err)
 	}
-	if err := c.LinkInstance("Birds", si); err == nil {
+	if err := c.LinkInstance("Birds", si.Name); err == nil {
 		t.Error("duplicate link should fail")
 	}
-	if err := c.LinkInstance("missing", si); err == nil {
+	if err := c.LinkInstance("missing", si.Name); err == nil {
 		t.Error("link to missing table should fail")
 	}
 	if !tbl.HasInstance("classbird1") {
@@ -184,14 +196,17 @@ func TestInstanceValidate(t *testing.T) {
 
 func TestObserveForgetSummaryStats(t *testing.T) {
 	c, tbl := testCatalog(t)
-	c.LinkInstance("Birds", &SummaryInstance{Name: "C1", Type: model.SummaryClassifier,
-		Labels: []string{"Disease", "Other"}})
-	obj := &model.SummaryObject{InstanceID: "C1", Type: model.SummaryClassifier,
+	c.DefineInstance(&SummaryInstance{Name: "C1", Type: model.SummaryClassifier,
+		Labels: []string{"Disease", "Other"}}, nil)
+	c.LinkInstance("Birds", "C1")
+	oid, _ := tbl.Insert([]model.Value{model.NewText("x"), model.NewText("y")})
+	rid, _ := tbl.DiskTupleLoc(oid)
+	set := model.SummarySet{{InstanceID: "C1", TupleOID: oid, Type: model.SummaryClassifier,
 		Reps: []model.Rep{
 			{Label: "Disease", Count: 8, Elements: []int64{1, 2, 3, 4, 5, 6, 7, 8}},
 			{Label: "Other", Count: 2, Elements: []int64{9, 10}},
-		}}
-	tbl.ObserveSummary(obj)
+		}}}
+	tbl.PutSummaries(oid, rid, nil, set)
 	st := tbl.Stats("C1")
 	if st.Label("Disease").Max() != 8 || st.Label("Other").N() != 1 {
 		t.Errorf("stats not observed: %s", st)
@@ -199,7 +214,7 @@ func TestObserveForgetSummaryStats(t *testing.T) {
 	if st.AvgObjectSize() <= 0 {
 		t.Error("AvgObjectSize not observed")
 	}
-	tbl.ForgetSummary(obj)
+	tbl.Delete(oid)
 	if st.Label("Disease").N() != 0 || st.AvgObjectSize() != 0 {
 		t.Errorf("stats not forgotten: %s", st)
 	}

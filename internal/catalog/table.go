@@ -2,11 +2,14 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/btree"
 	"repro/internal/heap"
+	"repro/internal/index"
 	"repro/internal/model"
 	"repro/internal/pager"
 )
@@ -14,7 +17,9 @@ import (
 // Table is one user relation together with its physical storage: the
 // data heap, a B-Tree on OID (backing the engine-internal diskTupleLoc()
 // function), the de-normalized R_SummaryStorage side heap with its own
-// OID index (Figure 4(b)), the linked summary instances, and statistics.
+// OID index (Figure 4(b)), the linked summary instances, statistics, and
+// every access path over them — data-column B-Trees and both summary
+// index schemes.
 type Table struct {
 	Name   string
 	Schema *model.Schema
@@ -56,12 +61,15 @@ type Table struct {
 	// data-based index joins use.
 	dataIndexes map[string]*btree.Tree
 
-	acct    *pager.Accountant
-	nextOID *int64 // catalog-wide OID counter
+	// summaryIdx and baselineIdx hold the two index schemes over linked
+	// classifier instances (lower-case instance name -> index), kept in
+	// step with SummaryStorage by PutSummaries.
+	summaryIdx  map[string]*index.SummaryBTree
+	baselineIdx map[string]*index.Baseline
 
-	// view marks a read-only snapshot shell produced by AsOf: shared
-	// lazily-grown maps must not be mutated through it.
-	view bool
+	acct    *pager.Accountant
+	nextOID *int64         // catalog-wide OID counter
+	version *atomic.Uint64 // the catalog version (Catalog.Version)
 }
 
 // AsOf returns a read-only snapshot shell of the table frozen at epoch
@@ -74,7 +82,6 @@ type Table struct {
 // takes shells at epoch publication, under the writer lock).
 func (t *Table) AsOf(snap uint64) *Table {
 	cp := *t
-	cp.view = true
 	cp.Data = t.Data.AsOf(snap)
 	cp.oidIndex = t.oidIndex.AsOf(snap)
 	cp.SummaryStorage = t.SummaryStorage.AsOf(snap)
@@ -84,13 +91,23 @@ func (t *Table) AsOf(snap uint64) *Table {
 	for k, v := range t.InstStats {
 		cp.InstStats[k] = v
 	}
-	if len(t.dataIndexes) > 0 {
-		cp.dataIndexes = make(map[string]*btree.Tree, len(t.dataIndexes))
-		for k, v := range t.dataIndexes {
-			cp.dataIndexes[k] = v.AsOf(snap)
-		}
-	}
+	cp.dataIndexes = indexesAsOf(t.dataIndexes, snap)
+	cp.summaryIdx = indexesAsOf(t.summaryIdx, snap)
+	cp.baselineIdx = indexesAsOf(t.baselineIdx, snap)
 	return &cp
+}
+
+// indexesAsOf snapshots every index of m at epoch snap (nil when m is
+// empty).
+func indexesAsOf[X interface{ AsOf(uint64) X }](m map[string]X, snap uint64) map[string]X {
+	if len(m) == 0 {
+		return nil
+	}
+	out := make(map[string]X, len(m))
+	for k, v := range m {
+		out[k] = v.AsOf(snap)
+	}
+	return out
 }
 
 // CreateDataIndex builds (or returns) a standard B-Tree index over a
@@ -113,6 +130,7 @@ func (t *Table) CreateDataIndex(col string) (*btree.Tree, error) {
 		t.dataIndexes = make(map[string]*btree.Tree)
 	}
 	t.dataIndexes[key] = idx
+	t.version.Add(1)
 	return idx, nil
 }
 
@@ -209,36 +227,14 @@ func (t *Table) GetAt(rid heap.RID) (*model.Tuple, bool) {
 	return &model.Tuple{OID: oid, Values: values}, true
 }
 
-// Update replaces the tuple's values in place.
-func (t *Table) Update(oid int64, values []model.Value) error {
-	if len(values) != t.Schema.Len() {
-		return fmt.Errorf("catalog: %s expects %d values, got %d", t.Name, t.Schema.Len(), len(values))
-	}
-	rid, ok := t.DiskTupleLoc(oid)
-	if !ok {
-		return fmt.Errorf("catalog: %s has no tuple %d", t.Name, oid)
-	}
-	_, old, _ := t.Data.Get(rid)
-	for i, v := range old {
-		t.ColStats[i].Remove(v.SortKey())
-	}
-	t.dataIndexDelete(old, rid)
-	t.Data.Update(rid, values)
-	t.dataIndexInsert(values, rid)
-	for i, v := range values {
-		t.ColStats[i].Add(v.SortKey())
-	}
-	return nil
-}
-
-// Delete removes the tuple and its summary-storage entry. Index entries
-// for summary indexes are the engine's responsibility (it sees the
-// summary objects before deletion).
+// Delete removes the tuple and its stored summary set, with the set's
+// statistics and index entries.
 func (t *Table) Delete(oid int64) bool {
 	rid, ok := t.DiskTupleLoc(oid)
 	if !ok {
 		return false
 	}
+	t.PutSummaries(oid, rid, t.GetSummaries(oid), nil)
 	_, old, _ := t.Data.Get(rid)
 	for i, v := range old {
 		t.ColStats[i].Remove(v.SortKey())
@@ -246,10 +242,6 @@ func (t *Table) Delete(oid int64) bool {
 	t.dataIndexDelete(old, rid)
 	t.Data.Delete(rid)
 	t.oidIndex.Delete(oidKey(oid), rid.Encode())
-	if srid, ok := t.summaryLoc(oid); ok {
-		t.SummaryStorage.Delete(srid)
-		t.sumIndex.Delete(oidKey(oid), srid.Encode())
-	}
 	return true
 }
 
@@ -265,9 +257,7 @@ func (t *Table) Len() int { return t.Data.Len() }
 
 // SummaryLoc resolves a data tuple's OID to the heap location of its
 // R_SummaryStorage row.
-func (t *Table) SummaryLoc(oid int64) (heap.RID, bool) { return t.summaryLoc(oid) }
-
-func (t *Table) summaryLoc(oid int64) (heap.RID, bool) {
+func (t *Table) SummaryLoc(oid int64) (heap.RID, bool) {
 	vals := t.sumIndex.SearchEq(oidKey(oid))
 	if len(vals) == 0 {
 		return heap.RID{}, false
@@ -279,7 +269,7 @@ func (t *Table) summaryLoc(oid int64) (heap.RID, bool) {
 // tuple has never been annotated. The returned set is shared — callers
 // in the query pipeline must Clone before mutating.
 func (t *Table) GetSummaries(oid int64) model.SummarySet {
-	srid, ok := t.summaryLoc(oid)
+	srid, ok := t.SummaryLoc(oid)
 	if !ok {
 		return nil
 	}
@@ -290,18 +280,97 @@ func (t *Table) GetSummaries(oid int64) model.SummarySet {
 	return set
 }
 
-// PutSummaries stores the tuple's summary set, creating the
-// R_SummaryStorage row on first annotation ("Adding Annotation —
-// Insertion") or updating it in place ("Adding Annotation — Update").
-// It reports whether a new row was created.
-func (t *Table) PutSummaries(oid int64, set model.SummarySet) bool {
-	if srid, ok := t.summaryLoc(oid); ok {
-		t.SummaryStorage.Update(srid, set)
-		return false
+// PutSummaries is the one writer of a tuple's stored summary set
+// ("Adding/Deleting Annotation", Section 4.1.2). It replaces old — the
+// set the caller read before changing a copy of it — with set, creating,
+// updating or, once nothing is left, deleting the R_SummaryStorage row.
+// An object in which no representative still holds an annotation is
+// dropped. For every linked instance it keeps the statistics in step
+// (the old object forgotten, the new one observed) and, for a
+// classifier, both index schemes: a new object is indexed, a gone one
+// removed, and each label whose count moved is re-keyed once. rid is
+// the data tuple's heap location, the Summary-BTree's backward pointer.
+func (t *Table) PutSummaries(oid int64, rid heap.RID, old, set model.SummarySet) {
+	set = slices.DeleteFunc(set, emptyObject)
+	for _, si := range t.Instances {
+		o, n := old.Get(si.Name), set.Get(si.Name)
+		if o == n {
+			continue // absent from both, or the very same object
+		}
+		if o != nil {
+			t.forget(o)
+		}
+		if n != nil {
+			t.observe(n)
+		}
+		if si.Type == model.SummaryClassifier {
+			t.reindex(si.Name, oid, rid, o, n)
+		}
 	}
-	srid := t.SummaryStorage.Insert(oid, set)
-	t.sumIndex.Insert(oidKey(oid), srid.Encode())
+	srid, ok := t.SummaryLoc(oid)
+	switch {
+	case len(set) == 0:
+		if ok {
+			t.SummaryStorage.Delete(srid)
+			t.sumIndex.Delete(oidKey(oid), srid.Encode())
+		}
+	case ok:
+		t.SummaryStorage.Update(srid, set)
+	default:
+		srid = t.SummaryStorage.Insert(oid, set)
+		t.sumIndex.Insert(oidKey(oid), srid.Encode())
+	}
+}
+
+// emptyObject reports whether no representative of o holds an
+// annotation any more.
+func emptyObject(o *model.SummaryObject) bool {
+	for _, r := range o.Reps {
+		if len(r.Elements) > 0 {
+			return false
+		}
+	}
 	return true
+}
+
+// reindex moves instance's entries in both index schemes from object o
+// to object n of tuple oid (either may be nil).
+func (t *Table) reindex(instance string, oid int64, rid heap.RID, o, n *model.SummaryObject) {
+	key := strings.ToLower(instance)
+	sIdx, bIdx := t.summaryIdx[key], t.baselineIdx[key]
+	switch {
+	case sIdx == nil && bIdx == nil:
+	case o == nil:
+		if sIdx != nil {
+			sIdx.IndexObject(n, rid)
+		}
+		if bIdx != nil {
+			bIdx.IndexObject(n)
+		}
+	case n == nil:
+		if sIdx != nil {
+			sIdx.RemoveObject(o, rid)
+		}
+		if bIdx != nil {
+			bIdx.RemoveObject(oid)
+		}
+	default:
+		for _, r := range n.Reps {
+			was := 0
+			if i := o.RepIndexByLabel(r.Label); i >= 0 {
+				was = o.Reps[i].Count
+			}
+			if was == r.Count {
+				continue
+			}
+			if sIdx != nil {
+				sIdx.UpdateLabel(r.Label, was, r.Count, rid)
+			}
+			if bIdx != nil {
+				bIdx.UpdateLabel(oid, r.Label, r.Count)
+			}
+		}
+	}
 }
 
 // Instance returns the linked summary instance with the given name, or
@@ -320,28 +389,18 @@ func (t *Table) Instance(name string) *SummaryInstance {
 // instances in R not in S").
 func (t *Table) HasInstance(name string) bool { return t.Instance(name) != nil }
 
-// Stats returns (creating if needed) the InstanceStats for an instance.
-// On a snapshot shell a missing entry yields a fresh throwaway instead
-// of growing the map, which concurrent readers of the same epoch share.
+// Stats returns the InstanceStats of a linked instance (LinkInstance
+// creates them); any other name yields an empty throwaway, so no read
+// grows the map, which the readers of a snapshot shell share.
 func (t *Table) Stats(instance string) *InstanceStats {
-	is, ok := t.InstStats[strings.ToLower(instance)]
-	if !ok {
-		var labels []string
-		if si := t.Instance(instance); si != nil {
-			labels = si.Labels
-		}
-		is = NewInstanceStats(labels)
-		if t.view {
-			return is
-		}
-		t.InstStats[strings.ToLower(instance)] = is
+	if is, ok := t.InstStats[strings.ToLower(instance)]; ok {
+		return is
 	}
-	return is
+	return NewInstanceStats(nil)
 }
 
-// ObserveSummary folds a stored summary object into the maintained
-// statistics.
-func (t *Table) ObserveSummary(obj *model.SummaryObject) {
+// observe folds a stored summary object into the maintained statistics.
+func (t *Table) observe(obj *model.SummaryObject) {
 	is := t.Stats(obj.InstanceID)
 	is.ObserveSize(EstimateObjectSize(obj))
 	if obj.Type == model.SummaryClassifier {
@@ -351,9 +410,9 @@ func (t *Table) ObserveSummary(obj *model.SummaryObject) {
 	}
 }
 
-// ForgetSummary removes a summary object's contribution from the
-// statistics (before it is replaced or deleted).
-func (t *Table) ForgetSummary(obj *model.SummaryObject) {
+// forget removes a summary object's contribution from the statistics
+// (before it is replaced or deleted).
+func (t *Table) forget(obj *model.SummaryObject) {
 	is := t.Stats(obj.InstanceID)
 	is.ForgetSize(EstimateObjectSize(obj))
 	if obj.Type == model.SummaryClassifier {
@@ -361,6 +420,112 @@ func (t *Table) ForgetSummary(obj *model.SummaryObject) {
 			is.Label(r.Label).Remove(r.Count)
 		}
 	}
+}
+
+// IndexableInstance resolves a linked classifier instance, the only
+// kind either index scheme covers.
+func (t *Table) IndexableInstance(instance string) (*SummaryInstance, error) {
+	si := t.Instance(instance)
+	if si == nil {
+		return nil, fmt.Errorf("catalog: table %q has no instance %q", t.Name, instance)
+	}
+	if si.Type != model.SummaryClassifier {
+		return nil, fmt.Errorf("catalog: only Classifier instances are indexable, %q is %s", instance, si.Type)
+	}
+	return si, nil
+}
+
+// CreateSummaryIndex builds the Summary-BTree over a linked classifier
+// instance, bulk-loading it from SummaryStorage (the Figure 8 bulk
+// mode). A rebuild replaces the old index and releases it.
+func (t *Table) CreateSummaryIndex(instance string) error {
+	si, err := t.IndexableInstance(instance)
+	if err != nil {
+		return err
+	}
+	idx := index.NewSummaryBTree(t.acct, si.Name)
+	return installIndex(t, t.summaryIdx, si.Name, idx, idx.IndexObject)
+}
+
+// CreateBaselineIndex builds the baseline scheme (normalized side table
+// + derived-column B-Tree) over a linked classifier instance from
+// SummaryStorage. A rebuild replaces the old index and releases it.
+func (t *Table) CreateBaselineIndex(instance string) error {
+	si, err := t.IndexableInstance(instance)
+	if err != nil {
+		return err
+	}
+	idx := index.NewBaseline(t.acct, t.Data.PageCap(), si.Name)
+	return installIndex(t, t.baselineIdx, si.Name, idx, func(obj *model.SummaryObject, _ heap.RID) error {
+		return idx.IndexObject(obj)
+	})
+}
+
+// installIndex loads idx with the instance's stored objects and installs
+// it in m, replacing (and releasing) any index there. On a load error
+// idx is released and nothing changes.
+func installIndex[X interface{ Release() }](t *Table, m map[string]X, instance string, idx X,
+	add func(*model.SummaryObject, heap.RID) error) error {
+	var err error
+	t.SummaryStorage.Scan(func(_ heap.RID, oid int64, set model.SummarySet) bool {
+		if obj := set.Get(instance); obj != nil {
+			if rid, ok := t.DiskTupleLoc(oid); ok {
+				err = add(obj, rid)
+			}
+		}
+		return err == nil
+	})
+	if err != nil {
+		idx.Release()
+		return err
+	}
+	key := strings.ToLower(instance)
+	releaseIndex(m, key)
+	m[key] = idx
+	t.version.Add(1)
+	return nil
+}
+
+// DropSummaryIndex removes the Summary-BTree on instance and releases
+// it.
+func (t *Table) DropSummaryIndex(instance string) error {
+	return dropIndex(t, t.summaryIdx, "Summary-BTree", instance)
+}
+
+// DropBaselineIndex removes the baseline index on instance and releases
+// it.
+func (t *Table) DropBaselineIndex(instance string) error {
+	return dropIndex(t, t.baselineIdx, "baseline index", instance)
+}
+
+func dropIndex[X interface{ Release() }](t *Table, m map[string]X, kind, instance string) error {
+	if !releaseIndex(m, strings.ToLower(instance)) {
+		return fmt.Errorf("catalog: table %q has no %s on %q", t.Name, kind, instance)
+	}
+	t.version.Add(1)
+	return nil
+}
+
+// releaseIndex removes the index under key from m, if there is one, and
+// releases its storage (an index that is only unlinked would stay
+// registered with the epoch clock and the buffer pool forever).
+func releaseIndex[X interface{ Release() }](m map[string]X, key string) bool {
+	x, ok := m[key]
+	if ok {
+		x.Release()
+		delete(m, key)
+	}
+	return ok
+}
+
+// SummaryIndex returns the Summary-BTree on instance, or nil.
+func (t *Table) SummaryIndex(instance string) *index.SummaryBTree {
+	return t.summaryIdx[strings.ToLower(instance)]
+}
+
+// BaselineIndex returns the baseline index on instance, or nil.
+func (t *Table) BaselineIndex(instance string) *index.Baseline {
+	return t.baselineIdx[strings.ToLower(instance)]
 }
 
 // Accountant exposes the table's I/O accountant.

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -105,22 +104,11 @@ type DB struct {
 	cat  *catalog.Catalog
 	acct *pager.Accountant
 
-	// instances is the global summary-instance registry (definitions are
-	// created once, then linked to relations with ALTER TABLE ... ADD).
-	instances map[string]*catalog.SummaryInstance
-
-	// classifiers holds the trained model per classifier instance.
-	classifiers map[string]*bayes.Classifier
-
-	// summaryIdx / baselineIdx: table -> instance -> index.
-	summaryIdx  map[string]map[string]*index.SummaryBTree
-	baselineIdx map[string]map[string]*index.Baseline
-
-	// stmtTimeout is the default per-statement deadline in nanoseconds
-	// (0 = none); defaultBudget is the default per-query resource-limit
-	// template. Both are atomics so they can be tuned while queries run.
-	stmtTimeout   atomic.Int64
-	defaultBudget atomic.Pointer[exec.Budget]
+	// stmtTimeout and defaultBudget are Config.StatementTimeout and
+	// Config.Budget: the default per-statement deadline (0 = none) and
+	// per-query resource-limit template (nil = unlimited).
+	stmtTimeout   time.Duration
+	defaultBudget *exec.Budget
 
 	// maxParallel and maxBatch are Config.MaxParallelWorkers and
 	// Config.MaxBatchSize, applied to queries whose options leave those
@@ -187,12 +175,8 @@ type DB struct {
 	ingestFlushedOps, ingestPending atomic.Int64
 	ingestFlushedTuples             atomic.Int64
 
-	// catalogVersion counts catalog-shape changes — table/index DDL,
-	// instance links, summary/baseline index creation and drops, and
-	// explicit statistics refreshes. The plan cache keys every entry on
-	// it, so one bump invalidates all cached plans (see prepare.go).
-	catalogVersion atomic.Uint64
-	// planCache holds optimized plan skeletons (see prepare.go).
+	// planCache holds optimized plan skeletons, validated against the
+	// catalog version (see prepare.go).
 	planCache *optimizer.PlanCache
 }
 
@@ -231,19 +215,17 @@ func newDB(cfg Config, acct *pager.Accountant) *DB {
 	clock := mvcc.New()
 	acct.SetClock(clock)
 	db := &DB{
-		cat:         catalog.New(acct, cfg.PageCap),
-		acct:        acct,
-		instances:   make(map[string]*catalog.SummaryInstance),
-		classifiers: make(map[string]*bayes.Classifier),
-		summaryIdx:  make(map[string]map[string]*index.SummaryBTree),
-		baselineIdx: make(map[string]map[string]*index.Baseline),
-		clock:       clock,
-		ingest:      ingestBuffer{index: make(map[int64]int)},
-		ingestEvery: cfg.IngestFlushOps,
-		walDir:      cfg.WALDir,
-		fsync:       (*os.File).Sync,
-		maxParallel: cfg.MaxParallelWorkers,
-		maxBatch:    cfg.MaxBatchSize,
+		cat:           catalog.New(acct, cfg.PageCap),
+		acct:          acct,
+		stmtTimeout:   cfg.StatementTimeout,
+		defaultBudget: cfg.Budget,
+		clock:         clock,
+		ingest:        ingestBuffer{index: make(map[int64]int)},
+		ingestEvery:   cfg.IngestFlushOps,
+		walDir:        cfg.WALDir,
+		fsync:         (*os.File).Sync,
+		maxParallel:   cfg.MaxParallelWorkers,
+		maxBatch:      cfg.MaxBatchSize,
 
 		checkpointEvery: cfg.CheckpointEveryN,
 	}
@@ -251,24 +233,12 @@ func newDB(cfg Config, acct *pager.Accountant) *DB {
 		cfg.PlanCacheSize = defaultPlanCacheSize
 	}
 	db.planCache = optimizer.NewPlanCache(cfg.PlanCacheSize)
-	db.stmtTimeout.Store(int64(cfg.StatementTimeout))
-	db.defaultBudget.Store(cfg.Budget)
 	db.publishLocked() // initial empty epoch; the DB is not shared yet
 	return db
 }
 
-// SetStatementTimeout changes the default per-statement deadline applied
-// to queries whose context has no deadline (0 disables it). Safe to call
-// while queries are running; in-flight statements keep their deadline.
-func (db *DB) SetStatementTimeout(d time.Duration) { db.stmtTimeout.Store(int64(d)) }
-
-// StatementTimeout returns the current default per-statement deadline.
-func (db *DB) StatementTimeout() time.Duration { return time.Duration(db.stmtTimeout.Load()) }
-
-// SetDefaultBudget changes the default per-query resource-limit template
-// (nil = unlimited). Safe to call while queries are running; each query
-// snapshots the template at start.
-func (db *DB) SetDefaultBudget(b *exec.Budget) { db.defaultBudget.Store(b) }
+// StatementTimeout returns the default per-statement deadline.
+func (db *DB) StatementTimeout() time.Duration { return db.stmtTimeout }
 
 // Accountant exposes the shared I/O accountant (benchmarks reset and
 // read it around measured operations).
@@ -343,11 +313,8 @@ func (db *DB) CreateTable(name string, schema *model.Schema) (*catalog.Table, er
 }
 
 func (p *pCreateTable) apply(db *DB) error {
-	if _, err := db.cat.CreateTable(p.Name, model.NewSchema("", p.Columns...)); err != nil {
-		return err
-	}
-	db.bumpCatalogVersion()
-	return nil
+	_, err := db.cat.CreateTable(p.Name, model.NewSchema("", p.Columns...))
+	return err
 }
 
 // Table resolves a relation.
@@ -413,11 +380,8 @@ func (p *pCreateDataIndex) apply(db *DB) error {
 	if err != nil {
 		return err
 	}
-	if _, err = t.CreateDataIndex(p.Column); err != nil {
-		return err
-	}
-	db.bumpCatalogVersion()
-	return nil
+	_, err = t.CreateDataIndex(p.Column)
+	return err
 }
 
 // DeleteTuple removes a tuple, its summary objects, its index entries,
@@ -443,53 +407,18 @@ func (tx *Txn) deleteTuple(table string, oid int64) error {
 }
 
 func (p *pDeleteTuple) apply(db *DB) error {
-	table, oid := p.Table, p.OID
-	t, rid, err := db.tupleLoc(table, oid)
+	t, _, err := db.tupleLoc(p.Table, p.OID)
 	if err != nil {
 		return err
 	}
-	// Flush so the summary objects and counters unwound below reflect
-	// every buffered annotation.
+	// Flush so the summaries unwound below reflect every buffered
+	// annotation. The tuple's annotations die with it: every other tuple
+	// they target sheds them.
 	db.flushIngestLocked()
-	set := t.GetSummaries(oid)
-	for _, obj := range set {
-		t.ForgetSummary(obj)
-		if idx := db.summaryIndex(table, obj.InstanceID); idx != nil {
-			idx.RemoveObject(obj, rid)
-		}
-		if idx := db.baselineIndex(table, obj.InstanceID); idx != nil {
-			idx.RemoveObject(oid)
-		}
+	for _, a := range db.cat.Anns.ForTuple(p.OID) {
+		db.dropAnnotation(a, p.OID)
 	}
-	for _, a := range db.cat.Anns.ForTuple(oid) {
-		// The annotation dies with the tuple. Every OTHER tuple it targets
-		// (its primary, or extra attachments) must shed its contribution,
-		// and each column-targeted attachment unwinds its table's counter.
-		others := make([]int64, 0, 1+len(db.cat.Anns.Attachments(a.ID)))
-		if a.TupleOID != oid {
-			others = append(others, a.TupleOID)
-		}
-		for _, o := range db.cat.Anns.Attachments(a.ID) {
-			if o != oid {
-				others = append(others, o)
-			}
-		}
-		db.cat.Anns.Delete(a.ID)
-		if len(a.Columns) > 0 && t.ColAttachedAnns > 0 {
-			t.ColAttachedAnns--
-		}
-		for _, o := range others {
-			t2, rid2, ok := db.tableForOID(o)
-			if !ok {
-				continue
-			}
-			if len(a.Columns) > 0 && t2.ColAttachedAnns > 0 {
-				t2.ColAttachedAnns--
-			}
-			db.shedAnnotation(t2, o, rid2, a.ID)
-		}
-	}
-	t.Delete(oid)
+	t.Delete(p.OID)
 	return nil
 }
 
@@ -520,13 +449,7 @@ func (db *DB) SummaryIndex(table, instance string) *index.SummaryBTree {
 	db.flushIfDirty()
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.summaryIndex(table, instance)
-}
-
-// summaryIndex is the unlocked variant for callers that already hold
-// db.mu (queries resolve indexes through their pinned epoch instead).
-func (db *DB) summaryIndex(table, instance string) *index.SummaryBTree {
-	return db.summaryIdx[strings.ToLower(table)][strings.ToLower(instance)]
+	return db.cat.SummaryIndex(table, instance)
 }
 
 // BaselineIndex returns the baseline index on (table, instance), or nil.
@@ -534,16 +457,12 @@ func (db *DB) BaselineIndex(table, instance string) *index.Baseline {
 	db.flushIfDirty()
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.baselineIndex(table, instance)
-}
-
-func (db *DB) baselineIndex(table, instance string) *index.Baseline {
-	return db.baselineIdx[strings.ToLower(table)][strings.ToLower(instance)]
+	return db.cat.BaselineIndex(table, instance)
 }
 
 // Classifier returns the trained model behind a classifier instance.
 func (db *DB) Classifier(instance string) *bayes.Classifier {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.classifiers[strings.ToLower(instance)]
+	return db.cat.Classifier(instance)
 }

@@ -56,11 +56,15 @@ func testDB(t *testing.T, nBirds int) (*DB, []int64) {
 }
 
 // testDBWithConfig is testDB under an explicit engine configuration
-// (buffer pool sizes, timeouts); the dataset is identical.
+// (buffer pool sizes, timeouts, a log directory); the dataset is
+// identical.
 func testDBWithConfig(t *testing.T, nBirds int, cfg Config) (*DB, []int64) {
 	t.Helper()
-	db := New(cfg)
-	if cfg.BufferPoolPages > 0 {
+	db, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.BufferPoolPages > 0 || cfg.WALDir != "" {
 		t.Cleanup(func() { db.Close() })
 	}
 	schema := model.NewSchema("",

@@ -1,13 +1,13 @@
 package engine
 
-// MVCC snapshot reads. The engine publishes its queryable state —
-// catalog tables, annotation store, summary instances, trained
-// classifiers, and both index schemes — as an immutable EPOCH behind the
-// accountant's mvcc.Clock. Mutators run under the exclusive lock as
-// before, but finish by building copy-on-write shells of everything they
-// touched (storage versions every page/node it supersedes, so a shell
-// costs O(#tables + #instances + #indexes), never O(data)) and
-// atomically publishing the next epoch. Readers pin an epoch, run
+// MVCC snapshot reads. The engine publishes its queryable state — the
+// catalog: tables with their storage and every index, and the annotation
+// store — as an immutable EPOCH behind the accountant's mvcc.Clock: an
+// epoch is Catalog.AsOf at the publication stamp. Mutators run under the
+// exclusive lock, and finish by building that copy-on-write shell
+// (storage versions every page/node it supersedes, so a shell costs
+// O(#tables + #instances + #indexes), never O(data)) and atomically
+// publishing the next epoch. Readers pin an epoch, run
 // entirely against its shells, and unpin — they never take db.mu, so
 // queries proceed at full speed while mutations and checkpoints run.
 //
@@ -20,37 +20,20 @@ package engine
 import (
 	"context"
 	"errors"
-	"strings"
 	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/index"
-	"repro/internal/mining/bayes"
 )
 
 // ErrClosed reports a read or a mutation attempted after Close.
 var ErrClosed = errors.New("engine: database is closed")
 
 // dbEpoch is one immutable published snapshot of the engine's queryable
-// state. All maps are private copies; the values are either immutable
-// (instances, trained classifiers) or snapshot shells resolving storage
-// through the version stores at the epoch's stamp.
+// state: the catalog's snapshot shell at the epoch's stamp.
 type dbEpoch struct {
-	stamp       uint64
-	lsn         uint64 // WAL watermark the epoch reflects (0 without WAL)
-	cat         *catalog.Catalog
-	instances   map[string]*catalog.SummaryInstance
-	classifiers map[string]*bayes.Classifier
-	summaryIdx  map[string]map[string]*index.SummaryBTree
-	baselineIdx map[string]map[string]*index.Baseline
-}
-
-func (ep *dbEpoch) summaryIndex(table, instance string) *index.SummaryBTree {
-	return ep.summaryIdx[strings.ToLower(table)][strings.ToLower(instance)]
-}
-
-func (ep *dbEpoch) baselineIndex(table, instance string) *index.Baseline {
-	return ep.baselineIdx[strings.ToLower(table)][strings.ToLower(instance)]
+	stamp uint64
+	lsn   uint64 // WAL watermark the epoch reflects (0 without WAL)
+	cat   *catalog.Catalog
 }
 
 // publishLocked builds and publishes the next epoch from the current
@@ -60,34 +43,7 @@ func (ep *dbEpoch) baselineIndex(table, instance string) *index.Baseline {
 // exactly the published effects.
 func (db *DB) publishLocked() {
 	st := db.clock.Stamp()
-	ep := &dbEpoch{
-		stamp:       st,
-		cat:         db.cat.AsOf(st),
-		instances:   make(map[string]*catalog.SummaryInstance, len(db.instances)),
-		classifiers: make(map[string]*bayes.Classifier, len(db.classifiers)),
-		summaryIdx:  make(map[string]map[string]*index.SummaryBTree, len(db.summaryIdx)),
-		baselineIdx: make(map[string]map[string]*index.Baseline, len(db.baselineIdx)),
-	}
-	for k, v := range db.instances {
-		ep.instances[k] = v
-	}
-	for k, v := range db.classifiers {
-		ep.classifiers[k] = v
-	}
-	for tk, m := range db.summaryIdx {
-		mm := make(map[string]*index.SummaryBTree, len(m))
-		for ik, x := range m {
-			mm[ik] = x.AsOf(st)
-		}
-		ep.summaryIdx[tk] = mm
-	}
-	for tk, m := range db.baselineIdx {
-		mm := make(map[string]*index.Baseline, len(m))
-		for ik, x := range m {
-			mm[ik] = x.AsOf(st)
-		}
-		ep.baselineIdx[tk] = mm
-	}
+	ep := &dbEpoch{stamp: st, cat: db.cat.AsOf(st)}
 	if db.wal != nil {
 		ep.lsn = db.wal.AppendedLSN()
 	}

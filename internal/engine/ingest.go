@@ -11,8 +11,8 @@ package engine
 // at flush time:
 //
 //   - one classifier re-key per touched label instead of one per
-//     annotation (an index UpdateLabel collapses a count span old..new
-//     into a single delete+insert),
+//     annotation (Table.PutSummaries re-keys a label once, from its
+//     pre-flush count to its final one),
 //   - one cluster rebuild per touched tuple instead of one per
 //     annotation,
 //   - one snippet election batch per tuple, in arrival order,
@@ -25,8 +25,8 @@ package engine
 // unpublished state — every read checks the lock-free ingestDirty flag
 // and flushes on demand before pinning. Mutations that read or rewrite
 // summaries (annotation/tuple deletes, instance link/unlink, index
-// builds) flush first inside their apply methods, which every route to
-// the state ends in (commit, WAL replay, snapshot load).
+// builds and drops) flush first inside their apply methods, which every
+// route to the state ends in (commit, WAL replay, snapshot load).
 //
 // A threshold of 0 or 1 (the default) trips on every operation, so the
 // paper's per-annotation "Adding Annotation — Update" is this routine
@@ -50,8 +50,6 @@ package engine
 // fold (ingest_oracle_test.go), including through WAL crash recovery.
 
 import (
-	"strings"
-
 	"repro/internal/catalog"
 	"repro/internal/heap"
 	"repro/internal/model"
@@ -153,58 +151,41 @@ func (db *DB) flushIfDirty() {
 
 // absorbBatch folds a tuple's pending annotations into every summary
 // instance of the tuple as one net application ("Adding Annotation —
-// Update" of Section 4.1.2 when anns holds one annotation).
+// Update" of Section 4.1.2 when anns holds one annotation) and hands the
+// new set to Table.PutSummaries, which keeps the statistics and indexes
+// in step.
 func (db *DB) absorbBatch(t *catalog.Table, oid int64, rid heap.RID, anns []*model.Annotation) {
-	set := t.GetSummaries(oid).Clone()
+	old := t.GetSummaries(oid)
+	set := old.Clone()
 	for _, si := range t.Instances {
 		obj := set.Get(si.Name)
-		created := false
 		if obj == nil {
-			obj = db.newEmptyObject(t, si, oid)
+			obj = newEmptyObject(si, oid)
 			set = append(set, obj)
-			created = true
-		}
-		if !created {
-			t.ForgetSummary(obj)
 		}
 		switch si.Type {
 		case model.SummaryClassifier:
-			db.absorbBatchIntoClassifier(t, si, obj, anns, rid, created)
+			db.absorbBatchIntoClassifier(si, obj, anns)
 		case model.SummarySnippet:
 			for _, ann := range anns {
-				db.absorbIntoSnippet(si, obj, ann)
+				absorbIntoSnippet(si, obj, ann)
 			}
 		case model.SummaryCluster:
 			db.rebuildCluster(si, obj, oid)
 		}
-		t.ObserveSummary(obj)
 	}
-	t.PutSummaries(oid, set)
+	t.PutSummaries(oid, rid, old, set)
 }
 
-// absorbBatchIntoClassifier classifies every pending annotation and
-// applies the net count movement per label: each touched label is
-// re-keyed in both index schemes exactly once, from its pre-batch count
-// to its final count, instead of once per annotation.
-func (db *DB) absorbBatchIntoClassifier(t *catalog.Table, si *catalog.SummaryInstance,
-	obj *model.SummaryObject, anns []*model.Annotation, rid heap.RID, created bool) {
-	clf := db.classifiers[strings.ToLower(si.Name)]
-	// spans records each touched representative's pre-batch count, in
-	// first-touch order for deterministic re-keying.
-	type span struct{ rep, old int }
-	spans := make([]span, 0, 8)
+// absorbBatchIntoClassifier classifies every pending annotation into the
+// representative of its label and of each of the label's ancestors.
+func (db *DB) absorbBatchIntoClassifier(si *catalog.SummaryInstance, obj *model.SummaryObject, anns []*model.Annotation) {
+	clf := db.cat.Classifier(si.Name)
 	add := func(l string, id int64) {
 		li := obj.RepIndexByLabel(l)
 		if li < 0 {
 			obj.Reps = append(obj.Reps, model.Rep{Label: l})
 			li = len(obj.Reps) - 1
-		}
-		touched := false
-		for _, sp := range spans {
-			touched = touched || sp.rep == li
-		}
-		if !touched {
-			spans = append(spans, span{li, obj.Reps[li].Count})
 		}
 		r := &obj.Reps[li]
 		r.Elements = insertSorted(r.Elements, id)
@@ -225,30 +206,6 @@ func (db *DB) absorbBatchIntoClassifier(t *catalog.Table, si *catalog.SummaryIns
 		add(label, ann.ID)
 		for _, l := range si.Ancestors(label) {
 			add(l, ann.ID)
-		}
-	}
-
-	sIdx := db.summaryIndex(t.Name, si.Name)
-	bIdx := db.baselineIndex(t.Name, si.Name)
-	if created {
-		if sIdx != nil {
-			sIdx.IndexObject(obj, rid)
-		}
-		if bIdx != nil {
-			bIdx.IndexObject(obj)
-		}
-		return
-	}
-	for _, sp := range spans {
-		r := &obj.Reps[sp.rep]
-		if r.Count == sp.old {
-			continue
-		}
-		if sIdx != nil {
-			sIdx.UpdateLabel(r.Label, sp.old, r.Count, rid)
-		}
-		if bIdx != nil {
-			bIdx.UpdateLabel(obj.TupleOID, r.Label, r.Count)
 		}
 	}
 }

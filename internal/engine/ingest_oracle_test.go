@@ -80,9 +80,9 @@ func checkClassifiersAgainstOracle(t *testing.T, db *DB) {
 					}
 					continue
 				}
-				want := db.newEmptyObject(tbl, si, tuple.OID)
+				want := newEmptyObject(si, tuple.OID)
 				for _, a := range anns {
-					oracleAbsorbIntoClassifier(si, db.classifiers[strings.ToLower(si.Name)], want, a)
+					oracleAbsorbIntoClassifier(si, db.cat.Classifier(si.Name), want, a)
 				}
 				if g, w := renderClassifier(got), renderClassifier(want); g != w {
 					t.Errorf("%s tuple %d %s:\n engine %s\n oracle %s", name, tuple.OID, si.Name, g, w)

@@ -6,10 +6,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/heap"
 	"repro/internal/model"
 	"repro/internal/wal"
@@ -720,5 +724,149 @@ func TestAttachDeleteReattachLifecycle(t *testing.T) {
 	defer rdb.Close()
 	if got := summaryState(t, rdb); !reflect.DeepEqual(got, want) {
 		t.Errorf("recovered lifecycle diverges from eager:\n got: %+v\nwant: %+v", got, want)
+	}
+}
+
+// indexEntry is one Summary-BTree entry: a label, its count and the
+// encoded backward pointer.
+type indexEntry struct {
+	Label string
+	Count int
+	Ref   int64
+}
+
+// rebuildState is what rebuilding every index from the stored sets must
+// leave unchanged: each Summary-BTree's entries — compared as (label,
+// count, pointer), not as key strings, so the itemized width cannot
+// matter — each baseline index's reconstructed objects, and each linked
+// instance's statistics, recomputed here from the stored sets.
+type rebuildState struct {
+	SummaryIdx  map[string][]indexEntry
+	BaselineIdx map[string][]string
+	Stats       map[string]string
+}
+
+func captureRebuildState(t *testing.T, db *DB) rebuildState {
+	t.Helper()
+	db.FlushIngest()
+	st := rebuildState{SummaryIdx: map[string][]indexEntry{}, BaselineIdx: map[string][]string{}, Stats: map[string]string{}}
+	for _, name := range db.cat.TableNames() {
+		tbl, _ := db.cat.Table(name)
+		for _, si := range tbl.Instances {
+			key := name + "." + si.Name
+			fresh := catalog.NewInstanceStats(si.Labels)
+			var oids []int64
+			tbl.SummaryStorage.Scan(func(_ heap.RID, oid int64, set model.SummarySet) bool {
+				oids = append(oids, oid)
+				if obj := set.Get(si.Name); obj != nil {
+					fresh.ObserveSize(catalog.EstimateObjectSize(obj))
+					for i := 0; si.Type == model.SummaryClassifier && i < len(obj.Reps); i++ {
+						fresh.Label(obj.Reps[i].Label).Add(obj.Reps[i].Count)
+					}
+				}
+				return true
+			})
+			if got, want := tbl.Stats(si.Name).String(), fresh.String(); got != want {
+				t.Errorf("%s: maintained statistics %s, recomputed from the stored sets %s", key, got, want)
+			}
+			st.Stats[key] = fresh.String()
+			if idx := tbl.SummaryIndex(si.Name); idx != nil {
+				idx.Tree().ScanAll(func(k string, v int64) bool {
+					i := strings.LastIndexByte(k, ':')
+					n, err := strconv.Atoi(k[i+1:])
+					if err != nil {
+						t.Fatalf("%s: index key %q", key, k)
+					}
+					st.SummaryIdx[key] = append(st.SummaryIdx[key], indexEntry{k[:i], n, v})
+					return true
+				})
+				sort.Slice(st.SummaryIdx[key], func(i, j int) bool {
+					a, b := st.SummaryIdx[key][i], st.SummaryIdx[key][j]
+					return a.Label < b.Label || a.Label == b.Label && (a.Count < b.Count || a.Count == b.Count && a.Ref < b.Ref)
+				})
+			}
+			if idx := tbl.BaselineIndex(si.Name); idx != nil {
+				for _, oid := range oids {
+					if obj, ok := idx.ReconstructObject(oid); ok {
+						st.BaselineIdx[key] = append(st.BaselineIdx[key], obj.String())
+					}
+				}
+				st.BaselineIdx[key] = append(st.BaselineIdx[key], fmt.Sprintf("rows=%d", idx.Len()))
+			}
+		}
+	}
+	return st
+}
+
+// TestMaintainedSummaryStateEqualsRebuild: the indexes and statistics
+// Table.PutSummaries keeps in step with the stored sets equal what a
+// rebuild from those sets yields — at every flush threshold and after
+// WAL recovery. The rebuild bulk-loads from storage and never compares
+// an old set with a new one, so it checks that routine independently.
+// The workload is ingestWorkload plus a first annotation of a tuple
+// after the indexes exist, and a tuple whose every annotation is
+// deleted, emptying (and so dropping) its objects.
+func TestMaintainedSummaryStateEqualsRebuild(t *testing.T) {
+	for _, cfg := range []Config{
+		{PageCap: 16},
+		{PageCap: 16, IngestFlushOps: 3},
+		{PageCap: 16, IngestFlushOps: 64},
+		{PageCap: 16, IngestFlushOps: 3, WALDir: t.TempDir()},
+	} {
+		name := fmt.Sprintf("IngestFlushOps=%d", cfg.IngestFlushOps)
+		if cfg.WALDir != "" {
+			name = "recovered"
+		}
+		t.Run(name, func(t *testing.T) {
+			db := ingestWorkload(t, cfg)
+			birds, _ := db.Table("Birds")
+			oidOf := map[int64]int64{} // id -> OID
+			birds.Scan(func(_ heap.RID, tu *model.Tuple) bool {
+				oidOf[tu.Values[0].Int] = tu.OID
+				return true
+			})
+			mustAnnotate(t, db, oidOf[100], annText("Disease", 70)) // inserted unannotated
+			oid := oidOf[10]                                        // the workload leaves it alone
+			for _, a := range db.Annotations(oid) {
+				if err := db.DeleteAnnotation("Birds", a.ID); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if birds.GetSummaries(oid) != nil {
+				t.Errorf("tuple %d keeps emptied objects: %s", oid, birds.GetSummaries(oid))
+			}
+			if cfg.WALDir != "" {
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
+				var err error
+				if db, err = Open(cfg); err != nil {
+					t.Fatal(err)
+				}
+				defer db.Close()
+			}
+			maintained := captureRebuildState(t, db)
+			if len(maintained.SummaryIdx) == 0 || len(maintained.BaselineIdx) == 0 {
+				t.Fatalf("workload built no index: %+v", maintained)
+			}
+			for _, table := range db.cat.TableNames() {
+				tbl, _ := db.cat.Table(table)
+				for _, si := range tbl.Instances {
+					if tbl.SummaryIndex(si.Name) != nil {
+						if err := db.CreateSummaryIndex(table, si.Name); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if tbl.BaselineIndex(si.Name) != nil {
+						if err := db.CreateBaselineIndex(table, si.Name); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			if rebuilt := captureRebuildState(t, db); !reflect.DeepEqual(rebuilt, maintained) {
+				t.Errorf("rebuilt from the stored sets:\n%+v\nmaintained:\n%+v", rebuilt, maintained)
+			}
+		})
 	}
 }

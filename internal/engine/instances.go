@@ -2,12 +2,11 @@ package engine
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 	"unicode/utf8"
 
 	"repro/internal/catalog"
 	"repro/internal/heap"
-	"repro/internal/index"
 	"repro/internal/mining/bayes"
 	"repro/internal/mining/clustream"
 	"repro/internal/mining/lsa"
@@ -74,33 +73,22 @@ func (db *DB) DefineCluster(name string, maxGroups int) error {
 // record carries the finished model state and replay reconstructs the
 // identical classifier without the training corpus.
 func (db *DB) defineInstance(si *catalog.SummaryInstance, clf *bayes.Classifier) error {
-	return db.ddl(&pDefineInstance{Inst: *si, Clf: clf}, func() error { return db.checkNewInstance(si) })
-}
-
-func (db *DB) checkNewInstance(si *catalog.SummaryInstance) error {
-	if err := si.Validate(); err != nil {
-		return err
-	}
-	if _, dup := db.instances[strings.ToLower(si.Name)]; dup {
-		return fmt.Errorf("engine: summary instance %q already defined", si.Name)
-	}
-	return nil
+	return db.ddl(&pDefineInstance{Inst: *si, Clf: clf}, func() error {
+		if err := si.Validate(); err != nil {
+			return err
+		}
+		if db.cat.Instance(si.Name) != nil {
+			return fmt.Errorf("engine: summary instance %q already defined", si.Name)
+		}
+		return nil
+	})
 }
 
 // apply installs a defined instance and its trained classifier model,
 // if any.
 func (p *pDefineInstance) apply(db *DB) error {
 	def := p.Inst
-	if err := db.checkNewInstance(&def); err != nil {
-		return err
-	}
-	key := strings.ToLower(def.Name)
-	db.instances[key] = &def
-	db.bumpCatalogVersion()
-	if p.Clf != nil {
-		db.classifiers[key] = p.Clf
-	}
-	return nil
+	return db.cat.DefineInstance(&def, p.Clf)
 }
 
 // LinkInstance attaches a registered instance to a table, optionally
@@ -108,7 +96,7 @@ func (p *pDefineInstance) apply(db *DB) error {
 // "ALTER TABLE t ADD [INDEXABLE] inst".
 func (db *DB) LinkInstance(table, instance string, indexable bool) error {
 	return db.ddl(&pLinkInstance{Table: table, Instance: instance, Indexable: indexable}, func() error {
-		if _, ok := db.instances[strings.ToLower(instance)]; !ok {
+		if db.cat.Instance(instance) == nil {
 			return fmt.Errorf("engine: unknown summary instance %q", instance)
 		}
 		_, err := db.cat.Table(table)
@@ -120,65 +108,43 @@ func (p *pLinkInstance) apply(db *DB) error {
 	// Buffered annotations were added while this instance was not linked:
 	// they belong in the old instance set only.
 	db.flushIngestLocked()
-	si, ok := db.instances[strings.ToLower(p.Instance)]
-	if !ok {
-		return fmt.Errorf("engine: unknown summary instance %q", p.Instance)
-	}
-	if err := db.cat.LinkInstance(p.Table, si); err != nil {
+	if err := db.cat.LinkInstance(p.Table, p.Instance); err != nil {
 		return err
 	}
-	db.bumpCatalogVersion()
 	if p.Indexable {
-		return (&pCreateSummaryIndex{instanceRef{p.Table, p.Instance}}).apply(db)
+		return instanceRef{p.Table, p.Instance}.onTable(db, (*catalog.Table).CreateSummaryIndex)
 	}
 	return nil
 }
 
-// UnlinkInstance detaches an instance and drops its indexes —
+// UnlinkInstance detaches an instance, strips its objects from the
+// stored summaries and drops its statistics and indexes —
 // "ALTER TABLE t DROP inst".
 func (db *DB) UnlinkInstance(table, instance string) error {
-	return db.ddl(&pUnlinkInstance{instanceRef{table, instance}}, nil)
+	return db.ddl(&pUnlinkInstance{instanceRef{table, instance}}, func() error {
+		t, err := db.cat.Table(table)
+		if err == nil && t.Instance(instance) == nil {
+			err = fmt.Errorf("catalog: table %q has no instance %q", table, instance)
+		}
+		return err
+	})
 }
 
 func (p *pUnlinkInstance) apply(db *DB) error {
 	// Buffered annotations must reach the instance's summaries before it
 	// detaches.
 	db.flushIngestLocked()
-	if err := db.cat.UnlinkInstance(p.Table, p.Instance); err != nil {
-		return err
-	}
-	forgetIndex(db.summaryIdx, p.Table, p.Instance)
-	forgetIndex(db.baselineIdx, p.Table, p.Instance)
-	db.bumpCatalogVersion()
-	return nil
+	return db.cat.UnlinkInstance(p.Table, p.Instance)
 }
 
-// forgetIndex removes the index on (table, instance) from m, if there is
-// one, and releases its storage: a structure that is only unlinked stays
-// registered with the epoch clock (and in the buffer pool) forever.
-func forgetIndex[X interface{ Release() }](m map[string]map[string]X, table, instance string) {
-	tkey, ikey := strings.ToLower(table), strings.ToLower(instance)
-	if x, ok := m[tkey][ikey]; ok {
-		x.Release()
-		delete(m[tkey], ikey)
-	}
-}
-
-// indexableInstance resolves (table, instance) to a linked classifier
+// checkIndexable refuses an index on anything but a linked classifier
 // instance, the only kind either index scheme covers.
-func (db *DB) indexableInstance(table, instance string) (*catalog.Table, *catalog.SummaryInstance, error) {
+func (db *DB) checkIndexable(table, instance string) error {
 	t, err := db.cat.Table(table)
-	if err != nil {
-		return nil, nil, err
+	if err == nil {
+		_, err = t.IndexableInstance(instance)
 	}
-	si := t.Instance(instance)
-	if si == nil {
-		return nil, nil, fmt.Errorf("engine: table %q has no instance %q", table, instance)
-	}
-	if si.Type != model.SummaryClassifier {
-		return nil, nil, fmt.Errorf("engine: only Classifier instances are indexable, %q is %s", instance, si.Type)
-	}
-	return t, si, nil
+	return err
 }
 
 // CreateSummaryIndex builds a Summary-BTree over an instance's objects,
@@ -186,115 +152,66 @@ func (db *DB) indexableInstance(table, instance string) (*catalog.Table, *catalo
 // mode). Classifier instances only.
 func (db *DB) CreateSummaryIndex(table, instance string) error {
 	return db.ddl(&pCreateSummaryIndex{instanceRef{table, instance}}, func() error {
-		_, _, err := db.indexableInstance(table, instance)
-		return err
+		return db.checkIndexable(table, instance)
 	})
-}
-
-func (p *pCreateSummaryIndex) apply(db *DB) error {
-	// Bulk-load reads the stored summary objects; fold the buffered
-	// ingest tail in first so the new index starts complete.
-	db.flushIngestLocked()
-	t, si, err := db.indexableInstance(p.Table, p.Instance)
-	if err != nil {
-		return err
-	}
-	idx := index.NewSummaryBTree(db.acct, si.Name)
-	if err := db.forEachStoredObject(t, si.Name, func(obj *model.SummaryObject, rid heap.RID) error {
-		return idx.IndexObject(obj, rid)
-	}); err != nil {
-		idx.Release()
-		return err
-	}
-	forgetIndex(db.summaryIdx, p.Table, p.Instance) // a rebuild replaces the old index
-	tkey := strings.ToLower(p.Table)
-	if db.summaryIdx[tkey] == nil {
-		db.summaryIdx[tkey] = map[string]*index.SummaryBTree{}
-	}
-	db.summaryIdx[tkey][strings.ToLower(p.Instance)] = idx
-	// A new access path exists: cached plans that chose a sequential
-	// scan for this instance's predicates are stale from here on.
-	db.bumpCatalogVersion()
-	return nil
 }
 
 // CreateBaselineIndex builds the baseline scheme (normalized side table
 // + derived-column B-Tree) over an instance's objects.
 func (db *DB) CreateBaselineIndex(table, instance string) error {
 	return db.ddl(&pCreateBaselineIndex{instanceRef{table, instance}}, func() error {
-		_, _, err := db.indexableInstance(table, instance)
-		return err
+		return db.checkIndexable(table, instance)
 	})
+}
+
+// DropSummaryIndex removes the Summary-BTree on (table, instance),
+// refusing a missing one.
+func (db *DB) DropSummaryIndex(table, instance string) error {
+	return db.ddl(&pDropSummaryIndex{instanceRef{table, instance}}, func() error {
+		if db.cat.SummaryIndex(table, instance) == nil {
+			return fmt.Errorf("engine: no Summary-BTree on %s.%s", table, instance)
+		}
+		return nil
+	})
+}
+
+// DropBaselineIndex removes the baseline index on (table, instance),
+// refusing a missing one.
+func (db *DB) DropBaselineIndex(table, instance string) error {
+	return db.ddl(&pDropBaselineIndex{instanceRef{table, instance}}, func() error {
+		if db.cat.BaselineIndex(table, instance) == nil {
+			return fmt.Errorf("engine: no baseline index on %s.%s", table, instance)
+		}
+		return nil
+	})
+}
+
+func (p *pCreateSummaryIndex) apply(db *DB) error {
+	return p.onTable(db, (*catalog.Table).CreateSummaryIndex)
 }
 
 func (p *pCreateBaselineIndex) apply(db *DB) error {
-	db.flushIngestLocked()
-	t, si, err := db.indexableInstance(p.Table, p.Instance)
-	if err != nil {
-		return err
-	}
-	idx := index.NewBaseline(db.acct, t.Data.PageCap(), si.Name)
-	if err := db.forEachStoredObject(t, si.Name, func(obj *model.SummaryObject, rid heap.RID) error {
-		return idx.IndexObject(obj)
-	}); err != nil {
-		idx.Release()
-		return err
-	}
-	forgetIndex(db.baselineIdx, p.Table, p.Instance) // a rebuild replaces the old index
-	tkey := strings.ToLower(p.Table)
-	if db.baselineIdx[tkey] == nil {
-		db.baselineIdx[tkey] = map[string]*index.Baseline{}
-	}
-	db.baselineIdx[tkey][strings.ToLower(p.Instance)] = idx
-	db.bumpCatalogVersion()
-	return nil
-}
-
-// DropSummaryIndex removes the Summary-BTree on (table, instance).
-// (A WAL commit-wait failure is deliberately swallowed to keep the
-// historical void signature; the log's sticky error resurfaces on the
-// next logged operation.)
-func (db *DB) DropSummaryIndex(table, instance string) {
-	_ = db.ddl(&pDropSummaryIndex{instanceRef{table, instance}}, nil)
+	return p.onTable(db, (*catalog.Table).CreateBaselineIndex)
 }
 
 func (p *pDropSummaryIndex) apply(db *DB) error {
-	forgetIndex(db.summaryIdx, p.Table, p.Instance)
-	db.bumpCatalogVersion()
-	return nil
-}
-
-// DropBaselineIndex removes the baseline index on (table, instance).
-// Like DropSummaryIndex, WAL errors resurface on the next operation.
-func (db *DB) DropBaselineIndex(table, instance string) {
-	_ = db.ddl(&pDropBaselineIndex{instanceRef{table, instance}}, nil)
+	return p.onTable(db, (*catalog.Table).DropSummaryIndex)
 }
 
 func (p *pDropBaselineIndex) apply(db *DB) error {
-	forgetIndex(db.baselineIdx, p.Table, p.Instance)
-	db.bumpCatalogVersion()
-	return nil
+	return p.onTable(db, (*catalog.Table).DropBaselineIndex)
 }
 
-func (db *DB) forEachStoredObject(t *catalog.Table, instance string,
-	fn func(*model.SummaryObject, heap.RID) error) error {
-	var outer error
-	t.SummaryStorage.Scan(func(_ heap.RID, oid int64, set model.SummarySet) bool {
-		obj := set.Get(instance)
-		if obj == nil {
-			return true
-		}
-		rid, ok := t.DiskTupleLoc(oid)
-		if !ok {
-			return true
-		}
-		if err := fn(obj, rid); err != nil {
-			outer = err
-			return false
-		}
-		return true
-	})
-	return outer
+// onTable runs an index build or drop on the record's table. A build
+// bulk-loads the stored summaries, so the buffered ingest tail is folded
+// in first and the new index starts complete.
+func (r instanceRef) onTable(db *DB, fn func(*catalog.Table, string) error) error {
+	db.flushIngestLocked()
+	t, err := db.cat.Table(r.Table)
+	if err != nil {
+		return err
+	}
+	return fn(t, r.Instance)
 }
 
 // AddAnnotation attaches a raw annotation to a tuple (optionally to
@@ -407,7 +324,7 @@ func (p *pAttachAnnotation) apply(db *DB) error {
 	return nil
 }
 
-func (db *DB) newEmptyObject(t *catalog.Table, si *catalog.SummaryInstance, oid int64) *model.SummaryObject {
+func newEmptyObject(si *catalog.SummaryInstance, oid int64) *model.SummaryObject {
 	obj := &model.SummaryObject{InstanceID: si.Name, TupleOID: oid, Type: si.Type}
 	if si.Type == model.SummaryClassifier {
 		for _, l := range si.Labels {
@@ -420,7 +337,7 @@ func (db *DB) newEmptyObject(t *catalog.Table, si *catalog.SummaryInstance, oid 
 // absorbIntoSnippet adds a snippet representative. Large annotations are
 // summarized with LSA; short ones carry (at most maxChars of) their own
 // text so keyword search over the instance stays complete.
-func (db *DB) absorbIntoSnippet(si *catalog.SummaryInstance, obj *model.SummaryObject, ann *model.Annotation) {
+func absorbIntoSnippet(si *catalog.SummaryInstance, obj *model.SummaryObject, ann *model.Annotation) {
 	var snippet string
 	if len(ann.Text) > si.SnippetMinChars {
 		s := lsa.Summarizer{MaxChars: si.SnippetMaxChars, Concepts: 3, MinChars: si.SnippetMinChars}
@@ -455,8 +372,8 @@ func (db *DB) rebuildCluster(si *catalog.SummaryInstance, obj *model.SummaryObje
 	}
 	obj.Reps = obj.Reps[:0]
 	for _, g := range cl.Groups() {
-		elems := append([]int64(nil), g.Members...)
-		sortInt64s(elems)
+		elems := slices.Clone(g.Members)
+		slices.Sort(elems)
 		obj.Reps = append(obj.Reps, model.Rep{
 			Text: g.RepText, RepAnnID: g.RepID, Count: len(elems), Elements: elems,
 		})
@@ -495,30 +412,35 @@ func (p *pDeleteAnnotation) apply(db *DB) error {
 	if _, err := db.cat.Table(p.Table); err != nil {
 		return err
 	}
-	annID := p.AnnID
-	ann, ok := db.cat.Anns.Get(annID)
+	ann, ok := db.cat.Anns.Get(p.AnnID)
 	if !ok {
-		return fmt.Errorf("engine: no annotation %d", annID)
+		return fmt.Errorf("engine: no annotation %d", p.AnnID)
 	}
-	// The annotation contributes to its primary tuple AND every tuple it
-	// was later attached to; each must shed the contribution, or attached
-	// tuples keep stale classifier counts and dangling zoom element IDs.
-	// OIDs are catalog-wide unique, so each resolves to its owning table.
-	oids := append([]int64{ann.TupleOID}, db.cat.Anns.Attachments(annID)...)
-	db.cat.Anns.Delete(annID)
+	db.dropAnnotation(ann, 0)
+	return nil
+}
+
+// dropAnnotation deletes annotation a from the store and re-derives the
+// summaries of every tuple a targets — its primary tuple and each tuple
+// it was later attached to — except skip, a tuple being deleted (0 for
+// none). OIDs are catalog-wide unique, so each resolves to its owning
+// table. Every target with column attachments unwinds its table's
+// counter, skip's included.
+func (db *DB) dropAnnotation(a *model.Annotation, skip int64) {
+	oids := append([]int64{a.TupleOID}, db.cat.Anns.Attachments(a.ID)...)
+	db.cat.Anns.Delete(a.ID)
 	for _, oid := range oids {
 		t, rid, ok := db.tableForOID(oid)
 		if !ok {
 			continue
 		}
-		// Each attachment with column targets bumped its table's counter
-		// by one; the delete must unwind every one of them.
-		if len(ann.Columns) > 0 && t.ColAttachedAnns > 0 {
+		if len(a.Columns) > 0 && t.ColAttachedAnns > 0 {
 			t.ColAttachedAnns--
 		}
-		db.shedAnnotation(t, oid, rid, annID)
+		if oid != skip {
+			db.shedAnnotation(t, oid, rid, a.ID)
+		}
 	}
-	return nil
 }
 
 // tupleLoc resolves a live tuple of table to its heap location.
@@ -552,16 +474,16 @@ func (db *DB) tableForOID(oid int64) (*catalog.Table, heap.RID, bool) {
 
 // shedAnnotation re-derives one tuple's summary objects after annotation
 // annID stopped targeting it — the per-tuple half of "Deleting
-// Annotation" (Section 4.1.2), shared by annotation deletes and the
-// cascade when a tuple delete removes a still-attached annotation.
+// Annotation" (Section 4.1.2) — and hands the new set to
+// Table.PutSummaries.
 func (db *DB) shedAnnotation(t *catalog.Table, oid int64, rid heap.RID, annID int64) {
-	set := t.GetSummaries(oid).Clone()
+	old := t.GetSummaries(oid)
+	set := old.Clone()
 	for _, obj := range set {
 		si := t.Instance(obj.InstanceID)
 		if si == nil {
 			continue
 		}
-		t.ForgetSummary(obj)
 		switch si.Type {
 		case model.SummaryClassifier:
 			// The annotation may contribute to several representatives
@@ -569,64 +491,25 @@ func (db *DB) shedAnnotation(t *catalog.Table, oid int64, rid heap.RID, annID in
 			// remove it from each.
 			for li := range obj.Reps {
 				r := &obj.Reps[li]
-				if !r.HasElement(annID) {
-					continue
-				}
-				old := r.Count
-				r.Elements = removeSorted(r.Elements, annID)
-				r.Count = len(r.Elements)
-				if idx := db.summaryIndex(t.Name, si.Name); idx != nil {
-					idx.UpdateLabel(r.Label, old, r.Count, rid)
-				}
-				if idx := db.baselineIndex(t.Name, si.Name); idx != nil {
-					idx.UpdateLabel(oid, r.Label, r.Count)
+				if i, found := slices.BinarySearch(r.Elements, annID); found {
+					r.Elements = slices.Delete(r.Elements, i, i+1)
+					r.Count = len(r.Elements)
 				}
 			}
 		case model.SummarySnippet:
-			kept := obj.Reps[:0]
-			for _, r := range obj.Reps {
-				if r.RepAnnID != annID {
-					kept = append(kept, r)
-				}
-			}
-			obj.Reps = kept
+			obj.Reps = slices.DeleteFunc(obj.Reps, func(r model.Rep) bool { return r.RepAnnID == annID })
 		case model.SummaryCluster:
 			db.rebuildCluster(si, obj, oid)
 		}
-		t.ObserveSummary(obj)
 	}
-	t.PutSummaries(oid, set)
+	t.PutSummaries(oid, rid, old, set)
 }
 
+// insertSorted adds v to the sorted ID set s. Element sets are sets:
+// inserting an ID twice would double count the annotation in Rep.Count.
 func insertSorted(s []int64, v int64) []int64 {
-	i := 0
-	for i < len(s) && s[i] < v {
-		i++
-	}
-	if i < len(s) && s[i] == v {
-		// Element sets are sets: inserting an ID twice would double count
-		// the annotation in Rep.Count.
-		return s
-	}
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-func removeSorted(s []int64, v int64) []int64 {
-	for i, x := range s {
-		if x == v {
-			return append(s[:i], s[i+1:]...)
-		}
+	if i, found := slices.BinarySearch(s, v); !found {
+		s = slices.Insert(s, i, v)
 	}
 	return s
-}
-
-func sortInt64s(s []int64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

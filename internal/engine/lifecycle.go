@@ -98,7 +98,7 @@ func (db *DB) applyTimeout(ctx context.Context) (context.Context, context.Cancel
 	if _, has := ctx.Deadline(); has {
 		return ctx, func() {}
 	}
-	d := db.StatementTimeout()
+	d := db.stmtTimeout
 	if d <= 0 {
 		return ctx, func() {}
 	}
@@ -110,7 +110,7 @@ func (db *DB) applyTimeout(ctx context.Context) (context.Context, context.Cancel
 // carry usage counters, so sharing one instance across queries would
 // leak charges between them.
 func (db *DB) newQueryBudget(opts *optimizer.Options) *exec.Budget {
-	tpl := db.defaultBudget.Load()
+	tpl := db.defaultBudget
 	if opts != nil && opts.Budget != nil {
 		tpl = opts.Budget
 	}

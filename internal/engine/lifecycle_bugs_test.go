@@ -240,3 +240,70 @@ func TestDeleteTupleShedsSharedAnnotations(t *testing.T) {
 		t.Error("annotation survived its primary tuple's delete")
 	}
 }
+
+// TestUnlinkDropsInstanceSummaries: ALTER TABLE ... DROP strips the
+// instance's object from every stored set and drops its statistics, so
+// the object stops propagating, a re-link summarizes only what arrives
+// after it (as a first link does) with statistics that count it, and no
+// later maintenance revives statistics for the unlinked instance.
+func TestUnlinkDropsInstanceSummaries(t *testing.T) {
+	for _, every := range []int{0, 64} {
+		db, oids := testDBWithConfig(t, 3, Config{PageCap: 16, IngestFlushOps: every})
+		birds, _ := db.Table("Birds")
+		snip := func() *model.SummaryObject {
+			t.Helper()
+			res, err := db.Query("SELECT * FROM Birds", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var obj *model.SummaryObject
+			for _, row := range res.Rows {
+				if o := row.Tuple.Summaries.Get("Snip"); o != nil && row.Tuple.OID == oids[0] {
+					obj = o
+				} else if o != nil {
+					t.Errorf("threshold %d: tuple %d carries %s", every, row.Tuple.OID, o)
+				}
+			}
+			return obj
+		}
+		annotate := func(text string) {
+			t.Helper()
+			if _, err := db.AddAnnotation("Birds", oids[0], text, nil, "tester"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.DefineSnippet("Snip", 200, 80); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.LinkInstance("Birds", "Snip", false); err != nil {
+			t.Fatal(err)
+		}
+		annotate("first note")
+		if err := db.UnlinkInstance("Birds", "Snip"); err != nil {
+			t.Fatal(err)
+		}
+		if obj := snip(); obj != nil {
+			t.Errorf("threshold %d: unlinked instance still propagates %s", every, obj)
+		}
+		annotate("second note") // while unlinked: never summarized by Snip
+		if err := db.LinkInstance("Birds", "Snip", false); err != nil {
+			t.Fatal(err)
+		}
+		annotate("third note")
+		if got, want := snip().String(), `Snip[("third note")]`; got != want {
+			t.Errorf("threshold %d: re-linked object %s, want %s", every, got, want)
+		}
+		if st := birds.Stats("Snip"); st.AvgObjectSize() <= 0 {
+			t.Errorf("threshold %d: re-linked statistics %s", every, st)
+		}
+		if err := db.UnlinkInstance("Birds", "Snip"); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.DeleteTuple("Birds", oids[0]); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := birds.InstStats["snip"]; ok {
+			t.Errorf("threshold %d: a tuple delete re-created statistics for the unlinked instance", every)
+		}
+	}
+}

@@ -97,11 +97,9 @@ func TestQueryContextDeadline(t *testing.T) {
 }
 
 func TestStatementTimeout(t *testing.T) {
-	db, _ := testDB(t, 25)
+	db, _ := testDBWithConfig(t, 25, Config{PageCap: 16, StatementTimeout: 3 * time.Millisecond})
 	db.Accountant().SetFaultPolicy(&pager.FaultPolicy{Latency: 200 * time.Microsecond})
 	defer db.Accountant().SetFaultPolicy(nil)
-	db.SetStatementTimeout(3 * time.Millisecond)
-	defer db.SetStatementTimeout(0)
 	// Plain Query (no caller context) must still observe the timeout.
 	_, err := db.Query(slowJoinQuery, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -157,16 +155,15 @@ func TestBudgetHashJoinVsSortSpill(t *testing.T) {
 }
 
 func TestDefaultBudgetApplies(t *testing.T) {
-	db, _ := testDB(t, 30)
-	db.SetDefaultBudget(exec.NewBudget(5, 0, 0))
+	db, _ := testDBWithConfig(t, 30, Config{PageCap: 16, Budget: exec.NewBudget(5, 0, 0)})
 	// DISTINCT retains all 30 ids and cannot degrade: the breaker trips.
 	_, err := db.Query(`SELECT DISTINCT id FROM Birds`, nil)
 	if !errors.Is(err, exec.ErrBudgetExceeded) {
 		t.Fatalf("want ErrBudgetExceeded under default budget, got %v", err)
 	}
-	db.SetDefaultBudget(nil)
-	if _, err := db.Query(`SELECT DISTINCT id FROM Birds`, nil); err != nil {
-		t.Fatalf("unlimited after reset, got %v", err)
+	// A per-query budget overrides the default.
+	if _, err := db.Query(`SELECT DISTINCT id FROM Birds`, &optimizer.Options{Budget: exec.NewBudget(0, 0, 0)}); err != nil {
+		t.Fatalf("unlimited per-query budget, got %v", err)
 	}
 }
 
@@ -357,7 +354,7 @@ func TestConfigStatementTimeoutAndBudget(t *testing.T) {
 	if got := db.StatementTimeout(); got != 123*time.Millisecond {
 		t.Fatalf("StatementTimeout: got %v", got)
 	}
-	if b := db.defaultBudget.Load(); b == nil || b.MaxBufferedRows != 7 {
+	if b := db.defaultBudget; b == nil || b.MaxBufferedRows != 7 {
 		t.Fatalf("default budget not installed: %+v", b)
 	}
 }

@@ -228,7 +228,7 @@ func (db *DB) Metrics() Metrics {
 	}
 	pc := db.planCache.Stats()
 	out.PlanCache = &pc
-	out.CatalogVersion = db.catalogVersion.Load()
+	out.CatalogVersion = db.cat.Version()
 	return out
 }
 

@@ -312,8 +312,12 @@ func TestDroppedIndexesLeaveTheClock(t *testing.T) {
 	if got := db.clock.Pruners(); got != base+4 { // one tree + a heap and two trees
 		t.Fatalf("rebuilt indexes left %d pruners on the clock, want %d", got, base+4)
 	}
-	db.DropSummaryIndex("Birds", "ClassBird1")
-	db.DropBaselineIndex("Birds", "ClassBird1")
+	if err := db.DropSummaryIndex("Birds", "ClassBird1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.DropBaselineIndex("Birds", "ClassBird1"); err != nil {
+		t.Fatal(err)
+	}
 	if got := db.clock.Pruners(); got != base {
 		t.Fatalf("dropped indexes left %d pruners on the clock, want %d", got, base)
 	}

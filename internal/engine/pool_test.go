@@ -270,7 +270,9 @@ func TestDroppedIndexReleasesItsSpace(t *testing.T) {
 		if err := db.CreateSummaryIndex("Birds", "ClassBird1"); err != nil {
 			t.Fatal(err)
 		}
-		db.DropSummaryIndex("Birds", "ClassBird1")
+		if err := db.DropSummaryIndex("Birds", "ClassBird1"); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := db.BufferPool().Stats().Spaces; got != start {
 		t.Fatalf("%d live spaces after 100 index builds and drops, want %d", got, start)

@@ -27,15 +27,11 @@ import (
 	"repro/internal/sql"
 )
 
-// bumpCatalogVersion invalidates every cached plan; called from the
-// apply method of each catalog-shape mutation (table DDL, instance
-// registration/links, index creation and drops), so commits, WAL
-// replay and snapshot load all advance the version.
-func (db *DB) bumpCatalogVersion() { db.catalogVersion.Add(1) }
-
 // CatalogVersion returns the current catalog version (plan-cache
-// entries created under an older version never hit).
-func (db *DB) CatalogVersion() uint64 { return db.catalogVersion.Load() }
+// entries created under an older version never hit). The catalog's own
+// shape-changing methods advance it, so commits, WAL replay and
+// snapshot load all do.
+func (db *DB) CatalogVersion() uint64 { return db.cat.Version() }
 
 // RefreshStatistics is the explicit statistics-refresh hook: summary
 // statistics are maintained incrementally, so heavy ingest can drift
@@ -43,7 +39,7 @@ func (db *DB) CatalogVersion() uint64 { return db.catalogVersion.Load() }
 // Calling this bumps the catalog version, invalidating every cached
 // plan so the next execution re-costs its access paths against the
 // current statistics.
-func (db *DB) RefreshStatistics() { db.bumpCatalogVersion() }
+func (db *DB) RefreshStatistics() { db.cat.Invalidate() }
 
 // PlanCacheStats snapshots the plan cache telemetry.
 func (db *DB) PlanCacheStats() optimizer.PlanCacheStats { return db.planCache.Stats() }

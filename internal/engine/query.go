@@ -73,7 +73,7 @@ func (db *DB) planSelect(env *optimizer.Env, sel *sql.SelectStmt, key string, o 
 	var version uint64
 	if keyed {
 		key += "\x00" + o.Fingerprint()
-		version = db.catalogVersion.Load()
+		version = db.cat.Version()
 		if skel, ok := db.planCache.Get(key, version); ok {
 			// Rebind fails only when a leaf's table or index does not
 			// resolve by name in env's epoch: a DROP raced this
@@ -191,8 +191,8 @@ func (db *DB) effectiveOptions(opts *optimizer.Options) optimizer.Options {
 func (ep *dbEpoch) optimizerEnv(propagate bool) *optimizer.Env {
 	return &optimizer.Env{
 		Cat:         ep.cat,
-		SummaryIdx:  ep.summaryIndex,
-		BaselineIdx: ep.baselineIndex,
+		SummaryIdx:  ep.cat.SummaryIndex,
+		BaselineIdx: ep.cat.BaselineIndex,
 		Annotations: ep.cat.Anns.ForTuple,
 		Lookup:      ep.cat.Anns.Lookup(),
 		Propagate:   propagate,

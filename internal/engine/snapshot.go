@@ -111,13 +111,8 @@ func (db *DB) dump(w io.Writer, ckptLSN uint64) error {
 	}
 	err := withRetry(SnapshotRetry, func() error {
 		lsn = 0
-		names := make([]string, 0, len(db.instances))
-		for name := range db.instances {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			emit(&pDefineInstance{Inst: *db.instances[name], Clf: db.classifiers[name]})
+		for _, name := range db.cat.InstanceNames() {
+			emit(&pDefineInstance{Inst: *db.cat.Instance(name), Clf: db.cat.Classifier(name)})
 		}
 		tableOf := map[int64]string{} // OID -> table name, for the annotations
 		for _, name := range db.cat.TableNames() {
@@ -161,10 +156,10 @@ func (db *DB) dump(w io.Writer, ckptLSN uint64) error {
 			}
 			for _, si := range t.Instances {
 				ref := instanceRef{Table: t.Name, Instance: si.Name}
-				if db.summaryIndex(t.Name, si.Name) != nil {
+				if t.SummaryIndex(si.Name) != nil {
 					emit(&pCreateSummaryIndex{ref})
 				}
-				if db.baselineIndex(t.Name, si.Name) != nil {
+				if t.BaselineIndex(si.Name) != nil {
 					emit(&pCreateBaselineIndex{ref})
 				}
 			}

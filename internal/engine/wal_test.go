@@ -113,7 +113,7 @@ func tortureSteps() []tortureStep {
 		tortureStep{dml: func(m mutator, ids *tortureIDs) error { return m.DeleteAnnotation("Birds", ids.anns[3]) }},
 		tortureStep{dml: func(m mutator, ids *tortureIDs) error { return m.DeleteTuple("Birds", ids.oids[4]) }},
 		ddl(func(db *DB) error { return db.CreateBaselineIndex("Birds", "ClassBird1") }),
-		ddl(func(db *DB) error { db.DropSummaryIndex("Birds", "ClassBird1"); return nil }),
+		ddl(func(db *DB) error { return db.DropSummaryIndex("Birds", "ClassBird1") }),
 		ddl(func(db *DB) error { return db.UnlinkInstance("Birds", "TextSummary1") }),
 
 		// Second table plus a cross-table attachment of an existing

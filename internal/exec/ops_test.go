@@ -34,8 +34,9 @@ func newOpsFixture(t *testing.T, nR, nS int) *opsFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat.LinkInstance("R", &catalog.SummaryInstance{
-		Name: "C1", Type: model.SummaryClassifier, Labels: []string{"Disease", "Other"}})
+	cat.DefineInstance(&catalog.SummaryInstance{
+		Name: "C1", Type: model.SummaryClassifier, Labels: []string{"Disease", "Other"}}, nil)
+	cat.LinkInstance("R", "C1")
 	for i := 1; i <= nR; i++ {
 		oid, _ := r.Insert([]model.Value{model.NewInt(int64(i)), model.NewText(fmt.Sprintf("b%02d", i))})
 		ann := cat.Anns.Add(oid, "note", nil, "u")
@@ -46,7 +47,8 @@ func newOpsFixture(t *testing.T, nR, nS int) *opsFixture {
 				{Label: "Other", Count: 1, Elements: []int64{ann.ID}},
 			},
 		}}
-		r.PutSummaries(oid, set)
+		rid, _ := r.DiskTupleLoc(oid)
+		r.PutSummaries(oid, rid, nil, set)
 	}
 	for j := 1; j <= nS; j++ {
 		s.Insert([]model.Value{model.NewInt(int64(j % nR)), model.NewText(fmt.Sprintf("z%02d", j))})
@@ -87,7 +89,8 @@ func newMergeFixture(t *testing.T, n int) *opsFixture {
 		if i%5 == 0 {
 			chainRep.RepAnnID = 0
 		}
-		r.PutSummaries(oid, model.SummarySet{
+		rid, _ := r.DiskTupleLoc(oid)
+		r.PutSummaries(oid, rid, nil, model.SummarySet{
 			{InstanceID: "C1", TupleOID: oid, Type: model.SummaryClassifier, Reps: []model.Rep{
 				{Label: "Disease", Count: 2, Elements: []int64{3000 + id/3, 3500 + id/3}},
 				{Label: "Other", Count: 1, Elements: []int64{4000 + id}},
@@ -274,7 +277,8 @@ func TestDollarFormsResolveAlike(t *testing.T) {
 	})
 	for k, oid := range sOIDs {
 		j := int64(k + 1)
-		f.s.PutSummaries(oid, model.SummarySet{{InstanceID: "C1", TupleOID: oid, Type: model.SummaryClassifier,
+		rid, _ := f.s.DiskTupleLoc(oid)
+		f.s.PutSummaries(oid, rid, nil, model.SummarySet{{InstanceID: "C1", TupleOID: oid, Type: model.SummaryClassifier,
 			Reps: []model.Rep{
 				{Label: "Disease", Count: int(j % 5), Elements: seqIDs(800000+10*j, int(j%5))},
 				{Label: "Other", Count: 2, Elements: seqIDs(900000+2*j, 2)},
@@ -580,12 +584,14 @@ func TestSummaryEffectProjectEliminates(t *testing.T) {
 	rows, _ := Collect(nil, summaryScan(f.r, "r"))
 	oid := rows[0].Tuple.OID
 	colAnn := f.cat.Anns.Add(oid, "column note", []string{"b"}, "u")
-	set := f.r.GetSummaries(oid).Clone()
+	old := f.r.GetSummaries(oid)
+	set := old.Clone()
 	c1 := set.Get("C1")
 	li := c1.RepIndexByLabel("Other")
 	c1.Reps[li].Elements = append(c1.Reps[li].Elements, colAnn.ID)
 	c1.Reps[li].Count = len(c1.Reps[li].Elements)
-	f.r.PutSummaries(oid, set)
+	rid, _ := f.r.DiskTupleLoc(oid)
+	f.r.PutSummaries(oid, rid, old, set)
 
 	// Keep only column a: the b-attached annotation's effect vanishes.
 	sp := NewSummaryEffectProject(summaryScan(f.r, "r"), []string{"a"},

@@ -47,9 +47,10 @@ func newOptFixture(t *testing.T, nR, nS int, shareInstance bool, seed int64) *op
 	}
 	ci := &catalog.SummaryInstance{Name: "C1", Type: model.SummaryClassifier,
 		Labels: []string{"Disease", "Other"}}
-	cat.LinkInstance("R", ci)
+	cat.DefineInstance(ci, nil)
+	cat.LinkInstance("R", "C1")
 	if shareInstance {
-		cat.LinkInstance("S", ci)
+		cat.LinkInstance("S", "C1")
 	}
 	nextAnn := int64(1)
 	mkSet := func(oid int64, d int) model.SummarySet {
@@ -70,16 +71,14 @@ func newOptFixture(t *testing.T, nR, nS int, shareInstance bool, seed int64) *op
 	}
 	for i := 1; i <= nR; i++ {
 		oid, _ := r.Insert([]model.Value{model.NewInt(int64(i)), model.NewText(fmt.Sprintf("b%d", i%5))})
-		set := mkSet(oid, rng.Intn(6))
-		r.PutSummaries(oid, set)
-		r.ObserveSummary(set[0])
+		rid, _ := r.DiskTupleLoc(oid)
+		r.PutSummaries(oid, rid, nil, mkSet(oid, rng.Intn(6)))
 	}
 	for j := 1; j <= nS; j++ {
 		oid, _ := s.Insert([]model.Value{model.NewInt(int64(j%nR + 1)), model.NewText(fmt.Sprintf("z%d", j))})
 		if shareInstance {
-			set := mkSet(oid, rng.Intn(3))
-			s.PutSummaries(oid, set)
-			s.ObserveSummary(set[0])
+			rid, _ := s.DiskTupleLoc(oid)
+			s.PutSummaries(oid, rid, nil, mkSet(oid, rng.Intn(3)))
 		}
 	}
 	f := &optFixture{cat: cat, r: r, s: s, t: t,

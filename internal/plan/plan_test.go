@@ -32,9 +32,10 @@ func planFixture(t *testing.T) (*catalog.Catalog, *Builder) {
 	)); err != nil {
 		t.Fatal(err)
 	}
-	cat.LinkInstance("Birds", &catalog.SummaryInstance{
+	cat.DefineInstance(&catalog.SummaryInstance{
 		Name: "ClassBird1", Type: model.SummaryClassifier,
-		Labels: []string{"Disease", "Other"}})
+		Labels: []string{"Disease", "Other"}}, nil)
+	cat.LinkInstance("Birds", "ClassBird1")
 	return cat, &Builder{Cat: cat}
 }
 
@@ -190,8 +191,9 @@ func TestBuildSummaryJoinForMixedPredicates(t *testing.T) {
 	cat, b := planFixture(t)
 	cat.CreateTable("BirdsV2", model.NewSchema("",
 		model.Column{Name: "id", Kind: model.KindInt}))
-	cat.LinkInstance("BirdsV2", &catalog.SummaryInstance{
-		Name: "ClassBird1x", Type: model.SummaryClassifier, Labels: []string{"D"}})
+	cat.DefineInstance(&catalog.SummaryInstance{
+		Name: "ClassBird1x", Type: model.SummaryClassifier, Labels: []string{"D"}}, nil)
+	cat.LinkInstance("BirdsV2", "ClassBird1x")
 	root := buildPlan(t, b, `SELECT v1.id FROM Birds v1, BirdsV2 v2
 		WHERE v1.id = v2.id
 		AND v1.$.getSummaryObject('ClassBird1').getLabelValue('Disease')
