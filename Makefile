@@ -90,13 +90,14 @@ loc:
 		| sort -k2 \
 		| awk '{ print; t += $$1 } END { printf "%7d total\n", t }'
 
-# bench-smoke regenerates one representative figure plus the parallel
-# speedup, buffer-pool, fetch-path, ingest, server and batch-capacity
-# figures at the reduced quick scale, enforcing each figure's shape
-# gate. The performance trajectory is benchmarks/ (see
-# BENCHMARK.json), not a snapshot of this run.
+# bench-smoke regenerates one representative figure, the two rule
+# figures (14, 15: each fails unless EXPLAIN shows the plan its contrast
+# rests on), and the parallel speedup, buffer-pool, fetch-path, ingest,
+# server and batch-capacity figures at the reduced quick scale,
+# enforcing each figure's shape gate. The performance trajectory is
+# benchmarks/ (see BENCHMARK.json), not a snapshot of this run.
 bench-smoke:
-	$(GO) run ./cmd/benchreport -quick -fig 10,17,18,19,22,23,24
+	$(GO) run ./cmd/benchreport -quick -fig 10,14,15,17,18,19,22,23,24
 
 # recovery-torture runs the WAL crash matrix: the mixed workload's log is
 # cut at every record boundary (and inside every record) and each prefix

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/catalog"
@@ -489,18 +490,43 @@ func Fig14Rules25(h *Harness) (*Table, error) {
 	for _, jc := range []struct{ join, sort string }{
 		{"nl", "mem"}, {"nl", "disk"}, {"index", "mem"}, {"index", "disk"},
 	} {
-		disabled, n1, _, err := queryTime(db, q, &optimizer.Options{
+		disabledOpts := &optimizer.Options{
 			DisableRules: true, ForceJoin: jc.join, ForceSort: jc.sort, SortRunLen: 256,
-		}, 3)
+		}
+		enabledOpts := &optimizer.Options{ForceJoin: jc.join}
+		disabled, n1, _, err := queryTime(db, q, disabledOpts, 3)
 		if err != nil {
 			return nil, err
 		}
-		enabled, n2, _, err := queryTime(db, q, &optimizer.Options{ForceJoin: jc.join}, 3)
+		enabled, n2, _, err := queryTime(db, q, enabledOpts, 3)
 		if err != nil {
 			return nil, err
 		}
 		if n1 != n2 {
 			return nil, fmt.Errorf("fig14 %v: result mismatch %d vs %d", jc, n1, n2)
+		}
+		// The contrast is the rules' plan against the plan without them:
+		// the index answers the selection and its order stands in for
+		// the sort only when the rules run.
+		for _, gate := range []struct {
+			opts  *optimizer.Options
+			want  bool
+			frags []string
+		}{
+			{disabledOpts, false, []string{"SummaryBTreeScan", "(eliminated: index order)"}},
+			{enabledOpts, true, []string{fmt.Sprintf("SummaryBTreeScan Birds AS r ON ClassBird1.Disease > %d", c),
+				"(eliminated: index order)"}},
+		} {
+			p, err := db.Explain(q, gate.opts)
+			if err != nil {
+				return nil, err
+			}
+			for _, frag := range gate.frags {
+				if strings.Contains(p, frag) != gate.want {
+					return nil, fmt.Errorf("fig14 %v (rules enabled: %v): plan has %q = %v:\n%s",
+						jc, gate.want, frag, !gate.want, p)
+				}
+			}
 		}
 		t.AddRow(fmt.Sprintf("%s/%s", jc.join, jc.sort), ms(disabled), ms(enabled), ratio(disabled, enabled))
 	}
@@ -573,11 +599,42 @@ func Fig15Rule11(h *Harness) (*Table, error) {
 		if n1 != n2 {
 			return nil, fmt.Errorf("fig15: result mismatch %d vs %d", n1, n2)
 		}
+		// Rule 11's plan: the index join with BirdsT runs below the
+		// summary join.
+		p, err := db.Explain(q, nil)
+		if err != nil {
+			return nil, err
+		}
+		if !subtreeHas(p, "SummaryJoin J[", "IndexJoin(") || !subtreeHas(p, "IndexJoin(", "BirdsT") {
+			return nil, fmt.Errorf("fig15: the optimized plan does not run the BirdsT index join below the summary join:\n%s", p)
+		}
 		t.AddRow(h.Scale.PaperAnnotations(avg), fmt.Sprint(n1),
 			ms(disabled), ms(enabled), ratio(disabled, enabled))
 	}
 	t.AddNote("paper: ~3.5x from performing the indexed data join first (rule 11)")
 	return t, nil
+}
+
+// subtreeHas reports whether, in the EXPLAIN text p, a line containing
+// inner sits in the subtree of (is indented under) a line containing
+// outer.
+func subtreeHas(p, outer, inner string) bool {
+	lines := strings.Split(p, "\n")
+	indent := func(l string) int { return len(l) - len(strings.TrimLeft(l, " ")) }
+	for i, l := range lines {
+		if !strings.Contains(l, outer) {
+			continue
+		}
+		for _, m := range lines[i+1:] {
+			if indent(m) <= indent(l) {
+				break
+			}
+			if strings.Contains(m, inner) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // --- Figures 2 and 16: usability case study ---------------------------------------

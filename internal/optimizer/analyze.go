@@ -26,15 +26,15 @@ type AnalyzedNode struct {
 // estimate-only annotation).
 func Annotate(root plan.Node, r *plan.AliasResolver, env *Env, opts Options) *AnalyzedNode {
 	rw := &rewriter{env: env, opts: opts, resolver: r}
-	var walk func(n plan.Node) *AnalyzedNode
-	walk = func(n plan.Node) *AnalyzedNode {
-		an := &AnalyzedNode{Node: n, Est: rw.estimate(n), Stats: opts.Collector.Stats(n)}
+	var walk func(n plan.Node, need bool) *AnalyzedNode
+	walk = func(n plan.Node, need bool) *AnalyzedNode {
+		an := &AnalyzedNode{Node: n, Est: rw.estimateAt(n, need), Stats: opts.Collector.Stats(n)}
 		for _, c := range n.Children() {
-			an.Children = append(an.Children, walk(c))
+			an.Children = append(an.Children, walk(c, childNeed(n, need)))
 		}
 		return an
 	}
-	return walk(root)
+	return walk(root, env.Propagate)
 }
 
 // SelfIO is the node's I/O delta minus its children's — the pages this

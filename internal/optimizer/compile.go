@@ -72,6 +72,37 @@ func usesDollar(exprs ...sql.Expr) bool {
 	return false
 }
 
+// childNeed is the need n's inputs are compiled under, given the need
+// above n: whether an operator at or above n reads the summary sets of
+// the rows its inputs produce. S and J evaluate summary predicates, and
+// any σ, join, sort key, aggregate or projection naming the $ variable
+// reads them too. (A data-only σ over a leaf compiles its leaf without
+// the sets and attaches them above itself; the leaf's rows still pay
+// for them, so the cost model charges them there.)
+func childNeed(n plan.Node, need bool) bool {
+	switch node := n.(type) {
+	case *plan.SummarySelect, *plan.SummaryJoin:
+		return true
+	case *plan.Select:
+		return need || usesDollar(node.Pred)
+	case *plan.Join:
+		return need || usesDollar(node.On, node.Residual)
+	case *plan.SortNode:
+		for _, k := range node.Keys {
+			need = need || usesDollar(k.Expr)
+		}
+		return need
+	case *plan.GroupByNode:
+		for _, a := range node.Aggs {
+			need = need || usesDollar(a.Arg)
+		}
+		return need || usesDollar(node.Keys...)
+	case *plan.ProjectNode:
+		return need || usesDollar(node.Exprs...)
+	}
+	return need
+}
+
 // compile lowers one node; need reports whether operators above n
 // require summary sets on n's output rows. With a stats collector in
 // opts, every produced operator is wrapped in a per-operator runtime
@@ -171,14 +202,14 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Operator,
 			}
 			return exec.NewAttachSummaries(exec.NewFilter(child, node.Pred, env.Lookup), t), nil
 		}
-		child, err := compile(node.Child, env, opts, need || usesDollar(node.Pred))
+		child, err := compile(node.Child, env, opts, childNeed(n, need))
 		if err != nil {
 			return nil, err
 		}
 		return exec.NewFilter(child, node.Pred, env.Lookup), nil
 
 	case *plan.SummarySelect:
-		child, err := compile(node.Child, env, opts, true)
+		child, err := compile(node.Child, env, opts, childNeed(n, need))
 		if err != nil {
 			return nil, err
 		}
@@ -192,8 +223,8 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Operator,
 		return exec.NewSummaryFilter(child, node.Instances, node.Types), nil
 
 	case *plan.Join:
-		childNeed := need || usesDollar(node.On, node.Residual)
-		left, err := compile(node.Left, env, opts, childNeed)
+		below := childNeed(n, need)
+		left, err := compile(node.Left, env, opts, below)
 		if err != nil {
 			return nil, err
 		}
@@ -204,7 +235,7 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Operator,
 			}
 			j := exec.NewIndexJoin(left, innerScan.Table, innerScan.Alias,
 				node.IndexColumn, node.OuterKey, node.Residual, need, env.Lookup)
-			j.FetchSummaries = childNeed
+			j.FetchSummaries = below
 			return j, nil
 		}
 		if node.UseHash && node.BuildDOP > 1 {
@@ -212,14 +243,14 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Operator,
 			// iterator per page-range partition concurrently, folding the
 			// runs into the hash table in partition order.
 			g := &plan.GatherNode{Child: node.Right, DOP: node.BuildDOP}
-			builds, err := compileWorkers(g, env, opts, childNeed, false)
+			builds, err := compileWorkers(g, env, opts, below, false)
 			if err != nil {
 				return nil, err
 			}
 			return exec.NewParallelHashJoin(left, builds, node.HashLeft, node.HashRight,
 				node.Residual, need, env.Lookup), nil
 		}
-		right, err := compile(node.Right, env, opts, childNeed)
+		right, err := compile(node.Right, env, opts, below)
 		if err != nil {
 			return nil, err
 		}
@@ -253,11 +284,7 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Operator,
 		return j, nil
 
 	case *plan.SortNode:
-		keyExprs := make([]sql.Expr, len(node.Keys))
-		for i := range node.Keys {
-			keyExprs[i] = node.Keys[i].Expr
-		}
-		child, err := compile(node.Child, env, opts, need || usesDollar(keyExprs...))
+		child, err := compile(node.Child, env, opts, childNeed(n, need))
 		if err != nil {
 			return nil, err
 		}
@@ -270,33 +297,27 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Operator,
 		return exec.NewSort(child, node.Keys, env.Lookup), nil
 
 	case *plan.GroupByNode:
-		aggExprs := make([]sql.Expr, 0, len(node.Aggs))
-		for _, a := range node.Aggs {
-			if a.Arg != nil {
-				aggExprs = append(aggExprs, a.Arg)
-			}
-		}
-		childNeed := need || usesDollar(append(aggExprs, node.Keys...)...)
+		below := childNeed(n, need)
 		if g, ok := node.Child.(*plan.GatherNode); ok && node.DOP > 1 && g.Partial {
 			// Parallel partial/final aggregation: no Gather operator is
 			// built — the GroupBy itself drives the workers, each folding
 			// its partition into per-group partial states merged in
 			// partition order. The worker tops are recorded under the
 			// GatherNode so EXPLAIN ANALYZE shows the fragment's rows.
-			workers, err := compileWorkers(g, env, opts, childNeed, true)
+			workers, err := compileWorkers(g, env, opts, below, true)
 			if err != nil {
 				return nil, err
 			}
 			return exec.NewParallelGroupBy(workers, node.Keys, node.Aggs, env.Lookup), nil
 		}
-		child, err := compile(node.Child, env, opts, childNeed)
+		child, err := compile(node.Child, env, opts, below)
 		if err != nil {
 			return nil, err
 		}
 		return exec.NewGroupBy(child, node.Keys, node.Aggs, env.Lookup), nil
 
 	case *plan.ProjectNode:
-		child, err := compile(node.Child, env, opts, need || usesDollar(node.Exprs...))
+		child, err := compile(node.Child, env, opts, childNeed(n, need))
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"math"
+	"strings"
 
 	"repro/internal/catalog"
 	"repro/internal/index"
@@ -71,85 +72,50 @@ func (rw *rewriter) selectivity(t *catalog.Table, cp *plan.ClassifierPredicate) 
 	return defaultRangeSelectivity
 }
 
-// indexBeatsScan compares a Summary-BTree (or baseline) probe against a
-// full scan plus filter: probe = log_B(kN) descent + per-hit tuple
-// fetches (plus summary-storage probes when propagating); scan = every
-// data page + per-tuple summary reads.
-func (rw *rewriter) indexBeatsScan(t *catalog.Table, cp *plan.ClassifierPredicate) bool {
-	n := float64(t.Len())
-	if n == 0 {
-		return false
+// summaryReads charges fetching a summary set for each of rows leaf
+// rows: a summary-storage probe plus a read. A leaf pays it whenever
+// compile attaches its sets, i.e. when something at or above it needs
+// summaries (see childNeed).
+func summaryReads(rows float64, need bool) float64 {
+	if need {
+		return rows * 2
 	}
-	sel := rw.selectivity(t, cp)
-	matches := sel * n
-	height := math.Log(math.Max(n, 2)) / math.Log(float64(t.Data.PageCap()))
-
-	perHit := 1.0 // backward pointer: direct heap fetch
-	if rw.opts.UseBaseline {
-		perHit = 2 + height // normalized row read + OID-index join to the data tuple
-	}
-	if rw.env.Propagate {
-		perHit += 2 // summary-storage probe + read
-	}
-	indexCost := height + matches*perHit
-
-	// The sequential alternative must fetch every tuple's summary set to
-	// evaluate the predicate, whether or not the output propagates
-	// summaries — the asymmetry that makes the no-propagation case the
-	// index's best case (Figure 13).
-	scanCost := float64(t.Data.Pages()) + n*cpuPerRow + n*2
-	return indexCost < scanCost
+	return 0
 }
 
-// indexJoinBeatsNL compares probing the inner index per outer row with a
-// block nested loop over a materialized inner.
-func (rw *rewriter) indexJoinBeatsNL(j *plan.Join) bool {
-	left := rw.estimate(j.Left)
-	right := rw.estimate(j.Right)
-	innerScan, _ := leafScan(j.Right)
-	if innerScan == nil {
-		return false
-	}
-	n := float64(innerScan.Table.Len())
-	height := math.Log(math.Max(n, 2)) / math.Log(float64(innerScan.Table.Data.PageCap()))
-	matchesPerProbe := 1.0
-	if ci, err := innerScan.Table.Schema.ColIndex("", j.IndexColumn); err == nil && j.IndexColumn != "" {
-		if d := innerScan.Table.ColStats[ci].NumDistinct(); d > 0 {
-			matchesPerProbe = math.Max(1, n/float64(d))
-		}
-	}
-	indexCost := left.Cost + left.Rows*(height+matchesPerProbe)
-	nlCost := left.Cost + right.Cost + left.Rows*right.Rows*cpuPerRow
-	return indexCost < nlCost
+// descentHeight is the modeled root-to-leaf descent of an index over
+// t: log base page capacity of its row count.
+func descentHeight(t *catalog.Table) float64 {
+	return math.Log(math.Max(float64(t.Len()), 2)) / math.Log(float64(t.Data.PageCap()))
 }
 
-// hashJoinBeatsNL compares a hash join (one pass over each input) with
-// the block nested loop's cross-product predicate evaluations.
-func (rw *rewriter) hashJoinBeatsNL(j *plan.Join) bool {
-	l, r := rw.estimate(j.Left), rw.estimate(j.Right)
-	hashCost := (l.Rows + r.Rows) * cpuPerRow * 2
-	nlCost := l.Rows * r.Rows * cpuPerRow
-	return hashCost < nlCost
+// indexHits estimates the rows of t an index leaf's classifier
+// predicate selects.
+func (rw *rewriter) indexHits(t *catalog.Table, instance, label string, op index.CmpOp, c int) float64 {
+	cp := &plan.ClassifierPredicate{Instance: instance, Label: label, Op: op, Constant: c}
+	return rw.selectivity(t, cp) * float64(t.Len())
 }
 
-// estimate computes cardinality and cost bottom-up.
+// estimate prices a plan as compile would run it at the root of a
+// statement: it is the one cost function, both for EXPLAIN and for
+// every physical choice the optimizer makes between alternatives.
 func (rw *rewriter) estimate(n plan.Node) Estimate {
+	return rw.estimateAt(n, rw.env.Propagate)
+}
+
+// estimateAt computes cardinality and cost bottom-up; need reports
+// whether operators above n read the summary sets of n's rows, as in
+// compile.
+func (rw *rewriter) estimateAt(n plan.Node, need bool) Estimate {
+	below := childNeed(n, need)
 	switch node := n.(type) {
 	case *plan.Scan:
 		rows := float64(node.Table.Len())
-		cost := float64(node.Table.Data.Pages())
-		if rw.env.Propagate {
-			cost += rows * 2
-		}
-		return Estimate{Rows: rows, Cost: cost}
+		return Estimate{Rows: rows, Cost: float64(node.Table.Data.Pages()) + summaryReads(rows, need)}
 
 	case *plan.SummaryIndexScanNode:
 		t := node.Table
-		cp := &plan.ClassifierPredicate{Instance: node.Instance, Label: node.Label,
-			Op: node.Op, Constant: node.Constant}
-		sel := rw.selectivity(t, cp)
-		rows := sel * float64(t.Len())
-		height := math.Log(math.Max(float64(t.Len()), 2)) / math.Log(float64(t.Data.PageCap()))
+		rows := rw.indexHits(t, node.Instance, node.Label, node.Op, node.Constant)
 		// The heap dereference is priced by fetch mode: page-ordered
 		// batching pays one read per distinct page, order-preserving
 		// fetch pays per hit once the working set outgrows the pool
@@ -159,63 +125,42 @@ func (rw *rewriter) estimate(n plan.Node) Estimate {
 		if !node.FetchSorted {
 			fetch = orderedCost
 		}
-		cost := height + fetch
-		if rw.env.Propagate {
-			cost += rows * 2 // summary-storage probe + read per hit
-		}
-		return Estimate{Rows: rows, Cost: cost}
+		return Estimate{Rows: rows, Cost: descentHeight(t) + fetch + summaryReads(rows, need)}
 
 	case *plan.BaselineIndexScanNode:
 		t := node.Table
-		cp := &plan.ClassifierPredicate{Instance: node.Instance, Label: node.Label,
-			Op: node.Op, Constant: node.Constant}
-		sel := rw.selectivity(t, cp)
-		rows := sel * float64(t.Len())
-		height := math.Log(math.Max(float64(t.Len()), 2)) / math.Log(float64(t.Data.PageCap()))
-		perHit := 2 + height
-		if rw.env.Propagate {
-			perHit += 2
-		}
-		return Estimate{Rows: rows, Cost: height + rows*perHit}
+		rows := rw.indexHits(t, node.Instance, node.Label, node.Op, node.Constant)
+		height := descentHeight(t)
+		// Per hit: the normalized row read plus the OID-index join to
+		// the data tuple.
+		return Estimate{Rows: rows, Cost: height + rows*(2+height) + summaryReads(rows, need)}
 
 	case *plan.SummaryProject:
-		child := rw.estimate(node.Child)
+		child := rw.estimateAt(node.Child, below)
 		return Estimate{Rows: child.Rows, Cost: child.Cost + child.Rows*cpuPerRow}
 
 	case *plan.Select:
-		child := rw.estimate(node.Child)
+		child := rw.estimateAt(node.Child, below)
 		sel := rw.predSelectivity(node.Pred, node.Child)
 		return Estimate{Rows: child.Rows * sel, Cost: child.Cost + child.Rows*cpuPerRow}
 
 	case *plan.SummarySelect:
-		child := rw.estimate(node.Child)
+		child := rw.estimateAt(node.Child, below)
 		sel := rw.predSelectivity(node.Pred, node.Child)
 		return Estimate{Rows: child.Rows * sel, Cost: child.Cost + child.Rows*cpuPerRow}
 
 	case *plan.SummaryFilterNode:
-		child := rw.estimate(node.Child)
+		child := rw.estimateAt(node.Child, below)
 		return Estimate{Rows: child.Rows, Cost: child.Cost + child.Rows*cpuPerRow}
 
 	case *plan.Join:
-		l, r := rw.estimate(node.Left), rw.estimate(node.Right)
-		sel := rw.joinSelectivity(node.On, node.Left, node.Right)
-		rows := l.Rows * r.Rows * sel
-		var cost float64
-		if node.UseIndex {
-			cost = l.Cost + l.Rows*3
-		} else {
-			cost = l.Cost + r.Cost + l.Rows*r.Rows*cpuPerRow
-		}
-		return Estimate{Rows: rows, Cost: cost}
+		return rw.joinEstimate(node.Left, node.Right, node.On, node.UseIndex, node.UseHash, node.IndexColumn, below)
 
 	case *plan.SummaryJoin:
-		l, r := rw.estimate(node.Left), rw.estimate(node.Right)
-		sel := rw.joinSelectivity(node.Pred, node.Left, node.Right)
-		return Estimate{Rows: l.Rows * r.Rows * sel,
-			Cost: l.Cost + r.Cost + l.Rows*r.Rows*cpuPerRow}
+		return rw.joinEstimate(node.Left, node.Right, node.Pred, node.UseIndex, false, node.IndexColumn, below)
 
 	case *plan.SortNode:
-		child := rw.estimate(node.Child)
+		child := rw.estimateAt(node.Child, below)
 		if node.Eliminated {
 			return child
 		}
@@ -223,33 +168,61 @@ func (rw *rewriter) estimate(n plan.Node) Estimate {
 		return Estimate{Rows: child.Rows, Cost: child.Cost + n*math.Log2(n)*cpuPerRow}
 
 	case *plan.GroupByNode:
-		child := rw.estimate(node.Child)
+		child := rw.estimateAt(node.Child, below)
 		return Estimate{Rows: math.Max(1, child.Rows/10), Cost: child.Cost + child.Rows*cpuPerRow}
 
 	case *plan.ProjectNode:
-		child := rw.estimate(node.Child)
+		child := rw.estimateAt(node.Child, below)
 		return Estimate{Rows: child.Rows, Cost: child.Cost + child.Rows*cpuPerRow}
 
 	case *plan.DistinctNode:
-		child := rw.estimate(node.Child)
+		child := rw.estimateAt(node.Child, below)
 		return Estimate{Rows: math.Max(1, child.Rows/2), Cost: child.Cost + child.Rows*cpuPerRow}
 
 	case *plan.LimitNode:
-		child := rw.estimate(node.Child)
+		child := rw.estimateAt(node.Child, below)
 		rows := math.Min(child.Rows, float64(node.N))
 		return Estimate{Rows: rows, Cost: child.Cost}
 
 	case *plan.GatherNode:
 		// The fragment's work divides across the workers; each worker
-		// pays the modeled startup overhead. This is the same formula
-		// chooseDOP minimized, so EXPLAIN shows why the DOP was picked.
-		child := rw.estimate(node.Child)
+		// pays the modeled startup overhead.
+		child := rw.estimateAt(node.Child, below)
 		d := math.Max(1, float64(node.DOP))
 		return Estimate{Rows: child.Rows, Cost: child.Cost/d + parallelStartupCost*d}
 
 	default:
 		return Estimate{Rows: 1000, Cost: 1000}
 	}
+}
+
+// joinEstimate prices a data or summary join as its implementation
+// runs: an index join descends the inner data index once per outer row
+// and reads the inner rows sharing the probed key; a hash join passes
+// once over each input, building and probing; a block nested loop
+// evaluates the predicate on the cross product.
+func (rw *rewriter) joinEstimate(left, right plan.Node, on sql.Expr, useIndex, useHash bool, col string, need bool) Estimate {
+	l, r := rw.estimateAt(left, need), rw.estimateAt(right, need)
+	rows := l.Rows * r.Rows * rw.joinSelectivity(on, left, right)
+	switch {
+	case useIndex:
+		inner, _ := leafScan(right)
+		return Estimate{Rows: rows, Cost: l.Cost + l.Rows*(descentHeight(inner.Table)+rowsPerKey(inner.Table, col))}
+	case useHash:
+		return Estimate{Rows: rows, Cost: l.Cost + r.Cost + 2*cpuPerRow*(l.Rows+r.Rows)}
+	}
+	return Estimate{Rows: rows, Cost: l.Cost + r.Cost + l.Rows*r.Rows*cpuPerRow}
+}
+
+// rowsPerKey is the average number of t's rows sharing one value of
+// column col: |t| / NumDistinct(col), at least 1.
+func rowsPerKey(t *catalog.Table, col string) float64 {
+	if ci, err := t.Schema.ColIndex("", col); err == nil {
+		if d := t.ColStats[ci].NumDistinct(); d > 0 {
+			return math.Max(1, float64(t.Len())/float64(d))
+		}
+	}
+	return 1
 }
 
 // predSelectivity estimates a predicate's selectivity against the
@@ -273,11 +246,11 @@ func (rw *rewriter) predSelectivity(pred sql.Expr, under plan.Node) float64 {
 		}
 		if b, ok := c.(*sql.Binary); ok && b.Op == sql.OpEq {
 			if cr, ok := b.L.(*sql.ColumnRef); ok {
-				sel *= rw.columnEqSelectivity(cr, tables)
+				sel *= rw.columnEqSelectivity(cr, under)
 				continue
 			}
 			if cr, ok := b.R.(*sql.ColumnRef); ok {
-				sel *= rw.columnEqSelectivity(cr, tables)
+				sel *= rw.columnEqSelectivity(cr, under)
 				continue
 			}
 		}
@@ -286,12 +259,10 @@ func (rw *rewriter) predSelectivity(pred sql.Expr, under plan.Node) float64 {
 	return sel
 }
 
-func (rw *rewriter) columnEqSelectivity(cr *sql.ColumnRef, tables []*catalog.Table) float64 {
-	for _, t := range tables {
-		if ci, err := t.Schema.ColIndex("", cr.Name); err == nil {
-			if s := t.ColStats[ci].SelectivityEq(); s > 0 {
-				return s
-			}
+func (rw *rewriter) columnEqSelectivity(cr *sql.ColumnRef, under plan.Node) float64 {
+	if cs := rw.columnStats(cr, under); cs != nil {
+		if s := cs.SelectivityEq(); s > 0 {
+			return s
 		}
 	}
 	return 0.1
@@ -319,16 +290,42 @@ func (rw *rewriter) joinSelectivity(on sql.Expr, left, right plan.Node) float64 
 }
 
 func (rw *rewriter) distinctOf(cr *sql.ColumnRef, sides ...plan.Node) float64 {
-	for _, side := range sides {
-		for _, t := range tablesIn(side) {
-			if ci, err := t.Schema.ColIndex("", cr.Name); err == nil {
-				if d := t.ColStats[ci].NumDistinct(); d > 0 {
-					return float64(d)
-				}
-			}
-		}
+	if cs := rw.columnStats(cr, sides...); cs != nil {
+		return float64(cs.NumDistinct())
 	}
 	return 0
+}
+
+// columnStats resolves a column reference to the statistics of the
+// column in the table it names among the leaves under the subtrees:
+// the leaf whose alias is the reference's qualifier, or its owner by
+// the resolver when unqualified (any leaf with the column when neither
+// settles it).
+func (rw *rewriter) columnStats(cr *sql.ColumnRef, under ...plan.Node) *catalog.ColumnStats {
+	alias := cr.Qualifier
+	if alias == "" && rw.resolver != nil {
+		alias = rw.resolver.OwnerOf(cr.Name)
+	}
+	for _, n := range under {
+		if cs := leafColumnStats(n, alias, cr.Name); cs != nil {
+			return cs
+		}
+	}
+	return nil
+}
+
+func leafColumnStats(n plan.Node, alias, col string) *catalog.ColumnStats {
+	if t, a := leafTable(n); t != nil && (alias == "" || strings.EqualFold(a, alias)) {
+		if ci, err := t.Schema.ColIndex("", col); err == nil {
+			return t.ColStats[ci]
+		}
+	}
+	for _, c := range n.Children() {
+		if cs := leafColumnStats(c, alias, col); cs != nil {
+			return cs
+		}
+	}
+	return nil
 }
 
 // EstimateNode exposes the cost model (for EXPLAIN and tests).

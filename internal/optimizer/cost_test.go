@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/index"
+	"repro/internal/model"
 	"repro/internal/plan"
+	"repro/internal/sql"
 )
 
 // Regression for the range-bound bug: OpLt/OpLe used a hard-coded 0 as
@@ -32,18 +34,9 @@ func TestSelectivityShiftedDomainRegression(t *testing.T) {
 		t.Fatalf("selectivity(Shifted < 0) = %v, want ≈ %v (hard-coded 0 lower bound estimates 0)", sel, want)
 	}
 
-	// The half-the-table predicate must NOT take the (baseline) index
-	// path; a highly selective point predicate on the same label must.
-	if rw.indexBeatsScan(f.r, cp) {
-		t.Errorf("index chosen for ~48%% selectivity predicate on shifted domain")
-	}
-	eq := &plan.ClassifierPredicate{Instance: "C1", Label: "Shifted", Op: index.OpEq, Constant: -10}
-	if !rw.indexBeatsScan(f.r, eq) {
-		t.Errorf("index rejected for selective point predicate on shifted domain")
-	}
-
-	// End-to-end: access-path selection flips between the two
-	// predicates on the full rewrite pipeline.
+	// Access-path selection flips between the half-the-table predicate
+	// (the scan) and a highly selective point predicate on the same
+	// label (the baseline index).
 	f.buildBaselineIndex(f.r)
 	opts := Options{UseBaseline: true}
 	qRange := `SELECT r.a FROM R r WHERE r.$.getSummaryObject('C1').getLabelValue('Shifted') < 0`
@@ -94,6 +87,101 @@ func TestSelectivityNoStatsDefaults(t *testing.T) {
 		cp := &plan.ClassifierPredicate{Instance: "C1", Label: "Cold", Op: op, Constant: 3}
 		if sel := rw.selectivity(f.r, cp); sel != defaultRangeSelectivity {
 			t.Errorf("cold %v selectivity = %v, want %v", op, sel, defaultRangeSelectivity)
+		}
+	}
+}
+
+// keyTables adds two 40-row tables with one indexed INT column k of the
+// same name: T1.k is a key (40 distinct values), T2.k holds 4 values of
+// 10 rows each.
+func (f *optFixture) keyTables() {
+	f.t.Helper()
+	for name, distinct := range map[string]int{"T1": 40, "T2": 4} {
+		tbl, err := f.cat.CreateTable(name, model.NewSchema("", model.Column{Name: "k", Kind: model.KindInt}))
+		if err != nil {
+			f.t.Fatal(err)
+		}
+		for i := 0; i < 40; i++ {
+			tbl.Insert([]model.Value{model.NewInt(int64(i % distinct))})
+		}
+		tbl.CreateDataIndex("k")
+	}
+}
+
+// firstJoin returns the optimized plan of q under opts and the first
+// data join in it, for estimating.
+func (f *optFixture) firstJoin(q string, opts Options) (*plan.Join, *plan.AliasResolver) {
+	f.t.Helper()
+	stmt, err := sql.Parse(q)
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	root, resolver, err := f.builder.Build(stmt.(*sql.SelectStmt))
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	var join *plan.Join
+	var find func(n plan.Node)
+	find = func(n plan.Node) {
+		if j, ok := n.(*plan.Join); ok && join == nil {
+			join = j
+		}
+		for _, c := range n.Children() {
+			find(c)
+		}
+	}
+	find(Optimize(root, resolver, f.env, opts))
+	if join == nil {
+		f.t.Fatalf("no join in the plan of %s", q)
+	}
+	return join, resolver
+}
+
+// An index join reads, per outer row, the inner rows sharing the probed
+// key: its estimate grows with the inner column's rows per key
+// (|T2| / NumDistinct(T2.k) = 10 against T1's 1), by the outer rows
+// times the difference.
+func TestIndexJoinEstimateGrowsWithRowsPerKey(t *testing.T) {
+	f := newOptFixture(t, 20, 0, false, 12)
+	f.keyTables()
+	opts := Options{ForceJoin: "index"}
+	key, resolver := f.firstJoin(`SELECT r.a FROM R r, T1 t WHERE r.a = t.k`, opts)
+	fan, _ := f.firstJoin(`SELECT r.a FROM R r, T2 t WHERE r.a = t.k`, opts)
+	if !key.UseIndex || !fan.UseIndex {
+		t.Fatalf("expected index joins: %s / %s", key.Describe(), fan.Describe())
+	}
+	keyEst := EstimateNode(key, resolver, f.env, opts)
+	fanEst := EstimateNode(fan, resolver, f.env, opts)
+	outer := EstimateNode(key.Left, resolver, f.env, opts)
+	if want := keyEst.Cost + outer.Rows*9; math.Abs(fanEst.Cost-want) > 1e-9 {
+		t.Errorf("index join over 10 rows per key costs %.2f, want %.2f (1 row per key: %.2f)",
+			fanEst.Cost, want, keyEst.Cost)
+	}
+}
+
+// Column statistics resolve through the column's table: in a.k = b.k
+// over T1 (40 distinct) and T2 (4 distinct) each side takes its own
+// table's NumDistinct, whichever table comes first, so the join keeps
+// |T1|·|T2| / 40 rows and a.k = 3 above it selects 1/40 of them.
+func TestColumnStatisticsFollowTheQualifier(t *testing.T) {
+	f := newOptFixture(t, 5, 0, false, 13)
+	f.keyTables()
+	for _, q := range []string{
+		`SELECT a.k FROM T1 a, T2 b WHERE a.k = b.k`,
+		`SELECT a.k FROM T2 b, T1 a WHERE a.k = b.k`,
+	} {
+		j, resolver := f.firstJoin(q, Options{ForceJoin: "nl"})
+		est := EstimateNode(j, resolver, f.env, Options{})
+		if est.Rows != 40 {
+			t.Errorf("%s: join estimate %.1f rows, want 40", q, est.Rows)
+		}
+		pred, err := sql.ParseExpr("a.k = 3")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel := EstimateNode(&plan.Select{Child: j, Pred: pred}, resolver, f.env, Options{})
+		if sel.Rows != 1 {
+			t.Errorf("%s: a.k = 3 over the join estimates %.2f rows, want 1", q, sel.Rows)
 		}
 	}
 }

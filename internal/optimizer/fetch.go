@@ -72,23 +72,26 @@ func (rw *rewriter) fetchCosts(t *catalog.Table, matches float64) (ordered, sort
 	return ordered, sorted
 }
 
-// orderPreservingWorthIt decides the order/fetch tradeoff for an index
-// scan whose count order a downstream ORDER BY wants: preserve the
-// order (random fetch, Sort eliminated) when its cost does not exceed
-// the page-ordered fetch plus the compensating row Sort the plan would
-// otherwise keep. ForceFetch pins the answer for ablations.
-func (rw *rewriter) orderPreservingWorthIt(t *catalog.Table, cp *plan.ClassifierPredicate) bool {
+// orderedFetch decides the order/fetch tradeoff for an index scan whose
+// count order a downstream ORDER BY wants: it returns the leaf reading
+// in count order (random fetch, Sort eliminated) when the cost model
+// prices it no higher than a Sort over the page-ordered fetch the plan
+// would otherwise keep, and leaf unchanged otherwise. ForceFetch pins
+// the answer for ablations.
+func (rw *rewriter) orderedFetch(leaf *plan.SummaryIndexScanNode, desc bool) (plan.Node, bool) {
+	ordered, sorted := *leaf, *leaf
+	ordered.Ordered, ordered.FetchSorted, ordered.Descending = true, false, desc
+	sorted.FetchSorted = true
 	switch rw.opts.ForceFetch {
 	case FetchOrdered:
-		return true
+		return &ordered, true
 	case FetchSorted:
-		return false
+		return leaf, false
 	}
-	matches := rw.selectivity(t, cp) * float64(t.Len())
-	ordered, sorted := rw.fetchCosts(t, matches)
-	k := math.Max(matches, 2)
-	resort := k * math.Log2(k) * cpuPerRow
-	return ordered <= sorted+resort
+	if rw.cheapest(&ordered, &plan.SortNode{Child: &sorted}) == 0 {
+		return &ordered, true
+	}
+	return leaf, false
 }
 
 // applyForceFetch pins the fetch mode of every index scan whose order
@@ -108,8 +111,6 @@ func (rw *rewriter) applyForceFetch(n plan.Node) plan.Node {
 // fetch: its partitioning unit is the distinct data page, so chooseDOP
 // caps the DOP at this estimate.
 func (rw *rewriter) fetchDistinctPages(leaf *plan.SummaryIndexScanNode) int {
-	cp := &plan.ClassifierPredicate{Instance: leaf.Instance, Label: leaf.Label,
-		Op: leaf.Op, Constant: leaf.Constant}
-	matches := rw.selectivity(leaf.Table, cp) * float64(leaf.Table.Len())
+	matches := rw.indexHits(leaf.Table, leaf.Instance, leaf.Label, leaf.Op, leaf.Constant)
 	return int(distinctPagesTouched(matches, float64(leaf.Table.Data.Pages())))
 }

@@ -5,6 +5,10 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/index"
+	"repro/internal/plan"
+	"repro/internal/sql"
 )
 
 // TestRandomQueryPlanEquivalence is a randomized plan-equivalence
@@ -127,4 +131,154 @@ func TestRandomQueryWithGroupBy(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestChosenAlternativeIsCheapest: every physical choice in a random
+// query's plan is the alternative the one cost function prices lowest.
+// On the optimized plan, each join's implementation is no dearer than
+// its other legal implementations, each Gather's DOP than the other
+// DOPs of its pipeline, each access path than the other paths of its
+// S, and each data join over a summary join than its rule-11
+// reorderings. A rule-11 reordering that was applied no longer shows
+// its original in the optimized plan, so the sites of the plan the
+// reordering pass receives are checked too.
+func TestChosenAlternativeIsCheapest(t *testing.T) {
+	for _, shared := range []bool{false, true} {
+		f := newOptFixture(t, 18, 36, shared, 11)
+		f.buildSummaryIndex(f.r)
+		if shared {
+			f.buildSummaryIndex(f.s)
+		}
+		f.buildBaselineIndex(f.r)
+		f.s.CreateDataIndex("x")
+		f.replica()
+		rng := rand.New(rand.NewSource(31))
+		for trial := 0; trial < 120; trial++ {
+			q := randomQuery(rng, shared)
+			if rng.Intn(2) == 0 {
+				// A third table joined to r: a data join over the
+				// summary join when there is one.
+				q = strings.Replace(q, "FROM R r, S s WHERE", "FROM R r, S s, T t WHERE t.a = r.a AND", 1)
+			}
+			for _, opts := range []Options{{}, {UseBaseline: true}, {MaxParallelWorkers: 4}} {
+				f.checkCheapest(q, opts)
+			}
+		}
+	}
+}
+
+// checkCheapest runs TestChosenAlternativeIsCheapest's checks on one
+// query under opts.
+func (f *optFixture) checkCheapest(q string, opts Options) {
+	f.t.Helper()
+	build := func() (plan.Node, *plan.AliasResolver) {
+		stmt, err := sql.Parse(q)
+		if err != nil {
+			f.t.Fatal(err)
+		}
+		root, resolver, err := f.builder.Build(stmt.(*sql.SelectStmt))
+		if err != nil {
+			f.t.Fatal(err)
+		}
+		return root, resolver
+	}
+	root, resolver := build()
+	rw := &rewriter{env: f.env, opts: opts, resolver: resolver}
+	check := func(choice string, chosen plan.Node, alts []plan.Node) {
+		c := rw.estimate(chosen).Cost
+		for _, alt := range alts {
+			if e := rw.estimate(alt).Cost; c > e {
+				f.t.Errorf("%s\nopts %+v: %s chosen at cost %.4f over an alternative at %.4f:\n%s\nalternative:\n%s",
+					q, opts, choice, c, e, plan.Explain(chosen), plan.Explain(alt))
+			}
+		}
+	}
+	implemented := func(alts []plan.Node) []plan.Node {
+		out := make([]plan.Node, len(alts))
+		for i, alt := range alts {
+			out[i] = rw.chooseJoinImpl(alt)
+		}
+		return out
+	}
+	var visit func(n plan.Node, fn func(plan.Node))
+	visit = func(n plan.Node, fn func(plan.Node)) {
+		fn(n)
+		for _, c := range n.Children() {
+			visit(c, fn)
+		}
+	}
+
+	visit(Optimize(root, resolver, f.env, opts), func(n plan.Node) {
+		switch node := n.(type) {
+		case *plan.Join, *plan.SummaryJoin:
+			alts, _ := rw.joinImpls(node)
+			check("join implementation", node, alts)
+			if orders := rw.joinOrders(node); len(orders) > 1 && opts.MaxParallelWorkers <= 1 {
+				check("join order", node, implemented(orders[1:]))
+			}
+		case *plan.GatherNode:
+			check("degree of parallelism", node, rw.gathers(node.Child))
+		}
+		if site, alt := f.scanAlternative(n); site != nil {
+			check("access path", site, []plan.Node{alt})
+		} else if sel, ok := n.(*plan.SummarySelect); ok {
+			check("access path", sel, rw.accessPaths(sel)[1:])
+		}
+	})
+
+	root, resolver = build()
+	rw.resolver = resolver
+	visit(rw.chooseAccessPaths(rw.pushdown(root)), func(n plan.Node) {
+		if orders := rw.joinOrders(n); len(orders) > 1 {
+			check("join order", rw.chooseJoinImpl(rw.reorderSummaryJoins(n)), implemented(orders))
+		}
+	})
+}
+
+// scanAlternative matches an index access path — an index leaf under
+// data selections, under a residual S or none — and returns the S over
+// the scan it replaced: the leaf's predicate and the residual over the
+// same selections over a scan of the leaf's table. A full-range ordered
+// leaf, which sort elimination substitutes for a scan, is no access
+// path and returns nil.
+func (f *optFixture) scanAlternative(n plan.Node) (site, alt plan.Node) {
+	site = n
+	var conjuncts []string
+	if s, ok := n.(*plan.SummarySelect); ok {
+		conjuncts = append(conjuncts, s.Pred.String())
+		n = s.Child
+	}
+	var sigmas []sql.Expr
+	for {
+		s, ok := n.(*plan.Select)
+		if !ok {
+			break
+		}
+		sigmas = append(sigmas, s.Pred)
+		n = s.Child
+	}
+	var leafPred string
+	switch leaf := n.(type) {
+	case *plan.SummaryIndexScanNode:
+		if leaf.Ordered && leaf.Op == index.OpGe && leaf.Constant == 0 {
+			return nil, nil
+		}
+		leafPred = fmt.Sprintf("%s.$.getSummaryObject('%s').getLabelValue('%s') %s %d",
+			leaf.Alias, leaf.Instance, leaf.Label, leaf.Op, leaf.Constant)
+	case *plan.BaselineIndexScanNode:
+		leafPred = fmt.Sprintf("%s.$.getSummaryObject('%s').getLabelValue('%s') %s %d",
+			leaf.Alias, leaf.Instance, leaf.Label, leaf.Op, leaf.Constant)
+	default:
+		return nil, nil
+	}
+	t, alias := leafTable(n)
+	pred, err := sql.ParseExpr(strings.Join(append([]string{leafPred}, conjuncts...), " AND "))
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	alt = plan.NewScan(t, alias)
+	for i := len(sigmas) - 1; i >= 0; i-- {
+		alt = &plan.Select{Child: alt, Pred: sigmas[i]}
+	}
+	return site, &plan.SummarySelect{Child: alt, Pred: pred, Instances: []string{"C1"}}
 }

@@ -3,8 +3,10 @@
 // standard and summary-based operators, a cardinality/cost model fed by
 // the maintained summary statistics, access-path selection between
 // sequential scans, Summary-BTree scans, and baseline-index scans, join
-// implementation choice (block nested-loop vs index-based), and
-// sort elimination through index-provided interesting orders.
+// implementation choice (block nested loop, index probe or hash), and
+// sort elimination through index-provided interesting orders. Every
+// physical choice keeps the alternative the one cost model prices
+// lowest.
 package optimizer
 
 import (

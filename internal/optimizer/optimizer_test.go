@@ -349,15 +349,15 @@ func TestOrderPreservedThroughJoin(t *testing.T) {
 	}
 }
 
-// TestRule11Reorder: the data join with an indexed replica runs first.
-func TestRule11Reorder(t *testing.T) {
-	f := newOptFixture(t, 20, 30, false, 4)
-	// T: replica of R with indexed a.
+// replica adds T(a, c), a replica of R's a column, and indexes a on
+// both T and R.
+func (f *optFixture) replica() {
+	f.t.Helper()
 	tbl, err := f.cat.CreateTable("T", model.NewSchema("",
 		model.Column{Name: "a", Kind: model.KindInt},
 		model.Column{Name: "c", Kind: model.KindText}))
 	if err != nil {
-		t.Fatal(err)
+		f.t.Fatal(err)
 	}
 	f.r.Scan(func(_ heap.RID, tu *model.Tuple) bool {
 		tbl.Insert([]model.Value{tu.Values[0], model.NewText("t")})
@@ -365,6 +365,12 @@ func TestRule11Reorder(t *testing.T) {
 	})
 	tbl.CreateDataIndex("a")
 	f.r.CreateDataIndex("a")
+}
+
+// TestRule11Reorder: the data join with an indexed replica runs first.
+func TestRule11Reorder(t *testing.T) {
+	f := newOptFixture(t, 20, 30, false, 4)
+	f.replica()
 
 	q := `SELECT r.a FROM R r, S s, T t
 	      WHERE t.a = r.a

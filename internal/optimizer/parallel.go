@@ -114,38 +114,27 @@ func pipelineIndexScan(n plan.Node) *plan.SummaryIndexScanNode {
 	return nil
 }
 
-// chooseDOP picks the degree of parallelism for one pipeline from the
-// cost model: the dop in [2, MaxParallelWorkers] minimizing
-// cost/dop + startup·dop, serial if none beats the serial cost. The
-// dop never exceeds the leaf's partitioning units — table pages for a
-// sequential scan, estimated distinct hit pages for a sorted index
-// fetch — so extra workers past that would idle.
+// chooseDOP picks the degree of parallelism for one pipeline: that of
+// the cheapest of its gathers (position i runs i+1 workers).
 func (rw *rewriter) chooseDOP(n plan.Node) int {
-	max := rw.opts.MaxParallelWorkers
-	if max <= 1 {
-		return 1
-	}
+	return rw.cheapest(rw.gathers(n)...) + 1
+}
+
+// gathers lists a pipeline's legal degrees of parallelism: n serial,
+// then a Gather over it at each DOP from 2 up to MaxParallelWorkers.
+// The DOP never exceeds the leaf's partitioning units — table pages for
+// a sequential scan, estimated distinct hit pages for a sorted index
+// fetch — so extra workers past that would idle.
+func (rw *rewriter) gathers(n plan.Node) []plan.Node {
+	alts := []plan.Node{n}
 	var pages int
 	if scan := pipelineScan(n); scan != nil {
 		pages = scan.Table.Data.Pages()
 	} else if leaf := pipelineIndexScan(n); leaf != nil {
 		pages = rw.fetchDistinctPages(leaf)
-	} else {
-		return 1
 	}
-	if pages < 2 {
-		return 1
+	for d := 2; d <= min(rw.opts.MaxParallelWorkers, pages); d++ {
+		alts = append(alts, &plan.GatherNode{Child: n, DOP: d})
 	}
-	if max > pages {
-		max = pages
-	}
-	serial := rw.estimate(n).Cost
-	best, bestCost := 1, serial
-	for d := 2; d <= max; d++ {
-		c := serial/float64(d) + parallelStartupCost*float64(d)
-		if c < bestCost {
-			best, bestCost = d, c
-		}
-	}
-	return best
+	return alts
 }

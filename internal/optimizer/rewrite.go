@@ -52,15 +52,10 @@ func (rw *rewriter) placeConjuncts(child plan.Node, conjuncts []sql.Expr, summar
 	if len(remainder) == 0 {
 		return child
 	}
-	pred := plan.AndAll(remainder)
 	if summary {
-		var insts []string
-		for _, c := range remainder {
-			insts = append(insts, plan.Analyze(c, rw.resolver).Instances...)
-		}
-		return &plan.SummarySelect{Child: child, Pred: pred, Instances: dedupe(insts)}
+		return rw.summarySelect(child, remainder)
 	}
-	return &plan.Select{Child: child, Pred: pred}
+	return &plan.Select{Child: child, Pred: plan.AndAll(remainder)}
 }
 
 // tryPush attempts to sink one conjunct below n; it returns the rewritten
@@ -156,18 +151,27 @@ func (rw *rewriter) instancesOnSide(instances []string, n plan.Node) bool {
 
 func tablesIn(n plan.Node) []*catalog.Table {
 	var out []*catalog.Table
-	switch node := n.(type) {
-	case *plan.Scan:
-		out = append(out, node.Table)
-	case *plan.SummaryIndexScanNode:
-		out = append(out, node.Table)
-	case *plan.BaselineIndexScanNode:
-		out = append(out, node.Table)
+	if t, _ := leafTable(n); t != nil {
+		out = append(out, t)
 	}
 	for _, c := range n.Children() {
 		out = append(out, tablesIn(c)...)
 	}
 	return out
+}
+
+// leafTable returns the table and alias a base-table leaf reads, or nil
+// for any other node.
+func leafTable(n plan.Node) (*catalog.Table, string) {
+	switch leaf := n.(type) {
+	case *plan.Scan:
+		return leaf.Table, leaf.Alias
+	case *plan.SummaryIndexScanNode:
+		return leaf.Table, leaf.Alias
+	case *plan.BaselineIndexScanNode:
+		return leaf.Table, leaf.Alias
+	}
+	return nil, ""
 }
 
 // --- filter pushdown (rules 7, 8) ------------------------------------------
@@ -226,13 +230,23 @@ func (rw *rewriter) chooseAccessPaths(n plan.Node) plan.Node {
 	}
 }
 
-// trySummaryIndex rewrites SummarySelect(pred, Scan) into an index scan
-// plus residual predicates. Data selections sitting between S and the
-// scan are commuted out of the way (rule 1: Sp(σc(R)) = σc(Sp(R))) and
-// re-stacked above the index scan.
+// trySummaryIndex replaces SummarySelect(pred, Scan) by the access path
+// the cost model prices lowest.
 func (rw *rewriter) trySummaryIndex(sel *plan.SummarySelect) plan.Node {
+	alts := rw.accessPaths(sel)
+	return alts[rw.cheapest(alts...)]
+}
+
+// accessPaths lists sel's legal access paths: sel itself (the S over
+// the scan), and one index subtree per indexable conjunct — the leaf
+// answering it, the data selections sitting between S and the scan
+// commuted out of the way (rule 1: Sp(σc(R)) = σc(Sp(R))) and re-stacked
+// above the leaf (innermost first), and the remaining conjuncts as a
+// residual S.
+func (rw *rewriter) accessPaths(sel *plan.SummarySelect) []plan.Node {
+	alts := []plan.Node{sel}
 	if rw.opts.NoSummaryIndex && !rw.opts.UseBaseline {
-		return sel
+		return alts
 	}
 	var sigmas []*plan.Select
 	bottom := sel.Child
@@ -249,48 +263,51 @@ func (rw *rewriter) trySummaryIndex(sel *plan.SummarySelect) plan.Node {
 		// A non-identity summary-effect projection changes the objects
 		// the predicate sees; the index (built over stored objects) can
 		// not answer it.
-		return sel
+		return alts
 	}
 	conjuncts := plan.Conjuncts(sel.Pred)
-	bestIdx := -1
-	var bestPred *plan.ClassifierPredicate
 	for i, c := range conjuncts {
 		cp, ok := plan.MatchClassifierPredicate(c)
-		if !ok {
+		if !ok || (cp.Alias != "" && cp.Alias != strings.ToLower(scan.Alias)) ||
+			rw.indexFor(scan.Table, cp.Instance) == nil {
 			continue
 		}
-		if cp.Alias != "" && cp.Alias != strings.ToLower(scan.Alias) {
-			continue
+		var out plan.Node = rw.makeIndexLeaf(scan, cp)
+		for j := len(sigmas) - 1; j >= 0; j-- {
+			out = &plan.Select{Child: out, Pred: sigmas[j].Pred}
 		}
-		if rw.indexFor(scan.Table, cp.Instance) == nil {
-			continue
+		residual := append(append([]sql.Expr{}, conjuncts[:i]...), conjuncts[i+1:]...)
+		if len(residual) > 0 {
+			out = rw.summarySelect(out, residual)
 		}
-		// Prefer the most selective indexable conjunct.
-		if bestPred == nil || rw.selectivity(scan.Table, cp) < rw.selectivity(scan.Table, bestPred) {
-			bestIdx, bestPred = i, cp
-		}
+		alts = append(alts, out)
 	}
-	if bestPred == nil {
-		return sel
-	}
-	// Cost check: index probe + per-hit fetches vs full scan.
-	if !rw.indexBeatsScan(scan.Table, bestPred) {
-		return sel
-	}
-	var out plan.Node = rw.makeIndexLeaf(scan, bestPred)
-	// Re-stack commuted data selections (innermost first).
-	for i := len(sigmas) - 1; i >= 0; i-- {
-		out = &plan.Select{Child: out, Pred: sigmas[i].Pred}
-	}
-	residual := append(append([]sql.Expr{}, conjuncts[:bestIdx]...), conjuncts[bestIdx+1:]...)
-	if len(residual) == 0 {
-		return out
-	}
+	return alts
+}
+
+// summarySelect stacks an S evaluating the conjuncts over child.
+func (rw *rewriter) summarySelect(child plan.Node, conjuncts []sql.Expr) *plan.SummarySelect {
 	var insts []string
-	for _, c := range residual {
+	for _, c := range conjuncts {
 		insts = append(insts, plan.Analyze(c, rw.resolver).Instances...)
 	}
-	return &plan.SummarySelect{Child: out, Pred: plan.AndAll(residual), Instances: dedupe(insts)}
+	return &plan.SummarySelect{Child: child, Pred: plan.AndAll(conjuncts), Instances: dedupe(insts)}
+}
+
+// cheapest returns the position of the alternative the cost model
+// prices lowest, the earliest of equals. Every physical choice the
+// optimizer makes goes through it.
+func (rw *rewriter) cheapest(alts ...plan.Node) int {
+	if len(alts) == 1 {
+		return 0
+	}
+	best, bestCost := 0, rw.estimate(alts[0]).Cost
+	for i, alt := range alts[1:] {
+		if c := rw.estimate(alt).Cost; c < bestCost {
+			best, bestCost = i+1, c
+		}
+	}
+	return best
 }
 
 func (rw *rewriter) makeIndexLeaf(scan *plan.Scan, cp *plan.ClassifierPredicate) plan.Node {
@@ -343,56 +360,64 @@ func leafScan(n plan.Node) (*plan.Scan, bool) {
 
 // --- join implementation -----------------------------------------------------
 
-// chooseJoinImpl selects index-based joins where the inner side is a
-// base table with a data index on the join column. It applies to both
-// the data join ⋈ and the summary join J: a J carrying a mixed
-// predicate can probe the data equi-conjunct's index and evaluate its
-// summary predicates as pre-merge residuals.
+// chooseJoinImpl gives each join the cheapest of its legal
+// implementations, or the one ForceJoin pins.
 func (rw *rewriter) chooseJoinImpl(n plan.Node) plan.Node {
 	n = plan.MapChildren(n, rw.chooseJoinImpl)
-	if rw.opts.ForceJoin == "nl" {
+	alts, forced := rw.joinImpls(n)
+	switch {
+	case alts == nil:
 		return n
+	case forced:
+		return alts[len(alts)-1]
 	}
+	return alts[rw.cheapest(alts...)]
+}
+
+// joinImpls lists the legal implementations of a join, the block nested
+// loop first: an index probe of the inner side's data index on the join
+// column, and a hash join on an equi-conjunct. Both the data join ⋈ and
+// the summary join J qualify for the probe — a J carrying a mixed
+// predicate probes the data equi-conjunct's index and evaluates its
+// summary predicates as pre-merge residuals — but J has no hash
+// implementation. ForceJoin narrows the list to the nested loop and its
+// own implementation where that is legal; forced reports that the last
+// alternative is then the one to take. The list is nil for any node but
+// a join.
+func (rw *rewriter) joinImpls(n plan.Node) (alts []plan.Node, forced bool) {
+	force := rw.opts.ForceJoin
 	switch j := n.(type) {
 	case *plan.Join:
-		if j.On == nil {
-			return n
+		nl := plan.NewJoin(j.Left, j.Right, j.On)
+		alts = []plan.Node{nl}
+		if j.On == nil || force == "nl" {
+			return alts, false
 		}
-		if rw.opts.ForceJoin != "hash" {
-			if col, key, residual, ok := rw.findIndexProbe(j.On, j.Right, func() bool { return rw.indexJoinBeatsNL(j) }); ok {
-				j.UseIndex = true
-				j.IndexColumn = col
-				j.OuterKey = key
-				j.Residual = residual
-				return n
-			}
+		if col, key, residual, ok := rw.findIndexProbe(j.On, j.Right); ok && force != "hash" {
+			idx := *nl
+			idx.UseIndex, idx.IndexColumn, idx.OuterKey, idx.Residual = true, col, key, residual
+			alts = append(alts, &idx)
 		}
-		if rw.opts.ForceJoin == "index" {
-			return n
+		if lk, rk, residual, ok := rw.findHashKeys(j.On, j.Left, j.Right); ok && force != "index" {
+			hash := *nl
+			hash.UseHash, hash.HashLeft, hash.HashRight, hash.Residual = true, lk, rk, residual
+			alts = append(alts, &hash)
 		}
-		// Hash join: any orientable equi-conjunct qualifies; it beats a
-		// block nested loop whenever |L|·|R| exceeds |L|+|R|, which the
-		// cost model checks.
-		if lk, rk, residual, ok := rw.findHashKeys(j.On, j.Left, j.Right); ok {
-			if rw.opts.ForceJoin == "hash" || rw.hashJoinBeatsNL(j) {
-				j.UseHash = true
-				j.HashLeft = lk
-				j.HashRight = rk
-				j.Residual = residual
-			}
-		}
+		return alts, force == "index" || force == "hash"
 	case *plan.SummaryJoin:
-		if j.Pred == nil {
-			return n
+		nl := plan.NewSummaryJoin(j.Left, j.Right, j.Pred, j.Instances)
+		alts = []plan.Node{nl}
+		if j.Pred == nil || force == "nl" {
+			return alts, false
 		}
-		if col, key, residual, ok := rw.findIndexProbe(j.Pred, j.Right, func() bool { return true }); ok {
-			j.UseIndex = true
-			j.IndexColumn = col
-			j.OuterKey = key
-			j.Residual = residual
+		if col, key, residual, ok := rw.findIndexProbe(j.Pred, j.Right); ok {
+			idx := *nl
+			idx.UseIndex, idx.IndexColumn, idx.OuterKey, idx.Residual = true, col, key, residual
+			alts = append(alts, &idx)
 		}
+		return alts, force == "index"
 	}
-	return n
+	return nil, false
 }
 
 // findHashKeys locates an orientable data equi-conjunct for a hash
@@ -421,7 +446,7 @@ func (rw *rewriter) findHashKeys(pred sql.Expr, left, right plan.Node) (sql.Expr
 // findIndexProbe locates a data equi-conjunct whose inner column is
 // indexed; it returns the probe column, the outer key expression, and
 // the residual predicate.
-func (rw *rewriter) findIndexProbe(pred sql.Expr, right plan.Node, worthIt func() bool) (string, sql.Expr, sql.Expr, bool) {
+func (rw *rewriter) findIndexProbe(pred sql.Expr, right plan.Node) (string, sql.Expr, sql.Expr, bool) {
 	innerScan, identity := leafScan(right)
 	if innerScan == nil || !identity {
 		return "", nil, nil, false
@@ -440,9 +465,6 @@ func (rw *rewriter) findIndexProbe(pred sql.Expr, right plan.Node, worthIt func(
 			continue
 		}
 		if innerScan.Table.DataIndex(innerCol.Name) == nil {
-			continue
-		}
-		if rw.opts.ForceJoin != "index" && !worthIt() {
 			continue
 		}
 		var residual []sql.Expr
@@ -465,32 +487,33 @@ func qualifierOf(c *sql.ColumnRef, r *plan.AliasResolver) string {
 
 // --- rule 11: data/summary join reordering -----------------------------------
 
-// reorderSummaryJoins applies rule 11: T ⋈c J(R, S) = J(T ⋈c R, S) when
-// the summary-join predicate involves no instance on T and c does not
-// touch S. Executing the data join first exposes its index access path
-// and shrinks the summary join's input.
+// reorderSummaryJoins applies rule 11 where the cost model prices the
+// reordered subtree — each with its joins' implementations chosen —
+// below the original. Executing the data join first can expose its
+// index access path and shrink the summary join's input.
 func (rw *rewriter) reorderSummaryJoins(n plan.Node) plan.Node {
 	n = plan.MapChildren(n, rw.reorderSummaryJoins)
-	j, ok := n.(*plan.Join)
-	if !ok || j.On == nil {
+	alts := rw.joinOrders(n)
+	if len(alts) == 1 {
 		return n
 	}
-	// Two orientations: the summary join on the right or on the left.
-	if sj, ok := j.Right.(*plan.SummaryJoin); ok {
-		if nn := rw.tryRule11(j, j.Left, sj); nn != nil {
-			return nn
-		}
+	impls := make([]plan.Node, len(alts))
+	for i, alt := range alts {
+		impls[i] = rw.chooseJoinImpl(alt)
 	}
-	if sj, ok := j.Left.(*plan.SummaryJoin); ok {
-		if nn := rw.tryRule11(j, j.Right, sj); nn != nil {
-			return nn
-		}
-	}
-	return n
+	return alts[rw.cheapest(impls...)]
 }
 
-// tryRule11 rewrites ⋈c(T, J(R, S)) into J(⋈c(T, R), S).
-func (rw *rewriter) tryRule11(j *plan.Join, tSide plan.Node, sj *plan.SummaryJoin) plan.Node {
+// joinOrders lists n and, when n is a data join over a summary join
+// (on either side), its rule-11 reorderings: T ⋈c J(R, S) =
+// J(T ⋈c R, S) when c involves T and R only (not S) and the summary
+// predicates involve no instance defined on T.
+func (rw *rewriter) joinOrders(n plan.Node) []plan.Node {
+	alts := []plan.Node{n}
+	j, ok := n.(*plan.Join)
+	if !ok || j.On == nil {
+		return alts
+	}
 	onInfo := plan.Analyze(j.On, rw.resolver)
 	touches := func(n plan.Node) bool {
 		for a := range onInfo.Aliases {
@@ -500,52 +523,20 @@ func (rw *rewriter) tryRule11(j *plan.Join, tSide plan.Node, sj *plan.SummaryJoi
 		}
 		return false
 	}
-	// Precondition: c involves T and R only (not S), and the summary
-	// predicates involve no instance defined on T.
-	var rSide, sSide plan.Node
-	switch {
-	case touches(sj.Left) && !touches(sj.Right):
-		rSide, sSide = sj.Left, sj.Right
-	case touches(sj.Right) && !touches(sj.Left):
-		rSide, sSide = sj.Right, sj.Left
-	default:
-		return nil
-	}
-	if rw.instancesOnSide(sj.Instances, tSide) {
-		return nil
-	}
-	// Benefit check: only reorder when the data join can use an index on
-	// either side (the Figure 15 setting) — otherwise keep the original
-	// order.
-	if !rw.dataJoinHasIndex(j.On, tSide, rSide) && rw.opts.ForceJoin != "index" {
-		return nil
-	}
-	inner := plan.NewJoin(tSide, rSide, j.On)
-	return plan.NewSummaryJoin(inner, sSide, sj.Pred, sj.Instances)
-}
-
-// dataJoinHasIndex reports whether the equi-join condition can be
-// answered with a data index on either input's join column.
-func (rw *rewriter) dataJoinHasIndex(on sql.Expr, a, b plan.Node) bool {
-	for _, c := range plan.Conjuncts(on) {
-		lc, rc, ok := plan.MatchEquiJoin(c, rw.resolver)
-		if !ok {
+	for _, sides := range [][2]plan.Node{{j.Left, j.Right}, {j.Right, j.Left}} {
+		tSide := sides[0]
+		sj, ok := sides[1].(*plan.SummaryJoin)
+		if !ok || rw.instancesOnSide(sj.Instances, tSide) {
 			continue
 		}
-		for _, side := range []plan.Node{a, b} {
-			scan, identity := leafScan(side)
-			if scan == nil || !identity {
-				continue
-			}
-			for _, col := range []*sql.ColumnRef{lc, rc} {
-				if strings.EqualFold(qualifierOf(col, rw.resolver), scan.Alias) &&
-					scan.Table.DataIndex(col.Name) != nil {
-					return true
-				}
-			}
+		switch {
+		case touches(sj.Left) && !touches(sj.Right):
+			alts = append(alts, plan.NewSummaryJoin(plan.NewJoin(tSide, sj.Left, j.On), sj.Right, sj.Pred, sj.Instances))
+		case touches(sj.Right) && !touches(sj.Left):
+			alts = append(alts, plan.NewSummaryJoin(plan.NewJoin(tSide, sj.Right, j.On), sj.Left, sj.Pred, sj.Instances))
 		}
 	}
-	return false
+	return alts
 }
 
 // --- sort elimination (rules 3–6) ---------------------------------------------
@@ -602,18 +593,7 @@ func (rw *rewriter) establishOrder(n plan.Node, alias, instance, label string, d
 	case *plan.SummaryIndexScanNode:
 		if (alias == "" || strings.EqualFold(node.Alias, alias)) &&
 			strings.EqualFold(node.Instance, instance) && strings.EqualFold(node.Label, label) {
-			cp := &plan.ClassifierPredicate{Instance: node.Instance, Label: node.Label,
-				Op: node.Op, Constant: node.Constant}
-			if !rw.orderPreservingWorthIt(node.Table, cp) {
-				// Random order-preserving fetch costs more than the
-				// page-ordered fetch plus re-sorting the rows: keep the
-				// Sort and fetch in page order.
-				return node, false
-			}
-			node.Ordered = true
-			node.FetchSorted = false
-			node.Descending = desc
-			return node, true
+			return rw.orderedFetch(node, desc)
 		}
 		return node, false
 	case *plan.Scan:
@@ -624,19 +604,13 @@ func (rw *rewriter) establishOrder(n plan.Node, alias, instance, label string, d
 		if idx == nil {
 			return node, false
 		}
-		full := &plan.ClassifierPredicate{Instance: instance, Label: label,
-			Op: index.OpGe, Constant: 0}
-		if !rw.orderPreservingWorthIt(node.Table, full) {
-			// A full-range index scan in random-fetch trouble has no
-			// edge over the sequential scan + Sort already in the plan.
-			return node, false
+		// A full-range ordered index scan replaces the sequential scan
+		// when its fetch is cheap enough to stand in for the Sort.
+		full := plan.NewSummaryIndexScanNode(node.Table, node.Alias, idx, instance, label, index.OpGe, 0)
+		if leaf, ok := rw.orderedFetch(full, desc); ok {
+			return leaf, true
 		}
-		// Full-range ordered index scan replaces the sequential scan.
-		leaf := plan.NewSummaryIndexScanNode(node.Table, node.Alias, idx, instance, label, index.OpGe, 0)
-		leaf.Ordered = true
-		leaf.FetchSorted = false
-		leaf.Descending = desc
-		return leaf, true
+		return node, false
 	default:
 		if _, ok := plan.StreamingChild(n); ok {
 			return under()
