@@ -148,12 +148,13 @@ serve-stress:
 # batches crossing the parallel Gather exchange from 4 query
 # goroutines, mid-batch cancellation latency, batch release on every
 # breaker failure path, the summary fetch placed above the data filter
-# at every worker count and capacity, the summary renderer against its
-# fmt reference and its allocation guard, the per-row allocation
-# budget, and the Figure 24 smoke run with its two enforced bounds on
+# at every worker count and capacity, a joined row spilling one summary
+# set and a join rejecting pairs without allocating, the summary
+# renderer against its fmt reference and its allocation guard, the
+# per-row allocation budget, and the Figure 24 smoke run with its two enforced bounds on
 # the headline scan.
 vector-stress:
-	$(GO) test -race -count=1 -run 'TestVectorized|TestBatch|TestTransformBatch|TestCollectPreservesRowIdentity|TestOperatorsCapacityInvariant|TestMidBatchCancellationStopsWithinOneBatch|TestBreakersReleaseBatchesOnFailure|TestSummariesAttachedAfterDataFilter' ./internal/engine/ ./internal/exec/
+	$(GO) test -race -count=1 -run 'TestVectorized|TestBatch|TestTransformBatch|TestCollectPreservesRowIdentity|TestOperatorsCapacityInvariant|TestMidBatchCancellationStopsWithinOneBatch|TestBreakersReleaseBatchesOnFailure|TestSummariesAttachedAfterDataFilter|TestJoinOutputSpillsOneSummarySet|TestJoinProbeRejectedPairsAllocateNothing' ./internal/engine/ ./internal/exec/
 	$(GO) test -race -count=1 -run 'TestSummaryStringMatchesFmt|TestSummaryStringAllocs|TestRepresentativeCutKeepsRunes' ./internal/model/
 	$(GO) test -race -count=1 -run 'TestVectorizedAllocBudget' .
 	$(GO) test -race -count=1 -run 'TestFig24Smoke' ./internal/bench/

@@ -732,6 +732,44 @@ func TestQueryErrors(t *testing.T) {
 	}
 }
 
+// TestUnresolvableReferencesArePlanErrors: a qualifier that names no
+// FROM alias, and a bare $ in a predicate a join evaluates, fail
+// planning with an error naming the reference — from Query and from
+// Explain alike, neither of which may panic.
+func TestUnresolvableReferencesArePlanErrors(t *testing.T) {
+	db, _ := testDB(t, 12)
+	cases := map[string]string{
+		"SELECT zzz.id FROM Birds a":                                                     "zzz.id",
+		"SELECT a.id FROM Birds a WHERE zzz.id > 3":                                      "zzz.id",
+		"SELECT a.family, COUNT(*) FROM Birds a GROUP BY zzz.family":                     "zzz.family",
+		"SELECT a.id FROM Birds a ORDER BY zzz.id":                                       "zzz.id",
+		"SELECT a.id, b.id FROM Birds a JOIN Birds b ON zzz.id = b.id":                   "zzz.id",
+		"SELECT a.id FROM Birds a WHERE zzz.$.getSize() > 0":                             "zzz.$",
+		"SELECT zzz.* FROM Birds a":                                                      "zzz.*",
+		"SELECT a.id, b.id FROM Birds a, Birds b WHERE a.id + $.getSize() = b.id":        "bare $",
+		"SELECT a.id, b.id FROM Birds a JOIN Birds b ON a.id = b.id AND $.getSize() > 0": "bare $",
+	}
+	for q, ref := range cases {
+		_, qerr := db.Query(q, nil)
+		_, eerr := db.Explain(q, nil)
+		for _, err := range []error{qerr, eerr} {
+			if err == nil || !strings.Contains(err.Error(), ref) || strings.Contains(err.Error(), "panic") {
+				t.Errorf("%s: want a plan error naming %s, got %v", q, ref, err)
+			}
+		}
+	}
+	// A bare $ that reads one set stays legal: over one alias, and above
+	// the joins, where it reads the merged set.
+	for _, q := range []string{
+		"SELECT a.id FROM Birds a WHERE $.getSize() >= 0",
+		"SELECT a.id, b.id FROM Birds a, Birds b WHERE a.id = b.id AND $.getSize() >= 0",
+	} {
+		if res, err := db.Query(q, nil); err != nil || len(res.Rows) != 12 {
+			t.Errorf("%s: want 12 rows, got %v", q, err)
+		}
+	}
+}
+
 func TestLimitAndProjectionAliases(t *testing.T) {
 	db, _ := testDB(t, 10)
 	res, err := db.Query("SELECT name AS bird_name FROM Birds LIMIT 3", nil)

@@ -134,7 +134,6 @@ func (db *DB) runSelect(ctx context.Context, ep *dbEpoch, sel *sql.SelectStmt, k
 		// SUMMARIES is summary-free rows.
 		for _, row := range rows {
 			row.Tuple.Summaries = nil
-			row.AliasSets = nil
 		}
 	}
 	schema := it.Schema()
@@ -157,7 +156,8 @@ func (db *DB) Explain(query string, opts *optimizer.Options) (string, error) {
 		return "", fmt.Errorf("engine: Explain expects SELECT")
 	}
 	var text string
-	err = db.read(context.Background(), false, func(_ context.Context, ep *dbEpoch) (int, error) {
+	err = db.read(context.Background(), false, func(_ context.Context, ep *dbEpoch) (_ int, perr error) {
+		defer recoverInto("Planner", &perr)
 		optimized, _, _, perr := db.planSelect(ep.optimizerEnv(sel.Propagate), sel, "", db.effectiveOptions(opts))
 		if perr == nil {
 			text = plan.Explain(optimized)

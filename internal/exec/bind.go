@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/model"
@@ -27,11 +28,12 @@ type boundPred func(row *Row) (bool, error)
 
 // Bind pre-compiles an expression against the evaluator's schema — the
 // only way expressions run; every operator binds its predicates, keys
-// and arguments once in Open. Column references resolve their ordinal,
-// literals become constants, $ references lower-case their qualifier,
-// summary methods and scalar functions resolve by name, and the
-// boolean / comparison / arithmetic structure is lowered to closures
-// over applyBinary and negValue. Binding never fails: whatever cannot
+// and arguments once in Open. Column references resolve their ordinal
+// and $ references their summary set (in a join predicate, both also
+// resolve their side of the pair), literals become constants, summary
+// methods and scalar functions resolve by name, and the boolean /
+// comparison / arithmetic structure is lowered to closures over
+// applyBinary and negValue. Binding never fails: whatever cannot
 // be resolved (an unknown column, function or method, a wrong arity)
 // yields a closure that returns the error per row, so a predicate that
 // short-circuits past it never reports it.
@@ -42,12 +44,12 @@ func (ev *Evaluator) Bind(e sql.Expr) boundExpr {
 		return func(*Row) (result, error) { return r, nil }
 
 	case *sql.ColumnRef:
-		i, err := ev.Schema.ColIndex(n.Qualifier, n.Name)
+		ref, err := ev.columnRef(n)
 		if err != nil {
 			return func(*Row) (result, error) { return result{}, err }
 		}
 		return func(row *Row) (result, error) {
-			return valueResult(row.Tuple.Values[i]), nil
+			return valueResult(*ref(row)), nil
 		}
 
 	case *sql.Not:
@@ -61,9 +63,14 @@ func (ev *Evaluator) Bind(e sql.Expr) boundExpr {
 		}
 
 	case *sql.DollarRef:
-		qualifier := strings.ToLower(n.Qualifier)
+		if ev.Split > 0 && n.Qualifier != "" && slices.ContainsFunc(ev.Schema.Qualifiers[ev.Split:],
+			func(q string) bool { return strings.EqualFold(q, n.Qualifier) }) {
+			return func(row *Row) (result, error) {
+				return result{set: row.Inner.Tuple.Summaries, kind: 1}, nil
+			}
+		}
 		return func(row *Row) (result, error) {
-			return result{set: row.SetFor(qualifier), kind: 1}, nil
+			return result{set: row.Tuple.Summaries, kind: 1}, nil
 		}
 
 	case *sql.MethodCall:
@@ -354,13 +361,26 @@ func (ev *Evaluator) bindValueRef(e sql.Expr) func(*Row) *model.Value {
 		v := n.Value
 		return func(*Row) *model.Value { return &v }
 	case *sql.ColumnRef:
-		i, err := ev.Schema.ColIndex(n.Qualifier, n.Name)
-		if err != nil {
-			return nil
-		}
-		return func(row *Row) *model.Value { return &row.Tuple.Values[i] }
+		ref, _ := ev.columnRef(n)
+		return ref
 	}
 	return nil
+}
+
+// columnRef is the one column resolver: it resolves n against the
+// schema (reporting an unknown or ambiguous reference) and returns an
+// accessor reading the value in place — from the pair's inner row when
+// the column lies past the join split, else from the row's own tuple.
+func (ev *Evaluator) columnRef(n *sql.ColumnRef) (func(*Row) *model.Value, error) {
+	i, err := ev.Schema.ColIndex(n.Qualifier, n.Name)
+	if err != nil {
+		return nil, err
+	}
+	if ev.Split > 0 && i >= ev.Split {
+		i -= ev.Split
+		return func(row *Row) *model.Value { return &row.Inner.Tuple.Values[i] }, nil
+	}
+	return func(row *Row) *model.Value { return &row.Tuple.Values[i] }, nil
 }
 
 // FilterBatch evaluates a bound predicate over every live row of b and

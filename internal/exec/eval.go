@@ -15,6 +15,12 @@ import (
 type Evaluator struct {
 	Schema *model.Schema
 	Lookup model.AnnotationLookup
+	// Split is where the inner input's columns start in Schema when it
+	// is a join's concatenated schema, and 0 outside join predicates.
+	// Bound against a split, an expression runs on a join probe's pair
+	// row: columns at or past Split read Row.Inner, and x.$ reads the
+	// summary set of the side whose qualifiers include x.
+	Split int
 }
 
 // result is the evaluator's value domain: a relational value, a summary

@@ -151,29 +151,44 @@ func TestBindShortCircuitOrder(t *testing.T) {
 	}
 }
 
-// TestBindAliasRefsResolvePerSide: inside a join's pre-merge predicate
-// r.$ and s.$ resolve through Row.SetFor to their own side's summary
+// TestBindAliasRefsResolvePerSide: bound with a join split, a
+// predicate runs on the (outer, inner) pair row: columns read their own
+// side's values, and r.$ and s.$ their own side's pre-merge summary
 // set, whatever the qualifier's case.
 func TestBindAliasRefsResolvePerSide(t *testing.T) {
-	ev, row := evalRow()
-	rSet := row.Tuple.Summaries
+	rEv, outer := evalRow()
+	rSet := outer.Tuple.Summaries
 	sSet := model.SummarySet{{InstanceID: "C1", Type: model.SummaryClassifier,
 		Reps: []model.Rep{{Label: "Disease", Count: 3}}}}
-	row.AliasSets = map[string]model.SummarySet{"r": rSet, "s": sSet}
+	sSchema := model.NewSchema("s",
+		model.Column{Name: "a", Kind: model.KindInt},
+		model.Column{Name: "x", Kind: model.KindInt})
+	ev := &Evaluator{Schema: rEv.Schema.Concat(sSchema), Split: rEv.Schema.Len()}
+	pair := &Row{Tuple: outer.Tuple, Inner: &Row{Tuple: &model.Tuple{OID: 8,
+		Values: []model.Value{model.NewInt(40), model.NewInt(2)}, Summaries: sSet}}}
 	cases := map[string]model.Value{
+		"r.a":           model.NewInt(5),
+		"S.a":           model.NewInt(40),
+		"name":          model.NewText("Swan Goose"),
+		"x * r.a":       model.NewInt(10),
+		"r.a < s.a":     model.NewBool(true),
 		"r.$.getSize()": model.NewInt(2),
 		"S.$.getSize()": model.NewInt(1),
 		"r.$.getSummaryObject('C1').getLabelValue('Disease') - s.$.getSummaryObject('C1').getLabelValue('Disease')": model.NewInt(5),
 		"s.$.getSummaryObject('T1').getSnippet(0)": model.Null(), // only r carries T1
 	}
 	for src, want := range cases {
-		got := evalExpr(t, ev, row, src)
+		got := evalExpr(t, ev, pair, src)
 		if !got.Equal(want) && !(got.IsNull() && want.IsNull()) {
 			t.Errorf("%q = %v, want %v", src, got, want)
 		}
 	}
+	// Resolution against the concatenated schema keeps its errors.
+	if err := evalErr(t, ev, pair, "a = 1"); err == nil || !strings.Contains(err.Error(), "ambiguous") {
+		t.Errorf("unqualified a over both sides: want the ambiguity error, got %v", err)
+	}
 	// The same resolution inside an operator: a join residual over the
-	// combined row keeps only the pairs whose sides differ.
+	// pair keeps only the pairs whose sides differ.
 	schema := model.NewSchema("r", model.Column{Name: "a", Kind: model.KindInt})
 	left := []*Row{{Tuple: &model.Tuple{OID: 1, Values: []model.Value{model.NewInt(1)}, Summaries: rSet}}}
 	right := []*Row{
@@ -327,32 +342,5 @@ func TestLikeMatcher(t *testing.T) {
 		if got := matchLike(c.s, c.p); got != c.want {
 			t.Errorf("matchLike(%q,%q) = %v", c.s, c.p, got)
 		}
-	}
-}
-
-func TestRowSetForAndClone(t *testing.T) {
-	_, row := evalRow()
-	// Without alias sets, any qualifier resolves to the tuple's set.
-	if row.SetFor("r") == nil || row.SetFor("") == nil {
-		t.Error("SetFor fallback failed")
-	}
-	other := model.SummarySet{{InstanceID: "X", Type: model.SummaryCluster}}
-	row.AliasSets = map[string]model.SummarySet{"s": other}
-	if row.SetFor("s").Get("X") == nil {
-		t.Error("alias set not used")
-	}
-	// Unknown alias with alias sets present falls back to the tuple set.
-	if row.SetFor("zzz").Get("C1") == nil {
-		t.Error("unknown-alias fallback failed")
-	}
-	// Single-entry alias map serves the empty qualifier.
-	if row.SetFor("").Get("X") == nil {
-		t.Error("single-alias empty-qualifier resolution failed")
-	}
-	cl := row.Clone()
-	cl.Tuple.Values[0] = model.NewInt(99)
-	cl.AliasSets["s"][0].InstanceID = "mutated"
-	if row.Tuple.Values[0].Int != 5 || other[0].InstanceID != "X" {
-		t.Error("Clone not deep")
 	}
 }

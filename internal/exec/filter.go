@@ -131,12 +131,6 @@ func (f *SummaryFilter) apply(row *Row) (*Row, error) {
 	}
 	out := &Row{Tuple: row.Tuple.ShallowWithValues(row.Tuple.Values)}
 	out.Tuple.Summaries = kept
-	if row.AliasSets != nil {
-		out.AliasSets = make(map[string]model.SummarySet, len(row.AliasSets))
-		for alias := range row.AliasSets {
-			out.AliasSets[alias] = kept
-		}
-	}
 	return out, nil
 }
 

@@ -23,7 +23,7 @@ type HashJoin struct {
 	// LeftKey/RightKey are the equi-join key expressions, evaluated
 	// against their own side.
 	LeftKey, RightKey sql.Expr
-	// Residual is an optional extra predicate over the combined row,
+	// Residual is an optional extra predicate over the joined pair,
 	// evaluated pre-merge.
 	Residual  sql.Expr
 	Propagate bool
@@ -128,8 +128,7 @@ func (j *HashJoin) Open(qc *QueryCtx) (err error) {
 
 	leftKey := (&Evaluator{Schema: j.Left.Schema(), Lookup: j.Lookup}).BindValue(j.LeftKey)
 	j.probe = joinProbe{
-		left:        j.Left,
-		leftAliases: schemaAliases(j.Left.Schema()), rightAliases: schemaAliases(j.rightSchema()),
+		left: j.Left,
 		candidates: func(_ *QueryCtx, outer *Row) ([]*Row, error) {
 			key, err := leftKey(outer)
 			if err != nil || key.IsNull() {
@@ -137,10 +136,8 @@ func (j *HashJoin) Open(qc *QueryCtx) (err error) {
 			}
 			return table[hashKey(key)], nil
 		},
+		pred:      bindPred(j.Residual, j.schema, j.Left.Schema().Len(), j.Lookup),
 		propagate: j.Propagate, lookup: j.Lookup,
-	}
-	if j.Residual != nil {
-		j.probe.pred = (&Evaluator{Schema: j.schema, Lookup: j.Lookup}).BindPred(j.Residual)
 	}
 	return j.Left.Open(qc)
 }

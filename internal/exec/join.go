@@ -1,83 +1,61 @@
 package exec
 
 import (
-	"strings"
-
 	"repro/internal/catalog"
 	"repro/internal/heap"
 	"repro/internal/model"
 	"repro/internal/sql"
 )
 
-// joinRow builds the combined row two join inputs present to the join
-// predicate: concatenated data values, with each side's aliases mapped
-// to its own (pre-merge) summary set so that r.$ and s.$ resolve
-// per-side, as the J operator's semantics require.
-func joinRow(left, right *Row, leftAliases, rightAliases []string) *Row {
-	values := make([]model.Value, 0, len(left.Tuple.Values)+len(right.Tuple.Values))
-	values = append(append(values, left.Tuple.Values...), right.Tuple.Values...)
-	combined := &Row{
-		Tuple:     &model.Tuple{OID: left.Tuple.OID, Values: values},
-		AliasSets: make(map[string]model.SummarySet, len(leftAliases)+len(rightAliases)),
-	}
-	for _, a := range leftAliases {
-		combined.AliasSets[a] = left.SetFor(a)
-	}
-	for _, a := range rightAliases {
-		combined.AliasSets[a] = right.SetFor(a)
-	}
-	return combined
-}
-
-// mergeJoinOutput merges the two sides' summary sets into the combined
-// row (Section 2.2's merge procedure, without double counting) and
-// re-points every alias at the merged set.
-func mergeJoinOutput(combined *Row, left, right *Row, lookup model.AnnotationLookup) {
-	merged := model.MergeSets(left.Tuple.Summaries, right.Tuple.Summaries, lookup)
-	combined.Tuple.Summaries = merged
-	for a := range combined.AliasSets {
-		combined.AliasSets[a] = merged
-	}
-}
-
-func schemaAliases(s *model.Schema) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, q := range s.Qualifiers {
-		q = strings.ToLower(q)
-		if q != "" && !seen[q] {
-			seen[q] = true
-			out = append(out, q)
-		}
-	}
-	return out
-}
-
 // joinProbe is the probe phase the three join implementations share:
 // it walks the outer (left) input batch by batch, pairs each outer row
-// with its inner candidates in order, applies the pre-merge predicate,
-// merges the survivors' summary sets and fills output batches up to the
-// query capacity. Outer order is preserved (the property rules 5–6 rely
-// on), and the outer input is pulled lazily — never past what the
-// current output batch needs — so a LIMIT above the join stops the
-// scan below it at the outer row that filled the limit.
+// with its inner candidates in order, applies the pre-merge predicate
+// to the pair, builds an output row for each accepted pair and fills
+// output batches up to the query capacity. Outer order is preserved
+// (the property rules 5–6 rely on), and the outer input is pulled
+// lazily — never past what the current output batch needs — so a LIMIT
+// above the join stops the scan below it at the outer row that filled
+// the limit.
 type joinProbe struct {
-	left                      Operator
-	leftAliases, rightAliases []string
+	left Operator
 	// candidates lists the inner rows to pair with one outer row: the
 	// hash bucket, the materialized inner, or an index probe's hits.
 	candidates func(qc *QueryCtx, outer *Row) ([]*Row, error)
-	// pred is the ON/residual predicate over the combined row, bound
-	// against the concatenated schema; nil accepts every pair.
+	// pred is the ON/residual predicate over the pair row, bound by
+	// bindPred; nil accepts every pair.
 	pred      boundPred
 	propagate bool
 	lookup    model.AnnotationLookup
 
 	in      *Batch // outer batch being probed
 	inPos   int
-	cur     *Row   // outer row being paired
-	pending []*Row // cur's candidates not yet paired
+	pair    Row    // the pair pred runs on, reused: the outer tuple and Inner
+	pending []*Row // the outer row's candidates not yet paired
 	done    bool   // outer input exhausted
+}
+
+// bindPred binds a join's ON/residual predicate against the join's
+// concatenated schema, split where the inner input's columns start, so
+// that it runs on the probe's pair row.
+func bindPred(e sql.Expr, schema *model.Schema, split int, lookup model.AnnotationLookup) boundPred {
+	if e == nil {
+		return nil
+	}
+	return (&Evaluator{Schema: schema, Lookup: lookup, Split: split}).BindPred(e)
+}
+
+// output builds the joined row of an accepted pair: the concatenated
+// values under the outer row's OID, carrying the two sides' merged
+// summary sets (Section 2.2's merge procedure, without double
+// counting) when the join propagates and no set otherwise.
+func (p *joinProbe) output() *Row {
+	outer, inner := p.pair.Tuple, p.pair.Inner.Tuple
+	values := make([]model.Value, 0, len(outer.Values)+len(inner.Values))
+	t := &model.Tuple{OID: outer.OID, Values: append(append(values, outer.Values...), inner.Values...)}
+	if p.propagate {
+		t.Summaries = model.MergeSets(outer.Summaries, inner.Summaries, p.lookup)
+	}
+	return &Row{Tuple: t}
 }
 
 // nextBatch returns the next batch of joined rows. The inner loop ticks
@@ -95,11 +73,10 @@ func (p *joinProbe) nextBatch(qc *QueryCtx) (*Batch, error) {
 			if err := qc.tick(1); err != nil {
 				return fail(err)
 			}
-			right := p.pending[0]
+			p.pair.Inner = p.pending[0]
 			p.pending = p.pending[1:]
-			combined := joinRow(p.cur, right, p.leftAliases, p.rightAliases)
 			if p.pred != nil {
-				ok, err := p.pred(combined)
+				ok, err := p.pred(&p.pair)
 				if err != nil {
 					return fail(err)
 				}
@@ -107,10 +84,7 @@ func (p *joinProbe) nextBatch(qc *QueryCtx) (*Batch, error) {
 					continue
 				}
 			}
-			if p.propagate {
-				mergeJoinOutput(combined, p.cur, right, p.lookup)
-			}
-			out.Append(combined)
+			out.Append(p.output())
 			if out.Len() == size {
 				return out, nil
 			}
@@ -130,20 +104,21 @@ func (p *joinProbe) nextBatch(qc *QueryCtx) (*Batch, error) {
 			}
 			p.in, p.inPos = in, 0
 		}
-		p.cur = p.in.Row(p.inPos)
+		outer := p.in.Row(p.inPos)
 		p.inPos++
+		p.pair.Tuple = outer.Tuple
 		var err error
-		if p.pending, err = p.candidates(qc, p.cur); err != nil {
+		if p.pending, err = p.candidates(qc, outer); err != nil {
 			return fail(err)
 		}
 	}
 }
 
-// release returns the in-flight outer batch to the pool (its rows live
-// on in the joined output).
+// release returns the in-flight outer batch to the pool and drops the
+// pair row's references.
 func (p *joinProbe) release() {
 	p.in.Release()
-	p.in, p.cur, p.pending = nil, nil, nil
+	p.in, p.pair, p.pending = nil, Row{}, nil
 }
 
 // NLJoin is a block nested-loop join: the inner (right) input is
@@ -177,13 +152,10 @@ func (j *NLJoin) Open(qc *QueryCtx) (err error) {
 		return err
 	}
 	j.probe = joinProbe{
-		left:        j.Left,
-		leftAliases: schemaAliases(j.Left.Schema()), rightAliases: schemaAliases(j.Right.Schema()),
+		left:       j.Left,
 		candidates: func(*QueryCtx, *Row) ([]*Row, error) { return inner, nil },
+		pred:       bindPred(j.On, j.schema, j.Left.Schema().Len(), j.Lookup),
 		propagate:  j.Propagate, lookup: j.Lookup,
-	}
-	if j.On != nil {
-		j.probe.pred = (&Evaluator{Schema: j.schema, Lookup: j.Lookup}).BindPred(j.On)
 	}
 	return j.Left.Open(qc)
 }
@@ -215,7 +187,7 @@ type IndexJoin struct {
 	InnerCol   string
 	// OuterKey is evaluated against the outer row to form the probe key.
 	OuterKey sql.Expr
-	// Residual is an optional extra predicate over the combined row.
+	// Residual is an optional extra predicate over the joined pair.
 	Residual sql.Expr
 	// Propagate merges the sides' summaries into the output.
 	Propagate bool
@@ -253,8 +225,7 @@ func (j *IndexJoin) Open(qc *QueryCtx) (err error) {
 	idx := j.InnerTable.DataIndex(j.InnerCol)
 	var hits []*Row // reused: the probe has consumed the last call's slice
 	j.probe = joinProbe{
-		left:        j.Left,
-		leftAliases: schemaAliases(j.Left.Schema()), rightAliases: []string{strings.ToLower(j.InnerAlias)},
+		left: j.Left,
 		candidates: func(qc *QueryCtx, outer *Row) ([]*Row, error) {
 			if err := qc.tick(1); err != nil {
 				return nil, err
@@ -276,10 +247,8 @@ func (j *IndexJoin) Open(qc *QueryCtx) (err error) {
 			}
 			return hits, nil
 		},
+		pred:      bindPred(j.Residual, j.schema, j.Left.Schema().Len(), j.Lookup),
 		propagate: j.Propagate, lookup: j.Lookup,
-	}
-	if j.Residual != nil {
-		j.probe.pred = (&Evaluator{Schema: j.schema, Lookup: j.Lookup}).BindPred(j.Residual)
 	}
 	return j.Left.Open(qc)
 }

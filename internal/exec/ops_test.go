@@ -168,9 +168,6 @@ func TestSeqScanWithAndWithoutSummaries(t *testing.T) {
 	if rows[0].Tuple.Summaries.Get("C1") == nil {
 		t.Error("summaries not attached")
 	}
-	if rows[0].SetFor("r") == nil {
-		t.Error("alias set missing")
-	}
 	bare, err := Collect(nil, NewSeqScan(f.r, "r"))
 	if err != nil {
 		t.Fatal(err)
@@ -261,9 +258,9 @@ func TestProjectComputesExpressions(t *testing.T) {
 	}
 }
 
-// TestDollarFormsResolveAlike: scans emit rows without a per-alias
-// summary map, so a qualified, an unqualified and a differently-cased $
-// all read Tuple.Summaries — through a summary filter, a predicate
+// TestDollarFormsResolveAlike: a row holds its summaries in one place,
+// so a qualified, an unqualified and a differently-cased $ all read
+// Tuple.Summaries — through a summary filter, a predicate
 // filter and a projection — while the rows of all three joins resolve
 // r.$ and s.$ to their own side before the merge and to the merged set
 // after it.
@@ -373,10 +370,62 @@ func TestNLJoinMergesAndPreservesOuterOrder(t *testing.T) {
 			t.Fatal("outer order not preserved")
 		}
 		prev = row.Tuple.Values[0].Int
-		// Merged summaries present under both aliases.
-		if row.SetFor("r").Get("C1") == nil || row.SetFor("s").Get("C1") == nil {
-			t.Fatal("post-join alias sets not merged")
+		// The one output set is the merge of both sides' sets.
+		if row.Tuple.Summaries.Get("C1") == nil || row.Inner != nil {
+			t.Fatal("post-join summaries not merged into the output tuple")
 		}
+	}
+}
+
+// TestJoinOutputSpillsOneSummarySet: a joined row is a plain tuple, so
+// an external sort spills exactly the bytes it spills for the same
+// tuples read from a slice — one summary set per row.
+func TestJoinOutputSpillsOneSummarySet(t *testing.T) {
+	f := newOpsFixture(t, 40, 80)
+	keys := []SortKey{{Expr: mustExpr(t, "r.a")}}
+	spilled := func(in Operator) ([]*Row, int64) {
+		t.Helper()
+		budget := NewBudget(0, 0, 0)
+		rows, err := Collect(NewQueryCtx(nil, budget, 1), NewExternalSort(in, keys, 7, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, spill := budget.ChargeTotals()
+		return rows, spill
+	}
+	join := NewNLJoin(summaryScan(f.r, "r"), summaryScan(f.s, "s"), mustExpr(t, "r.a = s.x"), true, nil)
+	joined, joinSpill := spilled(join)
+	plain := make([]*Row, len(joined))
+	for i, row := range joined {
+		plain[i] = &Row{Tuple: row.Tuple}
+	}
+	_, plainSpill := spilled(NewSliceIter(join.Schema(), plain))
+	if len(joined) == 0 || joinSpill == 0 || joinSpill != plainSpill {
+		t.Fatalf("%d joined rows spilled %d bytes; the same tuples as plain rows spill %d",
+			len(joined), joinSpill, plainSpill)
+	}
+}
+
+// TestJoinProbeRejectedPairsAllocateNothing: the probe evaluates its
+// predicate on one reused pair row, so a join that rejects every pair
+// allocates what its two inputs do and a constant for itself.
+func TestJoinProbeRejectedPairsAllocateNothing(t *testing.T) {
+	f := newOpsFixture(t, 40, 80)
+	on := mustExpr(t, "r.a = s.x + 1000")
+	drain := func(op func() Operator) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Collect(nil, op()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	scans := drain(func() Operator { return summaryScan(f.r, "r") }) +
+		drain(func() Operator { return summaryScan(f.s, "s") })
+	join := drain(func() Operator {
+		return NewNLJoin(summaryScan(f.r, "r"), summaryScan(f.s, "s"), on, true, nil)
+	})
+	if join > scans+32 {
+		t.Fatalf("rejecting all 40×80 pairs allocated %.0f times; its two scans allocate %.0f", join, scans)
 	}
 }
 

@@ -82,7 +82,7 @@ func (p *Project) apply(row *Row) (*Row, error) {
 		values[i] = v
 	}
 	*tup = model.Tuple{OID: row.Tuple.OID, Values: values, Summaries: row.Tuple.Summaries}
-	*out = Row{Tuple: tup, AliasSets: row.AliasSets}
+	*out = Row{Tuple: tup}
 	return out, nil
 }
 
@@ -155,12 +155,6 @@ func (p *SummaryEffectProject) apply(row *Row) (*Row, error) {
 	projected := model.ProjectSummaries(set, model.KeepSet(surviving), p.Lookup)
 	out := &Row{Tuple: row.Tuple.ShallowWithValues(row.Tuple.Values)}
 	out.Tuple.Summaries = projected
-	if row.AliasSets != nil {
-		out.AliasSets = make(map[string]model.SummarySet, len(row.AliasSets))
-		for alias := range row.AliasSets {
-			out.AliasSets[alias] = projected
-		}
-	}
 	return out, nil
 }
 

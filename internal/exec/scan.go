@@ -55,9 +55,8 @@ func (s *SeqScan) Open(qc *QueryCtx) (err error) {
 
 // NextBatch fills a row vector from the cursor. Row and Tuple storage
 // is carved from two per-batch slabs (two allocations per batch instead
-// of two per row). A scan's rows carry no per-alias summary map: they
-// have one alias, and SetFor falls back to Tuple.Summaries. Cancellation
-// is polled and the deferred panic trap paid once per batch.
+// of two per row). Cancellation is polled and the deferred panic trap
+// paid once per batch.
 func (s *SeqScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("SeqScan", &err)
 	size := qc.Capacity()

@@ -73,31 +73,19 @@ type keyedRow struct {
 }
 
 // appendKeyedRow appends k's run record in the cell encoding: the sort
-// keys, the tuple's OID, values and summaries, then the alias sets.
+// keys, then the tuple's OID, values and summaries.
 func appendKeyedRow(dst []byte, k *keyedRow) []byte {
 	t := k.Row.Tuple
 	dst = model.AppendRow(dst, k.Keys)
 	dst = binary.AppendVarint(dst, t.OID)
 	dst = model.AppendRow(dst, t.Values)
-	dst = model.AppendSummarySet(dst, t.Summaries)
-	dst = binary.AppendUvarint(dst, uint64(len(k.Row.AliasSets)))
-	for alias, set := range k.Row.AliasSets {
-		dst = model.AppendSummarySet(cell.AppendString(dst, alias), set)
-	}
-	return dst
+	return model.AppendSummarySet(dst, t.Summaries)
 }
 
 // readKeyedRow reads a record written by appendKeyedRow.
 func readKeyedRow(r *cell.Reader) keyedRow {
 	k := keyedRow{Keys: model.ReadRow(r), Row: &Row{Tuple: &model.Tuple{OID: r.Varint()}}}
 	k.Row.Tuple.Values, k.Row.Tuple.Summaries = model.ReadRow(r), model.ReadSummarySet(r)
-	if n := r.Len(); n > 0 {
-		k.Row.AliasSets = make(map[string]model.SummarySet, n)
-		for ; n > 0; n-- {
-			alias := r.Text()
-			k.Row.AliasSets[alias] = model.ReadSummarySet(r)
-		}
-	}
 	return k
 }
 

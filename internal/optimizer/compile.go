@@ -291,7 +291,7 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Operator,
 		if node.Eliminated {
 			return child, nil
 		}
-		if opts.ForceSort == "disk" || node.Disk {
+		if opts.ForceSort == "disk" {
 			return exec.NewExternalSort(child, node.Keys, opts.SortRunLen, env.Lookup), nil
 		}
 		return exec.NewSort(child, node.Keys, env.Lookup), nil

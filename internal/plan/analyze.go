@@ -62,6 +62,8 @@ type ExprInfo struct {
 	Instances []string
 	// UsesSummaries is true when the expression touches any $ variable.
 	UsesSummaries bool
+	// BareDollar is true when the expression reads an unqualified $.
+	BareDollar bool
 	// UsesData is true when the expression reads any data column.
 	UsesData bool
 	// HasAggregate is true when an aggregate call appears.
@@ -87,6 +89,7 @@ func Analyze(e sql.Expr, r *AliasResolver) *ExprInfo {
 			}
 		case *sql.DollarRef:
 			info.UsesSummaries = true
+			info.BareDollar = info.BareDollar || n.Qualifier == ""
 			alias := strings.ToLower(n.Qualifier)
 			if alias != "" {
 				info.Aliases[alias] = true

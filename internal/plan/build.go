@@ -63,6 +63,9 @@ func (b *Builder) Build(stmt *sql.SelectStmt) (Node, *AliasResolver, error) {
 			return nil, nil, err
 		}
 	}
+	if err := checkRefs(stmt, resolver); err != nil {
+		return nil, nil, err
+	}
 
 	// Classify WHERE conjuncts.
 	var (
@@ -272,6 +275,47 @@ func (b *Builder) Build(stmt *sql.SelectStmt) (Node, *AliasResolver, error) {
 		root = &LimitNode{Child: root, N: stmt.Limit}
 	}
 	return root, resolver, nil
+}
+
+// checkRefs rejects the references no plan can resolve: a column, x.$
+// or x.* whose qualifier names no FROM alias, and a bare $ in a
+// predicate a join evaluates — every JOIN … ON conjunct and every WHERE
+// conjunct over two or more aliases — where it could mean either
+// side's summary set.
+func checkRefs(stmt *sql.SelectStmt, r *AliasResolver) error {
+	bad := ""
+	check := func(qualifier, ref string) {
+		if _, ok := r.Schemas[strings.ToLower(qualifier)]; bad == "" && qualifier != "" && !ok {
+			bad = ref
+		}
+	}
+	sql.WalkExprs(stmt, func(e sql.Expr) {
+		switch n := e.(type) {
+		case *sql.ColumnRef:
+			check(n.Qualifier, n.String())
+		case *sql.DollarRef:
+			check(n.Qualifier, n.String())
+		}
+	})
+	for _, it := range stmt.Items {
+		if it.Star {
+			check(it.StarQualifier, it.StarQualifier+".*")
+		}
+	}
+	if bad != "" {
+		return fmt.Errorf("plan: %s names no table alias of the FROM clause", bad)
+	}
+	preds := Conjuncts(stmt.Where)
+	where := len(preds)
+	for _, jc := range stmt.Joins {
+		preds = append(preds, Conjuncts(jc.On)...)
+	}
+	for i, c := range preds {
+		if info := Analyze(c, r); info.BareDollar && (i >= where || len(info.Aliases) >= 2) {
+			return fmt.Errorf("plan: bare $ in join predicate %s: qualify it with the alias whose summaries it reads", c)
+		}
+	}
+	return nil
 }
 
 // predConnects reports whether every alias of p is either already in the

@@ -425,8 +425,6 @@ type SortNode struct {
 	Keys  []exec.SortKey
 	// SummaryBased marks the O operator.
 	SummaryBased bool
-	// Disk forces the external (disk-based) sort implementation.
-	Disk bool
 	// Eliminated marks a sort the optimizer removed because an index
 	// provides the interesting order; it compiles to a no-op but stays
 	// in EXPLAIN as documentation.
@@ -460,11 +458,8 @@ func (s *SortNode) Describe() string {
 		}
 	}
 	suffix := ""
-	if s.Disk {
-		suffix = " (disk)"
-	}
 	if s.Eliminated {
-		suffix += " (eliminated: index order)"
+		suffix = " (eliminated: index order)"
 	}
 	return fmt.Sprintf("%s[%s]%s", name, strings.Join(keys, ","), suffix)
 }

@@ -316,7 +316,7 @@ func nodeTable(t *testing.T, cat *catalog.Catalog, sidx *index.SummaryBTree, bid
 		NewJoin(scan, NewScan(birds, "r2"), nil), indexJoin, hashJoin,
 		NewSummaryJoin(scan, NewScan(birds, "r3"), e, []string{"C1"}), summaryIndexJoin,
 		&SortNode{Child: scan, Keys: key},
-		&SortNode{Child: ordered, Keys: key, SummaryBased: true, Disk: true, Eliminated: true},
+		&SortNode{Child: ordered, Keys: key, SummaryBased: true, Eliminated: true},
 		&GroupByNode{Child: scan, Keys: []sql.Expr{e}, DOP: 2},
 		&ProjectNode{Child: scan, Exprs: []sql.Expr{e}, Out: scan.Schema()},
 		&DistinctNode{Child: scan},
