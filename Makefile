@@ -164,10 +164,14 @@ vector-stress:
 # (rows, summary sets, annotations), the heap page image with its slot
 # directory, the B-Tree node image, the log record decoder and the
 # snapshot loader. Arbitrary bytes must yield a typed error, never a
-# panic, and whatever decodes must re-encode byte-identically.
+# panic, and whatever decodes must re-encode byte-identically. The last
+# leg fuzzes the optimizer for 30 s: from a seed, a random query over
+# two or three tables joined in WHERE or by JOIN … ON must return the
+# same rows and summary sets under every plan configuration.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCellDecode$$' -fuzztime 30s ./internal/model
 	$(GO) test -run '^$$' -fuzz '^FuzzHeapPageImage$$' -fuzztime 30s ./internal/heap
 	$(GO) test -run '^$$' -fuzz '^FuzzNodeImage$$' -fuzztime 30s ./internal/btree
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 30s ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 30s ./internal/engine
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanEquivalence$$' -fuzztime 30s ./internal/optimizer

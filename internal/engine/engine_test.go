@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -854,5 +855,105 @@ func TestBaselineReconstructSurvivesJoin(t *testing.T) {
 				t.Errorf("%s join, bird %d: ClassBird1 = %v, want %s", force, id, got, want[id])
 			}
 		}
+	}
+}
+
+// TestSummaryPredicateInJoinOnIsSummaryJoin: a JOIN … ON whose
+// predicate reads summaries is the summary join J, like the same
+// conjunct in WHERE, so rule 11 does not move it below the summary join
+// under it: there its r.$ reads the set merged with Others' objects,
+// and below it r's own set.
+func TestSummaryPredicateInJoinOnIsSummaryJoin(t *testing.T) {
+	db, _ := testDB(t, 40)
+	schema := model.NewSchema("",
+		model.Column{Name: "id", Kind: model.KindInt},
+		model.Column{Name: "name", Kind: model.KindText})
+	for _, name := range []string{"Others", "Tiny"} {
+		if _, err := db.CreateTable(name, schema); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.Exec("ALTER TABLE Others ADD ClassBird1"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 40; i++ {
+		oid, err := db.Insert("Others", model.NewInt(int64(i)), model.NewText(fmt.Sprintf("Other%02d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for d := 0; d < (i*3)%4; d++ {
+			if _, err := db.AddAnnotation("Others", oid, annText("Disease", d), nil, "x"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for a := 0; a < i%3; a++ {
+			if _, err := db.AddAnnotation("Others", oid, annText("Anatomy", a), nil, "x"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, id := range []int64{5, 10, 15} {
+		if _, err := db.Insert("Tiny", model.NewInt(id), model.NewText("tiny")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.CreateDataIndex("Birds", "id"); err != nil {
+		t.Fatal(err)
+	}
+	db.RefreshStatistics()
+
+	q := `SELECT r.id, s.id, t.id FROM Birds r, Others s
+	      JOIN Tiny t ON t.id = r.id
+	       AND r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') >= 3
+	      WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Anatomy')
+	          = s.$.getSummaryObject('ClassBird1').getLabelValue('Anatomy')`
+	rows := func(opts *optimizer.Options) []string {
+		res, err := db.Query(q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := resultStrings(res)
+		sort.Strings(out)
+		return out
+	}
+	canonical, optimized := rows(&optimizer.Options{Disable: true}), rows(nil)
+	if len(canonical) == 0 || strings.Join(optimized, "\n") != strings.Join(canonical, "\n") {
+		t.Errorf("optimized plan returns %d rows, canonical plan %d:\n%v\nvs\n%v",
+			len(optimized), len(canonical), optimized, canonical)
+	}
+	p, err := db.Explain(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(p, "SummaryJoin J[((t.id = r.id) AND ") {
+		t.Errorf("the JOIN … ON predicate reading r.$ is not a summary join:\n%s", p)
+	}
+}
+
+// TestDisableRulesHonorsForceJoinHash: with the rules disabled,
+// ForceJoin still pins every join implementation, "hash" included.
+func TestDisableRulesHonorsForceJoinHash(t *testing.T) {
+	db, _ := testDB(t, 12)
+	q := `SELECT r.id FROM Birds r, Birds s WHERE r.family = s.family`
+	p, err := db.Explain(q, &optimizer.Options{DisableRules: true, ForceJoin: "hash"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(p, "HashJoin(") {
+		t.Errorf("DisableRules with ForceJoin \"hash\" planned no hash join:\n%s", p)
+	}
+	want, err := db.Query(q, &optimizer.Options{Disable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := db.Query(q, &optimizer.Options{DisableRules: true, ForceJoin: "hash"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, g := resultStrings(want), resultStrings(got)
+	sort.Strings(w)
+	sort.Strings(g)
+	if strings.Join(w, "\n") != strings.Join(g, "\n") {
+		t.Errorf("hash join under DisableRules returns %d rows, canonical plan %d", len(g), len(w))
 	}
 }

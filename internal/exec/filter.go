@@ -7,31 +7,22 @@ import (
 	"repro/internal/sql"
 )
 
-// PredicateFilter implements both the standard selection σ (data-based
-// predicates) and the summary-based selection S of Section 3.2: a tuple
-// passes iff the predicate holds; qualifying tuples keep all their
-// summary objects unchanged. The two operators share this physical
-// implementation and differ only in what their predicates reference —
-// the distinction lives in the logical plan where the rewrite rules need
-// it.
+// PredicateFilter implements both the standard selection σ and the
+// summary-based selection S of Section 3.2: a tuple passes iff the
+// predicate holds; qualifying tuples keep all their summary objects
+// unchanged. S is σ whose predicate reads summaries — the plan prints
+// it as S, and the operator is the same.
 type PredicateFilter struct {
-	Input Operator
-	Pred  sql.Expr
-	// Summary marks this node as the S operator (for EXPLAIN output).
-	Summary bool
-	Lookup  model.AnnotationLookup
+	Input  Operator
+	Pred   sql.Expr
+	Lookup model.AnnotationLookup
 
 	bound boundPred
 }
 
-// NewFilter builds a σ node.
+// NewFilter builds a σ (or S) node.
 func NewFilter(in Operator, pred sql.Expr, lookup model.AnnotationLookup) *PredicateFilter {
 	return &PredicateFilter{Input: in, Pred: pred, Lookup: lookup}
-}
-
-// NewSummarySelect builds an S node.
-func NewSummarySelect(in Operator, pred sql.Expr, lookup model.AnnotationLookup) *PredicateFilter {
-	return &PredicateFilter{Input: in, Pred: pred, Summary: true, Lookup: lookup}
 }
 
 // Open binds the predicate and opens the input.

@@ -124,15 +124,13 @@ func (p *joinProbe) release() {
 // NLJoin is a block nested-loop join: the inner (right) input is
 // materialized once, then streamed per outer row. It preserves the outer
 // input's order — the property rules 5–6 rely on. It implements both the
-// data join ⋈ and, with a summary-based predicate, the summary join J;
-// both merge the joined tuples' summary objects.
+// data join ⋈ and the summary join J, which is ⋈ whose predicate reads
+// summaries; both merge the joined tuples' summary objects.
 type NLJoin struct {
 	Left, Right Operator
 	On          sql.Expr
-	// Summary marks the logical J operator (for EXPLAIN).
-	Summary   bool
-	Propagate bool
-	Lookup    model.AnnotationLookup
+	Propagate   bool
+	Lookup      model.AnnotationLookup
 
 	schema *model.Schema
 	probe  joinProbe

@@ -188,7 +188,7 @@ func TestPredicateFilterOverDataAndSummaries(t *testing.T) {
 	if len(rows) != 4 {
 		t.Errorf("data filter rows = %d", len(rows))
 	}
-	ssel := NewSummarySelect(summaryScan(f.r, "r"),
+	ssel := NewFilter(summaryScan(f.r, "r"),
 		mustExpr(t, "r.$.getSummaryObject('C1').getLabelValue('Disease') = 2"), nil)
 	rows, err = Collect(nil, ssel)
 	if err != nil {
@@ -202,9 +202,6 @@ func TestPredicateFilterOverDataAndSummaries(t *testing.T) {
 	}
 	if len(rows) != want {
 		t.Errorf("summary select rows = %d, want %d", len(rows), want)
-	}
-	if !ssel.Summary {
-		t.Error("S marker lost")
 	}
 }
 

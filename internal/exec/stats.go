@@ -298,9 +298,6 @@ func OpName(it Operator) string {
 	case *BaselineIndexScan:
 		return "BaselineIndexScan"
 	case *PredicateFilter:
-		if op.Summary {
-			return "SummarySelect"
-		}
 		return "Filter"
 	case *SummaryFilter:
 		return "SummaryFilter"

@@ -145,32 +145,8 @@ func (b *Baseline) UpdateLabel(tupleOID int64, label string, newCount int) bool 
 // table to recover the TupleOID; reaching the data tuple then needs a
 // further OID-index join that the caller performs.
 func (b *Baseline) Search(label string, op CmpOp, constant int) []int64 {
-	lo, hi := 0, maxCount(b.width)
-	switch op {
-	case OpEq:
-		lo, hi = constant, constant
-	case OpLt:
-		hi = constant - 1
-	case OpLe:
-		hi = constant
-	case OpGt:
-		lo = constant + 1
-	case OpGe:
-		lo = constant
-	}
-	return b.SearchRange(label, lo, hi)
-}
-
-// SearchRange returns tuple OIDs whose label count is in [lo, hi], in
-// ascending count order.
-func (b *Baseline) SearchRange(label string, lo, hi int) []int64 {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > maxCount(b.width) {
-		hi = maxCount(b.width)
-	}
-	if hi < lo {
+	lo, hi, ok := op.Range(constant, maxCount(b.width))
+	if !ok {
 		return nil
 	}
 	var out []int64

@@ -42,8 +42,11 @@ func TestBaselineIndexAndSearch(t *testing.T) {
 	if n := len(b.Search("Disease", OpGt, 5)); n != 0 {
 		t.Errorf("gt found %d, want 0", n)
 	}
-	if got := b.SearchRange("Disease", 9, 3); got != nil {
-		t.Errorf("inverted range: %v", got)
+	if got := b.Search("Disease", OpLt, 0); got != nil {
+		t.Errorf("empty range: %v", got)
+	}
+	if got := b.Search("Disease", OpGe, -3); len(got) != 60 {
+		t.Errorf("clamped lower bound found %d, want 60", len(got))
 	}
 }
 
@@ -165,28 +168,34 @@ func TestBaselineProbePaysIndirection(t *testing.T) {
 	}
 }
 
-// Property: baseline and Summary-BTree agree on every range query.
+// Property: baseline and Summary-BTree agree on every comparison
+// predicate, both in ascending count order.
 func TestSchemesAgreeProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	b := NewBaseline(nil, 16, "C")
 	x := NewSummaryBTree(nil, "C")
+	counts := map[string]map[int64]int{"Disease": {}, "Other": {}}
 	for i := int64(1); i <= 300; i++ {
-		obj := classifierObj(i, map[string]int{"Disease": rng.Intn(40), "Other": rng.Intn(5)})
+		counts["Disease"][i], counts["Other"][i] = rng.Intn(40), rng.Intn(5)
+		obj := classifierObj(i, map[string]int{"Disease": counts["Disease"][i], "Other": counts["Other"][i]})
 		b.IndexObject(obj)
 		x.IndexObject(obj, toHeapRID(i))
 	}
 	for trial := 0; trial < 60; trial++ {
-		lo := rng.Intn(45)
-		hi := lo + rng.Intn(10)
+		op, k := allOps[rng.Intn(len(allOps))], rng.Intn(45)
 		label := []string{"Disease", "Other"}[rng.Intn(2)]
-		wantOIDs := b.SearchRange(label, lo, hi)
-		gotRIDs := x.SearchRange(label, lo, hi)
+		wantOIDs := b.Search(label, op, k)
+		gotRIDs := x.Search(label, op, k)
 		if len(wantOIDs) != len(gotRIDs) {
 			t.Fatalf("trial %d: %d vs %d", trial, len(wantOIDs), len(gotRIDs))
 		}
 		var got []int64
-		for _, rid := range gotRIDs {
+		for i, rid := range gotRIDs {
 			got = append(got, int64(rid.Page))
+			if count := counts[label][int64(rid.Page)]; count != counts[label][wantOIDs[i]] {
+				t.Fatalf("trial %d (%s %v %d): hit %d has count %d in one scheme, %d in the other",
+					trial, label, op, k, i, count, counts[label][wantOIDs[i]])
+			}
 		}
 		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 		sort.Slice(wantOIDs, func(i, j int) bool { return wantOIDs[i] < wantOIDs[j] })

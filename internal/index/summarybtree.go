@@ -54,6 +54,28 @@ func (op CmpOp) String() string {
 	}
 }
 
+// Range returns the interval [lo, hi] of counts in [0, top] that
+// satisfy "count <op> constant" — the probe range of both indexing
+// schemes, whose keys hold counts up to top at their current width; ok
+// is false when no count qualifies.
+func (op CmpOp) Range(constant, top int) (lo, hi int, ok bool) {
+	lo, hi = 0, top
+	switch op {
+	case OpEq:
+		lo, hi = constant, constant
+	case OpLt:
+		hi = constant - 1
+	case OpLe:
+		hi = constant
+	case OpGt:
+		lo = constant + 1
+	case OpGe:
+		lo = constant
+	}
+	lo, hi = max(lo, 0), min(hi, top)
+	return lo, hi, lo <= hi
+}
+
 // DefaultWidth is the initial extended-count width: 3 characters, per
 // the paper, widened automatically when a count exceeds 999.
 const DefaultWidth = 3
@@ -260,59 +282,18 @@ func (x *SummaryBTree) SearchWithCheck(label string, op CmpOp, constant int, che
 }
 
 // SearchFunc streams matches of "classLabel <Op> constant" in ascending
-// count order; fn returning false stops the scan.
+// count order; fn returning false stops the scan. "label >= 0" streams
+// the whole label: the interesting order that lets the optimizer
+// eliminate a summary-based sort (Rules 3–6).
 func (x *SummaryBTree) SearchFunc(label string, op CmpOp, constant int, fn func(count int, ref heap.RID) bool) {
-	lo, hi := 0, maxCount(x.width)
-	switch op {
-	case OpEq:
-		lo, hi = constant, constant
-	case OpLt:
-		hi = constant - 1
-	case OpLe:
-		hi = constant
-	case OpGt:
-		lo = constant + 1
-	case OpGe:
-		lo = constant
-	}
-	x.SearchRangeFunc(label, lo, hi, fn)
-}
-
-// SearchRange returns references whose label count lies in [lo, hi].
-func (x *SummaryBTree) SearchRange(label string, lo, hi int) []heap.RID {
-	var out []heap.RID
-	x.SearchRangeFunc(label, lo, hi, func(count int, ref heap.RID) bool {
-		out = append(out, ref)
-		return true
-	})
-	return out
-}
-
-// SearchRangeFunc streams references whose label count lies in [lo, hi],
-// in ascending count order.
-func (x *SummaryBTree) SearchRangeFunc(label string, lo, hi int, fn func(count int, ref heap.RID) bool) {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > maxCount(x.width) {
-		hi = maxCount(x.width)
-	}
-	if hi < lo {
+	lo, hi, ok := op.Range(constant, maxCount(x.width))
+	if !ok {
 		return
 	}
-	start := ItemizeKey(label, lo, x.width)
-	stop := ItemizeKey(label, hi, x.width)
-	x.tree.ScanRange(start, stop, func(k string, v int64) bool {
+	x.tree.ScanRange(ItemizeKey(label, lo, x.width), ItemizeKey(label, hi, x.width), func(k string, v int64) bool {
 		_, cnt := parseKey(k)
 		return fn(cnt, heap.DecodeRID(v))
 	})
-}
-
-// ScanLabelAsc streams every entry of one label in ascending count
-// order — the "interesting order" access path that lets the optimizer
-// eliminate a summary-based sort (Rules 3–6).
-func (x *SummaryBTree) ScanLabelAsc(label string, fn func(count int, ref heap.RID) bool) {
-	x.SearchRangeFunc(label, 0, maxCount(x.width), fn)
 }
 
 // SizeBytes estimates the index's storage footprint: key bytes plus an

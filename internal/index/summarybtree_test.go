@@ -129,15 +129,15 @@ func TestIndexAndSearch(t *testing.T) {
 
 	// Results arrive in ascending count order.
 	var counts []int
-	x.ScanLabelAsc("Disease", func(c int, _ heap.RID) bool {
+	x.SearchFunc("Disease", OpGe, 0, func(c int, _ heap.RID) bool {
 		counts = append(counts, c)
 		return true
 	})
 	if !sort.IntsAreSorted(counts) {
-		t.Error("ScanLabelAsc not in count order")
+		t.Error("Disease >= 0 not in count order")
 	}
 	if len(counts) != 100 {
-		t.Errorf("ScanLabelAsc visited %d", len(counts))
+		t.Errorf("Disease >= 0 visited %d", len(counts))
 	}
 }
 
@@ -201,7 +201,7 @@ func TestWidthExtensionRebuild(t *testing.T) {
 		t.Error("post-widen entry missing")
 	}
 	var counts []int
-	x.ScanLabelAsc("Disease", func(c int, _ heap.RID) bool {
+	x.SearchFunc("Disease", OpGe, 0, func(c int, _ heap.RID) bool {
 		counts = append(counts, c)
 		return true
 	})
@@ -216,19 +216,64 @@ func TestWidthExtensionRebuild(t *testing.T) {
 }
 
 func TestSearchBoundsClamp(t *testing.T) {
+	for _, c := range []struct {
+		op       CmpOp
+		constant int
+		lo, hi   int
+		ok       bool
+	}{
+		{OpEq, 5, 5, 5, true},
+		{OpLt, 5, 0, 4, true},
+		{OpLe, 5, 0, 5, true},
+		{OpGt, 5, 6, 999, true},
+		{OpGe, 5, 5, 999, true},
+		{OpGe, -10, 0, 999, true},  // clamped below
+		{OpLe, 9999, 0, 999, true}, // clamped above
+		{OpLt, 0, 0, -1, false},    // nothing is below 0
+		{OpEq, -1, 0, -1, false},
+		{OpEq, 1000, 1000, 999, false},
+		{OpGt, 999, 1000, 999, false},
+	} {
+		lo, hi, ok := c.op.Range(c.constant, 999)
+		if lo != c.lo || hi != c.hi || ok != c.ok {
+			t.Errorf("count %v %d: [%d, %d] %v, want [%d, %d] %v", c.op, c.constant, lo, hi, ok, c.lo, c.hi, c.ok)
+		}
+	}
 	x := NewSummaryBTree(nil, "C")
 	x.IndexObject(classifierObj(1, map[string]int{"D": 5}), heap.RID{Slot: 1})
-	if got := x.SearchRange("D", -10, 9999); len(got) != 1 {
-		t.Errorf("clamped range found %d", len(got))
+	if got := x.Search("D", OpGe, -10); len(got) != 1 {
+		t.Errorf("clamped lower bound found %d", len(got))
 	}
-	if got := x.SearchRange("D", 7, 3); got != nil {
-		t.Errorf("inverted range = %v", got)
+	if got := x.Search("D", OpLe, 9999); len(got) != 1 {
+		t.Errorf("clamped upper bound found %d", len(got))
+	}
+	if got := x.Search("D", OpGt, 9999); got != nil {
+		t.Errorf("empty range above the width = %v", got)
 	}
 	// OpLt 0 means nothing can match.
 	if got := x.Search("D", OpLt, 0); got != nil {
 		t.Errorf("count < 0 matched %v", got)
 	}
 }
+
+// holds evaluates "v <op> c" directly, the oracle of the index tests.
+func holds(op CmpOp, v, c int) bool {
+	switch op {
+	case OpEq:
+		return v == c
+	case OpLt:
+		return v < c
+	case OpLe:
+		return v <= c
+	case OpGt:
+		return v > c
+	case OpGe:
+		return v >= c
+	}
+	return false
+}
+
+var allOps = []CmpOp{OpEq, OpLt, OpLe, OpGt, OpGe}
 
 func TestProbeCostLogarithmic(t *testing.T) {
 	var acct pager.Accountant
@@ -251,7 +296,7 @@ func TestProbeCostLogarithmic(t *testing.T) {
 }
 
 // Property P4: the index agrees with a brute-force scan on random data
-// and random range predicates.
+// and random comparison predicates, in ascending count order.
 func TestIndexMatchesScanProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	x := NewSummaryBTree(nil, "C")
@@ -262,21 +307,23 @@ func TestIndexMatchesScanProperty(t *testing.T) {
 		x.IndexObject(classifierObj(i, map[string]int{"Disease": c}), heap.RID{Page: int32(i)})
 	}
 	for trial := 0; trial < 100; trial++ {
-		lo := rng.Intn(60) - 5
-		hi := lo + rng.Intn(30)
+		op, k := allOps[rng.Intn(len(allOps))], rng.Intn(60)-5
 		want := map[int64]bool{}
 		for oid, c := range counts {
-			if c >= lo && c <= hi {
+			if holds(op, c, k) {
 				want[oid] = true
 			}
 		}
-		got := x.SearchRange("Disease", lo, hi)
+		got := x.Search("Disease", op, k)
 		if len(got) != len(want) {
-			t.Fatalf("trial %d [%d,%d]: index %d vs scan %d", trial, lo, hi, len(got), len(want))
+			t.Fatalf("trial %d (%v %d): index %d vs scan %d", trial, op, k, len(got), len(want))
 		}
-		for _, rid := range got {
+		for i, rid := range got {
 			if !want[int64(rid.Page)] {
 				t.Fatalf("trial %d: false positive %d", trial, rid.Page)
+			}
+			if i > 0 && counts[int64(got[i-1].Page)] > counts[int64(rid.Page)] {
+				t.Fatalf("trial %d (%v %d): hit %d out of count order", trial, op, k, i)
 			}
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/exec"
 	"repro/internal/plan"
-	"repro/internal/sql"
 )
 
 // Compile lowers a (possibly optimized) logical plan to physical
@@ -41,7 +40,7 @@ func filteredLeafTable(n plan.Node) *catalog.Table {
 	for {
 		switch node := n.(type) {
 		case *plan.Select:
-			if usesDollar(node.Pred) {
+			if plan.ReadsSummaries(node.Pred) {
 				return nil
 			}
 			n = node.Child
@@ -60,45 +59,31 @@ func filteredLeafTable(n plan.Node) *catalog.Table {
 	}
 }
 
-func usesDollar(exprs ...sql.Expr) bool {
-	for _, e := range exprs {
-		if e == nil {
-			continue
-		}
-		if plan.Analyze(e, nil).UsesSummaries {
-			return true
-		}
-	}
-	return false
-}
-
 // childNeed is the need n's inputs are compiled under, given the need
 // above n: whether an operator at or above n reads the summary sets of
-// the rows its inputs produce. S and J evaluate summary predicates, and
-// any σ, join, sort key, aggregate or projection naming the $ variable
-// reads them too. (A data-only σ over a leaf compiles its leaf without
-// the sets and attaches them above itself; the leaf's rows still pay
-// for them, so the cost model charges them there.)
+// the rows its inputs produce. Any selection (S), join (J), sort key,
+// aggregate or projection naming the $ variable reads them. (A
+// data-only σ over a leaf compiles its leaf without the sets and
+// attaches them above itself; the leaf's rows still pay for them, so
+// the cost model charges them there.)
 func childNeed(n plan.Node, need bool) bool {
 	switch node := n.(type) {
-	case *plan.SummarySelect, *plan.SummaryJoin:
-		return true
 	case *plan.Select:
-		return need || usesDollar(node.Pred)
+		return need || plan.ReadsSummaries(node.Pred)
 	case *plan.Join:
-		return need || usesDollar(node.On, node.Residual)
+		return need || plan.ReadsSummaries(node.On)
 	case *plan.SortNode:
 		for _, k := range node.Keys {
-			need = need || usesDollar(k.Expr)
+			need = need || plan.ReadsSummaries(k.Expr)
 		}
 		return need
 	case *plan.GroupByNode:
 		for _, a := range node.Aggs {
-			need = need || usesDollar(a.Arg)
+			need = need || plan.ReadsSummaries(a.Arg)
 		}
-		return need || usesDollar(node.Keys...)
+		return need || plan.ReadsSummaries(node.Keys...)
 	case *plan.ProjectNode:
-		return need || usesDollar(node.Exprs...)
+		return need || plan.ReadsSummaries(node.Exprs...)
 	}
 	return need
 }
@@ -208,13 +193,6 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Operator,
 		}
 		return exec.NewFilter(child, node.Pred, env.Lookup), nil
 
-	case *plan.SummarySelect:
-		child, err := compile(node.Child, env, opts, childNeed(n, need))
-		if err != nil {
-			return nil, err
-		}
-		return exec.NewSummarySelect(child, node.Pred, env.Lookup), nil
-
 	case *plan.SummaryFilterNode:
 		child, err := compile(node.Child, env, opts, need)
 		if err != nil {
@@ -259,29 +237,6 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Operator,
 				node.Residual, need, env.Lookup), nil
 		}
 		return exec.NewNLJoin(left, right, node.On, need, env.Lookup), nil
-
-	case *plan.SummaryJoin:
-		left, err := compile(node.Left, env, opts, true)
-		if err != nil {
-			return nil, err
-		}
-		if node.UseIndex {
-			innerScan, _ := leafScan(node.Right)
-			if innerScan == nil {
-				return nil, fmt.Errorf("optimizer: index join requires a base-table inner side")
-			}
-			j := exec.NewIndexJoin(left, innerScan.Table, innerScan.Alias,
-				node.IndexColumn, node.OuterKey, node.Residual, need, env.Lookup)
-			j.FetchSummaries = true
-			return j, nil
-		}
-		right, err := compile(node.Right, env, opts, true)
-		if err != nil {
-			return nil, err
-		}
-		j := exec.NewNLJoin(left, right, node.Pred, need, env.Lookup)
-		j.Summary = true
-		return j, nil
 
 	case *plan.SortNode:
 		child, err := compile(node.Child, env, opts, childNeed(n, need))

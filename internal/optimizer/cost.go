@@ -144,20 +144,12 @@ func (rw *rewriter) estimateAt(n plan.Node, need bool) Estimate {
 		sel := rw.predSelectivity(node.Pred, node.Child)
 		return Estimate{Rows: child.Rows * sel, Cost: child.Cost + child.Rows*cpuPerRow}
 
-	case *plan.SummarySelect:
-		child := rw.estimateAt(node.Child, below)
-		sel := rw.predSelectivity(node.Pred, node.Child)
-		return Estimate{Rows: child.Rows * sel, Cost: child.Cost + child.Rows*cpuPerRow}
-
 	case *plan.SummaryFilterNode:
 		child := rw.estimateAt(node.Child, below)
 		return Estimate{Rows: child.Rows, Cost: child.Cost + child.Rows*cpuPerRow}
 
 	case *plan.Join:
-		return rw.joinEstimate(node.Left, node.Right, node.On, node.UseIndex, node.UseHash, node.IndexColumn, below)
-
-	case *plan.SummaryJoin:
-		return rw.joinEstimate(node.Left, node.Right, node.Pred, node.UseIndex, false, node.IndexColumn, below)
+		return rw.joinEstimate(node, below)
 
 	case *plan.SortNode:
 		child := rw.estimateAt(node.Child, below)
@@ -201,14 +193,14 @@ func (rw *rewriter) estimateAt(n plan.Node, need bool) Estimate {
 // and reads the inner rows sharing the probed key; a hash join passes
 // once over each input, building and probing; a block nested loop
 // evaluates the predicate on the cross product.
-func (rw *rewriter) joinEstimate(left, right plan.Node, on sql.Expr, useIndex, useHash bool, col string, need bool) Estimate {
-	l, r := rw.estimateAt(left, need), rw.estimateAt(right, need)
-	rows := l.Rows * r.Rows * rw.joinSelectivity(on, left, right)
+func (rw *rewriter) joinEstimate(j *plan.Join, need bool) Estimate {
+	l, r := rw.estimateAt(j.Left, need), rw.estimateAt(j.Right, need)
+	rows := l.Rows * r.Rows * rw.joinSelectivity(j.On, j.Left, j.Right)
 	switch {
-	case useIndex:
-		inner, _ := leafScan(right)
-		return Estimate{Rows: rows, Cost: l.Cost + l.Rows*(descentHeight(inner.Table)+rowsPerKey(inner.Table, col))}
-	case useHash:
+	case j.UseIndex:
+		inner, _ := leafScan(j.Right)
+		return Estimate{Rows: rows, Cost: l.Cost + l.Rows*(descentHeight(inner.Table)+rowsPerKey(inner.Table, j.IndexColumn))}
+	case j.UseHash:
 		return Estimate{Rows: rows, Cost: l.Cost + r.Cost + 2*cpuPerRow*(l.Rows+r.Rows)}
 	}
 	return Estimate{Rows: rows, Cost: l.Cost + r.Cost + l.Rows*r.Rows*cpuPerRow}

@@ -20,37 +20,118 @@ import (
 func TestRandomQueryPlanEquivalence(t *testing.T) {
 	const trials = 120
 	for _, shared := range []bool{false, true} {
-		f := newOptFixture(t, 18, 36, shared, 11)
-		f.buildSummaryIndex(f.r)
-		if shared {
-			f.buildSummaryIndex(f.s)
-		}
-		f.buildBaselineIndex(f.r)
-		f.s.CreateDataIndex("x")
+		f := equivalenceFixture(t, shared)
 		rng := rand.New(rand.NewSource(17))
 		for trial := 0; trial < trials; trial++ {
-			q := randomQuery(rng, shared)
-			canonical := f.run(q, Options{Disable: true})
-			configs := []Options{
-				{},
-				{NoSummaryIndex: true},
-				{UseBaseline: true},
-				{ForceJoin: "index"},
-				{ForceJoin: "hash"},
-				{ForceJoin: "nl", ForceSort: "disk", SortRunLen: 3},
-				{DisableRules: true, ForceJoin: "index"},
-				{ConventionalPointers: true},
-			}
-			for ci, opts := range configs {
-				got := f.run(q, opts)
-				if !equalRows(canonical, got) {
-					t.Fatalf("shared=%v trial %d config %d: plans disagree\nquery: %s\ncanonical (%d): %v\ngot (%d): %v\nplan:\n%s",
-						shared, trial, ci, q, len(canonical), canonical, len(got), got,
-						f.explain(q, opts))
-				}
-			}
+			f.checkEquivalent(randomQuery(rng, shared), fmt.Sprintf("shared=%v trial %d", shared, trial))
 		}
 	}
+}
+
+// FuzzPlanEquivalence is TestRandomQueryPlanEquivalence over the join
+// shapes a client can write: from the seed, clientQuery builds a query
+// over R, S and possibly T, joined by WHERE conjuncts or JOIN … ON
+// predicates that may read summaries, and every configuration must
+// return the canonical plan's rows and summary sets.
+func FuzzPlanEquivalence(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		shared := rng.Intn(2) == 0
+		fx := equivalenceFixture(t, shared)
+		fx.replica()
+		fx.checkEquivalent(clientQuery(rng, shared), fmt.Sprintf("seed %d shared=%v", seed, shared))
+	})
+}
+
+// equivalenceFixture is the plan-equivalence tests' database: R with a
+// Summary-BTree and a baseline index on C1, S with a data index on x,
+// and with shared set S linked to C1 too and indexed.
+func equivalenceFixture(t *testing.T, shared bool) *optFixture {
+	f := newOptFixture(t, 18, 36, shared, 11)
+	f.buildSummaryIndex(f.r)
+	if shared {
+		f.buildSummaryIndex(f.s)
+	}
+	f.buildBaselineIndex(f.r)
+	f.s.CreateDataIndex("x")
+	return f
+}
+
+// checkEquivalent requires every configuration's rows, summaries
+// included, to equal the canonical plan's on q.
+func (f *optFixture) checkEquivalent(q, label string) {
+	f.t.Helper()
+	canonical := f.run(q, Options{Disable: true})
+	configs := []Options{
+		{},
+		{NoSummaryIndex: true},
+		{UseBaseline: true},
+		{ForceJoin: "index"},
+		{ForceJoin: "hash"},
+		{ForceJoin: "nl", ForceSort: "disk", SortRunLen: 3},
+		{DisableRules: true, ForceJoin: "index"},
+		{ConventionalPointers: true},
+	}
+	for ci, opts := range configs {
+		got := f.run(q, opts)
+		if !equalRows(canonical, got) {
+			f.t.Fatalf("%s config %d: plans disagree\nquery: %s\ncanonical (%d): %v\ngot (%d): %v\nplan:\n%s",
+				label, ci, q, len(canonical), canonical, len(got), got, f.explain(q, opts))
+		}
+	}
+}
+
+// clientQuery extends a two-table randomQuery with coin flips drawn
+// after it: the R–S join may become JOIN … ON, and a third table T
+// (optFixture.replica) may join r in the FROM list or by JOIN … ON. An
+// ON predicate may carry a summary conjunct, which above a summary join
+// reads the summaries merged below it.
+func clientQuery(rng *rand.Rand, shared bool) string {
+	q := randomQuery(rng, shared)
+	head, rest, ok := strings.Cut(q, " FROM R r, S s WHERE ")
+	if !ok {
+		return q
+	}
+	where, order, _ := strings.Cut(rest, " ORDER BY ")
+	conj := strings.Split(where, " AND ")
+	onSummary := func(crossS bool) string {
+		switch rng.Intn(3) {
+		case 1:
+			return fmt.Sprintf(" AND r.$.getSummaryObject('C1').getLabelValue('Disease') >= %d", rng.Intn(6))
+		case 2:
+			if crossS && shared {
+				return " AND r.$.getSummaryObject('C1').getLabelValue('Disease') < s.$.getSummaryObject('C1').getLabelValue('Disease')"
+			}
+			return fmt.Sprintf(" AND r.$.getSummaryObject('C1').getLabelValue('Other') = %d", rng.Intn(3))
+		}
+		return ""
+	}
+	tables, joins := "R r, S s", ""
+	if rng.Intn(2) == 0 {
+		tables, joins = "R r", " JOIN S s ON r.a = s.x"+onSummary(true)
+		kept := conj[:0]
+		for _, c := range conj {
+			if c != "r.a = s.x" {
+				kept = append(kept, c)
+			}
+		}
+		conj = kept
+	}
+	switch rng.Intn(3) {
+	case 1:
+		tables += ", T t"
+		conj = append(conj, "t.a = r.a")
+	case 2:
+		joins += " JOIN T t ON t.a = r.a" + onSummary(false)
+	}
+	q = head + " FROM " + tables + joins
+	if len(conj) > 0 {
+		q += " WHERE " + strings.Join(conj, " AND ")
+	}
+	if order != "" {
+		q += " ORDER BY " + order
+	}
+	return q
 }
 
 // randomQuery builds a random single- or two-table query.
@@ -210,7 +291,7 @@ func (f *optFixture) checkCheapest(q string, opts Options) {
 
 	visit(Optimize(root, resolver, f.env, opts), func(n plan.Node) {
 		switch node := n.(type) {
-		case *plan.Join, *plan.SummaryJoin:
+		case *plan.Join:
 			alts, _ := rw.joinImpls(node)
 			check("join implementation", node, alts)
 			if orders := rw.joinOrders(node); len(orders) > 1 && opts.MaxParallelWorkers <= 1 {
@@ -221,7 +302,7 @@ func (f *optFixture) checkCheapest(q string, opts Options) {
 		}
 		if site, alt := f.scanAlternative(n); site != nil {
 			check("access path", site, []plan.Node{alt})
-		} else if sel, ok := n.(*plan.SummarySelect); ok {
+		} else if sel, ok := n.(*plan.Select); ok && plan.ReadsSummaries(sel.Pred) {
 			check("access path", sel, rw.accessPaths(sel)[1:])
 		}
 	})
@@ -244,14 +325,14 @@ func (f *optFixture) checkCheapest(q string, opts Options) {
 func (f *optFixture) scanAlternative(n plan.Node) (site, alt plan.Node) {
 	site = n
 	var conjuncts []string
-	if s, ok := n.(*plan.SummarySelect); ok {
+	if s, ok := n.(*plan.Select); ok && plan.ReadsSummaries(s.Pred) {
 		conjuncts = append(conjuncts, s.Pred.String())
 		n = s.Child
 	}
 	var sigmas []sql.Expr
 	for {
 		s, ok := n.(*plan.Select)
-		if !ok {
+		if !ok || plan.ReadsSummaries(s.Pred) {
 			break
 		}
 		sigmas = append(sigmas, s.Pred)
@@ -280,5 +361,5 @@ func (f *optFixture) scanAlternative(n plan.Node) (site, alt plan.Node) {
 	for i := len(sigmas) - 1; i >= 0; i-- {
 		alt = &plan.Select{Child: alt, Pred: sigmas[i]}
 	}
-	return site, &plan.SummarySelect{Child: alt, Pred: pred, Instances: []string{"C1"}}
+	return site, &plan.Select{Child: alt, Pred: pred}
 }

@@ -41,7 +41,9 @@ type Options struct {
 	// ConventionalPointers makes Summary-BTree scans resolve hits
 	// through R_SummaryStorage instead of backward pointers (Figure 13).
 	ConventionalPointers bool
-	// ForceJoin pins the join implementation: "nl" or "index".
+	// ForceJoin pins the join implementation: "nl", "index" or "hash"
+	// (where that implementation is legal; a summary join J has no hash
+	// implementation).
 	ForceJoin string
 	// ForceFetch pins the index-scan fetch mode: "sorted" (page-ordered
 	// batched dereference) or "ordered" (count-order per-RID fetch) —
@@ -125,7 +127,7 @@ func Optimize(root plan.Node, r *plan.AliasResolver, env *Env, opts Options) pla
 	}
 	rw := &rewriter{env: env, opts: opts, resolver: r}
 	if opts.DisableRules {
-		if opts.ForceJoin == "index" {
+		if opts.ForceJoin != "" {
 			root = rw.chooseJoinImpl(root)
 		}
 		return root

@@ -73,9 +73,6 @@ func (rw *rewriter) parallelizeNode(n plan.Node) plan.Node {
 		// parallel-build right side is partitioned by the join itself.
 		node.Left = rw.parallelizeNode(node.Left)
 
-	case *plan.SummaryJoin:
-		node.Left = rw.parallelizeNode(node.Left)
-
 	default:
 		return plan.MapChildren(n, rw.parallelizeNode)
 	}

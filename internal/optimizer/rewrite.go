@@ -25,10 +25,7 @@ func (rw *rewriter) pushdown(n plan.Node) plan.Node {
 	switch node := n.(type) {
 	case *plan.Select:
 		child := rw.pushdown(node.Child)
-		return rw.placeConjuncts(child, plan.Conjuncts(node.Pred), false)
-	case *plan.SummarySelect:
-		child := rw.pushdown(node.Child)
-		return rw.placeConjuncts(child, plan.Conjuncts(node.Pred), true)
+		return rw.placeConjuncts(child, plan.Conjuncts(node.Pred))
 	case *plan.SummaryFilterNode:
 		node.Child = rw.pushdown(node.Child)
 		return rw.pushFilter(node)
@@ -39,10 +36,10 @@ func (rw *rewriter) pushdown(n plan.Node) plan.Node {
 
 // placeConjuncts pushes each conjunct as deep as allowed into child,
 // stacking the un-pushable remainder above it.
-func (rw *rewriter) placeConjuncts(child plan.Node, conjuncts []sql.Expr, summary bool) plan.Node {
+func (rw *rewriter) placeConjuncts(child plan.Node, conjuncts []sql.Expr) plan.Node {
 	var remainder []sql.Expr
 	for _, c := range conjuncts {
-		placed, ok := rw.tryPush(child, c, summary)
+		placed, ok := rw.tryPush(child, c)
 		if ok {
 			child = placed
 		} else {
@@ -51,9 +48,6 @@ func (rw *rewriter) placeConjuncts(child plan.Node, conjuncts []sql.Expr, summar
 	}
 	if len(remainder) == 0 {
 		return child
-	}
-	if summary {
-		return rw.summarySelect(child, remainder)
 	}
 	return &plan.Select{Child: child, Pred: plan.AndAll(remainder)}
 }
@@ -66,19 +60,18 @@ func (rw *rewriter) placeConjuncts(child plan.Node, conjuncts []sql.Expr, summar
 //     reference is absent from the other side (rules 2 and 10), because
 //     the join would otherwise merge those objects and change the
 //     predicate's input.
-func (rw *rewriter) tryPush(n plan.Node, c sql.Expr, summary bool) (plan.Node, bool) {
-	switch n.(type) {
-	case *plan.Join, *plan.SummaryJoin:
-		sides := n.Children()
-		side, ok := rw.sideFor(plan.Analyze(c, rw.resolver), sides[0], sides[1], summary)
+func (rw *rewriter) tryPush(n plan.Node, c sql.Expr) (plan.Node, bool) {
+	if j, ok := n.(*plan.Join); ok {
+		side, ok := rw.sideFor(c, j.Left, j.Right)
 		if !ok {
 			return n, false
 		}
-		sides[side] = rw.attach(sides[side], c, summary)
-		return n.WithChildren(sides), true
+		sides := j.Children()
+		sides[side] = rw.attach(sides[side], c)
+		return j.WithChildren(sides), true
 	}
 	if child, ok := plan.StreamingChild(n); ok {
-		if pushed, ok := rw.tryPush(child, c, summary); ok {
+		if pushed, ok := rw.tryPush(child, c); ok {
 			return n.WithChildren([]plan.Node{pushed}), true
 		}
 	}
@@ -87,13 +80,9 @@ func (rw *rewriter) tryPush(n plan.Node, c sql.Expr, summary bool) (plan.Node, b
 
 // attach recursively pushes c into n, stacking it directly above the
 // deepest node that accepts it.
-func (rw *rewriter) attach(n plan.Node, c sql.Expr, summary bool) plan.Node {
-	if pushed, ok := rw.tryPush(n, c, summary); ok {
+func (rw *rewriter) attach(n plan.Node, c sql.Expr) plan.Node {
+	if pushed, ok := rw.tryPush(n, c); ok {
 		return pushed
-	}
-	if summary {
-		info := plan.Analyze(c, rw.resolver)
-		return &plan.SummarySelect{Child: n, Pred: c, Instances: info.Instances}
 	}
 	return &plan.Select{Child: n, Pred: c}
 }
@@ -102,7 +91,8 @@ func (rw *rewriter) attach(n plan.Node, c sql.Expr, summary bool) plan.Node {
 // 1 = right. It requires all referenced aliases on one side; summary
 // conjuncts additionally require their instances absent from the other
 // side.
-func (rw *rewriter) sideFor(info *plan.ExprInfo, left, right plan.Node, summary bool) (int, bool) {
+func (rw *rewriter) sideFor(c sql.Expr, left, right plan.Node) (int, bool) {
+	info, summary := plan.Analyze(c, rw.resolver), plan.ReadsSummaries(c)
 	leftHasAll, rightHasAll := true, true
 	for a := range info.Aliases {
 		if !left.Schema().HasQualifier(a) {
@@ -181,15 +171,13 @@ func leafTable(n plan.Node) (*catalog.Table, string) {
 // per side to the instances its tables define (rule 7's precondition is
 // then trivially met).
 func (rw *rewriter) pushFilter(f *plan.SummaryFilterNode) plan.Node {
-	switch j := f.Child.(type) {
-	case *plan.Join:
-	case *plan.SummaryJoin:
-		// F must not drop objects the J predicate needs: only push when
-		// the filter keeps every instance the join references.
-		if !keepsInstances(f, j.Instances) {
-			return f
-		}
-	default:
+	j, ok := f.Child.(*plan.Join)
+	if !ok {
+		return f
+	}
+	// F must not drop objects a J predicate needs: only push when the
+	// filter keeps every instance the join references.
+	if plan.ReadsSummaries(j.On) && !keepsInstances(f, plan.Analyze(j.On, rw.resolver).Instances) {
 		return f
 	}
 	return plan.MapChildren(f.Child, func(side plan.Node) plan.Node {
@@ -221,18 +209,17 @@ func keepsInstances(f *plan.SummaryFilterNode, needed []string) bool {
 // chooseAccessPaths converts S-above-leaf classifier predicates into
 // index scans when an index exists and the cost model favors it.
 func (rw *rewriter) chooseAccessPaths(n plan.Node) plan.Node {
-	switch node := n.(type) {
-	case *plan.SummarySelect:
-		node.Child = rw.chooseAccessPaths(node.Child)
-		return rw.trySummaryIndex(node)
-	default:
+	sel, ok := n.(*plan.Select)
+	if !ok || !plan.ReadsSummaries(sel.Pred) {
 		return plan.MapChildren(n, rw.chooseAccessPaths)
 	}
+	sel.Child = rw.chooseAccessPaths(sel.Child)
+	return rw.trySummaryIndex(sel)
 }
 
-// trySummaryIndex replaces SummarySelect(pred, Scan) by the access path
-// the cost model prices lowest.
-func (rw *rewriter) trySummaryIndex(sel *plan.SummarySelect) plan.Node {
+// trySummaryIndex replaces S(pred, Scan) by the access path the cost
+// model prices lowest.
+func (rw *rewriter) trySummaryIndex(sel *plan.Select) plan.Node {
 	alts := rw.accessPaths(sel)
 	return alts[rw.cheapest(alts...)]
 }
@@ -243,7 +230,7 @@ func (rw *rewriter) trySummaryIndex(sel *plan.SummarySelect) plan.Node {
 // commuted out of the way (rule 1: Sp(σc(R)) = σc(Sp(R))) and re-stacked
 // above the leaf (innermost first), and the remaining conjuncts as a
 // residual S.
-func (rw *rewriter) accessPaths(sel *plan.SummarySelect) []plan.Node {
+func (rw *rewriter) accessPaths(sel *plan.Select) []plan.Node {
 	alts := []plan.Node{sel}
 	if rw.opts.NoSummaryIndex && !rw.opts.UseBaseline {
 		return alts
@@ -252,7 +239,7 @@ func (rw *rewriter) accessPaths(sel *plan.SummarySelect) []plan.Node {
 	bottom := sel.Child
 	for {
 		s, ok := bottom.(*plan.Select)
-		if !ok {
+		if !ok || plan.ReadsSummaries(s.Pred) {
 			break
 		}
 		sigmas = append(sigmas, s)
@@ -278,20 +265,11 @@ func (rw *rewriter) accessPaths(sel *plan.SummarySelect) []plan.Node {
 		}
 		residual := append(append([]sql.Expr{}, conjuncts[:i]...), conjuncts[i+1:]...)
 		if len(residual) > 0 {
-			out = rw.summarySelect(out, residual)
+			out = &plan.Select{Child: out, Pred: plan.AndAll(residual)}
 		}
 		alts = append(alts, out)
 	}
 	return alts
-}
-
-// summarySelect stacks an S evaluating the conjuncts over child.
-func (rw *rewriter) summarySelect(child plan.Node, conjuncts []sql.Expr) *plan.SummarySelect {
-	var insts []string
-	for _, c := range conjuncts {
-		insts = append(insts, plan.Analyze(c, rw.resolver).Instances...)
-	}
-	return &plan.SummarySelect{Child: child, Pred: plan.AndAll(conjuncts), Instances: dedupe(insts)}
 }
 
 // cheapest returns the position of the alternative the cost model
@@ -376,48 +354,39 @@ func (rw *rewriter) chooseJoinImpl(n plan.Node) plan.Node {
 
 // joinImpls lists the legal implementations of a join, the block nested
 // loop first: an index probe of the inner side's data index on the join
-// column, and a hash join on an equi-conjunct. Both the data join ⋈ and
-// the summary join J qualify for the probe — a J carrying a mixed
-// predicate probes the data equi-conjunct's index and evaluates its
-// summary predicates as pre-merge residuals — but J has no hash
-// implementation. ForceJoin narrows the list to the nested loop and its
-// own implementation where that is legal; forced reports that the last
-// alternative is then the one to take. The list is nil for any node but
-// a join.
+// column, and a hash join on an equi-conjunct. A J — a join whose
+// predicate reads summaries — qualifies for the probe, evaluating its
+// summary conjuncts as pre-merge residuals, but has no hash
+// implementation, so ForceJoin "hash" does not pin it. ForceJoin
+// narrows the list to the nested loop and its own implementation where
+// that is legal; forced reports that the last alternative is then the
+// one to take. The list is nil for any node but a join.
 func (rw *rewriter) joinImpls(n plan.Node) (alts []plan.Node, forced bool) {
-	force := rw.opts.ForceJoin
-	switch j := n.(type) {
-	case *plan.Join:
-		nl := plan.NewJoin(j.Left, j.Right, j.On)
-		alts = []plan.Node{nl}
-		if j.On == nil || force == "nl" {
-			return alts, false
-		}
-		if col, key, residual, ok := rw.findIndexProbe(j.On, j.Right); ok && force != "hash" {
-			idx := *nl
-			idx.UseIndex, idx.IndexColumn, idx.OuterKey, idx.Residual = true, col, key, residual
-			alts = append(alts, &idx)
-		}
-		if lk, rk, residual, ok := rw.findHashKeys(j.On, j.Left, j.Right); ok && force != "index" {
-			hash := *nl
-			hash.UseHash, hash.HashLeft, hash.HashRight, hash.Residual = true, lk, rk, residual
-			alts = append(alts, &hash)
-		}
-		return alts, force == "index" || force == "hash"
-	case *plan.SummaryJoin:
-		nl := plan.NewSummaryJoin(j.Left, j.Right, j.Pred, j.Instances)
-		alts = []plan.Node{nl}
-		if j.Pred == nil || force == "nl" {
-			return alts, false
-		}
-		if col, key, residual, ok := rw.findIndexProbe(j.Pred, j.Right); ok {
-			idx := *nl
-			idx.UseIndex, idx.IndexColumn, idx.OuterKey, idx.Residual = true, col, key, residual
-			alts = append(alts, &idx)
-		}
-		return alts, force == "index"
+	j, ok := n.(*plan.Join)
+	if !ok {
+		return nil, false
 	}
-	return nil, false
+	nl := plan.NewJoin(j.Left, j.Right, j.On)
+	alts = []plan.Node{nl}
+	force := rw.opts.ForceJoin
+	summary := plan.ReadsSummaries(j.On)
+	if summary && force == "hash" {
+		force = ""
+	}
+	if j.On == nil || force == "nl" {
+		return alts, false
+	}
+	if col, key, residual, ok := rw.findIndexProbe(j.On, j.Right); ok && force != "hash" {
+		idx := *nl
+		idx.UseIndex, idx.IndexColumn, idx.OuterKey, idx.Residual = true, col, key, residual
+		alts = append(alts, &idx)
+	}
+	if lk, rk, residual, ok := rw.findHashKeys(j.On, j.Left, j.Right); ok && !summary && force != "index" {
+		hash := *nl
+		hash.UseHash, hash.HashLeft, hash.HashRight, hash.Residual = true, lk, rk, residual
+		alts = append(alts, &hash)
+	}
+	return alts, force == "index" || force == "hash"
 }
 
 // findHashKeys locates an orientable data equi-conjunct for a hash
@@ -507,11 +476,13 @@ func (rw *rewriter) reorderSummaryJoins(n plan.Node) plan.Node {
 // joinOrders lists n and, when n is a data join over a summary join
 // (on either side), its rule-11 reorderings: T ⋈c J(R, S) =
 // J(T ⋈c R, S) when c involves T and R only (not S) and the summary
-// predicates involve no instance defined on T.
+// predicates involve no instance defined on T. A join whose predicate
+// reads summaries is itself a J — its r.$ reads the set merged below
+// it — and is never reordered.
 func (rw *rewriter) joinOrders(n plan.Node) []plan.Node {
 	alts := []plan.Node{n}
 	j, ok := n.(*plan.Join)
-	if !ok || j.On == nil {
+	if !ok || j.On == nil || plan.ReadsSummaries(j.On) {
 		return alts
 	}
 	onInfo := plan.Analyze(j.On, rw.resolver)
@@ -525,15 +496,16 @@ func (rw *rewriter) joinOrders(n plan.Node) []plan.Node {
 	}
 	for _, sides := range [][2]plan.Node{{j.Left, j.Right}, {j.Right, j.Left}} {
 		tSide := sides[0]
-		sj, ok := sides[1].(*plan.SummaryJoin)
-		if !ok || rw.instancesOnSide(sj.Instances, tSide) {
+		sj, ok := sides[1].(*plan.Join)
+		if !ok || !plan.ReadsSummaries(sj.On) ||
+			rw.instancesOnSide(plan.Analyze(sj.On, rw.resolver).Instances, tSide) {
 			continue
 		}
 		switch {
 		case touches(sj.Left) && !touches(sj.Right):
-			alts = append(alts, plan.NewSummaryJoin(plan.NewJoin(tSide, sj.Left, j.On), sj.Right, sj.Pred, sj.Instances))
+			alts = append(alts, plan.NewJoin(plan.NewJoin(tSide, sj.Left, j.On), sj.Right, sj.On))
 		case touches(sj.Right) && !touches(sj.Left):
-			alts = append(alts, plan.NewSummaryJoin(plan.NewJoin(tSide, sj.Right, j.On), sj.Left, sj.Pred, sj.Instances))
+			alts = append(alts, plan.NewJoin(plan.NewJoin(tSide, sj.Right, j.On), sj.Left, sj.On))
 		}
 	}
 	return alts
@@ -585,7 +557,7 @@ func (rw *rewriter) establishOrder(n plan.Node, alias, instance, label string, d
 			return node, false
 		}
 		return under()
-	case *plan.Join, *plan.SummaryJoin:
+	case *plan.Join:
 		if rw.instancesOnSide([]string{instance}, n.Children()[1]) {
 			return n, false
 		}
@@ -617,17 +589,4 @@ func (rw *rewriter) establishOrder(n plan.Node, alias, instance, label string, d
 		}
 		return n, false
 	}
-}
-
-func dedupe(in []string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, s := range in {
-		k := strings.ToLower(s)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, s)
-		}
-	}
-	return out
 }

@@ -60,8 +60,6 @@ type ExprInfo struct {
 	// Instances lists summary-instance names passed as literal first
 	// arguments to getSummaryObject.
 	Instances []string
-	// UsesSummaries is true when the expression touches any $ variable.
-	UsesSummaries bool
 	// BareDollar is true when the expression reads an unqualified $.
 	BareDollar bool
 	// UsesData is true when the expression reads any data column.
@@ -88,7 +86,6 @@ func Analyze(e sql.Expr, r *AliasResolver) *ExprInfo {
 				info.Aliases[alias] = true
 			}
 		case *sql.DollarRef:
-			info.UsesSummaries = true
 			info.BareDollar = info.BareDollar || n.Qualifier == ""
 			alias := strings.ToLower(n.Qualifier)
 			if alias != "" {
@@ -130,6 +127,36 @@ func Analyze(e sql.Expr, r *AliasResolver) *ExprInfo {
 	}
 	walk(e)
 	return info
+}
+
+// ReadsSummaries reports whether any of the expressions reads a $
+// variable: a Select is S, and a Join is J, exactly when its predicate
+// does. It allocates nothing.
+func ReadsSummaries(exprs ...sql.Expr) bool {
+	for _, e := range exprs {
+		if readsSummaries(e) {
+			return true
+		}
+	}
+	return false
+}
+
+func readsSummaries(e sql.Expr) bool {
+	switch n := e.(type) {
+	case *sql.DollarRef:
+		return true
+	case *sql.MethodCall:
+		return readsSummaries(n.Recv) || ReadsSummaries(n.Args...)
+	case *sql.Binary:
+		return readsSummaries(n.L) || readsSummaries(n.R)
+	case *sql.Not:
+		return readsSummaries(n.Expr)
+	case *sql.Neg:
+		return readsSummaries(n.Expr)
+	case *sql.FuncCall:
+		return ReadsSummaries(n.Args...)
+	}
+	return false
 }
 
 // SingleAlias returns the only alias the info touches, or "".

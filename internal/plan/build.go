@@ -12,8 +12,9 @@ import (
 
 // Builder translates parsed SELECT statements into canonical logical
 // plans: scans (with per-table summary-effect projection), a left-deep
-// join tree carrying the data equi-join predicates, all remaining WHERE
-// conjuncts as σ/S nodes ABOVE the joins, then group-by, sort, project,
+// join tree carrying the predicates that connect its inputs (⋈, or J
+// where one reads summaries), all remaining WHERE conjuncts as σ/S
+// nodes ABOVE the joins, then group-by, sort, project,
 // and limit. The canonical plan is deliberately unoptimized — it is the
 // "optimization disabled" baseline of Figures 14 and 15; the optimizer
 // rewrites it using the rules of Section 5.
@@ -75,13 +76,13 @@ func (b *Builder) Build(stmt *sql.SelectStmt) (Node, *AliasResolver, error) {
 		topSummary   []sql.Expr // everything else, summary-based
 	)
 	for _, c := range Conjuncts(stmt.Where) {
-		info := Analyze(c, resolver)
+		multi, summary := len(Analyze(c, resolver).Aliases) >= 2, ReadsSummaries(c)
 		switch {
-		case info.UsesSummaries && len(info.Aliases) >= 2:
+		case summary && multi:
 			sumJoinPreds = append(sumJoinPreds, c)
-		case info.UsesSummaries:
+		case summary:
 			topSummary = append(topSummary, c)
-		case len(info.Aliases) >= 2:
+		case multi:
 			joinPreds = append(joinPreds, c)
 		default:
 			topData = append(topData, c)
@@ -108,54 +109,34 @@ func (b *Builder) Build(stmt *sql.SelectStmt) (Node, *AliasResolver, error) {
 	}
 
 	// Left-deep join tree in FROM/JOIN order. Each time a new source
-	// enters, the predicates connecting it to the aliases already in the
-	// tree are attached: data predicates to a Join, summary predicates to
-	// a SummaryJoin (stacked above the data join when both exist).
+	// enters, its JOIN … ON conjuncts and the WHERE predicates
+	// connecting it to the aliases already in the tree go into one
+	// join, data predicates first. A join whose predicate reads
+	// summaries is J: mixed predicates (a data equi-join plus a
+	// summary-based comparison, as in the version-diff query of Section
+	// 3.2) stay together in it, because both parts must see the
+	// PRE-merge per-side summary sets — after the merge, r.$ and s.$
+	// would both resolve to the combined set and a difference predicate
+	// would be vacuous.
 	var root Node = makeLeaf(sources[0])
 	inTree := map[string]bool{sources[0].alias: true}
-	for _, s := range sources[1:] {
-		right := makeLeaf(s)
-		var dataOn []sql.Expr
-		if s.on != nil {
-			dataOn = append(dataOn, Conjuncts(s.on)...)
-		}
-		rest := joinPreds[:0]
-		for _, p := range joinPreds {
-			if predConnects(p, resolver, inTree, s.alias) {
-				dataOn = append(dataOn, p)
+	connecting := func(preds *[]sql.Expr, incoming string) []sql.Expr {
+		var out []sql.Expr
+		rest := (*preds)[:0]
+		for _, p := range *preds {
+			if predConnects(p, resolver, inTree, incoming) {
+				out = append(out, p)
 			} else {
 				rest = append(rest, p)
 			}
 		}
-		joinPreds = rest
-
-		var sumOn []sql.Expr
-		restS := sumJoinPreds[:0]
-		for _, p := range sumJoinPreds {
-			if predConnects(p, resolver, inTree, s.alias) {
-				sumOn = append(sumOn, p)
-			} else {
-				restS = append(restS, p)
-			}
-		}
-		sumJoinPreds = restS
-
-		if len(sumOn) > 0 {
-			// Summary join J. Mixed predicates (data equi-join plus a
-			// summary-based comparison, as in the version-diff query of
-			// Section 3.2) stay together in the join operator: both parts
-			// must see the PRE-merge per-side summary sets — after the
-			// merge, r.$ and s.$ would both resolve to the combined set
-			// and a difference predicate would be vacuous.
-			var instances []string
-			for _, p := range sumOn {
-				instances = append(instances, Analyze(p, resolver).Instances...)
-			}
-			root = NewSummaryJoin(root, right, AndAll(append(dataOn, sumOn...)),
-				dedupeStrings(instances))
-		} else {
-			root = NewJoin(root, right, AndAll(dataOn))
-		}
+		*preds = rest
+		return out
+	}
+	for _, s := range sources[1:] {
+		on := append(Conjuncts(s.on), connecting(&joinPreds, s.alias)...)
+		on = append(on, connecting(&sumJoinPreds, s.alias)...)
+		root = NewJoin(root, makeLeaf(s), AndAll(on))
 		inTree[s.alias] = true
 	}
 	// Any leftover multi-alias predicates (e.g. referencing aliases in
@@ -163,16 +144,12 @@ func (b *Builder) Build(stmt *sql.SelectStmt) (Node, *AliasResolver, error) {
 	topData = append(topData, joinPreds...)
 	topSummary = append(topSummary, sumJoinPreds...)
 
-	// Canonical: selections above the join tree.
+	// Canonical: selections above the join tree, the data σ below S.
 	if p := AndAll(topData); p != nil {
 		root = &Select{Child: root, Pred: p}
 	}
 	if p := AndAll(topSummary); p != nil {
-		var instances []string
-		for _, c := range topSummary {
-			instances = append(instances, Analyze(c, resolver).Instances...)
-		}
-		root = &SummarySelect{Child: root, Pred: p, Instances: dedupeStrings(instances)}
+		root = &Select{Child: root, Pred: p}
 	}
 
 	// Grouping and aggregation.
@@ -215,12 +192,7 @@ func (b *Builder) Build(stmt *sql.SelectStmt) (Node, *AliasResolver, error) {
 		// HAVING filters groups; over the rewritten expression it is a
 		// plain selection on the aggregation output.
 		if having != nil {
-			if Analyze(having, resolver).UsesSummaries {
-				root = &SummarySelect{Child: root, Pred: having,
-					Instances: Analyze(having, resolver).Instances}
-			} else {
-				root = &Select{Child: root, Pred: having}
-			}
+			root = &Select{Child: root, Pred: having}
 		}
 	} else if stmt.Having != nil {
 		return nil, nil, fmt.Errorf("plan: HAVING requires GROUP BY or aggregates")
@@ -232,7 +204,7 @@ func (b *Builder) Build(stmt *sql.SelectStmt) (Node, *AliasResolver, error) {
 		summaryBased := false
 		for i, oi := range stmt.OrderBy {
 			keys[i] = exec.SortKey{Expr: orderKeys[i], Desc: oi.Desc}
-			if Analyze(orderKeys[i], resolver).UsesSummaries {
+			if ReadsSummaries(orderKeys[i]) {
 				summaryBased = true
 			}
 		}
@@ -519,17 +491,4 @@ func (rw *aggRewriter) rewrite(e sql.Expr) sql.Expr {
 	default:
 		return e
 	}
-}
-
-func dedupeStrings(in []string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, s := range in {
-		k := strings.ToLower(s)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, s)
-		}
-	}
-	return out
 }

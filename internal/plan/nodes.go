@@ -2,7 +2,9 @@
 // the standard relational operators plus the paper's summary-based
 // operators (F, S, J, O) — together with the builder that translates a
 // parsed SELECT statement into a canonical (unoptimized) plan and the
-// predicate-analysis helpers the optimizer's rewrite rules need.
+// predicate-analysis helpers the optimizer's rewrite rules need. S and
+// J are not node kinds of their own: a Select is S, and a Join is J,
+// exactly when its predicate reads a $ variable (ReadsSummaries).
 package plan
 
 import (
@@ -50,8 +52,6 @@ func MapChildren(n Node, fn func(Node) Node) Node {
 func StreamingChild(n Node) (child Node, ok bool) {
 	switch v := n.(type) {
 	case *Select:
-		return v.Child, true
-	case *SummarySelect:
 		return v.Child, true
 	case *SummaryFilterNode:
 		return v.Child, true
@@ -229,7 +229,8 @@ func (p *SummaryProject) Describe() string {
 	return fmt.Sprintf("SummaryProject %s keep(%s)", p.Alias, strings.Join(p.Kept, ","))
 }
 
-// Select is the standard data-based selection σ.
+// Select is a selection: the standard σ, or the summary-based
+// selection S of Section 3.2 when its predicate reads summaries.
 type Select struct {
 	Child Node
 	Pred  sql.Expr
@@ -248,36 +249,12 @@ func (s *Select) WithChildren(c []Node) Node {
 	return &cp
 }
 
-// Describe renders the node.
+// Describe renders the node, as S when its predicate reads summaries.
 func (s *Select) Describe() string {
+	if ReadsSummaries(s.Pred) {
+		return fmt.Sprintf("SummarySelect S[%s]", s.Pred)
+	}
 	return fmt.Sprintf("Select σ[%s]", s.Pred)
-}
-
-// SummarySelect is the summary-based selection S of Section 3.2.
-type SummarySelect struct {
-	Child Node
-	Pred  sql.Expr
-	// Instances are the summary instances the predicate references —
-	// the precondition data for rules 2 and 10.
-	Instances []string
-}
-
-// Schema returns the child schema.
-func (s *SummarySelect) Schema() *model.Schema { return s.Child.Schema() }
-
-// Children returns the child.
-func (s *SummarySelect) Children() []Node { return []Node{s.Child} }
-
-// WithChildren returns a copy over the given child.
-func (s *SummarySelect) WithChildren(c []Node) Node {
-	cp := *s
-	cp.Child = c[0]
-	return &cp
-}
-
-// Describe renders the node.
-func (s *SummarySelect) Describe() string {
-	return fmt.Sprintf("SummarySelect S[%s]", s.Pred)
 }
 
 // SummaryFilterNode is the F operator: tuples pass, summary objects are
@@ -310,7 +287,11 @@ func (f *SummaryFilterNode) Describe() string {
 	return fmt.Sprintf("SummaryFilter F[%s]", strings.Join(parts, ","))
 }
 
-// Join is the standard data join ⋈ (with summary merge on output).
+// Join joins two inputs and merges the joined tuples' summary sets on
+// output: the standard data join ⋈, or the summary join J of Section
+// 3.2 when its predicate reads summaries. J's predicate — summary
+// comparisons possibly mixed with data conjuncts — is evaluated over
+// both sides' pre-merge summary sets, and J has no hash implementation.
 type Join struct {
 	Left, Right Node
 	On          sql.Expr
@@ -335,7 +316,7 @@ type Join struct {
 	schema *model.Schema
 }
 
-// NewJoin builds a data join.
+// NewJoin builds a join, nested-loop until an implementation is chosen.
 func NewJoin(left, right Node, on sql.Expr) *Join {
 	return &Join{Left: left, Right: right, On: on,
 		schema: left.Schema().Concat(right.Schema())}
@@ -354,8 +335,15 @@ func (j *Join) WithChildren(c []Node) Node {
 	return &cp
 }
 
-// Describe renders the node.
+// Describe renders the node, as J when its predicate reads summaries.
 func (j *Join) Describe() string {
+	if ReadsSummaries(j.On) {
+		kind := "SummaryJoin"
+		if j.UseIndex {
+			kind = "SummaryIndexJoin(" + j.IndexColumn + ")"
+		}
+		return fmt.Sprintf("%s J[%s]", kind, j.On)
+	}
 	kind := "NLJoin"
 	switch {
 	case j.UseIndex:
@@ -371,52 +359,6 @@ func (j *Join) Describe() string {
 		return kind + " ⋈[true]" + suffix
 	}
 	return fmt.Sprintf("%s ⋈[%s]%s", kind, j.On, suffix)
-}
-
-// SummaryJoin is the J operator: tuples join on summary-based
-// predicates (possibly mixed with data predicates), evaluated over both
-// sides' pre-merge summary sets.
-type SummaryJoin struct {
-	Left, Right Node
-	Pred        sql.Expr
-	Instances   []string
-	// UseIndex probes the right side's data index on IndexColumn for a
-	// data equi-conjunct of Pred; Residual (including the summary
-	// predicates) is evaluated pre-merge on each probe match.
-	UseIndex    bool
-	IndexColumn string
-	OuterKey    sql.Expr
-	Residual    sql.Expr
-
-	schema *model.Schema
-}
-
-// NewSummaryJoin builds a J node.
-func NewSummaryJoin(left, right Node, pred sql.Expr, instances []string) *SummaryJoin {
-	return &SummaryJoin{Left: left, Right: right, Pred: pred, Instances: instances,
-		schema: left.Schema().Concat(right.Schema())}
-}
-
-// Schema returns the concatenated schema.
-func (j *SummaryJoin) Schema() *model.Schema { return j.schema }
-
-// Children returns both inputs.
-func (j *SummaryJoin) Children() []Node { return []Node{j.Left, j.Right} }
-
-// WithChildren returns a copy over the given inputs.
-func (j *SummaryJoin) WithChildren(c []Node) Node {
-	cp := *j
-	cp.Left, cp.Right = c[0], c[1]
-	return &cp
-}
-
-// Describe renders the node.
-func (j *SummaryJoin) Describe() string {
-	kind := "SummaryJoin"
-	if j.UseIndex {
-		kind = "SummaryIndexJoin(" + j.IndexColumn + ")"
-	}
-	return fmt.Sprintf("%s J[%s]", kind, j.Pred)
 }
 
 // SortNode orders rows; with summary-based keys it is the O operator.

@@ -77,7 +77,7 @@ func TestAnalyzeExpr(t *testing.T) {
 	}}
 	e, _ := sql.ParseExpr("r.$.getSummaryObject('C1').getLabelValue('D') > 5 AND s.x = 1")
 	info := Analyze(e, resolver)
-	if !info.UsesSummaries || !info.UsesData {
+	if !ReadsSummaries(e) || !info.UsesData {
 		t.Error("uses flags")
 	}
 	if !info.Aliases["r"] || !info.Aliases["s"] {
@@ -303,7 +303,8 @@ func nodeTable(t *testing.T, cat *catalog.Catalog, sidx *index.SummaryBTree, bid
 	indexJoin.UseIndex, indexJoin.IndexColumn = true, "id"
 	hashJoin := NewJoin(scan, NewScan(birds, "r5"), e)
 	hashJoin.UseHash, hashJoin.HashLeft, hashJoin.HashRight, hashJoin.BuildDOP = true, e, e, 2
-	summaryIndexJoin := NewSummaryJoin(scan, NewScan(birds, "r6"), e, []string{"C1"})
+	sum, _ := sql.ParseExpr("r.$.getSummaryObject('C1').getLabelValue('D') > 1")
+	summaryIndexJoin := NewJoin(scan, NewScan(birds, "r6"), sum)
 	summaryIndexJoin.UseIndex, summaryIndexJoin.IndexColumn = true, "id"
 	return []Node{
 		scan, ordered,
@@ -311,10 +312,10 @@ func nodeTable(t *testing.T, cat *catalog.Catalog, sidx *index.SummaryBTree, bid
 		NewBaselineIndexScanNode(birds, "", bidx, "C1", "D", index.OpEq, 3),
 		&SummaryProject{Child: scan, Alias: "r", Kept: []string{"id"}},
 		&Select{Child: scan, Pred: e},
-		&SummarySelect{Child: scan, Pred: e},
+		&Select{Child: scan, Pred: sum},
 		&SummaryFilterNode{Child: scan, Instances: []string{"C1"}, Types: []model.SummaryType{model.SummaryClassifier}},
 		NewJoin(scan, NewScan(birds, "r2"), nil), indexJoin, hashJoin,
-		NewSummaryJoin(scan, NewScan(birds, "r3"), e, []string{"C1"}), summaryIndexJoin,
+		NewJoin(scan, NewScan(birds, "r3"), sum), summaryIndexJoin,
 		&SortNode{Child: scan, Keys: key},
 		&SortNode{Child: ordered, Keys: key, SummaryBased: true, Eliminated: true},
 		&GroupByNode{Child: scan, Keys: []sql.Expr{e}, DOP: 2},
@@ -481,5 +482,36 @@ func TestJoinDescribeVariants(t *testing.T) {
 	j.IndexColumn = "id"
 	if !strings.Contains(j.Describe(), "IndexJoin(id)") {
 		t.Errorf("index join describe: %s", j.Describe())
+	}
+}
+
+// TestReadsSummaries: a predicate reads summaries when a $ appears
+// anywhere in it — the test that makes a Select S and a Join J — and
+// answering it allocates nothing.
+func TestReadsSummaries(t *testing.T) {
+	for src, want := range map[string]bool{
+		"r.id = 1": false,
+		"r.id = s.id AND NOT (r.family LIKE 'A%')":                                                       false,
+		"r.id = s.id AND r.$.getSummaryObject('C1').getLabelValue('D') > 1":                              true,
+		"-r.$.getSummaryObject('C1').getLabelValue('D') < 0":                                             true,
+		"upper(r.name) = 'X' OR NOT s.$.getSummaryObject('T').containsUnion('ringed')":                   true,
+		"r.$.getSummaryObject('C1').getLabelValue('D') <> s.$.getSummaryObject('C1').getLabelValue('D')": true,
+	} {
+		e, err := sql.ParseExpr(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ReadsSummaries(e); got != want {
+			t.Errorf("ReadsSummaries(%s) = %v, want %v", src, got, want)
+		}
+		if got := ReadsSummaries(nil, e); got != want {
+			t.Errorf("ReadsSummaries(nil, %s) = %v, want %v", src, got, want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { ReadsSummaries(e) }); allocs != 0 {
+			t.Errorf("ReadsSummaries(%s) allocates %.0f times", src, allocs)
+		}
+	}
+	if ReadsSummaries() || ReadsSummaries(nil) {
+		t.Error("no expression reads summaries")
 	}
 }
