@@ -151,10 +151,12 @@ serve-stress:
 # at every worker count and capacity, a joined row spilling one summary
 # set and a join rejecting pairs without allocating, the summary
 # renderer against its fmt reference and its allocation guard, the
-# per-row allocation budget, and the Figure 24 smoke run with its two enforced bounds on
+# per-row allocation budget, a LIMIT's row goal stopping its leaf (and
+# dropped under a breaker or a Gather), literal call arguments bound
+# once, and the Figure 24 smoke run with its two enforced bounds on
 # the headline scan.
 vector-stress:
-	$(GO) test -race -count=1 -run 'TestVectorized|TestBatch|TestTransformBatch|TestCollectPreservesRowIdentity|TestOperatorsCapacityInvariant|TestMidBatchCancellationStopsWithinOneBatch|TestBreakersReleaseBatchesOnFailure|TestSummariesAttachedAfterDataFilter|TestJoinOutputSpillsOneSummarySet|TestJoinProbeRejectedPairsAllocateNothing' ./internal/engine/ ./internal/exec/
+	$(GO) test -race -count=1 -run 'TestVectorized|TestBatch|TestTransformBatch|TestCollectPreservesRowIdentity|TestOperatorsCapacityInvariant|TestMidBatchCancellationStopsWithinOneBatch|TestBreakersReleaseBatchesOnFailure|TestSummariesAttachedAfterDataFilter|TestJoinOutputSpillsOneSummarySet|TestJoinProbeRejectedPairsAllocateNothing|TestLimitRowGoalStopsTheLeaf|TestLiteralArgumentsBoundOnce' ./internal/engine/ ./internal/exec/
 	$(GO) test -race -count=1 -run 'TestSummaryStringMatchesFmt|TestSummaryStringAllocs|TestRepresentativeCutKeepsRunes' ./internal/model/
 	$(GO) test -race -count=1 -run 'TestVectorizedAllocBudget' .
 	$(GO) test -race -count=1 -run 'TestFig24Smoke' ./internal/bench/

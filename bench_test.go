@@ -9,6 +9,7 @@ package insightnotes_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -548,6 +549,64 @@ func TestGroupByMergeLinear(t *testing.T) {
 	if large > 5*small {
 		t.Errorf("GROUP BY over 1000 birds allocates %.0f, over 250 birds %.0f: %.1fx for 4x the rows, want <= 5x",
 			large, small, large/small)
+	}
+}
+
+// topKFixture builds Birds alone, ten annotations a bird, with a
+// Summary-BTree on ClassBird1 for the top-k in index order.
+func topKFixture(tb testing.TB) *engine.DB {
+	tb.Helper()
+	ds, err := workload.Build(workload.Config{
+		Seed: 1, Birds: 10000, AvgAnnotationsPerBird: 10, SkipSynonyms: true,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { ds.DB.Close() })
+	if err := ds.DB.CreateSummaryIndex("Birds", "ClassBird1"); err != nil {
+		tb.Fatal(err)
+	}
+	return ds.DB
+}
+
+// pickAtLeast returns the largest count c for which "label >= c"
+// qualifies at least target rows, and how many rows it qualifies.
+func pickAtLeast(t *catalog.Table, instance, label string, target int) (c, rows int) {
+	values := t.Stats(instance).Label(label).Values()
+	for v := range values {
+		c = max(c, v)
+	}
+	for ; c > 0; c-- {
+		if rows += values[c]; rows >= target {
+			break
+		}
+	}
+	return c, rows
+}
+
+// BenchmarkTopKRowGoal times the paper's summary-based top-k — ORDER BY
+// a label count DESC LIMIT 20, answered in Summary-BTree order — at a
+// few dozen and a few thousand qualifying rows, at batch capacity 1 and
+// 1024. The LIMIT's row goal sizes the index scan's first batch to 20,
+// so capacity 1024 fetches 20 rows and 20 summary sets, not a batch of
+// them, and costs no more than capacity 1 at either cardinality.
+func BenchmarkTopKRowGoal(b *testing.B) {
+	db := topKFixture(b)
+	birds, _ := db.Table("Birds")
+	for _, target := range []int{50, 5000} {
+		c, hits := pickAtLeast(birds, "ClassBird1", "Disease", target)
+		q := fmt.Sprintf(`SELECT id, common_name FROM Birds r
+			WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') >= %d
+			ORDER BY r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') DESC LIMIT 20`, c)
+		for _, size := range []int{1, 1024} {
+			opts := &optimizer.Options{MaxBatchSize: size, MaxParallelWorkers: 1}
+			if p, err := db.Explain(q, opts); err != nil || !strings.Contains(p, "eliminated: index order") {
+				b.Fatalf("want the index order to stand in for the sort (%v):\n%s", err, p)
+			}
+			b.Run(fmt.Sprintf("hits=%d/Capacity%d", hits, size), func(b *testing.B) {
+				benchQuery(b, db, q, opts)
+			})
+		}
 	}
 }
 

@@ -240,14 +240,31 @@ func (t *Tree) SearchEq(key string) []int64 {
 	return out
 }
 
+// SearchFirst returns the payload of the first entry with exactly key:
+// the lookup of a single-valued index (OID → location), which needs
+// neither a result slice nor a scan past the match.
+func (t *Tree) SearchFirst(key string) (int64, bool) {
+	r := t.store.Reader(t.snap)
+	defer r.Release()
+	n := t.descendLower(&r, key)
+	for {
+		if i := lowerBound(n, key); i < len(n.keys) {
+			return n.vals[i], n.keys[i] == key
+		}
+		if n.next == 0 {
+			return 0, false
+		}
+		// Every key of this leaf is below key: the first match, if any,
+		// opens the next one.
+		n = r.Page(n.next)
+		t.acct.ReadNode(1)
+	}
+}
+
 // Contains reports whether key is present.
 func (t *Tree) Contains(key string) bool {
-	found := false
-	t.ScanRange(key, key, func(string, int64) bool {
-		found = true
-		return false
-	})
-	return found
+	_, ok := t.SearchFirst(key)
+	return ok
 }
 
 // ScanRange visits every entry with from <= key <= to in key order,

@@ -95,6 +95,35 @@ func TestDuplicateKeys(t *testing.T) {
 	}
 }
 
+// TestSearchFirstMatchesSearchEq: the single-valued lookup returns the
+// first payload SearchEq would (the leftmost duplicate included), misses
+// every absent key, and reads no more nodes than SearchEq.
+func TestSearchFirstMatchesSearchEq(t *testing.T) {
+	var acct pager.Accountant
+	tr := New(&acct, 4)
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 500; i++ {
+		tr.Insert(fmt.Sprintf("k%04d", 2*rng.Intn(300)), int64(i))
+	}
+	for i := -1; i <= 600; i++ {
+		key := fmt.Sprintf("k%04d", i)
+		before := acct.Stats().NodeReads
+		all := tr.SearchEq(key)
+		eqReads := acct.Stats().NodeReads - before
+		got, ok := tr.SearchFirst(key)
+		firstReads := acct.Stats().NodeReads - before - eqReads
+		if ok != (len(all) > 0) || (ok && got != all[0]) {
+			t.Fatalf("SearchFirst(%q) = %d, %v; SearchEq = %v", key, got, ok, all)
+		}
+		if ok != tr.Contains(key) {
+			t.Fatalf("Contains(%q) = %v, want %v", key, !ok, ok)
+		}
+		if firstReads > eqReads {
+			t.Fatalf("SearchFirst(%q) read %d nodes, SearchEq %d", key, firstReads, eqReads)
+		}
+	}
+}
+
 func TestScanRangeInclusive(t *testing.T) {
 	tr := New(nil, 4)
 	for i := 0; i < 50; i++ {

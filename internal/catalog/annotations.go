@@ -109,11 +109,11 @@ func (s *AnnotationStore) SetCounters(nextID, nextSeq int64) {
 // duplicate the byTuple entry (and thereby the annotation's summary
 // contribution). Returns true only when the attachment is new.
 func (s *AnnotationStore) AttachTo(annID, tupleOID int64) bool {
-	vals := s.byID.SearchEq(oidKey(annID))
-	if len(vals) == 0 {
+	enc, ok := s.byID.SearchFirst(oidKey(annID))
+	if !ok {
 		return false
 	}
-	_, a, ok := s.file.Get(heap.DecodeRID(vals[0]))
+	_, a, ok := s.file.Get(heap.DecodeRID(enc))
 	if !ok || a.TupleOID == tupleOID {
 		return false
 	}
@@ -122,7 +122,7 @@ func (s *AnnotationStore) AttachTo(annID, tupleOID int64) bool {
 			return false
 		}
 	}
-	s.byTuple.Insert(oidKey(tupleOID), vals[0])
+	s.byTuple.Insert(oidKey(tupleOID), enc)
 	s.attached[annID] = append(s.attached[annID], tupleOID)
 	return true
 }
@@ -154,11 +154,11 @@ func (s *AnnotationStore) Attachments(annID int64) []int64 {
 
 // Get fetches an annotation by ID.
 func (s *AnnotationStore) Get(id int64) (*model.Annotation, bool) {
-	vals := s.byID.SearchEq(oidKey(id))
-	if len(vals) == 0 {
+	enc, ok := s.byID.SearchFirst(oidKey(id))
+	if !ok {
 		return nil, false
 	}
-	_, a, ok := s.file.Get(heap.DecodeRID(vals[0]))
+	_, a, ok := s.file.Get(heap.DecodeRID(enc))
 	return a, ok
 }
 
@@ -178,20 +178,20 @@ func (s *AnnotationStore) ForTuple(tupleOID int64) []*model.Annotation {
 // leaving the secondaries behind would make them dangle as dead index
 // entries resolving to a freed heap slot.
 func (s *AnnotationStore) Delete(id int64) bool {
-	vals := s.byID.SearchEq(oidKey(id))
-	if len(vals) == 0 {
+	enc, ok := s.byID.SearchFirst(oidKey(id))
+	if !ok {
 		return false
 	}
-	rid := heap.DecodeRID(vals[0])
+	rid := heap.DecodeRID(enc)
 	_, a, ok := s.file.Get(rid)
 	if !ok {
 		return false
 	}
 	s.file.Delete(rid)
-	s.byID.Delete(oidKey(id), vals[0])
-	s.byTuple.Delete(oidKey(a.TupleOID), vals[0])
+	s.byID.Delete(oidKey(id), enc)
+	s.byTuple.Delete(oidKey(a.TupleOID), enc)
 	for _, oid := range s.attached[id] {
-		s.byTuple.Delete(oidKey(oid), vals[0])
+		s.byTuple.Delete(oidKey(oid), enc)
 	}
 	delete(s.attached, id)
 	return true

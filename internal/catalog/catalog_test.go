@@ -122,6 +122,39 @@ func TestSummaryStorageLifecycle(t *testing.T) {
 	}
 }
 
+// TestSingleValuedLookupsAllocateOnlyTheKey: resolving an OID through
+// the OID index or the summary-storage index makes one allocation, the
+// key string, however deep the tree (a summary fetch pays SummaryLoc
+// once per attached set).
+func TestSingleValuedLookupsAllocateOnlyTheKey(t *testing.T) {
+	_, tbl := testCatalog(t)
+	set := model.SummarySet{{
+		InstanceID: "C1", Type: model.SummaryClassifier,
+		Reps: []model.Rep{{Label: "Disease", Count: 1, Elements: []int64{1}}},
+	}}
+	var oids []int64
+	for i := 0; i < 300; i++ {
+		oid, err := tbl.Insert([]model.Value{model.NewText("x"), model.NewText("y")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rid, _ := tbl.DiskTupleLoc(oid)
+		tbl.PutSummaries(oid, rid, nil, set)
+		oids = append(oids, oid)
+	}
+	for _, oid := range []int64{oids[0], oids[150], oids[299]} {
+		if _, ok := tbl.SummaryLoc(oid); !ok {
+			t.Fatalf("SummaryLoc(%d) missed", oid)
+		}
+		if n := testing.AllocsPerRun(50, func() { tbl.SummaryLoc(oid) }); n > 1 {
+			t.Errorf("SummaryLoc(%d): %.0f allocations, want at most 1", oid, n)
+		}
+		if n := testing.AllocsPerRun(50, func() { tbl.DiskTupleLoc(oid) }); n > 1 {
+			t.Errorf("DiskTupleLoc(%d): %.0f allocations, want at most 1", oid, n)
+		}
+	}
+}
+
 func TestInstanceLinking(t *testing.T) {
 	c, tbl := testCatalog(t)
 	si := &SummaryInstance{Name: "ClassBird1", Type: model.SummaryClassifier,

@@ -201,11 +201,11 @@ func (t *Table) InsertWithOID(oid int64, values []model.Value) (int64, error) {
 // internal diskTupleLoc() function used by the Summary-BTree to build
 // backward pointers.
 func (t *Table) DiskTupleLoc(oid int64) (heap.RID, bool) {
-	vals := t.oidIndex.SearchEq(oidKey(oid))
-	if len(vals) == 0 {
+	enc, ok := t.oidIndex.SearchFirst(oidKey(oid))
+	if !ok {
 		return heap.RID{}, false
 	}
-	return heap.DecodeRID(vals[0]), true
+	return heap.DecodeRID(enc), true
 }
 
 // Get fetches the tuple with the given OID (without summaries).
@@ -258,11 +258,11 @@ func (t *Table) Len() int { return t.Data.Len() }
 // SummaryLoc resolves a data tuple's OID to the heap location of its
 // R_SummaryStorage row.
 func (t *Table) SummaryLoc(oid int64) (heap.RID, bool) {
-	vals := t.sumIndex.SearchEq(oidKey(oid))
-	if len(vals) == 0 {
+	enc, ok := t.sumIndex.SearchFirst(oidKey(oid))
+	if !ok {
 		return heap.RID{}, false
 	}
-	return heap.DecodeRID(vals[0]), true
+	return heap.DecodeRID(enc), true
 }
 
 // GetSummaries fetches the summary set attached to a tuple; nil when the

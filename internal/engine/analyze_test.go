@@ -244,3 +244,118 @@ func TestSummariesAttachedAfterDataFilter(t *testing.T) {
 		}
 	}
 }
+
+// TestLimitRowGoalStopsTheLeaf checks that a LIMIT's row goal reaches
+// its leaf. A top-k in Summary-BTree order, at a few dozen and at a few
+// thousand hits, serial and with four workers allowed, one row and 1024
+// rows per batch, must fetch k rows at the leaf and k summary sets (the
+// heap page reads beyond the leaf's one data-page pin per hit), and
+// read the same pages at capacity 1024 as at capacity 1. A LIMIT over a
+// selective data σ on a propagating SeqScan must grow its batches past
+// the goal-sized first one and return the capacity-1 rows. Under a Sort,
+// a GroupBy or a Gather the leaf reads full-capacity batches, as
+// without a LIMIT.
+func TestLimitRowGoalStopsTheLeaf(t *testing.T) {
+	db, oids := testDBWithConfig(t, 3000, Config{PageCap: 16})
+	if err := db.CreateSummaryIndex("Birds", "ClassBird1"); err != nil {
+		t.Fatal(err)
+	}
+	// Bird 5i+4 has 4 disease annotations; two more put 40 birds at 6,
+	// the only ones at 5 or above. 2,400 birds have at least one.
+	for i := 0; i < 40; i++ {
+		mustAnnotate(t, db, oids[5*i+3], annText("Disease", 900+i))
+		mustAnnotate(t, db, oids[5*i+3], annText("Disease", 950+i))
+	}
+	leaf := func(ap *AnalyzedPlan) *exec.OpStats {
+		var s *exec.OpStats
+		ap.Root.Walk(func(n *optimizer.AnalyzedNode) {
+			if len(n.Children) == 0 {
+				s = n.Stats
+			}
+		})
+		return s
+	}
+	heapReads := func(ap *AnalyzedPlan) int64 { return ap.IO.PageReads - ap.IO.NodeReads }
+	run := func(q string, workers, capacity int) *AnalyzedPlan {
+		t.Helper()
+		ap, err := db.ExplainAnalyze(q, &optimizer.Options{MaxParallelWorkers: workers, MaxBatchSize: capacity})
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		return ap
+	}
+
+	const k = 20
+	for _, tc := range []struct {
+		name     string
+		min, hit int
+	}{{"dozens", 5, 40}, {"thousands", 1, 2400}} {
+		pred := fmt.Sprintf(`r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') >= %d`, tc.min)
+		if n := len(run(`SELECT id FROM Birds r WHERE `+pred+` WITHOUT SUMMARIES`, 1, 1024).Result.Rows); n != tc.hit {
+			t.Fatalf("%s: %d hits, want %d", tc.name, n, tc.hit)
+		}
+		q := `SELECT id, name FROM Birds r WHERE ` + pred +
+			fmt.Sprintf(` ORDER BY r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') DESC LIMIT %d`, k)
+		want := resultStrings(run(q, 1, 1).Result)
+		for _, workers := range []int{1, 4} {
+			reads := map[int]int64{}
+			for _, capacity := range []int{1, 1024} {
+				cell := fmt.Sprintf("%s workers=%d capacity=%d", tc.name, workers, capacity)
+				with := run(q, workers, capacity)
+				if p := plan.Explain(with.Result.Plan); !strings.Contains(p, "eliminated: index order") || !strings.Contains(p, "fetch=ordered") {
+					t.Fatalf("%s: want the index order to stand in for the sort:\n%s", cell, p)
+				}
+				if got := resultStrings(with.Result); strings.Join(got, "\n") != strings.Join(want, "\n") {
+					t.Fatalf("%s: rows differ from the serial capacity-1 run:\n%s\nvs\n%s", cell, got, want)
+				}
+				s := leaf(with)
+				if s.Rows != k || s.PagesPinned != k {
+					t.Errorf("%s: leaf fetched %d rows in %d data-page pins, want %d", cell, s.Rows, s.PagesPinned, k)
+				}
+				if fetched := heapReads(with) - s.PagesPinned; fetched != k {
+					t.Errorf("%s: %d summary-storage page reads, want %d", cell, fetched, k)
+				}
+				reads[capacity] = with.IO.PageReads
+			}
+			if reads[1024] != reads[1] {
+				t.Errorf("%s workers=%d: %d page reads at capacity 1024, %d at capacity 1", tc.name, workers, reads[1024], reads[1])
+			}
+		}
+	}
+
+	// The σ keeps 5 rows of 3,000 past id 1500: the leaf's first batch of
+	// 5 keeps none, and it must double its way on to them.
+	selective := `SELECT id, name FROM Birds b WHERE b.id > 1500 AND b.family = 'Corvidae' LIMIT 5`
+	want := resultStrings(run(selective, 1, 1).Result)
+	with := run(selective, 1, 1024)
+	if p := plan.Explain(with.Result.Plan); !strings.Contains(p, "SeqScan") || !strings.Contains(p, "Select σ") || strings.Contains(p, "Gather") {
+		t.Fatalf("selective: want a serial σ over a SeqScan:\n%s", p)
+	}
+	if got := resultStrings(with.Result); len(want) != 5 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("selective: rows differ from the capacity-1 run:\n%s\nvs\n%s", got, want)
+	}
+	if s := leaf(with); s.NextCalls < 3 || s.Rows <= 1500 || s.Rows >= 3000 {
+		t.Errorf("selective: leaf read %d rows in %d batches; want it to grow past its first batch and stop short of the table", s.Rows, s.NextCalls)
+	}
+
+	// A breaker or a Gather between the LIMIT and the leaf drops the
+	// goal: every leaf batch but each partition's last is full.
+	for _, tc := range []struct {
+		name, q, op string
+		workers     int
+	}{
+		{"sort", `SELECT id, name FROM Birds b ORDER BY name LIMIT 5`, "Sort[", 1},
+		{"group", `SELECT family, count(*) FROM Birds b GROUP BY family LIMIT 2`, "GroupBy", 1},
+		{"gather", `SELECT id, name FROM Birds b WHERE b.family = 'Corvidae' LIMIT 5`, "Gather", 4},
+	} {
+		ap := run(tc.q, tc.workers, 1024)
+		if p := plan.Explain(ap.Result.Plan); !strings.Contains(p, tc.op) {
+			t.Fatalf("%s: plan lacks %q:\n%s", tc.name, tc.op, p)
+		}
+		s := leaf(ap)
+		if full := (s.Rows+1023)/1024 + 2*s.Opens; s.NextCalls > full {
+			t.Errorf("%s: leaf made %d calls for %d rows over %d opens; full batches take at most %d",
+				tc.name, s.NextCalls, s.Rows, s.Opens, full)
+		}
+	}
+}

@@ -29,8 +29,9 @@ func resultStrings(res *Result) []string {
 // pointer schemes, a data filter between an index probe and the
 // summary selection above it, the baseline index, filters, projections, summary
 // propagation on and off, every join implementation, serial and
-// parallel aggregation with summary merge, duplicate elimination, and
-// both sorts. op names the operator the optimized plan must contain, so
+// parallel aggregation with summary merge, duplicate elimination, both
+// sorts, and a LIMIT's row goal on an index-order top-k and over a
+// selective σ. op names the operator the optimized plan must contain, so
 // a shape cannot silently stop exercising what it is here for; parOp
 // is required additionally when four workers are allowed.
 var vectorCorpus = []struct {
@@ -84,6 +85,12 @@ var vectorCorpus = []struct {
 	  ORDER BY r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') DESC, id`,
 		optimizer.Options{NoSummaryIndex: true}, "SummarySort", "", nil},
 	{"distinct", `SELECT DISTINCT family FROM Birds b`, optimizer.Options{}, "Distinct", "", nil},
+	{"topk_index_order", `SELECT id, r.$.getSummaryObject('ClassBird1').getLabelValue('Anatomy') FROM Birds r
+	  WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') >= 2
+	  ORDER BY r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') DESC LIMIT 6`,
+		optimizer.Options{ForceFetch: "ordered"}, "eliminated: index order", "", nil}, // the row goal sizes the index scan's first batch
+	{"limit_selective_filter", `SELECT id, name FROM Birds b WHERE b.id > 50 AND b.family = 'Laridae' LIMIT 4`,
+		optimizer.Options{}, "Select", "", nil}, // the goal-sized first batch keeps no row; later ones double
 	{"index_param", `SELECT id FROM Birds r
 	  WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') = ?`,
 		optimizer.Options{}, "SummaryBTreeScan", "", []model.Value{model.NewInt(2)}},

@@ -147,6 +147,22 @@ func (ev *Evaluator) bindValues(exprs []sql.Expr) []boundValue {
 	return out
 }
 
+// literalValues returns the values of exprs when every one is a literal
+// (placeholders are literals by the time a plan binds), so a call's
+// argument list is built once per query instead of once per row; ok is
+// false otherwise.
+func literalValues(exprs []sql.Expr) (vals []model.Value, ok bool) {
+	vals = make([]model.Value, len(exprs))
+	for i, e := range exprs {
+		lit, isLit := e.(*sql.Literal)
+		if !isLit {
+			return nil, false
+		}
+		vals[i] = lit.Value
+	}
+	return vals, true
+}
+
 // evalValues evaluates bound argument lists left to right.
 func evalValues(args []boundValue, row *Row) ([]model.Value, error) {
 	out := make([]model.Value, len(args))
@@ -162,16 +178,24 @@ func evalValues(args []boundValue, row *Row) ([]model.Value, error) {
 
 // bindMethod lowers a Section 3.1 manipulation function: the receiver
 // and arguments are bound and the method is looked up by lower-cased
-// name once. What stays per row is what depends on the receiver's
-// runtime kind — a method chain over a missing summary object
-// propagates NULL before anything else is checked, then an unknown
-// function, then the arity, then the arguments.
+// name once. Literal arguments are evaluated once, and so are a keyword
+// method's keywords and their text check. What stays per row is what
+// depends on the receiver's runtime kind — a method chain over a
+// missing summary object propagates NULL before anything else is
+// checked, then an unknown function, then the arity, then the
+// arguments.
 func (ev *Evaluator) bindMethod(m *sql.MethodCall) boundExpr {
 	recv := ev.Bind(m.Recv)
 	name := strings.ToLower(m.Name)
 	onSet, isSet := setMethods[name]
 	onObject, isObject := objectMethods[name]
 	args := ev.bindValues(m.Args)
+	lits, literal := literalValues(m.Args)
+	var litKeywords []string
+	var litKeywordErr error
+	if literal && isObject && onObject.nargs < 0 {
+		litKeywords, litKeywordErr = keywords(m.Name, lits)
+	}
 	return func(row *Row) (result, error) {
 		r, err := recv(row)
 		if err != nil {
@@ -200,15 +224,23 @@ func (ev *Evaluator) bindMethod(m *sql.MethodCall) boundExpr {
 		case len(args) == 0:
 			return result{}, fmt.Errorf("exec: %s needs at least one keyword", m.Name)
 		}
-		vals, err := evalValues(args, row)
-		if err != nil {
-			return result{}, err
-		}
 		if fn.nargs < 0 {
-			for _, v := range vals {
-				if v.Kind != model.KindText {
-					return result{}, fmt.Errorf("exec: %s keywords must be text", m.Name)
+			kws, err := litKeywords, litKeywordErr
+			if !literal {
+				var vals []model.Value
+				if vals, err = evalValues(args, row); err == nil {
+					kws, err = keywords(m.Name, vals)
 				}
+			}
+			if err != nil {
+				return result{}, err
+			}
+			return fn.search(ev, r, kws), nil
+		}
+		vals := lits
+		if !literal {
+			if vals, err = evalValues(args, row); err != nil {
+				return result{}, err
 			}
 		}
 		return fn.call(ev, r, vals), nil
@@ -216,8 +248,9 @@ func (ev *Evaluator) bindMethod(m *sql.MethodCall) boundExpr {
 }
 
 // bindFunc lowers a non-aggregate function call; the function resolves
-// by name once, its arguments evaluate first per row (so an argument's
-// error wins over an unknown function's, as it always has).
+// by name once, and literal arguments are evaluated once. Other
+// arguments evaluate first per row (so an argument's error wins over an
+// unknown function's, as it always has).
 func (ev *Evaluator) bindFunc(f *sql.FuncCall) boundExpr {
 	if f.IsAggregate() {
 		err := fmt.Errorf("exec: aggregate %s outside GROUP BY context", f.Name)
@@ -225,10 +258,14 @@ func (ev *Evaluator) bindFunc(f *sql.FuncCall) boundExpr {
 	}
 	fn := scalarFuncs[strings.ToLower(f.Name)]
 	args := ev.bindValues(f.Args)
+	lits, literal := literalValues(f.Args)
 	return func(row *Row) (result, error) {
-		vals, err := evalValues(args, row)
-		if err != nil {
-			return result{}, err
+		vals := lits
+		if !literal {
+			var err error
+			if vals, err = evalValues(args, row); err != nil {
+				return result{}, err
+			}
 		}
 		if fn == nil {
 			return result{}, fmt.Errorf("exec: unknown function %q", f.Name)

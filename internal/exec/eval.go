@@ -148,10 +148,15 @@ func applyBinary(op sql.BinaryOp, l, r model.Value) (result, error) {
 // the method by its lower-cased name once per query; call applies it to
 // an evaluated receiver and arguments. nargs is the exact argument
 // count; 0 means the arguments are not inspected and -1 means one or
-// more text keywords.
+// more text keywords, which search takes in place of call.
+//
+// Neither call nor search retains or writes its arguments: a call whose
+// arguments are all literals is handed the same slice on every row.
+// The scalar functions keep the same contract.
 type summaryMethod struct {
-	nargs int
-	call  func(ev *Evaluator, recv result, args []model.Value) result
+	nargs  int
+	call   func(ev *Evaluator, recv result, args []model.Value) result
+	search func(ev *Evaluator, recv result, keywords []string) result
 }
 
 func intResult(n int) result     { return valueResult(model.NewInt(int64(n))) }
@@ -176,20 +181,25 @@ func textOrNull(s string, err error) result {
 
 func argInt(args []model.Value) int { return int(args[0].AsInt()) }
 
-func keywords(args []model.Value) []string {
+// keywords returns a keyword method's arguments as text, or the error
+// of the first that is not text.
+func keywords(method string, args []model.Value) ([]string, error) {
 	kws := make([]string, len(args))
 	for i, a := range args {
+		if a.Kind != model.KindText {
+			return nil, fmt.Errorf("exec: %s keywords must be text", method)
+		}
 		kws[i] = a.Text
 	}
-	return kws
+	return kws, nil
 }
 
 // setMethods are the functions callable on a summary set ($).
 var setMethods = map[string]summaryMethod{
-	"getsize": {0, func(_ *Evaluator, r result, _ []model.Value) result {
+	"getsize": {nargs: 0, call: func(_ *Evaluator, r result, _ []model.Value) result {
 		return intResult(r.set.Size())
 	}},
-	"getsummaryobject": {1, func(_ *Evaluator, r result, args []model.Value) result {
+	"getsummaryobject": {nargs: 1, call: func(_ *Evaluator, r result, args []model.Value) result {
 		var obj *model.SummaryObject
 		if args[0].Kind == model.KindText {
 			obj = r.set.Get(args[0].Text)
@@ -205,46 +215,46 @@ var setMethods = map[string]summaryMethod{
 
 // objectMethods are the functions callable on one summary object.
 var objectMethods = map[string]summaryMethod{
-	"getsummarytype": {0, func(_ *Evaluator, r result, _ []model.Value) result {
+	"getsummarytype": {nargs: 0, call: func(_ *Evaluator, r result, _ []model.Value) result {
 		return textResult(r.obj.GetSummaryType())
 	}},
-	"getsummaryname": {0, func(_ *Evaluator, r result, _ []model.Value) result {
+	"getsummaryname": {nargs: 0, call: func(_ *Evaluator, r result, _ []model.Value) result {
 		return textResult(r.obj.GetSummaryName())
 	}},
-	"getsize": {0, func(_ *Evaluator, r result, _ []model.Value) result {
+	"getsize": {nargs: 0, call: func(_ *Evaluator, r result, _ []model.Value) result {
 		return intResult(r.obj.Size())
 	}},
-	"gettotalcount": {0, func(_ *Evaluator, r result, _ []model.Value) result {
+	"gettotalcount": {nargs: 0, call: func(_ *Evaluator, r result, _ []model.Value) result {
 		return intResult(r.obj.TotalCount())
 	}},
-	"getlabelname": {1, func(_ *Evaluator, r result, args []model.Value) result {
+	"getlabelname": {nargs: 1, call: func(_ *Evaluator, r result, args []model.Value) result {
 		return textOrNull(r.obj.GetLabelName(argInt(args)))
 	}},
-	"getlabelvalue": {1, func(_ *Evaluator, r result, args []model.Value) result {
+	"getlabelvalue": {nargs: 1, call: func(_ *Evaluator, r result, args []model.Value) result {
 		if args[0].Kind == model.KindText {
 			return intOrNull(r.obj.GetLabelValue(args[0].Text))
 		}
 		return intOrNull(r.obj.GetLabelValueAt(argInt(args)))
 	}},
-	"getsnippet": {1, func(_ *Evaluator, r result, args []model.Value) result {
+	"getsnippet": {nargs: 1, call: func(_ *Evaluator, r result, args []model.Value) result {
 		return textOrNull(r.obj.GetSnippet(argInt(args)))
 	}},
-	"getrepresentative": {1, func(_ *Evaluator, r result, args []model.Value) result {
+	"getrepresentative": {nargs: 1, call: func(_ *Evaluator, r result, args []model.Value) result {
 		return textOrNull(r.obj.GetRepresentative(argInt(args)))
 	}},
-	"getgroupsize": {1, func(_ *Evaluator, r result, args []model.Value) result {
+	"getgroupsize": {nargs: 1, call: func(_ *Evaluator, r result, args []model.Value) result {
 		return intOrNull(r.obj.GetGroupSize(argInt(args)))
 	}},
-	"containssingle": {-1, func(ev *Evaluator, r result, args []model.Value) result {
-		return valueResult(model.NewBool(r.obj.ContainsSingle(ev.Lookup, keywords(args)...)))
+	"containssingle": {nargs: -1, search: func(ev *Evaluator, r result, kws []string) result {
+		return valueResult(model.NewBool(r.obj.ContainsSingle(ev.Lookup, kws...)))
 	}},
-	"containsunion": {-1, func(ev *Evaluator, r result, args []model.Value) result {
-		return valueResult(model.NewBool(r.obj.ContainsUnion(ev.Lookup, keywords(args)...)))
+	"containsunion": {nargs: -1, search: func(ev *Evaluator, r result, kws []string) result {
+		return valueResult(model.NewBool(r.obj.ContainsUnion(ev.Lookup, kws...)))
 	}},
 }
 
 // scalarFuncs are the non-aggregate SQL functions, keyed by lower-cased
-// name.
+// name. Like a summaryMethod, none retains or writes its arguments.
 var scalarFuncs = map[string]func(args []model.Value) (result, error){
 	"lower": func(args []model.Value) (result, error) {
 		if len(args) != 1 {

@@ -220,6 +220,9 @@ func TestEvalSummaryFunctions(t *testing.T) {
 		"$.getSummaryObject('T1').containsSingle('hormone')":         model.NewBool(true),
 		"$.getSummaryObject('T1').containsUnion('hormone', 'swans')": model.NewBool(true),
 		"$.getSummaryObject('T1').containsSingle('penguin')":         model.NewBool(false),
+		// Arguments that are not literals evaluate per row.
+		"$.getSummaryObject('C1').getLabelValue(a - 4)":             model.NewInt(2),
+		"$.getSummaryObject('T1').containsSingle(LOWER('HORMONE'))": model.NewBool(true),
 		// Missing object: NULL propagates through the chain.
 		"$.getSummaryObject('Nope').getLabelValue('Disease')": model.Null(),
 		// Unknown label yields NULL (predicates collapse to false).
@@ -235,6 +238,33 @@ func TestEvalSummaryFunctions(t *testing.T) {
 		}
 		if !got.Equal(want) {
 			t.Errorf("%q = %v, want %v", src, got, want)
+		}
+	}
+}
+
+// TestLiteralArgumentsBoundOnce: a summary method or scalar function
+// whose arguments are all literals gets its argument list — and a
+// keyword method its keywords — at bind time, so evaluating the bound
+// chain per row allocates nothing for them (each method call of a chain
+// allocated its argument slice per row before).
+func TestLiteralArgumentsBoundOnce(t *testing.T) {
+	ev, row := evalRow()
+	for _, src := range []string{
+		"$.getSummaryObject('C1').getLabelValue('Disease')",
+		"$.getSummaryObject(0).getLabelName(1)",
+		"$.getSummaryObject('T1').containsSingle('hormone', 'swans')",
+		"ABS(3)",
+	} {
+		e, err := sql.ParseExpr(src)
+		if err != nil {
+			t.Fatalf("parse %q: %v", src, err)
+		}
+		bound := ev.BindValue(e)
+		if _, err := bound(row); err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { bound(row) }); allocs != 0 {
+			t.Errorf("%q: %.0f allocations per row, want 0", src, allocs)
 		}
 	}
 }
@@ -255,6 +285,7 @@ func TestEvalErrors(t *testing.T) {
 		"NOSUCHFUNC(a)": `exec: unknown function "NOSUCHFUNC"`,
 		"$.getSummaryObject('T1').containsUnion()":  "exec: containsUnion needs at least one keyword",
 		"$.getSummaryObject('T1').containsUnion(5)": "exec: containsUnion keywords must be text",
+		"$.getSummaryObject('T1').containsUnion(a)": "exec: containsUnion keywords must be text",
 		"COUNT(*)": "exec: aggregate COUNT outside GROUP BY context",
 		// Summary sets/objects are not values.
 		"$":                        "exec: expression $ yields a summary set, not a value",

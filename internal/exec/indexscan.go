@@ -56,6 +56,10 @@ type SummaryIndexScan struct {
 	// concatenating the shares in partition order reproduces the serial
 	// sorted run exactly. Ignored (whole hit list) in ordered mode.
 	Part PartitionSpec
+	// RowGoal sizes the first batches under a LIMIT, in both fetch
+	// modes: a top-k in index order dereferences about k hits, not a
+	// batch of them.
+	RowGoal
 
 	schema *model.Schema
 	hits   []heap.RID
@@ -138,6 +142,7 @@ func (s *SummaryIndexScan) Open(qc *QueryCtx) (err error) {
 	}
 	s.pos = 0
 	s.buf, s.bufPos = nil, 0
+	s.startGoal()
 	s.pagesPinned = 0
 	s.distinctPages = int64(distinctPageCount(s.hits))
 	return nil
@@ -176,7 +181,7 @@ func (s *SummaryIndexScan) nextHit() (*Row, bool) {
 // every capacity.
 func (s *SummaryIndexScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("SummaryIndexScan", &err)
-	size := qc.Capacity()
+	size := s.batchSize(qc)
 	if err := qc.tick(size); err != nil {
 		return nil, err
 	}
@@ -335,6 +340,8 @@ type BaselineIndexScan struct {
 	Constant int
 
 	ReconstructSummaries bool
+	// RowGoal sizes the first batches under a LIMIT.
+	RowGoal
 
 	schema *model.Schema
 	oids   []int64
@@ -359,13 +366,14 @@ func (s *BaselineIndexScan) Open(qc *QueryCtx) (err error) {
 	}
 	s.oids = s.Index.Search(s.Label, s.Op, s.Constant)
 	s.pos = 0
+	s.startGoal()
 	return nil
 }
 
 // NextBatch joins the next normalized hits back to the data table.
 func (s *BaselineIndexScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("BaselineIndexScan", &err)
-	size := qc.Capacity()
+	size := s.batchSize(qc)
 	if err := qc.tick(size); err != nil {
 		return nil, err
 	}

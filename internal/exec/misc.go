@@ -6,7 +6,12 @@ import (
 	"repro/internal/model"
 )
 
-// Limit passes through at most N rows.
+// Limit passes through at most N rows and stops pulling its input once
+// it has them. It passes its input the query context unchanged: the row
+// goal that keeps a top-k from reading whole batches is set on the leaf
+// at compile time (optimizer childGoal, exec.RowGoal), so the leaf's
+// first batch already holds about N rows when only row-preserving
+// operators sit between them.
 type Limit struct {
 	Input Operator
 	N     int

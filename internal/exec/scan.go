@@ -14,15 +14,46 @@ type PartitionSpec struct {
 	Of    int
 }
 
+// RowGoal is the batch sizing every leaf shares. Goal is the row goal
+// the compiler hands the leaf, as it hands it a PartitionSpec: how many
+// rows a LIMIT above still wants when only row-preserving operators sit
+// between them (0: no goal). The first batch after Open holds Goal rows
+// and each later one twice the last, up to the query's capacity, so a
+// top-k reads about k rows, and a selective filter between the LIMIT
+// and the leaf costs a few short batches before the leaf is back at
+// full capacity.
+type RowGoal struct {
+	Goal int
+
+	next int // the size of the next goal-sized batch; 0 once at capacity
+}
+
+// startGoal restarts the sizing at Goal; every leaf's Open calls it.
+func (g *RowGoal) startGoal() { g.next = g.Goal }
+
+// batchSize returns the row count of the leaf's next batch.
+func (g *RowGoal) batchSize(qc *QueryCtx) int {
+	c := qc.Capacity()
+	if g.next <= 0 || g.next >= c {
+		g.next = 0
+		return c
+	}
+	n := g.next
+	g.next *= 2
+	return n
+}
+
 // SeqScan reads a table in physical order. It fetches no summary sets:
 // an AttachSummaries above it does, when something needs them.
 // With a PartitionSpec set it reads only its page-range share, so Of
 // scans with Index 0..Of-1 together cover the table exactly once, in
-// partition order equal to the serial scan order.
+// partition order equal to the serial scan order. Under a row goal its
+// first batches are goal-sized (RowGoal).
 type SeqScan struct {
 	Table *catalog.Table
 	Alias string
 	Part  PartitionSpec
+	RowGoal
 
 	schema *model.Schema
 	cursor *heap.Cursor[[]model.Value]
@@ -42,6 +73,7 @@ func (s *SeqScan) Open(qc *QueryCtx) (err error) {
 	if err := qc.check(); err != nil {
 		return err
 	}
+	s.startGoal()
 	if s.Part.Of > 1 {
 		pages := s.Table.Data.Pages()
 		start := pages * s.Part.Index / s.Part.Of
@@ -59,7 +91,7 @@ func (s *SeqScan) Open(qc *QueryCtx) (err error) {
 // paid once per batch.
 func (s *SeqScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("SeqScan", &err)
-	size := qc.Capacity()
+	size := s.batchSize(qc)
 	if err := qc.tick(size); err != nil {
 		return nil, err
 	}

@@ -20,7 +20,7 @@ import (
 // summaries at all (the Figure 13 no-propagation case), which is what
 // makes backward pointers pay off.
 func Compile(n plan.Node, env *Env, opts Options) (exec.Operator, error) {
-	return compile(n, env, opts, env.Propagate)
+	return compile(n, env, opts, env.Propagate, 0)
 }
 
 // attach wraps a single-table leaf in the summary fetch when something
@@ -88,16 +88,45 @@ func childNeed(n plan.Node, need bool) bool {
 	return need
 }
 
+// childGoal is the row goal n's inputs are compiled under, given the
+// goal above n (0: none): how many rows a LIMIT above still wants from
+// them. A LIMIT sets min(goal, N). Project, σ/S, F, the effect
+// projection and an eliminated sort forward the goal unchanged: each
+// emits at most one row per input row, in input order. A σ that drops
+// rows needs no estimate here, because the leaf doubles its batches
+// after the first. A real sort, an aggregation, a DISTINCT, both sides
+// of a join and a Gather's workers drop the goal: they read their whole
+// input, or a worker's share of it, whatever LIMIT sits above. The goal
+// lives in the compiled leaves (exec.RowGoal), not in the QueryCtx,
+// because that context is shared by the whole tree and by every Gather
+// worker, so every breaker would have to undo it.
+func childGoal(n plan.Node, goal int) int {
+	switch node := n.(type) {
+	case *plan.LimitNode:
+		if goal > 0 {
+			return min(goal, node.N)
+		}
+		return node.N
+	case *plan.ProjectNode, *plan.SummaryProject:
+		return goal
+	}
+	if _, ok := plan.StreamingChild(n); ok {
+		return goal
+	}
+	return 0
+}
+
 // compile lowers one node; need reports whether operators above n
-// require summary sets on n's output rows. With a stats collector in
+// require summary sets on n's output rows, and goal is the row goal on
+// n's output (childGoal). With a stats collector in
 // opts, every produced operator is wrapped in a per-operator runtime
 // recorder keyed by its logical node, so EXPLAIN ANALYZE can join
 // estimates and actuals over the plan tree. Inside a parallel worker
 // the concurrency-safe worker recorders are used instead: all workers
 // of one fragment share the same logical nodes, so their rows and Next
 // calls merge into one OpStats per node.
-func compile(n plan.Node, env *Env, opts Options, need bool) (exec.Operator, error) {
-	it, err := compileNode(n, env, opts, need)
+func compile(n plan.Node, env *Env, opts Options, need bool, goal int) (exec.Operator, error) {
+	it, err := compileNode(n, env, opts, need, goal)
 	if err != nil {
 		return it, err
 	}
@@ -111,8 +140,8 @@ func compile(n plan.Node, env *Env, opts Options, need bool) (exec.Operator, err
 	return it, nil
 }
 
-// compileWorkers lowers a Gather fragment's child once per partition.
-// With wrapTop set (fragments consumed by a parallel aggregation or
+// compileWorkers lowers a Gather fragment's child once per partition,
+// without a row goal. With wrapTop set (fragments consumed by a parallel aggregation or
 // hash build, where no exec.Gather exists) each worker's top iterator
 // is additionally recorded under the GatherNode itself, merging the
 // per-worker row counts the EXPLAIN ANALYZE goldens pin.
@@ -122,7 +151,7 @@ func compileWorkers(g *plan.GatherNode, env *Env, opts Options, need bool, wrapT
 		wopts := opts
 		wopts.inWorker = true
 		wopts.part = exec.PartitionSpec{Index: i, Of: g.DOP}
-		it, err := compile(g.Child, env, wopts, need)
+		it, err := compile(g.Child, env, wopts, need, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -134,11 +163,13 @@ func compileWorkers(g *plan.GatherNode, env *Env, opts Options, need bool, wrapT
 	return workers, nil
 }
 
-func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Operator, error) {
+func compileNode(n plan.Node, env *Env, opts Options, need bool, goal int) (exec.Operator, error) {
+	goalBelow := childGoal(n, goal)
 	switch node := n.(type) {
 	case *plan.Scan:
 		s := exec.NewSeqScan(node.Table, node.Alias)
 		s.Part = opts.part
+		s.Goal = goal
 		return attach(s, node.Table, need), nil
 
 	case *plan.GatherNode:
@@ -157,21 +188,23 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Operator,
 		s.Descending = node.Descending
 		s.SortedFetch = node.FetchSorted
 		s.Part = opts.part
+		s.Goal = goal
 		return attach(s, node.Table, need), nil
 
 	case *plan.BaselineIndexScanNode:
 		s := exec.NewBaselineIndexScan(node.Table, node.Alias, node.Index,
 			node.Label, node.Op, node.Constant)
 		s.ReconstructSummaries = node.Reconstruct
+		s.Goal = goal
 		return attach(s, node.Table, need && !node.Reconstruct), nil
 
 	case *plan.SummaryProject:
 		if !need {
 			// Effect projection only transforms summaries; skip it when
 			// nothing above reads them.
-			return compile(node.Child, env, opts, false)
+			return compile(node.Child, env, opts, false, goalBelow)
 		}
-		child, err := compile(node.Child, env, opts, true)
+		child, err := compile(node.Child, env, opts, true, goalBelow)
 		if err != nil {
 			return nil, err
 		}
@@ -181,20 +214,20 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Operator,
 		if t := filteredLeafTable(node); need && t != nil {
 			// The topmost data-only σ over a leaf: fetch the sets of the
 			// rows it keeps, above it, and none below.
-			child, err := compile(node.Child, env, opts, false)
+			child, err := compile(node.Child, env, opts, false, goalBelow)
 			if err != nil {
 				return nil, err
 			}
 			return exec.NewAttachSummaries(exec.NewFilter(child, node.Pred, env.Lookup), t), nil
 		}
-		child, err := compile(node.Child, env, opts, childNeed(n, need))
+		child, err := compile(node.Child, env, opts, childNeed(n, need), goalBelow)
 		if err != nil {
 			return nil, err
 		}
 		return exec.NewFilter(child, node.Pred, env.Lookup), nil
 
 	case *plan.SummaryFilterNode:
-		child, err := compile(node.Child, env, opts, need)
+		child, err := compile(node.Child, env, opts, need, goalBelow)
 		if err != nil {
 			return nil, err
 		}
@@ -202,7 +235,7 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Operator,
 
 	case *plan.Join:
 		below := childNeed(n, need)
-		left, err := compile(node.Left, env, opts, below)
+		left, err := compile(node.Left, env, opts, below, goalBelow)
 		if err != nil {
 			return nil, err
 		}
@@ -228,7 +261,7 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Operator,
 			return exec.NewParallelHashJoin(left, builds, node.HashLeft, node.HashRight,
 				node.Residual, need, env.Lookup), nil
 		}
-		right, err := compile(node.Right, env, opts, below)
+		right, err := compile(node.Right, env, opts, below, goalBelow)
 		if err != nil {
 			return nil, err
 		}
@@ -239,7 +272,7 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Operator,
 		return exec.NewNLJoin(left, right, node.On, need, env.Lookup), nil
 
 	case *plan.SortNode:
-		child, err := compile(node.Child, env, opts, childNeed(n, need))
+		child, err := compile(node.Child, env, opts, childNeed(n, need), goalBelow)
 		if err != nil {
 			return nil, err
 		}
@@ -265,28 +298,28 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool) (exec.Operator,
 			}
 			return exec.NewParallelGroupBy(workers, node.Keys, node.Aggs, env.Lookup), nil
 		}
-		child, err := compile(node.Child, env, opts, below)
+		child, err := compile(node.Child, env, opts, below, goalBelow)
 		if err != nil {
 			return nil, err
 		}
 		return exec.NewGroupBy(child, node.Keys, node.Aggs, env.Lookup), nil
 
 	case *plan.ProjectNode:
-		child, err := compile(node.Child, env, opts, childNeed(n, need))
+		child, err := compile(node.Child, env, opts, childNeed(n, need), goalBelow)
 		if err != nil {
 			return nil, err
 		}
 		return exec.NewProject(child, node.Exprs, node.Out, env.Lookup), nil
 
 	case *plan.DistinctNode:
-		child, err := compile(node.Child, env, opts, need)
+		child, err := compile(node.Child, env, opts, need, goalBelow)
 		if err != nil {
 			return nil, err
 		}
 		return exec.NewDistinct(child, env.Lookup), nil
 
 	case *plan.LimitNode:
-		child, err := compile(node.Child, env, opts, need)
+		child, err := compile(node.Child, env, opts, need, goalBelow)
 		if err != nil {
 			return nil, err
 		}
