@@ -43,11 +43,13 @@ race:
 # pool across parallel scan workers and the page store under them
 # (snapshot readers against the copy-on-write writer, in pager, heap and
 # btree) and the log's leader/follower sync routine (wal), with extra
-# iterations on the page-partitioned parallel index fetch and the
-# lock-free epoch readers.
+# iterations on the page-partitioned parallel index fetch, the pool's
+# miss protocol (a second reader waits on the first one's load, a failed
+# load wakes its waiters) and the lock-free epoch readers. CI's race job
+# runs this target.
 race-core:
 	$(GO) test -race ./internal/model/... ./internal/engine/... ./internal/exec/... ./internal/pager/... ./internal/heap/... ./internal/btree/... ./internal/wal/...
-	$(GO) test -race -count=4 -run 'TestParallelSortedFetchMatchesSerial|TestSummaryIndexScanPartitionedConcatenation' ./internal/engine/... ./internal/exec/...
+	$(GO) test -race -count=4 -run 'TestParallelSortedFetchMatchesSerial|TestSummaryIndexScanPartitionedConcatenation|TestStoreConcurrentMissReadsOnce|TestStoreFailedMissWakesWaiters' ./internal/engine/... ./internal/exec/... ./internal/pager/
 	$(GO) test -race -count=2 -run 'TestEpochReaderStress' ./internal/engine/
 
 # bench-harness compiles and smoke-tests benchmarks/ against this

@@ -76,8 +76,9 @@ type SummaryIndexScan struct {
 	// pagesPinned counts data-heap page pins made by the fetch stage:
 	// one per page run in batched mode, one per hit in per-RID modes.
 	// distinctPages is the number of distinct data pages the hit list
-	// addresses. Both reset at Open and survive Close so the stats
-	// layer can sample them.
+	// addresses: counted at Open in sorted mode, where it is the number
+	// of page runs, and by FetchStats in ordered mode. Both reset at Open
+	// and survive Close.
 	pagesPinned   int64
 	distinctPages int64
 }
@@ -125,6 +126,7 @@ func (s *SummaryIndexScan) Open(qc *QueryCtx) (err error) {
 		return err
 	}
 	s.hits = hits
+	s.distinctPages = 0
 	if s.SortedFetch {
 		sortRIDs(s.hits)
 		if s.Part.Of > 1 {
@@ -135,6 +137,7 @@ func (s *SummaryIndexScan) Open(qc *QueryCtx) (err error) {
 			}
 			s.hits = kept
 		}
+		s.distinctPages = int64(pageRuns(s.hits))
 	} else if s.Descending {
 		for i, j := 0, len(s.hits)-1; i < j; i, j = i+1, j-1 {
 			s.hits[i], s.hits[j] = s.hits[j], s.hits[i]
@@ -144,7 +147,6 @@ func (s *SummaryIndexScan) Open(qc *QueryCtx) (err error) {
 	s.buf, s.bufPos = nil, 0
 	s.startGoal()
 	s.pagesPinned = 0
-	s.distinctPages = int64(distinctPageCount(s.hits))
 	return nil
 }
 
@@ -256,7 +258,20 @@ func sortRIDs(rids []heap.RID) {
 	})
 }
 
-// distinctPageCount counts the distinct data pages a hit list addresses.
+// pageRuns counts the page runs of a page-sorted hit list: the distinct
+// data pages it addresses, without a set.
+func pageRuns(hits []heap.RID) int {
+	n := 0
+	for i := range hits {
+		if i == 0 || hits[i].Page != hits[i-1].Page {
+			n++
+		}
+	}
+	return n
+}
+
+// distinctPageCount counts the distinct data pages a hit list in any
+// order addresses.
 func distinctPageCount(hits []heap.RID) int {
 	seen := make(map[int32]struct{}, len(hits))
 	for _, rid := range hits {
@@ -307,18 +322,23 @@ func storageRIDFor(t *catalog.Table, dataRID heap.RID) heap.RID {
 }
 
 // Close releases the hit list and returns its budget charges. The
-// fetch counters stay readable for the stats layer, which samples them
-// at Close; the next Open resets them.
+// fetch counters stay readable — in ordered mode the distinct pages once
+// FetchStats has counted them — and the next Open resets them.
 func (s *SummaryIndexScan) Close() error { s.releaseHits(); return nil }
 
 // Schema returns the output schema.
 func (s *SummaryIndexScan) Schema() *model.Schema { return s.schema }
 
 // FetchStats reports the fetch-stage counters EXPLAIN ANALYZE renders.
+// In ordered mode it counts the distinct pages from the hit list, so
+// only a scan whose stats are sampled builds the page set; Close drops
+// the list, so the stats layer samples before it.
 func (s *SummaryIndexScan) FetchStats() FetchStats {
 	mode := "ordered"
 	if s.SortedFetch {
 		mode = "sorted"
+	} else if s.hits != nil {
+		s.distinctPages = int64(distinctPageCount(s.hits))
 	}
 	return FetchStats{Mode: mode, PagesPinned: s.pagesPinned, DistinctPages: s.distinctPages}
 }

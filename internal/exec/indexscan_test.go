@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -235,11 +236,20 @@ func TestSummaryIndexScanFetchStats(t *testing.T) {
 	if fs.PagesPinned != fs.DistinctPages {
 		t.Errorf("sorted fetch pinned %d pages for %d distinct", fs.PagesPinned, fs.DistinctPages)
 	}
+	// Ordered mode counts its distinct pages from the hit list, which
+	// Close drops: sample before Close, as the stats layer does.
 	ordered := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 1)
-	if _, err := Collect(nil, ordered); err != nil {
+	if err := ordered.Open(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := drain(nil, ordered, func(*Row) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	ofs := ordered.FetchStats()
+	ordered.Close()
+	if again := ordered.FetchStats(); again != ofs {
+		t.Errorf("fetch stats changed across Close: %+v, then %+v", ofs, again)
+	}
 	if ofs.Mode != "ordered" {
 		t.Errorf("mode = %q", ofs.Mode)
 	}
@@ -249,6 +259,45 @@ func TestSummaryIndexScanFetchStats(t *testing.T) {
 	if ofs.DistinctPages != fs.DistinctPages {
 		t.Errorf("distinct pages diverge: %d vs %d", ofs.DistinctPages, fs.DistinctPages)
 	}
+}
+
+// TestOrderedFetchCountsPagesOnlyWhenSampled: an ordered scan that is
+// not instrumented builds no set of the pages its hit list addresses —
+// its Open allocates what the index probe does, far less than the set
+// would add — and FetchStats, sampled after the drain, counts them.
+func TestOrderedFetchCountsPagesOnlyWhenSampled(t *testing.T) {
+	f, sIdx, _ := indexedFixture(t, 4000)
+	allocated := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var hits []heap.RID
+	probe := allocated(func() {
+		hits, _ = sIdx.SearchWithCheck("Disease", index.OpGe, 1, func(int) error { return nil })
+	})
+	if len(hits) < 2000 {
+		t.Fatalf("fixture yields %d hits, want a few thousand", len(hits))
+	}
+	set := allocated(func() { distinctPageCount(hits) })
+	scan := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 1)
+	open := allocated(func() {
+		if err := scan.Open(nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if open > probe+set/2 {
+		t.Fatalf("Open of %d hits allocated %d bytes; the probe takes %d and a page set %d", len(hits), open, probe, set)
+	}
+	if err := drain(nil, scan, func(*Row) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if fs := scan.FetchStats(); fs.DistinctPages == 0 || fs.DistinctPages != int64(distinctPageCount(hits)) {
+		t.Fatalf("sampled distinct pages = %d, want %d", fs.DistinctPages, distinctPageCount(hits))
+	}
+	scan.Close()
 }
 
 // TestPartitionHitsProperties checks the page-boundary partitioner: for

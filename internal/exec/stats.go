@@ -167,7 +167,8 @@ type FetchStats struct {
 }
 
 // fetchReporter is implemented by operators with a fetch stage to
-// report (SummaryIndexScan); the stats layer samples it at Close.
+// report (SummaryIndexScan); the stats layer samples it just before
+// Close.
 type fetchReporter interface {
 	FetchStats() FetchStats
 }
@@ -264,18 +265,19 @@ func (w *statsIter) NextBatch(qc *QueryCtx) (*Batch, error) {
 }
 
 func (w *statsIter) Close() error {
-	start, io0, b0 := w.sample(nil)
-	err := w.child.Close()
-	w.commit(nil, &w.acc.CloseWall, start, io0, b0)
-	// Sample fetch-stage counters the operator kept across Close. Worker
-	// recorders sample too: the counters are per operator instance, so
-	// shares from parallel partitions sum cleanly in merge.
+	// Sample fetch-stage counters before the operator closes: an ordered
+	// index scan counts its distinct pages from the hit list Close
+	// drops. Worker recorders sample too: the counters are per operator
+	// instance, so shares from parallel partitions sum cleanly in merge.
 	if fr, ok := w.child.(fetchReporter); ok {
 		fs := fr.FetchStats()
 		w.acc.FetchMode = fs.Mode
 		w.acc.PagesPinned += fs.PagesPinned
 		w.acc.DistinctPages += fs.DistinctPages
 	}
+	start, io0, b0 := w.sample(nil)
+	err := w.child.Close()
+	w.commit(nil, &w.acc.CloseWall, start, io0, b0)
 	w.flush()
 	return err
 }

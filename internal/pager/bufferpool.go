@@ -61,7 +61,8 @@ type space struct {
 }
 
 // handle is one clock-ring position: the page in it, its frame (nil when
-// free), and the image buffer it was read into with the page decoded.
+// free), and the image buffer it was read into with the page decoded —
+// both nil for a page created in memory and while a miss loads the page.
 type handle struct {
 	key     pageKey
 	f       *frame
@@ -155,20 +156,27 @@ type BufferPoolStats struct {
 // Fault composition: physical transfers are charged to the accountant,
 // where the FaultPolicy applies (logical charges are bookkeeping only
 // under a budget). A write-back fault panics with *FaultError before any
-// state changes, so the victim stays resident and dirty; the caller
-// side recovers the panic at the usual operator boundaries.
+// state changes, so the victim stays resident and dirty; a read fault
+// undoes the miss (see load). The caller side recovers the panic at the
+// usual operator boundaries.
 //
 // All methods are safe for concurrent use. A hit never takes the pool's
-// mutex; misses, page creation, eviction and reclamation do.
+// mutex; page creation, eviction, write-back and reclamation hold it
+// throughout. A miss holds it only to reserve a ring position and to
+// install the page: its read and decode run without it (see load), so
+// misses on different pages overlap, and a second miss on a page being
+// loaded waits for that load instead of reading the page again.
 type BufferPool struct {
 	acct   *Accountant
 	budget int
 
-	mu     sync.Mutex
-	ring   []handle
-	hand   int
-	spaces map[int32]space
-	nextID int32
+	mu      sync.Mutex
+	loading map[pageKey]bool // pages a miss is reading outside mu
+	loaded  sync.Cond        // on mu; broadcast when a load ends either way
+	ring    []handle
+	hand    int
+	spaces  map[int32]space
+	nextID  int32
 
 	file      *os.File // created on the first write-back
 	spans     map[pageKey]span
@@ -198,14 +206,17 @@ func newPool(acct *Accountant, frames int) *BufferPool {
 	if frames > 0 && frames < MinPoolFrames {
 		frames = MinPoolFrames
 	}
-	return &BufferPool{
+	p := &BufferPool{
 		acct:    acct,
 		budget:  frames,
+		loading: make(map[pageKey]bool),
 		ring:    make([]handle, frames),
 		spaces:  make(map[int32]space),
 		spans:   make(map[pageKey]span),
 		scratch: make([]byte, pageImageHeader),
 	}
+	p.loaded.L = &p.mu
+	return p
 }
 
 // Close detaches the pool from its accountant and releases the backing
@@ -253,44 +264,68 @@ func (p *BufferPool) unpin(f *frame, dirty bool) {
 }
 
 // enter puts page k, whose frame f is about to hold it, on the clock ring
-// at the free position i (from room; -1 without a budget) together with
-// the image buffer it was read into and the page decoded from it, if any.
-// The caller holds p.mu.
-func (p *BufferPool) enter(i int, k pageKey, f *frame, img []byte, decoded any) {
+// at the free position i (from room; -1 without a budget). The caller
+// holds p.mu.
+func (p *BufferPool) enter(i int, k pageKey, f *frame) {
 	f.ref.Store(true)
 	if i < 0 {
 		return
 	}
-	p.ring[i] = handle{key: k, f: f, img: img, decoded: decoded}
+	p.ring[i] = handle{key: k, f: f}
 	f.at = int32(i) + 1
 	p.resident++
 	p.maxResident = max(p.maxResident, p.resident)
 }
 
-// read charges one physical read of page k (which may panic *FaultError
-// before any state changes), reads its image into a recycled buffer,
-// decodes it and enters f on the ring at the free position i with the
-// buffer, which the page may alias. The caller holds p.mu and installs
-// the returned page in f's slot. Torn or corrupt images — or none, a
-// broken invariant — and images the codec rejects panic
-// *CorruptPageError.
-func (p *BufferPool) read(i int, k pageKey, f *frame) any {
-	p.acct.phys("read")
-	sp := p.spans[k]
+// load reads page k, which missed, into its slot sl at the free ring
+// position i (from room) and returns the page, pinned. Under p.mu it
+// reserves the position for sl's frame — pinned, so the clock skips it —
+// marks k as loading, and takes k's span, the space's codec and an image
+// buffer. It then releases p.mu for the physical read (charged first:
+// the fault policy's latency and check), the image's integrity check and
+// the decode, and takes it again to record the buffer and the page in
+// the handle, install the page in the slot, clear the mark and wake the
+// readers waiting on it. A read fault, a torn or corrupt image (or none,
+// a broken invariant) and an image the codec rejects panic — *FaultError
+// or *CorruptPageError — after the reservation, the buffer, the pin and
+// the mark are undone, and the waiters are woken to try for themselves.
+// The caller holds p.mu, and holds it again when load returns or panics.
+func (p *BufferPool) load(i int, k pageKey, sl *slot) any {
+	f := &sl.frame
+	f.pins.Add(1)
+	p.enter(i, k, f)
+	p.loading[k] = true
+	sp, file, codec := p.spans[k], p.file, p.spaces[k.space].codec
 	buf := p.image(sp.len)
-	if _, err := p.file.ReadAt(buf, sp.off); err != nil {
+	var v any
+	p.mu.Unlock()
+	defer func() {
+		p.mu.Lock()
+		if v != nil {
+			p.ring[i].img, p.ring[i].decoded = buf, v
+			sl.page.Store(v)
+		} else {
+			p.leave(f, nil)
+			p.recycle(buf)
+			f.pins.Add(-1)
+		}
+		delete(p.loading, k)
+		p.loaded.Broadcast()
+	}()
+	p.acct.phys("read")
+	if _, err := file.ReadAt(buf, sp.off); err != nil {
 		panic(fmt.Errorf("pager: backing store read: %w", err))
 	}
 	payload, err := unframePageImage(buf, k)
 	if err != nil {
 		panic(err)
 	}
-	v, err := p.spaces[k.space].codec.DecodePage(payload, k.space, k.page)
+	d, err := codec.DecodePage(payload, k.space, k.page)
 	if err != nil {
 		panic(&CorruptPageError{Space: k.space, Page: k.page, Reason: err.Error()})
 	}
-	p.enter(i, k, f, buf, v)
-	return v
+	v = d // the deferred install keys on v
+	return d
 }
 
 // maxImageShift bounds the recycled image buffers at 1 MiB; a larger

@@ -39,7 +39,9 @@ type FaultPolicy struct {
 	// Latency is slept on every accounted page operation while the
 	// policy is installed — the modeled device latency: per logical page
 	// without a frame budget, per physical transfer (a miss or a
-	// write-back) with one, so a cache hit pays nothing.
+	// write-back) with one, so a cache hit pays nothing. A miss sleeps
+	// it outside the buffer pool's mutex, so concurrent misses overlap
+	// as on a real device; a write-back sleeps under it.
 	Latency time.Duration
 }
 

@@ -118,7 +118,7 @@ func (s *Store[P]) New(id int64, p P) {
 	sl.pins.Store(1)
 	sl.dirty.Store(true)
 	sl.page.Store(p)
-	s.pool.enter(i, pageKey{s.space, id}, &sl.frame, nil, nil)
+	s.pool.enter(i, pageKey{s.space, id}, &sl.frame)
 }
 
 // at returns id's slot, or nil past the allocated chunks, without a lock.
@@ -147,16 +147,23 @@ func (s *Store[P]) hit(id int64) (*slot, P) {
 	return sl, *new(P)
 }
 
-// pin is hit, loading the page under the pool's mutex on a miss; a nil
-// slot means the store has no page id.
+// pin is hit, loading the page on a miss; a nil slot means the store
+// has no page id. Under the pool's mutex a miss first waits out another
+// reader's load of the page, if one is in flight, and re-checks with a
+// hit: two readers of one page read it once. Otherwise it counts the
+// miss, takes a ring position and loads the page, whose read and decode
+// run without the mutex (see BufferPool.load).
 func (s *Store[P]) pin(id int64) (*slot, P) {
 	sl, p := s.hit(id)
 	if sl == nil || p != *new(P) {
 		return sl, p
 	}
-	pool := s.pool
+	pool, k := s.pool, pageKey{s.space, id}
 	pool.mu.Lock()
 	defer pool.mu.Unlock()
+	for pool.loading[k] {
+		pool.loaded.Wait()
+	}
 	if _, p = s.hit(id); p != *new(P) { // another reader's miss loaded it meanwhile
 		return sl, p
 	}
@@ -164,10 +171,7 @@ func (s *Store[P]) pin(id int64) (*slot, P) {
 		return nil, p
 	}
 	pool.acct.cacheMisses.Add(1)
-	p = pool.read(pool.room(), pageKey{s.space, id}, &sl.frame).(P)
-	sl.pins.Add(1)
-	sl.page.Store(p)
-	return sl, p
+	return sl, pool.load(pool.room(), k, sl).(P)
 }
 
 // evict is the store's side of an eviction (see space); the pool holds
@@ -259,9 +263,11 @@ func (s *Store[P]) Release() {
 
 // Prefetch reads the given pages that are out of memory back into
 // unpinned slots ahead of demand, in order: a pure hint that skips
-// resident and unknown pages. It may evict an unpinned page the clock
-// passes over twice but never takes a pinned one, stopping once every
-// page is pinned. Each page is charged one physical read plus a
+// resident and unknown pages and pages another reader is loading. It
+// may evict an unpinned page the clock passes over twice but never takes
+// a pinned one, stopping once every page is pinned. Pages load one at a
+// time, like a demand miss's, so a prefetch holds at most one ring
+// position reserved. Each page is charged one physical read plus a
 // Prefetched tick (no cache miss: the demand access that follows hits).
 func (s *Store[P]) Prefetch(ids []int64) {
 	pool := s.pool
@@ -269,7 +275,7 @@ func (s *Store[P]) Prefetch(ids []int64) {
 	defer pool.mu.Unlock()
 	for _, id := range ids {
 		k := pageKey{s.space, id}
-		if _, out := pool.spans[k]; !out || s.at(id).page.Load() != any(*new(P)) {
+		if _, out := pool.spans[k]; !out || pool.loading[k] || s.at(id).page.Load() != any(*new(P)) {
 			continue
 		}
 		i := pool.tryRoom()
@@ -277,7 +283,8 @@ func (s *Store[P]) Prefetch(ids []int64) {
 			break
 		}
 		sl := s.at(id)
-		sl.page.Store(pool.read(i, k, &sl.frame))
+		pool.load(i, k, sl)
+		sl.pins.Add(-1)
 		pool.acct.prefetched.Add(1)
 	}
 }

@@ -3,6 +3,7 @@ package pager
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -329,4 +330,187 @@ func TestStoreReadersVersusWriter(t *testing.T) {
 			t.Fatalf("overlay holds %d versions with nothing pinned", overlayLen(s))
 		}
 	})
+}
+
+// evictedStore builds a 16-frame pool holding one store of n pages, all
+// written back and out of memory.
+func evictedStore(t *testing.T, n int) (*Accountant, *BufferPool, *Store[*verPage]) {
+	t.Helper()
+	acct := &Accountant{}
+	pool := NewBufferPool(acct, MinPoolFrames)
+	t.Cleanup(func() { pool.Close() })
+	s := NewStore[*verPage](acct, verCodec{})
+	for id := 0; id < n; id++ {
+		put(s, int64(id), 100+id)
+	}
+	pool.EvictAll()
+	return acct, pool, s
+}
+
+// readAsync reads page id's current version on its own goroutine; the
+// channel yields the page, or the panic the read ended in.
+func readAsync(s *Store[*verPage], id int64) <-chan any {
+	done := make(chan any, 1)
+	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				done <- r
+			}
+		}()
+		r := s.Reader(Latest)
+		defer r.Release()
+		done <- r.Page(id)
+	}()
+	return done
+}
+
+// awaitPhysReads waits until the accountant has charged n physical reads.
+func awaitPhysReads(t *testing.T, acct *Accountant, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for acct.Stats().PhysReads < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("physical reads stuck at %d, want %d", acct.Stats().PhysReads, n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestStoreConcurrentMissReadsOnce: a reader that misses on a page
+// another reader is already loading waits for that load and then hits —
+// one physical read, one miss, and both readers hold the same version.
+func TestStoreConcurrentMissReadsOnce(t *testing.T) {
+	acct, _, s := evictedStore(t, 1)
+	before := acct.Stats()
+	acct.SetFaultPolicy(&FaultPolicy{Latency: 50 * time.Millisecond})
+	defer acct.SetFaultPolicy(nil)
+	first := readAsync(s, 0)
+	awaitPhysReads(t, acct, before.PhysReads+1) // the first reader is in its latency
+	second := readAsync(s, 0)
+	a, b := <-first, <-second
+	pa, ok := a.(*verPage)
+	if !ok || a != b || pa.Val != 100 {
+		t.Fatalf("readers got %v and %v, want one version holding 100", a, b)
+	}
+	if d := acct.Stats().Sub(before); d.PhysReads != 1 || d.CacheMisses != 1 || d.CacheHits != 1 {
+		t.Fatalf("two readers of one page: %d phys, %d misses, %d hits; want 1, 1, 1", d.PhysReads, d.CacheMisses, d.CacheHits)
+	}
+}
+
+// TestStoreMissReleasesPoolMutex: a miss's physical read runs without the
+// pool's mutex — while one is charged and still sleeping in the modeled
+// device latency, the mutex is free.
+func TestStoreMissReleasesPoolMutex(t *testing.T) {
+	acct, pool, s := evictedStore(t, 1)
+	before := acct.Stats().PhysReads
+	acct.SetFaultPolicy(&FaultPolicy{Latency: 100 * time.Millisecond})
+	defer acct.SetFaultPolicy(nil)
+	done := readAsync(s, 0)
+	awaitPhysReads(t, acct, before+1)
+	if !pool.mu.TryLock() {
+		t.Fatal("the pool's mutex is held while a miss sleeps in its read")
+	}
+	pool.mu.Unlock()
+	if p, ok := (<-done).(*verPage); !ok || p.Val != 100 {
+		t.Fatalf("the miss read %v, want page 0 holding 100", p)
+	}
+}
+
+// TestStoreFailedMissWakesWaiters: a miss that fails undoes its
+// reservation and wakes the readers waiting on it, each of which then
+// tries for itself and gets its own typed error; once the fault is gone
+// the page reads back.
+func TestStoreFailedMissWakesWaiters(t *testing.T) {
+	acct, pool, s := evictedStore(t, 1)
+	resident := pool.Stats().Resident
+	k := pageKey{s.space, 0}
+	off := pool.spans[k].off + pageImageHeader
+	flip := func() { // flips a payload bit of page 0's image in the backing store
+		var b [1]byte
+		if _, err := pool.file.ReadAt(b[:], off); err != nil {
+			t.Fatal(err)
+		}
+		b[0] ^= 1
+		if _, err := pool.file.WriteAt(b[:], off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flip()
+	before := acct.Stats().PhysReads
+	acct.SetFaultPolicy(&FaultPolicy{FailFirstReads: 1, Latency: 50 * time.Millisecond})
+	first := readAsync(s, 0)
+	awaitPhysReads(t, acct, before+1) // the first reader sleeps, then faults
+	second := readAsync(s, 0)
+	if _, ok := (<-first).(*FaultError); !ok {
+		t.Fatal("the first reader did not fail with *FaultError")
+	}
+	if _, ok := (<-second).(*CorruptPageError); !ok {
+		t.Fatal("the waiter did not retry into its own *CorruptPageError")
+	}
+	acct.SetFaultPolicy(nil)
+	pool.mu.Lock()
+	loading := len(pool.loading)
+	pool.mu.Unlock()
+	if st := pool.Stats(); st.Resident != resident || loading != 0 {
+		t.Fatalf("failed misses left %d resident (was %d) and %d pages marked loading", st.Resident, resident, loading)
+	}
+	flip()
+	if p, ok := (<-readAsync(s, 0)).(*verPage); !ok || p.Val != 100 {
+		t.Fatalf("the retry read %v, want page 0 holding 100", p)
+	}
+}
+
+// TestStorePrefetchBesideDemandMisses: read-ahead reserves one ring
+// position at a time, so prefetching four times the frames beside
+// demand readers never exhausts a 16-frame pool.
+func TestStorePrefetchBesideDemandMisses(t *testing.T) {
+	const pages, readers = 4 * MinPoolFrames, 4
+	acct, pool, s := evictedStore(t, pages)
+	acct.SetFaultPolicy(&FaultPolicy{Latency: 20 * time.Microsecond}) // loads overlap
+	defer acct.SetFaultPolicy(nil)
+	ids := make([]int64, pages)
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	var wg sync.WaitGroup
+	fail := make(chan any, readers+1)
+	run := func(fn func()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					fail <- r
+				}
+			}()
+			fn()
+		}()
+	}
+	run(func() {
+		for round := 0; round < 5; round++ {
+			s.Prefetch(ids)
+			pool.EvictAll()
+		}
+	})
+	for w := 0; w < readers; w++ {
+		run(func() {
+			for round := 0; round < 5; round++ {
+				r := s.Reader(Latest)
+				for id := int64(w); id < pages; id += readers {
+					if got := r.Page(id).Val; got != 100+int(id) {
+						panic(fmt.Sprintf("page %d reads %d", id, got))
+					}
+				}
+				r.Release()
+			}
+		})
+	}
+	wg.Wait()
+	close(fail)
+	for r := range fail {
+		t.Fatal(r)
+	}
+	if st := pool.Stats(); st.MaxResident > st.Frames {
+		t.Fatalf("max resident %d exceeds %d frames", st.MaxResident, st.Frames)
+	}
 }
