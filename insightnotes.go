@@ -85,8 +85,8 @@ func Load(r io.Reader) (*DB, error) { return engine.Load(r) }
 func LoadWithConfig(r io.Reader, cfg Config) (*DB, error) { return engine.LoadWithConfig(r, cfg) }
 
 // Options steers the optimizer per query; the zero value enables all
-// optimizations. The knobs mirror the paper's ablations: Disable (no
-// rewrites), NoSummaryIndex, UseBaseline, BaselineReconstruct,
+// optimizations. The knobs mirror the paper's ablations: DisableRules (no
+// rule rewrites), NoSummaryIndex, UseBaseline, BaselineReconstruct,
 // ConventionalPointers, ForceJoin ("nl"/"index"/"hash"), ForceSort
 // ("mem"/"disk"). Budget attaches a per-query resource limit.
 type Options = optimizer.Options

@@ -43,7 +43,7 @@ func Fig19FetchPath(h *Harness) (*Table, error) {
 	t := &Table{
 		Figure:  "Figure 19 (extension)",
 		Title:   "Index-scan fetch paths: cold physical reads, ordered (per-RID) vs sorted (page-batched) dereference",
-		Headers: []string{"frames", "data pages", "hits", "ordered phys", "sorted phys", "prefetched", "reduction"},
+		Headers: []string{"frames", "data pages", "hits", "ordered phys", "sorted phys", "reduction"},
 	}
 	var bestReduction float64
 	for _, frames := range []int{pager.MinPoolFrames, 2 * pager.MinPoolFrames} {
@@ -119,8 +119,7 @@ func Fig19FetchPath(h *Harness) (*Table, error) {
 			bestReduction = reduction
 		}
 		t.AddRow(fmt.Sprint(frames), fmt.Sprint(dataPages), fmt.Sprint(len(oRows)),
-			fmt.Sprint(ordered.PhysReads), fmt.Sprint(sorted.PhysReads),
-			fmt.Sprint(sorted.Prefetched), fmt.Sprintf("%.1fx", reduction))
+			fmt.Sprint(ordered.PhysReads), fmt.Sprint(sorted.PhysReads), fmt.Sprintf("%.1fx", reduction))
 	}
 	if bestReduction < 2 {
 		return nil, fmt.Errorf("fig19: best physical-read reduction %.1fx, want >= 2x at pool < table pages", bestReduction)

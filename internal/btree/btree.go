@@ -242,23 +242,13 @@ func (t *Tree) SearchEq(key string) []int64 {
 
 // SearchFirst returns the payload of the first entry with exactly key:
 // the lookup of a single-valued index (OID → location), which needs
-// neither a result slice nor a scan past the match.
-func (t *Tree) SearchFirst(key string) (int64, bool) {
-	r := t.store.Reader(t.snap)
-	defer r.Release()
-	n := t.descendLower(&r, key)
-	for {
-		if i := lowerBound(n, key); i < len(n.keys) {
-			return n.vals[i], n.keys[i] == key
-		}
-		if n.next == 0 {
-			return 0, false
-		}
-		// Every key of this leaf is below key: the first match, if any,
-		// opens the next one.
-		n = r.Page(n.next)
-		t.acct.ReadNode(1)
-	}
+// neither a result slice nor a scan past the first entry >= key.
+func (t *Tree) SearchFirst(key string) (val int64, ok bool) {
+	t.scan(key, func(k string, v int64) bool {
+		val, ok = v, k == key
+		return false
+	})
+	return val, ok
 }
 
 // Contains reports whether key is present.
@@ -268,54 +258,35 @@ func (t *Tree) Contains(key string) bool {
 }
 
 // ScanRange visits every entry with from <= key <= to in key order,
-// stopping early when fn returns false. An empty `to` of "\xff..." is not
-// required: use ScanFrom for open-ended scans.
+// stopping early when fn returns false.
 func (t *Tree) ScanRange(from, to string, fn func(key string, val int64) bool) {
-	r := t.store.Reader(t.snap)
-	defer r.Release()
-	n := t.descendLower(&r, from)
-	for {
-		i := lowerBound(n, from)
-		for ; i < len(n.keys); i++ {
-			if n.keys[i] > to {
-				return
-			}
-			if !fn(n.keys[i], n.vals[i]) {
-				return
-			}
-		}
-		if n.next == 0 {
-			return
-		}
-		n = r.Page(n.next)
-		t.acct.ReadNode(1)
-		from = "" // subsequent leaves start at position 0
-	}
-}
-
-// ScanFrom visits every entry with key >= from in key order.
-func (t *Tree) ScanFrom(from string, fn func(key string, val int64) bool) {
-	r := t.store.Reader(t.snap)
-	defer r.Release()
-	n := t.descendLower(&r, from)
-	for {
-		i := lowerBound(n, from)
-		for ; i < len(n.keys); i++ {
-			if !fn(n.keys[i], n.vals[i]) {
-				return
-			}
-		}
-		if n.next == 0 {
-			return
-		}
-		n = r.Page(n.next)
-		t.acct.ReadNode(1)
-		from = ""
-	}
+	t.scan(from, func(k string, v int64) bool { return k <= to && fn(k, v) })
 }
 
 // ScanAll visits every entry in key order.
-func (t *Tree) ScanAll(fn func(key string, val int64) bool) { t.ScanFrom("", fn) }
+func (t *Tree) ScanAll(fn func(key string, val int64) bool) { t.scan("", fn) }
+
+// scan is the tree's one leaf-chain walk: it descends to the leftmost
+// entry >= from and visits entries in key order, following the chain
+// (one node read per leaf entered), until fn returns false or the chain
+// ends.
+func (t *Tree) scan(from string, fn func(key string, val int64) bool) {
+	r := t.store.Reader(t.snap)
+	defer r.Release()
+	n := t.descendLower(&r, from)
+	for i := lowerBound(n, from); ; i = 0 {
+		for ; i < len(n.keys); i++ {
+			if !fn(n.keys[i], n.vals[i]) {
+				return
+			}
+		}
+		if n.next == 0 {
+			return
+		}
+		n = r.Page(n.next)
+		t.acct.ReadNode(1)
+	}
+}
 
 // --- insert ---------------------------------------------------------------
 

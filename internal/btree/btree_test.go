@@ -154,18 +154,20 @@ func TestScanRangeInclusive(t *testing.T) {
 	}
 }
 
+// TestScanFromAndAll: a range from a key to past the last one runs to
+// the end of the leaf chain, and ScanAll visits every entry in key order.
 func TestScanFromAndAll(t *testing.T) {
 	tr := New(nil, 4)
 	for i := 0; i < 30; i++ {
 		tr.Insert(fmt.Sprintf("k%03d", i), int64(i))
 	}
 	var got []int64
-	tr.ScanFrom("k025", func(k string, v int64) bool {
+	tr.ScanRange("k025", "\xff", func(k string, v int64) bool {
 		got = append(got, v)
 		return true
 	})
 	if len(got) != 5 || got[0] != 25 {
-		t.Errorf("ScanFrom = %v", got)
+		t.Errorf("ScanRange to the end = %v", got)
 	}
 	total := 0
 	last := ""

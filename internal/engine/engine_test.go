@@ -463,7 +463,7 @@ func TestSummaryJoinVersionsDiff(t *testing.T) {
 	}
 	// The J predicate must run pre-merge: with optimizations disabled
 	// the result must be identical.
-	res2, err := db.Query(q, &optimizer.Options{Disable: true})
+	res2, err := db.Query(q, &optimizer.Options{DisableRules: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -703,7 +703,7 @@ func TestOptimizerDisabledSameResults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		b, err := db.Query(q, &optimizer.Options{Disable: true})
+		b, err := db.Query(q, &optimizer.Options{DisableRules: true})
 		if err != nil {
 			t.Fatalf("%s (disabled): %v", q, err)
 		}
@@ -798,7 +798,7 @@ func TestExplainShapes(t *testing.T) {
 	}
 	disabled, _ := db.Explain(`SELECT id FROM Birds r
 		WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') = 1`,
-		&optimizer.Options{Disable: true})
+		&optimizer.Options{DisableRules: true})
 	if !strings.Contains(disabled, "SeqScan") || strings.Contains(disabled, "SummaryBTreeScan") {
 		t.Errorf("disabled plan wrong:\n%s", disabled)
 	}
@@ -916,7 +916,7 @@ func TestSummaryPredicateInJoinOnIsSummaryJoin(t *testing.T) {
 		sort.Strings(out)
 		return out
 	}
-	canonical, optimized := rows(&optimizer.Options{Disable: true}), rows(nil)
+	canonical, optimized := rows(&optimizer.Options{DisableRules: true}), rows(nil)
 	if len(canonical) == 0 || strings.Join(optimized, "\n") != strings.Join(canonical, "\n") {
 		t.Errorf("optimized plan returns %d rows, canonical plan %d:\n%v\nvs\n%v",
 			len(optimized), len(canonical), optimized, canonical)
@@ -942,7 +942,7 @@ func TestDisableRulesHonorsForceJoinHash(t *testing.T) {
 	if !strings.Contains(p, "HashJoin(") {
 		t.Errorf("DisableRules with ForceJoin \"hash\" planned no hash join:\n%s", p)
 	}
-	want, err := db.Query(q, &optimizer.Options{Disable: true})
+	want, err := db.Query(q, &optimizer.Options{DisableRules: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/exec"
+	"repro/internal/heap"
+	"repro/internal/index"
 	"repro/internal/optimizer"
 	"repro/internal/pager"
 	"repro/internal/plan"
@@ -132,6 +134,61 @@ func TestFetchDecisionCostBased(t *testing.T) {
 	if strings.Contains(out, "(eliminated") || !strings.Contains(out, "fetch=sorted") {
 		t.Errorf("small pool: want Sort kept over sorted fetch, got:\n%s", out)
 	}
+}
+
+// TestSortedFetchReadsOnlyPagesItReturns: a LIMIT 5 over a page-ordered
+// Summary-BTree fetch on a cold 16-frame pool reads, besides the index
+// probe's nodes, exactly the data pages its five rows come from. The
+// fetch reads a page when it reaches the page's run, never ahead of it.
+func TestSortedFetchReadsOnlyPagesItReturns(t *testing.T) {
+	db, _ := testDBWithConfig(t, 200, Config{PageCap: 2, BufferPoolPages: pager.MinPoolFrames})
+	if err := db.CreateSummaryIndex("Birds", "ClassBird1"); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.Table("Birds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, acct := db.SummaryIndex("Birds", "ClassBird1"), db.Accountant()
+	hits := idx.Search("Disease", index.OpGe, 3)
+	if pages := distinctPages(hits); pages <= 5+4 {
+		t.Fatalf("fixture too small: %d hits on %d pages", len(hits), pages)
+	}
+
+	db.BufferPool().EvictAll()
+	idx.Search("Disease", index.OpGe, 3) // warm the index: what the query reads past it is data
+	before := acct.Stats()
+	res, err := db.Query(`SELECT id FROM Birds r
+	  WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') >= 3
+	  LIMIT 5 WITHOUT SUMMARIES`, &optimizer.Options{ForceFetch: "sorted", MaxParallelWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	phys := acct.Stats().Sub(before).PhysReads
+	if p := plan.Explain(res.Plan); !strings.Contains(p, "Limit") || !strings.Contains(p, "fetch=sorted") {
+		t.Fatalf("want a LIMIT over a sorted fetch:\n%s", p)
+	}
+	var returned []heap.RID
+	for _, row := range res.Rows {
+		rid, ok := tbl.DiskTupleLoc(row.Tuple.OID)
+		if !ok {
+			t.Fatalf("row %s has no location", row.Tuple)
+		}
+		returned = append(returned, rid)
+	}
+	if len(returned) != 5 || phys != int64(distinctPages(returned)) {
+		t.Fatalf("%d rows from %d data pages made %d physical reads past the index probe, want one per page",
+			len(returned), distinctPages(returned), phys)
+	}
+}
+
+// distinctPages counts the data pages a list of locations addresses.
+func distinctPages(rids []heap.RID) int {
+	seen := map[int32]bool{}
+	for _, rid := range rids {
+		seen[rid.Page] = true
+	}
+	return len(seen)
 }
 
 // TestFetchBudgetThroughEngine proves the hit-list budget charge

@@ -14,10 +14,6 @@ import (
 // charging.
 const hitRIDBytes = 16
 
-// prefetchDepth is how many upcoming distinct pages a sorted fetch asks
-// the buffer pool to warm each time it enters a new page run.
-const prefetchDepth = 4
-
 // SummaryIndexScan evaluates "classLabel <Op> constant" through a
 // Summary-BTree and returns the qualifying data tuples. With backward
 // pointers the leaf entries point straight at the data heap; with
@@ -211,23 +207,13 @@ func (s *SummaryIndexScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 
 // fillRun dereferences the next page run of the sorted hit list with a
 // single FetchMany call — one page read and one frame pin for the whole
-// run — after hinting the pool to warm the next prefetchDepth pages.
+// run. A run's page is read only when the run is reached, so a LIMIT
+// that stops early reads no page past the one its last row came from.
 func (s *SummaryIndexScan) fillRun() {
 	pid := s.hits[s.pos].Page
 	j := s.pos
 	for j < len(s.hits) && s.hits[j].Page == pid {
 		j++
-	}
-	var ahead []int32
-	last := pid
-	for k := j; k < len(s.hits) && len(ahead) < prefetchDepth; k++ {
-		if s.hits[k].Page != last {
-			last = s.hits[k].Page
-			ahead = append(ahead, last)
-		}
-	}
-	if len(ahead) > 0 {
-		s.Table.Data.Prefetch(ahead)
 	}
 	s.buf = s.buf[:0]
 	s.bufPos = 0

@@ -21,7 +21,9 @@ import "repro/internal/model"
 // slabs (SeqScan, Project), but must hand each slot out exactly once.
 // Rows are shared structurally up the pipeline (a filter forwards its
 // input's rows; joins point into both sides), so a consumer that wants
-// to mutate a row must copy it first (Row.Clone).
+// to change a row builds a new one over a shallow tuple copy and
+// replaces what it changes there, as SummaryFilter.apply does
+// (Tuple.ShallowWithValues, then its own Summaries).
 type Operator interface {
 	Open(qc *QueryCtx) error
 	NextBatch(qc *QueryCtx) (*Batch, error)

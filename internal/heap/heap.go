@@ -377,21 +377,13 @@ func (f *File[T]) offerFree(pid int32) {
 	f.freePages = append(f.freePages, pid)
 }
 
-// Scan iterates all live records in physical order, charging one page
-// read per visited page, each page pinned while its slots are visited.
-// Iteration stops early when fn returns false.
+// Scan iterates all live records in physical order through a Cursor,
+// charging one page read per visited page, each page pinned while its
+// slots are visited. Iteration stops early when fn returns false.
 func (f *File[T]) Scan(fn func(rid RID, oid int64, val T) bool) {
-	r := f.store.Reader(f.snap)
-	defer r.Release()
-	for pi := range f.used {
-		f.acct.Read(1)
-		p := r.Page(int64(pi))
-		for si := 0; si < p.count(); si++ {
-			if oid, val, live := p.cell(si); live && !fn(RID{Page: int32(pi), Slot: int32(si)}, oid, val) {
-				return
-			}
-		}
-		r.Release()
+	c := f.Cursor()
+	defer c.Close()
+	for rid, oid, val, ok := c.Next(); ok && fn(rid, oid, val); rid, oid, val, ok = c.Next() {
 	}
 }
 
@@ -433,20 +425,6 @@ func (f *File[T]) FetchMany(rids []RID, fn func(rid RID, oid int64, val T) bool)
 		i = j
 	}
 	return reads
-}
-
-// Prefetch hints that the given pages are about to be fetched in page
-// order. No logical reads are charged (the fetch itself charges them on
-// arrival).
-func (f *File[T]) Prefetch(pids []int32) {
-	var buf [8]int64 // a hint names a handful of pages; keeps them off the heap
-	pages := buf[:0]
-	for _, pid := range pids {
-		if pid >= 0 && int(pid) < len(f.used) {
-			pages = append(pages, int64(pid))
-		}
-	}
-	f.store.Prefetch(pages)
 }
 
 // Release frees the file's pages once no pinned epoch can still resolve

@@ -466,42 +466,6 @@ func TestFetchManyGroupsByPage(t *testing.T) {
 	}
 }
 
-// TestHeapPrefetchWarmsPool checks the pool hand-off: prefetched pages
-// are installed unpinned and the demand fetch that follows hits the
-// cache instead of the backing store. Without a budget nothing is ever
-// evicted, so Prefetch is a no-op.
-func TestHeapPrefetchWarmsPool(t *testing.T) {
-	plain := NewFile(nil, 4, intCodec)
-	plain.Insert(1, 1)
-	plain.Prefetch([]int32{0, 5}) // must not panic or allocate frames
-
-	var acct pager.Accountant
-	pool := pager.NewBufferPool(&acct, pager.MinPoolFrames)
-	defer pool.Close()
-	f := NewFile(&acct, 4, intCodec)
-	var rids []RID
-	for i := 0; i < 4*4; i++ {
-		rids = append(rids, f.Insert(int64(i), i))
-	}
-	pool.EvictAll()
-
-	before := acct.Stats()
-	f.Prefetch([]int32{0, 1, 2, 99}) // out-of-range page filtered out
-	mid := acct.Stats().Sub(before)
-	if mid.Prefetched != 3 || mid.PhysReads != 3 {
-		t.Fatalf("prefetch stats = %+v, want 3 prefetched/3 phys", mid)
-	}
-	got := 0
-	f.FetchMany(rids[:12], func(_ RID, _ int64, v int) bool { got++; return true })
-	after := acct.Stats().Sub(before)
-	if after.PhysReads != 3 {
-		t.Errorf("demand fetch of prefetched pages paid %d physical reads, want 3", after.PhysReads)
-	}
-	if got != 12 {
-		t.Errorf("fetched %d rows, want 12", got)
-	}
-}
-
 // TestViewUnaffectedByLaterMutations is the mutate-while-view-open
 // differential: views taken at successive epochs are checked against a
 // copy of the file's contents made when each was taken, after the writer

@@ -61,7 +61,7 @@ func equivalenceFixture(t *testing.T, shared bool) *optFixture {
 // included, to equal the canonical plan's on q.
 func (f *optFixture) checkEquivalent(q, label string) {
 	f.t.Helper()
-	canonical := f.run(q, Options{Disable: true})
+	canonical := f.run(q, Options{DisableRules: true})
 	configs := []Options{
 		{},
 		{NoSummaryIndex: true},
@@ -204,7 +204,7 @@ func TestRandomQueryWithGroupBy(t *testing.T) {
 				" WHERE r.$.getSummaryObject('C1').getLabelValue('Disease') >= %d", rng.Intn(4))
 		}
 		q := "SELECT r.b, count(*), sum(r.a) FROM R r" + where + " GROUP BY r.b"
-		canonical := f.run(q, Options{Disable: true})
+		canonical := f.run(q, Options{DisableRules: true})
 		for _, opts := range []Options{{}, {NoSummaryIndex: true}} {
 			if got := f.run(q, opts); !equalRows(canonical, got) {
 				t.Fatalf("trial %d: groupby plans disagree\nquery: %s\n%v\nvs\n%v",

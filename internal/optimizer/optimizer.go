@@ -21,13 +21,12 @@ import (
 // automatic choices. The disable/force knobs exist for the paper's
 // ablation experiments (Figures 10–15).
 type Options struct {
-	// Disable skips every rewrite: the canonical plan compiles as-is.
-	Disable bool
 	// DisableRules skips the Section 5 rule rewrites (pushdown, access
 	// paths, join reorder, sort elimination) but still honors ForceJoin
 	// for the physical join implementation — the "Optimization-Disabled"
 	// bars of Figures 14 and 15, whose x-axis varies the join and sort
-	// algorithms independently of the rules.
+	// algorithms independently of the rules. With ForceJoin empty the
+	// canonical plan compiles as-is.
 	DisableRules bool
 	// NoSummaryIndex forbids summary-index access paths (the NoIndex
 	// series of Figures 10 and 11).
@@ -120,11 +119,9 @@ type Env struct {
 }
 
 // Optimize rewrites the canonical plan using the Section 5 rules and
-// picks access paths. With opts.Disable it returns the input unchanged.
+// picks access paths. With opts.DisableRules and no ForceJoin it returns
+// the input unchanged.
 func Optimize(root plan.Node, r *plan.AliasResolver, env *Env, opts Options) plan.Node {
-	if opts.Disable {
-		return root
-	}
 	rw := &rewriter{env: env, opts: opts, resolver: r}
 	if opts.DisableRules {
 		if opts.ForceJoin != "" {

@@ -238,7 +238,7 @@ func TestOptimizedPlansEquivalentProperty(t *testing.T) {
 				} else if !shared && qi == 4 {
 					continue
 				}
-				canonical := f.run(q, Options{Disable: true})
+				canonical := f.run(q, Options{DisableRules: true})
 				optimized := f.run(q, Options{})
 				if !equalRows(canonical, optimized) {
 					t.Fatalf("seed %d shared=%v q%d: plans differ\ncanonical: %v\noptimized: %v\nplan:\n%s",
@@ -385,7 +385,7 @@ func TestRule11Reorder(t *testing.T) {
 		t.Errorf("rule 11 not applied:\n%s", optimized)
 	}
 	// Equivalence with the canonical order.
-	canonical := f.run(q, Options{Disable: true})
+	canonical := f.run(q, Options{DisableRules: true})
 	opt := f.run(q, Options{})
 	if !equalRows(canonical, opt) {
 		t.Fatalf("rule 11 changed results:\ncanonical %v\noptimized %v", canonical, opt)
@@ -471,7 +471,7 @@ func TestEstimatesCoverAllNodes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, opts := range []Options{{}, {UseBaseline: true}, {Disable: true}} {
+		for _, opts := range []Options{{}, {UseBaseline: true}, {DisableRules: true}} {
 			n := Optimize(root, resolver, f.env, opts)
 			est := EstimateNode(n, resolver, f.env, opts)
 			if est.Rows < 0 || est.Cost <= 0 {
@@ -479,7 +479,7 @@ func TestEstimatesCoverAllNodes(t *testing.T) {
 			}
 		}
 		// The plans still execute correctly.
-		canonical := f.run(q, Options{Disable: true})
+		canonical := f.run(q, Options{DisableRules: true})
 		optimized := f.run(q, Options{})
 		if !equalRows(canonical, optimized) {
 			t.Fatalf("%q: results differ", q)

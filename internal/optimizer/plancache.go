@@ -128,14 +128,14 @@ func (c *PlanCache) Stats() PlanCacheStats {
 // Fingerprint renders every Options field that shapes the optimized
 // plan; it is appended to the statement text in the cache key so the
 // same SQL under different ablation knobs never shares a plan.
-// Execution-only fields (Budget, Collector, MaxBatchSize) are
-// deliberately excluded: they are applied at compile/run time, which
+// Fields only Compile reads (ConventionalPointers, ForceSort,
+// SortRunLen) and execution-only ones (Budget, Collector, MaxBatchSize)
+// are deliberately excluded: they are applied at compile/run time, which
 // happens per execution.
 func (o Options) Fingerprint() string {
-	return fmt.Sprintf("%t|%t|%t|%t|%t|%t|%s|%s|%s|%d|%d",
-		o.Disable, o.DisableRules, o.NoSummaryIndex, o.UseBaseline,
-		o.BaselineReconstruct, o.ConventionalPointers,
-		o.ForceJoin, o.ForceFetch, o.ForceSort, o.SortRunLen, o.MaxParallelWorkers)
+	return fmt.Sprintf("%t|%t|%t|%t|%s|%s|%d",
+		o.DisableRules, o.NoSummaryIndex, o.UseBaseline, o.BaselineReconstruct,
+		o.ForceJoin, o.ForceFetch, o.MaxParallelWorkers)
 }
 
 // Rebind re-anchors a cached plan skeleton in the caller's current

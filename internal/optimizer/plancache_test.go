@@ -82,7 +82,7 @@ func TestOptionsFingerprint(t *testing.T) {
 		t.Fatalf("identical options disagree")
 	}
 	variants := []Options{
-		{Disable: true},
+		{DisableRules: true},
 		{NoSummaryIndex: true},
 		{UseBaseline: true},
 		{ForceJoin: "index"},
@@ -97,9 +97,16 @@ func TestOptionsFingerprint(t *testing.T) {
 		}
 		seen[fp] = fmt.Sprintf("variant %d", i)
 	}
-	// The batch capacity is applied at execution, not planning: one
-	// cached skeleton serves every MaxBatchSize.
-	if (Options{MaxBatchSize: 1024}).Fingerprint() != base.Fingerprint() {
-		t.Fatalf("MaxBatchSize must not split the plan cache")
+	// What only Compile reads is applied per execution, not at planning:
+	// one cached skeleton serves every setting of these.
+	for name, o := range map[string]Options{
+		"MaxBatchSize":         {MaxBatchSize: 1024},
+		"ConventionalPointers": {ConventionalPointers: true},
+		"ForceSort":            {ForceSort: "disk"},
+		"SortRunLen":           {SortRunLen: 256},
+	} {
+		if o.Fingerprint() != base.Fingerprint() {
+			t.Fatalf("%s must not split the plan cache", name)
+		}
 	}
 }

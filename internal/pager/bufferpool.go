@@ -435,26 +435,18 @@ func (p *BufferPool) Stats() BufferPoolStats {
 	}
 }
 
-// room returns a free ring position for a page entering memory, evicting
-// a victim by the clock policy if none is free, or -1 without a budget.
-// Two full sweeps finding only pinned pages means the budget is
-// exhausted — a panic the executor surfaces as a query error, since no
-// progress is possible without unpinning. The caller holds p.mu.
+// room returns a free ring position for a page entering memory, or -1
+// without a budget: it sweeps the clock ring, skips pinned pages, gives
+// referenced ones a second chance by clearing their bit, and evicts the
+// first unreferenced unpinned page. Two full sweeps finding only pinned
+// pages means the budget is exhausted — a panic the executor surfaces as
+// a query error, since no progress is possible without unpinning. The
+// caller holds p.mu.
 func (p *BufferPool) room() int {
-	i := p.tryRoom()
-	if i < 0 && p.budget > 0 {
-		panic(fmt.Errorf("pager: buffer pool exhausted: all %d frames pinned", p.budget))
+	if p.budget == 0 {
+		return -1
 	}
-	return i
-}
-
-// tryRoom is room's non-panicking core: sweep the ring, skip pinned
-// pages, give referenced ones a second chance by clearing their bit,
-// evict the first unreferenced unpinned page. It never takes a pinned
-// page, and returns -1 when every page stays pinned or there is no
-// budget. The caller holds p.mu.
-func (p *BufferPool) tryRoom() int {
-	for sweep := 0; len(p.ring) > 0 && sweep <= 2*len(p.ring); sweep++ {
+	for sweep := 0; sweep <= 2*len(p.ring); sweep++ {
 		i := p.hand
 		p.hand = (p.hand + 1) % len(p.ring)
 		f := p.ring[i].f
@@ -468,7 +460,7 @@ func (p *BufferPool) tryRoom() int {
 			return i
 		}
 	}
-	return -1
+	panic(fmt.Errorf("pager: buffer pool exhausted: all %d frames pinned", p.budget))
 }
 
 // evict takes the page at ring position i out of memory unless a reader

@@ -79,13 +79,6 @@ func get(s *Store[*testPage], id int64) *testPage {
 	return r.Page(id)
 }
 
-// hold pins page id's current version until the returned func runs.
-func hold(s *Store[*testPage], id int64) (*testPage, func()) {
-	r := s.Reader(Latest)
-	p := r.Page(id)
-	return p, r.Release
-}
-
 func TestBufferPoolRoundTripThroughEviction(t *testing.T) {
 	acct, pool, s := newTestPool(t, MinPoolFrames)
 	const n = 3 * MinPoolFrames
@@ -269,82 +262,6 @@ func TestPooledAccountantSkipsLogicalFaults(t *testing.T) {
 	// the dirty page during EvictAll hits the write fault.
 	if fe := catchFault(pool.EvictAll); fe == nil {
 		t.Fatal("expected EvictAll write-back to fault")
-	}
-}
-
-// TestBufferPoolPrefetch pins the prefetch contract: evicted pages come
-// back as unpinned resident pages charged as physical reads plus
-// Prefetched ticks (never cache misses), resident pages and pages the
-// store does not hold are skipped, a fully pinned pool installs nothing,
-// and a full pool with nothing pinned makes room by the clock.
-func TestBufferPoolPrefetch(t *testing.T) {
-	acct, pool, s := newTestPool(t, MinPoolFrames)
-	const n = MinPoolFrames + 4
-	for i := int64(0); i < n; i++ {
-		create(s, i, i)
-	}
-	pool.EvictAll()
-	prefetched := func(ids ...int64) int64 {
-		before := acct.Stats().Prefetched
-		s.Prefetch(ids)
-		return acct.Stats().Prefetched - before
-	}
-
-	before := acct.Stats()
-	if got := prefetched(0, 1, 2); got != 3 {
-		t.Fatalf("Prefetch installed %d, want 3", got)
-	}
-	d := acct.Stats().Sub(before)
-	if d.Prefetched != 3 || d.PhysReads != 3 || d.CacheMisses != 0 {
-		t.Fatalf("prefetch delta = %+v, want 3 prefetched, 3 phys, 0 misses", d)
-	}
-
-	// The demand access is now a hit with no further physical traffic,
-	// and the page round-tripped intact.
-	if v := get(s, 1); v.Vals[0] != 1 {
-		t.Fatalf("prefetched page corrupt: %+v", v)
-	}
-	d = acct.Stats().Sub(before)
-	if d.CacheHits != 1 || d.PhysReads != 3 {
-		t.Fatalf("post-Get delta = %+v, want 1 hit and still 3 phys", d)
-	}
-
-	// Resident pages are skipped outright.
-	if got := prefetched(0, 1, 2); got != 0 {
-		t.Fatalf("re-prefetch installed %d, want 0", got)
-	}
-
-	// With every page pinned there is no free position and no victim may
-	// be taken: prefetch installs nothing.
-	pool.EvictAll()
-	var unpin []func()
-	for i := int64(0); i < MinPoolFrames; i++ {
-		_, release := hold(s, i)
-		unpin = append(unpin, release)
-	}
-	if got := prefetched(MinPoolFrames, MinPoolFrames+1); got != 0 {
-		t.Fatalf("prefetch into a fully pinned pool installed %d, want 0", got)
-	}
-	for _, release := range unpin {
-		release()
-	}
-
-	// A full pool with nothing pinned: the clock clears reference bits
-	// and evicts, so prefetch still installs.
-	before = acct.Stats()
-	if got := prefetched(MinPoolFrames, MinPoolFrames+1); got != 2 {
-		t.Fatalf("prefetch into a full, unpinned pool installed %d, want 2", got)
-	}
-	if d := acct.Stats().Sub(before); d.Evictions != 2 {
-		t.Fatalf("full-pool prefetch delta = %+v, want 2 evictions", d)
-	}
-	if st := pool.Stats(); st.Resident != MinPoolFrames {
-		t.Fatalf("%d resident after prefetch into a full pool, want %d", st.Resident, MinPoolFrames)
-	}
-
-	// A page the store does not hold is skipped.
-	if got := prefetched(n + 1); got != 0 {
-		t.Fatalf("prefetch of an unknown page installed %d, want 0", got)
 	}
 }
 

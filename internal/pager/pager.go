@@ -37,8 +37,7 @@ type Stats struct {
 	CacheMisses int64 `json:",omitempty"`
 	Evictions   int64 `json:",omitempty"`
 
-	// Prefetched counts pages read ahead of demand by Store.Prefetch
-	// (each is also a PhysRead; a later Get for the page is a CacheHit).
+	// Deprecated: always zero — the pool reads a page only when a reader misses on it; kept only because benchmarks/harness/target.go reads it.
 	Prefetched int64 `json:",omitempty"`
 }
 
@@ -61,7 +60,6 @@ func (s Stats) plus(o Stats, k int64) Stats {
 		CacheHits:   s.CacheHits + k*o.CacheHits,
 		CacheMisses: s.CacheMisses + k*o.CacheMisses,
 		Evictions:   s.Evictions + k*o.Evictions,
-		Prefetched:  s.Prefetched + k*o.Prefetched,
 	}
 }
 
@@ -76,7 +74,7 @@ func (s Stats) NodeAccesses() int64 { return s.NodeReads + s.NodeWrites }
 // rendering so output without one is byte-identical to the pre-pool
 // engine.
 func (s Stats) CacheAccesses() int64 {
-	return s.CacheHits + s.CacheMisses + s.PhysReads + s.PhysWrites + s.Evictions + s.Prefetched
+	return s.CacheHits + s.CacheMisses + s.PhysReads + s.PhysWrites + s.Evictions
 }
 
 // String renders the logical counters (the cache counters have their own
@@ -91,12 +89,8 @@ func (s Stats) String() string {
 // CacheString renders the physical/cache counters compactly:
 // "hit=H miss=M phys=R+W evict=E".
 func (s Stats) CacheString() string {
-	out := fmt.Sprintf("hit=%d miss=%d phys=%d+%d evict=%d",
+	return fmt.Sprintf("hit=%d miss=%d phys=%d+%d evict=%d",
 		s.CacheHits, s.CacheMisses, s.PhysReads, s.PhysWrites, s.Evictions)
-	if s.Prefetched > 0 {
-		out += fmt.Sprintf(" pre=%d", s.Prefetched)
-	}
-	return out
 }
 
 // Accountant tracks page I/O. The zero value is ready to use. All
@@ -120,7 +114,6 @@ type Accountant struct {
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
 	evictions   atomic.Int64
-	prefetched  atomic.Int64
 
 	// fault, when non-nil, injects failures and latency into every
 	// accounted operation (see FaultPolicy): the one model of a slow or
@@ -304,7 +297,6 @@ func (a *Accountant) Stats() Stats {
 		CacheHits:   a.cacheHits.Load(),
 		CacheMisses: a.cacheMisses.Load(),
 		Evictions:   a.evictions.Load(),
-		Prefetched:  a.prefetched.Load(),
 	}
 }
 
@@ -322,5 +314,4 @@ func (a *Accountant) Reset() {
 	a.cacheHits.Store(0)
 	a.cacheMisses.Store(0)
 	a.evictions.Store(0)
-	a.prefetched.Store(0)
 }

@@ -261,34 +261,6 @@ func (s *Store[P]) Release() {
 	})
 }
 
-// Prefetch reads the given pages that are out of memory back into
-// unpinned slots ahead of demand, in order: a pure hint that skips
-// resident and unknown pages and pages another reader is loading. It
-// may evict an unpinned page the clock passes over twice but never takes
-// a pinned one, stopping once every page is pinned. Pages load one at a
-// time, like a demand miss's, so a prefetch holds at most one ring
-// position reserved. Each page is charged one physical read plus a
-// Prefetched tick (no cache miss: the demand access that follows hits).
-func (s *Store[P]) Prefetch(ids []int64) {
-	pool := s.pool
-	pool.mu.Lock()
-	defer pool.mu.Unlock()
-	for _, id := range ids {
-		k := pageKey{s.space, id}
-		if _, out := pool.spans[k]; !out || pool.loading[k] || s.at(id).page.Load() != any(*new(P)) {
-			continue
-		}
-		i := pool.tryRoom()
-		if i < 0 {
-			break
-		}
-		sl := s.at(id)
-		pool.load(i, k, sl)
-		sl.pins.Add(-1)
-		pool.acct.prefetched.Add(1)
-	}
-}
-
 // prune discards the versions no pinned epoch can still resolve (until
 // <= min). min only advances, but calls may arrive out of order; removal
 // by threshold is safe either way.

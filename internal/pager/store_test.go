@@ -3,7 +3,6 @@ package pager
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -457,60 +456,5 @@ func TestStoreFailedMissWakesWaiters(t *testing.T) {
 	flip()
 	if p, ok := (<-readAsync(s, 0)).(*verPage); !ok || p.Val != 100 {
 		t.Fatalf("the retry read %v, want page 0 holding 100", p)
-	}
-}
-
-// TestStorePrefetchBesideDemandMisses: read-ahead reserves one ring
-// position at a time, so prefetching four times the frames beside
-// demand readers never exhausts a 16-frame pool.
-func TestStorePrefetchBesideDemandMisses(t *testing.T) {
-	const pages, readers = 4 * MinPoolFrames, 4
-	acct, pool, s := evictedStore(t, pages)
-	acct.SetFaultPolicy(&FaultPolicy{Latency: 20 * time.Microsecond}) // loads overlap
-	defer acct.SetFaultPolicy(nil)
-	ids := make([]int64, pages)
-	for i := range ids {
-		ids[i] = int64(i)
-	}
-	var wg sync.WaitGroup
-	fail := make(chan any, readers+1)
-	run := func(fn func()) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					fail <- r
-				}
-			}()
-			fn()
-		}()
-	}
-	run(func() {
-		for round := 0; round < 5; round++ {
-			s.Prefetch(ids)
-			pool.EvictAll()
-		}
-	})
-	for w := 0; w < readers; w++ {
-		run(func() {
-			for round := 0; round < 5; round++ {
-				r := s.Reader(Latest)
-				for id := int64(w); id < pages; id += readers {
-					if got := r.Page(id).Val; got != 100+int(id) {
-						panic(fmt.Sprintf("page %d reads %d", id, got))
-					}
-				}
-				r.Release()
-			}
-		})
-	}
-	wg.Wait()
-	close(fail)
-	for r := range fail {
-		t.Fatal(r)
-	}
-	if st := pool.Stats(); st.MaxResident > st.Frames {
-		t.Fatalf("max resident %d exceeds %d frames", st.MaxResident, st.Frames)
 	}
 }
