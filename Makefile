@@ -45,11 +45,12 @@ race:
 # btree) and the log's leader/follower sync routine (wal), with extra
 # iterations on the page-partitioned parallel index fetch, the pool's
 # miss protocol (a second reader waits on the first one's load, a failed
-# load wakes its waiters) and the lock-free epoch readers. CI's race job
-# runs this target.
+# load wakes its waiters), B-Tree cursors on snapshot views pulled
+# between the writer's splits and merges, and the lock-free epoch
+# readers. CI's race job runs this target.
 race-core:
 	$(GO) test -race ./internal/model/... ./internal/engine/... ./internal/exec/... ./internal/pager/... ./internal/heap/... ./internal/btree/... ./internal/wal/...
-	$(GO) test -race -count=4 -run 'TestParallelSortedFetchMatchesSerial|TestSummaryIndexScanPartitionedConcatenation|TestStoreConcurrentMissReadsOnce|TestStoreFailedMissWakesWaiters' ./internal/engine/... ./internal/exec/... ./internal/pager/
+	$(GO) test -race -count=4 -run 'TestParallelSortedFetchMatchesSerial|TestSummaryIndexScanPartitionedConcatenation|TestStoreConcurrentMissReadsOnce|TestStoreFailedMissWakesWaiters|TestViewUnaffectedByLaterMutations' ./internal/engine/... ./internal/exec/... ./internal/pager/ ./internal/btree/
 	$(GO) test -race -count=2 -run 'TestEpochReaderStress' ./internal/engine/
 
 # bench-harness compiles and smoke-tests benchmarks/ against this
@@ -72,7 +73,8 @@ bench-harness:
 # whose readers race the writer through epoch publication, pruning and
 # deferred reclamation. The heap/btree line reruns their pooled tests:
 # pins live in the stores' slots and the pool evicts under the store's
-# lock, so readers, the writer's copy-on-write and eviction meet there.
+# lock, so readers, the writer's copy-on-write and eviction meet there;
+# its btree view test also pulls cursors between the writer's steps.
 # The wal line reruns the log's tests, which hold an fsync in flight and
 # queue committers, a Flush, Compact or Close behind it by hand.
 flake-sweep:

@@ -585,27 +585,31 @@ func pickAtLeast(t *catalog.Table, instance, label string, target int) (c, rows 
 }
 
 // BenchmarkTopKRowGoal times the paper's summary-based top-k — ORDER BY
-// a label count DESC LIMIT 20, answered in Summary-BTree order — at a
-// few dozen and a few thousand qualifying rows, at batch capacity 1 and
-// 1024. The LIMIT's row goal sizes the index scan's first batch to 20,
-// so capacity 1024 fetches 20 rows and 20 summary sets, not a batch of
-// them, and costs no more than capacity 1 at either cardinality.
+// a label count LIMIT 20, answered in Summary-BTree order — at a few
+// dozen and a few thousand qualifying rows, DESC and ASC, at batch
+// capacity 1 and 1024. The LIMIT's row goal sizes the index scan's first
+// batch to 20, and the scan pulls its hits off an index cursor walking
+// in the ORDER BY's direction, so every cell fetches 20 rows and 20
+// summary sets from the leaves holding them: the cost does not grow
+// with the qualifying rows, nor with the capacity.
 func BenchmarkTopKRowGoal(b *testing.B) {
 	db := topKFixture(b)
 	birds, _ := db.Table("Birds")
 	for _, target := range []int{50, 5000} {
 		c, hits := pickAtLeast(birds, "ClassBird1", "Disease", target)
-		q := fmt.Sprintf(`SELECT id, common_name FROM Birds r
+		for _, dir := range []string{"DESC", "ASC"} {
+			q := fmt.Sprintf(`SELECT id, common_name FROM Birds r
 			WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') >= %d
-			ORDER BY r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') DESC LIMIT 20`, c)
-		for _, size := range []int{1, 1024} {
-			opts := &optimizer.Options{MaxBatchSize: size, MaxParallelWorkers: 1}
-			if p, err := db.Explain(q, opts); err != nil || !strings.Contains(p, "eliminated: index order") {
-				b.Fatalf("want the index order to stand in for the sort (%v):\n%s", err, p)
+			ORDER BY r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') %s LIMIT 20`, c, dir)
+			for _, size := range []int{1, 1024} {
+				opts := &optimizer.Options{MaxBatchSize: size, MaxParallelWorkers: 1}
+				if p, err := db.Explain(q, opts); err != nil || !strings.Contains(p, "eliminated: index order") {
+					b.Fatalf("want the index order to stand in for the sort (%v):\n%s", err, p)
+				}
+				b.Run(fmt.Sprintf("hits=%d/%s/Capacity%d", hits, dir, size), func(b *testing.B) {
+					benchQuery(b, db, q, opts)
+				})
 			}
-			b.Run(fmt.Sprintf("hits=%d/Capacity%d", hits, size), func(b *testing.B) {
-				benchQuery(b, db, q, opts)
-			})
 		}
 	}
 }

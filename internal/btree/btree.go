@@ -11,10 +11,13 @@
 // pager.Store, which decides where a node is kept (in memory, or
 // evicted to its buffer pool's backing store) and which version of it a
 // reader sees. Mutations pin the descent path (plus the siblings a
-// rebalance touches) for their duration; scans pin hand-over-hand, one
-// node at a time. AsOf freezes the tree's root and counts into a
-// read-only view whose reads resolve every node to the version visible
-// at the view's epoch, without taking the writer's lock. Freed nodes (merge victims, collapsed roots,
+// rebalance touches) for their duration. Every read is a Cursor, which
+// holds one pin, on the leaf it is reading: it walks forward along the
+// leaf chain, and backward by climbing the descent path it keeps as
+// unpinned node versions, so the leaves need no backward link. AsOf
+// freezes the tree's root and counts into a read-only view whose reads
+// resolve every node to the version visible at the view's epoch, without
+// taking the writer's lock. Freed nodes (merge victims, collapsed roots,
 // released trees) are reclaimed only once no pinned epoch can still
 // reach them; node ids are never reused.
 package btree
@@ -209,83 +212,147 @@ func upperBound(n *node, key string) int {
 	return sort.Search(len(n.keys), func(i int) bool { return n.keys[i] > key })
 }
 
-// descendLower walks from the root to the leaf that may contain key,
-// using lower-bound routing (leftmost occurrence for duplicates); each
-// visited node is one page read. Pins hand-over-hand through r; the
-// returned leaf is left pinned for the caller.
-func (t *Tree) descendLower(r *pager.Reader[*node], key string) *node {
-	n := r.Page(t.rootID)
-	t.acct.ReadNode(1)
-	for !n.leaf {
-		// Separator keys[i] is the minimum key of children[i+1]: route to
-		// children[i] where i = first separator > key... for leftmost
-		// duplicates we must go left of equal separators.
-		//
-		// keys[i] == key means children[i+1] starts at key; the leftmost
-		// duplicate may still live at the end of children[i]'s subtree, so
-		// descend into children[i].
-		n = r.Page(n.children[lowerBound(n, key)])
-		t.acct.ReadNode(1)
-	}
-	return n
-}
-
 // SearchEq returns the payloads of every entry with exactly key.
-func (t *Tree) SearchEq(key string) []int64 {
-	var out []int64
-	t.ScanRange(key, key, func(k string, v int64) bool {
-		out = append(out, v)
-		return true
-	})
-	return out
+func (t *Tree) SearchEq(key string) (vals []int64) {
+	c := t.Cursor()
+	defer c.Close()
+	c.Seek(key, false)
+	for k, v, ok := c.Next(); ok && k == key; k, v, ok = c.Next() {
+		vals = append(vals, v)
+	}
+	return vals
 }
 
 // SearchFirst returns the payload of the first entry with exactly key:
 // the lookup of a single-valued index (OID → location), which needs
-// neither a result slice nor a scan past the first entry >= key.
+// neither a result slice nor a walk past the first entry >= key.
 func (t *Tree) SearchFirst(key string) (val int64, ok bool) {
-	t.scan(key, func(k string, v int64) bool {
-		val, ok = v, k == key
-		return false
-	})
-	return val, ok
+	c := t.Cursor()
+	defer c.Close()
+	c.Seek(key, false)
+	k, val, ok := c.Next()
+	return val, ok && k == key
 }
 
-// Contains reports whether key is present.
-func (t *Tree) Contains(key string) bool {
-	_, ok := t.SearchFirst(key)
-	return ok
-}
-
-// ScanRange visits every entry with from <= key <= to in key order,
-// stopping early when fn returns false.
-func (t *Tree) ScanRange(from, to string, fn func(key string, val int64) bool) {
-	t.scan(from, func(k string, v int64) bool { return k <= to && fn(k, v) })
-}
-
-// ScanAll visits every entry in key order.
-func (t *Tree) ScanAll(fn func(key string, val int64) bool) { t.scan("", fn) }
-
-// scan is the tree's one leaf-chain walk: it descends to the leftmost
-// entry >= from and visits entries in key order, following the chain
-// (one node read per leaf entered), until fn returns false or the chain
-// ends.
-func (t *Tree) scan(from string, fn func(key string, val int64) bool) {
-	r := t.store.Reader(t.snap)
-	defer r.Release()
-	n := t.descendLower(&r, from)
-	for i := lowerBound(n, from); ; i = 0 {
-		for ; i < len(n.keys); i++ {
-			if !fn(n.keys[i], n.vals[i]) {
-				return
-			}
-		}
-		if n.next == 0 {
-			return
-		}
-		n = r.Page(n.next)
-		t.acct.ReadNode(1)
+// Scan visits the entries with key >= from in key order ("" for all of
+// them), stopping early when fn returns false.
+func (t *Tree) Scan(from string, fn func(key string, val int64) bool) {
+	c := t.Cursor()
+	defer c.Close()
+	c.Seek(from, false)
+	for k, v, ok := c.Next(); ok && fn(k, v); k, v, ok = c.Next() {
 	}
+}
+
+// Cursor is the tree's one walk: a pull iterator over its entries at
+// the tree's snapshot, in key order or in reverse. It holds one pin, on
+// the leaf it reads. Forward it follows the leaf chain; backward it
+// climbs the descent path it keeps as unpinned node versions (immutable
+// at a view's epoch) and descends the rightmost edge of the nearest
+// subtree to the left, so leaves need no backward link. Each node
+// entered is one node read. Mutating the tree invalidates its open
+// cursors; cursors on an AsOf view are immune. Close a cursor abandoned
+// before exhaustion; an exhausted one has dropped its pin.
+type Cursor struct {
+	t    *Tree
+	r    pager.Reader[*node]
+	dir  int    // +1 ascending, -1 descending
+	path []step // inner nodes above leaf, root first (descending only)
+	leaf *node  // nil before Seek and once exhausted
+	i    int    // leaf index of the entry Next returns
+}
+
+// step is an inner node on a cursor's path and the child it went down.
+type step struct {
+	n     *node
+	child int
+}
+
+// Cursor returns an unpositioned cursor; Seek positions it.
+func (t *Tree) Cursor() Cursor { return Cursor{t: t, r: t.store.Reader(t.snap)} }
+
+// Seek positions the cursor at the first entry >= key or, with desc, at
+// the last entry <= key, for Next to walk from in that direction. Among
+// duplicates of key ascending starts at the leftmost and descending at
+// the rightmost: a descending walk is the exact reverse of an ascending
+// one. Separator keys[i] bounds children[i+1] from below, so ascending
+// routes left of a separator equal to key (the leftmost duplicate may end
+// children[i]) and descending right of it.
+func (c *Cursor) Seek(key string, desc bool) {
+	c.dir, c.path = 1, c.path[:0]
+	bound := lowerBound
+	if desc {
+		c.dir, bound = -1, upperBound
+	}
+	n := c.enter(c.t.rootID)
+	for !n.leaf {
+		i := bound(n, key)
+		if desc {
+			c.path = append(c.path, step{n, i})
+		}
+		n = c.enter(n.children[i])
+	}
+	c.leaf, c.i = n, bound(n, key)+min(c.dir, 0)
+}
+
+// enter reads node id, moving the cursor's pin to it. A read that
+// panics (an injected fault, a failed write-back) closes the cursor on
+// its way out, so the pin on the node it came from is not lost with it.
+func (c *Cursor) enter(id int64) (n *node) {
+	defer func() {
+		if n == nil {
+			c.Close()
+		}
+	}()
+	c.t.acct.ReadNode(1)
+	return c.r.Page(id)
+}
+
+// Next returns the next entry in the cursor's direction; ok is false
+// once the walk has passed the last (or first) entry.
+func (c *Cursor) Next() (key string, val int64, ok bool) {
+	for c.leaf != nil {
+		if i := c.i; uint(i) < uint(len(c.leaf.keys)) {
+			c.i += c.dir
+			return c.leaf.keys[i], c.leaf.vals[i], true
+		}
+		if c.dir < 0 {
+			c.prevLeaf()
+		} else if c.leaf.next != 0 {
+			c.leaf, c.i = c.enter(c.leaf.next), 0
+		} else {
+			c.Close()
+		}
+	}
+	return "", 0, false
+}
+
+// prevLeaf moves a descending cursor to the end of the previous leaf:
+// up the path to the deepest node with a child left of the one taken,
+// then down the rightmost edge of that child. It closes the cursor at
+// the leftmost leaf.
+func (c *Cursor) prevLeaf() {
+	d := len(c.path) - 1
+	for d >= 0 && c.path[d].child == 0 {
+		d--
+	}
+	if d < 0 {
+		c.Close()
+		return
+	}
+	c.path[d].child--
+	n := c.enter(c.path[d].n.children[c.path[d].child])
+	for d++; !n.leaf; d++ {
+		c.path[d] = step{n, len(n.children) - 1}
+		n = c.enter(n.children[len(n.children)-1])
+	}
+	c.leaf, c.i = n, len(n.keys)-1
+}
+
+// Close releases the cursor's pin and ends its walk. Safe to repeat.
+func (c *Cursor) Close() {
+	c.r.Release()
+	c.leaf, c.path = nil, nil
 }
 
 // --- insert ---------------------------------------------------------------

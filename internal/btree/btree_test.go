@@ -51,8 +51,11 @@ func TestInsertSearchBasic(t *testing.T) {
 			t.Errorf("SearchEq(%q) = %v", k, got)
 		}
 	}
-	if !tr.Contains("alpha") || tr.Contains("zulu") {
-		t.Error("Contains misreports")
+	if _, ok := tr.SearchFirst("alpha"); !ok {
+		t.Error("SearchFirst misses alpha")
+	}
+	if _, ok := tr.SearchFirst("zulu"); ok {
+		t.Error("SearchFirst finds zulu")
 	}
 	if err := tr.Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
@@ -115,13 +118,31 @@ func TestSearchFirstMatchesSearchEq(t *testing.T) {
 		if ok != (len(all) > 0) || (ok && got != all[0]) {
 			t.Fatalf("SearchFirst(%q) = %d, %v; SearchEq = %v", key, got, ok, all)
 		}
-		if ok != tr.Contains(key) {
-			t.Fatalf("Contains(%q) = %v, want %v", key, !ok, ok)
-		}
 		if firstReads > eqReads {
 			t.Fatalf("SearchFirst(%q) read %d nodes, SearchEq %d", key, firstReads, eqReads)
 		}
+		// A descending seek at key starts at the last duplicate: its run
+		// of key is SearchEq reversed, and stopping after the first entry
+		// yields SearchEq's last payload.
+		desc := drainCursor(tr, key, true, -1)
+		for i := range all {
+			if i >= len(desc) || desc[i].k != key || desc[i].v != all[len(all)-1-i] {
+				t.Fatalf("descending Seek(%q) = %+v, want the reverse of %v", key, desc, all)
+			}
+		}
+		if len(desc) > len(all) && desc[len(all)].k == key {
+			t.Fatalf("descending Seek(%q) streams more than %d entries of it", key, len(all))
+		}
+		if first := drainCursor(tr, key, true, 1); len(all) > 0 && (len(first) != 1 || first[0].v != all[len(all)-1]) {
+			t.Fatalf("descending Seek(%q) stopped after one entry = %+v, want payload %d", key, first, all[len(all)-1])
+		}
 	}
+}
+
+// scanRange visits the entries with from <= key <= to through Scan,
+// stopping early when fn returns false.
+func scanRange(tr *Tree, from, to string, fn func(string, int64) bool) {
+	tr.Scan(from, func(k string, v int64) bool { return k <= to && fn(k, v) })
 }
 
 func TestScanRangeInclusive(t *testing.T) {
@@ -130,7 +151,7 @@ func TestScanRangeInclusive(t *testing.T) {
 		tr.Insert(fmt.Sprintf("k%03d", i), int64(i))
 	}
 	var got []string
-	tr.ScanRange("k010", "k015", func(k string, v int64) bool {
+	scanRange(tr, "k010", "k015", func(k string, v int64) bool {
 		got = append(got, k)
 		return true
 	})
@@ -139,13 +160,13 @@ func TestScanRangeInclusive(t *testing.T) {
 	}
 	// Early stop.
 	n := 0
-	tr.ScanRange("k000", "k049", func(string, int64) bool { n++; return n < 3 })
+	scanRange(tr, "k000", "k049", func(string, int64) bool { n++; return n < 3 })
 	if n != 3 {
 		t.Errorf("early stop visited %d", n)
 	}
 	// Missing bounds still work.
 	got = nil
-	tr.ScanRange("k0105", "k012x", func(k string, v int64) bool {
+	scanRange(tr, "k0105", "k012x", func(k string, v int64) bool {
 		got = append(got, k)
 		return true
 	})
@@ -155,14 +176,15 @@ func TestScanRangeInclusive(t *testing.T) {
 }
 
 // TestScanFromAndAll: a range from a key to past the last one runs to
-// the end of the leaf chain, and ScanAll visits every entry in key order.
+// the end of the leaf chain, and Scan from "" visits every entry in key
+// order.
 func TestScanFromAndAll(t *testing.T) {
 	tr := New(nil, 4)
 	for i := 0; i < 30; i++ {
 		tr.Insert(fmt.Sprintf("k%03d", i), int64(i))
 	}
 	var got []int64
-	tr.ScanRange("k025", "\xff", func(k string, v int64) bool {
+	scanRange(tr, "k025", "\xff", func(k string, v int64) bool {
 		got = append(got, v)
 		return true
 	})
@@ -171,16 +193,16 @@ func TestScanFromAndAll(t *testing.T) {
 	}
 	total := 0
 	last := ""
-	tr.ScanAll(func(k string, v int64) bool {
+	tr.Scan("", func(k string, v int64) bool {
 		if k < last {
-			t.Fatalf("ScanAll out of order: %q after %q", k, last)
+			t.Fatalf("Scan out of order: %q after %q", k, last)
 		}
 		last = k
 		total++
 		return true
 	})
 	if total != 30 {
-		t.Errorf("ScanAll visited %d", total)
+		t.Errorf("Scan visited %d", total)
 	}
 }
 
@@ -297,7 +319,7 @@ func TestRandomOpsAgainstReference(t *testing.T) {
 	}
 	gotN := 0
 	lastKey := ""
-	tr.ScanRange(lo, hi, func(k string, v int64) bool {
+	scanRange(tr, lo, hi, func(k string, v int64) bool {
 		if k < lastKey {
 			t.Fatalf("scan out of order")
 		}
@@ -308,6 +330,89 @@ func TestRandomOpsAgainstReference(t *testing.T) {
 	if gotN != wantN {
 		t.Fatalf("ScanRange count %d != %d", gotN, wantN)
 	}
+
+	// Cursors seeked from random keys — present, absent, below the first
+	// and above the last — stream the sorted reference from there in
+	// either direction, duplicates in insertion order ascending and in
+	// reverse descending, up to a random early stop.
+	var all []entry
+	for k, vals := range ref {
+		for _, v := range vals {
+			all = append(all, entry{k, v})
+		}
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].k != all[j].k {
+			return all[i].k < all[j].k
+		}
+		return all[i].v < all[j].v
+	})
+	seeks := []string{"", "a", "key", "key00", "key5", "key59x", "z"}
+	for i := 0; i < 200; i++ {
+		seeks = append(seeks, keyspace[rng.Intn(len(keyspace))]+[]string{"", "!", "~"}[rng.Intn(3)])
+	}
+	for _, from := range seeks {
+		for _, desc := range []bool{false, true} {
+			want := cursorReference(all, from, desc)
+			stop := len(want)
+			if rng.Intn(2) == 0 {
+				stop = rng.Intn(len(want) + 1)
+			}
+			got := drainCursor(tr, from, desc, stop)
+			if len(got) != stop {
+				t.Fatalf("Seek(%q, desc=%v): %d entries before the stop at %d", from, desc, len(got), stop)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("Seek(%q, desc=%v) entry %d: %+v, want %+v", from, desc, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// entry is one (key, payload) pair of a tree.
+type entry struct {
+	k string
+	v int64
+}
+
+// cursorReference is the sequence a cursor seeked at from streams over a
+// tree holding all (sorted by key, then by insertion): the entries >=
+// from in order, or with desc the entries <= from in reverse.
+func cursorReference(all []entry, from string, desc bool) []entry {
+	var out []entry
+	if !desc {
+		for _, e := range all {
+			if e.k >= from {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	for i := len(all) - 1; i >= 0; i-- {
+		if all[i].k <= from {
+			out = append(out, all[i])
+		}
+	}
+	return out
+}
+
+// drainCursor seeks a cursor on tr and pulls up to n entries (n < 0:
+// all of them).
+func drainCursor(tr *Tree, from string, desc bool, n int) []entry {
+	c := tr.Cursor()
+	defer c.Close()
+	c.Seek(from, desc)
+	var out []entry
+	for len(out) != n {
+		k, v, ok := c.Next()
+		if !ok {
+			break
+		}
+		out = append(out, entry{k, v})
+	}
+	return out
 }
 
 func TestInsertionCostLogarithmic(t *testing.T) {

@@ -59,7 +59,7 @@ func TestPooledTreeMatchesUnpooled(t *testing.T) {
 	}
 	collect := func(tr *Tree) []entry {
 		var out []entry
-		tr.ScanAll(func(k string, v int64) bool {
+		tr.Scan("", func(k string, v int64) bool {
 			out = append(out, entry{k, v})
 			return true
 		})
@@ -115,15 +115,13 @@ func TestPooledTreeMatchesUnpooled(t *testing.T) {
 // copy of the tree's entries made when each was taken, after the writer
 // has gone on splitting, merging and collapsing the tree through several
 // more epochs — with the nodes resident and behind a pool too small for
-// them.
+// them. Some views also get an ascending and a descending cursor the
+// moment they are taken, pulled one entry per writer step, so every
+// Next of theirs runs after more splits or merges than the last.
 func TestViewUnaffectedByLaterMutations(t *testing.T) {
-	type entry struct {
-		k string
-		v int64
-	}
 	collect := func(tr *Tree) []entry {
 		var out []entry
-		tr.ScanAll(func(k string, v int64) bool {
+		tr.Scan("", func(k string, v int64) bool {
 			out = append(out, entry{k, v})
 			return true
 		})
@@ -135,6 +133,20 @@ func TestViewUnaffectedByLaterMutations(t *testing.T) {
 		want   []entry
 		height int
 	}
+	// walk is a cursor on a view pulled between writer steps.
+	type walk struct {
+		c    Cursor
+		desc bool
+		want []entry
+		got  []entry
+	}
+	pull := func(w *walk) bool {
+		k, v, ok := w.c.Next()
+		if ok {
+			w.got = append(w.got, entry{k, v})
+		}
+		return ok
+	}
 	run := func(t *testing.T, acct *pager.Accountant) {
 		clock := acct.Clock()
 		base := clock.Pruners()
@@ -142,7 +154,15 @@ func TestViewUnaffectedByLaterMutations(t *testing.T) {
 		rng := rand.New(rand.NewSource(11))
 		var live []entry
 		var views []frozen
+		var walks, open []*walk
 		for step := 0; step < 4000; step++ {
+			kept := open[:0]
+			for _, w := range open {
+				if pull(w) {
+					kept = append(kept, w)
+				}
+			}
+			open = kept
 			// Grow for 1000 steps, shrink for 1000: the tree gains and loses
 			// levels while views of both shapes stay open.
 			if len(live) == 0 || rng.Intn(10) < 3+4*(1-step/1000%2) {
@@ -164,7 +184,39 @@ func TestViewUnaffectedByLaterMutations(t *testing.T) {
 			clock.Publish(nil)
 			if step%500 == 499 {
 				_, pin := clock.Pin()
-				views = append(views, frozen{view: view, pin: pin, want: collect(tr), height: tr.Height()})
+				fz := frozen{view: view, pin: pin, want: collect(tr), height: tr.Height()}
+				views = append(views, fz)
+				if step%1000 == 499 {
+					for _, desc := range []bool{false, true} {
+						w := &walk{c: view.Cursor(), desc: desc, want: fz.want}
+						if desc {
+							w.want = make([]entry, len(fz.want))
+							for i, e := range fz.want {
+								w.want[len(fz.want)-1-i] = e
+							}
+						}
+						from := ""
+						if desc {
+							from = "\xff" // above every key
+						}
+						w.c.Seek(from, desc)
+						walks, open = append(walks, w), append(open, w)
+					}
+				}
+			}
+		}
+		for _, w := range open {
+			for pull(w) {
+			}
+		}
+		for _, w := range walks {
+			if len(w.got) != len(w.want) {
+				t.Fatalf("cursor (desc=%v) streamed %d entries, its view holds %d", w.desc, len(w.got), len(w.want))
+			}
+			for i := range w.want {
+				if w.got[i] != w.want[i] {
+					t.Fatalf("cursor (desc=%v) entry %d: %+v, want %+v", w.desc, i, w.got[i], w.want[i])
+				}
 			}
 		}
 		for _, fz := range views {
@@ -209,4 +261,55 @@ func TestViewUnaffectedByLaterMutations(t *testing.T) {
 		defer pool.Close()
 		run(t, acct)
 	})
+}
+
+// TestCursorFaultLeaksNoPin fails the k-th physical read of a cold
+// walk, for every k the walk reaches, in both directions: wherever the
+// fault lands (the descent, the leaf chain, a backward climb), the
+// cursor must drop the pin it held, so once the fault clears every
+// frame can be evicted again. A faulted walk is never closed: it is
+// abandoned the way a panicking probe abandons it.
+func TestCursorFaultLeaksNoPin(t *testing.T) {
+	acct := &pager.Accountant{}
+	pool := pager.NewBufferPool(acct, pager.MinPoolFrames)
+	defer pool.Close()
+	tr := New(acct, 4)
+	for i := 0; i < 400; i++ {
+		tr.Insert(fmt.Sprintf("k%04d", i), int64(i))
+	}
+	if tr.Height() < 3 {
+		t.Fatalf("height %d: want a descent through inner nodes", tr.Height())
+	}
+	walk := func(desc bool) (faulted bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(*pager.FaultError); !ok {
+					panic(r)
+				}
+				faulted = true
+			}
+		}()
+		c := tr.Cursor()
+		c.Seek("k0200", desc)
+		for i := 0; i < 40; i++ {
+			c.Next()
+		}
+		c.Close() // a walk that did not fault closes as usual
+		return false
+	}
+	for _, desc := range []bool{false, true} {
+		for k := 2; ; k++ {
+			pool.EvictAll()
+			acct.SetFaultPolicy(&pager.FaultPolicy{EveryKthRead: k})
+			faulted := walk(desc)
+			acct.SetFaultPolicy(nil)
+			pool.EvictAll()
+			if res := pool.Stats().Resident; res != 0 {
+				t.Fatalf("desc=%v, fault at read %d: %d frames still pinned", desc, k, res)
+			}
+			if !faulted {
+				break // the walk finished in fewer than k reads
+			}
+		}
+	}
 }

@@ -286,6 +286,16 @@ func TestLimitRowGoalStopsTheLeaf(t *testing.T) {
 	}
 
 	const k = 20
+	tree := db.SummaryIndex("Birds", "ClassBird1").Tree()
+	minLeaf := tree.Order() / 2
+	walkBound := int64(tree.Height() + 1 + (k-1+minLeaf-1)/minLeaf + 1)
+	birds, err := db.Table("Birds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := db.Accountant().Stats().NodeReads
+	birds.GetSummaries(oids[0])
+	lookupNodes := db.Accountant().Stats().NodeReads - before
 	for _, tc := range []struct {
 		name     string
 		min, hit int
@@ -312,10 +322,19 @@ func TestLimitRowGoalStopsTheLeaf(t *testing.T) {
 				if s.Rows != k || s.PagesPinned != k {
 					t.Errorf("%s: leaf fetched %d rows in %d data-page pins, want %d", cell, s.Rows, s.PagesPinned, k)
 				}
-				if fetched := heapReads(with) - s.PagesPinned; fetched != k {
+				fetched := heapReads(with) - s.PagesPinned
+				if fetched != k {
 					t.Errorf("%s: %d summary-storage page reads, want %d", cell, fetched, k)
 				}
 				reads[capacity] = with.IO.PageReads
+				// The index walk — the query's node reads less those of its k
+				// summary-set lookups — reads the descent, the leaves holding
+				// the k entries (each non-root leaf holds at least order/2),
+				// and one more node for a step back over a parent boundary:
+				// not every leaf of the range.
+				if walk := with.IO.NodeReads - fetched*lookupNodes; walk > walkBound {
+					t.Errorf("%s: top-%d walk read %d index nodes, want at most %d", cell, k, walk, walkBound)
+				}
 			}
 			if reads[1024] != reads[1] {
 				t.Errorf("%s workers=%d: %d page reads at capacity 1024, %d at capacity 1", tc.name, workers, reads[1024], reads[1])

@@ -192,9 +192,10 @@ func distinctPages(rids []heap.RID) int {
 }
 
 // TestFetchBudgetThroughEngine proves the hit-list budget charge
-// surfaces through a full query: a per-query budget smaller than the
-// probe's hit list fails with the typed sentinel, attributed to the
-// index scan.
+// surfaces through a full query: under sorted fetch, a per-query budget
+// smaller than the probe's hit list fails with the typed sentinel,
+// attributed to the index scan. Ordered fetch streams its hits and
+// buffers none, so the same budget answers the query.
 func TestFetchBudgetThroughEngine(t *testing.T) {
 	db, _ := testDB(t, 60)
 	if err := db.CreateSummaryIndex("Birds", "ClassBird1"); err != nil {
@@ -202,15 +203,32 @@ func TestFetchBudgetThroughEngine(t *testing.T) {
 	}
 	// Disease = 2 hits 12 of 60 birds — few enough that the optimizer
 	// takes the index path, more than the 5-row budget admits.
-	_, err := db.Query(`SELECT id FROM Birds r
-	  WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') = 2`,
-		&optimizer.Options{Budget: exec.NewBudget(5, 0, 0)})
+	const q = `SELECT id FROM Birds r
+	  WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') = 2`
+	_, err := db.Query(q, &optimizer.Options{Budget: exec.NewBudget(5, 0, 0), ForceFetch: "sorted"})
 	if !errors.Is(err, exec.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want budget exceeded", err)
 	}
 	var be *exec.BudgetError
 	if !errors.As(err, &be) || be.Op != "SummaryIndexScan" {
 		t.Fatalf("err = %v, want *BudgetError from SummaryIndexScan", err)
+	}
+
+	ap, err := db.ExplainAnalyze(q, &optimizer.Options{Budget: exec.NewBudget(5, 0, 0), ForceFetch: "ordered"})
+	if err != nil {
+		t.Fatalf("ordered fetch under the same budget: %v", err)
+	}
+	if p := plan.Explain(ap.Result.Plan); !strings.Contains(p, "fetch=ordered") {
+		t.Fatalf("want an ordered fetch:\n%s", p)
+	}
+	var buffered int64
+	ap.Root.Walk(func(n *optimizer.AnalyzedNode) {
+		if n.Stats != nil {
+			buffered += n.Stats.BufferedRows
+		}
+	})
+	if len(ap.Result.Rows) != 12 || buffered != 0 {
+		t.Fatalf("ordered fetch: %d rows, %d rows buffered; want 12 and none", len(ap.Result.Rows), buffered)
 	}
 }
 

@@ -58,7 +58,7 @@ func summaryState(t *testing.T, db *DB) map[string]*tableSummaryState {
 		for _, si := range tbl.Instances {
 			ts.Stats[si.Name] = tbl.Stats(si.Name).String()
 			if idx := db.SummaryIndex(name, si.Name); idx != nil {
-				idx.Tree().ScanAll(func(k string, v int64) bool {
+				idx.Tree().Scan("", func(k string, v int64) bool {
 					ts.SummaryIdx = append(ts.SummaryIdx, fmt.Sprintf("%s@%d", k, v))
 					return true
 				})
@@ -771,7 +771,7 @@ func captureRebuildState(t *testing.T, db *DB) rebuildState {
 			}
 			st.Stats[key] = fresh.String()
 			if idx := tbl.SummaryIndex(si.Name); idx != nil {
-				idx.Tree().ScanAll(func(k string, v int64) bool {
+				idx.Tree().Scan("", func(k string, v int64) bool {
 					i := strings.LastIndexByte(k, ':')
 					n, err := strconv.Atoi(k[i+1:])
 					if err != nil {

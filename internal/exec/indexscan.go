@@ -9,10 +9,15 @@ import (
 	"repro/internal/model"
 )
 
-// hitRIDBytes approximates the in-memory footprint of one materialized
-// hit-list entry (an 8-byte RID plus slice overhead) for budget
+// hitRIDBytes approximates the in-memory footprint of one entry of the
+// sorted fetch's hit list (an 8-byte RID plus slice overhead) for budget
 // charging.
 const hitRIDBytes = 16
+
+// hitCheckEvery is how many hits the sorted fetch collects between
+// polls of cancellation and charges to the budget: a huge range probe
+// reacts promptly, and the check vanishes against the leaf walk.
+const hitCheckEvery = 256
 
 // SummaryIndexScan evaluates "classLabel <Op> constant" through a
 // Summary-BTree and returns the qualifying data tuples. With backward
@@ -20,12 +25,14 @@ const hitRIDBytes = 16
 // conventional pointers (the Figure 13 ablation) each hit goes through
 // R_SummaryStorage first and joins back to the data table by OID.
 //
-// The hit list is dereferenced in one of two fetch modes. Ordered fetch
-// (SortedFetch false) keeps ascending label-count order — the
-// interesting order the optimizer exploits to eliminate sorts — at the
-// price of one random page access per hit. Sorted fetch rearranges the
-// hits into physical page order first and dereferences them page run by
-// page run, pinning each data page exactly once (the bitmap-style
+// The hits are dereferenced in one of two fetch modes. Ordered fetch
+// (SortedFetch false) pulls them off an index cursor in label-count
+// order, ascending or descending — the interesting order the optimizer
+// exploits to eliminate sorts — at the price of one random page access
+// per hit; it holds no hit list, so a LIMIT that stops early walks only
+// the leaves its rows come from. Sorted fetch collects the hits,
+// rearranges them into physical page order and dereferences them page
+// run by page run, pinning each data page exactly once (the bitmap-style
 // fetch), so physical I/O is bounded by the distinct pages touched; row
 // order becomes page order, and any requested order is restored by a
 // compensating Sort above. The optimizer prices the tradeoff per scan.
@@ -41,7 +48,7 @@ type SummaryIndexScan struct {
 	// ConventionalPointers simulates leaf pointers into
 	// R_SummaryStorage instead of backward pointers into the data heap.
 	ConventionalPointers bool
-	// Descending reverses the index order (for ORDER BY ... DESC).
+	// Descending walks the index backward (for ORDER BY ... DESC).
 	// Meaningless under SortedFetch, which gives the order up entirely.
 	Descending bool
 	// SortedFetch selects the page-ordered batched fetch.
@@ -50,33 +57,31 @@ type SummaryIndexScan struct {
 	// share of the sorted hit list: shares split on page boundaries, so
 	// parallel workers never contend on a buffer frame, and
 	// concatenating the shares in partition order reproduces the serial
-	// sorted run exactly. Ignored (whole hit list) in ordered mode.
+	// sorted run exactly. Ignored in ordered mode.
 	Part PartitionSpec
 	// RowGoal sizes the first batches under a LIMIT, in both fetch
-	// modes: a top-k in index order dereferences about k hits, not a
-	// batch of them.
+	// modes: a top-k in index order pulls about k hits, not a batch.
 	RowGoal
 
 	schema *model.Schema
+	cur    index.Cursor[heap.RID]
+
+	// hits is the sorted fetch's hit list, pos its next hit, buf/bufPos
+	// the rows of the page run being drained, res the list's budget
+	// charge.
 	hits   []heap.RID
 	pos    int
-
-	// buf holds the rows of the current page run in sorted mode.
 	buf    []*Row
 	bufPos int
+	res    reservation
 
-	// res holds the hit list's budget charge, returned on Close (or on
-	// a failed Open).
-	res reservation
-
-	// pagesPinned counts data-heap page pins made by the fetch stage:
-	// one per page run in batched mode, one per hit in per-RID modes.
-	// distinctPages is the number of distinct data pages the hit list
-	// addresses: counted at Open in sorted mode, where it is the number
-	// of page runs, and by FetchStats in ordered mode. Both reset at Open
-	// and survive Close.
-	pagesPinned   int64
-	distinctPages int64
+	// pagesPinned counts data-page pins made by the fetch: one per page
+	// run in batched mode, one per hit otherwise. distinctPages counts
+	// the sorted list's page runs; in ordered mode pages collects the
+	// pages of the hits dereferenced, on a scan the stats layer samples
+	// (countPages) only. They survive Close; Open resets the counters.
+	pagesPinned, distinctPages int64
+	pages                      map[int32]struct{}
 }
 
 // NewSummaryIndexScan builds the scan.
@@ -89,94 +94,106 @@ func NewSummaryIndexScan(t *catalog.Table, alias string, idx *index.SummaryBTree
 		Label: label, Op: op, Constant: constant, schema: t.Schema.Rename(alias)}
 }
 
-// Open probes the index and materializes the hit list (the paper's
-// implementation collects qualifying pointers from the leaf chain).
-// The probe polls cancellation and charges the query budget for the
-// growing list as it streams off the leaf chain, so a huge range probe
-// degrades with a typed *BudgetError or stops on cancel mid-scan. In
-// sorted mode the list is then rearranged into page order and, under a
-// parallel partition, trimmed to this worker's page-range share.
+// Open seeks the index cursor; ordered fetch then pulls hits as
+// NextBatch needs them. Sorted fetch drains the cursor into its hit
+// list, polling cancellation and charging the query budget as the list
+// grows, so a huge range probe degrades with a typed *BudgetError or
+// stops on cancel mid-walk. It sorts the list into page order and, under
+// a parallel partition, trims it to this worker's page-range share.
 func (s *SummaryIndexScan) Open(qc *QueryCtx) (err error) {
 	defer recoverOp("SummaryIndexScan", &err)
 	if err := qc.check(); err != nil {
 		return err
 	}
+	s.releaseHits()
+	s.cur = s.Index.Cursor(s.Label, s.Op, s.Constant, s.Descending && !s.SortedFetch)
+	s.pagesPinned, s.distinctPages = 0, 0
+	s.startGoal()
+	if !s.SortedFetch {
+		return nil
+	}
 	s.res.bind(qc, "SummaryIndexScan")
-	charged := 0
-	hits, err := s.Index.SearchWithCheck(s.Label, s.Op, s.Constant, func(collected int) error {
+	if s.hits, err = collectHits(&s.cur, func(n int) error {
 		if err := qc.check(); err != nil {
 			return err
 		}
-		delta := int64(collected - charged)
-		if delta <= 0 {
-			return nil
-		}
-		if cerr := s.res.charge(delta, delta*hitRIDBytes); cerr != nil {
-			return cerr
-		}
-		charged = collected
-		return nil
-	})
-	if err != nil {
+		d := int64(n) - s.res.chargedRows
+		return s.res.charge(d, d*hitRIDBytes)
+	}); err != nil {
 		s.releaseHits()
 		return err
 	}
-	s.hits = hits
-	s.distinctPages = 0
-	if s.SortedFetch {
-		sortRIDs(s.hits)
-		if s.Part.Of > 1 {
-			kept := partitionHits(s.hits, s.Part)
-			// A worker keeps charges only for its retained share.
-			if drop := int64(len(s.hits) - len(kept)); drop > 0 {
-				s.res.release(drop, drop*hitRIDBytes)
-			}
-			s.hits = kept
+	sortRIDs(s.hits)
+	if s.Part.Of > 1 {
+		kept := partitionHits(s.hits, s.Part)
+		// A worker keeps charges only for its retained share.
+		if drop := int64(len(s.hits) - len(kept)); drop > 0 {
+			s.res.release(drop, drop*hitRIDBytes)
 		}
-		s.distinctPages = int64(pageRuns(s.hits))
-	} else if s.Descending {
-		for i, j := 0, len(s.hits)-1; i < j; i, j = i+1, j-1 {
-			s.hits[i], s.hits[j] = s.hits[j], s.hits[i]
-		}
+		s.hits = kept
 	}
-	s.pos = 0
-	s.buf, s.bufPos = nil, 0
-	s.startGoal()
-	s.pagesPinned = 0
+	s.distinctPages = int64(pageRuns(s.hits))
 	return nil
 }
 
-// nextHit dereferences hits[pos] in the per-RID modes (ordered fetch,
-// or any fetch with conventional pointers), advancing the cursor; ok is
-// false for a stale hit the caller should skip.
-func (s *SummaryIndexScan) nextHit() (*Row, bool) {
-	rid := s.hits[s.pos]
-	s.pos++
-	s.pagesPinned++
-	if s.ConventionalPointers {
-		// Conventional pointers address the summary object in
-		// R_SummaryStorage: read it there, then join back to the data
-		// table through the OID index — the extra join the backward
-		// pointers avoid. Sorted mode still helps here (the storage
-		// detour follows data-page order), but every hit pays its own
-		// page accesses.
-		oid, _, ok := s.Table.SummaryStorage.Get(storageRIDFor(s.Table, rid))
-		if !ok {
-			return nil, false
+// collectHits drains cur into a hit list, calling check with the list's
+// length every hitCheckEvery hits and once at the end; a failing check
+// stops the walk and its error is returned with no list.
+func collectHits(cur *index.Cursor[heap.RID], check func(collected int) error) ([]heap.RID, error) {
+	var hits []heap.RID
+	for rid, ok := cur.Next(); ok; rid, ok = cur.Next() {
+		if hits = append(hits, rid); len(hits)%hitCheckEvery == 0 {
+			if err := check(len(hits)); err != nil {
+				cur.Close()
+				return nil, err
+			}
 		}
-		dataRID, ok := s.Table.DiskTupleLoc(oid)
-		if !ok {
-			return nil, false
-		}
-		return fetchRow(s.Table, dataRID)
 	}
-	return fetchRow(s.Table, rid)
+	if err := check(len(hits)); err != nil {
+		return nil, err
+	}
+	return hits, nil
 }
 
-// NextBatch fills a row vector from the hit list, draining page runs in
-// sorted mode and dereferencing hit by hit otherwise. Batching only
-// groups consecutive rows, so both modes keep their fetch order at
-// every capacity.
+// next pulls the next hit for the per-RID modes: off the sorted list, or
+// off the cursor, noting its page when the scan counts pages.
+func (s *SummaryIndexScan) next() (rid heap.RID, ok bool) {
+	if s.SortedFetch {
+		if ok = s.pos < len(s.hits); ok {
+			rid, s.pos = s.hits[s.pos], s.pos+1
+		}
+		return rid, ok
+	}
+	if rid, ok = s.cur.Next(); ok && s.pages != nil {
+		s.pages[rid.Page] = struct{}{}
+	}
+	return rid, ok
+}
+
+// deref fetches a hit's row, or nil for a stale hit. Conventional
+// pointers address the summary object in R_SummaryStorage: read it
+// there, then join back to the data table through the OID index — the
+// extra join the backward pointers avoid. Sorted mode still helps here
+// (the storage detour follows data-page order), but every hit pays its
+// own page accesses.
+func (s *SummaryIndexScan) deref(rid heap.RID) *Row {
+	s.pagesPinned++
+	if s.ConventionalPointers {
+		oid, _, ok := s.Table.SummaryStorage.Get(storageRIDFor(s.Table, rid))
+		if !ok {
+			return nil
+		}
+		if rid, ok = s.Table.DiskTupleLoc(oid); !ok {
+			return nil
+		}
+	}
+	row, _ := fetchRow(s.Table, rid)
+	return row
+}
+
+// NextBatch fills a row vector, draining page runs in sorted mode and
+// pulling hit by hit otherwise. Batching only groups consecutive rows,
+// so both modes keep their fetch order at every capacity.
 func (s *SummaryIndexScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("SummaryIndexScan", &err)
 	size := s.batchSize(qc)
@@ -189,16 +206,11 @@ func (s *SummaryIndexScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 			b.Append(s.buf[s.bufPos])
 			s.buf[s.bufPos] = nil
 			s.bufPos++
-			continue
-		}
-		if s.pos >= len(s.hits) {
-			break
-		}
-		if s.SortedFetch && !s.ConventionalPointers {
+		} else if s.SortedFetch && !s.ConventionalPointers && s.pos < len(s.hits) {
 			s.fillRun()
-			continue
-		}
-		if row, ok := s.nextHit(); ok {
+		} else if rid, ok := s.next(); !ok {
+			break
+		} else if row := s.deref(rid); row != nil {
 			b.Append(row)
 		}
 	}
@@ -225,13 +237,13 @@ func (s *SummaryIndexScan) fillRun() {
 	}))
 }
 
-// releaseHits returns the hit list's outstanding budget charges and
-// drops the list.
+// releaseHits closes the cursor, returns the hit list's outstanding
+// budget charges and drops the list.
 func (s *SummaryIndexScan) releaseHits() {
+	s.cur.Close()
 	s.res.releaseAll()
-	s.hits = nil
-	s.buf = nil
-	s.bufPos = 0
+	s.hits, s.pos = nil, 0
+	s.buf, s.bufPos = nil, 0
 }
 
 // sortRIDs orders a hit list by physical address (page, then slot).
@@ -254,16 +266,6 @@ func pageRuns(hits []heap.RID) int {
 		}
 	}
 	return n
-}
-
-// distinctPageCount counts the distinct data pages a hit list in any
-// order addresses.
-func distinctPageCount(hits []heap.RID) int {
-	seen := make(map[int32]struct{}, len(hits))
-	for _, rid := range hits {
-		seen[rid.Page] = struct{}{}
-	}
-	return len(seen)
 }
 
 // partitionHits returns partition part.Index of part.Of page-range
@@ -307,26 +309,24 @@ func storageRIDFor(t *catalog.Table, dataRID heap.RID) heap.RID {
 	return rid
 }
 
-// Close releases the hit list and returns its budget charges. The
-// fetch counters stay readable — in ordered mode the distinct pages once
-// FetchStats has counted them — and the next Open resets them.
+// Close closes the cursor, releases the hit list and returns its budget
+// charges. The fetch counters stay readable; the next Open resets them.
 func (s *SummaryIndexScan) Close() error { s.releaseHits(); return nil }
 
 // Schema returns the output schema.
 func (s *SummaryIndexScan) Schema() *model.Schema { return s.schema }
 
+// countPages has the next Open's ordered fetch collect the pages of the
+// hits it dereferences. The stats layer asks it of the scans it samples,
+// so an unsampled scan allocates nothing per hit.
+func (s *SummaryIndexScan) countPages() { s.pages = make(map[int32]struct{}) }
+
 // FetchStats reports the fetch-stage counters EXPLAIN ANALYZE renders.
-// In ordered mode it counts the distinct pages from the hit list, so
-// only a scan whose stats are sampled builds the page set; Close drops
-// the list, so the stats layer samples before it.
 func (s *SummaryIndexScan) FetchStats() FetchStats {
-	mode := "ordered"
 	if s.SortedFetch {
-		mode = "sorted"
-	} else if s.hits != nil {
-		s.distinctPages = int64(distinctPageCount(s.hits))
+		return FetchStats{Mode: "sorted", PagesPinned: s.pagesPinned, DistinctPages: s.distinctPages}
 	}
-	return FetchStats{Mode: mode, PagesPinned: s.pagesPinned, DistinctPages: s.distinctPages}
+	return FetchStats{Mode: "ordered", PagesPinned: s.pagesPinned, DistinctPages: int64(len(s.pages))}
 }
 
 // BaselineIndexScan answers the same predicate through the baseline
@@ -350,8 +350,7 @@ type BaselineIndexScan struct {
 	RowGoal
 
 	schema *model.Schema
-	oids   []int64
-	pos    int
+	cur    index.Cursor[int64]
 }
 
 // NewBaselineIndexScan builds the scan.
@@ -364,14 +363,14 @@ func NewBaselineIndexScan(t *catalog.Table, alias string, idx *index.Baseline,
 		Label: label, Op: op, Constant: constant, schema: t.Schema.Rename(alias)}
 }
 
-// Open probes the derived index.
+// Open seeks the derived-index cursor; NextBatch pulls the hits.
 func (s *BaselineIndexScan) Open(qc *QueryCtx) (err error) {
 	defer recoverOp("BaselineIndexScan", &err)
 	if err := qc.check(); err != nil {
 		return err
 	}
-	s.oids = s.Index.Search(s.Label, s.Op, s.Constant)
-	s.pos = 0
+	s.cur.Close()
+	s.cur = s.Index.Cursor(s.Label, s.Op, s.Constant, false)
 	s.startGoal()
 	return nil
 }
@@ -384,9 +383,11 @@ func (s *BaselineIndexScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 		return nil, err
 	}
 	b = GetBatch(size)
-	for b.Len() < size && s.pos < len(s.oids) {
-		oid := s.oids[s.pos]
-		s.pos++
+	for b.Len() < size {
+		oid, ok := s.cur.Next()
+		if !ok {
+			break
+		}
 		rid, ok := s.Table.DiskTupleLoc(oid) // extra OID-index join
 		if !ok {
 			continue
@@ -407,8 +408,8 @@ func (s *BaselineIndexScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	return nonEmpty(b), nil
 }
 
-// Close releases the hit list.
-func (s *BaselineIndexScan) Close() error { s.oids = nil; return nil }
+// Close closes the cursor.
+func (s *BaselineIndexScan) Close() error { s.cur.Close(); return nil }
 
 // Schema returns the output schema.
 func (s *BaselineIndexScan) Schema() *model.Schema { return s.schema }

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sort"
 	"testing"
@@ -236,9 +237,10 @@ func TestSummaryIndexScanFetchStats(t *testing.T) {
 	if fs.PagesPinned != fs.DistinctPages {
 		t.Errorf("sorted fetch pinned %d pages for %d distinct", fs.PagesPinned, fs.DistinctPages)
 	}
-	// Ordered mode counts its distinct pages from the hit list, which
-	// Close drops: sample before Close, as the stats layer does.
+	// Ordered mode counts the distinct pages of the hits it dereferences
+	// when asked before Open, as the stats layer asks.
 	ordered := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 1)
+	ordered.countPages()
 	if err := ordered.Open(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -261,10 +263,11 @@ func TestSummaryIndexScanFetchStats(t *testing.T) {
 	}
 }
 
-// TestOrderedFetchCountsPagesOnlyWhenSampled: an ordered scan that is
-// not instrumented builds no set of the pages its hit list addresses —
-// its Open allocates what the index probe does, far less than the set
-// would add — and FetchStats, sampled after the drain, counts them.
+// TestOrderedFetchCountsPagesOnlyWhenSampled: an ordered scan the stats
+// layer does not sample builds no set of the pages its hits address. Its
+// Open allocates nothing proportional to the hits — a small fraction of
+// what the hit list alone would take — and its drain allocates at least
+// half a page set less than a sampled scan's, which counts the pages.
 func TestOrderedFetchCountsPagesOnlyWhenSampled(t *testing.T) {
 	f, sIdx, _ := indexedFixture(t, 4000)
 	allocated := func(fn func()) uint64 {
@@ -275,29 +278,46 @@ func TestOrderedFetchCountsPagesOnlyWhenSampled(t *testing.T) {
 		return after.TotalAlloc - before.TotalAlloc
 	}
 	var hits []heap.RID
-	probe := allocated(func() {
-		hits, _ = sIdx.SearchWithCheck("Disease", index.OpGe, 1, func(int) error { return nil })
-	})
+	list := allocated(func() { hits = sIdx.Search("Disease", index.OpGe, 1) })
 	if len(hits) < 2000 {
 		t.Fatalf("fixture yields %d hits, want a few thousand", len(hits))
 	}
-	set := allocated(func() { distinctPageCount(hits) })
-	scan := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 1)
-	open := allocated(func() {
-		if err := scan.Open(nil); err != nil {
-			t.Fatal(err)
+	distinct := map[int32]struct{}{}
+	set := allocated(func() {
+		for _, rid := range hits {
+			distinct[rid.Page] = struct{}{}
 		}
 	})
-	if open > probe+set/2 {
-		t.Fatalf("Open of %d hits allocated %d bytes; the probe takes %d and a page set %d", len(hits), open, probe, set)
+	run := func(sampled bool) (open, drained uint64, fs FetchStats) {
+		scan := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 1)
+		if sampled {
+			scan.countPages()
+		}
+		open = allocated(func() {
+			if err := scan.Open(nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		drained = allocated(func() {
+			if err := drain(nil, scan, func(*Row) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		})
+		fs = scan.FetchStats()
+		scan.Close()
+		return open, drained, fs
 	}
-	if err := drain(nil, scan, func(*Row) error { return nil }); err != nil {
-		t.Fatal(err)
+	open, plain, _ := run(false)
+	_, counted, fs := run(true)
+	if open > list/8 {
+		t.Fatalf("unsampled Open of %d hits allocated %d bytes; the hit list alone takes %d", len(hits), open, list)
 	}
-	if fs := scan.FetchStats(); fs.DistinctPages == 0 || fs.DistinctPages != int64(distinctPageCount(hits)) {
-		t.Fatalf("sampled distinct pages = %d, want %d", fs.DistinctPages, distinctPageCount(hits))
+	if plain+set/2 > counted {
+		t.Fatalf("unsampled drain allocated %d bytes, sampled %d; a page set takes %d", plain, counted, set)
 	}
-	scan.Close()
+	if fs.DistinctPages != int64(len(distinct)) {
+		t.Fatalf("sampled distinct pages = %d, want %d", fs.DistinctPages, len(distinct))
+	}
 }
 
 // TestPartitionHitsProperties checks the page-boundary partitioner: for
@@ -367,14 +387,16 @@ func TestSummaryIndexScanPartitionedConcatenation(t *testing.T) {
 	}
 }
 
-// TestSummaryIndexScanBudget exercises the hit-list budget charge: a
-// probe whose materialized hit list exceeds the buffered-rows limit
+// TestSummaryIndexScanBudget exercises the hit-list budget charge of
+// sorted fetch: a probe whose hit list exceeds the buffered-rows limit
 // fails Open with a typed budget error, and the failed Open leaves no
 // outstanding charges. A sufficient budget is fully released at Close.
+// Ordered fetch holds no hit list: the tight budget returns every row.
 func TestSummaryIndexScanBudget(t *testing.T) {
 	f, sIdx, _ := indexedFixture(t, 16)
 	tight := NewBudget(2, 0, 0) // Disease >= 0 collects all 16 hits
 	scan := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 0)
+	scan.SortedFetch = true
 	_, err := Collect(NewQueryCtx(nil, tight, 1), scan)
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want budget exceeded", err)
@@ -389,6 +411,7 @@ func TestSummaryIndexScanBudget(t *testing.T) {
 
 	roomy := NewBudget(100, 0, 0)
 	ok := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 0)
+	ok.SortedFetch = true
 	rows, err := Collect(NewQueryCtx(nil, roomy, 1), ok)
 	if err != nil {
 		t.Fatal(err)
@@ -399,6 +422,97 @@ func TestSummaryIndexScanBudget(t *testing.T) {
 	if roomy.BufferedRows() != 0 {
 		t.Errorf("Close leaked %d buffered rows", roomy.BufferedRows())
 	}
+
+	for _, desc := range []bool{false, true} {
+		ordered := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 0)
+		ordered.Descending = desc
+		rows, err := Collect(NewQueryCtx(nil, tight, 1), ordered)
+		if err != nil {
+			t.Fatalf("ordered (desc=%v): %v", desc, err)
+		}
+		if len(rows) != 16 || tight.BufferedRows() != 0 {
+			t.Fatalf("ordered (desc=%v): %d rows, %d buffered rows; want 16 and none", desc, len(rows), tight.BufferedRows())
+		}
+	}
+}
+
+// TestCollectHitsPeriodicCheck pins the sorted fetch's fill loop: its
+// check runs every hitCheckEvery collected hits plus once at the end, a
+// clean run collects exactly what the index streams, and a failing check
+// stops the walk at once. Through Open, a budget error or a cancel that
+// lands mid-walk aborts it with the charge already booked returned.
+func TestCollectHitsPeriodicCheck(t *testing.T) {
+	f, sIdx, _ := indexedFixture(t, 600)
+	var calls []int
+	cur := sIdx.Cursor("Disease", index.OpGe, 0, false)
+	got, err := collectHits(&cur, func(collected int) error {
+		calls = append(calls, collected)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sIdx.Search("Disease", index.OpGe, 0)
+	if len(got) != 600 || len(got) != len(want) {
+		t.Fatalf("collected %d hits, Search found %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("hit %d diverges: %v vs %v", i, got[i], want[i])
+		}
+	}
+	if wantCalls := []int{hitCheckEvery, 2 * hitCheckEvery, 600}; fmt.Sprint(calls) != fmt.Sprint(wantCalls) {
+		t.Fatalf("check calls = %v, want %v", calls, wantCalls)
+	}
+
+	// An erroring check surfaces verbatim: one invocation, no list.
+	stop := errors.New("stop the walk")
+	fired := 0
+	cur = sIdx.Cursor("Disease", index.OpGe, 0, false)
+	if hits, err := collectHits(&cur, func(int) error { fired++; return stop }); !errors.Is(err, stop) || hits != nil || fired != 1 {
+		t.Fatalf("aborted walk = (%d hits, %v) after %d checks, want (0, stop) after 1", len(hits), err, fired)
+	}
+
+	// The second check (512 hits) fails: over the budget, or cancelled
+	// on the query's third poll (Open polls once, the first check once).
+	for _, tc := range []struct {
+		name   string
+		ctx    context.Context
+		budget *Budget
+		want   error
+	}{
+		{"budget", nil, NewBudget(300, 0, 0), ErrBudgetExceeded},
+		{"cancel", &cancelOnPoll{Context: context.Background(), polls: 2}, NewBudget(1000, 0, 0), context.Canceled},
+	} {
+		scan := NewSummaryIndexScan(f.r, "r", sIdx, "Disease", index.OpGe, 0)
+		scan.SortedFetch = true
+		err := scan.Open(NewQueryCtx(tc.ctx, tc.budget, 1))
+		if !errors.Is(err, tc.want) {
+			t.Fatalf("%s: Open = %v, want %v", tc.name, err, tc.want)
+		}
+		if n := tc.budget.BufferedRows(); n != 0 || scan.hits != nil {
+			t.Fatalf("%s: aborted Open left %d buffered rows and %d hits", tc.name, n, len(scan.hits))
+		}
+		if rows, _, _ := tc.budget.ChargeTotals(); rows != hitCheckEvery {
+			t.Fatalf("%s: %d rows ever charged, want the first check's %d", tc.name, rows, hitCheckEvery)
+		}
+		scan.Close()
+	}
+}
+
+// cancelOnPoll is a context that reports cancellation from its
+// (polls+1)th Err call on.
+type cancelOnPoll struct {
+	context.Context
+	polls int
+}
+
+func (c *cancelOnPoll) Err() error {
+	if c.polls == 0 {
+		return context.Canceled
+	}
+	c.polls--
+	return nil
 }
 
 // TestLeavesOpenCancelled: every leaf polls the context it is handed at

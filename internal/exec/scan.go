@@ -178,12 +178,3 @@ func (a *AttachSummaries) Close() error { return a.Input.Close() }
 
 // Schema returns the input schema.
 func (a *AttachSummaries) Schema() *model.Schema { return a.Input.Schema() }
-
-// FetchStats forwards an index scan's fetch-stage counters, so the scan
-// keeps its EXPLAIN ANALYZE fetch figures under the attach.
-func (a *AttachSummaries) FetchStats() FetchStats {
-	if fr, ok := a.Input.(fetchReporter); ok {
-		return fr.FetchStats()
-	}
-	return FetchStats{}
-}

@@ -159,7 +159,7 @@ func (c *StatsCollector) All() []*OpStats {
 
 // FetchStats describes an index scan's heap-fetch stage for EXPLAIN
 // ANALYZE: the mode chosen by the optimizer, the page pins it made, and
-// the distinct data pages its hit list addressed.
+// the distinct data pages of the hits it dereferenced.
 type FetchStats struct {
 	Mode          string
 	PagesPinned   int64
@@ -167,10 +167,21 @@ type FetchStats struct {
 }
 
 // fetchReporter is implemented by operators with a fetch stage to
-// report (SummaryIndexScan); the stats layer samples it just before
-// Close.
+// report (SummaryIndexScan). The stats layer finds one under an
+// AttachSummaries too, which is part of the scan it sits on; it asks it
+// to count its pages before Open and samples it just before Close.
 type fetchReporter interface {
+	countPages()
 	FetchStats() FetchStats
+}
+
+// fetchReporterOf returns op's fetch stage, if it has one.
+func fetchReporterOf(op Operator) (fetchReporter, bool) {
+	if a, ok := op.(*AttachSummaries); ok {
+		op = a.Input
+	}
+	fr, ok := op.(fetchReporter)
+	return fr, ok
 }
 
 // statsIter is the recording decorator around one physical operator.
@@ -243,6 +254,9 @@ func (s *OpStats) merge(o *OpStats) {
 }
 
 func (w *statsIter) Open(qc *QueryCtx) error {
+	if fr, ok := fetchReporterOf(w.child); ok {
+		fr.countPages()
+	}
 	start, io0, b0 := w.sample(qc.Budget())
 	err := w.child.Open(qc)
 	w.acc.Opens++
@@ -265,11 +279,10 @@ func (w *statsIter) NextBatch(qc *QueryCtx) (*Batch, error) {
 }
 
 func (w *statsIter) Close() error {
-	// Sample fetch-stage counters before the operator closes: an ordered
-	// index scan counts its distinct pages from the hit list Close
-	// drops. Worker recorders sample too: the counters are per operator
-	// instance, so shares from parallel partitions sum cleanly in merge.
-	if fr, ok := w.child.(fetchReporter); ok {
+	// Sample fetch-stage counters before the operator closes. Worker
+	// recorders sample too: the counters are per operator instance, so
+	// shares from parallel partitions sum cleanly in merge.
+	if fr, ok := fetchReporterOf(w.child); ok {
 		fs := fr.FetchStats()
 		w.acc.FetchMode = fs.Mode
 		w.acc.PagesPinned += fs.PagesPinned

@@ -139,26 +139,21 @@ func (b *Baseline) UpdateLabel(tupleOID int64, label string, newCount int) bool 
 	return false
 }
 
-// Search answers "classLabel <Op> constant", returning the qualifying
-// tuple OIDs in ascending count order. Unlike the Summary-BTree's
+// Cursor answers "classLabel <Op> constant" with the qualifying tuple
+// OIDs in count order (descending with desc). Unlike the Summary-BTree's
 // backward pointers, each hit costs an extra read of the normalized
 // table to recover the TupleOID; reaching the data tuple then needs a
 // further OID-index join that the caller performs.
+func (b *Baseline) Cursor(label string, op CmpOp, constant int, desc bool) Cursor[int64] {
+	return newCursor(b.derived, b.width, label, op, constant, desc, func(enc int64) (int64, bool) {
+		_, row, ok := b.norm.Get(heap.DecodeRID(enc)) // the indirection
+		return row.TupleOID, ok
+	})
+}
+
+// Search returns the hits of Cursor in ascending count order.
 func (b *Baseline) Search(label string, op CmpOp, constant int) []int64 {
-	lo, hi, ok := op.Range(constant, maxCount(b.width))
-	if !ok {
-		return nil
-	}
-	var out []int64
-	b.derived.ScanRange(ItemizeKey(label, lo, b.width), ItemizeKey(label, hi, b.width),
-		func(k string, enc int64) bool {
-			// Indirection: read the normalized row to learn the OID.
-			if _, row, ok := b.norm.Get(heap.DecodeRID(enc)); ok {
-				out = append(out, row.TupleOID)
-			}
-			return true
-		})
-	return out
+	return drain(b.Cursor(label, op, constant, false))
 }
 
 // ReconstructObject rebuilds the classifier summary object of a tuple
@@ -193,17 +188,9 @@ func (b *Baseline) Len() int { return b.norm.Len() }
 // SizeBytes estimates the scheme's total storage: the replicated
 // normalized table plus both B-Tree indexes.
 func (b *Baseline) SizeBytes() int {
-	total := 0
+	total := treeBytes(b.derived) + treeBytes(b.byOID)
 	b.norm.Scan(func(_ heap.RID, _ int64, row NormRow) bool {
 		total += 8 + len(row.Label) + 8 + len(row.Derived) + 16
-		return true
-	})
-	b.derived.ScanAll(func(k string, _ int64) bool {
-		total += len(k) + 16
-		return true
-	})
-	b.byOID.ScanAll(func(k string, _ int64) bool {
-		total += len(k) + 16
 		return true
 	})
 	return total
@@ -211,11 +198,4 @@ func (b *Baseline) SizeBytes() int {
 
 // IndexSizeBytes estimates only the derived-column B-Tree (for the
 // like-for-like index-size comparison of Figure 7).
-func (b *Baseline) IndexSizeBytes() int {
-	total := 0
-	b.derived.ScanAll(func(k string, _ int64) bool {
-		total += len(k) + 16
-		return true
-	})
-	return total
-}
+func (b *Baseline) IndexSizeBytes() int { return treeBytes(b.derived) }

@@ -189,6 +189,15 @@ func TestSchemesAgreeProperty(t *testing.T) {
 		if len(wantOIDs) != len(gotRIDs) {
 			t.Fatalf("trial %d: %d vs %d", trial, len(wantOIDs), len(gotRIDs))
 		}
+		desc := pull(b.Cursor(label, op, k, true), -1)
+		if len(desc) != len(wantOIDs) {
+			t.Fatalf("trial %d: descending baseline %d hits, ascending %d", trial, len(desc), len(wantOIDs))
+		}
+		for i, oid := range desc {
+			if want := wantOIDs[len(wantOIDs)-1-i]; oid != want {
+				t.Fatalf("trial %d: descending baseline hit %d is %d, want %d", trial, i, oid, want)
+			}
+		}
 		var got []int64
 		for i, rid := range gotRIDs {
 			got = append(got, int64(rid.Page))

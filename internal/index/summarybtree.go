@@ -199,21 +199,12 @@ func (x *SummaryBTree) widen(count int) {
 	for count > maxCount(newWidth) {
 		newWidth++
 	}
-	type entry struct {
-		label string
-		count int
-		val   int64
-	}
-	var entries []entry
-	x.tree.ScanAll(func(k string, v int64) bool {
+	fresh := btree.NewLike(x.tree)
+	x.tree.Scan("", func(k string, v int64) bool {
 		label, cnt := parseKey(k)
-		entries = append(entries, entry{label, cnt, v})
+		fresh.Insert(ItemizeKey(label, cnt, newWidth), v)
 		return true
 	})
-	fresh := btree.NewLike(x.tree)
-	for _, e := range entries {
-		fresh.Insert(ItemizeKey(e.label, e.count, newWidth), e.val)
-	}
 	x.tree.Release()
 	x.tree = fresh
 	x.width = newWidth
@@ -233,75 +224,87 @@ func parseKey(k string) (string, int) {
 	return k[:i], n
 }
 
-// Search answers "classLabel <Op> constant" (Section 4.1.2, Summary-
-// BTree Querying), returning the matching references in count order
-// (ascending). Probing keys are formed by concatenating the operands;
-// missing range endpoints are replaced by the label's 000 / 999-style
-// sentinels.
-func (x *SummaryBTree) Search(label string, op CmpOp, constant int) []heap.RID {
-	var out []heap.RID
-	x.SearchFunc(label, op, constant, func(count int, ref heap.RID) bool {
-		out = append(out, ref)
-		return true
-	})
-	return out
+// Cursor is a pull cursor over the hits of "classLabel <Op> constant"
+// on either indexing scheme, in count order or, with desc, in its exact
+// reverse, ties included. The probe keys concatenate the operands, a
+// missing endpoint replaced by the label's 000 / 999-style sentinel.
+// The scheme's deref turns each payload into a hit, or skips it. Close a
+// cursor abandoned before exhaustion.
+type Cursor[T any] struct {
+	c      btree.Cursor
+	lo, hi string
+	desc   bool
+	deref  func(enc int64) (T, bool)
 }
 
-// searchCheckEvery is how many collected entries pass between check
-// callbacks in SearchWithCheck — small enough that a huge range probe
-// reacts to cancellation promptly, large enough that the callback cost
-// vanishes against the leaf scan.
-const searchCheckEvery = 256
-
-// SearchWithCheck is Search with a periodic check callback: check is
-// invoked with the number of entries collected so far — every
-// searchCheckEvery entries during the leaf scan and once after it
-// completes — and a non-nil return aborts the probe and surfaces that
-// error. The executor threads query cancellation and hit-list memory
-// budgeting through it, so a huge range probe stops mid-scan instead of
-// only after materializing every pointer.
-func (x *SummaryBTree) SearchWithCheck(label string, op CmpOp, constant int, check func(collected int) error) ([]heap.RID, error) {
-	var out []heap.RID
-	var err error
-	x.SearchFunc(label, op, constant, func(count int, ref heap.RID) bool {
-		out = append(out, ref)
-		if len(out)%searchCheckEvery == 0 {
-			if err = check(len(out)); err != nil {
-				return false
-			}
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := check(len(out)); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SearchFunc streams matches of "classLabel <Op> constant" in ascending
-// count order; fn returning false stops the scan. "label >= 0" streams
-// the whole label: the interesting order that lets the optimizer
-// eliminate a summary-based sort (Rules 3–6).
-func (x *SummaryBTree) SearchFunc(label string, op CmpOp, constant int, fn func(count int, ref heap.RID) bool) {
-	lo, hi, ok := op.Range(constant, maxCount(x.width))
+// newCursor seeks a cursor over tree, whose counts are width digits.
+func newCursor[T any](tree *btree.Tree, width int, label string, op CmpOp, constant int, desc bool, deref func(int64) (T, bool)) Cursor[T] {
+	c := Cursor[T]{desc: desc, deref: deref}
+	lo, hi, ok := op.Range(constant, maxCount(width))
 	if !ok {
-		return
+		return c // the zero btree.Cursor is exhausted
 	}
-	x.tree.ScanRange(ItemizeKey(label, lo, x.width), ItemizeKey(label, hi, x.width), func(k string, v int64) bool {
-		_, cnt := parseKey(k)
-		return fn(cnt, heap.DecodeRID(v))
+	c.lo, c.hi, c.c = ItemizeKey(label, lo, width), ItemizeKey(label, hi, width), tree.Cursor()
+	if desc {
+		c.c.Seek(c.hi, true)
+	} else {
+		c.c.Seek(c.lo, false)
+	}
+	return c
+}
+
+// Next returns the next hit; ok is false once the range is exhausted,
+// and the cursor has then dropped its pin.
+func (c *Cursor[T]) Next() (hit T, ok bool) {
+	for {
+		k, v, ok := c.c.Next()
+		if !ok || (c.desc && k < c.lo) || (!c.desc && k > c.hi) {
+			c.c.Close()
+			return hit, false
+		}
+		if hit, ok = c.deref(v); ok {
+			return hit, true
+		}
+	}
+}
+
+// Close releases the cursor's pin.
+func (c *Cursor[T]) Close() { c.c.Close() }
+
+// drain returns every hit c streams.
+func drain[T any](c Cursor[T]) (hits []T) {
+	defer c.Close()
+	for hit, ok := c.Next(); ok; hit, ok = c.Next() {
+		hits = append(hits, hit)
+	}
+	return hits
+}
+
+// Cursor answers "classLabel <Op> constant" (Section 4.1.2, Summary-
+// BTree Querying) with backward pointers to the data tuples, straight
+// from the leaves. "label >= 0" streams the whole label: the interesting
+// order that lets the optimizer eliminate a summary-based sort (Rules
+// 3–6), ascending or descending.
+func (x *SummaryBTree) Cursor(label string, op CmpOp, constant int, desc bool) Cursor[heap.RID] {
+	return newCursor(x.tree, x.width, label, op, constant, desc, func(enc int64) (heap.RID, bool) {
+		return heap.DecodeRID(enc), true
 	})
+}
+
+// Search returns the hits of Cursor in ascending count order.
+func (x *SummaryBTree) Search(label string, op CmpOp, constant int) []heap.RID {
+	return drain(x.Cursor(label, op, constant, false))
 }
 
 // SizeBytes estimates the index's storage footprint: key bytes plus an
 // 8-byte payload and pointer overhead per entry.
-func (x *SummaryBTree) SizeBytes() int {
-	total := 0
-	x.tree.ScanAll(func(k string, v int64) bool {
-		total += len(k) + 8 + 8
+func (x *SummaryBTree) SizeBytes() int { return treeBytes(x.tree) }
+
+// treeBytes estimates a tree's storage: key bytes plus an 8-byte
+// payload and 8 bytes of pointer overhead per entry.
+func treeBytes(t *btree.Tree) (total int) {
+	t.Scan("", func(k string, _ int64) bool {
+		total += len(k) + 16
 		return true
 	})
 	return total

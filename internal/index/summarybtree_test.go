@@ -1,7 +1,6 @@
 package index
 
 import (
-	"errors"
 	"math/rand"
 	"sort"
 	"testing"
@@ -129,10 +128,9 @@ func TestIndexAndSearch(t *testing.T) {
 
 	// Results arrive in ascending count order.
 	var counts []int
-	x.SearchFunc("Disease", OpGe, 0, func(c int, _ heap.RID) bool {
-		counts = append(counts, c)
-		return true
-	})
+	for _, rid := range x.Search("Disease", OpGe, 0) {
+		counts = append(counts, int(rid.Page*10+rid.Slot)%10)
+	}
 	if !sort.IntsAreSorted(counts) {
 		t.Error("Disease >= 0 not in count order")
 	}
@@ -200,13 +198,8 @@ func TestWidthExtensionRebuild(t *testing.T) {
 	if len(x.Search("Disease", OpGt, 1000)) != 1 {
 		t.Error("post-widen entry missing")
 	}
-	var counts []int
-	x.SearchFunc("Disease", OpGe, 0, func(c int, _ heap.RID) bool {
-		counts = append(counts, c)
-		return true
-	})
-	if !sort.IntsAreSorted(counts) || len(counts) != 2 {
-		t.Errorf("order after widen: %v", counts)
+	if got := x.Search("Disease", OpGe, 0); len(got) != 2 || got[0] != ref1 || got[1] != ref2 {
+		t.Errorf("order after widen: %v", got)
 	}
 	// Jumping several orders of magnitude widens enough in one step.
 	x.IndexObject(classifierObj(3, map[string]int{"Disease": 123456}), heap.RID{Page: 0, Slot: 3})
@@ -326,62 +319,103 @@ func TestIndexMatchesScanProperty(t *testing.T) {
 				t.Fatalf("trial %d (%v %d): hit %d out of count order", trial, op, k, i)
 			}
 		}
+		// Descending is the exact reverse of ascending, ties included, and
+		// a cursor stopped early has streamed a prefix of its direction.
+		desc := pull(x.Cursor("Disease", op, k, true), -1)
+		if len(desc) != len(got) {
+			t.Fatalf("trial %d (%v %d): descending %d hits, ascending %d", trial, op, k, len(desc), len(got))
+		}
+		for i := range desc {
+			if desc[i] != got[len(got)-1-i] {
+				t.Fatalf("trial %d (%v %d): descending hit %d is %v, want %v", trial, op, k, i, desc[i], got[len(got)-1-i])
+			}
+		}
+		stop := rng.Intn(len(got) + 1)
+		for _, d := range []struct {
+			desc bool
+			full []heap.RID
+		}{{false, got}, {true, desc}} {
+			part := pull(x.Cursor("Disease", op, k, d.desc), stop)
+			if len(part) != stop {
+				t.Fatalf("trial %d: stopped after %d hits, want %d", trial, len(part), stop)
+			}
+			for i := range part {
+				if part[i] != d.full[i] {
+					t.Fatalf("trial %d (desc=%v): hit %d of a stopped walk is %v, want %v", trial, d.desc, i, part[i], d.full[i])
+				}
+			}
+		}
 	}
 }
 
-// TestSearchWithCheckPeriodicCallback pins the probe's check cadence:
-// the callback fires every searchCheckEvery collected entries plus once
-// at completion, a clean run returns exactly what Search returns, and a
-// failing check aborts the leaf scan mid-probe with that error.
-func TestSearchWithCheckPeriodicCallback(t *testing.T) {
-	x := NewSummaryBTree(nil, "ClassBird1")
-	const n = 600
-	for i := 0; i < n; i++ {
-		obj := classifierObj(int64(i), map[string]int{"disease": i % 10})
-		if err := x.IndexObject(obj, heap.RID{Page: int32(i / 8), Slot: int32(i % 8)}); err != nil {
+// pull drains up to n hits off c (n < 0: all of them) and closes it.
+func pull[T any](c Cursor[T], n int) []T {
+	defer c.Close()
+	var out []T
+	for len(out) != n {
+		hit, ok := c.Next()
+		if !ok {
+			break
+		}
+		out = append(out, hit)
+	}
+	return out
+}
+
+// TestColdProbeFaultLeaksNoPin fails the k-th physical read of a cold
+// probe, for every k the probe reaches, on both schemes: the fault lands
+// in the cursor's seek, in its leaf walk or (on the baseline) in a
+// normalized-row read between two hits. The probe panics with the fault
+// and must leave no frame pinned, so the pool can evict every frame once
+// the fault clears.
+func TestColdProbeFaultLeaksNoPin(t *testing.T) {
+	acct := &pager.Accountant{}
+	pool := pager.NewBufferPool(acct, pager.MinPoolFrames)
+	defer pool.Close()
+	x := NewSummaryBTree(acct, "ClassBird1")
+	b := NewBaseline(acct, 8, "ClassBird1")
+	for oid := int64(1); oid <= 600; oid++ {
+		obj := classifierObj(oid, map[string]int{"disease": int(oid % 40), "migration": int(oid % 7)})
+		if err := x.IndexObject(obj, heap.RID{Page: int32(oid / 8), Slot: int32(oid % 8)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.IndexObject(obj); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	var calls []int
-	got, err := x.SearchWithCheck("disease", OpGe, 0, func(collected int) error {
-		calls = append(calls, collected)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	if h := x.Tree().Height(); h < 2 {
+		t.Fatalf("height %d: the seek must pass an inner node", h)
 	}
-	want := x.Search("disease", OpGe, 0)
-	if len(got) != n || len(got) != len(want) {
-		t.Fatalf("collected %d refs, Search found %d", len(got), len(want))
+	probes := []struct {
+		name string
+		run  func()
+	}{
+		{"summary-btree", func() { x.Search("disease", OpGe, 30) }},
+		{"summary-btree desc", func() { pull(x.Cursor("disease", OpGe, 30, true), -1) }},
+		{"baseline", func() { b.Search("disease", OpGe, 30) }},
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ref %d diverges: %v vs %v", i, got[i], want[i])
+	for _, p := range probes {
+		faulted := true
+		for k := 1; faulted; k++ {
+			pool.EvictAll()
+			acct.SetFaultPolicy(&pager.FaultPolicy{EveryKthRead: k})
+			faulted = func() (faulted bool) {
+				defer func() {
+					if r := recover(); r != nil {
+						if _, ok := r.(*pager.FaultError); !ok {
+							panic(r)
+						}
+						faulted = true
+					}
+				}()
+				p.run()
+				return false
+			}()
+			acct.SetFaultPolicy(nil)
+			pool.EvictAll()
+			if res := pool.Stats().Resident; res != 0 {
+				t.Fatalf("%s, fault at read %d: %d frames still pinned", p.name, k, res)
+			}
 		}
-	}
-	wantCalls := []int{searchCheckEvery, 2 * searchCheckEvery, n}
-	if len(calls) != len(wantCalls) {
-		t.Fatalf("check calls = %v, want %v", calls, wantCalls)
-	}
-	for i := range wantCalls {
-		if calls[i] != wantCalls[i] {
-			t.Fatalf("check calls = %v, want %v", calls, wantCalls)
-		}
-	}
-
-	// An erroring check surfaces verbatim and stops the probe at its
-	// granularity: exactly one invocation, no further collection.
-	probeErr := errors.New("stop the probe")
-	fired := 0
-	refs, err := x.SearchWithCheck("disease", OpGe, 0, func(collected int) error {
-		fired++
-		return probeErr
-	})
-	if !errors.Is(err, probeErr) || refs != nil {
-		t.Fatalf("aborted probe = (%v, %v), want (nil, probeErr)", refs, err)
-	}
-	if fired != 1 {
-		t.Errorf("check fired %d times after erroring, want 1", fired)
 	}
 }

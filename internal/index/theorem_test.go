@@ -35,7 +35,9 @@ func TestSummaryBTreeComplexityBounds(t *testing.T) {
 		for i := 0; i < ops; i++ {
 			// Probe a random unique-ish key region; count only descent
 			// costs by searching rare values.
-			x.SearchFunc("Disease", OpEq, rng.Intn(900), func(int, heap.RID) bool { return false })
+			c := x.Cursor("Disease", OpEq, rng.Intn(900), false)
+			c.Next()
+			c.Close()
 		}
 		search = float64(acct.Stats().Total()) / ops
 
