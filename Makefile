@@ -172,10 +172,14 @@ vector-stress:
 # (rows, summary sets, annotations), the heap page image with its slot
 # directory, the B-Tree node image, the log record decoder and the
 # snapshot loader. Arbitrary bytes must yield a typed error, never a
-# panic, and whatever decodes must re-encode byte-identically. The last
-# leg fuzzes the optimizer for 30 s: from a seed, a random query over
+# panic, and whatever decodes must re-encode byte-identically. The
+# optimizer leg fuzzes for 30 s: from a seed, a random query over
 # two or three tables joined in WHERE or by JOIN … ON must return the
-# same rows and summary sets under every plan configuration.
+# same rows and summary sets under every plan configuration. The last
+# leg fuzzes the server's response encoder for 30 s: a result built
+# from the input (every value kind, float edge, escapable text and
+# summary shape, single and batch form) must encode to exactly the
+# bytes encoding/json writes for it.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCellDecode$$' -fuzztime 30s ./internal/model
 	$(GO) test -run '^$$' -fuzz '^FuzzHeapPageImage$$' -fuzztime 30s ./internal/heap
@@ -183,3 +187,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 30s ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 30s ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanEquivalence$$' -fuzztime 30s ./internal/optimizer
+	$(GO) test -run '^$$' -fuzz '^FuzzResultEncoding$$' -fuzztime 30s ./internal/server

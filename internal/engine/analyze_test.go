@@ -340,6 +340,23 @@ func TestLimitRowGoalStopsTheLeaf(t *testing.T) {
 				t.Errorf("%s workers=%d: %d page reads at capacity 1024, %d at capacity 1", tc.name, workers, reads[1024], reads[1])
 			}
 		}
+		// WITHOUT SUMMARIES the eliminated sort evaluates no $ key, so
+		// the same rows come back with no summary set read for them:
+		// the only heap reads are the leaf's data-page pins, and the only
+		// node reads are the index walk's.
+		bare := run(q+` WITHOUT SUMMARIES`, 1, 1024)
+		if len(bare.Result.Rows) != k {
+			t.Fatalf("%s WITHOUT SUMMARIES: %d rows, want %d", tc.name, len(bare.Result.Rows), k)
+		}
+		for i, row := range bare.Result.Rows {
+			if got := row.Tuple.String() + " / " + row.Tuple.Summaries.String(); got != strings.Split(want[i], " / ")[0]+" / {}" {
+				t.Fatalf("%s WITHOUT SUMMARIES: row %d is %s, want the data of %s", tc.name, i, got, want[i])
+			}
+		}
+		if fetched := heapReads(bare) - leaf(bare).PagesPinned; fetched != 0 || bare.IO.NodeReads > walkBound {
+			t.Errorf("%s WITHOUT SUMMARIES: %d summary-storage page reads and %d index node reads, want 0 and at most %d",
+				tc.name, fetched, bare.IO.NodeReads, walkBound)
+		}
 	}
 
 	// The σ keeps 5 rows of 3,000 past id 1500: the leaf's first batch of

@@ -1,7 +1,8 @@
 package exec
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/catalog"
 	"repro/internal/heap"
@@ -124,15 +125,12 @@ func (s *SummaryIndexScan) Open(qc *QueryCtx) (err error) {
 		return err
 	}
 	sortRIDs(s.hits)
-	if s.Part.Of > 1 {
-		kept := partitionHits(s.hits, s.Part)
-		// A worker keeps charges only for its retained share.
-		if drop := int64(len(s.hits) - len(kept)); drop > 0 {
-			s.res.release(drop, drop*hitRIDBytes)
-		}
-		s.hits = kept
+	kept, pages := partitionHits(s.hits, s.Part)
+	// A worker keeps charges only for its retained share.
+	if drop := int64(len(s.hits) - len(kept)); drop > 0 {
+		s.res.release(drop, drop*hitRIDBytes)
 	}
-	s.distinctPages = int64(pageRuns(s.hits))
+	s.hits, s.distinctPages = kept, int64(pages)
 	return nil
 }
 
@@ -248,49 +246,29 @@ func (s *SummaryIndexScan) releaseHits() {
 
 // sortRIDs orders a hit list by physical address (page, then slot).
 func sortRIDs(rids []heap.RID) {
-	sort.Slice(rids, func(i, j int) bool {
-		if rids[i].Page != rids[j].Page {
-			return rids[i].Page < rids[j].Page
-		}
-		return rids[i].Slot < rids[j].Slot
+	slices.SortFunc(rids, func(a, b heap.RID) int {
+		return cmp.Or(cmp.Compare(a.Page, b.Page), cmp.Compare(a.Slot, b.Slot))
 	})
 }
 
-// pageRuns counts the page runs of a page-sorted hit list: the distinct
-// data pages it addresses, without a set.
-func pageRuns(hits []heap.RID) int {
-	n := 0
-	for i := range hits {
-		if i == 0 || hits[i].Page != hits[i-1].Page {
-			n++
-		}
-	}
-	return n
-}
-
 // partitionHits returns partition part.Index of part.Of page-range
-// shares of a page-sorted hit list. Shares split on page boundaries, so
-// no data page is fetched (or its frame pinned) by two workers, and
-// concatenating the shares in partition order reproduces the full
-// sorted run exactly — the property the parallel differential tests
-// assert.
-func partitionHits(hits []heap.RID, part PartitionSpec) []heap.RID {
-	var starts []int // index of the first hit of each distinct page
+// shares of a page-sorted hit list (the whole list when part.Of is 0
+// or 1) and the number of data pages the share addresses. Shares split
+// on page boundaries, so no data page is fetched (or its frame pinned)
+// by two workers, and concatenating the shares in partition order
+// reproduces the full sorted run exactly — the property the parallel
+// differential tests assert.
+func partitionHits(hits []heap.RID, part PartitionSpec) ([]heap.RID, int) {
+	var starts []int // index of the first hit of each distinct page, then len(hits)
 	for i := range hits {
 		if i == 0 || hits[i].Page != hits[i-1].Page {
 			starts = append(starts, i)
 		}
 	}
-	d := len(starts)
-	lo, hi := d*part.Index/part.Of, d*(part.Index+1)/part.Of
-	if lo >= hi {
-		return nil
-	}
-	end := len(hits)
-	if hi < d {
-		end = starts[hi]
-	}
-	return hits[starts[lo]:end]
+	d, of := len(starts), max(part.Of, 1)
+	starts = append(starts, len(hits))
+	lo, hi := d*part.Index/of, d*(part.Index+1)/of
+	return hits[starts[lo]:starts[hi]], hi - lo
 }
 
 // storageRIDFor maps a backward pointer to the tuple's summary-storage

@@ -322,19 +322,31 @@ func TestOrderedFetchCountsPagesOnlyWhenSampled(t *testing.T) {
 
 // TestPartitionHitsProperties checks the page-boundary partitioner: for
 // any share count, concatenating the shares in partition order is
-// exactly the input, and no data page appears in two shares (the
-// no-frame-contention property of the parallel sorted fetch).
+// exactly the input, no data page appears in two shares (the
+// no-frame-contention property of the parallel sorted fetch), and each
+// share's page count is the distinct pages it holds; no partition is
+// one share of the whole list.
 func TestPartitionHitsProperties(t *testing.T) {
 	hits := []heap.RID{
 		{Page: 0, Slot: 0}, {Page: 0, Slot: 3}, {Page: 1, Slot: 1},
 		{Page: 2, Slot: 0}, {Page: 2, Slot: 1}, {Page: 2, Slot: 2},
 		{Page: 5, Slot: 7}, {Page: 7, Slot: 0},
 	}
-	for of := 2; of <= 8; of++ {
+	if share, pages := partitionHits(hits, PartitionSpec{}); len(share) != len(hits) || pages != 5 {
+		t.Fatalf("no partition: %d hits on %d pages, want %d on 5", len(share), pages, len(hits))
+	}
+	for of := 1; of <= 8; of++ {
 		var cat []heap.RID
 		owner := map[int32]int{}
 		for idx := 0; idx < of; idx++ {
-			share := partitionHits(hits, PartitionSpec{Index: idx, Of: of})
+			share, pages := partitionHits(hits, PartitionSpec{Index: idx, Of: of})
+			distinct := map[int32]bool{}
+			for _, rid := range share {
+				distinct[rid.Page] = true
+			}
+			if pages != len(distinct) {
+				t.Fatalf("of=%d share %d: counted %d pages, holds %d", of, idx, pages, len(distinct))
+			}
 			for _, rid := range share {
 				if prev, dup := owner[rid.Page]; dup && prev != idx {
 					t.Fatalf("of=%d: page %d in shares %d and %d", of, rid.Page, prev, idx)

@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 
 	"repro/internal/cell"
 	"repro/internal/model"
@@ -89,23 +89,22 @@ func readKeyedRow(r *cell.Reader) keyedRow {
 	return k
 }
 
-// lessKeys orders two key vectors under the configured directions.
-func (s *Sort) lessKeys(a, b []model.Value) bool {
+// compareKeys orders two key vectors under the configured directions,
+// three-way; a pair of values that do not compare counts as equal.
+func (s *Sort) compareKeys(a, b []model.Value) int {
 	for i := range s.Keys {
-		c, err := a[i].Compare(b[i])
-		if err != nil {
-			c = 0
+		if c, err := a[i].Compare(b[i]); err == nil && c != 0 {
+			if s.Keys[i].Desc {
+				return -c
+			}
+			return c
 		}
-		if c == 0 {
-			continue
-		}
-		if s.Keys[i].Desc {
-			return c > 0
-		}
-		return c < 0
 	}
-	return false
+	return 0
 }
+
+// byKeys orders keyed rows by compareKeys.
+func (s *Sort) byKeys(a, b keyedRow) int { return s.compareKeys(a.Keys, b.Keys) }
 
 // Open materializes and sorts the input. Sort is the pipeline breaker
 // that degrades gracefully under the resource governor: an in-memory
@@ -147,7 +146,7 @@ func (s *Sort) Open(qc *QueryCtx) (err error) {
 		if len(buf) == 0 {
 			return nil
 		}
-		sort.SliceStable(buf, func(i, j int) bool { return s.lessKeys(buf[i].Keys, buf[j].Keys) })
+		slices.SortStableFunc(buf, s.byKeys)
 		f, err := os.CreateTemp("", "insightnotes-sortrun-*")
 		if err != nil {
 			return err
@@ -219,7 +218,7 @@ func (s *Sort) Open(qc *QueryCtx) (err error) {
 	}
 
 	if mem && len(s.runs) == 0 {
-		sort.SliceStable(buf, func(i, j int) bool { return s.lessKeys(buf[i].Keys, buf[j].Keys) })
+		slices.SortStableFunc(buf, s.byKeys)
 		s.rows = make([]*Row, len(buf))
 		for i, k := range buf {
 			s.rows[i] = k.Row
@@ -234,7 +233,7 @@ func (s *Sort) Open(qc *QueryCtx) (err error) {
 	}
 
 	// Prime the k-way merge.
-	s.merger = &runHeap{less: s.lessKeys}
+	s.merger = &runHeap{compare: s.compareKeys}
 	for _, r := range s.runs {
 		if ok, err := r.advance(); err != nil {
 			return err
@@ -335,13 +334,13 @@ func (r *runReader) advance() (bool, error) {
 
 // runHeap is a min-heap of runs keyed by their current row.
 type runHeap struct {
-	items []*runReader
-	less  func(a, b []model.Value) bool
+	items   []*runReader
+	compare func(a, b []model.Value) int
 }
 
 func (h runHeap) Len() int { return len(h.items) }
 
-func (h runHeap) Less(i, j int) bool { return h.less(h.items[i].cur.Keys, h.items[j].cur.Keys) }
+func (h runHeap) Less(i, j int) bool { return h.compare(h.items[i].cur.Keys, h.items[j].cur.Keys) < 0 }
 func (h runHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
 
 func (h *runHeap) Push(x any) { h.items = append(h.items, x.(*runReader)) }

@@ -156,11 +156,26 @@ func TestSummaryStringMatchesFmt(t *testing.T) {
 }
 
 // TestSummaryStringAllocs guards the renderer's cost: one buffer and the
-// string made from it.
+// string made from it per object, and nothing at all for a set of up to
+// 8 objects, in or out of order, appended into a warm buffer.
 func TestSummaryStringAllocs(t *testing.T) {
-	for _, o := range []*SummaryObject{classBird1(), snippetObj(), clusterObj()} {
+	objs := []*SummaryObject{classBird1(), snippetObj(), clusterObj()}
+	for _, o := range objs {
 		if n := testing.AllocsPerRun(100, func() { _ = o.String() }); n > 2 {
 			t.Errorf("%s: %.0f allocations per String, want at most 2", o.InstanceID, n)
+		}
+	}
+	var set SummarySet
+	buf := make([]byte, 0, 4096)
+	for len(set) < 8 {
+		o := objs[len(set)%len(objs)].Clone()
+		o.InstanceID = fmt.Sprintf("I%d", 8-len(set)) // descending: every set is out of order
+		set = append(set, o)
+		if n := testing.AllocsPerRun(100, func() { buf = set.AppendText(buf[:0]) }); n != 0 {
+			t.Errorf("%d objects: %.0f allocations per AppendText into a warm buffer, want 0", len(set), n)
+		}
+		if got, want := string(set.AppendText(buf[:0])), fmtSetString(set); got != want {
+			t.Errorf("%d objects: AppendText = %q, fmt renders %q", len(set), got, want)
 		}
 	}
 }

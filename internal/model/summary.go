@@ -1,7 +1,9 @@
 package model
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -168,7 +170,11 @@ func (o *SummaryObject) String() string {
 	for _, r := range o.Reps {
 		size += len(r.Label) + min(len(r.Text), 20) + 28
 	}
-	b := make([]byte, 0, size)
+	return string(o.AppendText(make([]byte, 0, size)))
+}
+
+// AppendText appends o's String form to b.
+func (o *SummaryObject) AppendText(b []byte) []byte {
 	b = append(b, o.InstanceID...)
 	b = append(b, '[')
 	for i, r := range o.Reps {
@@ -194,8 +200,7 @@ func (o *SummaryObject) String() string {
 			b = append(b, ')')
 		}
 	}
-	b = append(b, ']')
-	return string(b)
+	return append(b, ']')
 }
 
 // appendRepText appends a representative text quoted, shortened to its
@@ -204,10 +209,21 @@ func (o *SummaryObject) String() string {
 // before the closing quote equals quoting prefix+"...".
 func appendRepText(b []byte, text string) []byte {
 	if len(text) <= 20 {
-		return strconv.AppendQuote(b, text)
+		return appendQuoted(b, text)
 	}
-	b = strconv.AppendQuote(b, text[:repCut(text)])
+	b = appendQuoted(b, text[:repCut(text)])
 	return append(b[:len(b)-1], `..."`...)
+}
+
+// appendQuoted appends text as strconv.AppendQuote does, copying it whole
+// when it is printable ASCII with no quote or backslash.
+func appendQuoted(b []byte, text string) []byte {
+	for i := 0; i < len(text); i++ {
+		if c := text[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return strconv.AppendQuote(b, text)
+		}
+	}
+	return append(append(append(b, '"'), text...), '"')
 }
 
 // repCut is where a long representative text is cut: byte 17, or the
@@ -329,11 +345,34 @@ outer:
 }
 
 // String renders the set deterministically, sorted by instance name.
-func (s SummarySet) String() string {
-	parts := make([]string, len(s))
+func (s SummarySet) String() string { return string(s.AppendText(nil)) }
+
+// AppendText appends String's form to b: objects rendered in place, and
+// an out-of-order set copied behind them in byte (sort.Strings') order
+// and back. Into a warm b, a set of at most 8 objects allocates nothing.
+func (s SummarySet) AppendText(b []byte) []byte {
+	b = append(b, '{')
+	base := len(b)
+	spans := make([][2]int, 0, 8)
 	for i, o := range s {
-		parts[i] = o.String()
+		if i > 0 {
+			b = append(b, "; "...)
+		}
+		from := len(b)
+		b = o.AppendText(b)
+		spans = append(spans, [2]int{from, len(b)})
 	}
-	sort.Strings(parts)
-	return "{" + strings.Join(parts, "; ") + "}"
+	byText := func(x, y [2]int) int { return bytes.Compare(b[x[0]:x[1]], b[y[0]:y[1]]) }
+	if !slices.IsSortedFunc(spans, byText) {
+		slices.SortFunc(spans, byText)
+		end := len(b)
+		for i, sp := range spans {
+			if i > 0 {
+				b = append(b, "; "...)
+			}
+			b = append(b, b[sp[0]:sp[1]]...)
+		}
+		b = append(b[:base], b[end:]...)
+	}
+	return append(b, '}')
 }

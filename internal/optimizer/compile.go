@@ -62,7 +62,8 @@ func filteredLeafTable(n plan.Node) *catalog.Table {
 // childNeed is the need n's inputs are compiled under, given the need
 // above n: whether an operator at or above n reads the summary sets of
 // the rows its inputs produce. Any selection (S), join (J), sort key,
-// aggregate or projection naming the $ variable reads them. (A
+// aggregate or projection naming the $ variable reads them; an
+// eliminated sort evaluates no key, so its keys read nothing. (A
 // data-only σ over a leaf compiles its leaf without the sets and
 // attaches them above itself; the leaf's rows still pay for them, so
 // the cost model charges them there.)
@@ -73,6 +74,9 @@ func childNeed(n plan.Node, need bool) bool {
 	case *plan.Join:
 		return need || plan.ReadsSummaries(node.On)
 	case *plan.SortNode:
+		if node.Eliminated {
+			return need
+		}
 		for _, k := range node.Keys {
 			need = need || plan.ReadsSummaries(k.Expr)
 		}

@@ -16,7 +16,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -189,67 +188,14 @@ func paramValues(in []any) ([]model.Value, error) {
 	return out, nil
 }
 
-// jsonValue maps an engine value back onto JSON; a float JSON cannot
-// carry (an overflow to ±Inf, NaN) is null, like a division by zero.
-func jsonValue(v model.Value) any {
-	switch v.Kind {
-	case model.KindInt:
-		return v.Int
-	case model.KindFloat:
-		if math.IsInf(v.Float, 0) || math.IsNaN(v.Float) {
-			return nil
-		}
-		return v.Float
-	case model.KindText:
-		return v.Text
-	case model.KindBool:
-		return v.Bool
-	default:
-		return nil
+// admit runs the tenant's admission gate (tenant "" is "default") and
+// layers its statement timeout onto ctx. The returned done func releases
+// the slot and cancels the timeout; non-nil iff err is nil. The options
+// carry the tenant's budget, nil without one.
+func (s *Server) admit(ctx context.Context, tenant string) (context.Context, func(), *optimizer.Options, error) {
+	if tenant == "" {
+		tenant = "default"
 	}
-}
-
-// resultPayload is the wire form of an engine Result.
-type resultPayload struct {
-	Columns    []string `json:"columns"`
-	Rows       [][]any  `json:"rows"`
-	RowCount   int      `json:"row_count"`
-	Summaries  []string `json:"summaries,omitempty"`
-	CachedPlan bool     `json:"cached_plan"`
-	AsOfLSN    uint64   `json:"as_of_lsn,omitempty"`
-}
-
-func toPayload(res *engine.Result) *resultPayload {
-	p := &resultPayload{
-		Columns:    res.Columns,
-		Rows:       make([][]any, len(res.Rows)),
-		RowCount:   len(res.Rows),
-		CachedPlan: res.CachedPlan,
-		AsOfLSN:    res.AsOfLSN,
-	}
-	if p.Columns == nil {
-		p.Columns = []string{}
-	}
-	for i, row := range res.Rows {
-		vals := make([]any, len(row.Tuple.Values))
-		for j, v := range row.Tuple.Values {
-			vals[j] = jsonValue(v)
-		}
-		p.Rows[i] = vals
-		if set := row.Tuple.Summaries; len(set) > 0 {
-			if p.Summaries == nil {
-				p.Summaries = make([]string, len(res.Rows))
-			}
-			p.Summaries[i] = set.String()
-		}
-	}
-	return p
-}
-
-// admit runs the tenant's admission gate and layers its statement
-// timeout onto ctx. The returned done func releases the slot and
-// cancels the timeout; non-nil iff err is nil.
-func (s *Server) admit(ctx context.Context, tenant string) (context.Context, func(), *TenantConfig, error) {
 	g := s.admission.gate(tenant)
 	release, err := g.enter(ctx)
 	if err != nil {
@@ -259,15 +205,11 @@ func (s *Server) admit(ctx context.Context, tenant string) (context.Context, fun
 	if g.cfg.StatementTimeout > 0 {
 		ctx, cancel = context.WithTimeout(ctx, g.cfg.StatementTimeout)
 	}
-	cfg := g.cfg
-	return ctx, func() { cancel(); release() }, &cfg, nil
-}
-
-func tenantOptions(tc *TenantConfig) *optimizer.Options {
-	if tc == nil || tc.Budget == nil {
-		return nil
+	var opts *optimizer.Options
+	if g.cfg.Budget != nil {
+		opts = &optimizer.Options{Budget: g.cfg.Budget}
 	}
-	return &optimizer.Options{Budget: tc.Budget}
+	return ctx, func() { cancel(); release() }, opts, nil
 }
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
@@ -351,36 +293,33 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	ctx, done, tc, err := s.admit(r.Context(), sess.tenant)
+	ctx, done, opts, err := s.admit(r.Context(), sess.tenant)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	defer done()
-	opts := tenantOptions(tc)
 	if req.Batch == nil {
 		res, err := st.ExecuteContext(ctx, batch[0], opts)
 		if err != nil {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, toPayload(res))
+		writeResults(w, false, res)
 		return
 	}
 	// Batch form: the parameter sets run sequentially under one
 	// admission slot; the whole batch fails on the first error, so a
 	// client never has to pick results apart from failures.
-	results := make([]*resultPayload, len(batch))
+	results := make([]*engine.Result, len(batch))
 	for i, params := range batch {
-		res, err := st.ExecuteContext(ctx, params, opts)
-		if err != nil {
+		if results[i], err = st.ExecuteContext(ctx, params, opts); err != nil {
 			writeError(w, errorf(classify(err).Status, classify(err).Code,
 				"batch entry %d: %v", i, err))
 			return
 		}
-		results[i] = toPayload(res)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": results})
+	writeResults(w, true, results...)
 }
 
 // paramBatch normalizes the single/batch parameter forms into a list
@@ -440,15 +379,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	if req.Tenant == "" {
-		req.Tenant = "default"
-	}
 	params, err := paramValues(req.Params)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	ctx, done, tc, err := s.admit(r.Context(), req.Tenant)
+	ctx, done, opts, err := s.admit(r.Context(), req.Tenant)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -459,12 +395,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, classifySQL(err))
 		return
 	}
-	res, err := st.ExecuteContext(ctx, params, tenantOptions(tc))
+	res, err := st.ExecuteContext(ctx, params, opts)
 	if err != nil {
 		writeError(w, classifySQL(err))
 		return
 	}
-	writeJSON(w, http.StatusOK, toPayload(res))
+	writeResults(w, false, res)
 }
 
 // handleExec runs non-parameterized statements (DDL, ZOOM IN, plain
@@ -478,9 +414,6 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	if req.Tenant == "" {
-		req.Tenant = "default"
-	}
 	ctx, done, _, err := s.admit(r.Context(), req.Tenant)
 	if err != nil {
 		writeError(w, err)
@@ -492,7 +425,7 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 		writeError(w, classifySQL(err))
 		return
 	}
-	writeJSON(w, http.StatusOK, toPayload(res))
+	writeResults(w, false, res)
 }
 
 // classifySQL upgrades parse failures to the parse_error code; the sql
@@ -523,9 +456,6 @@ func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 	if err := decodeBody(r, &req); err != nil {
 		writeError(w, err)
 		return
-	}
-	if req.Tenant == "" {
-		req.Tenant = "default"
 	}
 	single := req.Text != ""
 	if req.Table == "" || (single == (len(req.Items) > 0)) {
