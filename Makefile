@@ -179,7 +179,9 @@ vector-stress:
 # leg fuzzes the server's response encoder for 30 s: a result built
 # from the input (every value kind, float edge, escapable text and
 # summary shape, single and batch form) must encode to exactly the
-# bytes encoding/json writes for it.
+# bytes encoding/json writes for it. The value-key leg fuzzes for 30 s:
+# two values get equal keys exactly when they compare equal, and every
+# key but a FLOAT's keeps its old bytes.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCellDecode$$' -fuzztime 30s ./internal/model
 	$(GO) test -run '^$$' -fuzz '^FuzzHeapPageImage$$' -fuzztime 30s ./internal/heap
@@ -188,3 +190,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 30s ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanEquivalence$$' -fuzztime 30s ./internal/optimizer
 	$(GO) test -run '^$$' -fuzz '^FuzzResultEncoding$$' -fuzztime 30s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzValueKey$$' -fuzztime 30s ./internal/model

@@ -280,19 +280,27 @@ func (t *Tree) Cursor() Cursor { return Cursor{t: t, r: t.store.Reader(t.snap)} 
 // children[i]) and descending right of it.
 func (c *Cursor) Seek(key string, desc bool) {
 	c.dir, c.path = 1, c.path[:0]
-	bound := lowerBound
 	if desc {
-		c.dir, bound = -1, upperBound
+		c.dir = -1
 	}
-	n := c.enter(c.t.rootID)
-	for !n.leaf {
-		i := bound(n, key)
+	for n := c.enter(c.t.rootID); ; {
+		// Direct calls, not a function value, so key does not escape: a
+		// probe key built on the caller's stack stays there.
+		i := 0
+		if desc {
+			i = upperBound(n, key)
+		} else {
+			i = lowerBound(n, key)
+		}
+		if n.leaf {
+			c.leaf, c.i = n, i+min(c.dir, 0)
+			return
+		}
 		if desc {
 			c.path = append(c.path, step{n, i})
 		}
 		n = c.enter(n.children[i])
 	}
-	c.leaf, c.i = n, bound(n, key)+min(c.dir, 0)
 }
 
 // enter reads node id, moving the cursor's pin to it. A read that
@@ -512,60 +520,45 @@ func (t *Tree) fixChild(s *pins, n *node, ci int) {
 		s.Put(childID)
 		return
 	}
-	// Try borrowing from the left sibling.
-	if ci > 0 {
-		leftID := n.children[ci-1]
-		left := s.Writable(leftID)
-		if len(left.keys) > min {
-			if child.leaf {
-				lk, lv := left.keys[len(left.keys)-1], left.vals[len(left.vals)-1]
-				left.keys = left.keys[:len(left.keys)-1]
-				left.vals = left.vals[:len(left.vals)-1]
-				child.keys = append([]string{lk}, child.keys...)
-				child.vals = append([]int64{lv}, child.vals...)
-				n.keys[ci-1] = child.keys[0]
-			} else {
-				// Rotate through the separator.
-				child.keys = append([]string{n.keys[ci-1]}, child.keys...)
-				n.keys[ci-1] = left.keys[len(left.keys)-1]
-				left.keys = left.keys[:len(left.keys)-1]
-				child.children = append([]int64{left.children[len(left.children)-1]}, child.children...)
-				left.children = left.children[:len(left.children)-1]
-			}
-			s.MarkDirty(leftID)
-			s.MarkDirty(childID)
-			s.MarkDirty(n.id)
-			t.acct.WriteNode(3)
-			return
+	// Borrow from the left sibling, else from the right one.
+	for _, si := range [2]int{ci - 1, ci + 1} {
+		if si < 0 || si >= len(n.children) {
+			continue
 		}
-		s.Put(leftID)
-	}
-	// Try borrowing from the right sibling.
-	if ci < len(n.children)-1 {
-		rightID := n.children[ci+1]
-		right := s.Writable(rightID)
-		if len(right.keys) > min {
-			if child.leaf {
-				rk, rv := right.keys[0], right.vals[0]
-				right.keys = right.keys[1:]
-				right.vals = right.vals[1:]
-				child.keys = append(child.keys, rk)
-				child.vals = append(child.vals, rv)
-				n.keys[ci] = right.keys[0]
-			} else {
-				child.keys = append(child.keys, n.keys[ci])
-				n.keys[ci] = right.keys[0]
-				right.keys = right.keys[1:]
-				child.children = append(child.children, right.children[0])
-				right.children = right.children[1:]
-			}
-			s.MarkDirty(rightID)
-			s.MarkDirty(childID)
-			s.MarkDirty(n.id)
-			t.acct.WriteNode(3)
-			return
+		sibID := n.children[si]
+		sib := s.Writable(sibID)
+		if len(sib.keys) <= min {
+			s.Put(sibID)
+			continue
 		}
-		s.Put(rightID)
+		last := len(sib.keys) - 1
+		switch {
+		case si < ci && child.leaf:
+			child.keys = append([]string{sib.keys[last]}, child.keys...)
+			child.vals = append([]int64{sib.vals[last]}, child.vals...)
+			sib.keys, sib.vals = sib.keys[:last], sib.vals[:last]
+			n.keys[ci-1] = child.keys[0]
+		case si < ci: // rotate through the separator
+			child.keys = append([]string{n.keys[ci-1]}, child.keys...)
+			child.children = append([]int64{sib.children[last+1]}, child.children...)
+			n.keys[ci-1] = sib.keys[last]
+			sib.keys, sib.children = sib.keys[:last], sib.children[:last+1]
+		case child.leaf:
+			child.keys = append(child.keys, sib.keys[0])
+			child.vals = append(child.vals, sib.vals[0])
+			sib.keys, sib.vals = sib.keys[1:], sib.vals[1:]
+			n.keys[ci] = sib.keys[0]
+		default:
+			child.keys = append(child.keys, n.keys[ci])
+			child.children = append(child.children, sib.children[0])
+			n.keys[ci] = sib.keys[0]
+			sib.keys, sib.children = sib.keys[1:], sib.children[1:]
+		}
+		s.MarkDirty(sibID)
+		s.MarkDirty(childID)
+		s.MarkDirty(n.id)
+		t.acct.WriteNode(3)
+		return
 	}
 	// Merge with a sibling.
 	if ci > 0 {
@@ -617,16 +610,13 @@ func (t *Tree) Validate() error {
 		if len(n.keys) > t.order {
 			return fmt.Errorf("btree: overfull node at depth %d: %d > %d", d, len(n.keys), t.order)
 		}
-		for i := 1; i < len(n.keys); i++ {
-			if n.keys[i-1] > n.keys[i] {
-				return fmt.Errorf("btree: unsorted keys at depth %d: %q > %q", d, n.keys[i-1], n.keys[i])
-			}
-		}
-		for _, k := range n.keys {
-			if hasLo && k < lo {
+		for i, k := range n.keys {
+			switch {
+			case i > 0 && n.keys[i-1] > k:
+				return fmt.Errorf("btree: unsorted keys at depth %d: %q > %q", d, n.keys[i-1], k)
+			case hasLo && k < lo:
 				return fmt.Errorf("btree: key %q below bound %q", k, lo)
-			}
-			if hasHi && k > hi {
+			case hasHi && k > hi:
 				return fmt.Errorf("btree: key %q above bound %q", k, hi)
 			}
 		}

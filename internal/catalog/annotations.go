@@ -82,8 +82,8 @@ func (s *AnnotationStore) AddWithID(id, seq, tupleOID int64, text string, column
 		Seq:      seq,
 	}
 	rid := s.file.Insert(a.ID, a)
-	s.byID.Insert(oidKey(a.ID), rid.Encode())
-	s.byTuple.Insert(oidKey(tupleOID), rid.Encode())
+	s.byID.Insert(model.OIDKey(a.ID), rid.Encode())
+	s.byTuple.Insert(model.OIDKey(tupleOID), rid.Encode())
 	return a
 }
 
@@ -109,7 +109,7 @@ func (s *AnnotationStore) SetCounters(nextID, nextSeq int64) {
 // duplicate the byTuple entry (and thereby the annotation's summary
 // contribution). Returns true only when the attachment is new.
 func (s *AnnotationStore) AttachTo(annID, tupleOID int64) bool {
-	enc, ok := s.byID.SearchFirst(oidKey(annID))
+	enc, ok := s.byID.SearchFirst(model.OIDKey(annID))
 	if !ok {
 		return false
 	}
@@ -122,7 +122,7 @@ func (s *AnnotationStore) AttachTo(annID, tupleOID int64) bool {
 			return false
 		}
 	}
-	s.byTuple.Insert(oidKey(tupleOID), enc)
+	s.byTuple.Insert(model.OIDKey(tupleOID), enc)
 	s.attached[annID] = append(s.attached[annID], tupleOID)
 	return true
 }
@@ -154,7 +154,7 @@ func (s *AnnotationStore) Attachments(annID int64) []int64 {
 
 // Get fetches an annotation by ID.
 func (s *AnnotationStore) Get(id int64) (*model.Annotation, bool) {
-	enc, ok := s.byID.SearchFirst(oidKey(id))
+	enc, ok := s.byID.SearchFirst(model.OIDKey(id))
 	if !ok {
 		return nil, false
 	}
@@ -165,7 +165,7 @@ func (s *AnnotationStore) Get(id int64) (*model.Annotation, bool) {
 // ForTuple returns all annotations attached to a tuple, in ID order.
 func (s *AnnotationStore) ForTuple(tupleOID int64) []*model.Annotation {
 	var out []*model.Annotation
-	for _, v := range s.byTuple.SearchEq(oidKey(tupleOID)) {
+	for _, v := range s.byTuple.SearchEq(model.OIDKey(tupleOID)) {
 		if _, a, ok := s.file.Get(heap.DecodeRID(v)); ok {
 			out = append(out, a)
 		}
@@ -178,7 +178,7 @@ func (s *AnnotationStore) ForTuple(tupleOID int64) []*model.Annotation {
 // leaving the secondaries behind would make them dangle as dead index
 // entries resolving to a freed heap slot.
 func (s *AnnotationStore) Delete(id int64) bool {
-	enc, ok := s.byID.SearchFirst(oidKey(id))
+	enc, ok := s.byID.SearchFirst(model.OIDKey(id))
 	if !ok {
 		return false
 	}
@@ -188,10 +188,10 @@ func (s *AnnotationStore) Delete(id int64) bool {
 		return false
 	}
 	s.file.Delete(rid)
-	s.byID.Delete(oidKey(id), enc)
-	s.byTuple.Delete(oidKey(a.TupleOID), enc)
+	s.byID.Delete(model.OIDKey(id), enc)
+	s.byTuple.Delete(model.OIDKey(a.TupleOID), enc)
 	for _, oid := range s.attached[id] {
-		s.byTuple.Delete(oidKey(oid), enc)
+		s.byTuple.Delete(model.OIDKey(oid), enc)
 	}
 	delete(s.attached, id)
 	return true

@@ -122,11 +122,12 @@ func TestSummaryStorageLifecycle(t *testing.T) {
 	}
 }
 
-// TestSingleValuedLookupsAllocateOnlyTheKey: resolving an OID through
-// the OID index or the summary-storage index makes one allocation, the
-// key string, however deep the tree (a summary fetch pays SummaryLoc
-// once per attached set).
-func TestSingleValuedLookupsAllocateOnlyTheKey(t *testing.T) {
+// TestSingleValuedLookupsAllocateNothing: resolving an OID through the
+// OID index or the summary-storage index allocates nothing, however
+// deep the tree: the key is built on the caller's stack, and the tree
+// keeps no probe key (a summary fetch pays SummaryLoc once per attached
+// set).
+func TestSingleValuedLookupsAllocateNothing(t *testing.T) {
 	_, tbl := testCatalog(t)
 	set := model.SummarySet{{
 		InstanceID: "C1", Type: model.SummaryClassifier,
@@ -146,11 +147,11 @@ func TestSingleValuedLookupsAllocateOnlyTheKey(t *testing.T) {
 		if _, ok := tbl.SummaryLoc(oid); !ok {
 			t.Fatalf("SummaryLoc(%d) missed", oid)
 		}
-		if n := testing.AllocsPerRun(50, func() { tbl.SummaryLoc(oid) }); n > 1 {
-			t.Errorf("SummaryLoc(%d): %.0f allocations, want at most 1", oid, n)
+		if n := testing.AllocsPerRun(50, func() { tbl.SummaryLoc(oid) }); n != 0 {
+			t.Errorf("SummaryLoc(%d): %.0f allocations, want 0", oid, n)
 		}
-		if n := testing.AllocsPerRun(50, func() { tbl.DiskTupleLoc(oid) }); n > 1 {
-			t.Errorf("DiskTupleLoc(%d): %.0f allocations, want at most 1", oid, n)
+		if n := testing.AllocsPerRun(50, func() { tbl.DiskTupleLoc(oid) }); n != 0 {
+			t.Errorf("DiskTupleLoc(%d): %.0f allocations, want 0", oid, n)
 		}
 	}
 }

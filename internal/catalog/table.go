@@ -165,8 +165,6 @@ func (t *Table) dataIndexDelete(values []model.Value, rid heap.RID) {
 	}
 }
 
-func oidKey(oid int64) string { return model.NewInt(oid).SortKey() }
-
 // Insert appends a tuple and returns its OID. No summary-storage entry
 // is created: that happens on first annotation.
 func (t *Table) Insert(values []model.Value) (int64, error) {
@@ -189,7 +187,7 @@ func (t *Table) InsertWithOID(oid int64, values []model.Value) (int64, error) {
 		*t.nextOID = oid
 	}
 	rid := t.Data.Insert(oid, values)
-	t.oidIndex.Insert(oidKey(oid), rid.Encode())
+	t.oidIndex.Insert(model.OIDKey(oid), rid.Encode())
 	t.dataIndexInsert(values, rid)
 	for i, v := range values {
 		t.ColStats[i].Add(v.SortKey())
@@ -201,7 +199,7 @@ func (t *Table) InsertWithOID(oid int64, values []model.Value) (int64, error) {
 // internal diskTupleLoc() function used by the Summary-BTree to build
 // backward pointers.
 func (t *Table) DiskTupleLoc(oid int64) (heap.RID, bool) {
-	enc, ok := t.oidIndex.SearchFirst(oidKey(oid))
+	enc, ok := t.oidIndex.SearchFirst(model.OIDKey(oid))
 	if !ok {
 		return heap.RID{}, false
 	}
@@ -241,7 +239,7 @@ func (t *Table) Delete(oid int64) bool {
 	}
 	t.dataIndexDelete(old, rid)
 	t.Data.Delete(rid)
-	t.oidIndex.Delete(oidKey(oid), rid.Encode())
+	t.oidIndex.Delete(model.OIDKey(oid), rid.Encode())
 	return true
 }
 
@@ -258,7 +256,7 @@ func (t *Table) Len() int { return t.Data.Len() }
 // SummaryLoc resolves a data tuple's OID to the heap location of its
 // R_SummaryStorage row.
 func (t *Table) SummaryLoc(oid int64) (heap.RID, bool) {
-	enc, ok := t.sumIndex.SearchFirst(oidKey(oid))
+	enc, ok := t.sumIndex.SearchFirst(model.OIDKey(oid))
 	if !ok {
 		return heap.RID{}, false
 	}
@@ -312,13 +310,13 @@ func (t *Table) PutSummaries(oid int64, rid heap.RID, old, set model.SummarySet)
 	case len(set) == 0:
 		if ok {
 			t.SummaryStorage.Delete(srid)
-			t.sumIndex.Delete(oidKey(oid), srid.Encode())
+			t.sumIndex.Delete(model.OIDKey(oid), srid.Encode())
 		}
 	case ok:
 		t.SummaryStorage.Update(srid, set)
 	default:
 		srid = t.SummaryStorage.Insert(oid, set)
-		t.sumIndex.Insert(oidKey(oid), srid.Encode())
+		t.sumIndex.Insert(model.OIDKey(oid), srid.Encode())
 	}
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -123,5 +124,77 @@ func TestHashJoinSelectedAndCorrect(t *testing.T) {
 	}
 	if len(hash.Rows) != len(nl.Rows) || len(hash.Rows) != 60 {
 		t.Fatalf("hash %d vs nl %d rows", len(hash.Rows), len(nl.Rows))
+	}
+}
+
+// TestFloatKeysMatchEquality: GROUP BY, DISTINCT and every join name a
+// FLOAT by a key that is equal exactly when the values compare equal.
+// 0.1 and 0.15 stay apart (a key rounded to 1/8 collapsed them), FLOAT
+// 5.0 meets INT 5 in a data index as it does in a hash table and in the
+// nested loop, and a NULL joins nothing, though the data index holds it.
+func TestFloatKeysMatchEquality(t *testing.T) {
+	db, err := Open(Config{PageCap: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := map[string][]model.Column{
+		"T": {{Name: "id", Kind: model.KindInt}, {Name: "x", Kind: model.KindFloat}},
+		"U": {{Name: "y", Kind: model.KindFloat}, {Name: "k", Kind: model.KindInt}},
+	}
+	rows := map[string][][]model.Value{
+		"T": {{model.NewInt(0), model.NewFloat(0.1)}, {model.NewInt(1), model.NewFloat(0.15)},
+			{model.NewInt(2), model.NewFloat(0.2)}, {model.NewInt(3), model.NewFloat(5)},
+			{model.NewInt(4), model.Null()}},
+		"U": {{model.NewFloat(0.15), model.NewInt(5)}, {model.Null(), model.Null()}},
+	}
+	for _, name := range []string{"T", "U"} {
+		if _, err := db.CreateTable(name, model.NewSchema("", tables[name]...)); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows[name] {
+			if _, err := db.Insert(name, r...); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := db.CreateDataIndex("T", "x"); err != nil {
+		t.Fatal(err)
+	}
+	db.RefreshStatistics()
+	cases := []struct {
+		q, want string
+		join    bool
+	}{
+		{`SELECT DISTINCT x FROM T t`, "0.1|0.15|0.2|5|NULL", false},
+		{`SELECT t.x, count(*) FROM T t GROUP BY t.x`, "0.1,1|0.15,1|0.2,1|5,1|NULL,1", false},
+		{`SELECT t.id FROM U u, T t WHERE u.y = t.x`, "1", true},
+		{`SELECT t.id FROM U u, T t WHERE u.k = t.x`, "3", true},
+	}
+	joinOps := map[string]string{"nl": "NLJoin", "hash": "HashJoin", "index": "IndexJoin(x)"}
+	for _, force := range []string{"", "nl", "hash", "index"} {
+		opts := &optimizer.Options{ForceJoin: force}
+		for _, c := range cases {
+			res, err := db.Query(c.q, opts)
+			if err != nil {
+				t.Fatalf("ForceJoin %q, %s: %v", force, c.q, err)
+			}
+			var got []string
+			for _, r := range res.Rows {
+				var vals []string
+				for _, v := range r.Tuple.Values {
+					vals = append(vals, v.String())
+				}
+				got = append(got, strings.Join(vals, ","))
+			}
+			sort.Strings(got)
+			if op := joinOps[force]; c.join && op != "" {
+				if p, _ := db.Explain(c.q, opts); !strings.Contains(p, op) {
+					t.Errorf("ForceJoin %q planned no %s:\n%s", force, op, p)
+				}
+			}
+			if strings.Join(got, "|") != c.want {
+				t.Errorf("ForceJoin %q, %s: %q, want %q", force, c.q, strings.Join(got, "|"), c.want)
+			}
+		}
 	}
 }

@@ -165,15 +165,19 @@ func literalValues(exprs []sql.Expr) (vals []model.Value, ok bool) {
 
 // evalValues evaluates bound argument lists left to right.
 func evalValues(args []boundValue, row *Row) ([]model.Value, error) {
-	out := make([]model.Value, len(args))
-	for i, a := range args {
+	return appendValues(make([]model.Value, 0, len(args)), args, row)
+}
+
+// appendValues appends the values of args on row to dst, left to right.
+func appendValues(dst []model.Value, args []boundValue, row *Row) ([]model.Value, error) {
+	for _, a := range args {
 		v, err := a(row)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		out[i] = v
+		dst = append(dst, v)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // bindMethod lowers a Section 3.1 manipulation function: the receiver

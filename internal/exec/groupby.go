@@ -2,7 +2,7 @@ package exec
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/sql"
@@ -111,6 +111,9 @@ type groupAcc struct {
 
 	byKey map[string]*groupState
 	order []string
+
+	vals []model.Value // the row's key values, reused
+	key  []byte        // their key, reused
 }
 
 func newGroupAcc(qc *QueryCtx, schema *model.Schema, keys []sql.Expr, aggs []AggSpec,
@@ -135,24 +138,20 @@ func newGroupAcc(qc *QueryCtx, schema *model.Schema, keys []sql.Expr, aggs []Agg
 // limit is hit (high-cardinality groupings are the risk; per-group
 // aggregate state is constant-size).
 func (a *groupAcc) add(row *Row) error {
-	keyVals, err := evalValues(a.keys, row)
-	if err != nil {
+	var err error
+	if a.vals, err = appendValues(a.vals[:0], a.keys, row); err != nil {
 		return err
 	}
-	var kb strings.Builder
-	for _, v := range keyVals {
-		kb.WriteString(v.SortKey())
-		kb.WriteByte(0)
-	}
-	key := kb.String()
-	gs, ok := a.byKey[key]
+	a.key = appendRowKey(a.key[:0], a.vals)
+	gs, ok := a.byKey[string(a.key)]
 	if !ok {
 		rb := approxRowBytes(row) + int64(len(a.aggs))*64
 		if cerr := a.res.charge(1, rb); cerr != nil {
 			return cerr
 		}
+		key := string(a.key)
 		gs = &groupState{
-			keyVals: keyVals,
+			keyVals: slices.Clone(a.vals),
 			row:     row,
 			merged:  model.NewSetAccumulator(a.lookup),
 			sums:    make([]float64, len(a.aggs)),

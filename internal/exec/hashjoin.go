@@ -88,7 +88,7 @@ func (r *buildRun) add(key boundValue, row *Row) error {
 		return cerr
 	}
 	r.rows = append(r.rows, row)
-	r.keys = append(r.keys, hashKey(k))
+	r.keys = append(r.keys, k.SortKey())
 	return nil
 }
 
@@ -127,6 +127,7 @@ func (j *HashJoin) Open(qc *QueryCtx) (err error) {
 	}
 
 	leftKey := (&Evaluator{Schema: j.Left.Schema(), Lookup: j.Lookup}).BindValue(j.LeftKey)
+	var probeKey []byte // the outer row's key, reused: the lookup copies nothing
 	j.probe = joinProbe{
 		left: j.Left,
 		candidates: func(_ *QueryCtx, outer *Row) ([]*Row, error) {
@@ -134,21 +135,13 @@ func (j *HashJoin) Open(qc *QueryCtx) (err error) {
 			if err != nil || key.IsNull() {
 				return nil, err
 			}
-			return table[hashKey(key)], nil
+			probeKey = key.AppendSortKey(probeKey[:0])
+			return table[string(probeKey)], nil
 		},
 		pred:      bindPred(j.Residual, j.schema, j.Left.Schema().Len(), j.Lookup),
 		propagate: j.Propagate, lookup: j.Lookup,
 	}
 	return j.Left.Open(qc)
-}
-
-// hashKey canonicalizes a join key value: INT and FLOAT with the same
-// numeric value must collide (5 = 5.0 joins in the evaluator too).
-func hashKey(v model.Value) string {
-	if v.Kind == model.KindFloat && v.Float == float64(int64(v.Float)) {
-		return model.NewInt(int64(v.Float)).SortKey()
-	}
-	return v.SortKey()
 }
 
 // NextBatch returns the next joined rows.

@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/model"
@@ -87,12 +89,52 @@ func TestHashJoinResidualAndNullKeys(t *testing.T) {
 	}
 }
 
+// TestHashKeyNumericCrossKind: the hash join keys both sides by the
+// value's equality key, so INT 5 meets FLOAT 5.0 and INT 0 meets -0.0
+// (they compare equal in the evaluator too), and 5 never meets 5.5.
 func TestHashKeyNumericCrossKind(t *testing.T) {
-	if hashKey(model.NewInt(5)) != hashKey(model.NewFloat(5.0)) {
-		t.Error("5 and 5.0 must hash identically (they compare equal)")
+	lschema := model.NewSchema("l", model.Column{Name: "k", Kind: model.KindInt})
+	rschema := model.NewSchema("r", model.Column{Name: "f", Kind: model.KindFloat})
+	left := []*Row{{Tuple: model.NewTuple(1, model.NewInt(5))}, {Tuple: model.NewTuple(2, model.NewInt(0))}}
+	right := []*Row{
+		{Tuple: model.NewTuple(3, model.NewFloat(5.5))},
+		{Tuple: model.NewTuple(4, model.NewFloat(5))},
+		{Tuple: model.NewTuple(5, model.NewFloat(math.Copysign(0, -1)))},
 	}
-	if hashKey(model.NewFloat(5.5)) == hashKey(model.NewInt(5)) {
-		t.Error("5.5 must not collide with 5")
+	rows, err := Collect(nil, NewHashJoin(NewSliceIter(lschema, left), NewSliceIter(rschema, right),
+		mustExpr(t, "l.k"), mustExpr(t, "r.f"), nil, false, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range rows {
+		got = append(got, r.Tuple.Values[0].String()+"="+r.Tuple.Values[1].String())
+	}
+	if strings.Join(got, " ") != "5=5 0=-0" {
+		t.Errorf("joined pairs %v, want [5=5 0=-0]", got)
+	}
+}
+
+// TestHashJoinProbeAllocatesNothing: the probe appends the outer row's
+// key into the operator's reused bytes and looks it up uncopied, however
+// long the key.
+func TestHashJoinProbeAllocatesNothing(t *testing.T) {
+	name := model.NewText("a family name longer than any stack key buffer")
+	lschema := model.NewSchema("l", model.Column{Name: "k", Kind: model.KindText})
+	rschema := model.NewSchema("r", model.Column{Name: "k2", Kind: model.KindText})
+	outer := &Row{Tuple: model.NewTuple(1, name)}
+	right := []*Row{{Tuple: model.NewTuple(2, name)}, {Tuple: model.NewTuple(3, model.NewText("other"))}}
+	hj := NewHashJoin(NewSliceIter(lschema, []*Row{outer}), NewSliceIter(rschema, right),
+		mustExpr(t, "l.k"), mustExpr(t, "r.k2"), nil, false, nil)
+	if err := hj.Open(nil); err != nil {
+		t.Fatal(err)
+	}
+	defer hj.Close()
+	if got, err := hj.probe.candidates(nil, outer); err != nil || len(got) != 1 {
+		t.Fatalf("probe found %d rows, %v; want 1", len(got), err)
+	}
+	if n := testing.AllocsPerRun(100, func() { hj.probe.candidates(nil, outer) }); n != 0 {
+		t.Errorf("hash-join probe: %.0f allocations, want 0", n)
 	}
 }
 

@@ -229,8 +229,13 @@ func (s *SummaryIndexScan) fillRun() {
 	s.bufPos = 0
 	run := s.hits[s.pos:j]
 	s.pos = j
+	// The run's rows are carved from two slabs, as SeqScan carves a batch.
+	rows, tuples := make([]Row, len(run)), make([]model.Tuple, len(run))
 	s.pagesPinned += int64(s.Table.Data.FetchMany(run, func(rid heap.RID, oid int64, values []model.Value) bool {
-		s.buf = append(s.buf, &Row{Tuple: &model.Tuple{OID: oid, Values: values}})
+		n := len(s.buf)
+		tuples[n] = model.Tuple{OID: oid, Values: values}
+		rows[n].Tuple = &tuples[n]
+		s.buf = append(s.buf, &rows[n])
 		return true
 	}))
 }

@@ -263,6 +263,28 @@ func TestSummaryIndexScanFetchStats(t *testing.T) {
 	}
 }
 
+// TestSortedFetchAllocatesPerPageRun: a sorted fetch carves a page
+// run's rows from per-run slabs, so dereferencing its hit list costs a
+// constant per page run, however many hits share the page.
+func TestSortedFetchAllocatesPerPageRun(t *testing.T) {
+	f, sIdx, _ := indexedFixture(t, 64)
+	s := NewSummaryIndexScan(f.r, "r", sIdx, "Other", index.OpGe, 1)
+	s.SortedFetch = true
+	if err := s.Open(nil); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	hits, runs := len(s.hits), float64(s.distinctPages)
+	n := testing.AllocsPerRun(10, func() {
+		for s.pos = 0; s.pos < len(s.hits); {
+			s.fillRun()
+		}
+	})
+	if float64(hits) < 4*runs || n > 3*runs {
+		t.Errorf("%d hits on %.0f page runs: %.0f allocations, want at most 3 a run", hits, runs, n)
+	}
+}
+
 // TestOrderedFetchCountsPagesOnlyWhenSampled: an ordered scan the stats
 // layer does not sample builds no set of the pages its hits address. Its
 // Open allocates nothing proportional to the hits — a small fraction of

@@ -229,11 +229,13 @@ func (j *IndexJoin) Open(qc *QueryCtx) (err error) {
 				return nil, err
 			}
 			key, err := outerKey(outer)
-			if err != nil || idx == nil {
-				return nil, err
+			if err != nil || idx == nil || key.IsNull() {
+				return nil, err // NULL equals nothing, though the index holds NULLs
 			}
+			// The probe key lives on the stack (SearchEq keeps no key).
+			var kb [32]byte
 			hits = hits[:0]
-			for _, enc := range idx.SearchEq(key.SortKey()) {
+			for _, enc := range idx.SearchEq(string(key.AppendSortKey(kb[:0]))) {
 				row, ok := fetchRow(j.InnerTable, heap.DecodeRID(enc))
 				if !ok {
 					continue

@@ -1,10 +1,6 @@
 package exec
 
-import (
-	"strings"
-
-	"repro/internal/model"
-)
+import "repro/internal/model"
 
 // Limit passes through at most N rows and stops pulling its input once
 // it has them. It passes its input the query context unchanged: the row
@@ -78,19 +74,15 @@ func (d *Distinct) Open(qc *QueryCtx) (err error) {
 	byKey := map[string]int{}
 	var merged []*model.SetAccumulator // parallel to d.rows
 	d.rows, d.pos = nil, 0
+	var key []byte // the row's key, reused
 	err = run(qc, d.Input, func(row *Row) error {
-		var kb strings.Builder
-		for _, v := range row.Tuple.Values {
-			kb.WriteString(v.SortKey())
-			kb.WriteByte(0)
-		}
-		key := kb.String()
-		i, ok := byKey[key]
+		key = appendRowKey(key[:0], row.Tuple.Values)
+		i, ok := byKey[string(key)]
 		if !ok {
 			if cerr := d.res.charge(1, approxRowBytes(row)); cerr != nil {
 				return cerr
 			}
-			i, byKey[key] = len(d.rows), len(d.rows)
+			i, byKey[string(key)] = len(d.rows), len(d.rows)
 			d.rows = append(d.rows, row)
 			merged = append(merged, model.NewSetAccumulator(d.Lookup))
 		}

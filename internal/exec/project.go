@@ -7,11 +7,11 @@ import (
 	"repro/internal/sql"
 )
 
-// projectSlabRows caps how many output rows Project carves from one
-// slab refill (three allocations per slab instead of three per row; see
-// the Operator ownership rule — carved storage is handed to the
-// consumer and never reused).
-const projectSlabRows = 256
+// maxSlabRows caps how many rows Project (and Sort, for its keys)
+// carves from one slab refill (three allocations per slab instead of
+// three per row; see the Operator ownership rule — carved storage is
+// handed to the consumer and never reused).
+const maxSlabRows = 256
 
 // Project evaluates projection expressions into a new row. Summary sets
 // pass through unchanged: per Theorems 1–2 of the original InsightNotes
@@ -51,7 +51,7 @@ func (p *Project) Open(qc *QueryCtx) (err error) {
 
 // carve returns storage for one output row from the operator's slab. A
 // refill covers the rest of the batch in flight, or double the previous
-// slab up to projectSlabRows when that is more — so a five-row result
+// slab up to maxSlabRows when that is more — so a five-row result
 // allocates five rows, a large batch allocates once, and a capacity-1
 // stream still amortizes to a few allocations per 256 rows. Carved
 // storage belongs to the consumer and is never written again by this
@@ -59,7 +59,7 @@ func (p *Project) Open(qc *QueryCtx) (err error) {
 func (p *Project) carve() (*Row, *model.Tuple, []model.Value) {
 	k := len(p.Exprs)
 	if p.slabPos >= len(p.slabRows) {
-		n := max(p.batchLeft, min(2*len(p.slabRows), projectSlabRows))
+		n := max(p.batchLeft, min(2*len(p.slabRows), maxSlabRows))
 		p.slabRows = make([]Row, n)
 		p.slabTuples = make([]model.Tuple, n)
 		p.slabVals = make([]model.Value, n*k)

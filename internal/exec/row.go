@@ -25,3 +25,14 @@ type Row struct {
 	// it.
 	Inner *Row
 }
+
+// appendRowKey appends the equality key of a value list to dst: each
+// value's model key and a 0 byte. Grouping and duplicate elimination
+// build it in bytes they reuse and probe their maps with string(key),
+// which Go does not copy; only a new entry allocates its key.
+func appendRowKey(dst []byte, vals []model.Value) []byte {
+	for _, v := range vals {
+		dst = append(v.AppendSortKey(dst), 0)
+	}
+	return dst
+}

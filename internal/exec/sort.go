@@ -188,11 +188,19 @@ func (s *Sort) Open(qc *QueryCtx) (err error) {
 		return nil
 	}
 
+	// Rows' key values are carved from slabs: a refill holds a batch, or
+	// twice the last slab up to maxSlabRows rows when that is more.
+	var slab []model.Value
 	err = run(qc, s.Input, func(row *Row) error {
-		keys, err := evalValues(boundKeys, row)
-		if err != nil {
+		if k := len(boundKeys); len(slab)+k > cap(slab) {
+			slab = make([]model.Value, 0, k*max(qc.Capacity(), min(2*cap(slab)/k+1, maxSlabRows)))
+		}
+		n := len(slab)
+		var err error
+		if slab, err = appendValues(slab, boundKeys, row); err != nil {
 			return err
 		}
+		keys := slab[n:len(slab):len(slab)]
 		rb := approxRowBytes(row)
 		if cerr := s.res.charge(1, rb); cerr != nil {
 			// Buffer pressure: spill the buffer as a sorted run and

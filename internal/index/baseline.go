@@ -83,8 +83,6 @@ func (b *Baseline) Release() {
 	b.byOID.Release()
 }
 
-func oidKey(oid int64) string { return model.NewInt(oid).SortKey() }
-
 // IndexObject normalizes and indexes a classifier object: one NormRow
 // per class label, each indexed under its derived key.
 func (b *Baseline) IndexObject(obj *model.SummaryObject) error {
@@ -100,20 +98,20 @@ func (b *Baseline) IndexObject(obj *model.SummaryObject) error {
 		}
 		rid := b.norm.Insert(obj.TupleOID, row)
 		b.derived.Insert(row.Derived, rid.Encode())
-		b.byOID.Insert(oidKey(obj.TupleOID), rid.Encode())
+		b.byOID.Insert(model.OIDKey(obj.TupleOID), rid.Encode())
 	}
 	return nil
 }
 
 // RemoveObject deletes the object's normalized rows and index entries.
 func (b *Baseline) RemoveObject(tupleOID int64) {
-	rids := b.byOID.SearchEq(oidKey(tupleOID))
+	rids := b.byOID.SearchEq(model.OIDKey(tupleOID))
 	for _, enc := range rids {
 		rid := heap.DecodeRID(enc)
 		if _, row, ok := b.norm.Get(rid); ok {
 			b.norm.Delete(rid)
 			b.derived.Delete(row.Derived, enc)
-			b.byOID.Delete(oidKey(tupleOID), enc)
+			b.byOID.Delete(model.OIDKey(tupleOID), enc)
 		}
 	}
 }
@@ -123,7 +121,7 @@ func (b *Baseline) RemoveObject(tupleOID int64) {
 // both the row and the derived-key entry — the de-normalization upkeep
 // that makes baseline incremental maintenance more expensive.
 func (b *Baseline) UpdateLabel(tupleOID int64, label string, newCount int) bool {
-	for _, enc := range b.byOID.SearchEq(oidKey(tupleOID)) {
+	for _, enc := range b.byOID.SearchEq(model.OIDKey(tupleOID)) {
 		rid := heap.DecodeRID(enc)
 		_, row, ok := b.norm.Get(rid)
 		if !ok || row.Label != label {
@@ -164,7 +162,7 @@ func (b *Baseline) Search(label string, op CmpOp, constant int) []int64 {
 // rebuilt object carries counts only, which is what the baseline scheme
 // can propagate.
 func (b *Baseline) ReconstructObject(tupleOID int64) (*model.SummaryObject, bool) {
-	encs := b.byOID.SearchEq(oidKey(tupleOID))
+	encs := b.byOID.SearchEq(model.OIDKey(tupleOID))
 	if len(encs) == 0 {
 		return nil, false
 	}

@@ -5,7 +5,9 @@
 package model
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -207,34 +209,56 @@ func (v Value) SQLLiteral() string {
 	return v.String()
 }
 
-// SortKey renders v as a byte-comparable string used by index itemization
-// and by the external sorter's run files. Numeric values are rendered with
-// a fixed-width, order-preserving encoding.
-func (v Value) SortKey() string {
+// SortKey returns v's equality key as a string (see AppendSortKey).
+func (v Value) SortKey() string { return string(v.AppendSortKey(make([]byte, 0, 64))) }
+
+// AppendSortKey appends v's equality key to dst: values Compare calls
+// equal get equal keys and unequal values different ones (INT against
+// FLOAT only within ±2^53, where Compare's widening to float64 is exact).
+// GROUP BY, DISTINCT, the hash join and every B-Tree over values or OIDs
+// name a value by it. An INT is 'i' and its value offset into the
+// non-negative range in 20 decimal digits, which orders INTs (the OID
+// indexes rely on it); an integral FLOAT in int64 range takes its INT's
+// key (so -0 is 0), and any other FLOAT is 'f' and its IEEE bits, which
+// order nothing.
+func (v Value) AppendSortKey(dst []byte) []byte {
 	switch v.Kind {
 	case KindNull:
-		return "\x00"
+		return append(dst, 0)
 	case KindInt:
-		// Offset into the non-negative range, then fixed-width decimal: the
-		// bytes of fmt's "i%020d" without fmt (paid per summary fetch and key).
-		var b [21]byte
-		b[0] = 'i'
-		u := uint64(v.Int) + 1<<63
-		for i := 20; i > 0; i-- {
-			b[i] = byte('0' + u%10)
-			u /= 10
-		}
-		return string(b[:])
+		return appendIntKey(dst, v.Int)
 	case KindFloat:
-		return fmt.Sprintf("f%030.10f", v.Float+1e15)
+		if f := v.Float; f == math.Trunc(f) && f >= -1<<63 && f < 1<<63 {
+			return appendIntKey(dst, int64(f))
+		}
+		return binary.BigEndian.AppendUint64(append(dst, 'f'), math.Float64bits(v.Float))
 	case KindText:
-		return "t" + v.Text
+		return append(append(dst, 't'), v.Text...)
 	case KindBool:
 		if v.Bool {
-			return "b1"
+			return append(dst, "b1"...)
 		}
-		return "b0"
-	default:
-		return ""
+		return append(dst, "b0"...)
 	}
+	return dst
+}
+
+// appendIntKey appends the bytes of fmt's "i%020d" of i offset by 2^63,
+// without fmt (paid per summary fetch and key).
+func appendIntKey(dst []byte, i int64) []byte {
+	dst = append(dst, "i00000000000000000000"...)
+	u := uint64(i) + 1<<63
+	for j := len(dst) - 1; u > 0; j-- {
+		dst[j] = byte('0' + u%10)
+		u /= 10
+	}
+	return dst
+}
+
+// OIDKey is the key of an OID in the OID-keyed B-Trees. It is small
+// enough to inline, so a lookup whose tree does not keep the key builds
+// it on the caller's stack.
+func OIDKey(oid int64) string {
+	var b [21]byte
+	return string(appendIntKey(b[:0], oid))
 }

@@ -171,26 +171,65 @@ func TestSortKeyOrderPreservingInts(t *testing.T) {
 	}
 }
 
-// Property: SortKey preserves float order within the practical range
-// (data-index keys for FLOAT columns).
-func TestSortKeyOrderPreservingFloats(t *testing.T) {
-	f := func(a, b float64) bool {
-		// Constrain to the engine's practical magnitude range.
-		a = float64(int64(a*1000)%1e12) / 1000
-		b = float64(int64(b*1000)%1e12) / 1000
-		ka, kb := NewFloat(a).SortKey(), NewFloat(b).SortKey()
-		switch {
-		case a < b:
-			return ka < kb
-		case a > b:
-			return ka > kb
-		default:
-			return ka == kb
+// oldSortKey is the key encoding before FLOAT keys became exact: the
+// oracle that INT, TEXT, BOOL and NULL keys are still the bytes stored
+// keys were built with.
+func oldSortKey(v Value) string {
+	switch v.Kind {
+	case KindNull:
+		return "\x00"
+	case KindInt:
+		return fmt.Sprintf("i%020d", uint64(v.Int)+1<<63)
+	case KindText:
+		return "t" + v.Text
+	case KindBool:
+		if v.Bool {
+			return "b1"
 		}
+		return "b0"
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
+	return fmt.Sprintf("f%030.10f", v.Float+1e15)
+}
+
+// fuzzValue builds a value of kind k%5 from the fuzzer's fields: INTs
+// within ±2^53 (where Compare's float64 widening is exact) and finite
+// FLOATs; ok is false for a non-finite float.
+func fuzzValue(k uint8, i int64, f float64, s string) (v Value, ok bool) {
+	switch Kind(k % 5) {
+	case KindInt:
+		return NewInt(i % (1 << 53)), true
+	case KindFloat:
+		return NewFloat(f), !math.IsNaN(f) && !math.IsInf(f, 0)
+	case KindText:
+		return NewText(s), true
+	case KindBool:
+		return NewBool(i&1 == 1), true
 	}
+	return Null(), true
+}
+
+// FuzzValueKey: two values get equal keys exactly when Compare calls
+// them equal, AppendSortKey appends to what dst holds, and every key
+// but a FLOAT's is the old encoding's bytes.
+func FuzzValueKey(f *testing.F) {
+	f.Fuzz(func(t *testing.T, ka uint8, ia int64, fa float64, sa string, kb uint8, ib int64, fb float64, sb string) {
+		a, okA := fuzzValue(ka, ia, fa, sa)
+		b, okB := fuzzValue(kb, ib, fb, sb)
+		if !okA || !okB {
+			return
+		}
+		keyA, keyB := a.SortKey(), b.SortKey()
+		c, err := a.Compare(b)
+		if same := err == nil && c == 0; (keyA == keyB) != same {
+			t.Fatalf("%#v vs %#v: keys %q and %q, Compare = %d, %v", a, b, keyA, keyB, c, err)
+		}
+		if got := string(a.AppendSortKey([]byte("pre"))); got != "pre"+keyA {
+			t.Fatalf("AppendSortKey(%#v) onto \"pre\" = %q, want %q", a, got, "pre"+keyA)
+		}
+		if a.Kind != KindFloat && keyA != oldSortKey(a) {
+			t.Fatalf("key of %#v = %q, the old encoding %q", a, keyA, oldSortKey(a))
+		}
+	})
 }
 
 // Property: Compare is a total order over same-kind values: antisymmetric
