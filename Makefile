@@ -100,10 +100,15 @@ loc:
 # figures (14, 15: each fails unless EXPLAIN shows the plan its contrast
 # rests on), and the parallel speedup, buffer-pool, fetch-path, ingest,
 # server and batch-capacity figures at the reduced quick scale,
-# enforcing each figure's shape gate. The performance trajectory is
-# benchmarks/ (see BENCHMARK.json), not a snapshot of this run.
+# enforcing each figure's shape gate; then it runs every root benchmark
+# once: BenchmarkFigures (each registered figure at the quick scale,
+# with its shape checks) and the benchmarks no figure covers, whose own
+# guards (the forced join planned, the top-k's sort eliminated by index
+# order) run only there. The performance trajectory is benchmarks/ (see
+# BENCHMARK.json), not a snapshot of this run.
 bench-smoke:
 	$(GO) run ./cmd/benchreport -quick -fig 10,14,15,17,18,19,22,23,24
+	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 # recovery-torture runs the WAL crash matrix: the mixed workload's log is
 # cut at every record boundary (and inside every record) and each prefix
@@ -157,10 +162,10 @@ serve-stress:
 # at every worker count and capacity, a joined row spilling one summary
 # set and a join rejecting pairs without allocating, the summary
 # renderer against its fmt reference and its allocation guard, the
-# per-row allocation budget, a LIMIT's row goal stopping its leaf (and
-# dropped under a breaker or a Gather), literal call arguments bound
-# once, and the Figure 24 smoke run with its two enforced bounds on
-# the headline scan.
+# per-row allocation and operator-call budget (Figure 24's counted
+# twin), a LIMIT's row goal stopping its leaf (and dropped under a
+# breaker or a Gather), literal call arguments bound once, and the
+# Figure 24 smoke run with its two enforced bounds on the headline scan.
 vector-stress:
 	$(GO) test -race -count=1 -run 'TestVectorized|TestBatch|TestTransformBatch|TestCollectPreservesRowIdentity|TestOperatorsCapacityInvariant|TestMidBatchCancellationStopsWithinOneBatch|TestBreakersReleaseBatchesOnFailure|TestSummariesAttachedAfterDataFilter|TestJoinOutputSpillsOneSummarySet|TestJoinProbeRejectedPairsAllocateNothing|TestLimitRowGoalStopsTheLeaf|TestLiteralArgumentsBoundOnce' ./internal/engine/ ./internal/exec/
 	$(GO) test -race -count=1 -run 'TestSummaryStringMatchesFmt|TestSummaryStringAllocs|TestRepresentativeCutKeepsRunes' ./internal/model/

@@ -1,16 +1,16 @@
-// Benchmarks regenerating the measured operation behind every table and
-// figure of the paper's evaluation (Section 6), one benchmark per
-// figure, with sub-benchmarks for the figure's series. The full
-// paper-shaped sweeps (x-axis grids, ratio columns, notes) are produced
-// by `go run ./cmd/benchreport`; these testing.B benchmarks isolate each
-// figure's core operation for profiling and regression tracking.
+// Benchmarks for the paper's evaluation (Section 6) and for the
+// operations no figure covers. BenchmarkFigures times every figure of
+// internal/bench's registry at the quick scale, through the same
+// function `go run ./cmd/benchreport` prints (with its shape checks);
+// the rest isolate the Summary-BTree's operations, the join
+// implementations, and the executor's allocation, merge and top-k
+// paths, each with the regression test that guards it.
 package insightnotes_test
 
 import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/bench"
@@ -22,67 +22,6 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/workload"
 )
-
-// fixture is the shared benchmark dataset: 200 birds × ~20 annotations
-// (the paper's mid-grid shape at 1/225 scale), with both index schemes,
-// a synonyms table, a V2 revision, and a T replica.
-type fixture struct {
-	ds *workload.Dataset
-	db *engine.DB
-}
-
-var (
-	fixOnce sync.Once
-	fix     *fixture
-	fixErr  error
-)
-
-func sharedFixture(b *testing.B) *fixture {
-	b.Helper()
-	fixOnce.Do(func() {
-		ds, err := workload.Build(workload.Config{
-			Seed: 1, Birds: 200, AvgAnnotationsPerBird: 20,
-			SynonymsPerBird: 5, AnnotateSynonymsFraction: 0.15,
-			LongAnnotationFraction: 0.01,
-		})
-		if err != nil {
-			fixErr = err
-			return
-		}
-		db := ds.DB
-		for _, step := range []func() error{
-			func() error { return db.CreateSummaryIndex("Birds", "ClassBird1") },
-			func() error { return db.CreateBaselineIndex("Birds", "ClassBird1") },
-			func() error { return db.CreateDataIndex("Synonyms", "bird_id") },
-			func() error { return db.CreateDataIndex("Birds", "id") },
-			func() error {
-				return ds.BuildVersionTable("BirdsV2", map[int]bool{3: true, 50: true, 101: true})
-			},
-			func() error { return db.CreateDataIndex("BirdsV2", "id") },
-			func() error {
-				if _, err := db.CreateTable("BirdsT", workload.BirdsSchema()); err != nil {
-					return err
-				}
-				birds, _ := db.Table("Birds")
-				birds.Scan(func(_ heap.RID, tu *model.Tuple) bool {
-					db.Insert("BirdsT", tu.Values...)
-					return true
-				})
-				return db.CreateDataIndex("BirdsT", "id")
-			},
-		} {
-			if err := step(); err != nil {
-				fixErr = err
-				return
-			}
-		}
-		fix = &fixture{ds: ds, db: db}
-	})
-	if fixErr != nil {
-		b.Fatal(fixErr)
-	}
-	return fix
-}
 
 func benchQuery(b *testing.B, db *engine.DB, q string, opts *optimizer.Options) {
 	b.Helper()
@@ -98,248 +37,23 @@ func benchQuery(b *testing.B, db *engine.DB, q string, opts *optimizer.Options) 
 	b.ReportMetric(float64(rows), "rows")
 }
 
-// diseaseEqQuery builds the Figure 10/13 SP query at roughly the given
-// equality selectivity.
-func diseaseEqQuery(f *fixture, sel float64, suffix string) string {
-	birds, _ := f.db.Table("Birds")
-	c := pickEq(birds, "ClassBird1", "Disease", sel)
-	return fmt.Sprintf(`SELECT * FROM Birds r
-		WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') = %d%s`, c, suffix)
-}
-
-func pickEq(t *catalog.Table, instance, label string, target float64) int {
-	ls := t.Stats(instance).Label(label)
-	best, bestDiff := 0, 2.0
-	for v, cnt := range ls.Values() {
-		d := float64(cnt)/float64(ls.N()) - target
-		if d < 0 {
-			d = -d
-		}
-		if d < bestDiff {
-			best, bestDiff = v, d
-		}
-	}
-	return best
-}
-
-// BenchmarkFig07_StorageOverhead reports the storage footprints of both
-// indexing schemes as custom metrics (bytes, not time).
-func BenchmarkFig07_StorageOverhead(b *testing.B) {
-	f := sharedFixture(b)
-	birds, _ := f.db.Table("Birds")
-	var objects, baseline, sbtree int
-	for i := 0; i < b.N; i++ {
-		objects = 0
-		birds.SummaryStorage.Scan(func(_ heap.RID, _ int64, set model.SummarySet) bool {
-			objects += catalog.EstimateSetSize(set)
-			return true
-		})
-		baseline = f.db.BaselineIndex("Birds", "ClassBird1").SizeBytes()
-		sbtree = f.db.SummaryIndex("Birds", "ClassBird1").SizeBytes()
-	}
-	b.ReportMetric(float64(objects), "objects-bytes")
-	b.ReportMetric(float64(baseline), "baseline-bytes")
-	b.ReportMetric(float64(sbtree), "sbtree-bytes")
-	if baseline <= sbtree {
-		b.Fatalf("shape violation: baseline %d <= sbtree %d", baseline, sbtree)
-	}
-}
-
-// BenchmarkFig08_BulkCreation measures bulk index creation.
-func BenchmarkFig08_BulkCreation(b *testing.B) {
-	f := sharedFixture(b)
-	b.Run("SummaryBTree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := f.db.DropSummaryIndex("Birds", "ClassBird1"); err != nil {
-				b.Fatal(err)
+// BenchmarkFigures regenerates each figure of the registry at the quick
+// scale, one sub-benchmark per entry (go test -bench 'BenchmarkFigures/Fig10'
+// runs one). Every iteration gets a fresh harness, made outside the
+// timer; the datasets a figure builds are part of its time.
+func BenchmarkFigures(b *testing.B) {
+	for _, f := range bench.Figures {
+		b.Run(f.Name(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				h := bench.NewHarness(bench.QuickScale())
+				b.StartTimer()
+				if _, err := f.Run(h); err != nil {
+					b.Fatal(err)
+				}
 			}
-			if err := f.db.CreateSummaryIndex("Birds", "ClassBird1"); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Baseline", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := f.db.DropBaselineIndex("Birds", "ClassBird1"); err != nil {
-				b.Fatal(err)
-			}
-			if err := f.db.CreateBaselineIndex("Birds", "ClassBird1"); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkFig09_IncrementalIndexing measures per-annotation insertion
-// under the three maintenance configurations.
-func BenchmarkFig09_IncrementalIndexing(b *testing.B) {
-	build := func(b *testing.B) *workload.Dataset {
-		ds, err := workload.Build(workload.Config{
-			Seed: 5, Birds: 100, AvgAnnotationsPerBird: 10,
-			SkipSynonyms: true, LongAnnotationFraction: -1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return ds
-	}
-	run := func(b *testing.B, ds *workload.Dataset) {
-		rng := rand.New(rand.NewSource(7))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := ds.AddAnnotations(rng, rng.Intn(len(ds.Birds)), 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("NoIndex", func(b *testing.B) {
-		run(b, build(b))
-	})
-	b.Run("SummaryBTree", func(b *testing.B) {
-		ds := build(b)
-		if err := ds.DB.CreateSummaryIndex("Birds", "ClassBird1"); err != nil {
-			b.Fatal(err)
-		}
-		run(b, ds)
-	})
-	b.Run("Baseline", func(b *testing.B) {
-		ds := build(b)
-		if err := ds.DB.CreateBaselineIndex("Birds", "ClassBird1"); err != nil {
-			b.Fatal(err)
-		}
-		run(b, ds)
-	})
-}
-
-// BenchmarkFig10_SelectionClassifier measures the SP query with a ~1%
-// classifier equality predicate under the three access paths.
-func BenchmarkFig10_SelectionClassifier(b *testing.B) {
-	f := sharedFixture(b)
-	q := diseaseEqQuery(f, 0.01, "")
-	b.Run("NoIndex", func(b *testing.B) {
-		benchQuery(b, f.db, q, &optimizer.Options{NoSummaryIndex: true})
-	})
-	b.Run("Baseline", func(b *testing.B) {
-		benchQuery(b, f.db, q, &optimizer.Options{UseBaseline: true})
-	})
-	b.Run("SummaryBTree", func(b *testing.B) {
-		benchQuery(b, f.db, q, nil)
-	})
-}
-
-// BenchmarkFig11_TwoPredicates measures the classifier-range + snippet
-// keyword-search query.
-func BenchmarkFig11_TwoPredicates(b *testing.B) {
-	f := sharedFixture(b)
-	birds, _ := f.db.Table("Birds")
-	lo := pickEq(birds, "ClassBird1", "Anatomy", 0.05)
-	q := fmt.Sprintf(`SELECT * FROM Birds r
-		WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Anatomy') >= %d
-		AND r.$.getSummaryObject('ClassBird1').getLabelValue('Anatomy') <= %d
-		AND r.$.getSummaryObject('TextSummary1').containsUnion('stonewort')`, lo, lo+2)
-	b.Run("NoIndex", func(b *testing.B) {
-		benchQuery(b, f.db, q, &optimizer.Options{NoSummaryIndex: true})
-	})
-	b.Run("Baseline", func(b *testing.B) {
-		benchQuery(b, f.db, q, &optimizer.Options{UseBaseline: true})
-	})
-	b.Run("SummaryBTree", func(b *testing.B) {
-		benchQuery(b, f.db, q, nil)
-	})
-}
-
-// BenchmarkFig12_DenormalizedPropagation compares propagation from the
-// de-normalized storage against rebuilding from normalized rows.
-func BenchmarkFig12_DenormalizedPropagation(b *testing.B) {
-	f := sharedFixture(b)
-	birds, _ := f.db.Table("Birds")
-	lo := pickEq(birds, "ClassBird1", "Anatomy", 0.1)
-	q := fmt.Sprintf(`SELECT * FROM Birds r
-		WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Anatomy') >= %d
-		AND r.$.getSummaryObject('ClassBird1').getLabelValue('Anatomy') <= %d`, lo, lo+3)
-	b.Run("BaselineRebuild", func(b *testing.B) {
-		benchQuery(b, f.db, q, &optimizer.Options{UseBaseline: true, BaselineReconstruct: true})
-	})
-	b.Run("SummaryBTreeDenormalized", func(b *testing.B) {
-		benchQuery(b, f.db, q, nil)
-	})
-}
-
-// BenchmarkFig13_BackwardPointers ablates backward vs conventional leaf
-// pointers, with and without summary propagation.
-func BenchmarkFig13_BackwardPointers(b *testing.B) {
-	f := sharedFixture(b)
-	withProp := diseaseEqQuery(f, 0.05, "")
-	noProp := diseaseEqQuery(f, 0.05, " WITHOUT SUMMARIES")
-	b.Run("Backward-Propagation", func(b *testing.B) {
-		benchQuery(b, f.db, withProp, nil)
-	})
-	b.Run("Backward-NoPropagation", func(b *testing.B) {
-		benchQuery(b, f.db, noProp, nil)
-	})
-	b.Run("Conventional-Propagation", func(b *testing.B) {
-		benchQuery(b, f.db, withProp, &optimizer.Options{ConventionalPointers: true})
-	})
-	b.Run("Conventional-NoPropagation", func(b *testing.B) {
-		benchQuery(b, f.db, noProp, &optimizer.Options{ConventionalPointers: true})
-	})
-}
-
-// BenchmarkFig14_Rules2and5 runs Example 4's join+selection+sort query
-// with the transformation rules disabled and enabled across the four
-// join/sort implementation combinations.
-func BenchmarkFig14_Rules2and5(b *testing.B) {
-	f := sharedFixture(b)
-	q := `SELECT r.id FROM Birds r, Synonyms s
-		WHERE r.id = s.bird_id
-		AND r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') > 7
-		ORDER BY r.$.getSummaryObject('ClassBird1').getLabelValue('Disease')`
-	for _, jc := range []struct{ join, sort string }{
-		{"nl", "mem"}, {"nl", "disk"}, {"index", "mem"}, {"index", "disk"},
-	} {
-		b.Run(fmt.Sprintf("Disabled-%s-%s", jc.join, jc.sort), func(b *testing.B) {
-			benchQuery(b, f.db, q, &optimizer.Options{
-				DisableRules: true, ForceJoin: jc.join, ForceSort: jc.sort, SortRunLen: 256})
-		})
-		b.Run(fmt.Sprintf("Enabled-%s-%s", jc.join, jc.sort), func(b *testing.B) {
-			benchQuery(b, f.db, q, &optimizer.Options{ForceJoin: jc.join})
 		})
 	}
-}
-
-// BenchmarkFig15_Rule11 measures the data/summary join-order switch.
-func BenchmarkFig15_Rule11(b *testing.B) {
-	f := sharedFixture(b)
-	q := `SELECT r.id FROM Birds r, Synonyms s, BirdsT t
-	      WHERE t.id = r.id
-	      AND (r.$.getSummaryObject('TextSummary1').containsUnion('ringed')
-	        OR s.$.getSummaryObject('TextSummary1').containsUnion('ringed'))`
-	b.Run("Disabled", func(b *testing.B) {
-		benchQuery(b, f.db, q, &optimizer.Options{DisableRules: true})
-	})
-	b.Run("Enabled", func(b *testing.B) {
-		benchQuery(b, f.db, q, nil)
-	})
-}
-
-// BenchmarkFig16_CaseStudy measures the three case-study queries the
-// extended system answers automatically (Figures 2 and 16).
-func BenchmarkFig16_CaseStudy(b *testing.B) {
-	f := sharedFixture(b)
-	b.Run("Q1-SummarySort", func(b *testing.B) {
-		benchQuery(b, f.db, `SELECT id FROM Birds r
-			ORDER BY r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') DESC
-			LIMIT 100`, nil)
-	})
-	b.Run("Q2-VersionDiffJoin", func(b *testing.B) {
-		benchQuery(b, f.db, `SELECT v1.id FROM Birds v1, BirdsV2 v2
-			WHERE v1.id = v2.id
-			AND v1.$.getSummaryObject('ClassBird1').getLabelValue('Disease')
-			 <> v2.$.getSummaryObject('ClassBird1').getLabelValue('Disease')`, nil)
-	})
-	b.Run("Q3-SummarySelection", func(b *testing.B) {
-		benchQuery(b, f.db, diseaseEqQuery(f, 0.02, ""), nil)
-	})
 }
 
 // BenchmarkTheorem_IndexOps isolates the Summary-BTree maintenance and
@@ -379,31 +93,39 @@ func BenchmarkTheorem_IndexOps(b *testing.B) {
 	}
 }
 
+// joinFixture builds Birds and five Synonyms a bird, with the data index
+// on Synonyms.bird_id that the index join probes.
+func joinFixture(tb testing.TB) *engine.DB {
+	tb.Helper()
+	ds, err := workload.Build(workload.Config{
+		Seed: 1, Birds: 200, AvgAnnotationsPerBird: 2, SynonymsPerBird: 5, LongAnnotationFraction: -1,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { ds.DB.Close() })
+	if err := ds.DB.CreateDataIndex("Synonyms", "bird_id"); err != nil {
+		tb.Fatal(err)
+	}
+	return ds.DB
+}
+
 // BenchmarkAblation_JoinImplementations compares the three data-join
 // implementations on the same Birds ⋈ Synonyms query — an ablation for
 // the "more implementation choices" extension (the paper ships NL and
 // index joins; hash join is this reproduction's addition).
 func BenchmarkAblation_JoinImplementations(b *testing.B) {
-	f := sharedFixture(b)
+	db := joinFixture(b)
 	q := `SELECT r.id FROM Birds r, Synonyms s WHERE r.id = s.bird_id AND r.id < 50`
-	for _, impl := range []string{"nl", "hash", "index"} {
-		b.Run(impl, func(b *testing.B) {
-			benchQuery(b, f.db, q, &optimizer.Options{ForceJoin: impl})
+	for _, impl := range []struct{ force, op string }{{"nl", "NLJoin"}, {"hash", "HashJoin"}, {"index", "IndexJoin"}} {
+		opts := &optimizer.Options{ForceJoin: impl.force}
+		if p, err := db.Explain(q, opts); err != nil || !strings.Contains(p, impl.op) {
+			b.Fatalf("ForceJoin %q does not plan a %s (%v):\n%s", impl.force, impl.op, err, p)
+		}
+		b.Run(impl.force, func(b *testing.B) {
+			benchQuery(b, db, q, opts)
 		})
 	}
-}
-
-// BenchmarkAblation_DemandDrivenPropagation measures what demand-driven
-// summary attachment saves: the same index-answered query with the
-// output propagating summaries vs not (DESIGN.md decision 3).
-func BenchmarkAblation_DemandDrivenPropagation(b *testing.B) {
-	f := sharedFixture(b)
-	b.Run("WithSummaries", func(b *testing.B) {
-		benchQuery(b, f.db, diseaseEqQuery(f, 0.05, ""), nil)
-	})
-	b.Run("WithoutSummaries", func(b *testing.B) {
-		benchQuery(b, f.db, diseaseEqQuery(f, 0.05, " WITHOUT SUMMARIES"), nil)
-	})
 }
 
 // allocFixture builds the warm single-table dataset for the
@@ -448,42 +170,61 @@ func BenchmarkVectorizedScanAllocs(b *testing.B) {
 }
 
 // TestVectorizedAllocBudget is the regression guard on the executor's
-// allocation discipline: slab-carved rows and pooled batch containers
-// must keep a warm scan at capacity 1024 under 1 allocation per output
-// row, and strictly cheaper than the same cached plan at capacity 1,
-// both measured through Prepare + Execute. A per-row allocation
-// sneaking into an operator (row boxing, per-row alias maps, unpooled
-// containers) trips this immediately.
+// batching, and the counted twin of Figure 24's wall-time bounds. On a
+// warm scan that outputs every row, and on Figure 24's headline
+// multi-predicate scan, the same cached plan (Prepare + Execute) at
+// capacity 1024 must allocate under 1 time per scanned row and less
+// than at capacity 1, and its operators must take at most one NextBatch
+// call per 50 scanned rows (summed over the plan, from EXPLAIN
+// ANALYZE), where capacity 1 takes at least one per row. A per-row
+// allocation sneaking into an operator (row boxing, per-row alias maps,
+// unpooled containers), or a capacity that no longer reaches the
+// operators, trips this on any machine at any load.
 func TestVectorizedAllocBudget(t *testing.T) {
 	db := allocFixture(t)
-	st, err := db.Prepare(allocQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	measure := func(size int) (allocsPerRow float64) {
-		opts := &optimizer.Options{MaxBatchSize: size}
-		res, err := st.Execute(nil, opts)
+	const birds = 1000
+	for _, c := range []struct{ name, q string }{
+		{"full scan", allocQuery}, {"Figure 24 headline", bench.VectorHeadlineQuery},
+	} {
+		q := c.q
+		st, err := db.Prepare(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows := len(res.Rows)
-		if rows != 1000 {
-			t.Fatalf("fixture drift: %d rows, want 1000", rows)
-		}
-		allocs := testing.AllocsPerRun(5, func() {
-			if _, err := st.Execute(nil, opts); err != nil {
+		measure := func(size int) (allocsPerRow, callsPerRow float64) {
+			opts := &optimizer.Options{MaxBatchSize: size}
+			ap, err := db.ExplainAnalyze(q, opts)
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
-		return allocs / float64(rows)
-	}
-	single := measure(1)
-	batch := measure(1024)
-	if batch >= 1.0 {
-		t.Errorf("capacity 1024 allocates %.2f/row, budget is < 1", batch)
-	}
-	if batch >= single {
-		t.Errorf("capacity 1024 (%.2f allocs/row) not cheaper than capacity 1 (%.2f)", batch, single)
+			if rows := len(ap.Result.Rows); rows == 0 || q == allocQuery && rows != birds {
+				t.Fatalf("fixture drift: %s returns %d rows of %d birds", c.name, rows, birds)
+			}
+			var calls int64
+			ap.Root.Walk(func(n *optimizer.AnalyzedNode) {
+				if n.Stats != nil {
+					calls += n.Stats.NextCalls
+				}
+			})
+			allocs := testing.AllocsPerRun(5, func() {
+				if _, err := st.Execute(nil, opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+			return allocs / birds, float64(calls) / birds
+		}
+		single, singleCalls := measure(1)
+		batch, batchCalls := measure(1024)
+		if batch >= 1.0 {
+			t.Errorf("%s: capacity 1024 allocates %.2f/row, budget is < 1", c.name, batch)
+		}
+		if batch >= single {
+			t.Errorf("%s: capacity 1024 (%.2f allocs/row) not cheaper than capacity 1 (%.2f)", c.name, batch, single)
+		}
+		if batchCalls > 1.0/50 || singleCalls < 1 {
+			t.Errorf("%s: %.3f operator calls/row at capacity 1024, %.3f at capacity 1; want <= 0.02 and >= 1",
+				c.name, batchCalls, singleCalls)
+		}
 	}
 }
 
@@ -610,23 +351,6 @@ func BenchmarkTopKRowGoal(b *testing.B) {
 					benchQuery(b, db, q, opts)
 				})
 			}
-		}
-	}
-}
-
-// BenchmarkReport_Quick regenerates the full figure set at the quick
-// scale once per iteration — an end-to-end harness benchmark (run with
-// -benchtime=1x; it is skipped in -short mode).
-func BenchmarkReport_Quick(b *testing.B) {
-	if testing.Short() {
-		b.Skip("full report generation skipped in -short mode")
-	}
-	for i := 0; i < b.N; i++ {
-		h := bench.NewHarness(bench.Scale{
-			Birds: 80, AnnGrid: []int{10, 25}, SynonymsPerBird: 5, Seed: 1,
-		})
-		if _, err := bench.AllFigures(h); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -23,7 +24,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "", "comma-separated figures to regenerate (2, 7..19, 22..24); empty = all")
+	fig := flag.String("fig", "", "comma-separated figures to regenerate ("+validFigures()+"); empty = all")
 	birds := flag.Int("birds", 0, "Birds-table cardinality (default from scale)")
 	grid := flag.String("grid", "", "comma-separated annotations-per-bird grid, e.g. 10,25,50")
 	quick := flag.Bool("quick", false, "use the reduced quick scale")
@@ -50,69 +51,65 @@ func main() {
 	}
 	scale.Seed = *seed
 
-	want := map[int]bool{}
-	for _, part := range strings.Split(*fig, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n <= 0 {
-			log.Fatalf("bad -fig element %q", part)
-		}
-		want[n] = true
+	figs, err := selectFigures(*fig)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	h := bench.NewHarness(scale)
 	fmt.Printf("InsightNotes+ benchmark report — %d birds, grid %v (annotations/bird), seed %d\n",
 		scale.Birds, scale.AnnGrid, scale.Seed)
 	fmt.Printf("paper reference scale: 45,000 birds, 450K–9M annotations\n\n")
-
-	type runner struct {
-		figs []int
-		run  func(*bench.Harness) (*bench.Table, error)
-	}
-	runners := []runner{
-		{[]int{7}, bench.Fig07Storage},
-		{[]int{8}, bench.Fig08Bulk},
-		{[]int{9}, bench.Fig09Incremental},
-		{[]int{10}, bench.Fig10Selection},
-		{[]int{11}, bench.Fig11TwoPredicates},
-		{[]int{12}, bench.Fig12DenormalizedPropagation},
-		{[]int{13}, bench.Fig13BackwardPointers},
-		{[]int{14}, bench.Fig14Rules25},
-		{[]int{15}, bench.Fig15Rule11},
-		{[]int{2, 16}, bench.Fig16CaseStudy},
-		{[]int{17}, bench.Fig17Parallel},
-		{[]int{18}, bench.Fig18BufferPool},
-		{[]int{19}, bench.Fig19FetchPath},
-		{[]int{22}, bench.Fig22Ingest},
-		{[]int{23}, bench.Fig23ServerQPS},
-		{[]int{24}, bench.Fig24Vectorized},
-	}
-
-	ran := false
-	for _, r := range runners {
-		match := len(want) == 0
-		for _, f := range r.figs {
-			if want[f] {
-				match = true
-			}
-		}
-		if !match {
-			continue
-		}
-		ran = true
+	for _, f := range figs {
 		start := time.Now()
-		tbl, err := r.run(h)
+		tbl, err := f.Run(h)
 		if err != nil {
-			log.Fatalf("figure %v: %v", r.figs, err)
+			log.Fatalf("figure %v: %v", f.Nums, err)
 		}
 		fmt.Print(tbl.String())
 		fmt.Printf("(regenerated in %v)\n\n", time.Since(start).Round(time.Millisecond))
 	}
-	if !ran {
-		fmt.Fprintf(os.Stderr, "no such figure: %s (valid: 2, 7..19, 22..24)\n", *fig)
-		os.Exit(2)
+}
+
+// selectFigures returns the registry entries a -fig list names, in
+// registry order, or every entry for an empty list. A number no entry
+// regenerates is an error.
+func selectFigures(spec string) ([]bench.Figure, error) {
+	if strings.TrimSpace(spec) == "" {
+		return bench.Figures, nil
 	}
+	want := map[int]bool{}
+	for _, part := range strings.Split(spec, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil {
+			return nil, fmt.Errorf("bad -fig element %q", part)
+		}
+		want[n] = true
+	}
+	var out []bench.Figure
+	for _, f := range bench.Figures {
+		hit := false
+		for _, n := range f.Nums {
+			hit = hit || want[n]
+			delete(want, n)
+		}
+		if hit {
+			out = append(out, f)
+		}
+	}
+	for n := range want {
+		return nil, fmt.Errorf("no such figure: %d (valid: %s)", n, validFigures())
+	}
+	return out, nil
+}
+
+// validFigures lists every figure number the registry regenerates.
+func validFigures() string {
+	var nums []int
+	for _, f := range bench.Figures {
+		nums = append(nums, f.Nums...)
+	}
+	sort.Ints(nums)
+	return strings.ReplaceAll(strings.Trim(fmt.Sprint(nums), "[]"), " ", ", ")
 }

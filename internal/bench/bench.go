@@ -1,16 +1,21 @@
 // Package bench implements the experiment harness that regenerates
 // every table and figure of the paper's evaluation (Section 6) at a
-// configurable scale. Each FigNN function runs one experiment and
-// returns a Table shaped like the paper's plot: the same series, the
-// same x-axis, laptop-scale absolute numbers. cmd/benchreport prints
-// them; bench_test.go wraps the measured operations as testing.B
-// benchmarks; EXPERIMENTS.md records paper-vs-measured shape.
+// configurable scale. Each FigNN function runs one experiment, checks
+// its shape, and returns a Table shaped like the paper's plot: the same
+// series, the same x-axis, laptop-scale absolute numbers. The Figures
+// registry lists them once: cmd/benchreport prints them, the root
+// package's BenchmarkFigures times them at the quick scale, and
+// EXPERIMENTS.md records paper-vs-measured shape.
 package bench
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
+
+	"repro/internal/engine"
+	"repro/internal/optimizer"
 )
 
 // Scale parameterizes every experiment. The paper runs 45,000 birds and
@@ -130,6 +135,60 @@ func timeBest(reps int, fn func() error) (time.Duration, error) {
 		}
 	}
 	return best, nil
+}
+
+// arm is one side of a figure's contrast: a query under one option
+// set or, when hand is set, a hand-written loop returning its row count.
+type arm struct {
+	q    string
+	opts *optimizer.Options
+	hand func() int
+}
+
+// timing is one arm's measurement: its best time, its row count, and
+// the page reads of one run.
+type timing struct {
+	best  time.Duration
+	rows  int
+	reads int64
+}
+
+// timeArms runs every arm reps times, alternating the arms so that a
+// slow stretch of the machine falls on all of them alike, and keeps each
+// arm's best time. The arms are equivalent plans of one query: it fails
+// when their row counts differ.
+func timeArms(db *engine.DB, reps int, arms ...arm) ([]timing, error) {
+	out := make([]timing, len(arms))
+	for i := range out {
+		out[i].best = math.MaxInt64
+	}
+	acct := db.Accountant()
+	for rep := 0; rep < reps; rep++ {
+		for i, a := range arms {
+			before, start := acct.Stats(), time.Now()
+			rows := 0
+			if a.hand != nil {
+				rows = a.hand()
+			} else {
+				res, err := db.Query(a.q, a.opts)
+				if err != nil {
+					return nil, err
+				}
+				rows = len(res.Rows)
+			}
+			out[i] = timing{min(out[i].best, time.Since(start)), rows, acct.Stats().Sub(before).PageReads}
+		}
+	}
+	for _, m := range out {
+		if m.rows != out[0].rows {
+			counts := make([]int, len(out))
+			for i := range out {
+				counts[i] = out[i].rows
+			}
+			return nil, fmt.Errorf("equivalent plans returned different row counts %v", counts)
+		}
+	}
+	return out, nil
 }
 
 func ms(d time.Duration) string {

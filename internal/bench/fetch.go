@@ -131,7 +131,7 @@ func Fig19FetchPath(h *Harness) (*Table, error) {
 				return nil, fmt.Errorf("fig19: row multisets diverge at %d: %s vs %s", i, oRows[i], sRows[i])
 			}
 		}
-		reduction := float64(ordered.PhysReads) / float64(max64(sorted.PhysReads, 1))
+		reduction := float64(ordered.PhysReads) / float64(max(sorted.PhysReads, 1))
 		if reduction > bestReduction {
 			bestReduction = reduction
 		}

@@ -61,25 +61,20 @@ func Fig17Parallel(h *Harness) (*Table, error) {
 
 	db.Accountant().SetFaultPolicy(&pager.FaultPolicy{Latency: parallelReadDelay})
 	defer db.Accountant().SetFaultPolicy(nil)
+	workers := []int{1, 2, 4}
 	for _, q := range queries {
-		var serialTime, last time.Duration
-		var serialRows int
-		for _, workers := range []int{1, 2, 4} {
-			opts := &optimizer.Options{MaxParallelWorkers: workers}
-			d, rows, _, err := queryTime(db, q.q, opts, 2)
-			if err != nil {
-				return nil, err
-			}
-			if workers == 1 {
-				serialTime, serialRows = d, rows
-			} else if rows != serialRows {
-				return nil, fmt.Errorf("parallel %s (workers=%d) returned %d rows, serial %d",
-					q.name, workers, rows, serialRows)
-			}
-			last = d
-			t.AddRow(q.name, fmt.Sprint(workers), fmt.Sprint(rows), ms(d), ratio(serialTime, d))
+		arms := make([]arm, len(workers))
+		for i, w := range workers {
+			arms[i] = arm{q: q.q, opts: &optimizer.Options{MaxParallelWorkers: w}}
 		}
-		t.AddNote("%s: workers=4 speedup %s over serial (identical rows)", q.name, ratio(serialTime, last))
+		m, err := timeArms(db, 2, arms...)
+		if err != nil {
+			return nil, fmt.Errorf("fig17: %s: %w", q.name, err)
+		}
+		for i, w := range workers {
+			t.AddRow(q.name, fmt.Sprint(w), fmt.Sprint(m[i].rows), ms(m[i].best), ratio(m[0].best, m[i].best))
+		}
+		t.AddNote("%s: workers=4 speedup %s over serial (identical rows)", q.name, ratio(m[0].best, m[2].best))
 	}
 	t.AddNote("read delay %v/page models disk I/O; page cap %d spreads %d birds over enough pages to partition",
 		parallelReadDelay, parallelPageCap, h.Scale.Birds)

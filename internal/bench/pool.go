@@ -72,7 +72,7 @@ func Fig18BufferPool(h *Harness) (*Table, error) {
 		if st.MaxResident > st.Frames {
 			return nil, fmt.Errorf("fig18: residency %d exceeded %d frames", st.MaxResident, st.Frames)
 		}
-		reduction := float64(cold.PhysReads) / float64(max64(warm.PhysReads, 1))
+		reduction := float64(cold.PhysReads) / float64(max(warm.PhysReads, 1))
 		if reduction > bestReduction {
 			bestReduction = reduction
 		}
@@ -91,11 +91,4 @@ func Fig18BufferPool(h *Harness) (*Table, error) {
 	t.AddNote("warm runs at pool >= working set cut physical reads %.0fx (logical reads identical); residency stays within the frame budget at every size", bestReduction)
 	t.AddNote("page cap %d spreads %d birds across enough pages for the sweep; cold runs evict the pool first", parallelPageCap, h.Scale.Birds)
 	return t, nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -32,6 +32,7 @@ type joinProbe struct {
 	pair    Row    // the pair pred runs on, reused: the outer tuple and Inner
 	pending []*Row // the outer row's candidates not yet paired
 	done    bool   // outer input exhausted
+	slab    rowSlab
 }
 
 // bindPred binds a join's ON/residual predicate against the join's
@@ -44,18 +45,20 @@ func bindPred(e sql.Expr, schema *model.Schema, split int, lookup model.Annotati
 	return (&Evaluator{Schema: schema, Lookup: lookup, Split: split}).BindPred(e)
 }
 
-// output builds the joined row of an accepted pair: the concatenated
-// values under the outer row's OID, carrying the two sides' merged
-// summary sets (Section 2.2's merge procedure, without double
-// counting) when the join propagates and no set otherwise.
+// output builds the joined row of an accepted pair from the probe's
+// slab: the concatenated values under the outer row's OID, carrying the
+// two sides' merged summary sets (Section 2.2's merge procedure, without
+// double counting) when the join propagates and no set otherwise.
 func (p *joinProbe) output() *Row {
 	outer, inner := p.pair.Tuple, p.pair.Inner.Tuple
-	values := make([]model.Value, 0, len(outer.Values)+len(inner.Values))
-	t := &model.Tuple{OID: outer.OID, Values: append(append(values, outer.Values...), inner.Values...)}
+	row, t, values := p.slab.carve(len(outer.Values) + len(inner.Values))
+	copy(values[copy(values, outer.Values):], inner.Values)
+	*t = model.Tuple{OID: outer.OID, Values: values}
 	if p.propagate {
 		t.Summaries = model.MergeSets(outer.Summaries, inner.Summaries, p.lookup)
 	}
-	return &Row{Tuple: t}
+	*row = Row{Tuple: t}
+	return row
 }
 
 // nextBatch returns the next batch of joined rows. The inner loop ticks

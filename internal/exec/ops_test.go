@@ -405,24 +405,38 @@ func TestJoinOutputSpillsOneSummarySet(t *testing.T) {
 
 // TestJoinProbeRejectedPairsAllocateNothing: the probe evaluates its
 // predicate on one reused pair row, so a join that rejects every pair
-// allocates what its two inputs do and a constant for itself.
+// allocates what its two inputs do and a constant for itself; and it
+// carves accepted pairs' rows from a slab, so a join that accepts every
+// pair adds a few allocations per 256 rows, not three per pair. The
+// cross join runs at the widest capacity, so that its few batch
+// containers, which sync.Pool may drop under -race, are not what is
+// counted.
 func TestJoinProbeRejectedPairsAllocateNothing(t *testing.T) {
 	f := newOpsFixture(t, 40, 80)
 	on := mustExpr(t, "r.a = s.x + 1000")
-	drain := func(op func() Operator) float64 {
+	drain := func(qc *QueryCtx, op func() Operator) float64 {
 		return testing.AllocsPerRun(5, func() {
-			if _, err := Collect(nil, op()); err != nil {
+			if _, err := Collect(qc, op()); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	scans := drain(func() Operator { return summaryScan(f.r, "r") }) +
-		drain(func() Operator { return summaryScan(f.s, "s") })
-	join := drain(func() Operator {
+	scans := func(qc *QueryCtx) float64 {
+		return drain(qc, func() Operator { return summaryScan(f.r, "r") }) +
+			drain(qc, func() Operator { return summaryScan(f.s, "s") })
+	}
+	join := drain(nil, func() Operator {
 		return NewNLJoin(summaryScan(f.r, "r"), summaryScan(f.s, "s"), on, true, nil)
 	})
-	if join > scans+32 {
-		t.Fatalf("rejecting all 40×80 pairs allocated %.0f times; its two scans allocate %.0f", join, scans)
+	if base := scans(nil); join > base+32 {
+		t.Fatalf("rejecting all 40×80 pairs allocated %.0f times; its two scans allocate %.0f", join, base)
+	}
+	wide := NewQueryCtx(nil, nil, MaxBatchSize)
+	cross := drain(wide, func() Operator {
+		return NewNLJoin(summaryScan(f.r, "r"), summaryScan(f.s, "s"), nil, false, nil)
+	})
+	if base := scans(wide); cross > base+256 {
+		t.Fatalf("accepting all 40×80 pairs allocated %.0f times; its two scans allocate %.0f", cross, base)
 	}
 }
 

@@ -7,12 +7,6 @@ import (
 	"repro/internal/sql"
 )
 
-// maxSlabRows caps how many rows Project (and Sort, for its keys)
-// carves from one slab refill (three allocations per slab instead of
-// three per row; see the Operator ownership rule — carved storage is
-// handed to the consumer and never reused).
-const maxSlabRows = 256
-
 // Project evaluates projection expressions into a new row. Summary sets
 // pass through unchanged: per Theorems 1–2 of the original InsightNotes
 // paper, the elimination of projected-out annotations' effects happens
@@ -25,15 +19,7 @@ type Project struct {
 	Lookup model.AnnotationLookup
 
 	bounds []boundValue
-
-	// Output slab (amortized allocation; storage still escapes to the
-	// consumer, only the allocation is batched). batchLeft counts the
-	// rows of the batch in flight that still need storage.
-	slabRows   []Row
-	slabTuples []model.Tuple
-	slabVals   []model.Value
-	slabPos    int
-	batchLeft  int
+	slab   rowSlab
 }
 
 // NewProject builds a projection with a pre-computed output schema.
@@ -45,35 +31,13 @@ func NewProject(in Operator, exprs []sql.Expr, out *model.Schema, lookup model.A
 func (p *Project) Open(qc *QueryCtx) (err error) {
 	defer recoverOp("Project", &err)
 	p.bounds = (&Evaluator{Schema: p.Input.Schema(), Lookup: p.Lookup}).bindValues(p.Exprs)
-	p.slabRows, p.slabTuples, p.slabVals, p.slabPos = nil, nil, nil, 0
+	p.slab = rowSlab{}
 	return p.Input.Open(qc)
-}
-
-// carve returns storage for one output row from the operator's slab. A
-// refill covers the rest of the batch in flight, or double the previous
-// slab up to maxSlabRows when that is more — so a five-row result
-// allocates five rows, a large batch allocates once, and a capacity-1
-// stream still amortizes to a few allocations per 256 rows. Carved
-// storage belongs to the consumer and is never written again by this
-// operator.
-func (p *Project) carve() (*Row, *model.Tuple, []model.Value) {
-	k := len(p.Exprs)
-	if p.slabPos >= len(p.slabRows) {
-		n := max(p.batchLeft, min(2*len(p.slabRows), maxSlabRows))
-		p.slabRows = make([]Row, n)
-		p.slabTuples = make([]model.Tuple, n)
-		p.slabVals = make([]model.Value, n*k)
-		p.slabPos = 0
-	}
-	i := p.slabPos
-	p.slabPos++
-	p.batchLeft--
-	return &p.slabRows[i], &p.slabTuples[i], p.slabVals[i*k : (i+1)*k : (i+1)*k]
 }
 
 // apply projects one row into storage carved from the slab.
 func (p *Project) apply(row *Row) (*Row, error) {
-	out, tup, values := p.carve()
+	out, tup, values := p.slab.carve(len(p.Exprs))
 	for i, be := range p.bounds {
 		v, err := be(row)
 		if err != nil {
@@ -94,7 +58,7 @@ func (p *Project) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	if err != nil || b == nil {
 		return nil, err
 	}
-	p.batchLeft = b.Len()
+	p.slab.left = b.Len()
 	if err := transformBatch(b, p.apply); err != nil {
 		b.Release()
 		return nil, err

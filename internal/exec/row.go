@@ -36,3 +36,36 @@ func appendRowKey(dst []byte, vals []model.Value) []byte {
 	}
 	return dst
 }
+
+// maxSlabRows caps how many rows a rowSlab (and Sort, for its keys)
+// carves from one refill.
+const maxSlabRows = 256
+
+// rowSlab carves output rows — a Row, its Tuple and its values — from
+// slabs allocated together: three allocations per refill instead of
+// three per row. A refill covers the rest of the batch in flight
+// (left), or double the previous slab up to maxSlabRows when that is
+// more, so a five-row result allocates five rows, a large batch
+// allocates once, and a capacity-1 stream still amortizes to a few
+// allocations per 256 rows. Carved storage belongs to the consumer and
+// is never written again (see the Operator ownership rule).
+type rowSlab struct {
+	rows   []Row
+	tuples []model.Tuple
+	vals   []model.Value
+	pos    int
+	left   int // rows of the batch in flight that still need storage
+}
+
+// carve returns storage for one output row of k values.
+func (s *rowSlab) carve(k int) (*Row, *model.Tuple, []model.Value) {
+	if s.pos == len(s.rows) || len(s.vals) < k {
+		n := max(s.left, min(2*len(s.rows), maxSlabRows), 1)
+		s.rows, s.tuples, s.vals, s.pos = make([]Row, n), make([]model.Tuple, n), make([]model.Value, n*k), 0
+	}
+	row, tup, vals := &s.rows[s.pos], &s.tuples[s.pos], s.vals[:k:k]
+	s.pos++
+	s.left--
+	s.vals = s.vals[k:]
+	return row, tup, vals
+}
