@@ -144,32 +144,6 @@ func (c *Catalog) Table(name string) (*Table, error) {
 	return t, nil
 }
 
-// DropTable removes a relation from the catalog, releasing any buffer
-// pool frames its storage held.
-func (c *Catalog) DropTable(name string) error {
-	key := strings.ToLower(name)
-	t, ok := c.tables[key]
-	if !ok {
-		return fmt.Errorf("catalog: unknown table %q", name)
-	}
-	delete(c.tables, key)
-	t.Data.Release()
-	t.SummaryStorage.Release()
-	t.oidIndex.Release()
-	t.sumIndex.Release()
-	for _, idx := range t.dataIndexes {
-		idx.Release()
-	}
-	for _, idx := range t.summaryIdx {
-		idx.Release()
-	}
-	for _, idx := range t.baselineIdx {
-		idx.Release()
-	}
-	c.version.Add(1)
-	return nil
-}
-
 // TableNames lists the registered tables, sorted.
 func (c *Catalog) TableNames() []string {
 	out := make([]string, 0, len(c.tables))

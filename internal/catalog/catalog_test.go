@@ -36,12 +36,6 @@ func TestCreateAndResolveTables(t *testing.T) {
 	if len(names) != 1 || names[0] != "Birds" {
 		t.Errorf("TableNames = %v", names)
 	}
-	if err := c.DropTable("Birds"); err != nil {
-		t.Errorf("DropTable: %v", err)
-	}
-	if err := c.DropTable("Birds"); err == nil {
-		t.Error("double drop should fail")
-	}
 }
 
 func TestInsertGetDeleteTuples(t *testing.T) {

@@ -10,13 +10,14 @@ import "sync"
 // options become its QueryCtx (optimizer.BatchCapacity).
 const MaxBatchSize = 65536
 
-// Batch is a row vector exchanged between batched operators, with an
-// optional selection vector: filters qualify rows by compacting sel
-// instead of copying or moving them, so a selective predicate costs
-// one int32 write per surviving row.
+// Batch is a row vector exchanged between batched operators; every row
+// in it is live. A batch holds row pointers only, so a filter keeps its
+// survivors by compacting the pointers to the front (PredicateFilter):
+// one pointer write per surviving row, which is all a selection vector
+// would save.
 //
 // Ownership: the consumer owns a batch returned by NextBatch and may
-// mutate its selection or replace its contents in place; the producer
+// compact, truncate or replace its contents in place; the producer
 // must not touch it again. A consumer that does not pass the batch on
 // releases it. The *Row pointers inside are ordinary pipeline rows
 // owned by whoever received them (see the Operator ownership rule) and
@@ -24,19 +25,11 @@ const MaxBatchSize = 65536
 // recycles through the pool, never row storage.
 type Batch struct {
 	rows []*Row
-	// sel, when non-nil, lists the live row indices in ascending order;
-	// nil means rows[0:len(rows)] are all live.
-	sel []int32
-	// selStore is the retained backing array handed out by selStorage,
-	// so filtering a pooled batch allocates no selection vector in
-	// steady state.
-	selStore []int32
 }
 
-// batchPool recycles batch containers (the rows and sel slices). Row
-// storage is never pooled: rows escape downstream with unbounded
-// lifetime, so recycling their backing arrays would corrupt retained
-// results.
+// batchPool recycles batch containers. Row storage is never pooled:
+// rows escape downstream with unbounded lifetime, so recycling their
+// backing arrays would corrupt retained results.
 var batchPool = sync.Pool{New: func() any { return &Batch{} }}
 
 // GetBatch returns an empty batch whose container holds at least
@@ -48,7 +41,6 @@ func GetBatch(capacity int) *Batch {
 	} else {
 		b.rows = b.rows[:0]
 	}
-	b.sel = nil
 	return b
 }
 
@@ -60,83 +52,44 @@ func (b *Batch) Release() {
 		return
 	}
 	b.setLen(0) // drop row references so the pool retains no rows
-	b.sel = nil
 	batchPool.Put(b)
 }
 
-// setLen shrinks the physical row vector to n slots, clearing the
-// dropped ones: no slot beyond len(rows) ever holds a row pointer, so
-// Release only has to clear what the last user filled, not the whole
-// (possibly much larger, pooled) container.
+// setLen shrinks the row vector to n slots, clearing the dropped ones:
+// no slot beyond len(rows) ever holds a row pointer, so Release only
+// has to clear what the last user filled, not the whole (possibly much
+// larger, pooled) container.
 func (b *Batch) setLen(n int) {
 	clear(b.rows[n:])
 	b.rows = b.rows[:n]
 }
 
-// Len reports the number of live rows.
-func (b *Batch) Len() int {
-	if b.sel != nil {
-		return len(b.sel)
-	}
-	return len(b.rows)
-}
+// Len reports the number of rows.
+func (b *Batch) Len() int { return len(b.rows) }
 
-// Row returns the i-th live row (through the selection vector when one
-// is set).
-func (b *Batch) Row(i int) *Row {
-	if b.sel != nil {
-		return b.rows[b.sel[i]]
-	}
-	return b.rows[i]
-}
+// Row returns the i-th row.
+func (b *Batch) Row(i int) *Row { return b.rows[i] }
 
-// Append adds a row. Producers fill batches densely (no selection);
-// appending to a batch with a selection vector is a programming error.
-func (b *Batch) Append(r *Row) {
-	if b.sel != nil {
-		panic("exec: Append on a batch with a selection vector")
-	}
-	b.rows = append(b.rows, r)
-}
+// Append adds a row.
+func (b *Batch) Append(r *Row) { b.rows = append(b.rows, r) }
 
-// selStorage returns an empty selection vector with capacity for n
-// entries, reusing the batch's retained backing array.
-func (b *Batch) selStorage(n int) []int32 {
-	if cap(b.selStore) < n {
-		b.selStore = make([]int32, 0, n)
-	}
-	return b.selStore[:0]
-}
-
-// Truncate keeps only the first n live rows (LIMIT).
+// Truncate keeps only the first n rows (LIMIT).
 func (b *Batch) Truncate(n int) {
-	if n >= b.Len() {
-		return
+	if n < len(b.rows) {
+		b.setLen(n)
 	}
-	if b.sel != nil {
-		b.sel = b.sel[:n]
-		return
-	}
-	b.setLen(n)
 }
 
-// transformBatch replaces every live row with fn(row), compacting the
-// results densely into the same container and consuming any selection
-// vector. Safe in place: selection indices ascend, so the write cursor
-// never passes the read position. On an fn error the batch is left for
-// the caller to release.
+// transformBatch replaces every row with fn(row), in place and in
+// order. On an fn error the batch is left for the caller to release.
 func transformBatch(b *Batch, fn func(*Row) (*Row, error)) error {
-	out := 0
-	for i, n := 0, b.Len(); i < n; i++ {
-		row, err := fn(b.Row(i))
+	for i, row := range b.rows {
+		row, err := fn(row)
 		if err != nil {
 			return err
 		}
-		b.rows[out] = row
-		out++
+		b.rows[i] = row
 	}
-	b.setLen(out)
-	b.sel = nil
 	return nil
 }
 

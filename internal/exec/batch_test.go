@@ -12,43 +12,41 @@ import (
 	"repro/internal/sql"
 )
 
+// TestBatchSelectionAndTruncate: a selection (PredicateFilter) keeps
+// its rows by compacting the pointers to the front of the batch, and
+// LIMIT's Truncate cuts the batch short. Both must clear the slots they
+// drop, or a released container would keep dropped rows alive in the
+// pool.
 func TestBatchSelectionAndTruncate(t *testing.T) {
+	schema, rows := intRows(100)
+	for _, capacity := range []int{1, 1024} {
+		pred := mustExpr(t, "v < 20 OR v > 60 AND v < 80")
+		out, err := Collect(NewQueryCtx(nil, nil, capacity), NewFilter(NewSliceIter(schema, rows), pred, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != 19+19 || out[0] != rows[21] || out[19] != rows[81] {
+			t.Fatalf("capacity %d: %d rows pass, want rows 21-39 and 81-99", capacity, len(out))
+		}
+		assertPoolHoldsNoRows(t)
+	}
+
 	b := GetBatch(8)
-	_, rows := intRows(6)
-	for _, r := range rows {
+	for _, r := range rows[:6] {
 		b.Append(r)
 	}
+	b.Truncate(9) // longer than the batch: a no-op
 	if b.Len() != 6 {
-		t.Fatalf("dense len = %d, want 6", b.Len())
-	}
-	// Select the even physical slots.
-	sel := b.selStorage(3)
-	sel = append(sel, 0, 2, 4)
-	b.sel = sel
-	if b.Len() != 3 {
-		t.Fatalf("selected len = %d, want 3", b.Len())
-	}
-	for i, want := range []int{0, 2, 4} {
-		if b.Row(i) != rows[want] {
-			t.Fatalf("Row(%d) != physical row %d", i, want)
-		}
+		t.Fatalf("len = %d, want 6", b.Len())
 	}
 	b.Truncate(2)
-	if b.Len() != 2 || b.Row(1) != rows[2] {
-		t.Fatalf("truncated selection wrong: len=%d", b.Len())
+	if b.Len() != 2 || b.Row(0) != rows[0] || b.Row(1) != rows[1] {
+		t.Fatalf("truncated batch wrong: len=%d", b.Len())
 	}
-	// Appending through a selection is a protocol violation.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Append on a selected batch should panic")
-			}
-		}()
-		b.Append(rows[0])
-	}()
+	if cut := b.rows[:6]; cut[2] != nil || cut[5] != nil {
+		t.Fatal("Truncate left row pointers in the slots it cut off")
+	}
 	b.Release()
-	// The pool must hand back a clean container, never retained rows —
-	// including the slots Truncate cut off.
 	assertPoolHoldsNoRows(t)
 }
 
@@ -60,8 +58,8 @@ func assertPoolHoldsNoRows(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		b := GetBatch(1)
 		taken = append(taken, b)
-		if b.Len() != 0 || b.sel != nil {
-			t.Fatalf("pooled batch not clean: len=%d sel=%v", b.Len(), b.sel)
+		if b.Len() != 0 {
+			t.Fatalf("pooled batch not clean: len=%d", b.Len())
 		}
 		for slot, r := range b.rows[:cap(b.rows)] {
 			if r != nil {
@@ -74,27 +72,41 @@ func assertPoolHoldsNoRows(t *testing.T) {
 	}
 }
 
+// TestTransformBatchConsumesSelection: transformBatch maps the rows of a
+// batch a selection (PredicateFilter) has compacted, in place and in
+// order, and the slots the selection dropped stay clear.
 func TestTransformBatchConsumesSelection(t *testing.T) {
-	b := GetBatch(8)
-	_, rows := intRows(5)
-	for _, r := range rows {
-		b.Append(r)
-	}
-	sel := b.selStorage(3)
-	b.sel = append(sel, 1, 3, 4)
-	if err := transformBatch(b, func(r *Row) (*Row, error) { return r, nil }); err != nil {
+	schema, rows := intRows(6) // v = 6, 5, …, 1
+	qc := NewQueryCtx(nil, nil, 8)
+	f := NewFilter(NewSliceIter(schema, rows), mustExpr(t, "v <> 6 AND v <> 4 AND v <> 2"), nil)
+	defer f.Close()
+	if err := f.Open(qc); err != nil {
 		t.Fatal(err)
 	}
-	if b.sel != nil {
-		t.Fatal("transformBatch should consume the selection vector")
+	b, err := f.NextBatch(qc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if b.Len() != 3 {
-		t.Fatalf("len = %d, want 3", b.Len())
-	}
-	for i, want := range []int{1, 3, 4} {
-		if b.Row(i) != rows[want] {
-			t.Fatalf("compacted row %d != physical row %d", i, want)
+	_, repl := intRows(1)
+	if err := transformBatch(b, func(r *Row) (*Row, error) {
+		if r == rows[3] {
+			return repl[0], nil
 		}
+		return r, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := []*Row{rows[1], repl[0], rows[5]}
+	if b.Len() != len(want) {
+		t.Fatalf("len = %d, want %d", b.Len(), len(want))
+	}
+	for i, r := range want {
+		if b.Row(i) != r {
+			t.Fatalf("row %d is not the expected row", i)
+		}
+	}
+	if cut := b.rows[:6]; cut[3] != nil || cut[5] != nil {
+		t.Fatal("row pointers left past the kept rows")
 	}
 	b.Release()
 	assertPoolHoldsNoRows(t)

@@ -423,37 +423,3 @@ func (ev *Evaluator) columnRef(n *sql.ColumnRef) (func(*Row) *model.Value, error
 	}
 	return func(row *Row) *model.Value { return &row.Tuple.Values[i] }, nil
 }
-
-// FilterBatch evaluates a bound predicate over every live row of b and
-// compacts the batch's selection vector in place to the qualifying
-// rows. Rows are neither copied nor moved: a filter costs one int32
-// write per surviving row. The in-place compaction is safe because the
-// write position never passes the read position.
-func FilterBatch(pred boundPred, b *Batch) error {
-	if b.sel == nil {
-		sel := b.selStorage(len(b.rows))
-		for i, row := range b.rows {
-			ok, err := pred(row)
-			if err != nil {
-				return err
-			}
-			if ok {
-				sel = append(sel, int32(i))
-			}
-		}
-		b.sel = sel
-		return nil
-	}
-	out := b.sel[:0]
-	for _, phys := range b.sel {
-		ok, err := pred(b.rows[phys])
-		if err != nil {
-			return err
-		}
-		if ok {
-			out = append(out, phys)
-		}
-	}
-	b.sel = out
-	return nil
-}

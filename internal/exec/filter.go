@@ -33,7 +33,8 @@ func (f *PredicateFilter) Open(qc *QueryCtx) (err error) {
 }
 
 // NextBatch filters input batches with the bound predicate, compacting
-// each batch's selection vector in place (no row copies) and skipping
+// each batch's surviving row pointers to its front in place (setLen
+// clears the tail, so the pool keeps no dropped row) and skipping
 // batches the predicate empties.
 func (f *PredicateFilter) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("Filter", &err)
@@ -42,11 +43,19 @@ func (f *PredicateFilter) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		if err := FilterBatch(f.bound, b); err != nil {
-			b.Release()
-			return nil, err
+		kept := 0
+		for _, row := range b.rows {
+			ok, err := f.bound(row)
+			if err != nil {
+				b.Release()
+				return nil, err
+			}
+			if ok {
+				b.rows[kept] = row
+				kept++
+			}
 		}
-		if b.Len() > 0 {
+		if b.setLen(kept); kept > 0 {
 			return b, nil
 		}
 		b.Release()
@@ -68,6 +77,8 @@ type SummaryFilter struct {
 	Instances []string
 	// Types keeps objects whose type is listed (empty = any).
 	Types []model.SummaryType
+
+	slab rowSlab
 }
 
 // NewSummaryFilter builds an F node.
@@ -120,19 +131,18 @@ func (f *SummaryFilter) apply(row *Row) (*Row, error) {
 			kept = append(kept, o)
 		}
 	}
-	out := &Row{Tuple: row.Tuple.ShallowWithValues(row.Tuple.Values)}
-	out.Tuple.Summaries = kept
-	return out, nil
+	return f.slab.shallow(row, kept), nil
 }
 
-// NextBatch filters each live row's summary set in place in the
-// consumed batch's container.
+// NextBatch filters each row's summary set in place in the consumed
+// batch's container.
 func (f *SummaryFilter) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("SummaryFilter", &err)
 	b, err = f.Input.NextBatch(qc)
 	if err != nil || b == nil {
 		return nil, err
 	}
+	f.slab.left = b.Len()
 	return b, transformBatch(b, f.apply)
 }
 

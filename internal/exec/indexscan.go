@@ -83,6 +83,8 @@ type SummaryIndexScan struct {
 	// (countPages) only. They survive Close; Open resets the counters.
 	pagesPinned, distinctPages int64
 	pages                      map[int32]struct{}
+
+	slab rowSlab
 }
 
 // NewSummaryIndexScan builds the scan.
@@ -185,7 +187,7 @@ func (s *SummaryIndexScan) deref(rid heap.RID) *Row {
 			return nil
 		}
 	}
-	row, _ := fetchRow(s.Table, rid)
+	row, _ := s.slab.fetch(s.Table, rid)
 	return row
 }
 
@@ -229,13 +231,11 @@ func (s *SummaryIndexScan) fillRun() {
 	s.bufPos = 0
 	run := s.hits[s.pos:j]
 	s.pos = j
-	// The run's rows are carved from two slabs, as SeqScan carves a batch.
-	rows, tuples := make([]Row, len(run)), make([]model.Tuple, len(run))
+	rows := s.slab.take(len(run)) // the run's slots, in one call
 	s.pagesPinned += int64(s.Table.Data.FetchMany(run, func(rid heap.RID, oid int64, values []model.Value) bool {
-		n := len(s.buf)
-		tuples[n] = model.Tuple{OID: oid, Values: values}
-		rows[n].Tuple = &tuples[n]
-		s.buf = append(s.buf, &rows[n])
+		r := &rows[len(s.buf)]
+		r.Tuple.OID, r.Tuple.Values = oid, values
+		s.buf = append(s.buf, r)
 		return true
 	}))
 }
@@ -334,6 +334,7 @@ type BaselineIndexScan struct {
 
 	schema *model.Schema
 	cur    index.Cursor[int64]
+	slab   rowSlab
 }
 
 // NewBaselineIndexScan builds the scan.
@@ -375,7 +376,7 @@ func (s *BaselineIndexScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 		if !ok {
 			continue
 		}
-		row, ok := fetchRow(s.Table, rid)
+		row, ok := s.slab.fetch(s.Table, rid)
 		if !ok {
 			continue
 		}

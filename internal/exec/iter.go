@@ -17,13 +17,12 @@ import "repro/internal/model"
 // Ownership rule: the consumer owns a batch returned by NextBatch (see
 // Batch). A row inside it belongs to the consumer too and stays valid
 // indefinitely — the producer never writes to it again, even across
-// Close. Producers may therefore carve row storage from amortizing
-// slabs (SeqScan, Project), but must hand each slot out exactly once.
-// Rows are shared structurally up the pipeline (a filter forwards its
+// Close. Every operator that makes rows therefore carves their storage
+// from its own rowSlab, which hands each slot out exactly once. Rows
+// are shared structurally up the pipeline (a filter forwards its
 // input's rows; joins point into both sides), so a consumer that wants
-// to change a row builds a new one over a shallow tuple copy and
-// replaces what it changes there, as SummaryFilter.apply does
-// (Tuple.ShallowWithValues, then its own Summaries).
+// to change a row carves a shallow copy and replaces what it changes
+// there, as the summary rewrites do (rowSlab.shallow).
 type Operator interface {
 	Open(qc *QueryCtx) error
 	NextBatch(qc *QueryCtx) (*Batch, error)
@@ -31,7 +30,7 @@ type Operator interface {
 	Schema() *model.Schema
 }
 
-// drain pulls op to end-of-stream, handing every live row to fn in
+// drain pulls op to end-of-stream, handing every row to fn in
 // order. Each consumed batch is released on every path — success, an
 // fn error (budget, cancellation), or an input error — which is how
 // the pipeline breakers keep the batch pool free of row pointers.

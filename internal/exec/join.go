@@ -51,13 +51,12 @@ func bindPred(e sql.Expr, schema *model.Schema, split int, lookup model.Annotati
 // double counting) when the join propagates and no set otherwise.
 func (p *joinProbe) output() *Row {
 	outer, inner := p.pair.Tuple, p.pair.Inner.Tuple
-	row, t, values := p.slab.carve(len(outer.Values) + len(inner.Values))
+	row, values := p.slab.carve(len(outer.Values) + len(inner.Values))
 	copy(values[copy(values, outer.Values):], inner.Values)
-	*t = model.Tuple{OID: outer.OID, Values: values}
+	*row.Tuple = model.Tuple{OID: outer.OID, Values: values}
 	if p.propagate {
-		t.Summaries = model.MergeSets(outer.Summaries, inner.Summaries, p.lookup)
+		row.Tuple.Summaries = model.MergeSets(outer.Summaries, inner.Summaries, p.lookup)
 	}
-	*row = Row{Tuple: t}
 	return row
 }
 
@@ -225,6 +224,7 @@ func (j *IndexJoin) Open(qc *QueryCtx) (err error) {
 	outerKey := (&Evaluator{Schema: j.Left.Schema(), Lookup: j.Lookup}).BindValue(j.OuterKey)
 	idx := j.InnerTable.DataIndex(j.InnerCol)
 	var hits []*Row // reused: the probe has consumed the last call's slice
+	var slab rowSlab
 	j.probe = joinProbe{
 		left: j.Left,
 		candidates: func(qc *QueryCtx, outer *Row) ([]*Row, error) {
@@ -239,7 +239,7 @@ func (j *IndexJoin) Open(qc *QueryCtx) (err error) {
 			var kb [32]byte
 			hits = hits[:0]
 			for _, enc := range idx.SearchEq(string(key.AppendSortKey(kb[:0]))) {
-				row, ok := fetchRow(j.InnerTable, heap.DecodeRID(enc))
+				row, ok := slab.fetch(j.InnerTable, heap.DecodeRID(enc))
 				if !ok {
 					continue
 				}

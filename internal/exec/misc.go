@@ -74,7 +74,8 @@ func (d *Distinct) Open(qc *QueryCtx) (err error) {
 	byKey := map[string]int{}
 	var merged []*model.SetAccumulator // parallel to d.rows
 	d.rows, d.pos = nil, 0
-	var key []byte // the row's key, reused
+	var key []byte   // the row's key, reused
+	var slab rowSlab // retained rows are copies: the input's storage is not kept alive
 	err = run(qc, d.Input, func(row *Row) error {
 		key = appendRowKey(key[:0], row.Tuple.Values)
 		i, ok := byKey[string(key)]
@@ -83,14 +84,13 @@ func (d *Distinct) Open(qc *QueryCtx) (err error) {
 				return cerr
 			}
 			i, byKey[string(key)] = len(d.rows), len(d.rows)
-			d.rows = append(d.rows, row)
+			d.rows = append(d.rows, slab.shallow(row, nil))
 			merged = append(merged, model.NewSetAccumulator(d.Lookup))
 		}
 		merged[i].Add(row.Tuple.Summaries)
 		return nil
 	})
 	for i, acc := range merged {
-		d.rows[i] = &Row{Tuple: d.rows[i].Tuple.ShallowWithValues(d.rows[i].Tuple.Values)}
 		d.rows[i].Tuple.Summaries = acc.Result()
 	}
 	return err

@@ -37,7 +37,7 @@ func (p *Project) Open(qc *QueryCtx) (err error) {
 
 // apply projects one row into storage carved from the slab.
 func (p *Project) apply(row *Row) (*Row, error) {
-	out, tup, values := p.slab.carve(len(p.Exprs))
+	out, values := p.slab.carve(len(p.Exprs))
 	for i, be := range p.bounds {
 		v, err := be(row)
 		if err != nil {
@@ -45,13 +45,11 @@ func (p *Project) apply(row *Row) (*Row, error) {
 		}
 		values[i] = v
 	}
-	*tup = model.Tuple{OID: row.Tuple.OID, Values: values, Summaries: row.Tuple.Summaries}
-	*out = Row{Tuple: tup}
+	*out.Tuple = model.Tuple{OID: row.Tuple.OID, Values: values, Summaries: row.Tuple.Summaries}
 	return out, nil
 }
 
-// NextBatch projects a whole input batch, refilling the same container
-// densely (consuming any selection vector).
+// NextBatch projects a whole input batch, refilling the same container.
 func (p *Project) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("Project", &err)
 	b, err = p.Input.NextBatch(qc)
@@ -86,6 +84,8 @@ type SummaryEffectProject struct {
 	// Annotations fetches a tuple's raw annotations.
 	Annotations func(tupleOID int64) []*model.Annotation
 	Lookup      model.AnnotationLookup
+
+	slab rowSlab
 }
 
 // NewSummaryEffectProject builds the node. keptColumns are matched
@@ -116,13 +116,10 @@ func (p *SummaryEffectProject) apply(row *Row) (*Row, error) {
 			surviving[a.ID] = true
 		}
 	}
-	projected := model.ProjectSummaries(set, model.KeepSet(surviving), p.Lookup)
-	out := &Row{Tuple: row.Tuple.ShallowWithValues(row.Tuple.Values)}
-	out.Tuple.Summaries = projected
-	return out, nil
+	return p.slab.shallow(row, model.ProjectSummaries(set, model.KeepSet(surviving), p.Lookup)), nil
 }
 
-// NextBatch rewrites each live row's summaries in place in the consumed
+// NextBatch rewrites each row's summaries in place in the consumed
 // batch's container.
 func (p *SummaryEffectProject) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("SummaryEffectProject", &err)
@@ -130,6 +127,7 @@ func (p *SummaryEffectProject) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	if err != nil || b == nil {
 		return nil, err
 	}
+	p.slab.left = b.Len()
 	return b, transformBatch(b, p.apply)
 }
 

@@ -37,35 +37,66 @@ func appendRowKey(dst []byte, vals []model.Value) []byte {
 	return dst
 }
 
-// maxSlabRows caps how many rows a rowSlab (and Sort, for its keys)
-// carves from one refill.
+// maxSlabRows caps how many rows a rowSlab carves from one refill.
 const maxSlabRows = 256
 
-// rowSlab carves output rows — a Row, its Tuple and its values — from
-// slabs allocated together: three allocations per refill instead of
-// three per row. A refill covers the rest of the batch in flight
-// (left), or double the previous slab up to maxSlabRows when that is
-// more, so a five-row result allocates five rows, a large batch
-// allocates once, and a capacity-1 stream still amortizes to a few
-// allocations per 256 rows. Carved storage belongs to the consumer and
-// is never written again (see the Operator ownership rule).
+// rowSlab is the one row carver: every operator that makes rows — the
+// scans, the fetches, Project, the join probe, the summary rewrites and
+// the copies Sort and Distinct keep (a slab lives as long as any of its
+// rows, so a breaker does not keep its input's slabs alive) — takes its
+// Row, Tuple and value slots from one, three allocations per refill
+// instead of three per row. Each Row slot already points at its own
+// Tuple slot. A refill covers the rows asked for, the rest of the batch
+// in flight (left), or double the previous slab up to maxSlabRows,
+// whichever is most, so a five-row result allocates five rows, a large
+// batch allocates once, and a capacity-1 stream still amortizes to a
+// few allocations per 256 rows. Carved storage belongs to the consumer
+// and is never written again (see the Operator ownership rule).
 type rowSlab struct {
-	rows   []Row
-	tuples []model.Tuple
-	vals   []model.Value
-	pos    int
-	left   int // rows of the batch in flight that still need storage
+	rows []Row
+	vals []model.Value
+	pos  int
+	left int // rows of the batch in flight that still need storage
 }
 
-// carve returns storage for one output row of k values.
-func (s *rowSlab) carve(k int) (*Row, *model.Tuple, []model.Value) {
-	if s.pos == len(s.rows) || len(s.vals) < k {
-		n := max(s.left, min(2*len(s.rows), maxSlabRows), 1)
-		s.rows, s.tuples, s.vals, s.pos = make([]Row, n), make([]model.Tuple, n), make([]model.Value, n*k), 0
-	}
-	row, tup, vals := &s.rows[s.pos], &s.tuples[s.pos], s.vals[:k:k]
+// take returns n fresh rows, each pointing at a fresh Tuple. Leaves
+// take a batch's or a page run's slots in one call: a carve per row
+// costs a call in the scan's hottest loop.
+func (s *rowSlab) take(n int) []Row {
+	s.reserve(n, 0)
+	s.pos += n
+	return s.rows[s.pos-n : s.pos : s.pos]
+}
+
+// carve returns one fresh row, pointing at a fresh Tuple, and k fresh
+// values for it.
+func (s *rowSlab) carve(k int) (*Row, []model.Value) {
+	s.reserve(1, k)
+	row, vals := &s.rows[s.pos], s.vals[:k:k]
 	s.pos++
 	s.left--
 	s.vals = s.vals[k:]
-	return row, tup, vals
+	return row, vals
+}
+
+// shallow returns a fresh copy of row whose tuple shares row's values
+// but carries set: how a summary rewrite changes a row it does not own.
+func (s *rowSlab) shallow(row *Row, set model.SummarySet) *Row {
+	out, _ := s.carve(0)
+	*out.Tuple = *row.Tuple
+	out.Tuple.Summaries = set
+	return out
+}
+
+// reserve refills the slab unless n rows of k values each remain.
+func (s *rowSlab) reserve(n, k int) {
+	if s.pos+n <= len(s.rows) && len(s.vals) >= n*k {
+		return
+	}
+	m := max(n, s.left, min(2*len(s.rows), maxSlabRows))
+	tuples := make([]model.Tuple, m)
+	s.rows, s.vals, s.pos = make([]Row, m), make([]model.Value, m*k), 0
+	for i := range s.rows {
+		s.rows[i].Tuple = &tuples[i]
+	}
 }

@@ -57,6 +57,7 @@ type SeqScan struct {
 
 	schema *model.Schema
 	cursor *heap.Cursor[[]model.Value]
+	slab   rowSlab
 }
 
 // NewSeqScan builds a sequential scan.
@@ -85,10 +86,9 @@ func (s *SeqScan) Open(qc *QueryCtx) (err error) {
 	return nil
 }
 
-// NextBatch fills a row vector from the cursor. Row and Tuple storage
-// is carved from two per-batch slabs (two allocations per batch instead
-// of two per row). Cancellation is polled and the deferred panic trap
-// paid once per batch.
+// NextBatch fills a row vector from the cursor, taking the batch's row
+// slots from the slab in one call. Cancellation is polled and the
+// deferred panic trap paid once per batch.
 func (s *SeqScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("SeqScan", &err)
 	size := s.batchSize(qc)
@@ -96,24 +96,19 @@ func (s *SeqScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 		return nil, err
 	}
 	var rows []Row
-	var tuples []model.Tuple
 	for n := 0; n < size; n++ {
 		_, oid, values, ok := s.cursor.Next()
 		if !ok {
 			break
 		}
 		if b == nil {
-			// Lazily take the container and carve the slabs so the
-			// terminal empty call costs nothing.
-			b = GetBatch(size)
-			rows = make([]Row, size)
-			tuples = make([]model.Tuple, size)
+			// Lazily take the container and the slots so the terminal
+			// empty call costs nothing.
+			b, rows = GetBatch(size), s.slab.take(size)
 		}
-		t := &tuples[n]
+		t := rows[n].Tuple
 		t.OID, t.Values = oid, values
-		r := &rows[n]
-		r.Tuple = t
-		b.Append(r)
+		b.Append(&rows[n])
 	}
 	return b, nil
 }
@@ -131,17 +126,19 @@ func (s *SeqScan) Close() error {
 // Schema returns the scan's output schema (table columns under alias).
 func (s *SeqScan) Schema() *model.Schema { return s.schema }
 
-// fetchRow loads a base tuple at a known heap location and wraps it as a
-// pipeline row; shared by the index scans and the index join.
-func fetchRow(t *catalog.Table, rid heap.RID) (*Row, bool) {
-	tu, ok := t.GetAt(rid)
+// fetch loads the base tuple at a known heap location into a row carved
+// from s: the per-hit fetch of the index scans and the index join.
+func (s *rowSlab) fetch(t *catalog.Table, rid heap.RID) (*Row, bool) {
+	oid, values, ok := t.Data.Get(rid)
 	if !ok {
 		return nil, false
 	}
-	return &Row{Tuple: tu}, true
+	row, _ := s.carve(0)
+	row.Tuple.OID, row.Tuple.Values = oid, values
+	return row, true
 }
 
-// AttachSummaries sets each live row's summary set from its table's
+// AttachSummaries sets each row's summary set from its table's
 // R_SummaryStorage: the one place a scan path fetches summaries. The
 // compiler puts it above the data-only selections on its leaf, so a row
 // those selections drop never pays for its set. The leaf's tuples are
@@ -159,7 +156,7 @@ func NewAttachSummaries(in Operator, t *catalog.Table) *AttachSummaries {
 // Open opens the input.
 func (a *AttachSummaries) Open(qc *QueryCtx) error { return a.Input.Open(qc) }
 
-// NextBatch attaches the summary sets of the input batch's live rows.
+// NextBatch attaches the summary sets of the input batch's rows.
 func (a *AttachSummaries) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("AttachSummaries", &err)
 	b, err = a.Input.NextBatch(qc)

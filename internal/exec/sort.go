@@ -188,19 +188,17 @@ func (s *Sort) Open(qc *QueryCtx) (err error) {
 		return nil
 	}
 
-	// Rows' key values are carved from slabs: a refill holds a batch, or
-	// twice the last slab up to maxSlabRows rows when that is more.
-	var slab []model.Value
+	// A buffered row is a copy carved with its key values (a refill holds
+	// at least a batch), so the input's row storage, and whatever rows a
+	// filter below dropped from it, is not kept alive until the sort ends.
+	var slab rowSlab
 	err = run(qc, s.Input, func(row *Row) error {
-		if k := len(boundKeys); len(slab)+k > cap(slab) {
-			slab = make([]model.Value, 0, k*max(qc.Capacity(), min(2*cap(slab)/k+1, maxSlabRows)))
-		}
-		n := len(slab)
-		var err error
-		if slab, err = appendValues(slab, boundKeys, row); err != nil {
+		slab.left = qc.Capacity()
+		kept, keys := slab.carve(len(boundKeys))
+		if _, err := appendValues(keys[:0], boundKeys, row); err != nil {
 			return err
 		}
-		keys := slab[n:len(slab):len(slab)]
+		*kept.Tuple = *row.Tuple
 		rb := approxRowBytes(row)
 		if cerr := s.res.charge(1, rb); cerr != nil {
 			// Buffer pressure: spill the buffer as a sorted run and
@@ -214,7 +212,7 @@ func (s *Sort) Open(qc *QueryCtx) (err error) {
 				return cerr // a single row exceeds the budget
 			}
 		}
-		buf = append(buf, keyedRow{Keys: keys, Row: row})
+		buf = append(buf, keyedRow{Keys: keys, Row: kept})
 		bufBytes += rb
 		if !mem && len(buf) >= runLen {
 			return flush()

@@ -29,7 +29,7 @@ type OpStats struct {
 	// NextCalls counts NextBatch invocations, including the final EOS
 	// call (at capacity 1 that is one per row, plus one).
 	NextCalls int64
-	// Rows counts the live rows of every batch emitted.
+	// Rows counts the rows of every batch emitted.
 	Rows int64
 
 	// OpenWall/NextWall/CloseWall are cumulative wall time inside each
@@ -265,7 +265,7 @@ func (w *statsIter) Open(qc *QueryCtx) error {
 }
 
 // NextBatch records one measurement window per batch. Rows counts
-// every live row, so EXPLAIN ANALYZE "rows" does not depend on the
+// every row, so EXPLAIN ANALYZE "rows" does not depend on the
 // capacity; "nexts" counts batch calls.
 func (w *statsIter) NextBatch(qc *QueryCtx) (*Batch, error) {
 	start, io0, b0 := w.sample(qc.Budget())

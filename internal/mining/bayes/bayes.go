@@ -68,19 +68,6 @@ func (c *Classifier) Train(label, text string) error {
 	return nil
 }
 
-// TrainBatch trains on parallel slices of labels and texts.
-func (c *Classifier) TrainBatch(labels, texts []string) error {
-	if len(labels) != len(texts) {
-		return fmt.Errorf("bayes: %d labels vs %d texts", len(labels), len(texts))
-	}
-	for i := range labels {
-		if err := c.Train(labels[i], texts[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Classify returns the maximum-a-posteriori label for text. With no
 // training data it returns the last label (the conventional catch-all,
 // e.g. "Other"). Ties break toward the earlier label for determinism.
@@ -129,26 +116,6 @@ func (c *Classifier) logPosterior(label string, terms []string) float64 {
 		s += math.Log(float64(c.termCount[label][t]+1) / denom)
 	}
 	return s
-}
-
-// TopTerms returns up to n highest-frequency terms for a label, sorted
-// by descending count then term. Useful for model inspection and tests.
-func (c *Classifier) TopTerms(label string, n int) []string {
-	counts := c.termCount[label]
-	terms := make([]string, 0, len(counts))
-	for t := range counts {
-		terms = append(terms, t)
-	}
-	sort.Slice(terms, func(i, j int) bool {
-		if counts[terms[i]] != counts[terms[j]] {
-			return counts[terms[i]] > counts[terms[j]]
-		}
-		return terms[i] < terms[j]
-	})
-	if len(terms) > n {
-		terms = terms[:n]
-	}
-	return terms
 }
 
 // Append appends the trained model in the cell encoding: the labels in

@@ -12,7 +12,6 @@
 package clustream
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/textutil"
@@ -219,13 +218,3 @@ func (c *Clusterer) Len() int { return len(c.clusters) }
 
 // Inserted returns the total number of points inserted.
 func (c *Clusterer) Inserted() int { return c.inserted }
-
-// AverageTimestamp returns the mean insertion time of cluster i's
-// members, CluStream's recency stamp.
-func (c *Clusterer) AverageTimestamp(i int) (float64, error) {
-	if i < 0 || i >= len(c.clusters) {
-		return 0, fmt.Errorf("clustream: cluster %d out of range", i)
-	}
-	mc := c.clusters[i]
-	return mc.lst / float64(mc.n), nil
-}

@@ -115,22 +115,6 @@ func TestBudgetEnforcedUnderDiverseInput(t *testing.T) {
 	}
 }
 
-func TestAverageTimestamp(t *testing.T) {
-	c := New(Config{})
-	c.Insert(1, "same same text", 10)
-	c.Insert(2, "same same text", 20)
-	if c.Len() != 1 {
-		t.Fatalf("identical texts should share a cluster, got %d", c.Len())
-	}
-	ts, err := c.AverageTimestamp(0)
-	if err != nil || ts != 15 {
-		t.Errorf("AverageTimestamp = %f, %v", ts, err)
-	}
-	if _, err := c.AverageTimestamp(5); err == nil {
-		t.Error("out-of-range index should error")
-	}
-}
-
 func TestTopicPurityOnSeparatedTopics(t *testing.T) {
 	// With a generous budget, well-separated topics should not be forced
 	// into shared clusters: check that at least one cluster is pure per

@@ -85,12 +85,3 @@ func TestTupleCloneIsDeep(t *testing.T) {
 		t.Errorf("Tuple.String = %q", got)
 	}
 }
-
-func TestTupleShallowWithValues(t *testing.T) {
-	tu := NewTuple(5, NewInt(1))
-	tu.Summaries = SummarySet{{InstanceID: "C1", Type: SummaryClassifier}}
-	sw := tu.ShallowWithValues([]Value{NewInt(2), NewInt(3)})
-	if sw.OID != 5 || len(sw.Values) != 2 || sw.Summaries.Get("C1") == nil {
-		t.Errorf("ShallowWithValues: %+v", sw)
-	}
-}

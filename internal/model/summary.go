@@ -35,20 +35,6 @@ func (t SummaryType) String() string {
 	}
 }
 
-// SummaryTypeFromName parses a type name (case-insensitive).
-func SummaryTypeFromName(name string) (SummaryType, error) {
-	switch strings.ToLower(name) {
-	case "cluster":
-		return SummaryCluster, nil
-	case "classifier":
-		return SummaryClassifier, nil
-	case "snippet":
-		return SummarySnippet, nil
-	default:
-		return 0, fmt.Errorf("model: unknown summary type %q", name)
-	}
-}
-
 // Rep is one representative inside a summary object — one entry of the
 // paper's Rep[] array, together with its Elements[][] row (the IDs of the
 // contributing raw annotations). Which fields are meaningful depends on

@@ -33,12 +33,6 @@ func (t *Tuple) Clone() *Tuple {
 	return out
 }
 
-// ShallowWithValues returns a tuple sharing t's summaries but holding the
-// given value slice. Used by projections that do not touch summaries.
-func (t *Tuple) ShallowWithValues(values []Value) *Tuple {
-	return &Tuple{OID: t.OID, Values: values, Summaries: t.Summaries}
-}
-
 // String renders the data values separated by "|"; summaries are not
 // included (see SummarySet.String).
 func (t *Tuple) String() string {

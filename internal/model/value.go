@@ -42,23 +42,6 @@ func (k Kind) String() string {
 	}
 }
 
-// KindFromName parses a SQL type name into a Kind. It accepts the common
-// aliases used by the front-end grammar.
-func KindFromName(name string) (Kind, error) {
-	switch strings.ToUpper(name) {
-	case "INT", "INTEGER", "BIGINT":
-		return KindInt, nil
-	case "FLOAT", "DOUBLE", "REAL", "NUMERIC":
-		return KindFloat, nil
-	case "TEXT", "VARCHAR", "STRING", "CHAR":
-		return KindText, nil
-	case "BOOL", "BOOLEAN":
-		return KindBool, nil
-	default:
-		return KindNull, fmt.Errorf("model: unknown type name %q", name)
-	}
-}
-
 // Value is a dynamically typed relational value. The zero Value is NULL.
 // Values are immutable; only the field of its Kind is meaningful (and only
 // that field is stored, see appendValue).

@@ -21,23 +21,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestKindFromName(t *testing.T) {
-	for name, want := range map[string]Kind{
-		"int": KindInt, "INTEGER": KindInt, "BigInt": KindInt,
-		"float": KindFloat, "DOUBLE": KindFloat, "real": KindFloat,
-		"text": KindText, "VARCHAR": KindText, "string": KindText,
-		"bool": KindBool, "BOOLEAN": KindBool,
-	} {
-		got, err := KindFromName(name)
-		if err != nil || got != want {
-			t.Errorf("KindFromName(%q) = %v, %v; want %v", name, got, err, want)
-		}
-	}
-	if _, err := KindFromName("blob"); err == nil {
-		t.Error("KindFromName(blob) should fail")
-	}
-}
-
 func TestValueConstructorsAndAccessors(t *testing.T) {
 	if !Null().IsNull() {
 		t.Error("Null() not null")

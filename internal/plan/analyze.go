@@ -159,17 +159,6 @@ func readsSummaries(e sql.Expr) bool {
 	return false
 }
 
-// SingleAlias returns the only alias the info touches, or "".
-func (i *ExprInfo) SingleAlias() string {
-	if len(i.Aliases) != 1 {
-		return ""
-	}
-	for a := range i.Aliases {
-		return a
-	}
-	return ""
-}
-
 // ClassifierPredicate is the indexable predicate shape
 // "$.getSummaryObject(I).getLabelValue(L) <op> constant".
 type ClassifierPredicate struct {

@@ -88,8 +88,8 @@ func TestAnalyzeExpr(t *testing.T) {
 	}
 	// Unqualified column resolves to its owner.
 	e2, _ := sql.ParseExpr("a = 1")
-	if got := Analyze(e2, resolver).SingleAlias(); got != "r" {
-		t.Errorf("owner of a: %q", got)
+	if got := Analyze(e2, resolver).Aliases; len(got) != 1 || !got["r"] {
+		t.Errorf("owner of a: %v", got)
 	}
 	// Aggregate detection.
 	e3, _ := sql.ParseExpr("count(*)")

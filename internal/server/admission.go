@@ -6,12 +6,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/exec"
 )
 
-// TenantConfig is one tenant's admission-control and resource policy.
-// The zero value means "no limits" on every axis.
+// TenantConfig is one tenant's admission-control policy. The zero value
+// means "no limits" on every axis. Statement deadlines and query budgets
+// are the engine's (engine.Config.StatementTimeout and Budget).
 type TenantConfig struct {
 	// MaxConcurrent caps statements executing simultaneously for this
 	// tenant; 0 is unlimited (no gate at all).
@@ -24,13 +23,6 @@ type TenantConfig struct {
 	// up with queue_timeout (429); 0 waits for the statement's own
 	// context deadline only.
 	QueueWait time.Duration
-	// StatementTimeout is the per-statement deadline applied at
-	// admission; 0 inherits the engine's Config.StatementTimeout.
-	StatementTimeout time.Duration
-	// Budget is the per-query resource-limit template handed to the
-	// optimizer (buffered rows/bytes, spill bytes); nil inherits the
-	// engine default.
-	Budget *exec.Budget
 }
 
 // gate is one tenant's admission state: a slot semaphore, a bounded
@@ -131,12 +123,8 @@ type admission struct {
 	gates      map[string]*gate
 }
 
-func newAdmission(defaultCfg TenantConfig, tenants map[string]TenantConfig) *admission {
-	a := &admission{defaultCfg: defaultCfg, gates: make(map[string]*gate)}
-	for name, cfg := range tenants {
-		a.gates[name] = newGate(cfg)
-	}
-	return a
+func newAdmission(defaultCfg TenantConfig) *admission {
+	return &admission{defaultCfg: defaultCfg, gates: make(map[string]*gate)}
 }
 
 func (a *admission) gate(tenant string) *gate {

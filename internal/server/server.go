@@ -24,23 +24,18 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/model"
-	"repro/internal/optimizer"
 )
 
 // Config assembles a Server.
 type Config struct {
 	// DB is the engine instance to serve; required.
 	DB *engine.DB
-	// SessionTimeout expires idle sessions; default 5 minutes.
+	// SessionTimeout expires idle sessions; default 5 minutes. The
+	// expiry janitor sweeps every SessionTimeout/4.
 	SessionTimeout time.Duration
-	// SessionSweepInterval is the expiry janitor's period; default
-	// SessionTimeout/4.
-	SessionSweepInterval time.Duration
-	// DefaultTenant is the admission policy for tenants without an
-	// explicit entry in Tenants. Zero value = unlimited.
+	// DefaultTenant is the admission policy of every tenant, each of
+	// which gets its own gate under it. Zero value = unlimited.
 	DefaultTenant TenantConfig
-	// Tenants maps tenant names to their admission policies.
-	Tenants map[string]TenantConfig
 }
 
 // Server is the HTTP front-end. Create with New, serve via ServeHTTP
@@ -69,13 +64,10 @@ func New(cfg Config) (*Server, error) {
 	if cfg.SessionTimeout <= 0 {
 		cfg.SessionTimeout = 5 * time.Minute
 	}
-	if cfg.SessionSweepInterval <= 0 {
-		cfg.SessionSweepInterval = cfg.SessionTimeout / 4
-	}
 	s := &Server{
 		db:        cfg.DB,
-		sessions:  newSessionTable(cfg.SessionTimeout, cfg.SessionSweepInterval),
-		admission: newAdmission(cfg.DefaultTenant, cfg.Tenants),
+		sessions:  newSessionTable(cfg.SessionTimeout, cfg.SessionTimeout/4),
+		admission: newAdmission(cfg.DefaultTenant),
 		mux:       http.NewServeMux(),
 	}
 	s.routes()
@@ -188,28 +180,13 @@ func paramValues(in []any) ([]model.Value, error) {
 	return out, nil
 }
 
-// admit runs the tenant's admission gate (tenant "" is "default") and
-// layers its statement timeout onto ctx. The returned done func releases
-// the slot and cancels the timeout; non-nil iff err is nil. The options
-// carry the tenant's budget, nil without one.
-func (s *Server) admit(ctx context.Context, tenant string) (context.Context, func(), *optimizer.Options, error) {
+// admit runs the tenant's admission gate (tenant "" is "default"). The
+// returned release func frees the slot; it is non-nil iff err is nil.
+func (s *Server) admit(ctx context.Context, tenant string) (func(), error) {
 	if tenant == "" {
 		tenant = "default"
 	}
-	g := s.admission.gate(tenant)
-	release, err := g.enter(ctx)
-	if err != nil {
-		return ctx, nil, nil, err
-	}
-	cancel := func() {}
-	if g.cfg.StatementTimeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, g.cfg.StatementTimeout)
-	}
-	var opts *optimizer.Options
-	if g.cfg.Budget != nil {
-		opts = &optimizer.Options{Budget: g.cfg.Budget}
-	}
-	return ctx, func() { cancel(); release() }, opts, nil
+	return s.admission.gate(tenant).enter(ctx)
 }
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
@@ -293,14 +270,14 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	ctx, done, opts, err := s.admit(r.Context(), sess.tenant)
+	done, err := s.admit(r.Context(), sess.tenant)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	defer done()
 	if req.Batch == nil {
-		res, err := st.ExecuteContext(ctx, batch[0], opts)
+		res, err := st.ExecuteContext(r.Context(), batch[0], nil)
 		if err != nil {
 			writeError(w, err)
 			return
@@ -313,7 +290,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	// client never has to pick results apart from failures.
 	results := make([]*engine.Result, len(batch))
 	for i, params := range batch {
-		if results[i], err = st.ExecuteContext(ctx, params, opts); err != nil {
+		if results[i], err = st.ExecuteContext(r.Context(), params, nil); err != nil {
 			writeError(w, errorf(classify(err).Status, classify(err).Code,
 				"batch entry %d: %v", i, err))
 			return
@@ -384,7 +361,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	ctx, done, opts, err := s.admit(r.Context(), req.Tenant)
+	done, err := s.admit(r.Context(), req.Tenant)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -395,7 +372,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, classifySQL(err))
 		return
 	}
-	res, err := st.ExecuteContext(ctx, params, opts)
+	res, err := st.ExecuteContext(r.Context(), params, nil)
 	if err != nil {
 		writeError(w, classifySQL(err))
 		return
@@ -414,13 +391,13 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	ctx, done, _, err := s.admit(r.Context(), req.Tenant)
+	done, err := s.admit(r.Context(), req.Tenant)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	defer done()
-	res, err := s.db.ExecContext(ctx, req.SQL)
+	res, err := s.db.ExecContext(r.Context(), req.SQL)
 	if err != nil {
 		writeError(w, classifySQL(err))
 		return
@@ -463,7 +440,7 @@ func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 			"table plus either text or items is required"))
 		return
 	}
-	_, done, _, err := s.admit(r.Context(), req.Tenant)
+	done, err := s.admit(r.Context(), req.Tenant)
 	if err != nil {
 		writeError(w, err)
 		return

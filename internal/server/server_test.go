@@ -348,10 +348,7 @@ func TestUnencodableValuesNeverAnswerEmpty200(t *testing.T) {
 }
 
 func TestSessionExpiry(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{
-		SessionTimeout:       50 * time.Millisecond,
-		SessionSweepInterval: 10 * time.Millisecond,
-	})
+	_, ts, _ := newTestServer(t, Config{SessionTimeout: 50 * time.Millisecond})
 	_, body := call(t, "POST", ts.URL+"/v1/sessions", map[string]any{})
 	sid := body["session_id"].(string)
 	if status, _ := call(t, "POST", ts.URL+"/v1/sessions/"+sid+"/prepare",
@@ -378,9 +375,7 @@ func TestSessionExpiry(t *testing.T) {
 // and verifies the queue bounds and typed 429s.
 func TestAdmissionShedsLoad(t *testing.T) {
 	srv, _, _ := newTestServer(t, Config{
-		Tenants: map[string]TenantConfig{
-			"tiny": {MaxConcurrent: 1, QueueDepth: 1, QueueWait: 30 * time.Millisecond},
-		},
+		DefaultTenant: TenantConfig{MaxConcurrent: 1, QueueDepth: 1, QueueWait: 30 * time.Millisecond},
 	})
 	g := srv.admission.gate("tiny")
 	release, err := g.enter(t.Context())
@@ -432,9 +427,7 @@ func TestAdmissionShedsLoad(t *testing.T) {
 // HTTP stack with slow-ish statements from many clients.
 func TestAdmissionOverHTTP(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{
-		Tenants: map[string]TenantConfig{
-			"burst": {MaxConcurrent: 2, QueueDepth: 2, QueueWait: 20 * time.Millisecond},
-		},
+		DefaultTenant: TenantConfig{MaxConcurrent: 2, QueueDepth: 2, QueueWait: 20 * time.Millisecond},
 	})
 	q := map[string]any{
 		"tenant": "burst",
