@@ -156,8 +156,11 @@ serve-stress:
 	$(GO) test -race -count=1 -run 'TestFig23Smoke' ./internal/bench/
 
 # vector-stress exercises the batch exchange end to end under the race
-# detector: the capacity-invariance differential (every operator ×
-# capacities 1/2/3/7/1024 × 1 and 4 workers) and its exec-level twin,
+# detector, whose build poisons the row storage a batch's Release
+# rewinds: the capacity-invariance differential (every operator ×
+# capacities 1/2/3/7/1024 × 1 and 4 workers) and its exec-level twin
+# over sources that emit rows in batch storage, held results that must
+# read as collected after later statements reuse that storage,
 # batches crossing the parallel Gather exchange from 4 query
 # goroutines, mid-batch cancellation latency, batch release on every
 # breaker failure path, the summary fetch placed above the data filter
@@ -165,13 +168,14 @@ serve-stress:
 # set and a join rejecting pairs without allocating, the summary
 # renderer against its fmt reference and its allocation guard, the
 # per-row allocation and operator-call budget (Figure 24's counted
-# twin), a LIMIT's row goal stopping its leaf (and dropped under a
-# breaker or a Gather), literal call arguments bound once, and the
-# Figure 24 smoke run with its two enforced bounds on the headline scan.
+# twin), the live bytes a held result keeps, a LIMIT's row goal
+# stopping its leaf (and dropped under a breaker or a Gather), literal
+# call arguments bound once, and the Figure 24 smoke run with its two
+# enforced bounds on the headline scan.
 vector-stress:
-	$(GO) test -race -count=1 -run 'TestVectorized|TestBatch|TestTransformBatch|TestCollectPreservesRowIdentity|TestOperatorsCapacityInvariant|TestMidBatchCancellationStopsWithinOneBatch|TestBreakersReleaseBatchesOnFailure|TestSummariesAttachedAfterDataFilter|TestJoinOutputSpillsOneSummarySet|TestJoinProbeRejectedPairsAllocateNothing|TestLimitRowGoalStopsTheLeaf|TestLiteralArgumentsBoundOnce' ./internal/engine/ ./internal/exec/
+	$(GO) test -race -count=1 -run 'TestVectorized|TestBatch|TestTransformBatch|TestCollectPreservesRowIdentity|TestOperatorsCapacityInvariant|TestKeptRowsOutliveTheirBatches|TestMidBatchCancellationStopsWithinOneBatch|TestBreakersReleaseBatchesOnFailure|TestSummariesAttachedAfterDataFilter|TestJoinOutputSpillsOneSummarySet|TestJoinProbeRejectedPairsAllocateNothing|TestLimitRowGoalStopsTheLeaf|TestLiteralArgumentsBoundOnce' ./internal/engine/ ./internal/exec/
 	$(GO) test -race -count=1 -run 'TestSummaryStringMatchesFmt|TestSummaryStringAllocs|TestRepresentativeCutKeepsRunes' ./internal/model/
-	$(GO) test -race -count=1 -run 'TestVectorizedAllocBudget' .
+	$(GO) test -race -count=1 -run 'TestVectorizedAllocBudget|TestHeldResultRetainsOnlyItsRows' .
 	$(GO) test -race -count=1 -run 'TestFig24Smoke' ./internal/bench/
 
 # fuzz-smoke fuzzes each decoder of stored bytes for 30 s, starting from

@@ -9,7 +9,9 @@ package insightnotes_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -145,28 +147,32 @@ func allocFixture(tb testing.TB) *engine.DB {
 
 const allocQuery = `SELECT id, sci_name FROM Birds b WHERE b.id > 0 WITHOUT SUMMARIES`
 
-// BenchmarkVectorizedScanAllocs reports the allocation profile of a
-// warm prepared scan->filter->project query at batch capacity 1 vs 1024
-// (compare allocs/op between the two).
+// BenchmarkVectorizedScanAllocs reports the allocation profile of two
+// warm prepared queries at batch capacity 1 vs 1024 (run with -benchmem
+// and compare allocs/op and B/op): the scan->filter->project that
+// outputs every row, and Figure 24's headline scan, whose filter drops
+// most of the rows it reads.
 func BenchmarkVectorizedScanAllocs(b *testing.B) {
 	db := allocFixture(b)
-	st, err := db.Prepare(allocQuery)
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(size int) func(*testing.B) {
-		opts := &optimizer.Options{MaxBatchSize: size}
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := st.Execute(nil, opts); err != nil {
-					b.Fatal(err)
+	for _, q := range []struct{ name, sql string }{
+		{"FullScan", allocQuery}, {"Headline", bench.VectorHeadlineQuery},
+	} {
+		st, err := db.Prepare(q.sql)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, size := range []int{1, 1024} {
+			opts := &optimizer.Options{MaxBatchSize: size}
+			b.Run(fmt.Sprintf("%s/Capacity%d", q.name, size), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := st.Execute(nil, opts); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
+			})
 		}
 	}
-	b.Run("Capacity1", run(1))
-	b.Run("Capacity1024", run(1024))
 }
 
 // poolDropRate is the share of sync.Pool puts the runtime drops: none,
@@ -181,12 +187,14 @@ var poolDropRate = 0.0
 // than at capacity 1, and its operators must take at most one NextBatch
 // call per 50 scanned rows (summed over the plan, from EXPLAIN
 // ANALYZE), where capacity 1 takes at least one per row. At capacity 1
-// the full scan must allocate at most 0.25 times per row (plus the
-// batch containers the race detector's pool drops): its rows are
-// carved from slabs that grow past the batch. A per-row allocation
-// sneaking into an operator (row boxing, per-row alias maps, unpooled
-// containers, per-batch row storage), or a capacity that no longer
-// reaches the operators, trips this on any machine at any load.
+// the full scan must allocate at most 0.25 times per row (plus slack
+// for the containers the race detector's pool drops): the scan writes
+// its rows into its batches' own storage, which Release hands back to
+// it, and Project carves its rows from slabs that grow past the batch.
+// A per-row allocation sneaking into an operator (row boxing, per-row
+// alias maps, unpooled containers, per-batch row storage), or a
+// capacity that no longer reaches the operators, trips this on any
+// machine at any load.
 func TestVectorizedAllocBudget(t *testing.T) {
 	db := allocFixture(t)
 	const birds = 1000
@@ -225,8 +233,8 @@ func TestVectorizedAllocBudget(t *testing.T) {
 		if batch >= 1.0 {
 			t.Errorf("%s: capacity 1024 allocates %.2f/row, budget is < 1", c.name, batch)
 		}
-		// A capacity-1 row takes one batch container, two allocations on
-		// a pool miss.
+		// A container that goes through the pool is two allocations when
+		// the pool has dropped it.
 		if budget := 0.25 + 2*poolDropRate; q == allocQuery && single > budget {
 			t.Errorf("%s: capacity 1 allocates %.2f/row, budget is <= %.2f", c.name, single, budget)
 		}
@@ -237,6 +245,53 @@ func TestVectorizedAllocBudget(t *testing.T) {
 			t.Errorf("%s: %.3f operator calls/row at capacity 1024, %.3f at capacity 1; want <= 0.02 and >= 1",
 				c.name, batchCalls, singleCalls)
 		}
+	}
+}
+
+// TestHeldResultRetainsOnlyItsRows: a held Result keeps its rows alive
+// and nothing else of the statement that made them — not the batch
+// storage they travelled in, nor the rows a filter dropped. The 726
+// Corvidae of 5,000 birds under an identity SELECT * (no Project above
+// the scan, so Collect copies each row out of its batch) may keep at
+// most 72 KB live at either capacity: about a Row and a Tuple each,
+// whose values are the table's. The least of three measurements
+// counts: what else the process allocates meanwhile only adds to one.
+func TestHeldResultRetainsOnlyItsRows(t *testing.T) {
+	ds, err := workload.Build(workload.Config{Seed: 1, Birds: 5000, AvgAnnotationsPerBird: 2, SkipSynonyms: true, LongAnnotationFraction: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.DB.Close()
+	const q = `SELECT * FROM Birds b WHERE b.family = 'Corvidae'`
+	live := func() int64 {
+		runtime.GC()
+		runtime.GC() // the second empties sync.Pool's victim cache
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for _, size := range []int{1, 1024} {
+		opts := &optimizer.Options{MaxBatchSize: size}
+		if _, err := ds.DB.Query(q, opts); err != nil {
+			t.Fatal(err)
+		}
+		held, rows := int64(math.MaxInt64), 0
+		for range 3 {
+			before := live()
+			res, err := ds.DB.Query(q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			held, rows = min(held, live()-before), len(res.Rows)
+			runtime.KeepAlive(res)
+		}
+		if rows != 726 {
+			t.Fatalf("fixture drift: %d Corvidae, want 726", rows)
+		}
+		if held > 72<<10 {
+			t.Errorf("capacity %d: a held result of %d rows keeps %d KB live, want <= 72 KB", size, rows, held>>10)
+		}
+		t.Logf("capacity %d: %d rows keep %.1f KB live", size, rows, float64(held)/1024)
 	}
 }
 

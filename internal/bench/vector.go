@@ -35,12 +35,13 @@ const vectorRounds = 5
 // vectorFloor is the speedup of capacity 1024 over capacity 1. Both
 // sides run the same operators and the same bound predicates, so the
 // ratio is what batching alone buys: per-call overhead (dispatch, panic
-// traps, pool round trips, cancellation polls) amortized over the batch
-// — 1.5–1.6x here. Row storage is carved from slabs at both capacities,
-// so per-row allocation is no longer part of the ratio (it was 1.8–2.3x
-// while capacity 1 allocated two objects a row). It catches a batched
-// path that loses its edge, but not a slowdown of the per-row work the
-// two share.
+// traps, cancellation polls) amortized over the batch, and each filter
+// conjunct run over a whole batch at once — 1.7–1.8x here. At both
+// capacities a scan reuses its batches' row storage, so allocation is
+// not part of the ratio (it was 1.8–2.3x while capacity 1 allocated two
+// objects a row, and 1.5–1.6x while filters ran their conjuncts row by
+// row). It catches a batched path that loses its edge, but not a
+// slowdown of the per-row work the two share.
 //
 // vectorCeiling is that other half: what the executor at capacity 1024
 // may cost relative to handScan, a hand-written loop over the same heap
@@ -161,7 +162,7 @@ func Fig24Vectorized(h *Harness) (*Table, error) {
 		}
 	}
 	t.AddNote("one executor at both capacities: batches amortize dispatch, cancellation polls, and panic traps; rows verified identical per query")
-	t.AddNote("%d birds resident in memory; batch containers pooled, row storage carved from slabs",
+	t.AddNote("%d birds resident in memory; a scan's batches own and reuse their row storage",
 		h.Scale.Birds*vectorBirdsFactor)
 	return t, nil
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -213,6 +214,77 @@ func TestVectorizedDifferential(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestKeptRowsOutliveTheirBatches: a row is valid only until the batch
+// that carries it is released, so every operator that keeps one copies
+// it. Each shape keeps rows past their batches in a different place —
+// Collect over a bare scan, a hash build behind a filter, NLJoin's
+// materialized inner, GROUP BY's first row of a group, Sort's buffer
+// over joined rows whose values live in the probe's batches. Every
+// result is recorded as it is collected; the same shapes then run again
+// at the same capacity, reusing the batches and their storage, and the
+// held results must still read as recorded.
+func TestKeptRowsOutliveTheirBatches(t *testing.T) {
+	db, _ := testDBWithConfig(t, 100, Config{PageCap: 4})
+	shapes := []struct {
+		name, q string
+		opts    optimizer.Options
+		op      string
+	}{
+		{"identity", `SELECT * FROM Birds b`, optimizer.Options{}, "SeqScan"},
+		{"hash_filtered_build", `SELECT * FROM Birds r, Birds s WHERE r.family = s.family AND s.id > 80`,
+			optimizer.Options{ForceJoin: "hash"}, "HashJoin"},
+		{"nl_inner", `SELECT * FROM Birds r, Birds s WHERE r.id = s.id + 1 AND s.name <> 'x'`,
+			optimizer.Options{ForceJoin: "nl"}, "NLJoin"},
+		{"group", `SELECT family, count(*), min(name) FROM Birds b GROUP BY family`, optimizer.Options{}, "GroupBy"},
+		{"sort_join", `SELECT * FROM Birds r, Birds s WHERE r.family = s.family AND r.id < 8 ORDER BY s.name DESC, r.id`,
+			optimizer.Options{ForceJoin: "hash"}, "Sort"},
+	}
+	// record renders OIDs too (GROUP BY's is its first row's). No bird
+	// has a NULL value, and OIDs are positive: a NULL or a non-positive
+	// OID is a released row, poisoned in race builds.
+	record := func(res *Result) string {
+		var sb strings.Builder
+		for _, r := range res.Rows {
+			if r.Tuple.OID <= 0 || slices.ContainsFunc(r.Tuple.Values, model.Value.IsNull) {
+				t.Errorf("a held row reads as released: OID %d, values %s", r.Tuple.OID, r.Tuple)
+			}
+			fmt.Fprintf(&sb, "%d %s / %s\n", r.Tuple.OID, r.Tuple, r.Tuple.Summaries)
+		}
+		return sb.String()
+	}
+	for _, size := range []int{1, 2, 1024} {
+		run := func(i int) *Result {
+			opts := shapes[i].opts
+			opts.MaxBatchSize = size
+			res, err := db.Query(shapes[i].q, &opts)
+			if err != nil {
+				t.Fatalf("%s capacity %d: %v", shapes[i].name, size, err)
+			}
+			return res
+		}
+		held := make([]*Result, len(shapes))
+		want := make([]string, len(shapes))
+		for i, sh := range shapes {
+			held[i] = run(i)
+			if p := plan.Explain(held[i].Plan); !strings.Contains(p, sh.op) || len(held[i].Rows) == 0 {
+				t.Fatalf("%s: %d rows, plan lacks %s:\n%s", sh.name, len(held[i].Rows), sh.op, p)
+			}
+			want[i] = record(held[i])
+		}
+		for range 2 {
+			for i := range shapes {
+				run(i)
+			}
+		}
+		for i, sh := range shapes {
+			if got := record(held[i]); got != want[i] {
+				t.Errorf("%s capacity %d: a held result changed after later statements:\n%s\nwas\n%s",
+					sh.name, size, got, want[i])
 			}
 		}
 	}

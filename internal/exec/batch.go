@@ -1,6 +1,9 @@
 package exec
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // This file is the Batch row-vector container every operator exchanges.
 
@@ -19,40 +22,59 @@ const MaxBatchSize = 65536
 // Ownership: the consumer owns a batch returned by NextBatch and may
 // compact, truncate or replace its contents in place; the producer
 // must not touch it again. A consumer that does not pass the batch on
-// releases it. The *Row pointers inside are ordinary pipeline rows
-// owned by whoever received them (see the Operator ownership rule) and
-// stay valid after the container is released — only the container
-// recycles through the pool, never row storage.
+// releases it, which ends the rows that live in its slab (see the
+// Operator ownership rule).
 type Batch struct {
 	rows []*Row
+	slab rowSlab    // SeqScan's or the join probe's rows, until Release
+	home *batchHome // where Release returns the batch; nil: batchPool
 }
 
-// batchPool recycles batch containers. Row storage is never pooled:
-// rows escape downstream with unbounded lifetime, so recycling their
-// backing arrays would corrupt retained results.
+// batchPool recycles batch containers; a batch with a home goes there,
+// as a container the pool drops (race builds drop some) loses its slab.
 var batchPool = sync.Pool{New: func() any { return &Batch{} }}
 
-// GetBatch returns an empty batch whose container holds at least
-// capacity rows without growing.
-func GetBatch(capacity int) *Batch {
-	b := batchPool.Get().(*Batch)
-	if cap(b.rows) < capacity {
-		b.rows = make([]*Row, 0, capacity)
+// batchHome keeps a producer's released batches for its next ones, on
+// one goroutine: a Gather worker hands its batches on homeless. close
+// gives them, slabs and all, to the pool.
+type batchHome struct{ free []*Batch }
+
+func (h *batchHome) get(capacity int) (b *Batch) {
+	if h != nil && len(h.free) > 0 {
+		b, h.free = h.free[len(h.free)-1], h.free[:len(h.free)-1]
 	} else {
-		b.rows = b.rows[:0]
+		b = batchPool.Get().(*Batch)
+		b.home = h
 	}
+	b.rows = slices.Grow(b.rows, capacity)
 	return b
 }
 
-// Release clears the container and returns it to the pool. The caller
-// must not use the batch afterwards; rows previously handed out remain
-// valid.
+func (h *batchHome) close() {
+	for _, b := range h.free {
+		b.home = nil
+		batchPool.Put(b)
+	}
+	h.free = nil
+}
+
+// GetBatch returns an empty batch of no home whose container holds at
+// least capacity rows without growing.
+func GetBatch(capacity int) *Batch { return (*batchHome)(nil).get(capacity) }
+
+// Release clears the container and returns it to its home or the pool.
+// The caller must not use the batch afterwards.
 func (b *Batch) Release() {
 	if b == nil {
 		return
 	}
-	b.setLen(0) // drop row references so the pool retains no rows
-	batchPool.Put(b)
+	b.setLen(0) // drop row references so no free container retains rows
+	b.slab.rewind()
+	if b.home == nil {
+		batchPool.Put(b)
+	} else {
+		b.home.free = append(b.home.free, b)
+	}
 }
 
 // setLen shrinks the row vector to n slots, clearing the dropped ones:

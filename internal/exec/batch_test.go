@@ -114,6 +114,35 @@ func TestTransformBatchConsumesSelection(t *testing.T) {
 
 var testCapacities = []int{1, 2, 3, 7, 1024}
 
+// storedIter re-emits its input's rows the way SeqScan emits its own:
+// written into the slab of a batch of its home, valid only until that
+// batch is released (and poisoned then in race builds), so an operator
+// above it that keeps a row without copying it reads another row's
+// data, or the poison.
+type storedIter struct {
+	Operator
+	home batchHome
+}
+
+func stored(in Operator) Operator { return &storedIter{Operator: in} }
+
+func (s *storedIter) NextBatch(qc *QueryCtx) (*Batch, error) {
+	in, err := s.Operator.NextBatch(qc)
+	if err != nil || in == nil {
+		return nil, err
+	}
+	b := s.home.get(in.Len())
+	rows := b.slab.take(in.Len())
+	for i := range rows {
+		*rows[i].Tuple = *in.rows[i].Tuple
+		b.Append(&rows[i])
+	}
+	in.Release()
+	return b, nil
+}
+
+func (s *storedIter) Close() error { s.home.close(); return s.Operator.Close() }
+
 // TestCollectPreservesRowIdentity pins the result-boundary contract at
 // every capacity: rows travelling through batches come out of Collect
 // as the very same pointers in the same order, and releasing the
@@ -141,42 +170,44 @@ func TestCollectPreservesRowIdentity(t *testing.T) {
 // row, at every other capacity — the exec-level half of the engine's
 // TestVectorizedDifferential, aimed at the batch-boundary edges of the
 // emitting side (partial last batches, probe state carried across
-// calls, LIMIT cutting a batch).
+// calls, LIMIT cutting a batch). The sources emit their rows in batch
+// storage (storedIter), so an operator that keeps a row past its batch
+// without copying it fails here.
 func TestOperatorsCapacityInvariant(t *testing.T) {
 	out := model.NewSchema("", model.Column{Name: "v", Kind: model.KindInt})
 	key := []sql.Expr{mustExpr(t, "v / 10")}
 	trees := map[string]func() Operator{
 		"filter_project_limit": func() Operator {
 			schema, rows := intRows(100)
-			f := NewFilter(NewSliceIter(schema, rows), mustExpr(t, "v > 20"), nil)
+			f := NewFilter(stored(NewSliceIter(schema, rows)), mustExpr(t, "v > 20"), nil)
 			return NewLimit(NewProject(f, []sql.Expr{mustExpr(t, "v")}, out, nil), 30)
 		},
 		"sort": func() Operator {
 			schema, rows := intRows(100)
-			return NewSort(NewSliceIter(schema, rows), []SortKey{{Expr: mustExpr(t, "v")}}, nil)
+			return NewSort(stored(NewSliceIter(schema, rows)), []SortKey{{Expr: mustExpr(t, "v")}}, nil)
 		},
 		"external_sort": func() Operator {
 			schema, rows := intRows(100)
-			return NewExternalSort(NewSliceIter(schema, rows), []SortKey{{Expr: mustExpr(t, "v"), Desc: true}}, 8, nil)
+			return NewExternalSort(stored(NewSliceIter(schema, rows)), []SortKey{{Expr: mustExpr(t, "v"), Desc: true}}, 8, nil)
 		},
 		"hash_join": func() Operator {
 			schema, rows := intRows(40)
-			return NewHashJoin(NewSliceIter(schema, rows), NewSliceIter(schema.Rename("u"), rows),
+			return NewHashJoin(stored(NewSliceIter(schema, rows)), stored(NewSliceIter(schema.Rename("u"), rows)),
 				key[0], key[0], mustExpr(t, "t.v > u.v"), false, nil)
 		},
 		"nl_join": func() Operator {
 			schema, rows := intRows(25)
-			return NewNLJoin(NewSliceIter(schema, rows), NewSliceIter(schema.Rename("u"), rows),
+			return NewNLJoin(stored(NewSliceIter(schema, rows)), stored(NewSliceIter(schema.Rename("u"), rows)),
 				mustExpr(t, "t.v + u.v > 20"), false, nil)
 		},
 		"group_by": func() Operator {
 			schema, rows := intRows(100)
-			return NewGroupBy(NewSliceIter(schema, rows), key,
+			return NewGroupBy(stored(NewSliceIter(schema, rows)), key,
 				[]AggSpec{{Func: "count", Star: true, Name: "n"}, {Func: "sum", Arg: mustExpr(t, "v"), Name: "s"}}, nil)
 		},
 		"distinct": func() Operator {
 			schema, rows := intRows(100)
-			return NewDistinct(NewProject(NewSliceIter(schema, rows), key, out, nil), nil)
+			return NewDistinct(stored(NewProject(NewSliceIter(schema, rows), key, out, nil)), nil)
 		},
 	}
 	for name, build := range trees {

@@ -336,6 +336,15 @@ func (ev *Evaluator) BindPred(e sql.Expr) boundPred {
 	}
 }
 
+// conjuncts appends the bound top-level AND operands of e to dst, left
+// to right.
+func (ev *Evaluator) conjuncts(e sql.Expr, dst []boundPred) []boundPred {
+	if b, ok := e.(*sql.Binary); ok && b.Op == sql.OpAnd {
+		return ev.conjuncts(b.R, ev.conjuncts(b.L, dst))
+	}
+	return append(dst, ev.BindPred(e))
+}
+
 // bindComparePred lowers a comparison whose operands are both column
 // references or literals to a direct compare: no result structs, no
 // value copies, and an inline int64 compare for the overwhelmingly

@@ -17,7 +17,8 @@ type PredicateFilter struct {
 	Pred   sql.Expr
 	Lookup model.AnnotationLookup
 
-	bound boundPred
+	bound []boundPred  // the predicate's top-level AND operands, in order
+	conj  [4]boundPred // bound's storage up to four of them
 }
 
 // NewFilter builds a σ (or S) node.
@@ -25,17 +26,19 @@ func NewFilter(in Operator, pred sql.Expr, lookup model.AnnotationLookup) *Predi
 	return &PredicateFilter{Input: in, Pred: pred, Lookup: lookup}
 }
 
-// Open binds the predicate and opens the input.
+// Open binds the predicate's conjuncts and opens the input.
 func (f *PredicateFilter) Open(qc *QueryCtx) (err error) {
 	defer recoverOp("Filter", &err)
-	f.bound = (&Evaluator{Schema: f.Input.Schema(), Lookup: f.Lookup}).BindPred(f.Pred)
+	f.bound = (&Evaluator{Schema: f.Input.Schema(), Lookup: f.Lookup}).conjuncts(f.Pred, f.conj[:0])
 	return f.Input.Open(qc)
 }
 
-// NextBatch filters input batches with the bound predicate, compacting
-// each batch's surviving row pointers to its front in place (setLen
-// clears the tail, so the pool keeps no dropped row) and skipping
-// batches the predicate empties.
+// NextBatch filters input batches one conjunct at a time, each pass
+// compacting the batch's surviving row pointers to its front in place
+// (setLen clears the tail, so the pool keeps no dropped row): a row one
+// conjunct drops meets no later one, as under AND's short circuit, and
+// a conjunct's closure runs over the whole batch at once. Batches the
+// predicate empties are skipped.
 func (f *PredicateFilter) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("Filter", &err)
 	for {
@@ -43,19 +46,22 @@ func (f *PredicateFilter) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		kept := 0
-		for _, row := range b.rows {
-			ok, err := f.bound(row)
-			if err != nil {
-				b.Release()
-				return nil, err
+		for _, pred := range f.bound {
+			kept := 0
+			for _, row := range b.rows {
+				ok, err := pred(row)
+				if err != nil {
+					b.Release()
+					return nil, err
+				}
+				if ok {
+					b.rows[kept] = row
+					kept++
+				}
 			}
-			if ok {
-				b.rows[kept] = row
-				kept++
-			}
+			b.setLen(kept)
 		}
-		if b.setLen(kept); kept > 0 {
+		if b.Len() > 0 {
 			return b, nil
 		}
 		b.Release()

@@ -43,7 +43,7 @@ type GroupBy struct {
 
 type groupState struct {
 	keyVals []model.Value
-	row     *Row                  // first row (for the output OID)
+	oid     int64                 // the first row's OID, the output's
 	merged  *model.SetAccumulator // the members' summary sets, finished at output
 	count   int64
 	sums    []float64
@@ -152,7 +152,7 @@ func (a *groupAcc) add(row *Row) error {
 		key := string(a.key)
 		gs = &groupState{
 			keyVals: slices.Clone(a.vals),
-			row:     row,
+			oid:     row.Tuple.OID,
 			merged:  model.NewSetAccumulator(a.lookup),
 			sums:    make([]float64, len(a.aggs)),
 			isInt:   make([]bool, len(a.aggs)),
@@ -281,10 +281,10 @@ func (g *GroupBy) Open(qc *QueryCtx) (err error) {
 		for _, w := range g.Workers {
 			accs = append(accs, newGroupAcc(qc, w.Schema(), g.Keys, g.Aggs, g.Lookup))
 		}
-		err = runPartitions(qc, g.Workers, func(i int, row *Row) error { return accs[i].add(row) })
+		err = runPartitions(qc, g.Workers, func(i int, b *Batch, j int) error { return accs[i].add(b.rows[j]) })
 	} else {
 		accs = []*groupAcc{newGroupAcc(qc, g.Input.Schema(), g.Keys, g.Aggs, g.Lookup)}
-		err = run(qc, g.Input, accs[0].add)
+		err = run(qc, g.Input, func(b *Batch, i int) error { return accs[0].add(b.rows[i]) })
 	}
 	if err != nil {
 		return err
@@ -349,7 +349,7 @@ func (g *GroupBy) output(gs *groupState) (*Row, error) {
 			return nil, fmt.Errorf("exec: unknown aggregate %q", a.Func)
 		}
 	}
-	return &Row{Tuple: &model.Tuple{OID: gs.row.Tuple.OID, Values: values,
+	return &Row{Tuple: &model.Tuple{OID: gs.oid, Values: values,
 		Summaries: gs.merged.Result()}}, nil
 }
 

@@ -66,17 +66,19 @@ func (j *HashJoin) rightSchema() *model.Schema {
 // buildRun is one partition's share of the build side: its non-NULL-key
 // rows with their hash keys, in input order, and what they charged.
 type buildRun struct {
-	rows []*Row
+	rows []*Row // copies (rowSlab.keep)
 	keys []string
 	res  reservation
+	slab rowSlab
 }
 
-// add hashes one build row into the run. The build side is what a hash
+// add hashes b's i-th row into the run. The build side is what a hash
 // join buffers, so every retained row is charged against the query
 // budget; unlike Sort there is no graceful degradation — a build side
 // over budget fails fast with ErrBudgetExceeded, and the optimizer's
 // sort/NL-based plans are the fallback.
-func (r *buildRun) add(key boundValue, row *Row) error {
+func (r *buildRun) add(key boundValue, b *Batch, i int) error {
+	row := b.rows[i]
 	k, err := key(row)
 	if err != nil {
 		return err
@@ -87,6 +89,8 @@ func (r *buildRun) add(key boundValue, row *Row) error {
 	if cerr := r.res.charge(1, approxRowBytes(row)); cerr != nil {
 		return cerr
 	}
+	r.slab.left = b.Len() - i
+	row, _ = r.slab.keep(b, i, 0)
 	r.rows = append(r.rows, row)
 	r.keys = append(r.keys, k.SortKey())
 	return nil
@@ -112,9 +116,9 @@ func (j *HashJoin) Open(qc *QueryCtx) (err error) {
 		}
 	}()
 	if len(j.Builds) > 0 {
-		err = runPartitions(qc, j.Builds, func(i int, row *Row) error { return runs[i].add(rightKey, row) })
+		err = runPartitions(qc, j.Builds, func(i int, b *Batch, k int) error { return runs[i].add(rightKey, b, k) })
 	} else {
-		err = run(qc, j.Right, func(row *Row) error { return runs[0].add(rightKey, row) })
+		err = run(qc, j.Right, func(b *Batch, i int) error { return runs[0].add(rightKey, b, i) })
 	}
 	if err != nil {
 		return err
@@ -154,7 +158,6 @@ func (j *HashJoin) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 // outer input.
 func (j *HashJoin) Close() error {
 	j.probe.release()
-	j.probe = joinProbe{}
 	j.res.releaseAll()
 	return j.Left.Close()
 }

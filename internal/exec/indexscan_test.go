@@ -244,7 +244,7 @@ func TestSummaryIndexScanFetchStats(t *testing.T) {
 	if err := ordered.Open(nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := drain(nil, ordered, func(*Row) error { return nil }); err != nil {
+	if err := drain(nil, ordered, func(*Batch, int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	ofs := ordered.FetchStats()
@@ -321,7 +321,7 @@ func TestOrderedFetchCountsPagesOnlyWhenSampled(t *testing.T) {
 			}
 		})
 		drained = allocated(func() {
-			if err := drain(nil, scan, func(*Row) error { return nil }); err != nil {
+			if err := drain(nil, scan, func(*Batch, int) error { return nil }); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -14,15 +14,15 @@ import "repro/internal/model"
 // amortize the per-call overhead (interface dispatch, recoverOp defers,
 // cancellation polls) over the batch.
 //
-// Ownership rule: the consumer owns a batch returned by NextBatch (see
-// Batch). A row inside it belongs to the consumer too and stays valid
-// indefinitely — the producer never writes to it again, even across
-// Close. Every operator that makes rows therefore carves their storage
-// from its own rowSlab, which hands each slot out exactly once. Rows
-// are shared structurally up the pipeline (a filter forwards its
-// input's rows; joins point into both sides), so a consumer that wants
-// to change a row carves a shallow copy and replaces what it changes
-// there, as the summary rewrites do (rowSlab.shallow).
+// Ownership rule: a row is valid until the batch that carries it is
+// released. SeqScan and the join probe write rows into their batch's
+// slab, which Release rewinds for their next batch; Collect, the hash
+// build, Sort and Distinct copy the rows they keep (rowSlab.keep).
+// Rows that Project, the fetches and the summary rewrites carve from
+// slabs of their own are never written again. Rows are shared up the
+// pipeline (a filter forwards its input's rows; joins point into both
+// sides), so a consumer that wants to change a row carves a shallow
+// copy and replaces what it changes there (rowSlab.shallow).
 type Operator interface {
 	Open(qc *QueryCtx) error
 	NextBatch(qc *QueryCtx) (*Batch, error)
@@ -30,18 +30,18 @@ type Operator interface {
 	Schema() *model.Schema
 }
 
-// drain pulls op to end-of-stream, handing every row to fn in
-// order. Each consumed batch is released on every path — success, an
-// fn error (budget, cancellation), or an input error — which is how
-// the pipeline breakers keep the batch pool free of row pointers.
-func drain(qc *QueryCtx, op Operator, fn func(*Row) error) error {
+// drain pulls op to end-of-stream, handing fn every row in order, as
+// its batch and index. Each consumed batch is released on every path —
+// success, an fn error (budget, cancellation), or an input error — which
+// is how the pipeline breakers keep the batch pool free of row pointers.
+func drain(qc *QueryCtx, op Operator, fn func(b *Batch, i int) error) error {
 	for {
 		b, err := op.NextBatch(qc)
 		if err != nil || b == nil {
 			return err
 		}
 		for i, n := 0, b.Len(); i < n; i++ {
-			if err := fn(b.Row(i)); err != nil {
+			if err := fn(b, i); err != nil {
 				b.Release()
 				return err
 			}
@@ -54,7 +54,7 @@ func drain(qc *QueryCtx, op Operator, fn func(*Row) error) error {
 // runs even when Open fails, so resources a partially-successful Open
 // acquired (spilled sort runs, budget charges) are released on every
 // path.
-func run(qc *QueryCtx, op Operator, fn func(*Row) error) error {
+func run(qc *QueryCtx, op Operator, fn func(b *Batch, i int) error) error {
 	if err := op.Open(qc); err != nil {
 		op.Close()
 		return err
@@ -65,10 +65,19 @@ func run(qc *QueryCtx, op Operator, fn func(*Row) error) error {
 
 // Collect is the result boundary — the one place rows leave batches for
 // the caller: it runs the operator tree to completion under qc and
-// returns the rows in order.
+// returns the rows in order, copying those that live in a batch's slab.
 func Collect(qc *QueryCtx, op Operator) ([]*Row, error) {
 	var out []*Row
-	if err := run(qc, op, func(r *Row) error { out = append(out, r); return nil }); err != nil {
+	var slab rowSlab
+	if err := run(qc, op, func(b *Batch, i int) error {
+		row := b.rows[i]
+		if b.slab.pos > 0 {
+			slab.left = b.Len() - i
+			row, _ = slab.keep(b, i, 0)
+		}
+		out = append(out, row)
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -32,7 +32,7 @@ type joinProbe struct {
 	pair    Row    // the pair pred runs on, reused: the outer tuple and Inner
 	pending []*Row // the outer row's candidates not yet paired
 	done    bool   // outer input exhausted
-	slab    rowSlab
+	home    batchHome
 }
 
 // bindPred binds a join's ON/residual predicate against the join's
@@ -45,13 +45,13 @@ func bindPred(e sql.Expr, schema *model.Schema, split int, lookup model.Annotati
 	return (&Evaluator{Schema: schema, Lookup: lookup, Split: split}).BindPred(e)
 }
 
-// output builds the joined row of an accepted pair from the probe's
-// slab: the concatenated values under the outer row's OID, carrying the
-// two sides' merged summary sets (Section 2.2's merge procedure, without
+// output writes the joined row of an accepted pair into out's slab:
+// the concatenated values under the outer row's OID, carrying the two
+// sides' merged summary sets (Section 2.2's merge procedure, without
 // double counting) when the join propagates and no set otherwise.
-func (p *joinProbe) output() *Row {
+func (p *joinProbe) output(out *Batch) *Row {
 	outer, inner := p.pair.Tuple, p.pair.Inner.Tuple
-	row, values := p.slab.carve(len(outer.Values) + len(inner.Values))
+	row, values := out.slab.carve(len(outer.Values) + len(inner.Values))
 	copy(values[copy(values, outer.Values):], inner.Values)
 	*row.Tuple = model.Tuple{OID: outer.OID, Values: values}
 	if p.propagate {
@@ -65,7 +65,7 @@ func (p *joinProbe) output() *Row {
 // remain cancellable between output rows, not only between batches.
 func (p *joinProbe) nextBatch(qc *QueryCtx) (*Batch, error) {
 	size := qc.Capacity()
-	out := GetBatch(size)
+	out := p.home.get(size)
 	fail := func(err error) (*Batch, error) {
 		out.Release()
 		return nil, err
@@ -86,7 +86,7 @@ func (p *joinProbe) nextBatch(qc *QueryCtx) (*Batch, error) {
 					continue
 				}
 			}
-			out.Append(p.output())
+			out.Append(p.output(out))
 			if out.Len() == size {
 				return out, nil
 			}
@@ -95,7 +95,8 @@ func (p *joinProbe) nextBatch(qc *QueryCtx) (*Batch, error) {
 			return nonEmpty(out), nil
 		}
 		if p.in == nil || p.inPos == p.in.Len() {
-			p.release()
+			p.in.Release()
+			p.in = nil
 			in, err := p.left.NextBatch(qc)
 			if err != nil {
 				return fail(err)
@@ -116,11 +117,12 @@ func (p *joinProbe) nextBatch(qc *QueryCtx) (*Batch, error) {
 	}
 }
 
-// release returns the in-flight outer batch to the pool and drops the
-// pair row's references.
+// release returns the in-flight outer batch, drops the probe's references
+// and hands the free output batches to the pool: every join's Close.
 func (p *joinProbe) release() {
 	p.in.Release()
-	p.in, p.pair, p.pending = nil, Row{}, nil
+	p.in, p.pair, p.pending, p.candidates = nil, Row{}, nil, nil
+	p.home.close()
 }
 
 // NLJoin is a block nested-loop join: the inner (right) input is
@@ -169,7 +171,6 @@ func (j *NLJoin) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 // Close drops the materialized inner and closes the outer input.
 func (j *NLJoin) Close() error {
 	j.probe.release()
-	j.probe = joinProbe{}
 	return j.Left.Close()
 }
 

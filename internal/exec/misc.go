@@ -75,8 +75,9 @@ func (d *Distinct) Open(qc *QueryCtx) (err error) {
 	var merged []*model.SetAccumulator // parallel to d.rows
 	d.rows, d.pos = nil, 0
 	var key []byte   // the row's key, reused
-	var slab rowSlab // retained rows are copies: the input's storage is not kept alive
-	err = run(qc, d.Input, func(row *Row) error {
+	var slab rowSlab // the retained rows' copies
+	err = run(qc, d.Input, func(b *Batch, j int) error {
+		row := b.rows[j]
 		key = appendRowKey(key[:0], row.Tuple.Values)
 		i, ok := byKey[string(key)]
 		if !ok {
@@ -84,7 +85,8 @@ func (d *Distinct) Open(qc *QueryCtx) (err error) {
 				return cerr
 			}
 			i, byKey[string(key)] = len(d.rows), len(d.rows)
-			d.rows = append(d.rows, slab.shallow(row, nil))
+			kept, _ := slab.keep(b, j, 0)
+			d.rows = append(d.rows, kept)
 			merged = append(merged, model.NewSetAccumulator(d.Lookup))
 		}
 		merged[i].Add(row.Tuple.Summaries)

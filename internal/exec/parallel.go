@@ -102,6 +102,7 @@ func driveWorker(qc *QueryCtx, w Operator, out chan<- *Batch) (err error) {
 		if err != nil || b == nil {
 			return err
 		}
+		b.home = nil // released on the query goroutine, into the pool
 		select {
 		case out <- b:
 		case <-ctx.Done():
@@ -180,11 +181,11 @@ func (g *Gather) Schema() *model.Schema { return g.schema }
 // (GroupBy partial aggregation, HashJoin partitioned build): it runs
 // every partition operator to completion on its own goroutine under a
 // derived per-worker lifecycle, handing partition i's rows to sink(i,
-// row) on that goroutine — so sink must keep per-partition state — and
-// returns once all have exited. The first failure cancels the sibling
-// partitions; the error reported is the substantive one, not the
-// cancellation it induced.
-func runPartitions(qc *QueryCtx, parts []Operator, sink func(i int, row *Row) error) error {
+// batch, index) on that goroutine — so sink must keep per-partition
+// state — and returns once all have exited. The first failure cancels
+// the sibling partitions; the error reported is the substantive one,
+// not the cancellation it induced.
+func runPartitions(qc *QueryCtx, parts []Operator, sink func(part int, b *Batch, i int) error) error {
 	ctx, cancel := context.WithCancel(qc.Context())
 	defer cancel()
 	errs := make([]error, len(parts))
@@ -196,7 +197,7 @@ func runPartitions(qc *QueryCtx, parts []Operator, sink func(i int, row *Row) er
 			defer wg.Done()
 			errs[i] = func() (err error) {
 				defer recoverOp("ParallelWorker", &err)
-				return run(wqc, p, func(row *Row) error { return sink(i, row) })
+				return run(wqc, p, func(b *Batch, j int) error { return sink(i, b, j) })
 			}()
 			if errs[i] != nil {
 				cancel() // stop the sibling partitions early

@@ -49,7 +49,7 @@ func (p *Project) apply(row *Row) (*Row, error) {
 	return out, nil
 }
 
-// NextBatch projects a whole input batch, refilling the same container.
+// NextBatch projects a whole input batch in place and rewinds its slab.
 func (p *Project) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("Project", &err)
 	b, err = p.Input.NextBatch(qc)
@@ -61,6 +61,7 @@ func (p *Project) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 		b.Release()
 		return nil, err
 	}
+	b.slab.rewind()
 	return b, nil
 }
 

@@ -40,23 +40,20 @@ func appendRowKey(dst []byte, vals []model.Value) []byte {
 // maxSlabRows caps how many rows a rowSlab carves from one refill.
 const maxSlabRows = 256
 
-// rowSlab is the one row carver: every operator that makes rows — the
-// scans, the fetches, Project, the join probe, the summary rewrites and
-// the copies Sort and Distinct keep (a slab lives as long as any of its
-// rows, so a breaker does not keep its input's slabs alive) — takes its
-// Row, Tuple and value slots from one, three allocations per refill
+// rowSlab is the one row carver: every operator that makes rows takes
+// its Row, Tuple and value slots from one, three allocations per refill
 // instead of three per row. Each Row slot already points at its own
-// Tuple slot. A refill covers the rows asked for, the rest of the batch
-// in flight (left), or double the previous slab up to maxSlabRows,
-// whichever is most, so a five-row result allocates five rows, a large
-// batch allocates once, and a capacity-1 stream still amortizes to a
-// few allocations per 256 rows. Carved storage belongs to the consumer
-// and is never written again (see the Operator ownership rule).
+// Tuple slot. A refill covers the rows asked for or the rest of the
+// batch in flight (left, set by the carver), or with at most one row
+// left double the previous slab up to maxSlabRows: a five-row result
+// allocates five rows, a large batch once with no spare slots, and a
+// capacity-1 stream a few times per 256 rows. A batch's slab is rewound
+// for reuse by Release; any other hands each slot out once.
 type rowSlab struct {
-	rows []Row
-	vals []model.Value
-	pos  int
-	left int // rows of the batch in flight that still need storage
+	rows      []Row
+	vals      []model.Value
+	pos, vpos int // the next free row and value slot
+	left      int // rows of the batch in flight that still need storage
 }
 
 // take returns n fresh rows, each pointing at a fresh Tuple. Leaves
@@ -72,10 +69,9 @@ func (s *rowSlab) take(n int) []Row {
 // values for it.
 func (s *rowSlab) carve(k int) (*Row, []model.Value) {
 	s.reserve(1, k)
-	row, vals := &s.rows[s.pos], s.vals[:k:k]
-	s.pos++
+	row, vals := &s.rows[s.pos], s.vals[s.vpos:s.vpos+k:s.vpos+k]
+	s.pos, s.vpos = s.pos+1, s.vpos+k
 	s.left--
-	s.vals = s.vals[k:]
 	return row, vals
 }
 
@@ -88,15 +84,49 @@ func (s *rowSlab) shallow(row *Row, set model.SummarySet) *Row {
 	return out
 }
 
+// keep copies b's i-th row for an operator that holds it past b's
+// Release: a fresh Row and Tuple, fresh values if b's slab holds them
+// (a join's rows; a scan's values are the table's), and extra values.
+func (s *rowSlab) keep(b *Batch, i, extra int) (*Row, []model.Value) {
+	row, n := b.rows[i], 0
+	if b.slab.vpos > 0 {
+		n = len(row.Tuple.Values)
+	}
+	out, vals := s.carve(extra + n)
+	*out.Tuple = *row.Tuple
+	if copy(vals[extra:], row.Tuple.Values) > 0 {
+		out.Tuple.Values = vals[extra:]
+	}
+	return out, vals[:extra:extra]
+}
+
 // reserve refills the slab unless n rows of k values each remain.
 func (s *rowSlab) reserve(n, k int) {
-	if s.pos+n <= len(s.rows) && len(s.vals) >= n*k {
+	if s.pos+n <= len(s.rows) && len(s.vals)-s.vpos >= n*k {
 		return
 	}
-	m := max(n, s.left, min(2*len(s.rows), maxSlabRows))
+	m := max(n, s.left)
+	if s.left <= 1 {
+		m = max(m, min(2*len(s.rows), maxSlabRows))
+	}
 	tuples := make([]model.Tuple, m)
-	s.rows, s.vals, s.pos = make([]Row, m), make([]model.Value, m*k), 0
+	s.rows, s.vals, s.pos, s.vpos = make([]Row, m), make([]model.Value, m*k), 0, 0
 	for i := range s.rows {
 		s.rows[i].Tuple = &tuples[i]
 	}
+}
+
+// poisonReleased is set in race builds: rewind then blanks the rows it
+// ends (OID -1, no values), so a row kept uncopied shows.
+var poisonReleased bool
+
+// rewind readies a batch's slab for its producer's next batch.
+func (s *rowSlab) rewind() {
+	if poisonReleased {
+		for i := range s.rows[:s.pos] {
+			*s.rows[i].Tuple = model.Tuple{OID: -1}
+		}
+		clear(s.vals[:s.vpos])
+	}
+	s.pos, s.vpos = 0, 0
 }

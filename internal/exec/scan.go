@@ -57,7 +57,7 @@ type SeqScan struct {
 
 	schema *model.Schema
 	cursor *heap.Cursor[[]model.Value]
-	slab   rowSlab
+	home   batchHome
 }
 
 // NewSeqScan builds a sequential scan.
@@ -86,8 +86,8 @@ func (s *SeqScan) Open(qc *QueryCtx) (err error) {
 	return nil
 }
 
-// NextBatch fills a row vector from the cursor, taking the batch's row
-// slots from the slab in one call. Cancellation is polled and the
+// NextBatch fills a row vector from the cursor, taking the row slots
+// from the batch's slab in one call. Cancellation is polled and the
 // deferred panic trap paid once per batch.
 func (s *SeqScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 	defer recoverOp("SeqScan", &err)
@@ -104,18 +104,19 @@ func (s *SeqScan) NextBatch(qc *QueryCtx) (b *Batch, err error) {
 		if b == nil {
 			// Lazily take the container and the slots so the terminal
 			// empty call costs nothing.
-			b, rows = GetBatch(size), s.slab.take(size)
+			b = s.home.get(size)
+			rows = b.slab.take(size)
 		}
-		t := rows[n].Tuple
-		t.OID, t.Values = oid, values
+		*rows[n].Tuple = model.Tuple{OID: oid, Values: values} // a reused slot: no stale set
 		b.Append(&rows[n])
 	}
 	return b, nil
 }
 
 // Close releases the cursor (unpinning its buffer-pool frame when the
-// scan stopped mid-page).
+// scan stopped mid-page) and hands the free batches to the pool.
 func (s *SeqScan) Close() error {
+	s.home.close()
 	if s.cursor != nil {
 		s.cursor.Close()
 		s.cursor = nil
@@ -141,8 +142,8 @@ func (s *rowSlab) fetch(t *catalog.Table, rid heap.RID) (*Row, bool) {
 // AttachSummaries sets each row's summary set from its table's
 // R_SummaryStorage: the one place a scan path fetches summaries. The
 // compiler puts it above the data-only selections on its leaf, so a row
-// those selections drop never pays for its set. The leaf's tuples are
-// fresh per statement, so the set is attached in place.
+// those selections drop never pays for its set. The leaf's tuples belong
+// to the batch, so the set is attached in place.
 type AttachSummaries struct {
 	Input Operator
 	Table *catalog.Table

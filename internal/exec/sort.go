@@ -188,18 +188,15 @@ func (s *Sort) Open(qc *QueryCtx) (err error) {
 		return nil
 	}
 
-	// A buffered row is a copy carved with its key values (a refill holds
-	// at least a batch), so the input's row storage, and whatever rows a
-	// filter below dropped from it, is not kept alive until the sort ends.
+	// A buffered row is a copy (rowSlab.keep) carved with its key values.
 	var slab rowSlab
-	err = run(qc, s.Input, func(row *Row) error {
-		slab.left = qc.Capacity()
-		kept, keys := slab.carve(len(boundKeys))
-		if _, err := appendValues(keys[:0], boundKeys, row); err != nil {
+	err = run(qc, s.Input, func(b *Batch, i int) error {
+		slab.left = b.Len() - i
+		kept, keys := slab.keep(b, i, len(boundKeys))
+		if _, err := appendValues(keys[:0], boundKeys, kept); err != nil {
 			return err
 		}
-		*kept.Tuple = *row.Tuple
-		rb := approxRowBytes(row)
+		rb := approxRowBytes(kept)
 		if cerr := s.res.charge(1, rb); cerr != nil {
 			// Buffer pressure: spill the buffer as a sorted run and
 			// continue externally instead of failing.
