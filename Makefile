@@ -43,14 +43,16 @@ race:
 # pool across parallel scan workers and the page store under them
 # (snapshot readers against the copy-on-write writer, in pager, heap and
 # btree) and the log's leader/follower sync routine (wal), with extra
-# iterations on the page-partitioned parallel index fetch, the pool's
-# miss protocol (a second reader waits on the first one's load, a failed
+# iterations on the page-partitioned parallel index fetch, the
+# breakers' one partitioned open path (parallel GROUP BY and hash build,
+# their budget release, a Gather worker failing into a full buffer),
+# the pool's miss protocol (a second reader waits on the first one's load, a failed
 # load wakes its waiters), B-Tree cursors on snapshot views pulled
 # between the writer's splits and merges, and the lock-free epoch
 # readers. CI's race job runs this target.
 race-core:
 	$(GO) test -race ./internal/model/... ./internal/engine/... ./internal/exec/... ./internal/pager/... ./internal/heap/... ./internal/btree/... ./internal/wal/...
-	$(GO) test -race -count=4 -run 'TestParallelSortedFetchMatchesSerial|TestSummaryIndexScanPartitionedConcatenation|TestStoreConcurrentMissReadsOnce|TestStoreFailedMissWakesWaiters|TestViewUnaffectedByLaterMutations' ./internal/engine/... ./internal/exec/... ./internal/pager/ ./internal/btree/
+	$(GO) test -race -count=4 -run 'TestParallelSortedFetchMatchesSerial|TestSummaryIndexScanPartitionedConcatenation|TestParallelGroupByMatchesSerial|TestParallelHashJoinMatchesSerial|TestParallelBuildBudgetRelease|TestGatherWorkerErrorSurvivesFullBuffer|TestStoreConcurrentMissReadsOnce|TestStoreFailedMissWakesWaiters|TestViewUnaffectedByLaterMutations' ./internal/engine/... ./internal/exec/... ./internal/pager/ ./internal/btree/
 	$(GO) test -race -count=2 -run 'TestEpochReaderStress' ./internal/engine/
 
 # bench-harness compiles and smoke-tests benchmarks/ against this

@@ -119,9 +119,14 @@ func TestParallelSerialGoldenIdentity(t *testing.T) {
 }
 
 // TestParallelAnalyzeGolden pins EXPLAIN ANALYZE of a parallel
-// aggregation: the Gather node carries the per-worker row counts merged
-// across the fragment's workers. The whole fragment executes inside the
-// GroupBy's Open window, so even the I/O attribution is deterministic.
+// aggregation and of a forced-hash join with a parallel build: the
+// breaker's Gather node carries the per-worker row counts merged across
+// the fragment's workers. A breaker's whole fragment executes inside
+// its Open window, so the aggregation's I/O attribution is
+// deterministic. The join's probe side is an exchange Gather whose
+// workers read while the probe runs, so which operator's window sees
+// their reads depends on scheduling: its per-operator I/O is masked,
+// and the statement's total stays pinned.
 func TestParallelAnalyzeGolden(t *testing.T) {
 	db := goldenDB(t)
 	ap, err := db.ExplainAnalyze(`SELECT family, count(*) FROM Birds b GROUP BY family`,
@@ -130,6 +135,14 @@ func TestParallelAnalyzeGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareGolden(t, "analyze_parallel", wallTimeRe.ReplaceAllString(ap.String(), "time=<t>"))
+	join, err := db.ExplainAnalyze(`SELECT r.id, s.id FROM Birds r, Birds s WHERE r.family = s.family`,
+		&optimizer.Options{MaxParallelWorkers: 4, ForceJoin: "hash"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opIO := regexp.MustCompile(`io self=\S+ total=\S+?( nodes=\d+)?\)`)
+	compareGolden(t, "analyze_parallel_join",
+		opIO.ReplaceAllString(wallTimeRe.ReplaceAllString(join.String(), "time=<t>"), "io=<io>)"))
 
 	// The same statement must return the same data as the serial plan.
 	serial, err := db.Query(`SELECT family, count(*) FROM Birds b GROUP BY family`,

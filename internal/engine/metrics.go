@@ -41,7 +41,7 @@ type metricCounters struct {
 	latency     [numLatencyBuckets]atomic.Int64
 
 	// parallelPlans/serialPlans classify planned SELECTs by whether the
-	// optimizer inserted any parallel fragment (Gather, parallel build).
+	// optimizer inserted any parallel fragment (a Gather).
 	parallelPlans atomic.Int64
 	serialPlans   atomic.Int64
 

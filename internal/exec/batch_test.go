@@ -192,7 +192,7 @@ func TestOperatorsCapacityInvariant(t *testing.T) {
 		},
 		"hash_join": func() Operator {
 			schema, rows := intRows(40)
-			return NewHashJoin(stored(NewSliceIter(schema, rows)), stored(NewSliceIter(schema.Rename("u"), rows)),
+			return NewHashJoin(stored(NewSliceIter(schema, rows)), []Operator{stored(NewSliceIter(schema.Rename("u"), rows))},
 				key[0], key[0], mustExpr(t, "t.v > u.v"), false, nil)
 		},
 		"nl_join": func() Operator {
@@ -202,7 +202,7 @@ func TestOperatorsCapacityInvariant(t *testing.T) {
 		},
 		"group_by": func() Operator {
 			schema, rows := intRows(100)
-			return NewGroupBy(stored(NewSliceIter(schema, rows)), key,
+			return NewGroupBy([]Operator{stored(NewSliceIter(schema, rows))}, key,
 				[]AggSpec{{Func: "count", Star: true, Name: "n"}, {Func: "sum", Arg: mustExpr(t, "v"), Name: "s"}}, nil)
 		},
 		"distinct": func() Operator {
@@ -270,10 +270,10 @@ func TestMidBatchCancellationStopsWithinOneBatch(t *testing.T) {
 	consumers := map[string]func(src Operator) Operator{
 		"filter": func(src Operator) Operator { return NewFilter(src, mustExpr(t, "v > 0"), nil) },
 		"join_probe": func(src Operator) Operator {
-			return NewHashJoin(src, NewSliceIter(src.Schema(), one), mustExpr(t, "v * 0 + 1"), mustExpr(t, "v"), nil, false, nil)
+			return NewHashJoin(src, []Operator{NewSliceIter(src.Schema(), one)}, mustExpr(t, "v * 0 + 1"), mustExpr(t, "v"), nil, false, nil)
 		},
 		"groupby_input": func(src Operator) Operator {
-			return NewGroupBy(src, []sql.Expr{mustExpr(t, "v")}, []AggSpec{{Func: "count", Star: true, Name: "n"}}, nil)
+			return NewGroupBy([]Operator{src}, []sql.Expr{mustExpr(t, "v")}, []AggSpec{{Func: "count", Star: true, Name: "n"}}, nil)
 		},
 		"gather_worker": func(src Operator) Operator { return NewGather([]Operator{src}) },
 	}
@@ -331,14 +331,14 @@ func TestBreakersReleaseBatchesOnFailure(t *testing.T) {
 		"sort":          func(in Operator) Operator { return NewSort(in, []SortKey{{Expr: key}}, nil) },
 		"external_sort": func(in Operator) Operator { return NewExternalSort(in, []SortKey{{Expr: key}}, 8, nil) },
 		"hash_build": func(in Operator) Operator {
-			return NewHashJoin(probe(), in, key, key, nil, false, nil)
+			return NewHashJoin(probe(), []Operator{in}, key, key, nil, false, nil)
 		},
 		"partitioned_hash_build": func(in Operator) Operator {
-			return NewParallelHashJoin(probe(), []Operator{in, few()}, key, key, nil, false, nil)
+			return NewHashJoin(probe(), []Operator{in, few()}, key, key, nil, false, nil)
 		},
-		"group_by": func(in Operator) Operator { return NewGroupBy(in, []sql.Expr{key}, count, nil) },
+		"group_by": func(in Operator) Operator { return NewGroupBy([]Operator{in}, []sql.Expr{key}, count, nil) },
 		"parallel_group_by": func(in Operator) Operator {
-			return NewParallelGroupBy([]Operator{in, few()}, []sql.Expr{key}, count, nil)
+			return NewGroupBy([]Operator{in, few()}, []sql.Expr{key}, count, nil)
 		},
 		"distinct":               func(in Operator) Operator { return NewDistinct(in, nil) },
 		"index_scan_sorted":      indexScan(PartitionSpec{}),

@@ -22,18 +22,16 @@ type AggSpec struct {
 // the behavior behind the case study's Q2, which counts behavior-related
 // annotations per bird family after grouping.
 //
-// The operator has two modes. With Input set it drains one child on the
-// query goroutine. With Workers set (parallel partial aggregation) each
-// worker operator — one partition of the scan — is drained by its own
-// goroutine into a private accumulator, and the partials are merged in
-// partition order, which reproduces the serial plan's group order and
-// per-group summary merge order exactly.
+// Its input is a list of partitions: each is drained into a private
+// accumulator (in parallel when there are several, see runPartitions)
+// and the partials are merged in partition order, which reproduces the
+// serial plan's group order and per-group summary merge order exactly.
+// One partition is the serial plan.
 type GroupBy struct {
-	Input   Operator
-	Workers []Operator
-	Keys    []sql.Expr
-	Aggs    []AggSpec
-	Lookup  model.AnnotationLookup
+	Inputs []Operator
+	Keys   []sql.Expr
+	Aggs   []AggSpec
+	Lookup model.AnnotationLookup
 
 	out    *model.Schema
 	groups []*groupState
@@ -84,24 +82,16 @@ func GroupBySchema(inSchema *model.Schema, keys []sql.Expr, aggs []AggSpec) *mod
 	return out
 }
 
-// NewGroupBy builds the serial operator.
-func NewGroupBy(in Operator, keys []sql.Expr, aggs []AggSpec, lookup model.AnnotationLookup) *GroupBy {
-	return &GroupBy{Input: in, Keys: keys, Aggs: aggs, Lookup: lookup,
-		out: GroupBySchema(in.Schema(), keys, aggs)}
+// NewGroupBy builds the operator over the partitions of its input.
+func NewGroupBy(inputs []Operator, keys []sql.Expr, aggs []AggSpec, lookup model.AnnotationLookup) *GroupBy {
+	return &GroupBy{Inputs: inputs, Keys: keys, Aggs: aggs, Lookup: lookup,
+		out: GroupBySchema(inputs[0].Schema(), keys, aggs)}
 }
 
-// NewParallelGroupBy builds the parallel partial-aggregation operator:
-// every worker operator is one partition of the input.
-func NewParallelGroupBy(workers []Operator, keys []sql.Expr, aggs []AggSpec, lookup model.AnnotationLookup) *GroupBy {
-	return &GroupBy{Workers: workers, Keys: keys, Aggs: aggs, Lookup: lookup,
-		out: GroupBySchema(workers[0].Schema(), keys, aggs)}
-}
-
-// groupAcc is the aggregation accumulator shared by the serial and
-// parallel paths: a hash of group states in first-seen order, charging
-// the query budget for every retained group. Each accumulator is used
-// by one goroutine; parallel partials are combined with mergeFrom on
-// the coordinating goroutine afterwards.
+// groupAcc is one partition's aggregation accumulator: a hash of group
+// states in first-seen order, charging the query budget for every
+// retained group. Each accumulator is used by one goroutine; partials
+// are combined with mergeFrom on the query goroutine afterwards.
 type groupAcc struct {
 	keys   []boundValue
 	aggs   []AggSpec
@@ -261,31 +251,27 @@ func (a *groupAcc) states() []*groupState {
 	return out
 }
 
-// Open builds the group states: serially from Input, or — the parallel
-// partial/final aggregation path — by draining every worker partition
-// into a private groupAcc on its own goroutine and merging the partials
-// in partition order. The merge releases duplicate group charges, so
-// after Open the budget holds exactly one charge per distinct group
-// either way. The operator absorbs every accumulator's charges on every
-// way out, so Close releases whatever was committed before an error.
+// Open builds the group states: it drains every partition into a
+// private groupAcc and merges the partials in partition order. The
+// merge releases duplicate group charges, so after Open the budget
+// holds exactly one charge per distinct group. The operator absorbs
+// every accumulator's charges on every way out, so Close releases
+// whatever was committed before an error.
 func (g *GroupBy) Open(qc *QueryCtx) (err error) {
 	defer recoverOp("GroupBy", &err)
 	g.res.bind(qc, "GroupBy")
-	var accs []*groupAcc
+	accs := make([]*groupAcc, len(g.Inputs))
+	for i, in := range g.Inputs {
+		accs[i] = newGroupAcc(qc, in.Schema(), g.Keys, g.Aggs, g.Lookup)
+	}
 	defer func() {
 		for _, acc := range accs {
 			g.res.absorb(&acc.res)
 		}
 	}()
-	if len(g.Workers) > 0 {
-		for _, w := range g.Workers {
-			accs = append(accs, newGroupAcc(qc, w.Schema(), g.Keys, g.Aggs, g.Lookup))
-		}
-		err = runPartitions(qc, g.Workers, func(i int, b *Batch, j int) error { return accs[i].add(b.rows[j]) })
-	} else {
-		accs = []*groupAcc{newGroupAcc(qc, g.Input.Schema(), g.Keys, g.Aggs, g.Lookup)}
-		err = run(qc, g.Input, func(b *Batch, i int) error { return accs[0].add(b.rows[i]) })
-	}
+	err = runPartitions(qc, g.Inputs, func(i int) func(b *Batch, j int) error {
+		return func(b *Batch, j int) error { return accs[i].add(b.rows[j]) }
+	})
 	if err != nil {
 		return err
 	}

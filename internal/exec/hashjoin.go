@@ -14,11 +14,12 @@ import (
 // Like the other joins it preserves the outer (left) input's order and
 // merges the joined tuples' summary sets without double counting.
 type HashJoin struct {
-	Left, Right Operator
-	// Builds, when set, replaces Right with one build-side operator per
-	// partition: the hash table is built partition-parallel and merged
-	// in partition order, so the per-key row order (and therefore the
-	// join output) matches the serial build exactly.
+	Left Operator
+	// Builds are the partitions of the build (right) side: each is
+	// hashed into its own run (in parallel when there are several) and
+	// the runs fold into the table in partition order, so the per-key
+	// row order (and therefore the join output) matches a serial build.
+	// One partition is the serial build.
 	Builds []Operator
 	// LeftKey/RightKey are the equi-join key expressions, evaluated
 	// against their own side.
@@ -34,33 +35,14 @@ type HashJoin struct {
 	res    reservation // the hash table's budget charge
 }
 
-// NewHashJoin builds a hash join.
-func NewHashJoin(left, right Operator, leftKey, rightKey sql.Expr,
-	residual sql.Expr, propagate bool, lookup model.AnnotationLookup) *HashJoin {
-	return &HashJoin{
-		Left: left, Right: right, LeftKey: leftKey, RightKey: rightKey,
-		Residual: residual, Propagate: propagate, Lookup: lookup,
-		schema: left.Schema().Concat(right.Schema()),
-	}
-}
-
-// NewParallelHashJoin builds a hash join whose build side is one
-// operator per partition, hashed concurrently.
-func NewParallelHashJoin(left Operator, builds []Operator, leftKey, rightKey sql.Expr,
+// NewHashJoin builds a hash join over the partitions of its build side.
+func NewHashJoin(left Operator, builds []Operator, leftKey, rightKey sql.Expr,
 	residual sql.Expr, propagate bool, lookup model.AnnotationLookup) *HashJoin {
 	return &HashJoin{
 		Left: left, Builds: builds, LeftKey: leftKey, RightKey: rightKey,
 		Residual: residual, Propagate: propagate, Lookup: lookup,
 		schema: left.Schema().Concat(builds[0].Schema()),
 	}
-}
-
-// rightSchema is the build side's schema in either mode.
-func (j *HashJoin) rightSchema() *model.Schema {
-	if len(j.Builds) > 0 {
-		return j.Builds[0].Schema()
-	}
-	return j.Right.Schema()
 }
 
 // buildRun is one partition's share of the build side: its non-NULL-key
@@ -96,17 +78,15 @@ func (r *buildRun) add(key boundValue, b *Batch, i int) error {
 	return nil
 }
 
-// Open drains and hashes the build (right) side — one run on the query
-// goroutine, or one run per Builds partition hashed concurrently — and
-// folds the runs into the hash table in partition order, so per-key row
-// order (and therefore the join output) is the same either way. The
-// join absorbs every run's charges on every way out, so Close releases
-// them all even after a failed open.
+// Open drains and hashes the build (right) side, one run per
+// partition, and folds the runs into the hash table in partition order.
+// The join absorbs every run's charges on every way out, so Close
+// releases them all even after a failed open.
 func (j *HashJoin) Open(qc *QueryCtx) (err error) {
 	defer recoverOp("HashJoin", &err)
-	rightKey := (&Evaluator{Schema: j.rightSchema(), Lookup: j.Lookup}).BindValue(j.RightKey)
+	rightKey := (&Evaluator{Schema: j.Builds[0].Schema(), Lookup: j.Lookup}).BindValue(j.RightKey)
 	j.res.bind(qc, "HashJoin")
-	runs := make([]buildRun, max(1, len(j.Builds)))
+	runs := make([]buildRun, len(j.Builds))
 	for i := range runs {
 		runs[i].res.bind(qc, "HashJoin")
 	}
@@ -115,11 +95,9 @@ func (j *HashJoin) Open(qc *QueryCtx) (err error) {
 			j.res.absorb(&runs[i].res)
 		}
 	}()
-	if len(j.Builds) > 0 {
-		err = runPartitions(qc, j.Builds, func(i int, b *Batch, k int) error { return runs[i].add(rightKey, b, k) })
-	} else {
-		err = run(qc, j.Right, func(b *Batch, i int) error { return runs[0].add(rightKey, b, i) })
-	}
+	err = runPartitions(qc, j.Builds, func(i int) func(b *Batch, k int) error {
+		return func(b *Batch, k int) error { return runs[i].add(rightKey, b, k) }
+	})
 	if err != nil {
 		return err
 	}

@@ -18,7 +18,7 @@ func TestHashJoinAgreesWithNLJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hj, err := Collect(nil, NewHashJoin(summaryScan(f.r, "r"), summaryScan(f.s, "s"),
+	hj, err := Collect(nil, NewHashJoin(summaryScan(f.r, "r"), []Operator{summaryScan(f.s, "s")},
 		mustExpr(t, "r.a"), mustExpr(t, "s.x"), nil, true, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +42,7 @@ func TestHashJoinAgreesWithNLJoin(t *testing.T) {
 
 func TestHashJoinPreservesOuterOrder(t *testing.T) {
 	f := newOpsFixture(t, 6, 18)
-	rows, err := Collect(nil, NewHashJoin(NewSeqScan(f.r, "r"), NewSeqScan(f.s, "s"),
+	rows, err := Collect(nil, NewHashJoin(NewSeqScan(f.r, "r"), []Operator{NewSeqScan(f.s, "s")},
 		mustExpr(t, "r.a"), mustExpr(t, "s.x"), nil, false, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestHashJoinResidualAndNullKeys(t *testing.T) {
 		{Tuple: model.NewTuple(4, model.Null())},
 		{Tuple: model.NewTuple(5, model.NewInt(1))},
 	}
-	hj := NewHashJoin(NewSliceIter(schema, left), NewSliceIter(rschema, right),
+	hj := NewHashJoin(NewSliceIter(schema, left), []Operator{NewSliceIter(rschema, right)},
 		mustExpr(t, "l.k"), mustExpr(t, "r.k2"), nil, false, nil)
 	rows, err := Collect(nil, hj)
 	if err != nil {
@@ -78,7 +78,7 @@ func TestHashJoinResidualAndNullKeys(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	// Residual filters matches.
-	hj2 := NewHashJoin(NewSliceIter(schema, left), NewSliceIter(rschema, right),
+	hj2 := NewHashJoin(NewSliceIter(schema, left), []Operator{NewSliceIter(rschema, right)},
 		mustExpr(t, "l.k"), mustExpr(t, "r.k2"), mustExpr(t, "r.k2 + l.k = 2"), false, nil)
 	rows2, err := Collect(nil, hj2)
 	if err != nil {
@@ -101,7 +101,7 @@ func TestHashKeyNumericCrossKind(t *testing.T) {
 		{Tuple: model.NewTuple(4, model.NewFloat(5))},
 		{Tuple: model.NewTuple(5, model.NewFloat(math.Copysign(0, -1)))},
 	}
-	rows, err := Collect(nil, NewHashJoin(NewSliceIter(lschema, left), NewSliceIter(rschema, right),
+	rows, err := Collect(nil, NewHashJoin(NewSliceIter(lschema, left), []Operator{NewSliceIter(rschema, right)},
 		mustExpr(t, "l.k"), mustExpr(t, "r.f"), nil, false, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestHashJoinProbeAllocatesNothing(t *testing.T) {
 	rschema := model.NewSchema("r", model.Column{Name: "k2", Kind: model.KindText})
 	outer := &Row{Tuple: model.NewTuple(1, name)}
 	right := []*Row{{Tuple: model.NewTuple(2, name)}, {Tuple: model.NewTuple(3, model.NewText("other"))}}
-	hj := NewHashJoin(NewSliceIter(lschema, []*Row{outer}), NewSliceIter(rschema, right),
+	hj := NewHashJoin(NewSliceIter(lschema, []*Row{outer}), []Operator{NewSliceIter(rschema, right)},
 		mustExpr(t, "l.k"), mustExpr(t, "r.k2"), nil, false, nil)
 	if err := hj.Open(nil); err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func TestHashJoinMatchesBruteForceProperty(t *testing.T) {
 				}
 			}
 		}
-		rows, err := Collect(nil, NewHashJoin(NewSliceIter(ls, left), NewSliceIter(rs, right),
+		rows, err := Collect(nil, NewHashJoin(NewSliceIter(ls, left), []Operator{NewSliceIter(rs, right)},
 			mustExpr(t, "l.k"), mustExpr(t, "r.k2"), nil, false, nil))
 		if err != nil {
 			t.Fatal(err)

@@ -327,7 +327,7 @@ func TestCorruptCellIsTyped(t *testing.T) {
 func TestHashJoinFailsFastOverBudget(t *testing.T) {
 	schema, rows := intRows(100)
 	j := NewHashJoin(
-		NewSliceIter(schema, rows), NewSliceIter(schema, rows),
+		NewSliceIter(schema, rows), []Operator{NewSliceIter(schema, rows)},
 		mustExpr(t, "v"), mustExpr(t, "v"), nil, false, nil)
 	budget := NewBudget(10, 0, 0) // build side is 100 rows
 	_, err := Collect(NewQueryCtx(context.Background(), budget, 1), j)
@@ -347,7 +347,7 @@ func TestDistinctAndGroupByRespectBudget(t *testing.T) {
 	schema, rows := intRows(100)
 	for op, breaker := range map[string]Operator{
 		"Distinct": NewDistinct(NewSliceIter(schema, rows), nil),
-		"GroupBy": NewGroupBy(NewSliceIter(schema, rows),
+		"GroupBy": NewGroupBy([]Operator{NewSliceIter(schema, rows)},
 			[]sql.Expr{mustExpr(t, "v")},
 			[]AggSpec{{Func: "count", Star: true, Name: "n"}}, nil),
 	} {

@@ -324,7 +324,7 @@ func TestDollarFormsResolveAlike(t *testing.T) {
 	joins := map[string]Operator{
 		"nl": NewNLJoin(summaryScan(f.r, "r"), summaryScan(f.s, "s"),
 			mustExpr(t, "r.a = s.x AND "+residual), true, nil),
-		"hash": NewHashJoin(summaryScan(f.r, "r"), summaryScan(f.s, "s"),
+		"hash": NewHashJoin(summaryScan(f.r, "r"), []Operator{summaryScan(f.s, "s")},
 			mustExpr(t, "r.a"), mustExpr(t, "s.x"), mustExpr(t, residual), true, nil),
 		"index": NewIndexJoin(summaryScan(f.r, "r"), f.s, "s", "x",
 			mustExpr(t, "r.a"), mustExpr(t, residual), true, nil),
@@ -539,7 +539,7 @@ func TestGroupByAggregates(t *testing.T) {
 		{Func: "avg", Arg: mustExpr(t, "r.a"), Name: "mean"},
 	}
 	// Group by a % 2 parity via an expression key.
-	g := NewGroupBy(summaryScan(f.r, "r"),
+	g := NewGroupBy([]Operator{summaryScan(f.r, "r")},
 		[]sql.Expr{mustExpr(t, "r.a / 7")}, aggs, nil)
 	rows, err := Collect(nil, g)
 	if err != nil {

@@ -9,12 +9,13 @@ import (
 )
 
 // This file is the intra-query parallel execution layer: the Gather
-// exchange operator and the parallel open paths of the pipeline
-// breakers (GroupBy partial aggregation, HashJoin partitioned build).
-// The contract throughout is determinism: workers own consecutive
-// page-range partitions of the scanned table, and everything that
-// merges worker results does so in partition order, so a parallel plan
-// produces byte-identical output to the serial plan it replaces.
+// exchange operator and runPartitions, the one open path of the
+// pipeline breakers (GroupBy, HashJoin's build), whose input is a list
+// of partitions. The contract throughout is determinism: workers own
+// consecutive partitions of the scanned table or sorted index hits, and
+// everything that merges worker results does so in partition order, so
+// a parallel plan produces byte-identical output to the serial plan it
+// replaces.
 
 // gatherBufferRows is about how many rows each worker may run ahead of
 // the coordinator: enough to keep workers busy while the coordinator
@@ -177,15 +178,19 @@ func (g *Gather) Close() error {
 // Schema returns the (shared) worker schema.
 func (g *Gather) Schema() *model.Schema { return g.schema }
 
-// runPartitions is the parallel open path of the pipeline breakers
-// (GroupBy partial aggregation, HashJoin partitioned build): it runs
-// every partition operator to completion on its own goroutine under a
-// derived per-worker lifecycle, handing partition i's rows to sink(i,
-// batch, index) on that goroutine — so sink must keep per-partition
-// state — and returns once all have exited. The first failure cancels
-// the sibling partitions; the error reported is the substantive one,
-// not the cancellation it induced.
-func runPartitions(qc *QueryCtx, parts []Operator, sink func(part int, b *Batch, i int) error) error {
+// runPartitions is the open path of the pipeline breakers (GroupBy,
+// HashJoin's build): it runs every partition operator to completion,
+// handing partition i's rows to the consumer sink(i) returns — so each
+// consumer must own its state — and returns once all have exited. One
+// partition, the serial plan, runs inline on the query goroutine.
+// Several run on their own goroutines under derived per-worker
+// lifecycles; the first failure cancels the sibling partitions, and the
+// error reported is the substantive one, not the cancellation it
+// induced.
+func runPartitions(qc *QueryCtx, parts []Operator, sink func(part int) func(b *Batch, i int) error) error {
+	if len(parts) == 1 {
+		return run(qc, parts[0], sink(0))
+	}
 	ctx, cancel := context.WithCancel(qc.Context())
 	defer cancel()
 	errs := make([]error, len(parts))
@@ -197,7 +202,7 @@ func runPartitions(qc *QueryCtx, parts []Operator, sink func(part int, b *Batch,
 			defer wg.Done()
 			errs[i] = func() (err error) {
 				defer recoverOp("ParallelWorker", &err)
-				return run(wqc, p, func(b *Batch, j int) error { return sink(i, b, j) })
+				return run(wqc, p, sink(i))
 			}()
 			if errs[i] != nil {
 				cancel() // stop the sibling partitions early

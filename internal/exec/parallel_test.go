@@ -96,7 +96,7 @@ func TestParallelGroupByMatchesSerial(t *testing.T) {
 			{Func: "avg", Arg: mustExpr(t, "r.a"), Name: "mean"},
 		}
 	}
-	serial, err := Collect(nil, NewGroupBy(summaryScan(f.r, "r"), keys(), aggs(), nil))
+	serial, err := Collect(nil, NewGroupBy([]Operator{summaryScan(f.r, "r")}, keys(), aggs(), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestParallelGroupByMatchesSerial(t *testing.T) {
 	for _, capacity := range []int{1, 1024} {
 		for _, dop := range []int{1, 2, 3, 8} {
 			par, err := Collect(NewQueryCtx(nil, nil, capacity),
-				NewParallelGroupBy(partitionedScans(f, dop, true), keys(), aggs(), nil))
+				NewGroupBy(partitionedScans(f, dop, true), keys(), aggs(), nil))
 			if err != nil {
 				t.Fatalf("capacity %d dop %d: %v", capacity, dop, err)
 			}
@@ -120,7 +120,7 @@ func TestParallelGroupByMatchesSerial(t *testing.T) {
 
 func TestParallelHashJoinMatchesSerial(t *testing.T) {
 	f := newOpsFixture(t, 9, 40)
-	serial, err := Collect(nil, NewHashJoin(summaryScan(f.r, "r"), summaryScan(f.s, "s"),
+	serial, err := Collect(nil, NewHashJoin(summaryScan(f.r, "r"), []Operator{summaryScan(f.s, "s")},
 		mustExpr(t, "r.a"), mustExpr(t, "s.x"), nil, true, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestParallelHashJoinMatchesSerial(t *testing.T) {
 			b.Part = PartitionSpec{Index: i, Of: dop}
 			builds[i] = NewAttachSummaries(b, f.s)
 		}
-		par, err := Collect(nil, NewParallelHashJoin(summaryScan(f.r, "r"), builds,
+		par, err := Collect(nil, NewHashJoin(summaryScan(f.r, "r"), builds,
 			mustExpr(t, "r.a"), mustExpr(t, "s.x"), nil, true, nil))
 		if err != nil {
 			t.Fatalf("dop %d: %v", dop, err)
@@ -217,11 +217,50 @@ func TestGatherWorkerPanicIsolated(t *testing.T) {
 	}
 }
 
+// TestBreakerPartitionPanicIsolated panics one partition of a GroupBy's
+// input and of a hash join's build side. Over several partitions the
+// panic surfaces as the worker's *OpError; over one, which runs inline
+// on the query goroutine, as the breaker's own. Either way Close
+// releases every charge the partitions committed before it.
+func TestBreakerPartitionPanicIsolated(t *testing.T) {
+	f := newOpsFixture(t, 9, 40)
+	breakers := map[string]func(parts []Operator) Operator{
+		"GroupBy": func(parts []Operator) Operator {
+			return NewGroupBy(parts, []sql.Expr{mustExpr(t, "s.x")},
+				[]AggSpec{{Func: "count", Star: true, Name: "n"}}, nil)
+		},
+		"HashJoin": func(parts []Operator) Operator {
+			return NewHashJoin(NewSeqScan(f.r, "r"), parts,
+				mustExpr(t, "r.a"), mustExpr(t, "s.x"), nil, false, nil)
+		},
+	}
+	for name, breaker := range breakers {
+		for dop, want := range map[int]string{1: name, 3: "ParallelWorker"} {
+			parts := make([]Operator, dop)
+			for i := range parts {
+				s := NewSeqScan(f.s, "s")
+				s.Part = PartitionSpec{Index: i, Of: dop}
+				parts[i] = s
+			}
+			parts[dop-1] = &failingWorkerIter{child: parts[dop-1], n: 1, panic: true}
+			budget := NewBudget(1000, 0, 0)
+			_, err := Collect(NewQueryCtx(context.Background(), budget, 1), breaker(parts))
+			var oe *OpError
+			if !errors.As(err, &oe) || oe.Op != want {
+				t.Errorf("%s over %d partitions: err = %v, want an *OpError of %s", name, dop, err, want)
+			}
+			if got := budget.BufferedRows(); got != 0 {
+				t.Errorf("%s over %d partitions: leaked %d buffered rows", name, dop, got)
+			}
+		}
+	}
+}
+
 func TestParallelGroupByWorkerErrorPropagates(t *testing.T) {
 	f := newOpsFixture(t, 40, 0)
 	workers := partitionedScans(f, 3, true)
 	workers[1] = &failingWorkerIter{child: workers[1], n: 3}
-	g := NewParallelGroupBy(workers, []sql.Expr{mustExpr(t, "r.a / 7")},
+	g := NewGroupBy(workers, []sql.Expr{mustExpr(t, "r.a / 7")},
 		[]AggSpec{{Func: "count", Star: true, Name: "cnt"}}, nil)
 	budget := NewBudget(1000, 0, 0)
 	_, err := Collect(NewQueryCtx(context.Background(), budget, 1), g)
@@ -243,7 +282,7 @@ func TestParallelBuildBudgetRelease(t *testing.T) {
 		b.Part = PartitionSpec{Index: i, Of: 3}
 		builds[i] = b
 	}
-	j := NewParallelHashJoin(NewSeqScan(f.r, "r"), builds,
+	j := NewHashJoin(NewSeqScan(f.r, "r"), builds,
 		mustExpr(t, "r.a"), mustExpr(t, "s.x"), nil, false, nil)
 	budget := NewBudget(10, 0, 0) // build side is 40 rows
 	_, err := Collect(NewQueryCtx(context.Background(), budget, 1), j)

@@ -326,18 +326,12 @@ func OpName(it Operator) string {
 		}
 		return "ExternalSort"
 	case *HashJoin:
-		if len(op.Builds) > 0 {
-			return "ParallelHashJoin"
-		}
 		return "HashJoin"
 	case *IndexJoin:
 		return "IndexJoin"
 	case *NLJoin:
 		return "NLJoin"
 	case *GroupBy:
-		if len(op.Workers) > 0 {
-			return "ParallelGroupBy"
-		}
 		return "GroupBy"
 	case *Gather:
 		return "Gather"

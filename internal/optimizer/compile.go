@@ -145,9 +145,9 @@ func compile(n plan.Node, env *Env, opts Options, need bool, goal int) (exec.Ope
 }
 
 // compileWorkers lowers a Gather fragment's child once per partition,
-// without a row goal. With wrapTop set (fragments consumed by a parallel aggregation or
-// hash build, where no exec.Gather exists) each worker's top iterator
-// is additionally recorded under the GatherNode itself, merging the
+// without a row goal. With wrapTop set (the fragment is a breaker's
+// input, where no exec.Gather exists) each worker's top iterator is
+// additionally recorded under the GatherNode itself, merging the
 // per-worker row counts the EXPLAIN ANALYZE goldens pin.
 func compileWorkers(g *plan.GatherNode, env *Env, opts Options, need bool, wrapTop bool) ([]exec.Operator, error) {
 	workers := make([]exec.Operator, g.DOP)
@@ -165,6 +165,18 @@ func compileWorkers(g *plan.GatherNode, env *Env, opts Options, need bool, wrapT
 		workers[i] = it
 	}
 	return workers, nil
+}
+
+// compileInputs lowers a pipeline breaker's input (a GroupBy's child, a
+// hash join's build side) to the list of partitions the breaker folds:
+// a Gather's workers, or the one serial input. Breakers read their
+// whole input, so there is no row goal.
+func compileInputs(n plan.Node, env *Env, opts Options, need bool) ([]exec.Operator, error) {
+	if g, ok := n.(*plan.GatherNode); ok {
+		return compileWorkers(g, env, opts, need, true)
+	}
+	it, err := compile(n, env, opts, need, 0)
+	return []exec.Operator{it}, err
 }
 
 func compileNode(n plan.Node, env *Env, opts Options, need bool, goal int) (exec.Operator, error) {
@@ -253,25 +265,17 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool, goal int) (exec
 			j.FetchSummaries = below
 			return j, nil
 		}
-		if node.UseHash && node.BuildDOP > 1 {
-			// Partition-parallel build: the join's Open drives one build
-			// iterator per page-range partition concurrently, folding the
-			// runs into the hash table in partition order.
-			g := &plan.GatherNode{Child: node.Right, DOP: node.BuildDOP}
-			builds, err := compileWorkers(g, env, opts, below, false)
+		if node.UseHash {
+			builds, err := compileInputs(node.Right, env, opts, below)
 			if err != nil {
 				return nil, err
 			}
-			return exec.NewParallelHashJoin(left, builds, node.HashLeft, node.HashRight,
+			return exec.NewHashJoin(left, builds, node.HashLeft, node.HashRight,
 				node.Residual, need, env.Lookup), nil
 		}
 		right, err := compile(node.Right, env, opts, below, goalBelow)
 		if err != nil {
 			return nil, err
-		}
-		if node.UseHash {
-			return exec.NewHashJoin(left, right, node.HashLeft, node.HashRight,
-				node.Residual, need, env.Lookup), nil
 		}
 		return exec.NewNLJoin(left, right, node.On, need, env.Lookup), nil
 
@@ -289,24 +293,11 @@ func compileNode(n plan.Node, env *Env, opts Options, need bool, goal int) (exec
 		return exec.NewSort(child, node.Keys, env.Lookup), nil
 
 	case *plan.GroupByNode:
-		below := childNeed(n, need)
-		if g, ok := node.Child.(*plan.GatherNode); ok && node.DOP > 1 && g.Partial {
-			// Parallel partial/final aggregation: no Gather operator is
-			// built — the GroupBy itself drives the workers, each folding
-			// its partition into per-group partial states merged in
-			// partition order. The worker tops are recorded under the
-			// GatherNode so EXPLAIN ANALYZE shows the fragment's rows.
-			workers, err := compileWorkers(g, env, opts, below, true)
-			if err != nil {
-				return nil, err
-			}
-			return exec.NewParallelGroupBy(workers, node.Keys, node.Aggs, env.Lookup), nil
-		}
-		child, err := compile(node.Child, env, opts, below, goalBelow)
+		inputs, err := compileInputs(node.Child, env, opts, childNeed(n, need))
 		if err != nil {
 			return nil, err
 		}
-		return exec.NewGroupBy(child, node.Keys, node.Aggs, env.Lookup), nil
+		return exec.NewGroupBy(inputs, node.Keys, node.Aggs, env.Lookup), nil
 
 	case *plan.ProjectNode:
 		child, err := compile(node.Child, env, opts, childNeed(n, need), goalBelow)

@@ -166,6 +166,12 @@ func (f *optFixture) run(q string, opts Options) []string {
 
 func (f *optFixture) explain(q string, opts Options) string {
 	f.t.Helper()
+	return plan.Explain(f.optimize(q, opts))
+}
+
+// optimize returns the optimized plan of q under opts.
+func (f *optFixture) optimize(q string, opts Options) plan.Node {
+	f.t.Helper()
 	stmt, err := sql.Parse(q)
 	if err != nil {
 		f.t.Fatal(err)
@@ -174,7 +180,7 @@ func (f *optFixture) explain(q string, opts Options) string {
 	if err != nil {
 		f.t.Fatal(err)
 	}
-	return plan.Explain(Optimize(root, resolver, f.env, opts))
+	return Optimize(root, resolver, f.env, opts)
 }
 
 func equalRows(a, b []string) bool {

@@ -5,12 +5,12 @@ import (
 )
 
 // This file is the optimizer's parallelization pass: it decides, per
-// plan fragment, whether intra-query parallelism pays off and inserts
-// the exchange (GatherNode) / parallel-build / partial-aggregation
-// markers the compiler lowers to the executor's worker pools. The pass
-// runs last, after all logical rewrites, so every other rule sees only
-// serial shapes; with MaxParallelWorkers <= 1 it is the identity and
-// the plan compiles exactly as before.
+// plan fragment, whether intra-query parallelism pays off and marks
+// each parallel fragment with the one marker the compiler lowers to
+// the executor's worker pools, a GatherNode. The pass runs last, after
+// all logical rewrites, so every other rule sees only serial shapes;
+// with MaxParallelWorkers <= 1 it is the identity and the plan compiles
+// exactly as before.
 
 // parallelStartupCost is the modeled per-worker overhead in page units
 // (goroutine spawn, channel setup, partial-state merge). The DOP chosen
@@ -19,16 +19,16 @@ import (
 // covers the coordination.
 const parallelStartupCost = 8.0
 
-// parallelize walks the optimized plan and inserts parallel fragments
-// where the cost model approves:
+// parallelize walks the optimized plan and puts a GatherNode over
+// every partitionable pipeline where the cost model approves. What the
+// Gather becomes depends on its parent:
 //
-//   - a GroupBy over a partitionable pipeline becomes a parallel
-//     partial/final aggregation (workers fold their partition into
-//     per-group partial states, merged in partition order);
-//   - a hash join whose build side is a partitionable pipeline builds
-//     its table partition-parallel;
-//   - any other partitionable pipeline is wrapped in a GatherNode and
-//     executed by a worker pool streaming rows in partition order.
+//   - under a GroupBy, or as a hash join's build (Right) side, it is the
+//     list of partitions that breaker folds itself: workers aggregate
+//     into per-group partial states, or hash into per-partition runs,
+//     merged in partition order;
+//   - anywhere else it is an exchange whose worker pool streams rows
+//     in partition order.
 //
 // "Partitionable pipeline" means a chain of streaming operators over a
 // partitionable leaf — a base-table scan (each worker takes a page
@@ -52,31 +52,21 @@ func (rw *rewriter) parallelizeNode(n plan.Node) plan.Node {
 		}
 		return n
 	}
-	switch node := n.(type) {
-	case *plan.GroupByNode:
-		if dop := rw.chooseDOP(node.Child); dop > 1 {
-			node.DOP = dop
-			node.Child = &plan.GatherNode{Child: node.Child, DOP: dop, Partial: true}
-			return node
-		}
-		node.Child = rw.parallelizeNode(node.Child)
-
-	case *plan.Join:
-		if node.UseHash {
-			if dop := rw.chooseDOP(node.Right); dop > 1 {
-				node.BuildDOP = dop
-			}
-		}
-		// The probe/outer side streams, so it may carry its own parallel
-		// fragment. The inner side of an index join must stay a bare
-		// leaf (the compiler probes it, it is never iterated), and a
-		// parallel-build right side is partitioned by the join itself.
-		node.Left = rw.parallelizeNode(node.Left)
-
-	default:
+	join, ok := n.(*plan.Join)
+	if !ok {
 		return plan.MapChildren(n, rw.parallelizeNode)
 	}
-	return n
+	if join.UseHash {
+		if dop := rw.chooseDOP(join.Right); dop > 1 {
+			join.Right = &plan.GatherNode{Child: join.Right, DOP: dop}
+		}
+	}
+	// The probe/outer side streams, so it may carry its own parallel
+	// fragment. The inner side of an index join must stay a bare leaf
+	// (the compiler probes it, it is never iterated), and a nested-loop
+	// inner side is rescanned per outer row.
+	join.Left = rw.parallelizeNode(join.Left)
+	return join
 }
 
 // pipelineLeaf returns the node at the bottom of a chain of streaming

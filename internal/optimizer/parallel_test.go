@@ -1,8 +1,9 @@
 package optimizer
 
 import (
-	"strings"
 	"testing"
+
+	"repro/internal/plan"
 )
 
 // TestParallelizeIdentityAtDOPOne pins the central compatibility
@@ -28,29 +29,44 @@ func TestParallelizeIdentityAtDOPOne(t *testing.T) {
 	}
 }
 
-// TestParallelPlanShapes asserts the pass inserts each of the three
-// parallel fragments where it should: Gather over a scan pipeline,
-// partial aggregation under GroupBy, and a parallel hash-join build.
+// TestParallelPlanShapes asserts the pass puts its one marker, a
+// GatherNode with DOP > 1, where each kind of parallel fragment
+// belongs: over a scan pipeline (here the plan's root), as a GroupBy's
+// child, and as a hash join's build (Right) side.
 func TestParallelPlanShapes(t *testing.T) {
 	f := newOptFixture(t, 40, 60, false, 1)
 	opts := Options{MaxParallelWorkers: 4}
-
-	scan := f.explain(`SELECT a, b FROM R r WHERE r.a > 10`, opts)
-	if !strings.Contains(scan, "Gather workers=") {
-		t.Errorf("scan pipeline not parallelized:\n%s", scan)
+	hash := Options{MaxParallelWorkers: 4, ForceJoin: "hash"}
+	for what, input := range map[string]plan.Node{
+		"scan pipeline": f.optimize(`SELECT a, b FROM R r WHERE r.a > 10`, opts),
+		"GroupBy child": firstNode[*plan.GroupByNode](t, f.optimize(`SELECT b, count(*), sum(a) FROM R r GROUP BY b`, opts)).Child,
+		"hash build":    firstNode[*plan.Join](t, f.optimize(`SELECT r.a, s.z FROM R r, S s WHERE r.a = s.x`, hash)).Right,
+	} {
+		if g, ok := input.(*plan.GatherNode); !ok || g.DOP < 2 {
+			t.Errorf("%s not parallelized:\n%s", what, plan.Explain(input))
+		}
 	}
+}
 
-	group := f.explain(`SELECT b, count(*), sum(a) FROM R r GROUP BY b`, opts)
-	if !strings.Contains(group, "parallel workers=") ||
-		!strings.Contains(group, "partial aggregation") {
-		t.Errorf("aggregation not parallelized:\n%s", group)
+// firstNode returns the first node of type T in root's tree, depth
+// first.
+func firstNode[T plan.Node](t *testing.T, root plan.Node) T {
+	t.Helper()
+	var found []T
+	var walk func(n plan.Node)
+	walk = func(n plan.Node) {
+		if v, ok := n.(T); ok {
+			found = append(found, v)
+		}
+		for _, c := range n.Children() {
+			walk(c)
+		}
 	}
-
-	join := f.explain(`SELECT r.a, s.z FROM R r, S s WHERE r.a = s.x`,
-		Options{MaxParallelWorkers: 4, ForceJoin: "hash"})
-	if !strings.Contains(join, "parallel build workers=") {
-		t.Errorf("hash build not parallelized:\n%s", join)
+	walk(root)
+	if len(found) == 0 {
+		t.Fatalf("no %T in\n%s", *new(T), plan.Explain(root))
 	}
+	return found[0]
 }
 
 // TestParallelSmallTableStaysSerial: a single-page table has nothing to

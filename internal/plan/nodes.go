@@ -292,6 +292,7 @@ func (f *SummaryFilterNode) Describe() string {
 // 3.2 when its predicate reads summaries. J's predicate — summary
 // comparisons possibly mixed with data conjuncts — is evaluated over
 // both sides' pre-merge summary sets, and J has no hash implementation.
+// A hash join whose Right is a GatherNode builds partition-parallel.
 type Join struct {
 	Left, Right Node
 	On          sql.Expr
@@ -308,10 +309,6 @@ type Join struct {
 	HashRight sql.Expr
 	// Residual holds the remaining predicate under UseIndex/UseHash.
 	Residual sql.Expr
-	// BuildDOP parallelizes the hash-join build side across that many
-	// partition workers (0 or 1 = serial; requires UseHash and a
-	// partitionable right child).
-	BuildDOP int
 
 	schema *model.Schema
 }
@@ -352,8 +349,8 @@ func (j *Join) Describe() string {
 		kind = fmt.Sprintf("HashJoin(%s=%s)", j.HashLeft, j.HashRight)
 	}
 	suffix := ""
-	if j.BuildDOP > 1 {
-		suffix = fmt.Sprintf(" (parallel build workers=%d)", j.BuildDOP)
+	if g, ok := j.Right.(*GatherNode); ok {
+		suffix = fmt.Sprintf(" (parallel build workers=%d)", g.DOP)
 	}
 	if j.On == nil {
 		return kind + " ⋈[true]" + suffix
@@ -406,17 +403,13 @@ func (s *SortNode) Describe() string {
 	return fmt.Sprintf("%s[%s]%s", name, strings.Join(keys, ","), suffix)
 }
 
-// GroupByNode aggregates with summary merge per group. With DOP > 1 its
-// child must be a partial GatherNode: each worker accumulates one
-// partition and the final aggregation merges the partials in partition
-// order.
+// GroupByNode aggregates with summary merge per group. Over a
+// GatherNode child it aggregates in parallel: each worker accumulates
+// one partition and the partials merge in partition order.
 type GroupByNode struct {
 	Child Node
 	Keys  []sql.Expr
 	Aggs  []exec.AggSpec
-	// DOP is the degree of parallelism of the partial-aggregation phase
-	// (0 or 1 = serial).
-	DOP int
 
 	schema *model.Schema
 }
@@ -441,8 +434,8 @@ func (g *GroupByNode) Describe() string {
 		keys[i] = k.String()
 	}
 	out := fmt.Sprintf("GroupBy[%s] aggs=%d", strings.Join(keys, ","), len(g.Aggs))
-	if g.DOP > 1 {
-		out += fmt.Sprintf(" (parallel workers=%d)", g.DOP)
+	if c, ok := g.Child.(*GatherNode); ok {
+		out += fmt.Sprintf(" (parallel workers=%d)", c.DOP)
 	}
 	return out
 }
@@ -522,19 +515,16 @@ func (l *LimitNode) Describe() string {
 	return fmt.Sprintf("Limit %d", l.N)
 }
 
-// GatherNode is the exchange boundary of a parallel plan fragment: the
+// GatherNode is the one marker of a parallel plan fragment: the
 // subtree below it is compiled once per partition and executed by DOP
-// worker goroutines, whose rows are emitted in partition order (equal
-// to the serial scan order, so parallel plans return identical
-// results). With Partial set the gather feeds a parallel GroupBy and
-// the workers run the partial-aggregation phase instead of streaming
-// rows.
+// worker goroutines. As a GroupBy's child or a hash join's Right it is
+// the list of partitions that breaker folds itself, in partition order;
+// anywhere else it is an exchange whose rows are emitted in partition
+// order. Either way partition order is the serial order, so parallel
+// plans return identical results.
 type GatherNode struct {
 	Child Node
 	DOP   int
-	// Partial marks a gather consumed by a parallel final aggregation
-	// (the workers fold their partition into per-group partial states).
-	Partial bool
 }
 
 // Schema returns the child schema.
@@ -551,28 +541,16 @@ func (g *GatherNode) WithChildren(c []Node) Node {
 }
 
 // Describe renders the node.
-func (g *GatherNode) Describe() string {
-	out := fmt.Sprintf("Gather workers=%d", g.DOP)
-	if g.Partial {
-		out += " (partial aggregation)"
-	}
-	return out
-}
+func (g *GatherNode) Describe() string { return fmt.Sprintf("Gather workers=%d", g.DOP) }
 
-// IsParallel reports whether the plan contains a parallel fragment
-// (any GatherNode or parallel build) — the engine's parallel-plan
-// metric and tests use it.
+// IsParallel reports whether the plan contains a parallel fragment (a
+// GatherNode) — the engine's parallel-plan metric and tests use it.
 func IsParallel(n Node) bool {
 	if n == nil {
 		return false
 	}
-	switch v := n.(type) {
-	case *GatherNode:
+	if _, ok := n.(*GatherNode); ok {
 		return true
-	case *Join:
-		if v.BuildDOP > 1 {
-			return true
-		}
 	}
 	for _, c := range n.Children() {
 		if IsParallel(c) {

@@ -301,8 +301,8 @@ func nodeTable(t *testing.T, cat *catalog.Catalog, sidx *index.SummaryBTree, bid
 	key := []exec.SortKey{{Expr: e}}
 	indexJoin := NewJoin(scan, NewScan(birds, "r4"), e)
 	indexJoin.UseIndex, indexJoin.IndexColumn = true, "id"
-	hashJoin := NewJoin(scan, NewScan(birds, "r5"), e)
-	hashJoin.UseHash, hashJoin.HashLeft, hashJoin.HashRight, hashJoin.BuildDOP = true, e, e, 2
+	hashJoin := NewJoin(scan, &GatherNode{Child: NewScan(birds, "r5"), DOP: 2}, e)
+	hashJoin.UseHash, hashJoin.HashLeft, hashJoin.HashRight = true, e, e
 	sum, _ := sql.ParseExpr("r.$.getSummaryObject('C1').getLabelValue('D') > 1")
 	summaryIndexJoin := NewJoin(scan, NewScan(birds, "r6"), sum)
 	summaryIndexJoin.UseIndex, summaryIndexJoin.IndexColumn = true, "id"
@@ -318,11 +318,11 @@ func nodeTable(t *testing.T, cat *catalog.Catalog, sidx *index.SummaryBTree, bid
 		NewJoin(scan, NewScan(birds, "r3"), sum), summaryIndexJoin,
 		&SortNode{Child: scan, Keys: key},
 		&SortNode{Child: ordered, Keys: key, SummaryBased: true, Eliminated: true},
-		&GroupByNode{Child: scan, Keys: []sql.Expr{e}, DOP: 2},
+		&GroupByNode{Child: &GatherNode{Child: scan, DOP: 2}, Keys: []sql.Expr{e}},
 		&ProjectNode{Child: scan, Exprs: []sql.Expr{e}, Out: scan.Schema()},
 		&DistinctNode{Child: scan},
 		&LimitNode{Child: scan, N: 1},
-		&GatherNode{Child: scan, DOP: 2, Partial: true},
+		&GatherNode{Child: scan, DOP: 2},
 	}
 }
 
@@ -370,7 +370,8 @@ func TestNodeTableCoversGoldenPlans(t *testing.T) {
 // TestWithChildrenAgreesWithChildren: for every node kind, WithChildren
 // returns a new node of the same kind whose Children are the ones
 // given, in order, that renders the same, and leaves the receiver as it
-// was.
+// was. A Gather child is replaced by a Gather, because a breaker over
+// one renders its parallelism.
 func TestWithChildrenAgreesWithChildren(t *testing.T) {
 	cat, _ := planFixture(t)
 	birds, _ := cat.Table("Birds")
@@ -379,6 +380,9 @@ func TestWithChildrenAgreesWithChildren(t *testing.T) {
 		repl := make([]Node, len(before))
 		for i := range repl {
 			repl[i] = NewScan(birds, "x")
+			if g, ok := before[i].(*GatherNode); ok {
+				repl[i] = &GatherNode{Child: repl[i], DOP: g.DOP}
+			}
 		}
 		m := n.WithChildren(repl)
 		if m == n || reflect.TypeOf(m) != reflect.TypeOf(n) {
